@@ -6,7 +6,7 @@
 # neither the perf plumbing of bench/ nor the `mmc profile --json` /
 # `mmc explain --json` schemas can bit-rot silently.
 
-.PHONY: all test bench bench-smoke bench-compare stress native-check native-faults-check profile-check profile-native-check explain-check check clean
+.PHONY: all test bench bench-smoke bench-compare stress native-check native-faults-check profile-check profile-native-check explain-check warm-check check clean
 
 all:
 	dune build
@@ -79,7 +79,28 @@ explain-check: all
 	  > _build/explain_check.json
 	dune exec bench/main.exe -- --check-explain-json _build/explain_check.json
 
-check: all test bench-smoke stress native-check native-faults-check profile-check profile-native-check explain-check
+# Warm-cache contract: re-running an unchanged program reads the baked
+# composition snapshot and hits the binary cache, so its --stats must
+# show no composition analysis, no toolchain probe and no C compile.
+# Skips with a notice when no C compiler is installed.
+warm-check: all
+	@if command -v $${MMC_CC:-cc} >/dev/null 2>&1; then \
+	  d=$$(mktemp -d) && \
+	  for run in cold warm; do \
+	    ./_build/default/bin/mmc.exe exec --stats --cache-dir $$d/cache \
+	      examples/eddy_energy.mc > /dev/null 2> $$d/$$run.stats || exit 1; \
+	  done; \
+	  if ! grep -q 'native.run ' $$d/warm.stats; then \
+	    echo "warm-check: FAIL (no --stats summary)"; rm -rf $$d; exit 1; \
+	  elif grep -E '(compose\.determinism|native\.probe|native\.compile) ' $$d/warm.stats; then \
+	    echo "warm-check: FAIL (warm run composed, probed or compiled)"; rm -rf $$d; exit 1; \
+	  fi; \
+	  rm -rf $$d; echo "warm-check: OK"; \
+	else \
+	  echo "warm-check: SKIP (no C compiler: $${MMC_CC:-cc} not found)"; \
+	fi
+
+check: all test bench-smoke stress native-check native-faults-check profile-check profile-native-check explain-check warm-check
 
 clean:
 	dune clean

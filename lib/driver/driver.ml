@@ -90,58 +90,13 @@ let all_extensions = [ matrix; transform; refptr; cilk ]
 let extension_by_name n =
   List.find_opt (fun x -> String.equal x.x_name n) all_extensions
 
-(* --- host AG spec (generated from the host grammar) ---------------------------- *)
-
-let host_ag_spec : Ag.Wellformed.spec =
-  let nts =
-    Cfg.nonterminals Cminus.Syntax.fragment
-    @ Cfg.nonterminals Ext_tuples.Tuples_ext.grammar
-    |> List.sort_uniq String.compare
-  in
-  let prod_decl (p : Cfg.production) =
-    Ag.Wellformed.full_prod ~owner:"host" ~lhs:p.Cfg.lhs
-      ~children:
-        (List.filter_map
-           (function Cfg.N n -> Some n | Cfg.T _ -> None)
-           p.Cfg.rhs)
-      ~defines:[ "errors"; "type" ] p.Cfg.p_name
-  in
-  {
-    sp_name = "host";
-    attrs =
-      [
-        {
-          a_name = "errors";
-          a_mode = Ag.Wellformed.Syn;
-          a_autocopy = false;
-          a_occurs = nts;
-          a_owner = "host";
-          a_default = false;
-        };
-        {
-          a_name = "type";
-          a_mode = Ag.Wellformed.Syn;
-          a_autocopy = false;
-          a_occurs = nts;
-          a_owner = "host";
-          a_default = false;
-        };
-        {
-          a_name = "env";
-          a_mode = Ag.Wellformed.Inh;
-          a_autocopy = true;
-          a_occurs = nts;
-          a_owner = "host";
-          a_default = false;
-        };
-      ];
-    prods =
-      List.map prod_decl
-        (Cminus.Syntax.fragment.Cfg.productions
-        @ Ext_tuples.Tuples_ext.grammar.Cfg.productions);
-  }
-
 (* --- composition ------------------------------------------------------------------ *)
+
+(** The effective host (CMINUS plus the host-packaged tuples fragment)
+    and its attribute-grammar specification; see {!Composition}. *)
+let effective_host = Composition.effective_host
+
+let host_ag_spec = Composition.host_ag_spec
 
 type composed = {
   selected : extension list;
@@ -154,75 +109,85 @@ type composed = {
 
 exception Compose_failed of string
 
-(** The effective host: CMINUS plus the tuples fragment, which failed
-    [isComposable] and is therefore "packaged as part of the host
-    language" (§VI-A). *)
-let effective_host : Cfg.t =
-  Cfg.compose Cminus.Syntax.fragment [ Ext_tuples.Tuples_ext.grammar ]
+(* Snapshot slots of the selection, in the user's order: [None] when an
+   extension is not one the build composed (physically the shipped
+   grammar and specification) or appears twice. *)
+let shipped_indices (selected : extension list) =
+  List.fold_right
+    (fun x acc ->
+      match
+        (acc, Composition.shipped_index ~grammar:x.grammar ~ag_spec:x.ag_spec)
+      with
+      | Some is, Some i when not (List.mem i is) -> Some (i :: is)
+      | _ -> None)
+    selected (Some [])
 
-(** [compose ?force exts] — run both modular analyses for each selected
-    extension, then build the composed scanner/parser.  With [force:false]
-    (default) an extension failing an analysis aborts composition, which
-    is the guarantee the paper's workflow gives the non-expert user. *)
-let compose ?(force = false) (selected : extension list) : composed =
+(* The baked verdict for a set of shipped extensions.  Its reports come
+   in canonical order; hand them back in the selection's. *)
+let snapshot_verdict (indices : int list) : Composition.verdict =
+  Tel.with_span ~phase:"compose" "compose.snapshot" @@ fun () ->
+  let mask = List.fold_left (fun m i -> m lor (1 lsl i)) 0 indices in
+  let verdict : Composition.verdict =
+    Marshal.from_string Composed_tables.subsets.(mask) 0
+  in
+  let canonical = List.sort compare indices in
+  let in_selection_order reports =
+    let by_index = List.combine canonical reports in
+    List.map (fun i -> List.assoc i by_index) indices
+  in
+  Result.map
+    (fun (t : Composition.tables) ->
+      {
+        t with
+        determinism_reports = in_selection_order t.determinism_reports;
+        ag_reports = in_selection_order t.ag_reports;
+      })
+    verdict
+
+(** [compose exts] — the translator for the host plus [exts]: the
+    composed scanner/parser, and the modular analyses' reports.  An
+    extension failing an analysis, or a composed grammar with LALR(1)
+    conflicts, raises {!Compose_failed} — the guarantee the paper's
+    workflow gives the non-expert user.
+
+    For the shipped extensions both come from the snapshot the build
+    baked ([composed_tables.ml]): composition is a pure function of
+    data compiled into mmc, so no process recomposes it.  Any other
+    extension is composed live.  Hooks and passes run in [exts]'s
+    order either way. *)
+let compose (selected : extension list) : composed =
   Tel.with_span ~phase:"compose" "driver.compose" @@ fun () ->
-  let det_reports =
-    Tel.with_span ~phase:"compose" "compose.determinism" (fun () ->
-        List.map
-          (fun x -> Grammar.Determinism.check effective_host x.grammar)
-          selected)
+  let verdict =
+    match shipped_indices selected with
+    | Some indices -> snapshot_verdict indices
+    | None ->
+        Composition.compose
+          (List.map
+             (fun x -> { Composition.grammar = x.grammar; ag_spec = x.ag_spec })
+             selected)
   in
-  let ag_reports =
-    Tel.with_span ~phase:"compose" "compose.wellformed" (fun () ->
-        List.map
-          (fun x -> Ag.Wellformed.check ~host:host_ag_spec x.ag_spec)
-          selected)
-  in
-  if not force then begin
-    List.iter
-      (fun (r : Grammar.Determinism.report) ->
-        if not r.Grammar.Determinism.passes then
-          raise
-            (Compose_failed
-               (Fmt.str "%a" Grammar.Determinism.pp_report r)))
-      det_reports;
-    List.iter
-      (fun (r : Ag.Wellformed.report) ->
-        if not r.Ag.Wellformed.passes then
-          raise (Compose_failed (Fmt.str "%a" Ag.Wellformed.pp_report r)))
-      ag_reports
-  end;
-  let cfg = Cfg.compose effective_host (List.map (fun x -> x.grammar) selected) in
-  let table =
-    Tel.with_span ~phase:"compose" "compose.lalr" (fun () ->
-        Grammar.Lalr.build cfg)
-  in
-  Tel.set_gauge "compose.extensions" (float_of_int (List.length selected));
-  Tel.set_gauge "grammar.productions"
-    (float_of_int (List.length cfg.Cfg.productions));
-  Tel.set_gauge "lalr.states" (float_of_int table.Grammar.Lalr.n_states);
-  Tel.set_gauge "lalr.conflicts"
-    (float_of_int (List.length table.Grammar.Lalr.conflicts));
-  if not (Grammar.Lalr.is_lalr1 table) then
-    raise
-      (Compose_failed
-         (Fmt.str "composed grammar has conflicts:@.%a"
-            (Fmt.list ~sep:Fmt.cut (Grammar.Lalr.pp_conflict table.Grammar.Lalr.g))
-            table.Grammar.Lalr.conflicts));
-  Ext_tuples.Tuples_ext.register ();
-  List.iter (fun x -> x.register ()) selected;
-  let parser_ =
-    Tel.with_span ~phase:"compose" "compose.scanner" (fun () ->
-        Parser.Driver.create table)
-  in
-  {
-    selected;
-    table;
-    parser_;
-    determinism_reports = det_reports;
-    ag_reports;
-    rc = List.exists (fun x -> x.enables_rc) selected;
-  }
+  match verdict with
+  | Error msg -> raise (Compose_failed msg)
+  | Ok t ->
+      let table = t.Composition.table in
+      Tel.set_gauge "compose.extensions" (float_of_int (List.length selected));
+      Tel.set_gauge "grammar.productions"
+        (float_of_int
+           (List.length
+              table.Grammar.Lalr.g.Grammar.Analysis.cfg.Cfg.productions));
+      Tel.set_gauge "lalr.states" (float_of_int table.Grammar.Lalr.n_states);
+      Tel.set_gauge "lalr.conflicts"
+        (float_of_int (List.length table.Grammar.Lalr.conflicts));
+      Ext_tuples.Tuples_ext.register ();
+      List.iter (fun x -> x.register ()) selected;
+      {
+        selected;
+        table;
+        parser_ = t.Composition.parser_;
+        determinism_reports = t.Composition.determinism_reports;
+        ag_reports = t.Composition.ag_reports;
+        rc = List.exists (fun x -> x.enables_rc) selected;
+      }
 
 (* --- pipeline --------------------------------------------------------------------- *)
 

@@ -385,135 +385,138 @@ let remove_if_exists path =
   if Sys.file_exists path then
     try Sys.remove path with Sys_error _ -> ()
 
+(* A cache miss: probe the toolchain (once per process), make sure the
+   runtime objects exist, then compile the program's translation unit
+   and link it against them. *)
+let build tc ~cache_dir ~instrument ~rebuild ~k c_text =
+  let ( let* ) = Result.bind in
+  let* () = Toolchain.check tc in
+  Support.Telemetry.set_gauge "native.openmp"
+    (if Toolchain.openmp tc then 1. else 0.);
+  let* objects =
+    Cache.runtime_objects ~dir:cache_dir ~toolchain:tc ~instrument ~rebuild
+  in
+  Support.Telemetry.with_span ~phase:"native" "native.compile" (fun () ->
+      let c_file = Cache.write_program ~dir:cache_dir ~k ~instrument c_text in
+      let exe = Cache.exe_path ~dir:cache_dir k in
+      let* () =
+        Cache.produce exe (fun out ->
+            Toolchain.compile tc ~c_files:(c_file :: objects) ~out)
+      in
+      Ok exe)
+
 (** [run ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?threads
     ?sanitize ?failpoints ?timeout_s ?max_bytes ~dir c_text] — the whole
-    native path: probe the toolchain (including [-fsanitize] support
-    when [sanitize] is given), hit or fill the binary cache, execute
-    supervised in [dir] (where readMatrix/writeMatrix files live) with
+    native path: hit or fill the binary cache, execute supervised in
+    [dir] (where readMatrix/writeMatrix files live) with
     [OMP_NUM_THREADS=threads], and parse the result protocol.
+
+    A hit runs no compiler.  A miss probes the toolchain (including
+    [-fsanitize] support when [sanitize] is given), builds the cached
+    runtime object if this configuration has none yet, and compiles only
+    the program's translation unit.  [cache:false] skips the lookup and
+    rebuilds the runtime object as well as the binary.
 
     [failpoints] is an MM_FAILPOINTS spec armed in the child's
     environment ([Some ""] explicitly disarms an inherited spec);
     [timeout_s]/[max_bytes] become the supervisor's wall-clock deadline
     and address-space cap.  With [instrument] the profiling runtime is
-    compiled in (under its own cache key) and the binary's
+    linked in (under its own cache key) and the binary's
     mm_profile.json sidecar comes back in [outcome.profile_json].
-    Compile and run legs are wrapped in telemetry spans and exported
-    both as ns and ms gauges; signal deaths and deadline kills export
+    The probe, runtime-object, compile and run legs are telemetry spans
+    ([native.probe], [native.runtime_object], [native.compile],
+    [native.run]); signal deaths and deadline kills export
     [native.signal] / [native.timeout]. *)
 let run ?cc ?(cflags = []) ?(cache = true) ?(cache_dir = Cache.default_dir)
     ?keep_c ?(instrument = false) ?(threads = 1) ?sanitize ?failpoints
     ?timeout_s ?max_bytes ?pipeline ~dir (c_text : string) :
     (outcome, error) result =
-  match Toolchain.probe ?cc ~cflags ?sanitize () with
-  | Error e -> Error (Toolchain_error e)
-  | Ok tc -> (
-      Support.Telemetry.set_gauge "native.openmp" (if tc.openmp then 1. else 0.);
-      keep_c_sources ~keep_c ~instrument c_text;
-      let k = Cache.key ~toolchain:tc ~instrument ?pipeline c_text in
-      let cached = if cache then Cache.lookup ~dir:cache_dir k else None in
-      let compiled =
-        match cached with
-        | Some exe -> Ok (exe, true)
-        | None ->
-            Support.Telemetry.with_span ~phase:"native" "native.compile"
-              (fun () ->
-                let c_files =
-                  Cache.write_sources ~dir:cache_dir ~k ~instrument c_text
-                in
-                let exe = Cache.exe_path ~dir:cache_dir k in
-                let t0 = Support.Telemetry.now_ns () in
-                match Toolchain.compile tc ~c_files ~out:exe with
-                | Ok () ->
-                    let ns = Support.Telemetry.now_ns () - t0 in
-                    Support.Telemetry.set_gauge "native.compile_ns"
-                      (float_of_int ns);
-                    Support.Telemetry.set_gauge "native.compile_ms"
-                      (float_of_int ns /. 1e6);
-                    Ok (exe, false)
-                | Error e -> Error (Toolchain_error e))
+  let tc = Toolchain.configure ?cc ~cflags ?sanitize () in
+  keep_c_sources ~keep_c ~instrument c_text;
+  let k = Cache.key ~toolchain:tc ~instrument ?pipeline c_text in
+  let compiled =
+    match if cache then Cache.lookup ~dir:cache_dir k else None with
+    | Some exe -> Ok (exe, true)
+    | None -> (
+        match
+          build tc ~cache_dir ~instrument ~rebuild:(not cache) ~k c_text
+        with
+        | Ok exe -> Ok (exe, false)
+        | Error e -> Error (Toolchain_error e))
+  in
+  match compiled with
+  | Error e -> Error e
+  | Ok (exe, from_cache) -> (
+      let out = Filename.temp_file "mmc_exec" ".out" in
+      let err = Filename.temp_file "mmc_exec" ".err" in
+      (* Run with cwd = data dir so matrix paths resolve exactly like
+         the interpreter's virtual filesystem rooted at [dir]. *)
+      let abs_exe =
+        if Filename.is_relative exe then
+          Filename.concat (Sys.getcwd ()) exe
+        else exe
       in
-      match compiled with
-      | Error e -> Error e
-      | Ok (exe, from_cache) -> (
-          let out = Filename.temp_file "mmc_exec" ".out" in
-          let err = Filename.temp_file "mmc_exec" ".err" in
-          (* Run with cwd = data dir so matrix paths resolve exactly like
-             the interpreter's virtual filesystem rooted at [dir]. *)
-          let abs_exe =
-            if Filename.is_relative exe then
-              Filename.concat (Sys.getcwd ()) exe
-            else exe
-          in
-          let sidecar = Filename.concat dir sidecar_name in
-          if instrument then
-            (* a stale sidecar from an earlier run must not be read back *)
-            remove_if_exists sidecar;
-          remove_if_exists (Filename.concat dir crash_sidecar_name);
-          let env =
-            [ ("OMP_NUM_THREADS", string_of_int (max 1 threads)) ]
-            @ (match failpoints with
-              | Some spec -> [ ("MM_FAILPOINTS", spec) ]
-              | None -> [])
-            @
-            (* mm programs intentionally exit with live allocations (the
-               __mm_live leak-parity check observes them); ASan's leak
-               detector would turn every run into a failure *)
-            match sanitize with
-            | Some "address" -> [ ("ASAN_OPTIONS", "detect_leaks=0") ]
-            | _ -> []
-          in
-          let status =
-            Support.Telemetry.with_span ~phase:"native" "native.run"
-              (fun () ->
-                let t0 = Support.Telemetry.now_ns () in
-                let status =
-                  Supervise.run ~env ?timeout_s ?max_bytes ~dir
-                    ~stdout_file:out ~stderr_file:err abs_exe
-                in
-                let ns = Support.Telemetry.now_ns () - t0 in
-                Support.Telemetry.set_gauge "native.run_ns" (float_of_int ns);
-                Support.Telemetry.set_gauge "native.run_ms"
-                  (float_of_int ns /. 1e6);
-                status)
-          in
-          let stdout_text = In_channel.with_open_bin out In_channel.input_all in
-          let stderr_text = In_channel.with_open_bin err In_channel.input_all in
-          List.iter
-            (fun f -> try Sys.remove f with Sys_error _ -> ())
-            [ out; err ];
-          match status with
-          | Supervise.Timed_out { after_s } ->
-              Support.Telemetry.set_gauge "native.timeout" 1.;
-              Error (Run_timeout { timeout_s = after_s; stderr_text })
-          | Supervise.Signaled { signal; name } ->
-              Support.Telemetry.set_gauge "native.signal"
-                (float_of_int signal);
-              Error
-                (Run_signaled
-                   {
-                     signal;
-                     signal_name = name;
-                     stderr_text;
-                     fault = scan_fault stdout_text;
-                     crash_span = read_crash_span ~dir;
-                   })
-          | Supervise.Exited 71 -> (
-              (* the guard runtime's dedicated exit: a structured fault
-                 line must be on stdout *)
-              match scan_fault stdout_text with
-              | Some f -> Error (Guard_fault f)
-              | None -> Error (Run_failed { exit_code = 71; stderr_text }))
-          | Supervise.Exited code when code <> 0 ->
-              Error (Run_failed { exit_code = code; stderr_text })
-          | Supervise.Exited _ -> (
-              match parse_output stdout_text with
-              | Error e -> Error e
-              | Ok (value, live) ->
-                  let profile_json =
-                    if instrument && Sys.file_exists sidecar then
-                      Some
-                        (In_channel.with_open_bin sidecar In_channel.input_all)
-                    else None
-                  in
-                  Ok { value; live; exe; from_cache; profile_json })))
+      let sidecar = Filename.concat dir sidecar_name in
+      if instrument then
+        (* a stale sidecar from an earlier run must not be read back *)
+        remove_if_exists sidecar;
+      remove_if_exists (Filename.concat dir crash_sidecar_name);
+      let env =
+        [ ("OMP_NUM_THREADS", string_of_int (max 1 threads)) ]
+        @ (match failpoints with
+          | Some spec -> [ ("MM_FAILPOINTS", spec) ]
+          | None -> [])
+        @
+        (* mm programs intentionally exit with live allocations (the
+           __mm_live leak-parity check observes them); ASan's leak
+           detector would turn every run into a failure *)
+        match sanitize with
+        | Some "address" -> [ ("ASAN_OPTIONS", "detect_leaks=0") ]
+        | _ -> []
+      in
+      let status =
+        Support.Telemetry.with_span ~phase:"native" "native.run"
+          (fun () ->
+            Supervise.run ~env ?timeout_s ?max_bytes ~dir
+              ~stdout_file:out ~stderr_file:err abs_exe)
+      in
+      let stdout_text = In_channel.with_open_bin out In_channel.input_all in
+      let stderr_text = In_channel.with_open_bin err In_channel.input_all in
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ out; err ];
+      match status with
+      | Supervise.Timed_out { after_s } ->
+          Support.Telemetry.set_gauge "native.timeout" 1.;
+          Error (Run_timeout { timeout_s = after_s; stderr_text })
+      | Supervise.Signaled { signal; name } ->
+          Support.Telemetry.set_gauge "native.signal"
+            (float_of_int signal);
+          Error
+            (Run_signaled
+               {
+                 signal;
+                 signal_name = name;
+                 stderr_text;
+                 fault = scan_fault stdout_text;
+                 crash_span = read_crash_span ~dir;
+               })
+      | Supervise.Exited 71 -> (
+          (* the guard runtime's dedicated exit: a structured fault
+             line must be on stdout *)
+          match scan_fault stdout_text with
+          | Some f -> Error (Guard_fault f)
+          | None -> Error (Run_failed { exit_code = 71; stderr_text }))
+      | Supervise.Exited code when code <> 0 ->
+          Error (Run_failed { exit_code = code; stderr_text })
+      | Supervise.Exited _ -> (
+          match parse_output stdout_text with
+          | Error e -> Error e
+          | Ok (value, live) ->
+              let profile_json =
+                if instrument && Sys.file_exists sidecar then
+                  Some
+                    (In_channel.with_open_bin sidecar In_channel.input_all)
+                else None
+              in
+              Ok { value; live; exe; from_cache; profile_json }))

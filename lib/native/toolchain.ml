@@ -2,20 +2,13 @@
     emitted plain parallel C is "compiled for execution by a traditional
     compiler").
 
-    The compiler is probed once per (cc, flags) configuration: first a
-    trivial translation unit (is there a working compiler at all?), then
-    the same unit under [-fopenmp] (do parallel loops get real OpenMP
-    threads, or do the pragmas fall back to sequential execution?).  Probe
-    results are memoised for the process lifetime, so test suites that
-    exec many programs pay for the probe once. *)
-
-type t = {
-  cc : string;  (** compiler command, e.g. ["cc"] *)
-  cflags : string list;  (** extra user flags, after the defaults *)
-  openmp : bool;  (** [-fopenmp] accepted: ParFor pragmas are live *)
-  sanitize : string option;
-      (** probed [-fsanitize=] mode ("address" / "undefined"), if any *)
-}
+    A toolchain is what the user asked for — compiler name, extra flags,
+    sanitizer mode — plus a lazily run probe: is there a working
+    compiler at all, and do parallel loops get real OpenMP threads or do
+    the pragmas fall back to sequential execution?  Only a compile
+    forces the probe, so a binary-cache hit runs no compiler; the probe
+    is memoised per configuration for the process lifetime, so test
+    suites that compile many programs pay for it once. *)
 
 type error =
   | No_compiler of { cc : string; detail : string }
@@ -24,6 +17,16 @@ type error =
       (** the generated program failed to compile — an emitter bug *)
   | Sanitizer_unsupported of { cc : string; sanitize : string }
       (** the compiler exists but rejects [-fsanitize=<mode>] *)
+
+type t = {
+  cc : string;  (** compiler command, e.g. ["cc"] *)
+  cflags : string list;  (** extra user flags, after the defaults *)
+  sanitize : string option;
+      (** [-fsanitize=] mode ("address" / "undefined"), if any *)
+  probed : (bool, error) result Lazy.t;
+      (** the probe's verdict — whether [-fopenmp] works, or why the
+          toolchain is unusable; forced only by a compile *)
+}
 
 let describe_error = function
   | No_compiler { cc; detail } ->
@@ -47,8 +50,6 @@ let run_command cmd =
 let quote = Filename.quote
 
 (* --- probing ---------------------------------------------------------- *)
-
-let probe_cache : (string, (t, error) result) Hashtbl.t = Hashtbl.create 4
 
 let try_compile ~cc ~flags ~src_text =
   let dir = Filename.temp_file "mmc_probe" "" in
@@ -76,24 +77,19 @@ let sanitize_flags = function
   | None -> []
   | Some s -> [ "-fsanitize=" ^ s; "-fno-omit-frame-pointer"; "-g" ]
 
-(** [probe ?cc ?cflags ?sanitize ()] — locate a working compiler, decide
-    whether OpenMP is available under it, and (when [sanitize] is given)
-    verify the compiler links [-fsanitize=<mode>] programs.  Memoised
-    per configuration. *)
-let probe ?cc ?(cflags = []) ?sanitize () : (t, error) result =
-  let cc = match cc with Some c when c <> "" -> c | _ -> default_cc () in
-  let key =
-    cc ^ "\x00"
-    ^ String.concat "\x00" cflags
-    ^ "\x01"
-    ^ Option.value sanitize ~default:""
-  in
-  match Hashtbl.find_opt probe_cache key with
-  | Some r -> r
-  | None ->
-      let trivial = "int main(void) { return 0; }\n" in
-      let r =
-        match try_compile ~cc ~flags:cflags ~src_text:trivial with
+(* The probe proper: OpenMP first, since a working [-fopenmp] compile
+   also proves the compiler works; only when it fails does a plain
+   compile tell "no OpenMP" from "no compiler".  A sanitizer mode is
+   checked on its own compile. *)
+let run_probe ~cc ~cflags ~sanitize : (bool, error) result =
+  let trivial = "int main(void) { return 0; }\n" in
+  let compiles flags = try_compile ~cc ~flags ~src_text:trivial in
+  let openmp =
+    match compiles ("-fopenmp" :: cflags) with
+    | Ok () -> Ok true
+    | Error _ -> (
+        match compiles cflags with
+        | Ok () -> Ok false
         | Error (_, output) ->
             Error
               (No_compiler
@@ -107,51 +103,90 @@ let probe ?cc ?(cflags = []) ?sanitize () : (t, error) result =
                          (match String.index_opt s '\n' with
                          | Some i -> String.sub s 0 i
                          | None -> s));
-                 })
-        | Ok () -> (
-            let openmp =
-              match
-                try_compile ~cc ~flags:("-fopenmp" :: cflags)
-                  ~src_text:trivial
-              with
-              | Ok () -> true
-              | Error _ -> false
-            in
-            match sanitize with
-            | None -> Ok { cc; cflags; openmp; sanitize = None }
-            | Some s -> (
-                match
-                  try_compile ~cc
-                    ~flags:(sanitize_flags (Some s) @ cflags)
-                    ~src_text:trivial
-                with
-                | Ok () -> Ok { cc; cflags; openmp; sanitize = Some s }
-                | Error _ ->
-                    Error (Sanitizer_unsupported { cc; sanitize = s })))
-      in
-      Hashtbl.replace probe_cache key r;
-      r
+                 }))
+  in
+  match (openmp, sanitize) with
+  | Ok _, Some s when compiles (sanitize_flags sanitize @ cflags) <> Ok () ->
+      Error (Sanitizer_unsupported { cc; sanitize = s })
+  | r, _ -> r
+
+let probe_cache : (string, (bool, error) result Lazy.t) Hashtbl.t =
+  Hashtbl.create 4
+
+(** [configure ?cc ?cflags ?sanitize ()] — the toolchain for this
+    configuration, its probe not yet run. *)
+let configure ?cc ?(cflags = []) ?sanitize () : t =
+  let cc = match cc with Some c when c <> "" -> c | _ -> default_cc () in
+  let key =
+    cc ^ "\x00"
+    ^ String.concat "\x00" cflags
+    ^ "\x01"
+    ^ Option.value sanitize ~default:""
+  in
+  let probed =
+    match Hashtbl.find_opt probe_cache key with
+    | Some p -> p
+    | None ->
+        let p = lazy (run_probe ~cc ~cflags ~sanitize) in
+        Hashtbl.replace probe_cache key p;
+        p
+  in
+  { cc; cflags; sanitize; probed }
+
+(* The probe's verdict, running it unless this process already has;
+   traced as [native.probe] when it actually runs a compiler. *)
+let verdict t =
+  if Lazy.is_val t.probed then Lazy.force t.probed
+  else
+    Support.Telemetry.with_span ~phase:"native" "native.probe" (fun () ->
+        Lazy.force t.probed)
+
+(** [check t] — is the compiler usable under this configuration?  Runs
+    the probe if it has not run yet. *)
+let check t : (unit, error) result = Result.map ignore (verdict t)
+
+(** [probe ?cc ?cflags ?sanitize ()] — {!configure} and {!check} at
+    once: locate a working compiler, decide whether OpenMP is available
+    under it, and (when [sanitize] is given) verify the compiler links
+    [-fsanitize=<mode>] programs. *)
+let probe ?cc ?cflags ?sanitize () : (t, error) result =
+  let t = configure ?cc ?cflags ?sanitize () in
+  Result.map (fun () -> t) (check t)
+
+(** Whether [-fopenmp] works: ParFor pragmas are live.  Runs the probe
+    if it has not run yet; [false] when the toolchain is unusable. *)
+let openmp t = verdict t = Ok true
+
+let base_flags t = [ "-O2"; "-Wall" ] @ sanitize_flags t.sanitize
+
+(** The flags the user asked for: everything in {!flags} but the
+    probed OpenMP choice.  The binary-cache key digests these, so it can
+    be computed without running the compiler. *)
+let requested_flags t = base_flags t @ t.cflags
 
 (** The flags a toolchain compiles generated programs with, in command
     order.  Without OpenMP the pragmas are dead text, so the unknown-
     pragma warning is silenced to stay clean under [-Wall].  Sanitizer
     flags participate, which also gives sanitized builds their own
-    binary-cache slot (the cache key digests the full flag list). *)
+    binary-cache slot. *)
 let flags t =
-  [ "-O2"; "-Wall" ]
-  @ sanitize_flags t.sanitize
-  @ (if t.openmp then [ "-fopenmp" ] else [ "-Wno-unknown-pragmas" ])
+  base_flags t
+  @ (if openmp t then [ "-fopenmp" ] else [ "-Wno-unknown-pragmas" ])
   @ t.cflags
 
-(** [compile t ~c_files ~out] — compile and link [c_files] into [out].
-    Returns the full command on failure so the driver's diagnostic shows
-    exactly what was attempted. *)
-let compile t ~c_files ~out : (unit, error) result =
-  let cmd =
-    Printf.sprintf "%s %s -o %s %s" t.cc
-      (String.concat " " (List.map quote (flags t)))
-      (quote out)
-      (String.concat " " (List.map quote c_files))
-  in
+(* Run [cc flags extra...], returning the full command on failure so
+   the driver's diagnostic shows exactly what was attempted. *)
+let run_cc t extra =
+  let cmd = String.concat " " ((t.cc :: List.map quote (flags t)) @ extra) in
   let code, output = run_command cmd in
   if code = 0 then Ok () else Error (Compile_failed { cmd; output })
+
+(** [compile_object t ~c_file ~out] — compile one translation unit to
+    the object file [out]. *)
+let compile_object t ~c_file ~out : (unit, error) result =
+  run_cc t [ "-c"; "-o"; quote out; quote c_file ]
+
+(** [compile t ~c_files ~out] — compile and link [c_files] (sources
+    or objects) into [out]. *)
+let compile t ~c_files ~out : (unit, error) result =
+  run_cc t ("-o" :: quote out :: List.map quote c_files)

@@ -40,6 +40,9 @@ typedef struct {
   long long est_total;
   long long est_self;
   long long frozen_self; /* self ns accumulated while frozen */
+  /* Skipped executions the freeze-time parent absorbed: all of them
+   * (-1) until the parent's own clock stops, then the count so far. */
+  long long absorbed;
   long long worker_ns[MM_PROF_MAX_WORKERS];
 } mm_prof_row;
 
@@ -203,6 +206,22 @@ static void mm_prof_record_fold(long long self) {
                     self);
 }
 
+/* Span [id]'s clock has stopped for good once its row is frozen and no
+ * frame of it is open: from then on, frozen children skipped inside it
+ * land in an enclosing open frame instead, which is re-credited through
+ * [id]'s own estimate.  Fix how many of their skipped executions [id]
+ * absorbed. */
+static void mm_prof_stop_absorbing(int id) {
+  if (!mm_prof_rows[id].frozen) return;
+  for (int d = 0; d < mm_prof_depth; d++)
+    if (mm_prof_stack[d].id == id) return;
+  for (int i = 0; i < mm_prof_nspans; i++) {
+    mm_prof_row *c = &mm_prof_rows[i];
+    if (i != id && c->frozen && c->parent == id && c->absorbed < 0)
+      c->absorbed = mm_prof_sentries ? mm_prof_sentries[i] : 0;
+  }
+}
+
 /* Close the top frame, charging self = total - child to its row and the
  * total to the parent's child time. */
 static void mm_prof_close_top(long long iters, int dispatches, int par) {
@@ -214,6 +233,7 @@ static void mm_prof_close_top(long long iters, int dispatches, int par) {
   mm_prof_depth--;
   if (mm_prof_depth > 0) mm_prof_stack[mm_prof_depth - 1].child += total;
   mm_prof_row *r = &mm_prof_rows[f.id];
+  mm_prof_stop_absorbing(f.id);
   r->entries++;
   r->total_ns += total;
   r->self_ns += self;
@@ -230,7 +250,9 @@ static void mm_prof_close_top(long long iters, int dispatches, int par) {
     /* the fold entry this close just touched IS the span's hot path */
     r->fold_e = (self > 0) ? mm_prof_fold_last : -1;
     r->parent = mm_prof_depth > 0 ? mm_prof_stack[mm_prof_depth - 1].id : -1;
+    r->absorbed = -1;
     if (mm_prof_skip) mm_prof_skip[f.id] = 1;
+    mm_prof_stop_absorbing(f.id);
   }
 }
 
@@ -368,6 +390,7 @@ void mm_prof_stop(void) {
     r->frozen_self += extra_self;
     if (r->parent >= 0 && r->parent < mm_prof_nspans) {
       mm_prof_row *pr = &mm_prof_rows[r->parent];
+      if (r->absorbed >= 0) extra_total = r->est_total * r->absorbed;
       pr->self_ns -= extra_total;
       if (pr->self_ns < 0) pr->self_ns = 0;
       pr->seq_ns -= extra_total;

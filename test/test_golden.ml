@@ -50,6 +50,33 @@ let test_emitted_c_matches_oracle () =
         [ (".par.c", true); (".seq.c", false) ])
     stems
 
+(* The composed grammar comes from a snapshot built in canonical
+   extension order, whatever order the user selects extensions in.  With
+   the pass pipeline pinned (the selection order is also the default pass
+   order), a permuted selection must emit the oracle's C byte for byte. *)
+let test_permuted_selection_matches_oracle () =
+  let permuted =
+    Driver.compose
+      [ Driver.cilk; Driver.refptr; Driver.transform; Driver.matrix ]
+  in
+  List.iter
+    (fun stem ->
+      let src = read (Filename.concat golden_dir (stem ^ ".mc")) in
+      List.iter
+        (fun (ext, auto_par) ->
+          let config = Driver.config_of_flags ~auto_par all4 in
+          match Driver.compile_to_c ~config permuted src with
+          | Driver.Ok_ text ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s%s bit-identical under permuted -x" stem ext)
+                (read (Filename.concat golden_dir (stem ^ ext)))
+                text
+          | Driver.Failed ds ->
+              Alcotest.failf "%s: emit failed: %s" stem
+                (Driver.diags_to_string ds))
+        [ (".par.c", true); (".seq.c", false) ])
+    stems
+
 (* --- interpreter results, byte for byte --------------------------------- *)
 
 let test_run_results_match_oracle () =
@@ -336,4 +363,6 @@ let suite =
       test_cli_unknown_pass_diagnostic;
     Alcotest.test_case "--ir-diff caps the LCS and dumps both versions" `Quick
       test_ir_diff_cap_falls_back_to_full_dumps;
+    Alcotest.test_case "permuted extension order emits oracle C" `Quick
+      test_permuted_selection_matches_oracle;
   ]

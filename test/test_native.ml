@@ -443,6 +443,107 @@ let test_corpus_compiles_werror () =
       ("transform_tiling", example "transform_tiling.mc");
     ]
 
+(* --- compiler runs per invocation ----------------------------------------- *)
+
+(* A --cc wrapper that logs each invocation's arguments, one line per
+   run, before handing over to the real compiler. *)
+let counting_cc real_cc =
+  let dir = fresh_dir () in
+  let log = Filename.concat dir "cc.log" in
+  let script = Filename.concat dir "cc.sh" in
+  Out_channel.with_open_text script (fun oc ->
+      Printf.fprintf oc "#!/bin/sh\necho \"$*\" >> %s\nexec %s \"$@\"\n"
+        (Filename.quote log) real_cc);
+  Unix.chmod script 0o755;
+  let runs () =
+    if Sys.file_exists log then
+      In_channel.with_open_text log In_channel.input_lines
+    else []
+  in
+  (script, runs)
+
+(* The runtime is compiled once per cache directory and configuration,
+   each program's own translation unit once per program, and a binary-
+   cache hit runs no compiler at all: not even the toolchain probe. *)
+let test_compiler_runs_per_invocation () =
+  let tc = ensure_cc () in
+  let cc, runs = counting_cc tc.Native.Toolchain.cc in
+  let cache_dir = fresh_dir () in
+  let exec ?(retried = false) n =
+    Support.Telemetry.reset ();
+    Support.Telemetry.set_enabled true;
+    let src = Printf.sprintf "int main() { return %d; }" n in
+    let before = List.length (runs ()) in
+    let o =
+      Fun.protect ~finally:(fun () -> Support.Telemetry.set_enabled false)
+      @@ fun () ->
+      match Driver.exec ~cc ~cache_dir full src with
+      | Driver.Ok_ o -> o
+      | Driver.Failed ds ->
+          Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds)
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "program %d result" n)
+      (string_of_int n)
+      (Fmt.str "%a" Native.Exec.pp_value o.Native.Exec.value);
+    Alcotest.(check bool)
+      (Printf.sprintf "program %d: retry gauge" n)
+      retried
+      (List.mem_assoc "native.retries" (Support.Telemetry.gauges ()));
+    List.filteri (fun i _ -> i >= before) (runs ())
+  in
+  let object_builds =
+    List.filter (fun l ->
+        is_infix ~affix:"-c " l && is_infix ~affix:"mm_runtime.c" l)
+  in
+  let first = exec 41 in
+  Alcotest.(check int) "first exec builds the runtime object once" 1
+    (List.length (object_builds first));
+  Alcotest.(check bool) "first exec probes, builds, links" true
+    (List.length first >= 3);
+  let second = exec 42 in
+  Alcotest.(check int) "a second program runs cc once" 1 (List.length second);
+  Alcotest.(check bool) "... linking the cached runtime object" true
+    (is_infix ~affix:".o" (List.hd second) && object_builds second = []);
+  Alcotest.(check (list string)) "re-running either program runs no cc" []
+    (exec 41 @ exec 42);
+  (* The same hit from a fresh mmc process, whose probe memo is empty. *)
+  let mmc = Filename.concat (Filename.concat ".." "bin") "mmc.exe" in
+  if Sys.file_exists mmc then begin
+    let dir = fresh_dir () in
+    let prog = Filename.concat dir "prog.mc" in
+    Out_channel.with_open_text prog (fun oc ->
+        output_string oc "int main() { return 41; }");
+    let before = List.length (runs ()) in
+    let code =
+      Sys.command
+        (Printf.sprintf
+           "%s exec -x matrix -x transform -x refptr --cc %s --cache-dir %s %s \
+            > %s"
+           (Filename.quote mmc) (Filename.quote cc) (Filename.quote cache_dir)
+           (Filename.quote prog)
+           (Filename.quote (Filename.concat dir "out")))
+    in
+    Alcotest.(check int) "mmc exec hit exits 0" 0 code;
+    Alcotest.(check string) "mmc exec hit result" "result: 41\n"
+      (In_channel.with_open_text (Filename.concat dir "out")
+         In_channel.input_all);
+    Alcotest.(check int) "an mmc exec hit runs no cc" before
+      (List.length (runs ()))
+  end;
+  (* A truncated runtime object fails the link; the retry rebuilds it. *)
+  let obj =
+    Sys.readdir cache_dir |> Array.to_list
+    |> List.find (fun f ->
+           String.starts_with ~prefix:"mm_runtime-" f
+           && Filename.check_suffix f ".o")
+    |> Filename.concat cache_dir
+  in
+  Unix.truncate obj ((Unix.stat obj).Unix.st_size / 2);
+  let recovered = exec ~retried:true 43 in
+  Alcotest.(check int) "the retry rebuilds the runtime object" 1
+    (List.length (object_builds recovered))
+
 let suite =
   [
     Alcotest.test_case "fig1 interp vs native" `Quick test_fig1;
@@ -474,4 +575,6 @@ let suite =
       test_keep_c_standalone_recompile;
     Alcotest.test_case "corpus emits -Werror-clean C" `Quick
       test_corpus_compiles_werror;
+    Alcotest.test_case "cc runs: runtime object once, none on a hit" `Quick
+      test_compiler_runs_per_invocation;
   ]

@@ -74,28 +74,58 @@ let test_tuples_fails_iscomposable () =
        (fun v -> v.Grammar.Determinism.rule = "marking-terminal")
        r.Grammar.Determinism.violations)
 
+(* Every subset of the shipped extensions composes conflict-free, and
+   the translator Driver.compose reads back from the build-time snapshot
+   is the one a live composition builds: same parse tables, same scanner
+   DFAs, same analysis reports. *)
 let test_composition_theorem_subsets () =
-  (* Every subset of passing extensions composes conflict-free. *)
-  let subsets =
-    [
-      [];
-      [ Driver.matrix ];
-      [ Driver.transform ];
-      [ Driver.refptr ];
-      [ Driver.matrix; Driver.transform ];
-      [ Driver.matrix; Driver.refptr ];
-      [ Driver.transform; Driver.refptr ];
-      [ Driver.matrix; Driver.transform; Driver.refptr ];
-    ]
+  let rec subsets = function
+    | [] -> [ [] ]
+    | x :: rest ->
+        let without = subsets rest in
+        without @ List.map (fun s -> x :: s) without
   in
+  let all = subsets Driver.all_extensions in
+  Alcotest.(check int) "all 16 subsets" 16 (List.length all);
   List.iter
     (fun sel ->
+      let name =
+        "{" ^ String.concat "," (List.map (fun x -> x.Driver.x_name) sel) ^ "}"
+      in
+      let check what ok = Alcotest.(check bool) (name ^ ": " ^ what) true ok in
       let c = Driver.compose sel in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d-extension composition is LALR(1)" (List.length sel))
-        true
-        (Grammar.Lalr.is_lalr1 c.Driver.table))
-    subsets
+      check "LALR(1)" (Grammar.Lalr.is_lalr1 c.Driver.table);
+      let live =
+        match
+          Composition.compose
+            (List.map
+               (fun x ->
+                 {
+                   Composition.grammar = x.Driver.grammar;
+                   ag_spec = x.Driver.ag_spec;
+                 })
+               sel)
+        with
+        | Ok t -> t
+        | Error m -> Alcotest.failf "%s: live composition failed: %s" name m
+      in
+      let t = c.Driver.table and l = live.Composition.table in
+      check "same action table" (t.Grammar.Lalr.action = l.Grammar.Lalr.action);
+      check "same goto table" (t.Grammar.Lalr.goto = l.Grammar.Lalr.goto);
+      check "same valid terminals"
+        (Array.for_all2 Grammar.Lalr.IntSet.equal t.Grammar.Lalr.valid_terms
+           l.Grammar.Lalr.valid_terms);
+      let sc p = p.Parser.Driver.scanner in
+      let sc_c = sc c.Driver.parser_ and sc_l = sc live.Composition.parser_ in
+      check "same scanner DFAs"
+        (sc_c.Lexer.Scanner.dfas = sc_l.Lexer.Scanner.dfas
+        && sc_c.Lexer.Scanner.layout_dfas = sc_l.Lexer.Scanner.layout_dfas
+        && sc_c.Lexer.Scanner.prio = sc_l.Lexer.Scanner.prio);
+      check "same determinism reports"
+        (c.Driver.determinism_reports = live.Composition.determinism_reports);
+      check "same well-definedness reports"
+        (c.Driver.ag_reports = live.Composition.ag_reports))
+    all
 
 (* --- context-aware scanning on the real language ------------------------------- *)
 

@@ -122,7 +122,7 @@ let test_pipeline_spans () =
         (List.mem expected names))
     [
       "driver.compose";
-      "compose.lalr";
+      "compose.snapshot";
       "frontend.parse";
       "frontend.check";
       "driver.lower";
