@@ -152,14 +152,17 @@ let find_func ctx name =
   | Some f -> f
   | None -> err "undefined function %s" name
 
+(** [data_path ~dir path] — the file a program's [readMatrix path] /
+    [writeMatrix path] resolves to under [dir]: path separators flatten
+    to ['_'], as in both backends. *)
+let data_path ~dir path =
+  Filename.concat dir (String.map (function '/' | '\\' -> '_' | c -> c) path)
+
 let resolve_path ctx p =
   match Hashtbl.find_opt ctx.fs p with
   | Some real -> real
   | None ->
-      let real =
-        Filename.concat ctx.dir
-          (String.map (function '/' | '\\' -> '_' | c -> c) p)
-      in
+      let real = data_path ~dir:ctx.dir p in
       Hashtbl.replace ctx.fs p real;
       real
 
@@ -519,16 +522,8 @@ let run ?pool ?dir (prog : program) (args : value list) : value =
 
 (** [provide_input ?dir path m] — place matrix [m] where a translated
     program's [readMatrix path] will find it. *)
-let provide_input ~dir path m =
-  let real =
-    Filename.concat dir (String.map (function '/' | '\\' -> '_' | c -> c) path)
-  in
-  Runtime.Ndarray.write_file real m
+let provide_input ~dir path m = Runtime.Ndarray.write_file (data_path ~dir path) m
 
 (** [fetch_output ~dir path] — read back a matrix the program wrote with
     [writeMatrix path]. *)
-let fetch_output ~dir path =
-  let real =
-    Filename.concat dir (String.map (function '/' | '\\' -> '_' | c -> c) path)
-  in
-  Runtime.Ndarray.read_file real
+let fetch_output ~dir path = Runtime.Ndarray.read_file (data_path ~dir path)

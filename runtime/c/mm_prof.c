@@ -391,6 +391,21 @@ void mm_prof_stop(void) {
     if (r->parent >= 0 && r->parent < mm_prof_nspans) {
       mm_prof_row *pr = &mm_prof_rows[r->parent];
       if (r->absorbed >= 0) extra_total = r->est_total * r->absorbed;
+      /* The skipped executions ran inside the parent's open frames, so
+       * the parent's measured self time bounds their real cost.  An
+       * estimate above it is probe overhead that the timed closes paid
+       * and the skipped ones did not: take the overdraft back from this
+       * span's own extrapolated self time rather than clamping the
+       * parent at zero, which would count it twice. */
+      long long over = extra_total - pr->self_ns;
+      if (over > extra_self) over = extra_self;
+      if (over > 0) {
+        r->total_ns -= over;
+        r->self_ns -= over;
+        r->seq_ns -= over;
+        r->frozen_self -= over;
+        extra_total -= over;
+      }
       pr->self_ns -= extra_total;
       if (pr->self_ns < 0) pr->self_ns = 0;
       pr->seq_ns -= extra_total;

@@ -5,6 +5,7 @@
 #include "mm_runtime.h"
 
 #include <fcntl.h>
+#include <limits.h>
 #include <signal.h>
 #include <stdarg.h>
 #include <stdio.h>
@@ -236,41 +237,47 @@ void mm_fail_hit(const char *name) {
 
 /* --- allocation and reference counting --------------------------------- */
 
+/* Allocation happens inside OpenMP regions (auto-par loops allocate
+ * slices and temporaries), so the live count, the refcounts and the
+ * payload-byte gauges (live / peak / cumulative) are all updated with
+ * atomic builtins.  Counts and bytes are plain tallies read after the
+ * parallel work, so relaxed order suffices; the peak is a CAS-max; only
+ * the refcount decrement that may free orders memory (acq_rel), so the
+ * thread that frees sees every other thread's last use of the payload. */
 static int mm_live = 0;
 
-int mm_live_count(void) { return mm_live; }
+int mm_live_count(void) { return __atomic_load_n(&mm_live, __ATOMIC_RELAXED); }
 
-/* Payload-byte gauges (live / peak / cumulative) and the allocation
- * hook.  Updates go through one named critical section because the
- * peak needs a read-modify-write and allocations can happen inside
- * OpenMP regions; allocation is rare next to loop iterations, so the
- * serialisation is invisible. */
 static long long mm_live_b = 0;
 static long long mm_peak_b = 0;
 static long long mm_alloc_b = 0;
 void (*mm_alloc_hook)(long long bytes) = 0;
 
-long long mm_live_bytes(void) { return mm_live_b; }
-long long mm_peak_bytes(void) { return mm_peak_b; }
-long long mm_allocated_bytes(void) { return mm_alloc_b; }
+long long mm_live_bytes(void) {
+  return __atomic_load_n(&mm_live_b, __ATOMIC_RELAXED);
+}
+long long mm_peak_bytes(void) {
+  return __atomic_load_n(&mm_peak_b, __ATOMIC_RELAXED);
+}
+long long mm_allocated_bytes(void) {
+  return __atomic_load_n(&mm_alloc_b, __ATOMIC_RELAXED);
+}
 
 static void mm_account_alloc(long long bytes) {
-#ifdef _OPENMP
-#pragma omp critical(mm_byte_account)
-#endif
-  {
-    mm_alloc_b += bytes;
-    mm_live_b += bytes;
-    if (mm_live_b > mm_peak_b) mm_peak_b = mm_live_b;
-  }
+  __atomic_fetch_add(&mm_alloc_b, bytes, __ATOMIC_RELAXED);
+  long long live = __atomic_add_fetch(&mm_live_b, bytes, __ATOMIC_RELAXED);
+  long long peak = __atomic_load_n(&mm_peak_b, __ATOMIC_RELAXED);
+  while (live > peak &&
+         !__atomic_compare_exchange_n(&mm_peak_b, &peak, live, 1,
+                                      __ATOMIC_RELAXED, __ATOMIC_RELAXED))
+    ;
+  __atomic_fetch_add(&mm_live, 1, __ATOMIC_RELAXED);
   if (mm_alloc_hook) mm_alloc_hook(bytes);
 }
 
 static void mm_account_free(long long bytes) {
-#ifdef _OPENMP
-#pragma omp critical(mm_byte_account)
-#endif
-  mm_live_b -= bytes;
+  __atomic_fetch_sub(&mm_live_b, bytes, __ATOMIC_RELAXED);
+  __atomic_fetch_sub(&mm_live, 1, __ATOMIC_RELAXED);
 }
 
 static size_t mm_elem_size(int kind) {
@@ -307,7 +314,6 @@ static void *mm_alloc(int kind, int rank, va_list ap) {
   m->elems = (int)n;
   m->data = calloc(n > 0 ? (size_t)n : 1, mm_elem_size(kind));
   if (!m->data) mm_fatal("alloc: out of memory for %lld elements", n);
-  mm_live++;
   mm_account_alloc(n * (long long)mm_elem_size(kind));
   return m;
 }
@@ -337,19 +343,19 @@ mm_mat_bool *mm_alloc_bool(int rank, ...) {
 }
 
 void mm_rc_inc(void *p) {
-  if (p) ((mm_mat_float *)p)->rc++;
+  if (p) __atomic_fetch_add(&((mm_mat_float *)p)->rc, 1, __ATOMIC_RELAXED);
 }
 
 void mm_rc_dec(void *p) {
   if (!p) return;
   mm_mat_float *m = p;
-  if (mm_guard_on && m->rc <= 0)
-    mm_guard_fault(-1, "reference count underflow (rc=%d)", m->rc);
-  if (--m->rc <= 0) {
+  int rc = __atomic_fetch_sub(&m->rc, 1, __ATOMIC_ACQ_REL);
+  if (mm_guard_on && rc <= 0)
+    mm_guard_fault(-1, "reference count underflow (rc=%d)", rc);
+  if (rc <= 1) {
     mm_account_free((long long)m->elems * (long long)mm_elem_size(m->kind));
     free(m->data);
     free(m);
-    mm_live--;
   }
 }
 
@@ -369,22 +375,6 @@ static char *mm_resolve_path(const char *path) {
   return real;
 }
 
-/* Header ints are 4-byte big-endian (OCaml's output_binary_int). */
-static void mm_put_be32(FILE *f, int v) {
-  for (int shift = 24; shift >= 0; shift -= 8)
-    fputc((v >> shift) & 0xff, f);
-}
-
-static int mm_get_be32(FILE *f, const char *path, const char *what) {
-  unsigned int v = 0;
-  for (int i = 0; i < 4; i++) {
-    int c = fgetc(f);
-    if (c == EOF) mm_fatal("readMatrix \"%s\": truncated %s", path, what);
-    v = (v << 8) | (unsigned int)c;
-  }
-  return (int)v;
-}
-
 /* Doubles travel as the decimal value of their bit pattern, one line per
  * element — the exact text the interpreter writes and parses. */
 static long long mm_double_bits(double d) {
@@ -399,6 +389,136 @@ static double mm_bits_double(long long i) {
   return d;
 }
 
+/* The element stream moves through one fixed buffer of MM_IO_CHUNK bytes,
+ * one fread/fwrite per chunk, with at most one partial element carried
+ * over a refill: a matrix file of any size costs one chunk of memory
+ * beyond the matrix itself.  An element is -?[0-9]{1,19} then '\n',
+ * within int64 range (a bool is one '0'/'1' byte) — the grammar
+ * Ndarray.read_file enforces too, so both backends reject the same
+ * files. */
+#define MM_IO_CHUNK (64 * 1024)
+#define MM_ELEM_MAX 21 /* '-', 19 digits, '\n' */
+
+typedef struct {
+  FILE *f;
+  const char *path;
+  char *buf;      /* MM_IO_CHUNK bytes of data, then a NUL sentinel */
+  size_t pos;     /* next unread byte */
+  size_t end;     /* bytes of data in buf */
+  long long base; /* file offset of buf[0] */
+} mm_reader;
+
+/* Make at least [want] bytes readable at rd->pos unless the file ends
+ * first, moving the unread tail to the front; returns the bytes
+ * readable.  The data is always followed by a NUL, so the element
+ * parser scans up to MM_ELEM_MAX bytes without bounds checks and stops
+ * at the end of the file. */
+static size_t mm_fill(mm_reader *rd, size_t want) {
+  size_t avail = rd->end - rd->pos;
+  if (avail >= want) return avail;
+  memmove(rd->buf, rd->buf + rd->pos, avail);
+  rd->base += (long long)rd->pos;
+  rd->pos = 0;
+  rd->end = avail + fread(rd->buf + avail, 1, MM_IO_CHUNK - avail, rd->f);
+  if (ferror(rd->f)) mm_fatal("readMatrix \"%s\": read error", rd->path);
+  rd->buf[rd->end] = 0;
+  return rd->end;
+}
+
+/* Header ints are 4-byte big-endian (OCaml's output_binary_int). */
+static int mm_get_be32(mm_reader *rd, const char *what) {
+  if (mm_fill(rd, 4) < 4)
+    mm_fatal("readMatrix \"%s\": truncated %s", rd->path, what);
+  const unsigned char *b = (const unsigned char *)rd->buf + rd->pos;
+  rd->pos += 4;
+  return (int)((unsigned)b[0] << 24 | (unsigned)b[1] << 16 |
+               (unsigned)b[2] << 8 | (unsigned)b[3]);
+}
+
+__attribute__((noreturn, cold)) static void
+mm_bad_elem(const mm_reader *rd, int i, const char *stop) {
+  long long off = rd->base + (long long)rd->pos;
+  if (stop == rd->buf + rd->end)
+    mm_fatal("readMatrix \"%s\": truncated at element %d (offset %lld)",
+             rd->path, i, off);
+  mm_fatal("readMatrix \"%s\": malformed element %d at offset %lld", rd->path,
+           i, off);
+  __builtin_unreachable(); /* mm_fatal exits */
+}
+
+static inline long long mm_get_elem(mm_reader *rd, int i) {
+  if (rd->end - rd->pos < MM_ELEM_MAX) mm_fill(rd, MM_ELEM_MAX);
+  const char *s = rd->buf + rd->pos;
+  int neg = *s == '-';
+  const char *d = s + neg, *p = d;
+  unsigned long long v = 0;
+  while (p - d < 19 && (unsigned)(*p - '0') < 10u)
+    v = v * 10 + (unsigned)(*p++ - '0');
+  if (p == d || *p != '\n' || v > (unsigned long long)LLONG_MAX + neg)
+    mm_bad_elem(rd, i, p);
+  rd->pos = (size_t)(p + 1 - rd->buf);
+  return neg ? (long long)(0 - v) : (long long)v;
+}
+
+static inline bool mm_get_bool(mm_reader *rd, int i) {
+  if (rd->pos == rd->end && mm_fill(rd, 1) == 0)
+    mm_fatal("readMatrix \"%s\": truncated at element %d (offset %lld)",
+             rd->path, i, rd->base + (long long)rd->pos);
+  char c = rd->buf[rd->pos++];
+  if (c != '0' && c != '1')
+    mm_fatal("readMatrix \"%s\": bad bool element %d", rd->path, i);
+  return c == '1';
+}
+
+typedef struct {
+  FILE *f;
+  const char *path;
+  char *buf; /* MM_IO_CHUNK bytes */
+  size_t len;
+} mm_writer;
+
+static void mm_flush(mm_writer *w) {
+  if (fwrite(w->buf, 1, w->len, w->f) != w->len)
+    mm_fatal("writeMatrix \"%s\": write failed", w->path);
+  w->len = 0;
+}
+
+static void mm_put_be32(mm_writer *w, int v) {
+  for (int shift = 24; shift >= 0; shift -= 8)
+    w->buf[w->len++] = (char)((v >> shift) & 0xff);
+}
+
+static const char mm_digit_pairs[] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
+/* One element: the bytes printf("%lld\n", v) writes, formatted two
+ * digits at a time from the right into a scratch buffer. */
+static inline void mm_put_elem(mm_writer *w, long long v) {
+  if (MM_IO_CHUNK - w->len < MM_ELEM_MAX) mm_flush(w);
+  char digits[20], *q = digits + sizeof digits;
+  unsigned long long u = (unsigned long long)v;
+  if (v < 0) u = 0 - u;
+  while (u >= 100) {
+    q -= 2;
+    memcpy(q, mm_digit_pairs + 2 * (u % 100), 2);
+    u /= 100;
+  }
+  if (u >= 10) {
+    q -= 2;
+    memcpy(q, mm_digit_pairs + 2 * u, 2);
+  } else
+    *--q = (char)('0' + u);
+  char *p = w->buf + w->len;
+  if (v < 0) *p++ = '-';
+  size_t n = (size_t)(digits + sizeof digits - q);
+  memcpy(p, q, n);
+  p[n] = '\n';
+  w->len = (size_t)(p + n + 1 - w->buf);
+}
+
 void mm_write_matrix(const char *path, const void *p) {
   const mm_mat_float *m = p;
   if (!m) mm_fatal("writeMatrix \"%s\": uninitialised matrix", path);
@@ -406,34 +526,31 @@ void mm_write_matrix(const char *path, const void *p) {
   FILE *f = fopen(real, "wb");
   if (!f) mm_fatal("writeMatrix \"%s\": cannot open %s", path, real);
   free(real);
-  fputs("MMAT1\n", f);
-  fputc(m->kind, f);
-  mm_put_be32(f, m->rank);
-  for (int d = 0; d < m->rank; d++) mm_put_be32(f, m->dims[d]);
-  for (int i = 0; i < m->elems; i++) {
-    switch (m->kind) {
-    case MM_KIND_FLOAT:
-      fprintf(f, "%lld\n", mm_double_bits(m->data[i]));
-      break;
-    case MM_KIND_INT:
-      fprintf(f, "%d\n", ((const mm_mat_int *)p)->data[i]);
-      break;
-    default:
-      fputc(((const mm_mat_bool *)p)->data[i] ? '1' : '0', f);
+  mm_writer w = {f, path, malloc(MM_IO_CHUNK), 0};
+  if (!w.buf) mm_fatal("writeMatrix \"%s\": out of memory", path);
+  memcpy(w.buf, "MMAT1\n", 6);
+  w.len = 6;
+  w.buf[w.len++] = (char)m->kind;
+  mm_put_be32(&w, m->rank);
+  for (int d = 0; d < m->rank; d++) mm_put_be32(&w, m->dims[d]);
+  switch (m->kind) {
+  case MM_KIND_FLOAT:
+    for (int i = 0; i < m->elems; i++)
+      mm_put_elem(&w, mm_double_bits(m->data[i]));
+    break;
+  case MM_KIND_INT:
+    for (int i = 0; i < m->elems; i++)
+      mm_put_elem(&w, ((const mm_mat_int *)p)->data[i]);
+    break;
+  default:
+    for (int i = 0; i < m->elems; i++) {
+      if (w.len == MM_IO_CHUNK) mm_flush(&w);
+      w.buf[w.len++] = ((const mm_mat_bool *)p)->data[i] ? '1' : '0';
     }
   }
+  mm_flush(&w);
+  free(w.buf);
   if (fclose(f) != 0) mm_fatal("writeMatrix \"%s\": write failed", path);
-}
-
-static long long mm_read_line_int(FILE *f, const char *path, int i) {
-  char line[64];
-  if (!fgets(line, sizeof(line), f))
-    mm_fatal("readMatrix \"%s\": truncated at element %d", path, i);
-  char *end;
-  long long v = strtoll(line, &end, 10);
-  if (end == line)
-    mm_fatal("readMatrix \"%s\": malformed element %d", path, i);
-  return v;
 }
 
 void *mm_read_matrix(const char *path) {
@@ -442,13 +559,15 @@ void *mm_read_matrix(const char *path) {
   FILE *f = fopen(real, "rb");
   if (!f) mm_fatal("readMatrix \"%s\": cannot open: %s", path, real);
   free(real);
-  char magic[7] = {0};
-  if (fread(magic, 1, 6, f) != 6 || strcmp(magic, "MMAT1\n") != 0)
+  mm_reader rd = {f, path, malloc(MM_IO_CHUNK + 1), 0, 0, 0};
+  if (!rd.buf) mm_fatal("readMatrix \"%s\": out of memory", path);
+  if (mm_fill(&rd, 6) < 6 || memcmp(rd.buf, "MMAT1\n", 6) != 0)
     mm_fatal("readMatrix \"%s\": bad magic", path);
-  int kind = fgetc(f);
+  rd.pos = 6;
+  int kind = mm_fill(&rd, 1) ? (unsigned char)rd.buf[rd.pos++] : EOF;
   if (kind != MM_KIND_FLOAT && kind != MM_KIND_INT && kind != MM_KIND_BOOL)
     mm_fatal("readMatrix \"%s\": unknown element kind", path);
-  int rank = mm_get_be32(f, path, "rank");
+  int rank = mm_get_be32(&rd, "rank");
   if (rank < 0 || rank > MM_MAX_RANK)
     mm_fatal("readMatrix \"%s\": implausible rank %d", path, rank);
   mm_mat_float *m = calloc(1, sizeof(mm_mat_float));
@@ -458,7 +577,7 @@ void *mm_read_matrix(const char *path) {
   m->rank = rank;
   long long n = 1;
   for (int d = 0; d < rank; d++) {
-    int e = mm_get_be32(f, path, "extent");
+    int e = mm_get_be32(&rd, "extent");
     if (e < 0 || e > (1 << 24))
       mm_fatal("readMatrix \"%s\": implausible extent %d", path, e);
     m->dims[d] = e;
@@ -470,25 +589,23 @@ void *mm_read_matrix(const char *path) {
   m->data = calloc(n > 0 ? (size_t)n : 1, mm_elem_size(kind));
   if (!m->data) mm_fatal("out of memory for %lld elements", n);
   mm_account_alloc(n * (long long)mm_elem_size(kind));
-  for (int i = 0; i < m->elems; i++) {
-    switch (kind) {
-    case MM_KIND_FLOAT:
-      m->data[i] = mm_bits_double(mm_read_line_int(f, path, i));
-      break;
-    case MM_KIND_INT:
-      ((mm_mat_int *)(void *)m)->data[i] =
-          (int)mm_read_line_int(f, path, i);
-      break;
-    default: {
-      int c = fgetc(f);
-      if (c != '0' && c != '1')
-        mm_fatal("readMatrix \"%s\": bad bool element %d", path, i);
-      ((mm_mat_bool *)(void *)m)->data[i] = c == '1';
-    }
-    }
+  switch (kind) {
+  case MM_KIND_FLOAT:
+    for (int i = 0; i < m->elems; i++)
+      m->data[i] = mm_bits_double(mm_get_elem(&rd, i));
+    break;
+  case MM_KIND_INT: {
+    int *data = ((mm_mat_int *)(void *)m)->data;
+    for (int i = 0; i < m->elems; i++) data[i] = (int)mm_get_elem(&rd, i);
+    break;
   }
+  default: {
+    bool *data = ((mm_mat_bool *)(void *)m)->data;
+    for (int i = 0; i < m->elems; i++) data[i] = mm_get_bool(&rd, i);
+  }
+  }
+  free(rd.buf);
   fclose(f);
-  mm_live++;
   return m;
 }
 
@@ -532,7 +649,7 @@ void mm_result_mat(const void *p) {
   printf("\n");
 }
 
-void mm_result_live(void) { printf("__mm_live %d\n", mm_live); }
+void mm_result_live(void) { printf("__mm_live %d\n", mm_live_count()); }
 
 /* --- simulated SSE ------------------------------------------------------ */
 

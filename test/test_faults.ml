@@ -351,6 +351,33 @@ let test_read_matrix_truncated () =
     [ "readMatrix"; "truncated"; "offset"; "[6x7]" ]
     (fun () -> Nd.read_file path)
 
+(* Cutting a file 1 or 2 bytes short lands inside its last element (its
+   '\n', then its last digit): what is left still parses as a shorter
+   number, so only the element grammar's trailing newline tells the
+   file is truncated. *)
+let test_read_matrix_truncated_mid_element () =
+  hygiene "readMatrix truncated mid-element" @@ fun () ->
+  let dir = fresh_dir () in
+  List.iter
+    (fun (kind, m) ->
+      let path = Filename.concat dir (kind ^ ".data") in
+      Nd.write_file path m;
+      let whole = In_channel.with_open_bin path In_channel.input_all in
+      List.iter
+        (fun cut ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc
+                (String.sub whole 0 (String.length whole - cut)));
+          expect_io_error
+            (Printf.sprintf "%s cut by %d" kind cut)
+            [ "readMatrix"; "truncated"; "offset"; "element 11 of 12" ]
+            (fun () -> Nd.read_file path))
+        [ 1; 2 ])
+    [
+      ("float", Nd.init_float [| 3; 4 |] (fun ix -> float_of_int (ix.(0) + ix.(1))));
+      ("int", Nd.init_int [| 3; 4 |] (fun ix -> 100 + (10 * ix.(0)) + ix.(1)));
+    ]
+
 let test_read_matrix_garbage () =
   hygiene "readMatrix garbage" @@ fun () ->
   let dir = fresh_dir () in
@@ -387,11 +414,11 @@ let test_read_matrix_in_program () =
   let path = Filename.concat dir "bad.data" in
   Nd.write_file path (Nd.init_float [| 2; 3; 4 |] (fun _ -> 1.0));
   let whole = In_channel.with_open_bin path In_channel.input_all in
-  (* drop more than one full element line: a partially truncated line can
-     still parse as a shorter integer, a fully missing one cannot *)
+  (* cut inside the last element: the element grammar's trailing '\n'
+     makes even a partial last line a truncation, not a shorter number *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc
-        (String.sub whole 0 (String.length whole - 30)));
+        (String.sub whole 0 (String.length whole - 3)));
   let src =
     {|
 int main() {
@@ -599,4 +626,6 @@ let suite =
       test_fault_matrix;
     Alcotest.test_case "acceptance: eddy program degrades bit-identically"
       `Quick test_eddy_degraded_acceptance;
+    Alcotest.test_case "readMatrix: truncated mid-element" `Quick
+      test_read_matrix_truncated_mid_element;
   ]

@@ -50,9 +50,14 @@ let rec value_eq (i : Interp.Eval.value) (n : Native.Exec.value) =
       Array.length a = Array.length b && Array.for_all2 value_eq a b
   | _ -> false
 
+let data_bytes ~dir path =
+  In_channel.with_open_bin (Interp.Eval.data_path ~dir path)
+    In_channel.input_all
+
 (* Run [src] through both backends with identical inputs and check that
    the result value, the live-allocation count and every output file
-   agree exactly (matrix files bit-for-bit). *)
+   agree exactly (matrix files byte for byte: a parsed comparison would
+   take -0.0 for 0.0 and miss NaN payloads). *)
 let differential ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
     ?(threads = 1) ?(cflags = []) ~name ~inputs ~outputs src =
   ignore (ensure_cc ());
@@ -97,11 +102,10 @@ let differential ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
     nv.Native.Exec.live;
   List.iter
     (fun out ->
-      let a = Interp.Eval.fetch_output ~dir:dir_i out in
-      let b = Interp.Eval.fetch_output ~dir:dir_n out in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: output %s bit-identical" name out)
-        true (Nd.equal a b))
+        (Printf.sprintf "%s: output %s byte-identical" name out)
+        true
+        (data_bytes ~dir:dir_i out = data_bytes ~dir:dir_n out))
     outputs
 
 (* --- corpus inputs ------------------------------------------------------ *)
@@ -225,6 +229,67 @@ int main() {
   return dimSize(v, 0);
 }
 |}
+
+(* --- byte-exact matrix files ---------------------------------------------- *)
+
+(* Edge values for every element kind: the float bit patterns of the
+   runtime suite's property (±0, ±inf, NaN payloads, subnormals, the
+   int64 extremes), the extremes of a native int (32-bit), and a
+   zero-extent cube. *)
+let edge_inputs =
+  let bits = Array.of_list Test_runtime.edge_bits in
+  [
+    ( "f.data",
+      Nd.of_float_array [| Array.length bits |]
+        (Array.map Int64.float_of_bits bits) );
+    ( "i.data",
+      Nd.of_int_array [| 8 |]
+        [| 0; -1; 9; -10; 100; 2147483647; -2147483648; 42 |] );
+    ("b.data", Nd.of_bool_array [| 5 |] [| true; false; false; true; true |]);
+    ("z.data", Nd.init_float [| 3; 0; 2 |] (fun _ -> 1.0));
+  ]
+
+(* readMatrix then writeMatrix of every edge input. *)
+let roundtrip_src =
+  {|
+int main() {
+  Matrix float <1> f = readMatrix("f.data");
+  Matrix int <1> i = readMatrix("i.data");
+  Matrix bool <1> b = readMatrix("b.data");
+  Matrix float <3> z = readMatrix("z.data");
+  writeMatrix("out_f.data", f);
+  writeMatrix("out_i.data", i);
+  writeMatrix("out_b.data", b);
+  writeMatrix("out_z.data", z);
+  return 0;
+}
+|}
+
+(* Run [roundtrip_src] with [run ~dir] ([Driver.run] or [Driver.exec])
+   in a fresh [dir] holding the edge inputs, then compare each output
+   with its input byte for byte. *)
+let check_roundtrip ~label run =
+  let dir = fresh_dir () in
+  List.iter (fun (p, m) -> Interp.Eval.provide_input ~dir p m) edge_inputs;
+  (match run ~dir with
+  | Driver.Ok_ _ -> ()
+  | Driver.Failed ds ->
+      Alcotest.failf "%s: roundtrip failed: %s" label
+        (Driver.diags_to_string ds));
+  List.iter
+    (fun (p, _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: out_%s reproduces %s byte for byte" label p p)
+        true
+        (data_bytes ~dir p = data_bytes ~dir ("out_" ^ p)))
+    edge_inputs
+
+let test_roundtrip_bytes () =
+  ignore (ensure_cc ());
+  check_roundtrip ~label:"interp" (fun ~dir ->
+      Driver.run ~dir full roundtrip_src []);
+  check_roundtrip ~label:"native" (fun ~dir ->
+      Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache) full roundtrip_src)
 
 (* --- randomized differential property ----------------------------------- *)
 
@@ -577,4 +642,6 @@ let suite =
       test_corpus_compiles_werror;
     Alcotest.test_case "cc runs: runtime object once, none on a hit" `Quick
       test_compiler_runs_per_invocation;
+    Alcotest.test_case "matrix files round-trip byte for byte" `Quick
+      test_roundtrip_bytes;
   ]

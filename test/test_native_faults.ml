@@ -344,8 +344,83 @@ let test_sanitized_corpus_runs () =
               Alcotest.(check bool)
                 (mode ^ ": result matches the interpreter")
                 true
-                (o.Native.Exec.value = Native.Exec.RScal iv)))
+                (o.Native.Exec.value = Native.Exec.RScal iv);
+              (* the matrix-file parser and formatter, on edge inputs *)
+              Test_native.check_roundtrip ~label:("-fsanitize=" ^ mode)
+                (fun ~dir ->
+                  Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache)
+                    ~sanitize:mode full Test_native.roundtrip_src)))
     [ "address"; "undefined" ]
+
+(* --- one element grammar in both backends ---------------------------------- *)
+
+(* Element texts behind a valid header that a library integer parser
+   takes in some form (Int64.of_string reads [0x1F] and [1_2]; strtoll
+   skips [" 12"]'s blank and stops before ["12abc"]'s letters), plus an
+   int64 overflow, 20 digits, an empty line and a last element without
+   its '\n'.  The grammar is [-?[0-9]{1,19}] then '\n', within int64
+   range; both backends must refuse every one of these with a readMatrix
+   diagnostic. *)
+let corrupt_elements =
+  [
+    "+12\n"; "0x1F\n"; "1_2\n"; " 12\n"; "12abc\n"; "12345678901234567890\n";
+    "9223372036854775808\n"; "\n"; "12";
+  ]
+
+let be32 n = String.init 4 (fun k -> Char.chr ((n lsr (8 * (3 - k))) land 0xff))
+
+let test_element_grammar_parity () =
+  with_deadline ~secs:300 "element grammar parity" @@ fun () ->
+  ignore (ensure_cc ());
+  List.iter
+    (fun (kind, ty, first, second) ->
+      let src =
+        Printf.sprintf
+          "%s main() {\n  Matrix %s <1> v = readMatrix(\"in.data\");\n  return v[1];\n}\n"
+          ty ty
+      in
+      (* each backend's diagnostic text, or None when the run succeeds *)
+      let run_both second =
+        let dir = fresh_dir () in
+        Out_channel.with_open_bin (Filename.concat dir "in.data") (fun oc ->
+            Out_channel.output_string oc
+              ("MMAT1\n" ^ String.make 1 kind ^ be32 1 ^ be32 2 ^ first
+             ^ second));
+        let diag = function
+          | Driver.Ok_ _ -> None
+          | Driver.Failed ds -> Some (Driver.diags_to_string ~src ds)
+        in
+        [
+          ("interp", diag (Driver.run ~dir full src []));
+          ( "native",
+            diag
+              (Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache) full src)
+          );
+        ]
+      in
+      (* control: the same file with a well-formed element loads *)
+      List.iter
+        (fun (backend, diag) ->
+          Option.iter
+            (Alcotest.failf "%s %s control failed: %s" ty backend)
+            diag)
+        (run_both second);
+      List.iter
+        (fun bad ->
+          List.iter
+            (fun (backend, diag) ->
+              let text = Option.value diag ~default:"(no failure)" in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s rejects %S (got: %s)" ty backend bad
+                   text)
+                true
+                (contains text "readMatrix"))
+            (run_both bad))
+        corrupt_elements)
+    [
+      ('i', "int", "5\n", "7\n");
+      ('f', "float", "4607182418800017408\n", "4611686018427387904\n");
+    ]
 
 (* --- guards emission is warning-clean -------------------------------------- *)
 
@@ -521,4 +596,6 @@ let suite =
       test_native_fault_matrix;
     Alcotest.test_case "acceptance: native degrade is bit-identical" `Quick
       test_eddy_degraded_native_acceptance;
+    Alcotest.test_case "readMatrix: one element grammar, both backends"
+      `Quick test_element_grammar_parity;
   ]

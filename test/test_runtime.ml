@@ -259,6 +259,81 @@ let test_io_roundtrip () =
   Sys.remove file;
   Alcotest.check nd "int roundtrip" ints back
 
+(* The MMAT1 writer as a plain per-element loop: the reference the
+   buffered formatter in [Ndarray.write_file] must match byte for byte. *)
+let reference_mmat1 (m : Ndarray.t) =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "MMAT1\n";
+  Buffer.add_char b
+    (match Ndarray.elem m with EFloat -> 'f' | EInt -> 'i' | EBool -> 'b');
+  let be32 n = Buffer.add_int32_be b (Int32.of_int n) in
+  be32 (Ndarray.rank m);
+  Array.iter be32 (Ndarray.shape m);
+  (match m.buf with
+  | F a ->
+      Array.iter
+        (fun v ->
+          Buffer.add_string b (Int64.to_string (Int64.bits_of_float v) ^ "\n"))
+        a
+  | I a -> Array.iter (fun v -> Buffer.add_string b (string_of_int v ^ "\n")) a
+  | B a -> Array.iter (fun v -> Buffer.add_char b (if v then '1' else '0')) a);
+  Buffer.contents b
+
+(* Float bit patterns a decimal formatter can get wrong: ±0, ±inf, NaN
+   payloads, subnormals, the int64 extremes and the int-range edges. *)
+let edge_bits =
+  [
+    0L; Int64.min_int (* -0.0 *); Int64.max_int (* NaN, all payload bits *);
+    0x7FF0000000000000L; 0xFFF0000000000000L; 0x7FF8000000000000L;
+    0x7FF0000000000001L; 0xFFF8DEADBEEF0001L; 1L; 0x000FFFFFFFFFFFFFL;
+    0x800FFFFFFFFFFFFFL; 0x3FF0000000000000L; -1L;
+    Int64.of_int max_int; Int64.of_int min_int;
+    Int64.succ (Int64.of_int max_int); Int64.pred (Int64.of_int min_int);
+    1000000000000000000L; -999999999999999999L;
+  ]
+
+let edge_ints = [ 0; 1; -1; 9; 10; -10; 99; 100; max_int; min_int ]
+
+let gen_matrix =
+  QCheck.Gen.(
+    let* rank = 1 -- 3 in
+    let* sh = array_repeat rank (0 -- 5) in
+    let n = Shape.size sh in
+    oneof
+      [
+        map
+          (fun a -> Ndarray.of_float_array sh (Array.map Int64.float_of_bits a))
+          (array_repeat n (frequency [ (1, oneofl edge_bits); (2, ui64) ]));
+        map (Ndarray.of_int_array sh)
+          (array_repeat n (frequency [ (1, oneofl edge_ints); (2, int) ]));
+        map (Ndarray.of_bool_array sh) (array_repeat n bool);
+      ])
+
+let prop_mmat1_bytes =
+  QCheck.Test.make ~name:"matrix files: reference bytes, bit-exact reads"
+    ~count:200
+    (QCheck.make ~print:Ndarray.to_string gen_matrix)
+    (fun m ->
+      let file = Filename.temp_file "mmc" ".mat" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          Ndarray.write_file file m;
+          let bytes = In_channel.with_open_bin file In_channel.input_all in
+          if bytes <> reference_mmat1 m then
+            QCheck.Test.fail_report "write_file differs from the reference";
+          let back = Ndarray.read_file file in
+          Shape.equal (Ndarray.shape back) (Ndarray.shape m)
+          &&
+          match (back.buf, m.buf) with
+          | F x, F y ->
+              Array.for_all2
+                (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
+                x y
+          | I x, I y -> x = y
+          | B x, B y -> x = y
+          | _ -> false))
+
 (* --- refcounting ----------------------------------------------------------- *)
 
 let test_rc_lifecycle () =
@@ -421,4 +496,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pool_matches_serial;
     Alcotest.test_case "simd ops" `Quick test_simd_ops;
     QCheck_alcotest.to_alcotest prop_simd_equals_scalar;
+    QCheck_alcotest.to_alcotest prop_mmat1_bytes;
   ]
