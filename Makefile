@@ -6,7 +6,7 @@
 # neither the perf plumbing of bench/ nor the `mmc profile --json` /
 # `mmc explain --json` schemas can bit-rot silently.
 
-.PHONY: all test bench bench-smoke bench-compare stress native-check native-faults-check profile-check profile-native-check explain-check warm-check check clean
+.PHONY: all test bench bench-smoke bench-compare stress native-check native-faults-check profile-check profile-native-check explain-check warm-check tmp-check check clean
 
 all:
 	dune build
@@ -100,7 +100,31 @@ warm-check: all
 	  echo "warm-check: SKIP (no C compiler: $${MMC_CC:-cc} not found)"; \
 	fi
 
-check: all test bench-smoke stress native-check native-faults-check profile-check profile-native-check explain-check warm-check
+# Scratch-directory contract: without --data-dir, `mmc run`, `mmc exec`
+# and `mmc profile` put the program's matrix files in a temporary
+# directory and remove it when they end.  Runs each on an example with
+# TMPDIR pointing at a fresh, empty directory (exec's binary cache kept
+# outside it) and fails if anything is left there.  The exec leg skips
+# with a notice when no C compiler is installed.
+tmp-check: all
+	@d=$$(mktemp -d) && mkdir $$d/tmp && \
+	for cmd in run profile; do \
+	  TMPDIR=$$d/tmp ./_build/default/bin/mmc.exe $$cmd \
+	    examples/eddy_energy.mc > /dev/null || { rm -rf $$d; exit 1; }; \
+	done; \
+	if command -v $${MMC_CC:-cc} >/dev/null 2>&1; then \
+	  TMPDIR=$$d/tmp ./_build/default/bin/mmc.exe exec --cache-dir $$d/cache \
+	    examples/eddy_energy.mc > /dev/null || { rm -rf $$d; exit 1; }; \
+	else \
+	  echo "tmp-check: exec SKIP (no C compiler: $${MMC_CC:-cc} not found)"; \
+	fi; \
+	left=$$(ls -A $$d/tmp); rm -rf $$d; \
+	if [ -n "$$left" ]; then \
+	  echo "tmp-check: FAIL (left in TMPDIR: $$left)"; exit 1; \
+	fi; \
+	echo "tmp-check: OK"
+
+check: all test bench-smoke stress native-check native-faults-check profile-check profile-native-check explain-check warm-check tmp-check
 
 clean:
 	dune clean

@@ -325,7 +325,9 @@ let threads_arg =
 let data_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "data-dir" ] ~docv:"DIR"
-           ~doc:"Directory where readMatrix/writeMatrix resolve paths.")
+           ~doc:"Directory where readMatrix/writeMatrix resolve paths \
+                 (default: a temporary directory, removed when the \
+                 command ends).")
 
 let block_arg =
   Arg.(value & opt (some int) None
@@ -416,14 +418,6 @@ let set_kernel_knobs block grain =
     Fmt.epr "mmc: --block and --grain must be positive@.";
     raise (Fatal 2)
 
-let resolve_data_dir = function
-  | Some d -> d
-  | None ->
-      let d = Filename.temp_file "mmc_run" "" in
-      Sys.remove d;
-      Sys.mkdir d 0o755;
-      d
-
 let run_cmd =
   let run exts_names threads data_dir block grain pipeline robust remarks tele
       file =
@@ -434,14 +428,13 @@ let run_cmd =
       resolve_config pipeline c ~tweaks:(fun cfg ->
           Driver.Pipeline.enable cfg "auto-par" (threads > 1))
     in
-    let dir = resolve_data_dir data_dir in
     let src = read_source file in
     with_remarks remarks ~src @@ fun () ->
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
     let exec pool =
       Runtime.Rc.reset ();
       with_robustness robust pool @@ fun () ->
-      match Driver.run ~dir ?pool ~config ~warn c src [] with
+      match Driver.run ?dir:data_dir ?pool ~config ~warn c src [] with
       | Driver.Ok_ v ->
           Fmt.pr "result: %a@." Interp.Eval.pp_value v;
           let live = Runtime.Rc.live_count () in
@@ -575,7 +568,6 @@ let exec_cmd =
                (not no_copy_elim))
             "auto-par" (threads > 1))
     in
-    let dir = resolve_data_dir data_dir in
     let src = read_source file in
     with_remarks remarks ~src @@ fun () ->
     let line_file =
@@ -601,7 +593,7 @@ let exec_cmd =
     in
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
     match
-      Driver.exec ~dir ~config ~warn ?cc ~cflags ?keep_c ?line_file ~guards
+      Driver.exec ?dir:data_dir ~config ~warn ?cc ~cflags ?keep_c ?line_file ~guards
         ?sanitize ?failpoints ?timeout_s ?max_bytes ~cache:(not no_cache)
         ~cache_dir ~threads c src
     with
@@ -680,7 +672,6 @@ let profile_cmd =
       resolve_config pipeline c ~tweaks:(fun cfg ->
           Driver.Pipeline.enable cfg "auto-par" true)
     in
-    let dir = resolve_data_dir data_dir in
     let src = read_source file in
     with_remarks remarks ~src @@ fun () ->
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
@@ -700,14 +691,14 @@ let profile_cmd =
         folded
     in
     let profile_native () =
-      Driver.profile_native ~dir ~config:native_config ~warn ?cc ~cflags
+      Driver.profile_native ?dir:data_dir ~config:native_config ~warn ?cc ~cflags
         ?keep_c ~cache:(not no_cache) ~cache_dir ~threads c src
     in
     let interp_profile k =
       let body pool =
         with_robustness robust pool @@ fun () ->
         let outcome, report =
-          Driver.profile ~dir ?pool ~config:interp_config ~warn c src []
+          Driver.profile ?dir:data_dir ?pool ~config:interp_config ~warn c src []
         in
         k outcome report
       in

@@ -328,7 +328,8 @@ let runtime_failure_diag exn =
 
 (** [run c src args] — compile and execute on the parallel runtime.
     [pool] supplies the enhanced fork-join worker pool; [dir] hosts the
-    program's matrix files. *)
+    program's matrix files (without it, a temporary directory that
+    {!Interp.Eval.run} removes again). *)
 let run ?config ?warn ?pool ?dir ?(optimize = true) (c : composed)
     (src : string) (args : Interp.Eval.value list) :
     Interp.Eval.value outcome =
@@ -399,7 +400,8 @@ let native_failure_diag (e : Native.Exec.error) =
 
 (** [exec c src] — the native twin of {!run}: emit self-contained C (exec
     harness included), compile it with the system toolchain through the
-    binary cache, run the binary supervised in [dir], and parse its
+    binary cache, run the binary supervised in [dir] (without it, a
+    temporary directory removed when [exec] returns), and parse its
     printed result.  The returned outcome's [value] matches what {!run}
     would have produced, bit-for-bit.
 
@@ -423,15 +425,7 @@ let exec ?config ?warn ?dir ?cc ?(cflags = []) ?keep_c
   with
   | Failed d -> Failed d
   | Ok_ c_text -> (
-      let dir =
-        match dir with
-        | Some d -> d
-        | None ->
-            let d = Filename.temp_file "mmcfs" "" in
-            Sys.remove d;
-            Sys.mkdir d 0o755;
-            d
-      in
+      Support.Tmpdir.with_dir ?dir ~prefix:"mmcfs" @@ fun dir ->
       let attempt ?failpoints ~cache ~threads () =
         Tel.with_span ~phase:"run" "driver.exec" (fun () ->
             Native.Exec.run ?cc ~cflags ~cache ?cache_dir ?keep_c ?instrument

@@ -1,16 +1,22 @@
 (** Executor for lowered programs.
 
     The paper compiles the generated C with gcc and runs it on a 2×6-core
-    machine; in this reproduction the lowered IR is executed directly (see
-    DESIGN.md §2): scalar code evaluates with C semantics, [ParFor] regions
-    dispatch onto the enhanced fork-join domain pool of {!Runtime.Pool},
-    vector operations execute 4-lane f32 arithmetic via {!Runtime.Simd},
-    and matrix allocation goes through the reference-counting registry so
-    tests can assert the no-leak invariant of the generated code. *)
+    machine; in this reproduction the lowered IR is also executed directly
+    (see DESIGN.md §3d).  {!run} compiles the program once — every
+    variable to a slot of a frame, every call to its callee, every
+    [readMatrix]/[writeMatrix] literal to its data file, every expression
+    and statement to an OCaml closure over a frame — and then calls the
+    entry function.  Scalar code evaluates with C semantics, [ParFor]
+    regions dispatch onto the enhanced fork-join domain pool of
+    {!Runtime.Pool}, vector operations execute 4-lane f32 arithmetic via
+    {!Runtime.Simd}, and matrix allocation goes through the
+    reference-counting registry so tests can assert the no-leak invariant
+    of the generated code. *)
 
 open Cir.Ir
 module S = Runtime.Scalar
 module Nd = Runtime.Ndarray
+module Profile = Support.Profile
 
 type value =
   | VUnit
@@ -54,46 +60,47 @@ let mat = function
   | VNull -> err "use of an uninitialised matrix"
   | v -> err "expected matrix, got %a" pp_value v
 
-let mat_rc = function
-  | VMat rc -> rc
-  | VNull -> err "use of an uninitialised matrix"
-  | v -> err "expected matrix, got %a" pp_value v
-
 let vecv = function
   | VVec v -> v
   | v -> err "expected vector, got %a" pp_value v
 
-let int_of v = S.to_int (scal v)
-let float_of v = S.to_float (scal v)
-let bool_of v = S.truthy (scal v)
+let default_of_type = function
+  | CInt -> VScal (S.I 0)
+  | CFloat -> VScal (S.F 0.)
+  | CBool -> VScal (S.B false)
+  | CVec -> VVec (Runtime.Simd.splat 0. ~width:Runtime.Simd.default_width)
+  | CVoid -> VUnit
+  | CMat _ -> VNull
+  | CTuple _ -> VNull
 
-(* --- environments --------------------------------------------------------- *)
+(** [data_path ~dir path] — the file a program's [readMatrix path] /
+    [writeMatrix path] resolves to under [dir]: path separators flatten
+    to ['_'], as in both backends. *)
+let data_path ~dir path =
+  Filename.concat dir (String.map (function '/' | '\\' -> '_' | c -> c) path)
 
-type spawn_entry = { s_dom : value Domain.t; s_target : value ref option }
+(* --- frames ------------------------------------------------------------------ *)
 
-type env = {
-  vars : (string, value ref) Hashtbl.t;
-  parent : env option;
-  mutable cilk_spawned : spawn_entry list;
-      (** Cilk children of this invocation; only consulted on the
-          function-root environment (each [call] has its own root, so
-          recursive spawns in different domains never share a list) *)
+(* One frame per call and one per [ParFor] iteration.  A variable lives in
+   a slot of the frame of the call or iteration that declared it.  An
+   iteration reaches the variables around its loop through [up], so pool
+   domains share those (as the emitted OpenMP C does) but never each
+   other's body locals. *)
+type frame = {
+  slots : value array;
+  up : frame;  (** the frame around a [ParFor] iteration's loop *)
+  mutable spawned : spawned list;
+      (** Cilk children of this call, newest first; only used on a call's
+          frame (each call has its own, so recursive spawns in different
+          domains never share a list) *)
 }
 
-let new_env ?parent () = { vars = Hashtbl.create 16; parent; cilk_spawned = [] }
+and spawned = { s_dom : value Domain.t; s_target : (frame * int) option }
 
-let rec root_env env =
-  match env.parent with Some p -> root_env p | None -> env
+(* [up] of a call's frame: a function sees no enclosing variables. *)
+let rec no_frame = { slots = [||]; up = no_frame; spawned = [] }
 
-let rec lookup env name =
-  match Hashtbl.find_opt env.vars name with
-  | Some r -> r
-  | None -> (
-      match env.parent with
-      | Some p -> lookup p name
-      | None -> err "unbound variable %s" name)
-
-let declare env name v = Hashtbl.replace env.vars name (ref v)
+let rec frame_up fr depth = if depth = 0 then fr else frame_up fr.up (depth - 1)
 
 (* --- control flow ------------------------------------------------------------ *)
 
@@ -121,13 +128,14 @@ let message_of_exn = function
       Some (Printf.sprintf "injected fault at failpoint %s" n)
   | _ -> None
 
-(* [locate sp f] — run [f]; if a runtime failure escapes, re-raise it
+(* [locate sp f x] — run [f x]; if a runtime failure escapes, re-raise it
    carrying [sp] (the innermost enclosing provenance wins, so an already
    located error is not re-wrapped).  A {!Runtime.Limits.Resource_limit}
    keeps its own exception but gains the span. *)
-let locate sp f =
-  try f () with
-  | (Return_exc _ | Break_exc | Continue_exc | Runtime_error _) as e -> raise e
+let locate sp f x =
+  try f x with
+  | (Return_exc _ | Break_exc | Continue_exc) as e -> raise_notrace e
+  | Runtime_error _ as e -> raise e
   | Runtime.Limits.Resource_limit ({ v_span = None; _ } as v) ->
       raise (Runtime.Limits.Resource_limit { v with v_span = Some sp })
   | e -> (
@@ -135,330 +143,108 @@ let locate sp f =
       | Some m -> raise (Runtime_error (m, sp))
       | None -> raise e)
 
-let locate_opt prov f =
-  match prov with Some sp -> locate sp f | None -> f ()
+(* --- compile-time scopes ----------------------------------------------------- *)
 
-type ctx = {
-  prog : program;
-  pool : Runtime.Pool.t option;  (** [None] = run ParFor sequentially *)
-  fs : (string, string) Hashtbl.t;
-      (** virtual filesystem for readMatrix/writeMatrix: path -> temp file;
-          lets translated programs do I/O hermetically in tests *)
-  dir : string;  (** directory backing the virtual filesystem *)
+module Names = Map.Make (String)
+
+(* The compile-time twin of one runtime frame: its [ParFor] nesting level
+   within the call (0 = the call's own frame) and how many slots it
+   needs so far. *)
+type cframe = { level : int; mutable size : int }
+
+(* A scope: the names visible at the statement being compiled, each bound
+   to its (frame level, slot).  A child scope starts as a copy of its
+   parent's map, so leaving it restores the parent's bindings. *)
+type scope = { frame : cframe; mutable names : (int * int) Names.t }
+
+let child sc = { sc with names = sc.names }
+
+let iteration_scope sc =
+  { frame = { level = sc.frame.level + 1; size = 0 }; names = sc.names }
+
+(* A fresh slot for every [Decl]: a second [Decl] of a name rebinds it for
+   later statements without touching the first one's slot. *)
+let declare sc name =
+  let slot = sc.frame.size in
+  sc.frame.size <- slot + 1;
+  sc.names <- Names.add name (sc.frame.level, slot) sc.names;
+  slot
+
+(* [Some (depth, slot)]: the slot of the innermost visible binding, in the
+   frame [depth] [up] links away from the current one. *)
+let resolve sc name =
+  Option.map
+    (fun (level, slot) -> (sc.frame.level - level, slot))
+    (Names.find_opt name sc.names)
+
+let read_var sc name : frame -> value =
+  match resolve sc name with
+  | None -> fun _ -> err "unbound variable %s" name
+  | Some (0, s) -> fun fr -> fr.slots.(s)
+  | Some (1, s) -> fun fr -> fr.up.slots.(s)
+  | Some (d, s) -> fun fr -> (frame_up fr d).slots.(s)
+
+let write_var sc name : frame -> value -> unit =
+  match resolve sc name with
+  | None -> fun _ _ -> err "unbound variable %s" name
+  | Some (0, s) -> fun fr v -> fr.slots.(s) <- v
+  | Some (d, s) -> fun fr v -> (frame_up fr d).slots.(s) <- v
+
+(* --- compiled functions ------------------------------------------------------ *)
+
+(* A function after compilation.  Calls are bound to this record before
+   every body is compiled (recursion), so the frame size and the body are
+   filled in afterwards. *)
+type fn = {
+  name : string;
+  arity : int;  (** parameters occupy slots [0 .. arity-1] *)
+  mutable size : int;  (** slots in a call's frame *)
+  mutable body : frame -> unit;
 }
 
-let find_func ctx name =
-  match List.find_opt (fun f -> f.f_name = name) ctx.prog.funcs with
-  | Some f -> f
-  | None -> err "undefined function %s" name
+type ctx = {
+  pool : Runtime.Pool.t option;  (** [None] = run ParFor sequentially *)
+  dir : unit -> string;
+      (** the directory holding the program's matrix files; asked for only
+          by a program that names one, so a run that does no I/O makes no
+          scratch directory *)
+  fns : (string * fn) list;  (** the first definition of a name wins *)
+}
 
-(** [data_path ~dir path] — the file a program's [readMatrix path] /
-    [writeMatrix path] resolves to under [dir]: path separators flatten
-    to ['_'], as in both backends. *)
-let data_path ~dir path =
-  Filename.concat dir (String.map (function '/' | '\\' -> '_' | c -> c) path)
-
-let resolve_path ctx p =
-  match Hashtbl.find_opt ctx.fs p with
-  | Some real -> real
-  | None ->
-      let real = data_path ~dir:ctx.dir p in
-      Hashtbl.replace ctx.fs p real;
-      real
-
-let default_of_type = function
-  | CInt -> VScal (S.I 0)
-  | CFloat -> VScal (S.F 0.)
-  | CBool -> VScal (S.B false)
-  | CVec -> VVec (Runtime.Simd.splat 0. ~width:Runtime.Simd.default_width)
-  | CVoid -> VUnit
-  | CMat _ -> VNull
-  | CTuple _ -> VNull
-
-let rec eval (ctx : ctx) (env : env) (e : expr) : value =
-  match e with
-  | Int i -> VScal (S.I i)
-  | Float f -> VScal (S.F f)
-  | Bool b -> VScal (S.B b)
-  | Str _ -> err "string literal outside readMatrix/writeMatrix"
-  | Var v -> !(lookup env v)
-  | Binop (Arith op, a, b) ->
-      VScal (S.arith op (scal (eval ctx env a)) (scal (eval ctx env b)))
-  | Binop (Cmp op, a, b) ->
-      VScal (S.cmp op (scal (eval ctx env a)) (scal (eval ctx env b)))
-  | Binop (Logic S.And, a, b) ->
-      (* C short-circuit semantics *)
-      if bool_of (eval ctx env a) then
-        VScal (S.B (bool_of (eval ctx env b)))
-      else VScal (S.B false)
-  | Binop (Logic S.Or, a, b) ->
-      if bool_of (eval ctx env a) then VScal (S.B true)
-      else VScal (S.B (bool_of (eval ctx env b)))
-  | Unop (Neg, a) -> VScal (S.neg (scal (eval ctx env a)))
-  | Unop (Not, a) -> VScal (S.not_ (scal (eval ctx env a)))
-  | Unop (IntOfFloat, a) -> VScal (S.I (int_of (eval ctx env a)))
-  | Unop (FloatOfInt, a) -> VScal (S.F (float_of (eval ctx env a)))
-  | Min (a, b) ->
-      VScal (S.I (min (int_of (eval ctx env a)) (int_of (eval ctx env b))))
-  | Call (name, args) ->
-      let f = find_func ctx name in
-      let argv = List.map (eval ctx env) args in
-      call ctx f argv
-  | TupleE es -> VTuple (Array.of_list (List.map (eval ctx env) es))
-  | Field (a, i) -> (
-      match eval ctx env a with
-      | VTuple vs when i < Array.length vs -> vs.(i)
-      | v -> err "field .f%d of non-tuple %a" i pp_value v)
-  | MAlloc (el, dims) ->
-      let sh = Array.of_list (List.map (fun d -> int_of (eval ctx env d)) dims) in
-      Array.iter (fun d -> if d < 0 then err "negative matrix extent %d" d) sh;
-      let m = Nd.create el sh in
-      Support.Telemetry.bump c_mat_allocs;
-      VMat (Runtime.Rc.alloc ~bytes:(Nd.size m * 4) m)
-  | MGetFlat (me, off) ->
-      let m = mat (eval ctx env me) in
-      let o = int_of (eval ctx env off) in
-      if o < 0 || o >= Nd.size m then
-        err "flat offset %d out of bounds for %s" o
-          (Runtime.Shape.to_string (Nd.shape m))
-      else VScal (Nd.get_flat m o)
-  | MDim (me, d) ->
-      let m = mat (eval ctx env me) in
-      VScal (S.I (Nd.dim_size m (int_of (eval ctx env d))))
-  | MSize me -> VScal (S.I (Nd.size (mat (eval ctx env me))))
-  | MRead pe -> (
-      match pe with
-      | Str p ->
-          let m = Nd.read_file (resolve_path ctx p) in
-          Support.Telemetry.bump c_mat_allocs;
-          VMat (Runtime.Rc.alloc ~bytes:(Nd.size m * 4) m)
-      | _ -> err "readMatrix requires a literal path")
-  | VecSplat a ->
-      VVec
-        (Runtime.Simd.splat (float_of (eval ctx env a))
-           ~width:Runtime.Simd.default_width)
-  | VecGather (me, base, stride) ->
-      let m = mat (eval ctx env me) in
-      let b = int_of (eval ctx env base) in
-      let s = int_of (eval ctx env stride) in
-      let w = Runtime.Simd.default_width in
-      VVec
-        (Array.init w (fun k ->
-             let o = b + (k * s) in
-             if o < 0 || o >= Nd.size m then
-               err "vector lane offset %d out of bounds" o
-             else Runtime.Simd.to_f32 (S.to_float (Nd.get_flat m o))))
-  | VecBin (op, a, b) ->
-      let x = vecv (eval ctx env a) and y = vecv (eval ctx env b) in
-      let f =
-        match op with
-        | S.Add -> Runtime.Simd.add
-        | S.Sub -> Runtime.Simd.sub
-        | S.Mul -> Runtime.Simd.mul
-        | S.Div -> Runtime.Simd.div
-        | S.Mod -> err "vector modulo unsupported"
-      in
-      VVec (f x y)
-  | VecHsum a -> VScal (S.F (Runtime.Simd.hsum (vecv (eval ctx env a))))
-
-and assign ctx env lv v =
-  match lv with
-  | LVar name -> lookup env name := v
-  | LField (lv', i) -> (
-      let cur = eval_lvalue ctx env lv' in
-      match !cur with
-      | VTuple vs when i < Array.length vs ->
-          let vs' = Array.copy vs in
-          vs'.(i) <- v;
-          cur := VTuple vs'
-      | x -> err "field assignment .f%d on %a" i pp_value x)
-
-and eval_lvalue _ctx env = function
-  | LVar name -> lookup env name
-  | LField _ -> err "nested tuple lvalues are flattened by lowering"
-
-and exec (ctx : ctx) (env : env) (s : stmt) : unit =
-  match s with
-  | Decl (t, name, init) ->
-      let v =
-        match init with
-        | Some e -> eval ctx env e
-        | None -> default_of_type t
-      in
-      declare env name v
-  | Assign (lv, e) -> assign ctx env lv (eval ctx env e)
-  | MSetFlat (me, off, ve) ->
-      let m = mat (eval ctx env me) in
-      let o = int_of (eval ctx env off) in
-      if o < 0 || o >= Nd.size m then
-        err "flat offset %d out of bounds for %s" o
-          (Runtime.Shape.to_string (Nd.shape m))
-      else begin
-        Support.Telemetry.bump c_stores;
-        Nd.set_flat m o (scal (eval ctx env ve))
-      end
-  | VecScatter (me, base, stride, ve) ->
-      let m = mat (eval ctx env me) in
-      let b = int_of (eval ctx env base) in
-      let st = int_of (eval ctx env stride) in
-      let v = vecv (eval ctx env ve) in
-      Array.iteri
-        (fun k x ->
-          let o = b + (k * st) in
-          if o < 0 || o >= Nd.size m then err "scatter offset %d out of bounds" o
-          else Nd.set_flat m o (S.F (Runtime.Simd.to_f32 x)))
-        v
-  | If (c, a, b) ->
-      if bool_of (eval ctx env c) then exec_block ctx env a
-      else exec_block ctx env b
-  | While (c, b) -> (
-      try
-        while bool_of (eval ctx env c) do
-          Runtime.Limits.tick ();
-          try exec_block ctx env b with Continue_exc -> ()
-        done
-      with Break_exc -> ())
-  | For l ->
-      let bound = int_of (eval ctx env l.bound) in
-      let body () =
-        locate_opt l.prov (fun () ->
-            try
-              for i = 0 to bound - 1 do
-                Runtime.Limits.tick ();
-                let inner = new_env ~parent:env () in
-                declare inner l.index (VScal (S.I i));
-                try exec_block ctx inner l.body with Continue_exc -> ()
-              done
-            with Break_exc -> ())
-      in
-      (* Inside a parallel region the dispatching ParFor row owns the
-         time (workers would otherwise multiply-count wall clock and
-         contend on the profiler mutex every iteration). *)
-      if
-        Support.Profile.is_enabled ()
-        && l.prov <> None
-        && not (Support.Profile.in_region ())
-      then begin
-        Support.Profile.enter (Option.get l.prov);
-        Fun.protect
-          ~finally:(fun () -> Support.Profile.exit_ ~iters:bound ())
-          body
-      end
-      else body ()
-  | ParFor l ->
-      Support.Telemetry.bump c_parfor;
-      let bound = int_of (eval ctx env l.bound) in
-      let body () =
-        locate_opt l.prov (fun () ->
-            match ctx.pool with
-            | None ->
-                for i = 0 to bound - 1 do
-                  Runtime.Limits.tick ();
-                  let inner = new_env ~parent:env () in
-                  declare inner l.index (VScal (S.I i));
-                  exec_block ctx inner l.body
-                done
-            | Some pool ->
-                (* The with-loop generator guarantees disjoint index sets, so
-                   iterations write disjoint elements (§III-A4).  Guided chunking
-                   load-balances bodies of uneven cost (matrixMap over slices,
-                   conncomp frames); the pool re-raises the first body exception
-                   at the stop barrier with its backtrace, retrying chunks
-                   that died to a recoverable fault.  The [locate_opt]
-                   wrapper sits outside the dispatch, so whatever the
-                   barrier re-raises gains this loop's provenance. *)
-                Runtime.Pool.parallel_for ~chunking:Runtime.Pool.Guided pool 0
-                  bound (fun i ->
-                    Runtime.Limits.tick ();
-                    let inner = new_env ~parent:env () in
-                    declare inner l.index (VScal (S.I i));
-                    exec_block ctx inner l.body))
-      in
-      if
-        Support.Profile.is_enabled ()
-        && l.prov <> None
-        && not (Support.Profile.in_region ())
-      then begin
-        let sp = Option.get l.prov in
-        let dispatched = ctx.pool <> None in
-        Support.Telemetry.with_span ~phase:"interp"
-          ~args:[ ("prov", Support.Pos.span_to_string sp) ]
-          "parfor" (fun () ->
-            Support.Profile.enter sp;
-            if dispatched then Support.Profile.open_region sp;
-            Fun.protect
-              ~finally:(fun () ->
-                Support.Profile.exit_ ~iters:bound
-                  ~dispatches:(if dispatched then 1 else 0)
-                  ~par:dispatched ())
-              body)
-      end
-      else body ()
-  | ExprS e -> ignore (eval ctx env e)
-  | Return None -> raise (Return_exc VUnit)
-  | Return (Some e) -> raise (Return_exc (eval ctx env e))
-  | Break -> raise Break_exc
-  | Continue -> raise Continue_exc
-  | RcInc e -> rc_adjust Runtime.Rc.incr_ (eval ctx env e)
-  | RcDec e -> rc_adjust Runtime.Rc.decr_ (eval ctx env e)
-  | MWrite (pe, me) -> (
-      match pe with
-      | Str p ->
-          Nd.write_file (resolve_path ctx p) (mat (eval ctx env me))
-      | _ -> err "writeMatrix requires a literal path")
-  | Comment _ -> ()
-  | Block b -> exec_block ctx env b
-  | Spawn (lv, fname, args) ->
-      let f = find_func ctx fname in
-      let argv = List.map (eval ctx env) args in
-      let target =
-        match lv with
-        | None -> None
-        | Some (LVar v) -> Some (lookup env v)
-        | Some (LField _) -> err "spawn into a tuple field is unsupported"
-      in
-      let dom = Domain.spawn (fun () -> call ctx f argv) in
-      let root = root_env env in
-      root.cilk_spawned <- { s_dom = dom; s_target = target } :: root.cilk_spawned
-  | Sync -> sync (root_env env)
-  | Located (sp, b) ->
-      (* Provenance block, not a scope: the statements run in the current
-         environment.  Timed only for top-level straight-line code (empty
-         frame stack, no active parallel region) — loops are the
-         aggregation grain everywhere else, so per-statement clock reads
-         stay out of hot bodies. *)
-      locate sp (fun () ->
-          if
-            Support.Profile.is_enabled ()
-            && Support.Profile.depth () = 0
-            && not (Support.Profile.in_region ())
-          then begin
-            Support.Profile.enter sp;
-            Fun.protect
-              ~finally:(fun () -> Support.Profile.exit_ ())
-              (fun () -> List.iter (exec ctx env) b)
-          end
-          else List.iter (exec ctx env) b)
-  | Site (_, b) ->
-      (* Decision wrapper, not a scope: the payload runs in the current
-         environment.  Only reachable when interpreting intermediate IR —
-         a finished pipeline leaves no [Site] nodes behind. *)
-      List.iter (exec ctx env) b
-
-and sync root =
+let sync fr =
   (* join in spawn order; propagate the first child exception *)
-  let entries = List.rev root.cilk_spawned in
-  root.cilk_spawned <- [];
+  let entries = List.rev fr.spawned in
+  fr.spawned <- [];
   let failure = ref None in
   List.iter
     (fun e ->
       match Domain.join e.s_dom with
-      | v -> Option.iter (fun r -> r := v) e.s_target
+      | v -> Option.iter (fun (f, s) -> f.slots.(s) <- v) e.s_target
       | exception exn -> if !failure = None then failure := Some exn)
     entries;
   match !failure with Some exn -> raise exn | None -> ()
 
-and rc_adjust f v =
+let call fn (argv : value array) : value =
+  Support.Telemetry.bump c_calls;
+  let n = Array.length argv in
+  if n <> fn.arity then err "%s expects %d arguments, got %d" fn.name fn.arity n;
+  let fr = { slots = Array.make fn.size VUnit; up = no_frame; spawned = [] } in
+  Array.blit argv 0 fr.slots 0 n;
+  (* Cilk semantics: every function has an implicit sync before returning;
+     [fr] is this invocation's frame, so the spawn list is per-call and
+     per-domain. *)
+  match fn.body fr with
+  | () ->
+      sync fr;
+      VUnit
+  | exception Return_exc v ->
+      sync fr;
+      v
+  | exception exn ->
+      (try sync fr with _ -> ());
+      raise exn
+
+let rec rc_adjust f v =
   (* Retain/release of NULL is a no-op (C semantics); tuples adjust every
      matrix they hold (the lowered struct owns its fields). *)
   match v with
@@ -467,63 +253,494 @@ and rc_adjust f v =
   | VTuple vs -> Array.iter (rc_adjust f) vs
   | v -> err "rc operation on %a" pp_value v
 
-and exec_block ctx env stmts =
-  let scope = new_env ~parent:env () in
-  List.iter (exec ctx scope) stmts
+let alloc_mat m =
+  Support.Telemetry.bump c_mat_allocs;
+  VMat (Runtime.Rc.alloc ~bytes:(Nd.size m * 4) m)
 
-and call ctx (f : func) (args : value list) : value =
-  Support.Telemetry.bump c_calls;
-  if List.length args <> List.length f.f_params then
-    err "%s expects %d arguments, got %d" f.f_name (List.length f.f_params)
-      (List.length args);
-  let env = new_env () in
-  List.iter2 (fun (_, name) v -> declare env name v) f.f_params args;
-  (* Cilk semantics: every function has an implicit sync before returning;
-     [env] is this invocation's root, so the spawn list is per-call and
-     per-domain. *)
-  match
-    List.iter (exec ctx env) f.f_body;
-    VUnit
-  with
-  | v ->
-      sync env;
-      v
-  | exception Return_exc v ->
-      sync env;
-      v
-  | exception exn ->
-      (try sync env with _ -> ());
-      raise exn
+let const v _ = v
+let s_true = S.B true
+let s_false = S.B false
+let return_unit = Return_exc VUnit
 
-(** [run ?pool ?dir prog args] — call the program's entry function.
-    [dir] hosts the program's matrix files (virtual filesystem);
-    defaults to a fresh temp directory. *)
-let run ?pool ?dir (prog : program) (args : value list) : value =
-  let dir =
-    match dir with
-    | Some d -> d
-    | None ->
-        let d = Filename.temp_file "mmcfs" "" in
-        Sys.remove d;
-        Sys.mkdir d 0o755;
-        d
+(* --- the compiler -------------------------------------------------------------- *)
+
+(* Operands evaluate in a fixed order, which decides the side effects and
+   the first error a program sees: a [Binop] or [Min] evaluates its right
+   operand first, [MGetFlat] and [MSetFlat] the matrix before the offset,
+   argument and tuple lists left to right.  Errors that the type checker
+   rules out for source programs (an unbound name, an undefined function,
+   a non-literal path) compile to a closure that raises when it runs,
+   never at compile time. *)
+
+let rec expr (cx : ctx) (sc : scope) (e : expr) : frame -> value =
+  let ex = expr cx sc and sx = scalar cx sc in
+  match e with
+  | Int i -> const (VScal (S.I i))
+  | Float f -> const (VScal (S.F f))
+  | Bool b -> const (VScal (S.B b))
+  | Str _ -> fun _ -> err "string literal outside readMatrix/writeMatrix"
+  | Var v -> read_var sc v
+  | Binop _ | Unop _ | Min _ | MGetFlat _ | MDim _ | MSize _ | VecHsum _ ->
+      let s = sx e in
+      fun fr -> VScal (s fr)
+  | Call (name, args) -> (
+      match List.assoc_opt name cx.fns with
+      | None -> fun _ -> err "undefined function %s" name
+      | Some fn ->
+          let args = Array.of_list (List.map ex args) in
+          fun fr -> call fn (Array.map (fun a -> a fr) args))
+  | TupleE es ->
+      let es = Array.of_list (List.map ex es) in
+      fun fr -> VTuple (Array.map (fun e -> e fr) es)
+  | Field (a, i) -> (
+      let a = ex a in
+      fun fr ->
+        match a fr with
+        | VTuple vs when i < Array.length vs -> vs.(i)
+        | v -> err "field .f%d of non-tuple %a" i pp_value v)
+  | MAlloc (el, dims) ->
+      let dims = Array.of_list (List.map sx dims) in
+      fun fr ->
+        let sh = Array.map (fun d -> S.to_int (d fr)) dims in
+        Array.iter (fun d -> if d < 0 then err "negative matrix extent %d" d) sh;
+        alloc_mat (Nd.create el sh)
+  | MRead (Str p) ->
+      let path = data_path ~dir:(cx.dir ()) p in
+      fun _ -> alloc_mat (Nd.read_file path)
+  | MRead _ -> fun _ -> err "readMatrix requires a literal path"
+  | VecSplat a ->
+      let a = sx a in
+      fun fr ->
+        VVec
+          (Runtime.Simd.splat (S.to_float (a fr))
+             ~width:Runtime.Simd.default_width)
+  | VecGather (me, base, stride) ->
+      let me = ex me and base = sx base and stride = sx stride in
+      fun fr ->
+        let m = mat (me fr) in
+        let b = S.to_int (base fr) in
+        let s = S.to_int (stride fr) in
+        VVec
+          (Array.init Runtime.Simd.default_width (fun k ->
+               let o = b + (k * s) in
+               if o < 0 || o >= Nd.size m then
+                 err "vector lane offset %d out of bounds" o
+               else Runtime.Simd.to_f32 (S.to_float (Nd.get_flat m o))))
+  | VecBin (op, a, b) ->
+      let a = ex a and b = ex b in
+      let f =
+        match op with
+        | S.Add -> Some Runtime.Simd.add
+        | S.Sub -> Some Runtime.Simd.sub
+        | S.Mul -> Some Runtime.Simd.mul
+        | S.Div -> Some Runtime.Simd.div
+        | S.Mod -> None
+      in
+      fun fr ->
+        let x = vecv (a fr) in
+        let y = vecv (b fr) in
+        (match f with
+        | Some f -> VVec (f x y)
+        | None -> err "vector modulo unsupported")
+
+(* [scalar cx sc e] — [e] compiled for a context that consumes a scalar
+   (an operand, an offset, a bound, a condition, a stored element): the
+   [scal] of its value.  Scalar-valued nodes compute their [S.t]
+   directly, so an intermediate result is boxed as a [value] only where
+   it lands in a slot, an argument, a tuple or a return. *)
+and scalar cx sc (e : expr) : frame -> S.t =
+  let ex = expr cx sc and sx = scalar cx sc in
+  match e with
+  | Int i -> const (S.I i)
+  | Float f -> const (S.F f)
+  | Bool b -> const (S.B b)
+  | Var v -> (
+      match resolve sc v with
+      | Some (0, s) -> fun fr -> scal fr.slots.(s)
+      | _ ->
+          let v = read_var sc v in
+          fun fr -> scal (v fr))
+  | Binop (Arith op, a, b) ->
+      let a = sx a and b = sx b in
+      fun fr ->
+        let y = b fr in
+        S.arith op (a fr) y
+  | Binop (Cmp op, a, b) ->
+      let a = sx a and b = sx b in
+      fun fr ->
+        let y = b fr in
+        S.cmp op (a fr) y
+  | Binop (Logic S.And, a, b) ->
+      (* C short-circuit semantics *)
+      let a = sx a and b = sx b in
+      fun fr -> if S.truthy (a fr) && S.truthy (b fr) then s_true else s_false
+  | Binop (Logic S.Or, a, b) ->
+      let a = sx a and b = sx b in
+      fun fr -> if S.truthy (a fr) || S.truthy (b fr) then s_true else s_false
+  | Unop (Neg, a) ->
+      let a = sx a in
+      fun fr -> S.neg (a fr)
+  | Unop (Not, a) ->
+      let a = sx a in
+      fun fr -> S.not_ (a fr)
+  | Unop (IntOfFloat, a) ->
+      let a = sx a in
+      fun fr -> S.I (S.to_int (a fr))
+  | Unop (FloatOfInt, a) ->
+      let a = sx a in
+      fun fr -> S.F (S.to_float (a fr))
+  | Min (a, b) ->
+      let a = sx a and b = sx b in
+      fun fr ->
+        let y = S.to_int (b fr) in
+        S.I (min (S.to_int (a fr)) y)
+  | MGetFlat (me, off) ->
+      let me = ex me and off = sx off in
+      fun fr ->
+        let m = mat (me fr) in
+        let o = S.to_int (off fr) in
+        if o < 0 || o >= Nd.size m then
+          err "flat offset %d out of bounds for %s" o
+            (Runtime.Shape.to_string (Nd.shape m))
+        else Nd.get_flat m o
+  | MDim (me, d) ->
+      let me = ex me and d = sx d in
+      fun fr ->
+        let m = mat (me fr) in
+        S.I (Nd.dim_size m (S.to_int (d fr)))
+  | MSize me ->
+      let me = ex me in
+      fun fr -> S.I (Nd.size (mat (me fr)))
+  | VecHsum a ->
+      let a = ex a in
+      fun fr -> S.F (Runtime.Simd.hsum (vecv (a fr)))
+  | Str _ | Call _ | TupleE _ | Field _ | MAlloc _ | MRead _ | VecSplat _
+  | VecGather _ | VecBin _ ->
+      let e = ex e in
+      fun fr -> scal (e fr)
+
+(* A statement list in scope [sc]: [Decl]s bind in [sc] itself, for the
+   statements after them. *)
+and stmts cx sc (ss : stmt list) : frame -> unit =
+  (* in order: a [Decl] binds for the statements compiled after it *)
+  let codes = List.rev (List.fold_left (fun acc s -> stmt cx sc s :: acc) [] ss) in
+  match codes with
+  | [] -> fun _ -> ()
+  | [ a ] -> a
+  | [ a; b ] ->
+      fun fr ->
+        a fr;
+        b fr
+  | [ a; b; c ] ->
+      fun fr ->
+        a fr;
+        b fr;
+        c fr
+  | _ ->
+      let codes = Array.of_list codes in
+      fun fr ->
+        for i = 0 to Array.length codes - 1 do
+          codes.(i) fr
+        done
+
+(* A braced scope: [Block], an [If] branch, a loop body. *)
+and block cx sc ss = stmts cx (child sc) ss
+
+and stmt cx sc (s : stmt) : frame -> unit =
+  let ex = expr cx sc and sx = scalar cx sc in
+  match s with
+  | Comment _ -> fun _ -> ()
+  | Decl (t, name, init) ->
+      (* the initialiser sees the outer binding of [name] *)
+      let init =
+        match (init, t) with
+        | Some e, _ -> ex e
+        | None, CVec -> fun _ -> default_of_type CVec
+        | None, t -> const (default_of_type t)
+      in
+      let slot = declare sc name in
+      fun fr -> fr.slots.(slot) <- init fr
+  | Assign (LVar name, e) -> (
+      let e = ex e in
+      match resolve sc name with
+      | Some (0, s) -> fun fr -> fr.slots.(s) <- e fr
+      | _ ->
+          let set = write_var sc name in
+          fun fr -> set fr (e fr))
+  | Assign (LField (LVar name, i), e) -> (
+      let e = ex e in
+      let get = read_var sc name and set = write_var sc name in
+      fun fr ->
+        let v = e fr in
+        match get fr with
+        | VTuple vs when i < Array.length vs ->
+            let vs' = Array.copy vs in
+            vs'.(i) <- v;
+            set fr (VTuple vs')
+        | x -> err "field assignment .f%d on %a" i pp_value x)
+  | Assign (LField (LField _, _), e) ->
+      let e = ex e in
+      fun fr ->
+        ignore (e fr);
+        err "nested tuple lvalues are flattened by lowering"
+  | MSetFlat (me, off, ve) ->
+      let me = ex me and off = sx off and ve = sx ve in
+      fun fr ->
+        let m = mat (me fr) in
+        let o = S.to_int (off fr) in
+        if o < 0 || o >= Nd.size m then
+          err "flat offset %d out of bounds for %s" o
+            (Runtime.Shape.to_string (Nd.shape m))
+        else begin
+          Support.Telemetry.bump c_stores;
+          Nd.set_flat m o (ve fr)
+        end
+  | VecScatter (me, base, stride, ve) ->
+      let me = ex me and base = sx base and stride = sx stride and ve = ex ve in
+      fun fr ->
+        let m = mat (me fr) in
+        let b = S.to_int (base fr) in
+        let st = S.to_int (stride fr) in
+        let v = vecv (ve fr) in
+        Array.iteri
+          (fun k x ->
+            let o = b + (k * st) in
+            if o < 0 || o >= Nd.size m then
+              err "scatter offset %d out of bounds" o
+            else Nd.set_flat m o (S.F (Runtime.Simd.to_f32 x)))
+          v
+  | If (c, a, b) ->
+      let c = sx c and a = block cx sc a and b = block cx sc b in
+      fun fr -> if S.truthy (c fr) then a fr else b fr
+  | While (c, b) ->
+      let c = sx c and b = block cx sc b in
+      fun fr ->
+        (try
+           while S.truthy (c fr) do
+             Runtime.Limits.tick ();
+             try b fr with Continue_exc -> ()
+           done
+         with Break_exc -> ())
+  | For l -> for_loop cx sc l
+  | ParFor l -> parfor_loop cx sc l
+  | ExprS e ->
+      let e = ex e in
+      fun fr -> ignore (e fr)
+  | Return None -> fun _ -> raise_notrace return_unit
+  | Return (Some e) ->
+      let e = ex e in
+      fun fr -> raise_notrace (Return_exc (e fr))
+  | Break -> fun _ -> raise_notrace Break_exc
+  | Continue -> fun _ -> raise_notrace Continue_exc
+  | RcInc e ->
+      let e = ex e in
+      fun fr -> rc_adjust Runtime.Rc.incr_ (e fr)
+  | RcDec e ->
+      let e = ex e in
+      fun fr -> rc_adjust Runtime.Rc.decr_ (e fr)
+  | MWrite (Str p, me) ->
+      let path = data_path ~dir:(cx.dir ()) p and me = ex me in
+      fun fr -> Nd.write_file path (mat (me fr))
+  | MWrite _ -> fun _ -> err "writeMatrix requires a literal path"
+  | Block b -> block cx sc b
+  | Spawn (lv, fname, args) -> (
+      match List.assoc_opt fname cx.fns with
+      | None -> fun _ -> err "undefined function %s" fname
+      | Some fn ->
+          let args = Array.of_list (List.map ex args) in
+          (* the spawn binds its target slot in the frame active now; the
+             call's frame, [level] links up, owns the spawn list *)
+          let target : frame -> (frame * int) option =
+            match lv with
+            | None -> fun _ -> None
+            | Some (LVar v) -> (
+                match resolve sc v with
+                | Some (d, s) -> fun fr -> Some (frame_up fr d, s)
+                | None -> fun _ -> err "unbound variable %s" v)
+            | Some (LField _) ->
+                fun _ -> err "spawn into a tuple field is unsupported"
+          in
+          let level = sc.frame.level in
+          fun fr ->
+            let argv = Array.map (fun a -> a fr) args in
+            let s_target = target fr in
+            let s_dom = Domain.spawn (fun () -> call fn argv) in
+            let root = frame_up fr level in
+            root.spawned <- { s_dom; s_target } :: root.spawned)
+  | Sync ->
+      let level = sc.frame.level in
+      fun fr -> sync (frame_up fr level)
+  | Located (sp, b) ->
+      (* Provenance block, not a scope: the statements bind in [sc].
+         Timed only for top-level straight-line code (empty frame stack,
+         no active parallel region) — loops are the aggregation grain
+         everywhere else, so per-statement clock reads stay out of hot
+         bodies. *)
+      let body = stmts cx sc b in
+      let run fr =
+        if
+          Profile.is_enabled ()
+          && Profile.depth () = 0
+          && not (Profile.in_region ())
+        then begin
+          Profile.enter sp;
+          Fun.protect ~finally:(fun () -> Profile.exit_ ()) (fun () -> body fr)
+        end
+        else body fr
+      in
+      fun fr -> locate sp run fr
+  | Site (_, b) ->
+      (* Decision wrapper, not a scope.  Only reachable when interpreting
+         intermediate IR — a finished pipeline leaves no [Site] nodes. *)
+      stmts cx sc b
+
+(* A sequential loop runs in the current frame: the index and the body's
+   locals get slots of it, rewritten on every iteration. *)
+and for_loop cx sc l =
+  let bound = scalar cx sc l.bound in
+  let isc = child sc in
+  let index = declare isc l.index in
+  let body = block cx isc l.body in
+  let iterate fr n =
+    try
+      for i = 0 to n - 1 do
+        Runtime.Limits.tick ();
+        fr.slots.(index) <- VScal (S.I i);
+        try body fr with Continue_exc -> ()
+      done
+    with Break_exc -> ()
   in
-  let ctx = { prog; pool; fs = Hashtbl.create 8; dir } in
+  let run =
+    match l.prov with
+    | None -> iterate
+    | Some sp -> fun fr n -> locate sp (iterate fr) n
+  in
+  fun fr ->
+    let n = S.to_int (bound fr) in
+    (* Inside a parallel region the dispatching ParFor row owns the time
+       (workers would otherwise multiply-count wall clock and contend on
+       the profiler mutex every iteration). *)
+    match l.prov with
+    | Some sp when Profile.is_enabled () && not (Profile.in_region ()) ->
+        Profile.enter sp;
+        Fun.protect
+          ~finally:(fun () -> Profile.exit_ ~iters:n ())
+          (fun () -> run fr n)
+    | _ -> run fr n
+
+(* A parallel loop gives every iteration its own frame: slot 0 holds the
+   index, the body's locals follow, and [up] reaches the variables around
+   the loop. *)
+and parfor_loop cx sc l =
+  let bound = scalar cx sc l.bound in
+  let isc = iteration_scope sc in
+  let index = declare isc l.index in
+  let body = block cx isc l.body in
+  let size = isc.frame.size in
+  let iteration fr i =
+    Runtime.Limits.tick ();
+    let it = { slots = Array.make size VUnit; up = fr; spawned = [] } in
+    it.slots.(index) <- VScal (S.I i);
+    body it
+  in
+  let dispatch =
+    match cx.pool with
+    | None ->
+        fun fr n ->
+          for i = 0 to n - 1 do
+            iteration fr i
+          done
+    | Some pool ->
+        (* The with-loop generator guarantees disjoint index sets, so
+           iterations write disjoint elements (§III-A4).  Guided chunking
+           load-balances bodies of uneven cost (matrixMap over slices,
+           conncomp frames); the pool re-raises the first body exception
+           at the stop barrier with its backtrace, retrying chunks that
+           died to a recoverable fault.  The [locate] wrapper sits outside
+           the dispatch, so whatever the barrier re-raises gains this
+           loop's provenance. *)
+        fun fr n ->
+          Runtime.Pool.parallel_for ~chunking:Runtime.Pool.Guided pool 0 n
+            (iteration fr)
+  in
+  let run =
+    match l.prov with
+    | None -> dispatch
+    | Some sp -> fun fr n -> locate sp (dispatch fr) n
+  in
+  let dispatched = cx.pool <> None in
+  fun fr ->
+    Support.Telemetry.bump c_parfor;
+    let n = S.to_int (bound fr) in
+    match l.prov with
+    | Some sp when Profile.is_enabled () && not (Profile.in_region ()) ->
+        Support.Telemetry.with_span ~phase:"interp"
+          ~args:[ ("prov", Support.Pos.span_to_string sp) ]
+          "parfor"
+          (fun () ->
+            Profile.enter sp;
+            if dispatched then Profile.open_region sp;
+            Fun.protect
+              ~finally:(fun () ->
+                Profile.exit_ ~iters:n
+                  ~dispatches:(if dispatched then 1 else 0)
+                  ~par:dispatched ())
+              (fun () -> run fr n))
+    | _ -> run fr n
+
+(* Compile every function of [prog], once.  Each name is bound to its
+   first definition before any body is compiled, so calls (recursive ones
+   included) resolve to the callee's record directly. *)
+let compile ~pool ~dir (prog : program) =
+  let defs =
+    List.rev
+      (List.fold_left
+         (fun acc f ->
+           if List.mem_assoc f.f_name acc then acc
+           else
+             let fn =
+               {
+                 name = f.f_name;
+                 arity = List.length f.f_params;
+                 size = 0;
+                 body = (fun _ -> ());
+               }
+             in
+             (f.f_name, (f, fn)) :: acc)
+         [] prog.funcs)
+  in
+  let cx = { pool; dir; fns = List.map (fun (n, (_, fn)) -> (n, fn)) defs } in
+  List.iter
+    (fun (_, (f, fn)) ->
+      (* a function body's top level shares the parameters' scope *)
+      let sc = { frame = { level = 0; size = 0 }; names = Names.empty } in
+      List.iter (fun (_, p) -> ignore (declare sc p)) f.f_params;
+      fn.body <- stmts cx sc f.f_body;
+      fn.size <- sc.frame.size)
+    defs;
+  cx
+
+let run ?pool ?dir (prog : program) (args : value list) : value =
+  Support.Tmpdir.with_lazy_dir ?dir ~prefix:"mmcfs" @@ fun dir ->
+  let cx = compile ~pool ~dir prog in
   (* An aborted run never executes its scope-exit RcDec statements, so its
      allocations would sit in the live registry forever (a phantom leak
      that also keeps counting against --max-bytes).  Mark the ledger here
      and drain everything allocated after the mark on any escape. *)
   let ledger_mark = Runtime.Rc.mark () in
-  try call ctx (find_func ctx prog.main) args
+  try
+    match List.assoc_opt prog.main cx.fns with
+    | Some fn -> call fn (Array.of_list args)
+    | None -> err "undefined function %s" prog.main
   with e ->
     let bt = Printexc.get_raw_backtrace () in
     ignore (Runtime.Rc.drain_since ledger_mark);
     Printexc.raise_with_backtrace e bt
 
-(** [provide_input ?dir path m] — place matrix [m] where a translated
+(** [provide_input ~dir path m] — place matrix [m] where a translated
     program's [readMatrix path] will find it. *)
-let provide_input ~dir path m = Runtime.Ndarray.write_file (data_path ~dir path) m
+let provide_input ~dir path m = Nd.write_file (data_path ~dir path) m
 
 (** [fetch_output ~dir path] — read back a matrix the program wrote with
     [writeMatrix path]. *)
-let fetch_output ~dir path = Runtime.Ndarray.read_file (data_path ~dir path)
+let fetch_output ~dir path = Nd.read_file (data_path ~dir path)

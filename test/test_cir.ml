@@ -267,6 +267,239 @@ let prop_random_scripts =
           let got = run_mean prog c in
           Nd.approx_equal ~eps:1e-4 got (oracle_mean c))
 
+(* --- the executor's scoping contract, on hand-built CIR ------------------ *)
+
+type site += Test_site
+
+let func ?(params = []) name body =
+  {
+    f_name = name;
+    f_params = params;
+    f_ret = CInt;
+    f_body = body;
+    f_span = None;
+    f_origin = None;
+  }
+
+let run_int ?pool ?(args = []) funcs =
+  match E.run ?pool { funcs; main = "main" } args with
+  | E.VScal (S.I n) -> n
+  | v -> Alcotest.failf "unexpected result %a" E.pp_value v
+
+let int_decl name e = Decl (CInt, name, Some e)
+let ret e = Return (Some e)
+
+let test_block_shadows () =
+  (* int x = 1; int seen; { int x = 2; seen = x; } return seen * 10 + x; *)
+  Alcotest.(check int) "inner x shadows, outer x is back after the block" 21
+    (run_int
+       [
+         func "main"
+           [
+             int_decl "x" (Int 1);
+             Decl (CInt, "seen", None);
+             Block [ int_decl "x" (Int 2); Assign (LVar "seen", Var "x") ];
+             ret ((Var "seen" *: Int 10) +: Var "x");
+           ];
+       ])
+
+let test_wrappers_are_not_scopes () =
+  Alcotest.(check int) "Located and Site declarations reach later siblings" 34
+    (run_int
+       [
+         func "main"
+           [
+             Located (Support.Pos.dummy_span, [ int_decl "a" (Int 3) ]);
+             Site (Test_site, [ int_decl "b" (Int 4) ]);
+             ret ((Var "a" *: Int 10) +: Var "b");
+           ];
+       ])
+
+let test_redeclaration () =
+  (* int x = 1; int y = x; int x = 5; { int x = x + 1; z = x; }
+     return y * 100 + x * 10 + z; — the second Decl wins for later reads,
+     and an initialiser sees the outer binding of its own name. *)
+  Alcotest.(check int) "second Decl wins; initialiser sees the outer x" 156
+    (run_int
+       [
+         func "main"
+           [
+             int_decl "x" (Int 1);
+             int_decl "y" (Var "x");
+             int_decl "x" (Int 5);
+             Decl (CInt, "z", None);
+             Block
+               [ int_decl "x" (Var "x" +: Int 1); Assign (LVar "z", Var "x") ];
+             ret ((Var "y" *: Int 100) +: (Var "x" *: Int 10) +: Var "z");
+           ];
+       ])
+
+let test_loop_decl_reinitialised () =
+  (* Each iteration adds its index to a body-local declared without (For)
+     and with (While) an initialiser: 0+1+2 if it starts afresh every
+     time, more if a value leaked from the previous iteration. *)
+  let body i =
+    [
+      Decl (CInt, "acc", None);
+      Assign (LVar "acc", Var "acc" +: i);
+      Assign (LVar "total", Var "total" +: Var "acc");
+    ]
+  in
+  Alcotest.(check int) "For body local starts from its default" 3
+    (run_int
+       [
+         func "main"
+           [
+             int_decl "total" (Int 0);
+             For (mk_loop ~index:"i" ~bound:(Int 3) (body (Var "i")));
+             ret (Var "total");
+           ];
+       ]);
+  Alcotest.(check int) "While body local starts from its initialiser" 6
+    (run_int
+       [
+         func "main"
+           [
+             int_decl "total" (Int 0);
+             int_decl "i" (Int 0);
+             While
+               ( Binop (Cmp S.Lt, Var "i", Int 3),
+                 [
+                   int_decl "acc" (Int 1);
+                   Assign (LVar "acc", Var "acc" +: Var "i");
+                   Assign (LVar "total", Var "total" +: Var "acc");
+                   Assign (LVar "i", Var "i" +: Int 1);
+                 ] );
+             ret (Var "total");
+           ];
+       ])
+
+let test_parfor_shared_write () =
+  (* int found = -1; parfor i < 64 { int twice = i * 2;
+     if (i == 37) found = twice; } return found; *)
+  let prog =
+    [
+      func "main"
+        [
+          int_decl "found" (Int (-1));
+          ParFor
+            (mk_loop ~index:"i" ~bound:(Int 64)
+               [
+                 int_decl "twice" (Var "i" *: Int 2);
+                 If
+                   ( Binop (Cmp S.Eq, Var "i", Int 37),
+                     [ Assign (LVar "found", Var "twice") ],
+                     [] );
+               ]);
+          ret (Var "found");
+        ];
+    ]
+  in
+  Alcotest.(check int) "write visible after the loop, no pool" 74
+    (run_int prog);
+  Runtime.Pool.with_pool 4 (fun pool ->
+      Alcotest.(check int) "write visible after the loop, 4 workers" 74
+        (run_int ~pool prog))
+
+let test_recursion_own_frame () =
+  (* int f(int n) { int mine = n; if (n > 0) { int r = f(n - 1);
+     return mine + 10 * r; } return mine; } — f(3) = 123 only if the
+     inner calls leave this call's [mine] alone. *)
+  let f =
+    func "f"
+      ~params:[ (CInt, "n") ]
+      [
+        int_decl "mine" (Var "n");
+        If
+          ( Binop (Cmp S.Gt, Var "n", Int 0),
+            [
+              int_decl "r" (Call ("f", [ Var "n" -: Int 1 ]));
+              ret (Var "mine" +: (Int 10 *: Var "r"));
+            ],
+            [] );
+        ret (Var "mine");
+      ]
+  in
+  Alcotest.(check int) "f(3)" 123
+    (run_int [ func "main" [ ret (Call ("f", [ Int 3 ])) ]; f ])
+
+let test_lazy_resolution_errors () =
+  (* Names the type checker would reject, on branches selected by the
+     entry function's argument: nothing is raised until one runs. *)
+  let funcs =
+    [
+      func "main"
+        ~params:[ (CInt, "take") ]
+        [
+          If (Binop (Cmp S.Eq, Var "take", Int 1), [ ret (Var "ghost") ], []);
+          If
+            ( Binop (Cmp S.Eq, Var "take", Int 2),
+              [ ret (Call ("nowhere", [ Int 1 ])) ],
+              [] );
+          If
+            ( Binop (Cmp S.Eq, Var "take", Int 3),
+              [ ExprS (MRead (Var "take")) ],
+              [] );
+          ret (Int 7);
+        ];
+    ]
+  in
+  let run take = run_int ~args:[ E.VScal (S.I take) ] funcs in
+  Alcotest.(check int) "untaken branches raise nothing" 7 (run 0);
+  Alcotest.check_raises "unbound variable" (E.Interp_error "unbound variable ghost")
+    (fun () -> ignore (run 1));
+  Alcotest.check_raises "undefined function"
+    (E.Interp_error "undefined function nowhere") (fun () -> ignore (run 2));
+  Alcotest.check_raises "non-literal path"
+    (E.Interp_error "readMatrix requires a literal path") (fun () ->
+      ignore (run 3))
+
+(* --- scratch directories ---------------------------------------------------- *)
+
+let fresh_dir () = Filename.temp_dir "mmcir" ""
+
+let with_temp_dir_name d f =
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name d;
+  Fun.protect ~finally:(fun () -> Filename.set_temp_dir_name saved) f
+
+let test_run_removes_scratch_dir () =
+  (* The program writes a matrix file, then (with [fail]) reads an
+     unbound name: without [~dir] the run's scratch directory must be
+     gone afterwards, file included, on both exits; with [~dir] the
+     caller's directory and the file stay. *)
+  let prog ~fail =
+    {
+      funcs =
+        [
+          func "main"
+            [
+              Decl
+                (CMat (Nd.EInt, 1), "m", Some (MAlloc (Nd.EInt, [ Int 3 ])));
+              MWrite (Str "out/m.data", Var "m");
+              RcDec (Var "m");
+              ret (if fail then Var "ghost" else Int 1);
+            ];
+        ];
+      main = "main";
+    }
+  in
+  let tmp = fresh_dir () in
+  with_temp_dir_name tmp (fun () ->
+      ignore (E.run (prog ~fail:false) []);
+      Alcotest.check_raises "failing run still raises"
+        (E.Interp_error "unbound variable ghost") (fun () ->
+          ignore (E.run (prog ~fail:true) []));
+      let dir = fresh_dir () in
+      ignore (E.run ~dir (prog ~fail:false) []);
+      Alcotest.(check bool) "a supplied dir keeps its files" true
+        (Sys.file_exists (E.data_path ~dir "out/m.data"));
+      Sys.remove (E.data_path ~dir "out/m.data");
+      Sys.rmdir dir);
+  Alcotest.(check (array string)) "nothing left in the temp dir" [||]
+    (Sys.readdir tmp);
+  Sys.rmdir tmp
+
 let suite =
   [
     Alcotest.test_case "interpret mean (Fig 3)" `Quick test_interp_mean;
@@ -286,6 +519,22 @@ let suite =
     Alcotest.test_case "emit precedence" `Quick test_emit_expression_precedence;
     Alcotest.test_case "constant folding" `Quick test_fold_expr;
     QCheck_alcotest.to_alcotest prop_random_scripts;
+    Alcotest.test_case "scope: a block shadows and restores" `Quick
+      test_block_shadows;
+    Alcotest.test_case "scope: Located and Site are not scopes" `Quick
+      test_wrappers_are_not_scopes;
+    Alcotest.test_case "scope: redeclaration and initialisers" `Quick
+      test_redeclaration;
+    Alcotest.test_case "scope: loop-body Decl every iteration" `Quick
+      test_loop_decl_reinitialised;
+    Alcotest.test_case "scope: ParFor writes an enclosing scalar" `Quick
+      test_parfor_shared_write;
+    Alcotest.test_case "scope: a frame per recursive call" `Quick
+      test_recursion_own_frame;
+    Alcotest.test_case "scope: unresolved names fail only when run" `Quick
+      test_lazy_resolution_errors;
+    Alcotest.test_case "run: scratch data dir removed" `Quick
+      test_run_removes_scratch_dir;
   ]
 
 let _ = nd

@@ -79,23 +79,29 @@ let test_permuted_selection_matches_oracle () =
 
 (* --- interpreter results, byte for byte --------------------------------- *)
 
+(* Lowered with auto-par, each program runs once without a pool and once
+   on a 4-worker pool, so its ParFor bodies also run on other domains. *)
 let test_run_results_match_oracle () =
-  List.iter
-    (fun stem ->
-      let out = Filename.concat golden_dir (stem ^ ".out") in
-      if Sys.file_exists out then
-        let src = read (Filename.concat golden_dir (stem ^ ".mc")) in
-        let config = Driver.config_of_flags ~auto_par:true all4 in
-        match Driver.run ~config all4 src [] with
-        | Driver.Ok_ v ->
-            Alcotest.(check string)
-              (stem ^ ".out bit-identical")
-              (read out)
-              (Fmt.str "%a" Interp.Eval.pp_value v)
-        | Driver.Failed ds ->
-            Alcotest.failf "%s: run failed: %s" stem
-              (Driver.diags_to_string ds))
-    stems
+  let check ?pool label =
+    List.iter
+      (fun stem ->
+        let out = Filename.concat golden_dir (stem ^ ".out") in
+        if Sys.file_exists out then
+          let src = read (Filename.concat golden_dir (stem ^ ".mc")) in
+          let config = Driver.config_of_flags ~auto_par:true all4 in
+          match Driver.run ~config ?pool all4 src [] with
+          | Driver.Ok_ v ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s.out bit-identical (%s)" stem label)
+                (read out)
+                (Fmt.str "%a" Interp.Eval.pp_value v)
+          | Driver.Failed ds ->
+              Alcotest.failf "%s: run failed (%s): %s" stem label
+                (Driver.diags_to_string ds))
+      stems
+  in
+  check "no pool";
+  Runtime.Pool.with_pool 4 (fun pool -> check ~pool "4 workers")
 
 (* --- the blessed explain report ------------------------------------------ *)
 

@@ -609,6 +609,42 @@ let test_compiler_runs_per_invocation () =
   Alcotest.(check int) "the retry rebuilds the runtime object" 1
     (List.length (object_builds recovered))
 
+(* --- scratch data directories ---------------------------------------------- *)
+
+(* Without [~dir], [Driver.exec] runs the binary in a scratch directory
+   that must be gone when the call returns: after a run that writes a
+   matrix, after an instrumented run that leaves the mm_profile.json
+   sidecar there, and after a run that fails. *)
+let test_exec_removes_scratch_dir () =
+  ignore (ensure_cc ());
+  let cache_dir = Lazy.force suite_cache in
+  let tmp = fresh_dir () in
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name tmp;
+  Fun.protect
+    ~finally:(fun () -> Filename.set_temp_dir_name saved)
+    (fun () ->
+      let writes =
+        "int main() { Matrix int <1> m = init(Matrix int <1>, 3); \
+         writeMatrix(\"out.data\", m); return 1; }"
+      in
+      (match Driver.exec ~cache_dir full writes with
+      | Driver.Ok_ _ -> ()
+      | Driver.Failed ds ->
+          Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds));
+      (match
+         Driver.profile_native ~cache_dir full (example "eddy_energy.mc")
+       with
+      | Driver.Ok_ _ -> ()
+      | Driver.Failed ds ->
+          Alcotest.failf "profile_native failed: %s" (Driver.diags_to_string ds));
+      match Driver.exec ~cache_dir full Eddy.Programs.fig1_temporal_mean with
+      | Driver.Ok_ _ -> Alcotest.fail "expected a missing-input failure"
+      | Driver.Failed _ -> ());
+  Alcotest.(check (array string)) "nothing left in the temp dir" [||]
+    (Sys.readdir tmp);
+  Sys.rmdir tmp
+
 let suite =
   [
     Alcotest.test_case "fig1 interp vs native" `Quick test_fig1;
@@ -644,4 +680,6 @@ let suite =
       test_compiler_runs_per_invocation;
     Alcotest.test_case "matrix files round-trip byte for byte" `Quick
       test_roundtrip_bytes;
+    Alcotest.test_case "exec: scratch data dir removed" `Quick
+      test_exec_removes_scratch_dir;
   ]
