@@ -6,13 +6,28 @@
 # neither the perf plumbing of bench/ nor the `mmc profile --json` /
 # `mmc explain --json` schemas can bit-rot silently.
 
-.PHONY: all test bench bench-smoke bench-compare stress native-check native-faults-check profile-check profile-native-check explain-check warm-check tmp-check check clean
+.PHONY: all test golden-check bench bench-smoke bench-compare stress native-check native-faults-check profile-check profile-native-check explain-check warm-check tmp-check check clean
 
 all:
 	dune build
 
 test:
 	dune runtest
+
+# Oracle drift check: regenerate the golden fixtures into a temporary
+# directory and fail if they differ from the committed test/golden/.
+# The golden suite reads the committed .mc files, so only this catches a
+# fixture edited by hand or drifted from Eddy.Programs or examples/.
+golden-check: all
+	@d=$$(mktemp -d) && \
+	dune exec test/golden_gen.exe -- $$d > /dev/null || { rm -rf $$d; exit 1; }; \
+	if diff -r test/golden $$d; then \
+	  rm -rf $$d; echo "golden-check: OK"; \
+	else \
+	  rm -rf $$d; \
+	  echo "golden-check: FAIL (re-bless: dune exec test/golden_gen.exe -- test/golden)"; \
+	  exit 1; \
+	fi
 
 # Full benchmark sweep; writes BENCH_kernels.json and BENCH_telemetry.json.
 bench:
@@ -124,7 +139,7 @@ tmp-check: all
 	fi; \
 	echo "tmp-check: OK"
 
-check: all test bench-smoke stress native-check native-faults-check profile-check profile-native-check explain-check warm-check tmp-check
+check: all test golden-check bench-smoke stress native-check native-faults-check profile-check profile-native-check explain-check warm-check tmp-check
 
 clean:
 	dune clean

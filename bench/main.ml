@@ -92,9 +92,16 @@ let with_input cube f =
   Interp.Eval.provide_input ~dir "ssh.data" cube;
   f dir
 
-let run_prog ?pool ?(fuse = true) ?(auto_par = false) ?optimize ~c ~dir src =
-  let config = Driver.config_of_flags ~fuse ~auto_par c in
-  match Driver.run ~dir ?pool ~config ?optimize c src [] with
+let run_prog ?pool ?(fuse = true) ?(copy_elim = true) ?(auto_par = false) ~c
+    ~dir src =
+  let config =
+    let open Driver.Pipeline in
+    enable
+      (enable (enable (Driver.default_config c) "fuse" fuse) "copy-elim"
+         copy_elim)
+      "auto-par" auto_par
+  in
+  match Driver.run ~dir ?pool ~config c src [] with
   | Driver.Ok_ _ -> ()
   | Driver.Failed ds ->
       Fmt.epr "bench program failed: %s@." (Driver.diags_to_string ds);
@@ -221,26 +228,25 @@ let bench_slice_elim () =
   List.iter
     (fun (m, n, p) ->
       let data = cube ~m ~n ~p in
-      let measure ~optimize =
+      let measure ~copy_elim =
         with_input data (fun dir ->
             Runtime.Rc.reset ();
             let t =
               wall ~reps:3 (fun () ->
-                  run_prog ~c:c_full ~dir ~optimize
+                  run_prog ~c:c_full ~dir ~copy_elim
                     Eddy.Programs.fig1_with_slice_copy)
             in
             (t, (Runtime.Rc.stats ()).Runtime.Rc.allocs))
       in
-      let t_opt, a_opt = measure ~optimize:true in
-      let t_no, a_no = measure ~optimize:false in
+      let t_opt, a_opt = measure ~copy_elim:true in
+      let t_no, a_no = measure ~copy_elim:false in
       Fmt.pr "  %4dx%4dx%3d %14.1f %14.1f %11d %11d@." m n p (t_opt *. 1000.)
         (t_no *. 1000.) a_opt a_no)
     [ (16, 16, 16); (32, 32, 24) ];
   instrumented "C3" (fun () ->
       let data = cube ~m:16 ~n:16 ~p:16 in
       with_input data (fun dir ->
-          run_prog ~c:c_full ~dir ~optimize:true
-            Eddy.Programs.fig1_with_slice_copy))
+          run_prog ~c:c_full ~dir Eddy.Programs.fig1_with_slice_copy))
 
 (* --- C4: transformation variants (§V) --------------------------------------------------- *)
 
@@ -662,7 +668,7 @@ let native_profile_progs () =
 let profile_native_once ~cache_dir ~dir src =
   match
     Driver.profile_native
-      ~config:(Driver.config_of_flags ~auto_par:false c_full)
+      ~config:(Driver.default_config c_full)
       ~dir ~cache_dir c_full src
   with
   | Driver.Ok_ (o, report) -> (o, report)
@@ -711,7 +717,7 @@ let bench_native_profile () =
               let interp =
                 match
                   Driver.profile
-                    ~config:(Driver.config_of_flags ~auto_par:false c_full)
+                    ~config:(Driver.default_config c_full)
                     ~dir c_full src []
                 with
                 | Driver.Ok_ _, report -> report

@@ -199,6 +199,25 @@ let rec map_stmt fe fs s =
 
 let map_stmts fe fs stmts = List.map (map_stmt fe fs) stmts
 
+(** [concat_map_stmts f stmts] — bottom-up rewrite in which each
+    statement, its nested blocks already rewritten, becomes the
+    statements [f s] (none to delete it). *)
+let rec concat_map_stmts f stmts =
+  let r = concat_map_stmts f in
+  List.concat_map
+    (fun s ->
+      f
+        (match s with
+        | If (c, a, b) -> If (c, r a, r b)
+        | While (c, b) -> While (c, r b)
+        | For l -> For { l with body = r l.body }
+        | ParFor l -> ParFor { l with body = r l.body }
+        | Block b -> Block (r b)
+        | Located (sp, b) -> Located (sp, r b)
+        | Site (site, b) -> Site (site, r b)
+        | s -> s))
+    stmts
+
 (** [subst_var name e stmts] — replace every [Var name] with [e]. *)
 let subst_var name e stmts =
   map_stmts (function Var n when n = name -> e | x -> x) Fun.id stmts

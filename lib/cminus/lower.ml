@@ -41,15 +41,12 @@ type t = {
       (** functions synthesised by lowerings — e.g. matrixMap bodies are
           "lifted out into a new function so that the spawned threads can
           get direct access" (§III-A5) *)
-  mutable cur_body : Ast.stmt list;
-      (** the (checked) body of the function currently being lowered —
-          whole-function context for extension lowerings whose validity
-          depends on later statements (e.g. the matrix extension's
-          alias-safety analysis for slice-copy elimination) *)
-  mutable cur_fname : string;
-      (** name of the function currently being lowered — synthesised
-          helpers record it as their [f_origin] so per-function reporting
-          can attribute their cost to the user function *)
+  mutable cur_fun : Ast.fundef;
+      (** the (checked) function currently being lowered — whole-function
+          context for extension lowerings whose validity depends on other
+          statements (e.g. the matrix extension's slice-copy analyses);
+          synthesised helpers record its name as their [f_origin] so
+          per-function reporting can attribute their cost to it *)
   warn : Support.Diag.t -> unit;
       (** sink for non-fatal lowering diagnostics (e.g. a transform script
           skipped because auto-parallelization changed the loop nest) *)
@@ -512,8 +509,7 @@ and lower_assign t span (lhs : Ast.expr) (rhs : Ast.expr) : stmt list =
 let lower_fundef t (f : Ast.fundef) : func =
   t.scopes <- [];
   t.pending <- [];
-  t.cur_body <- f.Ast.body;
-  t.cur_fname <- f.Ast.fname;
+  t.cur_fun <- f;
   push_scope t;
   t.params <-
     List.filter_map
@@ -555,11 +551,9 @@ let runs = ref 0
     slice-copy aliasing, auto-parallelization, transform scripts) is
     recorded as a [Site] annotation around the unoptimized statements it
     would rewrite; the CIR pass pipeline consumes the sites.  [rc]
-    enables reference-count insertion (the refptr extension).  Returns
-    the program together with the gensym allocation trail the pipeline
-    renumbers surviving temporaries from. *)
+    enables reference-count insertion (the refptr extension). *)
 let lower_program ?(warn = fun _ -> ()) (hooks : hooks list) ~(rc : bool)
-    (prog : Ast.program) : program * (string * string) list =
+    (prog : Ast.program) : program =
   incr runs;
   let t =
     {
@@ -571,8 +565,14 @@ let lower_program ?(warn = fun _ -> ()) (hooks : hooks list) ~(rc : bool)
       params = [];
       pending = [];
       extra_funcs = [];
-      cur_body = [];
-      cur_fname = "";
+      cur_fun =
+        {
+          Ast.fname = "";
+          params = [];
+          ret = Ast.TyVoid;
+          body = [];
+          fspan = Support.Pos.dummy_span;
+        };
       warn;
     }
   in
@@ -593,4 +593,4 @@ let lower_program ?(warn = fun _ -> ()) (hooks : hooks list) ~(rc : bool)
       | f :: _ -> f.Ast.fname
       | [] -> "main"
   in
-  ({ funcs; main }, Support.Gensym.trail t.gensym)
+  { funcs; main }

@@ -6,8 +6,9 @@
     composition process."
 
     Pipeline: compose → scan/parse (context-aware) → build AST →
-    extension AST optimizations → semantic analysis → lowering to plain
-    parallel C → {emit C text | execute on the parallel runtime}. *)
+    semantic analysis → baseline lowering to plain parallel C → the CIR
+    pass pipeline, where every optimization is chosen → {emit C text |
+    execute on the parallel runtime}. *)
 
 module Cfg = Grammar.Cfg
 module Tel = Support.Telemetry
@@ -23,7 +24,6 @@ type extension = {
   register : unit -> unit;
   check_hooks : Cminus.Check.hooks;
   lower_hooks : Cminus.Lower.hooks;
-  optimize : Cminus.Ast.program -> Cminus.Ast.program;
   passes : Cir.Pass.t list;
       (** CIR passes this extension registers, in its preferred pipeline
           order; composition concatenates them in extension order *)
@@ -40,7 +40,6 @@ let matrix : extension =
     register = Ext_matrix.Matrix_ext.register;
     check_hooks = Ext_matrix.Matrix_ext.check_hooks;
     lower_hooks = Ext_matrix.Matrix_ext.lower_hooks;
-    optimize = Ext_matrix.Matrix_ext.optimize;
     passes = Ext_matrix.Matrix_ext.passes;
     ag_spec = Ext_matrix.Matrix_ext.ag_spec;
     enables_rc = false;
@@ -53,7 +52,6 @@ let transform : extension =
     register = Ext_transform.Transform_ext.register;
     check_hooks = Ext_transform.Transform_ext.check_hooks;
     lower_hooks = Ext_transform.Transform_ext.lower_hooks;
-    optimize = Fun.id;
     passes = [ Ext_transform.Transform_ext.pass ];
     ag_spec = Ext_transform.Transform_ext.ag_spec;
     enables_rc = false;
@@ -66,7 +64,6 @@ let refptr : extension =
     register = Ext_refptr.Refptr_ext.register;
     check_hooks = Ext_refptr.Refptr_ext.check_hooks;
     lower_hooks = Ext_refptr.Refptr_ext.lower_hooks;
-    optimize = Fun.id;
     passes = [];
     ag_spec = Ext_refptr.Refptr_ext.ag_spec;
     enables_rc = Ext_refptr.Refptr_ext.enables_rc;
@@ -79,7 +76,6 @@ let cilk : extension =
     register = Ext_cilk.Cilk_ext.register;
     check_hooks = Ext_cilk.Cilk_ext.check_hooks;
     lower_hooks = Ext_cilk.Cilk_ext.lower_hooks;
-    optimize = Fun.id;
     passes = [];
     ag_spec = Ext_cilk.Cilk_ext.ag_spec;
     enables_rc = false;
@@ -193,11 +189,9 @@ let compose (selected : extension list) : composed =
 
 type 'a outcome = Ok_ of 'a | Failed of Support.Diag.t list
 
-(** [frontend c src] — scan, parse, build and typecheck [src]; applies each
-    extension's AST-level optimizations in between.  Returns the typed AST
-    or diagnostics. *)
-let frontend ?(optimize = true) (c : composed) (src : string) :
-    Cminus.Ast.program outcome =
+(** [frontend c src] — scan, parse, build and typecheck [src].  Returns
+    the typed AST or diagnostics. *)
+let frontend (c : composed) (src : string) : Cminus.Ast.program outcome =
   match
     Tel.with_span ~phase:"parse" "frontend.parse" (fun () ->
         Parser.Driver.parse c.parser_ src)
@@ -211,12 +205,6 @@ let frontend ?(optimize = true) (c : composed) (src : string) :
       | exception Cminus.Build.Build_error (m, span) ->
           Failed [ Support.Diag.error ~phase:"build" ~span "%s" m ]
       | ast ->
-          let ast =
-            if optimize then
-              Tel.with_span ~phase:"check" "frontend.optimize" (fun () ->
-                  List.fold_left (fun a x -> x.optimize a) ast c.selected)
-            else ast
-          in
           let diags =
             Tel.with_span ~phase:"check" "frontend.check" (fun () ->
                 Cminus.Check.check_program
@@ -237,16 +225,6 @@ let default_config (c : composed) : Pipeline.config =
 
 let config_or_default config c =
   match config with Some cfg -> cfg | None -> default_config c
-
-(** [config_of_flags ?fuse ?copy_elim ?auto_par c] — the historical flag
-    triple as a pipeline config (default order, named stages toggled).
-    Convenience for callers that predate [--passes]. *)
-let config_of_flags ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
-    (c : composed) : Pipeline.config =
-  let open Pipeline in
-  enable
-    (enable (enable (default_config c) "fuse" fuse) "copy-elim" copy_elim)
-    "auto-par" auto_par
 
 (** [lower c ast] — translate to the plain-C IR: one baseline lowering,
     then the pass pipeline [config] (default: every registered pass at
@@ -330,14 +308,13 @@ let runtime_failure_diag exn =
     [pool] supplies the enhanced fork-join worker pool; [dir] hosts the
     program's matrix files (without it, a temporary directory that
     {!Interp.Eval.run} removes again). *)
-let run ?config ?warn ?pool ?dir ?(optimize = true) (c : composed)
-    (src : string) (args : Interp.Eval.value list) :
-    Interp.Eval.value outcome =
+let run ?config ?warn ?pool ?dir (c : composed) (src : string)
+    (args : Interp.Eval.value list) : Interp.Eval.value outcome =
   Option.iter
     (fun p ->
       Tel.set_gauge "pool.threads" (float_of_int (Runtime.Pool.threads p)))
     pool;
-  match frontend ~optimize c src with
+  match frontend c src with
   | Failed d -> Failed d
   | Ok_ ast -> (
       match lower ?config ?warn c ast with

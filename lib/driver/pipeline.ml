@@ -5,8 +5,7 @@
     enabled or not, because splicing a pass's {!Cir.Ir.Site} annotations
     away and reporting the skipped decision is part of the pass — and
     uniformly handles the cross-cutting concerns the passes themselves
-    should not: per-pass timing ([pass.<name>.ns] gauges), gensym
-    renumbering after passes that delete statements, and ["ir after
+    should not: per-pass timing (a [pass.<name>] span) and ["ir after
     <pass>"] snapshot capture into the run's {!Cir.Snapshot.sink}.
 
     The reference-count reporting pass ({!Cir.Pass.rc_report}) is always
@@ -73,17 +72,13 @@ let canon (cfg : config) : string =
        (fun (p, e) -> (if e then "" else "~") ^ p.Cir.Pass.name)
        cfg.stages)
 
-(** [run cfg ~rc ?warn ?sink (prog, syms)] — the pass manager.  [syms] is
-    the gensym allocation trail from {!Cminus.Lower.lower_program};
-    renumbering keeps it coherent across stages.  Raises
+(** [run cfg ~rc ?warn ?sink prog] — the pass manager.  Raises
     {!Cir.Pass.Error} when a pass fails (e.g. a transform script whose
     indices name no loop). *)
 let run (cfg : config) ~(rc : bool) ?(warn = fun _ -> ())
-    ?(sink : Cir.Snapshot.sink option) ((prog, syms) : Cir.Ir.program * _) :
+    ?(sink : Cir.Snapshot.sink option) (prog : Cir.Ir.program) :
     Cir.Ir.program =
-  let ctx =
-    { Cir.Pass.rc; warn; sink; syms; auto_par_ran = false }
-  in
+  let ctx = { Cir.Pass.rc; warn; sink; auto_par_ran = false } in
   let snap pass prog =
     match sink with
     | Some s when Cir.Snapshot.wants s pass ->
@@ -94,15 +89,10 @@ let run (cfg : config) ~(rc : bool) ?(warn = fun _ -> ())
   List.fold_left
     (fun prog (p, enabled) ->
       let name = p.Cir.Pass.name in
-      let t0 = Tel.now_ns () in
       let prog =
         Tel.with_span ~phase:"lower" ("pass." ^ name) (fun () ->
-            let prog = p.Cir.Pass.run ctx ~enabled prog in
-            if p.Cir.Pass.renumbers && enabled then Cir.Pass.renumber ctx prog
-            else prog)
+            p.Cir.Pass.run ctx ~enabled prog)
       in
-      Tel.set_gauge ("pass." ^ name ^ ".ns")
-        (float_of_int (Tel.now_ns () - t0));
       if p.Cir.Pass.managed_snapshot then snap name prog;
       prog)
     prog

@@ -6,14 +6,14 @@
     the [init]/[dimSize]/[readMatrix]/[writeMatrix] builtins.
 
     This is the {e baseline} lowering: every optimization decision —
-    with-loop fusion, slice-copy aliasing, auto-parallelization (§III-C:
-    the outermost loop of every genarray and the matrixMap iteration
-    space can become [ParFor] regions for the enhanced fork-join pool) —
-    is emitted in its unoptimized form wrapped in a {!Sites} annotation,
-    and the extension's CIR passes ({!Passes}) consume the sites.  Only
-    analyses that genuinely need AST context (the alias-safety scan for
-    slice-copy elimination) run here; their verdicts travel in the site
-    payload. *)
+    with-loop fusion, slice-copy elimination, auto-parallelization
+    (§III-C: the outermost loop of every genarray and the matrixMap
+    iteration space can become [ParFor] regions for the enhanced
+    fork-join pool) — is emitted in its unoptimized form wrapped in a
+    {!Sites} annotation, and the extension's CIR passes ({!Passes})
+    consume the sites.  Only analyses that genuinely need AST context
+    (the whole-function scans behind the slice-copy verdicts) run here;
+    their verdicts travel in the site payload. *)
 
 module L = Cminus.Lower
 module T = Cminus.Types
@@ -356,13 +356,16 @@ let spec_extent base d = function
   | SGather g -> MSize (Var g)
   | SAt _ -> invalid_arg "spec_extent"
 
-(* --- alias safety for identity-slice copy elimination (§III-A5) --------------
+(* --- slice-copy elimination verdicts (§III-A5) --------------------------------
 
-   `m[:, …, :]` may be lowered to a retained alias of `m` only when that is
-   observationally equal to the copy: no write to the shared buffer while
-   both handles are live.  Mirroring the conservatism of the AST-level pass
-   in Opt (which only drops a copy after a use-count analysis), we require,
-   over the whole current function body:
+   Two slice shapes need not be copied.  Both verdicts need the whole
+   function body, so they are computed here and travel in the
+   [SliceAlias] site; the copy-elim pass only acts on them.
+
+   An identity slice `m[:, …, :]` may be lowered to a retained alias of
+   `m` only when that is observationally equal to the copy: no write to
+   the shared buffer while both handles are live.  We require, over the
+   whole current function body:
 
    - the slice is the direct initialiser of a matrix variable
      (`Matrix b = m[:, :];` or `b = m[:, :];`) — any other context
@@ -374,15 +377,34 @@ let spec_extent base d = function
      handed to matrixMap (the lifted per-slice function gets direct
      access), stored in a tuple (writes through the tuple are untracked),
      or returned (the buffer would escape to the caller).  Buffer sharing
-     is closed over plain handle copies (`Matrix c = b;`) and other
-     identity slices;
+     is closed over plain handle copies (`Matrix c = b;`), other identity
+     slices and the function's matrix parameters (a caller may pass one
+     matrix twice);
    - the function contains no foreign extension nodes we cannot see into
      (a transform or cilk statement could mutate any matrix).
+
+   A one-dimensional slice `Matrix t <1> s = b[e1, …, :, …, en];` need
+   not be built at all when each `s[k]` can read `b[e1, …, k, …, en]` in
+   place and `dimSize(s, 0)` can read b's extent in the kept dimension
+   (the Fig 1 → Fig 3 rewrite).  We require, over the whole body:
+
+   1. s is bound once, by this declaration, and used only as element
+      reads `s[k]` and as `dimSize(s, 0)`: never written, reassigned,
+      passed, returned or sliced;
+   2. every read `s[k]` is in range: k is the index of an enclosing for
+      loop or with-loop generator running from 0 below `dimSize(s, 0)`,
+      given directly or as an int bound once to it and never assigned;
+   3. b's buffer is neither written nor escapes (the analysis above),
+      and b is bound once and never assigned;
+   4. every variable named in e1 … en is bound once and never assigned.
+
+   "Bound once" rules out shadowing: a name read at `s[k]` means what it
+   meant at the declaration.
 
    Anything else falls back to the allocating copy — the seed semantics. *)
 
 exception Opaque
-(* foreign extension node: give up on aliasing for this function *)
+(* foreign extension node: give up on the function *)
 
 let is_mat_ident (e : A.expr) =
   match (e.A.e, e.A.ety) with
@@ -397,6 +419,27 @@ let readonly_call = function
 let is_identity_slice ixs =
   ixs <> [] && List.for_all (function A.IAll _ -> true | _ -> false) ixs
 
+(* The immediate subexpressions of [e], in evaluation order. *)
+let sub_exprs (e : A.expr) : A.expr list =
+  match e.A.e with
+  | A.Ident _ | A.IntLit _ | A.FloatLit _ | A.BoolLit _ | A.StrLit _
+  | A.ExtE Nodes.EEnd ->
+      []
+  | A.Bin (_, a, b) -> [ a; b ]
+  | A.Un (_, a) | A.Cast (_, a) -> [ a ]
+  | A.CallE (_, es) | A.TupleLit es -> es
+  | A.Subscript (b, ixs) ->
+      b :: List.filter_map (function A.IExpr x -> Some x | A.IAll _ -> None) ixs
+  | A.ExtE (Nodes.EWith (gen, op)) -> (
+      gen.Nodes.lo @ gen.Nodes.hi
+      @
+      match op with
+      | Nodes.OGenarray (shape, b) -> shape @ [ b ]
+      | Nodes.OFold (_, base, b) -> [ base; b ])
+  | A.ExtE (Nodes.EMatrixMap (_, m, _)) -> [ m ]
+  | A.ExtE (Nodes.EInit (_, dims)) -> dims
+  | A.ExtE _ -> raise Opaque
+
 (* One scan of the function body collecting (a) names whose buffer may be
    written or may escape ("seeds") and (b) pairs of names that may share a
    buffer ("edges"). *)
@@ -405,43 +448,13 @@ let scan_body body =
   let seed v = seeds := v :: !seeds in
   let mat_seed e = Option.iter seed (is_mat_ident e) in
   let rec expr (e : A.expr) =
-    match e.A.e with
-    | A.Ident _ | A.IntLit _ | A.FloatLit _ | A.BoolLit _ | A.StrLit _ -> ()
-    | A.Bin (_, a, b) ->
-        expr a;
-        expr b
-    | A.Un (_, a) | A.Cast (_, a) -> expr a
-    | A.CallE (f, args) ->
-        List.iter
-          (fun a ->
-            expr a;
-            if not (readonly_call f) then mat_seed a)
-          args
-    | A.TupleLit es ->
-        (* matrices stored in a tuple can be written through it later *)
-        List.iter
-          (fun x ->
-            expr x;
-            mat_seed x)
-          es
-    | A.Subscript (b, ixs) ->
-        expr b;
-        List.iter (function A.IExpr x -> expr x | A.IAll _ -> ()) ixs
-    | A.ExtE (Nodes.EWith (gen, op)) -> (
-        List.iter expr (gen.Nodes.lo @ gen.Nodes.hi);
-        match op with
-        | Nodes.OGenarray (shape, b) ->
-            List.iter expr shape;
-            expr b
-        | Nodes.OFold (_, base, b) ->
-            expr base;
-            expr b)
-    | A.ExtE (Nodes.EMatrixMap (_, m, _)) ->
-        expr m;
-        mat_seed m
-    | A.ExtE (Nodes.EInit (_, dims)) -> List.iter expr dims
-    | A.ExtE Nodes.EEnd -> ()
-    | A.ExtE _ -> raise Opaque
+    (match e.A.e with
+    | A.CallE (f, args) when not (readonly_call f) -> List.iter mat_seed args
+    (* matrices stored in a tuple can be written through it later *)
+    | A.TupleLit es -> List.iter mat_seed es
+    | A.ExtE (Nodes.EMatrixMap (_, m, _)) -> mat_seed m
+    | _ -> ());
+    List.iter expr (sub_exprs e)
   in
   (* [bind name rhs] — a handle named [name] now holds [rhs]'s value:
      record the buffer-sharing edge when the rhs is a plain handle copy or
@@ -533,8 +546,18 @@ let closure seeds edges =
   done;
   !w
 
-(* The variables to which THIS subscript occurrence (identified physically,
-   base and index list) is directly bound; [] in any other context. *)
+(* The names whose buffer may be written or escape in the current
+   function.  Raises [Opaque]. *)
+let written t =
+  let seeds, edges = scan_body t.L.cur_fun.A.body in
+  let params = t.L.params in
+  closure seeds
+    (List.concat_map (fun a -> List.map (fun b -> (a, b)) params) params
+    @ edges)
+
+(* The bindings (bound name, binding statement) whose right-hand side is
+   THIS subscript occurrence (identified physically, base and index
+   list); [] in any other context. *)
 let slice_dests body base indices =
   let dests = ref [] in
   let rhs_matches (e : A.expr) =
@@ -544,9 +567,10 @@ let slice_dests body base indices =
   in
   let rec stmt (st : A.stmt) =
     match st.A.s with
-    | A.DeclS (_, name, Some i) when rhs_matches i -> dests := name :: !dests
+    | A.DeclS (_, name, Some i) when rhs_matches i ->
+        dests := (name, st) :: !dests
     | A.AssignS ({ A.e = A.Ident name; _ }, r) when rhs_matches r ->
-        dests := name :: !dests
+        dests := (name, st) :: !dests
     | A.IfS (_, a, b) ->
         List.iter stmt a;
         List.iter stmt b
@@ -565,7 +589,7 @@ let slice_dests body base indices =
     as prose, so the stderr diagnostic, the optimization remark and the
     [--json] report all carry the same reason. *)
 let alias_verdict t (base : A.expr) (indices : A.index list) : bool * string =
-  match (is_mat_ident base, t.L.cur_body) with
+  match (is_mat_ident base, t.L.cur_fun.A.body) with
   | None, _ -> (false, "slice base is not a named matrix variable")
   | _, [] -> (false, "no whole-function context for the alias analysis")
   | Some a, body -> (
@@ -575,15 +599,16 @@ let alias_verdict t (base : A.expr) (indices : A.index list) : bool * string =
             "slice result is not bound directly to a variable, so the alias \
              could escape its statement" )
       | dests -> (
-          match scan_body body with
+          match written t with
           | exception Opaque ->
               ( false,
                 "function contains statements from extensions the alias \
                  analysis cannot see into" )
-          | seeds, edges -> (
-              let written = closure seeds edges in
+          | written -> (
               match
-                List.find_opt (fun v -> List.mem v written) (a :: dests)
+                List.find_opt
+                  (fun v -> List.mem v written)
+                  (a :: List.map fst dests)
               with
               | Some v ->
                   ( false,
@@ -596,8 +621,186 @@ let alias_verdict t (base : A.expr) (indices : A.index list) : bool * string =
                     "no handle sharing the buffer is written or escapes \
                      while both handles are live" ))))
 
-let alias_safe t (base : A.expr) (indices : A.index list) =
-  fst (alias_verdict t base indices)
+(* The generator indices of a with-loop that run from 0 below a bound,
+   each with that bound.  Nothing can assign them. *)
+let zero_based (g : Nodes.generator) =
+  if g.Nodes.lo_rel = Nodes.RLe && g.Nodes.hi_rel = Nodes.RLt then
+    List.combine g.Nodes.ids (List.combine g.Nodes.lo g.Nodes.hi)
+    |> List.filter_map (fun (id, ((lo : A.expr), hi)) ->
+           match lo.A.e with
+           | A.IntLit 0 -> Some (id, (hi, `Generator))
+           | _ -> None)
+  else []
+
+(* The index of [for (int k = 0; k < hi; k++)], with [hi].  Its body may
+   assign or shadow it. *)
+let zero_based_for init cond step =
+  let is k (e : A.expr) = match e.A.e with A.Ident v -> v = k | _ -> false in
+  match (init, cond, step) with
+  | ( Some { A.s = A.DeclS (A.TyInt, k, Some { A.e = A.IntLit 0; _ }); _ },
+      Some { A.e = A.Bin (A.BCmp S.Lt, i, hi); _ },
+      Some
+        {
+          A.s =
+            A.AssignS
+              (j, { A.e = A.Bin (A.BArith S.Add, j', { A.e = A.IntLit 1; _ }); _ });
+          _;
+        } )
+    when List.for_all (is k) [ i; j; j' ] ->
+      [ (k, (hi, `For)) ]
+  | _ -> []
+
+let rec idents (e : A.expr) =
+  match e.A.e with
+  | A.Ident v -> [ v ]
+  | _ -> List.concat_map idents (sub_exprs e)
+
+(** [fiber_verdict t base indices s] — may the one-dimensional slice
+    [base[indices]] that initialises [s] be read in place?  The decision,
+    and the first condition that failed as prose. *)
+let fiber_verdict t (base : A.expr) (indices : A.index list) s : bool * string
+    =
+  let f = t.L.cur_fun in
+  let binders = ref (List.map (fun (_, p) -> (p, None)) f.A.params)
+  and targets = ref []
+  and misuse = ref None
+  and reads = ref [] in
+  let is_s (e : A.expr) = match e.A.e with A.Ident v -> v = s | _ -> false in
+  (* [ranges]: enclosing loop indices running from 0 below a bound *)
+  let rec expr ranges (e : A.expr) =
+    match e.A.e with
+    | A.Subscript (m, [ A.IExpr ix ]) when is_s m ->
+        let range =
+          match ix.A.e with
+          | A.Ident k -> Option.map (fun hi -> (k, hi)) (List.assoc_opt k ranges)
+          | _ -> None
+        in
+        reads := (e.A.espan, range) :: !reads;
+        expr ranges ix
+    | A.CallE ("dimSize", [ m; { A.e = A.IntLit 0; _ } ]) when is_s m -> ()
+    | A.Ident _ when is_s e -> if !misuse = None then misuse := Some e.A.espan
+    | A.ExtE (Nodes.EWith (gen, op)) -> (
+        binders := List.map (fun id -> (id, None)) gen.Nodes.ids @ !binders;
+        let inner = zero_based gen @ ranges in
+        List.iter (expr ranges) (gen.Nodes.lo @ gen.Nodes.hi);
+        match op with
+        | Nodes.OGenarray (shape, b) ->
+            List.iter (expr ranges) shape;
+            expr inner b
+        | Nodes.OFold (_, b0, b) ->
+            expr ranges b0;
+            expr inner b)
+    | _ -> List.iter (expr ranges) (sub_exprs e)
+  and stmt ranges (st : A.stmt) =
+    match st.A.s with
+    | A.DeclS (_, name, init) ->
+        Option.iter (expr ranges) init;
+        binders := (name, init) :: !binders
+    | A.AssignS (lhs, rhs) ->
+        expr ranges rhs;
+        assigned ranges lhs
+    | A.IfS (c, a, b) ->
+        expr ranges c;
+        List.iter (stmt ranges) a;
+        List.iter (stmt ranges) b
+    | A.WhileS (c, b) ->
+        expr ranges c;
+        List.iter (stmt ranges) b
+    | A.ForS (init, c, step, b) ->
+        Option.iter (stmt ranges) init;
+        Option.iter (expr ranges) c;
+        Option.iter (stmt ranges) step;
+        List.iter (stmt (zero_based_for init c step @ ranges)) b
+    | A.ReturnS e -> Option.iter (expr ranges) e
+    | A.BreakS | A.ContinueS -> ()
+    | A.ExprStmt e -> expr ranges e
+    | A.BlockS b -> List.iter (stmt ranges) b
+    | A.ExtS _ -> raise Opaque
+  and assigned ranges (lhs : A.expr) =
+    match lhs.A.e with
+    | A.Ident v ->
+        targets := v :: !targets;
+        expr ranges lhs
+    | A.TupleLit parts -> List.iter (assigned ranges) parts
+    | A.Subscript _ ->
+        (* an element write: its base is not a read, so [s[k] = …] is a
+           misuse of [s] *)
+        List.iter (expr ranges) (sub_exprs lhs)
+    | _ -> expr ranges lhs
+  in
+  match
+    List.iter (stmt []) f.A.body;
+    ( is_mat_ident base,
+      written t,
+      List.concat_map (function A.IExpr x -> idents x | A.IAll _ -> []) indices
+    )
+  with
+  | exception Opaque ->
+      ( false,
+        "function contains statements from extensions the analysis cannot \
+         see into" )
+  | None, _, _ -> (false, "slice base is not a named matrix variable")
+  | Some b, written, vars -> (
+      let count v names = List.length (List.filter (String.equal v) names) in
+      let once v = count v (List.map fst !binders) = 1 in
+      let is_extent (e : A.expr) =
+        match e.A.e with
+        | A.CallE ("dimSize", [ m; { A.e = A.IntLit 0; _ } ]) -> is_s m
+        | _ -> false
+      in
+      let bounded (hi : A.expr) =
+        match hi.A.e with
+        | A.Ident n -> (
+            count n !targets = 0
+            &&
+            match List.filter (fun (v, _) -> v = n) !binders with
+            | [ (_, Some init) ] -> is_extent init
+            | _ -> false)
+        | _ -> is_extent hi
+      in
+      let in_range = function
+        | _, Some (_, (hi, `Generator)) -> bounded hi
+        (* the loop's step assigns its index; nothing else may, and no
+           declaration may shadow it *)
+        | _, Some (k, (hi, `For)) ->
+            once k && count k !targets <= 1 && bounded hi
+        | _, None -> false
+      in
+      let loose v = not (once v && count v !targets = 0) in
+      match
+        ( !misuse,
+          List.find_opt loose (b :: vars),
+          List.find_opt (fun r -> not (in_range r)) !reads )
+      with
+      | _ when not (once s) ->
+          (false, Printf.sprintf "'%s' is declared more than once" s)
+      | Some sp, _, _ ->
+          ( false,
+            Printf.sprintf
+              "'%s' is used at %s other than as an element read %s[k] or \
+               dimSize(%s, 0)"
+              s (Support.Pos.span_to_string sp) s s )
+      | None, Some v, _ ->
+          ( false,
+            Printf.sprintf "%s '%s' is %s"
+              (if v = b then "base" else "index variable")
+              v
+              (if once v then "assigned" else "declared more than once") )
+      | None, None, _ when List.mem b written ->
+          ( false,
+            Printf.sprintf
+              "buffer of '%s' may be written or escape while '%s' is live" b s
+          )
+      | None, None, Some (sp, _) ->
+          ( false,
+            Printf.sprintf
+              "the read at %s is not provably in range: its index is not a \
+               loop index running from 0 below dimSize(%s, 0)"
+              (Support.Pos.span_to_string sp) s )
+      | None, None, None ->
+          ( true,
+            "every read is in range, and nothing it reads is written or \
+             rebound while the slice is live" ))
 
 let h_subscript t (base : A.expr) (indices : A.index list) (rty : T.ty) span :
     (stmt list * expr) option =
@@ -613,18 +816,8 @@ let h_subscript t (base : A.expr) (indices : A.index list) (rty : T.ty) span :
         Some (sb @ si, MGetFlat (Var vb, off))
       else begin
         (* Allocating copy of the selected region — the baseline for every
-           non-scalar selection.  For an identity slice m[:, …, :] the
-           §III-A5 copy elimination pass may replace the payload of the
-           [SliceAlias] site below with a retained alias of the source;
-           the alias-safety verdict (whether neither handle is
-           buffer-written or escapes while both are live) needs the AST
-           context, so it is computed HERE and shipped in the site. *)
-        let identity =
-          List.for_all (function SAll -> true | _ -> false) specs
-        in
-        let safe, why =
-          if identity then alias_verdict t base indices else (false, "")
-        in
+           non-scalar selection, wrapped in a [SliceAlias] site below that
+           the §III-A5 copy elimination pass consumes. *)
         let out_elem, _out_rank = mat_of_ty span rty in
         let kept_dims =
           List.mapi (fun d sp -> (d, sp)) specs
@@ -665,12 +858,39 @@ let h_subscript t (base : A.expr) (indices : A.index list) (rty : T.ty) span :
               [ For { index = v; bound = ext; body = acc; prov = Some span } ])
             out_vars extents inner
         in
+        (* Which copy the pass may drop, and whether it may: the verdicts
+           need the AST context, so they are computed HERE. *)
+        let shape, safe, why =
+          if List.for_all (function SAll -> true | _ -> false) specs then
+            let safe, why = alias_verdict t base indices in
+            (Sites.Identity, safe, why)
+          else
+            match (out_vars, extents) with
+            | [ index ], [ extent ]
+              when List.for_all (function SGather _ -> false | _ -> true) specs
+              -> (
+                match slice_dests t.L.cur_fun.A.body base indices with
+                | [ (var, { A.s = A.DeclS _; sspan = decl }) ] ->
+                    let safe, why = fiber_verdict t base indices var in
+                    ( Sites.Fiber { var; index; offset = src_off; extent; decl },
+                      safe,
+                      why )
+                | _ ->
+                    ( Sites.Other,
+                      false,
+                      "the slice is not the initialiser of a declaration" ))
+            | _ ->
+                ( Sites.Other,
+                  false,
+                  "selection is not the whole matrix, so the buffer cannot be \
+                   aliased" )
+        in
         let stmts =
           sb @ si
           @ [
               Site
                 ( Sites.SliceAlias
-                    { base = vb; slice = r; identity; safe; why; span },
+                    { base = vb; slice = r; shape; safe; why; span },
                   Decl (CMat (out_elem, List.length kept_dims), r,
                     Some (MAlloc (out_elem, extents)))
                   :: loops );
@@ -1011,7 +1231,7 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
         @ L.rc_dec t (Var outv)
         @ [ Return None ];
       f_span = None;
-      f_origin = Some t.L.cur_fname;
+      f_origin = Some t.L.cur_fun.A.fname;
     }
   in
   t.L.extra_funcs <- lf :: t.L.extra_funcs;

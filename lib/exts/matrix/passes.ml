@@ -10,10 +10,9 @@ open Cir.Ir
 module R = Support.Remark
 
 (* [rewrite_sites] cannot rewrite uses outside the site it is visiting,
-   so passes that redirect a name (fusion: copy→result; copy elimination:
-   slice→base) collect the renames and apply them to the whole program
-   afterwards — gensym names are program-unique, so global substitution
-   is safe. *)
+   so fusion collects its renames (copy→result) and applies them to the
+   whole program afterwards — gensym names are program-unique, so global
+   substitution is safe. *)
 let apply_substs substs p =
   List.fold_left
     (fun p (from_, to_) -> Cir.Pass.subst_in_program from_ (Var to_) p)
@@ -26,7 +25,6 @@ let fuse : Cir.Pass.t =
   {
     Cir.Pass.name = "fuse";
     default_on = true;
-    renumbers = true;
     managed_snapshot = true;
     run =
       (fun _ctx ~enabled p ->
@@ -62,51 +60,101 @@ let fuse : Cir.Pass.t =
         apply_substs !substs p);
   }
 
-(** Slice-copy elimination: an identity slice [m[:, …, :]] whose aliasing
-    the lowering-time analysis proved observation-free aliases its base
-    (retaining it) instead of allocating and copying every element. *)
+(* An eliminated one-dimensional slice: each read [var[k]] reads [base]
+   in place, [dimSize(var, 0)] reads [base]'s extent, and the
+   declaration of [var], its releases and any provenance block left
+   empty go.  [var] is bound once in the function, so no other variable
+   shares its name. *)
+let read_in_place base (f : Sites.fiber) body =
+  map_stmts
+    (function
+      | MGetFlat (Var v, k) when v = f.var ->
+          MGetFlat (Var base, subst_var_expr f.index k f.offset)
+      | MDim (Var v, Int 0) when v = f.var -> f.extent
+      | e -> e)
+    Fun.id body
+  |> concat_map_stmts (function
+       | (Decl (_, v, _) | RcInc (Var v) | RcDec (Var v)) when v = f.var -> []
+       | Located (_, []) -> []
+       | s -> [ s ])
+
+(** Slice-copy elimination (§III-A5): an identity slice [m[:, …, :]]
+    aliases its base (retaining it) instead of allocating and copying
+    every element, and a one-dimensional slice [s = m[e1, …, :, …, en]]
+    is not built at all — each [s[k]] reads [m] in place, the Fig 1 →
+    Fig 3 rewrite.  Each only when the lowering-time verdict proved it
+    observation-free. *)
 let copy_elim : Cir.Pass.t =
   {
     Cir.Pass.name = "copy-elim";
     default_on = true;
-    renumbers = true;
     managed_snapshot = true;
     run =
       (fun ctx ~enabled p ->
-        let substs = ref [] in
-        let p =
-          Cir.Pass.rewrite_sites
-            (fun site payload ->
-              match site with
-              | Sites.SliceAlias { base; slice; identity; safe; why; span } ->
-                  if enabled && identity && safe then begin
-                    R.emit ~pass:"copy-elim" ~kind:R.Applied ~span
-                      ~details:[ ("alias", why) ]
-                      "identity slice aliased to its base: copy elided";
-                    Support.Telemetry.bump Lower.c_identity_slices;
-                    substs := (slice, base) :: !substs;
-                    Some (if ctx.Cir.Pass.rc then [ RcInc (Var base) ] else [])
-                  end
-                  else begin
-                    (if identity && not enabled then
-                       R.emit ~pass:"copy-elim" ~kind:R.Skipped ~span
-                         "copy elimination disabled: identity slice \
-                          allocates a copy"
-                     else if identity then
-                       R.emit ~pass:"copy-elim" ~kind:R.Missed ~span
-                         ~details:[ ("alias", why) ]
-                         "identity slice kept its copy: %s" why
-                     else
-                       R.emit ~pass:"copy-elim" ~kind:R.Missed ~span
-                         "slice allocates a copy (selection is not the \
-                          whole matrix, so the buffer cannot be aliased)");
-                    Support.Telemetry.bump Lower.c_slice_copies;
-                    Some payload
-                  end
-              | _ -> None)
-            p
+        let in_function fn =
+          let aliases = ref [] and fibers = ref [] in
+          let body =
+            Cir.Pass.rewrite_sites_in
+              (fun site payload ->
+                match site with
+                | Sites.SliceAlias { base; slice; shape; safe; why; span } -> (
+                    match shape with
+                    | Sites.Identity when enabled && safe ->
+                        R.emit ~pass:"copy-elim" ~kind:R.Applied ~span
+                          ~details:[ ("alias", why) ]
+                          "identity slice aliased to its base: copy elided";
+                        Support.Telemetry.bump Lower.c_identity_slices;
+                        aliases := (slice, base) :: !aliases;
+                        Some (if ctx.Cir.Pass.rc then [ RcInc (Var base) ] else [])
+                    | Sites.Fiber f when enabled && safe ->
+                        R.emit ~pass:"copy-elim" ~kind:R.Applied ~span:f.decl
+                          ~details:[ ("slice", f.var) ]
+                          "slice copy '%s' eliminated: the fold reads the base \
+                           matrix in place and the dead slice declaration was \
+                           dropped"
+                          f.var;
+                        fibers := (base, f) :: !fibers;
+                        Some []
+                    | _ ->
+                        (match shape with
+                        | Sites.Identity when not enabled ->
+                            R.emit ~pass:"copy-elim" ~kind:R.Skipped ~span
+                              "copy elimination disabled: identity slice \
+                               allocates a copy"
+                        | Sites.Identity ->
+                            R.emit ~pass:"copy-elim" ~kind:R.Missed ~span
+                              ~details:[ ("alias", why) ]
+                              "identity slice kept its copy: %s" why
+                        | Sites.Fiber f when not enabled ->
+                            R.emit ~pass:"copy-elim" ~kind:R.Skipped
+                              ~span:f.decl ~details:[ ("slice", f.var) ]
+                              "copy elimination disabled: slice '%s' allocates \
+                               a copy"
+                              f.var
+                        | Sites.Fiber f ->
+                            R.emit ~pass:"copy-elim" ~kind:R.Missed
+                              ~span:f.decl ~details:[ ("slice", f.var) ]
+                              "slice copy '%s' kept: %s" f.var why
+                        | Sites.Other ->
+                            R.emit ~pass:"copy-elim" ~kind:R.Missed ~span
+                              "slice allocates a copy (%s)" why);
+                        Support.Telemetry.bump Lower.c_slice_copies;
+                        Some payload)
+                | _ -> None)
+              fn.f_body
+          in
+          let body =
+            List.fold_left
+              (fun b (slice, base) -> subst_var slice (Var base) b)
+              body !aliases
+          in
+          {
+            fn with
+            f_body =
+              List.fold_left (fun b (base, f) -> read_in_place base f b) body !fibers;
+          }
         in
-        apply_substs !substs p);
+        { p with funcs = List.map in_function p.funcs });
   }
 
 (** Auto-parallelization: promote recognised sequential loop shapes to
@@ -116,7 +164,6 @@ let auto_par : Cir.Pass.t =
   {
     Cir.Pass.name = "auto-par";
     default_on = false;
-    renumbers = false;
     managed_snapshot = true;
     run =
       (fun ctx ~enabled p ->

@@ -19,6 +19,25 @@ type autopar_kind =
       (** matrixMap dispatch loop; carries the mapped function's name for
           the remark *)
 
+(** A one-dimensional slice [Matrix t <1> var = m[e1, …, :, …, en];]
+    — the facts that let its reads go to [m] in place (§III-A5, the Fig 1
+    → Fig 3 rewrite). *)
+type fiber = {
+  var : string;  (** the variable the declaration binds *)
+  index : string;  (** the payload's copy-loop index *)
+  offset : Cir.Ir.expr;
+      (** [m]'s flat offset of the element copied at [index]: a read
+          [var[k]] reads [m] at [offset] with [index] replaced by [k] *)
+  extent : Cir.Ir.expr;  (** [m]'s extent in the kept dimension *)
+  decl : Support.Pos.span;  (** the whole declaration statement *)
+}
+
+(** What a slice selects, which decides what copy elimination may do. *)
+type slice_shape =
+  | Identity  (** [m[:, …, :]]: the copy may become an alias of [m] *)
+  | Fiber of fiber
+  | Other  (** any other selection: always copied *)
+
 type Cir.Ir.site +=
   | FuseCopy of {
       result : string;  (** the with-loop's result matrix *)
@@ -31,23 +50,17 @@ type Cir.Ir.site +=
   | SliceAlias of {
       base : string;  (** the sliced matrix *)
       slice : string;  (** the copy the payload allocates *)
-      identity : bool;  (** selection is the whole matrix *)
-      safe : bool;  (** the alias analysis proved aliasing observable-free *)
-      why : string;  (** the analysis verdict as prose *)
-      span : Support.Pos.span;
+      shape : slice_shape;
+      safe : bool;
+          (** the lowering-time analysis proved the rewrite for [shape]
+              observation-free *)
+      why : string;  (** the verdict as prose: the proof or the blocker *)
+      span : Support.Pos.span;  (** the slice expression *)
     }
-      (** Payload: the allocating copy of a slice.  Copy elimination
-          replaces it with a retain of [base] (renaming [slice] to
-          [base]) when [identity && safe]. *)
+      (** Payload: the allocating copy of a slice.  When [safe], copy
+          elimination replaces an [Identity] slice's payload with a retain
+          of [base] (renaming [slice] to [base]), and deletes a [Fiber]'s
+          payload, declaration and releases, reading [base] in place. *)
   | AutoPar of { kind : autopar_kind; span : Support.Pos.span }
       (** Payload: a sequential loop nest the auto-par pass may promote
           to a [ParFor] region. *)
-
-(* Renamer hook: lets the pipeline's gensym renumbering rewrite the
-   variable names our payloads mention (see {!Cir.Pass.renumber}). *)
-let () =
-  Cir.Pass.register_site_renamer (fun f site ->
-      match site with
-      | FuseCopy r -> FuseCopy { r with result = f r.result; copy = f r.copy }
-      | SliceAlias r -> SliceAlias { r with base = f r.base; slice = f r.slice }
-      | s -> s)

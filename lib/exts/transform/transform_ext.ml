@@ -241,7 +241,6 @@ let pass : Cir.Pass.t =
   {
     Cir.Pass.name = "transform";
     default_on = true;
-    renumbers = false;
     (* Snapshots here are per applied clause, not one per program: the
        pass records its own instead of taking the manager's. *)
     managed_snapshot = false;

@@ -6,31 +6,16 @@
     are made collision-free by a reserved prefix ["__mm_"] that the CMINUS
     lexer rejects in user programs. *)
 
-type t = {
-  mutable next : int;
-  prefix : string;
-  mutable trail_rev : (string * string) list;
-      (** every [(name, hint)] ever issued, newest first — the allocation
-          log the pass pipeline renumbers surviving temporaries from *)
-}
+type t = { mutable next : int; prefix : string }
 
 let reserved_prefix = "__mm_"
-let create ?(prefix = reserved_prefix) () = { next = 0; prefix; trail_rev = [] }
+let create ?(prefix = reserved_prefix) () = { next = 0; prefix }
 
 (** [fresh g hint] returns a new unique name such as ["__mm_acc3"]. *)
 let fresh g hint =
   let n = g.next in
   g.next <- n + 1;
-  let name = Printf.sprintf "%s%s%d" g.prefix hint n in
-  g.trail_rev <- (name, hint) :: g.trail_rev;
-  name
-
-(** [trail g] — every name issued so far with its hint, in allocation
-    order.  After a pass deletes statements, the names still present in
-    the program form a subsequence of this trail; renumbering each
-    survivor by its rank in that subsequence reproduces the names a
-    lowering that never emitted the deleted code would have chosen. *)
-let trail g = List.rev g.trail_rev
+  Printf.sprintf "%s%s%d" g.prefix hint n
 
 (** [is_reserved name] is true when [name] could collide with generated
     temporaries and must be rejected by the scanner. *)

@@ -7,22 +7,22 @@ mm_float seriesMean(mm_mat_float3 *mat, int i, int j);
 
 mm_float seriesMean(mm_mat_float3 *mat, int i, int j) {
   int p = mat->dims[2];
-  mm_float __mm_acc0 = 0.0;
+  mm_float __mm_acc2 = 0.0;
   for (int k = 0; k < p; k++) {
-    __mm_acc0 = __mm_acc0 + mat->data[(i * mat->dims[1] + j) * mat->dims[2] + k];
+    __mm_acc2 = __mm_acc2 + mat->data[(i * mat->dims[1] + j) * mat->dims[2] + k];
   }
-  mm_float total = __mm_acc0;
-  mm_float __mm_ret1 = total / (mm_float) p;
-  return __mm_ret1;
+  mm_float total = __mm_acc2;
+  mm_float __mm_ret3 = total / (mm_float) p;
+  return __mm_ret3;
 }
 
 int main(void) {
-  mm_mat_float3 *__mm_rd2 = mm_read_matrix("ssh.data");
-  mm_mat_float3 *mat = __mm_rd2;
+  mm_mat_float3 *__mm_rd4 = mm_read_matrix("ssh.data");
+  mm_mat_float3 *mat = __mm_rd4;
   int m = mat->dims[0];
   int n = mat->dims[1];
-  mm_mat_float2 *__mm_initm3 = mm_alloc_float(2, m, n);
-  mm_mat_float2 *means = __mm_initm3;
+  mm_mat_float2 *__mm_initm5 = mm_alloc_float(2, m, n);
+  mm_mat_float2 *means = __mm_initm5;
   int i = 0;
   while (i < m) {
     int j = 0;

@@ -8,7 +8,7 @@ typedef struct { mm_mat_float1 *f0; int f1; int f2; } struct_mm_mat_float1_int_i
 struct_mm_mat_float1_int_int getTrough(mm_mat_float1 *ts, int i);
 mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest);
 mm_mat_float1 *scoreTS(mm_mat_float1 *ts);
-void __mm_mmap_scoreTS32(mm_mat_float3 *m, mm_mat_float3 *r, int t);
+void __mm_mmap_scoreTS34(mm_mat_float3 *m, mm_mat_float3 *r, int t);
 
 struct_mm_mat_float1_int_int getTrough(mm_mat_float1 *ts, int i) {
   int beginning = i;
@@ -88,12 +88,12 @@ mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest) {
 }
 
 mm_mat_float1 *scoreTS(mm_mat_float1 *ts) {
-  mm_mat_float1 *__mm_initm21 = mm_alloc_float(1, ts->dims[0]);
-  mm_mat_float1 *scores = __mm_initm21;
+  mm_mat_float1 *__mm_initm23 = mm_alloc_float(1, ts->dims[0]);
+  mm_mat_float1 *scores = __mm_initm23;
   int i = 0;
   while (true) {
-    int __mm_s22 = i + 1;
-    if (!(ts->data[i] < ts->data[__mm_s22])) {
+    int __mm_s24 = i + 1;
+    if (!(ts->data[i] < ts->data[__mm_s24])) {
       break;
     }
     i = i + 1;
@@ -102,61 +102,61 @@ mm_mat_float1 *scoreTS(mm_mat_float1 *ts) {
   int beginning = 0;
   mm_mat_float1 *trough = NULL;
   while (i < n - 1) {
-    struct_mm_mat_float1_int_int __mm_call23 = getTrough(ts, i);
-    struct_mm_mat_float1_int_int __mm_tup24 = __mm_call23;
+    struct_mm_mat_float1_int_int __mm_call25 = getTrough(ts, i);
+    struct_mm_mat_float1_int_int __mm_tup26 = __mm_call25;
     mm_rc_dec(trough);
-    trough = __mm_tup24.f0;
-    beginning = __mm_tup24.f1;
-    i = __mm_tup24.f2;
-    int __mm_n25 = i - beginning + 1;
-    if (__mm_n25 < 0) {
-      __mm_n25 = 0;
+    trough = __mm_tup26.f0;
+    beginning = __mm_tup26.f1;
+    i = __mm_tup26.f2;
+    int __mm_n27 = i - beginning + 1;
+    if (__mm_n27 < 0) {
+      __mm_n27 = 0;
     }
-    mm_mat_int1 *__mm_rng26 = mm_alloc_int(1, __mm_n25);
-    for (int __mm_i27 = 0; __mm_i27 < __mm_n25; __mm_i27++) {
-      __mm_rng26->data[__mm_i27] = beginning + __mm_i27;
+    mm_mat_int1 *__mm_rng28 = mm_alloc_int(1, __mm_n27);
+    for (int __mm_i29 = 0; __mm_i29 < __mm_n27; __mm_i29++) {
+      __mm_rng28->data[__mm_i29] = beginning + __mm_i29;
     }
-    mm_mat_float1 *__mm_call29 = computeArea(trough);
-    for (int __mm_o28 = 0; __mm_o28 < mm_size(__mm_rng26); __mm_o28++) {
-      scores->data[__mm_rng26->data[__mm_o28]] = __mm_call29->data[__mm_o28];
+    mm_mat_float1 *__mm_call31 = computeArea(trough);
+    for (int __mm_o30 = 0; __mm_o30 < mm_size(__mm_rng28); __mm_o30++) {
+      scores->data[__mm_rng28->data[__mm_o30]] = __mm_call31->data[__mm_o30];
     }
-    mm_rc_dec(__mm_call29);
-    mm_rc_dec(__mm_rng26);
+    mm_rc_dec(__mm_call31);
+    mm_rc_dec(__mm_rng28);
   }
   mm_rc_dec(trough);
   return scores;
 }
 
 int main(void) {
-  mm_mat_float3 *__mm_rd30 = mm_read_matrix("ssh.data");
-  mm_mat_float3 *data = __mm_rd30;
-  mm_mat_float3 *__mm_mmapr31 = mm_alloc_float(3, data->dims[0], data->dims[1], data->dims[2]);
-  int __mm_total36 = data->dims[0] * data->dims[1];
-  for (int __mm_t37 = 0; __mm_t37 < __mm_total36; __mm_t37++) {
-    __mm_mmap_scoreTS32(data, __mm_mmapr31, __mm_t37);
+  mm_mat_float3 *__mm_rd32 = mm_read_matrix("ssh.data");
+  mm_mat_float3 *data = __mm_rd32;
+  mm_mat_float3 *__mm_mmapr33 = mm_alloc_float(3, data->dims[0], data->dims[1], data->dims[2]);
+  int __mm_total38 = data->dims[0] * data->dims[1];
+  for (int __mm_t39 = 0; __mm_t39 < __mm_total38; __mm_t39++) {
+    __mm_mmap_scoreTS34(data, __mm_mmapr33, __mm_t39);
   }
-  mm_mat_float3 *scores = __mm_mmapr31;
+  mm_mat_float3 *scores = __mm_mmapr33;
   mm_write_matrix("temporalScores.data", scores);
   mm_rc_dec(scores);
   mm_rc_dec(data);
   return 0;
 }
 
-void __mm_mmap_scoreTS32(mm_mat_float3 *m, mm_mat_float3 *r, int t) {
-  int __mm_rem33 = t;
-  int c1 = __mm_rem33 % m->dims[1];
-  __mm_rem33 = __mm_rem33 / m->dims[1];
-  int c0 = __mm_rem33 % m->dims[0];
-  __mm_rem33 = __mm_rem33 / m->dims[0];
-  mm_mat_float1 *__mm_slice34 = mm_alloc_float(1, m->dims[2]);
+void __mm_mmap_scoreTS34(mm_mat_float3 *m, mm_mat_float3 *r, int t) {
+  int __mm_rem35 = t;
+  int c1 = __mm_rem35 % m->dims[1];
+  __mm_rem35 = __mm_rem35 / m->dims[1];
+  int c0 = __mm_rem35 % m->dims[0];
+  __mm_rem35 = __mm_rem35 / m->dims[0];
+  mm_mat_float1 *__mm_slice36 = mm_alloc_float(1, m->dims[2]);
   for (int o2 = 0; o2 < m->dims[2]; o2++) {
-    __mm_slice34->data[o2] = m->data[(c0 * m->dims[1] + c1) * m->dims[2] + o2];
+    __mm_slice36->data[o2] = m->data[(c0 * m->dims[1] + c1) * m->dims[2] + o2];
   }
-  mm_mat_float1 *__mm_out35 = scoreTS(__mm_slice34);
+  mm_mat_float1 *__mm_out37 = scoreTS(__mm_slice36);
   for (int o2 = 0; o2 < m->dims[2]; o2++) {
-    r->data[(c0 * m->dims[1] + c1) * m->dims[2] + o2] = __mm_out35->data[o2];
+    r->data[(c0 * m->dims[1] + c1) * m->dims[2] + o2] = __mm_out37->data[o2];
   }
-  mm_rc_dec(__mm_slice34);
-  mm_rc_dec(__mm_out35);
+  mm_rc_dec(__mm_slice36);
+  mm_rc_dec(__mm_out37);
   return;
 }

@@ -21,22 +21,22 @@ int main(void) {
   }
   mm_rc_dec(g);
   g = __mm_gen1;
-  mm_mat_float2 *__mm_slice2 = mm_alloc_float(2, g->dims[0], g->dims[1]);
-  for (int __mm_o3 = 0; __mm_o3 < g->dims[0]; __mm_o3++) {
-    for (int __mm_o4 = 0; __mm_o4 < g->dims[1]; __mm_o4++) {
-      __mm_slice2->data[__mm_o3 * g->dims[1] + __mm_o4] = g->data[__mm_o3 * g->dims[1] + __mm_o4];
+  mm_mat_float2 *__mm_slice4 = mm_alloc_float(2, g->dims[0], g->dims[1]);
+  for (int __mm_o5 = 0; __mm_o5 < g->dims[0]; __mm_o5++) {
+    for (int __mm_o6 = 0; __mm_o6 < g->dims[1]; __mm_o6++) {
+      __mm_slice4->data[__mm_o5 * g->dims[1] + __mm_o6] = g->data[__mm_o5 * g->dims[1] + __mm_o6];
     }
   }
-  mm_mat_float2 *view = __mm_slice2;
-  mm_float __mm_acc5 = 0.0;
+  mm_mat_float2 *view = __mm_slice4;
+  mm_float __mm_acc7 = 0.0;
   for (int i = 0; i < m; i++) {
     for (int j = 0; j < n; j++) {
-      __mm_acc5 = __mm_acc5 + (view->data[i * view->dims[1] + j] - 0.0);
+      __mm_acc7 = __mm_acc7 + (view->data[i * view->dims[1] + j] - 0.0);
     }
   }
-  mm_float t = __mm_acc5;
-  int __mm_ret6 = (int) t;
+  mm_float t = __mm_acc7;
+  int __mm_ret8 = (int) t;
   mm_rc_dec(view);
   mm_rc_dec(g);
-  return __mm_ret6;
+  return __mm_ret8;
 }

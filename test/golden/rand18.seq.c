@@ -16,42 +16,42 @@ int main(void) {
   }
   mm_rc_dec(a);
   a = __mm_gen1;
-  mm_mat_float2 *__mm_ew2 = mm_alloc_float(2, a->dims[0], a->dims[1]);
-  for (int __mm_i3 = 0; __mm_i3 < mm_size(a); __mm_i3++) {
-    __mm_ew2->data[__mm_i3] = a->data[__mm_i3] - 1.6;
+  mm_mat_float2 *__mm_ew4 = mm_alloc_float(2, a->dims[0], a->dims[1]);
+  for (int __mm_i5 = 0; __mm_i5 < mm_size(a); __mm_i5++) {
+    __mm_ew4->data[__mm_i5] = a->data[__mm_i5] - 1.6;
   }
-  mm_mat_float2 *b = __mm_ew2;
-  mm_mat_float2 *__mm_initm4 = mm_alloc_float(2, m, m);
-  mm_mat_float2 *c = __mm_initm4;
-  mm_mat_float2 *__mm_gen5 = mm_alloc_float(2, n, m);
+  mm_mat_float2 *b = __mm_ew4;
+  mm_mat_float2 *__mm_initm6 = mm_alloc_float(2, m, m);
+  mm_mat_float2 *c = __mm_initm6;
+  mm_mat_float2 *__mm_gen7 = mm_alloc_float(2, n, m);
   for (int i = 0; i < n; i++) {
     for (int j = 0; j < m; j++) {
-      __mm_gen5->data[i * m + j] = b->data[j * b->dims[1] + i];
+      __mm_gen7->data[i * m + j] = b->data[j * b->dims[1] + i];
     }
   }
-  mm_mat_float2 *__mm_mm6 = mm_alloc_float(2, a->dims[0], __mm_gen5->dims[1]);
-  for (int __mm_i7 = 0; __mm_i7 < a->dims[0]; __mm_i7++) {
-    for (int __mm_j8 = 0; __mm_j8 < __mm_gen5->dims[1]; __mm_j8++) {
-      mm_float __mm_acc10 = 0.0;
-      for (int __mm_l9 = 0; __mm_l9 < a->dims[1]; __mm_l9++) {
-        __mm_acc10 = __mm_acc10 + a->data[__mm_i7 * a->dims[1] + __mm_l9] * __mm_gen5->data[__mm_l9 * __mm_gen5->dims[1] + __mm_j8];
+  mm_mat_float2 *__mm_mm10 = mm_alloc_float(2, a->dims[0], __mm_gen7->dims[1]);
+  for (int __mm_i11 = 0; __mm_i11 < a->dims[0]; __mm_i11++) {
+    for (int __mm_j12 = 0; __mm_j12 < __mm_gen7->dims[1]; __mm_j12++) {
+      mm_float __mm_acc14 = 0.0;
+      for (int __mm_l13 = 0; __mm_l13 < a->dims[1]; __mm_l13++) {
+        __mm_acc14 = __mm_acc14 + a->data[__mm_i11 * a->dims[1] + __mm_l13] * __mm_gen7->data[__mm_l13 * __mm_gen7->dims[1] + __mm_j12];
       }
-      __mm_mm6->data[__mm_i7 * __mm_gen5->dims[1] + __mm_j8] = __mm_acc10;
+      __mm_mm10->data[__mm_i11 * __mm_gen7->dims[1] + __mm_j12] = __mm_acc14;
     }
   }
   mm_rc_dec(c);
-  c = __mm_mm6;
-  mm_rc_dec(__mm_gen5);
-  mm_float __mm_acc11 = 0.0;
+  c = __mm_mm10;
+  mm_rc_dec(__mm_gen7);
+  mm_float __mm_acc15 = 0.0;
   for (int i = 0; i < m; i++) {
     for (int j = 0; j < m; j++) {
-      __mm_acc11 = __mm_acc11 + c->data[i * c->dims[1] + j];
+      __mm_acc15 = __mm_acc15 + c->data[i * c->dims[1] + j];
     }
   }
-  mm_float t = __mm_acc11;
-  int __mm_ret12 = (int) t;
+  mm_float t = __mm_acc15;
+  int __mm_ret16 = (int) t;
   mm_rc_dec(c);
   mm_rc_dec(b);
   mm_rc_dec(a);
-  return __mm_ret12;
+  return __mm_ret16;
 }

@@ -16,8 +16,8 @@ let all4 =
     [ Driver.matrix; Driver.transform; Driver.refptr; Driver.cilk ]
 
 (* Self-contained kernel (no readMatrix) touching fuse, copy-elim (both
-   the AST-level dead-slice rewrite and the identity-slice alias),
-   auto-par, rc and transform — the .mc twin ships as
+   slice shapes: the row slice read in place and the identity-slice
+   alias), auto-par, rc and transform — the .mc twin ships as
    examples/transform_tiling.mc. *)
 let tiling_src =
   {|
@@ -51,13 +51,15 @@ int main() {
 let skip_src =
   Eddy.Programs.fig9_with_script "interchange i, j"
 
-let explain ?fuse ?copy_elim ?(auto_par = true) ?dump_passes ?ir_diff ?warn src
-    =
-  let config = Driver.config_of_flags ?fuse ?copy_elim ~auto_par all4 in
+let explain ?(fuse = true) ?(auto_par = true) ?dump_passes ?ir_diff ?warn src =
+  let config =
+    let open Driver.Pipeline in
+    enable (enable (Driver.default_config all4) "fuse" fuse) "auto-par" auto_par
+  in
   Driver.explain ~config ?dump_passes ?ir_diff ?warn all4 src
 
-let explain_ok ?fuse ?copy_elim ?auto_par ?dump_passes ?ir_diff ?warn src =
-  match explain ?fuse ?copy_elim ?auto_par ?dump_passes ?ir_diff ?warn src with
+let explain_ok ?fuse ?auto_par ?dump_passes ?ir_diff ?warn src =
+  match explain ?fuse ?auto_par ?dump_passes ?ir_diff ?warn src with
   | Driver.Ok_ _, report -> report
   | Driver.Failed ds, _ ->
       Alcotest.failf "explain failed: %s" (Driver.diags_to_string ds)
@@ -123,7 +125,7 @@ let test_transform_remarks_applied () =
   Alcotest.(check (list string)) "clauses in script order"
     [ "split j by 4, jin, jout"; "interchange jout jin" ]
     (List.map (fun r -> List.assoc "clause" r.R.details) applied);
-  Alcotest.(check bool) "copy-elim fired at the AST level" true
+  Alcotest.(check bool) "copy-elim read the row slice in place" true
     (count ~pass:"copy-elim" ~kind:R.Applied report >= 1)
 
 (* Every remark for these programs points at real source: the caret

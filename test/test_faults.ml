@@ -499,7 +499,7 @@ let test_fault_matrix () =
     let dir = fresh_dir () in
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     Rc.reset ();
-    let outcome = Driver.run ~dir ?pool ~config:(Driver.config_of_flags ~auto_par:true full) full src [] in
+    let outcome = Driver.run ~dir ?pool ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true) full src [] in
     (* disarm before touching files: fetch_output goes through the same
        read path as the io.read_matrix failpoint *)
     Fp.reset ();
@@ -563,7 +563,7 @@ let test_eddy_degraded_acceptance () =
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     Interp.Eval.provide_input ~dir "dates.data" dates;
     Rc.reset ();
-    match Driver.run ~dir ?pool ~config:(Driver.config_of_flags ~auto_par:true full) full src [] with
+    match Driver.run ~dir ?pool ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true) full src [] with
     | Driver.Ok_ _ ->
         Fp.reset ();
         Interp.Eval.fetch_output ~dir "eddyLabels.data"

@@ -1,9 +1,10 @@
-(* Pipeline-equivalence suite: the staged pass pipeline against the
-   blessed pre-refactor oracle under test/golden/ (regenerate with
-   golden_gen.ml only when the *intended* output changes), plus the
-   pass-manager guarantees the refactor introduced: exactly-once
-   lowering, per-pass timing gauges, the --passes reordering payoff, the
-   diff-size cap, and the caret-free unknown-pass diagnostics. *)
+(* Pipeline-equivalence suite: the compiler against the blessed oracle
+   under test/golden/ (regenerate with golden_gen.ml only when the
+   *intended* output changes; `make golden-check` fails when the
+   committed fixtures drift from what it generates), plus the
+   pass-manager guarantees: exactly-once lowering, per-pass timing
+   spans, the --passes reordering payoff, the diff-size cap, and the
+   caret-free unknown-pass diagnostics. *)
 
 module R = Support.Remark
 module S = Runtime.Scalar
@@ -28,7 +29,7 @@ let stems =
   |> List.sort compare
 
 let emit ~auto_par src =
-  let config = Driver.config_of_flags ~auto_par all4 in
+  let config = Driver.Pipeline.enable (Driver.default_config all4) "auto-par" auto_par in
   match Driver.compile_to_c ~config all4 src with
   | Driver.Ok_ text -> text
   | Driver.Failed ds ->
@@ -64,7 +65,7 @@ let test_permuted_selection_matches_oracle () =
       let src = read (Filename.concat golden_dir (stem ^ ".mc")) in
       List.iter
         (fun (ext, auto_par) ->
-          let config = Driver.config_of_flags ~auto_par all4 in
+          let config = Driver.Pipeline.enable (Driver.default_config all4) "auto-par" auto_par in
           match Driver.compile_to_c ~config permuted src with
           | Driver.Ok_ text ->
               Alcotest.(check string)
@@ -79,16 +80,21 @@ let test_permuted_selection_matches_oracle () =
 
 (* --- interpreter results, byte for byte --------------------------------- *)
 
-(* Lowered with auto-par, each program runs once without a pool and once
-   on a 4-worker pool, so its ParFor bodies also run on other domains. *)
+(* Lowered with auto-par and at -O0 (every pass disabled: the baseline
+   lowering, slice copies included), each program runs once without a
+   pool and once on a 4-worker pool, so its ParFor bodies also run on
+   other domains. *)
 let test_run_results_match_oracle () =
-  let check ?pool label =
+  let check ?pool (config, level) =
+    let label =
+      Printf.sprintf "%s, %s" level
+        (if pool = None then "no pool" else "4 workers")
+    in
     List.iter
       (fun stem ->
         let out = Filename.concat golden_dir (stem ^ ".out") in
         if Sys.file_exists out then
           let src = read (Filename.concat golden_dir (stem ^ ".mc")) in
-          let config = Driver.config_of_flags ~auto_par:true all4 in
           match Driver.run ~config ?pool all4 src [] with
           | Driver.Ok_ v ->
               Alcotest.(check string)
@@ -100,8 +106,15 @@ let test_run_results_match_oracle () =
                 (Driver.diags_to_string ds))
       stems
   in
-  check "no pool";
-  Runtime.Pool.with_pool 4 (fun pool -> check ~pool "4 workers")
+  let levels =
+    [
+      (Driver.Pipeline.enable (Driver.default_config all4) "auto-par" true,
+        "auto-par");
+      (Driver.Pipeline.set_all (Driver.default_config all4) false, "-O0");
+    ]
+  in
+  List.iter check levels;
+  Runtime.Pool.with_pool 4 (fun pool -> List.iter (check ~pool) levels)
 
 (* --- the blessed explain report ------------------------------------------ *)
 
@@ -145,9 +158,9 @@ let test_explain_lowers_exactly_once () =
       Alcotest.(check string) "same pass" a.R.pass b.R.pass)
     plain dumped
 
-(* --- per-pass timing gauges ---------------------------------------------- *)
+(* --- per-pass timing spans ----------------------------------------------- *)
 
-let test_pass_timing_gauges () =
+let test_pass_timing_spans () =
   Support.Telemetry.reset ();
   Support.Telemetry.set_enabled true;
   Fun.protect ~finally:(fun () -> Support.Telemetry.set_enabled false)
@@ -157,14 +170,15 @@ let test_pass_timing_gauges () =
   | Driver.Ok_ _ -> ()
   | Driver.Failed ds ->
       Alcotest.failf "run failed: %s" (Driver.diags_to_string ds));
-  let gauges = Support.Telemetry.gauges () in
+  let spans = Support.Telemetry.span_totals () in
   List.iter
     (fun pass ->
-      let name = "pass." ^ pass ^ ".ns" in
-      match List.assoc_opt name gauges with
-      | Some v ->
-          Alcotest.(check bool) (name ^ " is non-negative") true (v >= 0.)
-      | None -> Alcotest.failf "gauge %s not exported" name)
+      let name = "pass." ^ pass in
+      match List.find_opt (fun (n, _, _) -> n = name) spans with
+      | Some (_, calls, s) ->
+          Alcotest.(check int) (name ^ " runs once") 1 calls;
+          Alcotest.(check bool) (name ^ " is non-negative") true (s >= 0.)
+      | None -> Alcotest.failf "span %s not recorded" name)
     [ "fuse"; "copy-elim"; "auto-par"; "transform"; "rc" ]
 
 (* --- --passes reordering: the payoff -------------------------------------- *)
@@ -355,8 +369,8 @@ let suite =
       test_explain_report_matches_oracle;
     Alcotest.test_case "explain --dump-ir=all lowers exactly once" `Quick
       test_explain_lowers_exactly_once;
-    Alcotest.test_case "pass.<name>.ns gauges exported" `Quick
-      test_pass_timing_gauges;
+    Alcotest.test_case "pass.<name> timing spans recorded" `Quick
+      test_pass_timing_spans;
     Alcotest.test_case "--passes transform,auto-par applies skipped script"
       `Quick test_reorder_applies_skipped_script;
     Alcotest.test_case "reordered pipeline: native = interp" `Quick

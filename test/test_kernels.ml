@@ -341,7 +341,7 @@ let run_differential ?pool ~inputs ~outputs src =
   let dir = fresh_dir () in
   List.iter (fun (name, m) -> Interp.Eval.provide_input ~dir name m) inputs;
   Runtime.Rc.reset ();
-  (match Driver.run ~dir ?pool ~config:(Driver.config_of_flags ~auto_par:true full) full src [] with
+  (match Driver.run ~dir ?pool ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true) full src [] with
   | Driver.Ok_ _ -> ()
   | Driver.Failed ds ->
       Alcotest.failf "differential run failed: %s" (Driver.diags_to_string ds));
@@ -402,7 +402,7 @@ int main() {
 |}
   in
   let run ?pool () =
-    match Driver.run ?pool ~config:(Driver.config_of_flags ~auto_par:true full) full src [] with
+    match Driver.run ?pool ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true) full src [] with
     | Driver.Ok_ (Interp.Eval.VScal (S.I n)) -> n
     | Driver.Ok_ v ->
         Alcotest.failf "unexpected value %a" Interp.Eval.pp_value v

@@ -68,11 +68,16 @@ let differential ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
       Interp.Eval.provide_input ~dir:dir_n p m)
     inputs;
   Runtime.Rc.reset ();
+  let config =
+    let open Driver.Pipeline in
+    enable
+      (enable (enable (Driver.default_config full) "fuse" fuse) "copy-elim"
+         copy_elim)
+      "auto-par" auto_par
+  in
   let run_interp pool =
     match
-      Driver.run ~dir:dir_i
-        ~config:(Driver.config_of_flags ~fuse ~copy_elim ~auto_par full)
-        ?pool full src []
+      Driver.run ~dir:dir_i ~config ?pool full src []
     with
     | Driver.Ok_ v -> v
     | Driver.Failed ds ->
@@ -86,9 +91,7 @@ let differential ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
   let ilive = Runtime.Rc.live_count () in
   let nv =
     match
-      Driver.exec ~dir:dir_n
-        ~config:(Driver.config_of_flags ~fuse ~copy_elim ~auto_par full)
-        ~threads ~cflags
+      Driver.exec ~dir:dir_n ~config ~threads ~cflags
         ~cache_dir:(Lazy.force suite_cache) full src
     with
     | Driver.Ok_ o -> o
@@ -645,6 +648,41 @@ let test_exec_removes_scratch_dir () =
     (Sys.readdir tmp);
   Sys.rmdir tmp
 
+(* --- slice-copy elimination is sound, natively ------------------------------ *)
+
+(* The programs of the interpreter's soundness cases (test_pipeline.ml):
+   copy-semantics answers at every -O level, and the over-read trapped
+   by --guards. *)
+let test_slice_copy_semantics_native () =
+  ignore (ensure_cc ());
+  let exec ?guards config src =
+    Driver.exec ~dir:(fresh_dir ()) ~config ?guards
+      ~cache_dir:(Lazy.force suite_cache) full src
+  in
+  List.iter
+    (fun (level, config) ->
+      List.iter
+        (fun (src, expected) ->
+          match exec config src with
+          | Driver.Ok_ { Native.Exec.value = Native.Exec.RScal (S.I n); _ } ->
+              Alcotest.(check int) ("copy semantics at " ^ level) expected n
+          | Driver.Ok_ o ->
+              Alcotest.failf "got %a" Native.Exec.pp_value o.Native.Exec.value
+          | Driver.Failed ds ->
+              Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds))
+        Test_pipeline.slice_answers;
+      match exec ~guards:true config Test_pipeline.slice_overread_src with
+      | Driver.Ok_ o ->
+          Alcotest.failf "%s: over-read gave %a, expected a guard fault" level
+            Native.Exec.pp_value o.Native.Exec.value
+      | Driver.Failed ds ->
+          let text = Driver.diags_to_string ds in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: guard names the over-read (got: %s)" level text)
+            true
+            (is_infix ~affix:"subscript 4 out of bounds for 4 elements" text))
+    (Test_pipeline.levels full)
+
 let suite =
   [
     Alcotest.test_case "fig1 interp vs native" `Quick test_fig1;
@@ -682,4 +720,6 @@ let suite =
       test_roundtrip_bytes;
     Alcotest.test_case "exec: scratch data dir removed" `Quick
       test_exec_removes_scratch_dir;
+    Alcotest.test_case "slice copies keep copy semantics" `Quick
+      test_slice_copy_semantics_native;
   ]

@@ -480,7 +480,7 @@ let test_native_fault_matrix () =
     let dir = fresh_dir () in
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     match
-      Driver.exec ~dir ~config:(Driver.config_of_flags ~auto_par:true full)
+      Driver.exec ~dir ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true)
         ~threads ~guards ?failpoints
         ~cache_dir:(Lazy.force suite_cache) full src
     with
@@ -548,7 +548,7 @@ let test_eddy_degraded_native_acceptance () =
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     Interp.Eval.provide_input ~dir "dates.data" dates;
     match
-      Driver.exec ~dir ~config:(Driver.config_of_flags ~auto_par:true full)
+      Driver.exec ~dir ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true)
         ~threads ?failpoints
         ~cache_dir:(Lazy.force suite_cache) full src
     with

@@ -23,10 +23,16 @@ let fresh_dir () =
   Sys.mkdir d 0o755;
   d
 
-let run_ok ?(c = full) ?dir ?pool ?(fuse = true) ?(auto_par = false) ?optimize
-    src =
-  let config = Driver.config_of_flags ~fuse ~auto_par c in
-  match Driver.run ?dir ?pool ~config ?optimize c src [] with
+let run_ok ?(c = full) ?dir ?pool ?(fuse = true) ?(copy_elim = true)
+    ?(auto_par = false) src =
+  let config =
+    let open Driver.Pipeline in
+    enable
+      (enable (enable (Driver.default_config c) "fuse" fuse) "copy-elim"
+         copy_elim)
+      "auto-par" auto_par
+  in
+  match Driver.run ?dir ?pool ~config c src [] with
   | Driver.Ok_ v -> v
   | Driver.Failed ds -> Alcotest.failf "pipeline failed: %s" (Driver.diags_to_string ds)
 
@@ -341,11 +347,11 @@ let oracle_mean c =
       done;
       !acc /. float_of_int sh.(2))
 
-let run_with_cube ?fuse ?auto_par ?pool ?optimize ~c src cube out_name =
+let run_with_cube ?fuse ?auto_par ?pool ~c src cube out_name =
   let dir = fresh_dir () in
   Interp.Eval.provide_input ~dir "ssh.data" cube;
   Runtime.Rc.reset ();
-  ignore (run_ok ~c ~dir ?fuse ?auto_par ?pool ?optimize src);
+  ignore (run_ok ~c ~dir ?fuse ?auto_par ?pool src);
   let leaks = Runtime.Rc.live_count () in
   (Interp.Eval.fetch_output ~dir out_name, leaks)
 
@@ -472,19 +478,248 @@ let test_slice_copy_elimination () =
   Alcotest.(check bool) "slice-copy program matches oracle" true
     (Nd.approx_equal ~eps:1e-4 got (oracle_mean cube));
   (* optimized run performs fewer allocations than the unoptimized one *)
-  let count_allocs ~optimize =
+  let count_allocs ~copy_elim =
     let dir = fresh_dir () in
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     Runtime.Rc.reset ();
     ignore
-      (run_ok ~c:full ~dir ~optimize Eddy.Programs.fig1_with_slice_copy);
+      (run_ok ~c:full ~dir ~copy_elim Eddy.Programs.fig1_with_slice_copy);
     (Runtime.Rc.stats ()).Runtime.Rc.allocs
   in
-  let with_opt = count_allocs ~optimize:true in
-  let without_opt = count_allocs ~optimize:false in
+  let with_opt = count_allocs ~copy_elim:true in
+  let without_opt = count_allocs ~copy_elim:false in
   Alcotest.(check bool)
     (Printf.sprintf "copy-elim allocates less (%d < %d)" with_opt without_opt)
     true (with_opt < without_opt)
+
+(* --- slice-copy elimination is sound ---------------------------------------------------- *)
+
+(* Each program gives a different answer if the slice is read in place
+   instead of copied, so the copy-semantics answer must come out under
+   every pipeline.  The blocker is what copy-elim's Missed remark names. *)
+let slice_base_written_src =
+  {|int main() {
+  Matrix int <3> mat = with ([0,0,0] <= [a,b,c] < [2,2,4]) genarray([2,2,4], a + b + c);
+  Matrix int <1> ts = mat[1, 1, :];
+  mat[1, 1, 0] = 100;
+  int total = with ([0] <= [k] < [4]) fold (+, 0, ts[k]);
+  return total;
+}|}
+
+let slice_index_reassigned_src =
+  {|int main() {
+  Matrix int <3> mat = with ([0,0,0] <= [a,b,c] < [2,2,4]) genarray([2,2,4], a * 10 + b + c);
+  int i = 0;
+  Matrix int <1> ts = mat[i, 1, :];
+  i = 1;
+  int total = with ([0] <= [k] < [4]) fold (+, 0, ts[k]);
+  return total;
+}|}
+
+(* Reads past the 4-element row: the copy makes that an error. *)
+let slice_overread_src =
+  {|int main() {
+  Matrix int <2> g = with ([0,0] <= [a,b] < [3,4]) genarray([3,4], a * 10 + b);
+  Matrix int <1> row = g[1, :];
+  int total = with ([0] <= [k] < [6]) fold (+, 0, row[k]);
+  return total;
+}|}
+
+let slice_answers = [ (slice_base_written_src, 14); (slice_index_reassigned_src, 10) ]
+
+(* The default pipeline and -O0 (every pass disabled). *)
+let levels c =
+  [
+    ("default", Driver.default_config c);
+    ("-O0", Driver.Pipeline.set_all (Driver.default_config c) false);
+  ]
+
+let test_slice_copy_semantics () =
+  List.iter
+    (fun (level, config) ->
+      List.iter
+        (fun (src, expected) ->
+          match Driver.run ~config full src [] with
+          | Driver.Ok_ (Interp.Eval.VScal (S.I n)) ->
+              Alcotest.(check int) ("copy semantics at " ^ level) expected n
+          | Driver.Ok_ v -> Alcotest.failf "got %a" Interp.Eval.pp_value v
+          | Driver.Failed ds ->
+              Alcotest.failf "run failed: %s" (Driver.diags_to_string ds))
+        slice_answers;
+      match Driver.run ~config full slice_overread_src [] with
+      | Driver.Ok_ v ->
+          Alcotest.failf "%s: over-read gave %a, expected an error" level
+            Interp.Eval.pp_value v
+      | Driver.Failed ds ->
+          let text = Driver.diags_to_string ds in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: over-read is out of bounds (got: %s)" level text)
+            true
+            (is_infix ~affix:"flat offset 4 out of bounds for [4]" text))
+    (levels full)
+
+(* The checker sees every slice declaration: no rewrite hides one. *)
+let test_slice_declaration_typechecked () =
+  let src =
+    {|int main() {
+  Matrix int <3> mat = with ([0,0,0] <= [a,b,c] < [2,2,4]) genarray([2,2,4], a + b + c);
+  Matrix float <2> ts = mat[1, 1, :];
+  int total = with ([0] <= [k] < [4]) fold (+, 0, ts[k]);
+  return total;
+}|}
+  in
+  match Driver.frontend full src with
+  | Driver.Ok_ _ -> Alcotest.fail "ill-typed slice declaration accepted"
+  | Driver.Failed ds ->
+      let text = Driver.diags_to_string ds in
+      List.iter
+        (fun msg ->
+          Alcotest.(check bool) (msg ^ " reported") true (is_infix ~affix:msg text))
+        [
+          "cannot initialise Matrix float <2> 'ts' from Matrix int <1>";
+          "rank-2 matrix subscripted with 1 indices";
+        ]
+
+let copy_elim_remarks ?config src =
+  match Driver.explain ?config full src with
+  | Driver.Ok_ _, report ->
+      Support.Remark.filter ~pass:"copy-elim"
+        report.Driver.Explain_report.remarks
+  | Driver.Failed ds, _ ->
+      Alcotest.failf "explain failed: %s" (Driver.diags_to_string ds)
+
+let kinds remarks = List.map (fun r -> r.Support.Remark.kind) remarks
+
+let test_slice_blockers_explained () =
+  List.iter
+    (fun (src, blocker) ->
+      match copy_elim_remarks src with
+      | [ r ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "missed, naming %S (got: %s)" blocker
+               r.Support.Remark.message)
+            true
+            (r.Support.Remark.kind = Support.Remark.Missed
+            && is_infix ~affix:blocker r.Support.Remark.message)
+      | rs -> Alcotest.failf "expected one copy-elim remark, got %d" (List.length rs))
+    [
+      (slice_base_written_src, "buffer of 'mat' may be written");
+      (slice_index_reassigned_src, "index variable 'i' is assigned");
+      (slice_overread_src, "is not provably in range");
+    ]
+
+(* The lines of the C function that [header] opens, up to its closing
+   brace. *)
+let c_function text header =
+  let rec skip = function
+    | [] -> Alcotest.failf "no %S in the emitted C" header
+    | l :: rest when l = header -> take [ l ] rest
+    | _ :: rest -> skip rest
+  and take acc = function
+    | "}" :: _ | [] -> String.concat "\n" (List.rev acc)
+    | l :: rest -> take (l :: acc) rest
+  in
+  skip (String.split_on_char '\n' text)
+
+(* -O0 means what it says: the slice copy is the pass's to drop.  When
+   it is dropped, so is its declaration's #line row. *)
+let test_slice_copy_pass_owns_fig1 () =
+  let src = Eddy.Programs.fig1_with_slice_copy in
+  List.iter2
+    (fun (level, config) (kind, copies) ->
+      Alcotest.(check bool)
+        (level ^ ": one copy-elim remark, " ^ Support.Remark.kind_to_string kind)
+        true
+        (kinds (copy_elim_remarks ~config src) = [ kind ]);
+      match Driver.compile_to_c ~config ~line_file:"fig1.mc" full src with
+      | Driver.Ok_ text ->
+          Alcotest.(check bool)
+            (level ^ ": seriesMean allocates the slice")
+            copies
+            (is_infix ~affix:"mm_alloc"
+               (c_function text
+                  "mm_float seriesMean(mm_mat_float3 *mat, int i, int j) {"));
+          Alcotest.(check bool)
+            (level ^ ": #line row for the slice declaration")
+            copies
+            (is_infix ~affix:"#line 3 \"fig1.mc\"" text)
+      | Driver.Failed ds ->
+          Alcotest.failf "emit failed: %s" (Driver.diags_to_string ds))
+    (levels full)
+    [ (Support.Remark.Applied, false); (Support.Remark.Skipped, true) ]
+
+(* One blocker at a time, and shapes beyond the corpus.  [g] is the 3x4
+   matrix a * 10 + b; a read past its row 1 lands in row 2 in place, but
+   is out of bounds of the copy. *)
+let test_slice_verdict_shapes () =
+  let prog body =
+    "int main() {\n\
+    \  Matrix int <2> g = with ([0,0] <= [a,b] < [3,4]) genarray([3,4], a * \
+     10 + b);\n" ^ body ^ "\n}"
+  in
+  let row = "Matrix int <1> row = g[1, :];\n" in
+  let fold = "return with ([0] <= [k] < [dimSize(row, 0)]) fold (+, 0, row[k]);" in
+  let loop body =
+    "int total = 0;\n\
+     for (int k = 0; k < dimSize(row, 0); k++) { " ^ body ^ " }\n\
+     return total;"
+  in
+  let overread = `Error "flat offset 5 out of bounds for [4]" in
+  List.iter
+    (fun (name, src, kind, expected) ->
+      Alcotest.(check bool)
+        (name ^ ": copy-elim " ^ Support.Remark.kind_to_string kind)
+        true
+        (kinds (copy_elim_remarks src) = [ kind ]);
+      List.iter
+        (fun (level, config) ->
+          let label = name ^ " at " ^ level in
+          match (Driver.run ~config full src [], expected) with
+          | Driver.Ok_ (Interp.Eval.VScal (S.I n)), `Int e ->
+              Alcotest.(check int) label e n
+          | Driver.Failed ds, `Error e ->
+              let text = Driver.diags_to_string ds in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s (got: %s)" label e text)
+                true (is_infix ~affix:e text)
+          | Driver.Ok_ v, _ ->
+              Alcotest.failf "%s: got %a" label Interp.Eval.pp_value v
+          | Driver.Failed ds, _ ->
+              Alcotest.failf "%s: run failed: %s" label
+                (Driver.diags_to_string ds))
+        (levels full))
+    [
+      ("for loop", prog (row ^ loop "total = total + row[k];"),
+        Support.Remark.Applied, `Int 46);
+      ("loop index assigned", prog (row ^ loop "k = k + 2; total = total + row[k];"),
+        Support.Remark.Missed, overread);
+      ("loop index shadowed", prog (row ^ loop "int k = 5; total = total + row[k];"),
+        Support.Remark.Missed, overread);
+      ("slice written", prog (row ^ "row[0] = 99;\n" ^ fold),
+        Support.Remark.Missed, `Int 135);
+      ("base written", prog (row ^ "g[1, 0] = 100;\n" ^ fold),
+        Support.Remark.Missed, `Int 46);
+      ("index reassigned",
+        prog ("int i = 0;\nMatrix int <1> row = g[i, :];\ni = 2;\n" ^ fold),
+        Support.Remark.Missed, `Int 6);
+      ("base shadowed",
+        prog
+          (row
+         ^ "int total = 0;\n\
+            {\n\
+            Matrix int <2> g = with ([0,0] <= [a,b] < [3,4]) genarray([3,4], \
+            1000);\n\
+            total = with ([0] <= [k] < [dimSize(row, 0)]) fold (+, 0, row[k]);\n\
+            }\n\
+            return total;"),
+        Support.Remark.Missed, `Int 46);
+      ("aliased parameters",
+        "int f(Matrix int <2> a, Matrix int <2> g) {\n" ^ row
+        ^ "a[1, 0] = 500;\n" ^ fold
+        ^ "\n}\n"
+        ^ prog "return f(g, g);",
+        Support.Remark.Missed, `Int 46);
+    ]
 
 (* --- indexing through the translator -------------------------------------------------- *)
 
@@ -651,6 +886,16 @@ let suite =
     Alcotest.test_case "Fig 4 connComp vs union-find" `Quick test_fig4_run_vs_oracle;
     Alcotest.test_case "slice-copy elimination (§III-A5)" `Quick
       test_slice_copy_elimination;
+    Alcotest.test_case "slice copies keep copy semantics" `Quick
+      test_slice_copy_semantics;
+    Alcotest.test_case "slice declarations are typechecked" `Quick
+      test_slice_declaration_typechecked;
+    Alcotest.test_case "copy-elim names what blocks a slice" `Quick
+      test_slice_blockers_explained;
+    Alcotest.test_case "-O0 keeps Fig 1's slice copy" `Quick
+      test_slice_copy_pass_owns_fig1;
+    Alcotest.test_case "slice verdict: loops, shadowing, aliasing" `Quick
+      test_slice_verdict_shapes;
     Alcotest.test_case "indexing modes via programs" `Quick
       test_indexing_modes_via_programs;
     Alcotest.test_case "matrix operators via programs" `Quick

@@ -189,7 +189,7 @@ let test_copy_elim_changes_emitted_c () =
   let c = Driver.compose [ Driver.matrix ] in
   let emit ~copy_elim =
     match
-      Driver.compile_to_c ~config:(Driver.config_of_flags ~copy_elim c) c
+      Driver.compile_to_c ~config:(Driver.Pipeline.enable (Driver.default_config c) "copy-elim" copy_elim) c
         copy_elim_src
     with
     | Driver.Ok_ text -> text
@@ -203,7 +203,7 @@ let test_copy_elim_changes_emitted_c () =
   (* the program only reads through the alias, so both must agree *)
   let run ~copy_elim =
     match
-      Driver.run ~config:(Driver.config_of_flags ~copy_elim c) c copy_elim_src
+      Driver.run ~config:(Driver.Pipeline.enable (Driver.default_config c) "copy-elim" copy_elim) c copy_elim_src
         []
     with
     | Driver.Ok_ (Interp.Eval.VScal (Runtime.Scalar.I n)) -> n
@@ -218,7 +218,7 @@ let test_copy_elim_skips_allocation () =
   with_telemetry @@ fun () ->
   let c = Driver.compose [ Driver.matrix ] in
   (match
-     Driver.run ~config:(Driver.config_of_flags ~copy_elim:true c) c
+     Driver.run ~config:(Driver.default_config c) c
        copy_elim_src []
    with
   | Driver.Ok_ _ -> ()
@@ -237,7 +237,7 @@ let test_copy_elim_skips_allocation () =
 
 let run_int ~copy_elim src =
   let c = Driver.compose [ Driver.matrix ] in
-  match Driver.run ~config:(Driver.config_of_flags ~copy_elim c) c src [] with
+  match Driver.run ~config:(Driver.Pipeline.enable (Driver.default_config c) "copy-elim" copy_elim) c src [] with
   | Driver.Ok_ (Interp.Eval.VScal (Runtime.Scalar.I n)) -> n
   | Driver.Ok_ v -> Alcotest.failf "unexpected result %a" Interp.Eval.pp_value v
   | Driver.Failed ds ->
