@@ -391,9 +391,10 @@ let spec_extent base d = function
    1. s is bound once, by this declaration, and used only as element
       reads `s[k]` and as `dimSize(s, 0)`: never written, reassigned,
       passed, returned or sliced;
-   2. every read `s[k]` is in range: k is the index of an enclosing for
-      loop or with-loop generator running from 0 below `dimSize(s, 0)`,
-      given directly or as an int bound once to it and never assigned;
+   2. every read `s[k]` is in range: k is the index of the innermost
+      enclosing for loop or with-loop generator that binds it, running
+      from 0 below `dimSize(s, 0)`, given directly or as an int bound
+      once to it and never assigned;
    3. b's buffer is neither written nor escapes (the analysis above),
       and b is bound once and never assigned;
    4. every variable named in e1 … en is bound once and never assigned.
@@ -622,7 +623,8 @@ let alias_verdict t (base : A.expr) (indices : A.index list) : bool * string =
                      while both handles are live" ))))
 
 (* The generator indices of a with-loop that run from 0 below a bound,
-   each with that bound.  Nothing can assign them. *)
+   each with that bound.  Nothing can assign them, but a nested
+   generator may rebind them. *)
 let zero_based (g : Nodes.generator) =
   if g.Nodes.lo_rel = Nodes.RLe && g.Nodes.hi_rel = Nodes.RLt then
     List.combine g.Nodes.ids (List.combine g.Nodes.lo g.Nodes.hi)
@@ -681,7 +683,11 @@ let fiber_verdict t (base : A.expr) (indices : A.index list) s : bool * string
     | A.Ident _ when is_s e -> if !misuse = None then misuse := Some e.A.espan
     | A.ExtE (Nodes.EWith (gen, op)) -> (
         binders := List.map (fun id -> (id, None)) gen.Nodes.ids @ !binders;
-        let inner = zero_based gen @ ranges in
+        (* the generator's indices hide enclosing ones of the same name *)
+        let inner =
+          zero_based gen
+          @ List.filter (fun (id, _) -> not (List.mem id gen.Nodes.ids)) ranges
+        in
         List.iter (expr ranges) (gen.Nodes.lo @ gen.Nodes.hi);
         match op with
         | Nodes.OGenarray (shape, b) ->
@@ -693,8 +699,10 @@ let fiber_verdict t (base : A.expr) (indices : A.index list) s : bool * string
     | _ -> List.iter (expr ranges) (sub_exprs e)
   and stmt ranges (st : A.stmt) =
     match st.A.s with
-    | A.DeclS (_, name, init) ->
+    | A.DeclS (ty, name, init) ->
         Option.iter (expr ranges) init;
+        (* only an int's initialiser can make it a loop bound *)
+        let init = match ty with A.TyInt -> init | _ -> None in
         binders := (name, init) :: !binders
     | A.AssignS (lhs, rhs) ->
         expr ranges rhs;

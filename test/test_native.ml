@@ -651,7 +651,7 @@ let test_exec_removes_scratch_dir () =
 (* --- slice-copy elimination is sound, natively ------------------------------ *)
 
 (* The programs of the interpreter's soundness cases (test_pipeline.ml):
-   copy-semantics answers at every -O level, and the over-read trapped
+   copy-semantics answers at every -O level, and the over-reads trapped
    by --guards. *)
 let test_slice_copy_semantics_native () =
   ignore (ensure_cc ());
@@ -671,16 +671,20 @@ let test_slice_copy_semantics_native () =
           | Driver.Failed ds ->
               Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds))
         Test_pipeline.slice_answers;
-      match exec ~guards:true config Test_pipeline.slice_overread_src with
-      | Driver.Ok_ o ->
-          Alcotest.failf "%s: over-read gave %a, expected a guard fault" level
-            Native.Exec.pp_value o.Native.Exec.value
-      | Driver.Failed ds ->
-          let text = Driver.diags_to_string ds in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: guard names the over-read (got: %s)" level text)
-            true
-            (is_infix ~affix:"subscript 4 out of bounds for 4 elements" text))
+      List.iter
+        (fun src ->
+          match exec ~guards:true config src with
+          | Driver.Ok_ o ->
+              Alcotest.failf "%s: over-read gave %a, expected a guard fault"
+                level Native.Exec.pp_value o.Native.Exec.value
+          | Driver.Failed ds ->
+              let text = Driver.diags_to_string ds in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: guard names the over-read (got: %s)" level
+                   text)
+                true
+                (is_infix ~affix:"subscript 4 out of bounds for 4 elements" text))
+        Test_pipeline.[ slice_overread_src; slice_shadowed_overread_src ])
     (Test_pipeline.levels full)
 
 let suite =

@@ -525,6 +525,16 @@ let slice_overread_src =
   return total;
 }|}
 
+(* The inner generator rebinds [k] from 1, so its reads run past the row
+   although the outer [k] runs below dimSize(row, 0). *)
+let slice_shadowed_overread_src =
+  {|int main() {
+  Matrix int <2> g = with ([0,0] <= [a,b] < [3,4]) genarray([3,4], a * 10 + b);
+  Matrix int <1> row = g[1, :];
+  return with ([0] <= [k] < [dimSize(row, 0)])
+    fold (+, 0, with ([1] <= [k] < [6]) fold (+, 0, row[k]));
+}|}
+
 let slice_answers = [ (slice_base_written_src, 14); (slice_index_reassigned_src, 10) ]
 
 (* The default pipeline and -O0 (every pass disabled). *)
@@ -691,10 +701,20 @@ let test_slice_verdict_shapes () =
     [
       ("for loop", prog (row ^ loop "total = total + row[k];"),
         Support.Remark.Applied, `Int 46);
+      ("bound held in a float",
+        prog
+          (row
+         ^ "float n = dimSize(row, 0);\n\
+            int total = 0;\n\
+            for (int k = 0; k < n; k++) { total = total + row[k]; }\n\
+            return total;"),
+        Support.Remark.Missed, `Int 46);
       ("loop index assigned", prog (row ^ loop "k = k + 2; total = total + row[k];"),
         Support.Remark.Missed, overread);
       ("loop index shadowed", prog (row ^ loop "int k = 5; total = total + row[k];"),
         Support.Remark.Missed, overread);
+      ("generator index shadowed", slice_shadowed_overread_src,
+        Support.Remark.Missed, `Error "flat offset 4 out of bounds for [4]");
       ("slice written", prog (row ^ "row[0] = 99;\n" ^ fold),
         Support.Remark.Missed, `Int 135);
       ("base written", prog (row ^ "g[1, 0] = 100;\n" ^ fold),
