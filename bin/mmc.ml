@@ -349,9 +349,9 @@ let failpoints_arg =
        & info [ "failpoints" ] ~docv:"SPEC"
            ~doc:"Arm fault-injection points for chaos testing: \
                  comma-separated clauses, repeatable. \
-                 $(b,name\\@K) fires on exactly the K-th hit; \
-                 $(b,name\\@P) fires each hit with probability P; \
-                 $(b,name\\@P:SEED) seeds the per-hit coin. Also read \
+                 $(b,name@K) fires on exactly the K-th hit; \
+                 $(b,name@P) fires each hit with probability P; \
+                 $(b,name@P:SEED) seeds the per-hit coin. Also read \
                  from \\$(b,MMC_FAILPOINTS). Known points: ndarray.alloc, \
                  pool.dispatch, pool.worker_body, io.read_matrix.")
 
@@ -534,9 +534,9 @@ let exec_cmd =
          & info [ "failpoints" ] ~docv:"SPEC"
              ~doc:"Arm fault-injection points inside the native binary \
                    (via \\$(b,MM_FAILPOINTS) in its environment): \
-                   comma-separated clauses, repeatable. $(b,name\\@K) \
-                   fires on exactly the K-th hit; $(b,name\\@P) fires \
-                   each hit with probability P; $(b,name\\@P:SEED) seeds \
+                   comma-separated clauses, repeatable. $(b,name@K) \
+                   fires on exactly the K-th hit; $(b,name@P) fires \
+                   each hit with probability P; $(b,name@P:SEED) seeds \
                    the coin. Known points: native.alloc, \
                    native.io.read_matrix.")
   in

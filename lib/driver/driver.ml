@@ -304,6 +304,19 @@ let runtime_failure_diag exn =
       d (Printf.sprintf "reference count of matrix cell #%d went negative" id)
   | _ -> None
 
+(* A given data directory must exist.  {!run}, {!exec} and {!profile}
+   check it before compiling, so both backends fail with this one
+   diagnostic whether or not the program touches a file (the native
+   supervisor's chdir would otherwise fail as "exit code 127"). *)
+let missing_data_dir = function
+  | Some d when not (Sys.file_exists d && Sys.is_directory d) ->
+      Some
+        [
+          Support.Diag.error ~phase:"run" ~span:Support.Pos.dummy_span
+            "data directory %S does not exist or is not a directory" d;
+        ]
+  | _ -> None
+
 (** [run c src args] — compile and execute on the parallel runtime.
     [pool] supplies the enhanced fork-join worker pool; [dir] hosts the
     program's matrix files (without it, a temporary directory that
@@ -314,6 +327,9 @@ let run ?config ?warn ?pool ?dir (c : composed) (src : string)
     (fun p ->
       Tel.set_gauge "pool.threads" (float_of_int (Runtime.Pool.threads p)))
     pool;
+  match missing_data_dir dir with
+  | Some d -> Failed d
+  | None ->
   match frontend c src with
   | Failed d -> Failed d
   | Ok_ ast -> (
@@ -396,6 +412,9 @@ let exec ?config ?warn ?dir ?cc ?(cflags = []) ?keep_c
     ?max_bytes ?(cache = true) ?cache_dir ?(threads = 1) (c : composed)
     (src : string) : Native.Exec.outcome outcome =
   let cfg = config_or_default config c in
+  match missing_data_dir dir with
+  | Some d -> Failed d
+  | None ->
   match
     compile_to_c ~config:cfg ?warn ?line_file ?instrument
       ?guards ~exec_harness:true c src
@@ -868,9 +887,12 @@ let profile ?config ?warn ?pool ?dir
     pool;
   let cfg = match config with Some cfg -> cfg | None -> explain_config c in
   let prep =
-    match frontend c src with
-    | Failed d -> Failed d
-    | Ok_ ast -> lower ~config:cfg ?warn c ast
+    match missing_data_dir dir with
+    | Some d -> Failed d
+    | None -> (
+        match frontend c src with
+        | Failed d -> Failed d
+        | Ok_ ast -> lower ~config:cfg ?warn c ast)
   in
   match prep with
   | Failed d -> (Failed d, Profile_report.collect ~wall_ns:0 ())

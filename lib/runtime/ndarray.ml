@@ -828,76 +828,33 @@ let pp ppf m =
 
 let to_string m = Fmt.str "%a" pp m
 
-(* --- binary I/O (readMatrix / writeMatrix builtins) ----------------------- *)
+(* --- matrix files (readMatrix / writeMatrix builtins) --------------------- *)
 
-let magic = "MMAT1\n"
-
-(* The element stream moves through one fixed buffer of [io_chunk] bytes
-   in each direction, with at most one partial element carried over a
-   refill: a file of any size costs one chunk beyond the matrix itself,
-   and no channel call or string per element.  An element is
-   [-?[0-9]{1,19}] then ['\n'], within int64 range (a bool is one ['0'] or
-   ['1'] byte) — the grammar runtime/c/mm_runtime.c enforces too, so both
-   backends reject the same files. *)
+(* MMAT2: [magic], the kind byte ('f', 'i' or 'b'), the rank and each
+   extent as 4-byte big-endian ints, then the elements as raw
+   little-endian values: a float as its IEEE-754 binary64 bits (so NaN
+   payloads and -0.0 survive), an int as int64, a bool as one byte 0 or
+   1.  runtime/c/mm_runtime.c reads and writes the same bytes, and both
+   backends reject the same files.  Elements move through one
+   [io_chunk]-byte buffer in each direction, so a file of any size costs
+   one chunk beyond the matrix itself. *)
+let magic = "MMAT2\n"
 let io_chunk = 65536
-let elem_max = 21 (* '-', 19 digits, '\n' *)
 
-type writer = { oc : out_channel; wbuf : Bytes.t; mutable wlen : int }
+(* [chunks n ~width f] calls [f i k] for consecutive runs [i, i+k) of
+   [n] elements of [width] bytes, each run filling at most one chunk. *)
+let chunks n ~width f =
+  let per = io_chunk / width in
+  let rec go i =
+    if i < n then begin
+      let k = min per (n - i) in
+      f i k;
+      go (i + k)
+    end
+  in
+  go 0
 
-let flush_writer w =
-  output w.oc w.wbuf 0 w.wlen;
-  w.wlen <- 0
-
-(* [neg_pow10.(k)] is -10^k: a non-positive [x] has more than [k] digits
-   iff [x <= neg_pow10.(k)]. *)
-let neg_pow10 =
-  let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1) in
-  Array.init 19 (fun k -> -pow10 k)
-
-(* [put_dec w x] appends the digits of [string_of_int x], working on the
-   non-positive magnitude so [min_int] needs no special case. *)
-let put_dec w x =
-  let b = w.wbuf in
-  if x < 0 then begin
-    Bytes.unsafe_set b w.wlen '-';
-    w.wlen <- w.wlen + 1
-  end;
-  let x = ref (if x < 0 then x else -x) in
-  let nd = ref 1 in
-  while !nd < 19 && !x <= Array.unsafe_get neg_pow10 !nd do
-    incr nd
-  done;
-  for k = w.wlen + !nd - 1 downto w.wlen do
-    let q = !x / 10 in
-    Bytes.unsafe_set b k (Char.unsafe_chr (48 + (q * 10) - !x));
-    x := q
-  done;
-  w.wlen <- w.wlen + !nd
-
-let put_newline w =
-  Bytes.unsafe_set w.wbuf w.wlen '\n';
-  w.wlen <- w.wlen + 1
-
-(* One int element: [string_of_int x ^ "\n"]. *)
-let put_int w x =
-  if io_chunk - w.wlen < elem_max then flush_writer w;
-  put_dec w x;
-  put_newline w
-
-(* One float element: [Int64.to_string bits ^ "\n"].  A bit pattern too
-   wide for an int is written as its leading digits, then its last. *)
-let put_bits w bits =
-  let x = Int64.to_int bits in
-  if Int64.of_int x = bits then put_int w x
-  else begin
-    if io_chunk - w.wlen < elem_max then flush_writer w;
-    put_dec w (Int64.to_int (Int64.div bits 10L));
-    put_dec w (abs (Int64.to_int (Int64.rem bits 10L)));
-    put_newline w
-  end
-
-(** [write_file path m] — the [writeMatrix] builtin: a small self-describing
-    binary format (magic, elem kind, rank, extents, then elements). *)
+(** [write_file path m] — the [writeMatrix] builtin: an MMAT2 file. *)
 let write_file path m =
   let oc = open_out_bin path in
   Fun.protect
@@ -908,18 +865,31 @@ let write_file path m =
       output_char oc kind;
       output_binary_int oc (rank m);
       Array.iter (output_binary_int oc) m.shape;
-      let w = { oc; wbuf = Bytes.create io_chunk; wlen = 0 } in
-      (match m.buf with
-      | F a -> Array.iter (fun v -> put_bits w (Int64.bits_of_float v)) a
-      | I a -> Array.iter (put_int w) a
+      let b = Bytes.create io_chunk in
+      let put n ~width fill =
+        chunks n ~width (fun i k ->
+            fill i k;
+            output oc b 0 (k * width))
+      in
+      match m.buf with
+      | F a ->
+          put (Array.length a) ~width:8 (fun i k ->
+              for j = 0 to k - 1 do
+                Bytes.set_int64_le b (8 * j)
+                  (Int64.bits_of_float (Array.unsafe_get a (i + j)))
+              done)
+      | I a ->
+          put (Array.length a) ~width:8 (fun i k ->
+              for j = 0 to k - 1 do
+                Bytes.set_int64_le b (8 * j)
+                  (Int64.of_int (Array.unsafe_get a (i + j)))
+              done)
       | B a ->
-          Array.iter
-            (fun v ->
-              if w.wlen = io_chunk then flush_writer w;
-              Bytes.unsafe_set w.wbuf w.wlen (if v then '1' else '0');
-              w.wlen <- w.wlen + 1)
-            a);
-      flush_writer w)
+          put (Array.length a) ~width:1 (fun i k ->
+              for j = 0 to k - 1 do
+                Bytes.unsafe_set b j
+                  (if Array.unsafe_get a (i + j) then '\001' else '\000')
+              done))
 
 (* Plausibility bounds on a parsed header: binary garbage can decode to
    any rank/extent, and without these caps a corrupt file turns into a
@@ -928,77 +898,13 @@ let max_rank = 16
 let max_extent = 1 lsl 24
 let max_elems = 1 lsl 28
 
-type reader = {
-  ic : in_channel;
-  rbuf : Bytes.t;  (** [io_chunk] bytes of data, then a NUL sentinel *)
-  mutable pos : int;  (** next unread byte *)
-  mutable len : int;  (** bytes of data in [rbuf] *)
-  mutable base : int;  (** file offset of [rbuf.[0]] *)
-}
-
-(* Move the unread tail to the front and fill the rest of the chunk.
-   The data is always followed by a NUL, so [read_elem] scans up to
-   [elem_max] bytes without bounds checks and stops at the end of the
-   file. *)
-let refill path r =
-  let avail = r.len - r.pos in
-  Bytes.blit r.rbuf r.pos r.rbuf 0 avail;
-  r.base <- r.base + r.pos;
-  r.pos <- 0;
-  r.len <- avail;
-  let rec fill () =
-    if r.len < io_chunk then
-      match input r.ic r.rbuf r.len (io_chunk - r.len) with
-      | 0 -> ()
-      | k ->
-          r.len <- r.len + k;
-          fill ()
-  in
-  (try fill ()
-   with Sys_error m ->
-     io_err "readMatrix %S: read error at offset %d: %s" path
-       (r.base + r.len) m);
-  Bytes.unsafe_set r.rbuf r.len '\000'
-
-let is_digit c = c >= '0' && c <= '9'
-
-(* Element [i], by the grammar above.  [bad i stop] is called (and must
-   raise) on anything else, with [r.pos] still at the element's first
-   byte and [stop] where scanning stopped: [stop = r.len] means the file
-   ended mid-element. *)
-let read_elem path r i ~bad =
-  if r.len - r.pos < elem_max then refill path r;
-  let b = r.rbuf in
-  let neg = Bytes.unsafe_get b r.pos = '-' in
-  let d = if neg then r.pos + 1 else r.pos in
-  let p = ref d and v = ref 0 in
-  (* 18 digits always fit an int; a 19th needs int64 *)
-  while !p - d < 18 && is_digit (Bytes.unsafe_get b !p) do
-    v := (!v * 10) + Char.code (Bytes.unsafe_get b !p) - 48;
-    incr p
-  done;
-  let last = Char.code (Bytes.unsafe_get b !p) - 48 in
-  let wide = last >= 0 && last <= 9 in
-  if wide then incr p;
-  (* int64 max is 922337203685477580 * 10 + 7; min ends in 8 *)
-  let top = 922337203685477580 in
-  if
-    !p = d
-    || Bytes.unsafe_get b !p <> '\n'
-    || (wide && (!v > top || (!v = top && last > if neg then 8 else 7)))
-  then bad i !p;
-  r.pos <- !p + 1;
-  let x =
-    if wide then Int64.add (Int64.mul (Int64.of_int !v) 10L) (Int64.of_int last)
-    else Int64.of_int !v
-  in
-  if neg then Int64.neg x else x
-
 (** [read_file path] — the [readMatrix] builtin.  Every failure mode — a
-    missing file, wrong magic, an implausible header, truncation or
-    garbage in the element stream — raises {!Io_error} naming the file,
-    the byte offset where reading failed and what was expected there,
-    instead of leaking [End_of_file] / [Failure] / [Sys_error]. *)
+    missing file, wrong magic (an MMAT1 file is named as the old text
+    format), an implausible header, a payload shorter or longer than the
+    header implies, or a bool byte other than 0 or 1 — raises
+    {!Io_error} naming the file, the byte offset where reading failed and
+    what was expected there, instead of leaking [End_of_file] /
+    [Sys_error]. *)
 let read_file path =
   Support.Failpoint.hit fp_read;
   let ic =
@@ -1009,20 +915,26 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       (* [expected] describes what a well-formed file would contain at
-         the failing offset, e.g. "element 3817 of 4800 (float)". *)
-      let fail ~expected detail =
-        io_err "readMatrix %S: %s at offset %d (expected %s)" path detail
-          (pos_in ic) expected
-      in
+         the failing offset, e.g. "extent of dimension 2". *)
       let guarded ~expected f =
         try f () with
-        | End_of_file -> fail ~expected "file is truncated"
-        | Failure _ -> fail ~expected "malformed data"
+        | End_of_file ->
+            io_err "readMatrix %S: file is truncated at offset %d (expected %s)"
+              path (pos_in ic) expected
+        | Sys_error m ->
+            io_err "readMatrix %S: read error at offset %d: %s" path
+              (pos_in ic) m
       in
       let m =
         guarded ~expected:(Printf.sprintf "magic %S" magic) (fun () ->
             really_input_string ic (String.length magic))
       in
+      if m = "MMAT1\n" then
+        io_err
+          "readMatrix %S: MMAT1 at offset 0 is the old decimal text format, \
+           which is no longer read (expected magic %S; write the matrix \
+           again with writeMatrix)"
+          path magic;
       if m <> magic then
         io_err "readMatrix %S: bad magic %S at offset 0 (expected %S)" path m
           magic;
@@ -1053,51 +965,70 @@ let read_file path =
                 path e d (pos_in ic - 4) max_extent;
             e)
       in
-      let n = Shape.size sh in
+      (* The element count saturates above [max_elems]: eight extents
+         of 2^24 would overflow an int and could wrap to 0. *)
+      let n =
+        Array.fold_left
+          (fun n e -> if e = 0 then 0 else if n > max_elems then n else n * e)
+          1 sh
+      in
       if n > max_elems then
-        io_err "readMatrix %S: shape %s holds %d elements (limit %d)" path
-          (Shape.to_string sh) n max_elems;
-      let rd =
-        { ic; rbuf = Bytes.create (io_chunk + 1); pos = 0; len = 0;
-          base = pos_in ic }
+        io_err "readMatrix %S: shape %s holds more than %d elements" path
+          (Shape.to_string sh) max_elems;
+      (* The payload size is fixed by the header: check it against the
+         file before allocating. *)
+      let width = if kind = 'b' then 1 else 8 in
+      let start = pos_in ic in
+      let size = start + (n * width) in
+      let len =
+        guarded ~expected:"a payload" (fun () -> in_channel_length ic)
       in
       let what = match kind with 'f' -> "float" | 'i' -> "int" | _ -> "bool" in
-      (* the diagnostic for element [i], built only when it fails *)
-      let bad i stop =
-        io_err "readMatrix %S: %s at offset %d (expected element %d of %d (%s) \
-                for shape %s)"
-          path
-          (if stop = rd.len then "file is truncated" else "malformed data")
-          (rd.base + rd.pos) i n what (Shape.to_string sh)
+      if len < size then
+        io_err
+          "readMatrix %S: file is truncated at offset %d (expected element %d \
+           of %d (%s) for shape %s; the header implies %d bytes)"
+          path len ((len - start) / width) n what (Shape.to_string sh) size;
+      if len > size then
+        io_err
+          "readMatrix %S: trailing data at offset %d (the file has %d bytes; \
+           the header implies %d for shape %s)"
+          path size len size (Shape.to_string sh);
+      let b = Bytes.create io_chunk in
+      let get ~width decode =
+        chunks n ~width (fun i k ->
+            guarded ~expected:"the rest of the payload" (fun () ->
+                really_input ic b 0 (k * width));
+            decode i k)
       in
       match kind with
       | 'f' ->
           let a = Array.create_float n in
-          for i = 0 to n - 1 do
-            Array.unsafe_set a i
-              (Int64.float_of_bits (read_elem path rd i ~bad))
-          done;
+          get ~width:8 (fun i k ->
+              for j = 0 to k - 1 do
+                Array.unsafe_set a (i + j)
+                  (Int64.float_of_bits (Bytes.get_int64_le b (8 * j)))
+              done);
           { shape = sh; buf = F a }
       | 'i' ->
           let a = Array.make n 0 in
-          for i = 0 to n - 1 do
-            Array.unsafe_set a i (Int64.to_int (read_elem path rd i ~bad))
-          done;
+          get ~width:8 (fun i k ->
+              for j = 0 to k - 1 do
+                Array.unsafe_set a (i + j)
+                  (Int64.to_int (Bytes.get_int64_le b (8 * j)))
+              done);
           { shape = sh; buf = I a }
       | _ ->
           let a = Array.make n false in
-          for i = 0 to n - 1 do
-            if rd.pos = rd.len then refill path rd;
-            Array.unsafe_set a i
-              (match Bytes.unsafe_get rd.rbuf rd.pos with
-              | '0' -> false
-              | '1' -> true
-              | _ when rd.pos = rd.len -> bad i rd.pos
-              | c ->
-                  io_err
-                    "readMatrix %S: bad bool %C for element %d at offset %d \
-                     (expected '0' or '1')"
-                    path c i (rd.base + rd.pos));
-            rd.pos <- rd.pos + 1
-          done;
+          get ~width:1 (fun i k ->
+              for j = 0 to k - 1 do
+                match Bytes.unsafe_get b j with
+                | '\000' -> ()
+                | '\001' -> Array.unsafe_set a (i + j) true
+                | c ->
+                    io_err
+                      "readMatrix %S: bad bool byte %d for element %d at \
+                       offset %d (expected 0 or 1)"
+                      path (Char.code c) (i + j) (start + i + j)
+              done);
           { shape = sh; buf = B a })

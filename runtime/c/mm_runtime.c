@@ -5,7 +5,6 @@
 #include "mm_runtime.h"
 
 #include <fcntl.h>
-#include <limits.h>
 #include <signal.h>
 #include <stdarg.h>
 #include <stdio.h>
@@ -361,7 +360,7 @@ void mm_rc_dec(void *p) {
 
 int mm_size(const void *p) { return ((const mm_mat_float *)p)->elems; }
 
-/* --- MMAT1 container I/O ------------------------------------------------ */
+/* --- MMAT2 container I/O ------------------------------------------------ */
 
 /* The interpreter's virtual filesystem flattens path separators, so a
  * program's "out/result.data" and the harness's fetch of the same name
@@ -375,148 +374,42 @@ static char *mm_resolve_path(const char *path) {
   return real;
 }
 
-/* Doubles travel as the decimal value of their bit pattern, one line per
- * element — the exact text the interpreter writes and parses. */
 static long long mm_double_bits(double d) {
   long long i;
   memcpy(&i, &d, sizeof(i));
   return i;
 }
 
-static double mm_bits_double(long long i) {
-  double d;
-  memcpy(&d, &i, sizeof(d));
-  return d;
-}
+/* MMAT2: "MMAT2\n", the kind byte, the rank and each extent as 4-byte
+ * big-endian ints, then the elements as raw little-endian values —
+ * doubles as their IEEE-754 bits, ints as int64, bools as one 0/1 byte —
+ * the bytes Ndarray.read_file/write_file read and write, so both
+ * backends reject the same files.  A float payload moves between the
+ * file and the matrix buffer in one fread/fwrite; ints and bools are
+ * converted through one MM_IO_CHUNK buffer.  The payload is the host's
+ * own layout, so a big-endian host fails to build instead of carrying
+ * a byte-swapping path. */
+_Static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+               "MMAT2 payloads are read and written in host byte order");
+_Static_assert(sizeof(mm_float) == 8 && sizeof(long long) == 8,
+               "MMAT2 floats and ints are 8 bytes");
 
-/* The element stream moves through one fixed buffer of MM_IO_CHUNK bytes,
- * one fread/fwrite per chunk, with at most one partial element carried
- * over a refill: a matrix file of any size costs one chunk of memory
- * beyond the matrix itself.  An element is -?[0-9]{1,19} then '\n',
- * within int64 range (a bool is one '0'/'1' byte) — the grammar
- * Ndarray.read_file enforces too, so both backends reject the same
- * files. */
+#define MM_MAGIC "MMAT2\n"
 #define MM_IO_CHUNK (64 * 1024)
-#define MM_ELEM_MAX 21 /* '-', 19 digits, '\n' */
-
-typedef struct {
-  FILE *f;
-  const char *path;
-  char *buf;      /* MM_IO_CHUNK bytes of data, then a NUL sentinel */
-  size_t pos;     /* next unread byte */
-  size_t end;     /* bytes of data in buf */
-  long long base; /* file offset of buf[0] */
-} mm_reader;
-
-/* Make at least [want] bytes readable at rd->pos unless the file ends
- * first, moving the unread tail to the front; returns the bytes
- * readable.  The data is always followed by a NUL, so the element
- * parser scans up to MM_ELEM_MAX bytes without bounds checks and stops
- * at the end of the file. */
-static size_t mm_fill(mm_reader *rd, size_t want) {
-  size_t avail = rd->end - rd->pos;
-  if (avail >= want) return avail;
-  memmove(rd->buf, rd->buf + rd->pos, avail);
-  rd->base += (long long)rd->pos;
-  rd->pos = 0;
-  rd->end = avail + fread(rd->buf + avail, 1, MM_IO_CHUNK - avail, rd->f);
-  if (ferror(rd->f)) mm_fatal("readMatrix \"%s\": read error", rd->path);
-  rd->buf[rd->end] = 0;
-  return rd->end;
-}
 
 /* Header ints are 4-byte big-endian (OCaml's output_binary_int). */
-static int mm_get_be32(mm_reader *rd, const char *what) {
-  if (mm_fill(rd, 4) < 4)
-    mm_fatal("readMatrix \"%s\": truncated %s", rd->path, what);
-  const unsigned char *b = (const unsigned char *)rd->buf + rd->pos;
-  rd->pos += 4;
+static int mm_get_be32(FILE *f, const char *path, const char *what) {
+  unsigned char b[4];
+  if (fread(b, 1, 4, f) < 4)
+    mm_fatal("readMatrix \"%s\": truncated %s", path, what);
   return (int)((unsigned)b[0] << 24 | (unsigned)b[1] << 16 |
                (unsigned)b[2] << 8 | (unsigned)b[3]);
 }
 
-__attribute__((noreturn, cold)) static void
-mm_bad_elem(const mm_reader *rd, int i, const char *stop) {
-  long long off = rd->base + (long long)rd->pos;
-  if (stop == rd->buf + rd->end)
-    mm_fatal("readMatrix \"%s\": truncated at element %d (offset %lld)",
-             rd->path, i, off);
-  mm_fatal("readMatrix \"%s\": malformed element %d at offset %lld", rd->path,
-           i, off);
-  __builtin_unreachable(); /* mm_fatal exits */
-}
-
-static inline long long mm_get_elem(mm_reader *rd, int i) {
-  if (rd->end - rd->pos < MM_ELEM_MAX) mm_fill(rd, MM_ELEM_MAX);
-  const char *s = rd->buf + rd->pos;
-  int neg = *s == '-';
-  const char *d = s + neg, *p = d;
-  unsigned long long v = 0;
-  while (p - d < 19 && (unsigned)(*p - '0') < 10u)
-    v = v * 10 + (unsigned)(*p++ - '0');
-  if (p == d || *p != '\n' || v > (unsigned long long)LLONG_MAX + neg)
-    mm_bad_elem(rd, i, p);
-  rd->pos = (size_t)(p + 1 - rd->buf);
-  return neg ? (long long)(0 - v) : (long long)v;
-}
-
-static inline bool mm_get_bool(mm_reader *rd, int i) {
-  if (rd->pos == rd->end && mm_fill(rd, 1) == 0)
-    mm_fatal("readMatrix \"%s\": truncated at element %d (offset %lld)",
-             rd->path, i, rd->base + (long long)rd->pos);
-  char c = rd->buf[rd->pos++];
-  if (c != '0' && c != '1')
-    mm_fatal("readMatrix \"%s\": bad bool element %d", rd->path, i);
-  return c == '1';
-}
-
-typedef struct {
-  FILE *f;
-  const char *path;
-  char *buf; /* MM_IO_CHUNK bytes */
-  size_t len;
-} mm_writer;
-
-static void mm_flush(mm_writer *w) {
-  if (fwrite(w->buf, 1, w->len, w->f) != w->len)
-    mm_fatal("writeMatrix \"%s\": write failed", w->path);
-  w->len = 0;
-}
-
-static void mm_put_be32(mm_writer *w, int v) {
+static size_t mm_put_be32(unsigned char *b, size_t at, int v) {
   for (int shift = 24; shift >= 0; shift -= 8)
-    w->buf[w->len++] = (char)((v >> shift) & 0xff);
-}
-
-static const char mm_digit_pairs[] =
-    "00010203040506070809101112131415161718192021222324"
-    "25262728293031323334353637383940414243444546474849"
-    "50515253545556575859606162636465666768697071727374"
-    "75767778798081828384858687888990919293949596979899";
-
-/* One element: the bytes printf("%lld\n", v) writes, formatted two
- * digits at a time from the right into a scratch buffer. */
-static inline void mm_put_elem(mm_writer *w, long long v) {
-  if (MM_IO_CHUNK - w->len < MM_ELEM_MAX) mm_flush(w);
-  char digits[20], *q = digits + sizeof digits;
-  unsigned long long u = (unsigned long long)v;
-  if (v < 0) u = 0 - u;
-  while (u >= 100) {
-    q -= 2;
-    memcpy(q, mm_digit_pairs + 2 * (u % 100), 2);
-    u /= 100;
-  }
-  if (u >= 10) {
-    q -= 2;
-    memcpy(q, mm_digit_pairs + 2 * u, 2);
-  } else
-    *--q = (char)('0' + u);
-  char *p = w->buf + w->len;
-  if (v < 0) *p++ = '-';
-  size_t n = (size_t)(digits + sizeof digits - q);
-  memcpy(p, q, n);
-  p[n] = '\n';
-  w->len = (size_t)(p + n + 1 - w->buf);
+    b[at++] = (unsigned char)((v >> shift) & 0xff);
+  return at;
 }
 
 void mm_write_matrix(const char *path, const void *p) {
@@ -526,31 +419,36 @@ void mm_write_matrix(const char *path, const void *p) {
   FILE *f = fopen(real, "wb");
   if (!f) mm_fatal("writeMatrix \"%s\": cannot open %s", path, real);
   free(real);
-  mm_writer w = {f, path, malloc(MM_IO_CHUNK), 0};
-  if (!w.buf) mm_fatal("writeMatrix \"%s\": out of memory", path);
-  memcpy(w.buf, "MMAT1\n", 6);
-  w.len = 6;
-  w.buf[w.len++] = (char)m->kind;
-  mm_put_be32(&w, m->rank);
-  for (int d = 0; d < m->rank; d++) mm_put_be32(&w, m->dims[d]);
-  switch (m->kind) {
-  case MM_KIND_FLOAT:
-    for (int i = 0; i < m->elems; i++)
-      mm_put_elem(&w, mm_double_bits(m->data[i]));
-    break;
-  case MM_KIND_INT:
-    for (int i = 0; i < m->elems; i++)
-      mm_put_elem(&w, ((const mm_mat_int *)p)->data[i]);
-    break;
-  default:
-    for (int i = 0; i < m->elems; i++) {
-      if (w.len == MM_IO_CHUNK) mm_flush(&w);
-      w.buf[w.len++] = ((const mm_mat_bool *)p)->data[i] ? '1' : '0';
+  unsigned char hdr[7 + 4 * (1 + MM_MAX_RANK)];
+  memcpy(hdr, MM_MAGIC, 6);
+  hdr[6] = (unsigned char)m->kind;
+  size_t len = mm_put_be32(hdr, 7, m->rank);
+  for (int d = 0; d < m->rank; d++) len = mm_put_be32(hdr, len, m->dims[d]);
+  int ok = fwrite(hdr, 1, len, f) == len;
+  size_t n = (size_t)m->elems;
+  if (m->kind == MM_KIND_FLOAT) {
+    ok = ok && fwrite(m->data, 8, n, f) == n;
+  } else {
+    size_t width = m->kind == MM_KIND_INT ? 8 : 1, per = MM_IO_CHUNK / width;
+    unsigned char *buf = malloc(MM_IO_CHUNK);
+    if (!buf) mm_fatal("writeMatrix \"%s\": out of memory", path);
+    for (size_t i = 0; ok && i < n;) {
+      size_t k = n - i < per ? n - i : per;
+      if (m->kind == MM_KIND_INT)
+        for (size_t j = 0; j < k; j++) {
+          long long v = ((const mm_mat_int *)p)->data[i + j];
+          memcpy(buf + 8 * j, &v, 8);
+        }
+      else
+        for (size_t j = 0; j < k; j++)
+          buf[j] = ((const mm_mat_bool *)p)->data[i + j] ? 1 : 0;
+      ok = fwrite(buf, width, k, f) == k;
+      i += k;
     }
+    free(buf);
   }
-  mm_flush(&w);
-  free(w.buf);
-  if (fclose(f) != 0) mm_fatal("writeMatrix \"%s\": write failed", path);
+  if (fclose(f) != 0 || !ok)
+    mm_fatal("writeMatrix \"%s\": write failed", path);
 }
 
 void *mm_read_matrix(const char *path) {
@@ -559,15 +457,19 @@ void *mm_read_matrix(const char *path) {
   FILE *f = fopen(real, "rb");
   if (!f) mm_fatal("readMatrix \"%s\": cannot open: %s", path, real);
   free(real);
-  mm_reader rd = {f, path, malloc(MM_IO_CHUNK + 1), 0, 0, 0};
-  if (!rd.buf) mm_fatal("readMatrix \"%s\": out of memory", path);
-  if (mm_fill(&rd, 6) < 6 || memcmp(rd.buf, "MMAT1\n", 6) != 0)
+  unsigned char head[7];
+  size_t got = fread(head, 1, 7, f);
+  if (got >= 6 && memcmp(head, "MMAT1\n", 6) == 0)
+    mm_fatal("readMatrix \"%s\": MMAT1 is the old decimal text format, which "
+             "is no longer read (expected magic MMAT2; write the matrix again "
+             "with writeMatrix)",
+             path);
+  if (got < 6 || memcmp(head, MM_MAGIC, 6) != 0)
     mm_fatal("readMatrix \"%s\": bad magic", path);
-  rd.pos = 6;
-  int kind = mm_fill(&rd, 1) ? (unsigned char)rd.buf[rd.pos++] : EOF;
+  int kind = got == 7 ? head[6] : EOF;
   if (kind != MM_KIND_FLOAT && kind != MM_KIND_INT && kind != MM_KIND_BOOL)
     mm_fatal("readMatrix \"%s\": unknown element kind", path);
-  int rank = mm_get_be32(&rd, "rank");
+  int rank = mm_get_be32(f, path, "rank");
   if (rank < 0 || rank > MM_MAX_RANK)
     mm_fatal("readMatrix \"%s\": implausible rank %d", path, rank);
   mm_mat_float *m = calloc(1, sizeof(mm_mat_float));
@@ -575,36 +477,69 @@ void *mm_read_matrix(const char *path) {
   m->rc = 1;
   m->kind = kind;
   m->rank = rank;
+  /* The element count saturates above the limit, so a header of large
+   * extents cannot overflow it (and wrap to 0). */
   long long n = 1;
   for (int d = 0; d < rank; d++) {
-    int e = mm_get_be32(&rd, "extent");
+    int e = mm_get_be32(f, path, "extent");
     if (e < 0 || e > (1 << 24))
       mm_fatal("readMatrix \"%s\": implausible extent %d", path, e);
     m->dims[d] = e;
-    n *= e;
+    n = e == 0 ? 0 : n > (1 << 28) ? n : n * e;
   }
   if (n > (1 << 28))
-    mm_fatal("readMatrix \"%s\": %lld elements exceeds limit", path, n);
+    mm_fatal("readMatrix \"%s\": more than %d elements", path, 1 << 28);
+  /* The payload size is fixed by the header: check it against the file
+   * before allocating. */
+  size_t width = kind == MM_KIND_BOOL ? 1 : 8;
+  long long start = 11 + 4 * (long long)rank;
+  long long size = start + n * (long long)width;
+  long long flen = -1;
+  if (fseek(f, 0, SEEK_END) == 0) flen = ftell(f);
+  if (flen < 0 || fseek(f, (long)start, SEEK_SET) != 0)
+    mm_fatal("readMatrix \"%s\": cannot find the file's length", path);
+  if (flen < size)
+    mm_fatal("readMatrix \"%s\": truncated at element %lld of %lld (file ends "
+             "at offset %lld; the header implies %lld bytes)",
+             path, (flen - start) / (long long)width, n, flen, size);
+  if (flen > size)
+    mm_fatal("readMatrix \"%s\": trailing data at offset %lld (the file has "
+             "%lld bytes; the header implies %lld)",
+             path, size, flen, size);
   m->elems = (int)n;
-  m->data = calloc(n > 0 ? (size_t)n : 1, mm_elem_size(kind));
+  m->data = malloc(n > 0 ? (size_t)n * mm_elem_size(kind) : 1);
   if (!m->data) mm_fatal("out of memory for %lld elements", n);
   mm_account_alloc(n * (long long)mm_elem_size(kind));
-  switch (kind) {
-  case MM_KIND_FLOAT:
-    for (int i = 0; i < m->elems; i++)
-      m->data[i] = mm_bits_double(mm_get_elem(&rd, i));
-    break;
-  case MM_KIND_INT: {
-    int *data = ((mm_mat_int *)(void *)m)->data;
-    for (int i = 0; i < m->elems; i++) data[i] = (int)mm_get_elem(&rd, i);
-    break;
+  size_t count = (size_t)n;
+  if (kind == MM_KIND_FLOAT) {
+    if (fread(m->data, 8, count, f) != count)
+      mm_fatal("readMatrix \"%s\": read error", path);
+  } else {
+    size_t per = MM_IO_CHUNK / width;
+    unsigned char *buf = malloc(MM_IO_CHUNK);
+    if (!buf) mm_fatal("readMatrix \"%s\": out of memory", path);
+    for (size_t i = 0; i < count;) {
+      size_t k = count - i < per ? count - i : per;
+      if (fread(buf, width, k, f) != k)
+        mm_fatal("readMatrix \"%s\": read error", path);
+      if (kind == MM_KIND_INT)
+        for (size_t j = 0; j < k; j++) {
+          long long v;
+          memcpy(&v, buf + 8 * j, 8);
+          ((mm_mat_int *)(void *)m)->data[i + j] = (int)v;
+        }
+      else
+        for (size_t j = 0; j < k; j++) {
+          if (buf[j] > 1)
+            mm_fatal("readMatrix \"%s\": bad bool byte %d for element %zu at "
+                     "offset %lld (expected 0 or 1)",
+                     path, buf[j], i + j, start + (long long)(i + j));
+          ((mm_mat_bool *)(void *)m)->data[i + j] = buf[j];
+        }
+      i += k;
+    }
+    free(buf);
   }
-  default: {
-    bool *data = ((mm_mat_bool *)(void *)m)->data;
-    for (int i = 0; i < m->elems; i++) data[i] = mm_get_bool(&rd, i);
-  }
-  }
-  free(rd.buf);
   fclose(f);
   return m;
 }

@@ -9,9 +9,12 @@
  *   - SSE lanes are genuine 32-bit floats: the interpreter rounds every
  *     vector load/op/store through single precision, and the horizontal
  *     sum accumulates the four lanes in double, in lane order.
- *   - readMatrix/writeMatrix speak the interpreter's MMAT1 container
- *     byte-for-byte (big-endian header, one decimal line per element,
- *     floats as the decimal value of their IEEE-754 bit pattern).
+ *   - readMatrix/writeMatrix speak the interpreter's MMAT2 container
+ *     byte-for-byte: a big-endian header (magic, kind byte, rank,
+ *     extents), then the raw little-endian payload — floats as their
+ *     IEEE-754 binary64 bits, ints as int64 (narrowed to int on read),
+ *     bools as one 0/1 byte.  The runtime builds only on little-endian
+ *     hosts.
  */
 #ifndef MM_RUNTIME_H
 #define MM_RUNTIME_H
@@ -22,7 +25,7 @@ typedef double mm_float;
 
 #define MM_MAX_RANK 16
 
-/* Element kinds, matching the MMAT1 container's kind byte. */
+/* Element kinds, matching the MMAT2 container's kind byte. */
 #define MM_KIND_FLOAT 'f'
 #define MM_KIND_INT 'i'
 #define MM_KIND_BOOL 'b'
@@ -83,9 +86,11 @@ long long mm_peak_bytes(void);
 long long mm_allocated_bytes(void);
 extern void (*mm_alloc_hook)(long long bytes);
 
-/* MMAT1 container I/O (readMatrix/writeMatrix builtins).  Paths resolve
+/* MMAT2 container I/O (readMatrix/writeMatrix builtins).  Paths resolve
  * like the interpreter's virtual filesystem: '/' and '\' map to '_',
- * relative to the current working directory. */
+ * relative to the current working directory.  A file whose size differs
+ * from what its header implies, or whose bool payload holds a byte other
+ * than 0 or 1, is rejected through mm_fatal. */
 void *mm_read_matrix(const char *path);
 void mm_write_matrix(const char *path, const void *m);
 

@@ -351,10 +351,8 @@ let test_read_matrix_truncated () =
     [ "readMatrix"; "truncated"; "offset"; "[6x7]" ]
     (fun () -> Nd.read_file path)
 
-(* Cutting a file 1 or 2 bytes short lands inside its last element (its
-   '\n', then its last digit): what is left still parses as a shorter
-   number, so only the element grammar's trailing newline tells the
-   file is truncated. *)
+(* Cutting a file 1 or 2 bytes short lands inside its last element: the
+   size check against the header names that element. *)
 let test_read_matrix_truncated_mid_element () =
   hygiene "readMatrix truncated mid-element" @@ fun () ->
   let dir = fresh_dir () in
@@ -393,17 +391,19 @@ let test_read_matrix_garbage () =
   let whole = In_channel.with_open_bin good In_channel.input_all in
   Out_channel.with_open_bin bad_elems (fun oc ->
       (* keep the header (magic + kind + rank + one extent), replace the
-         element lines with unparsable text *)
+         payload with text shorter than the header implies *)
       Out_channel.output_string oc (String.sub whole 0 15);
       Out_channel.output_string oc "not-a-number\nxx\n");
   expect_io_error "garbage elements"
     [ "element"; "offset" ]
     (fun () -> Nd.read_file bad_elems);
-  (* implausible header: rank decoded from binary garbage *)
-  let bad_rank = Filename.concat dir "rank.data" in
+  (* implausible header: rank decoded from binary garbage behind the
+     current magic; the file name holds no word of the diagnostic *)
+  let bad_rank = Filename.concat dir "hdr.data" in
   Out_channel.with_open_bin bad_rank (fun oc ->
-      Out_channel.output_string oc "MMAT1\nf\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF");
-  expect_io_error "implausible rank" [ "rank" ] (fun () ->
+      Out_channel.output_string oc
+        (Nd.magic ^ "f\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF"));
+  expect_io_error "implausible rank" [ "implausible rank" ] (fun () ->
       Nd.read_file bad_rank)
 
 let test_read_matrix_in_program () =
@@ -414,8 +414,8 @@ let test_read_matrix_in_program () =
   let path = Filename.concat dir "bad.data" in
   Nd.write_file path (Nd.init_float [| 2; 3; 4 |] (fun _ -> 1.0));
   let whole = In_channel.with_open_bin path In_channel.input_all in
-  (* cut inside the last element: the element grammar's trailing '\n'
-     makes even a partial last line a truncation, not a shorter number *)
+  (* cut inside the last element: the payload is shorter than the
+     header implies *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc
         (String.sub whole 0 (String.length whole - 3)));

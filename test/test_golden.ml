@@ -327,6 +327,40 @@ let test_cli_unknown_pass_diagnostic () =
       (contains "^" text)
   end
 
+(* Every subcommand's help renders cleanly: cmdliner reports a bad doc
+   markup on stderr and drops the option's doc, so [--help=plain] must
+   exit 0 with nothing on stderr, and the --failpoints clause syntax
+   must reach the run, exec and profile pages. *)
+let test_cli_help_renders () =
+  if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
+  else begin
+    let dir = Filename.temp_file "mmgolden" "" in
+    Sys.remove dir;
+    Sys.mkdir dir 0o755;
+    let out = Filename.concat dir "out.txt" in
+    let err = Filename.concat dir "err.txt" in
+    List.iter
+      (fun cmd ->
+        let code =
+          Sys.command
+            (Printf.sprintf "%s %s --help=plain > %s 2> %s"
+               (Filename.quote mmc_exe) cmd (Filename.quote out)
+               (Filename.quote err))
+        in
+        Alcotest.(check int) (cmd ^ " --help exits 0") 0 code;
+        Alcotest.(check string)
+          (cmd ^ " --help writes nothing to stderr")
+          ""
+          (In_channel.with_open_text err In_channel.input_all);
+        if List.mem cmd [ "run"; "exec"; "profile" ] then
+          Alcotest.(check bool)
+            (cmd ^ " --help shows the failpoints syntax")
+            true
+            (contains "name@K"
+               (In_channel.with_open_text out In_channel.input_all)))
+      [ ""; "analyze"; "check"; "emit"; "run"; "exec"; "profile"; "explain" ]
+  end
+
 (* --- diff-size cap --------------------------------------------------------- *)
 
 let test_ir_diff_cap_falls_back_to_full_dumps () =
@@ -381,6 +415,8 @@ let suite =
       test_of_spec_rejects_unknown;
     Alcotest.test_case "cli: unknown --passes diagnostic is caret-free" `Quick
       test_cli_unknown_pass_diagnostic;
+    Alcotest.test_case "cli: every --help renders without errors" `Quick
+      test_cli_help_renders;
     Alcotest.test_case "--ir-diff caps the LCS and dumps both versions" `Quick
       test_ir_diff_cap_falls_back_to_full_dumps;
     Alcotest.test_case "permuted extension order emits oracle C" `Quick

@@ -306,6 +306,83 @@ let test_timeout_telemetry () =
       Alcotest.failf "native.timeout gauge: %s"
         (match v with None -> "absent" | Some f -> string_of_float f)
 
+(* --- matrix files byte by byte --------------------------------------------- *)
+
+let be32 n = String.init 4 (fun k -> Char.chr ((n lsr (8 * (3 - k))) land 0xff))
+
+let le64 x =
+  String.init 8 (fun k ->
+      let byte = Int64.shift_right_logical x (8 * k) in
+      Char.chr (Int64.to_int (Int64.logand byte 0xFFL)))
+
+(* An MMAT2 file: magic, kind byte, big-endian rank and extents, then
+   [payload] as given. *)
+let mmat2 kind dims payload =
+  "MMAT2\n" ^ String.make 1 kind
+  ^ be32 (List.length dims)
+  ^ String.concat "" (List.map be32 dims)
+  ^ payload
+
+(* Per element kind: its type name and a well-formed two-element
+   payload (little-endian int64s, binary64 bits, 0/1 bytes). *)
+let layout_kinds =
+  [
+    ('i', "int", le64 5L ^ le64 7L);
+    ( 'f',
+      "float",
+      le64 (Int64.bits_of_float 1.0) ^ le64 (Int64.bits_of_float 2.5) );
+    ('b', "bool", "\000\001");
+  ]
+
+(* Reads "in.data" as a vector of [ty] and returns its second element. *)
+let read_src ty =
+  Printf.sprintf
+    "%s main() {\n\
+    \  Matrix %s <1> v = readMatrix(\"in.data\");\n\
+    \  return v[1];\n\
+     }\n"
+    ty ty
+
+(* Files whose header is right but whose payload is not, derived from
+   one kind's well-formed vector: (what, bytes). *)
+let payload_faults (kind, _, payload) =
+  let n = String.length payload in
+  [
+    ( "a payload cut by 1 byte",
+      mmat2 kind [ 2 ] (String.sub payload 0 (n - 1)) );
+    ("one trailing byte", mmat2 kind [ 2 ] (payload ^ "\000"));
+  ]
+  @
+  if kind = 'b' then [ ("bool byte 2", mmat2 kind [ 2 ] "\000\002") ]
+  else []
+
+(* Every file both readers must reject: (what, bytes, a word the
+   diagnostic must hold besides "readMatrix"). *)
+let corrupt_files ((kind, _, payload) as k) =
+  List.map (fun (what, bytes) -> (what, bytes, "")) (payload_faults k)
+  @ [
+      ( "a payload cut by one element",
+        mmat2 kind [ 2 ] (String.sub payload 0 (String.length payload / 2)),
+        "" );
+      ("kind byte 'x'", mmat2 'x' [ 2 ] payload, "");
+      ("rank 17", mmat2 kind (List.init 17 (fun _ -> 1)) payload, "");
+      ("extent 2^24+1", mmat2 kind [ (1 lsl 24) + 1 ] payload, "");
+      (* 2^192 elements: a product that wraps to 0 in 64 bits *)
+      ("eight extents of 2^24", mmat2 kind (List.init 8 (fun _ -> 1 lsl 24)) "", "");
+      ( "an MMAT1 text file",
+        "MMAT1\n" ^ String.make 1 kind ^ be32 1 ^ be32 2 ^ "0\n1\n",
+        "MMAT1" );
+    ]
+
+let write_data ~dir bytes =
+  Out_channel.with_open_bin (Filename.concat dir "in.data") (fun oc ->
+      Out_channel.output_string oc bytes)
+
+(* A run's diagnostic text, or None when it succeeded. *)
+let diag_of ~src = function
+  | Driver.Ok_ _ -> None
+  | Driver.Failed ds -> Some (Driver.diags_to_string ~src ds)
+
 (* --- sanitizer builds ------------------------------------------------------ *)
 
 let test_sanitized_corpus_runs () =
@@ -345,82 +422,81 @@ let test_sanitized_corpus_runs () =
                 (mode ^ ": result matches the interpreter")
                 true
                 (o.Native.Exec.value = Native.Exec.RScal iv);
-              (* the matrix-file parser and formatter, on edge inputs *)
+              (* the matrix-file reader and writer, on edge inputs *)
               Test_native.check_roundtrip ~label:("-fsanitize=" ^ mode)
                 (fun ~dir ->
                   Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache)
-                    ~sanitize:mode full Test_native.roundtrip_src)))
+                    ~sanitize:mode full Test_native.roundtrip_src);
+              (* ... and on files it must reject: the diagnostic comes
+                 from mm_fatal, not from the sanitizer *)
+              List.iter
+                (fun ((_, ty, _) as k) ->
+                  let src = read_src ty in
+                  List.iter
+                    (fun (what, bytes) ->
+                      let dir = fresh_dir () in
+                      write_data ~dir bytes;
+                      let text =
+                        Option.value ~default:"(no failure)"
+                          (diag_of ~src
+                             (Driver.exec ~dir
+                                ~cache_dir:(Lazy.force suite_cache)
+                                ~sanitize:mode full src))
+                      in
+                      Alcotest.(check bool)
+                        (Printf.sprintf
+                           "-fsanitize=%s: %s %s gives the readMatrix \
+                            diagnostic only (got: %s)"
+                           mode ty what text)
+                        true
+                        (contains text "readMatrix"
+                        && (not (contains text "Sanitizer"))
+                        && not (contains text "runtime error")))
+                    (payload_faults k))
+                layout_kinds))
     [ "address"; "undefined" ]
 
-(* --- one element grammar in both backends ---------------------------------- *)
+(* --- one file layout in both backends -------------------------------------- *)
 
-(* Element texts behind a valid header that a library integer parser
-   takes in some form (Int64.of_string reads [0x1F] and [1_2]; strtoll
-   skips [" 12"]'s blank and stops before ["12abc"]'s letters), plus an
-   int64 overflow, 20 digits, an empty line and a last element without
-   its '\n'.  The grammar is [-?[0-9]{1,19}] then '\n', within int64
-   range; both backends must refuse every one of these with a readMatrix
-   diagnostic. *)
-let corrupt_elements =
-  [
-    "+12\n"; "0x1F\n"; "1_2\n"; " 12\n"; "12abc\n"; "12345678901234567890\n";
-    "9223372036854775808\n"; "\n"; "12";
-  ]
-
-let be32 n = String.init 4 (fun k -> Char.chr ((n lsr (8 * (3 - k))) land 0xff))
-
-let test_element_grammar_parity () =
-  with_deadline ~secs:300 "element grammar parity" @@ fun () ->
+(* Every file in [corrupt_files], for every kind, must fail both
+   [Driver.run] and [Driver.exec] with a readMatrix diagnostic (the
+   MMAT1 file's names the old format), while the well-formed file
+   loads in both. *)
+let test_file_layout_parity () =
+  with_deadline ~secs:300 "file layout parity" @@ fun () ->
   ignore (ensure_cc ());
+  let run_both src bytes =
+    let dir = fresh_dir () in
+    write_data ~dir bytes;
+    [
+      ("interp", diag_of ~src (Driver.run ~dir full src []));
+      ( "native",
+        diag_of ~src
+          (Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache) full src) );
+    ]
+  in
   List.iter
-    (fun (kind, ty, first, second) ->
-      let src =
-        Printf.sprintf
-          "%s main() {\n  Matrix %s <1> v = readMatrix(\"in.data\");\n  return v[1];\n}\n"
-          ty ty
-      in
-      (* each backend's diagnostic text, or None when the run succeeds *)
-      let run_both second =
-        let dir = fresh_dir () in
-        Out_channel.with_open_bin (Filename.concat dir "in.data") (fun oc ->
-            Out_channel.output_string oc
-              ("MMAT1\n" ^ String.make 1 kind ^ be32 1 ^ be32 2 ^ first
-             ^ second));
-        let diag = function
-          | Driver.Ok_ _ -> None
-          | Driver.Failed ds -> Some (Driver.diags_to_string ~src ds)
-        in
-        [
-          ("interp", diag (Driver.run ~dir full src []));
-          ( "native",
-            diag
-              (Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache) full src)
-          );
-        ]
-      in
-      (* control: the same file with a well-formed element loads *)
+    (fun ((kind, ty, payload) as k) ->
+      let src = read_src ty in
       List.iter
         (fun (backend, diag) ->
           Option.iter
             (Alcotest.failf "%s %s control failed: %s" ty backend)
             diag)
-        (run_both second);
+        (run_both src (mmat2 kind [ 2 ] payload));
       List.iter
-        (fun bad ->
+        (fun (what, bytes, needle) ->
           List.iter
             (fun (backend, diag) ->
               let text = Option.value diag ~default:"(no failure)" in
               Alcotest.(check bool)
-                (Printf.sprintf "%s %s rejects %S (got: %s)" ty backend bad
+                (Printf.sprintf "%s %s rejects %s (got: %s)" ty backend what
                    text)
                 true
-                (contains text "readMatrix"))
-            (run_both bad))
-        corrupt_elements)
-    [
-      ('i', "int", "5\n", "7\n");
-      ('f', "float", "4607182418800017408\n", "4611686018427387904\n");
-    ]
+                (contains text "readMatrix" && contains text needle))
+            (run_both src bytes))
+        (corrupt_files k))
+    layout_kinds
 
 (* --- guards emission is warning-clean -------------------------------------- *)
 
@@ -566,6 +642,37 @@ let test_eddy_degraded_native_acceptance () =
       Alcotest.failf "native.degraded gauge: %s"
         (match v with None -> "absent" | Some f -> string_of_float f)
 
+(* --- a missing data directory ---------------------------------------------- *)
+
+(* A data directory that does not exist fails run and exec alike, with
+   a diagnostic naming it, also for rand00, which touches no file. *)
+let test_missing_data_dir () =
+  with_deadline ~secs:300 "missing data dir" @@ fun () ->
+  ignore (ensure_cc ());
+  let dir = Filename.concat (fresh_dir ()) "absent" in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun (backend, diag) ->
+          let text = Option.value diag ~default:"(no failure)" in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s names the missing directory (got: %s)"
+               name backend text)
+            true
+            (contains text (Printf.sprintf "data directory %S" dir)))
+        [
+          ("interp", diag_of ~src (Driver.run ~dir full src []));
+          ( "native",
+            diag_of ~src
+              (Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache) full src)
+          );
+        ])
+    [
+      ( "rand00",
+        In_channel.with_open_bin "golden/rand00.mc" In_channel.input_all );
+      ("fig1_temporal_mean", Eddy.Programs.fig1_temporal_mean);
+    ]
+
 let suite =
   [
     Alcotest.test_case "signal exits decode, never raw codes" `Quick
@@ -596,6 +703,8 @@ let suite =
       test_native_fault_matrix;
     Alcotest.test_case "acceptance: native degrade is bit-identical" `Quick
       test_eddy_degraded_native_acceptance;
-    Alcotest.test_case "readMatrix: one element grammar, both backends"
-      `Quick test_element_grammar_parity;
+    Alcotest.test_case "readMatrix: one file layout, both backends" `Quick
+      test_file_layout_parity;
+    Alcotest.test_case "data dir: a missing one fails both backends" `Quick
+      test_missing_data_dir;
   ]

@@ -259,28 +259,24 @@ let test_io_roundtrip () =
   Sys.remove file;
   Alcotest.check nd "int roundtrip" ints back
 
-(* The MMAT1 writer as a plain per-element loop: the reference the
-   buffered formatter in [Ndarray.write_file] must match byte for byte. *)
-let reference_mmat1 (m : Ndarray.t) =
+(* The MMAT2 writer as a plain per-element loop: the reference the
+   chunked encoder in [Ndarray.write_file] must match byte for byte. *)
+let reference_mmat2 (m : Ndarray.t) =
   let b = Buffer.create 256 in
-  Buffer.add_string b "MMAT1\n";
+  Buffer.add_string b "MMAT2\n";
   Buffer.add_char b
     (match Ndarray.elem m with EFloat -> 'f' | EInt -> 'i' | EBool -> 'b');
   let be32 n = Buffer.add_int32_be b (Int32.of_int n) in
   be32 (Ndarray.rank m);
   Array.iter be32 (Ndarray.shape m);
   (match m.buf with
-  | F a ->
-      Array.iter
-        (fun v ->
-          Buffer.add_string b (Int64.to_string (Int64.bits_of_float v) ^ "\n"))
-        a
-  | I a -> Array.iter (fun v -> Buffer.add_string b (string_of_int v ^ "\n")) a
-  | B a -> Array.iter (fun v -> Buffer.add_char b (if v then '1' else '0')) a);
+  | F a -> Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) a
+  | I a -> Array.iter (fun v -> Buffer.add_int64_le b (Int64.of_int v)) a
+  | B a -> Array.iter (fun v -> Buffer.add_uint8 b (if v then 1 else 0)) a);
   Buffer.contents b
 
-(* Float bit patterns a decimal formatter can get wrong: ±0, ±inf, NaN
-   payloads, subnormals, the int64 extremes and the int-range edges. *)
+(* Float bit patterns an encoder can get wrong: ±0, ±inf, NaN payloads,
+   subnormals, the int64 extremes and the int-range edges. *)
 let edge_bits =
   [
     0L; Int64.min_int (* -0.0 *); Int64.max_int (* NaN, all payload bits *);
@@ -309,7 +305,7 @@ let gen_matrix =
         map (Ndarray.of_bool_array sh) (array_repeat n bool);
       ])
 
-let prop_mmat1_bytes =
+let prop_mmat2_bytes =
   QCheck.Test.make ~name:"matrix files: reference bytes, bit-exact reads"
     ~count:200
     (QCheck.make ~print:Ndarray.to_string gen_matrix)
@@ -320,7 +316,7 @@ let prop_mmat1_bytes =
         (fun () ->
           Ndarray.write_file file m;
           let bytes = In_channel.with_open_bin file In_channel.input_all in
-          if bytes <> reference_mmat1 m then
+          if bytes <> reference_mmat2 m then
             QCheck.Test.fail_report "write_file differs from the reference";
           let back = Ndarray.read_file file in
           Shape.equal (Ndarray.shape back) (Ndarray.shape m)
@@ -496,5 +492,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pool_matches_serial;
     Alcotest.test_case "simd ops" `Quick test_simd_ops;
     QCheck_alcotest.to_alcotest prop_simd_equals_scalar;
-    QCheck_alcotest.to_alcotest prop_mmat1_bytes;
+    QCheck_alcotest.to_alcotest prop_mmat2_bytes;
   ]
