@@ -4,7 +4,8 @@
    provide any performance numbers here"), so each group reproduces a
    CLAIM's shape rather than an absolute number:
 
-     C1  near-linear scaling of auto-parallelized with-loops (§V ¶1)
+     C1  near-linear scaling of auto-parallelized with-loops (§V ¶1), on
+         the interpreter's pool and natively at 1 and 2 OpenMP threads
      C2  with-loop/assignment fusion vs library-style temp+copy (§III-A5)
      C3  slice-copy elimination (§III-A5)
      C4  programmer-directed transformation variants (§V)
@@ -742,6 +743,150 @@ let bench_native_profile () =
                     r.Driver.Profile_report.d_speedup)
                 d.Driver.Profile_report.diff_rows))
 
+(* --- C1, native leg: the cube programs at 1 and 2 OpenMP threads ------------------ *)
+
+(* C1 where it lives: the six analysis programs of mmcbench's native-cube
+   workload, each through [Driver.exec] at --threads 1 (no pragmas) and
+   --threads 2 (auto-par, OMP_NUM_THREADS=2), in alternating runs.  A
+   shared container's second core comes and goes, so a perfectly
+   parallel OpenMP loop, built with the same toolchain, runs interleaved
+   with each program: its 1→2 speedup is what the host offered at that
+   moment. *)
+
+let scaling_reference_c =
+  {|#include <stdio.h>
+#include <time.h>
+int main(void) {
+  struct timespec a, b;
+  double s = 0;
+  clock_gettime(CLOCK_MONOTONIC, &a);
+#pragma omp parallel for reduction(+ : s)
+  for (long i = 0; i < 30000000; i++) {
+    double x = (double)(i % 1000) * 1e-3;
+    s += x * x + 1.0 / (1.0 + x);
+  }
+  clock_gettime(CLOCK_MONOTONIC, &b);
+  printf("%.3f %g\n", (b.tv_sec - a.tv_sec) * 1e3 + (b.tv_nsec - a.tv_nsec) * 1e-6, s);
+  return 0;
+}
+|}
+
+(* mmcbench's native-cube input: a 96x96x64 SSH cube whose series all
+   end on a drop (Fig 8's scoreTS walks up without a bound check). *)
+let scaling_cube () =
+  let m, n, p = (96, 96, 64) in
+  let c, _ =
+    Eddy.Ssh_gen.generate ~lat:m ~lon:n ~time:p ~n_eddies:(m * n / 256) ~seed:11 ()
+  in
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let before = Runtime.Scalar.to_float (Nd.get c [| i; j; p - 2 |]) in
+      Nd.set c [| i; j; p - 1 |] (Runtime.Scalar.F (before -. 0.1))
+    done
+  done;
+  c
+
+(* The six programs; eddy_energy resized to native-cube's 128x128x96. *)
+let scaling_progs () =
+  let sizes =
+    [ ("int m = 48;", "int m = 128;"); ("int n = 48;", "int n = 128;");
+      ("int p = 64;", "int p = 96;") ]
+  in
+  let resize line =
+    match List.assoc_opt (String.trim line) sizes with
+    | Some decl -> "  " ^ decl
+    | None -> line
+  in
+  let eddy =
+    Option.map
+      (fun src ->
+        String.split_on_char '\n' src |> List.map resize |> String.concat "\n")
+      (profile_example "eddy_energy.mc")
+  in
+  [
+    ("fig1_temporal_mean", Some Eddy.Programs.fig1_temporal_mean);
+    ("fig9_transformed", Some Eddy.Programs.fig9_transformed);
+    ("fig4_conncomp", Some Eddy.Programs.fig4_conncomp);
+    ("fig8_scoring", Some Eddy.Programs.fig8_scoring);
+    ("fig1_with_slice_copy", Some Eddy.Programs.fig1_with_slice_copy);
+    ("eddy_energy", eddy);
+  ]
+
+let bench_scaling_native () =
+  Fmt.pr "@.=== C1 (native): cube programs at 1 and 2 OpenMP threads ===@.";
+  match Native.Toolchain.probe () with
+  | Error e -> Fmt.pr "  skipped: %s@." (Native.Toolchain.describe_error e)
+  | Ok tc when not (Native.Toolchain.openmp tc) ->
+      Fmt.pr "  skipped: %s has no OpenMP, so --threads 2 runs sequentially@."
+        tc.Native.Toolchain.cc
+  | Ok tc -> (
+      let cache_dir = fresh_cache_dir () in
+      let ref_c = Filename.concat cache_dir "scaling_ref.c"
+      and ref_exe = Filename.concat cache_dir "scaling_ref" in
+      Out_channel.with_open_text ref_c (fun oc ->
+          output_string oc scaling_reference_c);
+      match Native.Toolchain.compile tc ~c_files:[ ref_c ] ~out:ref_exe with
+      | Error e ->
+          Fmt.pr "  skipped: reference loop: %s@."
+            (Native.Toolchain.describe_error e)
+      | Ok () ->
+          let reference threads =
+            let ic =
+              Unix.open_process_in
+                (Printf.sprintf "OMP_NUM_THREADS=%d %s" threads
+                   (Filename.quote ref_exe))
+            in
+            let ms = Scanf.sscanf (input_line ic) "%f %_f" Fun.id in
+            ignore (Unix.close_process_in ic);
+            ms
+          in
+          let runs = 9 in
+          let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
+          Fmt.pr
+            "  cube 96x96x64, eddy_energy 128x128x96; medians of %d alternating \
+             runs of `mmc exec` (frontend, cache hit and binary)@."
+            runs;
+          Fmt.pr "  %-22s %11s %11s %9s %12s@." "prog" "1 thr (ms)" "2 thr (ms)"
+            "speedup" "host ref";
+          with_input (scaling_cube ()) @@ fun dir ->
+          (* one date per frame, the first quarter before Fig 4's cut-off *)
+          Interp.Eval.provide_input ~dir "dates.data"
+            (Nd.init_int [| 64 |] (fun ix -> 1012000 - 16 + ix.(0)));
+          List.iter
+            (fun (name, src) ->
+              match src with
+              | None -> Fmt.pr "  %-22s skipped: source not found@." name
+              | Some src ->
+                  let exec threads () =
+                    let config =
+                      Driver.Pipeline.enable (Driver.default_config c_full)
+                        "auto-par" (threads > 1)
+                    in
+                    match Driver.exec ~config ~dir ~cache_dir ~threads c_full src with
+                    | Driver.Ok_ _ -> ()
+                    | Driver.Failed ds ->
+                        Fmt.epr "C1 native: %s failed: %s@." name
+                          (Driver.diags_to_string ds);
+                        exit 1
+                  in
+                  (* fill the cache: the compiles are not program time *)
+                  exec 1 ();
+                  exec 2 ();
+                  let samples =
+                    List.init runs (fun _ ->
+                        let t1 = wall ~reps:1 (exec 1) in
+                        let r1 = reference 1 in
+                        let t2 = wall ~reps:1 (exec 2) in
+                        let r2 = reference 2 in
+                        (t1, t2, r1 /. r2))
+                  in
+                  let t1 = median (List.map (fun (t, _, _) -> t) samples)
+                  and t2 = median (List.map (fun (_, t, _) -> t) samples)
+                  and host = median (List.map (fun (_, _, r) -> r) samples) in
+                  Fmt.pr "  %-22s %11.1f %11.1f %8.2fx %11.2fx@." name
+                    (t1 *. 1000.) (t2 *. 1000.) (t1 /. t2) host)
+            (scaling_progs ()))
+
 (* --- C14: emitted-C runtime guard overhead (§II) ---------------------------------------------- *)
 
 (* `mmc exec --guards` routes every emitted subscript through the
@@ -1267,6 +1412,7 @@ let () =
     bench_refcount ();
     bench_scaling ();
     bench_native ();
+    bench_scaling_native ();
     bench_native_profile ();
     bench_native_guards ();
     bench_blocked_kernels ~smoke:false ();

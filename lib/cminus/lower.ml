@@ -34,7 +34,12 @@ type t = {
   hooks : hooks list;
   rc : bool;
   mutable scopes : scope list;
-  mutable params : string list;  (** borrowed matrix parameters *)
+  mutable params : string list;
+      (** matrix parameters: the caller may pass one matrix for several *)
+  mutable borrowed : string list;
+      (** matrix parameters the body never rebinds: the caller keeps
+          ownership, so returning one retains it.  A rebound parameter is
+          retained on entry and released on every exit, like a local. *)
   mutable pending : string list;
       (** owned statement-level temporaries awaiting release *)
   mutable extra_funcs : func list;
@@ -285,6 +290,63 @@ and contains_mat = function
 
 (* --- statements --------------------------------------------------------------------- *)
 
+(* Every variable [stmts] reads or assigns. *)
+let names_in stmts =
+  let acc = ref [] in
+  let rec target = function LVar v -> v | LField (lv, _) -> target lv in
+  ignore
+    (map_stmts
+       (function
+         | Var v as e ->
+             acc := v :: !acc;
+             e
+         | e -> e)
+       (function
+         | Assign (lv, _) as s ->
+             acc := target lv :: !acc;
+             s
+         | s -> s)
+       stmts);
+  !acc
+
+(* The names a loop body declares where its loop-level statements run:
+   at its top level or in nested branches and blocks, not inside nested
+   loops. *)
+let rec visible_decls body =
+  List.concat_map
+    (fun (st : Ast.stmt) ->
+      match st.Ast.s with
+      | Ast.DeclS (_, name, _) -> [ name ]
+      | Ast.IfS (_, a, b) -> visible_decls a @ visible_decls b
+      | Ast.BlockS b -> visible_decls b
+      | _ -> [])
+    body
+
+(* The matrix parameters in [params] that [body] rebinds: assigned a
+   matrix ([g = h;], not the scalar fill [g = 0;]) or named in a
+   destructuring pattern. *)
+let rebound params body =
+  let rec stmt (st : Ast.stmt) =
+    match st.Ast.s with
+    | Ast.AssignS ({ Ast.e = Ast.Ident v; _ }, rhs)
+      when List.mem v params && not (Types.is_scalar (ety rhs)) ->
+        [ v ]
+    | Ast.AssignS ({ Ast.e = Ast.TupleLit parts; _ }, _) ->
+        List.filter_map
+          (fun (p : Ast.expr) ->
+            match p.Ast.e with
+            | Ast.Ident v when List.mem v params -> Some v
+            | _ -> None)
+          parts
+    | Ast.IfS (_, a, b) -> List.concat_map stmt (a @ b)
+    | Ast.WhileS (_, b) | Ast.BlockS b -> List.concat_map stmt b
+    | Ast.ForS (i, _, s, b) ->
+        List.concat_map stmt (Option.to_list i @ Option.to_list s @ b)
+    | _ -> []
+  in
+  let hits = List.concat_map stmt body in
+  List.filter (fun p -> List.mem p hits) params
+
 let rec lower_stmt t (st : Ast.stmt) : stmt list =
   let span = st.Ast.sspan in
   let stmts =
@@ -344,10 +406,18 @@ let rec lower_stmt t (st : Ast.stmt) : stmt list =
         in
         let cond_drain = drain_pending t in
         let sstep = match step with Some s -> lower_stmt t s | None -> [] in
-        (* C semantics: `continue` in a for-loop still runs the step.  The
-           lowering appends the step at the bottom of the while body, which
-           a continue would skip — so loop-level continues (not those bound
-           to inner loops) are rewritten to run the step first. *)
+        (* The step binds the loop's variables.  C semantics: `continue`
+           in a for-loop still runs the step.  The lowering appends the
+           step at the bottom of the while body, which a continue would
+           skip — so loop-level continues (not those bound to inner
+           loops) are rewritten to run the step first.  Both places are
+           inside the body's scope, so when the body declares a name the
+           step uses, the step runs instead at the top of every iteration
+           but the first, before the body's declarations, where the
+           fall-through and every continue reach it. *)
+        let shadowed =
+          List.exists (fun v -> List.mem v (names_in sstep)) (visible_decls body)
+        in
         let rec patch_continue (st : Ast.stmt) : Ast.stmt =
           match st.Ast.s with
           | Ast.ContinueS when step <> None ->
@@ -359,20 +429,23 @@ let rec lower_stmt t (st : Ast.stmt) : stmt list =
               { st with Ast.s = Ast.BlockS (List.map patch_continue b) }
           | _ -> st (* continues inside nested loops bind to those loops *)
         in
-        let body = List.map patch_continue body in
+        let body = if shadowed then body else List.map patch_continue body in
         let body' = lower_block ~is_loop:true t body in
         let release = pop_scope t in
+        let test = [ If (Unop (Not, ec), cond_drain @ [ Break ], cond_drain) ] in
         let loop =
-          if sc = [] && cond_drain = [] then
-            [ While (ec, body' @ sstep) ]
-          else
+          if shadowed then
+            let first = fresh t "first" in
             [
+              Decl (CBool, first, Some (Bool true));
               While
                 ( Bool true,
-                  sc
-                  @ [ If (Unop (Not, ec), cond_drain @ [ Break ], cond_drain) ]
-                  @ body' @ sstep );
+                  (If (Var first, [ Assign (LVar first, Bool false) ], sstep)
+                  :: sc)
+                  @ test @ body' );
             ]
+          else if sc = [] && cond_drain = [] then [ While (ec, body' @ sstep) ]
+          else [ While (Bool true, sc @ test @ body' @ sstep) ]
         in
         si @ loop @ release
     | Ast.ReturnS None -> release_for_return t ~except:[] @ [ Return None ]
@@ -398,7 +471,7 @@ let rec lower_stmt t (st : Ast.stmt) : stmt list =
         if contains_mat rty then
           List.iter
             (fun v ->
-              if List.mem v t.params then retain := !retain @ rc_inc t (Var v)
+              if List.mem v t.borrowed then retain := !retain @ rc_inc t (Var v)
               else if List.mem v t.pending then
                 t.pending <- List.filter (fun x -> x <> v) t.pending
               else except := v :: !except)
@@ -518,7 +591,13 @@ let lower_fundef t (f : Ast.fundef) : func =
         | Types.TMat _ -> Some name
         | _ -> None)
       f.Ast.params;
-  let body = List.concat_map (lower_stmt t) f.Ast.body in
+  let owned = if t.rc then rebound t.params f.Ast.body else [] in
+  t.borrowed <- List.filter (fun p -> not (List.mem p owned)) t.params;
+  List.iter (own t) owned;
+  let body =
+    List.concat_map (fun p -> rc_inc t (Var p)) owned
+    @ List.concat_map (lower_stmt t) f.Ast.body
+  in
   let release = pop_scope t in
   let rec ends_with_return ss =
     match List.rev ss with
@@ -563,6 +642,7 @@ let lower_program ?(warn = fun _ -> ()) (hooks : hooks list) ~(rc : bool)
       rc;
       scopes = [];
       params = [];
+      borrowed = [];
       pending = [];
       extra_funcs = [];
       cur_fun =

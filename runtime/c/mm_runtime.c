@@ -237,46 +237,90 @@ void mm_fail_hit(const char *name) {
 /* --- allocation and reference counting --------------------------------- */
 
 /* Allocation happens inside OpenMP regions (auto-par loops allocate
- * slices and temporaries), so the live count, the refcounts and the
- * payload-byte gauges (live / peak / cumulative) are all updated with
- * atomic builtins.  Counts and bytes are plain tallies read after the
- * parallel work, so relaxed order suffices; the peak is a CAS-max; only
- * the refcount decrement that may free orders memory (acq_rel), so the
- * thread that frees sees every other thread's last use of the payload. */
-static int mm_live = 0;
+ * slices and temporaries), so the live count and the payload-byte
+ * tallies (live, cumulative) must stay exact under concurrency — and
+ * without every thread writing the same cache line.  Each thread claims
+ * its own cache-line-aligned slot on its first allocation or release
+ * and is that slot's only writer, so a relaxed load and store replace
+ * the read-modify-write.  The readers (mm_result_live at exit, the
+ * profiler's dump) sum the slots after the parallel work.  Threads past
+ * the end of the table share one overflow slot under atomic
+ * read-modify-writes, so the counts are exact at any thread count.
+ * Slots are never reused: an exited thread's tallies still count.
+ *
+ * The peak needs the global live total at each allocation, so it is
+ * kept only while mm_alloc_hook is set (the profiler installs it before
+ * the program allocates), in a shared counter.  The per-object
+ * refcounts stay atomic read-modify-writes; only the decrement that may
+ * free orders memory (acq_rel), so the thread that frees sees every
+ * other thread's last use of the payload. */
+#define MM_TALLY_SLOTS 64
 
-int mm_live_count(void) { return __atomic_load_n(&mm_live, __ATOMIC_RELAXED); }
+enum { MM_LIVE, MM_LIVE_BYTES, MM_ALLOC_BYTES, MM_TALLIES };
 
-static long long mm_live_b = 0;
-static long long mm_peak_b = 0;
-static long long mm_alloc_b = 0;
-void (*mm_alloc_hook)(long long bytes) = 0;
+typedef struct {
+  _Alignas(64) long long v[MM_TALLIES];
+} mm_tally;
 
-long long mm_live_bytes(void) {
-  return __atomic_load_n(&mm_live_b, __ATOMIC_RELAXED);
+static mm_tally mm_tallies[MM_TALLY_SLOTS];
+static mm_tally mm_tally_overflow;
+static int mm_tally_claimed = 0;
+static _Thread_local mm_tally *mm_tally_mine = 0;
+
+static void mm_tally_add(int k, long long d) {
+  mm_tally *t = mm_tally_mine;
+  if (!t) {
+    int i = __atomic_fetch_add(&mm_tally_claimed, 1, __ATOMIC_RELAXED);
+    t = mm_tally_mine = i < MM_TALLY_SLOTS ? &mm_tallies[i] : &mm_tally_overflow;
+  }
+  if (t == &mm_tally_overflow)
+    __atomic_fetch_add(&t->v[k], d, __ATOMIC_RELAXED);
+  else
+    __atomic_store_n(&t->v[k], __atomic_load_n(&t->v[k], __ATOMIC_RELAXED) + d,
+                     __ATOMIC_RELAXED);
 }
+
+static long long mm_tally_sum(int k) {
+  int n = __atomic_load_n(&mm_tally_claimed, __ATOMIC_RELAXED);
+  long long sum = __atomic_load_n(&mm_tally_overflow.v[k], __ATOMIC_RELAXED);
+  for (int i = 0; i < n && i < MM_TALLY_SLOTS; i++)
+    sum += __atomic_load_n(&mm_tallies[i].v[k], __ATOMIC_RELAXED);
+  return sum;
+}
+
+int mm_live_count(void) { return (int)mm_tally_sum(MM_LIVE); }
+long long mm_live_bytes(void) { return mm_tally_sum(MM_LIVE_BYTES); }
+long long mm_allocated_bytes(void) { return mm_tally_sum(MM_ALLOC_BYTES); }
+
+void (*mm_alloc_hook)(long long bytes) = 0;
+static long long mm_hooked_live_b = 0; /* live bytes while hooked */
+static long long mm_peak_b = 0;
+
 long long mm_peak_bytes(void) {
   return __atomic_load_n(&mm_peak_b, __ATOMIC_RELAXED);
 }
-long long mm_allocated_bytes(void) {
-  return __atomic_load_n(&mm_alloc_b, __ATOMIC_RELAXED);
-}
 
 static void mm_account_alloc(long long bytes) {
-  __atomic_fetch_add(&mm_alloc_b, bytes, __ATOMIC_RELAXED);
-  long long live = __atomic_add_fetch(&mm_live_b, bytes, __ATOMIC_RELAXED);
-  long long peak = __atomic_load_n(&mm_peak_b, __ATOMIC_RELAXED);
-  while (live > peak &&
-         !__atomic_compare_exchange_n(&mm_peak_b, &peak, live, 1,
-                                      __ATOMIC_RELAXED, __ATOMIC_RELAXED))
-    ;
-  __atomic_fetch_add(&mm_live, 1, __ATOMIC_RELAXED);
-  if (mm_alloc_hook) mm_alloc_hook(bytes);
+  mm_tally_add(MM_LIVE, 1);
+  mm_tally_add(MM_LIVE_BYTES, bytes);
+  mm_tally_add(MM_ALLOC_BYTES, bytes);
+  if (mm_alloc_hook) {
+    long long live =
+        __atomic_add_fetch(&mm_hooked_live_b, bytes, __ATOMIC_RELAXED);
+    long long peak = __atomic_load_n(&mm_peak_b, __ATOMIC_RELAXED);
+    while (live > peak &&
+           !__atomic_compare_exchange_n(&mm_peak_b, &peak, live, 1,
+                                        __ATOMIC_RELAXED, __ATOMIC_RELAXED))
+      ;
+    mm_alloc_hook(bytes);
+  }
 }
 
 static void mm_account_free(long long bytes) {
-  __atomic_fetch_sub(&mm_live_b, bytes, __ATOMIC_RELAXED);
-  __atomic_fetch_sub(&mm_live, 1, __ATOMIC_RELAXED);
+  mm_tally_add(MM_LIVE, -1);
+  mm_tally_add(MM_LIVE_BYTES, -bytes);
+  if (mm_alloc_hook)
+    __atomic_fetch_sub(&mm_hooked_live_b, bytes, __ATOMIC_RELAXED);
 }
 
 static size_t mm_elem_size(int kind) {

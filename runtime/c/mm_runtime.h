@@ -78,9 +78,12 @@ int mm_live_count(void);
 
 /* Payload-byte accounting, mirroring the interpreter's RC registry
  * gauges: bytes currently live, the high-water mark, and the cumulative
- * total ever allocated.  mm_alloc_hook, when non-NULL, observes every
- * payload allocation (the native profiler points it at its per-span
- * attribution); it may be called from inside OpenMP regions. */
+ * total ever allocated.  The counts are exact at any thread count; read
+ * them after the parallel work.  mm_alloc_hook, when non-NULL, observes
+ * every payload allocation (the native profiler points it at its
+ * per-span attribution); it may be called from inside OpenMP regions.
+ * The high-water mark covers only what happens while the hook is set,
+ * so install it before the program allocates. */
 long long mm_live_bytes(void);
 long long mm_peak_bytes(void);
 long long mm_allocated_bytes(void);

@@ -14,7 +14,6 @@ mm_mat_float1 *anomaly(mm_mat_float1 *ts) {
   }
   mm_float mean = __mm_acc0 / (mm_float) p;
   mm_mat_float1 *__mm_gen1 = mm_alloc_float(1, p);
-  #pragma omp parallel for
   for (int k = 0; k < p; k++) {
     __mm_gen1->data[k] = ts->data[k] - mean;
   }

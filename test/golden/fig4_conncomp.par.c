@@ -13,7 +13,6 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
   mm_mat_int2 *labels = __mm_initm0;
   mm_float __mm_s1 = -0.25;
   mm_mat_bool2 *__mm_ew2 = mm_alloc_bool(2, ssh->dims[0], ssh->dims[1]);
-  #pragma omp parallel for
   for (int __mm_i3 = 0; __mm_i3 < mm_size(ssh); __mm_i3++) {
     __mm_ew2->data[__mm_i3] = ssh->data[__mm_i3] < __mm_s1;
   }

@@ -61,12 +61,10 @@ mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest) {
     __mm_rng10->data[__mm_i11] = x1 + __mm_i11;
   }
   mm_mat_float1 *__mm_ew12 = mm_alloc_float(1, __mm_rng10->dims[0]);
-  #pragma omp parallel for
   for (int __mm_i13 = 0; __mm_i13 < mm_size(__mm_rng10); __mm_i13++) {
     __mm_ew12->data[__mm_i13] = (mm_float) __mm_rng10->data[__mm_i13] * m;
   }
   mm_mat_float1 *__mm_ew14 = mm_alloc_float(1, __mm_ew12->dims[0]);
-  #pragma omp parallel for
   for (int __mm_i15 = 0; __mm_i15 < mm_size(__mm_ew12); __mm_i15++) {
     __mm_ew14->data[__mm_i15] = __mm_ew12->data[__mm_i15] + b;
   }
@@ -82,7 +80,6 @@ mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest) {
   int __mm_s18 = Line->dims[0];
   int __mm_s19 = Line->dims[0];
   mm_mat_float1 *__mm_gen20 = mm_alloc_float(1, __mm_s19);
-  #pragma omp parallel for
   for (int i = 0; i < __mm_s18; i++) {
     __mm_gen20->data[i] = area;
   }

@@ -461,6 +461,242 @@ let test_cli_warning_reaches_stderr () =
         ("explain", "explain");
       ]
 
+(* --- parallel context ------------------------------------------------------ *)
+
+(* A function that only ever runs inside a parallel region keeps its loops
+   sequential: a nested region would only pay for entering it. *)
+
+let is_infix ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
+(* The emitted C of function [name]: its definition line through the
+   closing brace in column 0. *)
+let c_function c name =
+  let lines = String.split_on_char '\n' c in
+  let rec find = function
+    | [] -> Alcotest.failf "no definition of %s in the emitted C" name
+    | l :: rest ->
+        if is_infix ~affix:(" " ^ name ^ "(") l
+           || is_infix ~affix:("*" ^ name ^ "(") l
+        then
+          if String.ends_with ~suffix:"{" l then take [ l ] rest else find rest
+        else find rest
+  and take acc = function
+    | [] -> String.concat "\n" (List.rev acc)
+    | "}" :: _ -> String.concat "\n" (List.rev ("}" :: acc))
+    | l :: rest -> take (l :: acc) rest
+  in
+  find lines
+
+let parallel_c ?(auto_par = true) src =
+  match explain ~auto_par src with
+  | Driver.Ok_ prog, report -> (Cir.Emit.program prog, report)
+  | Driver.Failed ds, _ ->
+      Alcotest.failf "explain failed: %s" (Driver.diags_to_string ds)
+
+(* The span the applied remark of the region whose message mentions
+   [what] starts at, as "line:col". *)
+let region_at (report : Driver.Explain_report.t) what =
+  match
+    List.find_opt
+      (fun r -> is_infix ~affix:what r.R.message)
+      (R.filter ~pass:"auto-par" ~kind:R.Applied report.Driver.Explain_report.remarks)
+  with
+  | Some r -> Pos.to_string r.R.span.Pos.left
+  | None -> Alcotest.failf "no applied %s remark" what
+
+(* The auto-par remarks whose span starts on source line [line]. *)
+let remarks_on_line (report : Driver.Explain_report.t) line =
+  List.filter
+    (fun r -> r.R.span.Pos.left.Pos.line = line)
+    (R.filter ~pass:"auto-par" report.Driver.Explain_report.remarks)
+
+(* Each remark on [line] is Missed, names [region] in its message and
+   carries it as the [region] detail. *)
+let check_missed_in report ~line region =
+  let rs = remarks_on_line report line in
+  Alcotest.(check bool) (Printf.sprintf "remarks on line %d" line) true (rs <> []);
+  List.iter
+    (fun r ->
+      Alcotest.(check string) "missed" "missed" (R.kind_to_string r.R.kind);
+      Alcotest.(check (option string)) "region detail" (Some region)
+        (List.assoc_opt "region" r.R.details);
+      Alcotest.(check bool)
+        (Printf.sprintf "message names the region: %s" r.R.message)
+        true
+        (is_infix ~affix:("runs inside the " ^ region) r.R.message))
+    rs
+
+let pc_prelude =
+  {|
+int main() {
+  Matrix float <3> cube = init(Matrix float <3>, 3, 4, 6);
+  cube = with ([0,0,0] <= [i,j,k] < [3,4,6])
+         genarray ([3,4,6], (float)(i * 7 + j * 3 + k));
+|}
+
+let pc_map_src =
+  {|Matrix float <1> smooth(Matrix float <1> ts) {
+  int p = dimSize(ts, 0);
+  return with ([0] <= [k] < [p]) genarray ([p], ts[k] * 2f);
+}
+|}
+  ^ pc_prelude
+  ^ {|  Matrix float <3> out = matrixMap(smooth, cube, [2]);
+  return (int) out[1, 2, 3];
+}
+|}
+
+let test_pc_matrixmap_body () =
+  let c, report = parallel_c pc_map_src in
+  let region = "matrixMap region at " ^ region_at report "matrixMap" in
+  Alcotest.(check bool) "smooth has no parallel region" false
+    (is_infix ~affix:"omp parallel" (c_function c "smooth"));
+  Alcotest.(check bool) "main keeps its regions" true
+    (is_infix ~affix:"omp parallel" (c_function c "main"));
+  check_missed_in report ~line:3 region
+
+(* fig8's computeArea runs only through scoreTS, which runs only through
+   the lifted matrixMap body. *)
+let pc_transitive_src =
+  {|Matrix float <1> scale(Matrix float <1> v) {
+  return v * 2f;
+}
+Matrix float <1> twice(Matrix float <1> ts) {
+  return scale(ts);
+}
+|}
+  ^ pc_prelude
+  ^ {|  Matrix float <3> out = matrixMap(twice, cube, [2]);
+  return (int) out[1, 2, 3];
+}
+|}
+
+let test_pc_transitive () =
+  let c, report = parallel_c pc_transitive_src in
+  let region = "matrixMap region at " ^ region_at report "matrixMap" in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " has no parallel region") false
+        (is_infix ~affix:"omp parallel" (c_function c f)))
+    [ "scale"; "twice" ];
+  check_missed_in report ~line:2 region;
+  (* fig8 itself: computeArea's three loops, reached through scoreTS *)
+  let c, report = parallel_c Eddy.Programs.fig8_scoring in
+  Alcotest.(check bool) "computeArea has no parallel region" false
+    (is_infix ~affix:"omp parallel" (c_function c "computeArea"));
+  let region = "matrixMap region at " ^ region_at report "matrixMap" in
+  Alcotest.(check int) "computeArea's three loops missed inside the region" 3
+    (List.length
+       (List.filter
+          (fun r -> List.assoc_opt "region" r.R.details = Some region)
+          report.Driver.Explain_report.remarks))
+
+(* transform_tiling's rowMean shape: called from a genarray body. *)
+let pc_genarray_src =
+  {|float rowSum(Matrix float <2> g, int i) {
+  Matrix float <1> r = g[i, :] * 2f;
+  return with ([0] <= [k] < [dimSize(r, 0)]) fold (+, 0f, r[k]);
+}
+
+int main() {
+  Matrix float <2> grid = with ([0,0] <= [i,j] < [5,6]) genarray ([5,6], (float)(i + j));
+  Matrix float <1> sums = with ([0] <= [i] < [5]) genarray ([5], rowSum(grid, i));
+  return (int) sums[2];
+}
+|}
+
+let test_pc_genarray_body () =
+  let c, report = parallel_c pc_genarray_src in
+  Alcotest.(check bool) "rowSum has no parallel region" false
+    (is_infix ~affix:"omp parallel" (c_function c "rowSum"));
+  let region =
+    match
+      List.find_opt
+        (fun r -> r.R.span.Pos.left.Pos.line = 8)
+        (R.filter ~pass:"auto-par" ~kind:R.Applied
+           report.Driver.Explain_report.remarks)
+    with
+    | Some r -> "with-loop region at " ^ Pos.to_string r.R.span.Pos.left
+    | None -> Alcotest.fail "the genarray in main is not promoted"
+  in
+  check_missed_in report ~line:2 region;
+  (* the fold keeps its own remark, whatever region it runs in (guard) *)
+  match remarks_on_line report 3 with
+  | [ r ] ->
+      Alcotest.(check bool) "fold demoted as before" true
+        (is_infix ~affix:"fold with-loop demoted to sequential" r.R.message
+        && List.mem_assoc "demoted" r.R.details
+        && not (List.mem_assoc "region" r.R.details))
+  | rs -> Alcotest.failf "%d remarks for the fold" (List.length rs)
+
+(* Recursion reached only from a region: the greatest fixpoint. *)
+let pc_recursive_src =
+  {|Matrix float <1> halve(Matrix float <1> v, int n) {
+  if (n <= 0) { return v + 0f; }
+  return halve(v * 0.5f, n - 1);
+}
+Matrix float <1> start(Matrix float <1> ts) {
+  return halve(ts, 2);
+}
+|}
+  ^ pc_prelude
+  ^ {|  Matrix float <3> out = matrixMap(start, cube, [2]);
+  return (int) out[1, 2, 3];
+}
+|}
+
+let test_pc_recursive () =
+  let c, report = parallel_c pc_recursive_src in
+  let region = "matrixMap region at " ^ region_at report "matrixMap" in
+  Alcotest.(check bool) "halve has no parallel region" false
+    (is_infix ~affix:"omp parallel" (c_function c "halve"));
+  check_missed_in report ~line:2 region;
+  check_missed_in report ~line:3 region
+
+(* Guard: a function also called from sequential code keeps its region
+   and its applied remark. *)
+let pc_mixed_src =
+  {|Matrix float <1> scale(Matrix float <1> v) {
+  return v * 2f;
+}
+|}
+  ^ pc_prelude
+  ^ {|  Matrix float <1> row = scale(cube[0, 0, :]);
+  Matrix float <3> out = matrixMap(scale, cube, [2]);
+  return (int) (out[1, 2, 3] + row[1]);
+}
+|}
+
+let test_pc_mixed_callers () =
+  let c, report = parallel_c pc_mixed_src in
+  Alcotest.(check bool) "scale keeps its parallel region" true
+    (is_infix ~affix:"#pragma omp parallel for" (c_function c "scale"));
+  match remarks_on_line report 2 with
+  | [ r ] ->
+      Alcotest.(check string) "applied" "applied" (R.kind_to_string r.R.kind)
+  | rs -> Alcotest.failf "%d remarks for scale's loop" (List.length rs)
+
+(* Guard: with auto-par disabled every site reads Skipped as before, in
+   every function. *)
+let test_pc_disabled () =
+  List.iter
+    (fun src ->
+      let c, report = parallel_c ~auto_par:false src in
+      Alcotest.(check bool) "no parallel region" false
+        (is_infix ~affix:"omp parallel" c);
+      let rs = R.filter ~pass:"auto-par" report.Driver.Explain_report.remarks in
+      Alcotest.(check bool) "auto-par remarks" true (rs <> []);
+      List.iter
+        (fun r ->
+          Alcotest.(check string)
+            ("skipped: " ^ r.R.message)
+            "skipped" (R.kind_to_string r.R.kind))
+        rs)
+    [ pc_map_src; pc_transitive_src; pc_genarray_src; pc_recursive_src ]
+
 let suite =
   [
     Alcotest.test_case "fig1: parallel and sequential remark tables" `Quick
@@ -490,4 +726,16 @@ let suite =
       test_cli_explain_only_filter;
     Alcotest.test_case "cli: lowering warnings reach stderr on every subcommand"
       `Quick test_cli_warning_reaches_stderr;
+    Alcotest.test_case "parallel context: a matrixMap body stays sequential"
+      `Quick test_pc_matrixmap_body;
+    Alcotest.test_case "parallel context: reached through another function"
+      `Quick test_pc_transitive;
+    Alcotest.test_case "parallel context: a genarray body stays sequential"
+      `Quick test_pc_genarray_body;
+    Alcotest.test_case "parallel context: recursion reached from a region"
+      `Quick test_pc_recursive;
+    Alcotest.test_case "parallel context: mixed callers keep the region"
+      `Quick test_pc_mixed_callers;
+    Alcotest.test_case "parallel context: auto-par disabled reads Skipped"
+      `Quick test_pc_disabled;
   ]

@@ -54,12 +54,14 @@ let data_bytes ~dir path =
   In_channel.with_open_bin (Interp.Eval.data_path ~dir path)
     In_channel.input_all
 
-(* Run [src] through both backends with identical inputs and check that
-   the result value, the live-allocation count and every output file
-   agree exactly (matrix files byte for byte: a parsed comparison would
+(* Run [src] through both backends with identical inputs (the native
+   binary on [threads] OpenMP threads, the interpreter on a pool of
+   [interp_threads], default the same) and check that the result value,
+   the live-allocation count and every output file agree exactly (matrix files byte for byte: a parsed comparison would
    take -0.0 for 0.0 and miss NaN payloads). *)
 let differential ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
-    ?(threads = 1) ?(cflags = []) ~name ~inputs ~outputs src =
+    ?(threads = 1) ?interp_threads ?(cflags = []) ~name ~inputs ~outputs src =
+  let interp_threads = Option.value interp_threads ~default:threads in
   ignore (ensure_cc ());
   let dir_i = fresh_dir () and dir_n = fresh_dir () in
   List.iter
@@ -84,8 +86,8 @@ let differential ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
         Alcotest.failf "%s: interp failed: %s" name (Driver.diags_to_string ds)
   in
   let iv =
-    if threads > 1 then
-      Runtime.Pool.with_pool threads (fun p -> run_interp (Some p))
+    if interp_threads > 1 then
+      Runtime.Pool.with_pool interp_threads (fun p -> run_interp (Some p))
     else run_interp None
   in
   let ilive = Runtime.Rc.live_count () in
@@ -687,6 +689,108 @@ let test_slice_copy_semantics_native () =
         Test_pipeline.[ slice_overread_src; slice_shadowed_overread_src ])
     (Test_pipeline.levels full)
 
+(* --- parallel runs: exact live counts at any thread count ------------------ *)
+
+(* Each thread tallies its allocations in a slot of its own; the live
+   count must still be exact, and agree with the interpreter, when the
+   three programs whose regions allocate run on 4 threads, and on more
+   threads than the runtime has slots (MM_TALLY_SLOTS, 64: the rest
+   share one overflow slot; native_profile "memory summary at 1, 4 and
+   72 threads" checks that slot's bytes).  A guard: the shared counters
+   the slots replace were exact too. *)
+let test_parallel_live_counts () =
+  let ssh, _ = Eddy.Ssh_gen.generate ~lat:12 ~lon:14 ~time:4 ~n_eddies:2 ~seed:7 () in
+  let dates = Nd.init_int [| 4 |] (fun ix -> 1012000 + ix.(0)) in
+  List.iter
+    (fun (threads, interp_threads) ->
+      List.iter
+        (fun (name, src, inputs, outputs) ->
+          let name = Printf.sprintf "%s/%d threads" name threads in
+          differential ~name ~auto_par:true ~threads ~interp_threads ~inputs
+            ~outputs src;
+          (* the differential has checked native = interpreter *)
+          Alcotest.(check int) (name ^ ": __mm_live 0") 0
+            (Runtime.Rc.live_count ()))
+        [
+          ( "fig8",
+            Eddy.Programs.fig8_scoring,
+            [ ("ssh.data", trough_cube ()) ],
+            [ "temporalScores.data" ] );
+          ("eddy_energy", example "eddy_energy.mc", [], []);
+          ( "fig4",
+            Eddy.Programs.fig4_conncomp,
+            [ ("ssh.data", ssh); ("dates.data", dates) ],
+            [ "eddyLabels.data" ] );
+        ])
+    [ (4, 4); (72, 2) ]
+
+(* --- regressions: both backends --------------------------------------------- *)
+
+let both_return ~name ~expect src =
+  Runtime.Rc.reset ();
+  Runtime.Limits.configure ~max_steps:100_000 ();
+  (match Fun.protect ~finally:Runtime.Limits.clear (fun () -> Driver.run full src []) with
+  | Driver.Ok_ (Interp.Eval.VScal v) ->
+      Alcotest.(check int) (name ^ ": interpreter result") expect (S.to_int v)
+  | Driver.Ok_ v -> Alcotest.failf "%s: interpreter returned %a" name Interp.Eval.pp_value v
+  | Driver.Failed ds ->
+      Alcotest.failf "%s: interpreter failed: %s" name (Driver.diags_to_string ds));
+  Alcotest.(check int) (name ^ ": interpreter live count") 0 (Runtime.Rc.live_count ());
+  ignore (ensure_cc ());
+  match
+    Driver.exec ~timeout_s:20. ~cache_dir:(Lazy.force suite_cache) full src
+  with
+  | Driver.Ok_ { Native.Exec.value = Native.Exec.RScal v; live; _ } ->
+      Alcotest.(check int) (name ^ ": native result") expect (S.to_int v);
+      Alcotest.(check int) (name ^ ": __mm_live") 0 live
+  | Driver.Ok_ o ->
+      Alcotest.failf "%s: native returned %a" name Native.Exec.pp_value o.Native.Exec.value
+  | Driver.Failed ds ->
+      Alcotest.failf "%s: native failed: %s" name (Driver.diags_to_string ds)
+
+(* The step of a for-loop binds the loop's variable even where the body
+   declares one of the same name — on the fall-through path and through
+   a continue — so the loop runs 3 times, as in C. *)
+let test_for_step_scope () =
+  both_return ~name:"shadowed index" ~expect:3
+    {|
+int main() {
+  int s = 0;
+  for (int k = 0; k < 3; k++) { int k = 1; s = s + k; }
+  return s;
+}
+|};
+  both_return ~name:"shadowed index, continue" ~expect:3
+    {|
+int main() {
+  int s = 0;
+  for (int k = 0; k < 3; k++) {
+    int k = 1;
+    s = s + k;
+    if (s > 0) { continue; }
+    s = s + 100;
+  }
+  return s;
+}
+|}
+
+(* A matrix parameter the body rebinds is owned by the function: the
+   assignment releases the function's own reference, not the caller's. *)
+let test_rebound_param () =
+  both_return ~name:"rebound parameter" ~expect:5
+    {|
+int f(Matrix int <1> g, Matrix int <1> h) {
+  g = h;
+  return g[0];
+}
+
+int main() {
+  Matrix int <1> a = with ([0] <= [i] < [4]) genarray([4], i + 1);
+  Matrix int <1> b = with ([0] <= [i] < [4]) genarray([4], i + 5);
+  return f(a, b);
+}
+|}
+
 let suite =
   [
     Alcotest.test_case "fig1 interp vs native" `Quick test_fig1;
@@ -726,4 +830,10 @@ let suite =
       test_exec_removes_scratch_dir;
     Alcotest.test_case "slice copies keep copy semantics" `Quick
       test_slice_copy_semantics_native;
+    Alcotest.test_case "parallel runs: exact live counts at 4 and 72 threads"
+      `Quick test_parallel_live_counts;
+    Alcotest.test_case "for-loop step binds the loop variable" `Quick
+      test_for_step_scope;
+    Alcotest.test_case "rebound matrix parameter is owned" `Quick
+      test_rebound_param;
   ]

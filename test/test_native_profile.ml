@@ -346,6 +346,38 @@ let test_plain_emission_has_no_instrumentation () =
       Alcotest.(check bool) "no mm_prof calls without --instrument" false
         (is_infix ~affix:"mm_prof" text)
 
+(* The native memory summary is thread-count independent: allocated
+   bytes are per-thread tallies summed at the dump, so eddy_energy on 4
+   OpenMP threads, and on 72 (more than the runtime's 64 tally slots:
+   its 2304 slices give every thread allocations, so 8 threads share
+   the overflow slot), reports what it reports on 1.  The peak, tracked
+   only while profiling, is positive and never above the total.  A
+   guard: the parent's shared counters were exact too. *)
+let test_memory_at_threads () =
+  ignore (ensure_cc ());
+  let report threads =
+    match
+      Driver.profile_native ~dir:(fresh_dir ()) ~threads
+        ~cache_dir:(Lazy.force suite_cache) full (example "eddy_energy.mc")
+    with
+    | Driver.Ok_ (_, r) -> r
+    | Driver.Failed ds ->
+        Alcotest.failf "native profile at %d threads failed: %s" threads
+          (Driver.diags_to_string ds)
+  in
+  let one = report 1 in
+  List.iter
+    (fun threads ->
+      let r = report threads in
+      Alcotest.(check int)
+        (Printf.sprintf "allocated bytes at %d threads = at 1" threads)
+        one.R.allocated_bytes r.R.allocated_bytes;
+      Alcotest.(check bool)
+        (Printf.sprintf "peak %d in (0, %d]" r.R.peak_bytes r.R.allocated_bytes)
+        true
+        (r.R.peak_bytes > 0 && r.R.peak_bytes <= r.R.allocated_bytes))
+    [ 4; 72 ]
+
 let suite =
   [
     Alcotest.test_case "json schema parity interp vs native" `Slow
@@ -363,4 +395,6 @@ let suite =
       test_keep_c_instrumented_line_directives;
     Alcotest.test_case "plain emission unchanged" `Quick
       test_plain_emission_has_no_instrumentation;
+    Alcotest.test_case "memory summary at 1, 4 and 72 threads" `Slow
+      test_memory_at_threads;
   ]

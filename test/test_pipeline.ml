@@ -878,6 +878,48 @@ int main() {
     (S.equal (Nd.get m [| 0; 0 |]) (S.I 0)
     && S.equal (Nd.get m [| 3; 3 |]) (S.I 0))
 
+(* Auto-par leaves no parallel region inside a function that only runs
+   inside one, so on a pool the interpreter never meets a nested region
+   (which would run inline, paying the region entry for nothing). *)
+let test_no_nested_regions () =
+  let ssh, _ = Eddy.Ssh_gen.generate ~lat:8 ~lon:9 ~time:4 ~n_eddies:2 ~seed:7 () in
+  let trough =
+    Nd.init_float [| 2; 3; 40 |] (fun ix ->
+        let fk = float_of_int ix.(2) in
+        if ix.(2) < 10 then 1.0 +. (0.01 *. fk)
+        else if ix.(2) < 20 then 1.1 -. (0.1 *. (fk -. 10.))
+        else if ix.(2) < 30 then 0.1 +. (0.1 *. (fk -. 20.))
+        else 1.1 -. (0.005 *. (fk -. 30.)))
+  in
+  let eddy_energy =
+    In_channel.with_open_text "../examples/eddy_energy.mc" In_channel.input_all
+  in
+  List.iter
+    (fun (name, src, inputs) ->
+      let dir = fresh_dir () in
+      List.iter (fun (p, m) -> Interp.Eval.provide_input ~dir p m) inputs;
+      Support.Telemetry.reset ();
+      Support.Telemetry.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Support.Telemetry.set_enabled false)
+        (fun () ->
+          Runtime.Pool.with_pool 3 (fun pool ->
+              ignore (run_ok ~c:full ~dir ~pool ~auto_par:true src));
+          Alcotest.(check bool) (name ^ ": regions ran") true
+            (Support.Telemetry.read Runtime.Pool.c_jobs > 0);
+          Alcotest.(check int) (name ^ ": nested inline runs") 0
+            (Support.Telemetry.read Runtime.Pool.c_nested)))
+    [
+      ("fig8_scoring", Eddy.Programs.fig8_scoring, [ ("ssh.data", trough) ]);
+      ("eddy_energy", eddy_energy, []);
+      ( "fig4_conncomp",
+        Eddy.Programs.fig4_conncomp,
+        [
+          ("ssh.data", ssh);
+          ("dates.data", Nd.init_int [| 4 |] (fun ix -> 1012000 + ix.(0)));
+        ] );
+    ]
+
 let suite =
   [
     Alcotest.test_case "composition reports pass" `Quick test_composition_reports;
@@ -924,6 +966,8 @@ let suite =
     Alcotest.test_case "generator bound variants" `Quick
       test_generator_bounds_variants;
     Alcotest.test_case "genarray subset region" `Quick test_genarray_subset_region;
+    Alcotest.test_case "auto-par: no nested regions on the pool" `Quick
+      test_no_nested_regions;
   ]
 
 let _ = matrix_only
