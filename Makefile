@@ -94,21 +94,31 @@ explain-check: all
 	  > _build/explain_check.json
 	dune exec bench/main.exe -- --check-explain-json _build/explain_check.json
 
-# Warm-cache contract: re-running an unchanged program reads the baked
-# composition snapshot and hits the binary cache, so its --stats must
-# show no composition analysis, no toolchain probe and no C compile.
-# Skips with a notice when no C compiler is installed.
+# Warm-cache contract: re-running an unchanged program goes through the
+# exec index straight to its cached binary, so its --stats must show a
+# binary-cache hit and no composition, frontend, lowering, emission,
+# toolchain probe or C compile.  A copy with a blank line appended misses
+# the index (it parses again) but still hits the binary cache.  Skips
+# with a notice when no C compiler is installed.
 warm-check: all
 	@if command -v $${MMC_CC:-cc} >/dev/null 2>&1; then \
 	  d=$$(mktemp -d) && \
-	  for run in cold warm; do \
+	  cp examples/eddy_energy.mc $$d/edited.mc && echo >> $$d/edited.mc && \
+	  for run in cold:examples/eddy_energy.mc warm:examples/eddy_energy.mc \
+	      whitespace:$$d/edited.mc; do \
 	    ./_build/default/bin/mmc.exe exec --stats --cache-dir $$d/cache \
-	      examples/eddy_energy.mc > /dev/null 2> $$d/$$run.stats || exit 1; \
+	      $${run#*:} > /dev/null 2> $$d/$${run%%:*}.stats || { rm -rf $$d; exit 1; }; \
 	  done; \
 	  if ! grep -q 'native.run ' $$d/warm.stats; then \
 	    echo "warm-check: FAIL (no --stats summary)"; rm -rf $$d; exit 1; \
-	  elif grep -E '(compose\.determinism|native\.probe|native\.compile) ' $$d/warm.stats; then \
-	    echo "warm-check: FAIL (warm run composed, probed or compiled)"; rm -rf $$d; exit 1; \
+	  elif grep -E '(driver\.compose|frontend\.parse|driver\.lower|driver\.emit|native\.probe|native\.compile) ' $$d/warm.stats; then \
+	    echo "warm-check: FAIL (warm run translated, probed or compiled)"; rm -rf $$d; exit 1; \
+	  elif ! grep -qE 'cache\.hit +1\.0$$' $$d/warm.stats; then \
+	    echo "warm-check: FAIL (warm run missed the binary cache)"; rm -rf $$d; exit 1; \
+	  elif ! grep -q 'frontend.parse ' $$d/whitespace.stats; then \
+	    echo "warm-check: FAIL (a whitespace edit hit the index)"; rm -rf $$d; exit 1; \
+	  elif grep -q 'native.compile ' $$d/whitespace.stats; then \
+	    echo "warm-check: FAIL (a whitespace edit missed the binary cache)"; rm -rf $$d; exit 1; \
 	  fi; \
 	  rm -rf $$d; echo "warm-check: OK"; \
 	else \

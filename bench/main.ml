@@ -580,7 +580,7 @@ let fresh_cache_dir () =
   d
 
 let exec_native ~cache_dir ~dir src =
-  match Driver.exec ~dir ~cache_dir c_full src with
+  match Driver.exec ~dir ~cache_dir (Driver.Composed c_full) src with
   | Driver.Ok_ o -> o
   | Driver.Failed ds ->
       Fmt.epr "native bench program failed: %s@." (Driver.diags_to_string ds);
@@ -622,7 +622,7 @@ let bench_native () =
               in
               Support.Telemetry.set_enabled false;
               Support.Telemetry.reset ();
-              (* Warm path: frontend + lower + cache hit + run. *)
+              (* Warm path: exec-index hit + run. *)
               let native =
                 wall (fun () -> ignore (exec_native ~cache_dir ~dir src))
               in
@@ -670,7 +670,7 @@ let profile_native_once ~cache_dir ~dir src =
   match
     Driver.profile_native
       ~config:(Driver.default_config c_full)
-      ~dir ~cache_dir c_full src
+      ~dir ~cache_dir (Driver.Composed c_full) src
   with
   | Driver.Ok_ (o, report) -> (o, report)
   | Driver.Failed ds ->
@@ -844,7 +844,7 @@ let bench_scaling_native () =
           let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
           Fmt.pr
             "  cube 96x96x64, eddy_energy 128x128x96; medians of %d alternating \
-             runs of `mmc exec` (frontend, cache hit and binary)@."
+             runs of `mmc exec` (exec-index hit and binary)@."
             runs;
           Fmt.pr "  %-22s %11s %11s %9s %12s@." "prog" "1 thr (ms)" "2 thr (ms)"
             "speedup" "host ref";
@@ -862,7 +862,7 @@ let bench_scaling_native () =
                       Driver.Pipeline.enable (Driver.default_config c_full)
                         "auto-par" (threads > 1)
                     in
-                    match Driver.exec ~config ~dir ~cache_dir ~threads c_full src with
+                    match Driver.exec ~config ~dir ~cache_dir ~threads (Driver.Composed c_full) src with
                     | Driver.Ok_ _ -> ()
                     | Driver.Failed ds ->
                         Fmt.epr "C1 native: %s failed: %s@." name
@@ -897,7 +897,7 @@ let bench_scaling_native () =
    overhead_pct} and are regression-gated by `bench --compare`. *)
 
 let exec_native_guards ~cache_dir ~dir src =
-  match Driver.exec ~guards:true ~dir ~cache_dir c_full src with
+  match Driver.exec ~guards:true ~dir ~cache_dir (Driver.Composed c_full) src with
   | Driver.Ok_ o -> o
   | Driver.Failed ds ->
       Fmt.epr "guarded bench program failed: %s@." (Driver.diags_to_string ds);
@@ -974,7 +974,7 @@ let bench_remarks () =
         match Driver.frontend c_full src with
         | Driver.Ok_ ast ->
             ignore
-              (Driver.lower ~config:(Driver.explain_config c_full) c_full ast)
+              (Driver.lower ~config:(Driver.explain_config c_full.Driver.selected) c_full ast)
         | Driver.Failed _ -> ())
       corpus
   in

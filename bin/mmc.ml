@@ -12,14 +12,26 @@
 
 open Cmdliner
 
-let read_source = function
-  | "-" -> In_channel.input_all In_channel.stdin
-  | path -> In_channel.with_open_text path In_channel.input_all
-
 (* Fatal CLI errors raise (rather than [exit], which would not unwind)
    so [with_telemetry]'s finalizer still reports --stats/--trace; the
    exception is turned back into the exit code inside the term body. *)
 exception Fatal of int
+
+let read_source file =
+  try
+    match file with
+    | "-" -> In_channel.input_all In_channel.stdin
+    | path -> In_channel.with_open_text path In_channel.input_all
+  with Sys_error m ->
+    (* Sys_error reads "FILE: reason"; name FILE once *)
+    let prefix = file ^ ": " in
+    let reason =
+      if String.starts_with ~prefix m then
+        String.sub m (String.length prefix) (String.length m - String.length prefix)
+      else m
+    in
+    Fmt.epr "mmc: cannot read %s: %s@." file reason;
+    raise (Fatal 1)
 
 let resolve_exts names =
   List.map
@@ -33,12 +45,13 @@ let resolve_exts names =
           raise (Fatal 2))
     names
 
+let composition_failed msg =
+  Fmt.epr "composition failed:@.%s@." msg;
+  raise (Fatal 2)
+
 let compose_or_die exts =
-  match Driver.compose exts with
-  | c -> c
-  | exception Driver.Compose_failed msg ->
-      Fmt.epr "composition failed:@.%s@." msg;
-      raise (Fatal 2)
+  try Driver.compose exts
+  with Driver.Compose_failed msg -> composition_failed msg
 
 (* --- common options ---------------------------------------------------------- *)
 
@@ -93,19 +106,20 @@ let o1_arg =
 let pipeline_term =
   Term.(const (fun p o0 o1 -> (p, o0, o1)) $ passes_arg $ o0_arg $ o1_arg)
 
-(* Build this invocation's pipeline config: the composition's defaults,
-   then -O0/-O1, then the command's own legacy toggles ([tweaks]), then
-   --passes — which overrides both selection and order.  An unknown
-   --passes name is a plain usage error listing the known passes (no
-   caret: there is no source position to point at). *)
-let resolve_config (passes_spec, o0, o1) ?(tweaks = fun cfg -> cfg) c =
+(* Build this invocation's pipeline config: the extension selection's
+   defaults, then -O0/-O1, then the command's own legacy toggles
+   ([tweaks]), then --passes — which overrides both selection and order.
+   An unknown --passes name is a plain usage error listing the known
+   passes (no caret: there is no source position to point at).  No
+   composition is needed. *)
+let resolve_config (passes_spec, o0, o1) ?(tweaks = fun cfg -> cfg) exts =
   if o0 && o1 then begin
     Fmt.epr "mmc: -O0 and -O1 are mutually exclusive@.";
     raise (Fatal 2)
   end;
   (* precedence: per-flag tweaks (--seq, --no-fuse, …) < -O0/-O1 <
      --passes, most specific last *)
-  let cfg = tweaks (Driver.default_config c) in
+  let cfg = tweaks (Driver.selection_config exts) in
   let cfg =
     if o0 then Driver.Pipeline.set_all cfg false
     else if o1 then Driver.Pipeline.set_all cfg true
@@ -225,9 +239,10 @@ let check_cmd =
   in
   let run exts_names auto_par pipeline remarks tele file =
     with_telemetry tele @@ fun () ->
-    let c = compose_or_die (resolve_exts exts_names) in
+    let exts = resolve_exts exts_names in
+    let c = compose_or_die exts in
     let config =
-      resolve_config pipeline c
+      resolve_config pipeline exts
         ~tweaks:(fun cfg -> Driver.Pipeline.enable cfg "auto-par" auto_par)
     in
     let src = read_source file in
@@ -283,9 +298,10 @@ let emit_cmd =
   let run exts_names no_fuse auto_par pipeline line_directives instrument
       remarks tele file =
     with_telemetry tele @@ fun () ->
-    let c = compose_or_die (resolve_exts exts_names) in
+    let exts = resolve_exts exts_names in
+    let c = compose_or_die exts in
     let config =
-      resolve_config pipeline c ~tweaks:(fun cfg ->
+      resolve_config pipeline exts ~tweaks:(fun cfg ->
           Driver.Pipeline.enable
             (Driver.Pipeline.enable cfg "fuse" (not no_fuse))
             "auto-par" auto_par)
@@ -423,9 +439,10 @@ let run_cmd =
       file =
     with_telemetry tele @@ fun () ->
     set_kernel_knobs block grain;
-    let c = compose_or_die (resolve_exts exts_names) in
+    let exts = resolve_exts exts_names in
+    let c = compose_or_die exts in
     let config =
-      resolve_config pipeline c ~tweaks:(fun cfg ->
+      resolve_config pipeline exts ~tweaks:(fun cfg ->
           Driver.Pipeline.enable cfg "auto-par" (threads > 1))
     in
     let src = read_source file in
@@ -479,12 +496,17 @@ let keep_c_arg =
 let no_cache_arg =
   Arg.(value & flag
        & info [ "no-cache" ]
-           ~doc:"Always recompile, bypassing the binary cache.")
+           ~doc:"Always translate and recompile, bypassing the exec index \
+                 and the binary cache.")
 
 let cache_dir_arg =
   Arg.(value & opt string Native.Cache.default_dir
        & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Binary-cache directory (default _mmc_cache).")
+           ~doc:"Directory of the binary cache and of the exec index in \
+                 front of it, which takes an unchanged program straight \
+                 from its source to its cached binary, replaying the \
+                 warnings of its first translation (default _mmc_cache; \
+                 created with its parents if missing).")
 
 let native_opts_term =
   Term.(
@@ -559,9 +581,10 @@ let exec_cmd =
       no_fuse no_copy_elim pipeline line_directives guards sanitize failpoints
       timeout_s max_bytes remarks tele file =
     with_telemetry tele @@ fun () ->
-    let c = compose_or_die (resolve_exts exts_names) in
+    (* Driver.exec composes only when its index misses *)
+    let exts = resolve_exts exts_names in
     let config =
-      resolve_config pipeline c ~tweaks:(fun cfg ->
+      resolve_config pipeline exts ~tweaks:(fun cfg ->
           let open Driver.Pipeline in
           enable
             (enable (enable cfg "fuse" (not no_fuse)) "copy-elim"
@@ -595,8 +618,9 @@ let exec_cmd =
     match
       Driver.exec ?dir:data_dir ~config ~warn ?cc ~cflags ?keep_c ?line_file ~guards
         ?sanitize ?failpoints ?timeout_s ?max_bytes ~cache:(not no_cache)
-        ~cache_dir ~threads c src
+        ~cache_dir ~threads (Driver.Selection exts) src
     with
+    | exception Driver.Compose_failed msg -> composition_failed msg
     | Driver.Ok_ o ->
         Fmt.pr "result: %a@." Native.Exec.pp_value o.Native.Exec.value;
         if o.Native.Exec.live > 0 then
@@ -609,8 +633,9 @@ let exec_cmd =
   in
   let doc =
     "Translate to plain parallel C, compile with the system C compiler \
-     (cached by content hash), execute the native binary supervised and \
-     print its result — bit-identical to $(b,run)."
+     (cached by content hash; an unchanged program goes straight from its \
+     source to its cached binary), execute the native binary supervised \
+     and print its result — bit-identical to $(b,run)."
   in
   Cmd.v (Cmd.info "exec" ~doc)
     Term.(
@@ -661,15 +686,16 @@ let profile_cmd =
       tele file =
     with_telemetry tele @@ fun () ->
     set_kernel_knobs block grain;
-    let c = compose_or_die (resolve_exts exts_names) in
+    let exts = resolve_exts exts_names in
     (* The interpreted leg keeps its historical default (auto-par follows
-       --threads); the native leg profiles the full pipeline. *)
+       --threads); the native leg profiles the full pipeline, composing
+       only when Driver.exec's index misses. *)
     let interp_config =
-      resolve_config pipeline c ~tweaks:(fun cfg ->
+      resolve_config pipeline exts ~tweaks:(fun cfg ->
           Driver.Pipeline.enable cfg "auto-par" (threads > 1))
     in
     let native_config =
-      resolve_config pipeline c ~tweaks:(fun cfg ->
+      resolve_config pipeline exts ~tweaks:(fun cfg ->
           Driver.Pipeline.enable cfg "auto-par" true)
     in
     let src = read_source file in
@@ -691,10 +717,14 @@ let profile_cmd =
         folded
     in
     let profile_native () =
-      Driver.profile_native ?dir:data_dir ~config:native_config ~warn ?cc ~cflags
-        ?keep_c ~cache:(not no_cache) ~cache_dir ~threads c src
+      try
+        Driver.profile_native ?dir:data_dir ~config:native_config ~warn ?cc
+          ~cflags ?keep_c ~cache:(not no_cache) ~cache_dir ~threads
+          (Driver.Selection exts) src
+      with Driver.Compose_failed msg -> composition_failed msg
     in
     let interp_profile k =
+      let c = compose_or_die exts in
       let body pool =
         with_robustness robust pool @@ fun () ->
         let outcome, report =
@@ -814,9 +844,10 @@ let explain_cmd =
   let run exts_names json only dump_ir ir_diff seq no_fuse no_copy_elim
       pipeline tele file =
     with_telemetry tele @@ fun () ->
-    let c = compose_or_die (resolve_exts exts_names) in
+    let exts = resolve_exts exts_names in
+    let c = compose_or_die exts in
     let config =
-      resolve_config pipeline c ~tweaks:(fun cfg ->
+      resolve_config pipeline exts ~tweaks:(fun cfg ->
           let open Driver.Pipeline in
           enable
             (enable (enable cfg "fuse" (not no_fuse)) "copy-elim"

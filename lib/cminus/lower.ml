@@ -26,6 +26,9 @@ let err span fmt =
 type scope = {
   mutable owned : string list;  (** matrix vars owned by this scope *)
   is_loop : bool;  (** break/continue release down to the loop scope *)
+  mutable renamed : (string * string) list;
+      (** source name -> C name, for the declarations in this scope whose
+          C name differs from the source name (see {!declare}) *)
 }
 
 type t = {
@@ -104,8 +107,42 @@ let is_mat = function Types.TMat _ -> true | _ -> false
 
 (* --- ownership helpers ------------------------------------------------------ *)
 
-let push_scope ?(is_loop = false) t = t.scopes <- { owned = []; is_loop } :: t.scopes
+let push_scope ?(is_loop = false) t =
+  t.scopes <- { owned = []; is_loop; renamed = [] } :: t.scopes
+
 let own t name = (List.hd t.scopes).owned <- name :: (List.hd t.scopes).owned
+
+(** The C name of source variable [v] where it is read here. *)
+let c_name t v =
+  Option.value ~default:v
+    (List.find_map (fun sc -> List.assoc_opt v sc.renamed) t.scopes)
+
+(* [declare t name] — the C name of a declaration of [name] in the
+   current scope.  Releases name C variables, and an early exit releases
+   what every enclosing scope owns: a declaration that would hide an
+   owned C variable gets a fresh name, so the outer binding can still be
+   named from inside.  Any other declaration keeps its name (hiding a
+   renamed outer one).  Call after lowering the initialiser, which still
+   sees the outer binding. *)
+let declare t name =
+  let cname =
+    if List.exists (fun sc -> List.mem name sc.owned) t.scopes then
+      fresh t name
+    else name
+  in
+  if cname <> name || c_name t name <> name then
+    (List.hd t.scopes).renamed <- (name, cname) :: (List.hd t.scopes).renamed;
+  cname
+
+(** [binding t names f] — [f ()] with [names] (e.g. a generator's
+    indices, bound by an extension's lowering under their source names)
+    hiding any renamed declaration of the same names. *)
+let binding t names f =
+  push_scope t;
+  (List.hd t.scopes).renamed <- List.map (fun n -> (n, n)) names;
+  let r = f () in
+  t.scopes <- List.tl t.scopes;
+  r
 
 (** Remember a statement-level owned temporary (also used by extension
     lowerings for intermediate slices etc.). *)
@@ -199,7 +236,7 @@ let rec lower_expr ?expected t (e : Ast.expr) : stmt list * expr =
   | Ast.FloatLit f -> ([], Float f)
   | Ast.BoolLit b -> ([], Bool b)
   | Ast.StrLit s -> ([], Str s)
-  | Ast.Ident v -> ([], Var v)
+  | Ast.Ident v -> ([], Var (c_name t v))
   | Ast.Bin (op, a, b) -> (
       let ta = ety a and tb = ety b in
       if Types.is_scalar ta && Types.is_scalar tb && host_binop_ok op then
@@ -361,11 +398,13 @@ let rec lower_stmt t (st : Ast.stmt) : stmt list =
                checker allows only when every path assigns first (the
                paper's programs follow this; see Fig 8's `trough`).  The
                variable still owns whatever it ends up holding. *)
+            let name = declare t name in
             if is_mat ty then own t name;
             [ Decl (cty, name, None) ]
         | Some ie ->
             let si, ei = lower_expr ~expected:ty t ie in
             let ei = coerce ~from:(ety ie) ~to_:ty ei in
+            let name = declare t name in
             let retain =
               if is_mat ty && t.rc then
                 if consume_pending t ei then []
@@ -416,7 +455,9 @@ let rec lower_stmt t (st : Ast.stmt) : stmt list =
            but the first, before the body's declarations, where the
            fall-through and every continue reach it. *)
         let shadowed =
-          List.exists (fun v -> List.mem v (names_in sstep)) (visible_decls body)
+          List.exists
+            (fun v -> List.mem (c_name t v) (names_in sstep))
+            (visible_decls body)
         in
         let rec patch_continue (st : Ast.stmt) : Ast.stmt =
           match st.Ast.s with
@@ -514,6 +555,7 @@ and lower_assign t span (lhs : Ast.expr) (rhs : Ast.expr) : stmt list =
   | Ast.Ident v when is_mat (ety lhs) && Types.is_scalar (ety rhs) ->
       (* Whole-matrix scalar fill: m = 0 writes every element (the matrix
          extension's overloaded assignment). *)
+      let v = c_name t v in
       let elem =
         match ety lhs with
         | Types.TMat (e, _) -> e
@@ -533,6 +575,7 @@ and lower_assign t span (lhs : Ast.expr) (rhs : Ast.expr) : stmt list =
             };
         ]
   | Ast.Ident v ->
+      let v = c_name t v in
       let ty = ety lhs in
       let sr, er = lower_expr ~expected:ty t rhs in
       let er = coerce ~from:(ety rhs) ~to_:ty er in
@@ -563,6 +606,7 @@ and lower_assign t span (lhs : Ast.expr) (rhs : Ast.expr) : stmt list =
              (fun i (p : Ast.expr) ->
                match p.Ast.e with
                | Ast.Ident v ->
+                   let v = c_name t v in
                    let pty = ety p in
                    if is_mat pty && t.rc then
                      rc_dec t (Var v)

@@ -213,15 +213,14 @@ let frontend (c : composed) (src : string) : Cminus.Ast.program outcome =
           in
           if Support.Diag.has_errors diags then Failed diags else Ok_ ast)
 
-(** The CIR passes the selected extensions registered, in pipeline
-    order. *)
-let registered_passes (c : composed) : Cir.Pass.t list =
-  List.concat_map (fun x -> x.passes) c.selected
+(** The default pipeline for an extension selection: the CIR passes the
+    extensions register, in pipeline order, each at its own default.  It
+    needs no composition. *)
+let selection_config (selected : extension list) : Pipeline.config =
+  Pipeline.default (List.concat_map (fun x -> x.passes) selected)
 
-(** The default pipeline for this composition: every registered pass at
-    its own default. *)
-let default_config (c : composed) : Pipeline.config =
-  Pipeline.default (registered_passes c)
+(** The default pipeline for this composition. *)
+let default_config (c : composed) : Pipeline.config = selection_config c.selected
 
 let config_or_default config c =
   match config with Some cfg -> cfg | None -> default_config c
@@ -391,12 +390,52 @@ let native_failure_diag (e : Native.Exec.error) =
   let span = Option.value span ~default:Support.Pos.dummy_span in
   Support.Diag.error ~phase ~span "%s" (Native.Exec.describe_error e)
 
-(** [exec c src] — the native twin of {!run}: emit self-contained C (exec
+(** What {!exec} translates with.  [Selection exts] composes [exts] only
+    when a translation runs: an exec index hit needs no translator. *)
+type translator = Composed of composed | Selection of extension list
+
+let selection = function Composed c -> c.selected | Selection exts -> exts
+
+let composed_of = function Composed c -> c | Selection exts -> compose exts
+
+(** [index_key ?build_id ~selected ~config ?line_file ?instrument ?guards
+    ~toolchain src] — the exec index key of translating [src] with the
+    extensions [selected] under [config] and these emit modes, for
+    [toolchain].  [build_id] defaults to this build's. *)
+let index_key ?(build_id = Build_id.id) ~selected ~config ?line_file
+    ?(instrument = false) ?(guards = false) ~toolchain src =
+  Native.Index.key ~build_id ~source:src
+    ~extensions:(List.map (fun x -> x.x_name) selected)
+    ~pipeline:(Pipeline.canon config) ~line_file ~instrument ~guards
+    ~toolchain
+
+(* A cache directory must be a directory, made with its parents when
+   missing: the index and the binary cache write there. *)
+let unusable_cache_dir dir =
+  match Native.Cache.ensure_dir dir with
+  | Ok () -> None
+  | Error reason ->
+      Some
+        [
+          Support.Diag.error ~phase:"native-compile" ~span:Support.Pos.dummy_span
+            "cache directory %S cannot be used: %s" dir reason;
+        ]
+
+(** [exec t src] — the native twin of {!run}: emit self-contained C (exec
     harness included), compile it with the system toolchain through the
     binary cache, run the binary supervised in [dir] (without it, a
     temporary directory removed when [exec] returns), and parse its
     printed result.  The returned outcome's [value] matches what {!run}
     would have produced, bit-for-bit.
+
+    The exec index ({!Native.Index}) sits in front of the binary cache:
+    when it maps [src] and every other input of the translation to a
+    cached binary, [exec] replays the translation's warnings through
+    [warn] and runs that binary without composing, parsing, lowering or
+    emitting anything.  A miss translates, compiles through the binary
+    cache and records the entry once the binary exists.  [cache:false],
+    [keep_c] (it needs the C text) and remark collection bypass the
+    index.
 
     Recovery policy (both legs export telemetry):
     - a failed compile is retried once after forcing the cache slot to be
@@ -407,57 +446,100 @@ let native_failure_diag (e : Native.Exec.error) =
       disarmed, gauged as [native.degraded].  Deterministic failures
       (guard faults, mm_fatal exits, timeouts) never degrade — rerunning
       cannot change them. *)
-let exec ?config ?warn ?dir ?cc ?(cflags = []) ?keep_c
-    ?line_file ?instrument ?guards ?sanitize ?failpoints ?timeout_s
-    ?max_bytes ?(cache = true) ?cache_dir ?(threads = 1) (c : composed)
-    (src : string) : Native.Exec.outcome outcome =
-  let cfg = config_or_default config c in
-  match missing_data_dir dir with
-  | Some d -> Failed d
-  | None ->
-  match
-    compile_to_c ~config:cfg ?warn ?line_file ?instrument
-      ?guards ~exec_harness:true c src
-  with
-  | Failed d -> Failed d
-  | Ok_ c_text -> (
-      Support.Tmpdir.with_dir ?dir ~prefix:"mmcfs" @@ fun dir ->
-      let attempt ?failpoints ~cache ~threads () =
-        Tel.with_span ~phase:"run" "driver.exec" (fun () ->
-            Native.Exec.run ?cc ~cflags ~cache ?cache_dir ?keep_c ?instrument
-              ?sanitize ?failpoints ?timeout_s ?max_bytes ~threads ~dir
-              ~pipeline:(Pipeline.canon cfg) c_text)
+let exec ?config ?(warn = ignore) ?dir ?cc ?(cflags = []) ?keep_c ?line_file
+    ?instrument ?guards ?sanitize ?failpoints ?timeout_s ?max_bytes
+    ?(cache = true) ?(cache_dir = Native.Cache.default_dir) ?(threads = 1)
+    (t : translator) (src : string) : Native.Exec.outcome outcome =
+  let cfg =
+    match config with Some cfg -> cfg | None -> selection_config (selection t)
+  in
+  match (missing_data_dir dir, unusable_cache_dir cache_dir) with
+  | Some d, _ | None, Some d -> Failed d
+  | None, None -> (
+      let index =
+        if cache && keep_c = None && not (Support.Remark.on ()) then
+          Some
+            (index_key ~selected:(selection t) ~config:cfg ?line_file
+               ?instrument ?guards
+               ~toolchain:(Native.Toolchain.configure ?cc ~cflags ?sanitize ())
+               src)
+        else None
       in
-      let first = attempt ?failpoints ~cache ~threads () in
-      let recovered =
-        match first with
-        | Error (Native.Exec.Toolchain_error (Native.Toolchain.Compile_failed _))
-          ->
-            (* cache:false skips the lookup but still (re)writes the slot,
-               so a stale object cannot poison the retry *)
-            Tel.set_gauge "native.retries" 1.;
-            attempt ?failpoints ~cache:false ~threads ()
-        | Error (Native.Exec.Run_signaled _) when threads > 1 ->
-            (* [Some ""] explicitly disarms an inherited MM_FAILPOINTS
-               spec: the degraded run must observe the program, not the
-               fault injection that just killed it *)
-            Tel.set_gauge "native.degraded" 1.;
-            attempt ~failpoints:"" ~cache:true ~threads:1 ()
-        | r -> r
+      (* [binary ~cache]: the index hit, or the translated program
+         resolved through the binary cache and then recorded in the
+         index. *)
+      let binary =
+        match Option.bind index (Native.Index.find ~dir:cache_dir) with
+        | Some (b, warnings) ->
+            List.iter warn warnings;
+            Ok_ (fun ~cache:_ -> Ok b)
+        | None -> (
+            let warnings = ref [] in
+            let warn d =
+              warnings := d :: !warnings;
+              warn d
+            in
+            match
+              compile_to_c ~config:cfg ~warn ?line_file ?instrument ?guards
+                ~exec_harness:true (composed_of t) src
+            with
+            | Failed d -> Failed d
+            | Ok_ c_text ->
+                Ok_
+                  (fun ~cache ->
+                    let b =
+                      Native.Exec.resolve ?cc ~cflags ~cache ~cache_dir ?keep_c
+                        ?instrument ?sanitize ~pipeline:(Pipeline.canon cfg)
+                        c_text
+                    in
+                    (match (b, index) with
+                    | Ok b, Some k ->
+                        Native.Index.record ~dir:cache_dir k b
+                          (List.rev !warnings)
+                    | _ -> ());
+                    b))
       in
-      match recovered with
-      | Ok outcome -> Ok_ outcome
-      | Error e ->
-          (* the first error wins the report when recovery also failed
-             with a strictly less informative class *)
-          let e =
-            match (first, e) with
-            | Error (Native.Exec.Run_signaled _ as orig), Native.Exec.Run_failed _
-              ->
-                orig
-            | _ -> e
+      match binary with
+      | Failed d -> Failed d
+      | Ok_ binary -> (
+          Support.Tmpdir.with_dir ?dir ~prefix:"mmcfs" @@ fun dir ->
+          let attempt ?failpoints ~cache ~threads () =
+            Tel.with_span ~phase:"run" "driver.exec" (fun () ->
+                Result.bind (binary ~cache)
+                  (Native.Exec.run_binary ?instrument ?sanitize ?failpoints
+                     ?timeout_s ?max_bytes ~threads ~dir))
           in
-          Failed [ native_failure_diag e ])
+          let first = attempt ?failpoints ~cache ~threads () in
+          let recovered =
+            match first with
+            | Error
+                (Native.Exec.Toolchain_error (Native.Toolchain.Compile_failed _))
+              ->
+                (* cache:false skips the lookup but still (re)writes the
+                   slot, so a stale object cannot poison the retry *)
+                Tel.set_gauge "native.retries" 1.;
+                attempt ?failpoints ~cache:false ~threads ()
+            | Error (Native.Exec.Run_signaled _) when threads > 1 ->
+                (* [Some ""] explicitly disarms an inherited MM_FAILPOINTS
+                   spec: the degraded run must observe the program, not
+                   the fault injection that just killed it *)
+                Tel.set_gauge "native.degraded" 1.;
+                attempt ~failpoints:"" ~cache:true ~threads:1 ()
+            | r -> r
+          in
+          match recovered with
+          | Ok outcome -> Ok_ outcome
+          | Error e ->
+              (* the first error wins the report when recovery also failed
+                 with a strictly less informative class *)
+              let e =
+                match (first, e) with
+                | ( Error (Native.Exec.Run_signaled _ as orig),
+                    Native.Exec.Run_failed _ ) ->
+                    orig
+                | _ -> e
+              in
+              Failed [ native_failure_diag e ]))
 
 (** [diags_to_string ?src ds] — rendered diagnostics; with [src] each one
     gains a clang-style source excerpt with a caret underline. *)
@@ -851,8 +933,8 @@ end
     ({!explain}, {!profile}, {!profile_native}): auto-parallelization on —
     those commands answer "what would the optimizer do", so the default
     shows the full pipeline at work. *)
-let explain_config (c : composed) : Pipeline.config =
-  Pipeline.enable (default_config c) "auto-par" true
+let explain_config (selected : extension list) : Pipeline.config =
+  Pipeline.enable (selection_config selected) "auto-par" true
 
 (** [explain ?… c src] — compile [src] with remark collection on and
     return (lowering outcome, report).  [dump_passes]/[ir_diff] drive the
@@ -863,7 +945,9 @@ let explain_config (c : composed) : Pipeline.config =
 let explain ?config ?(dump_passes = []) ?(ir_diff = false) ?warn
     (c : composed) (src : string) :
     Cir.Ir.program outcome * Explain_report.t =
-  let cfg = match config with Some cfg -> cfg | None -> explain_config c in
+  let cfg =
+    match config with Some cfg -> cfg | None -> explain_config c.selected
+  in
   Support.Remark.reset ();
   Support.Remark.set_enabled true;
   let sink = Cir.Snapshot.create ~passes:dump_passes ~diff:ir_diff () in
@@ -885,7 +969,9 @@ let profile ?config ?warn ?pool ?dir
     (fun p ->
       Tel.set_gauge "pool.threads" (float_of_int (Runtime.Pool.threads p)))
     pool;
-  let cfg = match config with Some cfg -> cfg | None -> explain_config c in
+  let cfg =
+    match config with Some cfg -> cfg | None -> explain_config c.selected
+  in
   let prep =
     match missing_data_dir dir with
     | Some d -> Failed d
@@ -926,19 +1012,21 @@ let profile ?config ?warn ?pool ?dir
           | Some diag -> (Failed [ diag ], report)
           | None -> Printexc.raise_with_backtrace e bt))
 
-(** [profile_native ?… c src] — the native twin of {!profile}: emit
+(** [profile_native ?… t src] — the native twin of {!profile}: emit
     instrumented C (exec harness plus mm_prof enter/exit calls over the
-    generated span table), compile and run it through the binary cache
+    generated span table), compile and run it through {!exec}
     (instrumented binaries key separately), and parse the binary's
     mm_profile.json sidecar back into the same report shape [mmc
     profile] renders for interpreted runs. *)
 let profile_native ?config ?warn ?dir ?cc ?cflags
-    ?keep_c ?cache ?cache_dir ?(threads = 1) ?line_file (c : composed)
+    ?keep_c ?cache ?cache_dir ?(threads = 1) ?line_file (t : translator)
     (src : string) : (Native.Exec.outcome * Profile_report.t) outcome =
-  let cfg = match config with Some cfg -> cfg | None -> explain_config c in
+  let cfg =
+    match config with Some cfg -> cfg | None -> explain_config (selection t)
+  in
   match
     exec ~config:cfg ?warn ?dir ?cc ?cflags ?keep_c ?line_file
-      ~instrument:true ?cache ?cache_dir ~threads c src
+      ~instrument:true ?cache ?cache_dir ~threads t src
   with
   | Failed d -> Failed d
   | Ok_ outcome -> (

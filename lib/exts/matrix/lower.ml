@@ -1074,7 +1074,9 @@ let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
           ([], []) shape
       in
       let r = L.fresh t "gen" in
-      let sbody, ebody = L.lower_expr t body in
+      let sbody, ebody =
+        L.binding t gen.Nodes.ids (fun () -> L.lower_expr t body)
+      in
       let ebody =
         match (ety body, out_elem) with
         | T.TInt, Nd.EFloat -> Unop (FloatOfInt, ebody)
@@ -1127,7 +1129,9 @@ let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
         | T.TInt, T.TFloat -> Unop (FloatOfInt, ebase)
         | _ -> ebase
       in
-      let sbody, ebody = L.lower_expr t body in
+      let sbody, ebody =
+        L.binding t gen.Nodes.ids (fun () -> L.lower_expr t body)
+      in
       let ebody =
         match (ety body, rty) with
         | T.TInt, T.TFloat -> Unop (FloatOfInt, ebody)

@@ -56,9 +56,18 @@ let key ~(toolchain : Toolchain.t) ?(instrument = false) ?(pipeline = "")
           @ prof_part @ pipeline_part
           @ Toolchain.requested_flags toolchain)))
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+(** [ensure_dir dir] — [dir] as a directory, created with its parents if
+    missing; [Error reason] when it names something else or cannot be
+    created. *)
+let rec ensure_dir dir =
+  if Sys.file_exists dir then
+    if Sys.is_directory dir then Ok () else Error (dir ^ " is not a directory")
+  else
+    Result.bind (ensure_dir (Filename.dirname dir)) (fun () ->
+        match Sys.mkdir dir 0o755 with
+        | () -> Ok ()
+        | exception Sys_error _ when Sys.file_exists dir -> Ok ()
+        | exception Sys_error m -> Error m)
 
 (* A fresh file next to [path], to be renamed into place. *)
 let temp_beside path =
@@ -107,8 +116,9 @@ let runtime_units ~instrument =
   ("mm_runtime.c", Runtime_c.impl)
   :: (if instrument then [ ("mm_prof.c", Runtime_c.prof_impl) ] else [])
 
+(* A directory that cannot be made fails the first write into it. *)
 let write_headers ~dir ~instrument =
-  ensure_dir dir;
+  ignore (ensure_dir dir);
   write_file (Filename.concat dir "mm_runtime.h") Runtime_c.header;
   if instrument then
     write_file (Filename.concat dir "mm_prof.h") Runtime_c.prof_header

@@ -337,17 +337,11 @@ let parse_output text : (value * int, error) result =
 
 (* --- compile + run ------------------------------------------------------ *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let keep_c_sources ~keep_c ~instrument c_text =
   Option.iter
     (fun path ->
       let dir = Filename.dirname path in
-      mkdir_p dir;
+      ignore (Cache.ensure_dir dir);
       let write p text =
         Out_channel.with_open_text p (fun oc ->
             Out_channel.output_string oc text)
@@ -405,118 +399,131 @@ let build tc ~cache_dir ~instrument ~rebuild ~k c_text =
       in
       Ok exe)
 
-(** [run ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?threads
-    ?sanitize ?failpoints ?timeout_s ?max_bytes ~dir c_text] — the whole
-    native path: hit or fill the binary cache, execute supervised in
-    [dir] (where readMatrix/writeMatrix files live) with
-    [OMP_NUM_THREADS=threads], and parse the result protocol.
+
+type binary = {
+  path : string;  (** the cached binary *)
+  key : string;  (** its binary-cache key ({!Cache.key}) *)
+  cached : bool;  (** true iff no compile ran to produce it *)
+}
+(** A program's binary, resolved through the cache. *)
+
+(** [resolve ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?sanitize
+    ?pipeline c_text] — the binary [c_text] compiles to, from the cache
+    when it holds one.
 
     A hit runs no compiler.  A miss probes the toolchain (including
     [-fsanitize] support when [sanitize] is given), builds the cached
     runtime object if this configuration has none yet, and compiles only
     the program's translation unit.  [cache:false] skips the lookup and
-    rebuilds the runtime object as well as the binary.
+    rebuilds the runtime object as well as the binary.  With
+    [instrument] the profiling runtime is linked in, under its own cache
+    key.  The probe, runtime-object and compile legs are telemetry spans
+    ([native.probe], [native.runtime_object], [native.compile]). *)
+let resolve ?cc ?(cflags = []) ?(cache = true) ?(cache_dir = Cache.default_dir)
+    ?keep_c ?(instrument = false) ?sanitize ?pipeline (c_text : string) :
+    (binary, error) result =
+  let tc = Toolchain.configure ?cc ~cflags ?sanitize () in
+  keep_c_sources ~keep_c ~instrument c_text;
+  let key = Cache.key ~toolchain:tc ~instrument ?pipeline c_text in
+  match if cache then Cache.lookup ~dir:cache_dir key else None with
+  | Some path -> Ok { path; key; cached = true }
+  | None -> (
+      match build tc ~cache_dir ~instrument ~rebuild:(not cache) ~k:key c_text with
+      | Ok path -> Ok { path; key; cached = false }
+      | Error e -> Error (Toolchain_error e))
+
+(** [run_binary ?instrument ?threads ?sanitize ?failpoints ?timeout_s
+    ?max_bytes ~dir b] — execute [b] supervised in [dir] (where
+    readMatrix/writeMatrix files live) with [OMP_NUM_THREADS=threads],
+    and parse the result protocol.
 
     [failpoints] is an MM_FAILPOINTS spec armed in the child's
     environment ([Some ""] explicitly disarms an inherited spec);
     [timeout_s]/[max_bytes] become the supervisor's wall-clock deadline
-    and address-space cap.  With [instrument] the profiling runtime is
-    linked in (under its own cache key) and the binary's
-    mm_profile.json sidecar comes back in [outcome.profile_json].
-    The probe, runtime-object, compile and run legs are telemetry spans
-    ([native.probe], [native.runtime_object], [native.compile],
-    [native.run]); signal deaths and deadline kills export
-    [native.signal] / [native.timeout]. *)
-let run ?cc ?(cflags = []) ?(cache = true) ?(cache_dir = Cache.default_dir)
-    ?keep_c ?(instrument = false) ?(threads = 1) ?sanitize ?failpoints
-    ?timeout_s ?max_bytes ?pipeline ~dir (c_text : string) :
-    (outcome, error) result =
-  let tc = Toolchain.configure ?cc ~cflags ?sanitize () in
-  keep_c_sources ~keep_c ~instrument c_text;
-  let k = Cache.key ~toolchain:tc ~instrument ?pipeline c_text in
-  let compiled =
-    match if cache then Cache.lookup ~dir:cache_dir k else None with
-    | Some exe -> Ok (exe, true)
-    | None -> (
-        match
-          build tc ~cache_dir ~instrument ~rebuild:(not cache) ~k c_text
-        with
-        | Ok exe -> Ok (exe, false)
-        | Error e -> Error (Toolchain_error e))
+    and address-space cap.  [instrument] says [b] links the profiling
+    runtime: its mm_profile.json sidecar comes back in
+    [outcome.profile_json].  [sanitize] must be the mode [b] was built
+    under.  The run is the telemetry span [native.run]; signal deaths
+    and deadline kills export [native.signal] / [native.timeout]. *)
+let run_binary ?(instrument = false) ?(threads = 1) ?sanitize ?failpoints
+    ?timeout_s ?max_bytes ~dir (b : binary) : (outcome, error) result =
+  let out = Filename.temp_file "mmc_exec" ".out" in
+  let err = Filename.temp_file "mmc_exec" ".err" in
+  (* Run with cwd = data dir so matrix paths resolve exactly like the
+     interpreter's virtual filesystem rooted at [dir]. *)
+  let abs_exe =
+    if Filename.is_relative b.path then Filename.concat (Sys.getcwd ()) b.path
+    else b.path
   in
-  match compiled with
-  | Error e -> Error e
-  | Ok (exe, from_cache) -> (
-      let out = Filename.temp_file "mmc_exec" ".out" in
-      let err = Filename.temp_file "mmc_exec" ".err" in
-      (* Run with cwd = data dir so matrix paths resolve exactly like
-         the interpreter's virtual filesystem rooted at [dir]. *)
-      let abs_exe =
-        if Filename.is_relative exe then
-          Filename.concat (Sys.getcwd ()) exe
-        else exe
-      in
-      let sidecar = Filename.concat dir sidecar_name in
-      if instrument then
-        (* a stale sidecar from an earlier run must not be read back *)
-        remove_if_exists sidecar;
-      remove_if_exists (Filename.concat dir crash_sidecar_name);
-      let env =
-        [ ("OMP_NUM_THREADS", string_of_int (max 1 threads)) ]
-        @ (match failpoints with
-          | Some spec -> [ ("MM_FAILPOINTS", spec) ]
-          | None -> [])
-        @
-        (* mm programs intentionally exit with live allocations (the
-           __mm_live leak-parity check observes them); ASan's leak
-           detector would turn every run into a failure *)
-        match sanitize with
-        | Some "address" -> [ ("ASAN_OPTIONS", "detect_leaks=0") ]
-        | _ -> []
-      in
-      let status =
-        Support.Telemetry.with_span ~phase:"native" "native.run"
-          (fun () ->
-            Supervise.run ~env ?timeout_s ?max_bytes ~dir
-              ~stdout_file:out ~stderr_file:err abs_exe)
-      in
-      let stdout_text = In_channel.with_open_bin out In_channel.input_all in
-      let stderr_text = In_channel.with_open_bin err In_channel.input_all in
-      List.iter
-        (fun f -> try Sys.remove f with Sys_error _ -> ())
-        [ out; err ];
-      match status with
-      | Supervise.Timed_out { after_s } ->
-          Support.Telemetry.set_gauge "native.timeout" 1.;
-          Error (Run_timeout { timeout_s = after_s; stderr_text })
-      | Supervise.Signaled { signal; name } ->
-          Support.Telemetry.set_gauge "native.signal"
-            (float_of_int signal);
-          Error
-            (Run_signaled
-               {
-                 signal;
-                 signal_name = name;
-                 stderr_text;
-                 fault = scan_fault stdout_text;
-                 crash_span = read_crash_span ~dir;
-               })
-      | Supervise.Exited 71 -> (
-          (* the guard runtime's dedicated exit: a structured fault
-             line must be on stdout *)
-          match scan_fault stdout_text with
-          | Some f -> Error (Guard_fault f)
-          | None -> Error (Run_failed { exit_code = 71; stderr_text }))
-      | Supervise.Exited code when code <> 0 ->
-          Error (Run_failed { exit_code = code; stderr_text })
-      | Supervise.Exited _ -> (
-          match parse_output stdout_text with
-          | Error e -> Error e
-          | Ok (value, live) ->
-              let profile_json =
-                if instrument && Sys.file_exists sidecar then
-                  Some
-                    (In_channel.with_open_bin sidecar In_channel.input_all)
-                else None
-              in
-              Ok { value; live; exe; from_cache; profile_json }))
+  let sidecar = Filename.concat dir sidecar_name in
+  if instrument then
+    (* a stale sidecar from an earlier run must not be read back *)
+    remove_if_exists sidecar;
+  remove_if_exists (Filename.concat dir crash_sidecar_name);
+  let env =
+    [ ("OMP_NUM_THREADS", string_of_int (max 1 threads)) ]
+    @ (match failpoints with
+      | Some spec -> [ ("MM_FAILPOINTS", spec) ]
+      | None -> [])
+    @
+    (* mm programs intentionally exit with live allocations (the
+       __mm_live leak-parity check observes them); ASan's leak detector
+       would turn every run into a failure *)
+    match sanitize with
+    | Some "address" -> [ ("ASAN_OPTIONS", "detect_leaks=0") ]
+    | _ -> []
+  in
+  let status =
+    Support.Telemetry.with_span ~phase:"native" "native.run" (fun () ->
+        Supervise.run ~env ?timeout_s ?max_bytes ~dir ~stdout_file:out
+          ~stderr_file:err abs_exe)
+  in
+  let stdout_text = In_channel.with_open_bin out In_channel.input_all in
+  let stderr_text = In_channel.with_open_bin err In_channel.input_all in
+  List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ out; err ];
+  match status with
+  | Supervise.Timed_out { after_s } ->
+      Support.Telemetry.set_gauge "native.timeout" 1.;
+      Error (Run_timeout { timeout_s = after_s; stderr_text })
+  | Supervise.Signaled { signal; name } ->
+      Support.Telemetry.set_gauge "native.signal" (float_of_int signal);
+      Error
+        (Run_signaled
+           {
+             signal;
+             signal_name = name;
+             stderr_text;
+             fault = scan_fault stdout_text;
+             crash_span = read_crash_span ~dir;
+           })
+  | Supervise.Exited 71 -> (
+      (* the guard runtime's dedicated exit: a structured fault line must
+         be on stdout *)
+      match scan_fault stdout_text with
+      | Some f -> Error (Guard_fault f)
+      | None -> Error (Run_failed { exit_code = 71; stderr_text }))
+  | Supervise.Exited code when code <> 0 ->
+      Error (Run_failed { exit_code = code; stderr_text })
+  | Supervise.Exited _ -> (
+      match parse_output stdout_text with
+      | Error e -> Error e
+      | Ok (value, live) ->
+          let profile_json =
+            if instrument && Sys.file_exists sidecar then
+              Some (In_channel.with_open_bin sidecar In_channel.input_all)
+            else None
+          in
+          Ok { value; live; exe = b.path; from_cache = b.cached; profile_json })
+
+(** [run ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?threads
+    ?sanitize ?failpoints ?timeout_s ?max_bytes ?pipeline ~dir c_text] —
+    the whole native path: {!resolve} the binary, then {!run_binary}
+    it. *)
+let run ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?threads ?sanitize
+    ?failpoints ?timeout_s ?max_bytes ?pipeline ~dir (c_text : string) :
+    (outcome, error) result =
+  Result.bind
+    (resolve ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?sanitize
+       ?pipeline c_text)
+    (run_binary ?instrument ?threads ?sanitize ?failpoints ?timeout_s
+       ?max_bytes ~dir)

@@ -253,7 +253,7 @@ let test_reorder_native_matches_interp () =
   let dir = Filename.temp_file "mmgolden" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  match Driver.exec ~config ~dir ~cache_dir:dir all4 reorder_src with
+  match Driver.exec ~config ~dir ~cache_dir:dir (Driver.Composed all4) reorder_src with
   | Driver.Ok_ o ->
       Alcotest.(check string) "native value = interp value" iv
         (Fmt.str "%a" Native.Exec.pp_value o.Native.Exec.value)
@@ -361,6 +361,35 @@ let test_cli_help_renders () =
       [ ""; "analyze"; "check"; "emit"; "run"; "exec"; "profile"; "explain" ]
   end
 
+(* A source file that cannot be read is a plain usage error naming it in
+   every subcommand that reads one, never an uncaught Sys_error. *)
+let test_cli_missing_source () =
+  if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
+  else begin
+    let dir = Filename.temp_file "mmgolden" "" in
+    Sys.remove dir;
+    Sys.mkdir dir 0o755;
+    let missing = Filename.concat dir "missing.mc" in
+    let err = Filename.concat dir "err.txt" in
+    List.iter
+      (fun cmd ->
+        let code =
+          Sys.command
+            (Printf.sprintf "%s %s %s > /dev/null 2> %s"
+               (Filename.quote mmc_exe) cmd (Filename.quote missing)
+               (Filename.quote err))
+        in
+        let text = In_channel.with_open_text err In_channel.input_all in
+        Alcotest.(check int) (cmd ^ " exits 1") 1 code;
+        Alcotest.(check bool)
+          (cmd ^ " names the file")
+          true
+          (contains ("cannot read " ^ missing) text);
+        Alcotest.(check bool) (cmd ^ " reports no internal error") false
+          (contains "internal error" text))
+      [ "check"; "emit"; "run"; "exec"; "profile"; "explain" ]
+  end
+
 (* --- diff-size cap --------------------------------------------------------- *)
 
 let test_ir_diff_cap_falls_back_to_full_dumps () =
@@ -417,6 +446,8 @@ let suite =
       test_cli_unknown_pass_diagnostic;
     Alcotest.test_case "cli: every --help renders without errors" `Quick
       test_cli_help_renders;
+    Alcotest.test_case "cli: a missing source file is a plain error" `Quick
+      test_cli_missing_source;
     Alcotest.test_case "--ir-diff caps the LCS and dumps both versions" `Quick
       test_ir_diff_cap_falls_back_to_full_dumps;
     Alcotest.test_case "permuted extension order emits oracle C" `Quick

@@ -19,4 +19,5 @@ let () =
       ("native", Test_native.suite);
       ("native_profile", Test_native_profile.suite);
       ("native_faults", Test_native_faults.suite);
+      ("exec_index", Test_exec_index.suite);
     ]

@@ -94,7 +94,7 @@ let differential ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
   let nv =
     match
       Driver.exec ~dir:dir_n ~config ~threads ~cflags
-        ~cache_dir:(Lazy.force suite_cache) full src
+        ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
     with
     | Driver.Ok_ o -> o
     | Driver.Failed ds ->
@@ -294,7 +294,7 @@ let test_roundtrip_bytes () =
   check_roundtrip ~label:"interp" (fun ~dir ->
       Driver.run ~dir full roundtrip_src []);
   check_roundtrip ~label:"native" (fun ~dir ->
-      Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache) full roundtrip_src)
+      Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) roundtrip_src)
 
 (* --- randomized differential property ----------------------------------- *)
 
@@ -331,7 +331,7 @@ float main() {
       in
       match
         Driver.exec ~cache_dir:(Lazy.force suite_cache) ~cflags:[ "-O0" ]
-          full src
+          (Driver.Composed full) src
       with
       | Driver.Ok_ o -> value_eq iv o.Native.Exec.value
       | Driver.Failed ds ->
@@ -342,7 +342,7 @@ float main() {
 
 let exec_eddy ?cflags ?cache_dir () =
   let src = example "eddy_energy.mc" in
-  match Driver.exec ?cflags ?cache_dir full src with
+  match Driver.exec ?cflags ?cache_dir (Driver.Composed full) src with
   | Driver.Ok_ o -> o
   | Driver.Failed ds -> Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds)
 
@@ -397,7 +397,7 @@ let test_missing_compiler_graceful () =
      diagnostic, not an exception or a crash. *)
   match
     Driver.exec ~cc:"mmc-definitely-not-a-compiler"
-      ~cache_dir:(fresh_dir ()) full "int main() { return 3; }"
+      ~cache_dir:(fresh_dir ()) (Driver.Composed full) "int main() { return 3; }"
   with
   | Driver.Ok_ _ -> Alcotest.fail "expected a missing-compiler failure"
   | Driver.Failed ds ->
@@ -413,7 +413,7 @@ let test_runtime_failure_taxonomy () =
      message, which must come back as a native-run diagnostic naming the
      file — mirroring the interpreter's readMatrix diagnostic. *)
   match
-    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache) full
+    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full)
       Eddy.Programs.fig1_temporal_mean
   with
   | Driver.Ok_ _ -> Alcotest.fail "expected a runtime failure"
@@ -434,7 +434,7 @@ let test_keep_c_standalone_recompile () =
   let o =
     match
       Driver.exec ~dir:data_dir ~keep_c ~cache_dir:(Lazy.force suite_cache)
-        full (example "eddy_energy.mc")
+        (Driver.Composed full) (example "eddy_energy.mc")
     with
     | Driver.Ok_ o -> o
     | Driver.Failed ds ->
@@ -547,7 +547,7 @@ let test_compiler_runs_per_invocation () =
     let o =
       Fun.protect ~finally:(fun () -> Support.Telemetry.set_enabled false)
       @@ fun () ->
-      match Driver.exec ~cc ~cache_dir full src with
+      match Driver.exec ~cc ~cache_dir (Driver.Composed full) src with
       | Driver.Ok_ o -> o
       | Driver.Failed ds ->
           Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds)
@@ -633,17 +633,17 @@ let test_exec_removes_scratch_dir () =
         "int main() { Matrix int <1> m = init(Matrix int <1>, 3); \
          writeMatrix(\"out.data\", m); return 1; }"
       in
-      (match Driver.exec ~cache_dir full writes with
+      (match Driver.exec ~cache_dir (Driver.Composed full) writes with
       | Driver.Ok_ _ -> ()
       | Driver.Failed ds ->
           Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds));
       (match
-         Driver.profile_native ~cache_dir full (example "eddy_energy.mc")
+         Driver.profile_native ~cache_dir (Driver.Composed full) (example "eddy_energy.mc")
        with
       | Driver.Ok_ _ -> ()
       | Driver.Failed ds ->
           Alcotest.failf "profile_native failed: %s" (Driver.diags_to_string ds));
-      match Driver.exec ~cache_dir full Eddy.Programs.fig1_temporal_mean with
+      match Driver.exec ~cache_dir (Driver.Composed full) Eddy.Programs.fig1_temporal_mean with
       | Driver.Ok_ _ -> Alcotest.fail "expected a missing-input failure"
       | Driver.Failed _ -> ());
   Alcotest.(check (array string)) "nothing left in the temp dir" [||]
@@ -659,7 +659,7 @@ let test_slice_copy_semantics_native () =
   ignore (ensure_cc ());
   let exec ?guards config src =
     Driver.exec ~dir:(fresh_dir ()) ~config ?guards
-      ~cache_dir:(Lazy.force suite_cache) full src
+      ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
   in
   List.iter
     (fun (level, config) ->
@@ -738,7 +738,7 @@ let both_return ~name ~expect src =
   Alcotest.(check int) (name ^ ": interpreter live count") 0 (Runtime.Rc.live_count ());
   ignore (ensure_cc ());
   match
-    Driver.exec ~timeout_s:20. ~cache_dir:(Lazy.force suite_cache) full src
+    Driver.exec ~timeout_s:20. ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
   with
   | Driver.Ok_ { Native.Exec.value = Native.Exec.RScal v; live; _ } ->
       Alcotest.(check int) (name ^ ": native result") expect (S.to_int v);
@@ -791,6 +791,73 @@ int main() {
 }
 |}
 
+(* A block that shadows an owned matrix owns its own [a]: every early
+   exit from inside it releases the inner matrix once and the outer one
+   once, in both backends. *)
+let test_shadowed_owned_matrix () =
+  both_return ~name:"shadowing block, return" ~expect:6
+    {|
+int f(int n) {
+  Matrix int <1> a = with ([0] <= [i] < [4]) genarray([4], i);
+  {
+    Matrix int <1> a = with ([0] <= [i] < [3]) genarray([3], i + n);
+    if (n > 0) { return a[2]; }
+  }
+  return a[3];
+}
+
+int main() { return f(1) + f(0); }
+|};
+  both_return ~name:"shadowing block, break" ~expect:17
+    {|
+int main() {
+  int s = 0;
+  int k = 0;
+  while (k < 4) {
+    Matrix int <1> a = with ([0] <= [i] < [4]) genarray([4], i + k);
+    {
+      Matrix int <1> a = with ([0] <= [i] < [3]) genarray([3], 10 * i);
+      if (k == 2) { s = s + a[1]; break; }
+    }
+    s = s + a[3];
+    k = k + 1;
+  }
+  return s;
+}
+|};
+  both_return ~name:"shadowing block, continue" ~expect:22
+    {|
+int main() {
+  int s = 0;
+  int k = 0;
+  while (k < 3) {
+    Matrix int <1> a = with ([0] <= [i] < [4]) genarray([4], i + k);
+    k = k + 1;
+    {
+      Matrix int <1> a = with ([0] <= [i] < [3]) genarray([3], 10 * i);
+      if (k == 2) { s = s + a[2]; continue; }
+    }
+    s = s + a[0];
+  }
+  return s;
+}
+|};
+  (* a generator index named like the renamed matrix is the index *)
+  both_return ~name:"shadowing block, generator index" ~expect:26
+    {|
+int main() {
+  Matrix int <1> a = with ([0] <= [i] < [4]) genarray([4], i);
+  int s = 0;
+  {
+    Matrix int <1> a = with ([0] <= [i] < [3]) genarray([3], 10 + i);
+    Matrix int <1> b = with ([0] <= [a] < [3]) genarray([3], a + 1);
+    s = b[2] + a[1];
+    if (s > 0) { return s + a[2]; }
+  }
+  return s + a[3];
+}
+|}
+
 let suite =
   [
     Alcotest.test_case "fig1 interp vs native" `Quick test_fig1;
@@ -836,4 +903,6 @@ let suite =
       test_for_step_scope;
     Alcotest.test_case "rebound matrix parameter is owned" `Quick
       test_rebound_param;
+    Alcotest.test_case "shadowing block releases each matrix once" `Quick
+      test_shadowed_owned_matrix;
   ]

@@ -166,7 +166,7 @@ let test_guard_oob_caret () =
   ignore (ensure_cc ());
   let outcome =
     Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
-      ~guards:true full oob_src
+      ~guards:true (Driver.Composed full) oob_src
   in
   let text = failed_text ~src:oob_src outcome in
   Alcotest.(check bool)
@@ -186,7 +186,7 @@ let test_oob_unguarded_structured () =
   with_deadline "oob unguarded" @@ fun () ->
   ignore (ensure_cc ());
   match
-    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache) full
+    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full)
       oob_src
   with
   | Driver.Ok_ _ -> ()
@@ -211,7 +211,7 @@ let test_failpoint_alloc_diag () =
   ignore (ensure_cc ());
   let outcome =
     Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
-      ~failpoints:"native.alloc@1" full genarray_src
+      ~failpoints:"native.alloc@1" (Driver.Composed full) genarray_src
   in
   let text = failed_text ~src:genarray_src outcome in
   Alcotest.(check bool)
@@ -228,7 +228,7 @@ let test_failpoint_crash_span_with_guards () =
   ignore (ensure_cc ());
   let outcome =
     Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
-      ~guards:true ~failpoints:"native.alloc@1" full genarray_src
+      ~guards:true ~failpoints:"native.alloc@1" (Driver.Composed full) genarray_src
   in
   let text = failed_text ~src:genarray_src outcome in
   Alcotest.(check bool)
@@ -249,7 +249,7 @@ let test_failpoint_read_matrix_diag () =
   let src = Eddy.Programs.fig1_temporal_mean in
   let outcome =
     Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache)
-      ~failpoints:"native.io.read_matrix@1" full src
+      ~failpoints:"native.io.read_matrix@1" (Driver.Composed full) src
   in
   let text = failed_text ~src outcome in
   Alcotest.(check bool)
@@ -276,7 +276,7 @@ let test_supervisor_timeout_kill () =
   let t0 = Unix.gettimeofday () in
   let outcome =
     Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
-      ~timeout_s:0.5 full spin_src
+      ~timeout_s:0.5 (Driver.Composed full) spin_src
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   let text = failed_text ~src:spin_src outcome in
@@ -296,7 +296,7 @@ let test_timeout_telemetry () =
   with_telemetry @@ fun () ->
   (match
      Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
-       ~timeout_s:0.5 full spin_src
+       ~timeout_s:0.5 (Driver.Composed full) spin_src
    with
   | Driver.Ok_ _ -> Alcotest.fail "expected a timeout failure"
   | Driver.Failed _ -> ());
@@ -406,7 +406,7 @@ let test_sanitized_corpus_runs () =
       | Ok _ -> (
           match
             Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
-              ~sanitize:mode full genarray_src
+              ~sanitize:mode (Driver.Composed full) genarray_src
           with
           | Driver.Failed ds ->
               Alcotest.failf "-fsanitize=%s run failed: %s" mode
@@ -426,7 +426,7 @@ let test_sanitized_corpus_runs () =
               Test_native.check_roundtrip ~label:("-fsanitize=" ^ mode)
                 (fun ~dir ->
                   Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache)
-                    ~sanitize:mode full Test_native.roundtrip_src);
+                    ~sanitize:mode (Driver.Composed full) Test_native.roundtrip_src);
               (* ... and on files it must reject: the diagnostic comes
                  from mm_fatal, not from the sanitizer *)
               List.iter
@@ -441,7 +441,7 @@ let test_sanitized_corpus_runs () =
                           (diag_of ~src
                              (Driver.exec ~dir
                                 ~cache_dir:(Lazy.force suite_cache)
-                                ~sanitize:mode full src))
+                                ~sanitize:mode (Driver.Composed full) src))
                       in
                       Alcotest.(check bool)
                         (Printf.sprintf
@@ -472,7 +472,7 @@ let test_file_layout_parity () =
       ("interp", diag_of ~src (Driver.run ~dir full src []));
       ( "native",
         diag_of ~src
-          (Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache) full src) );
+          (Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src) );
     ]
   in
   List.iter
@@ -558,7 +558,7 @@ let test_native_fault_matrix () =
     match
       Driver.exec ~dir ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true)
         ~threads ~guards ?failpoints
-        ~cache_dir:(Lazy.force suite_cache) full src
+        ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
     with
     | Driver.Ok_ _ -> Ok (Interp.Eval.fetch_output ~dir "means.data")
     | Driver.Failed ds -> Error ds
@@ -626,7 +626,7 @@ let test_eddy_degraded_native_acceptance () =
     match
       Driver.exec ~dir ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true)
         ~threads ?failpoints
-        ~cache_dir:(Lazy.force suite_cache) full src
+        ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
     with
     | Driver.Ok_ _ -> Interp.Eval.fetch_output ~dir "eddyLabels.data"
     | Driver.Failed ds ->
@@ -664,7 +664,7 @@ let test_missing_data_dir () =
           ("interp", diag_of ~src (Driver.run ~dir full src []));
           ( "native",
             diag_of ~src
-              (Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache) full src)
+              (Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src)
           );
         ])
     [
@@ -672,6 +672,53 @@ let test_missing_data_dir () =
         In_channel.with_open_bin "golden/rand00.mc" In_channel.input_all );
       ("fig1_temporal_mean", Eddy.Programs.fig1_temporal_mean);
     ]
+
+(* A --cache-dir that is a regular file, or lies under one, fails with
+   one diagnostic naming it (the CLI exits 1, not with an uncaught
+   Sys_error); a nested path that does not exist yet is created. *)
+let test_unusable_cache_dir () =
+  with_deadline ~secs:300 "unusable cache dir" @@ fun () ->
+  ignore (ensure_cc ());
+  let root = fresh_dir () in
+  let file = Filename.concat root "plain-file" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+  let src = "int main() { return 7; }\n" in
+  List.iter
+    (fun cache_dir ->
+      let text =
+        Option.value ~default:"(no failure)"
+          (diag_of ~src (Driver.exec ~cache_dir (Driver.Composed full) src))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s is named (got: %s)" cache_dir text)
+        true
+        (contains text (Printf.sprintf "cache directory %S" cache_dir));
+      let mmc = Filename.concat (Filename.concat ".." "bin") "mmc.exe" in
+      let prog = Filename.concat root "prog.mc" in
+      Out_channel.with_open_bin prog (fun oc -> output_string oc src);
+      let err = Filename.concat root "err" in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s exec --cache-dir %s %s > /dev/null 2> %s"
+             (Filename.quote mmc) (Filename.quote cache_dir)
+             (Filename.quote prog) (Filename.quote err))
+      in
+      let err = In_channel.with_open_bin err In_channel.input_all in
+      Alcotest.(check int) (cache_dir ^ ": mmc exec exits 1") 1 code;
+      Alcotest.(check bool) (cache_dir ^ ": no internal error") false
+        (contains err "internal error"))
+    [ file; Filename.concat (Filename.concat file "sub") "dir" ];
+  let nested =
+    List.fold_left Filename.concat root [ "a"; "b"; "c" ]
+  in
+  match Driver.exec ~cache_dir:nested (Driver.Composed full) src with
+  | Driver.Ok_ { Native.Exec.value = Native.Exec.RScal v; _ } ->
+      Alcotest.(check int) "a nested new cache dir works" 7
+        (Runtime.Scalar.to_int v);
+      Alcotest.(check bool) "and exists" true (Sys.is_directory nested)
+  | Driver.Ok_ _ -> Alcotest.fail "nested cache dir: unexpected value"
+  | Driver.Failed ds ->
+      Alcotest.failf "nested cache dir: %s" (Driver.diags_to_string ds)
 
 let suite =
   [
@@ -707,4 +754,6 @@ let suite =
       test_file_layout_parity;
     Alcotest.test_case "data dir: a missing one fails both backends" `Quick
       test_missing_data_dir;
+    Alcotest.test_case "cache dir: unusable ones fail, nested ones work"
+      `Quick test_unusable_cache_dir;
   ]

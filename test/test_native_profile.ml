@@ -88,7 +88,7 @@ let both_profiles ~name ~inputs src : R.t * R.t * Native.Exec.outcome =
   in
   match
     Driver.profile_native ~config:(Driver.default_config full) ~dir:dir_n
-      ~cache_dir:(Lazy.force suite_cache) full src
+      ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
   with
   | Driver.Ok_ (outcome, native_report) ->
       (interp_report, native_report, outcome)
@@ -171,7 +171,7 @@ let test_native_coverage () =
     match
       Driver.profile_native
         ~config:(Driver.default_config full)
-        ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache) full src
+        ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
     with
     | Driver.Ok_ (outcome, report) -> (report, outcome)
     | Driver.Failed ds ->
@@ -247,7 +247,7 @@ let test_cache_isolation () =
   let src = example "eddy_energy.mc" in
   let exec_plain () =
     match
-      Driver.exec ~dir:(fresh_dir ()) ~config:(Driver.default_config full) ~cache_dir full src
+      Driver.exec ~dir:(fresh_dir ()) ~config:(Driver.default_config full) ~cache_dir (Driver.Composed full) src
     with
     | Driver.Ok_ o -> o
     | Driver.Failed ds ->
@@ -256,7 +256,7 @@ let test_cache_isolation () =
   let prof () =
     match
       Driver.profile_native ~config:(Driver.default_config full) ~dir:(fresh_dir ()) ~cache_dir
-        full src
+        (Driver.Composed full) src
     with
     | Driver.Ok_ (o, _) -> o
     | Driver.Failed ds ->
@@ -282,7 +282,7 @@ let test_exec_telemetry_gauges () =
   @@ fun () ->
   (match
      Driver.exec ~dir:(fresh_dir ()) ~config:(Driver.default_config full) ~cache:false
-       ~cache_dir:(Lazy.force suite_cache) full (example "eddy_energy.mc")
+       ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) (example "eddy_energy.mc")
    with
   | Driver.Ok_ _ -> ()
   | Driver.Failed ds ->
@@ -316,7 +316,7 @@ let test_keep_c_instrumented_line_directives () =
   (match
      Driver.profile_native ~config:(Driver.default_config full) ~dir:(fresh_dir ())
        ~cache_dir:(Lazy.force suite_cache) ~keep_c:keep ~line_file:"prog.mc"
-       full (example "eddy_energy.mc")
+       (Driver.Composed full) (example "eddy_energy.mc")
    with
   | Driver.Ok_ _ -> ()
   | Driver.Failed ds ->
@@ -358,7 +358,7 @@ let test_memory_at_threads () =
   let report threads =
     match
       Driver.profile_native ~dir:(fresh_dir ()) ~threads
-        ~cache_dir:(Lazy.force suite_cache) full (example "eddy_energy.mc")
+        ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) (example "eddy_energy.mc")
     with
     | Driver.Ok_ (_, r) -> r
     | Driver.Failed ds ->
