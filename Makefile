@@ -29,18 +29,19 @@ golden-check: all
 	  exit 1; \
 	fi
 
-# Full benchmark sweep; writes BENCH_kernels.json and BENCH_telemetry.json.
+# Full benchmark sweep; writes BENCH_native.json and BENCH_telemetry.json.
 bench:
 	dune exec bench/main.exe
 
-# Seconds, not minutes: kernel group at tiny sizes + pool baselines.
+# Seconds, not minutes: the C5 fork-join group at tiny sizes (a few pool
+# regions against the spawn-per-region baseline).
 bench-smoke:
 	dune build @bench-smoke
 
-# Regression gate: re-measure the C8 kernels at capped sizes and exit
-# non-zero if any is >25% slower than the committed baseline numbers.
+# Regression gate: re-measure the C12-C14 native rows the full sweep
+# wrote to BENCH_native.json and exit non-zero if any is >25% slower.
 bench-compare: all
-	dune exec bench/main.exe -- --compare BENCH_kernels.json
+	dune exec bench/main.exe -- --compare BENCH_native.json
 
 # Chaos/stress pass: every failpoint through real programs in both
 # execution modes, pool crash containment, degraded-mode fallback and

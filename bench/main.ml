@@ -12,16 +12,21 @@
      C5  enhanced fork-join pool vs naive spawn-per-region (§III-C)
      C6  refcounting overhead and allocator behaviour (§III-B/C)
      C7  composition cost and the composability analyses (§VI)
-     C8  parallel cache-blocked runtime kernels (§III-C), exported to
-         BENCH_kernels.json
+     C11 optimization-remark counts over the paper corpus
+     C12 native execution vs the interpreter (§II)
+     C13 native profiling overhead (§II)
+     C14 emitted-C runtime guard overhead (§II)
 
-   Micro-kernels are measured with Bechamel (OLS over the monotonic
-   clock); whole-program runs with repeated wall-clock medians.  Results
-   are summarised against the paper's claims in EXPERIMENTS.md.
+   The C12-C14 rows are exported to BENCH_native.json, the baseline
+   [--compare FILE] re-measures and gates.  Micro-kernels are measured
+   with Bechamel (OLS over the monotonic clock); whole-program runs with
+   repeated wall-clock medians.  Results are summarised against the
+   paper's claims in EXPERIMENTS.md.
 
-   [--smoke] runs only the C8 kernel group at tiny sizes plus a
-   spawn-per-region sanity check (seconds, no JSON output) — the target
-   `make check` invokes so the perf plumbing cannot bit-rot silently. *)
+   [--smoke] runs only the C5 group at tiny sizes: a few regions on a
+   2-thread pool against the spawn-per-region baseline (seconds, no JSON
+   output) — the target `make check` invokes so the perf plumbing cannot
+   bit-rot silently. *)
 
 open Bechamel
 open Toolkit
@@ -296,9 +301,11 @@ let bench_transform_variants () =
 
 (* --- C5: enhanced fork-join vs naive spawn-per-region ------------------------------------ *)
 
-let bench_forkjoin () =
+let bench_forkjoin ~smoke () =
   Fmt.pr "@.=== C5: enhanced fork-join (§III-C) ===@.";
-  let regions = 200 and work = 2_000 in
+  let regions, work, threads =
+    if smoke then (5, 1_000, [ 2 ]) else (200, 2_000, [ 2; 4 ])
+  in
   let sink = Array.make work 0 in
   let body i = sink.(i) <- sink.(i) + 1 in
   let pool_time t =
@@ -322,12 +329,17 @@ let bench_forkjoin () =
       let p = pool_time t and n = naive_time t in
       Fmt.pr "  %8d %12.1f %22.1f %8.1fx@." t (p *. 1000.) (n *. 1000.)
         (n /. p))
-    [ 2; 4 ];
+    threads;
   instrumented "C5" (fun () ->
       Runtime.Pool.with_pool 2 (fun pool ->
           for _ = 1 to regions do
             Runtime.Pool.parallel_for pool 0 work body
-          done))
+          done));
+  (* Every region, pooled or spawned, covers each index exactly once. *)
+  if not (Array.for_all (fun c -> c = sink.(0) && c > 0) sink) then begin
+    Fmt.epr "C5: a region skipped or repeated an index@.";
+    exit 1
+  end
 
 (* --- C6: refcounting overhead -------------------------------------------------------------- *)
 
@@ -425,135 +437,54 @@ let bench_composition () =
       ignore (Composition.compose Composition.shipped);
       ignore (Driver.compose Driver.all_extensions))
 
-(* --- C8: parallel cache-blocked kernels (§III-C) --------------------------------------------- *)
+(* --- BENCH_native.json: the C12-C14 rows ------------------------------------------------- *)
 
 (* C12 rows (prog, interp_ms, native_ms, compile_ms); filled by
-   [bench_native] before the C8 group writes BENCH_kernels.json. *)
+   [bench_native]. *)
 let native_rows : (string * float * float * float) list ref = ref []
 
 (* C13 rows (prog, plain_ms, instrumented_ms, overhead_pct); filled by
-   [bench_native_profile] before the C8 group writes BENCH_kernels.json. *)
+   [bench_native_profile]. *)
 let native_profile_rows : (string * float * float * float) list ref = ref []
 
 (* C14 rows (prog, plain_ms, guards_ms, overhead_pct); filled by
-   [bench_native_guards] before the C8 group writes BENCH_kernels.json. *)
+   [bench_native_guards]. *)
 let native_guards_rows : (string * float * float * float) list ref = ref []
 
-(* Seq naive vs seq blocked vs blocked-on-a-4-worker-pool, the speedup
-   table behind the ISSUE 2 acceptance bar (>= 2x at 512x512 with 4
-   workers vs the sequential baseline).  On a machine with fewer than 4
-   cores the win comes from the cache/register blocking itself; extra
-   cores stack their speedup on top. *)
-let bench_blocked_kernels ~smoke () =
-  Fmt.pr "@.=== C8: parallel cache-blocked kernels (§III-C) ===@.";
-  let sizes = if smoke then [ 16; 48 ] else [ 64; 128; 256; 512; 1024 ] in
-  let mk s =
-    ( Nd.init_float [| s; s |] (fun ix ->
-          float_of_int (((7 * ix.(0)) + (3 * ix.(1))) mod 97) /. 97.),
-      Nd.init_float [| s; s |] (fun ix ->
-          float_of_int (((5 * ix.(0)) + ix.(1)) mod 89) /. 89.) )
-  in
-  Fmt.pr "  matmul (float), block=%d:@." (Nd.get_block_size ());
-  Fmt.pr "  %6s %12s %13s %12s %9s %9s@." "size" "naive(ms)" "blocked(ms)"
-    "par4(ms)" "blk-spd" "par4-spd";
-  let matmul_rows =
-    List.map
-      (fun s ->
-        let a, b = mk s in
-        let reps = if s >= 1024 then 1 else 3 in
-        let naive = wall ~reps (fun () -> ignore (Nd.matmul_naive a b)) in
-        let blocked = wall ~reps (fun () -> ignore (Nd.matmul_blocked a b)) in
-        let par4 =
-          Runtime.Pool.with_pool 4 (fun pool ->
-              wall ~reps (fun () -> ignore (Nd.matmul ~pool a b)))
-        in
-        Fmt.pr "  %6d %12.2f %13.2f %12.2f %8.2fx %8.2fx@." s (naive *. 1000.)
-          (blocked *. 1000.) (par4 *. 1000.) (naive /. blocked)
-          (naive /. par4);
-        (s, naive, blocked, par4))
-      sizes
-  in
-  let elems = if smoke then 65_536 else 4_194_304 in
-  let v = Nd.init_float [| elems |] (fun ix -> float_of_int ix.(0) /. 7.) in
-  let w = Nd.init_float [| elems |] (fun ix -> float_of_int (ix.(0) mod 13)) in
-  let ew_seq =
-    wall (fun () -> ignore (Nd.arith Runtime.Scalar.Add v w))
-  in
-  let ew_par =
-    Runtime.Pool.with_pool 4 (fun pool ->
-        wall (fun () -> ignore (Nd.arith ~pool Runtime.Scalar.Add v w)))
-  in
-  let red_seq = wall (fun () -> ignore (Nd.sum_float v)) in
-  let red_par =
-    Runtime.Pool.with_pool 4 (fun pool ->
-        wall (fun () -> ignore (Nd.sum_float ~pool v)))
-  in
-  Fmt.pr "  elementwise add %d elems: seq %.2f ms, pool-4 %.2f ms (%.2fx)@."
-    elems (ew_seq *. 1000.) (ew_par *. 1000.) (ew_seq /. ew_par);
-  Fmt.pr "  sum reduction   %d elems: seq %.2f ms, pool-4 %.2f ms (%.2fx)@."
-    elems (red_seq *. 1000.) (red_par *. 1000.) (red_seq /. red_par);
-  if not smoke then begin
-    let oc = open_out "BENCH_kernels.json" in
-    Printf.fprintf oc
-      "{\"machine_cores\":%d,\"block\":%d,\"grain\":%d,\n \"matmul\":[" cores
-      (Nd.get_block_size ()) (Nd.get_par_grain ());
-    List.iteri
-      (fun i (s, naive, blocked, par4) ->
-        if i > 0 then output_string oc ",\n  ";
-        Printf.fprintf oc
-          "{\"size\":%d,\"naive_ms\":%.3f,\"blocked_ms\":%.3f,\"par4_ms\":%.3f,\"speedup_blocked\":%.2f,\"speedup_par4\":%.2f}"
-          s (naive *. 1000.) (blocked *. 1000.) (par4 *. 1000.)
-          (naive /. blocked) (naive /. par4))
-      matmul_rows;
-    Printf.fprintf oc
-      "],\n \"elementwise\":{\"elems\":%d,\"seq_ms\":%.3f,\"par4_ms\":%.3f,\"speedup\":%.2f},\n"
-      elems (ew_seq *. 1000.) (ew_par *. 1000.) (ew_seq /. ew_par);
-    Printf.fprintf oc
-      " \"reduce\":{\"elems\":%d,\"seq_ms\":%.3f,\"par4_ms\":%.3f,\"speedup\":%.2f}"
-      elems (red_seq *. 1000.) (red_par *. 1000.) (red_seq /. red_par);
-    (match List.rev !native_rows with
+(* Write the rows the native groups filled to BENCH_native.json, the
+   baseline [bench --compare] gates against. *)
+let write_bench_native () =
+  let oc = open_out "BENCH_native.json" in
+  Printf.fprintf oc "{\"machine_cores\":%d" cores;
+  let section name rows row =
+    match List.rev !rows with
     | [] -> ()
     | rows ->
-        output_string oc ",\n \"native\":[";
+        Printf.fprintf oc ",\n \"%s\":[" name;
         List.iteri
-          (fun i (prog, interp_ms, native_ms, compile_ms) ->
+          (fun i r ->
             if i > 0 then output_string oc ",\n  ";
-            Printf.fprintf oc
-              "{\"prog\":%S,\"interp_ms\":%.3f,\"native_ms\":%.3f,\"compile_ms\":%.3f,\"speedup\":%.2f}"
-              prog interp_ms native_ms compile_ms (interp_ms /. native_ms))
+            output_string oc (row r))
           rows;
-        output_string oc "]");
-    (match List.rev !native_profile_rows with
-    | [] -> ()
-    | rows ->
-        output_string oc ",\n \"native_profile\":[";
-        List.iteri
-          (fun i (prog, plain_ms, instr_ms, overhead_pct) ->
-            if i > 0 then output_string oc ",\n  ";
-            Printf.fprintf oc
-              "{\"prog\":%S,\"plain_ms\":%.3f,\"instrumented_ms\":%.3f,\"overhead_pct\":%.2f}"
-              prog plain_ms instr_ms overhead_pct)
-          rows;
-        output_string oc "]");
-    (match List.rev !native_guards_rows with
-    | [] -> ()
-    | rows ->
-        output_string oc ",\n \"native_guards\":[";
-        List.iteri
-          (fun i (prog, plain_ms, guards_ms, overhead_pct) ->
-            if i > 0 then output_string oc ",\n  ";
-            Printf.fprintf oc
-              "{\"prog\":%S,\"plain_ms\":%.3f,\"guards_ms\":%.3f,\"overhead_pct\":%.2f}"
-              prog plain_ms guards_ms overhead_pct)
-          rows;
-        output_string oc "]");
-    output_string oc "}\n";
-    close_out oc;
-    Fmt.pr "  kernel numbers written to BENCH_kernels.json@."
-  end;
-  instrumented "C8" (fun () ->
-      let a, b = mk (if smoke then 48 else 256) in
-      Runtime.Pool.with_pool 4 (fun pool -> ignore (Nd.matmul ~pool a b)))
+        output_string oc "]"
+  in
+  section "native" native_rows (fun (prog, interp_ms, native_ms, compile_ms) ->
+      Printf.sprintf
+        "{\"prog\":%S,\"interp_ms\":%.3f,\"native_ms\":%.3f,\"compile_ms\":%.3f,\"speedup\":%.2f}"
+        prog interp_ms native_ms compile_ms (interp_ms /. native_ms));
+  section "native_profile" native_profile_rows
+    (fun (prog, plain_ms, instr_ms, overhead_pct) ->
+      Printf.sprintf
+        "{\"prog\":%S,\"plain_ms\":%.3f,\"instrumented_ms\":%.3f,\"overhead_pct\":%.2f}"
+        prog plain_ms instr_ms overhead_pct);
+  section "native_guards" native_guards_rows
+    (fun (prog, plain_ms, guards_ms, overhead_pct) ->
+      Printf.sprintf
+        "{\"prog\":%S,\"plain_ms\":%.3f,\"guards_ms\":%.3f,\"overhead_pct\":%.2f}"
+        prog plain_ms guards_ms overhead_pct);
+  output_string oc "}\n";
+  close_out oc;
+  Fmt.pr "native rows written to BENCH_native.json@."
 
 (* --- C12: native execution vs the interpreter (§II) ------------------------------------------- *)
 
@@ -562,8 +493,8 @@ let bench_blocked_kernels ~smoke () =
    wall time of the interpreted path (`mmc run`) against the native path
    (`mmc exec`, binary cache warm so compilation is excluded), plus the
    one-time cost of the C compile itself.  Rows land in
-   BENCH_kernels.json as {prog, interp_ms, native_ms, compile_ms} and are
-   regression-gated by `bench --compare` like every other kernel. *)
+   BENCH_native.json as {prog, interp_ms, native_ms, compile_ms} and are
+   regression-gated by `bench --compare`. *)
 
 let native_progs =
   [
@@ -644,7 +575,7 @@ let bench_native () =
    provenance span plus a worker-clock read per parallel region; the
    acceptance bar is <10% end-to-end overhead on the paper corpus.
    Warm-cache wall times of plain `mmc exec` vs `mmc profile --native`
-   land in BENCH_kernels.json as {prog, plain_ms, instrumented_ms,
+   land in BENCH_native.json as {prog, plain_ms, instrumented_ms,
    overhead_pct} and are regression-gated by `bench --compare`; the
    per-span interp/native self-time ratios go out as C13 telemetry
    gauges so the BENCH trajectory tracks where native code gains least. *)
@@ -893,7 +824,7 @@ let bench_scaling_native () =
    MM_GUARD_IDX bounds/NULL check and pushes crash breadcrumbs around
    provenance sites; the acceptance bar is <=15% end-to-end overhead on
    the paper corpus.  Warm-cache min-of-7 wall times of plain vs guarded
-   `mmc exec` land in BENCH_kernels.json as {prog, plain_ms, guards_ms,
+   `mmc exec` land in BENCH_native.json as {prog, plain_ms, guards_ms,
    overhead_pct} and are regression-gated by `bench --compare`. *)
 
 let exec_native_guards ~cache_dir ~dir src =
@@ -1008,23 +939,11 @@ let bench_remarks () =
 (* --- runtime micro-kernels (context for the groups above) ------------------------------------ *)
 
 let bench_kernels () =
-  let a =
-    Nd.init_float [| 256; 256 |] (fun ix -> float_of_int (ix.(0) + ix.(1)))
-  in
-  let b =
-    Nd.init_float [| 256; 256 |] (fun ix ->
-        float_of_int (ix.(0) * ix.(1) mod 97))
-  in
-  let sm = Nd.init_float [| 64; 64 |] (fun ix -> float_of_int ix.(0) +. 1.) in
   let buf = Array.init 4096 float_of_int in
   let out = Array.make 4096 0. in
   ignore
     (bechamel_group "runtime kernels"
        [
-         Test.make ~name:"ndarray elementwise add 256x256"
-           (Staged.stage (fun () -> ignore (Nd.arith Runtime.Scalar.Add a b)));
-         Test.make ~name:"ndarray matmul 64x64"
-           (Staged.stage (fun () -> ignore (Nd.matmul sm sm)));
          Test.make ~name:"simd add 4-lane over 4096 floats"
            (Staged.stage (fun () ->
                 let i = ref 0 in
@@ -1044,14 +963,11 @@ let bench_kernels () =
 
 (* --- bench --compare: regression gate against a committed baseline ---------------- *)
 
-(* Re-measure the C8 kernels at the baseline's sizes (capped so the gate
-   runs in seconds, not minutes) and fail on >25% slowdown of any kernel
-   vs the committed BENCH_kernels.json.  Speed-ups and small noise pass;
-   the gate is for catching real regressions in the blocked matmul, the
-   pooled elementwise path or the pooled reduction. *)
+(* Re-measure the C12-C14 native rows of a baseline written by the full
+   sweep (BENCH_native.json) on the warm binary cache, and fail on a >25%
+   slowdown of any row.  Speed-ups and small noise pass; without a C
+   compiler every row is reported as skipped, never failed. *)
 let compare_threshold = 1.25
-let compare_size_cap = 256
-let compare_elems_cap = 1_048_576
 
 let bench_compare baseline_path =
   let module J = Support.Json in
@@ -1077,71 +993,8 @@ let bench_compare baseline_path =
       baseline_ms current_ms ratio
       (if bad then "REGRESSION" else "ok")
   in
-  let mk s =
-    ( Nd.init_float [| s; s |] (fun ix ->
-          float_of_int (((7 * ix.(0)) + (3 * ix.(1))) mod 97) /. 97.),
-      Nd.init_float [| s; s |] (fun ix ->
-          float_of_int (((5 * ix.(0)) + ix.(1)) mod 89) /. 89.) )
-  in
-  (match Option.bind (J.field "matmul" baseline) J.arr with
-  | None -> Fmt.epr "  baseline has no \"matmul\" array — skipping@."
-  | Some rows ->
-      List.iter
-        (fun row ->
-          match J.num_field row "size" with
-          | Some size when int_of_float size <= compare_size_cap ->
-              let s = int_of_float size in
-              let a, b = mk s in
-              let measure label getter f =
-                match J.num_field row getter with
-                | None -> ()
-                | Some base_ms ->
-                    let cur = wall ~reps:5 f *. 1000. in
-                    check
-                      (Printf.sprintf "matmul %s %dx%d" label s s)
-                      ~baseline_ms:base_ms ~current_ms:cur
-              in
-              measure "naive" "naive_ms" (fun () ->
-                  ignore (Nd.matmul_naive a b));
-              measure "blocked" "blocked_ms" (fun () ->
-                  ignore (Nd.matmul_blocked a b));
-              (* pool lives across the reps — the baseline bench times the
-                 dispatch, not domain spawn/shutdown *)
-              Runtime.Pool.with_pool 4 (fun pool ->
-                  measure "par4" "par4_ms" (fun () ->
-                      ignore (Nd.matmul ~pool a b)))
-          | _ -> ())
-        rows);
-  let scaled_1d group label f =
-    (* 1-D kernels: the baseline ran at its recorded [elems]; re-measure
-       at min(baseline, cap) and scale the baseline linearly — these
-       kernels are O(n). *)
-    match J.field group baseline with
-    | None -> Fmt.epr "  baseline has no %S object — skipping@." group
-    | Some obj -> (
-        match (J.num_field obj "elems", J.num_field obj "seq_ms") with
-        | Some elems, Some seq_ms ->
-            let elems = int_of_float elems in
-            let n = min elems compare_elems_cap in
-            let scale = float_of_int n /. float_of_int elems in
-            let v =
-              Nd.init_float [| n |] (fun ix -> float_of_int ix.(0) /. 7.)
-            in
-            let w =
-              Nd.init_float [| n |] (fun ix -> float_of_int (ix.(0) mod 13))
-            in
-            let cur = wall ~reps:5 (fun () -> f v w) *. 1000. in
-            check
-              (Printf.sprintf "%s seq (%d elems)" label n)
-              ~baseline_ms:(seq_ms *. scale) ~current_ms:cur
-        | _ -> ())
-  in
-  scaled_1d "elementwise" "elementwise add" (fun v w ->
-      ignore (Nd.arith Runtime.Scalar.Add v w));
-  scaled_1d "reduce" "sum reduction" (fun v _ -> ignore (Nd.sum_float v));
   (* C12 rows: re-run each baselined program through the warm native path
-     and gate its wall time like any other kernel.  Without a C compiler
-     the rows are reported as skipped, never failed. *)
+     and gate its wall time. *)
   (match Option.bind (J.field "native" baseline) J.arr with
   | None -> ()
   | Some rows -> (
@@ -1178,7 +1031,7 @@ let bench_compare baseline_path =
             rows));
   (* C13 rows: re-run each baselined program through the warm
      instrumented path (`mmc profile --native` machinery) and gate its
-     wall time like any other kernel; skipped without a C compiler. *)
+     wall time. *)
   (match Option.bind (J.field "native_profile" baseline) J.arr with
   | None -> ()
   | Some rows -> (
@@ -1220,8 +1073,7 @@ let bench_compare baseline_path =
               | _ -> ())
             rows));
   (* C14 rows: re-run each baselined program with runtime guards on the
-     warm guarded cache slot and gate its wall time; skipped without a C
-     compiler. *)
+     warm guarded cache slot and gate its wall time. *)
   (match Option.bind (J.field "native_guards" baseline) J.arr with
   | None -> ()
   | Some rows -> (
@@ -1263,11 +1115,11 @@ let bench_compare baseline_path =
               | _ -> ())
             rows));
   if !failures > 0 then begin
-    Fmt.pr "@.%d kernel(s) regressed beyond %.0f%%.@." !failures
+    Fmt.pr "@.%d row(s) regressed beyond %.0f%%.@." !failures
       ((compare_threshold -. 1.) *. 100.);
     exit 1
   end
-  else Fmt.pr "@.no kernel regressed beyond %.0f%%.@."
+  else Fmt.pr "@.no row regressed beyond %.0f%%.@."
          ((compare_threshold -. 1.) *. 100.)
 
 (* --- bench --check-profile-json: schema validator for `mmc profile --json` -------- *)
@@ -1362,16 +1214,6 @@ let check_explain_json path =
       List.iter (fun p -> Fmt.epr "%s: %s@." path p) ps;
       exit 1
 
-(* Smoke mode: tiny-size kernel pass + one spawn-per-region sanity run
-   (keeps [Pool.naive_parallel_for], the C5 baseline, exercised). *)
-let smoke_check () =
-  bench_blocked_kernels ~smoke:true ();
-  let sink = Array.make 1_000 0 in
-  Runtime.Pool.naive_parallel_for 2 0 1_000 (fun i -> sink.(i) <- i);
-  let ok = Array.for_all (fun x -> x >= 0) sink in
-  Fmt.pr "  spawn-per-region baseline smoke: %s@." (if ok then "ok" else "FAIL");
-  if not ok then exit 1;
-  Fmt.pr "@.smoke ok.@."
 
 (* Value of a "--flag FILE" pair on the command line. *)
 let flag_value name =
@@ -1401,21 +1243,26 @@ let () =
           DESIGN.md §4%s@."
     (if smoke then " (smoke mode)" else "");
   Fmt.pr "machine: %d core(s) visible to OCaml@." cores;
-  if smoke then smoke_check ()
+  if smoke then begin
+    (* keeps the pool and [Pool.naive_parallel_for], the C5 baseline,
+       exercised *)
+    bench_forkjoin ~smoke:true ();
+    Fmt.pr "@.smoke ok.@."
+  end
   else begin
     bench_kernels ();
     bench_composition ();
     bench_fusion ();
     bench_slice_elim ();
     bench_transform_variants ();
-    bench_forkjoin ();
+    bench_forkjoin ~smoke:false ();
     bench_refcount ();
     bench_scaling ();
     bench_native ();
     bench_scaling_native ();
     bench_native_profile ();
     bench_native_guards ();
-    bench_blocked_kernels ~smoke:false ();
+    write_bench_native ();
     bench_remarks ();
     write_bench_telemetry ();
     Fmt.pr "@.done.@."

@@ -332,11 +332,24 @@ let emit_cmd =
 
 (* --- run / profile (shared runtime options) ------------------------------------ *)
 
+(* A count below one is a usage error (exit 2, like --fault-budget -1),
+   not a silent single-threaded run.  The term is evaluated before any
+   command body starts, so exiting here leaves nothing to unwind. *)
 let threads_arg =
-  Arg.(value & opt int 1
-       & info [ "t"; "threads" ] ~docv:"N"
-           ~doc:"Worker-pool threads (the paper's command-line thread \
-                 count, §III-C). Implies auto-parallelization when > 1.")
+  let at_least_one n =
+    if n < 1 then begin
+      Fmt.epr "mmc: --threads must be >= 1@.";
+      exit 2
+    end;
+    n
+  in
+  Term.(
+    const at_least_one
+    $ Arg.(value & opt int 1
+             & info [ "t"; "threads" ] ~docv:"N"
+                 ~doc:"Worker-pool threads (the paper's command-line thread \
+                       count, §III-C), at least 1. Implies \
+                       auto-parallelization when > 1."))
 
 let data_dir_arg =
   Arg.(value & opt (some string) None
@@ -344,19 +357,6 @@ let data_dir_arg =
            ~doc:"Directory where readMatrix/writeMatrix resolve paths \
                  (default: a temporary directory, removed when the \
                  command ends).")
-
-let block_arg =
-  Arg.(value & opt (some int) None
-       & info [ "block" ] ~docv:"B"
-           ~doc:"Cache-block edge for the tiled matmul kernel (default \
-                 48, or \\$(b,MMC_BLOCK)).")
-
-let grain_arg =
-  Arg.(value & opt (some int) None
-       & info [ "grain" ] ~docv:"G"
-           ~doc:"Minimum elements before an elementwise/reduction kernel \
-                 dispatches to the pool (default 16384, or \
-                 \\$(b,MMC_GRAIN)).")
 
 (* --- robustness options (run / profile) ---------------------------------------- *)
 
@@ -426,19 +426,9 @@ let with_robustness (specs, max_steps, max_bytes, timeout_s, fault_budget)
       Support.Failpoint.reset ())
     k
 
-let set_kernel_knobs block grain =
-  try
-    Option.iter Runtime.Ndarray.set_block_size block;
-    Option.iter Runtime.Ndarray.set_par_grain grain
-  with Invalid_argument _ ->
-    Fmt.epr "mmc: --block and --grain must be positive@.";
-    raise (Fatal 2)
-
 let run_cmd =
-  let run exts_names threads data_dir block grain pipeline robust remarks tele
-      file =
+  let run exts_names threads data_dir pipeline robust remarks tele file =
     with_telemetry tele @@ fun () ->
-    set_kernel_knobs block grain;
     let exts = resolve_exts exts_names in
     let c = compose_or_die exts in
     let config =
@@ -469,7 +459,7 @@ let run_cmd =
   let doc = "Translate and execute on the parallel matrix runtime." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ exts_arg $ threads_arg $ data_dir_arg $ block_arg $ grain_arg
+      const run $ exts_arg $ threads_arg $ data_dir_arg
       $ pipeline_term $ robustness_term $ remarks_arg $ telemetry_term
       $ src_arg)
 
@@ -681,11 +671,9 @@ let profile_cmd =
                    span: per-loop native speedup, flagging spans whose \
                    gain lags the program-level ratio.")
   in
-  let run exts_names threads data_dir block grain pipeline robust json folded
-      top native diff_native (cc, cflags, keep_c, no_cache, cache_dir) remarks
-      tele file =
+  let run exts_names threads data_dir pipeline robust json folded top native
+      diff_native (cc, cflags, keep_c, no_cache, cache_dir) remarks tele file =
     with_telemetry tele @@ fun () ->
-    set_kernel_knobs block grain;
     let exts = resolve_exts exts_names in
     (* The interpreted leg keeps its historical default (auto-par follows
        --threads); the native leg profiles the full pipeline, composing
@@ -787,7 +775,7 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ exts_arg $ threads_arg $ data_dir_arg $ block_arg $ grain_arg
+      const run $ exts_arg $ threads_arg $ data_dir_arg
       $ pipeline_term $ robustness_term $ json $ folded $ top $ native
       $ diff_native $ native_opts_term $ remarks_arg $ telemetry_term
       $ src_arg)

@@ -35,8 +35,7 @@ let () =
     (Runtime.Rc.live_count ());
   for t = 0 to time - 1 do
     let fr = Eddy.Ssh_gen.frame cube t in
-    let mask = Nd.cmp_scalar S.Lt fr (S.F (-0.25)) ~scalar_left:false in
-    let oracle = Eddy.Conncomp.label mask in
+    let oracle = Eddy.Conncomp.label (Eddy.Conncomp.below ~threshold:(-0.25) fr) in
     let n_oracle = Eddy.Conncomp.count_components oracle in
     (* count distinct labels produced by the translated program *)
     let seen = Hashtbl.create 8 in

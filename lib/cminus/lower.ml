@@ -488,7 +488,12 @@ let rec lower_stmt t (st : Ast.stmt) : stmt list =
           else if sc = [] && cond_drain = [] then [ While (ec, body' @ sstep) ]
           else [ While (Bool true, sc @ test @ body' @ sstep) ]
         in
-        si @ loop @ release
+        (* C scopes a declaration in the init to the loop: brace it, so it
+           neither clobbers an outer variable of the same name nor clashes
+           with a sibling loop's. *)
+        (match init with
+        | Some { Ast.s = Ast.DeclS _; _ } -> [ Block (si @ loop @ release) ]
+        | _ -> si @ loop @ release)
     | Ast.ReturnS None -> release_for_return t ~except:[] @ [ Return None ]
     | Ast.ReturnS (Some e) ->
         let se, ee = lower_expr t e in

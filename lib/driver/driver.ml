@@ -553,10 +553,10 @@ let diags_to_string ?src ds =
 module Profile_report = struct
   module P = Support.Profile
 
-  type t = {
+  type t = P.report = {
     wall_ns : int;
     rows : P.row list;
-    folded : (string * int) list;  (** "outer;inner" stack -> self ns *)
+    folded : (string * int) list;
     attributed_ns : int;
     unattributed_alloc : int;
     live_bytes : int;
@@ -579,26 +579,18 @@ module Profile_report = struct
     }
 
   (** A native profile (the mm_profile.json sidecar an instrumented
-      binary dumped, parsed by {!Native.Prof}) in the same report shape,
-      so every renderer below works on both.  Rows sort by self time like
-      [P.results ()]. *)
-  let of_native (n : Native.Prof.t) =
+      binary dumped, parsed by {!Native.Prof}) ordered like an
+      interpreted one, so every renderer below works on both: rows by
+      self time like [P.results ()], folded stacks by name. *)
+  let of_native (n : t) =
     {
-      wall_ns = n.Native.Prof.wall_ns;
+      n with
       rows =
         List.sort
           (fun (a : P.row) (b : P.row) ->
             compare b.P.r_self_ns a.P.r_self_ns)
-          n.Native.Prof.rows;
-      folded =
-        List.sort
-          (fun (a, _) (b, _) -> String.compare a b)
-          n.Native.Prof.folded;
-      attributed_ns = n.Native.Prof.attributed_ns;
-      unattributed_alloc = n.Native.Prof.unattributed_alloc;
-      live_bytes = n.Native.Prof.live_bytes;
-      peak_bytes = n.Native.Prof.peak_bytes;
-      allocated_bytes = n.Native.Prof.allocated_bytes;
+          n.rows;
+      folded = List.sort (fun (a, _) (b, _) -> String.compare a b) n.folded;
     }
 
   let coverage t =

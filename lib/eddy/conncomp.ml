@@ -141,11 +141,18 @@ let eddy_like ?(min_cells = 4) ?(max_cells = 400) (c : component) : bool =
   c.cells >= min_cells && c.cells <= max_cells
   && float_of_int c.cells >= 0.4 *. float_of_int bbox
 
+(** [below ~threshold fr] — the boolean mask of the cells of [fr] strictly
+    below [threshold], in {!Runtime.Scalar.cmp}'s float ordering. *)
+let below ~threshold (fr : Nd.t) : Nd.t =
+  let module S = Runtime.Scalar in
+  Nd.of_bool_array (Nd.shape fr)
+    (Array.init (Nd.size fr) (fun off ->
+         S.to_bool (S.cmp S.Lt (Nd.get_flat fr off) (S.F threshold))))
+
 (** [detect_frame frame ~threshold] — threshold an SSH frame from below
     (eddy centres are LOW) and return eddy-like components. *)
 let detect_frame ?(threshold = -0.25) (fr : Nd.t) : component list =
-  let mask = Nd.cmp_scalar Runtime.Scalar.Lt fr (Runtime.Scalar.F threshold) ~scalar_left:false in
-  components (label mask) |> List.filter eddy_like
+  components (label (below ~threshold fr)) |> List.filter eddy_like
 
 (** Iterative thresholding over a frame (the Fig 4 loop): runs
     [detect_frame] for thresholds from [lo] to [hi] in [steps] steps and

@@ -105,13 +105,14 @@ let generate ?(noise = 0.02) ?(swell = 0.05) ~lat ~lon ~time ~n_eddies ~seed
 
 (** One spatial frame (lat × lon) at time [t]. *)
 let frame (cube : Runtime.Ndarray.t) (t : int) : Runtime.Ndarray.t =
-  Runtime.Ndarray.slice cube
-    [| Runtime.Ndarray.All; Runtime.Ndarray.All; Runtime.Ndarray.At t |]
+  let sh = Runtime.Ndarray.shape cube in
+  Runtime.Ndarray.init_float [| sh.(0); sh.(1) |] (fun ix ->
+      Runtime.Scalar.to_float (Runtime.Ndarray.get cube [| ix.(0); ix.(1); t |]))
 
 (** One time series (length [time]) at grid point (i, j). *)
 let series (cube : Runtime.Ndarray.t) i j : Runtime.Ndarray.t =
-  Runtime.Ndarray.slice cube
-    [| Runtime.Ndarray.At i; Runtime.Ndarray.At j; Runtime.Ndarray.All |]
+  Runtime.Ndarray.init_float [| (Runtime.Ndarray.shape cube).(2) |] (fun ix ->
+      Runtime.Scalar.to_float (Runtime.Ndarray.get cube [| i; j; ix.(0) |]))
 
 (** ASCII rendering of a frame (the Fig 6 stand-in): deeper = darker. *)
 let render_frame (fr : Runtime.Ndarray.t) : string =

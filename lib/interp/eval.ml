@@ -652,16 +652,15 @@ and parfor_loop cx sc l =
           done
     | Some pool ->
         (* The with-loop generator guarantees disjoint index sets, so
-           iterations write disjoint elements (§III-A4).  Guided chunking
-           load-balances bodies of uneven cost (matrixMap over slices,
-           conncomp frames); the pool re-raises the first body exception
-           at the stop barrier with its backtrace, retrying chunks that
-           died to a recoverable fault.  The [locate] wrapper sits outside
-           the dispatch, so whatever the barrier re-raises gains this
-           loop's provenance. *)
+           iterations write disjoint elements (§III-A4).  The pool's
+           guided chunks load-balance bodies of uneven cost (matrixMap
+           over slices, conncomp frames); it re-raises the first body
+           exception at the stop barrier with its backtrace, retrying
+           chunks that died to a recoverable fault.  The [locate] wrapper
+           sits outside the dispatch, so whatever the barrier re-raises
+           gains this loop's provenance. *)
         fun fr n ->
-          Runtime.Pool.parallel_for ~chunking:Runtime.Pool.Guided pool 0 n
-            (iteration fr)
+          Runtime.Pool.parallel_for pool 0 n (iteration fr)
   in
   let run =
     match l.prov with

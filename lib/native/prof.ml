@@ -6,17 +6,6 @@
 module J = Support.Json
 module P = Support.Profile
 
-type t = {
-  wall_ns : int;
-  rows : P.row list;
-  folded : (string * int) list;  (** "span;span;..." stack -> self ns *)
-  attributed_ns : int;
-  unattributed_alloc : int;
-  live_bytes : int;
-  peak_bytes : int;
-  allocated_bytes : int;
-}
-
 exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
@@ -92,7 +81,7 @@ let parse_fold j =
 
 (** [parse text] — the sidecar decoded, or [Error] with a one-line reason
     (a truncated dump from a crashed binary must not crash the driver). *)
-let parse (text : string) : (t, string) result =
+let parse (text : string) : (P.report, string) result =
   match
     let j = J.parse text in
     let rows =
@@ -111,7 +100,7 @@ let parse (text : string) : (t, string) result =
       | None -> fail "missing memory object"
     in
     {
-      wall_ns = int_field j "wall_ns";
+      P.wall_ns = int_field j "wall_ns";
       rows;
       folded;
       attributed_ns = int_field j "attributed_ns";

@@ -2,8 +2,8 @@
 
     The matrix extension stores all matrices in flat row-major buffers (as
     the generated C code does); this module centralises the index ↔ offset
-    arithmetic used by the ndarray operations, the with-loop lowerings and
-    the interpreter. *)
+    arithmetic behind {!Ndarray}'s constructors and accessors, and the
+    shape errors the interpreter reports. *)
 
 type t = int array
 (** Extents per dimension; rank = array length. Rank 0 is a scalar. *)
@@ -52,34 +52,3 @@ let offset (s : t) (idx : int array) : int =
 let unoffset (s : t) (off : int) : int array =
   let st = strides s in
   Array.mapi (fun d _ -> off / st.(d) mod s.(d)) s
-
-(** [iter s f] — apply [f] to every multi-index of [s] in row-major order.
-    The callback receives a buffer that is {b reused} between calls; copy it
-    if you keep it. *)
-let iter (s : t) (f : int array -> unit) : unit =
-  let r = rank s in
-  if size s > 0 then begin
-    let idx = Array.make r 0 in
-    let rec go d =
-      if d = r then f idx
-      else
-        for i = 0 to s.(d) - 1 do
-          idx.(d) <- i;
-          go (d + 1)
-        done
-    in
-    go 0
-  end
-
-(** [broadcast_eq a b] — the matrix extension requires equal shape and rank
-    for matrix-matrix arithmetic (§III-A2); raises otherwise. *)
-let broadcast_eq (a : t) (b : t) : t =
-  if rank a <> rank b then
-    err "rank mismatch: %s vs %s" (to_string a) (to_string b);
-  if not (equal a b) then
-    err "shape mismatch: %s vs %s" (to_string a) (to_string b);
-  a
-
-(** [concat_outer a b] — [a] with an extra leading extent (used by
-    matrixMap result assembly in tests). *)
-let with_outer (n : int) (s : t) : t = Array.append [| n |] s

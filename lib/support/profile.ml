@@ -39,6 +39,20 @@ type row = {
   mutable r_worker_ns : (int * int) list;  (** worker id -> busy ns *)
 }
 
+(** One profiled run: the per-span rows, folded stacks and memory totals
+    behind [mmc profile], whether the interpreter or an instrumented
+    native binary produced them. *)
+type report = {
+  wall_ns : int;
+  rows : row list;
+  folded : (string * int) list;  (** "outer;inner" stack -> self ns *)
+  attributed_ns : int;
+  unattributed_alloc : int;
+  live_bytes : int;
+  peak_bytes : int;
+  allocated_bytes : int;
+}
+
 let enabled = ref false
 let set_enabled b = enabled := b
 let is_enabled () = !enabled

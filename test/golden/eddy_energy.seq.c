@@ -64,16 +64,20 @@ int main(void) {
   }
   mm_float total = __mm_acc20;
   int eddies = 0;
-  int i = 0;
-  while (i < m) {
-    int j = 0;
-    while (j < n) {
-      if (energy->data[i * energy->dims[1] + j] > total / (mm_float) (m * n)) {
-        eddies = eddies + 1;
+  {
+    int i = 0;
+    while (i < m) {
+      {
+        int j = 0;
+        while (j < n) {
+          if (energy->data[i * energy->dims[1] + j] > total / (mm_float) (m * n)) {
+            eddies = eddies + 1;
+          }
+          j = j + 1;
+        }
       }
-      j = j + 1;
+      i = i + 1;
     }
-    i = i + 1;
   }
   mm_rc_dec(energy);
   mm_rc_dec(anom);

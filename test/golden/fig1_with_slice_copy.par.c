@@ -23,14 +23,18 @@ int main(void) {
   int n = mat->dims[1];
   mm_mat_float2 *__mm_initm5 = mm_alloc_float(2, m, n);
   mm_mat_float2 *means = __mm_initm5;
-  int i = 0;
-  while (i < m) {
-    int j = 0;
-    while (j < n) {
-      means->data[i * means->dims[1] + j] = seriesMean(mat, i, j);
-      j = j + 1;
+  {
+    int i = 0;
+    while (i < m) {
+      {
+        int j = 0;
+        while (j < n) {
+          means->data[i * means->dims[1] + j] = seriesMean(mat, i, j);
+          j = j + 1;
+        }
+      }
+      i = i + 1;
     }
-    i = i + 1;
   }
   mm_write_matrix("means.data", means);
   mm_rc_dec(means);

@@ -17,66 +17,74 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
     __mm_ew2->data[__mm_i3] = ssh->data[__mm_i3] < __mm_s1;
   }
   mm_mat_bool2 *binary = __mm_ew2;
-  int i = 0;
-  while (i < m) {
-    int j = 0;
-    while (j < n) {
-      if (binary->data[i * binary->dims[1] + j]) {
-        labels->data[i * labels->dims[1] + j] = i * n + j + 1;
+  {
+    int i = 0;
+    while (i < m) {
+      {
+        int j = 0;
+        while (j < n) {
+          if (binary->data[i * binary->dims[1] + j]) {
+            labels->data[i * labels->dims[1] + j] = i * n + j + 1;
+          }
+          j = j + 1;
+        }
       }
-      j = j + 1;
+      i = i + 1;
     }
-    i = i + 1;
   }
   bool changed = true;
   while (changed) {
     changed = false;
-    int i = 0;
-    while (i < m) {
-      int j = 0;
-      while (j < n) {
-        if (binary->data[i * binary->dims[1] + j]) {
-          int best = labels->data[i * labels->dims[1] + j];
-          if (i > 0) {
-            int __mm_s4 = i - 1;
-            int __mm_s5 = i - 1;
-            if (binary->data[__mm_s4 * binary->dims[1] + j] && labels->data[__mm_s5 * labels->dims[1] + j] < best) {
-              int __mm_s6 = i - 1;
-              best = labels->data[__mm_s6 * labels->dims[1] + j];
+    {
+      int i = 0;
+      while (i < m) {
+        {
+          int j = 0;
+          while (j < n) {
+            if (binary->data[i * binary->dims[1] + j]) {
+              int best = labels->data[i * labels->dims[1] + j];
+              if (i > 0) {
+                int __mm_s4 = i - 1;
+                int __mm_s5 = i - 1;
+                if (binary->data[__mm_s4 * binary->dims[1] + j] && labels->data[__mm_s5 * labels->dims[1] + j] < best) {
+                  int __mm_s6 = i - 1;
+                  best = labels->data[__mm_s6 * labels->dims[1] + j];
+                }
+              }
+              if (j > 0) {
+                int __mm_s7 = j - 1;
+                int __mm_s8 = j - 1;
+                if (binary->data[i * binary->dims[1] + __mm_s7] && labels->data[i * labels->dims[1] + __mm_s8] < best) {
+                  int __mm_s9 = j - 1;
+                  best = labels->data[i * labels->dims[1] + __mm_s9];
+                }
+              }
+              if (i < m - 1) {
+                int __mm_s10 = i + 1;
+                int __mm_s11 = i + 1;
+                if (binary->data[__mm_s10 * binary->dims[1] + j] && labels->data[__mm_s11 * labels->dims[1] + j] < best) {
+                  int __mm_s12 = i + 1;
+                  best = labels->data[__mm_s12 * labels->dims[1] + j];
+                }
+              }
+              if (j < n - 1) {
+                int __mm_s13 = j + 1;
+                int __mm_s14 = j + 1;
+                if (binary->data[i * binary->dims[1] + __mm_s13] && labels->data[i * labels->dims[1] + __mm_s14] < best) {
+                  int __mm_s15 = j + 1;
+                  best = labels->data[i * labels->dims[1] + __mm_s15];
+                }
+              }
+              if (best < labels->data[i * labels->dims[1] + j]) {
+                labels->data[i * labels->dims[1] + j] = best;
+                changed = true;
+              }
             }
-          }
-          if (j > 0) {
-            int __mm_s7 = j - 1;
-            int __mm_s8 = j - 1;
-            if (binary->data[i * binary->dims[1] + __mm_s7] && labels->data[i * labels->dims[1] + __mm_s8] < best) {
-              int __mm_s9 = j - 1;
-              best = labels->data[i * labels->dims[1] + __mm_s9];
-            }
-          }
-          if (i < m - 1) {
-            int __mm_s10 = i + 1;
-            int __mm_s11 = i + 1;
-            if (binary->data[__mm_s10 * binary->dims[1] + j] && labels->data[__mm_s11 * labels->dims[1] + j] < best) {
-              int __mm_s12 = i + 1;
-              best = labels->data[__mm_s12 * labels->dims[1] + j];
-            }
-          }
-          if (j < n - 1) {
-            int __mm_s13 = j + 1;
-            int __mm_s14 = j + 1;
-            if (binary->data[i * binary->dims[1] + __mm_s13] && labels->data[i * labels->dims[1] + __mm_s14] < best) {
-              int __mm_s15 = j + 1;
-              best = labels->data[i * labels->dims[1] + __mm_s15];
-            }
-          }
-          if (best < labels->data[i * labels->dims[1] + j]) {
-            labels->data[i * labels->dims[1] + j] = best;
-            changed = true;
+            j = j + 1;
           }
         }
-        j = j + 1;
+        i = i + 1;
       }
-      i = i + 1;
     }
   }
   mm_rc_dec(binary);

@@ -162,30 +162,20 @@ let test_pool_collects_all_exns () =
     (List.assoc_opt "pool.suppressed_exns" (T.counters ()));
   (* the pool must accept new work after a failed region *)
   let cell = Atomic.make 0 in
-  Pool.parallel_for ~grain:16 pool 0 1_000 (fun _ -> Atomic.incr cell);
+  Pool.parallel_for pool 0 1_000 (fun _ -> Atomic.incr cell);
   Alcotest.(check int) "pool reusable after exceptions" 1_000 (Atomic.get cell)
 
 let test_chunk_fault_recovered () =
   hygiene "chunk fault recovered" @@ fun () ->
   Pool.with_pool 4 @@ fun pool ->
-  List.iter
-    (fun chunking ->
-      Fp.reset ();
-      Pool.reset_faults pool;
-      Fp.arm_spec "pool.worker_body@1";
-      let hits = Array.make 10_000 0 in
-      Pool.parallel_for_ranges ~chunking ~grain:64 pool 0 10_000
-        (fun lo hi ->
-          for i = lo to hi - 1 do
-            hits.(i) <- hits.(i) + 1
-          done);
-      Alcotest.(check bool) "every index ran exactly once despite the fault"
-        true
-        (Array.for_all (fun c -> c = 1) hits);
-      Alcotest.(check int) "one recovered fault" 1 (Pool.fault_count pool);
-      Alcotest.(check bool) "default budget absorbs it" false
-        (Pool.is_degraded pool))
-    [ Pool.Static; Pool.Guided ]
+  Fp.arm_spec "pool.worker_body@1";
+  let hits = Array.make 10_000 0 in
+  Pool.parallel_for pool 0 10_000 (fun i -> hits.(i) <- hits.(i) + 1);
+  Alcotest.(check bool) "every index ran exactly once despite the fault" true
+    (Array.for_all (fun c -> c = 1) hits);
+  Alcotest.(check int) "one recovered fault" 1 (Pool.fault_count pool);
+  Alcotest.(check bool) "default budget absorbs it" false
+    (Pool.is_degraded pool)
 
 let test_pool_degrades_after_budget () =
   hygiene "pool degrades" @@ fun () ->
@@ -195,7 +185,7 @@ let test_pool_degrades_after_budget () =
   Pool.set_fault_budget pool 0;
   Fp.arm_spec "pool.worker_body@1";
   let cell = Atomic.make 0 in
-  Pool.parallel_for ~grain:16 pool 0 1_000 (fun _ -> Atomic.incr cell);
+  Pool.parallel_for pool 0 1_000 (fun _ -> Atomic.incr cell);
   Alcotest.(check int) "region completes despite the fault" 1_000
     (Atomic.get cell);
   Alcotest.(check bool) "budget 0 degrades on the first fault" true
@@ -208,25 +198,12 @@ let test_pool_degrades_after_budget () =
   (* degraded pool keeps working, inline *)
   Fp.reset ();
   let cell2 = Atomic.make 0 in
-  Pool.parallel_for ~grain:16 pool 0 500 (fun _ -> Atomic.incr cell2);
+  Pool.parallel_for pool 0 500 (fun _ -> Atomic.incr cell2);
   Alcotest.(check int) "degraded pool runs regions inline" 500
     (Atomic.get cell2);
   Pool.reset_faults pool;
   Alcotest.(check bool) "reset_faults re-enables dispatch" false
     (Pool.is_degraded pool)
-
-let test_parallel_fold_recovers () =
-  hygiene "parallel_fold recovers" @@ fun () ->
-  Pool.with_pool 4 @@ fun pool ->
-  Pool.reset_faults pool;
-  Fp.arm_spec "pool.worker_body@1";
-  let total =
-    Pool.parallel_fold ~grain:8 pool 0 1_000 ~init:0
-      ~body:(fun acc i -> acc + i)
-      ~combine:( + )
-  in
-  Alcotest.(check int) "fold exact after share recovery" 499_500 total;
-  Alcotest.(check int) "fault recorded" 1 (Pool.fault_count pool)
 
 (* --- resource guards through the driver --------------------------------------- *)
 
@@ -600,8 +577,6 @@ let suite =
       test_chunk_fault_recovered;
     Alcotest.test_case "pool: fault budget degrades to sequential" `Quick
       test_pool_degrades_after_budget;
-    Alcotest.test_case "pool: parallel_fold share recovery" `Quick
-      test_parallel_fold_recovers;
     Alcotest.test_case "limits: --max-steps aborts with provenance" `Quick
       test_limit_max_steps;
     Alcotest.test_case "limits: --timeout aborts with provenance" `Quick

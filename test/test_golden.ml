@@ -390,6 +390,41 @@ let test_cli_missing_source () =
       [ "check"; "emit"; "run"; "exec"; "profile"; "explain" ]
   end
 
+(* A thread count below one is a usage error in every subcommand that
+   runs a program — exit 2 before anything runs — not a silent
+   single-threaded run. *)
+let test_cli_threads_at_least_one () =
+  if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
+  else begin
+    let dir = Filename.temp_file "mmgolden" "" in
+    Sys.remove dir;
+    Sys.mkdir dir 0o755;
+    let prog = Filename.concat dir "prog.mc" in
+    Out_channel.with_open_text prog (fun oc ->
+        output_string oc "int main() { return 7; }\n");
+    let out = Filename.concat dir "out.txt" in
+    let err = Filename.concat dir "err.txt" in
+    List.iter
+      (fun cmd ->
+        List.iter
+          (fun n ->
+            let label = Printf.sprintf "%s --threads=%s" cmd n in
+            let code =
+              Sys.command
+                (Printf.sprintf "%s %s --threads=%s %s > %s 2> %s"
+                   (Filename.quote mmc_exe) cmd n (Filename.quote prog)
+                   (Filename.quote out) (Filename.quote err))
+            in
+            Alcotest.(check int) (label ^ " exits 2") 2 code;
+            Alcotest.(check string) (label ^ " says why")
+              "mmc: --threads must be >= 1\n"
+              (In_channel.with_open_text err In_channel.input_all);
+            Alcotest.(check string) (label ^ " runs nothing") ""
+              (In_channel.with_open_text out In_channel.input_all))
+          [ "0"; "-3" ])
+      [ "run"; "exec"; "profile" ]
+  end
+
 (* --- diff-size cap --------------------------------------------------------- *)
 
 let test_ir_diff_cap_falls_back_to_full_dumps () =
@@ -448,6 +483,8 @@ let suite =
       test_cli_help_renders;
     Alcotest.test_case "cli: a missing source file is a plain error" `Quick
       test_cli_missing_source;
+    Alcotest.test_case "cli: --threads below 1 is a usage error" `Quick
+      test_cli_threads_at_least_one;
     Alcotest.test_case "--ir-diff caps the LCS and dumps both versions" `Quick
       test_ir_diff_cap_falls_back_to_full_dumps;
     Alcotest.test_case "permuted extension order emits oracle C" `Quick

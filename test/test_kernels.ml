@@ -1,8 +1,8 @@
-(* Kernel-level correctness for the parallel cache-blocked runtime
-   (§III-C): the blocked/parallel matmul against the naive triple-loop
-   oracle over hundreds of random shapes, parallel elementwise and
-   reduction parity with the sequential paths, pool scheduling edge
-   cases (chunking, nesting, exceptions, degenerate pools), and a
+(* Parallel execution of the loops the matrix extension lowers to
+   (§III-C): matrix-multiplication rows, elementwise operations and row
+   reductions promoted to ParFor regions on the pool must match the
+   sequential run bit for bit, with the same errors; pool scheduling edge
+   cases (coverage, nesting, exceptions, degenerate pools); and a
    differential pool-vs-no-pool pass over every paper program.
 
    Randomized cases use seeded [Random.State] PRNGs so every run sees
@@ -23,228 +23,294 @@ let fresh_dir () =
   Sys.mkdir d 0o755;
   d
 
-(* Temporarily lower the pool-dispatch grain so matrices of a few hundred
-   elements exercise the parallel kernels. *)
-let with_grain g f =
-  let saved = Nd.get_par_grain () in
-  Nd.set_par_grain g;
-  Fun.protect ~finally:(fun () -> Nd.set_par_grain saved) f
-
 let rand_float_mat st sh =
   Nd.init_float sh (fun _ -> Random.State.float st 20. -. 10.)
 
 let rand_int_mat st sh =
   Nd.init_int sh (fun _ -> Random.State.int st 41 - 20)
 
-(* --- blocked matmul vs the naive oracle -------------------------------------- *)
+let auto_par = Driver.Pipeline.enable (Driver.default_config full) "auto-par" true
 
-(* ~200 random shapes, block sizes deliberately not dividing the matrix
-   extents, alternating pool/no-pool dispatch.  Float results are
-   tolerance-compared (the l-tiling reassociates the dot products); int
-   addition is associative, so int results must be bit-for-bit. *)
-let test_matmul_oracle_random () =
-  let st = Random.State.make [| 0xB10C; 42 |] in
-  let blocks = [| 1; 2; 3; 5; 8; 48 |] in
-  Pool.with_pool 4 @@ fun pool ->
-  for trial = 1 to 100 do
-    let m = 1 + Random.State.int st 33
-    and k = 1 + Random.State.int st 33
-    and n = 1 + Random.State.int st 33 in
-    let block = blocks.(Random.State.int st (Array.length blocks)) in
-    let pool = if trial mod 2 = 0 then Some pool else None in
-    let a = rand_float_mat st [| m; k |] and b = rand_float_mat st [| k; n |] in
-    let expect = Nd.matmul_naive a b in
-    let got = Nd.matmul_blocked ?pool ~block a b in
-    if not (Nd.approx_equal ~eps:1e-9 expect got) then
-      Alcotest.failf "float %dx%dx%d block=%d: blocked result diverges" m k n
-        block;
-    let ai = rand_int_mat st [| m; k |] and bi = rand_int_mat st [| k; n |] in
-    Alcotest.check nd
-      (Printf.sprintf "int %dx%dx%d block=%d bit-for-bit" m k n block)
-      (Nd.matmul_naive ai bi)
-      (Nd.matmul_blocked ?pool ~block ai bi)
-  done
+(* Run [src] with auto-par lowering, on [pool] if given, over [inputs] in
+   a fresh data directory: the outputs it wrote and its live count. *)
+let run_differential ?pool ~inputs ~outputs src =
+  let dir = fresh_dir () in
+  List.iter (fun (name, m) -> Interp.Eval.provide_input ~dir name m) inputs;
+  Runtime.Rc.reset ();
+  (match Driver.run ~dir ?pool ~config:auto_par full src [] with
+  | Driver.Ok_ _ -> ()
+  | Driver.Failed ds ->
+      Alcotest.failf "differential run failed: %s" (Driver.diags_to_string ds));
+  let leaks = Runtime.Rc.live_count () in
+  (List.map (fun name -> Interp.Eval.fetch_output ~dir name) outputs, leaks)
 
-(* The [matmul] dispatcher at a size over the parallel threshold: row
-   blocks really go through the pool and still match the oracle. *)
+(* [src] sequentially and on a 4-thread pool: the written matrices must
+   be identical and nothing may leak.  Returns the pooled outputs. *)
+let pool_matches_seq ~label ~inputs ~outputs src =
+  let seq, leaks_seq = run_differential ~inputs ~outputs src in
+  let par, leaks_par =
+    Pool.with_pool 4 (fun pool -> run_differential ~pool ~inputs ~outputs src)
+  in
+  List.iter2
+    (fun (name, a) b -> Alcotest.check nd (label ^ ": pooled " ^ name) a b)
+    (List.combine outputs seq) par;
+  Alcotest.(check int) (label ^ ": no leaks (seq)") 0 leaks_seq;
+  Alcotest.(check int) (label ^ ": no leaks (pool)") 0 leaks_par;
+  par
+
+(* The diagnostics of a run that must fail, sequentially or on a pool. *)
+let failure ?pool src =
+  match Driver.run ?pool ~config:auto_par full src [] with
+  | Driver.Ok_ v -> Alcotest.failf "expected a failure, got %a" Interp.Eval.pp_value v
+  | Driver.Failed ds -> Driver.diags_to_string ds
+
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
+(* --- matrix multiplication ------------------------------------------------------ *)
+
+(* The [a * b] row loop is a ParFor region: rows computed on different
+   workers still match the sequential run and the naive triple loop
+   (float dot products accumulate in the same order, so exactly). *)
 let test_matmul_parallel_dispatch () =
   let st = Random.State.make [| 7; 7; 7 |] in
-  let s = 70 in
-  (* s^3 > 2^18 *)
-  let a = rand_float_mat st [| s; s |] and b = rand_float_mat st [| s; s |] in
-  let expect = Nd.matmul_naive a b in
-  Pool.with_pool 4 (fun pool ->
-      Alcotest.(check bool)
-        "pooled matmul matches naive" true
-        (Nd.approx_equal ~eps:1e-9 expect (Nd.matmul ~pool a b)));
-  let ai = rand_int_mat st [| s; s |] and bi = rand_int_mat st [| s; s |] in
-  Pool.with_pool 4 (fun pool ->
-      Alcotest.check nd "pooled int matmul bit-for-bit"
-        (Nd.matmul_naive ai bi) (Nd.matmul ~pool ai bi))
+  let m = 40 and k = 33 and n = 37 in
+  let a = rand_float_mat st [| m; k |] and b = rand_float_mat st [| k; n |] in
+  let ai = rand_int_mat st [| m; k |] and bi = rand_int_mat st [| k; n |] in
+  let par =
+    pool_matches_seq ~label:"matmul"
+      ~inputs:[ ("a.data", a); ("b.data", b); ("ai.data", ai); ("bi.data", bi) ]
+      ~outputs:[ "c.data"; "ci.data" ]
+      {|
+int main() {
+  Matrix float <2> a = readMatrix("a.data");
+  Matrix float <2> b = readMatrix("b.data");
+  Matrix int <2> ai = readMatrix("ai.data");
+  Matrix int <2> bi = readMatrix("bi.data");
+  Matrix float <2> c = a * b;
+  Matrix int <2> ci = ai * bi;
+  writeMatrix("c.data", c);
+  writeMatrix("ci.data", ci);
+  return 0;
+}
+|}
+  in
+  let dot x y ix =
+    let acc = ref (S.I 0) in
+    for l = 0 to k - 1 do
+      acc :=
+        S.arith S.Add !acc
+          (S.arith S.Mul (Nd.get x [| ix.(0); l |]) (Nd.get y [| l; ix.(1) |]))
+    done;
+    !acc
+  in
+  Alcotest.check nd "float rows match the triple loop"
+    (Nd.init_float [| m; n |] (fun ix -> S.to_float (dot a b ix)))
+    (List.nth par 0);
+  Alcotest.check nd "int rows match the triple loop"
+    (Nd.init_int [| m; n |] (fun ix -> S.to_int (dot ai bi ix)))
+    (List.nth par 1)
 
+(* Operand errors: the checker rejects rank-1, boolean and mixed-type
+   products; disagreeing inner dimensions over-read at run time, with the
+   same diagnostic sequentially and on the pool. *)
 let test_matmul_errors () =
-  let v = Nd.of_float_array [| 3 |] [| 1.; 2.; 3. |] in
-  let a = Nd.of_float_array [| 2; 3 |] [| 1.; 2.; 3.; 4.; 5.; 6. |] in
-  Alcotest.check_raises "rank"
-    (Runtime.Shape.Shape_error
-       "matrix multiplication requires rank 2, got [3] and [3]")
-    (fun () -> ignore (Nd.matmul v v));
-  Alcotest.check_raises "inner dims"
-    (Runtime.Shape.Shape_error
-       "matrix multiplication inner dimensions: [2x3] vs [2x3]")
-    (fun () -> ignore (Nd.matmul a a));
-  Alcotest.check_raises "blocked kernel validates too"
-    (Runtime.Shape.Shape_error
-       "matrix multiplication inner dimensions: [2x3] vs [2x3]")
-    (fun () -> ignore (Nd.matmul_blocked a a));
-  let bm = Nd.of_bool_array [| 1; 1 |] [| true |] in
-  Alcotest.check_raises "boolean"
-    (Nd.Type_error "matrix multiplication on boolean matrices")
-    (fun () -> ignore (Nd.matmul bm bm))
+  List.iter
+    (fun (decls, expected) ->
+      let text = failure (Printf.sprintf "int main() { %s return 0; }" decls) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (got: %s)" expected text)
+        true (contains ~affix:expected text))
+    [
+      ( "Matrix float <1> v = with ([0] <= [i] < [3]) genarray([3], 1.0); \
+         Matrix float <1> w = v * v;",
+        "matrix multiplication requires rank-2 operands" );
+      ( "Matrix bool <2> m = with ([0,0] <= [i,j] < [2,2]) genarray([2,2], i > j); \
+         Matrix bool <2> c = m * m;",
+        "matrix multiplication on boolean matrices" );
+      ( "Matrix float <2> a = with ([0,0] <= [i,j] < [2,3]) genarray([2,3], 1.0); \
+         Matrix int <2> b = with ([0,0] <= [i,j] < [3,2]) genarray([3,2], 1); \
+         Matrix float <2> c = a * b;",
+        "* requires matrices of the same element type" );
+    ];
+  let inner =
+    {|
+int main() {
+  Matrix float <2> a = with ([0,0] <= [i,j] < [2,3]) genarray([2,3], (float)(i + j));
+  Matrix float <2> c = a * a;
+  return 0;
+}
+|}
+  in
+  let seq = failure inner in
+  Alcotest.(check bool)
+    (Printf.sprintf "inner dimensions over-read (got: %s)" seq)
+    true
+    (contains ~affix:"flat offset 6 out of bounds for [2x3]" seq);
+  Alcotest.(check string) "same diagnostic on the pool" seq
+    (Pool.with_pool 4 (fun pool -> failure ~pool inner))
 
-(* --- parallel elementwise parity ---------------------------------------------- *)
+(* --- elementwise operations and reductions -------------------------------------- *)
 
-(* Elementwise maps are order-independent: the pooled kernels must be
-   bit-for-bit identical to the sequential ones, floats included. *)
+(* Elementwise maps write one output element per index: pooled runs are
+   bit-for-bit identical to sequential ones, floats included. *)
 let test_elementwise_parity () =
   let st = Random.State.make [| 0xE1E; 9 |] in
-  with_grain 64 @@ fun () ->
-  Pool.with_pool 4 @@ fun pool ->
-  for _ = 1 to 25 do
-    let sh = [| 1 + Random.State.int st 20; 1 + Random.State.int st 30 |] in
-    let a = rand_float_mat st sh and b = rand_float_mat st sh in
-    List.iter
-      (fun op ->
-        Alcotest.check nd "float arith" (Nd.arith op a b)
-          (Nd.arith ~pool op a b))
-      [ S.Add; S.Sub; S.Mul; S.Div ];
-    let ai = rand_int_mat st sh in
-    let bi = Nd.init_int sh (fun _ -> 1 + Random.State.int st 9) in
-    List.iter
-      (fun op ->
-        Alcotest.check nd "int arith" (Nd.arith op ai bi)
-          (Nd.arith ~pool op ai bi))
-      [ S.Add; S.Sub; S.Mul; S.Div; S.Mod ];
-    List.iter
-      (fun op ->
-        Alcotest.check nd "float cmp" (Nd.cmp op a b) (Nd.cmp ~pool op a b);
-        Alcotest.check nd "int cmp" (Nd.cmp op ai bi) (Nd.cmp ~pool op ai bi))
-      [ S.Lt; S.Le; S.Gt; S.Ge; S.Eq; S.Ne ];
-    List.iter
-      (fun scalar_left ->
-        Alcotest.check nd "arith_scalar"
-          (Nd.arith_scalar S.Mul a (S.F 1.5) ~scalar_left)
-          (Nd.arith_scalar ~pool S.Mul a (S.F 1.5) ~scalar_left);
-        Alcotest.check nd "int-matrix float-scalar"
-          (Nd.arith_scalar S.Add ai (S.F 0.5) ~scalar_left)
-          (Nd.arith_scalar ~pool S.Add ai (S.F 0.5) ~scalar_left);
-        Alcotest.check nd "cmp_scalar"
-          (Nd.cmp_scalar S.Lt a (S.F 0.) ~scalar_left)
-          (Nd.cmp_scalar ~pool S.Lt a (S.F 0.) ~scalar_left))
-      [ true; false ];
-    let ma = Nd.cmp_scalar S.Gt a (S.F 0.) ~scalar_left:false in
-    let mb = Nd.cmp_scalar S.Gt b (S.F 0.) ~scalar_left:false in
-    Alcotest.check nd "logic and" (Nd.logic S.And ma mb)
-      (Nd.logic ~pool S.And ma mb);
-    Alcotest.check nd "logic or" (Nd.logic S.Or ma mb)
-      (Nd.logic ~pool S.Or ma mb);
-    Alcotest.check nd "not" (Nd.not_ ma) (Nd.not_ ~pool ma);
-    Alcotest.check nd "neg float" (Nd.neg a) (Nd.neg ~pool a);
-    Alcotest.check nd "neg int" (Nd.neg ai) (Nd.neg ~pool ai)
-  done
+  let sh = [| 1 + Random.State.int st 20; 1 + Random.State.int st 30 |] in
+  ignore
+    (pool_matches_seq ~label:"elementwise"
+       ~inputs:
+         [
+           ("a.data", rand_float_mat st sh);
+           ("b.data", rand_float_mat st sh);
+           ("ai.data", rand_int_mat st sh);
+           ("bi.data", Nd.init_int sh (fun _ -> 1 + Random.State.int st 9));
+         ]
+       ~outputs:
+         [ "sum.data"; "dif.data"; "prd.data"; "quo.data"; "scl.data";
+           "rsc.data"; "idv.data"; "imd.data"; "cmp.data"; "lgc.data";
+           "neg.data"; "ineg.data" ]
+       {|
+int main() {
+  Matrix float <2> a = readMatrix("a.data");
+  Matrix float <2> b = readMatrix("b.data");
+  Matrix int <2> ai = readMatrix("ai.data");
+  Matrix int <2> bi = readMatrix("bi.data");
+  Matrix float <2> sum = a + b;
+  Matrix float <2> dif = a - b;
+  Matrix float <2> prd = a .* b;
+  Matrix float <2> quo = a / b;
+  Matrix float <2> scl = a * 1.5;
+  Matrix float <2> rsc = 0.5 - a;
+  Matrix int <2> idv = ai / bi;
+  Matrix int <2> imd = ai % bi;
+  Matrix bool <2> cmp = a < b;
+  Matrix bool <2> lgc = !(a >= b) && (a > 0.0) || (ai == bi);
+  Matrix float <2> neg = -a;
+  Matrix int <2> ineg = -ai;
+  writeMatrix("sum.data", sum);
+  writeMatrix("dif.data", dif);
+  writeMatrix("prd.data", prd);
+  writeMatrix("quo.data", quo);
+  writeMatrix("scl.data", scl);
+  writeMatrix("rsc.data", rsc);
+  writeMatrix("idv.data", idv);
+  writeMatrix("imd.data", imd);
+  writeMatrix("cmp.data", cmp);
+  writeMatrix("lgc.data", lgc);
+  writeMatrix("neg.data", neg);
+  writeMatrix("ineg.data", ineg);
+  return 0;
+}
+|})
 
-(* Error semantics survive the fast paths, sequential and pooled. *)
+(* Error semantics survive the parallel region: the same diagnostic,
+   sequential and pooled; a float [%] is a type error. *)
 let test_elementwise_errors () =
-  with_grain 4 @@ fun () ->
+  let prog op =
+    Printf.sprintf
+      {|
+int main() {
+  Matrix int <1> z = with ([0] <= [i] < [64]) genarray([64], (i + 1) %% 40);
+  Matrix int <1> o = with ([0] <= [i] < [64]) genarray([64], 9);
+  Matrix int <1> q = o %s z;
+  return q[0];
+}
+|}
+      op
+  in
   Pool.with_pool 2 @@ fun pool ->
-  let z = Nd.of_int_array [| 4 |] [| 1; 0; 2; 3 |] in
-  let o = Nd.of_int_array [| 4 |] [| 9; 9; 9; 9 |] in
-  Alcotest.check_raises "div by zero (seq)"
-    (S.Type_error "integer division by zero") (fun () ->
-      ignore (Nd.arith S.Div o z));
-  Alcotest.check_raises "div by zero (pool)"
-    (S.Type_error "integer division by zero") (fun () ->
-      ignore (Nd.arith ~pool S.Div o z));
-  Alcotest.check_raises "mod by zero"
-    (S.Type_error "modulo by zero") (fun () ->
-      ignore (Nd.arith ~pool S.Mod o z));
-  let f = Nd.of_float_array [| 2 |] [| 1.; 2. |] in
-  Alcotest.check_raises "float mod"
-    (S.Type_error "% requires integer operands") (fun () ->
-      ignore (Nd.arith ~pool S.Mod f f));
-  let b = Nd.of_bool_array [| 2 |] [| true; false |] in
-  Alcotest.check_raises "bool arith"
-    (Nd.Type_error "arithmetic on boolean matrices") (fun () ->
-      ignore (Nd.arith ~pool S.Add b b))
+  List.iter
+    (fun (op, expected) ->
+      let seq = failure (prog op) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (got: %s)" expected seq)
+        true (contains ~affix:expected seq);
+      Alcotest.(check string) (expected ^ " on the pool") seq
+        (failure ~pool (prog op)))
+    [ ("/", "integer division by zero"); ("%", "modulo by zero") ];
+  let text =
+    failure
+      "int main() { Matrix float <1> f = with ([0] <= [i] < [2]) \
+       genarray([2], 1.5); Matrix float <1> g = f % f; return 0; }"
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "float %% rejected (got: %s)" text)
+    true
+    (contains ~affix:"% requires integer matrices" text)
 
-(* --- parallel reductions -------------------------------------------------------- *)
-
+(* Row reductions: the genarray over rows is a ParFor region, each
+   row's fold runs on one worker, in order — exactly the sequential
+   sums. *)
 let test_reduction_parity () =
   let st = Random.State.make [| 0x5EED |] in
-  with_grain 100 @@ fun () ->
-  Pool.with_pool 4 @@ fun pool ->
-  for _ = 1 to 20 do
-    let n = 1 + Random.State.int st 5_000 in
-    let v = rand_float_mat st [| n |] in
-    let seq = Nd.sum_float v and par = Nd.sum_float ~pool v in
-    (* per-thread partials reassociate the float sum: tolerance, scaled *)
-    let scale = max 1. (abs_float seq) in
-    if abs_float (seq -. par) > 1e-9 *. scale then
-      Alcotest.failf "sum_float diverges: %.17g vs %.17g (n=%d)" seq par n;
-    let vi = rand_int_mat st [| n |] in
-    let si = Nd.sum_float vi and pi = Nd.sum_float ~pool vi in
-    Alcotest.(check (float 0.)) "int sum exact" si pi;
-    let mask = Nd.cmp_scalar S.Gt vi (S.I 0) ~scalar_left:false in
-    Alcotest.(check int) "count_true exact" (Nd.count_true mask)
-      (Nd.count_true ~pool mask)
-  done
-
-let test_parallel_fold () =
-  Pool.with_pool 3 @@ fun pool ->
-  let n = 10_000 in
-  let expect = n * (n - 1) / 2 in
-  let got =
-    Pool.parallel_fold pool 0 n ~init:0 ~body:(fun acc i -> acc + i)
-      ~combine:( + )
+  let m = 1 + Random.State.int st 40 and n = 1 + Random.State.int st 300 in
+  let a = rand_float_mat st [| m; n |] and ai = rand_int_mat st [| m; n |] in
+  let par =
+    pool_matches_seq ~label:"reductions"
+      ~inputs:[ ("a.data", a); ("ai.data", ai) ]
+      ~outputs:[ "rows.data"; "irows.data"; "pos.data" ]
+      {|
+int main() {
+  Matrix float <2> a = readMatrix("a.data");
+  Matrix int <2> ai = readMatrix("ai.data");
+  int m = dimSize(a, 0);
+  int n = dimSize(a, 1);
+  Matrix float <1> rows = with ([0] <= [i] < [m]) genarray([m],
+    with ([0] <= [j] < [n]) fold (+, 0.0, a[i, j]));
+  Matrix int <1> irows = with ([0] <= [i] < [m]) genarray([m],
+    with ([0] <= [j] < [n]) fold (+, 0, ai[i, j]));
+  Matrix int <1> pos = with ([0] <= [i] < [m]) genarray([m],
+    with ([0] <= [j] < [n]) fold (max, 0, ai[i, j]));
+  writeMatrix("rows.data", rows);
+  writeMatrix("irows.data", irows);
+  writeMatrix("pos.data", pos);
+  return 0;
+}
+|}
   in
-  Alcotest.(check int) "sum 0..n-1" expect got;
-  Alcotest.(check int) "empty fold returns init" 42
-    (Pool.parallel_fold pool 9 3 ~init:42 ~body:(fun _ _ -> 0) ~combine:( + ));
-  Alcotest.(check int) "grain keeps small folds inline" 6
-    (Pool.parallel_fold ~grain:100 pool 0 4 ~init:0 ~body:(fun a i -> a + i)
-       ~combine:( + ))
+  let row f init x =
+    Array.init m (fun i ->
+        let acc = ref init in
+        for j = 0 to n - 1 do
+          acc := f !acc (Nd.get x [| i; j |])
+        done;
+        !acc)
+  in
+  let add = S.arith S.Add in
+  Alcotest.check nd "float row sums"
+    (Nd.of_float_array [| m |]
+       (Array.map S.to_float (row add (S.F 0.) a)))
+    (List.nth par 0);
+  Alcotest.check nd "int row sums"
+    (Nd.of_int_array [| m |] (Array.map S.to_int (row add (S.I 0) ai)))
+    (List.nth par 1);
+  Alcotest.check nd "int row maxima"
+    (Nd.of_int_array [| m |]
+       (Array.map S.to_int
+          (row (fun x y -> if S.to_int y > S.to_int x then y else x) (S.I 0) ai)))
+    (List.nth par 2)
 
 (* --- pool scheduling edge cases -------------------------------------------------- *)
 
-(* Every index visited exactly once, for both chunking policies, a spread
-   of grains and bounds (including non-zero lo). *)
+(* Every index visited exactly once, for a spread of bounds (including
+   non-zero lo, single-index and empty ranges). *)
 let test_chunked_coverage () =
   Pool.with_pool 4 @@ fun pool ->
   List.iter
-    (fun chunking ->
-      List.iter
-        (fun (lo, hi, grain) ->
-          let n = max 0 (hi - lo) in
-          let hits = Array.make (max 1 n) 0 in
-          Pool.parallel_for ~chunking ~grain pool lo hi (fun i ->
-              hits.(i - lo) <- hits.(i - lo) + 1);
-          Array.iteri
-            (fun i c ->
-              if n > 0 && c <> 1 then
-                Alcotest.failf "index %d visited %d times (lo=%d hi=%d grain=%d)"
-                  (i + lo) c lo hi grain)
-            hits)
-        [ (0, 1_000, 1); (13, 977, 7); (0, 5, 1_000); (0, 1, 1); (5, 5, 1); (9, 3, 1) ])
-    [ Pool.Static; Pool.Guided ];
-  (* ranges variant: chunks tile [lo, hi) without gap or overlap *)
-  let seen = Array.make 500 0 in
-  Pool.parallel_for_ranges ~chunking:Pool.Guided ~grain:16 pool 0 500
-    (fun lo hi ->
-      for i = lo to hi - 1 do
-        seen.(i) <- seen.(i) + 1
-      done);
-  Alcotest.(check bool) "guided ranges tile exactly" true
-    (Array.for_all (fun c -> c = 1) seen)
+    (fun (lo, hi) ->
+      let n = max 0 (hi - lo) in
+      let hits = Array.make (max 1 n) 0 in
+      Pool.parallel_for pool lo hi (fun i -> hits.(i - lo) <- hits.(i - lo) + 1);
+      Array.iteri
+        (fun i c ->
+          if n > 0 && c <> 1 then
+            Alcotest.failf "index %d visited %d times (lo=%d hi=%d)" (i + lo) c
+              lo hi)
+        hits)
+    [ (0, 1_000); (13, 977); (0, 5); (0, 1); (5, 5); (9, 3) ]
 
 let test_pool_degenerate () =
   Alcotest.check_raises "create 0"
@@ -281,7 +347,7 @@ let test_exception_mid_chunk () =
   Pool.with_pool 4 @@ fun pool ->
   let raised =
     match
-      Pool.parallel_for ~chunking:Pool.Guided pool 0 10_000 (fun i ->
+      Pool.parallel_for pool 0 10_000 (fun i ->
           if i = 7_777 then raise Chunk_boom)
     with
     | () -> false
@@ -297,6 +363,8 @@ let test_exception_mid_chunk () =
 
 (* --- kernel telemetry ------------------------------------------------------------ *)
 
+(* A promoted elementwise loop on a 2-thread pool dispatches a region and
+   counts its chunks. *)
 let test_kernel_counters () =
   T.reset ();
   T.set_enabled true;
@@ -304,17 +372,24 @@ let test_kernel_counters () =
       T.set_enabled false;
       T.reset ())
   @@ fun () ->
-  let a = Nd.init_float [| 20; 20 |] (fun ix -> float_of_int ix.(0)) in
-  ignore (Nd.matmul a a);
-  (* 20*20*20 = 8000 >= block threshold -> blocked kernel *)
-  Alcotest.(check (option int)) "matmul_blocked counted" (Some 1)
-    (List.assoc_opt "kernel.matmul_blocked" (T.counters ()));
-  Pool.with_pool 2 (fun pool -> Pool.parallel_for ~grain:8 pool 0 100 ignore);
-  match List.assoc_opt "pool.chunks_dispatched" (T.counters ()) with
-  | Some c when c >= 1 -> ()
-  | v ->
-      Alcotest.failf "pool.chunks_dispatched expected >= 1, got %s"
-        (match v with None -> "none" | Some c -> string_of_int c)
+  Pool.with_pool 2 (fun pool ->
+      match
+        Driver.run ~pool ~config:auto_par full
+          "int main() { Matrix int <1> v = with ([0] <= [i] < [100]) \
+           genarray([100], i); Matrix int <1> w = v + v; return w[99]; }"
+          []
+      with
+      | Driver.Ok_ (Interp.Eval.VScal (S.I 198)) -> ()
+      | Driver.Ok_ v -> Alcotest.failf "got %a" Interp.Eval.pp_value v
+      | Driver.Failed ds -> Alcotest.failf "%s" (Driver.diags_to_string ds));
+  List.iter
+    (fun name ->
+      match List.assoc_opt name (T.counters ()) with
+      | Some c when c >= 1 -> ()
+      | v ->
+          Alcotest.failf "%s expected >= 1, got %s" name
+            (match v with None -> "none" | Some c -> string_of_int c))
+    [ "pool.jobs_dispatched"; "pool.chunks_dispatched" ]
 
 (* --- differential: every paper program, pool vs no pool --------------------------- *)
 
@@ -336,17 +411,6 @@ let eddy_inputs =
     (let cube, _ = Eddy.Ssh_gen.generate ~lat:10 ~lon:12 ~time:3 ~n_eddies:2 ~seed:11 () in
      let dates = Nd.init_int [| 3 |] (fun ix -> 1012000 + ix.(0)) in
      (cube, dates))
-
-let run_differential ?pool ~inputs ~outputs src =
-  let dir = fresh_dir () in
-  List.iter (fun (name, m) -> Interp.Eval.provide_input ~dir name m) inputs;
-  Runtime.Rc.reset ();
-  (match Driver.run ~dir ?pool ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true) full src [] with
-  | Driver.Ok_ _ -> ()
-  | Driver.Failed ds ->
-      Alcotest.failf "differential run failed: %s" (Driver.diags_to_string ds));
-  let leaks = Runtime.Rc.live_count () in
-  (List.map (fun name -> Interp.Eval.fetch_output ~dir name) outputs, leaks)
 
 let differential_programs () =
   let cube = Lazy.force trough_cube in
@@ -375,17 +439,9 @@ let differential_programs () =
    a 4-worker pool and no pool at all must produce identical outputs
    (bit-for-bit — parallel regions only ever write disjoint elements). *)
 let test_differential_pool_vs_none () =
-  Pool.with_pool 4 @@ fun pool ->
   List.iter
     (fun (label, src, inputs, outputs) ->
-      let seq, leaks_seq = run_differential ~inputs ~outputs src in
-      let par, leaks_par = run_differential ~pool ~inputs ~outputs src in
-      List.iter2
-        (fun a b ->
-          Alcotest.check nd (label ^ ": pool output identical") a b)
-        seq par;
-      Alcotest.(check int) (label ^ ": no leaks (seq)") 0 leaks_seq;
-      Alcotest.(check int) (label ^ ": no leaks (pool)") 0 leaks_par)
+      ignore (pool_matches_seq ~label ~inputs ~outputs src))
     (differential_programs ())
 
 (* The examples/ program (a fold with-loop over a vector) returns through
@@ -402,7 +458,7 @@ int main() {
 |}
   in
   let run ?pool () =
-    match Driver.run ?pool ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true) full src [] with
+    match Driver.run ?pool ~config:auto_par full src [] with
     | Driver.Ok_ (Interp.Eval.VScal (S.I n)) -> n
     | Driver.Ok_ v ->
         Alcotest.failf "unexpected value %a" Interp.Eval.pp_value v
@@ -415,8 +471,6 @@ int main() {
 
 let suite =
   [
-    Alcotest.test_case "blocked matmul vs oracle (random shapes)" `Quick
-      test_matmul_oracle_random;
     Alcotest.test_case "matmul parallel row dispatch" `Quick
       test_matmul_parallel_dispatch;
     Alcotest.test_case "matmul error cases" `Quick test_matmul_errors;
@@ -425,7 +479,6 @@ let suite =
     Alcotest.test_case "elementwise error semantics" `Quick
       test_elementwise_errors;
     Alcotest.test_case "parallel reductions" `Quick test_reduction_parity;
-    Alcotest.test_case "parallel_fold" `Quick test_parallel_fold;
     Alcotest.test_case "chunked scheduling coverage" `Quick
       test_chunked_coverage;
     Alcotest.test_case "degenerate pools" `Quick test_pool_degenerate;

@@ -858,6 +858,154 @@ int main() {
 }
 |}
 
+(* --- indexing modes and matrix arithmetic --------------------------------------- *)
+
+(* Every indexing mode of §III-A3 and the matrix arithmetic of §III-A2,
+   lowered to loops, agree across backends at 1 and 2 threads: gather
+   read and range write, mask read and mask fill, whole dimensions with
+   [end] and [end - 3], a 2-D range with [end], an empty range (dimSize
+   0), the product of two sub-blocks, [.*] and matrix-scalar arithmetic
+   in both operand orders. *)
+let indexing_src =
+  {|
+int main() {
+  Matrix int <1> v = with ([0] <= [i] < [10]) genarray([10], i * i);
+  Matrix int <1> idx = with ([0] <= [i] < [3]) genarray([3], 8 - 3 * i);
+  Matrix int <1> g = v[idx];
+  v[7::9] = g;
+  Matrix int <1> odd = v[v % 2 == 1];
+  v[v > 40] = -1;
+  Matrix float <2> m = with ([0,0] <= [i,j] < [4,6]) genarray([4,6], (float)(10 * i + j) / 4.0);
+  Matrix float <1> row = m[1, :];
+  Matrix float <1> col = m[:, end];
+  Matrix float <1> back = m[:, end - 3];
+  Matrix float <2> blk = m[1::end, 2::end];
+  Matrix float <1> none = row[5::2];
+  Matrix float <2> p = m[0::1, 0::2] * m[1::3, 3::4];
+  Matrix float <2> q = m .* m;
+  Matrix float <2> r = 2.0 - m;
+  Matrix float <2> s = m / 4.0;
+  writeMatrix("v.data", v);
+  writeMatrix("g.data", g);
+  writeMatrix("odd.data", odd);
+  writeMatrix("row.data", row);
+  writeMatrix("col.data", col);
+  writeMatrix("back.data", back);
+  writeMatrix("blk.data", blk);
+  writeMatrix("none.data", none);
+  writeMatrix("p.data", p);
+  writeMatrix("q.data", q);
+  writeMatrix("r.data", r);
+  writeMatrix("s.data", s);
+  return dimSize(none, 0) * 1000 + dimSize(blk, 0) * 100 + dimSize(p, 1) * 10
+    + dimSize(odd, 0);
+}
+|}
+
+(* An out-of-range gather index, and a 2-element source assigned into a
+   3-element range: the interpreter and a guarded binary fail at the same
+   span. *)
+let indexing_errors =
+  [
+    ( "gather index out of range",
+      {|
+int main() {
+  Matrix int <1> v = with ([0] <= [i] < [4]) genarray([4], i);
+  Matrix int <1> idx = with ([0] <= [i] < [2]) genarray([2], 3 + i);
+  Matrix int <1> g = v[idx];
+  return g[0];
+}
+|},
+      "flat offset 4 out of bounds for [4]",
+      "subscript 4 out of bounds for 4 elements" );
+    ( "source shorter than its range",
+      {|
+int main() {
+  Matrix int <1> v = with ([0] <= [i] < [6]) genarray([6], i);
+  Matrix int <1> src = with ([0] <= [i] < [2]) genarray([2], 10 + i);
+  v[1::3] = src;
+  return v[1];
+}
+|},
+      "flat offset 2 out of bounds for [2]",
+      "subscript 2 out of bounds for 2 elements" );
+  ]
+
+let test_indexing_modes () =
+  List.iter
+    (fun threads ->
+      differential
+        ~name:(Printf.sprintf "indexing/%d threads" threads)
+        ~auto_par:(threads > 1) ~threads ~inputs:[]
+        ~outputs:
+          [ "v.data"; "g.data"; "odd.data"; "row.data"; "col.data";
+            "back.data"; "blk.data"; "none.data"; "p.data"; "q.data";
+            "r.data"; "s.data" ]
+        indexing_src)
+    [ 1; 2 ];
+  let failure ~name ~backend expected = function
+    | Driver.Ok_ _ -> Alcotest.failf "%s: %s succeeded" name backend
+    | Driver.Failed (d :: _ as ds) ->
+        let text = Driver.diags_to_string ds in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s names the fault (got: %s)" name backend text)
+          true
+          (is_infix ~affix:expected text);
+        Support.Pos.span_to_string d.Support.Diag.span
+    | Driver.Failed [] -> Alcotest.failf "%s: %s failed silently" name backend
+  in
+  List.iter
+    (fun (name, src, interp_msg, native_msg) ->
+      let interp =
+        failure ~name ~backend:"interpreter" interp_msg (Driver.run full src [])
+      in
+      let native =
+        failure ~name ~backend:"guarded binary" native_msg
+          (Driver.exec ~guards:true ~cache_dir:(Lazy.force suite_cache)
+             (Driver.Composed full) src)
+      in
+      Alcotest.(check string) (name ^ ": same span") interp native)
+    indexing_errors
+
+(* A declaration in a for-loop's init is scoped to the loop, as in C: it
+   neither clobbers an outer variable of the same name nor clashes with a
+   sibling loop's. *)
+let test_for_init_scope () =
+  both_return ~name:"outer variable kept" ~expect:503
+    {|
+int main() {
+  int i = 5;
+  int s = 0;
+  for (int i = 0; i < 3; i++) { s = s + i; }
+  return i * 100 + s;
+}
+|};
+  both_return ~name:"sibling loops" ~expect:9
+    {|
+int main() {
+  int s = 0;
+  for (int i = 0; i < 3; i++) { s = s + i; }
+  for (int i = 0; i < 4; i++) { s = s + i; }
+  return s;
+}
+|};
+  both_return ~name:"sibling loops over matrices" ~expect:50
+    {|
+int main() {
+  Matrix int <2> m = with ([0,0] <= [i,j] < [3,4]) genarray([3,4], i * 4 + j);
+  int s = 0;
+  for (int k = 0; k < 3; k++) {
+    Matrix int <1> row = m[k, :];
+    s = s + row[0];
+  }
+  for (int k = 0; k < 4; k++) {
+    Matrix int <1> col = m[:, k];
+    s = s + col[2];
+  }
+  return s;
+}
+|}
+
 let suite =
   [
     Alcotest.test_case "fig1 interp vs native" `Quick test_fig1;
@@ -905,4 +1053,8 @@ let suite =
       test_rebound_param;
     Alcotest.test_case "shadowing block releases each matrix once" `Quick
       test_shadowed_owned_matrix;
+    Alcotest.test_case "indexing modes and matrix arithmetic agree" `Quick
+      test_indexing_modes;
+    Alcotest.test_case "for-init declarations are scoped to their loop" `Quick
+      test_for_init_scope;
   ]

@@ -440,8 +440,7 @@ let test_fig4_run_vs_oracle () =
   (* compare partitions per frame with the union-find oracle *)
   for t = 0 to time - 1 do
     let fr = Eddy.Ssh_gen.frame cube t in
-    let mask = Nd.cmp_scalar S.Lt fr (S.F (-0.25)) ~scalar_left:false in
-    let oracle = Eddy.Conncomp.label mask in
+    let oracle = Eddy.Conncomp.label (Eddy.Conncomp.below ~threshold:(-0.25) fr) in
     let same_partition =
       let ok = ref true in
       let assoc : (int, int) Hashtbl.t = Hashtbl.create 16 in

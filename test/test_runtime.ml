@@ -1,4 +1,5 @@
-(* Runtime substrate: shapes, ndarrays (every §III-A3 indexing mode),
+(* Runtime substrate: shapes, ndarrays and their matrix files, every
+   §III-A2/A3 operation and indexing mode as the translator runs it,
    refcounting invariants, the enhanced fork-join pool, simulated SSE. *)
 
 open Runtime
@@ -31,72 +32,170 @@ let prop_offset_unoffset =
           return (sh, off)))
     (fun (sh, off) -> Shape.offset sh (Shape.unoffset sh off) = off)
 
+(* Flat offsets enumerate multi-indices in row-major order: the order
+   [Ndarray.init_*] visits them in. *)
 let test_shape_iter_order () =
   let s = [| 2; 3 |] in
-  let seen = ref [] in
-  Shape.iter s (fun idx -> seen := Array.copy idx :: !seen);
-  Alcotest.(check int) "count" 6 (List.length !seen);
-  Alcotest.(check (array int)) "first row-major" [| 0; 0 |]
-    (List.nth (List.rev !seen) 0);
-  Alcotest.(check (array int)) "second row-major" [| 0; 1 |]
-    (List.nth (List.rev !seen) 1);
-  Alcotest.(check (array int)) "last" [| 1; 2 |] (List.hd !seen)
+  let seen = List.init (Shape.size s) (Shape.unoffset s) in
+  Alcotest.(check int) "count" 6 (List.length seen);
+  Alcotest.(check (array int)) "first row-major" [| 0; 0 |] (List.nth seen 0);
+  Alcotest.(check (array int)) "second row-major" [| 0; 1 |] (List.nth seen 1);
+  Alcotest.(check (array int)) "last" [| 1; 2 |] (List.nth seen 5)
 
-(* --- ndarray: construction and elementwise ops ---------------------------- *)
+(* --- matrix operations and indexing, through the translator --------------- *)
+
+(* The matrix extension lowers every operation and indexing mode of
+   §III-A2/A3 to loops over flat buffers, so these cases run programs:
+   [run_prog src] runs [src] on the interpreter with [inputs] in a fresh
+   data directory and returns its value and the matrices it wrote to
+   [outputs]; no allocation may outlive the run. *)
+let matrix = Driver.compose [ Driver.matrix; Driver.transform; Driver.refptr ]
+
+let run_prog ?(inputs = []) ?(outputs = []) src =
+  let dir = Filename.temp_file "mmrt" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  List.iter (fun (name, m) -> Interp.Eval.provide_input ~dir name m) inputs;
+  Rc.reset ();
+  match Driver.run ~dir matrix src [] with
+  | Driver.Failed ds ->
+      Alcotest.failf "program failed: %s" (Driver.diags_to_string ds)
+  | Driver.Ok_ v ->
+      Alcotest.(check int) "no allocation outlives the run" 0 (Rc.live_count ());
+      (v, List.map (Interp.Eval.fetch_output ~dir) outputs)
+
+(* [src] must fail with a diagnostic containing [expected]. *)
+let check_fails ~expected src =
+  match Driver.run matrix src [] with
+  | Driver.Ok_ v -> Alcotest.failf "expected %S, got %a" expected Interp.Eval.pp_value v
+  | Driver.Failed ds ->
+      let text = Driver.diags_to_string ds in
+      let n = String.length expected in
+      let rec has i =
+        i + n <= String.length text && (String.sub text i n = expected || has (i + 1))
+      in
+      Alcotest.(check bool) (Printf.sprintf "%S in: %s" expected text) true (has 0)
 
 let m23 = Ndarray.of_float_array [| 2; 3 |] [| 1.; 2.; 3.; 4.; 5.; 6. |]
 
 let test_elementwise () =
   let b = Ndarray.of_float_array [| 2; 3 |] [| 10.; 20.; 30.; 40.; 50.; 60. |] in
-  let sum = Ndarray.arith Scalar.Add m23 b in
-  Alcotest.check nd "a+b"
-    (Ndarray.of_float_array [| 2; 3 |] [| 11.; 22.; 33.; 44.; 55.; 66. |])
-    sum;
-  let prod = Ndarray.arith Scalar.Mul m23 m23 in
-  Alcotest.check nd "elementwise .*"
-    (Ndarray.of_float_array [| 2; 3 |] [| 1.; 4.; 9.; 16.; 25.; 36. |])
-    prod;
-  (* matrix-scalar, both orders *)
-  let plus2 = Ndarray.arith_scalar Scalar.Add m23 (Scalar.F 2.) ~scalar_left:false in
-  Alcotest.check sc "m+2 elem" (Scalar.F 8.) (Ndarray.get plus2 [| 1; 2 |]);
-  let two_minus = Ndarray.arith_scalar Scalar.Sub m23 (Scalar.F 2.) ~scalar_left:true in
-  Alcotest.check sc "2-m elem" (Scalar.F (-4.)) (Ndarray.get two_minus [| 1; 2 |])
+  let _, outs =
+    run_prog
+      ~inputs:[ ("m.data", m23); ("b.data", b) ]
+      ~outputs:[ "sum.data"; "prod.data"; "plus2.data"; "two_minus.data" ]
+      {|
+int main() {
+  Matrix float <2> m = readMatrix("m.data");
+  Matrix float <2> b = readMatrix("b.data");
+  Matrix float <2> sum = m + b;
+  Matrix float <2> prod = m .* m;
+  Matrix float <2> plus2 = m + 2.0;
+  Matrix float <2> two_minus = 2.0 - m;
+  writeMatrix("sum.data", sum);
+  writeMatrix("prod.data", prod);
+  writeMatrix("plus2.data", plus2);
+  writeMatrix("two_minus.data", two_minus);
+  return 0;
+}
+|}
+  in
+  match outs with
+  | [ sum; prod; plus2; two_minus ] ->
+      Alcotest.check nd "a+b"
+        (Ndarray.of_float_array [| 2; 3 |] [| 11.; 22.; 33.; 44.; 55.; 66. |])
+        sum;
+      Alcotest.check nd "elementwise .*"
+        (Ndarray.of_float_array [| 2; 3 |] [| 1.; 4.; 9.; 16.; 25.; 36. |])
+        prod;
+      (* matrix-scalar, both orders *)
+      Alcotest.check sc "m+2 elem" (Scalar.F 8.) (Ndarray.get plus2 [| 1; 2 |]);
+      Alcotest.check sc "2-m elem" (Scalar.F (-4.))
+        (Ndarray.get two_minus [| 1; 2 |])
+  | _ -> assert false
 
 let test_elementwise_errors () =
-  let wrong_shape = Ndarray.of_float_array [| 3; 2 |] (Array.make 6 0.) in
-  Alcotest.check_raises "shape mismatch"
-    (Shape.Shape_error "shape mismatch: [2x3] vs [3x2]") (fun () ->
-      ignore (Ndarray.arith Scalar.Add m23 wrong_shape));
-  let ints = Ndarray.of_int_array [| 2; 3 |] (Array.make 6 0) in
-  (match Ndarray.arith Scalar.Add m23 ints with
-  | exception Ndarray.Type_error _ -> ()
-  | _ -> Alcotest.fail "expected Type_error for float+int matrices");
-  let bools = Ndarray.of_bool_array [| 2 |] [| true; false |] in
-  match Ndarray.arith Scalar.Add bools bools with
-  | exception Ndarray.Type_error _ -> ()
-  | _ -> Alcotest.fail "expected Type_error for bool arithmetic"
+  check_fails ~expected:"+ requires matrices of the same type and rank"
+    {|
+int main() {
+  Matrix float <2> a = with ([0,0] <= [i,j] < [2,3]) genarray([2,3], 1.0);
+  Matrix float <1> v = with ([0] <= [i] < [3]) genarray([3], 1.0);
+  Matrix float <2> c = a + v;
+  return 0;
+}
+|};
+  check_fails ~expected:"+ requires matrices of the same type and rank"
+    {|
+int main() {
+  Matrix float <2> a = with ([0,0] <= [i,j] < [2,3]) genarray([2,3], 1.0);
+  Matrix int <2> b = with ([0,0] <= [i,j] < [2,3]) genarray([2,3], 1);
+  Matrix float <2> c = a + b;
+  return 0;
+}
+|};
+  check_fails ~expected:"arithmetic on boolean matrices"
+    {|
+int main() {
+  Matrix bool <1> m = with ([0] <= [i] < [2]) genarray([2], i > 0);
+  Matrix bool <1> n = m + m;
+  return 0;
+}
+|}
 
 let test_cmp_and_logic () =
-  let mask = Ndarray.cmp_scalar Scalar.Gt m23 (Scalar.F 3.5) ~scalar_left:false in
-  Alcotest.check nd "m > 3.5"
-    (Ndarray.of_bool_array [| 2; 3 |] [| false; false; false; true; true; true |])
-    mask;
-  Alcotest.(check int) "count_true" 3 (Ndarray.count_true mask);
-  let nmask = Ndarray.not_ mask in
-  Alcotest.(check int) "negated" 3 (Ndarray.count_true nmask);
-  let both = Ndarray.logic Scalar.And mask nmask in
-  Alcotest.(check int) "x && !x" 0 (Ndarray.count_true both)
+  let _, outs =
+    run_prog ~inputs:[ ("m.data", m23) ]
+      ~outputs:[ "mask.data"; "nmask.data"; "both.data" ]
+      {|
+int main() {
+  Matrix float <2> m = readMatrix("m.data");
+  Matrix bool <2> mask = m > 3.5;
+  Matrix bool <2> nmask = !mask;
+  Matrix bool <2> both = mask && nmask;
+  writeMatrix("mask.data", mask);
+  writeMatrix("nmask.data", nmask);
+  writeMatrix("both.data", both);
+  return 0;
+}
+|}
+  in
+  let bools l = Ndarray.of_bool_array [| 2; 3 |] (Array.of_list l) in
+  match outs with
+  | [ mask; nmask; both ] ->
+      Alcotest.check nd "m > 3.5" (bools [ false; false; false; true; true; true ]) mask;
+      Alcotest.check nd "negated" (bools [ true; true; true; false; false; false ]) nmask;
+      Alcotest.check nd "x && !x" (bools [ false; false; false; false; false; false ]) both
+  | _ -> assert false
+
+let matmul_src =
+  {|
+int main() {
+  Matrix float <2> a = readMatrix("a.data");
+  Matrix float <2> b = readMatrix("b.data");
+  Matrix float <2> c = a * b;
+  writeMatrix("c.data", c);
+  return 0;
+}
+|}
 
 let test_matmul () =
-  let a = Ndarray.of_float_array [| 2; 3 |] [| 1.; 2.; 3.; 4.; 5.; 6. |] in
   let b = Ndarray.of_float_array [| 3; 2 |] [| 7.; 8.; 9.; 10.; 11.; 12. |] in
-  let c = Ndarray.matmul a b in
+  let _, outs =
+    run_prog ~inputs:[ ("a.data", m23); ("b.data", b) ] ~outputs:[ "c.data" ]
+      matmul_src
+  in
   Alcotest.check nd "2x3 * 3x2"
     (Ndarray.of_float_array [| 2; 2 |] [| 58.; 64.; 139.; 154. |])
-    c;
-  Alcotest.check_raises "inner mismatch"
-    (Shape.Shape_error "matrix multiplication inner dimensions: [2x3] vs [2x3]")
-    (fun () -> ignore (Ndarray.matmul a a))
+    (List.hd outs);
+  (* disagreeing inner dimensions over-read the right operand *)
+  check_fails ~expected:"flat offset 6 out of bounds for [2x3]"
+    {|
+int main() {
+  Matrix float <2> a = with ([0,0] <= [i,j] < [2,3]) genarray([2,3], 1.0);
+  Matrix float <2> c = a * a;
+  return 0;
+}
+|}
 
 let prop_matmul_oracle =
   QCheck.Test.make ~name:"matmul equals naive triple loop" ~count:50
@@ -110,8 +209,13 @@ let prop_matmul_oracle =
     (fun (m, k, n, xs, ys) ->
       let a = Ndarray.of_float_array [| m; k |] xs in
       let b = Ndarray.of_float_array [| k; n |] ys in
-      let c = Ndarray.matmul a b in
-      let ok = ref true in
+      let c =
+        List.hd
+          (snd
+             (run_prog ~inputs:[ ("a.data", a); ("b.data", b) ]
+                ~outputs:[ "c.data" ] matmul_src))
+      in
+      let ok = ref (Ndarray.shape c = [| m; n |]) in
       for i = 0 to m - 1 do
         for j = 0 to n - 1 do
           let expect = ref 0. in
@@ -124,7 +228,7 @@ let prop_matmul_oracle =
       done;
       !ok)
 
-(* --- ndarray: indexing (§III-A3 modes a-d) -------------------------------- *)
+(* --- indexing (§III-A3 modes a-d) -------------------------------------------- *)
 
 let cube =
   (* 3x4x5 cube with value 100i + 10j + k at [i,j,k] *)
@@ -133,84 +237,184 @@ let cube =
 
 let test_index_standard () =
   (* (a) standard indexing extracts a single element *)
-  let s = Ndarray.slice cube [| At 2; At 3; At 1 |] in
-  Alcotest.(check int) "rank 0" 0 (Ndarray.rank s);
-  Alcotest.check sc "value" (Scalar.F 231.) (Ndarray.to_scalar s)
+  let v, _ =
+    run_prog ~inputs:[ ("cube.data", cube) ]
+      {|
+float main() {
+  Matrix float <3> cube = readMatrix("cube.data");
+  return cube[2, 3, 1];
+}
+|}
+  in
+  match v with
+  | Interp.Eval.VScal x -> Alcotest.check sc "value" (Scalar.F 231.) x
+  | v -> Alcotest.failf "got %a" Interp.Eval.pp_value v
 
 let test_index_range () =
-  (* (b) data[0:4, end-4:end, 0:4] on a bigger cube returns 5x5x5 *)
+  (* (b) data[0::4, end-4::end, 0::4] on a bigger cube returns 5x5x5 *)
   let big =
     Ndarray.init_float [| 10; 10; 10 |] (fun i ->
         float_of_int ((100 * i.(0)) + (10 * i.(1)) + i.(2)))
   in
-  let s =
-    Ndarray.slice big [| Range (0, 4); Range (5, 9); Range (0, 4) |]
+  let _, outs =
+    run_prog ~inputs:[ ("big.data", big) ] ~outputs:[ "s.data" ]
+      {|
+int main() {
+  Matrix float <3> big = readMatrix("big.data");
+  Matrix float <3> s = big[0::4, end - 4::end, 0::4];
+  writeMatrix("s.data", s);
+  return 0;
+}
+|}
   in
+  let s = List.hd outs in
   Alcotest.(check (array int)) "shape 5x5x5" [| 5; 5; 5 |] (Ndarray.shape s);
   Alcotest.check sc "corner" (Scalar.F 50.) (Ndarray.get s [| 0; 0; 0 |]);
   Alcotest.check sc "other corner" (Scalar.F 494.) (Ndarray.get s [| 4; 4; 4 |])
 
 let test_index_whole_dim () =
   (* (c) data[0, end, :] returns a vector of size dimSize(data,2) *)
-  let v = Ndarray.slice cube [| At 0; At 3; All |] in
-  Alcotest.(check (array int)) "vector" [| 5 |] (Ndarray.shape v);
+  let _, outs =
+    run_prog ~inputs:[ ("cube.data", cube) ] ~outputs:[ "v.data" ]
+      {|
+int main() {
+  Matrix float <3> cube = readMatrix("cube.data");
+  Matrix float <1> v = cube[0, end, :];
+  writeMatrix("v.data", v);
+  return 0;
+}
+|}
+  in
   Alcotest.check nd "values"
     (Ndarray.of_float_array [| 5 |] [| 30.; 31.; 32.; 33.; 34. |])
-    v
+    (List.hd outs)
 
 let test_index_logical () =
-  (* (d) logical indexing by a boolean vector *)
-  let v = Ndarray.of_int_array [| 6 |] [| 1; 2; 3; 4; 5; 6 |] in
-  let mask = Ndarray.cmp_scalar Scalar.Eq
-      (Ndarray.arith_scalar Scalar.Mod v (Scalar.I 2) ~scalar_left:false)
-      (Scalar.I 1) ~scalar_left:false
+  (* (d) logical indexing by a boolean vector, alone and on one dimension
+     of a matrix: data[v % 2 == 1, :] *)
+  let _, outs =
+    run_prog ~outputs:[ "odd.data"; "rows.data" ]
+      {|
+int main() {
+  Matrix int <1> v = with ([0] <= [i] < [6]) genarray([6], i + 1);
+  Matrix int <2> mat = with ([0,0] <= [i,j] < [6,3]) genarray([6,3], 10 * i + j);
+  Matrix int <1> odd = v[v % 2 == 1];
+  Matrix int <2> rows = mat[v % 2 == 1, :];
+  writeMatrix("odd.data", odd);
+  writeMatrix("rows.data", rows);
+  return 0;
+}
+|}
   in
-  let odd = Ndarray.slice v [| Mask mask |] in
-  Alcotest.check nd "odd elements" (Ndarray.vec_i [ 1; 3; 5 ]) odd;
-  (* logical on one dim of a matrix: data[v % 2 == 1, :] *)
-  let mat =
-    Ndarray.init_int [| 6; 3 |] (fun i -> (10 * i.(0)) + i.(1))
-  in
-  let rows = Ndarray.slice mat [| Mask mask; All |] in
-  Alcotest.(check (array int)) "3x3" [| 3; 3 |] (Ndarray.shape rows);
-  Alcotest.check sc "row pick" (Scalar.I 41) (Ndarray.get rows [| 2; 1 |])
+  match outs with
+  | [ odd; rows ] ->
+      Alcotest.check nd "odd elements" (Ndarray.vec_i [ 1; 3; 5 ]) odd;
+      Alcotest.(check (array int)) "3x3" [| 3; 3 |] (Ndarray.shape rows);
+      Alcotest.check sc "row pick" (Scalar.I 41) (Ndarray.get rows [| 2; 1 |])
+  | _ -> assert false
 
 let test_index_gather () =
-  let v = Ndarray.of_float_array [| 6 |] [| 10.; 11.; 12.; 13.; 14.; 15. |] in
-  let g = Ndarray.slice v [| Gather (Ndarray.vec_i [ 4; 0; 4 ]) |] in
+  let _, outs =
+    run_prog ~outputs:[ "g.data" ]
+      {|
+int main() {
+  Matrix float <1> v = with ([0] <= [i] < [6]) genarray([6], 10.0 + (float)i);
+  Matrix int <1> idx = with ([0] <= [i] < [3]) genarray([3], 4 - 4 * (i % 2));
+  Matrix float <1> g = v[idx];
+  writeMatrix("g.data", g);
+  return 0;
+}
+|}
+  in
   Alcotest.check nd "gather dup ok"
     (Ndarray.of_float_array [| 3 |] [| 14.; 10.; 14. |])
-    g;
-  Alcotest.check_raises "gather oob"
-    (Shape.Shape_error "gather index 6 out of bounds in dimension 0")
-    (fun () -> ignore (Ndarray.slice v [| Gather (Ndarray.vec_i [ 6 ]) |]))
+    (List.hd outs);
+  check_fails ~expected:"flat offset 6 out of bounds for [6]"
+    {|
+int main() {
+  Matrix float <1> v = with ([0] <= [i] < [6]) genarray([6], 1.0);
+  Matrix int <1> idx = with ([0] <= [i] < [1]) genarray([1], 6);
+  Matrix float <1> g = v[idx];
+  return 0;
+}
+|}
 
 let test_index_mixed () =
-  (* combinations across dimensions, rank collapse only on At *)
-  let s = Ndarray.slice cube [| At 1; Range (1, 2); Mask (Ndarray.of_bool_array [| 5 |] [| true; false; false; false; true |]) |] in
+  (* combinations across dimensions, rank collapse only on single indices *)
+  let _, outs =
+    run_prog ~inputs:[ ("cube.data", cube) ] ~outputs:[ "s.data" ]
+      {|
+int main() {
+  Matrix float <3> cube = readMatrix("cube.data");
+  Matrix int <1> k = with ([0] <= [i] < [5]) genarray([5], i);
+  Matrix float <2> s = cube[1, 1::2, k % 4 == 0];
+  writeMatrix("s.data", s);
+  return 0;
+}
+|}
+  in
+  let s = List.hd outs in
   Alcotest.(check (array int)) "shape 2x2" [| 2; 2 |] (Ndarray.shape s);
   Alcotest.check sc "[1,1,0]" (Scalar.F 110.) (Ndarray.get s [| 0; 0 |]);
   Alcotest.check sc "[1,2,4]" (Scalar.F 124.) (Ndarray.get s [| 1; 1 |])
 
 let test_slice_assign () =
-  let m = Ndarray.create Ndarray.EFloat [| 4; 4 |] in
-  let sub = Ndarray.of_float_array [| 2; 2 |] [| 1.; 2.; 3.; 4. |] in
-  Ndarray.slice_assign m [| Range (1, 2); Range (1, 2) |] sub;
-  Alcotest.check sc "written" (Scalar.F 4.) (Ndarray.get m [| 2; 2 |]);
-  Alcotest.check sc "untouched" (Scalar.F 0.) (Ndarray.get m [| 0; 0 |]);
-  (* scoreTS-style gather write-back: scores[beginning::i] = computed *)
-  let scores = Ndarray.create Ndarray.EFloat [| 6 |] in
-  Ndarray.slice_assign scores [| Range (2, 4) |] (Ndarray.vec_f [ 7.; 8.; 9. ]);
-  Alcotest.check nd "range write"
-    (Ndarray.of_float_array [| 6 |] [| 0.; 0.; 7.; 8.; 9.; 0. |])
-    scores;
-  Ndarray.fill_assign scores [| Mask (Ndarray.cmp_scalar Scalar.Eq scores (Scalar.F 0.) ~scalar_left:false) |] (Scalar.F (-1.));
-  Alcotest.check nd "mask fill"
-    (Ndarray.of_float_array [| 6 |] [| -1.; -1.; 7.; 8.; 9.; -1. |])
-    scores;
-  Alcotest.check_raises "region shape mismatch"
-    (Shape.Shape_error "assignment of [2] into region [3]") (fun () ->
-      Ndarray.slice_assign scores [| Range (0, 2) |] (Ndarray.vec_f [ 1.; 2. ]))
+  let _, outs =
+    run_prog ~outputs:[ "m.data"; "range.data"; "fill.data" ]
+      {|
+int main() {
+  Matrix float <2> m = init(Matrix float <2>, 4, 4);
+  Matrix float <2> sub = with ([0,0] <= [i,j] < [2,2]) genarray([2,2], (float)(2 * i + j + 1));
+  m[1::2, 1::2] = sub;
+  writeMatrix("m.data", m);
+  /* scoreTS-style write-back: scores[beginning::i] = computed */
+  Matrix float <1> scores = init(Matrix float <1>, 6);
+  Matrix float <1> computed = with ([0] <= [i] < [3]) genarray([3], 7.0 + (float)i);
+  scores[2::4] = computed;
+  writeMatrix("range.data", scores);
+  scores[scores == 0.0] = -1.0;
+  writeMatrix("fill.data", scores);
+  return 0;
+}
+|}
+  in
+  (match outs with
+  | [ m; range; fill ] ->
+      Alcotest.check sc "written" (Scalar.F 4.) (Ndarray.get m [| 2; 2 |]);
+      Alcotest.check sc "untouched" (Scalar.F 0.) (Ndarray.get m [| 0; 0 |]);
+      Alcotest.check nd "range write"
+        (Ndarray.of_float_array [| 6 |] [| 0.; 0.; 7.; 8.; 9.; 0. |])
+        range;
+      Alcotest.check nd "mask fill"
+        (Ndarray.of_float_array [| 6 |] [| -1.; -1.; 7.; 8.; 9.; -1. |])
+        fill
+  | _ -> assert false);
+  (* a 2-element source into a 3-element region over-reads the source *)
+  check_fails ~expected:"flat offset 2 out of bounds for [2]"
+    {|
+int main() {
+  Matrix float <1> scores = init(Matrix float <1>, 6);
+  Matrix float <1> two = with ([0] <= [i] < [2]) genarray([2], 1.0);
+  scores[0::2] = two;
+  return 0;
+}
+|}
+
+(* Bounds for two-step and one-step range slicing of a vector 0..n-1:
+   [v[lo1::hi1][lo2::hi2]] equals [v[lo1+lo2 :: lo1+hi2]]. *)
+let slice_twice_src =
+  {|
+int main() {
+  Matrix int <1> p = readMatrix("p.data");
+  Matrix float <1> v = with ([0] <= [i] < [p[0]]) genarray([p[0]], (float)i);
+  Matrix float <1> s1 = v[p[1]::p[2]];
+  Matrix float <1> a = s1[p[3]::p[4]];
+  Matrix float <1> b = v[p[1] + p[3] :: p[1] + p[4]];
+  writeMatrix("a.data", a);
+  writeMatrix("b.data", b);
+  return 0;
+}
+|}
 
 let prop_slice_of_slice =
   (* slicing twice with ranges composes like slicing once *)
@@ -226,25 +430,54 @@ let prop_slice_of_slice =
           let* hi2 = lo2 -- (w - 1) in
           return (n, lo1, hi1, lo2, hi2)))
     (fun (n, lo1, hi1, lo2, hi2) ->
-      let v = Ndarray.init_float [| n |] (fun i -> float_of_int i.(0)) in
-      let a = Ndarray.slice (Ndarray.slice v [| Range (lo1, hi1) |]) [| Range (lo2, hi2) |] in
-      let b = Ndarray.slice v [| Range (lo1 + lo2, lo1 + hi2) |] in
-      Ndarray.equal a b)
+      match
+        run_prog
+          ~inputs:[ ("p.data", Ndarray.vec_i [ n; lo1; hi1; lo2; hi2 ]) ]
+          ~outputs:[ "a.data"; "b.data" ] slice_twice_src
+      with
+      | _, [ a; b ] -> Ndarray.equal a b
+      | _ -> false)
 
 let prop_mask_popcount =
   QCheck.Test.make ~name:"mask slice length = popcount" ~count:100
     QCheck.(make Gen.(list_size (1 -- 20) bool))
     (fun bools ->
       let n = List.length bools in
-      let v = Ndarray.init_float [| n |] (fun i -> float_of_int i.(0)) in
       let mask = Ndarray.of_bool_array [| n |] (Array.of_list bools) in
-      let s = Ndarray.slice v [| Mask mask |] in
-      (Ndarray.shape s).(0) = List.length (List.filter Fun.id bools))
+      match
+        run_prog ~inputs:[ ("mask.data", mask) ]
+          {|
+int main() {
+  Matrix bool <1> mask = readMatrix("mask.data");
+  int n = dimSize(mask, 0);
+  Matrix float <1> v = with ([0] <= [i] < [n]) genarray([n], (float)i);
+  Matrix float <1> s = v[mask];
+  return dimSize(s, 0);
+}
+|}
+      with
+      | Interp.Eval.VScal (Scalar.I k), _ ->
+          k = List.length (List.filter Fun.id bools)
+      | _ -> false)
 
 let test_range_construction () =
-  Alcotest.check nd "x1::x2" (Ndarray.vec_i [ 3; 4; 5; 6 ]) (Ndarray.range 3 6);
-  Alcotest.(check (array int)) "empty when hi<lo" [| 0 |]
-    (Ndarray.shape (Ndarray.range 5 2))
+  let _, outs =
+    run_prog ~outputs:[ "r.data"; "e.data" ]
+      {|
+int main() {
+  Matrix int <1> r = 3::6;
+  Matrix int <1> e = 5::2;
+  writeMatrix("r.data", r);
+  writeMatrix("e.data", e);
+  return 0;
+}
+|}
+  in
+  match outs with
+  | [ r; e ] ->
+      Alcotest.check nd "x1::x2" (Ndarray.vec_i [ 3; 4; 5; 6 ]) r;
+      Alcotest.(check (array int)) "empty when hi<lo" [| 0 |] (Ndarray.shape e)
+  | _ -> assert false
 
 let test_io_roundtrip () =
   let file = Filename.temp_file "mmc" ".mat" in
@@ -384,16 +617,6 @@ let test_pool_parallel_for () =
       let expect = Array.init n (fun i -> i * 2) in
       Alcotest.(check bool) "all indices written once" true (a = expect))
 
-let test_pool_fold () =
-  Pool.with_pool 3 (fun pool ->
-      let n = 5000 in
-      let serial = n * (n - 1) / 2 in
-      let par =
-        Pool.parallel_fold pool 0 n ~init:0 ~body:(fun acc i -> acc + i)
-          ~combine:( + )
-      in
-      Alcotest.(check int) "parallel fold equals serial" serial par)
-
 let test_pool_reuse () =
   (* The enhanced fork-join model's whole point: many regions, same threads. *)
   Pool.with_pool 4 (fun pool ->
@@ -485,7 +708,6 @@ let suite =
     Alcotest.test_case "rc lifecycle" `Quick test_rc_lifecycle;
     QCheck_alcotest.to_alcotest prop_rc_scripts;
     Alcotest.test_case "pool parallel_for" `Quick test_pool_parallel_for;
-    Alcotest.test_case "pool fold" `Quick test_pool_fold;
     Alcotest.test_case "pool region reuse" `Quick test_pool_reuse;
     Alcotest.test_case "pool single thread" `Quick test_pool_single_thread;
     Alcotest.test_case "naive fork-join" `Quick test_naive_forkjoin;
