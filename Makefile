@@ -44,10 +44,10 @@ bench-compare: all
 	dune exec bench/main.exe -- --compare BENCH_native.json
 
 # Chaos/stress pass: every failpoint through real programs in both
-# execution modes, pool crash containment, degraded-mode fallback and
-# the cooperative resource guards.  Each case runs under a hard SIGALRM
-# deadline inside the suite, so a containment bug fails fast instead of
-# hanging CI.
+# execution modes (a fired fault fails the run once, with one
+# diagnostic and no leak), pool crash containment and the cooperative
+# resource guards.  Each case runs under a hard SIGALRM deadline inside
+# the suite, so a containment bug fails fast instead of hanging CI.
 stress:
 	dune build @stress-smoke
 
@@ -62,8 +62,9 @@ native-check:
 # Supervised-execution pass: runtime guard faults (--guards), crash
 # triage to source spans, MM_FAILPOINTS parity, supervisor
 # timeout/rlimit kills, sanitizer builds and the 16-cell native fault
-# matrix — all against real compiled binaries.  Each case skips with a
-# visible notice when no C compiler is installed.
+# matrix (same outcome at 1 and 2 threads) — all against real compiled
+# binaries.  Each case skips with a visible notice when no C compiler
+# is installed.
 native-faults-check:
 	dune build @native-faults-check
 
@@ -97,10 +98,11 @@ explain-check: all
 
 # Warm-cache contract: re-running an unchanged program goes through the
 # exec index straight to its cached binary, so its --stats must show a
-# binary-cache hit and no composition, frontend, lowering, emission,
-# toolchain probe or C compile.  A copy with a blank line appended misses
-# the index (it parses again) but still hits the binary cache.  Skips
-# with a notice when no C compiler is installed.
+# binary-cache hit, a native.index row for the index lookup, and no
+# composition, frontend, lowering, emission, toolchain probe or C
+# compile.  A copy with a blank line appended misses the index (it
+# parses again) but still hits the binary cache.  Skips with a notice
+# when no C compiler is installed.
 warm-check: all
 	@if command -v $${MMC_CC:-cc} >/dev/null 2>&1; then \
 	  d=$$(mktemp -d) && \
@@ -116,6 +118,8 @@ warm-check: all
 	    echo "warm-check: FAIL (warm run translated, probed or compiled)"; rm -rf $$d; exit 1; \
 	  elif ! grep -qE 'cache\.hit +1\.0$$' $$d/warm.stats; then \
 	    echo "warm-check: FAIL (warm run missed the binary cache)"; rm -rf $$d; exit 1; \
+	  elif ! grep -q 'native.index ' $$d/warm.stats; then \
+	    echo "warm-check: FAIL (no native.index row for the index lookup)"; rm -rf $$d; exit 1; \
 	  elif ! grep -q 'frontend.parse ' $$d/whitespace.stats; then \
 	    echo "warm-check: FAIL (a whitespace edit hit the index)"; rm -rf $$d; exit 1; \
 	  elif grep -q 'native.compile ' $$d/whitespace.stats; then \

@@ -332,9 +332,9 @@ let emit_cmd =
 
 (* --- run / profile (shared runtime options) ------------------------------------ *)
 
-(* A count below one is a usage error (exit 2, like --fault-budget -1),
-   not a silent single-threaded run.  The term is evaluated before any
-   command body starts, so exiting here leaves nothing to unwind. *)
+(* A count below one is a usage error (exit 2), not a silent
+   single-threaded run.  The term is evaluated before any command body
+   starts, so exiting here leaves nothing to unwind. *)
 let threads_arg =
   let at_least_one n =
     if n < 1 then begin
@@ -389,23 +389,14 @@ let timeout_arg =
            ~doc:"Abort after SECS seconds of wall clock (cooperative: \
                  enforced at loop and chunk boundaries).")
 
-let fault_budget_arg =
-  Arg.(value & opt (some int) None
-       & info [ "fault-budget" ] ~docv:"N"
-           ~doc:"Recovered worker faults tolerated before the pool \
-                 degrades to sequential fallback (default 3, or \
-                 \\$(b,MMC_FAULT_BUDGET)).")
-
 let robustness_term =
   Term.(
-    const (fun fp ms mb t fb -> (fp, ms, mb, t, fb))
-    $ failpoints_arg $ max_steps_arg $ max_bytes_arg $ timeout_arg
-    $ fault_budget_arg)
+    const (fun fp ms mb t -> (fp, ms, mb, t))
+    $ failpoints_arg $ max_steps_arg $ max_bytes_arg $ timeout_arg)
 
 (* Arm failpoints and install resource limits around the command body;
    both are process-global, so the finalizer always clears them. *)
-let with_robustness (specs, max_steps, max_bytes, timeout_s, fault_budget)
-    pool k =
+let with_robustness (specs, max_steps, max_bytes, timeout_s) k =
   Support.Failpoint.reset ();
   (try
      Support.Failpoint.arm_from_env ();
@@ -413,12 +404,6 @@ let with_robustness (specs, max_steps, max_bytes, timeout_s, fault_budget)
    with Support.Failpoint.Bad_spec m ->
      Fmt.epr "mmc: bad failpoint spec: %s@." m;
      raise (Fatal 2));
-  (match fault_budget with
-  | Some n when n < 0 ->
-      Fmt.epr "mmc: --fault-budget must be >= 0@.";
-      raise (Fatal 2)
-  | Some n -> Option.iter (fun p -> Runtime.Pool.set_fault_budget p n) pool
-  | None -> ());
   Runtime.Limits.configure ?max_steps ?max_bytes ?timeout_s ();
   Fun.protect
     ~finally:(fun () ->
@@ -440,7 +425,7 @@ let run_cmd =
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
     let exec pool =
       Runtime.Rc.reset ();
-      with_robustness robust pool @@ fun () ->
+      with_robustness robust @@ fun () ->
       match Driver.run ?dir:data_dir ?pool ~config ~warn c src [] with
       | Driver.Ok_ v ->
           Fmt.pr "result: %a@." Interp.Eval.pp_value v;
@@ -590,18 +575,17 @@ let exec_cmd =
     in
     (* Validate the failpoint grammar up front with the interpreter-side
        parser (same clause syntax), so a typo is a usage error here, not
-       an mm_fatal inside the child. *)
+       an mm_fatal inside the child.  The names are the C runtime's,
+       which rejects any it does not know. *)
     let failpoints =
       match failpoints with
       | [] -> None
       | specs ->
           let joined = String.concat "," specs in
-          Support.Failpoint.reset ();
-          (try Support.Failpoint.arm_spec joined
+          (try ignore (Support.Failpoint.parse_spec joined)
            with Support.Failpoint.Bad_spec m ->
              Fmt.epr "mmc: bad failpoint spec: %s@." m;
              raise (Fatal 2));
-          Support.Failpoint.reset ();
           Some joined
     in
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
@@ -714,7 +698,7 @@ let profile_cmd =
     let interp_profile k =
       let c = compose_or_die exts in
       let body pool =
-        with_robustness robust pool @@ fun () ->
+        with_robustness robust @@ fun () ->
         let outcome, report =
           Driver.profile ?dir:data_dir ?pool ~config:interp_config ~warn c src []
         in

@@ -435,17 +435,12 @@ let unusable_cache_dir dir =
     emitting anything.  A miss translates, compiles through the binary
     cache and records the entry once the binary exists.  [cache:false],
     [keep_c] (it needs the C text) and remark collection bypass the
-    index.
+    index.  The key and the lookup are the telemetry span
+    [native.index].
 
-    Recovery policy (both legs export telemetry):
-    - a failed compile is retried once after forcing the cache slot to be
-      rebuilt ([native.retries] counts the retry) — a transient toolchain
-      flake or a corrupt cached object must not fail the program;
-    - a signal death in a parallel run ([threads] > 1) triggers one
-      sequential-degrade rerun: [OMP_NUM_THREADS=1] with failpoints
-      disarmed, gauged as [native.degraded].  Deterministic failures
-      (guard faults, mm_fatal exits, timeouts) never degrade — rerunning
-      cannot change them. *)
+    A failed compile or run is reported once, as the first error: no
+    step is retried, and a crash at any thread count goes through crash
+    triage. *)
 let exec ?config ?(warn = ignore) ?dir ?cc ?(cflags = []) ?keep_c ?line_file
     ?instrument ?guards ?sanitize ?failpoints ?timeout_s ?max_bytes
     ?(cache = true) ?(cache_dir = Native.Cache.default_dir) ?(threads = 1)
@@ -456,23 +451,25 @@ let exec ?config ?(warn = ignore) ?dir ?cc ?(cflags = []) ?keep_c ?line_file
   match (missing_data_dir dir, unusable_cache_dir cache_dir) with
   | Some d, _ | None, Some d -> Failed d
   | None, None -> (
-      let index =
+      let index, hit =
         if cache && keep_c = None && not (Support.Remark.on ()) then
-          Some
-            (index_key ~selected:(selection t) ~config:cfg ?line_file
-               ?instrument ?guards
-               ~toolchain:(Native.Toolchain.configure ?cc ~cflags ?sanitize ())
-               src)
-        else None
+          Tel.with_span ~phase:"native" "native.index" (fun () ->
+              let k =
+                index_key ~selected:(selection t) ~config:cfg ?line_file
+                  ?instrument ?guards
+                  ~toolchain:(Native.Toolchain.configure ?cc ~cflags ?sanitize ())
+                  src
+              in
+              (Some k, Native.Index.find ~dir:cache_dir k))
+        else (None, None)
       in
-      (* [binary ~cache]: the index hit, or the translated program
-         resolved through the binary cache and then recorded in the
-         index. *)
+      (* [binary ()]: the index hit, or the translated program resolved
+         through the binary cache and then recorded in the index. *)
       let binary =
-        match Option.bind index (Native.Index.find ~dir:cache_dir) with
+        match hit with
         | Some (b, warnings) ->
             List.iter warn warnings;
-            Ok_ (fun ~cache:_ -> Ok b)
+            Ok_ (fun () -> Ok b)
         | None -> (
             let warnings = ref [] in
             let warn d =
@@ -486,7 +483,7 @@ let exec ?config ?(warn = ignore) ?dir ?cc ?(cflags = []) ?keep_c ?line_file
             | Failed d -> Failed d
             | Ok_ c_text ->
                 Ok_
-                  (fun ~cache ->
+                  (fun () ->
                     let b =
                       Native.Exec.resolve ?cc ~cflags ~cache ~cache_dir ?keep_c
                         ?instrument ?sanitize ~pipeline:(Pipeline.canon cfg)
@@ -503,43 +500,14 @@ let exec ?config ?(warn = ignore) ?dir ?cc ?(cflags = []) ?keep_c ?line_file
       | Failed d -> Failed d
       | Ok_ binary -> (
           Support.Tmpdir.with_dir ?dir ~prefix:"mmcfs" @@ fun dir ->
-          let attempt ?failpoints ~cache ~threads () =
+          match
             Tel.with_span ~phase:"run" "driver.exec" (fun () ->
-                Result.bind (binary ~cache)
+                Result.bind (binary ())
                   (Native.Exec.run_binary ?instrument ?sanitize ?failpoints
                      ?timeout_s ?max_bytes ~threads ~dir))
-          in
-          let first = attempt ?failpoints ~cache ~threads () in
-          let recovered =
-            match first with
-            | Error
-                (Native.Exec.Toolchain_error (Native.Toolchain.Compile_failed _))
-              ->
-                (* cache:false skips the lookup but still (re)writes the
-                   slot, so a stale object cannot poison the retry *)
-                Tel.set_gauge "native.retries" 1.;
-                attempt ?failpoints ~cache:false ~threads ()
-            | Error (Native.Exec.Run_signaled _) when threads > 1 ->
-                (* [Some ""] explicitly disarms an inherited MM_FAILPOINTS
-                   spec: the degraded run must observe the program, not
-                   the fault injection that just killed it *)
-                Tel.set_gauge "native.degraded" 1.;
-                attempt ~failpoints:"" ~cache:true ~threads:1 ()
-            | r -> r
-          in
-          match recovered with
+          with
           | Ok outcome -> Ok_ outcome
-          | Error e ->
-              (* the first error wins the report when recovery also failed
-                 with a strictly less informative class *)
-              let e =
-                match (first, e) with
-                | ( Error (Native.Exec.Run_signaled _ as orig),
-                    Native.Exec.Run_failed _ ) ->
-                    orig
-                | _ -> e
-              in
-              Failed [ native_failure_diag e ]))
+          | Error e -> Failed [ native_failure_diag e ]))
 
 (** [diags_to_string ?src ds] — rendered diagnostics; with [src] each one
     gains a clang-style source excerpt with a caret underline. *)

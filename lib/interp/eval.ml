@@ -654,11 +654,10 @@ and parfor_loop cx sc l =
         (* The with-loop generator guarantees disjoint index sets, so
            iterations write disjoint elements (§III-A4).  The pool's
            guided chunks load-balance bodies of uneven cost (matrixMap
-           over slices, conncomp frames); it re-raises the first body
-           exception at the stop barrier with its backtrace, retrying
-           chunks that died to a recoverable fault.  The [locate] wrapper
-           sits outside the dispatch, so whatever the barrier re-raises
-           gains this loop's provenance. *)
+           over slices, conncomp frames); the first body exception ends
+           the region and re-raises at the stop barrier with its
+           backtrace.  The [locate] wrapper sits outside the dispatch, so
+           whatever the barrier re-raises gains this loop's provenance. *)
         fun fr n ->
           Runtime.Pool.parallel_for pool 0 n (iteration fr)
   in

@@ -147,9 +147,9 @@ let write_sources ~dir ~k ?(instrument = false) c_text =
 
 (** [runtime_objects ~dir ~toolchain ~instrument ~rebuild] — the compiled
     runtime to link a program against, building each object that is
-    missing (or every one, with [rebuild]: a retry after a failed link
-    must not trust a cached object).  Traced as [native.runtime_object]
-    when anything is built. *)
+    missing (or every one, with [rebuild], which [--no-cache] sets: the
+    way to replace an object damaged or built by another compiler).
+    Traced as [native.runtime_object] when anything is built. *)
 let runtime_objects ~dir ~(toolchain : Toolchain.t) ~instrument ~rebuild :
     (string list, Toolchain.error) result =
   let digest =

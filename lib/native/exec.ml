@@ -438,13 +438,13 @@ let resolve ?cc ?(cflags = []) ?(cache = true) ?(cache_dir = Cache.default_dir)
     and parse the result protocol.
 
     [failpoints] is an MM_FAILPOINTS spec armed in the child's
-    environment ([Some ""] explicitly disarms an inherited spec);
-    [timeout_s]/[max_bytes] become the supervisor's wall-clock deadline
-    and address-space cap.  [instrument] says [b] links the profiling
-    runtime: its mm_profile.json sidecar comes back in
-    [outcome.profile_json].  [sanitize] must be the mode [b] was built
-    under.  The run is the telemetry span [native.run]; signal deaths
-    and deadline kills export [native.signal] / [native.timeout]. *)
+    environment; [timeout_s]/[max_bytes] become the supervisor's
+    wall-clock deadline and address-space cap.  [instrument] says [b]
+    links the profiling runtime: its mm_profile.json sidecar comes back
+    in [outcome.profile_json].  [sanitize] must be the mode [b] was
+    built under.  The run is the telemetry span [native.run]; signal
+    deaths and deadline kills export [native.signal] /
+    [native.timeout]. *)
 let run_binary ?(instrument = false) ?(threads = 1) ?sanitize ?failpoints
     ?timeout_s ?max_bytes ~dir (b : binary) : (outcome, error) result =
   let out = Filename.temp_file "mmc_exec" ".out" in

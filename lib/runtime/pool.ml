@@ -20,27 +20,16 @@
 
     {2 Crash containment}
 
-    A worker exception does not poison the pool.  Raw {!run} collects
+    A worker exception does not poison the pool.  {!run} collects
     {e every} thread's exception (not just the first): the first is
     re-raised at the stop barrier with its original backtrace, the rest
-    are counted ([pool.suppressed_exns]).  The chunked entry point
-    {!parallel_for} goes further: a chunk that raises a recoverable
-    exception is {e recorded} — its range, exception and backtrace —
-    while surviving workers finish their own chunks; the dispatcher
-    then re-executes the failed ranges inline on the calling thread (a
-    transient fault, e.g. an injected one, succeeds on retry).  Chunk
-    retry relies on the with-loop generator's disjointness guarantee
-    (§III-A4): chunk bodies write disjoint elements, so re-execution is
-    idempotent.
-
-    Each recovered fault charges the pool's {e fault budget}; exceeding
-    it flips the pool into {e degraded mode} ([pool.degraded] counter,
-    {!on_degrade} warning): every subsequent region executes
-    sequentially inline, so the program still completes — correctly,
-    just without speedup.  The pool remains usable after any exception,
-    recovered or re-raised.  {!Limits} deadlines and byte caps are
-    probed at every chunk boundary and are deliberately {e not}
-    recoverable: they re-raise at the barrier so the run aborts. *)
+    are counted ([pool.suppressed_exns]).  In {!parallel_for} a chunk's
+    exception ends that thread's share, so the region fails once.
+    Nothing is re-run: a with-loop body may call a function that writes
+    a matrix it was passed, so a second attempt would start from the
+    state the first one left.  {!Limits} deadlines and byte caps are
+    probed at every chunk boundary and take the same path, so the run
+    aborts.  The pool stays usable after any exception. *)
 
 type job = { fn : int -> int -> unit (* worker_index n_workers -> unit *) }
 
@@ -60,13 +49,6 @@ type t = {
           (newest first), each with the raising thread's backtrace; the
           earliest is re-raised on the main thread at the stop barrier,
           the rest are counted as suppressed *)
-  degraded : bool Atomic.t;
-      (** sequential-fallback mode: set when recovered chunk faults
-          exceed the fault budget; every later region runs inline *)
-  faults : int Atomic.t;  (** recovered chunk faults over the pool's life *)
-  mutable fault_budget : int;
-      (** recovered faults tolerated before degrading (default 3, or
-          [MMC_FAULT_BUDGET]); budget 0 degrades on the first fault *)
   busy : Support.Telemetry.counter array;
       (** per-thread busy nanoseconds (slot 0 = main thread's share) *)
   mutable domains : unit Domain.t array;
@@ -83,9 +65,6 @@ let c_exceptions = Support.Telemetry.counter "pool.job_exceptions"
 let c_chunks = Support.Telemetry.counter "pool.chunks_dispatched"
 let c_nested = Support.Telemetry.counter "pool.nested_inline_runs"
 let c_suppressed = Support.Telemetry.counter "pool.suppressed_exns"
-let c_chunk_faults = Support.Telemetry.counter "pool.chunk_faults"
-let c_retries = Support.Telemetry.counter "pool.chunk_retries"
-let c_degraded = Support.Telemetry.counter "pool.degraded"
 
 (* Fault-injection sites (armed via MMC_FAILPOINTS / --failpoints): a
    region dispatch on the calling thread, and a chunk execution inside a
@@ -93,20 +72,9 @@ let c_degraded = Support.Telemetry.counter "pool.degraded"
 let fp_dispatch = Support.Failpoint.register "pool.dispatch"
 let fp_worker_body = Support.Failpoint.register "pool.worker_body"
 
-(* Resource-limit violations abort the run: containment must not retry
-   them (a deadline already passed stays passed), so they re-raise at the
-   stop barrier like any uncontained exception. *)
-let recoverable = function Limits.Resource_limit _ -> false | _ -> true
-
 let rec push_atomic cell x =
   let old = Atomic.get cell in
   if not (Atomic.compare_and_set cell old (x :: old)) then push_atomic cell x
-
-(** Called once when a pool flips into sequential-fallback mode, with a
-    human-readable reason — the degradation warning diagnostic.  Replace
-    to route into a diagnostics stream (tests silence it). *)
-let on_degrade : (string -> unit) ref =
-  ref (fun msg -> Printf.eprintf "mmc: warning: %s\n%!" msg)
 
 (* Spin with progressive back-off: pure spinning briefly (the fast path the
    enhanced fork-join model is built for), then yield to the OS so
@@ -172,12 +140,6 @@ let worker_loop pool idx () =
     end
   done
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt s with Some v when v >= 0 -> v | _ -> default)
-  | None -> default
-
 (** [create n] — a pool executing parallel regions on [n] threads total:
     the calling (main) thread plus [n-1] spawned worker domains, matching
     the paper's command-line thread-count argument. *)
@@ -192,9 +154,6 @@ let create n =
       shutdown = Atomic.make false;
       in_region = Atomic.make false;
       failures = Atomic.make [];
-      degraded = Atomic.make false;
-      faults = Atomic.make 0;
-      fault_budget = env_int "MMC_FAULT_BUDGET" 3;
       busy =
         Array.init n (fun i ->
             Support.Telemetry.counter (Printf.sprintf "pool.worker%d.busy_ns" i));
@@ -206,40 +165,6 @@ let create n =
   pool
 
 let threads pool = pool.n_workers + 1
-
-(** Is the pool in sequential-fallback mode? *)
-let is_degraded pool = Atomic.get pool.degraded
-
-(** Recovered chunk faults over the pool's lifetime. *)
-let fault_count pool = Atomic.get pool.faults
-
-(** [set_fault_budget pool n] — recovered faults tolerated before the
-    pool degrades to sequential fallback; 0 degrades on the first. *)
-let set_fault_budget pool n =
-  if n < 0 then invalid_arg "Pool.set_fault_budget";
-  pool.fault_budget <- n
-
-let fault_budget pool = pool.fault_budget
-
-(** [reset_faults pool] — forgive recorded faults and leave degraded
-    mode, re-enabling parallel dispatch (operator intervention / tests). *)
-let reset_faults pool =
-  Atomic.set pool.faults 0;
-  Atomic.set pool.degraded false
-
-(* Charge one recovered fault; flipping past the budget degrades the pool
-   exactly once (CAS), bumps [pool.degraded] and emits the warning. *)
-let note_fault pool =
-  let n = 1 + Atomic.fetch_and_add pool.faults 1 in
-  if n > pool.fault_budget && Atomic.compare_and_set pool.degraded false true
-  then begin
-    Support.Telemetry.bump c_degraded;
-    !on_degrade
-      (Printf.sprintf
-         "parallel pool degraded to sequential fallback after %d recovered \
-          worker fault(s) (budget %d); remaining regions run inline"
-         n pool.fault_budget)
-  end
 
 (** [run pool f] — one parallel region: every thread [t] of [n] executes
     [f t n]; returns when all have passed the stop barrier.  If any share
@@ -254,7 +179,7 @@ let note_fault pool =
     single job slot. *)
 let run pool (fn : int -> int -> unit) =
   Support.Failpoint.hit fp_dispatch;
-  if pool.n_workers = 0 || Atomic.get pool.degraded then begin
+  if pool.n_workers = 0 then begin
     Support.Telemetry.bump c_jobs;
     fn 0 1
   end
@@ -300,42 +225,18 @@ let run pool (fn : int -> int -> unit) =
     chunks of [remaining / 2n] indices (at least one) from a shared
     counter.  That costs one CAS per chunk but load-balances irregular
     iteration bodies (matrixMap over slices of varying work, conncomp
-    frames with different eddy counts).  A single index, and every range
-    on a degraded pool, runs inline on the calling thread without waking
-    the pool. *)
+    frames with different eddy counts).  A single index runs inline on
+    the calling thread without waking the pool.  An exception from [f]
+    ends its thread's share and re-raises from [run] at the barrier. *)
 let parallel_for pool lo hi f =
-  let range clo chi =
-    for i = clo to chi - 1 do
-      f i
-    done
-  in
   let total = hi - lo in
   if total <= 0 then ()
-  else if total = 1 || Atomic.get pool.degraded then begin
-    (* inline: degraded pools run everything sequentially (one
-       whole-range chunk, exact sequential exception semantics — no
-       containment). *)
+  else if total = 1 then begin
     Support.Telemetry.bump c_chunks;
     Limits.check ();
-    range lo hi
+    f lo
   end
   else begin
-    (* Containment: a chunk that raises a recoverable exception records
-       its range and lets the rest of the region finish; resource-limit
-       violations escape to the share collector and re-raise at the
-       barrier. *)
-    let failed = Atomic.make [] in
-    let exec_chunk clo chi =
-      Support.Telemetry.bump c_chunks;
-      Limits.check ();
-      try
-        Support.Failpoint.hit fp_worker_body;
-        range clo chi
-      with e when recoverable e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Support.Telemetry.bump c_chunk_faults;
-        push_atomic failed (clo, chi, e, bt)
-    in
     let next = Atomic.make lo in
     run pool (fun _ n ->
         let continue = ref true in
@@ -344,21 +245,15 @@ let parallel_for pool lo hi f =
           if cur >= hi then continue := false
           else
             let size = max 1 ((hi - cur) / (2 * n)) in
-            if Atomic.compare_and_set next cur (cur + size) then
-              exec_chunk cur (cur + size)
-        done);
-    (* Re-execute failed ranges inline, in arrival order: chunk bodies
-       write disjoint elements (§III-A4), so re-running a partially
-       executed chunk is idempotent.  A fault that persists (the retry
-       raises too) propagates to the caller — with the pool already
-       parked and reusable. *)
-    List.iter
-      (fun (clo, chi, _, _) ->
-        note_fault pool;
-        Support.Telemetry.bump c_retries;
-        Limits.check ();
-        range clo chi)
-      (List.rev (Atomic.exchange failed []))
+            if Atomic.compare_and_set next cur (cur + size) then begin
+              Support.Telemetry.bump c_chunks;
+              Limits.check ();
+              Support.Failpoint.hit fp_worker_body;
+              for i = cur to cur + size - 1 do
+                f i
+              done
+            end
+        done)
   end
 
 (** Park the workers permanently and join their domains. *)

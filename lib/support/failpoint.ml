@@ -9,10 +9,10 @@
     {!hit} at the site.
 
     Firing is deterministic: [name\@k] fires on exactly the k-th hit
-    (one-shot — subsequent hits pass, which is what lets the pool's retry
-    logic model a {e transient} fault), and [name\@p:seed] fires
-    pseudo-randomly per hit from a seeded hash, so a given (spec, hit
-    sequence) always injects the same faults.
+    (one-shot: later hits pass), and [name\@p:seed] fires pseudo-randomly
+    per hit from a seeded hash, so a given (spec, hit sequence) always
+    injects the same faults.  Arming a name no site registered is a
+    {!Bad_spec}, so a misspelt spec cannot run the program unfaulted.
 
     The disarmed fast path is one atomic load per site, matching the
     telemetry discipline; hit and fired counts are always collected (they
@@ -44,8 +44,7 @@ let locked f =
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 (** [register name] — intern a failpoint handle; sites call this once at
-    module initialisation.  Arming by name and registering commute: both
-    resolve to the same cell. *)
+    module initialisation, before anything can arm them. *)
 let register name =
   locked (fun () ->
       match Hashtbl.find_opt registry name with
@@ -144,14 +143,29 @@ let parse_clause clause =
       in
       (fp_name, mode)
 
-(** [arm_spec "pool.worker_body@2,ndarray.alloc@0.1:7"] — arm every
-    comma-separated clause; raises {!Bad_spec} on a malformed clause. *)
-let arm_spec spec =
+(** [parse_spec "pool.worker_body@2,ndarray.alloc@0.1:7"] — the
+    comma-separated clauses as (name, mode) pairs, blank clauses
+    skipped; raises {!Bad_spec} on a malformed clause.  Only the grammar
+    is checked: the names may belong to another runtime. *)
+let parse_spec spec =
   String.split_on_char ',' spec
-  |> List.filter (fun s -> String.trim s <> "")
-  |> List.iter (fun clause ->
-         let fp_name, mode = parse_clause (String.trim clause) in
-         arm (register fp_name) mode)
+  |> List.filter_map (fun clause ->
+         let clause = String.trim clause in
+         if clause = "" then None else Some (parse_clause clause))
+
+(** [arm_spec spec] — arm every clause of [spec]; raises {!Bad_spec},
+    arming nothing, on a malformed clause or a name no site registered. *)
+let arm_spec spec =
+  let clauses = parse_spec spec in
+  locked (fun () ->
+      List.map
+        (fun (fp_name, mode) ->
+          match Hashtbl.find_opt registry fp_name with
+          | Some fp -> (fp, mode)
+          | None ->
+              raise (Bad_spec (Printf.sprintf "no failpoint named %S" fp_name)))
+        clauses)
+  |> List.iter (fun (fp, mode) -> arm fp mode)
 
 (** Arm from [MMC_FAILPOINTS], if set.  Raises {!Bad_spec} on a malformed
     value, like {!arm_spec}. *)
@@ -175,7 +189,7 @@ let hit_count fp = Atomic.get fp.hits
 let fired_count fp = Atomic.get fp.fired
 
 (** [hits name] / [fired name] — counters by name; 0 for a name no site
-    has registered and no spec has armed. *)
+    has registered. *)
 let hits name =
   locked (fun () ->
       match Hashtbl.find_opt registry name with

@@ -125,12 +125,13 @@ void mm_result_live(void);
  *   __mm_fault <span_id> <span|-> <message...>
  * Guard trips _exit(71) — deterministic, distinct from mm_fatal's 70 —
  * while injected failpoints abort() so they surface as a signal death,
- * which is what drives the driver's sequential-degrade rerun. */
+ * which crash triage reports like any other. */
 
 /* Arm failpoints from the MM_FAILPOINTS environment variable
  * ("name@K,name@P[:SEED]" — the Support.Failpoint grammar; a malformed
- * spec is mm_fatal) and install the crash-breadcrumb signal handlers.
- * Called first thing by every generated exec harness. */
+ * spec, or a name other than native.alloc and native.io.read_matrix, is
+ * mm_fatal) and install the crash-breadcrumb signal handlers.  Called
+ * first thing by every generated exec harness. */
 void mm_fail_init(void);
 
 /* Count one pass through failpoint [name]; prints __mm_fault, flushes,

@@ -348,6 +348,30 @@ let test_bypasses () =
   Alcotest.(check bool) "--no-cache translates" true
     (contains "frontend.parse" stats)
 
+(* --- the lookup is a span --------------------------------------------------- *)
+
+(* The index key and the lookup run before [driver.exec] opens, so they
+   are their own span: exactly one [native.index] on a miss and on a
+   hit. *)
+let test_lookup_span () =
+  ignore (ensure_cc ());
+  let cache_dir = fresh_dir () in
+  let src = "int main() { return 5; }\n" in
+  List.iter
+    (fun (what, translates) ->
+      let n, translated =
+        traced (fun () ->
+            ignore
+              (ok what (Driver.exec ~cache_dir (Driver.Composed all4) src));
+            List.length
+              (List.filter
+                 (fun (sp : T.span) -> sp.T.sp_name = "native.index")
+                 (T.spans ())))
+      in
+      Alcotest.(check bool) (what ^ ": translates") translates translated;
+      Alcotest.(check int) (what ^ ": one native.index span") 1 n)
+    [ ("miss", true); ("hit", false) ]
+
 (* --- a failed translation records nothing --------------------------------- *)
 
 let test_failed_translation_records_nothing () =
@@ -380,4 +404,6 @@ let suite =
       test_bypasses;
     Alcotest.test_case "failed translations record nothing" `Quick
       test_failed_translation_records_nothing;
+    Alcotest.test_case "the lookup is one native.index span" `Quick
+      test_lookup_span;
   ]

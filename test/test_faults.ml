@@ -1,9 +1,9 @@
 (* Chaos/stress harness for the fault-tolerant execution layer: the
-   failpoint registry itself, pool crash containment and degraded mode,
-   cooperative resource guards, structured readMatrix diagnostics, RC
-   ledger drain after aborted runs, and a fault matrix driving every
-   failpoint through real paper programs in both sequential and parallel
-   modes.
+   failpoint registry itself, pool crash containment (a fault fails the
+   region once, and the pool stays usable), cooperative resource guards,
+   structured readMatrix diagnostics, RC ledger drain after aborted runs,
+   and a fault matrix driving every failpoint through real paper programs
+   in both sequential and parallel modes.
 
    Every case runs under a hard SIGALRM deadline so a containment bug
    that hangs the pool fails the test instead of wedging the suite. *)
@@ -58,11 +58,6 @@ let with_telemetry f =
       T.reset ())
     f
 
-let quiet_degrade f =
-  let saved = !Pool.on_degrade in
-  Pool.on_degrade := ignore;
-  Fun.protect ~finally:(fun () -> Pool.on_degrade := saved) f
-
 let fresh_dir () =
   let d = Filename.temp_file "mmfault" "" in
   Sys.remove d;
@@ -102,12 +97,27 @@ let test_failpoint_nth () =
 
 let test_failpoint_bad_specs () =
   hygiene "failpoint bad specs" @@ fun () ->
+  let rejected s =
+    match Fp.arm_spec s with
+    | () -> Alcotest.failf "spec %S should have been rejected" s
+    | exception Fp.Bad_spec m -> m
+  in
   List.iter
-    (fun s ->
-      match Fp.arm_spec s with
-      | () -> Alcotest.failf "spec %S should have been rejected" s
-      | exception Fp.Bad_spec _ -> ())
+    (fun s -> ignore (rejected s))
     [ "noat"; "x@"; "@3"; "x@0"; "x@-2"; "x@1.5"; "x@0.5:zz"; "x@abc" ];
+  (* a name no site registered: a typo, or the native runtime's *)
+  List.iter
+    (fun (s, name) ->
+      let m = rejected s in
+      if not (contains m ("no failpoint named " ^ name)) then
+        Alcotest.failf "spec %S: %S does not name %s" s m name)
+    [ ("ndarray.aloc@1", "\"ndarray.aloc\"");
+      ("native.alloc@1", "\"native.alloc\"") ];
+  (* a rejected spec arms none of its clauses *)
+  ignore (rejected "ndarray.alloc@1,ndarray.aloc@1");
+  Fp.hit (Fp.register "ndarray.alloc");
+  Alcotest.(check int) "valid clause of a rejected spec stays disarmed" 0
+    (Fp.fired "ndarray.alloc");
   (* blank clauses are ignored, not errors *)
   Fp.arm_spec "";
   Fp.arm_spec " , "
@@ -134,10 +144,10 @@ let test_failpoint_prob_deterministic () =
 
 let test_failpoint_env () =
   hygiene "failpoint env" @@ fun () ->
+  let fp = Fp.register "test.env" in
   Unix.putenv "MMC_FAILPOINTS" "test.env@1";
   Fun.protect ~finally:(fun () -> Unix.putenv "MMC_FAILPOINTS" "") @@ fun () ->
   Fp.arm_from_env ();
-  let fp = Fp.register "test.env" in
   (match Fp.hit fp with
   | () -> Alcotest.fail "MMC_FAILPOINTS arming did not fire"
   | exception Fp.Injected "test.env" -> ());
@@ -165,45 +175,68 @@ let test_pool_collects_all_exns () =
   Pool.parallel_for pool 0 1_000 (fun _ -> Atomic.incr cell);
   Alcotest.(check int) "pool reusable after exceptions" 1_000 (Atomic.get cell)
 
-let test_chunk_fault_recovered () =
-  hygiene "chunk fault recovered" @@ fun () ->
+(* A chunk that raises fails the region: nothing re-runs it, the fault
+   re-raises from [parallel_for], and the next region on the same pool
+   runs every index exactly once. *)
+let test_chunk_fault_fails_region () =
+  hygiene "chunk fault fails the region" @@ fun () ->
   Pool.with_pool 4 @@ fun pool ->
   Fp.arm_spec "pool.worker_body@1";
+  (match Pool.parallel_for pool 0 10_000 ignore with
+  | () -> Alcotest.fail "the injected chunk fault did not fail the region"
+  | exception Fp.Injected "pool.worker_body" -> ());
+  Alcotest.(check int) "fired once" 1 (Fp.fired "pool.worker_body");
+  Fp.reset ();
   let hits = Array.make 10_000 0 in
   Pool.parallel_for pool 0 10_000 (fun i -> hits.(i) <- hits.(i) + 1);
-  Alcotest.(check bool) "every index ran exactly once despite the fault" true
-    (Array.for_all (fun c -> c = 1) hits);
-  Alcotest.(check int) "one recovered fault" 1 (Pool.fault_count pool);
-  Alcotest.(check bool) "default budget absorbs it" false
-    (Pool.is_degraded pool)
+  Alcotest.(check bool) "next region runs every index exactly once" true
+    (Array.for_all (fun c -> c = 1) hits)
 
-let test_pool_degrades_after_budget () =
-  hygiene "pool degrades" @@ fun () ->
-  with_telemetry @@ fun () ->
-  quiet_degrade @@ fun () ->
-  Pool.with_pool 4 @@ fun pool ->
-  Pool.set_fault_budget pool 0;
-  Fp.arm_spec "pool.worker_body@1";
-  let cell = Atomic.make 0 in
-  Pool.parallel_for pool 0 1_000 (fun _ -> Atomic.incr cell);
-  Alcotest.(check int) "region completes despite the fault" 1_000
-    (Atomic.get cell);
-  Alcotest.(check bool) "budget 0 degrades on the first fault" true
-    (Pool.is_degraded pool);
-  (match List.assoc_opt "pool.degraded" (T.counters ()) with
-  | Some n when n >= 1 -> ()
-  | v ->
-      Alcotest.failf "pool.degraded counter: %s"
-        (match v with None -> "absent" | Some n -> string_of_int n));
-  (* degraded pool keeps working, inline *)
-  Fp.reset ();
-  let cell2 = Atomic.make 0 in
-  Pool.parallel_for pool 0 500 (fun _ -> Atomic.incr cell2);
-  Alcotest.(check int) "degraded pool runs regions inline" 500
-    (Atomic.get cell2);
-  Pool.reset_faults pool;
-  Alcotest.(check bool) "reset_faults re-enables dispatch" false
-    (Pool.is_degraded pool)
+(* A with-loop body that writes a matrix it was passed: re-running its
+   chunk would see the first attempt's writes, so a fault must fail the
+   run once, with the same diagnostic at every pool width. *)
+let bump_src =
+  {|int bump(Matrix int <1> v, Matrix int <1> z, int i) {
+  v[i] = v[i] + 1;
+  if (i == 0) { return z[5 - v[i]]; }
+  return v[i];
+}
+int main() {
+  Matrix int <1> v = init(Matrix int <1>, 1000);
+  Matrix int <1> z = init(Matrix int <1>, 4);
+  Matrix int <1> w = with ([0] <= [i] < [1000]) genarray ([1000], bump(v, z, i));
+  return with ([0] <= [i] < [1000]) fold (+, 0, v[i]);
+}
+|}
+
+let test_body_error_fails_every_width () =
+  hygiene "body error fails every width" @@ fun () ->
+  let config =
+    Driver.Pipeline.enable (Driver.default_config full) "auto-par" true
+  in
+  let run ?pool label =
+    Rc.reset ();
+    let text =
+      match Driver.run ?pool ~config full bump_src [] with
+      | Driver.Ok_ v ->
+          Alcotest.failf "%s: returned %s instead of failing" label
+            (Fmt.str "%a" Interp.Eval.pp_value v)
+      | Driver.Failed ds -> Driver.diags_to_string ~src:bump_src ds
+    in
+    Alcotest.(check int) (label ^ ": ledger drained") 0 (Rc.live_count ());
+    text
+  in
+  let seq = run "no pool" in
+  if not (contains seq "out of bounds") then
+    Alcotest.failf "no pool: %S is not the out-of-bounds read" seq;
+  List.iter
+    (fun n ->
+      Pool.with_pool n @@ fun pool ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d threads: the sequential diagnostic" n)
+        seq
+        (run ~pool (Printf.sprintf "%d threads" n)))
+    [ 2; 4 ]
 
 (* --- resource guards through the driver --------------------------------------- *)
 
@@ -460,34 +493,39 @@ int main() {
 
 (* Every failpoint x {sequential, pooled} x {fire on the 1st hit, fire on
    a later hit}, driven through a real paper program (Fig 1 temporal
-   mean).  The invariant is not "it fails" — a failpoint the mode never
-   reaches simply does not fire, and a worker fault is recovered — it is:
-   no hang (SIGALRM deadline), and either a clean structured diagnostic
-   with the ledger drained, or the bit-exact oracle output. *)
+   mean).  A failpoint the mode never reaches does not fire, and the
+   run gives the bit-exact oracle output.  One that fires fails the run
+   with an error diagnostic naming it and the ledger drained.  Every
+   cell runs under the SIGALRM deadline, so none may hang. *)
 let test_fault_matrix () =
   hygiene "fault matrix" @@ fun () ->
-  quiet_degrade @@ fun () ->
   let cube =
     Nd.init_float [| 4; 5; 30 |] (fun ix ->
         float_of_int ((ix.(0) * 7) + (ix.(1) * 3) + ix.(2)) /. 11.0)
   in
   let src = Eddy.Programs.fig1_temporal_mean in
+  let config =
+    Driver.Pipeline.enable (Driver.default_config full) "auto-par" true
+  in
+  (* the outcome, and whether any failpoint fired *)
   let run_case ?pool () =
     let dir = fresh_dir () in
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     Rc.reset ();
-    let outcome = Driver.run ~dir ?pool ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true) full src [] in
+    let outcome = Driver.run ~dir ?pool ~config full src [] in
+    let fired = List.exists (fun (_, _, f) -> f > 0) (Fp.all ()) in
     (* disarm before touching files: fetch_output goes through the same
        read path as the io.read_matrix failpoint *)
     Fp.reset ();
     match outcome with
-    | Driver.Ok_ _ -> Ok (Interp.Eval.fetch_output ~dir "means.data")
-    | Driver.Failed ds -> Error ds
+    | Driver.Ok_ _ -> (fired, Ok (Interp.Eval.fetch_output ~dir "means.data"))
+    | Driver.Failed ds -> (fired, Error ds)
   in
   let oracle =
     match run_case () with
-    | Ok m -> m
-    | Error ds -> Alcotest.failf "clean run failed: %s" (Driver.diags_to_string ds)
+    | _, Ok m -> m
+    | _, Error ds ->
+        Alcotest.failf "clean run failed: %s" (Driver.diags_to_string ds)
   in
   Pool.with_pool 4 @@ fun pool ->
   List.iter
@@ -500,16 +538,24 @@ let test_fault_matrix () =
                 Printf.sprintf "%s@%d %s" fp_name k
                   (if parallel then "par" else "seq")
               in
-              Fp.reset ();
-              Pool.reset_faults pool;
               Fp.arm_spec (Printf.sprintf "%s@%d" fp_name k);
-              let r = run_case ?pool:(if parallel then Some pool else None) () in
-              (match r with
-              | Ok m -> Alcotest.check nd (label ^ ": output is the oracle") oracle m
-              | Error [] -> Alcotest.failf "%s: failed without diagnostics" label
-              | Error ((d : Support.Diag.t) :: _) ->
+              (match
+                 run_case ?pool:(if parallel then Some pool else None) ()
+               with
+              | false, Ok m ->
+                  Alcotest.check nd (label ^ ": output is the oracle") oracle m
+              | false, Error ds ->
+                  Alcotest.failf "%s: failed with no fault fired: %s" label
+                    (Driver.diags_to_string ds)
+              | true, Ok _ ->
+                  Alcotest.failf "%s: the fault fired and the run succeeded"
+                    label
+              | true, Error [] ->
+                  Alcotest.failf "%s: failed without diagnostics" label
+              | true, Error ((d : Support.Diag.t) :: _ as ds) ->
                   if d.Support.Diag.severity <> Support.Diag.Error then
-                    Alcotest.failf "%s: non-error diagnostic" label);
+                    Alcotest.failf "%s: non-error diagnostic" label;
+                  check_msg label ("failpoint " ^ fp_name) ds);
               Alcotest.(check int)
                 (label ^ ": rc ledger back to baseline")
                 0 (Rc.live_count ()))
@@ -519,15 +565,11 @@ let test_fault_matrix () =
 
 (* --- the acceptance scenario ----------------------------------------------------- *)
 
-(* A worker fault mid-parallel_for on the eddy detection program, with a
-   zero fault budget: the pool must degrade to sequential fallback, the
-   program must still complete, the output must be bit-identical to the
-   pool-disabled oracle, and the degradation must be visible in
-   telemetry. *)
-let test_eddy_degraded_acceptance () =
-  hygiene "eddy degraded acceptance" @@ fun () ->
-  with_telemetry @@ fun () ->
-  quiet_degrade @@ fun () ->
+(* A worker fault mid-parallel_for on the eddy detection program fails
+   the run with one diagnostic naming the failpoint and leaks nothing;
+   the same pool then runs the program to the pool-disabled oracle. *)
+let test_eddy_fault_acceptance () =
+  hygiene "eddy fault acceptance" @@ fun () ->
   let cube, dates =
     let c, _ =
       Eddy.Ssh_gen.generate ~lat:10 ~lon:12 ~time:3 ~n_eddies:2 ~seed:11 ()
@@ -540,26 +582,32 @@ let test_eddy_degraded_acceptance () =
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     Interp.Eval.provide_input ~dir "dates.data" dates;
     Rc.reset ();
-    match Driver.run ~dir ?pool ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true) full src [] with
-    | Driver.Ok_ _ ->
-        Fp.reset ();
-        Interp.Eval.fetch_output ~dir "eddyLabels.data"
-    | Driver.Failed ds ->
-        Alcotest.failf "run failed: %s" (Driver.diags_to_string ds)
+    match
+      Driver.run ~dir ?pool
+        ~config:
+          (Driver.Pipeline.enable (Driver.default_config full) "auto-par" true)
+        full src []
+    with
+    | Driver.Ok_ _ -> Ok (Interp.Eval.fetch_output ~dir "eddyLabels.data")
+    | Driver.Failed ds -> Error ds
   in
-  let oracle = run_case () in
+  let ok = function
+    | Ok m -> m
+    | Error ds -> Alcotest.failf "run failed: %s" (Driver.diags_to_string ds)
+  in
+  let oracle = ok (run_case ()) in
   Pool.with_pool 4 @@ fun pool ->
-  Pool.set_fault_budget pool 0;
   Fp.arm_spec "pool.worker_body@1";
-  let got = run_case ~pool () in
-  Alcotest.check nd "degraded output bit-identical to sequential oracle"
-    oracle got;
-  Alcotest.(check bool) "pool degraded" true (Pool.is_degraded pool);
-  match List.assoc_opt "pool.degraded" (T.counters ()) with
-  | Some n when n >= 1 -> ()
-  | v ->
-      Alcotest.failf "pool.degraded counter: %s"
-        (match v with None -> "absent" | Some n -> string_of_int n)
+  (match run_case ~pool () with
+  | Ok _ -> Alcotest.fail "the worker fault did not fail the run"
+  | Error ([ _ ] as ds) -> check_msg "worker fault" "pool.worker_body" ds
+  | Error ds ->
+      Alcotest.failf "expected one diagnostic, got %d" (List.length ds));
+  Alcotest.(check int) "fired once" 1 (Fp.fired "pool.worker_body");
+  Alcotest.(check int) "nothing leaked" 0 (Rc.live_count ());
+  Fp.reset ();
+  Alcotest.check nd "the same pool then produces the oracle" oracle
+    (ok (run_case ~pool ()))
 
 let suite =
   [
@@ -573,10 +621,10 @@ let suite =
       test_failpoint_env;
     Alcotest.test_case "pool: collects all worker exceptions" `Quick
       test_pool_collects_all_exns;
-    Alcotest.test_case "pool: chunk fault retried, exact coverage" `Quick
-      test_chunk_fault_recovered;
-    Alcotest.test_case "pool: fault budget degrades to sequential" `Quick
-      test_pool_degrades_after_budget;
+    Alcotest.test_case "pool: chunk fault fails the region" `Quick
+      test_chunk_fault_fails_region;
+    Alcotest.test_case "pool: body error fails every width" `Quick
+      test_body_error_fails_every_width;
     Alcotest.test_case "limits: --max-steps aborts with provenance" `Quick
       test_limit_max_steps;
     Alcotest.test_case "limits: --timeout aborts with provenance" `Quick
@@ -599,8 +647,8 @@ let suite =
       test_leak_drain_property;
     Alcotest.test_case "fault matrix: failpoints x modes x timing" `Quick
       test_fault_matrix;
-    Alcotest.test_case "acceptance: eddy program degrades bit-identically"
-      `Quick test_eddy_degraded_acceptance;
+    Alcotest.test_case "acceptance: eddy fault fails once" `Quick
+      test_eddy_fault_acceptance;
     Alcotest.test_case "readMatrix: truncated mid-element" `Quick
       test_read_matrix_truncated_mid_element;
   ]

@@ -60,7 +60,8 @@ let data_bytes ~dir path =
    the live-allocation count and every output file agree exactly (matrix files byte for byte: a parsed comparison would
    take -0.0 for 0.0 and miss NaN payloads). *)
 let differential ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
-    ?(threads = 1) ?interp_threads ?(cflags = []) ~name ~inputs ~outputs src =
+    ?(threads = 1) ?interp_threads ?cc ?(cflags = []) ~name ~inputs ~outputs
+    src =
   let interp_threads = Option.value interp_threads ~default:threads in
   ignore (ensure_cc ());
   let dir_i = fresh_dir () and dir_n = fresh_dir () in
@@ -93,7 +94,7 @@ let differential ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
   let ilive = Runtime.Rc.live_count () in
   let nv =
     match
-      Driver.exec ~dir:dir_n ~config ~threads ~cflags
+      Driver.exec ~dir:dir_n ~config ~threads ?cc ~cflags
         ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
     with
     | Driver.Ok_ o -> o
@@ -539,28 +540,23 @@ let test_compiler_runs_per_invocation () =
   let tc = ensure_cc () in
   let cc, runs = counting_cc tc.Native.Toolchain.cc in
   let cache_dir = fresh_dir () in
-  let exec ?(retried = false) n =
-    Support.Telemetry.reset ();
-    Support.Telemetry.set_enabled true;
+  (* the program returning [n]'s outcome, and the cc runs it took *)
+  let exec_raw ?cache n =
     let src = Printf.sprintf "int main() { return %d; }" n in
     let before = List.length (runs ()) in
-    let o =
-      Fun.protect ~finally:(fun () -> Support.Telemetry.set_enabled false)
-      @@ fun () ->
-      match Driver.exec ~cc ~cache_dir (Driver.Composed full) src with
-      | Driver.Ok_ o -> o
-      | Driver.Failed ds ->
-          Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds)
-    in
-    Alcotest.(check string)
-      (Printf.sprintf "program %d result" n)
-      (string_of_int n)
-      (Fmt.str "%a" Native.Exec.pp_value o.Native.Exec.value);
-    Alcotest.(check bool)
-      (Printf.sprintf "program %d: retry gauge" n)
-      retried
-      (List.mem_assoc "native.retries" (Support.Telemetry.gauges ()));
-    List.filteri (fun i _ -> i >= before) (runs ())
+    let o = Driver.exec ~cc ?cache ~cache_dir (Driver.Composed full) src in
+    (o, List.filteri (fun i _ -> i >= before) (runs ()))
+  in
+  let exec ?cache n =
+    match exec_raw ?cache n with
+    | Driver.Ok_ o, cc_runs ->
+        Alcotest.(check string)
+          (Printf.sprintf "program %d result" n)
+          (string_of_int n)
+          (Fmt.str "%a" Native.Exec.pp_value o.Native.Exec.value);
+        cc_runs
+    | Driver.Failed ds, _ ->
+        Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds)
   in
   let object_builds =
     List.filter (fun l ->
@@ -601,7 +597,8 @@ let test_compiler_runs_per_invocation () =
     Alcotest.(check int) "an mmc exec hit runs no cc" before
       (List.length (runs ()))
   end;
-  (* A truncated runtime object fails the link; the retry rebuilds it. *)
+  (* A truncated runtime object fails the link once; --no-cache rebuilds
+     it. *)
   let obj =
     Sys.readdir cache_dir |> Array.to_list
     |> List.find (fun f ->
@@ -610,9 +607,50 @@ let test_compiler_runs_per_invocation () =
     |> Filename.concat cache_dir
   in
   Unix.truncate obj ((Unix.stat obj).Unix.st_size / 2);
-  let recovered = exec ~retried:true 43 in
-  Alcotest.(check int) "the retry rebuilds the runtime object" 1
-    (List.length (object_builds recovered))
+  (match exec_raw 43 with
+  | Driver.Ok_ _, _ -> Alcotest.fail "a truncated runtime object linked"
+  | Driver.Failed _, cc_runs ->
+      Alcotest.(check int) "the failed link runs cc once" 1
+        (List.length cc_runs));
+  Alcotest.(check int) "cache:false rebuilds the runtime object" 1
+    (List.length (object_builds (exec ~cache:false 43)))
+
+(* --- the no-OpenMP fallback ------------------------------------------------ *)
+
+(* A C compiler that rejects -fopenmp: the probe falls back to plain C
+   with the pragmas silenced, and at two threads the programs still
+   compile warning-clean and agree with the interpreter. *)
+let test_no_openmp_fallback () =
+  let tc = ensure_cc () in
+  let cc = Filename.concat (fresh_dir ()) "cc.sh" in
+  Out_channel.with_open_text cc (fun oc ->
+      Printf.fprintf oc
+        "#!/bin/sh\n\
+         for a in \"$@\"; do [ \"$a\" = -fopenmp ] && exit 1; done\n\
+         exec %s \"$@\"\n"
+        (Filename.quote tc.Native.Toolchain.cc));
+  Unix.chmod cc 0o755;
+  Support.Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Support.Telemetry.set_enabled false;
+      Support.Telemetry.reset ())
+  @@ fun () ->
+  List.iter
+    (fun (name, inputs, outputs, src) ->
+      Support.Telemetry.reset ();
+      differential ~auto_par:true ~threads:2 ~cc ~cflags:[ "-Werror" ] ~name
+        ~inputs ~outputs src;
+      Alcotest.(check (option (float 0.)))
+        (name ^ ": native.openmp") (Some 0.)
+        (List.assoc_opt "native.openmp" (Support.Telemetry.gauges ())))
+    [
+      ("eddy_energy", [], [], example "eddy_energy.mc");
+      ( "fig1",
+        [ ("ssh.data", cube3 3 5 7) ],
+        [ "means.data" ],
+        Eddy.Programs.fig1_temporal_mean );
+    ]
 
 (* --- scratch data directories ---------------------------------------------- *)
 
@@ -1057,4 +1095,6 @@ let suite =
       test_indexing_modes;
     Alcotest.test_case "for-init declarations are scoped to their loop" `Quick
       test_for_init_scope;
+    Alcotest.test_case "no-OpenMP compiler: plain C agrees" `Quick
+      test_no_openmp_fallback;
   ]

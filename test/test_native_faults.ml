@@ -257,6 +257,21 @@ let test_failpoint_read_matrix_diag () =
     true
     (contains text "injected fault at failpoint native.io.read_matrix")
 
+(* The C runtime knows two failpoints; any other name fails the run
+   with a diagnostic naming it, instead of running unfaulted. *)
+let test_failpoint_unknown_name () =
+  with_deadline "unknown native failpoint" @@ fun () ->
+  ignore (ensure_cc ());
+  let outcome =
+    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
+      ~failpoints:"pool.worker_body@1" (Driver.Composed full) genarray_src
+  in
+  let text = failed_text ~src:genarray_src outcome in
+  Alcotest.(check bool)
+    (Printf.sprintf "names the unknown failpoint (got: %s)" text)
+    true
+    (contains text "no failpoint named \"pool.worker_body\"")
+
 (* --- supervisor deadline kill --------------------------------------------- *)
 
 (* Two billion serially-dependent float adds: -O2 cannot fold them away
@@ -539,11 +554,11 @@ let test_guarded_corpus_werror () =
 
 (* {native.alloc, native.io.read_matrix} x {sequential, 2 OpenMP threads}
    x {fire on the 1st hit, fire on the 5th} x {guards off, guards on}:
-   sixteen cells through Fig 1's temporal mean.  The invariant mirrors
-   the interpreter matrix: no hang, and either the bit-exact oracle
-   output (a failpoint the run never reached, or a parallel crash the
-   driver recovered by sequential degrade) or a structured error
-   diagnostic — never an OCaml exception, never a bare exit code. *)
+   sixteen cells through Fig 1's temporal mean.  No cell may hang, raise
+   an OCaml exception or report a bare exit code.  Each cell gives the
+   bit-exact oracle output (a failpoint the run never reached) or an
+   error diagnostic, and the thread count changes neither: the cells at
+   1 and 2 threads give the same output or the same message. *)
 let test_native_fault_matrix () =
   with_deadline ~secs:480 "native fault matrix" @@ fun () ->
   ignore (ensure_cc ());
@@ -552,7 +567,8 @@ let test_native_fault_matrix () =
         float_of_int ((ix.(0) * 7) + (ix.(1) * 3) + ix.(2)) /. 11.0)
   in
   let src = Eddy.Programs.fig1_temporal_mean in
-  let run_case ?failpoints ?(guards = false) ~threads () =
+  (* the output, or the first diagnostic's message *)
+  let run_case ?failpoints ?(guards = false) ~threads label =
     let dir = fresh_dir () in
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     match
@@ -561,55 +577,60 @@ let test_native_fault_matrix () =
         ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
     with
     | Driver.Ok_ _ -> Ok (Interp.Eval.fetch_output ~dir "means.data")
-    | Driver.Failed ds -> Error ds
+    | Driver.Failed [] -> Alcotest.failf "%s: failed without diagnostics" label
+    | Driver.Failed ((d : Support.Diag.t) :: _) ->
+        if d.Support.Diag.severity <> Support.Diag.Error then
+          Alcotest.failf "%s: non-error diagnostic" label;
+        if contains d.Support.Diag.message "exit code" then
+          Alcotest.failf "%s: untriaged exit code: %s" label
+            d.Support.Diag.message;
+        Error d.Support.Diag.message
   in
   let oracle =
-    match run_case ~threads:1 () with
+    match run_case ~threads:1 "clean run" with
     | Ok m -> m
-    | Error ds ->
-        Alcotest.failf "clean run failed: %s" (Driver.diags_to_string ds)
+    | Error m -> Alcotest.failf "clean run failed: %s" m
   in
   List.iter
     (fun fp_name ->
       List.iter
-        (fun threads ->
+        (fun k ->
           List.iter
-            (fun k ->
-              List.iter
-                (fun guards ->
-                  let label =
-                    Printf.sprintf "%s@%d t%d %s" fp_name k threads
-                      (if guards then "guards" else "plain")
-                  in
-                  let spec = Printf.sprintf "%s@%d" fp_name k in
-                  match
-                    run_case ~failpoints:spec ~guards ~threads ()
-                  with
-                  | Ok m ->
-                      Alcotest.check nd (label ^ ": output is the oracle")
-                        oracle m
-                  | Error [] ->
-                      Alcotest.failf "%s: failed without diagnostics" label
-                  | Error ((d : Support.Diag.t) :: _) ->
-                      if d.Support.Diag.severity <> Support.Diag.Error then
-                        Alcotest.failf "%s: non-error diagnostic" label;
-                      if contains d.Support.Diag.message "exit code" then
-                        Alcotest.failf "%s: untriaged exit code: %s" label
-                          d.Support.Diag.message)
-                [ false; true ])
-            [ 1; 5 ])
-        [ 1; 2 ])
+            (fun guards ->
+              let label =
+                Printf.sprintf "%s@%d %s" fp_name k
+                  (if guards then "guards" else "plain")
+              in
+              let at threads =
+                run_case ~failpoints:(Printf.sprintf "%s@%d" fp_name k)
+                  ~guards ~threads
+                  (Printf.sprintf "%s t%d" label threads)
+              in
+              match (at 1, at 2) with
+              | Ok m1, Ok m2 ->
+                  Alcotest.check nd (label ^ " t1: output is the oracle")
+                    oracle m1;
+                  Alcotest.check nd (label ^ " t2: output is the oracle")
+                    oracle m2
+              | Error d1, Error d2 ->
+                  Alcotest.(check string)
+                    (label ^ ": same diagnostic at 1 and 2 threads")
+                    d1 d2
+              | Ok _, Error d | Error d, Ok _ ->
+                  Alcotest.failf
+                    "%s: one thread count failed (%s), the other did not"
+                    label d)
+            [ false; true ])
+        [ 1; 5 ])
     [ "native.alloc"; "native.io.read_matrix" ]
 
 (* --- the acceptance scenario ------------------------------------------------ *)
 
 (* A fault-injected crash mid-parallel native run of the eddy detection
-   program: the driver must degrade to a sequential rerun with the
-   failpoints disarmed, the program must complete, the output must be
-   bit-identical to the sequential oracle, and the degradation must be
-   visible in telemetry. *)
-let test_eddy_degraded_native_acceptance () =
-  with_deadline ~secs:300 "eddy native degraded" @@ fun () ->
+   program fails it with the failpoint's diagnostic, after exactly one
+   run of the binary. *)
+let test_eddy_native_fault_acceptance () =
+  with_deadline ~secs:300 "eddy native fault" @@ fun () ->
   ignore (ensure_cc ());
   with_telemetry @@ fun () ->
   let cube, dates =
@@ -619,28 +640,26 @@ let test_eddy_degraded_native_acceptance () =
     (c, Nd.init_int [| 3 |] (fun ix -> 1012000 + ix.(0)))
   in
   let src = Eddy.Programs.fig4_conncomp in
-  let run_case ?failpoints ~threads () =
-    let dir = fresh_dir () in
-    Interp.Eval.provide_input ~dir "ssh.data" cube;
-    Interp.Eval.provide_input ~dir "dates.data" dates;
-    match
-      Driver.exec ~dir ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true)
-        ~threads ?failpoints
-        ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
-    with
-    | Driver.Ok_ _ -> Interp.Eval.fetch_output ~dir "eddyLabels.data"
-    | Driver.Failed ds ->
-        Alcotest.failf "native run failed: %s" (Driver.diags_to_string ds)
+  let dir = fresh_dir () in
+  Interp.Eval.provide_input ~dir "ssh.data" cube;
+  Interp.Eval.provide_input ~dir "dates.data" dates;
+  let text =
+    failed_text ~src
+      (Driver.exec ~dir
+         ~config:
+           (Driver.Pipeline.enable (Driver.default_config full) "auto-par" true)
+         ~threads:2 ~failpoints:"native.alloc@1"
+         ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src)
   in
-  let oracle = run_case ~threads:1 () in
-  let got = run_case ~failpoints:"native.alloc@1" ~threads:2 () in
-  Alcotest.check nd "degraded output bit-identical to sequential oracle"
-    oracle got;
-  match List.assoc_opt "native.degraded" (T.gauges ()) with
-  | Some v when v >= 1. -> ()
-  | v ->
-      Alcotest.failf "native.degraded gauge: %s"
-        (match v with None -> "absent" | Some f -> string_of_float f)
+  Alcotest.(check bool)
+    (Printf.sprintf "names the failpoint (got: %s)" text)
+    true
+    (contains text "injected fault at failpoint native.alloc");
+  Alcotest.(check int) "the binary ran once" 1
+    (List.length
+       (List.filter
+          (fun (sp : T.span) -> sp.T.sp_name = "native.run")
+          (T.spans ())))
 
 (* --- a missing data directory ---------------------------------------------- *)
 
@@ -748,12 +767,14 @@ let suite =
       test_guarded_corpus_werror;
     Alcotest.test_case "native fault matrix: 16 cells" `Quick
       test_native_fault_matrix;
-    Alcotest.test_case "acceptance: native degrade is bit-identical" `Quick
-      test_eddy_degraded_native_acceptance;
+    Alcotest.test_case "acceptance: native fault fails once" `Quick
+      test_eddy_native_fault_acceptance;
     Alcotest.test_case "readMatrix: one file layout, both backends" `Quick
       test_file_layout_parity;
     Alcotest.test_case "data dir: a missing one fails both backends" `Quick
       test_missing_data_dir;
     Alcotest.test_case "cache dir: unusable ones fail, nested ones work"
       `Quick test_unusable_cache_dir;
+    Alcotest.test_case "failpoint: unknown name is an error" `Quick
+      test_failpoint_unknown_name;
   ]
