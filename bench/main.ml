@@ -909,12 +909,9 @@ let bench_remarks () =
         | Driver.Failed _ -> ())
       corpus
   in
-  Support.Remark.set_enabled false;
   let off = wall lower_all in
   let remarks = explain_all () in
-  Support.Remark.set_enabled false;
   let on = wall (fun () -> ignore (explain_all ())) in
-  Support.Remark.set_enabled false;
   Fmt.pr "  %-24s %8s %8s %8s@." "pass" "applied" "missed" "skipped";
   List.iter
     (fun (pass, a, m, s) -> Fmt.pr "  %-24s %8d %8d %8d@." pass a m s)
@@ -923,7 +920,6 @@ let bench_remarks () =
     (off *. 1000.) (on *. 1000.);
   instrumented "C11" (fun () ->
       let remarks = explain_all () in
-      Support.Remark.set_enabled false;
       List.iter
         (fun (pass, a, m, s) ->
           let g kind v =

@@ -8,6 +8,12 @@
      mmc check   program.xc -x matrix
      mmc emit    program.xc -x matrix -x transform > program.c
      mmc run     program.xc -x matrix --threads 4 --data-dir ./data
+     mmc explain program.xc --passes copy-elim,transform
+
+   Passes are chosen in one place: -O0, -O1 and --passes, on top of each
+   command's base config (auto-parallelization is on for explain, and for
+   run/exec/profile iff --threads > 1).  `mmc explain` is the one report
+   of what the passes decided.
 *)
 
 open Cmdliner
@@ -106,24 +112,21 @@ let o1_arg =
 let pipeline_term =
   Term.(const (fun p o0 o1 -> (p, o0, o1)) $ passes_arg $ o0_arg $ o1_arg)
 
-(* Build this invocation's pipeline config: the extension selection's
-   defaults, then -O0/-O1, then the command's own legacy toggles
-   ([tweaks]), then --passes — which overrides both selection and order.
-   An unknown --passes name is a plain usage error listing the known
-   passes (no caret: there is no source position to point at).  No
-   composition is needed. *)
-let resolve_config (passes_spec, o0, o1) ?(tweaks = fun cfg -> cfg) exts =
+(* Build this invocation's pipeline config: the command's base config,
+   then -O0/-O1, then --passes — which overrides both selection and
+   order.  These three flags are the only way to choose passes.  An
+   unknown --passes name is a plain usage error listing the known passes
+   (no caret: there is no source position to point at).  No composition
+   is needed. *)
+let resolve_config (passes_spec, o0, o1) base =
   if o0 && o1 then begin
     Fmt.epr "mmc: -O0 and -O1 are mutually exclusive@.";
     raise (Fatal 2)
   end;
-  (* precedence: per-flag tweaks (--seq, --no-fuse, …) < -O0/-O1 <
-     --passes, most specific last *)
-  let cfg = tweaks (Driver.selection_config exts) in
   let cfg =
-    if o0 then Driver.Pipeline.set_all cfg false
-    else if o1 then Driver.Pipeline.set_all cfg true
-    else cfg
+    if o0 then Driver.Pipeline.set_all base false
+    else if o1 then Driver.Pipeline.set_all base true
+    else base
   in
   match passes_spec with
   | None -> cfg
@@ -156,33 +159,6 @@ let trace_arg =
                  counters.")
 
 let telemetry_term = Term.(const (fun s t -> (s, t)) $ stats_arg $ trace_arg)
-
-(* --- optimization remarks (--remarks) ----------------------------------------- *)
-
-let remarks_arg =
-  Arg.(value & flag
-       & info [ "remarks" ]
-           ~doc:"Collect optimization remarks (with-loop fusion, copy \
-                 elimination, auto-parallelization, reference counting, \
-                 transform clauses) while compiling and print the remark \
-                 table to standard error when the command finishes. See \
-                 also the $(b,explain) subcommand.")
-
-(* Enable remark collection iff requested, run the command body, then
-   render the table (with caret excerpts) to stderr.  [Fun.protect] so a
-   failing command still reports what the pipeline decided. *)
-let with_remarks enabled ~src k =
-  if enabled then begin
-    Support.Remark.reset ();
-    Support.Remark.set_enabled true
-  end;
-  Fun.protect
-    ~finally:(fun () ->
-      if enabled then begin
-        Fmt.epr "%a" (Support.Remark.pp ~src) (Support.Remark.results ());
-        Support.Remark.set_enabled false
-      end)
-    k
 
 (* Enable telemetry iff requested, run the command body, then emit the
    requested reports.  [Fun.protect] so a failing command still reports. *)
@@ -231,22 +207,12 @@ let analyze_cmd =
 (* --- check --------------------------------------------------------------------- *)
 
 let check_cmd =
-  let auto_par =
-    Arg.(value & flag & info [ "auto-par" ]
-         ~doc:"Check under auto-parallelization (§III-C), so lowering \
-               warnings (e.g. a transform script skipped because a loop \
-               became parallel) match what run --threads N would report.")
-  in
-  let run exts_names auto_par pipeline remarks tele file =
+  let run exts_names pipeline tele file =
     with_telemetry tele @@ fun () ->
     let exts = resolve_exts exts_names in
     let c = compose_or_die exts in
-    let config =
-      resolve_config pipeline exts
-        ~tweaks:(fun cfg -> Driver.Pipeline.enable cfg "auto-par" auto_par)
-    in
+    let config = resolve_config pipeline (Driver.selection_config exts) in
     let src = read_source file in
-    with_remarks remarks ~src @@ fun () ->
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
     match Driver.frontend c src with
     | Driver.Failed ds ->
@@ -265,23 +231,18 @@ let check_cmd =
             Fmt.epr "%s@." (Driver.diags_to_string ~src ds);
             1)
   in
-  let doc = "Parse, typecheck and lower an extended-C program." in
+  let doc =
+    "Parse, typecheck and lower an extended-C program. With $(b,-O1) it \
+     lowers under auto-parallelization, so lowering warnings (e.g. a \
+     transform script skipped because a loop became parallel) match what \
+     $(b,run --threads) N reports."
+  in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(
-      const run $ exts_arg $ auto_par $ pipeline_term $ remarks_arg
-      $ telemetry_term $ src_arg)
+    Term.(const run $ exts_arg $ pipeline_term $ telemetry_term $ src_arg)
 
 (* --- emit ---------------------------------------------------------------------- *)
 
 let emit_cmd =
-  let fuse =
-    Arg.(value & flag & info [ "no-fuse" ]
-         ~doc:"Library-style lowering: materialise with-loop temporaries.")
-  in
-  let auto_par =
-    Arg.(value & flag & info [ "auto-par" ]
-         ~doc:"Auto-parallelize with-loops and matrixMap (§III-C).")
-  in
   let line_directives =
     Arg.(value & flag & info [ "line-directives" ]
          ~doc:"Emit #line directives pointing C tools (debuggers, \
@@ -295,19 +256,12 @@ let emit_cmd =
                (what $(b,profile --native) compiles). Requires \
                mm_prof.h/mm_prof.c from runtime/c/ to build standalone.")
   in
-  let run exts_names no_fuse auto_par pipeline line_directives instrument
-      remarks tele file =
+  let run exts_names pipeline line_directives instrument tele file =
     with_telemetry tele @@ fun () ->
     let exts = resolve_exts exts_names in
     let c = compose_or_die exts in
-    let config =
-      resolve_config pipeline exts ~tweaks:(fun cfg ->
-          Driver.Pipeline.enable
-            (Driver.Pipeline.enable cfg "fuse" (not no_fuse))
-            "auto-par" auto_par)
-    in
+    let config = resolve_config pipeline (Driver.selection_config exts) in
     let src = read_source file in
-    with_remarks remarks ~src @@ fun () ->
     let line_file =
       if line_directives then
         Some (if file = "-" then "<stdin>" else file)
@@ -327,8 +281,8 @@ let emit_cmd =
   let doc = "Translate extended C down to plain parallel C (§II)." in
   Cmd.v (Cmd.info "emit" ~doc)
     Term.(
-      const run $ exts_arg $ fuse $ auto_par $ pipeline_term $ line_directives
-      $ instrument $ remarks_arg $ telemetry_term $ src_arg)
+      const run $ exts_arg $ pipeline_term $ line_directives $ instrument
+      $ telemetry_term $ src_arg)
 
 (* --- run / profile (shared runtime options) ------------------------------------ *)
 
@@ -350,6 +304,13 @@ let threads_arg =
                  ~doc:"Worker-pool threads (the paper's command-line thread \
                        count, §III-C), at least 1. Implies \
                        auto-parallelization when > 1."))
+
+(* The one config [run], [exec] and [profile] compile under: auto-par on
+   iff more than one thread runs the program, then -O0/-O1/--passes. *)
+let run_config pipeline exts ~threads =
+  resolve_config pipeline
+    (Driver.Pipeline.enable (Driver.selection_config exts) "auto-par"
+       (threads > 1))
 
 let data_dir_arg =
   Arg.(value & opt (some string) None
@@ -412,16 +373,12 @@ let with_robustness (specs, max_steps, max_bytes, timeout_s) k =
     k
 
 let run_cmd =
-  let run exts_names threads data_dir pipeline robust remarks tele file =
+  let run exts_names threads data_dir pipeline robust tele file =
     with_telemetry tele @@ fun () ->
     let exts = resolve_exts exts_names in
     let c = compose_or_die exts in
-    let config =
-      resolve_config pipeline exts ~tweaks:(fun cfg ->
-          Driver.Pipeline.enable cfg "auto-par" (threads > 1))
-    in
+    let config = run_config pipeline exts ~threads in
     let src = read_source file in
-    with_remarks remarks ~src @@ fun () ->
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
     let exec pool =
       Runtime.Rc.reset ();
@@ -444,9 +401,8 @@ let run_cmd =
   let doc = "Translate and execute on the parallel matrix runtime." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ exts_arg $ threads_arg $ data_dir_arg
-      $ pipeline_term $ robustness_term $ remarks_arg $ telemetry_term
-      $ src_arg)
+      const run $ exts_arg $ threads_arg $ data_dir_arg $ pipeline_term
+      $ robustness_term $ telemetry_term $ src_arg)
 
 (* --- native toolchain options (exec / profile --native) ------------------------ *)
 
@@ -492,14 +448,6 @@ let native_opts_term =
 (* --- exec (native) ------------------------------------------------------------- *)
 
 let exec_cmd =
-  let no_fuse =
-    Arg.(value & flag & info [ "no-fuse" ]
-         ~doc:"Library-style lowering: materialise with-loop temporaries.")
-  in
-  let no_copy_elim =
-    Arg.(value & flag & info [ "no-copy-elim" ]
-         ~doc:"Disable slice-copy elimination.")
-  in
   let line_directives =
     Arg.(value & flag & info [ "line-directives" ]
          ~doc:"Emit #line directives in the generated C (visible through \
@@ -553,21 +501,13 @@ let exec_cmd =
                    invoking the system OOM killer.")
   in
   let run exts_names threads data_dir (cc, cflags, keep_c, no_cache, cache_dir)
-      no_fuse no_copy_elim pipeline line_directives guards sanitize failpoints
-      timeout_s max_bytes remarks tele file =
+      pipeline line_directives guards sanitize failpoints timeout_s max_bytes
+      tele file =
     with_telemetry tele @@ fun () ->
     (* Driver.exec composes only when its index misses *)
     let exts = resolve_exts exts_names in
-    let config =
-      resolve_config pipeline exts ~tweaks:(fun cfg ->
-          let open Driver.Pipeline in
-          enable
-            (enable (enable cfg "fuse" (not no_fuse)) "copy-elim"
-               (not no_copy_elim))
-            "auto-par" (threads > 1))
-    in
+    let config = run_config pipeline exts ~threads in
     let src = read_source file in
-    with_remarks remarks ~src @@ fun () ->
     let line_file =
       if line_directives then
         Some (if file = "-" then "<stdin>" else file)
@@ -614,9 +554,9 @@ let exec_cmd =
   Cmd.v (Cmd.info "exec" ~doc)
     Term.(
       const run $ exts_arg $ threads_arg $ data_dir_arg $ native_opts_term
-      $ no_fuse $ no_copy_elim $ pipeline_term $ line_directives $ guards
-      $ sanitize $ native_failpoints $ native_timeout $ native_max_bytes
-      $ remarks_arg $ telemetry_term $ src_arg)
+      $ pipeline_term $ line_directives $ guards $ sanitize
+      $ native_failpoints $ native_timeout $ native_max_bytes
+      $ telemetry_term $ src_arg)
 
 (* --- profile ------------------------------------------------------------------- *)
 
@@ -656,22 +596,13 @@ let profile_cmd =
                    gain lags the program-level ratio.")
   in
   let run exts_names threads data_dir pipeline robust json folded top native
-      diff_native (cc, cflags, keep_c, no_cache, cache_dir) remarks tele file =
+      diff_native (cc, cflags, keep_c, no_cache, cache_dir) tele file =
     with_telemetry tele @@ fun () ->
     let exts = resolve_exts exts_names in
-    (* The interpreted leg keeps its historical default (auto-par follows
-       --threads); the native leg profiles the full pipeline, composing
-       only when Driver.exec's index misses. *)
-    let interp_config =
-      resolve_config pipeline exts ~tweaks:(fun cfg ->
-          Driver.Pipeline.enable cfg "auto-par" (threads > 1))
-    in
-    let native_config =
-      resolve_config pipeline exts ~tweaks:(fun cfg ->
-          Driver.Pipeline.enable cfg "auto-par" true)
-    in
+    (* Both legs profile the pipeline run/exec would compile, so
+       --diff-native joins two runs of the same program. *)
+    let config = run_config pipeline exts ~threads in
     let src = read_source file in
-    with_remarks remarks ~src @@ fun () ->
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
     let fail ds =
       Fmt.epr "%s@." (Driver.diags_to_string ~src ds);
@@ -690,7 +621,7 @@ let profile_cmd =
     in
     let profile_native () =
       try
-        Driver.profile_native ?dir:data_dir ~config:native_config ~warn ?cc
+        Driver.profile_native ?dir:data_dir ~config ~warn ?cc
           ~cflags ?keep_c ~cache:(not no_cache) ~cache_dir ~threads
           (Driver.Selection exts) src
       with Driver.Compose_failed msg -> composition_failed msg
@@ -700,7 +631,7 @@ let profile_cmd =
       let body pool =
         with_robustness robust @@ fun () ->
         let outcome, report =
-          Driver.profile ?dir:data_dir ?pool ~config:interp_config ~warn c src []
+          Driver.profile ?dir:data_dir ?pool ~config ~warn c src []
         in
         k outcome report
       in
@@ -761,8 +692,7 @@ let profile_cmd =
     Term.(
       const run $ exts_arg $ threads_arg $ data_dir_arg
       $ pipeline_term $ robustness_term $ json $ folded $ top $ native
-      $ diff_native $ native_opts_term $ remarks_arg $ telemetry_term
-      $ src_arg)
+      $ diff_native $ native_opts_term $ telemetry_term $ src_arg)
 
 (* --- explain ------------------------------------------------------------------- *)
 
@@ -797,35 +727,11 @@ let explain_cmd =
                    each pass's (or transform clause's) effect on the loop \
                    nest is visible directly.")
   in
-  let seq =
-    Arg.(value & flag
-         & info [ "seq" ]
-             ~doc:"Explain the sequential configuration. By default \
-                   explain assumes auto-parallelization (what run \
-                   --threads N compiles), so parallelization decisions \
-                   show up.")
-  in
-  let no_fuse =
-    Arg.(value & flag & info [ "no-fuse" ]
-         ~doc:"Explain the library-style lowering (with-loop fusion off).")
-  in
-  let no_copy_elim =
-    Arg.(value & flag & info [ "no-copy-elim" ]
-         ~doc:"Explain with slice-copy elimination off.")
-  in
-  let run exts_names json only dump_ir ir_diff seq no_fuse no_copy_elim
-      pipeline tele file =
+  let run exts_names json only dump_ir ir_diff pipeline tele file =
     with_telemetry tele @@ fun () ->
     let exts = resolve_exts exts_names in
     let c = compose_or_die exts in
-    let config =
-      resolve_config pipeline exts ~tweaks:(fun cfg ->
-          let open Driver.Pipeline in
-          enable
-            (enable (enable cfg "fuse" (not no_fuse)) "copy-elim"
-               (not no_copy_elim))
-            "auto-par" (not seq))
-    in
+    let config = resolve_config pipeline (Driver.explain_config exts) in
     let src = read_source file in
     (* --only pass=…/kind=… *)
     let pass_f = ref None and kind_f = ref None in
@@ -891,12 +797,14 @@ let explain_cmd =
      table (with-loop fusion, copy elimination, auto-parallelization, \
      reference counting, transform clauses) grouped by pass with source \
      excerpts, optional pass-by-pass IR dumps (--dump-ir) and snapshot \
-     diffs (--ir-diff)."
+     diffs (--ir-diff). Auto-parallelization is on, as under \
+     $(b,run --threads) N; choose other passes with $(b,--passes), \
+     $(b,-O0) or $(b,-O1)."
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const run $ exts_arg $ json $ only $ dump_ir $ ir_diff $ seq $ no_fuse
-      $ no_copy_elim $ pipeline_term $ telemetry_term $ src_arg)
+      const run $ exts_arg $ json $ only $ dump_ir $ ir_diff $ pipeline_term
+      $ telemetry_term $ src_arg)
 
 (* ---------------------------------------------------------------------------------- *)
 

@@ -255,12 +255,6 @@ let stmts_use_var name b =
 (** Loop constructor; [?prov] is the source span the loop is attributed to. *)
 let mk_loop ?prov ~index ~bound body = { index; bound; body; prov }
 
-(** Merge two optional provenance spans (fused loops keep the union). *)
-let merge_prov a b =
-  match (a, b) with
-  | None, p | p, None -> p
-  | Some x, Some y -> Some (Support.Pos.merge x y)
-
 (** Structural helpers for building lowered code. *)
 let ( +: ) a b = Binop (Arith Runtime.Scalar.Add, a, b)
 

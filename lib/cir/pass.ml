@@ -80,9 +80,6 @@ let subst_in_program name e (p : program) : program =
 
 (* RC ops present in the final program (the §III-B/C bookkeeping cost the
    generated code actually pays). *)
-let c_rc_incs = Support.Telemetry.counter "lower.rc_incs"
-let c_rc_decs = Support.Telemetry.counter "lower.rc_decs"
-
 let count_rc stmts =
   let incs = ref 0 and decs = ref 0 in
   ignore
@@ -96,11 +93,11 @@ let count_rc stmts =
        stmts);
   (!incs, !decs)
 
-(** Always appended after the user-orderable stages: tallies the
-    retain/release operations left in the final program — per user
-    function, attributing synthesised functions' traffic to their
-    [f_origin] — into the [lower.rc_incs]/[lower.rc_decs] counters and
-    the per-function ["rc"] remarks. *)
+(** Always appended after the user-orderable stages: while remarks are
+    being collected, tallies the retain/release operations left in the
+    final program — per user function, attributing synthesised
+    functions' traffic to their [f_origin] — into the per-function
+    ["rc"] remarks. *)
 let rc_report : t =
   {
     name = "rc";
@@ -108,27 +105,26 @@ let rc_report : t =
     managed_snapshot = false;
     run =
       (fun ctx ~enabled:_ p ->
-        let tally = Hashtbl.create 8 in
-        List.iter
-          (fun fn ->
-            let owner = Option.value fn.f_origin ~default:fn.f_name in
-            let i, d = count_rc fn.f_body in
-            let pi, pd =
-              Option.value (Hashtbl.find_opt tally owner) ~default:(0, 0)
-            in
-            Hashtbl.replace tally owner (pi + i, pd + d))
-          p.funcs;
-        List.iter
-          (fun fn ->
-            match (fn.f_origin, fn.f_span) with
-            | Some _, _ | _, None -> ()
-            | None, Some span ->
-                let incs, decs =
-                  Option.value (Hashtbl.find_opt tally fn.f_name) ~default:(0, 0)
-                in
-                Support.Telemetry.add c_rc_incs incs;
-                Support.Telemetry.add c_rc_decs decs;
-                if Support.Remark.on () then begin
+        if Support.Remark.on () then begin
+          let tally = Hashtbl.create 8 in
+          List.iter
+            (fun fn ->
+              let owner = Option.value fn.f_origin ~default:fn.f_name in
+              let i, d = count_rc fn.f_body in
+              let pi, pd =
+                Option.value (Hashtbl.find_opt tally owner) ~default:(0, 0)
+              in
+              Hashtbl.replace tally owner (pi + i, pd + d))
+            p.funcs;
+          List.iter
+            (fun fn ->
+              match (fn.f_origin, fn.f_span) with
+              | Some _, _ | _, None -> ()
+              | None, Some span ->
+                  let incs, decs =
+                    Option.value (Hashtbl.find_opt tally fn.f_name)
+                      ~default:(0, 0)
+                  in
                   let details =
                     [
                       ("function", fn.f_name);
@@ -150,8 +146,8 @@ let rc_report : t =
                     Support.Remark.emit ~pass:"rc" ~kind:Support.Remark.Applied
                       ~span ~details
                       "inserted %d retain and %d release operations in '%s'"
-                      incs decs fn.f_name
-                end)
-          p.funcs;
+                      incs decs fn.f_name)
+            p.funcs
+        end;
         p);
   }

@@ -157,11 +157,10 @@ let consume_pending t (e : expr) =
       true
   | _ -> false
 
-(* RC traffic accounting (the lower.rc_incs / lower.rc_decs telemetry
-   counters and the per-function "rc" remarks) lives in the pipeline's rc
-   reporting pass, which counts the operations present in the FINAL
-   program — the baseline lowering emits RC ops inside decision sites
-   that later passes may delete. *)
+(* RC traffic accounting (the per-function "rc" remarks) lives in the
+   pipeline's rc reporting pass, which counts the operations present in
+   the FINAL program — the baseline lowering emits RC ops inside decision
+   sites that later passes may delete. *)
 let rc_dec t e = if t.rc then [ RcDec e ] else []
 let rc_inc t e = if t.rc then [ RcInc e ] else []
 

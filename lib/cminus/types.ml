@@ -37,7 +37,6 @@ let rec equal a b =
   | _ -> false
 
 let is_scalar = function TInt | TFloat | TBool -> true | _ -> false
-let is_numeric = function TInt | TFloat -> true | _ -> false
 
 (** C-style arithmetic promotion for scalars. *)
 let promote a b =

@@ -242,12 +242,7 @@ let lower ?config ?warn ?sink (c : composed) (ast : Cminus.Ast.program) :
         in
         Pipeline.run cfg ~rc:c.rc ?warn ?sink lowered)
   with
-  | prog ->
-      (* Per-pass remark counts become [remark.<pass>.<kind>] gauges, so
-         [--stats] tables and the bench trajectory see optimizer coverage.
-         No-op unless both remark collection and telemetry are enabled. *)
-      Support.Remark.export_gauges ();
-      Ok_ prog
+  | prog -> Ok_ prog
   | exception Cminus.Lower.Lower_error (m, span) ->
       Failed [ Support.Diag.error ~phase:"lower" ~span "%s" m ]
   | exception Cir.Pass.Error (m, span) ->
@@ -433,10 +428,9 @@ let unusable_cache_dir dir =
     cached binary, [exec] replays the translation's warnings through
     [warn] and runs that binary without composing, parsing, lowering or
     emitting anything.  A miss translates, compiles through the binary
-    cache and records the entry once the binary exists.  [cache:false],
-    [keep_c] (it needs the C text) and remark collection bypass the
-    index.  The key and the lookup are the telemetry span
-    [native.index].
+    cache and records the entry once the binary exists.  [cache:false]
+    and [keep_c] (it needs the C text) bypass the index.  The key and the
+    lookup are the telemetry span [native.index].
 
     A failed compile or run is reported once, as the first error: no
     step is retried, and a crash at any thread count goes through crash
@@ -452,7 +446,7 @@ let exec ?config ?(warn = ignore) ?dir ?cc ?(cflags = []) ?keep_c ?line_file
   | Some d, _ | None, Some d -> Failed d
   | None, None -> (
       let index, hit =
-        if cache && keep_c = None && not (Support.Remark.on ()) then
+        if cache && keep_c = None then
           Tel.with_span ~phase:"native" "native.index" (fun () ->
               let k =
                 index_key ~selected:(selection t) ~config:cfg ?line_file
@@ -897,19 +891,23 @@ let explain_config (selected : extension list) : Pipeline.config =
   Pipeline.enable (selection_config selected) "auto-par" true
 
 (** [explain ?… c src] — compile [src] with remark collection on and
-    return (lowering outcome, report).  [dump_passes]/[ir_diff] drive the
-    pass-by-pass IR snapshots: the program is lowered exactly once and the
-    pass manager records each requested ["ir after <pass>"] snapshot as
-    the pipeline reaches that stage (the transform pass records its own
-    per-clause snapshots into the same sink). *)
+    return (lowering outcome, report).  Collection is switched back to
+    its previous state when [explain] returns.  [dump_passes]/[ir_diff]
+    drive the pass-by-pass IR snapshots: the program is lowered exactly
+    once and the pass manager records each requested ["ir after <pass>"]
+    snapshot as the pipeline reaches that stage (the transform pass
+    records its own per-clause snapshots into the same sink). *)
 let explain ?config ?(dump_passes = []) ?(ir_diff = false) ?warn
     (c : composed) (src : string) :
     Cir.Ir.program outcome * Explain_report.t =
   let cfg =
     match config with Some cfg -> cfg | None -> explain_config c.selected
   in
+  let was_on = Support.Remark.on () in
   Support.Remark.reset ();
   Support.Remark.set_enabled true;
+  Fun.protect ~finally:(fun () -> Support.Remark.set_enabled was_on)
+  @@ fun () ->
   let sink = Cir.Snapshot.create ~passes:dump_passes ~diff:ir_diff () in
   match frontend c src with
   | Failed d -> (Failed d, Explain_report.collect ~sink ())

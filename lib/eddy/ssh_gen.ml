@@ -143,27 +143,3 @@ let render_frame (fr : Runtime.Ndarray.t) : string =
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
-
-(** Write a frame as a portable graymap (PGM), for external viewers. *)
-let write_pgm path (fr : Runtime.Ndarray.t) =
-  let sh = Runtime.Ndarray.shape fr in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "P2\n%d %d\n255\n" sh.(1) sh.(0);
-      let mn = ref infinity and mx = ref neg_infinity in
-      for off = 0 to Runtime.Ndarray.size fr - 1 do
-        let v = Runtime.Scalar.to_float (Runtime.Ndarray.get_flat fr off) in
-        if v < !mn then mn := v;
-        if v > !mx then mx := v
-      done;
-      let range = if !mx -. !mn < 1e-9 then 1. else !mx -. !mn in
-      for i = 0 to sh.(0) - 1 do
-        for j = 0 to sh.(1) - 1 do
-          let v = Runtime.Scalar.to_float (Runtime.Ndarray.get fr [| i; j |]) in
-          Printf.fprintf oc "%d "
-            (int_of_float ((v -. !mn) /. range *. 255.))
-        done;
-        output_char oc '\n'
-      done)

@@ -25,15 +25,6 @@ open Cir.Ir
 
 let span_err = L.err
 
-(* §III-A5 optimization effectiveness, observable via --stats/--trace:
-   with-loops whose result fed its consumer directly (fused) vs. ones that
-   paid the library-style copy, slices that allocated a copy vs. identity
-   slices aliased away by copy elimination. *)
-let c_fused = Support.Telemetry.counter "lower.with_loops_fused"
-let c_library_copies = Support.Telemetry.counter "lower.library_copies"
-let c_slice_copies = Support.Telemetry.counter "lower.slice_copies"
-let c_identity_slices = Support.Telemetry.counter "lower.identity_slices_aliased"
-
 (* Current subscript context for [end]: (matrix handle, dimension). *)
 let index_ctx : (expr * int) option ref = ref None
 

@@ -38,7 +38,6 @@ let fuse : Cir.Pass.t =
                     R.emit ~pass:"fuse" ~kind:R.Applied ~span
                       "with-loop result feeds its consumer directly: no \
                        temporary copy";
-                    Support.Telemetry.bump Lower.c_fused;
                     substs := (copy, result) :: !substs;
                     Some []
                   end
@@ -47,11 +46,10 @@ let fuse : Cir.Pass.t =
                       ~details:
                         [
                           ( "blocking",
-                            "library-style evaluation requested (--no-fuse)" );
+                            "library-style evaluation (fuse disabled)" );
                         ]
                       "with-loop paid a library-style result copy (fusion \
                        disabled)";
-                    Support.Telemetry.bump Lower.c_library_copies;
                     Some payload
                   end
               | _ -> None)
@@ -103,7 +101,6 @@ let copy_elim : Cir.Pass.t =
                         R.emit ~pass:"copy-elim" ~kind:R.Applied ~span
                           ~details:[ ("alias", why) ]
                           "identity slice aliased to its base: copy elided";
-                        Support.Telemetry.bump Lower.c_identity_slices;
                         aliases := (slice, base) :: !aliases;
                         Some (if ctx.Cir.Pass.rc then [ RcInc (Var base) ] else [])
                     | Sites.Fiber f when enabled && safe ->
@@ -138,7 +135,6 @@ let copy_elim : Cir.Pass.t =
                         | Sites.Other ->
                             R.emit ~pass:"copy-elim" ~kind:R.Missed ~span
                               "slice allocates a copy (%s)" why);
-                        Support.Telemetry.bump Lower.c_slice_copies;
                         Some payload)
                 | _ -> None)
               fn.f_body

@@ -29,14 +29,7 @@ type t = {
 
 (* Symbol coding: terminal t is code t; nonterminal n is code n_terms + n. *)
 let is_term g code = code < g.n_terms
-let term_of_code _g code = code
 let nt_of_code g code = code - g.n_terms
-let code_of_term _g t = t
-let code_of_nt g n = g.n_terms + n
-
-let sym_name g code =
-  if is_term g code then g.term_names.(code)
-  else g.nt_names.(nt_of_code g code)
 
 let eof_name = "$EOF"
 let aug_start_name = "$START"
@@ -234,7 +227,3 @@ let follow (g : t) : IntSet.t array =
       g.prods
   done;
   follow
-
-let pp_termset g ppf s =
-  Fmt.pf ppf "{%s}"
-    (String.concat ", " (List.map (fun t -> g.term_names.(t)) (IntSet.elements s)))

@@ -29,12 +29,6 @@ let keyword ?(prio = 10) ~owner name text =
 
 type symbol = T of string | N of string
 
-let symbol_name = function T s -> s | N s -> s
-
-let pp_symbol ppf = function
-  | T s -> Fmt.pf ppf "%s" s
-  | N s -> Fmt.pf ppf "<%s>" s
-
 type production = {
   p_name : string;  (** unique production name, keys actions/equations *)
   lhs : string;  (** nonterminal name *)
@@ -44,11 +38,6 @@ type production = {
 
 let production ~owner ~name lhs rhs =
   { p_name = name; lhs; rhs; p_owner = owner }
-
-let pp_production ppf p =
-  Fmt.pf ppf "%s: %s ::= %a" p.p_name p.lhs
-    (Fmt.list ~sep:Fmt.sp pp_symbol)
-    p.rhs
 
 type t = {
   name : string;  (** fragment name, e.g. ["host"], ["matrix"] *)
@@ -133,17 +122,6 @@ let compose (host : t) (exts : t list) : t =
     | _ :: _ :: _ -> raise (Compose_error "multiple start symbols")
   in
   { name; terminals; layout; productions; start }
-
-(** Productions grouped by left-hand side. *)
-let by_lhs g =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      Hashtbl.replace tbl p.lhs
-        (p :: (Hashtbl.find_opt tbl p.lhs |> Option.value ~default:[])))
-    g.productions;
-  Hashtbl.iter (fun k v -> Hashtbl.replace tbl k (List.rev v)) tbl;
-  tbl
 
 (** Sanity check: every nonterminal used on a RHS has at least one
     production; returns the list of undefined nonterminals. *)

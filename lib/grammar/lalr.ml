@@ -45,21 +45,6 @@ type t = {
           context-aware scanner is allowed to match in that state *)
 }
 
-let pp_item g ppf it =
-  let p = g.A.prods.(item_prod it) and dot = item_dot it in
-  let lhs = g.A.nt_names.(p.A.ilhs) in
-  let parts =
-    Array.to_list (Array.mapi (fun i s -> (i, A.sym_name g s)) p.A.irhs)
-  in
-  let rhs =
-    String.concat " "
-      (List.concat_map
-         (fun (i, s) -> if i = dot then [ "."; s ] else [ s ])
-         parts)
-  in
-  let rhs = if dot = Array.length p.A.irhs then rhs ^ " ." else rhs in
-  Fmt.pf ppf "%s ::= %s" lhs rhs
-
 let pp_action g ppf = function
   | Shift s -> Fmt.pf ppf "shift %d" s
   | Reduce p -> (

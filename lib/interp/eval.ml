@@ -36,8 +36,8 @@ exception Runtime_error of string * Support.Pos.span
 let err fmt = Format.kasprintf (fun m -> raise (Interp_error m)) fmt
 
 (* Interpreter telemetry: how much work the lowered program actually did
-   (allocation traffic, parallel regions, call volume, element stores). *)
-let c_mat_allocs = Support.Telemetry.counter "interp.mat_allocs"
+   (parallel regions, call volume, element stores; allocation traffic is
+   [rc.allocs]). *)
 let c_parfor = Support.Telemetry.counter "interp.parfor_regions"
 let c_calls = Support.Telemetry.counter "interp.calls"
 let c_stores = Support.Telemetry.counter "interp.elem_stores"
@@ -253,9 +253,7 @@ let rec rc_adjust f v =
   | VTuple vs -> Array.iter (rc_adjust f) vs
   | v -> err "rc operation on %a" pp_value v
 
-let alloc_mat m =
-  Support.Telemetry.bump c_mat_allocs;
-  VMat (Runtime.Rc.alloc ~bytes:(Nd.size m * 4) m)
+let alloc_mat m = VMat (Runtime.Rc.alloc ~bytes:(Nd.size m * 4) m)
 
 let const v _ = v
 let s_true = S.B true

@@ -30,30 +30,28 @@ let export_gauges () =
   Support.Telemetry.set_gauge "cache.hit" (float_of_int !hits);
   Support.Telemetry.set_gauge "cache.miss" (float_of_int !misses)
 
-(** [key ~toolchain ?instrument ?pipeline c_text] — hex digest naming
+(** [key ~toolchain ?instrument ~pipeline c_text] — hex digest naming
     the binary this exact (program, runtime, requested compiler
     configuration) compiles to.  Instrumented builds link the profiling
     runtime too, so the flag and the mm_prof sources join the digest: a
     profiled and an unprofiled run of the same program occupy distinct
     cache slots.  [pipeline] is the canonical pass-pipeline string the C
     was generated under; differently-configured pipelines never share a
-    slot even if they happen to emit the same text today ([""], the
-    default, keeps pre-pipeline digests valid).  The compiler's version
-    and the probed OpenMP support are not part of the key: after a
-    toolchain change, rebuild with [--no-cache]. *)
-let key ~(toolchain : Toolchain.t) ?(instrument = false) ?(pipeline = "")
+    slot even if they happen to emit the same text today.  The
+    compiler's version and the probed OpenMP support are not part of the
+    key: after a toolchain change, rebuild with [--no-cache]. *)
+let key ~(toolchain : Toolchain.t) ?(instrument = false) ~pipeline
     (c_text : string) =
   let prof_part =
     if instrument then
       [ "instrument"; Runtime_c.prof_header; Runtime_c.prof_impl ]
     else []
   in
-  let pipeline_part = if pipeline = "" then [] else [ "pipeline"; pipeline ] in
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
           ([ c_text; Runtime_c.header; Runtime_c.impl; toolchain.Toolchain.cc ]
-          @ prof_part @ pipeline_part
+          @ prof_part @ [ "pipeline"; pipeline ]
           @ Toolchain.requested_flags toolchain)))
 
 (** [ensure_dir dir] — [dir] as a directory, created with its parents if

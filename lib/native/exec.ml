@@ -408,7 +408,7 @@ type binary = {
 (** A program's binary, resolved through the cache. *)
 
 (** [resolve ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?sanitize
-    ?pipeline c_text] — the binary [c_text] compiles to, from the cache
+    ~pipeline c_text] — the binary [c_text] compiles to, from the cache
     when it holds one.
 
     A hit runs no compiler.  A miss probes the toolchain (including
@@ -420,11 +420,11 @@ type binary = {
     key.  The probe, runtime-object and compile legs are telemetry spans
     ([native.probe], [native.runtime_object], [native.compile]). *)
 let resolve ?cc ?(cflags = []) ?(cache = true) ?(cache_dir = Cache.default_dir)
-    ?keep_c ?(instrument = false) ?sanitize ?pipeline (c_text : string) :
+    ?keep_c ?(instrument = false) ?sanitize ~pipeline (c_text : string) :
     (binary, error) result =
   let tc = Toolchain.configure ?cc ~cflags ?sanitize () in
   keep_c_sources ~keep_c ~instrument c_text;
-  let key = Cache.key ~toolchain:tc ~instrument ?pipeline c_text in
+  let key = Cache.key ~toolchain:tc ~instrument ~pipeline c_text in
   match if cache then Cache.lookup ~dir:cache_dir key else None with
   | Some path -> Ok { path; key; cached = true }
   | None -> (
@@ -516,14 +516,14 @@ let run_binary ?(instrument = false) ?(threads = 1) ?sanitize ?failpoints
           Ok { value; live; exe = b.path; from_cache = b.cached; profile_json })
 
 (** [run ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?threads
-    ?sanitize ?failpoints ?timeout_s ?max_bytes ?pipeline ~dir c_text] —
+    ?sanitize ?failpoints ?timeout_s ?max_bytes ~pipeline ~dir c_text] —
     the whole native path: {!resolve} the binary, then {!run_binary}
     it. *)
 let run ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?threads ?sanitize
-    ?failpoints ?timeout_s ?max_bytes ?pipeline ~dir (c_text : string) :
+    ?failpoints ?timeout_s ?max_bytes ~pipeline ~dir (c_text : string) :
     (outcome, error) result =
   Result.bind
     (resolve ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?sanitize
-       ?pipeline c_text)
+       ~pipeline c_text)
     (run_binary ?instrument ?threads ?sanitize ?failpoints ?timeout_s
        ?max_bytes ~dir)

@@ -77,7 +77,6 @@ let clear () =
   Atomic.set timeout_ns 0
 
 let enabled () = Atomic.get active
-let steps_executed () = Atomic.get steps
 
 let violation v_kind v_limit v_actual =
   raise (Resource_limit { v_kind; v_limit; v_actual; v_span = None })

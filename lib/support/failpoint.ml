@@ -185,9 +185,6 @@ let reset () =
           Atomic.set fp.fired 0)
         registry)
 
-let hit_count fp = Atomic.get fp.hits
-let fired_count fp = Atomic.get fp.fired
-
 (** [hits name] / [fired name] — counters by name; 0 for a name no site
     has registered. *)
 let hits name =

@@ -7,12 +7,13 @@
     In the spirit of clang/LLVM [-Rpass] remarks: the pipeline already
     {e makes} these decisions — this module makes them observable, so a
     user can ask {e why} their eddy kernel did not parallelize instead of
-    diffing generated C.  Surfaced by [mmc explain], by [--remarks] on the
-    other subcommands, and as [remark.<pass>.<kind>] telemetry gauges.
+    diffing generated C.  [mmc explain] is the one report of them; no
+    telemetry counter or gauge counts the same decisions again.
 
     Mirrors {!Telemetry}'s discipline: collection is {b off by default}
-    behind one flag, so un-instrumented compiles pay a read-and-branch per
-    decision point and no allocation. *)
+    behind one flag, which [Driver.explain] switches on for its compile
+    and back off, so other compiles pay a read-and-branch per decision
+    point and no allocation. *)
 
 (** What the pass did at this site. [Applied]: the optimization fired.
     [Missed]: the pass looked and declined (the interesting case — the
@@ -197,16 +198,3 @@ let to_json rs =
          (counts rs))
   in
   Telemetry.json_obj [ ("remarks", remarks); ("counts", counts_json) ]
-
-(* --- telemetry bridge -------------------------------------------------- *)
-
-(** Publish per-pass remark counts as [remark.<pass>.<kind>] gauges, so
-    [--stats] summaries and the benchmark trajectory pick them up. *)
-let export_gauges () =
-  List.iter
-    (fun (p, a, m, s) ->
-      Telemetry.set_gauge (Printf.sprintf "remark.%s.applied" p) (float_of_int a);
-      Telemetry.set_gauge (Printf.sprintf "remark.%s.missed" p) (float_of_int m);
-      Telemetry.set_gauge (Printf.sprintf "remark.%s.skipped" p)
-        (float_of_int s))
-    (counts (results ()))

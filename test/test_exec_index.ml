@@ -3,8 +3,9 @@
    the cached binary, composing, parsing, lowering and emitting nothing.
    A hit must report what the full path reports, replay the full path's
    warnings byte for byte, and miss whenever any input of the
-   translation changes; a corrupt entry is a miss; --no-cache, --keep-c
-   and --remarks bypass it; a failed translation records nothing.
+   translation changes; a corrupt entry is a miss; --no-cache and
+   --keep-c bypass it, and an earlier Driver.explain does not; a failed
+   translation records nothing.
 
    Every case needing a real compiler probes first and skips visibly
    when none is available. *)
@@ -48,11 +49,8 @@ let stems =
 let translation_spans =
   [ "driver.compose"; "frontend.parse"; "driver.lower"; "driver.emit" ]
 
-(* [traced f] — [f ()] and whether it translated the program.  Remark
-   collection (which bypasses the index, and which [Driver.explain]
-   leaves on) is off. *)
+(* [traced f] — [f ()] and whether it translated the program. *)
 let traced f =
-  Support.Remark.set_enabled false;
   T.reset ();
   T.set_enabled true;
   Fun.protect
@@ -171,8 +169,8 @@ let test_every_input_misses () =
         key ~config:(Result.get_ok (P.of_spec cfg [ "transform"; "auto-par" ])) ()
       );
       ("-O0", key ~config:(P.set_all cfg false) ());
-      ("--no-fuse", key ~config:(P.enable cfg "fuse" false) ());
-      ("--no-copy-elim", key ~config:(P.enable cfg "copy-elim" false) ());
+      ("fuse off", key ~config:(P.enable cfg "fuse" false) ());
+      ("copy-elim off", key ~config:(P.enable cfg "copy-elim" false) ());
       ("--threads 2", key ~config:(P.enable cfg "auto-par" true) ());
       ("--guards", key ~guards:true ());
       ("--line-directives a.mc", key ~line_file:"a.mc" ());
@@ -329,6 +327,12 @@ let test_bypasses () =
   Alcotest.(check bool) "keep_c translates" true (snd (exec ~keep_c:kept ()));
   Alcotest.(check bool) "keep_c writes the C" true (Sys.file_exists kept);
   Alcotest.(check bool) "still warm afterwards" false (snd (exec ()));
+  (* explain collects remarks only while it compiles: it leaves
+     collection off and the next exec goes through the index *)
+  ignore (Driver.explain all4 src);
+  Alcotest.(check bool) "remark collection off after explain" false
+    (Support.Remark.on ());
+  Alcotest.(check bool) "warm after explain" false (snd (exec ()));
   (* the CLI, on a warm cache *)
   let cli extra =
     mmc
@@ -340,10 +344,6 @@ let test_bypasses () =
   Alcotest.(check int) "--keep-c exits 0" 0 code;
   Alcotest.(check bool) "--keep-c writes the file on a warm run" true
     (Sys.file_exists kept);
-  let code, _, err = cli [ "--remarks" ] in
-  Alcotest.(check int) "--remarks exits 0" 0 code;
-  Alcotest.(check bool) "--remarks prints the table on a warm run" true
-    (contains "copy-elim" err);
   let _, _, stats = cli [ "--no-cache"; "--stats" ] in
   Alcotest.(check bool) "--no-cache translates" true
     (contains "frontend.parse" stats)
@@ -400,8 +400,8 @@ let suite =
       test_warnings_replay;
     Alcotest.test_case "corrupt entries are misses" `Quick
       test_corrupt_entries_miss;
-    Alcotest.test_case "--no-cache, --keep-c, --remarks bypass" `Quick
-      test_bypasses;
+    Alcotest.test_case "--no-cache and --keep-c bypass; explain does not"
+      `Quick test_bypasses;
     Alcotest.test_case "failed translations record nothing" `Quick
       test_failed_translation_records_nothing;
     Alcotest.test_case "the lookup is one native.index span" `Quick

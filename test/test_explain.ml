@@ -3,7 +3,7 @@
    structured transform warn-and-skip path (one source of truth for
    stderr, remarks and JSON), the Driver.explain staging, JSON round-trip
    through Support.Json, the fusion-remark/loop-count property, and the
-   `mmc explain` / `--remarks` CLI surfaces. *)
+   `mmc explain` CLI surface. *)
 
 module Ir = Cir.Ir
 module R = Support.Remark
@@ -91,9 +91,9 @@ let test_fig1_parallel_remarks () =
     demoted;
   (* sequential config reports the same decision points as skips *)
   let seq = explain_ok ~auto_par:false src in
-  Alcotest.(check int) "no promotions under --seq" 0
+  Alcotest.(check int) "no promotions when sequential" 0
     (count ~pass:"auto-par" ~kind:R.Applied seq);
-  Alcotest.(check bool) "skips under --seq" true
+  Alcotest.(check bool) "skips when sequential" true
     (count ~pass:"auto-par" ~kind:R.Skipped seq >= 1)
 
 let test_fig4_remarks () =
@@ -454,8 +454,8 @@ let test_cli_warning_reaches_stderr () =
           (Printf.sprintf "mmc %s surfaces the skip warning" name)
           true (go 0))
       [
-        ("check", "check --auto-par");
-        ("emit", "emit --auto-par");
+        ("check", "check -O1");
+        ("emit", "emit -O1");
         ("run", "run --threads 2 --data-dir .");
         ("profile", "profile --threads 2 --data-dir .");
         ("explain", "explain");

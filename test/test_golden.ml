@@ -272,10 +272,7 @@ let test_cache_key_separates_pipelines () =
       Alcotest.(check bool) "configs render differently" true
         (default_ <> reordered);
       Alcotest.(check bool) "distinct cache keys" true
-        (k default_ <> k reordered);
-      Alcotest.(check string) "empty pipeline keeps pre-pipeline digests"
-        (Native.Cache.key ~toolchain:tc "int main(){}")
-        (k "")
+        (k default_ <> k reordered)
 
 (* --- unknown pass names --------------------------------------------------- *)
 
@@ -425,6 +422,91 @@ let test_cli_threads_at_least_one () =
       [ "run"; "exec"; "profile" ]
   end
 
+(* [mmc args] — exit code, stdout and stderr of one CLI run. *)
+let mmc args =
+  let dir = Filename.temp_file "mmgolden" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote mmc_exe)
+         (String.concat " " (List.map Filename.quote args))
+         (Filename.quote out) (Filename.quote err))
+  in
+  (code, read out, read err)
+
+(* Passes are chosen only by --passes, -O0 and -O1, and `mmc explain` is
+   the only report of what they decided: the per-command toggles and
+   --remarks are unknown options, rejected before anything runs. *)
+let test_cli_toggles_gone () =
+  if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
+  else
+    let prog = Filename.concat golden_dir "fig1_with_slice_copy.mc" in
+    List.iter
+      (fun (cmd, flag) ->
+        let label = cmd ^ " " ^ flag in
+        let code, out, err = mmc [ cmd; flag; prog ] in
+        Alcotest.(check int) (label ^ " exits 124") 124 code;
+        Alcotest.(check bool) (label ^ " is an unknown option") true
+          (contains ("unknown option '" ^ flag ^ "'") err);
+        Alcotest.(check string) (label ^ " runs nothing") "" out)
+      [
+        ("check", "--auto-par");
+        ("emit", "--no-fuse");
+        ("emit", "--auto-par");
+        ("exec", "--no-fuse");
+        ("exec", "--no-copy-elim");
+        ("explain", "--seq");
+        ("explain", "--no-fuse");
+        ("explain", "--no-copy-elim");
+        ("check", "--remarks");
+        ("emit", "--remarks");
+        ("run", "--remarks");
+        ("exec", "--remarks");
+        ("profile", "--remarks");
+      ]
+
+(* The spellings that replace the removed toggles emit, on every golden
+   program, the C the toggles' configs emit: fusion off is
+   [--passes copy-elim,transform], auto-par on is [-O1], and both are
+   [--passes copy-elim,auto-par,transform]. *)
+let test_passes_spellings () =
+  if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
+  else
+    let cfg = Driver.default_config all4 in
+    let toggled ~fuse ~auto_par =
+      Driver.Pipeline.enable
+        (Driver.Pipeline.enable cfg "fuse" fuse)
+        "auto-par" auto_par
+    in
+    List.iter
+      (fun stem ->
+        let file = Filename.concat golden_dir (stem ^ ".mc") in
+        let src = read file in
+        List.iter
+          (fun (spelling, config) ->
+            let expected =
+              match Driver.compile_to_c ~config all4 src with
+              | Driver.Ok_ text -> text
+              | Driver.Failed ds ->
+                  Alcotest.failf "%s: emit failed: %s" stem
+                    (Driver.diags_to_string ds)
+            in
+            let code, out, _ = mmc ([ "emit" ] @ spelling @ [ file ]) in
+            let label = stem ^ ": emit " ^ String.concat " " spelling in
+            Alcotest.(check int) (label ^ " exits 0") 0 code;
+            Alcotest.(check string) (label ^ " emits the toggle's C") expected
+              out)
+          [
+            ( [ "--passes"; "copy-elim,transform" ],
+              toggled ~fuse:false ~auto_par:false );
+            ([ "-O1" ], toggled ~fuse:true ~auto_par:true);
+            ( [ "--passes"; "copy-elim,auto-par,transform" ],
+              toggled ~fuse:false ~auto_par:true );
+          ])
+      stems
+
 (* --- diff-size cap --------------------------------------------------------- *)
 
 let test_ir_diff_cap_falls_back_to_full_dumps () =
@@ -489,4 +571,8 @@ let suite =
       test_ir_diff_cap_falls_back_to_full_dumps;
     Alcotest.test_case "permuted extension order emits oracle C" `Quick
       test_permuted_selection_matches_oracle;
+    Alcotest.test_case "cli: pass toggles and --remarks are gone" `Quick
+      test_cli_toggles_gone;
+    Alcotest.test_case "--passes spellings reproduce the toggles' configs"
+      `Quick test_passes_spellings;
   ]

@@ -165,9 +165,9 @@ let test_tiling_example () =
   differential ~name:"transform_tiling" ~inputs:[] ~outputs:[]
     (example "transform_tiling.mc")
 
-(* The acceptance program, under every optimization-flag configuration:
-   default, --no-fuse, --no-copy-elim, and auto-parallelized with real
-   OpenMP threads. *)
+(* The acceptance program, under every optimization configuration:
+   default, fusion off, copy elimination off, and auto-parallelized with
+   real OpenMP threads. *)
 let test_eddy_flag_matrix () =
   let src = example "eddy_energy.mc" in
   List.iter
