@@ -100,9 +100,11 @@ explain-check: all
 # exec index straight to its cached binary, so its --stats must show a
 # binary-cache hit, a native.index row for the index lookup, and no
 # composition, frontend, lowering, emission, toolchain probe or C
-# compile.  A copy with a blank line appended misses the index (it
-# parses again) but still hits the binary cache.  Skips with a notice
-# when no C compiler is installed.
+# compile.  The cold run compiles first and probes only after a failed
+# compile, so it must show a native.compile row and no native.probe
+# row.  A copy with a blank line appended misses the index (it parses
+# again) but still hits the binary cache.  Skips with a notice when no
+# C compiler is installed.
 warm-check: all
 	@if command -v $${MMC_CC:-cc} >/dev/null 2>&1; then \
 	  d=$$(mktemp -d) && \
@@ -114,6 +116,10 @@ warm-check: all
 	  done; \
 	  if ! grep -q 'native.run ' $$d/warm.stats; then \
 	    echo "warm-check: FAIL (no --stats summary)"; rm -rf $$d; exit 1; \
+	  elif ! grep -q 'native.compile ' $$d/cold.stats; then \
+	    echo "warm-check: FAIL (the cold run did not compile)"; rm -rf $$d; exit 1; \
+	  elif grep -q 'native.probe ' $$d/cold.stats; then \
+	    echo "warm-check: FAIL (the cold run probed the toolchain)"; rm -rf $$d; exit 1; \
 	  elif grep -E '(driver\.compose|frontend\.parse|driver\.lower|driver\.emit|native\.probe|native\.compile) ' $$d/warm.stats; then \
 	    echo "warm-check: FAIL (warm run translated, probed or compiled)"; rm -rf $$d; exit 1; \
 	  elif ! grep -qE 'cache\.hit +1\.0$$' $$d/warm.stats; then \

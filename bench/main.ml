@@ -524,7 +524,7 @@ let bench_native () =
       Fmt.pr "  skipped: %s@." (Native.Toolchain.describe_error e)
   | Ok tc ->
       Fmt.pr "  cc: %s%s@." tc.Native.Toolchain.cc
-        (if Native.Toolchain.openmp tc then " (OpenMP live)"
+        (if Native.Toolchain.uses_openmp tc then " (OpenMP live)"
          else " (no OpenMP: sequential fallback)");
       let data = native_cube () in
       let cache_dir = fresh_cache_dir () in
@@ -592,16 +592,9 @@ let native_profile_progs () =
     ("eddy_energy", profile_example "eddy_energy.mc");
   ]
 
-(* [~auto_par:false] matches the sequential lowering [exec_native] uses,
-   so plain and instrumented binaries differ only in the probes — with
-   the default auto-par lowering the instrumented side would also pay
-   one GOMP single-thread region launch per dispatch (~1.8 ms on
-   eddy_energy), which is OpenMP overhead, not instrumentation. *)
 let profile_native_once ~cache_dir ~dir src =
   match
-    Driver.profile_native
-      ~config:(Driver.default_config c_full)
-      ~dir ~cache_dir (Driver.Composed c_full) src
+    Driver.profile_native ~dir ~cache_dir (Driver.Composed c_full) src
   with
   | Driver.Ok_ (o, report) -> (o, report)
   | Driver.Failed ds ->
@@ -647,11 +640,7 @@ let bench_native_profile () =
           with_input data (fun dir ->
               let src = Eddy.Programs.fig1_temporal_mean in
               let interp =
-                match
-                  Driver.profile
-                    ~config:(Driver.default_config c_full)
-                    ~dir c_full src []
-                with
+                match Driver.profile ~dir c_full src [] with
                 | Driver.Ok_ _, report -> report
                 | Driver.Failed ds, _ ->
                     Fmt.epr "interp profile bench failed: %s@."
@@ -747,7 +736,7 @@ let bench_scaling_native () =
   Fmt.pr "@.=== C1 (native): cube programs at 1 and 2 OpenMP threads ===@.";
   match Native.Toolchain.probe () with
   | Error e -> Fmt.pr "  skipped: %s@." (Native.Toolchain.describe_error e)
-  | Ok tc when not (Native.Toolchain.openmp tc) ->
+  | Ok tc when not (Native.Toolchain.uses_openmp tc) ->
       Fmt.pr "  skipped: %s has no OpenMP, so --threads 2 runs sequentially@."
         tc.Native.Toolchain.cc
   | Ok tc -> (

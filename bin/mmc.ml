@@ -469,7 +469,7 @@ let exec_cmd =
              None
          & info [ "sanitize" ] ~docv:"MODE"
              ~doc:"Compile under -fsanitize=MODE (address or undefined). \
-                   The toolchain is probed first: an unsupported \
+                   A failed compile probes the toolchain: an unsupported \
                    sanitizer reports a visible diagnostic instead of a \
                    compile error. Sanitized binaries occupy their own \
                    cache slot.")
@@ -485,12 +485,21 @@ let exec_cmd =
                    the coin. Known points: native.alloc, \
                    native.io.read_matrix.")
   in
+  (* A negative deadline is a usage error (exit 2), like --threads 0. *)
   let native_timeout =
-    Arg.(value & opt (some float) None
-         & info [ "timeout" ] ~docv:"SECS"
-             ~doc:"Kill the native binary after SECS seconds of wall \
-                   clock (SIGTERM, then SIGKILL after a grace period), \
-                   with a CPU-seconds rlimit as backstop.")
+    let at_least_zero = function
+      | Some t when not (t >= 0.) ->
+          Fmt.epr "mmc: --timeout must be >= 0@.";
+          exit 2
+      | t -> t
+    in
+    Term.(
+      const at_least_zero
+      $ Arg.(value & opt (some float) None
+             & info [ "timeout" ] ~docv:"SECS"
+                 ~doc:"Kill the native binary after SECS (at least 0) \
+                       seconds of wall clock, by SIGALRM from an interval \
+                       timer armed in the binary's own process."))
   in
   let native_max_bytes =
     Arg.(value & opt (some int) None

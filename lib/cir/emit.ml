@@ -5,11 +5,11 @@
 
     The output includes the real runtime header ([mm_runtime.h], shipped
     in runtime/c/) exposing flat-buffer matrices with reference counts —
-    the same API the paper's generated code calls — plus Intel SSE
-    intrinsics for vectorized loops (Fig 11) and OpenMP pragmas for
-    parallelized ones.  [mm_float] is C [double]: the reference
-    interpreter evaluates float expressions in double precision, and
-    native output must agree bit-for-bit.
+    the same API the paper's generated code calls — plus, in programs
+    with vectorized loops (Fig 11), the Intel SSE intrinsics of
+    [mm_simd.h], and OpenMP pragmas for parallelized ones.  [mm_float]
+    is C [double]: the reference interpreter evaluates float expressions
+    in double precision, and native output must agree bit-for-bit.
 
     With [exec_harness] the entry function is renamed and a generated
     [int main] prints the entry's result (and the live-allocation count)
@@ -497,6 +497,24 @@ let tuple_types (p : program) =
       List.fold_left stmt_tuple_types acc f.f_body)
     [] p.funcs
 
+(* Vector code needs mm_simd.h, and only vector code does: a scalar
+   program skips parsing <xmmintrin.h>.  Vectorization leaves [Vec*]
+   expressions and [CVec] declarations behind. *)
+let uses_simd (p : program) =
+  let found = ref false in
+  let fe e =
+    (match e with
+    | VecSplat _ | VecGather _ | VecBin _ | VecHsum _ -> found := true
+    | _ -> ());
+    e
+  in
+  let fs s =
+    (match s with Decl (CVec, _, _) -> found := true | _ -> ());
+    s
+  in
+  List.iter (fun f -> ignore (map_stmts fe fs f.f_body)) p.funcs;
+  !found
+
 let tuple_typedef = function
   | CTuple ts as t ->
       let fields =
@@ -514,16 +532,17 @@ let prototypes (p : program) =
     (fun f -> if f.f_name = "main" then None else Some (signature f ^ ";"))
     p.funcs
 
-let preamble =
+let preamble ~simd =
   String.concat "\n"
-    [
-      "/* Generated by mmc — extensible CMINUS translator.";
-      "   Matrix constructs have been translated to plain parallel C";
-      "   over the mm_runtime flat-buffer matrix API. */";
-      "#include <stdbool.h>";
-      "#include \"mm_runtime.h\"";
-      "";
-    ]
+    ([
+       "/* Generated by mmc — extensible CMINUS translator.";
+       "   Matrix constructs have been translated to plain parallel C";
+       "   over the mm_runtime flat-buffer matrix API. */";
+       "#include <stdbool.h>";
+       "#include \"mm_runtime.h\"";
+     ]
+    @ (if simd then [ "#include \"mm_simd.h\"" ] else [])
+    @ [ "" ])
 
 (* --- exec harness ------------------------------------------------------ *)
 
@@ -700,7 +719,7 @@ let program ?line_directives_file ?(instrument = false) ?(guards = false)
       (* The function bodies must be rendered first: emitting them is what
          populates the span table the header sections then print. *)
       let funcs_text = String.concat "\n" (List.map func p.funcs) in
-      preamble
+      preamble ~simd:(uses_simd p)
       ^ (if instrument then "#include \"mm_prof.h\"\n\n" else "")
       ^ section (List.map tuple_typedef (tuple_types p))
       ^ section (prototypes p)

@@ -883,10 +883,9 @@ module Explain_report = struct
   let to_json t = Support.Remark.to_json t.remarks
 end
 
-(** The default pipeline for the tracing/measuring entry points
-    ({!explain}, {!profile}, {!profile_native}): auto-parallelization on —
-    those commands answer "what would the optimizer do", so the default
-    shows the full pipeline at work. *)
+(** The default pipeline of {!explain}: auto-parallelization on — it
+    answers "what would the optimizer do", so the default shows the full
+    pipeline at work. *)
 let explain_config (selected : extension list) : Pipeline.config =
   Pipeline.enable (selection_config selected) "auto-par" true
 
@@ -919,7 +918,8 @@ let explain ?config ?(dump_passes = []) ?(ir_diff = false) ?warn
     profiler enabled and return (program result outcome, report).  The
     profiler and RC registry are reset first so the report covers exactly
     this run, and the wall clock starts after lowering so the report's
-    coverage measures execution, not compilation. *)
+    coverage measures execution, not compilation.  [config] defaults to
+    the pipeline {!run} compiles. *)
 let profile ?config ?warn ?pool ?dir
     (c : composed) (src : string) (args : Interp.Eval.value list) :
     Interp.Eval.value outcome * Profile_report.t =
@@ -927,16 +927,13 @@ let profile ?config ?warn ?pool ?dir
     (fun p ->
       Tel.set_gauge "pool.threads" (float_of_int (Runtime.Pool.threads p)))
     pool;
-  let cfg =
-    match config with Some cfg -> cfg | None -> explain_config c.selected
-  in
   let prep =
     match missing_data_dir dir with
     | Some d -> Failed d
     | None -> (
         match frontend c src with
         | Failed d -> Failed d
-        | Ok_ ast -> lower ~config:cfg ?warn c ast)
+        | Ok_ ast -> lower ?config ?warn c ast)
   in
   match prep with
   | Failed d -> (Failed d, Profile_report.collect ~wall_ns:0 ())
@@ -975,15 +972,13 @@ let profile ?config ?warn ?pool ?dir
     generated span table), compile and run it through {!exec}
     (instrumented binaries key separately), and parse the binary's
     mm_profile.json sidecar back into the same report shape [mmc
-    profile] renders for interpreted runs. *)
+    profile] renders for interpreted runs.  [config] defaults to the
+    pipeline {!exec} compiles. *)
 let profile_native ?config ?warn ?dir ?cc ?cflags
     ?keep_c ?cache ?cache_dir ?(threads = 1) ?line_file (t : translator)
     (src : string) : (Native.Exec.outcome * Profile_report.t) outcome =
-  let cfg =
-    match config with Some cfg -> cfg | None -> explain_config (selection t)
-  in
   match
-    exec ~config:cfg ?warn ?dir ?cc ?cflags ?keep_c ?line_file
+    exec ?config ?warn ?dir ?cc ?cflags ?keep_c ?line_file
       ~instrument:true ?cache ?cache_dir ~threads t src
   with
   | Failed d -> Failed d

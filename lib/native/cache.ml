@@ -30,6 +30,20 @@ let export_gauges () =
   Support.Telemetry.set_gauge "cache.hit" (float_of_int !hits);
   Support.Telemetry.set_gauge "cache.miss" (float_of_int !misses)
 
+(* The runtime's files, as (name, text) pairs: the headers every program
+   and runtime unit may include, then the translation units.  The
+   profiling runtime joins them for instrumented builds. *)
+let runtime_headers ~instrument =
+  [ ("mm_runtime.h", Runtime_c.header); ("mm_simd.h", Runtime_c.simd_header) ]
+  @ if instrument then [ ("mm_prof.h", Runtime_c.prof_header) ] else []
+
+let runtime_units ~instrument =
+  ("mm_runtime.c", Runtime_c.impl)
+  :: (if instrument then [ ("mm_prof.c", Runtime_c.prof_impl) ] else [])
+
+let runtime_texts ~instrument =
+  List.map snd (runtime_headers ~instrument @ runtime_units ~instrument)
+
 (** [key ~toolchain ?instrument ~pipeline c_text] — hex digest naming
     the binary this exact (program, runtime, requested compiler
     configuration) compiles to.  Instrumented builds link the profiling
@@ -38,20 +52,17 @@ let export_gauges () =
     cache slots.  [pipeline] is the canonical pass-pipeline string the C
     was generated under; differently-configured pipelines never share a
     slot even if they happen to emit the same text today.  The
-    compiler's version and the probed OpenMP support are not part of the
+    compiler's version and whether [-fopenmp] works are not part of the
     key: after a toolchain change, rebuild with [--no-cache]. *)
 let key ~(toolchain : Toolchain.t) ?(instrument = false) ~pipeline
     (c_text : string) =
-  let prof_part =
-    if instrument then
-      [ "instrument"; Runtime_c.prof_header; Runtime_c.prof_impl ]
-    else []
-  in
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
-          ([ c_text; Runtime_c.header; Runtime_c.impl; toolchain.Toolchain.cc ]
-          @ prof_part @ [ "pipeline"; pipeline ]
+          ([ c_text; toolchain.Toolchain.cc ]
+          @ (if instrument then [ "instrument" ] else [])
+          @ runtime_texts ~instrument
+          @ [ "pipeline"; pipeline ]
           @ Toolchain.requested_flags toolchain)))
 
 (** [ensure_dir dir] — [dir] as a directory, created with its parents if
@@ -109,17 +120,25 @@ let lookup ~dir k =
     None
   end
 
-(* The runtime translation units: (file name, text) pairs. *)
-let runtime_units ~instrument =
-  ("mm_runtime.c", Runtime_c.impl)
-  :: (if instrument then [ ("mm_prof.c", Runtime_c.prof_impl) ] else [])
-
 (* A directory that cannot be made fails the first write into it. *)
-let write_headers ~dir ~instrument =
+let write_all ~dir files =
   ignore (ensure_dir dir);
-  write_file (Filename.concat dir "mm_runtime.h") Runtime_c.header;
-  if instrument then
-    write_file (Filename.concat dir "mm_prof.h") Runtime_c.prof_header
+  List.map
+    (fun (name, text) ->
+      let path = Filename.concat dir name in
+      write_file path text;
+      path)
+    files
+
+let write_headers ~dir ~instrument =
+  ignore (write_all ~dir (runtime_headers ~instrument))
+
+(** [write_runtime ~dir ~instrument] — materialise every runtime header
+    and translation unit in [dir]; returns the .c files, which a
+    standalone compile of a program takes after the program's own. *)
+let write_runtime ~dir ~instrument =
+  write_headers ~dir ~instrument;
+  write_all ~dir (runtime_units ~instrument)
 
 (** Materialise the program's translation unit and the runtime headers
     it includes (the cache directory is also the build directory, so a
@@ -135,13 +154,7 @@ let write_program ~dir ~k ?(instrument = false) c_text =
     standalone compile of the program takes, program first. *)
 let write_sources ~dir ~k ?(instrument = false) c_text =
   let c_file = write_program ~dir ~k ~instrument c_text in
-  c_file
-  :: List.map
-       (fun (name, text) ->
-         let path = Filename.concat dir name in
-         write_file path text;
-         path)
-       (runtime_units ~instrument)
+  c_file :: write_runtime ~dir ~instrument
 
 (** [runtime_objects ~dir ~toolchain ~instrument ~rebuild] — the compiled
     runtime to link a program against, building each object that is
@@ -154,13 +167,7 @@ let runtime_objects ~dir ~(toolchain : Toolchain.t) ~instrument ~rebuild :
     Digest.to_hex
       (Digest.string
          (String.concat "\x00"
-            ([
-               Runtime_c.header;
-               Runtime_c.impl;
-               Runtime_c.prof_header;
-               Runtime_c.prof_impl;
-               toolchain.Toolchain.cc;
-             ]
+            ((toolchain.Toolchain.cc :: runtime_texts ~instrument:true)
             @ Toolchain.flags toolchain)))
   in
   let units =

@@ -342,17 +342,9 @@ let keep_c_sources ~keep_c ~instrument c_text =
     (fun path ->
       let dir = Filename.dirname path in
       ignore (Cache.ensure_dir dir);
-      let write p text =
-        Out_channel.with_open_text p (fun oc ->
-            Out_channel.output_string oc text)
-      in
-      write path c_text;
-      write (Filename.concat dir "mm_runtime.h") Runtime_c.header;
-      write (Filename.concat dir "mm_runtime.c") Runtime_c.impl;
-      if instrument then begin
-        write (Filename.concat dir "mm_prof.h") Runtime_c.prof_header;
-        write (Filename.concat dir "mm_prof.c") Runtime_c.prof_impl
-      end)
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc c_text);
+      ignore (Cache.write_runtime ~dir ~instrument))
     keep_c
 
 (* The instrumented binary dumps its profile as a file (not stdout: the
@@ -379,26 +371,30 @@ let remove_if_exists path =
   if Sys.file_exists path then
     try Sys.remove path with Sys_error _ -> ()
 
-(* A cache miss: probe the toolchain (once per process), make sure the
-   runtime objects exist, then compile the program's translation unit
-   and link it against them. *)
+(* A cache miss: compile straight away — the runtime objects this
+   configuration lacks, then the program's translation unit linked
+   against them.  Only a failure probes the toolchain
+   ({!Toolchain.compile_first}). *)
 let build tc ~cache_dir ~instrument ~rebuild ~k c_text =
   let ( let* ) = Result.bind in
-  let* () = Toolchain.check tc in
-  Support.Telemetry.set_gauge "native.openmp"
-    (if Toolchain.openmp tc then 1. else 0.);
-  let* objects =
-    Cache.runtime_objects ~dir:cache_dir ~toolchain:tc ~instrument ~rebuild
+  let exe = Cache.exe_path ~dir:cache_dir k in
+  let* () =
+    Toolchain.compile_first tc (fun () ->
+        let* objects =
+          Cache.runtime_objects ~dir:cache_dir ~toolchain:tc ~instrument
+            ~rebuild
+        in
+        Support.Telemetry.with_span ~phase:"native" "native.compile"
+          (fun () ->
+            let c_file =
+              Cache.write_program ~dir:cache_dir ~k ~instrument c_text
+            in
+            Cache.produce exe (fun out ->
+                Toolchain.compile tc ~c_files:(c_file :: objects) ~out)))
   in
-  Support.Telemetry.with_span ~phase:"native" "native.compile" (fun () ->
-      let c_file = Cache.write_program ~dir:cache_dir ~k ~instrument c_text in
-      let exe = Cache.exe_path ~dir:cache_dir k in
-      let* () =
-        Cache.produce exe (fun out ->
-            Toolchain.compile tc ~c_files:(c_file :: objects) ~out)
-      in
-      Ok exe)
-
+  Support.Telemetry.set_gauge "native.openmp"
+    (if Toolchain.uses_openmp tc then 1. else 0.);
+  Ok exe
 
 type binary = {
   path : string;  (** the cached binary *)
@@ -411,14 +407,16 @@ type binary = {
     ~pipeline c_text] — the binary [c_text] compiles to, from the cache
     when it holds one.
 
-    A hit runs no compiler.  A miss probes the toolchain (including
-    [-fsanitize] support when [sanitize] is given), builds the cached
-    runtime object if this configuration has none yet, and compiles only
-    the program's translation unit.  [cache:false] skips the lookup and
-    rebuilds the runtime object as well as the binary.  With
-    [instrument] the profiling runtime is linked in, under its own cache
-    key.  The probe, runtime-object and compile legs are telemetry spans
-    ([native.probe], [native.runtime_object], [native.compile]). *)
+    A hit runs no compiler.  A miss builds the cached runtime object if
+    this configuration has none yet and compiles only the program's
+    translation unit, both with [-fopenmp]; only when that fails does
+    the toolchain probe run, to fall back to plain C or to say why the
+    compiler (or its [-fsanitize] support, when [sanitize] is given)
+    cannot be used.  [cache:false] skips the lookup and rebuilds the
+    runtime object as well as the binary.  With [instrument] the
+    profiling runtime is linked in, under its own cache key.  The
+    runtime-object, compile and probe legs are telemetry spans
+    ([native.runtime_object], [native.compile], [native.probe]). *)
 let resolve ?cc ?(cflags = []) ?(cache = true) ?(cache_dir = Cache.default_dir)
     ?keep_c ?(instrument = false) ?sanitize ~pipeline (c_text : string) :
     (binary, error) result =

@@ -5,23 +5,24 @@
 
     - the child (spawned by a C stub — OCaml 5 forbids [Unix.fork] once
       the worker pool's domains exist) chdirs into the data directory,
-      redirects stdout/stderr to files, applies [setrlimit] caps derived
-      from [--max-bytes] (address space) and [--timeout] (CPU seconds,
-      belt-and-braces under the wall-clock deadline), and execs;
-    - the parent polls [waitpid WNOHANG] against a wall-clock deadline,
-      escalating SIGTERM → (0.5 s grace) → SIGKILL when the deadline
-      passes;
+      redirects stdout/stderr to files, applies a [setrlimit]
+      address-space cap derived from [--max-bytes], arms an
+      [ITIMER_REAL] timer for the [--timeout] deadline, and execs —
+      interval timers survive [execve], so the deadline is enforced
+      inside the child, whose SIGALRM kills it;
+    - the parent reaps the child with one blocking [waitpid];
     - the decoded status distinguishes exit codes from signal deaths,
       with the POSIX signal number and name (OCaml's [Sys.sig*] values
       are internal negatives), so callers can render "killed by SIGSEGV"
-      instead of a misleading exit code. *)
+      instead of a misleading exit code, and a SIGALRM death under a
+      deadline is the deadline's. *)
 
 type status =
   | Exited of int
   | Signaled of { signal : int; name : string }
       (** POSIX signal number and conventional name *)
   | Timed_out of { after_s : float }
-      (** the wall-clock deadline passed and the child was killed *)
+      (** the wall-clock deadline passed and the child's timer killed it *)
 
 external spawn :
   exe:string ->
@@ -30,7 +31,7 @@ external spawn :
   stderr_file:string ->
   envp:string array ->
   max_bytes:int64 ->
-  cpu_secs:int ->
+  timeout_s:float ->
   int = "mmc_spawn_bytecode" "mmc_spawn_native"
 
 (* OCaml signal numbers are runtime-internal (negative); map the ones a
@@ -56,8 +57,8 @@ let as_headroom = 64 * 1024 * 1024
 
 (** [run ?env ?timeout_s ?max_bytes ~dir ~stdout_file ~stderr_file exe]
     executes [exe] with cwd [dir] and the calling environment extended
-    (entry-wise overridden) by [env].  Blocks until the child is dead
-    and reaped. *)
+    (entry-wise overridden) by [env].  A [timeout_s] of zero or less
+    kills it at once.  Blocks until the child is dead and reaped. *)
 let run ?(env = []) ?timeout_s ?max_bytes ~dir ~stdout_file ~stderr_file exe =
   flush stdout;
   flush stderr;
@@ -79,45 +80,23 @@ let run ?(env = []) ?timeout_s ?max_bytes ~dir ~stdout_file ~stderr_file exe =
         (match max_bytes with
         | Some b -> Int64.of_int (b + as_headroom)
         | None -> -1L)
-      ~cpu_secs:
+      ~timeout_s:
         (match timeout_s with
-        | Some t -> int_of_float (Float.ceil t) + 2
-        | None -> -1)
+        | Some t -> if t > 0. then t else 0. (* the stub's -1 is "none" *)
+        | None -> -1.)
   in
-      let deadline =
-        Option.map (fun t -> Unix.gettimeofday () +. t) timeout_s
-      in
-      let timed_out () = Timed_out { after_s = Option.get timeout_s } in
-      let kill signal =
-        try Unix.kill pid signal with Unix.Unix_error _ -> ()
-      in
-      (* [hard_at = Some t]: SIGTERM is sent and t is the SIGKILL time *)
-      let rec reap hard_at =
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ -> (
-            let now = Unix.gettimeofday () in
-            match (deadline, hard_at) with
-            | Some d, None when now >= d ->
-                kill Sys.sigterm;
-                reap (Some (now +. 0.5))
-            | _, Some hard when now >= hard ->
-                kill Sys.sigkill;
-                let _ = Unix.waitpid [] pid in
-                timed_out ()
-            | _ ->
-                Unix.sleepf 0.002;
-                reap hard_at)
-        | _, Unix.WEXITED c ->
-            if hard_at <> None then timed_out () else Exited c
-        | _, Unix.WSIGNALED s ->
-            if hard_at <> None then timed_out ()
-            else
-              let signal, name = signal_info s in
-              Signaled { signal; name }
-        | _, Unix.WSTOPPED _ ->
-            (* not requested (no WUNTRACED); treat a stopped child as
-               hung so the deadline machinery still applies *)
-            Unix.sleepf 0.002;
-            reap hard_at
-      in
-      reap None
+  let rec reap () =
+    match Unix.waitpid [] pid with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
+    | _, Unix.WEXITED c -> Exited c
+    | _, Unix.WSIGNALED s -> (
+        match timeout_s with
+        | Some after_s when s = Sys.sigalrm -> Timed_out { after_s }
+        | _ ->
+            let signal, name = signal_info s in
+            Signaled { signal; name })
+    | _, Unix.WSTOPPED _ ->
+        (* not reported without WUNTRACED *)
+        reap ()
+  in
+  reap ()

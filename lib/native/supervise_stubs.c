@@ -8,8 +8,10 @@
    limits) is copied out of the OCaml heap before the fork; the child
    never touches the runtime.
 
-   The parent-side supervision (waitpid polling, SIGTERM -> SIGKILL
-   escalation) stays in OCaml — those calls are domain-safe. */
+   The --timeout deadline is enforced inside the child: it arms an
+   ITIMER_REAL timer before execve (interval timers survive exec), so
+   SIGALRM's default action ends it on time while the parent sits in
+   one blocking waitpid, which stays in OCaml — it is domain-safe. */
 
 #include <caml/alloc.h>
 #include <caml/fail.h>
@@ -18,10 +20,12 @@
 #include <caml/unixsupport.h>
 
 #include <fcntl.h>
+#include <signal.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/types.h>
 #include <unistd.h>
 
@@ -33,14 +37,15 @@ static char *dup_string(value v)
   return s;
 }
 
-/* mmc_spawn(exe, dir, stdout_file, stderr_file, envp, max_bytes, cpu_secs)
-   -> child pid.  [max_bytes] < 0: no address-space cap; [cpu_secs] < 0:
-   no CPU cap.  The child execs [exe] with argv = {exe, NULL} and the
-   given environment, cwd [dir], streams redirected to the two files;
-   any pre-exec failure exits 127 like a shell would. */
+/* mmc_spawn(exe, dir, stdout_file, stderr_file, envp, max_bytes,
+   timeout_s) -> child pid.  [max_bytes] < 0: no address-space cap;
+   [timeout_s] < 0 (or NaN): no wall-clock timer.  The child execs [exe]
+   with argv = {exe, NULL} and the given environment, cwd [dir], streams
+   redirected to the two files; any pre-exec failure exits 127 like a
+   shell would. */
 CAMLprim value mmc_spawn_native(value v_exe, value v_dir, value v_out,
                                 value v_err, value v_envp, value v_max_bytes,
-                                value v_cpu)
+                                value v_timeout)
 {
   CAMLparam5(v_exe, v_dir, v_out, v_err, v_envp);
   char *exe = dup_string(v_exe);
@@ -50,7 +55,8 @@ CAMLprim value mmc_spawn_native(value v_exe, value v_dir, value v_out,
   int nenv = Wosize_val(v_envp);
   char **envp = malloc(((size_t)nenv + 1) * sizeof(char *));
   long long max_bytes = Int64_val(v_max_bytes);
-  long cpu_secs = Long_val(v_cpu);
+  double timeout_s = Double_val(v_timeout);
+  struct itimerval deadline = {{0, 0}, {0, 0}};
   int i, ok = exe && dir && out && err && envp;
   pid_t pid;
 
@@ -63,6 +69,16 @@ CAMLprim value mmc_spawn_native(value v_exe, value v_dir, value v_out,
   }
   if (!ok) {
     caml_raise_out_of_memory();
+  }
+  if (timeout_s >= 0) {
+    /* a zero it_value would disarm the timer: the shortest deadline is
+       one microsecond */
+    if (timeout_s > 1e9) timeout_s = 1e9;
+    deadline.it_value.tv_sec = (time_t)timeout_s;
+    deadline.it_value.tv_usec =
+        (suseconds_t)((timeout_s - (double)deadline.it_value.tv_sec) * 1e6);
+    if (deadline.it_value.tv_sec == 0 && deadline.it_value.tv_usec == 0)
+      deadline.it_value.tv_usec = 1;
   }
 
   pid = fork();
@@ -82,11 +98,15 @@ CAMLprim value mmc_spawn_native(value v_exe, value v_dir, value v_out,
       rl.rlim_max = (rlim_t)max_bytes;
       setrlimit(RLIMIT_AS, &rl);
     }
-    if (cpu_secs >= 0) {
-      struct rlimit rl;
-      rl.rlim_cur = (rlim_t)cpu_secs;
-      rl.rlim_max = (rlim_t)cpu_secs + 1;
-      setrlimit(RLIMIT_CPU, &rl);
+    if (timeout_s >= 0) {
+      /* SIGALRM must kill: default action, unblocked (the forking thread's
+         mask and an ignored disposition would survive the exec) */
+      sigset_t alrm;
+      sigemptyset(&alrm);
+      sigaddset(&alrm, SIGALRM);
+      signal(SIGALRM, SIG_DFL);
+      sigprocmask(SIG_UNBLOCK, &alrm, NULL);
+      if (setitimer(ITIMER_REAL, &deadline, NULL) != 0) _exit(127);
     }
     {
       char *argv[2];

@@ -5,10 +5,12 @@
     A toolchain is what the user asked for — compiler name, extra flags,
     sanitizer mode — plus a lazily run probe: is there a working
     compiler at all, and do parallel loops get real OpenMP threads or do
-    the pragmas fall back to sequential execution?  Only a compile
-    forces the probe, so a binary-cache hit runs no compiler; the probe
-    is memoised per configuration for the process lifetime, so test
-    suites that compile many programs pay for it once. *)
+    the pragmas fall back to sequential execution?  Compiles come first:
+    {!compile_first} builds with [-fopenmp] straight away and forces the
+    probe only when that fails, so a build that works runs no probe and
+    a binary-cache hit runs no compiler at all.  The probe is memoised
+    per configuration for the process lifetime, so test suites that
+    compile many programs pay for it once. *)
 
 type error =
   | No_compiler of { cc : string; detail : string }
@@ -25,7 +27,8 @@ type t = {
       (** [-fsanitize=] mode ("address" / "undefined"), if any *)
   probed : (bool, error) result Lazy.t;
       (** the probe's verdict — whether [-fopenmp] works, or why the
-          toolchain is unusable; forced only by a compile *)
+          toolchain is unusable; forced by a failed compile or by
+          {!probe} *)
 }
 
 let describe_error = function
@@ -141,21 +144,19 @@ let verdict t =
     Support.Telemetry.with_span ~phase:"native" "native.probe" (fun () ->
         Lazy.force t.probed)
 
-(** [check t] — is the compiler usable under this configuration?  Runs
-    the probe if it has not run yet. *)
-let check t : (unit, error) result = Result.map ignore (verdict t)
-
-(** [probe ?cc ?cflags ?sanitize ()] — {!configure} and {!check} at
-    once: locate a working compiler, decide whether OpenMP is available
-    under it, and (when [sanitize] is given) verify the compiler links
-    [-fsanitize=<mode>] programs. *)
+(** [probe ?cc ?cflags ?sanitize ()] — {!configure} and run the probe
+    at once: locate a working compiler, decide whether OpenMP is
+    available under it, and (when [sanitize] is given) verify the
+    compiler links [-fsanitize=<mode>] programs. *)
 let probe ?cc ?cflags ?sanitize () : (t, error) result =
   let t = configure ?cc ?cflags ?sanitize () in
-  Result.map (fun () -> t) (check t)
+  Result.map (fun _ -> t) (verdict t)
 
-(** Whether [-fopenmp] works: ParFor pragmas are live.  Runs the probe
-    if it has not run yet; [false] when the toolchain is unusable. *)
-let openmp t = verdict t = Ok true
+(** Whether {!flags} passes [-fopenmp], so ParFor pragmas are live: a
+    compile tries it until the probe has found that it fails.  After a
+    compile that worked, or after {!probe}, this is whether the binary
+    gets real OpenMP threads. *)
+let uses_openmp t = not (Lazy.is_val t.probed && Lazy.force t.probed = Ok false)
 
 let base_flags t = [ "-O2"; "-Wall" ] @ sanitize_flags t.sanitize
 
@@ -164,14 +165,15 @@ let base_flags t = [ "-O2"; "-Wall" ] @ sanitize_flags t.sanitize
     be computed without running the compiler. *)
 let requested_flags t = base_flags t @ t.cflags
 
-(** The flags a toolchain compiles generated programs with, in command
-    order.  Without OpenMP the pragmas are dead text, so the unknown-
-    pragma warning is silenced to stay clean under [-Wall].  Sanitizer
-    flags participate, which also gives sanitized builds their own
+(** The flags a toolchain compiles generated programs with now, in
+    command order: [-fopenmp] unless the probe found that it fails.
+    Without OpenMP the pragmas are dead text, so the unknown-pragma
+    warning is silenced to stay clean under [-Wall].  Sanitizer flags
+    participate, which also gives sanitized builds their own
     binary-cache slot. *)
 let flags t =
   base_flags t
-  @ (if openmp t then [ "-fopenmp" ] else [ "-Wno-unknown-pragmas" ])
+  @ (if uses_openmp t then [ "-fopenmp" ] else [ "-Wno-unknown-pragmas" ])
   @ t.cflags
 
 (* Run [cc flags extra...], returning the full command on failure so
@@ -190,3 +192,21 @@ let compile_object t ~c_file ~out : (unit, error) result =
     or objects) into [out]. *)
 let compile t ~c_files ~out : (unit, error) result =
   run_cc t ("-o" :: quote out :: List.map quote c_files)
+
+(** [compile_first t build] — run the compile steps [build] (which read
+    {!flags}) and return what they return when they work.  Only a
+    failure runs the probe, and its verdict picks the outcome: without
+    a working [-fopenmp], [build] runs once more under the no-OpenMP
+    flags; without a usable compiler or sanitizer, the probe's
+    diagnosis replaces the compile error; with a healthy toolchain the
+    compile error itself is the answer. *)
+let compile_first t (build : unit -> ('a, error) result) : ('a, error) result
+    =
+  match build () with
+  | Ok _ as built -> built
+  | Error _ as failed -> (
+      let tried_openmp = uses_openmp t in
+      match verdict t with
+      | Ok false when tried_openmp -> build ()
+      | Ok _ -> failed
+      | Error e -> Error e)

@@ -3,6 +3,7 @@
  * printing) is matched against the mmc reference interpreter by the
  * differential test suite, so change nothing here without running it. */
 #include "mm_runtime.h"
+#include "mm_simd.h"
 
 #include <fcntl.h>
 #include <signal.h>

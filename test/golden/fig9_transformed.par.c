@@ -3,6 +3,7 @@
    over the mm_runtime flat-buffer matrix API. */
 #include <stdbool.h>
 #include "mm_runtime.h"
+#include "mm_simd.h"
 int main(void) {
   mm_mat_float3 *__mm_rd0 = mm_read_matrix("ssh.data");
   mm_mat_float3 *mat = __mm_rd0;

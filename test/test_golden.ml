@@ -436,6 +436,22 @@ let mmc args =
   in
   (code, read out, read err)
 
+(* A negative exec deadline is a usage error — exit 2 before anything
+   runs — not a run without a deadline. *)
+let test_cli_timeout_not_negative () =
+  if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
+  else
+    let prog = Filename.concat golden_dir "fig1_with_slice_copy.mc" in
+    List.iter
+      (fun secs ->
+        let label = "exec --timeout=" ^ secs in
+        let code, out, err = mmc [ "exec"; "--timeout=" ^ secs; prog ] in
+        Alcotest.(check int) (label ^ " exits 2") 2 code;
+        Alcotest.(check string) (label ^ " says why")
+          "mmc: --timeout must be >= 0\n" err;
+        Alcotest.(check string) (label ^ " runs nothing") "" out)
+      [ "-1"; "-3"; "-0.5" ]
+
 (* Passes are chosen only by --passes, -O0 and -O1, and `mmc explain` is
    the only report of what they decided: the per-command toggles and
    --remarks are unknown options, rejected before anything runs. *)
@@ -567,6 +583,8 @@ let suite =
       test_cli_missing_source;
     Alcotest.test_case "cli: --threads below 1 is a usage error" `Quick
       test_cli_threads_at_least_one;
+    Alcotest.test_case "cli: a negative exec --timeout is a usage error" `Quick
+      test_cli_timeout_not_negative;
     Alcotest.test_case "--ir-diff caps the LCS and dumps both versions" `Quick
       test_ir_diff_cap_falls_back_to_full_dumps;
     Alcotest.test_case "permuted extension order emits oracle C" `Quick

@@ -488,16 +488,12 @@ let test_corpus_compiles_werror () =
       | Driver.Failed ds ->
           Alcotest.failf "%s: emit failed: %s" name (Driver.diags_to_string ds)
       | Driver.Ok_ c_text -> (
-          let c_file = Filename.concat build (Printf.sprintf "p%d.c" i) in
-          Out_channel.with_open_text c_file (fun oc ->
-              Out_channel.output_string oc c_text);
-          Out_channel.with_open_text (Filename.concat build "mm_runtime.h")
-            (fun oc -> Out_channel.output_string oc Native.Runtime_c.header);
-          Out_channel.with_open_text (Filename.concat build "mm_runtime.c")
-            (fun oc -> Out_channel.output_string oc Native.Runtime_c.impl);
+          let c_files =
+            Native.Cache.write_sources ~dir:build ~k:(Printf.sprintf "p%d" i)
+              c_text
+          in
           match
-            Native.Toolchain.compile werror
-              ~c_files:[ c_file; Filename.concat build "mm_runtime.c" ]
+            Native.Toolchain.compile werror ~c_files
               ~out:(Filename.concat build (Printf.sprintf "p%d.exe" i))
           with
           | Ok () -> ()
@@ -535,9 +531,12 @@ let counting_cc real_cc =
 
 (* The runtime is compiled once per cache directory and configuration,
    each program's own translation unit once per program, and a binary-
-   cache hit runs no compiler at all: not even the toolchain probe. *)
+   cache hit runs no compiler at all.  Compiles come first: the toolchain
+   probe runs only after one fails, and a compiler whose -fopenmp works
+   never fails the first one. *)
 let test_compiler_runs_per_invocation () =
   let tc = ensure_cc () in
+  let openmp = Native.Toolchain.uses_openmp tc in
   let cc, runs = counting_cc tc.Native.Toolchain.cc in
   let cache_dir = fresh_dir () in
   (* the program returning [n]'s outcome, and the cc runs it took *)
@@ -562,11 +561,57 @@ let test_compiler_runs_per_invocation () =
     List.filter (fun l ->
         is_infix ~affix:"-c " l && is_infix ~affix:"mm_runtime.c" l)
   in
-  let first = exec 41 in
-  Alcotest.(check int) "first exec builds the runtime object once" 1
-    (List.length (object_builds first));
-  Alcotest.(check bool) "first exec probes, builds, links" true
-    (List.length first >= 3);
+  let probes = List.filter (is_infix ~affix:"probe.c") in
+  let links =
+    List.filter (fun l ->
+        is_infix ~affix:".o" l && not (is_infix ~affix:"-c " l))
+  in
+  (* The first, cold exec under this fresh compiler name. *)
+  Support.Telemetry.reset ();
+  Support.Telemetry.set_enabled true;
+  let first =
+    Fun.protect
+      ~finally:(fun () -> Support.Telemetry.set_enabled false)
+      (fun () -> exec 41)
+  in
+  let probe_spans =
+    List.length
+      (List.filter
+         (fun (sp : Support.Telemetry.span) ->
+           sp.Support.Telemetry.sp_name = "native.probe")
+         (Support.Telemetry.spans ()))
+  in
+  let openmp_gauge =
+    List.assoc_opt "native.openmp" (Support.Telemetry.gauges ())
+  in
+  Support.Telemetry.reset ();
+  if openmp then begin
+    Alcotest.(check int) "first exec builds the runtime object once" 1
+      (List.length (object_builds first));
+    Alcotest.(check int) "first exec builds, then links" 2 (List.length first);
+    Alcotest.(check bool) "... the object first" true
+      (object_builds [ List.hd first ] <> []);
+    Alcotest.(check int) "... and records no native.probe span" 0 probe_spans;
+    Alcotest.(check (option (float 0.))) "... native.openmp" (Some 1.)
+      openmp_gauge
+  end
+  else begin
+    (* the -fopenmp build fails, the probe compiles its empty program
+       with and without -fopenmp, and the object is rebuilt without *)
+    Alcotest.(check int) "first exec builds the runtime object twice" 2
+      (List.length (object_builds first));
+    Alcotest.(check bool) "... first under -fopenmp" true
+      (is_infix ~affix:"-fopenmp" (List.hd (object_builds first)));
+    Alcotest.(check int) "... probes with and without -fopenmp" 2
+      (List.length (probes first));
+    Alcotest.(check bool) "... then rebuilds without it" false
+      (is_infix ~affix:"-fopenmp" (List.nth (object_builds first) 1));
+    Alcotest.(check bool) "... and links last" true
+      (links [ List.nth first (List.length first - 1) ] <> []);
+    Alcotest.(check int) "... under one native.probe span" 1 probe_spans;
+    Alcotest.(check (option (float 0.))) "... native.openmp" (Some 0.)
+      openmp_gauge
+  end;
   let second = exec 42 in
   Alcotest.(check int) "a second program runs cc once" 1 (List.length second);
   Alcotest.(check bool) "... linking the cached runtime object" true
@@ -597,8 +642,11 @@ let test_compiler_runs_per_invocation () =
     Alcotest.(check int) "an mmc exec hit runs no cc" before
       (List.length (runs ()))
   end;
-  (* A truncated runtime object fails the link once; --no-cache rebuilds
-     it. *)
+  (* A truncated runtime object fails the link once.  Only then does the
+     probe run, unless this process already has its verdict: under a
+     working -fopenmp it compiles its empty program once, finds the
+     toolchain healthy, and the link error is the answer.  --no-cache
+     rebuilds the object. *)
   let obj =
     Sys.readdir cache_dir |> Array.to_list
     |> List.find (fun f ->
@@ -610,16 +658,22 @@ let test_compiler_runs_per_invocation () =
   (match exec_raw 43 with
   | Driver.Ok_ _, _ -> Alcotest.fail "a truncated runtime object linked"
   | Driver.Failed _, cc_runs ->
-      Alcotest.(check int) "the failed link runs cc once" 1
+      let n_probes = if openmp then 1 else 0 in
+      Alcotest.(check int) "the failed link runs once" 1
+        (List.length (links cc_runs));
+      Alcotest.(check int) "the probe compiles its empty program" n_probes
+        (List.length (probes cc_runs));
+      Alcotest.(check int) "and nothing else runs" (1 + n_probes)
         (List.length cc_runs));
   Alcotest.(check int) "cache:false rebuilds the runtime object" 1
     (List.length (object_builds (exec ~cache:false 43)))
 
 (* --- the no-OpenMP fallback ------------------------------------------------ *)
 
-(* A C compiler that rejects -fopenmp: the probe falls back to plain C
-   with the pragmas silenced, and at two threads the programs still
-   compile warning-clean and agree with the interpreter. *)
+(* A C compiler that rejects -fopenmp: the failed compile runs the
+   probe, which falls back to plain C with the pragmas silenced, and at
+   two threads the programs still compile warning-clean and agree with
+   the interpreter. *)
 let test_no_openmp_fallback () =
   let tc = ensure_cc () in
   let cc = Filename.concat (fresh_dir ()) "cc.sh" in

@@ -300,7 +300,7 @@ let test_supervisor_timeout_kill () =
     true
     (contains text "--timeout");
   Alcotest.(check bool) "no raw exit code" false (contains text "exit code");
-  (* deadline + SIGTERM grace + compile slack, not the loop's minutes *)
+  (* deadline + compile slack, not the loop's minutes *)
   Alcotest.(check bool)
     (Printf.sprintf "killed promptly (%.1fs)" elapsed)
     true (elapsed < 30.)
@@ -320,6 +320,88 @@ let test_timeout_telemetry () =
   | v ->
       Alcotest.failf "native.timeout gauge: %s"
         (match v with None -> "absent" | Some f -> string_of_float f)
+
+(* The deadline holds inside a parallel region: both OpenMP threads spin
+   in [spin], and the child's SIGALRM ends the whole process on time.  It
+   is reported as the deadline, not as a signal death.  At 3 s the two
+   threads have burnt more CPU time than the deadline's wall clock, so
+   a CPU-time cap derived from the deadline would kill them first. *)
+let spin_par_src =
+  {|float spin(int k) {
+  float acc = 0.0;
+  for (int j = 0; j < 4; j++) {
+    for (int i = 0; i < 2000000000; i++) { acc = acc + 1.0; }
+  }
+  return acc;
+}
+float main() {
+  Matrix float <1> m = with ([0] <= [k] < [2]) genarray([2], spin(k));
+  return m[0];
+}
+|}
+
+let test_timeout_in_parallel_region () =
+  with_deadline ~secs:60 "timeout in a parallel region" @@ fun () ->
+  ignore (ensure_cc ());
+  let config =
+    Driver.Pipeline.enable (Driver.default_config full) "auto-par" true
+  in
+  (match Driver.compile_to_c ~config ~exec_harness:true full spin_par_src with
+  | Driver.Ok_ c ->
+      Alcotest.(check bool) "spins inside an OpenMP region" true
+        (contains c "#pragma omp parallel for")
+  | Driver.Failed ds -> Alcotest.failf "emit: %s" (Driver.diags_to_string ds));
+  List.iter
+    (fun timeout_s ->
+      with_telemetry @@ fun () ->
+      let t0 = Unix.gettimeofday () in
+      let outcome =
+        Driver.exec ~config ~threads:2 ~dir:(fresh_dir ())
+          ~cache_dir:(Lazy.force suite_cache) ~timeout_s (Driver.Composed full)
+          spin_par_src
+      in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      let text = failed_text ~src:spin_par_src outcome in
+      let label = Printf.sprintf "--timeout %g" timeout_s in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: names the --timeout deadline (got: %s)" label text)
+        true
+        (contains text "--timeout");
+      Alcotest.(check bool) (label ^ ": not a signal death") false
+        (contains text "killed by");
+      Alcotest.(check (option (float 0.))) (label ^ ": native.timeout")
+        (Some 1.)
+        (List.assoc_opt "native.timeout" (T.gauges ()));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: killed promptly (%.1fs)" label elapsed)
+        true (elapsed < 30.))
+    [ 0.5; 3. ]
+
+(* --- the toolchain probe after a failed compile ------------------------------ *)
+
+(* A compiler that rejects every -fsanitize= flag: the sanitized build
+   fails first, and the probe it then runs names the missing sanitizer
+   rather than passing the compile error on. *)
+let test_sanitizer_rejected () =
+  let tc = ensure_cc () in
+  let cc = Filename.concat (fresh_dir ()) "cc.sh" in
+  Out_channel.with_open_text cc (fun oc ->
+      Printf.fprintf oc
+        "#!/bin/sh\n\
+         for a in \"$@\"; do case \"$a\" in -fsanitize=*) exit 1;; esac; \
+         done\n\
+         exec %s \"$@\"\n"
+        (Filename.quote tc.Native.Toolchain.cc));
+  Unix.chmod cc 0o755;
+  let text =
+    failed_text ~src:genarray_src
+      (Driver.exec ~cc ~sanitize:"address" ~dir:(fresh_dir ())
+         ~cache_dir:(fresh_dir ()) (Driver.Composed full) genarray_src)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "names the sanitizer (got: %s)" text)
+    true
+    (contains text "does not support -fsanitize=address")
 
 (* --- matrix files byte by byte --------------------------------------------- *)
 
@@ -526,16 +608,12 @@ let test_guarded_corpus_werror () =
       | Driver.Failed ds ->
           Alcotest.failf "%s: emit failed: %s" name (Driver.diags_to_string ds)
       | Driver.Ok_ c_text -> (
-          let c_file = Filename.concat build (Printf.sprintf "g%d.c" i) in
-          Out_channel.with_open_text c_file (fun oc ->
-              Out_channel.output_string oc c_text);
-          Out_channel.with_open_text (Filename.concat build "mm_runtime.h")
-            (fun oc -> Out_channel.output_string oc Native.Runtime_c.header);
-          Out_channel.with_open_text (Filename.concat build "mm_runtime.c")
-            (fun oc -> Out_channel.output_string oc Native.Runtime_c.impl);
+          let c_files =
+            Native.Cache.write_sources ~dir:build ~k:(Printf.sprintf "g%d" i)
+              c_text
+          in
           match
-            Native.Toolchain.compile werror
-              ~c_files:[ c_file; Filename.concat build "mm_runtime.c" ]
+            Native.Toolchain.compile werror ~c_files
               ~out:(Filename.concat build (Printf.sprintf "g%d.exe" i))
           with
           | Ok () -> ()
@@ -777,4 +855,8 @@ let suite =
       `Quick test_unusable_cache_dir;
     Alcotest.test_case "failpoint: unknown name is an error" `Quick
       test_failpoint_unknown_name;
+    Alcotest.test_case "supervisor: deadline holds in a parallel region"
+      `Quick test_timeout_in_parallel_region;
+    Alcotest.test_case "toolchain: a rejected sanitizer is named" `Quick
+      test_sanitizer_rejected;
   ]

@@ -352,12 +352,16 @@ let test_plain_emission_has_no_instrumentation () =
    its 2304 slices give every thread allocations, so 8 threads share
    the overflow slot), reports what it reports on 1.  The peak, tracked
    only while profiling, is positive and never above the total.  A
-   guard: the parent's shared counters were exact too. *)
+   guard: the parent's shared counters were exact too.  Auto-par makes
+   the parallel regions whose threads allocate. *)
 let test_memory_at_threads () =
   ignore (ensure_cc ());
+  let config =
+    Driver.Pipeline.enable (Driver.default_config full) "auto-par" true
+  in
   let report threads =
     match
-      Driver.profile_native ~dir:(fresh_dir ()) ~threads
+      Driver.profile_native ~config ~dir:(fresh_dir ()) ~threads
         ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) (example "eddy_energy.mc")
     with
     | Driver.Ok_ (_, r) -> r
