@@ -60,7 +60,7 @@ native-check:
 	dune build @native-check
 
 # Supervised-execution pass: runtime guard faults (--guards), crash
-# triage to source spans, MM_FAILPOINTS parity, supervisor
+# triage to source spans, native failpoints (MM_FAILPOINTS), supervisor
 # timeout/rlimit kills, sanitizer builds and the 16-cell native fault
 # matrix (same outcome at 1 and 2 threads) — all against real compiled
 # binaries.  Each case skips with a visible notice when no C compiler

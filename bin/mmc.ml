@@ -319,18 +319,15 @@ let data_dir_arg =
                  (default: a temporary directory, removed when the \
                  command ends).")
 
-(* --- robustness options (run / profile) ---------------------------------------- *)
+(* --- robustness options (run) -------------------------------------------------- *)
 
 let failpoints_arg =
   Arg.(value & opt_all string []
        & info [ "failpoints" ] ~docv:"SPEC"
-           ~doc:"Arm fault-injection points for chaos testing: \
-                 comma-separated clauses, repeatable. \
-                 $(b,name@K) fires on exactly the K-th hit; \
-                 $(b,name@P) fires each hit with probability P; \
-                 $(b,name@P:SEED) seeds the per-hit coin. Also read \
-                 from \\$(b,MMC_FAILPOINTS). Known points: ndarray.alloc, \
-                 pool.dispatch, pool.worker_body, io.read_matrix.")
+           ~doc:"Arm fault-injection points: comma-separated clauses, \
+                 repeatable. $(b,name@K) fires on exactly the K-th hit. \
+                 Known points: ndarray.alloc, pool.dispatch, \
+                 pool.worker_body, io.read_matrix.")
 
 let max_steps_arg =
   Arg.(value & opt (some int) None
@@ -359,9 +356,7 @@ let robustness_term =
    both are process-global, so the finalizer always clears them. *)
 let with_robustness (specs, max_steps, max_bytes, timeout_s) k =
   Support.Failpoint.reset ();
-  (try
-     Support.Failpoint.arm_from_env ();
-     List.iter Support.Failpoint.arm_spec specs
+  (try Support.Failpoint.arm_spec (String.concat "," specs)
    with Support.Failpoint.Bad_spec m ->
      Fmt.epr "mmc: bad failpoint spec: %s@." m;
      raise (Fatal 2));
@@ -480,10 +475,8 @@ let exec_cmd =
              ~doc:"Arm fault-injection points inside the native binary \
                    (via \\$(b,MM_FAILPOINTS) in its environment): \
                    comma-separated clauses, repeatable. $(b,name@K) \
-                   fires on exactly the K-th hit; $(b,name@P) fires \
-                   each hit with probability P; $(b,name@P:SEED) seeds \
-                   the coin. Known points: native.alloc, \
-                   native.io.read_matrix.")
+                   fires on exactly the K-th hit. Known points: \
+                   native.alloc, native.io.read_matrix.")
   in
   (* A negative deadline is a usage error (exit 2), like --threads 0. *)
   let native_timeout =
@@ -604,7 +597,7 @@ let profile_cmd =
                    span: per-loop native speedup, flagging spans whose \
                    gain lags the program-level ratio.")
   in
-  let run exts_names threads data_dir pipeline robust json folded top native
+  let run exts_names threads data_dir pipeline json folded top native
       diff_native (cc, cflags, keep_c, no_cache, cache_dir) tele file =
     with_telemetry tele @@ fun () ->
     let exts = resolve_exts exts_names in
@@ -638,7 +631,6 @@ let profile_cmd =
     let interp_profile k =
       let c = compose_or_die exts in
       let body pool =
-        with_robustness robust @@ fun () ->
         let outcome, report =
           Driver.profile ?dir:data_dir ?pool ~config ~warn c src []
         in
@@ -700,7 +692,7 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
       const run $ exts_arg $ threads_arg $ data_dir_arg
-      $ pipeline_term $ robustness_term $ json $ folded $ top $ native
+      $ pipeline_term $ json $ folded $ top $ native
       $ diff_native $ native_opts_term $ telemetry_term $ src_arg)
 
 (* --- explain ------------------------------------------------------------------- *)

@@ -270,33 +270,19 @@ let compile_to_c ?config ?warn ?sink ?line_file ?instrument ?guards
 (* Every failure class the runtime can surface, mapped to a diagnostic.
    Exceptions the interpreter enriched with provenance ([Runtime_error],
    a span-carrying [Resource_limit]) keep their span and render with a
-   caret excerpt; the rest anchor at the dummy span.  Returns [None] for
-   exceptions that are not program failures (driver bugs, Stack_overflow,
-   Out_of_memory …) — those keep propagating. *)
+   caret excerpt; the rest, worded by {!Interp.Eval.message_of_exn},
+   anchor at the dummy span.  Returns [None] for exceptions that are not
+   program failures (driver bugs, Stack_overflow, Out_of_memory …) —
+   those keep propagating. *)
 let runtime_failure_diag exn =
   let d ?(span = Support.Pos.dummy_span) m =
-    Some (Support.Diag.error ~phase:"run" ~span "%s" m)
+    Support.Diag.error ~phase:"run" ~span "%s" m
   in
   match exn with
-  | Interp.Eval.Interp_error m -> d m
-  | Interp.Eval.Runtime_error (m, span) -> d ~span m
+  | Interp.Eval.Runtime_error (m, span) -> Some (d ~span m)
   | Runtime.Limits.Resource_limit v ->
-      let span =
-        Option.value ~default:Support.Pos.dummy_span v.Runtime.Limits.v_span
-      in
-      d ~span (Runtime.Limits.describe v)
-  | Support.Failpoint.Injected n ->
-      d (Printf.sprintf "injected fault at failpoint %s" n)
-  | Runtime.Ndarray.Io_error m
-  | Runtime.Ndarray.Type_error m
-  | Runtime.Scalar.Type_error m
-  | Runtime.Shape.Shape_error m ->
-      d m
-  | Runtime.Rc.Use_after_free id ->
-      d (Printf.sprintf "use of matrix cell #%d after its count reached 0" id)
-  | Runtime.Rc.Double_free id ->
-      d (Printf.sprintf "reference count of matrix cell #%d went negative" id)
-  | _ -> None
+      Some (d ?span:v.Runtime.Limits.v_span (Runtime.Limits.describe v))
+  | e -> Option.map d (Interp.Eval.message_of_exn e)
 
 (* A given data directory must exist.  {!run}, {!exec} and {!profile}
    check it before compiling, so both backends fail with this one
@@ -343,13 +329,11 @@ let run ?config ?warn ?pool ?dir (c : composed) (src : string)
                 (float_of_int (Runtime.Rc.peak_bytes ()));
               Tel.set_gauge "rc.allocated_bytes"
                 (float_of_int (Runtime.Rc.allocated_bytes ()));
-              Support.Failpoint.export_gauges ();
               Ok_ v
           | exception e -> (
               let bt = Printexc.get_raw_backtrace () in
               Tel.set_gauge "rc.live_bytes"
                 (float_of_int (Runtime.Rc.live_bytes ()));
-              Support.Failpoint.export_gauges ();
               match runtime_failure_diag e with
               | Some diag -> Failed [ diag ]
               | None -> Printexc.raise_with_backtrace e bt)))
@@ -956,12 +940,9 @@ let profile ?config ?warn ?pool ?dir
         Tel.with_span ~phase:"run" "driver.profile_run" (fun () ->
             Interp.Eval.run ?pool ?dir prog args)
       with
-      | v ->
-          Support.Failpoint.export_gauges ();
-          (Ok_ v, finish ())
+      | v -> (Ok_ v, finish ())
       | exception e -> (
           let bt = Printexc.get_raw_backtrace () in
-          Support.Failpoint.export_gauges ();
           let report = finish () in
           match runtime_failure_diag e with
           | Some diag -> (Failed [ diag ], report)

@@ -3,7 +3,8 @@
     A {!config} is an ordered list of (pass, enabled) stages.  The manager
     ({!run}) executes every stage over the single lowered program —
     enabled or not, because splicing a pass's {!Cir.Ir.Site} annotations
-    away and reporting the skipped decision is part of the pass — and
+    away and reporting the skipped decision is part of the pass; the
+    disabled stages run first (see {!run_order}) — and
     uniformly handles the cross-cutting concerns the passes themselves
     should not: per-pass timing (a [pass.<name>] span) and ["ir after
     <pass>"] snapshot capture into the run's {!Cir.Snapshot.sink}.
@@ -42,9 +43,8 @@ let set_all (cfg : config) on =
   { stages = List.map (fun (p, _) -> (p, on)) cfg.stages }
 
 (** [of_spec cfg names] — the [--passes a,b,…] meaning: run {e only} the
-    named passes, in the given order (every other registered pass runs
-    disabled, after them, in registration order).  [Error unknown] when a
-    name matches no registered pass. *)
+    named passes, in the given order; every other registered pass is
+    disabled.  [Error unknown] when a name matches no registered pass. *)
 let of_spec (cfg : config) (names : string list) : (config, string) result =
   let find n =
     List.find_opt (fun (p, _) -> p.Cir.Pass.name = n) cfg.stages
@@ -63,6 +63,16 @@ let of_spec (cfg : config) (names : string list) : (config, string) result =
       in
       Ok { stages = enabled @ rest }
 
+(** The order {!run} executes a config's stages in: the disabled stages
+    first, then the enabled ones, each group in config order.  A disabled
+    pass only splices its own sites away and reports them Skipped, so it
+    must do that before an enabled pass can copy a site (the transform
+    pass splitting a loop would otherwise get it reported twice); where
+    it sat among the enabled passes then changes nothing. *)
+let run_order (cfg : config) =
+  let enabled, disabled = List.partition snd cfg.stages in
+  disabled @ enabled
+
 (** Canonical rendering of a config — stage names in run order, disabled
     stages prefixed with [~].  Folded into the native binary-cache key so
     differently-configured pipelines never share a cached binary. *)
@@ -70,7 +80,7 @@ let canon (cfg : config) : string =
   String.concat ","
     (List.map
        (fun (p, e) -> (if e then "" else "~") ^ p.Cir.Pass.name)
-       cfg.stages)
+       (run_order cfg))
 
 (** [run cfg ~rc ?warn ?sink prog] — the pass manager.  Raises
     {!Cir.Pass.Error} when a pass fails (e.g. a transform script whose
@@ -96,4 +106,4 @@ let run (cfg : config) ~(rc : bool) ?(warn = fun _ -> ())
       if p.Cir.Pass.managed_snapshot then snap name prog;
       prog)
     prog
-    (cfg.stages @ [ (Cir.Pass.rc_report, true) ])
+    (run_order cfg @ [ (Cir.Pass.rc_report, true) ])

@@ -19,6 +19,12 @@ exception Runtime_error of string * Support.Pos.span
     [Located] block or loop that was executing — the driver renders it
     with the same caret excerpt as a static diagnostic. *)
 
+val message_of_exn : exn -> string option
+(** [message_of_exn e] — the diagnostic text of a runtime failure that
+    carries no span yet ({!Interp_error}, a shape, type, I/O or
+    reference-count error, an injected fault); [None] for any other
+    exception. *)
+
 val pp_value : value Fmt.t
 
 val default_of_type : Cir.Ir.ctype -> value

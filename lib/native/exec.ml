@@ -133,45 +133,6 @@ type outcome = {
 let split_ws s =
   String.split_on_char ' ' s |> List.filter (fun t -> t <> "")
 
-(* Inverse of [Support.Pos.span_to_string]: "L:C-C2" (same line) or
-   "L1:C1-L2:C2".  Byte offsets are not transported, but [Pos.equal] (and
-   so the caret renderer's empty-span test) compares offsets only, so a
-   non-degenerate span gets synthetic ordered offsets; line/col carry the
-   real location. *)
-let parse_span_string s =
-  let pos_of t =
-    match String.split_on_char ':' t with
-    | [ l; c ] -> (
-        match (int_of_string_opt l, int_of_string_opt c) with
-        | Some line, Some col when line >= 1 && col >= 1 ->
-            Some { Support.Pos.line; col; offset = 0 }
-        | _ -> None)
-    | _ -> None
-  in
-  let span left right =
-    let degenerate =
-      left.Support.Pos.line = right.Support.Pos.line
-      && left.Support.Pos.col = right.Support.Pos.col
-    in
-    Some
-      {
-        Support.Pos.left;
-        right = (if degenerate then right else { right with offset = 1 });
-      }
-  in
-  match String.split_on_char '-' s with
-  | [ a; b ] -> (
-      match pos_of a with
-      | None -> None
-      | Some left -> (
-          match pos_of b with
-          | Some right -> span left right
-          | None -> (
-              match int_of_string_opt b with
-              | Some col when col >= 1 -> span left { left with col }
-              | _ -> None)))
-  | _ -> None
-
 let is_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
@@ -187,7 +148,7 @@ let scan_fault text =
            match split_ws l with
            | "__mm_fault" :: _id :: span :: rest ->
                let f_span =
-                 if span = "-" then None else parse_span_string span
+                 if span = "-" then None else Support.Pos.span_of_string span
                in
                Some { f_span; f_message = String.concat " " rest }
            | _ -> None)
@@ -363,7 +324,7 @@ let read_crash_span ~dir =
     match In_channel.with_open_bin path In_channel.input_all with
     | text -> (
         match String.split_on_char '\n' (String.trim text) with
-        | line :: _ -> parse_span_string (String.trim line)
+        | line :: _ -> Support.Pos.span_of_string (String.trim line)
         | [] -> None)
     | exception Sys_error _ -> None
 

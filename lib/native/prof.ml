@@ -10,30 +10,6 @@ exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-(* Span strings in the sidecar are produced by [Pos.span_to_string]:
-   "L:C1-C2" on one line, "L1:C1-L2:C2" across lines.  Offsets are not
-   serialised; 0 is fine because reports key rows by the rendered span
-   string, never by byte offset. *)
-let parse_span (s : string) : Support.Pos.span =
-  let pos line col = { Support.Pos.line; col; offset = 0 } in
-  let int_of t =
-    match int_of_string_opt t with
-    | Some i -> i
-    | None -> fail "bad span %S" s
-  in
-  match String.split_on_char '-' s with
-  | [ l; r ] -> (
-      let left =
-        match String.split_on_char ':' l with
-        | [ line; col ] -> pos (int_of line) (int_of col)
-        | _ -> fail "bad span %S" s
-      in
-      match String.split_on_char ':' r with
-      | [ col ] -> Support.Pos.span left (pos left.Support.Pos.line (int_of col))
-      | [ line; col ] -> Support.Pos.span left (pos (int_of line) (int_of col))
-      | _ -> fail "bad span %S" s)
-  | _ -> fail "bad span %S" s
-
 let int_field j name =
   match J.num_field j name with
   | Some f -> int_of_float f
@@ -42,7 +18,10 @@ let int_field j name =
 let parse_row j : P.row =
   let span =
     match Option.bind (J.field "span" j) J.str with
-    | Some s -> parse_span s
+    | Some s -> (
+        match Support.Pos.span_of_string s with
+        | Some span -> span
+        | None -> fail "bad span %S" s)
     | None -> fail "span row without a span string"
   in
   let workers =

@@ -11,22 +11,30 @@
    The --timeout deadline is enforced inside the child: it arms an
    ITIMER_REAL timer before execve (interval timers survive exec), so
    SIGALRM's default action ends it on time while the parent sits in
-   one blocking waitpid, which stays in OCaml — it is domain-safe. */
+   one blocking waitpid.  The stub reaps the child itself and decodes
+   the POSIX wait status here, so a signal number never goes through
+   OCaml's renumbering of signals. */
+
+#define _GNU_SOURCE /* sigabbrev_np */
 
 #include <caml/alloc.h>
 #include <caml/fail.h>
 #include <caml/memory.h>
 #include <caml/mlvalues.h>
+#include <caml/signals.h>
 #include <caml/unixsupport.h>
 
+#include <errno.h>
 #include <fcntl.h>
 #include <signal.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/time.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 static char *dup_string(value v)
@@ -37,17 +45,32 @@ static char *dup_string(value v)
   return s;
 }
 
-/* mmc_spawn(exe, dir, stdout_file, stderr_file, envp, max_bytes,
-   timeout_s) -> child pid.  [max_bytes] < 0: no address-space cap;
-   [timeout_s] < 0 (or NaN): no wall-clock timer.  The child execs [exe]
-   with argv = {exe, NULL} and the given environment, cwd [dir], streams
-   redirected to the two files; any pre-exec failure exits 127 like a
-   shell would. */
-CAMLprim value mmc_spawn_native(value v_exe, value v_dir, value v_out,
-                                value v_err, value v_envp, value v_max_bytes,
-                                value v_timeout)
+/* "SIGQUIT" for 3, or "signal N" where the C library cannot name it. */
+static void signal_name(int sig, char *buf, size_t len)
+{
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 32))
+  const char *abbrev = sigabbrev_np(sig);
+  if (abbrev) {
+    snprintf(buf, len, "SIG%s", abbrev);
+    return;
+  }
+#endif
+  snprintf(buf, len, "signal %d", sig);
+}
+
+/* mmc_spawn_wait(exe, dir, stdout_file, stderr_file, envp, max_bytes,
+   timeout_s) -> Supervise.status.  [max_bytes] < 0: no address-space
+   cap; [timeout_s] < 0 (or NaN): no wall-clock timer.  The child execs
+   [exe] with argv = {exe, NULL} and the given environment, cwd [dir],
+   streams redirected to the two files; any pre-exec failure exits 127
+   like a shell would.  Returns once the child is dead and reaped. */
+CAMLprim value mmc_spawn_wait_native(value v_exe, value v_dir, value v_out,
+                                     value v_err, value v_envp,
+                                     value v_max_bytes, value v_timeout)
 {
   CAMLparam5(v_exe, v_dir, v_out, v_err, v_envp);
+  CAMLlocal2(res, field);
   char *exe = dup_string(v_exe);
   char *dir = dup_string(v_dir);
   char *out = dup_string(v_out);
@@ -58,7 +81,9 @@ CAMLprim value mmc_spawn_native(value v_exe, value v_dir, value v_out,
   double timeout_s = Double_val(v_timeout);
   struct itimerval deadline = {{0, 0}, {0, 0}};
   int i, ok = exe && dir && out && err && envp;
-  pid_t pid;
+  int wstatus, werr;
+  pid_t pid, r;
+  char name[32];
 
   if (envp) {
     for (i = 0; i < nenv; i++) {
@@ -121,12 +146,40 @@ CAMLprim value mmc_spawn_native(value v_exe, value v_dir, value v_out,
   free(envp);
   free(exe); free(dir); free(out); free(err);
   if (pid < 0) caml_uerror("fork", Nothing);
-  CAMLreturn(Val_long(pid));
+
+  /* reap outside the runtime lock; an EINTR runs the OCaml signal
+     handlers (which may raise) and waits again */
+  for (;;) {
+    caml_enter_blocking_section();
+    r = waitpid(pid, &wstatus, 0);
+    werr = errno;
+    caml_leave_blocking_section();
+    if (r == pid) break;
+    if (werr != EINTR) caml_unix_error(werr, "waitpid", Nothing);
+    caml_process_pending_actions();
+  }
+
+  /* the constructors of Supervise.status, in declaration order */
+  if (WIFEXITED(wstatus)) {
+    res = caml_alloc_small(1, 0); /* Exited */
+    Field(res, 0) = Val_int(WEXITSTATUS(wstatus));
+  } else if (timeout_s >= 0 && WTERMSIG(wstatus) == SIGALRM) {
+    field = caml_copy_double(timeout_s);
+    res = caml_alloc_small(1, 2); /* Timed_out */
+    Field(res, 0) = field;
+  } else {
+    signal_name(WTERMSIG(wstatus), name, sizeof name);
+    field = caml_copy_string(name);
+    res = caml_alloc_small(2, 1); /* Signaled */
+    Field(res, 0) = Val_int(WTERMSIG(wstatus));
+    Field(res, 1) = field;
+  }
+  CAMLreturn(res);
 }
 
-CAMLprim value mmc_spawn_bytecode(value *argv, int argn)
+CAMLprim value mmc_spawn_wait_bytecode(value *argv, int argn)
 {
   (void)argn;
-  return mmc_spawn_native(argv[0], argv[1], argv[2], argv[3], argv[4],
-                          argv[5], argv[6]);
+  return mmc_spawn_wait_native(argv[0], argv[1], argv[2], argv[3], argv[4],
+                               argv[5], argv[6]);
 }

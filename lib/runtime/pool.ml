@@ -66,7 +66,7 @@ let c_chunks = Support.Telemetry.counter "pool.chunks_dispatched"
 let c_nested = Support.Telemetry.counter "pool.nested_inline_runs"
 let c_suppressed = Support.Telemetry.counter "pool.suppressed_exns"
 
-(* Fault-injection sites (armed via MMC_FAILPOINTS / --failpoints): a
+(* Fault-injection sites (armed via mmc run --failpoints): a
    region dispatch on the calling thread, and a chunk execution inside a
    worker's share. *)
 let fp_dispatch = Support.Failpoint.register "pool.dispatch"

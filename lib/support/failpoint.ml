@@ -1,37 +1,29 @@
-(** Deterministic fault injection — the registry behind the chaos/stress
-    harness.
+(** Deterministic fault injection — the registry behind the fault tests.
 
     A {i failpoint} is a named site in the runtime (matrix allocation, the
     pool's chunk dispatch, [readMatrix] I/O) that can be {e armed} to raise
-    {!Injected} on a chosen hit.  Arming is external — the
-    [MMC_FAILPOINTS] environment variable or [mmc --failpoints] — so the
-    production code path never references a specific fault; it only calls
-    {!hit} at the site.
+    {!Injected} on a chosen hit.  Arming is external — [mmc run
+    --failpoints] — so the production code path never references a
+    specific fault; it only calls {!hit} at the site.
 
-    Firing is deterministic: [name\@k] fires on exactly the k-th hit
-    (one-shot: later hits pass), and [name\@p:seed] fires pseudo-randomly
-    per hit from a seeded hash, so a given (spec, hit sequence) always
-    injects the same faults.  Arming a name no site registered is a
-    {!Bad_spec}, so a misspelt spec cannot run the program unfaulted.
+    [name\@k] fires on exactly the k-th hit (one-shot: later hits pass),
+    so a given (spec, hit sequence) always injects the same fault.
+    Arming a name no site registered is a {!Bad_spec}, so a misspelt spec
+    cannot run the program unfaulted.
 
     The disarmed fast path is one atomic load per site, matching the
-    telemetry discipline; hit and fired counts are always collected (they
-    are how tests assert a fault actually fired) and can be exported as
-    telemetry gauges via {!export_gauges}. *)
+    telemetry discipline; an armed failpoint counts its hits and fires
+    (they are how tests assert a fault actually fired). *)
 
 exception Injected of string
-(** Raised by {!hit} when the site's armed condition is met; the payload
-    is the failpoint name. *)
-
-type mode =
-  | Off
-  | Nth of int  (** fire on exactly the k-th hit (1-based), one-shot *)
-  | Prob of float * int  (** (probability, seed): fire per-hit from a hash *)
+(** Raised by {!hit} when the site's armed hit comes; the payload is the
+    failpoint name. *)
 
 type t = {
   fp_name : string;
-  armed : bool Atomic.t;  (** fast-path gate, one load when disarmed *)
-  mutable mode : mode;
+  nth : int Atomic.t;
+      (** fire on exactly this hit (1-based); 0 when disarmed, so the fast
+          path is one load *)
   hits : int Atomic.t;
   fired : int Atomic.t;
 }
@@ -53,8 +45,7 @@ let register name =
           let fp =
             {
               fp_name = name;
-              armed = Atomic.make false;
-              mode = Off;
+              nth = Atomic.make 0;
               hits = Atomic.make 0;
               fired = Atomic.make 0;
             }
@@ -62,91 +53,41 @@ let register name =
           Hashtbl.add registry name fp;
           fp)
 
-let name fp = fp.fp_name
-
-(* Deterministic per-hit coin for probabilistic failpoints: a splitmix64
-   step of (seed, hit index), so which hits fire depends only on the spec
-   and the hit sequence, never on wall clock or global PRNG state. *)
-let coin ~seed ~n =
-  let z = ref (seed * 0x9E3779B9 + n * 0xBF58476D + 0x94D049BB) in
-  z := (!z lxor (!z lsr 30)) * 0x4CE4E5B9BF58476D;
-  z := (!z lxor (!z lsr 27)) * 0x133111EB94D049BB;
-  let bits = (!z lxor (!z lsr 31)) land 0x3FFFFFFF in
-  float_of_int bits /. float_of_int 0x40000000
-
-(** [hit fp] — record one pass through the site; raises {!Injected} when
-    the armed condition is met on this hit.  Safe to call from any domain:
-    the hit index comes from one [fetch_and_add], so [Nth k] fires in
-    exactly one thread. *)
+(** [hit fp] — record one pass through the site; raises {!Injected} on
+    the armed hit.  Safe to call from any domain: the hit index comes from
+    one [fetch_and_add], so the fault fires in exactly one thread. *)
 let hit fp =
-  if Atomic.get fp.armed then begin
-    let n = 1 + Atomic.fetch_and_add fp.hits 1 in
-    let fire =
-      match fp.mode with
-      | Off -> false
-      | Nth k -> n = k
-      | Prob (p, seed) -> coin ~seed ~n < p
-    in
-    if fire then begin
-      Atomic.incr fp.fired;
-      raise (Injected fp.fp_name)
-    end
+  let k = Atomic.get fp.nth in
+  if k > 0 && 1 + Atomic.fetch_and_add fp.hits 1 = k then begin
+    Atomic.incr fp.fired;
+    raise (Injected fp.fp_name)
   end
-
-let arm fp mode =
-  fp.mode <- mode;
-  Atomic.set fp.armed (mode <> Off)
 
 exception Bad_spec of string
 
-(* One clause of a failpoint spec:
-     name@K        fire on the K-th hit (K a positive integer)
-     name@P        fire each hit with probability P (a float in (0,1])
-     name@P:SEED   same, with an explicit PRNG seed *)
+(* One clause of a failpoint spec: name@K, fire on the K-th hit (K a
+   positive decimal integer). *)
 let parse_clause clause =
   match String.index_opt clause '@' with
-  | None ->
-      raise
-        (Bad_spec
-           (Printf.sprintf "%S: expected name@k or name@p[:seed]" clause))
-  | Some at ->
+  | None -> raise (Bad_spec (Printf.sprintf "%S: expected name@k" clause))
+  | Some at -> (
       let fp_name = String.sub clause 0 at in
-      let rest = String.sub clause (at + 1) (String.length clause - at - 1) in
-      if fp_name = "" || rest = "" then
+      let k = String.sub clause (at + 1) (String.length clause - at - 1) in
+      if fp_name = "" || k = "" then
         raise (Bad_spec (Printf.sprintf "%S: empty name or trigger" clause));
-      let prob, seed =
-        match String.index_opt rest ':' with
-        | None -> (rest, 1)
-        | Some c -> (
-            let s = String.sub rest (c + 1) (String.length rest - c - 1) in
-            match int_of_string_opt s with
-            | Some seed -> (String.sub rest 0 c, seed)
-            | None ->
-                raise (Bad_spec (Printf.sprintf "%S: bad seed %S" clause s)))
-      in
-      let mode =
-        match int_of_string_opt prob with
-        | Some k when k >= 1 -> Nth k
-        | Some k ->
-            raise
-              (Bad_spec (Printf.sprintf "%S: hit count %d must be >= 1" clause k))
-        | None -> (
-            match float_of_string_opt prob with
-            | Some p when p > 0. && p <= 1. -> Prob (p, seed)
-            | Some p ->
-                raise
-                  (Bad_spec
-                     (Printf.sprintf "%S: probability %g outside (0,1]" clause p))
-            | None ->
-                raise
-                  (Bad_spec (Printf.sprintf "%S: bad trigger %S" clause prob)))
-      in
-      (fp_name, mode)
+      let digits = String.for_all (function '0' .. '9' -> true | _ -> false) in
+      match int_of_string_opt k with
+      | Some n when digits k && n >= 1 -> (fp_name, n)
+      | _ ->
+          raise
+            (Bad_spec
+               (Printf.sprintf "%S: trigger %S is not a hit count >= 1" clause
+                  k)))
 
-(** [parse_spec "pool.worker_body@2,ndarray.alloc@0.1:7"] — the
-    comma-separated clauses as (name, mode) pairs, blank clauses
-    skipped; raises {!Bad_spec} on a malformed clause.  Only the grammar
-    is checked: the names may belong to another runtime. *)
+(** [parse_spec "pool.worker_body@2,ndarray.alloc@5"] — the
+    comma-separated clauses as (name, k) pairs, blank clauses skipped;
+    raises {!Bad_spec} on a malformed clause.  Only the grammar is
+    checked: the names may belong to another runtime. *)
 let parse_spec spec =
   String.split_on_char ',' spec
   |> List.filter_map (fun clause ->
@@ -159,20 +100,13 @@ let arm_spec spec =
   let clauses = parse_spec spec in
   locked (fun () ->
       List.map
-        (fun (fp_name, mode) ->
+        (fun (fp_name, k) ->
           match Hashtbl.find_opt registry fp_name with
-          | Some fp -> (fp, mode)
+          | Some fp -> (fp, k)
           | None ->
               raise (Bad_spec (Printf.sprintf "no failpoint named %S" fp_name)))
         clauses)
-  |> List.iter (fun (fp, mode) -> arm fp mode)
-
-(** Arm from [MMC_FAILPOINTS], if set.  Raises {!Bad_spec} on a malformed
-    value, like {!arm_spec}. *)
-let arm_from_env () =
-  match Sys.getenv_opt "MMC_FAILPOINTS" with
-  | Some spec -> arm_spec spec
-  | None -> ()
+  |> List.iter (fun (fp, k) -> Atomic.set fp.nth k)
 
 (** Disarm every failpoint and zero all hit/fired counters.  Handles stay
     valid (they are interned by name). *)
@@ -180,7 +114,7 @@ let reset () =
   locked (fun () ->
       Hashtbl.iter
         (fun _ fp ->
-          arm fp Off;
+          Atomic.set fp.nth 0;
           Atomic.set fp.hits 0;
           Atomic.set fp.fired 0)
         registry)
@@ -207,17 +141,3 @@ let all () =
           (fp.fp_name, Atomic.get fp.hits, Atomic.get fp.fired) :: acc)
         registry [])
   |> List.sort compare
-
-(** Export non-zero hit/fired counts as telemetry gauges
-    ([failpoint.<name>.hits] / [.fired]) so [--stats] shows which faults
-    actually fired.  No-op while telemetry is disabled. *)
-let export_gauges () =
-  List.iter
-    (fun (n, h, f) ->
-      if h > 0 then begin
-        Telemetry.set_gauge (Printf.sprintf "failpoint.%s.hits" n)
-          (float_of_int h);
-        Telemetry.set_gauge (Printf.sprintf "failpoint.%s.fired" n)
-          (float_of_int f)
-      end)
-    (all ())

@@ -46,3 +46,32 @@ let pp_span ppf s =
   else Fmt.pf ppf "%a-%a" pp s.left pp s.right
 
 let span_to_string s = Fmt.str "%a" pp_span s
+
+(** [span_of_string s] — the inverse of {!span_to_string}: ["L:C-C2"]
+    (one line) or ["L1:C1-L2:C2"], every line and column at least 1;
+    [None] otherwise.  Byte offsets are not transported, but {!equal}
+    (and so the caret renderer's empty-span test) compares offsets only,
+    so a non-degenerate span gets synthetic ordered offsets; line and
+    column carry the real location. *)
+let span_of_string s =
+  let pos_of t =
+    match String.split_on_char ':' t with
+    | [ l; c ] -> (
+        match (int_of_string_opt l, int_of_string_opt c) with
+        | Some line, Some col when line >= 1 && col >= 1 ->
+            Some { line; col; offset = 0 }
+        | _ -> None)
+    | _ -> None
+  in
+  let span left right =
+    let degenerate = left.line = right.line && left.col = right.col in
+    let right = if degenerate then right else { right with offset = 1 } in
+    Some { left; right }
+  in
+  match String.split_on_char '-' s with
+  | [ a; b ] -> (
+      match (pos_of a, pos_of b, int_of_string_opt b) with
+      | Some left, Some right, _ -> span left right
+      | Some left, None, Some col when col >= 1 -> span left { left with col }
+      | _ -> None)
+  | _ -> None

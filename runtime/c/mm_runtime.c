@@ -34,9 +34,7 @@ void mm_fatal(const char *fmt, ...) {
 
 typedef struct {
   char name[48];
-  int nth;        /* > 0: fire on exactly the nth hit, one-shot */
-  double prob;    /* > 0: fire per hit with this probability */
-  long long seed; /* coin seed for prob mode */
+  long long nth; /* fire on exactly the nth hit, one-shot */
   long long hits;
 } mm_failpoint;
 
@@ -124,12 +122,10 @@ _Noreturn void mm_guard_check(const void *p, int off, int id) {
                  m->elems);
 }
 
-/* One clause of MM_FAILPOINTS, already comma-split and trimmed:
- *   name@K        fire on the K-th hit (K a positive integer)
- *   name@P        fire each hit with probability P in (0,1]
- *   name@P:SEED   same, with an explicit coin seed
- * Mirrors Support.Failpoint.parse_clause, including the rejections, and
- * rejects a name that is not one of this runtime's failpoints, as
+/* One clause of MM_FAILPOINTS, already comma-split and trimmed: name@K,
+ * fire on the K-th hit (K a positive decimal integer).  Mirrors
+ * Support.Failpoint.parse_clause, including the rejections, and rejects
+ * a name that is not one of this runtime's failpoints, as
  * Support.Failpoint.arm_spec does for the interpreter's. */
 static void mm_fail_clause(char *clause) {
   while (*clause == ' ' || *clause == '\t') clause++;
@@ -138,45 +134,24 @@ static void mm_fail_clause(char *clause) {
     clause[--len] = 0;
   if (len == 0) return; /* blank clauses are ignored, like arm_spec */
   char *at = strchr(clause, '@');
-  if (!at)
-    mm_fatal("MM_FAILPOINTS \"%s\": expected name@k or name@p[:seed]", clause);
+  if (!at) mm_fatal("MM_FAILPOINTS \"%s\": expected name@k", clause);
   *at = 0;
-  char *name = clause, *rest = at + 1;
-  if (!*name || !*rest)
-    mm_fatal("MM_FAILPOINTS \"%s@%s\": empty name or trigger", name, rest);
+  char *name = clause, *k = at + 1;
+  if (!*name || !*k)
+    mm_fatal("MM_FAILPOINTS \"%s@%s\": empty name or trigger", name, k);
+  long long nth = strtoll(k, 0, 10);
+  if (k[strspn(k, "0123456789")] != 0 || nth < 1)
+    mm_fatal("MM_FAILPOINTS \"%s@%s\": trigger \"%s\" is not a hit count "
+             ">= 1", name, k, k);
   if (strcmp(name, "native.alloc") != 0 &&
       strcmp(name, "native.io.read_matrix") != 0)
     mm_fatal("MM_FAILPOINTS: no failpoint named \"%s\"", name);
   if (mm_nfail >= MM_FAIL_MAX)
     mm_fatal("MM_FAILPOINTS: more than %d clauses", MM_FAIL_MAX);
-  mm_failpoint *fp = &mm_fail[mm_nfail];
-  memset(fp, 0, sizeof *fp);
+  mm_failpoint *fp = &mm_fail[mm_nfail++];
   strcpy(fp->name, name);
-  long long seed = 1;
-  char *colon = strchr(rest, ':');
-  if (colon) {
-    char *end;
-    seed = strtoll(colon + 1, &end, 10);
-    if (end == colon + 1 || *end)
-      mm_fatal("MM_FAILPOINTS \"%s\": bad seed \"%s\"", name, colon + 1);
-    *colon = 0;
-  }
-  char *end;
-  long long k = strtoll(rest, &end, 10);
-  if (end != rest && !*end) {
-    if (k < 1)
-      mm_fatal("MM_FAILPOINTS \"%s\": hit count %lld must be >= 1", name, k);
-    fp->nth = (int)k;
-  } else {
-    double p = strtod(rest, &end);
-    if (end == rest || *end)
-      mm_fatal("MM_FAILPOINTS \"%s\": bad trigger \"%s\"", name, rest);
-    if (!(p > 0.0 && p <= 1.0))
-      mm_fatal("MM_FAILPOINTS \"%s\": probability %g outside (0,1]", name, p);
-    fp->prob = p;
-    fp->seed = seed;
-  }
-  mm_nfail++;
+  fp->nth = nth;
+  fp->hits = 0;
 }
 
 void mm_fail_init(void) {
@@ -199,22 +174,6 @@ void mm_fail_init(void) {
   free(copy);
 }
 
-/* Per-hit coin: a splitmix64 step of (seed, hit index) masked to 63 bits
- * — the same arithmetic as Support.Failpoint.coin on OCaml's native
- * ints, so a given (seed, hit sequence) fires the same hits in both
- * backends for non-negative seeds. */
-static double mm_fail_coin(long long seed, long long n) {
-  const unsigned long long mask = 0x7FFFFFFFFFFFFFFFULL;
-  unsigned long long z = ((unsigned long long)seed * 0x9E3779B9ULL +
-                          (unsigned long long)n * 0xBF58476DULL +
-                          0x94D049BBULL) &
-                         mask;
-  z = ((z ^ (z >> 30)) * 0x4CE4E5B9BF58476DULL) & mask;
-  z = ((z ^ (z >> 27)) * 0x133111EB94D049BBULL) & mask;
-  unsigned long long bits = (z ^ (z >> 31)) & 0x3FFFFFFFULL;
-  return (double)bits / (double)0x40000000ULL;
-}
-
 void mm_fail_hit(const char *name) {
   if (mm_nfail == 0) return;
   for (int i = 0; i < mm_nfail; i++) {
@@ -222,14 +181,12 @@ void mm_fail_hit(const char *name) {
     if (strcmp(fp->name, name) != 0) continue;
     long long n;
     /* hits can come from inside OpenMP regions; one counter bump per
-     * site keeps Nth-mode one-shot across threads */
+     * site keeps the trigger one-shot across threads */
 #ifdef _OPENMP
 #pragma omp critical(mm_fail_hits)
 #endif
     n = ++fp->hits;
-    int fire =
-        fp->nth > 0 ? n == fp->nth : mm_fail_coin(fp->seed, n) < fp->prob;
-    if (fire) {
+    if (n == fp->nth) {
       printf("__mm_fault -1 - injected fault at failpoint %s\n", name);
       fflush(stdout);
       abort();

@@ -128,15 +128,15 @@ void mm_result_live(void);
  * which crash triage reports like any other. */
 
 /* Arm failpoints from the MM_FAILPOINTS environment variable
- * ("name@K,name@P[:SEED]" — the Support.Failpoint grammar; a malformed
- * spec, or a name other than native.alloc and native.io.read_matrix, is
- * mm_fatal) and install the crash-breadcrumb signal handlers.  Called
- * first thing by every generated exec harness. */
+ * ("name@K,…", each clause firing on the K-th hit — the Support.Failpoint
+ * grammar; a malformed spec, or a name other than native.alloc and
+ * native.io.read_matrix, is mm_fatal) and install the crash-breadcrumb
+ * signal handlers.  Called first thing by every generated exec harness. */
 void mm_fail_init(void);
 
 /* Count one pass through failpoint [name]; prints __mm_fault, flushes,
- * and abort()s when the armed condition is met on this hit.  The
- * disarmed fast path is one load of the clause count. */
+ * and abort()s on the armed hit.  The disarmed fast path is one load of
+ * the clause count. */
 void mm_fail_hit(const char *name);
 
 /* Enable runtime guards with the generated guard span table: emitted

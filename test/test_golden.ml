@@ -274,6 +274,39 @@ let test_cache_key_separates_pipelines () =
       Alcotest.(check bool) "distinct cache keys" true
         (k default_ <> k reordered)
 
+(* Where a disabled pass sits does not matter: it splices its sites
+   before any enabled pass runs.  [--passes fuse,copy-elim,transform]
+   (auto-par disabled, listed after transform) and the registration
+   order with auto-par off are one pipeline — one canonical string, and
+   auto-par reports fig9_transformed's loops once each, not once more
+   for every copy transform made. *)
+let test_disabled_pass_position () =
+  let by_spec =
+    match
+      Driver.Pipeline.of_spec (Driver.default_config all4)
+        [ "fuse"; "copy-elim"; "transform" ]
+    with
+    | Ok cfg -> cfg
+    | Error bad -> Alcotest.failf "of_spec rejected %S" bad
+  in
+  let by_enable =
+    Driver.Pipeline.enable (Driver.default_config all4) "auto-par" false
+  in
+  Alcotest.(check string) "one canonical string"
+    (Driver.Pipeline.canon by_enable)
+    (Driver.Pipeline.canon by_spec);
+  let src = read (Filename.concat golden_dir "fig9_transformed.mc") in
+  let auto_par config =
+    match Driver.explain ~config all4 src with
+    | Driver.Ok_ _, report ->
+        R.to_string ~src
+          (R.filter ~pass:"auto-par" report.Driver.Explain_report.remarks)
+    | Driver.Failed ds, _ ->
+        Alcotest.failf "explain failed: %s" (Driver.diags_to_string ds)
+  in
+  Alcotest.(check string) "the same auto-par remarks" (auto_par by_enable)
+    (auto_par by_spec)
+
 (* --- unknown pass names --------------------------------------------------- *)
 
 let test_of_spec_rejects_unknown () =
@@ -327,7 +360,7 @@ let test_cli_unknown_pass_diagnostic () =
 (* Every subcommand's help renders cleanly: cmdliner reports a bad doc
    markup on stderr and drops the option's doc, so [--help=plain] must
    exit 0 with nothing on stderr, and the --failpoints clause syntax
-   must reach the run, exec and profile pages. *)
+   must reach the run and exec pages. *)
 let test_cli_help_renders () =
   if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
   else begin
@@ -349,7 +382,7 @@ let test_cli_help_renders () =
           (cmd ^ " --help writes nothing to stderr")
           ""
           (In_channel.with_open_text err In_channel.input_all);
-        if List.mem cmd [ "run"; "exec"; "profile" ] then
+        if List.mem cmd [ "run"; "exec" ] then
           Alcotest.(check bool)
             (cmd ^ " --help shows the failpoints syntax")
             true
@@ -422,15 +455,19 @@ let test_cli_threads_at_least_one () =
       [ "run"; "exec"; "profile" ]
   end
 
-(* [mmc args] — exit code, stdout and stderr of one CLI run. *)
-let mmc args =
+(* [mmc ?env args] — exit code, stdout and stderr of one CLI run, with
+   the [env] bindings added to its environment. *)
+let mmc ?(env = []) args =
   let dir = Filename.temp_file "mmgolden" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
   let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote mmc_exe)
+      (Printf.sprintf "%s%s %s > %s 2> %s"
+         (String.concat ""
+            (List.map (fun (k, v) -> k ^ "=" ^ Filename.quote v ^ " ") env))
+         (Filename.quote mmc_exe)
          (String.concat " " (List.map Filename.quote args))
          (Filename.quote out) (Filename.quote err))
   in
@@ -451,6 +488,43 @@ let test_cli_timeout_not_negative () =
           "mmc: --timeout must be >= 0\n" err;
         Alcotest.(check string) (label ^ " runs nothing") "" out)
       [ "-1"; "-3"; "-0.5" ]
+
+(* A failpoint fires on its K-th hit and is armed only by --failpoints:
+   a probability or a seed is a bad spec in both backends (and [mmc exec]
+   rejects it before it creates its cache directory), the environment
+   arms nothing, and [mmc profile] has no robustness options at all. *)
+let test_cli_failpoints_one_way () =
+  if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
+  else
+    let prog = Filename.concat golden_dir "rand00.mc" in
+    let bad_spec label (code, out, err) =
+      Alcotest.(check int) (label ^ " exits 2") 2 code;
+      Alcotest.(check bool) (label ^ " is a bad failpoint spec") true
+        (contains "mmc: bad failpoint spec" err);
+      Alcotest.(check string) (label ^ " runs nothing") "" out
+    in
+    bad_spec "run ndarray.alloc@0.5:1"
+      (mmc [ "run"; "--failpoints"; "ndarray.alloc@0.5:1"; prog ]);
+    let cache = Filename.temp_file "mmgolden" "" in
+    Sys.remove cache;
+    bad_spec "exec native.alloc@0.5"
+      (mmc
+         [ "exec"; "--failpoints"; "native.alloc@0.5"; "--cache-dir"; cache;
+           prog ]);
+    Alcotest.(check bool) "exec creates no cache directory" false
+      (Sys.file_exists cache);
+    let code, out, _ =
+      mmc ~env:[ ("MMC_FAILPOINTS", "ndarray.alloc@1") ] [ "run"; prog ]
+    in
+    Alcotest.(check int) "run under MMC_FAILPOINTS exits 0" 0 code;
+    Alcotest.(check string) "run under MMC_FAILPOINTS prints its result"
+      ("result: " ^ read (Filename.concat golden_dir "rand00.out") ^ "\n")
+      out;
+    let code, out, err = mmc [ "profile"; "--timeout"; "1"; prog ] in
+    Alcotest.(check int) "profile --timeout exits 124" 124 code;
+    Alcotest.(check bool) "profile --timeout is an unknown option" true
+      (contains "unknown option '--timeout'" err);
+    Alcotest.(check string) "profile --timeout runs nothing" "" out
 
 (* Passes are chosen only by --passes, -O0 and -O1, and `mmc explain` is
    the only report of what they decided: the per-command toggles and
@@ -575,6 +649,8 @@ let suite =
       test_cache_key_separates_pipelines;
     Alcotest.test_case "of_spec rejects unknown passes" `Quick
       test_of_spec_rejects_unknown;
+    Alcotest.test_case "a disabled pass's position does not matter" `Quick
+      test_disabled_pass_position;
     Alcotest.test_case "cli: unknown --passes diagnostic is caret-free" `Quick
       test_cli_unknown_pass_diagnostic;
     Alcotest.test_case "cli: every --help renders without errors" `Quick
@@ -593,4 +669,6 @@ let suite =
       test_cli_toggles_gone;
     Alcotest.test_case "--passes spellings reproduce the toggles' configs"
       `Quick test_passes_spellings;
+    Alcotest.test_case "cli: a failpoint is armed one way, by hit count"
+      `Quick test_cli_failpoints_one_way;
   ]

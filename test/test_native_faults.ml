@@ -1,7 +1,8 @@
 (* Supervised native execution: crash triage to source spans, emitted-C
-   runtime guards, MM_FAILPOINTS parity with the interpreter's failpoint
-   registry, supervisor deadline kills, sanitizer builds, and the native
-   fault matrix — the PR-4 chaos matrix re-run against `mmc exec`.
+   runtime guards, native failpoints (MM_FAILPOINTS, the interpreter's
+   name@K grammar), supervisor deadline kills, sanitizer builds, and the
+   native fault matrix — the interpreter's fault matrix re-run against
+   `mmc exec`.
 
    Cases needing a real C compiler probe first and skip visibly when
    none is installed; everything heavy runs under a hard SIGALRM
@@ -139,7 +140,7 @@ let test_parse_output_total () =
 let test_span_string_roundtrip () =
   List.iter
     (fun s ->
-      match Native.Exec.parse_span_string s with
+      match Support.Pos.span_of_string s with
       | None -> Alcotest.failf "span %S did not parse" s
       | Some sp ->
           Alcotest.(check string) ("roundtrip " ^ s) s
@@ -147,7 +148,7 @@ let test_span_string_roundtrip () =
     [ "3:3-45"; "2:3-4:41"; "1:1-2" ];
   List.iter
     (fun s ->
-      if Native.Exec.parse_span_string s <> None then
+      if Support.Pos.span_of_string s <> None then
         Alcotest.failf "bogus span %S parsed" s)
     [ "-"; "x"; "0:1-2"; "3:3"; "a:b-c" ]
 
@@ -257,20 +258,26 @@ let test_failpoint_read_matrix_diag () =
     true
     (contains text "injected fault at failpoint native.io.read_matrix")
 
-(* The C runtime knows two failpoints; any other name fails the run
-   with a diagnostic naming it, instead of running unfaulted. *)
+(* The C runtime knows two failpoints, each fired by a hit count; any
+   other name, or a trigger that is not a hit count, fails the run with a
+   diagnostic naming it, instead of running unfaulted or at random. *)
 let test_failpoint_unknown_name () =
   with_deadline "unknown native failpoint" @@ fun () ->
   ignore (ensure_cc ());
-  let outcome =
-    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
-      ~failpoints:"pool.worker_body@1" (Driver.Composed full) genarray_src
-  in
-  let text = failed_text ~src:genarray_src outcome in
-  Alcotest.(check bool)
-    (Printf.sprintf "names the unknown failpoint (got: %s)" text)
-    true
-    (contains text "no failpoint named \"pool.worker_body\"")
+  List.iter
+    (fun (failpoints, needle) ->
+      let outcome =
+        Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
+          ~failpoints (Driver.Composed full) genarray_src
+      in
+      let text = failed_text ~src:genarray_src outcome in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: names %s (got: %s)" failpoints needle text)
+        true (contains text needle))
+    [
+      ("pool.worker_body@1", "no failpoint named \"pool.worker_body\"");
+      ("native.alloc@0.5", "\"native.alloc@0.5\"");
+    ]
 
 (* --- supervisor deadline kill --------------------------------------------- *)
 
@@ -402,6 +409,44 @@ let test_sanitizer_rejected () =
     (Printf.sprintf "names the sanitizer (got: %s)" text)
     true
     (contains text "does not support -fsanitize=address")
+
+(* --- signal deaths name the POSIX signal -------------------------------------- *)
+
+(* A compiler whose linked "binary" is a script that kills itself with
+   SIGQUIT: the supervisor reports the POSIX number and name, and the
+   SIGKILL-only out-of-memory hint stays away. *)
+let test_signal_death_named () =
+  with_deadline "signal death named" @@ fun () ->
+  let tc = ensure_cc () in
+  let cc = Filename.concat (fresh_dir ()) "cc.sh" in
+  Out_channel.with_open_text cc (fun oc ->
+      Printf.fprintf oc
+        "#!/bin/sh
+\
+         %s \"$@\" || exit $?\n\
+         out= obj=\n\
+         while [ $# -gt 0 ]; do\n\
+        \  case \"$1\" in -o) out=$2 ;; -c) obj=1 ;; esac\n\
+        \  shift\n\
+         done\n\
+         if [ -z \"$obj\" ] && [ -n \"$out\" ]; then\n\
+        \  printf '#!/bin/sh\\nulimit -c 0\\nkill -QUIT $$\\n' > \"$out\"\n\
+        \  chmod +x \"$out\"\n\
+         fi\n"
+        (Filename.quote tc.Native.Toolchain.cc));
+  Unix.chmod cc 0o755;
+  let text =
+    failed_text ~src:genarray_src
+      (Driver.exec ~cc ~dir:(fresh_dir ()) ~cache_dir:(fresh_dir ())
+         (Driver.Composed full) genarray_src)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "names SIGQUIT (got: %s)" text)
+    true
+    (contains text "killed by SIGQUIT (signal 3)");
+  Alcotest.(check bool)
+    (Printf.sprintf "no out-of-memory hint (got: %s)" text)
+    false (contains text "OOM")
 
 (* --- matrix files byte by byte --------------------------------------------- *)
 
@@ -859,4 +904,6 @@ let suite =
       `Quick test_timeout_in_parallel_region;
     Alcotest.test_case "toolchain: a rejected sanitizer is named" `Quick
       test_sanitizer_rejected;
+    Alcotest.test_case "supervisor: a signal death names the POSIX signal"
+      `Quick test_signal_death_named;
   ]
