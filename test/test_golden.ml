@@ -649,8 +649,6 @@ let suite =
       test_cache_key_separates_pipelines;
     Alcotest.test_case "of_spec rejects unknown passes" `Quick
       test_of_spec_rejects_unknown;
-    Alcotest.test_case "a disabled pass's position does not matter" `Quick
-      test_disabled_pass_position;
     Alcotest.test_case "cli: unknown --passes diagnostic is caret-free" `Quick
       test_cli_unknown_pass_diagnostic;
     Alcotest.test_case "cli: every --help renders without errors" `Quick
@@ -671,4 +669,6 @@ let suite =
       `Quick test_passes_spellings;
     Alcotest.test_case "cli: a failpoint is armed one way, by hit count"
       `Quick test_cli_failpoints_one_way;
+    Alcotest.test_case "a disabled pass's position does not matter" `Quick
+      test_disabled_pass_position;
   ]
