@@ -38,13 +38,14 @@ bench:
 bench-smoke:
 	dune build @bench-smoke
 
-# Regression gate: re-measure the C12-C14 native rows the full sweep
+# Regression gate: re-measure the C12 and C13 native rows the full sweep
 # wrote to BENCH_native.json and exit non-zero if any is >25% slower.
 bench-compare: all
 	dune exec bench/main.exe -- --compare BENCH_native.json
 
-# Chaos/stress pass: every failpoint through real programs in both
-# execution modes (a fired fault fails the run once, with one
+# Chaos/stress pass: the interpreter's `faults` group only (the native
+# one is native-faults-check) — every failpoint through real programs,
+# sequential and parallel (a fired fault fails the run once, with one
 # diagnostic and no leak), pool crash containment and the cooperative
 # resource guards.  Each case runs under a hard SIGALRM deadline inside
 # the suite, so a containment bug fails fast instead of hanging CI.
@@ -59,12 +60,13 @@ stress:
 native-check:
 	dune build @native-check
 
-# Supervised-execution pass: runtime guard faults (--guards), crash
-# triage to source spans, native failpoints (MM_FAILPOINTS), supervisor
-# timeout/rlimit kills, sanitizer builds and the 16-cell native fault
-# matrix (same outcome at 1 and 2 threads) — all against real compiled
-# binaries.  Each case skips with a visible notice when no C compiler
-# is installed.
+# Supervised-execution pass: failed subscript and shape checks (one
+# report, the interpreter's, in both backends), crash triage to source
+# spans, native failpoints (MM_FAILPOINTS), supervisor timeout/rlimit
+# kills, sanitizer builds and the 8-cell native fault matrix (same
+# outcome at 1 and 2 threads) — all against real compiled binaries.
+# Each case skips with a visible notice when no C compiler is
+# installed.
 native-faults-check:
 	dune build @native-faults-check
 

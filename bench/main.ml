@@ -15,9 +15,8 @@
      C11 optimization-remark counts over the paper corpus
      C12 native execution vs the interpreter (§II)
      C13 native profiling overhead (§II)
-     C14 emitted-C runtime guard overhead (§II)
 
-   The C12-C14 rows are exported to BENCH_native.json, the baseline
+   The C12 and C13 rows are exported to BENCH_native.json, the baseline
    [--compare FILE] re-measures and gates.  Micro-kernels are measured
    with Bechamel (OLS over the monotonic clock); whole-program runs with
    repeated wall-clock medians.  Results are summarised against the
@@ -437,7 +436,7 @@ let bench_composition () =
       ignore (Composition.compose Composition.shipped);
       ignore (Driver.compose Driver.all_extensions))
 
-(* --- BENCH_native.json: the C12-C14 rows ------------------------------------------------- *)
+(* --- BENCH_native.json: the C12 and C13 rows --------------------------------------------- *)
 
 (* C12 rows (prog, interp_ms, native_ms, compile_ms); filled by
    [bench_native]. *)
@@ -446,10 +445,6 @@ let native_rows : (string * float * float * float) list ref = ref []
 (* C13 rows (prog, plain_ms, instrumented_ms, overhead_pct); filled by
    [bench_native_profile]. *)
 let native_profile_rows : (string * float * float * float) list ref = ref []
-
-(* C14 rows (prog, plain_ms, guards_ms, overhead_pct); filled by
-   [bench_native_guards]. *)
-let native_guards_rows : (string * float * float * float) list ref = ref []
 
 (* Write the rows the native groups filled to BENCH_native.json, the
    baseline [bench --compare] gates against. *)
@@ -477,11 +472,6 @@ let write_bench_native () =
       Printf.sprintf
         "{\"prog\":%S,\"plain_ms\":%.3f,\"instrumented_ms\":%.3f,\"overhead_pct\":%.2f}"
         prog plain_ms instr_ms overhead_pct);
-  section "native_guards" native_guards_rows
-    (fun (prog, plain_ms, guards_ms, overhead_pct) ->
-      Printf.sprintf
-        "{\"prog\":%S,\"plain_ms\":%.3f,\"guards_ms\":%.3f,\"overhead_pct\":%.2f}"
-        prog plain_ms guards_ms overhead_pct);
   output_string oc "}\n";
   close_out oc;
   Fmt.pr "native rows written to BENCH_native.json@."
@@ -807,62 +797,6 @@ let bench_scaling_native () =
                     (t1 *. 1000.) (t2 *. 1000.) (t1 /. t2) host)
             (scaling_progs ()))
 
-(* --- C14: emitted-C runtime guard overhead (§II) ---------------------------------------------- *)
-
-(* `mmc exec --guards` routes every emitted subscript through the
-   MM_GUARD_IDX bounds/NULL check and pushes crash breadcrumbs around
-   provenance sites; the acceptance bar is <=15% end-to-end overhead on
-   the paper corpus.  Warm-cache min-of-7 wall times of plain vs guarded
-   `mmc exec` land in BENCH_native.json as {prog, plain_ms, guards_ms,
-   overhead_pct} and are regression-gated by `bench --compare`. *)
-
-let exec_native_guards ~cache_dir ~dir src =
-  match Driver.exec ~guards:true ~dir ~cache_dir (Driver.Composed c_full) src with
-  | Driver.Ok_ o -> o
-  | Driver.Failed ds ->
-      Fmt.epr "guarded bench program failed: %s@." (Driver.diags_to_string ds);
-      exit 1
-
-let bench_native_guards () =
-  Fmt.pr "@.=== C14: runtime guard overhead (§II) ===@.";
-  match Native.Toolchain.probe () with
-  | Error e -> Fmt.pr "  skipped: %s@." (Native.Toolchain.describe_error e)
-  | Ok _ ->
-      let data = native_cube () in
-      let cache_dir = fresh_cache_dir () in
-      Fmt.pr "  %-12s %10s %12s %9s@." "prog" "plain(ms)" "guards(ms)"
-        "overhead";
-      List.iter
-        (fun (name, src) ->
-          match src with
-          | None -> Fmt.pr "  %-12s source not found — skipped@." name
-          | Some src ->
-              with_input data (fun dir ->
-                  (* cold runs fill both cache slots, so the timed reps
-                     measure the run, not the C compiler *)
-                  ignore (exec_native ~cache_dir ~dir src);
-                  ignore (exec_native_guards ~cache_dir ~dir src);
-                  let plain =
-                    wall_min ~reps:7 (fun () ->
-                        ignore (exec_native ~cache_dir ~dir src))
-                  in
-                  let guarded =
-                    wall_min ~reps:7 (fun () ->
-                        ignore (exec_native_guards ~cache_dir ~dir src))
-                  in
-                  let overhead = (guarded -. plain) /. plain *. 100. in
-                  native_guards_rows :=
-                    (name, plain *. 1000., guarded *. 1000., overhead)
-                    :: !native_guards_rows;
-                  Fmt.pr "  %-12s %10.2f %12.2f %8.1f%%@." name
-                    (plain *. 1000.) (guarded *. 1000.) overhead))
-        (native_profile_progs ());
-      instrumented "C14" (fun () ->
-          with_input data (fun dir ->
-              ignore
-                (exec_native_guards ~cache_dir ~dir
-                   Eddy.Programs.fig1_temporal_mean)))
-
 (* --- C11: optimization-remark counts over the paper corpus ------------------------------------ *)
 
 (* Lower every corpus program through Driver.explain and record the
@@ -948,7 +882,7 @@ let bench_kernels () =
 
 (* --- bench --compare: regression gate against a committed baseline ---------------- *)
 
-(* Re-measure the C12-C14 native rows of a baseline written by the full
+(* Re-measure the C12 and C13 native rows of a baseline written by the full
    sweep (BENCH_native.json) on the warm binary cache, and fail on a >25%
    slowdown of any row.  Speed-ups and small noise pass; without a C
    compiler every row is reported as skipped, never failed. *)
@@ -1053,48 +987,6 @@ let bench_compare baseline_path =
                   | _ ->
                       Fmt.epr
                         "  baseline native_profile row %S unavailable — \
-                         skipping@."
-                        prog)
-              | _ -> ())
-            rows));
-  (* C14 rows: re-run each baselined program with runtime guards on the
-     warm guarded cache slot and gate its wall time. *)
-  (match Option.bind (J.field "native_guards" baseline) J.arr with
-  | None -> ()
-  | Some rows -> (
-      match Native.Toolchain.probe () with
-      | Error e ->
-          Fmt.epr "  baseline has native_guards rows but %s — skipping@."
-            (Native.Toolchain.describe_error e)
-      | Ok _ ->
-          let cache_dir = fresh_cache_dir () in
-          let data = native_cube () in
-          let srcs = native_profile_progs () in
-          List.iter
-            (fun row ->
-              match
-                ( Option.bind (J.field "prog" row) J.str,
-                  J.num_field row "guards_ms" )
-              with
-              | Some prog, Some base_ms -> (
-                  match List.assoc_opt prog srcs with
-                  | Some (Some src) ->
-                      with_input data (fun dir ->
-                          (* first run compiles; the timed reps hit the
-                             guarded cache slot *)
-                          ignore (exec_native_guards ~cache_dir ~dir src);
-                          let cur =
-                            wall_min ~reps:7 (fun () ->
-                                ignore
-                                  (exec_native_guards ~cache_dir ~dir src))
-                            *. 1000.
-                          in
-                          check
-                            ("native-guards " ^ prog)
-                            ~baseline_ms:base_ms ~current_ms:cur)
-                  | _ ->
-                      Fmt.epr
-                        "  baseline native_guards row %S unavailable — \
                          skipping@."
                         prog)
               | _ -> ())
@@ -1246,7 +1138,6 @@ let () =
     bench_native ();
     bench_scaling_native ();
     bench_native_profile ();
-    bench_native_guards ();
     write_bench_native ();
     bench_remarks ();
     write_bench_telemetry ();

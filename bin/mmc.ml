@@ -449,15 +449,6 @@ let exec_cmd =
                --keep-c and in the cache directory), pointing C tools \
                back at the original extended-C source.")
   in
-  let guards =
-    Arg.(value & flag & info [ "guards" ]
-         ~doc:"Compile with runtime guards: every emitted subscript is \
-               bounds- and NULL-checked, reference-count underflows \
-               abort, and crash breadcrumbs attribute fatal signals to \
-               source spans. A tripped guard reports a caret-rendered \
-               diagnostic at the faulting span instead of a raw crash. \
-               Guarded binaries occupy their own cache slot.")
-  in
   let sanitize =
     Arg.(value
          & opt (some (enum [ ("address", "address"); ("undefined", "undefined") ]))
@@ -503,7 +494,7 @@ let exec_cmd =
                    invoking the system OOM killer.")
   in
   let run exts_names threads data_dir (cc, cflags, keep_c, no_cache, cache_dir)
-      pipeline line_directives guards sanitize failpoints timeout_s max_bytes
+      pipeline line_directives sanitize failpoints timeout_s max_bytes
       tele file =
     with_telemetry tele @@ fun () ->
     (* Driver.exec composes only when its index misses *)
@@ -532,7 +523,7 @@ let exec_cmd =
     in
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
     match
-      Driver.exec ?dir:data_dir ~config ~warn ?cc ~cflags ?keep_c ?line_file ~guards
+      Driver.exec ?dir:data_dir ~config ~warn ?cc ~cflags ?keep_c ?line_file
         ?sanitize ?failpoints ?timeout_s ?max_bytes ~cache:(not no_cache)
         ~cache_dir ~threads (Driver.Selection exts) src
     with
@@ -556,7 +547,7 @@ let exec_cmd =
   Cmd.v (Cmd.info "exec" ~doc)
     Term.(
       const run $ exts_arg $ threads_arg $ data_dir_arg $ native_opts_term
-      $ pipeline_term $ line_directives $ guards $ sanitize
+      $ pipeline_term $ line_directives $ sanitize
       $ native_failpoints $ native_timeout $ native_max_bytes
       $ telemetry_term $ src_arg)
 
@@ -707,8 +698,8 @@ let explain_cmd =
   let only =
     Arg.(value & opt_all string []
          & info [ "only" ] ~docv:"FILTER"
-             ~doc:"Filter remarks: $(b,pass=NAME) (fuse, copy-elim, \
-                   auto-par, rc, transform) or \
+             ~doc:"Filter remarks: $(b,pass=NAME) (bounds, fuse, \
+                   copy-elim, auto-par, rc, transform) or \
                    $(b,kind=applied|missed|skipped). Repeatable; filters \
                    combine.")
   in

@@ -11,6 +11,12 @@
     is C [double]: the reference interpreter evaluates float expressions
     in double precision, and native output must agree bit-for-bit.
 
+    Every program is checked code: the subscript and shape checks
+    lowering wrote ({!Ir.check}) print as the runtime's [MM_BOUND] and
+    [MM_SAME] macros, and every provenance site pushes a crash
+    breadcrumb, all keyed by one generated span table, so a failed check
+    or a fatal signal reports at its source span.
+
     With [exec_harness] the entry function is renamed and a generated
     [int main] prints the entry's result (and the live-allocation count)
     through the runtime's result protocol, which [mmc exec] parses back
@@ -63,26 +69,16 @@ let c_string_lit s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
-(* --- instrumentation / guard state (shared with expr below) ------------ *)
+(* --- span table and instrumentation state (shared with expr below) ---- *)
 
-(* When on, provenance-carrying loops and top-level located statements are
-   wrapped in mm_prof enter/exit calls keyed by a span table generated
-   into the program, so a native run attributes wall time to the same
-   source spans the interpreter profiler reports. *)
+(* When on, provenance sites are also wrapped in mm_prof enter/exit
+   calls, so a native run attributes wall time to the same source spans
+   the interpreter profiler reports. *)
 let instrument_mode = ref false
 
-(* Runtime guards (--guards): emitted subscripts route through the
-   MM_GUARD_IDX bounds check attributed to the innermost open source
-   span, and provenance sites additionally push/pop crash breadcrumbs
-   (mm_crumb_push/pop) so a signal death triages to a span even
-   unprofiled.
-   Guards share the provenance-site selection (and the span id space)
-   with instrumentation; either mode alone activates the sites. *)
-let guards_mode = ref false
-
-let sites_on () = !instrument_mode || !guards_mode
-
-(* Span string -> id, in first-emission order (the table index is the id). *)
+(* Span string -> id, in first-emission order (the table index is the id).
+   The program's one span table: checks, breadcrumbs and the profiler
+   all name spans by these ids. *)
 let span_ids : (string, int) Hashtbl.t = Hashtbl.create 16
 let span_order : string list ref = ref [] (* reversed *)
 
@@ -106,12 +102,10 @@ let in_frame s f =
   open_spans := s :: !open_spans;
   Fun.protect ~finally:(fun () -> open_spans := List.tl !open_spans) f
 
-(* The guard span a subscript check reports: the innermost open
-   provenance frame at the emission point, -1 when none.  Static by
-   design — the runtime breadcrumb stack exists for signal triage only,
-   while subscript attribution never needs to cross a call. *)
-let guard_site_id () =
-  match !open_spans with s :: _ -> span_id s | [] -> -1
+let reset_spans () =
+  Hashtbl.reset span_ids;
+  span_order := [];
+  open_spans := []
 
 let rec expr ?(prec = 0) (e : expr) : string =
   let p = prec_of e in
@@ -149,10 +143,12 @@ let rec expr ?(prec = 0) (e : expr) : string =
           (String.concat ""
              (List.map (fun d -> ", " ^ expr ~prec:0 d) dims))
     | MGetFlat (m, off) ->
-        if !guards_mode then
-          Printf.sprintf "MM_GUARD_IDX(%s, %s, %d)" (expr ~prec:60 m)
-            (expr ~prec:0 off) (guard_site_id ())
-        else Printf.sprintf "%s->data[%s]" (expr ~prec:60 m) (expr ~prec:0 off)
+        Printf.sprintf "%s->data[%s]" (expr ~prec:60 m) (expr ~prec:0 off)
+    | Checked (cs, e) ->
+        (* a comma expression: the checks run, in order, before [e] *)
+        Printf.sprintf "(%s, %s)"
+          (String.concat ", " (List.map check cs))
+          (expr ~prec:0 e)
     | MDim (m, d) -> Printf.sprintf "%s->dims[%s]" (expr ~prec:60 m) (expr ~prec:0 d)
     | MSize m -> Printf.sprintf "mm_size(%s)" (expr ~prec:0 m)
     | MRead p -> Printf.sprintf "mm_read_matrix(%s)" (expr ~prec:0 p)
@@ -185,6 +181,17 @@ let rec expr ?(prec = 0) (e : expr) : string =
   in
   if p < prec then "(" ^ s ^ ")" else s
 
+(* A check is a void expression naming its span by table id. *)
+and check = function
+  | Bound { m; dim; index; span } ->
+      Printf.sprintf "MM_BOUND(%s, %d, %s, %d)" (expr ~prec:0 m) dim
+        (expr ~prec:0 index)
+        (span_id (Support.Pos.span_to_string span))
+  | Same { what; a; b; span } ->
+      Printf.sprintf "MM_SAME(%s, %s, %s, %d)" (expr ~prec:0 a) (expr ~prec:0 b)
+        (c_string_lit what)
+        (span_id (Support.Pos.span_to_string span))
+
 let rec lvalue = function
   | LVar v -> v
   | LField (lv, i) -> Printf.sprintf "%s.f%d" (lvalue lv) i
@@ -194,37 +201,35 @@ let rec lvalue = function
    default so emitted C is unchanged for existing consumers. *)
 let line_file : string option ref = ref None
 
-(* --- provenance-site selection (--instrument / --guards) ---------------- *)
+(* --- provenance sites ----------------------------------------------------- *)
 
-(* A sequential loop instruments unless its span is exactly the innermost
+(* A sequential loop is a site unless its span is exactly the innermost
    open frame's (tile/vector desugarings stack several loops on one span;
    one frame per span entry is what the interpreter records, and skipping
    the inner copies keeps the hot-path overhead down). *)
 let seq_loop_span prov =
-  if not (sites_on ()) then None
-  else
-    match prov with
-    | None -> None
-    | Some sp -> (
-        let s = Support.Pos.span_to_string sp in
-        match !open_spans with
-        | top :: _ when String.equal top s -> None
-        | _ -> Some (span_id s, s))
+  match prov with
+  | None -> None
+  | Some sp -> (
+      let s = Support.Pos.span_to_string sp in
+      match !open_spans with
+      | top :: _ when String.equal top s -> None
+      | _ -> Some (span_id s, s))
 
-(* A parallel loop always instruments: its dispatch decision is exactly
+(* A parallel loop is always a site: its dispatch decision is exactly
    what the differential profile wants to see. *)
 let par_loop_span prov =
-  if not (sites_on ()) then None
-  else Option.map (fun sp ->
+  Option.map
+    (fun sp ->
       let s = Support.Pos.span_to_string sp in
       (span_id s, s))
     prov
 
-(* Located statements instrument only at the top level, like the
-   interpreter (statement frames nested inside loop frames would double
-   every hot span). *)
+(* Located statements are sites only at the top level, like the
+   interpreter's profile frames (statement frames nested inside loop
+   frames would double every hot span). *)
 let located_span sp =
-  if sites_on () && !open_spans = [] then
+  if !open_spans = [] then
     let s = Support.Pos.span_to_string sp in
     Some (span_id s, s)
   else None
@@ -239,10 +244,9 @@ let ctype_decl t name =
    needs its struct name for a C compound literal. *)
 let cur_ret : ctype ref = ref CVoid
 
-(* A [return] inside instrumented frames jumps past their exit calls;
-   close them explicitly (innermost first, with zero counts) so the
-   runtime stacks — profiler frames and crash breadcrumbs — never leak
-   across the call. *)
+(* A [return] inside open sites jumps past their exit calls; close them
+   explicitly (innermost first, with zero counts) so the runtime stacks —
+   crash breadcrumbs and profiler frames — never leak across the call. *)
 let unwind_frames buf ind =
   List.iter
     (fun s ->
@@ -253,8 +257,7 @@ let unwind_frames buf ind =
              "%sif (mm_prof_live) { if (!mm_prof_skip[%d]) mm_prof_exit(%d, \
               0, 0); else mm_prof_sentries[%d]++; }\n"
              ind id id id);
-      if !guards_mode then
-        Buffer.add_string buf (Printf.sprintf "%smm_crumb_pop();\n" ind))
+      Buffer.add_string buf (Printf.sprintf "%smm_crumb_pop();\n" ind))
     !open_spans
 
 let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
@@ -282,11 +285,15 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
       line "%s = (__typeof__(%s)){ %s };" (lvalue lv) (lvalue lv)
         (String.concat ", " (List.map (expr ~prec:0) es))
   | Assign (lv, e) -> line "%s = %s;" (lvalue lv) (expr e)
+  | MSetFlat (m, Checked (cs, off), v) ->
+      (* The store's checks run as statements before it: C leaves the
+         order of an assignment's two sides open, and the interpreter
+         checks the offset before it evaluates the value. *)
+      List.iter (fun c -> line "%s;" (check c)) cs;
+      line "%s->data[%s] = %s;" (expr ~prec:60 m) (expr off) (expr v)
   | MSetFlat (m, off, v) ->
-      if !guards_mode then
-        line "MM_GUARD_IDX(%s, %s, %d) = %s;" (expr ~prec:60 m) (expr off)
-          (guard_site_id ()) (expr v)
-      else line "%s->data[%s] = %s;" (expr ~prec:60 m) (expr off) (expr v)
+      line "%s->data[%s] = %s;" (expr ~prec:60 m) (expr off) (expr v)
+  | Check c -> line "%s;" (check c)
   | VecScatter (m, base, stride, v) ->
       (* No storeu shortcut for stride 1: the buffer is double, so lanes
          widen one by one (exact, matching the interpreter's store). *)
@@ -314,18 +321,18 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
              call and no clock — a tiny loop entered per element of an
              enclosing loop costs a few loads.  mm_prof_live is 0 inside
              a dispatched parallel region, where probes must not fire.
-             Breadcrumbs (guard mode) bracket the loop the same way; the
-             stack is thread-local, so pushes inside parallel regions
-             land on each worker's own trail. *)
+             The breadcrumb brackets the loop the same way; the stack is
+             thread-local, so pushes inside parallel regions land on
+             each worker's own trail. *)
           if !instrument_mode then
             line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id
               id;
-          if !guards_mode then line "mm_crumb_push(%d);" id;
+          line "mm_crumb_push(%d);" id;
           line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
             (expr ~prec:31 l.bound) l.index;
           in_frame sp (fun () -> block buf (ind ^ "  ") l.body);
           line "}";
-          if !guards_mode then line "mm_crumb_pop();";
+          line "mm_crumb_pop();";
           if !instrument_mode then begin
             line "if (mm_prof_live) {";
             line
@@ -352,7 +359,7 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
              because no region was installed.  The breadcrumb brackets
              the whole dispatch from the master thread; workers keep
              their own thread-local trails inside the region. *)
-          if !guards_mode then line "mm_crumb_push(%d);" id;
+          line "mm_crumb_push(%d);" id;
           line "mm_prof_enter_par(%d);" id;
           line "#pragma omp parallel";
           line "{";
@@ -365,9 +372,8 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
           line "  mm_prof_worker(%d, mm_prof_now() - __mm_prof_w);" id;
           line "}";
           line "mm_prof_exit_par(%d, (long long) (%s));" id (expr l.bound);
-          if !guards_mode then line "mm_crumb_pop();"
+          line "mm_crumb_pop();"
       | Some (id, sp) ->
-          (* guards without instrumentation: breadcrumb only *)
           line "mm_crumb_push(%d);" id;
           line "#pragma omp parallel for";
           line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
@@ -426,9 +432,9 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
           if !instrument_mode then
             line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id
               id;
-          if !guards_mode then line "mm_crumb_push(%d);" id;
+          line "mm_crumb_push(%d);" id;
           in_frame s (fun () -> block buf ind b);
-          if !guards_mode then line "mm_crumb_pop();";
+          line "mm_crumb_pop();";
           if !instrument_mode then begin
             line "if (mm_prof_live) {";
             line "  if (!mm_prof_skip[%d]) mm_prof_exit(%d, 0, 0);" id id;
@@ -618,28 +624,14 @@ let harness_main (p : program) : func =
      time), and dump the sidecar once the result protocol is complete.
      The dump lands in the working directory — the data dir Native.Exec
      runs the binary in — under the fixed sidecar name it reads back. *)
-  (* Supervision plumbing runs before anything else: mm_fail_init arms
-     MM_FAILPOINTS and installs the crash handlers in every harnessed
-     binary (disarmed failpoints cost one load), and guard mode hands
-     the runtime its span table. *)
+  (* Supervision plumbing runs before anything else: mm_init hands the
+     runtime the span table, installs the crash handlers and arms
+     MM_FAILPOINTS (disarmed failpoints cost one load). *)
   let supervise_init =
-    ExprS (Call ("mm_fail_init", []))
-    ::
-    (if !guards_mode then
-       [
-         ExprS
-           (Call
-              ("mm_guard_init", [ Var "MM_GUARD_NSPANS"; Var "mm_guard_spans" ]));
-       ]
-     else [])
+    [ ExprS (Call ("mm_init", [ Var "MM_NSPANS"; Var "mm_spans" ])) ]
   in
   let prof_init =
-    if !instrument_mode then
-      [
-        ExprS
-          (Call ("mm_prof_init", [ Var "MM_PROF_NSPANS"; Var "mm_prof_spans" ]));
-      ]
-    else []
+    if !instrument_mode then [ ExprS (Call ("mm_prof_init", [])) ] else []
   and prof_stop =
     if !instrument_mode then [ ExprS (Call ("mm_prof_stop", [])) ] else []
   and prof_dump =
@@ -663,49 +655,41 @@ let harness_main (p : program) : func =
     f_span = None; f_origin = None }
 
 (* The generated span table: ids index the array, whose entries are the
-   interpreter profiler's span strings, so the two profiles join
-   row-for-row on the rendered span.  Non-static: external linkage keeps
-   -Wunused quiet for programs whose harness is compiled separately.
-   Instrumentation and guards intern into one id space, so a build with
-   both modes emits the same list twice under the two names each runtime
-   half expects. *)
-let span_table ~count_def ~array_name () =
+   interpreter's span strings (the profilers' rows, the checks' and the
+   crash triage's carets), so the two backends join row-for-row on the
+   rendered span.  Non-static: external linkage keeps -Wunused quiet for
+   programs whose harness is compiled separately. *)
+let span_table () =
   let names = List.rev !span_order in
   String.concat "\n"
     ([
-       Printf.sprintf "#define %s %d" count_def (List.length names);
-       Printf.sprintf "const char *const %s[] = {" array_name;
+       Printf.sprintf "#define MM_NSPANS %d" (List.length names);
+       "const char *const mm_spans[] = {";
      ]
     @ (match names with
       | [] -> [ "  0" ]
       | _ -> List.map (fun s -> "  " ^ c_string_lit s ^ ",") names)
     @ [ "};"; ""; "" ])
 
-(** [program ?line_directives_file ?instrument ?guards ?exec_harness p]
-    — the full translation unit.  With [exec_harness] the entry function
-    is renamed away from [main] if necessary and a generated [int main]
-    calls it, prints its result (plus the live-allocation count) through
-    the result protocol, and returns 0 — making the output a complete,
-    runnable program.  With [instrument] provenance-carrying loops and
-    statements are wrapped in mm_prof enter/exit calls over a generated
-    span table, and the harness initialises, stops, and dumps the
-    profiler.  With [guards] every emitted subscript routes through the
-    runtime's MM_GUARD_IDX bounds check, mm_rc_dec checks for refcount
-    underflow, and provenance sites push crash breadcrumbs — all
-    attributed to the same span table so faults render at source. *)
-let program ?line_directives_file ?(instrument = false) ?(guards = false)
+(** [program ?line_directives_file ?instrument ?exec_harness p] — the
+    full translation unit: the checked program, its crash breadcrumbs
+    and the span table they name.  With [exec_harness] the entry
+    function is renamed away from [main] if necessary and a generated
+    [int main] hands the runtime the span table, calls the entry, prints
+    its result (plus the live-allocation count) through the result
+    protocol, and returns 0 — making the output a complete, runnable
+    program.  With [instrument] provenance-carrying loops and statements
+    are also wrapped in mm_prof enter/exit calls, and the harness
+    initialises, stops, and dumps the profiler. *)
+let program ?line_directives_file ?(instrument = false)
     ?(exec_harness = false) (p : program) : string =
   line_file := line_directives_file;
   instrument_mode := instrument;
-  guards_mode := guards;
-  Hashtbl.reset span_ids;
-  span_order := [];
-  open_spans := [];
+  reset_spans ();
   Fun.protect
     ~finally:(fun () ->
       line_file := None;
-      instrument_mode := false;
-      guards_mode := false)
+      instrument_mode := false)
     (fun () ->
       let p = if exec_harness then rename_entry p else p in
       let p =
@@ -723,18 +707,11 @@ let program ?line_directives_file ?(instrument = false) ?(guards = false)
       ^ (if instrument then "#include \"mm_prof.h\"\n\n" else "")
       ^ section (List.map tuple_typedef (tuple_types p))
       ^ section (prototypes p)
-      ^ (if instrument then
-           span_table ~count_def:"MM_PROF_NSPANS" ~array_name:"mm_prof_spans"
-             ()
-         else "")
-      ^ (if guards then
-           span_table ~count_def:"MM_GUARD_NSPANS"
-             ~array_name:"mm_guard_spans" ()
-         else "")
-      ^ funcs_text)
+      ^ span_table () ^ funcs_text)
 
 (** Emission of a single statement list (golden tests on loop shapes). *)
 let stmts (ss : stmt list) : string =
+  reset_spans ();
   let buf = Buffer.create 256 in
   block buf "" ss;
   Buffer.contents buf

@@ -63,6 +63,29 @@ type expr =
       (** (matrix, base offset, lane stride); stride 1 = _mm_loadu_ps *)
   | VecBin of Runtime.Scalar.arith * expr * expr
   | VecHsum of expr  (** horizontal sum to a float *)
+  | Checked of check list * expr
+      (** [e], once every check holds, in order: a source subscript's
+          index checks around its flat offset *)
+
+(** A runtime check that lowering writes once for both backends.  A
+    failing check ends the run with one report at its span: the
+    interpreter raises it, the emitted C prints it as a [__mm_fault]
+    line and exits 71. *)
+and check =
+  | Bound of { m : expr; dim : int; index : expr; span : Support.Pos.span }
+      (** [m] is not NULL and [0 <= index < mm_dim(m, dim)] *)
+  | Same of { what : string; a : expr; b : expr; span : Support.Pos.span }
+      (** two extents an operation needs to agree: [a = b] *)
+
+(** The report of a failed check: both backends print exactly this text
+    (mm_runtime.c words the same formats). *)
+let null_message = "use of an uninitialised matrix"
+
+let bound_message ~index ~dim ~extent =
+  Printf.sprintf "index %d out of bounds for dimension %d of extent %d" index
+    dim extent
+
+let same_message ~what a b = Printf.sprintf "%s: %d against %d" what a b
 
 type lvalue = LVar of string | LField of lvalue * int
 
@@ -94,6 +117,7 @@ type stmt =
   | RcInc of expr  (** refcount increment on a matrix handle *)
   | RcDec of expr
   | MWrite of expr * expr  (** writeMatrix(path, m) *)
+  | Check of check
   | Comment of string  (** carried into the emitted C *)
   | Block of stmt list  (** braced C scope (shadowing, lifetimes) *)
   | Spawn of lvalue option * string * expr list
@@ -165,8 +189,13 @@ let rec map_expr f e =
     | VecGather (m, b, s) -> VecGather (r m, r b, r s)
     | VecBin (op, a, b) -> VecBin (op, r a, r b)
     | VecHsum a -> VecHsum (r a)
+    | Checked (cs, a) -> Checked (List.map (map_check r) cs, r a)
   in
   f e'
+
+and map_check r = function
+  | Bound c -> Bound { c with m = r c.m; index = r c.index }
+  | Same c -> Same { c with a = r c.a; b = r c.b }
 
 (** [map_stmts fe fs stmts] — bottom-up rewrite of statements ([fs]) with
     expressions rewritten by [fe]. *)
@@ -189,6 +218,7 @@ let rec map_stmt fe fs s =
     | RcInc e -> RcInc (re e)
     | RcDec e -> RcDec (re e)
     | MWrite (p, m) -> MWrite (re p, re m)
+    | Check c -> Check (map_check re c)
     | Block b -> Block (rb b)
     | Spawn (lv, f, args) -> Spawn (lv, f, List.map re args)
     | Sync -> Sync

@@ -334,6 +334,37 @@ let rec affine lane (e : expr) : (expr * expr) option =
 
 exception Not_vectorizable of string
 
+(* Does [stmts] hold a runtime check?  Four lanes run as one operation,
+   so a check inside would not run per lane: such a loop stays scalar. *)
+let holds_check stmts =
+  let found = ref false in
+  ignore
+    (map_stmts
+       (function
+         | Checked _ as e ->
+             found := true;
+             e
+         | e -> e)
+       (function
+         | Check _ as s ->
+             found := true;
+             s
+         | s -> s)
+       stmts);
+  !found
+
+(** [vectorize_keeps_checks target body] — is [target] a loop of [body]
+    that {!apply_vectorize} leaves scalar because it holds a check? *)
+let vectorize_keeps_checks target body =
+  let checked = ref false in
+  ignore
+    (rewrite_loop target
+       (fun l ~par ->
+         if not par then checked := !checked || holds_check l.body;
+         [ For l ])
+       body);
+  !checked
+
 let nope fmt = Format.kasprintf (fun m -> raise (Not_vectorizable m)) fmt
 
 (* Expression → vector expression.  [vec_vars] are float scalars promoted to
@@ -442,6 +473,7 @@ let rec vec_stmt lane vec_vars (s : stmt) : stmt list * string list =
       if expr_uses_var lane e then nope "effectful lane-dependent expression"
       else ([ s ], vec_vars)
   | MWrite _ -> nope "matrix I/O inside a vectorized loop"
+  | Check _ -> nope "a runtime check cannot run per lane"
   | VecScatter _ -> nope "loop is already vectorized"
   | ParFor _ -> nope "parallel loop inside a vectorized loop"
   | Spawn _ | Sync -> nope "cilk constructs cannot be vectorized"
@@ -470,6 +502,7 @@ let apply_vectorize target body =
         end
         else
           match l.bound with
+          | _ when holds_check l.body -> [ For l ]
           | Int n when n = width -> (
               try
                 let stmts =

@@ -129,6 +129,15 @@ let register_ext_expr_printer f = ext_expr_printers := f :: !ext_expr_printers
 let register_ext_stmt_printer f = ext_stmt_printers := f :: !ext_stmt_printers
 let register_ext_ty_printer f = ext_ty_printers := f :: !ext_ty_printers
 
+(** Extensions register the host statement one of their statements
+    forwards to (§VI), for analyses that must see inside it: a transform
+    statement is its assignment.  An extension statement with no
+    forward stays opaque to them. *)
+let ext_stmt_forwards : (ext_stmt -> stmt_node option) list ref = ref []
+
+let register_ext_stmt_forward f = ext_stmt_forwards := f :: !ext_stmt_forwards
+let forward_stmt s = List.find_map (fun f -> f s) !ext_stmt_forwards
+
 let print_via printers x fallback =
   match List.find_map (fun f -> f x) !printers with
   | Some s -> s

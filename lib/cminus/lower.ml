@@ -78,7 +78,10 @@ and hooks = {
     t -> Ast.expr -> Ast.index list -> Types.ty -> Ast.span ->
     (stmt list * expr) option;
   l_subscript_assign :
-    t -> Ast.expr -> Ast.index list -> Ast.expr -> Ast.span -> stmt list option;
+    t -> Ast.expr -> Ast.index list -> Ast.expr -> at:Ast.span -> Ast.span ->
+    stmt list option;
+      (** [l_subscript_assign t base indices rhs ~at span]: [at] is the
+          subscript's span, [span] the assignment's *)
 }
 
 let no_hooks name =
@@ -91,7 +94,7 @@ let no_hooks name =
     l_unop = (fun _ _ _ _ _ -> None);
     l_call = (fun _ _ _ _ _ ~expected:_ -> None);
     l_subscript = (fun _ _ _ _ _ -> None);
-    l_subscript_assign = (fun _ _ _ _ _ -> None);
+    l_subscript_assign = (fun _ _ _ _ ~at:_ _ -> None);
   }
 
 let first_hook f t = List.find_map (fun h -> f h) t.hooks
@@ -591,7 +594,10 @@ and lower_assign t span (lhs : Ast.expr) (rhs : Ast.expr) : stmt list =
       else sr @ [ Assign (LVar v, er) ]
   | Ast.Subscript (base, indices) -> (
       match
-        first_hook (fun h -> h.l_subscript_assign t base indices rhs span) t
+        first_hook
+          (fun h ->
+            h.l_subscript_assign t base indices rhs ~at:lhs.Ast.espan span)
+          t
       with
       | Some ss -> ss
       | None -> err span "no extension lowers subscript assignment")

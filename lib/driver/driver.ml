@@ -252,8 +252,8 @@ let lower ?config ?warn ?sink (c : composed) (ast : Cminus.Ast.program) :
     plain parallel C out.  [line_file] turns on [#line] directives naming
     that file, so C-level debuggers and profilers point back at the
     original source. *)
-let compile_to_c ?config ?warn ?sink ?line_file ?instrument ?guards
-    ?exec_harness (c : composed) (src : string) : string outcome =
+let compile_to_c ?config ?warn ?sink ?line_file ?instrument ?exec_harness
+    (c : composed) (src : string) : string outcome =
   match frontend c src with
   | Failed d -> Failed d
   | Ok_ ast -> (
@@ -263,7 +263,7 @@ let compile_to_c ?config ?warn ?sink ?line_file ?instrument ?guards
           Ok_
             (Tel.with_span ~phase:"emit" "driver.emit" (fun () ->
                  Cir.Emit.program ?line_directives_file:line_file ?instrument
-                   ?guards ?exec_harness prog)))
+                   ?exec_harness prog)))
 
 (* --- runtime failure -> structured diagnostic --------------------------------- *)
 
@@ -346,7 +346,7 @@ let run ?config ?warn ?pool ?dir (c : composed) (src : string)
    "native-run".  Crash triage recovers source spans where the runtime
    left them — a [__mm_fault] line's span, or the crash-sidecar
    breadcrumb a fatal-signal handler flushed — so a native SIGSEGV or a
-   tripped guard renders a caret excerpt exactly like an interpreter
+   failed check renders a caret excerpt exactly like an interpreter
    failure; classes with no provenance anchor at the dummy span. *)
 let native_failure_diag (e : Native.Exec.error) =
   let phase =
@@ -377,16 +377,15 @@ let selection = function Composed c -> c.selected | Selection exts -> exts
 
 let composed_of = function Composed c -> c | Selection exts -> compose exts
 
-(** [index_key ?build_id ~selected ~config ?line_file ?instrument ?guards
+(** [index_key ?build_id ~selected ~config ?line_file ?instrument
     ~toolchain src] — the exec index key of translating [src] with the
     extensions [selected] under [config] and these emit modes, for
     [toolchain].  [build_id] defaults to this build's. *)
 let index_key ?(build_id = Build_id.id) ~selected ~config ?line_file
-    ?(instrument = false) ?(guards = false) ~toolchain src =
+    ?(instrument = false) ~toolchain src =
   Native.Index.key ~build_id ~source:src
     ~extensions:(List.map (fun x -> x.x_name) selected)
-    ~pipeline:(Pipeline.canon config) ~line_file ~instrument ~guards
-    ~toolchain
+    ~pipeline:(Pipeline.canon config) ~line_file ~instrument ~toolchain
 
 (* A cache directory must be a directory, made with its parents when
    missing: the index and the binary cache write there. *)
@@ -420,7 +419,7 @@ let unusable_cache_dir dir =
     step is retried, and a crash at any thread count goes through crash
     triage. *)
 let exec ?config ?(warn = ignore) ?dir ?cc ?(cflags = []) ?keep_c ?line_file
-    ?instrument ?guards ?sanitize ?failpoints ?timeout_s ?max_bytes
+    ?instrument ?sanitize ?failpoints ?timeout_s ?max_bytes
     ?(cache = true) ?(cache_dir = Native.Cache.default_dir) ?(threads = 1)
     (t : translator) (src : string) : Native.Exec.outcome outcome =
   let cfg =
@@ -434,7 +433,7 @@ let exec ?config ?(warn = ignore) ?dir ?cc ?(cflags = []) ?keep_c ?line_file
           Tel.with_span ~phase:"native" "native.index" (fun () ->
               let k =
                 index_key ~selected:(selection t) ~config:cfg ?line_file
-                  ?instrument ?guards
+                  ?instrument
                   ~toolchain:(Native.Toolchain.configure ?cc ~cflags ?sanitize ())
                   src
               in
@@ -455,7 +454,7 @@ let exec ?config ?(warn = ignore) ?dir ?cc ?(cflags = []) ?keep_c ?line_file
               warn d
             in
             match
-              compile_to_c ~config:cfg ~warn ?line_file ?instrument ?guards
+              compile_to_c ~config:cfg ~warn ?line_file ?instrument
                 ~exec_harness:true (composed_of t) src
             with
             | Failed d -> Failed d

@@ -103,6 +103,13 @@ let cir_binop (op : A.binop) : binop =
   | A.BExt o when o = Nodes.op_dotstar -> Arith S.Mul
   | A.BExt o -> invalid_arg ("cir_binop: " ^ o)
 
+let op_name = function
+  | A.BArith o -> S.arith_name o
+  | A.BCmp o -> S.cmp_name o
+  | A.BLogic S.And -> "&&"
+  | A.BLogic S.Or -> "||"
+  | A.BExt o -> o
+
 let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
     (stmt list * expr) option =
   let ta = ety a and tb = ety b in
@@ -174,9 +181,19 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
           prov = Some span;
         }
       in
+      let inner =
+        Same
+          {
+            what = "inner dimensions of the matrix product disagree";
+            a = k;
+            b = MDim (Var vb, Int 0);
+            span;
+          }
+      in
       let stmts =
         sa @ sb
         @ [
+            Check inner;
             Decl (CMat (e1, 2), r, Some (MAlloc (e1, [ m; n ])));
             Site
               ( Sites.AutoPar { kind = Sites.MatmulRow; span },
@@ -190,6 +207,22 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
       let out_elem, _ = mat_of_ty span rty in
       let sa, va = lower_mat t a in
       let sb, vb = lower_mat t b in
+      (* the loop walks [va]'s elements over both buffers *)
+      let agree =
+        if va = vb then []
+        else
+          List.init r1 (fun d ->
+              Check
+                (Same
+                   {
+                     what =
+                       Printf.sprintf "operands of '%s' disagree in dimension %d"
+                         (op_name op) d;
+                     a = MDim (Var va, Int d);
+                     b = MDim (Var vb, Int d);
+                     span;
+                   }))
+      in
       let arith_elem = match rty with T.TMat (e, _) -> e | _ -> e1 in
       let s, v =
         ew_loop t ~span ~model:va ~rank:r1 ~out_elem ~body:(fun i ->
@@ -201,7 +234,7 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
             in
             Binop (cir_binop op, load_conv va e1, load_conv vb e1))
       in
-      Some (sa @ sb @ s, v)
+      Some (sa @ sb @ agree @ s, v)
   (* matrix (.) scalar and scalar (.) matrix *)
   | _, T.TMat (e1, r1), sc when T.is_scalar sc ->
       let out_elem, _ = mat_of_ty span rty in
@@ -263,7 +296,9 @@ let h_unop t (op : A.unop) (a : A.expr) (rty : T.ty) span :
 type spec =
   | SAt of expr
   | SAll
-  | SGather of string  (** variable holding a 1-D int selection vector *)
+  | SGather of string * bool
+      (** variable holding a 1-D int selection vector; [true] when its
+          elements need a check (a mask's are in range by construction) *)
 
 (* Lower one index item for dimension [d] of matrix var [base]. *)
 let lower_index t (base : string) (base_ty : T.ty) (d : int) (ix : A.index) :
@@ -281,11 +316,28 @@ let lower_index t (base : string) (base_ty : T.ty) (d : int) (ix : A.index) :
           (s, SAt v)
       | T.TMat (Nd.EInt, 1) ->
           let s, v = bind_mat t lowered (ety e) in
-          (s, SGather v)
+          (s, SGather (v, true))
       | T.TMat (Nd.EBool, 1) ->
           (* Logical indexing: materialise the selection vector of true
-             positions (what the generated C does for mask indices). *)
+             positions (what the generated C does for mask indices).  A
+             mask as long as the dimension selects only positions in
+             it. *)
           let s, mask = bind_mat t lowered (ety e) in
+          let s =
+            s
+            @ [
+                Check
+                  (Same
+                     {
+                       what =
+                         Printf.sprintf "mask length disagrees with dimension %d"
+                           d;
+                       a = MSize (Var mask);
+                       b = MDim (Var base, Int d);
+                       span = e.A.espan;
+                     });
+              ]
+          in
           let cnt = L.fresh t "cnt"
           and sel = L.fresh t "sel"
           and i = L.fresh t "i"
@@ -327,7 +379,7 @@ let lower_index t (base : string) (base_ty : T.ty) (d : int) (ix : A.index) :
             ]
           in
           L.add_pending t sel;
-          (s @ build, SGather sel)
+          (s @ build, SGather (sel, false))
       | ty ->
           span_err e.A.espan "internal: index of type %s at dimension %d of %s"
             (T.to_string ty) d
@@ -344,8 +396,10 @@ let lower_specs t base base_ty indices =
 (* Per-dimension result extent for a kept spec. *)
 let spec_extent base d = function
   | SAll -> MDim (Var base, Int d)
-  | SGather g -> MSize (Var g)
+  | SGather (g, _) -> MSize (Var g)
   | SAt _ -> invalid_arg "spec_extent"
+
+let checked cs e = match cs with [] -> e | cs -> Checked (cs, e)
 
 (* --- slice-copy elimination verdicts (§III-A5) --------------------------------
 
@@ -614,15 +668,21 @@ let alias_verdict t (base : A.expr) (indices : A.index list) : bool * string =
                      while both handles are live" ))))
 
 (* The generator indices of a with-loop that run from 0 below a bound,
-   each with that bound.  Nothing can assign them, but a nested
-   generator may rebind them. *)
-let zero_based (g : Nodes.generator) =
+   each with that bound.  A genarray's index has a second bound, the
+   shape in its position: the shape check [lower_with] emits makes it
+   one.  Nothing can assign the indices, but a nested generator may
+   rebind them. *)
+let zero_based ?(shape = []) (g : Nodes.generator) =
   if g.Nodes.lo_rel = Nodes.RLe && g.Nodes.hi_rel = Nodes.RLt then
     List.combine g.Nodes.ids (List.combine g.Nodes.lo g.Nodes.hi)
-    |> List.filter_map (fun (id, ((lo : A.expr), hi)) ->
+    |> List.mapi (fun d (id, ((lo : A.expr), hi)) ->
            match lo.A.e with
-           | A.IntLit 0 -> Some (id, (hi, `Generator))
-           | _ -> None)
+           | A.IntLit 0 ->
+               (id, (hi, `Generator))
+               :: List.map (fun s -> (id, (s, `Shape)))
+                    (Option.to_list (List.nth_opt shape d))
+           | _ -> [])
+    |> List.concat
   else []
 
 (* The index of [for (int k = 0; k < hi; k++)], with [hi].  Its body may
@@ -648,37 +708,72 @@ let rec idents (e : A.expr) =
   | A.Ident v -> [ v ]
   | _ -> List.concat_map idents (sub_exprs e)
 
-(** [fiber_verdict t base indices s] — may the one-dimensional slice
-    [base[indices]] that initialises [s] be read in place?  The decision,
-    and the first condition that failed as prose. *)
-let fiber_verdict t (base : A.expr) (indices : A.index list) s : bool * string
-    =
-  let f = t.L.cur_fun in
+(* --- what the current function proves about its subscripts --------------------
+
+   One scan of the function body serves the fiber verdict and the bounds
+   decisions: every binding and assignment, every subscript of a named
+   matrix with the loop indices in force there, and every other use of a
+   name. *)
+
+(* A loop index in force: a bound it runs from 0 below, and what binds
+   it there. *)
+type range = string * (A.expr * [ `Generator | `Shape | `For ])
+
+type access = {
+  base : A.expr;  (** the subscripted matrix, a name *)
+  ixs : A.index list;
+  aspan : Support.Pos.span;  (** the whole subscript *)
+  write : bool;  (** the target of an element assignment *)
+  ranges : range list;
+      (** innermost binder first: a name appears only with the bounds of
+          the binder that hides the others *)
+}
+
+type facts = {
+  binders : (string * A.expr option) list;
+      (** parameters, declarations (an int's initialiser kept) and
+          generator indices *)
+  targets : string list;  (** one entry per assignment of a name *)
+  accesses : access list;  (** in scan order *)
+  uses : (string * Support.Pos.span) list;
+      (** in scan order, every use of a name other than as the base of an
+          element read [m[i, …]] or as [dimSize(m, 0)]'s matrix *)
+}
+
+let hide names (ranges : range list) =
+  List.filter (fun (id, _) -> not (List.mem id names)) ranges
+
+(* Raises [Opaque]. *)
+let scan_facts (f : A.fundef) : facts =
   let binders = ref (List.map (fun (_, p) -> (p, None)) f.A.params)
   and targets = ref []
-  and misuse = ref None
-  and reads = ref [] in
-  let is_s (e : A.expr) = match e.A.e with A.Ident v -> v = s | _ -> false in
-  (* [ranges]: enclosing loop indices running from 0 below a bound *)
+  and accesses = ref []
+  and uses = ref [] in
+  let access ranges ~write (e : A.expr) =
+    match e.A.e with
+    | A.Subscript (({ A.e = A.Ident _; _ } as base), ixs) ->
+        accesses := { base; ixs; aspan = e.A.espan; write; ranges } :: !accesses
+    | _ -> ()
+  in
+  let elements = List.for_all (function A.IExpr _ -> true | A.IAll _ -> false) in
   let rec expr ranges (e : A.expr) =
     match e.A.e with
-    | A.Subscript (m, [ A.IExpr ix ]) when is_s m ->
-        let range =
-          match ix.A.e with
-          | A.Ident k -> Option.map (fun hi -> (k, hi)) (List.assoc_opt k ranges)
-          | _ -> None
-        in
-        reads := (e.A.espan, range) :: !reads;
-        expr ranges ix
-    | A.CallE ("dimSize", [ m; { A.e = A.IntLit 0; _ } ]) when is_s m -> ()
-    | A.Ident _ when is_s e -> if !misuse = None then misuse := Some e.A.espan
+    | A.Subscript ({ A.e = A.Ident _; _ }, ixs) when elements ixs ->
+        access ranges ~write:false e;
+        List.iter
+          (function A.IExpr x -> expr ranges x | A.IAll _ -> ())
+          ixs
+    | A.CallE ("dimSize", [ { A.e = A.Ident _; _ }; { A.e = A.IntLit 0; _ } ])
+      ->
+        ()
+    | A.Ident v -> uses := (v, e.A.espan) :: !uses
     | A.ExtE (Nodes.EWith (gen, op)) -> (
         binders := List.map (fun id -> (id, None)) gen.Nodes.ids @ !binders;
-        (* the generator's indices hide enclosing ones of the same name *)
-        let inner =
-          zero_based gen
-          @ List.filter (fun (id, _) -> not (List.mem id gen.Nodes.ids)) ranges
+        let shape =
+          match op with Nodes.OGenarray (shape, _) -> shape | _ -> []
         in
+        (* the generator's indices hide enclosing ones of the same name *)
+        let inner = zero_based ~shape gen @ hide gen.Nodes.ids ranges in
         List.iter (expr ranges) (gen.Nodes.lo @ gen.Nodes.hi);
         match op with
         | Nodes.OGenarray (shape, b) ->
@@ -687,6 +782,10 @@ let fiber_verdict t (base : A.expr) (indices : A.index list) s : bool * string
         | Nodes.OFold (_, b0, b) ->
             expr ranges b0;
             expr inner b)
+    | A.Subscript _ ->
+        (* a slice uses its base as a whole *)
+        access ranges ~write:false e;
+        List.iter (expr ranges) (sub_exprs e)
     | _ -> List.iter (expr ranges) (sub_exprs e)
   and stmt ranges (st : A.stmt) =
     match st.A.s with
@@ -709,12 +808,16 @@ let fiber_verdict t (base : A.expr) (indices : A.index list) s : bool * string
         Option.iter (stmt ranges) init;
         Option.iter (expr ranges) c;
         Option.iter (stmt ranges) step;
-        List.iter (stmt (zero_based_for init c step @ ranges)) b
+        let inner = zero_based_for init c step in
+        List.iter (stmt (inner @ hide (List.map fst inner) ranges)) b
     | A.ReturnS e -> Option.iter (expr ranges) e
     | A.BreakS | A.ContinueS -> ()
     | A.ExprStmt e -> expr ranges e
     | A.BlockS b -> List.iter (stmt ranges) b
-    | A.ExtS _ -> raise Opaque
+    | A.ExtS x -> (
+        match A.forward_stmt x with
+        | Some s -> stmt ranges { st with A.s }
+        | None -> raise Opaque)
   and assigned ranges (lhs : A.expr) =
     match lhs.A.e with
     | A.Ident v ->
@@ -723,55 +826,129 @@ let fiber_verdict t (base : A.expr) (indices : A.index list) s : bool * string
     | A.TupleLit parts -> List.iter (assigned ranges) parts
     | A.Subscript _ ->
         (* an element write: its base is not a read, so [s[k] = …] is a
-           misuse of [s] *)
+           use of [s] *)
+        access ranges ~write:true lhs;
         List.iter (expr ranges) (sub_exprs lhs)
     | _ -> expr ranges lhs
   in
+  List.iter (stmt []) f.A.body;
+  {
+    binders = !binders;
+    targets = !targets;
+    accesses = List.rev !accesses;
+    uses = List.rev !uses;
+  }
+
+(* The facts of the function being lowered, [None] when it holds
+   statements the scan cannot see into.  Scanned once per function: the
+   last function's facts are kept, keyed by the function itself. *)
+let facts_memo : (A.fundef * facts option) option ref = ref None
+
+let facts t =
+  let f = t.L.cur_fun in
+  match !facts_memo with
+  | Some (g, r) when g == f -> r
+  | _ ->
+      let r = try Some (scan_facts f) with Opaque -> None in
+      facts_memo := Some (f, r);
+      r
+
+let count v names = List.length (List.filter (String.equal v) names)
+let once fx v = count v (List.map fst fx.binders) = 1
+
+(* [m] names one matrix for the whole function: bound once, never
+   assigned. *)
+let fixed fx v = once fx v && count v fx.targets = 0
+
+(* [Some n] when [hi] is the extent of [m] in dimension [d]: dimSize(m,
+   d) itself ([n = None]) or an int [n] bound once to it and never
+   assigned. *)
+let extent_of fx m d (hi : A.expr) =
+  let is_extent (e : A.expr) =
+    match e.A.e with
+    | A.CallE ("dimSize", [ { A.e = A.Ident v; _ }; { A.e = A.IntLit d'; _ } ])
+      ->
+        v = m && d' = d
+    | _ -> false
+  in
+  match hi.A.e with
+  | A.Ident n
+    when count n fx.targets = 0
+         &&
+         match List.filter (fun (v, _) -> v = n) fx.binders with
+         | [ (_, Some init) ] -> is_extent init
+         | _ -> false ->
+      Some (Some n)
+  | _ when is_extent hi -> Some None
+  | _ -> None
+
+(* Why loop index [k], bound by [(hi, kind)], does not run from 0 below
+   [m]'s extent in dimension [d]; [None] when it does.  A for loop's step
+   assigns its index; nothing else may, and no declaration may shadow
+   it. *)
+let outside_extent fx m d k (hi, kind) =
+  match kind with
+  | `For when not (once fx k) ->
+      Some (Printf.sprintf "'%s' is declared more than once" k)
+  | `For when count k fx.targets > 1 ->
+      Some (Printf.sprintf "'%s' is assigned in its loop body" k)
+  | _ -> (
+      match extent_of fx m d hi with
+      | Some _ -> None
+      | None ->
+          Some
+            (Printf.sprintf
+               "'%s' runs below a bound that is not dimSize(%s, %d) or an int \
+                bound once to it"
+               k m d))
+
+(** [fiber_verdict t base indices s] — may the one-dimensional slice
+    [base[indices]] that initialises [s] be read in place?  The decision,
+    and the first condition that failed as prose. *)
+let fiber_verdict t (base : A.expr) (indices : A.index list) s : bool * string
+    =
+  let opaque =
+    ( false,
+      "function contains statements from extensions the analysis cannot see \
+       into" )
+  in
   match
-    List.iter (stmt []) f.A.body;
-    ( is_mat_ident base,
+    ( facts t,
+      is_mat_ident base,
       written t,
       List.concat_map (function A.IExpr x -> idents x | A.IAll _ -> []) indices
     )
   with
-  | exception Opaque ->
-      ( false,
-        "function contains statements from extensions the analysis cannot \
-         see into" )
-  | None, _, _ -> (false, "slice base is not a named matrix variable")
-  | Some b, written, vars -> (
-      let count v names = List.length (List.filter (String.equal v) names) in
-      let once v = count v (List.map fst !binders) = 1 in
-      let is_extent (e : A.expr) =
-        match e.A.e with
-        | A.CallE ("dimSize", [ m; { A.e = A.IntLit 0; _ } ]) -> is_s m
-        | _ -> false
-      in
-      let bounded (hi : A.expr) =
-        match hi.A.e with
-        | A.Ident n -> (
-            count n !targets = 0
-            &&
-            match List.filter (fun (v, _) -> v = n) !binders with
-            | [ (_, Some init) ] -> is_extent init
-            | _ -> false)
-        | _ -> is_extent hi
+  | exception Opaque -> opaque
+  | None, _, _, _ -> opaque
+  | _, None, _, _ -> (false, "slice base is not a named matrix variable")
+  | Some fx, Some b, written, vars -> (
+      (* every element read s[k], with the bound of the loop index k *)
+      let reads =
+        List.filter_map
+          (fun a ->
+            match (a.base.A.e, a.ixs) with
+            | A.Ident v, [ A.IExpr ix ] when v = s && not a.write ->
+                let range =
+                  match ix.A.e with
+                  | A.Ident k ->
+                      Option.map (fun hi -> (k, hi)) (List.assoc_opt k a.ranges)
+                  | _ -> None
+                in
+                Some (a.aspan, range)
+            | _ -> None)
+          fx.accesses
       in
       let in_range = function
-        | _, Some (_, (hi, `Generator)) -> bounded hi
-        (* the loop's step assigns its index; nothing else may, and no
-           declaration may shadow it *)
-        | _, Some (k, (hi, `For)) ->
-            once k && count k !targets <= 1 && bounded hi
+        | _, Some (k, hi) -> outside_extent fx s 0 k hi = None
         | _, None -> false
       in
-      let loose v = not (once v && count v !targets = 0) in
       match
-        ( !misuse,
-          List.find_opt loose (b :: vars),
-          List.find_opt (fun r -> not (in_range r)) !reads )
+        ( List.assoc_opt s fx.uses,
+          List.find_opt (fun v -> not (fixed fx v)) (b :: vars),
+          List.find_opt (fun r -> not (in_range r)) (List.rev reads) )
       with
-      | _ when not (once s) ->
+      | _ when not (once fx s) ->
           (false, Printf.sprintf "'%s' is declared more than once" s)
       | Some sp, _, _ ->
           ( false,
@@ -784,7 +961,7 @@ let fiber_verdict t (base : A.expr) (indices : A.index list) s : bool * string
             Printf.sprintf "%s '%s' is %s"
               (if v = b then "base" else "index variable")
               v
-              (if once v then "assigned" else "declared more than once") )
+              (if once fx v then "assigned" else "declared more than once") )
       | None, None, _ when List.mem b written ->
           ( false,
             Printf.sprintf
@@ -801,56 +978,178 @@ let fiber_verdict t (base : A.expr) (indices : A.index list) s : bool * string
             "every read is in range, and nothing it reads is written or \
              rebound while the slice is live" ))
 
+(* --- subscript checks (§III-A3) -------------------------------------------------
+
+   Every index of a source subscript is checked against its extent, and
+   the matrix against NULL, unless the facts above prove the index in
+   range: a loop index running from 0 below dimSize(m, d), bound by a
+   with-loop generator, a genarray shape or a zero-based for loop, given
+   directly or as an int bound once to it.  A proven index can never
+   fail, so no pipeline keeps its check.  Each decision is a [bounds]
+   remark. *)
+
+(* The fact that puts index [ix] of dimension [d] of subscript [a] in
+   range, or the fact that is missing. *)
+let index_proof fx (a : access) d (ix : A.index) : (string, string) result =
+  match (a.base.A.e, ix) with
+  | A.Ident m, _ when not (fixed fx m) ->
+      Error
+        (Printf.sprintf "'%s' is %s" m
+           (if once fx m then "assigned" else "declared more than once"))
+  | A.Ident m, A.IExpr { A.e = A.Ident k; _ } -> (
+      match List.filter (fun (id, _) -> id = k) a.ranges with
+      | [] ->
+          Error
+            (Printf.sprintf
+               "'%s' is not the index of an enclosing zero-based for loop or \
+                with-loop generator"
+               k)
+      | (_, first) :: _ as rs -> (
+          match
+            List.find_opt (fun (_, r) -> outside_extent fx m d k r = None) rs
+          with
+          | Some (_, (hi, kind)) ->
+              let bound =
+                match extent_of fx m d hi with
+                | Some (Some n) -> Printf.sprintf "%s = dimSize(%s, %d)" n m d
+                | _ -> Printf.sprintf "dimSize(%s, %d)" m d
+              in
+              Ok
+                (Printf.sprintf "'%s' runs from 0 below %s (%s)" k bound
+                   (match kind with
+                   | `Generator -> "with-loop generator"
+                   | `Shape -> "genarray shape"
+                   | `For -> "for loop"))
+          | None ->
+              Error
+                (Option.value ~default:"" (outside_extent fx m d k first))))
+  | _ -> Error "the index is not a loop index"
+
+(* Which scalar indices of [base[indices]] keep a check: one flag per
+   spec, [true] for an [SAt] index not proven in range.  The decision is
+   the [bounds] remark at the subscript's [span]. *)
+let bounds_decision t ~span (base : A.expr) indices specs =
+  let fx = facts t in
+  let access =
+    Option.bind fx (fun fx ->
+        List.find_opt (fun a -> a.base == base && a.ixs == indices) fx.accesses)
+  in
+  let decide d ix = function
+    | SAll -> None
+    | SGather (_, true) ->
+        Some (Error "each element of the index vector is checked")
+    | SGather (_, false) ->
+        Some (Error "the mask's length is checked against the extent")
+    | SAt _ -> (
+        match (fx, access) with
+        | Some fx, Some a -> Some (index_proof fx a d ix)
+        | None, _ ->
+            Some
+              (Error
+                 "function contains statements from extensions the analysis \
+                  cannot see into")
+        | Some _, None ->
+            Some (Error "the subscripted matrix is not a named variable"))
+  in
+  let decisions =
+    List.mapi (fun d (ix, spec) -> decide d ix spec) (List.combine indices specs)
+  in
+  let details =
+    List.concat
+      (List.mapi
+         (fun d -> function
+           | None -> []
+           | Some (Ok fact) -> [ (Printf.sprintf "dim %d" d, "proven: " ^ fact) ]
+           | Some (Error why) ->
+               [ (Printf.sprintf "dim %d" d, "checked: " ^ why) ])
+         decisions)
+  in
+  let kept = function Some (Error _) -> true | _ -> false in
+  if details <> [] then
+    if List.exists kept decisions then
+      R.emit ~pass:"bounds" ~kind:R.Missed ~span ~details
+        "subscript keeps a run-time check"
+    else
+      R.emit ~pass:"bounds" ~kind:R.Applied ~span ~details
+        "subscript check dropped: every index is proven in range";
+  List.map2
+    (fun spec d -> match spec with SAt _ -> kept d | _ -> false)
+    specs decisions
+
+(* The checks of the scalar indices [keep] flags. *)
+let index_checks ~span vb specs keep =
+  List.concat
+    (List.mapi
+       (fun d (spec, keep) ->
+         match spec with
+         | SAt index when keep -> [ Bound { m = Var vb; dim = d; index; span } ]
+         | _ -> [])
+       (List.combine specs keep))
+
+(* The region a non-scalar subscript of [vb] selects: the kept
+   dimensions, a copy-loop index and an extent per kept dimension, the
+   source index per dimension, and the checks of the gathered elements,
+   in dimension order. *)
+let region t ~span vb specs =
+  let kept_dims =
+    List.mapi (fun d sp -> (d, sp)) specs
+    |> List.filter_map (fun (d, sp) ->
+           match sp with SAt _ -> None | _ -> Some d)
+  in
+  let out_vars = List.map (fun _ -> L.fresh t "o") kept_dims in
+  let extents =
+    List.map (fun d -> spec_extent vb d (List.nth specs d)) kept_dims
+  in
+  let out_var d =
+    Var (List.nth out_vars (List.length (List.filter (fun x -> x < d) kept_dims)))
+  in
+  let src_idxs, gathered =
+    List.split
+      (List.mapi
+         (fun d sp ->
+           match sp with
+           | SAt e -> (e, [])
+           | SAll -> (out_var d, [])
+           | SGather (g, check) ->
+               let index = MGetFlat (Var g, out_var d) in
+               (index, if check then [ Bound { m = Var vb; dim = d; index; span } ] else []))
+         specs)
+  in
+  (kept_dims, out_vars, extents, src_idxs, List.concat gathered)
+
 let h_subscript t (base : A.expr) (indices : A.index list) (rty : T.ty) span :
     (stmt list * expr) option =
   match ety base with
   | T.TMat (_elem, rank) ->
       let sb, vb = lower_mat t base in
       let si, specs = lower_specs t vb (ety base) indices in
+      let checks =
+        index_checks ~span vb specs (bounds_decision t ~span base indices specs)
+      in
       let all_at = List.for_all (function SAt _ -> true | _ -> false) specs in
       if all_at then
         (* (a) standard indexing: extract one element, no allocation *)
         let idxs = List.map (function SAt e -> e | _ -> assert false) specs in
         let off = flat_offset (dims_of vb rank) idxs in
-        Some (sb @ si, MGetFlat (Var vb, off))
+        Some (sb @ si, MGetFlat (Var vb, checked checks off))
       else begin
         (* Allocating copy of the selected region — the baseline for every
            non-scalar selection, wrapped in a [SliceAlias] site below that
-           the §III-A5 copy elimination pass consumes. *)
+           the §III-A5 copy elimination pass consumes.  The scalar
+           indices are checked once, ahead of the site, so a pass that
+           drops the copy keeps them. *)
         let out_elem, _out_rank = mat_of_ty span rty in
-        let kept_dims =
-          List.mapi (fun d sp -> (d, sp)) specs
-          |> List.filter_map (fun (d, sp) ->
-                 match sp with SAt _ -> None | _ -> Some d)
-        in
         let r = L.fresh t "slice" in
-        let out_vars = List.map (fun _ -> L.fresh t "o") kept_dims in
-        let extents =
-          List.map (fun d -> spec_extent vb d (List.nth specs d)) kept_dims
-        in
-        (* source index per dimension *)
-        let src_idxs =
-          List.mapi
-            (fun d sp ->
-              match sp with
-              | SAt e -> e
-              | SAll ->
-                  let pos =
-                    List.length (List.filter (fun x -> x < d) kept_dims)
-                  in
-                  Var (List.nth out_vars pos)
-              | SGather g ->
-                  let pos =
-                    List.length (List.filter (fun x -> x < d) kept_dims)
-                  in
-                  MGetFlat (Var g, Var (List.nth out_vars pos)))
-            specs
+        let kept_dims, out_vars, extents, src_idxs, gathered =
+          region t ~span vb specs
         in
         let src_off = flat_offset (dims_of vb rank) src_idxs in
         let dst_off =
           flat_offset extents (List.map (fun v -> Var v) out_vars)
         in
-        let inner = [ MSetFlat (Var r, dst_off, MGetFlat (Var vb, src_off)) ] in
+        let inner =
+          [ MSetFlat (Var r, dst_off, MGetFlat (Var vb, checked gathered src_off)) ]
+        in
         let loops =
           List.fold_right2
             (fun v ext acc ->
@@ -886,6 +1185,7 @@ let h_subscript t (base : A.expr) (indices : A.index list) (rty : T.ty) span :
         in
         let stmts =
           sb @ si
+          @ List.map (fun c -> Check c) checks
           @ [
               Site
                 ( Sites.SliceAlias
@@ -907,11 +1207,15 @@ let coerce_scalar (from_ty : T.ty) (to_elem : Nd.elem) e =
   | _ -> e
 
 let h_subscript_assign t (base : A.expr) (indices : A.index list)
-    (rhs : A.expr) span : stmt list option =
+    (rhs : A.expr) ~at span : stmt list option =
   match ety base with
   | T.TMat (elem, rank) ->
       let sb, vb = lower_mat t base in
       let si, specs = lower_specs t vb (ety base) indices in
+      let checks =
+        index_checks ~span:at vb specs
+          (bounds_decision t ~span:at base indices specs)
+      in
       let rhs_ty = ety rhs in
       let all_at = List.for_all (function SAt _ -> true | _ -> false) specs in
       if all_at then begin
@@ -920,69 +1224,57 @@ let h_subscript_assign t (base : A.expr) (indices : A.index list)
         let off = flat_offset (dims_of vb rank) idxs in
         let sr, er = L.lower_expr t rhs in
         let er = coerce_scalar rhs_ty elem er in
-        Some (sb @ si @ sr @ [ MSetFlat (Var vb, off, er) ])
+        Some (sb @ si @ sr @ [ MSetFlat (Var vb, checked checks off, er) ])
       end
       else begin
-        let kept_dims =
-          List.mapi (fun d sp -> (d, sp)) specs
-          |> List.filter_map (fun (d, sp) ->
-                 match sp with SAt _ -> None | _ -> Some d)
+        let _, out_vars, extents, dst_idxs, gathered =
+          region t ~span:at vb specs
         in
-        let out_vars = List.map (fun _ -> L.fresh t "o") kept_dims in
-        let extents =
-          List.map (fun d -> spec_extent vb d (List.nth specs d)) kept_dims
+        let dst_off = checked gathered (flat_offset (dims_of vb rank) dst_idxs) in
+        let loops inner =
+          List.fold_right2
+            (fun v ext acc ->
+              [ For { index = v; bound = ext; body = acc; prov = Some span } ])
+            out_vars extents inner
         in
-        let src_idxs =
-          List.mapi
-            (fun d sp ->
-              match sp with
-              | SAt e -> e
-              | SAll ->
-                  let pos =
-                    List.length (List.filter (fun x -> x < d) kept_dims)
-                  in
-                  Var (List.nth out_vars pos)
-              | SGather g ->
-                  let pos =
-                    List.length (List.filter (fun x -> x < d) kept_dims)
-                  in
-                  MGetFlat (Var g, Var (List.nth out_vars pos)))
-            specs
-        in
-        let dst_off = flat_offset (dims_of vb rank) src_idxs in
+        let checks = List.map (fun c -> Check c) checks in
         match rhs_ty with
         | rt when T.is_scalar rt ->
             (* fill assignment *)
             let sr, er = L.lower_expr t rhs in
             let er = coerce_scalar rt elem er in
-            let inner = [ MSetFlat (Var vb, dst_off, er) ] in
-            let loops =
-              List.fold_right2
-                (fun v ext acc ->
-              [ For { index = v; bound = ext; body = acc; prov = Some span } ])
-                out_vars extents inner
-            in
-            Some (sb @ si @ sr @ loops)
+            Some (sb @ si @ sr @ checks @ loops [ MSetFlat (Var vb, dst_off, er) ])
         | T.TMat (relem, _) ->
             let sr, vr = lower_mat t rhs in
+            let fits =
+              List.mapi
+                (fun j ext ->
+                  Check
+                    (Same
+                       {
+                         what =
+                           Printf.sprintf
+                             "assigned matrix disagrees with the selected \
+                              region in dimension %d"
+                             j;
+                         a = MDim (Var vr, Int j);
+                         b = ext;
+                         span;
+                       }))
+                extents
+            in
             let roff =
               flat_offset extents (List.map (fun v -> Var v) out_vars)
             in
-            let inner =
-              [
-                MSetFlat
-                  ( Var vb,
-                    dst_off,
-                    conv ~from:relem ~to_:elem (MGetFlat (Var vr, roff)) );
-              ]
-            in
-            let loops =
-              List.fold_right2
-                (fun v ext acc ->
-              [ For { index = v; bound = ext; body = acc; prov = Some span } ])
-                out_vars extents inner
-            in
-            Some (sb @ si @ sr @ loops)
+            Some
+              (sb @ si @ sr @ checks @ fits
+              @ loops
+                  [
+                    MSetFlat
+                      ( Var vb,
+                        dst_off,
+                        conv ~from:relem ~to_:elem (MGetFlat (Var vr, roff)) );
+                  ])
         | ty ->
             span_err span "cannot assign %s into a matrix region"
               (T.to_string ty)
@@ -1002,9 +1294,11 @@ let gen_loop_var t (id : string) (start : expr) :
   | s -> `Shifted (id, L.fresh t ("g" ^ id), s)
 
 let lower_generator t (gen : Nodes.generator) :
-    stmt list * (string * expr * stmt list) list * expr list =
+    stmt list * (string * expr * stmt list) list * expr list * (expr * expr) list
+    =
   (* Per dimension: (loop index var, trip count, body prelude binding the
-     generator id); plus the actual-index expression list. *)
+     generator id); plus the actual-index expression list and the
+     [start, stop) each dimension runs over. *)
   let lower_bound b = bind_scalar t (L.lower_expr t b) T.TInt in
   let prelude = ref [] in
   let dims =
@@ -1025,17 +1319,56 @@ let lower_generator t (gen : Nodes.generator) :
         in
         let count = fold_expr (stop -: start) in
         match gen_loop_var t id start with
-        | `Direct v -> (id, v, count, [])
+        | `Direct v -> (id, v, count, [], (start, stop))
         | `Shifted (id, v, s) ->
-            (id, v, count, [ Decl (CInt, id, Some (Var v +: s)) ]))
+            (id, v, count, [ Decl (CInt, id, Some (Var v +: s)) ], (start, stop)))
       gen.Nodes.ids
       (List.combine gen.Nodes.lo gen.Nodes.hi)
   in
   let loops =
-    List.map (fun (_, v, count, binds) -> (v, count, binds)) dims
+    List.map (fun (_, v, count, binds, _) -> (v, count, binds)) dims
   in
-  let actual = List.map (fun (id, _, _, _) -> Var id) dims in
-  (!prelude, loops, actual)
+  let actual = List.map (fun (id, _, _, _, _) -> Var id) dims in
+  (!prelude, loops, actual, List.map (fun (_, _, _, _, r) -> r) dims)
+
+(* Do [a] and [b] denote one value wherever both are evaluated in one
+   with-loop header?  Names, literals, dimSize and integer arithmetic of
+   them; nothing in a header can assign between the two. *)
+let rec same_value (a : A.expr) (b : A.expr) =
+  match (a.A.e, b.A.e) with
+  | A.Ident x, A.Ident y -> x = y
+  | A.IntLit x, A.IntLit y -> x = y
+  | A.CallE ("dimSize", [ m; d ]), A.CallE ("dimSize", [ m'; d' ]) ->
+      same_value m m' && same_value d d'
+  | A.Bin (A.BArith o, x, y), A.Bin (A.BArith o', x', y') ->
+      o = o' && same_value x x' && same_value y y'
+  | _ -> false
+
+(* The checks that every index a genarray's generator produces lies in
+   the result [r]'s shape: its first and last index in each dimension
+   where the generator runs, unless the generator is [0 <= i < s] for the
+   shape's own [s].  The body then writes inside [r] by construction. *)
+let shape_fits (gen : Nodes.generator) shape bounds r span =
+  let zero (e : A.expr) = match e.A.e with A.IntLit 0 -> true | _ -> false in
+  List.concat
+    (List.mapi
+       (fun d (((lo, hi), s), (start, stop)) ->
+         if
+           gen.Nodes.lo_rel = Nodes.RLe && gen.Nodes.hi_rel = Nodes.RLt
+           && zero lo && same_value hi s
+         then []
+         else
+           let bound index = Check (Bound { m = Var r; dim = d; index; span }) in
+           [
+             If
+               ( start <: stop,
+                 (if start = Int 0 then [] else [ bound start ])
+                 @ [ bound (fold_expr (stop -: Int 1)) ],
+                 [] );
+           ])
+       (List.combine
+          (List.combine (List.combine gen.Nodes.lo gen.Nodes.hi) shape)
+          bounds))
 
 (* Wrap [inner] in the generator loop nest — always sequential [For]s;
    the auto-par pass promotes the outermost loop of a [`[For l]`]-shaped
@@ -1050,7 +1383,7 @@ let build_nest ?prov loops inner =
 
 let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
     span : stmt list * expr =
-  let prelude, loops, actual = lower_generator t gen in
+  let prelude, loops, actual, bounds = lower_generator t gen in
   match op with
   | Nodes.OGenarray (shape, body) ->
       let out_elem, out_rank = (match rty with
@@ -1081,7 +1414,8 @@ let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
       let stmts =
         prelude @ sshape
         @ (Decl (CMat (out_elem, out_rank), r, Some (MAlloc (out_elem, eshape)))
-          :: nest)
+          :: shape_fits gen shape bounds r span)
+        @ nest
       in
       (* Library-style baseline (§III-A5): "a library implementation
          would likely evaluate the result of the with-loops into a
@@ -1229,6 +1563,21 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
           ]
         @ extract
         @ [ Decl (CMat (out_elem, k), outv, Some (Call (fname, [ Var slice ]))) ]
+        @ List.mapi
+            (fun j ext ->
+              Check
+                (Same
+                   {
+                     what =
+                       Printf.sprintf
+                         "result of '%s' disagrees with its fiber in dimension \
+                          %d"
+                         fname j;
+                     a = MDim (Var outv, Int j);
+                     b = ext;
+                     span;
+                   }))
+            slice_extents
         @ writeback
         @ L.rc_dec t (Var slice)
         @ L.rc_dec t (Var outv)

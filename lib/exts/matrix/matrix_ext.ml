@@ -21,7 +21,8 @@ let lower_hooks : Cminus.Lower.hooks =
     l_subscript =
       (fun t base ixs rty span -> Lower.h_subscript t base ixs rty span);
     l_subscript_assign =
-      (fun t base ixs rhs span -> Lower.h_subscript_assign t base ixs rhs span);
+      (fun t base ixs rhs ~at span ->
+        Lower.h_subscript_assign t base ixs rhs ~at span);
   }
 
 (** CIR passes, in default pipeline order: fuse, copy-elim, auto-par. *)

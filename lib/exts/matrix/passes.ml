@@ -224,7 +224,7 @@ let calls_in body =
     | Site (Sites.AutoPar { kind; span }, b) ->
         stmts (inside region (site_region kind span b)) b
     | Site (_, b) -> stmts region b
-    | Break | Continue | Comment _ | Sync -> ()
+    | Break | Continue | Comment _ | Sync | Check _ -> ()
   in
   stmts None body;
   List.rev !acc

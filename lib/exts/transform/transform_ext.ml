@@ -37,6 +37,11 @@ let () =
         Some
           ("transform "
           ^ String.concat ". " (List.map T.to_string ts))
+    | _ -> None);
+  (* the script reschedules the assignment's loops; the statement means
+     the assignment *)
+  A.register_ext_stmt_forward (function
+    | STransformAssign (lhs, rhs, _) -> Some (A.AssignS (lhs, rhs))
     | _ -> None)
 
 (* --- concrete syntax ----------------------------------------------------------- *)
@@ -275,6 +280,16 @@ let pass : Cir.Pass.t =
                   snap ~note:"input (before script)" body;
                   let rec go body = function
                     | [] -> Ok body
+                    | (T.Vectorize v as clause) :: rest
+                      when T.vectorize_keeps_checks v body ->
+                        Support.Remark.emit ~pass:"transform"
+                          ~kind:Support.Remark.Missed ~span
+                          ~details:[ ("clause", T.to_string clause) ]
+                          "transformation '%s' left loop '%s' scalar: its \
+                           body holds a run-time check, which vector lanes \
+                           would skip"
+                          (T.to_string clause) v;
+                        go body rest
                     | clause :: rest -> (
                         match T.apply clause body with
                         | Error _ as e -> e

@@ -264,8 +264,9 @@ let return_unit = Return_exc VUnit
 
 (* Operands evaluate in a fixed order, which decides the side effects and
    the first error a program sees: a [Binop] or [Min] evaluates its right
-   operand first, [MGetFlat] and [MSetFlat] the matrix before the offset,
-   argument and tuple lists left to right.  Errors that the type checker
+   operand first, [MGetFlat] and [MSetFlat] the offset (and the checks it
+   carries) before the matrix and the stored value, [Checked] its checks
+   in order before its value, argument and tuple lists left to right.  Errors that the type checker
    rules out for source programs (an unbound name, an undefined function,
    a non-literal path) compile to a closure that raises when it runs,
    never at compile time. *)
@@ -278,7 +279,8 @@ let rec expr (cx : ctx) (sc : scope) (e : expr) : frame -> value =
   | Bool b -> const (VScal (S.B b))
   | Str _ -> fun _ -> err "string literal outside readMatrix/writeMatrix"
   | Var v -> read_var sc v
-  | Binop _ | Unop _ | Min _ | MGetFlat _ | MDim _ | MSize _ | VecHsum _ ->
+  | Binop _ | Unop _ | Min _ | MGetFlat _ | MDim _ | MSize _ | VecHsum _
+  | Checked _ ->
       let s = sx e in
       fun fr -> VScal (s fr)
   | Call (name, args) -> (
@@ -395,8 +397,8 @@ and scalar cx sc (e : expr) : frame -> S.t =
   | MGetFlat (me, off) ->
       let me = ex me and off = sx off in
       fun fr ->
-        let m = mat (me fr) in
         let o = S.to_int (off fr) in
+        let m = mat (me fr) in
         if o < 0 || o >= Nd.size m then
           err "flat offset %d out of bounds for %s" o
             (Runtime.Shape.to_string (Nd.shape m))
@@ -412,10 +414,41 @@ and scalar cx sc (e : expr) : frame -> S.t =
   | VecHsum a ->
       let a = ex a in
       fun fr -> S.F (Runtime.Simd.hsum (vecv (a fr)))
+  | Checked ([ c ], e) ->
+      let c = check cx sc c and e = sx e in
+      fun fr ->
+        c fr;
+        e fr
+  | Checked (cs, e) ->
+      let cs = List.map (check cx sc) cs and e = sx e in
+      fun fr ->
+        List.iter (fun c -> c fr) cs;
+        e fr
   | Str _ | Call _ | TupleE _ | Field _ | MAlloc _ | MRead _ | VecSplat _
   | VecGather _ | VecBin _ ->
       let e = ex e in
       fun fr -> scal (e fr)
+
+(* A failing check raises its report at its own span, which [locate]
+   passes through unchanged. *)
+and check cx sc (c : check) : frame -> unit =
+  match c with
+  | Bound { m; dim; index; span } ->
+      let m = expr cx sc m and index = scalar cx sc index in
+      fun fr -> (
+        match m fr with
+        | VMat rc ->
+            let extent = Nd.dim_size (Runtime.Rc.get rc) dim in
+            let i = S.to_int (index fr) in
+            if i < 0 || i >= extent then
+              raise (Runtime_error (bound_message ~index:i ~dim ~extent, span))
+        | VNull -> raise (Runtime_error (null_message, span))
+        | v -> err "expected matrix, got %a" pp_value v)
+  | Same { what; a; b; span } ->
+      let a = scalar cx sc a and b = scalar cx sc b in
+      fun fr ->
+        let x = S.to_int (a fr) and y = S.to_int (b fr) in
+        if x <> y then raise (Runtime_error (same_message ~what x y, span))
 
 (* A statement list in scope [sc]: [Decl]s bind in [sc] itself, for the
    statements after them. *)
@@ -484,8 +517,8 @@ and stmt cx sc (s : stmt) : frame -> unit =
   | MSetFlat (me, off, ve) ->
       let me = ex me and off = sx off and ve = sx ve in
       fun fr ->
-        let m = mat (me fr) in
         let o = S.to_int (off fr) in
+        let m = mat (me fr) in
         if o < 0 || o >= Nd.size m then
           err "flat offset %d out of bounds for %s" o
             (Runtime.Shape.to_string (Nd.shape m))
@@ -540,6 +573,7 @@ and stmt cx sc (s : stmt) : frame -> unit =
       let path = data_path ~dir:(cx.dir ()) p and me = ex me in
       fun fr -> Nd.write_file path (mat (me fr))
   | MWrite _ -> fun _ -> err "writeMatrix requires a literal path"
+  | Check c -> check cx sc c
   | Block b -> block cx sc b
   | Spawn (lv, fname, args) -> (
       match List.assoc_opt fname cx.fns with

@@ -12,9 +12,10 @@
     Abnormal exits are triaged rather than reported as bare codes:
 
     - ["__mm_fault <span_id> <span|-> <message>"] on stdout is the
-      runtime's structured last gasp — printed by a tripped [--guards]
-      check before [_exit(71)] and by an armed [MM_FAILPOINTS] failpoint
-      before [abort()];
+      runtime's structured last gasp — printed by a failed subscript or
+      shape check (the ones lowering writes into every program, worded
+      as the interpreter words them) before [_exit(71)] and by an armed
+      [MM_FAILPOINTS] failpoint before [abort()];
     - a fatal signal makes the runtime's handler write the innermost
       breadcrumb span to an [mm_crash.txt] sidecar, read back here so
       even a SIGSEGV renders a caret at the faulting source span;
@@ -56,7 +57,9 @@ type error =
           (** innermost breadcrumb from the mm_crash.txt sidecar *)
     }
   | Run_timeout of { timeout_s : float; stderr_text : string }
-  | Guard_fault of fault  (** a [--guards] check tripped (exit 71) *)
+  | Guard_fault of fault
+      (** a subscript or shape check failed (exit 71): the interpreter's
+          message at the interpreter's span *)
   | Bad_output of { message : string; offset : int option }
       (** result protocol unparsable; [offset] is the byte position of
           the offending stdout line *)
@@ -456,8 +459,8 @@ let run_binary ?(instrument = false) ?(threads = 1) ?sanitize ?failpoints
              crash_span = read_crash_span ~dir;
            })
   | Supervise.Exited 71 -> (
-      (* the guard runtime's dedicated exit: a structured fault line must
-         be on stdout *)
+      (* a failed check's dedicated exit: a structured fault line must be
+         on stdout *)
       match scan_fault stdout_text with
       | Some f -> Error (Guard_fault f)
       | None -> Error (Run_failed { exit_code = 71; stderr_text }))

@@ -17,14 +17,14 @@ let field s = Printf.sprintf "%d:%s" (String.length s) s
 let fields l = field (String.concat "" (List.map field l))
 
 (** [key ~build_id ~source ~extensions ~pipeline ~line_file ~instrument
-    ~guards ~toolchain] — hex digest of every input the binary-cache key
-    of an [mmc exec] translation is a function of: the compiler build,
-    the source bytes, the extension names in selection order, the
-    canonical pass pipeline, the emit modes ([#line] file name,
-    instrumentation, guards) and the requested toolchain (compiler after
-    [MMC_CC], flags after sanitizer and user additions).  [build_id]
-    names the compiler build; a new one misses every entry. *)
-let key ~build_id ~source ~extensions ~pipeline ~line_file ~instrument ~guards
+    ~toolchain] — hex digest of every input the binary-cache key of an
+    [mmc exec] translation is a function of: the compiler build, the
+    source bytes, the extension names in selection order, the canonical
+    pass pipeline, the emit modes ([#line] file name, instrumentation)
+    and the requested toolchain (compiler after [MMC_CC], flags after
+    sanitizer and user additions).  [build_id] names the compiler build;
+    a new one misses every entry. *)
+let key ~build_id ~source ~extensions ~pipeline ~line_file ~instrument
     ~(toolchain : Toolchain.t) =
   let flag b = if b then "1" else "0" in
   Digest.to_hex
@@ -38,7 +38,6 @@ let key ~build_id ~source ~extensions ~pipeline ~line_file ~instrument ~guards
             field pipeline;
             fields (Option.to_list line_file);
             field (flag instrument);
-            field (flag guards);
             field toolchain.Toolchain.cc;
             fields (Toolchain.requested_flags toolchain);
           ]))

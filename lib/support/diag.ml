@@ -37,10 +37,10 @@ let note ~phase ~span fmt =
 let is_error d = d.severity = Error
 let has_errors ds = List.exists is_error ds
 
+(* A diagnostic at the dummy span has no location, and prints none. *)
 let pp ppf d =
-  Fmt.pf ppf "%a: %s [%s]: %s" Pos.pp_span d.span
-    (severity_to_string d.severity)
-    d.phase d.message
+  if d.span <> Pos.dummy_span then Fmt.pf ppf "%a: " Pos.pp_span d.span;
+  Fmt.pf ppf "%s [%s]: %s" (severity_to_string d.severity) d.phase d.message
 
 let to_string d = Fmt.str "%a" pp d
 

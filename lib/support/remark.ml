@@ -28,8 +28,9 @@ let kind_to_string = function
 
 type t = {
   pass : string;
-      (** which decision point: "fuse", "copy-elim", "auto-par", "rc",
-          "transform" *)
+      (** which decision point: "bounds" (a subscript check dropped or
+          kept, decided by lowering), "fuse", "copy-elim", "auto-par",
+          "rc", "transform" *)
   kind : kind;
   span : Pos.span;  (** the source construct the decision is about *)
   message : string;
@@ -41,7 +42,8 @@ type t = {
 
 (** Canonical pass order for reports; unknown passes sort after, in
     first-emission order. *)
-let pass_order = [ "fuse"; "copy-elim"; "auto-par"; "rc"; "transform" ]
+let pass_order =
+  [ "bounds"; "fuse"; "copy-elim"; "auto-par"; "rc"; "transform" ]
 
 (* --- collection -------------------------------------------------------- *)
 

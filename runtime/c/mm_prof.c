@@ -66,7 +66,6 @@ long long *mm_prof_siters = 0;
 
 static int mm_prof_enabled = 0;
 static int mm_prof_nspans = 0;
-static const char *const *mm_prof_names = 0;
 static mm_prof_row *mm_prof_rows = 0;
 static mm_prof_frame mm_prof_stack[MM_PROF_MAX_DEPTH];
 static int mm_prof_depth = 0;
@@ -105,25 +104,10 @@ static void mm_prof_on_alloc(long long bytes) {
   }
 }
 
-/* Crash-triage hook (mm_crash_span_hook target): the active region's
- * span, else the innermost open frame's.  Reads only ints and pointers
- * that are stable at signal time, so it is async-signal-safe. */
-static const char *mm_prof_crash_span(void) {
-  if (!mm_prof_enabled || !mm_prof_names) return 0;
-  int region = mm_prof_region;
-  if (region >= 0 && region < mm_prof_nspans) return mm_prof_names[region];
-  if (mm_prof_depth > 0) {
-    int id = mm_prof_stack[mm_prof_depth - 1].id;
-    if (id >= 0 && id < mm_prof_nspans) return mm_prof_names[id];
-  }
-  return 0;
-}
-
-void mm_prof_init(int nspans, const char *const *spans) {
-  if (nspans < 0) return;
+void mm_prof_init(void) {
+  int nspans = mm_span_count();
   size_t n = nspans > 0 ? (size_t)nspans : 1;
   mm_prof_nspans = nspans;
-  mm_prof_names = spans;
   mm_prof_rows = calloc(n, sizeof(mm_prof_row));
   mm_prof_skip = calloc(n, 1);
   mm_prof_sentries = calloc(n, sizeof(long long));
@@ -146,7 +130,6 @@ void mm_prof_init(int nspans, const char *const *spans) {
     }
   }
   mm_alloc_hook = mm_prof_on_alloc;
-  mm_crash_span_hook = mm_prof_crash_span;
   mm_prof_t0 = mm_prof_now();
   mm_prof_enabled = 1;
   mm_prof_live = 1;
@@ -456,7 +439,8 @@ void mm_prof_dump(const char *path) {
     if (!first) fputc(',', f);
     first = 0;
     fputs("{\"span\":", f);
-    mm_prof_json_string(f, mm_prof_names ? mm_prof_names[i] : "?");
+    const char *name = mm_span_name(i);
+    mm_prof_json_string(f, name ? name : "?");
     fprintf(f,
             ",\"total_ns\":%lld,\"self_ns\":%lld,\"iters\":%lld,"
             "\"dispatches\":%lld,\"par_ns\":%lld,\"seq_ns\":%lld,"
@@ -479,9 +463,8 @@ void mm_prof_dump(const char *path) {
     for (int d = 0; d < mm_prof_folds[e].depth; d++) {
       if (d > 0) fputc(';', f);
       int id = mm_prof_folds[e].ids[d];
-      const char *name =
-          (mm_prof_names && id >= 0 && id < mm_prof_nspans) ? mm_prof_names[id]
-                                                            : "?";
+      const char *name = mm_span_name(id);
+      if (!name) name = "?";
       /* span strings are "line:col-..." — never need JSON escapes */
       fputs(name, f);
     }

@@ -2,9 +2,9 @@
  * under --instrument.
  *
  * The emitter wraps provenance-carrying loops and statements in
- * enter/exit calls keyed by a compact span table (ids index
- * mm_prof_spans, generated into the program), mirroring the reference
- * interpreter's source-attributed profiler exactly:
+ * enter/exit calls keyed by the program's span table (ids index the
+ * generated mm_spans, which mm_init hands the runtime), mirroring the
+ * reference interpreter's source-attributed profiler exactly:
  *   - a stack of open frames charges wall time per span; on exit the
  *     elapsed time goes to the span's total, the parent frame's child
  *     time grows by the same amount, and self = total - children;
@@ -51,10 +51,9 @@ extern unsigned char *mm_prof_skip;
 extern long long *mm_prof_sentries;
 extern long long *mm_prof_siters;
 
-/* Start profiling [nspans] spans named by [spans] (the generated span
- * table; entries are "line:col-..." strings).  Installs mm_alloc_hook
- * and starts the wall clock. */
-void mm_prof_init(int nspans, const char *const *spans);
+/* Start profiling the spans of the table mm_init was handed.  Installs
+ * mm_alloc_hook and starts the wall clock. */
+void mm_prof_init(void);
 
 /* Monotonic clock in nanoseconds (CLOCK_MONOTONIC). */
 long long mm_prof_now(void);

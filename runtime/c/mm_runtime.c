@@ -27,9 +27,9 @@ void mm_fatal(const char *fmt, ...) {
   exit(70);
 }
 
-/* --- supervised execution ----------------------------------------------
- * Failpoints, runtime guards, and crash breadcrumbs; see the header for
- * the __mm_fault protocol and the exit-code split (guards 71, mm_fatal
+/* --- checks and supervised execution -----------------------------------
+ * Failpoints, check reports, and crash breadcrumbs; see the header for
+ * the __mm_fault protocol and the exit-code split (checks 71, mm_fatal
  * 70, failpoints abort()). */
 
 typedef struct {
@@ -42,31 +42,29 @@ typedef struct {
 static mm_failpoint mm_fail[MM_FAIL_MAX];
 static int mm_nfail = 0;
 
-int mm_guard_on = 0;
-static int mm_guard_nspans = 0;
-static const char *const *mm_guard_spans = 0;
+static int mm_span_total = 0;
+static const char *const *mm_span_table = 0;
 
-/* Breadcrumb stack of guard-span ids: thread-local storage behind the
+/* Breadcrumb stack of span ids: thread-local storage behind the
  * inline push/pop macros in the header.  Per-thread trails need no
  * atomics or omp queries, and the signal handler runs on the faulting
  * thread, so it reads the stack that actually led to the fault. */
 _Thread_local int mm_crumb_stack[MM_CRUMB_MAX];
 _Thread_local int mm_crumb_depth = 0;
 
-static const char *mm_span_name(int id) {
-  if (mm_guard_spans && id >= 0 && id < mm_guard_nspans)
-    return mm_guard_spans[id];
+int mm_span_count(void) { return mm_span_total; }
+
+const char *mm_span_name(int id) {
+  if (mm_span_table && id >= 0 && id < mm_span_total) return mm_span_table[id];
   return 0;
 }
 
-const char *(*mm_crash_span_hook)(void) = 0;
-
-/* Fatal-signal handler: write the innermost resolvable span — the crash
- * hook's answer if any, else the breadcrumb stack — to mm_crash.txt
- * (async-signal-safe: open/write/close only), then die by the original
- * signal so the supervisor still sees the true cause. */
+/* Fatal-signal handler: write the innermost resolvable breadcrumb span
+ * to mm_crash.txt (async-signal-safe: open/write/close only), then die
+ * by the original signal so the supervisor still sees the true
+ * cause. */
 static void mm_crash_handler(int sig) {
-  const char *span = mm_crash_span_hook ? mm_crash_span_hook() : 0;
+  const char *span = 0;
   int depth = mm_crumb_depth;
   if (depth > MM_CRUMB_MAX) depth = MM_CRUMB_MAX;
   for (int i = depth - 1; i >= 0 && !span; i--)
@@ -91,15 +89,11 @@ static void mm_crash_install(void) {
   signal(SIGABRT, mm_crash_handler);
 }
 
-void mm_guard_init(int nspans, const char *const *spans) {
-  mm_guard_nspans = nspans;
-  mm_guard_spans = spans;
-  mm_guard_on = 1;
-  mm_crash_install();
-}
-
 _Noreturn void mm_guard_fault(int id, const char *fmt, ...) {
   const char *span = mm_span_name(id);
+  /* never unlocked: a second thread failing a check waits here until
+     this one's _exit ends the process, so one report prints whole */
+  flockfile(stdout);
   printf("__mm_fault %d %s ", id, span ? span : "-");
   va_list ap;
   va_start(ap, fmt);
@@ -110,16 +104,17 @@ _Noreturn void mm_guard_fault(int id, const char *fmt, ...) {
   _exit(71);
 }
 
-/* Slow path of MM_GUARD_IDX — reached only when the inline check has
- * already failed, so it diagnoses the cause and always faults.  Being
- * _Noreturn is what makes the fast path fast: the compiler treats the
- * guard branch as terminal, so it can hoist elems loads out of loops
- * and fold repeated guards on the same subscript. */
-_Noreturn void mm_guard_check(const void *p, int off, int id) {
+/* The reports of MM_BOUND and MM_SAME, worded as Cir.Ir.null_message,
+ * bound_message and same_message word them for the interpreter. */
+_Noreturn void mm_guard_index(const void *p, int dim, int index, int id) {
   const mm_mat_float *m = p;
-  if (!m) mm_guard_fault(id, "subscript on uninitialised matrix (NULL)");
-  mm_guard_fault(id, "subscript %d out of bounds for %d elements", off,
-                 m->elems);
+  if (!m) mm_guard_fault(id, "use of an uninitialised matrix");
+  mm_guard_fault(id, "index %d out of bounds for dimension %d of extent %d",
+                 index, dim, m->dims[dim]);
+}
+
+_Noreturn void mm_guard_same(int a, int b, const char *what, int id) {
+  mm_guard_fault(id, "%s: %d against %d", what, a, b);
 }
 
 /* One clause of MM_FAILPOINTS, already comma-split and trimmed: name@K,
@@ -154,7 +149,9 @@ static void mm_fail_clause(char *clause) {
   fp->hits = 0;
 }
 
-void mm_fail_init(void) {
+void mm_init(int nspans, const char *const *spans) {
+  mm_span_total = nspans;
+  mm_span_table = spans;
   mm_crash_install();
   const char *spec = getenv("MM_FAILPOINTS");
   if (!spec || !*spec) return;
@@ -354,8 +351,7 @@ void mm_rc_dec(void *p) {
   if (!p) return;
   mm_mat_float *m = p;
   int rc = __atomic_fetch_sub(&m->rc, 1, __ATOMIC_ACQ_REL);
-  if (mm_guard_on && rc <= 0)
-    mm_guard_fault(-1, "reference count underflow (rc=%d)", rc);
+  if (rc <= 0) mm_guard_fault(-1, "reference count underflow (rc=%d)", rc);
   if (rc <= 1) {
     mm_account_free((long long)m->elems * (long long)mm_elem_size(m->kind));
     free(m->data);

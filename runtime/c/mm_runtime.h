@@ -66,8 +66,9 @@ typedef mm_mat_bool mm_mat_bool1, mm_mat_bool2, mm_mat_bool3, mm_mat_bool4,
     mm_mat_bool5, mm_mat_bool6, mm_mat_bool7, mm_mat_bool8;
 
 /* Allocation (zero-initialised, refcount 1) and reference counting.
- * mm_rc_dec frees buffer and header when the count reaches zero; both
- * tolerate NULL so generated cleanup code needs no guards. */
+ * mm_rc_dec frees buffer and header when the count reaches zero, and
+ * faults on a count that was already zero; both tolerate NULL so
+ * generated cleanup code needs no tests. */
 mm_mat_float *mm_alloc_float(int rank, ...);
 mm_mat_int *mm_alloc_int(int rank, ...);
 mm_mat_bool *mm_alloc_bool(int rank, ...);
@@ -115,45 +116,62 @@ void mm_result_tuple(int fields);
 void mm_result_mat(const void *m);
 void mm_result_live(void);
 
-/* --- supervised execution ----------------------------------------------
- * Runtime guards (--guards), MM_FAILPOINTS fault injection, and the
- * crash-breadcrumb sidecar the mmc supervisor uses to triage signal
- * deaths back to source spans.
+/* --- checks and supervised execution -----------------------------------
+ * The checks lowering wrote into every program, MM_FAILPOINTS fault
+ * injection, and the crash-breadcrumb sidecar the mmc supervisor uses to
+ * triage signal deaths back to source spans.
  *
- * A guard trip or an injected fault reports through one structured
+ * A failed check or an injected fault reports through one structured
  * protocol line on stdout before dying:
  *   __mm_fault <span_id> <span|-> <message...>
- * Guard trips _exit(71) — deterministic, distinct from mm_fatal's 70 —
- * while injected failpoints abort() so they surface as a signal death,
- * which crash triage reports like any other. */
+ * A failed check _exit(71)s — deterministic, distinct from mm_fatal's
+ * 70 — while injected failpoints abort() so they surface as a signal
+ * death, which crash triage reports like any other. */
 
-/* Arm failpoints from the MM_FAILPOINTS environment variable
- * ("name@K,…", each clause firing on the K-th hit — the Support.Failpoint
- * grammar; a malformed spec, or a name other than native.alloc and
- * native.io.read_matrix, is mm_fatal) and install the crash-breadcrumb
- * signal handlers.  Called first thing by every generated exec harness. */
-void mm_fail_init(void);
+/* Hand the runtime the program's span table (the generated mm_spans:
+ * ids index it, entries are "line:col-..." strings), install the
+ * crash-breadcrumb signal handlers and arm failpoints from the
+ * MM_FAILPOINTS environment variable ("name@K,…", each clause firing on
+ * the K-th hit — the Support.Failpoint grammar; a malformed spec, or a
+ * name other than native.alloc and native.io.read_matrix, is mm_fatal).
+ * Called first thing by every generated exec harness. */
+void mm_init(int nspans, const char *const *spans);
+
+/* The table's size, and the span string of id [id] (NULL when there is
+ * none). */
+int mm_span_count(void);
+const char *mm_span_name(int id);
 
 /* Count one pass through failpoint [name]; prints __mm_fault, flushes,
  * and abort()s on the armed hit.  The disarmed fast path is one load of
  * the clause count. */
 void mm_fail_hit(const char *name);
 
-/* Enable runtime guards with the generated guard span table: emitted
- * subscripts go through MM_GUARD_IDX and mm_rc_dec checks for refcount
- * underflow. */
-void mm_guard_init(int nspans, const char *const *spans);
-extern int mm_guard_on;
-
-/* Report a guard fault attributed to span [id] (-1 = no span) and
- * _exit(71).  Does not return. */
+/* Report a failed check attributed to span [id] (-1 = no span) and
+ * _exit(71).  Does not return; of threads failing at once, one
+ * reports. */
 _Noreturn void mm_guard_fault(int id, const char *fmt, ...);
 
-/* Slow path of MM_GUARD_IDX: diagnoses the NULL-matrix or
- * out-of-bounds cause and faults.  Only ever called once the inline
- * check has failed; _Noreturn so the optimizer keeps the passing path
+/* Slow paths of the two checks, only ever called once the inline test
+ * has failed: they word the report (the interpreter words the same
+ * text) and fault.  _Noreturn, so the optimizer keeps the passing path
  * free of spills and can hoist bound loads across iterations. */
-_Noreturn void mm_guard_check(const void *m, int off, int id);
+_Noreturn void mm_guard_index(const void *m, int dim, int index, int id);
+_Noreturn void mm_guard_same(int a, int b, const char *what, int id);
+
+/* A subscript's index check: [m] is not NULL and 0 <= [i] < its extent
+ * in dimension [d].  A void expression, so a subscript sequences its
+ * checks before its offset with the comma operator; the passing path is
+ * inline — one unsigned compare the branch predictor learns at once. */
+#define MM_BOUND(m, d, i, id)                                                 \
+  (__builtin_expect(!(m) || (unsigned)(i) >= (unsigned)(m)->dims[d], 0)       \
+       ? mm_guard_index((const void *)(m), (d), (i), (id))                    \
+       : (void)0)
+
+/* Two extents an operation needs to agree. */
+#define MM_SAME(a, b, what, id)                                               \
+  (__builtin_expect((a) != (b), 0) ? mm_guard_same((a), (b), (what), (id))   \
+                                   : (void)0)
 
 /* Crash breadcrumbs: emitted code pushes the innermost provenance span
  * id around located statements and loops; a fatal signal writes the
@@ -175,30 +193,6 @@ extern _Thread_local int mm_crumb_depth;
                : (void)0),                                                    \
           mm_crumb_depth++))
 #define mm_crumb_pop() ((void)(mm_crumb_depth > 0 ? mm_crumb_depth-- : 0))
-
-/* Optional override consulted first by the crash handler (must be
- * async-signal-safe): returns the span string to record, or NULL to
- * fall back to the breadcrumb stack.  mm_prof points this at its
- * open-frame stack so instrumented builds triage without guards. */
-extern const char *(*mm_crash_span_hook)(void);
-
-/* Guarded subscript: checks [off] against [m]'s element count (and [m]
- * against NULL) before the access; a statement expression so it stays
- * usable as an lvalue on the left of an assignment.  The passing path
- * is inline — two compares the branch predictor learns immediately —
- * and only a failing subscript calls out to mm_guard_check, which
- * re-derives the cause and reports it; that keeps guarded inner loops
- * free of per-element function calls. */
-#define MM_GUARD_IDX(m, off, id)                                              \
-  (*({                                                                        \
-    __typeof__(m) __mm_gm = (m);                                              \
-    int __mm_gi = (off);                                                      \
-    if (__builtin_expect(!__mm_gm || (unsigned)__mm_gi >=                     \
-                                         (unsigned)__mm_gm->elems,            \
-                         0))                                                  \
-      mm_guard_check((const void *)__mm_gm, __mm_gi, (id));                   \
-    &__mm_gm->data[__mm_gi];                                                  \
-  }))
 
 /* Integer minimum (tile-boundary bounds from the transform extension). */
 static inline int mm_min(int a, int b) { return a < b ? a : b; }

@@ -6,24 +6,77 @@
 mm_mat_int2 *connComp(mm_mat_float2 *ssh);
 void __mm_mmap_connComp29(mm_mat_float3 *m, mm_mat_int3 *r, int t);
 
+#define MM_NSPANS 36
+const char *const mm_spans[] = {
+  "3:3-26",
+  "4:3-26",
+  "5:3-53",
+  "6:3-39",
+  "6:28-39",
+  "7:3-11:4",
+  "9:11-23",
+  "9:27-39",
+  "12:3-22",
+  "13:3-38:4",
+  "17:13-25",
+  "18:22-34",
+  "20:37-53",
+  "20:17-33",
+  "20:71-87",
+  "23:37-53",
+  "23:17-33",
+  "23:71-87",
+  "26:37-53",
+  "26:17-33",
+  "26:71-87",
+  "29:37-53",
+  "29:17-33",
+  "29:71-87",
+  "31:22-34",
+  "32:13-25",
+  "39:3-16",
+  "43:3-48",
+  "44:3-50",
+  "45:3-56",
+  "45:39-55",
+  "45:29-56",
+  "46:3-62",
+  "46:27-62",
+  "47:3-41",
+  "48:3-11",
+};
+
 mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
+  mm_crumb_push(0);
   int m = ssh->dims[0];
+  mm_crumb_pop();
+  mm_crumb_push(1);
   int n = ssh->dims[1];
+  mm_crumb_pop();
+  mm_crumb_push(2);
   mm_mat_int2 *__mm_initm0 = mm_alloc_int(2, m, n);
   mm_mat_int2 *labels = __mm_initm0;
+  mm_crumb_pop();
+  mm_crumb_push(3);
   mm_float __mm_s1 = -0.25;
   mm_mat_bool2 *__mm_ew2 = mm_alloc_bool(2, ssh->dims[0], ssh->dims[1]);
+  mm_crumb_push(4);
   for (int __mm_i3 = 0; __mm_i3 < mm_size(ssh); __mm_i3++) {
     __mm_ew2->data[__mm_i3] = ssh->data[__mm_i3] < __mm_s1;
   }
+  mm_crumb_pop();
   mm_mat_bool2 *binary = __mm_ew2;
+  mm_crumb_pop();
+  mm_crumb_push(5);
   {
     int i = 0;
     while (i < m) {
       {
         int j = 0;
         while (j < n) {
-          if (binary->data[i * binary->dims[1] + j]) {
+          if (binary->data[(MM_BOUND(binary, 0, i, 6), MM_BOUND(binary, 1, j, 6), i * binary->dims[1] + j)]) {
+            MM_BOUND(labels, 0, i, 7);
+            MM_BOUND(labels, 1, j, 7);
             labels->data[i * labels->dims[1] + j] = i * n + j + 1;
           }
           j = j + 1;
@@ -32,7 +85,11 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
       i = i + 1;
     }
   }
+  mm_crumb_pop();
+  mm_crumb_push(8);
   bool changed = true;
+  mm_crumb_pop();
+  mm_crumb_push(9);
   while (changed) {
     changed = false;
     {
@@ -41,41 +98,43 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
         {
           int j = 0;
           while (j < n) {
-            if (binary->data[i * binary->dims[1] + j]) {
-              int best = labels->data[i * labels->dims[1] + j];
+            if (binary->data[(MM_BOUND(binary, 0, i, 10), MM_BOUND(binary, 1, j, 10), i * binary->dims[1] + j)]) {
+              int best = labels->data[(MM_BOUND(labels, 0, i, 11), MM_BOUND(labels, 1, j, 11), i * labels->dims[1] + j)];
               if (i > 0) {
                 int __mm_s4 = i - 1;
                 int __mm_s5 = i - 1;
-                if (binary->data[__mm_s4 * binary->dims[1] + j] && labels->data[__mm_s5 * labels->dims[1] + j] < best) {
+                if (binary->data[(MM_BOUND(binary, 0, __mm_s4, 13), MM_BOUND(binary, 1, j, 13), __mm_s4 * binary->dims[1] + j)] && labels->data[(MM_BOUND(labels, 0, __mm_s5, 12), MM_BOUND(labels, 1, j, 12), __mm_s5 * labels->dims[1] + j)] < best) {
                   int __mm_s6 = i - 1;
-                  best = labels->data[__mm_s6 * labels->dims[1] + j];
+                  best = labels->data[(MM_BOUND(labels, 0, __mm_s6, 14), MM_BOUND(labels, 1, j, 14), __mm_s6 * labels->dims[1] + j)];
                 }
               }
               if (j > 0) {
                 int __mm_s7 = j - 1;
                 int __mm_s8 = j - 1;
-                if (binary->data[i * binary->dims[1] + __mm_s7] && labels->data[i * labels->dims[1] + __mm_s8] < best) {
+                if (binary->data[(MM_BOUND(binary, 0, i, 16), MM_BOUND(binary, 1, __mm_s7, 16), i * binary->dims[1] + __mm_s7)] && labels->data[(MM_BOUND(labels, 0, i, 15), MM_BOUND(labels, 1, __mm_s8, 15), i * labels->dims[1] + __mm_s8)] < best) {
                   int __mm_s9 = j - 1;
-                  best = labels->data[i * labels->dims[1] + __mm_s9];
+                  best = labels->data[(MM_BOUND(labels, 0, i, 17), MM_BOUND(labels, 1, __mm_s9, 17), i * labels->dims[1] + __mm_s9)];
                 }
               }
               if (i < m - 1) {
                 int __mm_s10 = i + 1;
                 int __mm_s11 = i + 1;
-                if (binary->data[__mm_s10 * binary->dims[1] + j] && labels->data[__mm_s11 * labels->dims[1] + j] < best) {
+                if (binary->data[(MM_BOUND(binary, 0, __mm_s10, 19), MM_BOUND(binary, 1, j, 19), __mm_s10 * binary->dims[1] + j)] && labels->data[(MM_BOUND(labels, 0, __mm_s11, 18), MM_BOUND(labels, 1, j, 18), __mm_s11 * labels->dims[1] + j)] < best) {
                   int __mm_s12 = i + 1;
-                  best = labels->data[__mm_s12 * labels->dims[1] + j];
+                  best = labels->data[(MM_BOUND(labels, 0, __mm_s12, 20), MM_BOUND(labels, 1, j, 20), __mm_s12 * labels->dims[1] + j)];
                 }
               }
               if (j < n - 1) {
                 int __mm_s13 = j + 1;
                 int __mm_s14 = j + 1;
-                if (binary->data[i * binary->dims[1] + __mm_s13] && labels->data[i * labels->dims[1] + __mm_s14] < best) {
+                if (binary->data[(MM_BOUND(binary, 0, i, 22), MM_BOUND(binary, 1, __mm_s13, 22), i * binary->dims[1] + __mm_s13)] && labels->data[(MM_BOUND(labels, 0, i, 21), MM_BOUND(labels, 1, __mm_s14, 21), i * labels->dims[1] + __mm_s14)] < best) {
                   int __mm_s15 = j + 1;
-                  best = labels->data[i * labels->dims[1] + __mm_s15];
+                  best = labels->data[(MM_BOUND(labels, 0, i, 23), MM_BOUND(labels, 1, __mm_s15, 23), i * labels->dims[1] + __mm_s15)];
                 }
               }
-              if (best < labels->data[i * labels->dims[1] + j]) {
+              if (best < labels->data[(MM_BOUND(labels, 0, i, 24), MM_BOUND(labels, 1, j, 24), i * labels->dims[1] + j)]) {
+                MM_BOUND(labels, 0, i, 25);
+                MM_BOUND(labels, 1, j, 25);
                 labels->data[i * labels->dims[1] + j] = best;
                 changed = true;
               }
@@ -87,34 +146,51 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
       }
     }
   }
+  mm_crumb_pop();
+  mm_crumb_push(26);
   mm_rc_dec(binary);
+  mm_crumb_pop();
   return labels;
+  mm_crumb_pop();
 }
 
 int main(void) {
+  mm_crumb_push(27);
   mm_mat_float3 *__mm_rd16 = mm_read_matrix("ssh.data");
   mm_mat_float3 *ssh = __mm_rd16;
+  mm_crumb_pop();
+  mm_crumb_push(28);
   mm_mat_int1 *__mm_rd17 = mm_read_matrix("dates.data");
   mm_mat_int1 *dates = __mm_rd17;
+  mm_crumb_pop();
+  mm_crumb_push(29);
   mm_mat_bool1 *__mm_ew18 = mm_alloc_bool(1, dates->dims[0]);
+  mm_crumb_push(30);
   for (int __mm_i19 = 0; __mm_i19 < mm_size(dates); __mm_i19++) {
     __mm_ew18->data[__mm_i19] = dates->data[__mm_i19] >= 1012000;
   }
+  mm_crumb_pop();
+  MM_SAME(mm_size(__mm_ew18), ssh->dims[2], "mask length disagrees with dimension 2", 30);
   int __mm_cnt20 = 0;
+  mm_crumb_push(30);
   for (int __mm_i22 = 0; __mm_i22 < mm_size(__mm_ew18); __mm_i22++) {
     if (__mm_ew18->data[__mm_i22]) {
       __mm_cnt20 = __mm_cnt20 + 1;
     }
   }
+  mm_crumb_pop();
   mm_mat_int1 *__mm_sel21 = mm_alloc_int(1, __mm_cnt20);
   int __mm_k23 = 0;
+  mm_crumb_push(30);
   for (int __mm_i22 = 0; __mm_i22 < mm_size(__mm_ew18); __mm_i22++) {
     if (__mm_ew18->data[__mm_i22]) {
       __mm_sel21->data[__mm_k23] = __mm_i22;
       __mm_k23 = __mm_k23 + 1;
     }
   }
+  mm_crumb_pop();
   mm_mat_float3 *__mm_slice24 = mm_alloc_float(3, ssh->dims[0], ssh->dims[1], mm_size(__mm_sel21));
+  mm_crumb_push(31);
   for (int __mm_o25 = 0; __mm_o25 < ssh->dims[0]; __mm_o25++) {
     for (int __mm_o26 = 0; __mm_o26 < ssh->dims[1]; __mm_o26++) {
       for (int __mm_o27 = 0; __mm_o27 < mm_size(__mm_sel21); __mm_o27++) {
@@ -122,21 +198,32 @@ int main(void) {
       }
     }
   }
+  mm_crumb_pop();
   mm_mat_float3 *recent = __mm_slice24;
   mm_rc_dec(__mm_sel21);
   mm_rc_dec(__mm_ew18);
+  mm_crumb_pop();
+  mm_crumb_push(32);
   mm_mat_int3 *__mm_mmapr28 = mm_alloc_int(3, recent->dims[0], recent->dims[1], recent->dims[2]);
   int __mm_total33 = recent->dims[2];
+  mm_crumb_push(33);
   for (int __mm_t34 = 0; __mm_t34 < __mm_total33; __mm_t34++) {
     __mm_mmap_connComp29(recent, __mm_mmapr28, __mm_t34);
   }
+  mm_crumb_pop();
   mm_mat_int3 *labels = __mm_mmapr28;
+  mm_crumb_pop();
+  mm_crumb_push(34);
   mm_write_matrix("eddyLabels.data", labels);
+  mm_crumb_pop();
+  mm_crumb_push(35);
   mm_rc_dec(labels);
   mm_rc_dec(recent);
   mm_rc_dec(dates);
   mm_rc_dec(ssh);
+  mm_crumb_pop();
   return 0;
+  mm_crumb_pop();
 }
 
 void __mm_mmap_connComp29(mm_mat_float3 *m, mm_mat_int3 *r, int t) {
@@ -144,17 +231,23 @@ void __mm_mmap_connComp29(mm_mat_float3 *m, mm_mat_int3 *r, int t) {
   int c2 = __mm_rem30 % m->dims[2];
   __mm_rem30 = __mm_rem30 / m->dims[2];
   mm_mat_float2 *__mm_slice31 = mm_alloc_float(2, m->dims[0], m->dims[1]);
+  mm_crumb_push(33);
   for (int o0 = 0; o0 < m->dims[0]; o0++) {
     for (int o1 = 0; o1 < m->dims[1]; o1++) {
       __mm_slice31->data[o0 * m->dims[1] + o1] = m->data[(o0 * m->dims[1] + o1) * m->dims[2] + c2];
     }
   }
+  mm_crumb_pop();
   mm_mat_int2 *__mm_out32 = connComp(__mm_slice31);
+  MM_SAME(__mm_out32->dims[0], m->dims[0], "result of 'connComp' disagrees with its fiber in dimension 0", 33);
+  MM_SAME(__mm_out32->dims[1], m->dims[1], "result of 'connComp' disagrees with its fiber in dimension 1", 33);
+  mm_crumb_push(33);
   for (int o0 = 0; o0 < m->dims[0]; o0++) {
     for (int o1 = 0; o1 < m->dims[1]; o1++) {
       r->data[(o0 * m->dims[1] + o1) * m->dims[2] + c2] = __mm_out32->data[o0 * m->dims[1] + o1];
     }
   }
+  mm_crumb_pop();
   mm_rc_dec(__mm_slice31);
   mm_rc_dec(__mm_out32);
   return;

@@ -3,36 +3,72 @@
    over the mm_runtime flat-buffer matrix API. */
 #include <stdbool.h>
 #include "mm_runtime.h"
+#define MM_NSPANS 11
+const char *const mm_spans[] = {
+  "3:3-12",
+  "4:3-12",
+  "5:3-52",
+  "6:3-7:31",
+  "6:7-74",
+  "8:3-34",
+  "8:27-34",
+  "9:3-74",
+  "9:13-74",
+  "9:56-66",
+  "10:3-17",
+};
+
 int main(void) {
+  mm_crumb_push(0);
   int m = 7;
+  mm_crumb_pop();
+  mm_crumb_push(1);
   int n = 5;
+  mm_crumb_pop();
+  mm_crumb_push(2);
   mm_mat_float2 *__mm_initm0 = mm_alloc_float(2, m, n);
   mm_mat_float2 *g = __mm_initm0;
+  mm_crumb_pop();
+  mm_crumb_push(3);
   mm_mat_float2 *__mm_gen1 = mm_alloc_float(2, m, n);
+  mm_crumb_push(4);
   #pragma omp parallel for
   for (int i = 0; i < m; i++) {
     for (int j = 0; j < n; j++) {
       __mm_gen1->data[i * n + j] = (mm_float) (i * n + j);
     }
   }
+  mm_crumb_pop();
   mm_rc_dec(g);
   g = __mm_gen1;
+  mm_crumb_pop();
+  mm_crumb_push(5);
   mm_mat_float2 *__mm_slice4 = mm_alloc_float(2, g->dims[0], g->dims[1]);
+  mm_crumb_push(6);
   for (int __mm_o5 = 0; __mm_o5 < g->dims[0]; __mm_o5++) {
     for (int __mm_o6 = 0; __mm_o6 < g->dims[1]; __mm_o6++) {
       __mm_slice4->data[__mm_o5 * g->dims[1] + __mm_o6] = g->data[__mm_o5 * g->dims[1] + __mm_o6];
     }
   }
+  mm_crumb_pop();
   mm_mat_float2 *view = __mm_slice4;
+  mm_crumb_pop();
+  mm_crumb_push(7);
   mm_float __mm_acc7 = 0.0;
+  mm_crumb_push(8);
   for (int i = 0; i < m; i++) {
     for (int j = 0; j < n; j++) {
-      __mm_acc7 = __mm_acc7 + (view->data[i * view->dims[1] + j] - 2.9);
+      __mm_acc7 = __mm_acc7 + (view->data[(MM_BOUND(view, 0, i, 9), MM_BOUND(view, 1, j, 9), i * view->dims[1] + j)] - 2.9);
     }
   }
+  mm_crumb_pop();
   mm_float t = __mm_acc7;
+  mm_crumb_pop();
+  mm_crumb_push(10);
   int __mm_ret8 = (int) t;
   mm_rc_dec(view);
   mm_rc_dec(g);
+  mm_crumb_pop();
   return __mm_ret8;
+  mm_crumb_pop();
 }

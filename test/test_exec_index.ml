@@ -150,9 +150,9 @@ let test_every_input_misses () =
     Native.Toolchain.configure ?cc ?cflags ?sanitize ()
   in
   let key ?build_id ?(selected = all4.Driver.selected) ?(config = cfg)
-      ?line_file ?instrument ?guards ?(toolchain = tc ()) ?(src = src) () =
+      ?line_file ?instrument ?(toolchain = tc ()) ?(src = src) () =
     Driver.index_key ?build_id ~selected ~config ?line_file ?instrument
-      ?guards ~toolchain src
+      ~toolchain src
   in
   let edited =
     String.mapi (fun i c -> if i = String.index src '1' then '2' else c) src
@@ -172,7 +172,6 @@ let test_every_input_misses () =
       ("fuse off", key ~config:(P.enable cfg "fuse" false) ());
       ("copy-elim off", key ~config:(P.enable cfg "copy-elim" false) ());
       ("--threads 2", key ~config:(P.enable cfg "auto-par" true) ());
-      ("--guards", key ~guards:true ());
       ("--line-directives a.mc", key ~line_file:"a.mc" ());
       ("--line-directives b.mc", key ~line_file:"b.mc" ());
       ("--sanitize address", key ~toolchain:(tc ~sanitize:"address" ()) ());

@@ -557,6 +557,17 @@ let test_cli_toggles_gone () =
         ("profile", "--remarks");
       ]
 
+(* Checked code is the only code mmc emits: exec has no --guards. *)
+let test_cli_guards_gone () =
+  if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
+  else
+    let prog = Filename.concat golden_dir "fig1_with_slice_copy.mc" in
+    let code, out, err = mmc [ "exec"; "--guards"; prog ] in
+    Alcotest.(check int) "exec --guards exits 124" 124 code;
+    Alcotest.(check bool) "exec --guards is an unknown option" true
+      (contains "unknown option '--guards'" err);
+    Alcotest.(check string) "exec --guards runs nothing" "" out
+
 (* The spellings that replace the removed toggles emit, on every golden
    program, the C the toggles' configs emit: fusion off is
    [--passes copy-elim,transform], auto-par on is [-O1], and both are
@@ -671,4 +682,6 @@ let suite =
       `Quick test_cli_failpoints_one_way;
     Alcotest.test_case "a disabled pass's position does not matter" `Quick
       test_disabled_pass_position;
+    Alcotest.test_case "cli: exec --guards is an unknown option" `Quick
+      test_cli_guards_gone;
   ]

@@ -745,12 +745,12 @@ let test_exec_removes_scratch_dir () =
 (* --- slice-copy elimination is sound, natively ------------------------------ *)
 
 (* The programs of the interpreter's soundness cases (test_pipeline.ml):
-   copy-semantics answers at every -O level, and the over-reads trapped
-   by --guards. *)
+   copy-semantics answers at every -O level, and the over-reads the
+   subscript checks trap. *)
 let test_slice_copy_semantics_native () =
   ignore (ensure_cc ());
-  let exec ?guards config src =
-    Driver.exec ~dir:(fresh_dir ()) ~config ?guards
+  let exec config src =
+    Driver.exec ~dir:(fresh_dir ()) ~config
       ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
   in
   List.iter
@@ -767,17 +767,19 @@ let test_slice_copy_semantics_native () =
         Test_pipeline.slice_answers;
       List.iter
         (fun src ->
-          match exec ~guards:true config src with
+          match exec config src with
           | Driver.Ok_ o ->
-              Alcotest.failf "%s: over-read gave %a, expected a guard fault"
+              Alcotest.failf "%s: over-read gave %a, expected a failed check"
                 level Native.Exec.pp_value o.Native.Exec.value
           | Driver.Failed ds ->
               let text = Driver.diags_to_string ds in
               Alcotest.(check bool)
-                (Printf.sprintf "%s: guard names the over-read (got: %s)" level
-                   text)
+                (Printf.sprintf "%s: the check names the over-read (got: %s)"
+                   level text)
                 true
-                (is_infix ~affix:"subscript 4 out of bounds for 4 elements" text))
+                (is_infix
+                   ~affix:"index 4 out of bounds for dimension 0 of extent 4"
+                   text))
         Test_pipeline.[ slice_overread_src; slice_shadowed_overread_src ])
     (Test_pipeline.levels full)
 
@@ -995,8 +997,8 @@ int main() {
 |}
 
 (* An out-of-range gather index, and a 2-element source assigned into a
-   3-element range: the interpreter and a guarded binary fail at the same
-   span. *)
+   3-element range: the interpreter and the binary fail with one message
+   at one span. *)
 let indexing_errors =
   [
     ( "gather index out of range",
@@ -1008,8 +1010,7 @@ int main() {
   return g[0];
 }
 |},
-      "flat offset 4 out of bounds for [4]",
-      "subscript 4 out of bounds for 4 elements" );
+      "index 4 out of bounds for dimension 0 of extent 4" );
     ( "source shorter than its range",
       {|
 int main() {
@@ -1019,8 +1020,8 @@ int main() {
   return v[1];
 }
 |},
-      "flat offset 2 out of bounds for [2]",
-      "subscript 2 out of bounds for 2 elements" );
+      "assigned matrix disagrees with the selected region in dimension 0: 2 \
+       against 3" );
   ]
 
 let test_indexing_modes () =
@@ -1037,23 +1038,21 @@ let test_indexing_modes () =
     [ 1; 2 ];
   let failure ~name ~backend expected = function
     | Driver.Ok_ _ -> Alcotest.failf "%s: %s succeeded" name backend
-    | Driver.Failed (d :: _ as ds) ->
-        let text = Driver.diags_to_string ds in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %s names the fault (got: %s)" name backend text)
-          true
-          (is_infix ~affix:expected text);
+    | Driver.Failed (d :: _) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s: %s names the fault" name backend)
+          expected d.Support.Diag.message;
         Support.Pos.span_to_string d.Support.Diag.span
     | Driver.Failed [] -> Alcotest.failf "%s: %s failed silently" name backend
   in
   List.iter
-    (fun (name, src, interp_msg, native_msg) ->
+    (fun (name, src, msg) ->
       let interp =
-        failure ~name ~backend:"interpreter" interp_msg (Driver.run full src [])
+        failure ~name ~backend:"interpreter" msg (Driver.run full src [])
       in
       let native =
-        failure ~name ~backend:"guarded binary" native_msg
-          (Driver.exec ~guards:true ~cache_dir:(Lazy.force suite_cache)
+        failure ~name ~backend:"binary" msg
+          (Driver.exec ~cache_dir:(Lazy.force suite_cache)
              (Driver.Composed full) src)
       in
       Alcotest.(check string) (name ^ ": same span") interp native)
@@ -1097,6 +1096,74 @@ int main() {
   return s;
 }
 |}
+
+(* A vectorize clause on a loop that still holds a subscript check
+   leaves the loop scalar, says so as a Missed remark, and the program
+   agrees with the interpreter: [g]'s extents are not provably the
+   generator's, so [g[i, j]] keeps its check. *)
+let test_vectorize_keeps_checked_loop () =
+  let src =
+    {|
+int main() {
+  Matrix float <2> g = with ([0,0] <= [a,b] < [4,8]) genarray([4,8], (float)(a * 8 + b));
+  int m = 4;
+  int n = 8;
+  Matrix float <2> h = init(Matrix float <2>, m, n);
+  h = with ([0,0] <= [i,j] < [m,n]) genarray ([m,n], g[i, j] * 2f)
+    transform split j by 4, jin, jout.
+              vectorize jin;
+  return (int) with ([0,0] <= [i,j] < [m,n]) fold (+, 0f, h[i, j]);
+}
+|}
+  in
+  (match Driver.explain full src with
+  | Driver.Ok_ _, report ->
+      let missed =
+        Support.Remark.filter ~pass:"transform" ~kind:Support.Remark.Missed
+          report.Driver.Explain_report.remarks
+      in
+      Alcotest.(check (list string)) "vectorize jin is a Missed remark"
+        [ "vectorize jin" ]
+        (List.map
+           (fun (r : Support.Remark.t) -> List.assoc "clause" r.details)
+           missed)
+  | Driver.Failed ds, _ ->
+      Alcotest.failf "explain failed: %s" (Driver.diags_to_string ds));
+  (match Driver.compile_to_c full src with
+  | Driver.Ok_ c ->
+      Alcotest.(check bool) "no vector code" false (is_infix ~affix:"_mm_set" c);
+      Alcotest.(check bool) "the scalar jin loop stays" true
+        (is_infix ~affix:"jin++" c)
+  | Driver.Failed ds ->
+      Alcotest.failf "emit failed: %s" (Driver.diags_to_string ds));
+  both_return ~name:"checked vectorize" ~expect:992 src
+
+(* A diagnostic with no location prints none: a --cc that runs but
+   fails is a native-compile error with no "1:1-1:" prefix. *)
+let test_unlocated_diagnostic () =
+  let mmc = Filename.concat (Filename.concat ".." "bin") "mmc.exe" in
+  if not (Sys.file_exists mmc) then Alcotest.skip ();
+  let dir = fresh_dir () in
+  let badcc = Filename.concat dir "badcc" in
+  Out_channel.with_open_text badcc (fun oc -> output_string oc "#!/bin/sh\nexit 1\n");
+  Unix.chmod badcc 0o755;
+  let prog = Filename.concat dir "prog.mc" in
+  Out_channel.with_open_text prog (fun oc ->
+      output_string oc "int main() { return 3; }\n");
+  let err = Filename.concat dir "err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s exec --cc %s --cache-dir %s %s > /dev/null 2> %s"
+         (Filename.quote mmc) (Filename.quote badcc)
+         (Filename.quote (Filename.concat dir "cache"))
+         (Filename.quote prog) (Filename.quote err))
+  in
+  let err = In_channel.with_open_text err In_channel.input_all in
+  Alcotest.(check int) "mmc exec exits 1" 1 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "stderr starts with the phase (got: %s)" err)
+    true
+    (String.starts_with ~prefix:"error [native-compile]:" err)
 
 let suite =
   [
@@ -1151,4 +1218,8 @@ let suite =
       test_for_init_scope;
     Alcotest.test_case "no-OpenMP compiler: plain C agrees" `Quick
       test_no_openmp_fallback;
+    Alcotest.test_case "vectorize keeps a checked loop scalar" `Quick
+      test_vectorize_keeps_checked_loop;
+    Alcotest.test_case "a diagnostic with no location prints none" `Quick
+      test_unlocated_diagnostic;
   ]

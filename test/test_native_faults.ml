@@ -1,5 +1,6 @@
-(* Supervised native execution: crash triage to source spans, emitted-C
-   runtime guards, native failpoints (MM_FAILPOINTS, the interpreter's
+(* Supervised native execution: crash triage to source spans, the
+   subscript and shape checks of emitted C, native failpoints
+   (MM_FAILPOINTS, the interpreter's
    name@K grammar), supervisor deadline kills, sanitizer builds, and the
    native fault matrix — the interpreter's fault matrix re-run against
    `mmc exec`.
@@ -45,8 +46,8 @@ let fresh_dir () =
   Sys.mkdir d 0o755;
   d
 
-(* One binary cache for the whole suite: the fault matrix reuses two
-   compiles (guards off/on) across its sixteen cells. *)
+(* One binary cache for the whole suite: the fault matrix reuses one
+   compile across its eight cells. *)
 let suite_cache = lazy (fresh_dir ())
 
 let ensure_cc () =
@@ -152,7 +153,7 @@ let test_span_string_roundtrip () =
         Alcotest.failf "bogus span %S parsed" s)
     [ "-"; "x"; "0:1-2"; "3:3"; "a:b-c" ]
 
-(* --- guard faults render carets ------------------------------------------ *)
+(* --- failed checks render carets ------------------------------------------ *)
 
 let oob_src =
   {|int main() {
@@ -162,12 +163,12 @@ let oob_src =
 }
 |}
 
-let test_guard_oob_caret () =
-  with_deadline "guard oob" @@ fun () ->
+let test_oob_caret () =
+  with_deadline "oob caret" @@ fun () ->
   ignore (ensure_cc ());
   let outcome =
     Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
-      ~guards:true (Driver.Composed full) oob_src
+      (Driver.Composed full) oob_src
   in
   let text = failed_text ~src:oob_src outcome in
   Alcotest.(check bool)
@@ -180,21 +181,113 @@ let test_guard_oob_caret () =
     (contains text "for (int i = 0; i < 10; i++)" && contains text "^");
   Alcotest.(check bool) "no raw exit code" false (contains text "exit code")
 
-(* Unguarded, the same out-of-bounds write is undefined behaviour — the
-   only guarantee is that whatever happens comes back structured (a
-   value, or a diagnostic), never an OCaml exception. *)
-let test_oob_unguarded_structured () =
-  with_deadline "oob unguarded" @@ fun () ->
+(* Each program fails one check, and both backends report it with one
+   message at one span, at 1 and at 2 threads; the end-of-series loop,
+   whose && stops before the read, passes. *)
+let check_programs =
+  [
+    ( "rising series",
+      {|int main() {
+  Matrix float <1> ts = with ([0] <= [k] < [8]) genarray ([8], (float) k);
+  int i = 0;
+  while (ts[i] < ts[i + 1]) { i = i + 1; }
+  return i;
+}
+|},
+      Some ("4:18-27", "index 8 out of bounds for dimension 0 of extent 8") );
+    ( "subscript past its dimension",
+      {|int main() {
+  Matrix int <2> a = with ([0,0] <= [i,j] < [3,3]) genarray([3,3], i * 10 + j);
+  return a[0, 4];
+}
+|},
+      Some ("3:10-17", "index 4 out of bounds for dimension 1 of extent 3") );
+    ( "elementwise shapes",
+      {|int main() {
+  Matrix int <2> a = with ([0,0] <= [i,j] < [2,3]) genarray([2,3], 1);
+  Matrix int <2> b = with ([0,0] <= [i,j] < [3,2]) genarray([3,2], 1);
+  Matrix int <2> c = a + b;
+  return with ([0,0] <= [i,j] < [2,3]) fold (+, 0, c[i, j]);
+}
+|},
+      Some ("4:22-27", "operands of '+' disagree in dimension 0: 2 against 3") );
+    ( "matmul inner dimension",
+      {|int main() {
+  Matrix int <2> a = with ([0,0] <= [i,j] < [2,2]) genarray([2,2], 1);
+  Matrix int <2> b = with ([0,0] <= [i,j] < [3,2]) genarray([3,2], 1);
+  Matrix int <2> c = a * b;
+  return dimSize(c, 0);
+}
+|},
+      Some
+        ( "4:22-27",
+          "inner dimensions of the matrix product disagree: 2 against 3" ) );
+    ( "uninitialised matrix",
+      {|int main() {
+  Matrix int <1> v;
+  if (false) { v = init(Matrix int <1>, 3); }
+  return v[0];
+}
+|},
+      Some ("4:10-14", "use of an uninitialised matrix") );
+    ( "end of series",
+      {|int main() {
+  Matrix float <1> ts = with ([0] <= [k] < [8]) genarray ([8], 8.0 - (float) k);
+  int n = dimSize(ts, 0);
+  int i = 0;
+  while (i + 1 < n && ts[i] >= ts[i + 1]) { i = i + 1; }
+  return i;
+}
+|},
+      None );
+    ( "row slice read in place",
+      {|int main() {
+  Matrix float <2> grid = with ([0,0] <= [a,b] < [3,4]) genarray([3,4], 1.0);
+  int i = 3;
+  Matrix float <1> row = grid[i, :];
+  int n = dimSize(row, 0);
+  float total = with ([0] <= [k] < [n]) fold (+, 0f, row[k]);
+  return (int) total;
+}
+|},
+      Some ("4:26-36", "index 3 out of bounds for dimension 0 of extent 3") );
+  ]
+
+let test_one_report () =
+  with_deadline ~secs:300 "one report" @@ fun () ->
   ignore (ensure_cc ());
-  match
-    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full)
-      oob_src
-  with
-  | Driver.Ok_ _ -> ()
-  | Driver.Failed (d :: _) ->
-      Alcotest.(check bool) "error severity" true
-        (d.Support.Diag.severity = Support.Diag.Error)
-  | Driver.Failed [] -> Alcotest.fail "failed without diagnostics"
+  let report = function
+    | Driver.Ok_ _ -> None
+    | Driver.Failed (d :: _) ->
+        Some
+          ( Support.Pos.span_to_string d.Support.Diag.span,
+            d.Support.Diag.message )
+    | Driver.Failed [] -> Alcotest.fail "failed without diagnostics"
+  in
+  List.iter
+    (fun (name, src, expected) ->
+      List.iter
+        (fun threads ->
+          let label what = Printf.sprintf "%s, %d threads: %s" name threads what in
+          let config =
+            Driver.Pipeline.enable (Driver.default_config full) "auto-par"
+              (threads > 1)
+          in
+          let run =
+            Runtime.Pool.with_pool threads (fun pool ->
+                report (Driver.run ~config ~pool full src []))
+          in
+          let exec =
+            report
+              (Driver.exec ~dir:(fresh_dir ()) ~config ~threads
+                 ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src)
+          in
+          Alcotest.(check (option (pair string string)))
+            (label "interpreter") expected run;
+          Alcotest.(check (option (pair string string)))
+            (label "binary") expected exec)
+        [ 1; 2 ])
+    check_programs
 
 (* --- native failpoints ---------------------------------------------------- *)
 
@@ -221,15 +314,15 @@ let test_failpoint_alloc_diag () =
     (contains text "injected fault at failpoint native.alloc");
   Alcotest.(check bool) "no raw exit code" false (contains text "exit code")
 
-let test_failpoint_crash_span_with_guards () =
-  (* Under --guards the crash breadcrumbs attribute even an abort() from
-     a failpoint to the enclosing source statement: the diagnostic must
-     carry a caret excerpt, not anchor at the dummy span. *)
+let test_failpoint_crash_span () =
+  (* The crash breadcrumbs attribute even an abort() from a failpoint to
+     the enclosing source statement: the diagnostic must carry a caret
+     excerpt, not anchor at the dummy span. *)
   with_deadline "failpoint crash span" @@ fun () ->
   ignore (ensure_cc ());
   let outcome =
     Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
-      ~guards:true ~failpoints:"native.alloc@1" (Driver.Composed full) genarray_src
+      ~failpoints:"native.alloc@1" (Driver.Composed full) genarray_src
   in
   let text = failed_text ~src:genarray_src outcome in
   Alcotest.(check bool)
@@ -640,16 +733,16 @@ let test_file_layout_parity () =
         (corrupt_files k))
     layout_kinds
 
-(* --- guards emission is warning-clean -------------------------------------- *)
+(* --- checked emission is warning-clean -------------------------------------- *)
 
-let test_guarded_corpus_werror () =
-  with_deadline ~secs:300 "guarded corpus -Werror" @@ fun () ->
+let test_corpus_werror () =
+  with_deadline ~secs:300 "corpus -Werror" @@ fun () ->
   let tc = ensure_cc () in
   let build = fresh_dir () in
   let werror = { tc with Native.Toolchain.cflags = [ "-Werror" ] } in
   List.iteri
     (fun i (name, src) ->
-      match Driver.compile_to_c ~guards:true ~exec_harness:true full src with
+      match Driver.compile_to_c ~exec_harness:true full src with
       | Driver.Failed ds ->
           Alcotest.failf "%s: emit failed: %s" name (Driver.diags_to_string ds)
       | Driver.Ok_ c_text -> (
@@ -663,7 +756,7 @@ let test_guarded_corpus_werror () =
           with
           | Ok () -> ()
           | Error e ->
-              Alcotest.failf "%s (guards) not warning-clean under -Werror: %s"
+              Alcotest.failf "%s not warning-clean under -Werror: %s"
                 name
                 (Native.Toolchain.describe_error e)))
     [
@@ -676,8 +769,8 @@ let test_guarded_corpus_werror () =
 (* --- the native fault matrix ------------------------------------------------ *)
 
 (* {native.alloc, native.io.read_matrix} x {sequential, 2 OpenMP threads}
-   x {fire on the 1st hit, fire on the 5th} x {guards off, guards on}:
-   sixteen cells through Fig 1's temporal mean.  No cell may hang, raise
+   x {fire on the 1st hit, fire on the 5th}: eight cells through Fig 1's
+   temporal mean.  No cell may hang, raise
    an OCaml exception or report a bare exit code.  Each cell gives the
    bit-exact oracle output (a failpoint the run never reached) or an
    error diagnostic, and the thread count changes neither: the cells at
@@ -691,12 +784,12 @@ let test_native_fault_matrix () =
   in
   let src = Eddy.Programs.fig1_temporal_mean in
   (* the output, or the first diagnostic's message *)
-  let run_case ?failpoints ?(guards = false) ~threads label =
+  let run_case ?failpoints ~threads label =
     let dir = fresh_dir () in
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     match
       Driver.exec ~dir ~config:(Driver.Pipeline.enable (Driver.default_config full) "auto-par" true)
-        ~threads ~guards ?failpoints
+        ~threads ?failpoints
         ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
     with
     | Driver.Ok_ _ -> Ok (Interp.Eval.fetch_output ~dir "means.data")
@@ -718,32 +811,22 @@ let test_native_fault_matrix () =
     (fun fp_name ->
       List.iter
         (fun k ->
-          List.iter
-            (fun guards ->
-              let label =
-                Printf.sprintf "%s@%d %s" fp_name k
-                  (if guards then "guards" else "plain")
-              in
-              let at threads =
-                run_case ~failpoints:(Printf.sprintf "%s@%d" fp_name k)
-                  ~guards ~threads
-                  (Printf.sprintf "%s t%d" label threads)
-              in
-              match (at 1, at 2) with
-              | Ok m1, Ok m2 ->
-                  Alcotest.check nd (label ^ " t1: output is the oracle")
-                    oracle m1;
-                  Alcotest.check nd (label ^ " t2: output is the oracle")
-                    oracle m2
-              | Error d1, Error d2 ->
-                  Alcotest.(check string)
-                    (label ^ ": same diagnostic at 1 and 2 threads")
-                    d1 d2
-              | Ok _, Error d | Error d, Ok _ ->
-                  Alcotest.failf
-                    "%s: one thread count failed (%s), the other did not"
-                    label d)
-            [ false; true ])
+          let label = Printf.sprintf "%s@%d" fp_name k in
+          let at threads =
+            run_case ~failpoints:label ~threads
+              (Printf.sprintf "%s t%d" label threads)
+          in
+          match (at 1, at 2) with
+          | Ok m1, Ok m2 ->
+              Alcotest.check nd (label ^ " t1: output is the oracle") oracle m1;
+              Alcotest.check nd (label ^ " t2: output is the oracle") oracle m2
+          | Error d1, Error d2 ->
+              Alcotest.(check string)
+                (label ^ ": same diagnostic at 1 and 2 threads")
+                d1 d2
+          | Ok _, Error d | Error d, Ok _ ->
+              Alcotest.failf
+                "%s: one thread count failed (%s), the other did not" label d)
         [ 1; 5 ])
     [ "native.alloc"; "native.io.read_matrix" ]
 
@@ -870,14 +953,13 @@ let suite =
       test_parse_output_total;
     Alcotest.test_case "span strings round-trip" `Quick
       test_span_string_roundtrip;
-    Alcotest.test_case "guards: OOB subscript renders a caret" `Quick
-      test_guard_oob_caret;
-    Alcotest.test_case "unguarded OOB stays structured" `Quick
-      test_oob_unguarded_structured;
+    Alcotest.test_case "OOB subscript renders a caret" `Quick test_oob_caret;
+    Alcotest.test_case "checks: one report, both backends" `Quick
+      test_one_report;
     Alcotest.test_case "failpoint: native.alloc diagnostic" `Quick
       test_failpoint_alloc_diag;
-    Alcotest.test_case "failpoint: crash span under guards" `Quick
-      test_failpoint_crash_span_with_guards;
+    Alcotest.test_case "failpoint: crash span" `Quick
+      test_failpoint_crash_span;
     Alcotest.test_case "failpoint: native.io.read_matrix diagnostic" `Quick
       test_failpoint_read_matrix_diag;
     Alcotest.test_case "supervisor: deadline kill names --timeout" `Quick
@@ -886,9 +968,8 @@ let suite =
       test_timeout_telemetry;
     Alcotest.test_case "sanitizers: corpus runs under asan/ubsan" `Quick
       test_sanitized_corpus_runs;
-    Alcotest.test_case "guards: corpus emits -Werror-clean C" `Quick
-      test_guarded_corpus_werror;
-    Alcotest.test_case "native fault matrix: 16 cells" `Quick
+    Alcotest.test_case "corpus emits -Werror-clean C" `Quick test_corpus_werror;
+    Alcotest.test_case "native fault matrix: 8 cells" `Quick
       test_native_fault_matrix;
     Alcotest.test_case "acceptance: native fault fails once" `Quick
       test_eddy_native_fault_acceptance;

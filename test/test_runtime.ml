@@ -187,8 +187,9 @@ let test_matmul () =
   Alcotest.check nd "2x3 * 3x2"
     (Ndarray.of_float_array [| 2; 2 |] [| 58.; 64.; 139.; 154. |])
     (List.hd outs);
-  (* disagreeing inner dimensions over-read the right operand *)
-  check_fails ~expected:"flat offset 6 out of bounds for [2x3]"
+  (* disagreeing inner dimensions fail the product's check *)
+  check_fails
+    ~expected:"inner dimensions of the matrix product disagree: 3 against 2"
     {|
 int main() {
   Matrix float <2> a = with ([0,0] <= [i,j] < [2,3]) genarray([2,3], 1.0);
@@ -329,7 +330,7 @@ int main() {
   Alcotest.check nd "gather dup ok"
     (Ndarray.of_float_array [| 3 |] [| 14.; 10.; 14. |])
     (List.hd outs);
-  check_fails ~expected:"flat offset 6 out of bounds for [6]"
+  check_fails ~expected:"index 6 out of bounds for dimension 0 of extent 6"
     {|
 int main() {
   Matrix float <1> v = with ([0] <= [i] < [6]) genarray([6], 1.0);
@@ -389,8 +390,11 @@ int main() {
         (Ndarray.of_float_array [| 6 |] [| -1.; -1.; 7.; 8.; 9.; -1. |])
         fill
   | _ -> assert false);
-  (* a 2-element source into a 3-element region over-reads the source *)
-  check_fails ~expected:"flat offset 2 out of bounds for [2]"
+  (* a 2-element source into a 3-element region fails the fit check *)
+  check_fails
+    ~expected:
+      "assigned matrix disagrees with the selected region in dimension 0: 2 \
+       against 3"
     {|
 int main() {
   Matrix float <1> scores = init(Matrix float <1>, 6);
