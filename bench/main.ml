@@ -1032,7 +1032,7 @@ let check_explain_json path =
   let module J = Support.Json in
   let problems = ref [] in
   let bad fmt = Format.kasprintf (fun m -> problems := m :: !problems) fmt in
-  let known_passes = [ "fuse"; "copy-elim"; "auto-par"; "rc"; "transform" ] in
+  let known_passes = Support.Remark.pass_order in
   let known_kinds = [ "applied"; "missed"; "skipped" ] in
   (try
      let j = J.parse_file path in

@@ -91,21 +91,31 @@ let span_id s =
       span_order := s :: !span_order;
       id
 
-(* Spans of the instrumented frames currently open at the emission point,
-   innermost first.  Mirrors the interpreter's runtime frame stack well
-   enough to make the same skip decisions statically: a loop desugared to
-   several nested loops over one source span instruments only the
-   outermost, and a [return] knows which frames to unwind. *)
-let open_spans : string list ref = ref []
+(* The sites currently open at the emission point, innermost first: each
+   one's span and the local holding the crash breadcrumb it hides.
+   Mirrors the interpreter's runtime frame stack well enough to make the
+   same skip decisions statically: a loop desugared to several nested
+   loops over one source span is one site, the outermost, and a
+   [return] knows which sites to unwind. *)
+let open_spans : (string * string) list ref = ref []
 
-let in_frame s f =
-  open_spans := s :: !open_spans;
+let in_frame site f =
+  open_spans := site :: !open_spans;
   Fun.protect ~finally:(fun () -> open_spans := List.tl !open_spans) f
+
+(* A fresh local for the breadcrumb a site hides: entering the site
+   saves it there, leaving restores it. *)
+let crumb_locals = ref 0
+
+let crumb_local () =
+  incr crumb_locals;
+  Printf.sprintf "__mm_crumb%d" (!crumb_locals - 1)
 
 let reset_spans () =
   Hashtbl.reset span_ids;
   span_order := [];
-  open_spans := []
+  open_spans := [];
+  crumb_locals := 0
 
 let rec expr ?(prec = 0) (e : expr) : string =
   let p = prec_of e in
@@ -213,7 +223,7 @@ let seq_loop_span prov =
   | Some sp -> (
       let s = Support.Pos.span_to_string sp in
       match !open_spans with
-      | top :: _ when String.equal top s -> None
+      | (top, _) :: _ when String.equal top s -> None
       | _ -> Some (span_id s, s))
 
 (* A parallel loop is always a site: its dispatch decision is exactly
@@ -244,21 +254,25 @@ let ctype_decl t name =
    needs its struct name for a C compound literal. *)
 let cur_ret : ctype ref = ref CVoid
 
-(* A [return] inside open sites jumps past their exit calls; close them
-   explicitly (innermost first, with zero counts) so the runtime stacks —
-   crash breadcrumbs and profiler frames — never leak across the call. *)
+(* A [return] inside open sites jumps past their exits; close them
+   explicitly (innermost first, with zero counts) and restore the
+   breadcrumb the outermost one hid, so neither the profiler's frames
+   nor the crumb leak across the call. *)
 let unwind_frames buf ind =
   List.iter
-    (fun s ->
+    (fun (s, _) ->
       let id = Hashtbl.find span_ids s in
       if !instrument_mode then
         Buffer.add_string buf
           (Printf.sprintf
              "%sif (mm_prof_live) { if (!mm_prof_skip[%d]) mm_prof_exit(%d, \
               0, 0); else mm_prof_sentries[%d]++; }\n"
-             ind id id id);
-      Buffer.add_string buf (Printf.sprintf "%smm_crumb_pop();\n" ind))
-    !open_spans
+             ind id id id))
+    !open_spans;
+  match List.rev !open_spans with
+  | (_, outermost) :: _ ->
+      Buffer.add_string buf (Printf.sprintf "%smm_crumb_pop(%s);\n" ind outermost)
+  | [] -> ()
 
 let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (ind ^ s ^ "\n")) fmt in
@@ -321,18 +335,19 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
              call and no clock — a tiny loop entered per element of an
              enclosing loop costs a few loads.  mm_prof_live is 0 inside
              a dispatched parallel region, where probes must not fire.
-             The breadcrumb brackets the loop the same way; the stack is
-             thread-local, so pushes inside parallel regions land on
-             each worker's own trail. *)
+             The breadcrumb brackets the loop the same way; it is
+             thread-local, so sites inside parallel regions set each
+             worker's own. *)
           if !instrument_mode then
             line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id
               id;
-          line "mm_crumb_push(%d);" id;
+          let crumb = crumb_local () in
+          line "int %s = mm_crumb_push(%d);" crumb id;
           line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
             (expr ~prec:31 l.bound) l.index;
-          in_frame sp (fun () -> block buf (ind ^ "  ") l.body);
+          in_frame (sp, crumb) (fun () -> block buf (ind ^ "  ") l.body);
           line "}";
-          line "mm_crumb_pop();";
+          line "mm_crumb_pop(%s);" crumb;
           if !instrument_mode then begin
             line "if (mm_prof_live) {";
             line
@@ -359,7 +374,8 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
              because no region was installed.  The breadcrumb brackets
              the whole dispatch from the master thread; workers keep
              their own thread-local trails inside the region. *)
-          line "mm_crumb_push(%d);" id;
+          let crumb = crumb_local () in
+          line "int %s = mm_crumb_push(%d);" crumb id;
           line "mm_prof_enter_par(%d);" id;
           line "#pragma omp parallel";
           line "{";
@@ -367,20 +383,21 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
           line "#pragma omp for";
           line "  for (int %s = 0; %s < %s; %s++) {" l.index l.index
             (expr ~prec:31 l.bound) l.index;
-          in_frame sp (fun () -> block buf (ind ^ "    ") l.body);
+          in_frame (sp, crumb) (fun () -> block buf (ind ^ "    ") l.body);
           line "  }";
           line "  mm_prof_worker(%d, mm_prof_now() - __mm_prof_w);" id;
           line "}";
           line "mm_prof_exit_par(%d, (long long) (%s));" id (expr l.bound);
-          line "mm_crumb_pop();"
+          line "mm_crumb_pop(%s);" crumb
       | Some (id, sp) ->
-          line "mm_crumb_push(%d);" id;
+          let crumb = crumb_local () in
+          line "int %s = mm_crumb_push(%d);" crumb id;
           line "#pragma omp parallel for";
           line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
             (expr ~prec:31 l.bound) l.index;
-          in_frame sp (fun () -> block buf (ind ^ "  ") l.body);
+          in_frame (sp, crumb) (fun () -> block buf (ind ^ "  ") l.body);
           line "}";
-          line "mm_crumb_pop();"
+          line "mm_crumb_pop(%s);" crumb
       | None ->
           line "#pragma omp parallel for";
           line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
@@ -432,9 +449,10 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
           if !instrument_mode then
             line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id
               id;
-          line "mm_crumb_push(%d);" id;
-          in_frame s (fun () -> block buf ind b);
-          line "mm_crumb_pop();";
+          let crumb = crumb_local () in
+          line "int %s = mm_crumb_push(%d);" crumb id;
+          in_frame (s, crumb) (fun () -> block buf ind b);
+          line "mm_crumb_pop(%s);" crumb;
           if !instrument_mode then begin
             line "if (mm_prof_live) {";
             line "  if (!mm_prof_skip[%d]) mm_prof_exit(%d, 0, 0);" id id;

@@ -45,12 +45,11 @@ static int mm_nfail = 0;
 static int mm_span_total = 0;
 static const char *const *mm_span_table = 0;
 
-/* Breadcrumb stack of span ids: thread-local storage behind the
- * inline push/pop macros in the header.  Per-thread trails need no
- * atomics or omp queries, and the signal handler runs on the faulting
- * thread, so it reads the stack that actually led to the fault. */
-_Thread_local int mm_crumb_stack[MM_CRUMB_MAX];
-_Thread_local int mm_crumb_depth = 0;
+/* The breadcrumb behind the inline push/pop in the header.  A
+ * per-thread crumb needs no atomics or omp queries, and the signal
+ * handler runs on the faulting thread, so it reads the span that
+ * actually led to the fault. */
+_Thread_local int mm_crumb = -1;
 
 int mm_span_count(void) { return mm_span_total; }
 
@@ -59,16 +58,11 @@ const char *mm_span_name(int id) {
   return 0;
 }
 
-/* Fatal-signal handler: write the innermost resolvable breadcrumb span
- * to mm_crash.txt (async-signal-safe: open/write/close only), then die
- * by the original signal so the supervisor still sees the true
- * cause. */
+/* Fatal-signal handler: write the breadcrumb's span to mm_crash.txt
+ * (async-signal-safe: open/write/close only), then die by the original
+ * signal so the supervisor still sees the true cause. */
 static void mm_crash_handler(int sig) {
-  const char *span = 0;
-  int depth = mm_crumb_depth;
-  if (depth > MM_CRUMB_MAX) depth = MM_CRUMB_MAX;
-  for (int i = depth - 1; i >= 0 && !span; i--)
-    span = mm_span_name(mm_crumb_stack[i]);
+  const char *span = mm_span_name(mm_crumb);
   if (span) {
     int fd = open("mm_crash.txt", O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd >= 0) {

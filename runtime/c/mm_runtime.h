@@ -173,26 +173,26 @@ _Noreturn void mm_guard_same(int a, int b, const char *what, int id);
   (__builtin_expect((a) != (b), 0) ? mm_guard_same((a), (b), (what), (id))   \
                                    : (void)0)
 
-/* Crash breadcrumbs: emitted code pushes the innermost provenance span
- * id around located statements and loops; a fatal signal writes the
- * innermost resolvable span to mm_crash.txt so the supervisor can
- * render a caret even for SIGSEGV/SIGFPE deaths.  The stack is
- * thread-local — every thread keeps its own trail, so pushes inside
- * parallel regions are race-free and the handler (which runs on the
- * faulting thread) reads exactly that thread's innermost span — and
- * push/pop are inline macros: a TLS load, a compare and a store, cheap
- * enough to sit in per-element code paths.  Depth keeps counting past
- * MM_CRUMB_MAX so deep nests stay balanced; only the ids below the cap
- * are recorded. */
-#define MM_CRUMB_MAX 64
-extern _Thread_local int mm_crumb_stack[MM_CRUMB_MAX];
-extern _Thread_local int mm_crumb_depth;
-#define mm_crumb_push(id)                                                     \
-  ((void)((mm_crumb_depth < MM_CRUMB_MAX                                      \
-               ? (void)(mm_crumb_stack[mm_crumb_depth] = (id))                \
-               : (void)0),                                                    \
-          mm_crumb_depth++))
-#define mm_crumb_pop() ((void)(mm_crumb_depth > 0 ? mm_crumb_depth-- : 0))
+/* Crash breadcrumbs: emitted code brackets every provenance site —
+ * loops and top-level located statements — with
+ *   int hidden = mm_crumb_push(id);  ...  mm_crumb_pop(hidden);
+ * so mm_crumb holds the innermost open site's span id (-1 outside every
+ * site), and a fatal signal writes that span to mm_crash.txt: the
+ * supervisor renders a caret even for SIGSEGV/SIGFPE deaths.  The crumb
+ * is thread-local — each thread has its own, so sites inside parallel
+ * regions are race-free and the handler (which runs on the faulting
+ * thread) reads exactly that thread's innermost span.  A push is one
+ * TLS load and store, a pop one store: cheap enough to sit in
+ * per-element code paths, and to compile. */
+extern _Thread_local int mm_crumb;
+
+static inline int mm_crumb_push(int id) {
+  int hidden = mm_crumb;
+  mm_crumb = id;
+  return hidden;
+}
+
+static inline void mm_crumb_pop(int hidden) { mm_crumb = hidden; }
 
 /* Integer minimum (tile-boundary bounds from the transform extension). */
 static inline int mm_min(int a, int b) { return a < b ? a : b; }

@@ -47,27 +47,27 @@ const char *const mm_spans[] = {
 };
 
 mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
-  mm_crumb_push(0);
+  int __mm_crumb0 = mm_crumb_push(0);
   int m = ssh->dims[0];
-  mm_crumb_pop();
-  mm_crumb_push(1);
+  mm_crumb_pop(__mm_crumb0);
+  int __mm_crumb1 = mm_crumb_push(1);
   int n = ssh->dims[1];
-  mm_crumb_pop();
-  mm_crumb_push(2);
+  mm_crumb_pop(__mm_crumb1);
+  int __mm_crumb2 = mm_crumb_push(2);
   mm_mat_int2 *__mm_initm0 = mm_alloc_int(2, m, n);
   mm_mat_int2 *labels = __mm_initm0;
-  mm_crumb_pop();
-  mm_crumb_push(3);
+  mm_crumb_pop(__mm_crumb2);
+  int __mm_crumb3 = mm_crumb_push(3);
   mm_float __mm_s1 = -0.25;
   mm_mat_bool2 *__mm_ew2 = mm_alloc_bool(2, ssh->dims[0], ssh->dims[1]);
-  mm_crumb_push(4);
+  int __mm_crumb4 = mm_crumb_push(4);
   for (int __mm_i3 = 0; __mm_i3 < mm_size(ssh); __mm_i3++) {
     __mm_ew2->data[__mm_i3] = ssh->data[__mm_i3] < __mm_s1;
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb4);
   mm_mat_bool2 *binary = __mm_ew2;
-  mm_crumb_pop();
-  mm_crumb_push(5);
+  mm_crumb_pop(__mm_crumb3);
+  int __mm_crumb5 = mm_crumb_push(5);
   {
     int i = 0;
     while (i < m) {
@@ -85,11 +85,11 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
       i = i + 1;
     }
   }
-  mm_crumb_pop();
-  mm_crumb_push(8);
+  mm_crumb_pop(__mm_crumb5);
+  int __mm_crumb6 = mm_crumb_push(8);
   bool changed = true;
-  mm_crumb_pop();
-  mm_crumb_push(9);
+  mm_crumb_pop(__mm_crumb6);
+  int __mm_crumb7 = mm_crumb_push(9);
   while (changed) {
     changed = false;
     {
@@ -146,52 +146,52 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
       }
     }
   }
-  mm_crumb_pop();
-  mm_crumb_push(26);
+  mm_crumb_pop(__mm_crumb7);
+  int __mm_crumb8 = mm_crumb_push(26);
   mm_rc_dec(binary);
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb8);
   return labels;
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb8);
 }
 
 int main(void) {
-  mm_crumb_push(27);
+  int __mm_crumb9 = mm_crumb_push(27);
   mm_mat_float3 *__mm_rd16 = mm_read_matrix("ssh.data");
   mm_mat_float3 *ssh = __mm_rd16;
-  mm_crumb_pop();
-  mm_crumb_push(28);
+  mm_crumb_pop(__mm_crumb9);
+  int __mm_crumb10 = mm_crumb_push(28);
   mm_mat_int1 *__mm_rd17 = mm_read_matrix("dates.data");
   mm_mat_int1 *dates = __mm_rd17;
-  mm_crumb_pop();
-  mm_crumb_push(29);
+  mm_crumb_pop(__mm_crumb10);
+  int __mm_crumb11 = mm_crumb_push(29);
   mm_mat_bool1 *__mm_ew18 = mm_alloc_bool(1, dates->dims[0]);
-  mm_crumb_push(30);
+  int __mm_crumb12 = mm_crumb_push(30);
   #pragma omp parallel for
   for (int __mm_i19 = 0; __mm_i19 < mm_size(dates); __mm_i19++) {
     __mm_ew18->data[__mm_i19] = dates->data[__mm_i19] >= 1012000;
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb12);
   MM_SAME(mm_size(__mm_ew18), ssh->dims[2], "mask length disagrees with dimension 2", 30);
   int __mm_cnt20 = 0;
-  mm_crumb_push(30);
+  int __mm_crumb13 = mm_crumb_push(30);
   for (int __mm_i22 = 0; __mm_i22 < mm_size(__mm_ew18); __mm_i22++) {
     if (__mm_ew18->data[__mm_i22]) {
       __mm_cnt20 = __mm_cnt20 + 1;
     }
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb13);
   mm_mat_int1 *__mm_sel21 = mm_alloc_int(1, __mm_cnt20);
   int __mm_k23 = 0;
-  mm_crumb_push(30);
+  int __mm_crumb14 = mm_crumb_push(30);
   for (int __mm_i22 = 0; __mm_i22 < mm_size(__mm_ew18); __mm_i22++) {
     if (__mm_ew18->data[__mm_i22]) {
       __mm_sel21->data[__mm_k23] = __mm_i22;
       __mm_k23 = __mm_k23 + 1;
     }
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb14);
   mm_mat_float3 *__mm_slice24 = mm_alloc_float(3, ssh->dims[0], ssh->dims[1], mm_size(__mm_sel21));
-  mm_crumb_push(31);
+  int __mm_crumb15 = mm_crumb_push(31);
   for (int __mm_o25 = 0; __mm_o25 < ssh->dims[0]; __mm_o25++) {
     for (int __mm_o26 = 0; __mm_o26 < ssh->dims[1]; __mm_o26++) {
       for (int __mm_o27 = 0; __mm_o27 < mm_size(__mm_sel21); __mm_o27++) {
@@ -199,33 +199,33 @@ int main(void) {
       }
     }
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb15);
   mm_mat_float3 *recent = __mm_slice24;
   mm_rc_dec(__mm_sel21);
   mm_rc_dec(__mm_ew18);
-  mm_crumb_pop();
-  mm_crumb_push(32);
+  mm_crumb_pop(__mm_crumb11);
+  int __mm_crumb16 = mm_crumb_push(32);
   mm_mat_int3 *__mm_mmapr28 = mm_alloc_int(3, recent->dims[0], recent->dims[1], recent->dims[2]);
   int __mm_total33 = recent->dims[2];
-  mm_crumb_push(33);
+  int __mm_crumb17 = mm_crumb_push(33);
   #pragma omp parallel for
   for (int __mm_t34 = 0; __mm_t34 < __mm_total33; __mm_t34++) {
     __mm_mmap_connComp29(recent, __mm_mmapr28, __mm_t34);
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb17);
   mm_mat_int3 *labels = __mm_mmapr28;
-  mm_crumb_pop();
-  mm_crumb_push(34);
+  mm_crumb_pop(__mm_crumb16);
+  int __mm_crumb18 = mm_crumb_push(34);
   mm_write_matrix("eddyLabels.data", labels);
-  mm_crumb_pop();
-  mm_crumb_push(35);
+  mm_crumb_pop(__mm_crumb18);
+  int __mm_crumb19 = mm_crumb_push(35);
   mm_rc_dec(labels);
   mm_rc_dec(recent);
   mm_rc_dec(dates);
   mm_rc_dec(ssh);
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb19);
   return 0;
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb19);
 }
 
 void __mm_mmap_connComp29(mm_mat_float3 *m, mm_mat_int3 *r, int t) {
@@ -233,23 +233,23 @@ void __mm_mmap_connComp29(mm_mat_float3 *m, mm_mat_int3 *r, int t) {
   int c2 = __mm_rem30 % m->dims[2];
   __mm_rem30 = __mm_rem30 / m->dims[2];
   mm_mat_float2 *__mm_slice31 = mm_alloc_float(2, m->dims[0], m->dims[1]);
-  mm_crumb_push(33);
+  int __mm_crumb20 = mm_crumb_push(33);
   for (int o0 = 0; o0 < m->dims[0]; o0++) {
     for (int o1 = 0; o1 < m->dims[1]; o1++) {
       __mm_slice31->data[o0 * m->dims[1] + o1] = m->data[(o0 * m->dims[1] + o1) * m->dims[2] + c2];
     }
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb20);
   mm_mat_int2 *__mm_out32 = connComp(__mm_slice31);
   MM_SAME(__mm_out32->dims[0], m->dims[0], "result of 'connComp' disagrees with its fiber in dimension 0", 33);
   MM_SAME(__mm_out32->dims[1], m->dims[1], "result of 'connComp' disagrees with its fiber in dimension 1", 33);
-  mm_crumb_push(33);
+  int __mm_crumb21 = mm_crumb_push(33);
   for (int o0 = 0; o0 < m->dims[0]; o0++) {
     for (int o1 = 0; o1 < m->dims[1]; o1++) {
       r->data[(o0 * m->dims[1] + o1) * m->dims[2] + c2] = __mm_out32->data[o0 * m->dims[1] + o1];
     }
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb21);
   mm_rc_dec(__mm_slice31);
   mm_rc_dec(__mm_out32);
   return;

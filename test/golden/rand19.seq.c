@@ -19,19 +19,19 @@ const char *const mm_spans[] = {
 };
 
 int main(void) {
-  mm_crumb_push(0);
+  int __mm_crumb0 = mm_crumb_push(0);
   int m = 6;
-  mm_crumb_pop();
-  mm_crumb_push(1);
+  mm_crumb_pop(__mm_crumb0);
+  int __mm_crumb1 = mm_crumb_push(1);
   int n = 5;
-  mm_crumb_pop();
-  mm_crumb_push(2);
+  mm_crumb_pop(__mm_crumb1);
+  int __mm_crumb2 = mm_crumb_push(2);
   mm_mat_float2 *__mm_initm0 = mm_alloc_float(2, m, n);
   mm_mat_float2 *g = __mm_initm0;
-  mm_crumb_pop();
-  mm_crumb_push(3);
+  mm_crumb_pop(__mm_crumb2);
+  int __mm_crumb3 = mm_crumb_push(3);
   mm_mat_float2 *__mm_gen1 = mm_alloc_float(2, m, n);
-  mm_crumb_push(4);
+  int __mm_crumb4 = mm_crumb_push(4);
   for (int i = 0; i < m; i++) {
     for (int jout = 0; jout < n / 2; jout++) {
       for (int jin = 0; jin < 2; jin++) {
@@ -42,37 +42,37 @@ int main(void) {
       __mm_gen1->data[i * n + (n / 2 * 2 + __mm_rem_j)] = (mm_float) (i * n + (n / 2 * 2 + __mm_rem_j));
     }
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb4);
   mm_rc_dec(g);
   g = __mm_gen1;
-  mm_crumb_pop();
-  mm_crumb_push(5);
+  mm_crumb_pop(__mm_crumb3);
+  int __mm_crumb5 = mm_crumb_push(5);
   mm_mat_float2 *__mm_slice4 = mm_alloc_float(2, g->dims[0], g->dims[1]);
-  mm_crumb_push(6);
+  int __mm_crumb6 = mm_crumb_push(6);
   for (int __mm_o5 = 0; __mm_o5 < g->dims[0]; __mm_o5++) {
     for (int __mm_o6 = 0; __mm_o6 < g->dims[1]; __mm_o6++) {
       __mm_slice4->data[__mm_o5 * g->dims[1] + __mm_o6] = g->data[__mm_o5 * g->dims[1] + __mm_o6];
     }
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb6);
   mm_mat_float2 *view = __mm_slice4;
-  mm_crumb_pop();
-  mm_crumb_push(7);
+  mm_crumb_pop(__mm_crumb5);
+  int __mm_crumb7 = mm_crumb_push(7);
   mm_float __mm_acc7 = 0.0;
-  mm_crumb_push(8);
+  int __mm_crumb8 = mm_crumb_push(8);
   for (int i = 0; i < m; i++) {
     for (int j = 0; j < n; j++) {
       __mm_acc7 = __mm_acc7 + view->data[(MM_BOUND(view, 0, i, 9), MM_BOUND(view, 1, j, 9), i * view->dims[1] + j)] * 2.9;
     }
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb8);
   mm_float t = __mm_acc7;
-  mm_crumb_pop();
-  mm_crumb_push(10);
+  mm_crumb_pop(__mm_crumb7);
+  int __mm_crumb9 = mm_crumb_push(10);
   int __mm_ret8 = (int) t;
   mm_rc_dec(view);
   mm_rc_dec(g);
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb9);
   return __mm_ret8;
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb9);
 }

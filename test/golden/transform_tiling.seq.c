@@ -35,58 +35,58 @@ const char *const mm_spans[] = {
 };
 
 mm_float rowMean(mm_mat_float2 *grid, int i) {
-  mm_crumb_push(0);
+  int __mm_crumb0 = mm_crumb_push(0);
   MM_BOUND(grid, 0, i, 1);
-  mm_crumb_pop();
-  mm_crumb_push(2);
+  mm_crumb_pop(__mm_crumb0);
+  int __mm_crumb1 = mm_crumb_push(2);
   int n = grid->dims[1];
-  mm_crumb_pop();
-  mm_crumb_push(3);
+  mm_crumb_pop(__mm_crumb1);
+  int __mm_crumb2 = mm_crumb_push(3);
   mm_float __mm_acc2 = 0.0;
-  mm_crumb_push(4);
+  int __mm_crumb3 = mm_crumb_push(4);
   for (int k = 0; k < n; k++) {
     __mm_acc2 = __mm_acc2 + grid->data[i * grid->dims[1] + k];
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb3);
   mm_float total = __mm_acc2;
-  mm_crumb_pop();
-  mm_crumb_push(5);
+  mm_crumb_pop(__mm_crumb2);
+  int __mm_crumb4 = mm_crumb_push(5);
   mm_float __mm_ret3 = total / (mm_float) n;
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb4);
   return __mm_ret3;
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb4);
 }
 
 int main(void) {
-  mm_crumb_push(6);
+  int __mm_crumb5 = mm_crumb_push(6);
   int m = 32;
-  mm_crumb_pop();
-  mm_crumb_push(7);
+  mm_crumb_pop(__mm_crumb5);
+  int __mm_crumb6 = mm_crumb_push(7);
   int n = 32;
-  mm_crumb_pop();
-  mm_crumb_push(8);
+  mm_crumb_pop(__mm_crumb6);
+  int __mm_crumb7 = mm_crumb_push(8);
   mm_mat_float2 *__mm_initm4 = mm_alloc_float(2, m, n);
   mm_mat_float2 *grid = __mm_initm4;
-  mm_crumb_pop();
-  mm_crumb_push(9);
+  mm_crumb_pop(__mm_crumb7);
+  int __mm_crumb8 = mm_crumb_push(9);
   mm_mat_float2 *__mm_gen5 = mm_alloc_float(2, m, n);
-  mm_crumb_push(10);
+  int __mm_crumb9 = mm_crumb_push(10);
   for (int i = 0; i < m; i++) {
     for (int j = 0; j < n; j++) {
       __mm_gen5->data[i * n + j] = 0.5;
     }
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb9);
   mm_rc_dec(grid);
   grid = __mm_gen5;
-  mm_crumb_pop();
-  mm_crumb_push(11);
+  mm_crumb_pop(__mm_crumb8);
+  int __mm_crumb10 = mm_crumb_push(11);
   mm_mat_float2 *__mm_initm8 = mm_alloc_float(2, m, n);
   mm_mat_float2 *scaled = __mm_initm8;
-  mm_crumb_pop();
-  mm_crumb_push(12);
+  mm_crumb_pop(__mm_crumb10);
+  int __mm_crumb11 = mm_crumb_push(12);
   mm_mat_float2 *__mm_gen9 = mm_alloc_float(2, m, n);
-  mm_crumb_push(13);
+  int __mm_crumb12 = mm_crumb_push(13);
   for (int i = 0; i < m; i++) {
     for (int jin = 0; jin < 4; jin++) {
       for (int jout = 0; jout < n / 4; jout++) {
@@ -97,53 +97,53 @@ int main(void) {
       __mm_gen9->data[i * n + (n / 4 * 4 + __mm_rem_j)] = grid->data[(MM_BOUND(grid, 0, i, 14), MM_BOUND(grid, 1, n / 4 * 4 + __mm_rem_j, 14), i * grid->dims[1] + (n / 4 * 4 + __mm_rem_j))] + 1.0;
     }
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb12);
   mm_rc_dec(scaled);
   scaled = __mm_gen9;
-  mm_crumb_pop();
-  mm_crumb_push(15);
+  mm_crumb_pop(__mm_crumb11);
+  int __mm_crumb13 = mm_crumb_push(15);
   mm_mat_float2 *__mm_slice12 = mm_alloc_float(2, scaled->dims[0], scaled->dims[1]);
-  mm_crumb_push(16);
+  int __mm_crumb14 = mm_crumb_push(16);
   for (int __mm_o13 = 0; __mm_o13 < scaled->dims[0]; __mm_o13++) {
     for (int __mm_o14 = 0; __mm_o14 < scaled->dims[1]; __mm_o14++) {
       __mm_slice12->data[__mm_o13 * scaled->dims[1] + __mm_o14] = scaled->data[__mm_o13 * scaled->dims[1] + __mm_o14];
     }
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb14);
   mm_mat_float2 *view = __mm_slice12;
-  mm_crumb_pop();
-  mm_crumb_push(17);
+  mm_crumb_pop(__mm_crumb13);
+  int __mm_crumb15 = mm_crumb_push(17);
   mm_float __mm_acc15 = 0.0;
-  mm_crumb_push(18);
+  int __mm_crumb16 = mm_crumb_push(18);
   for (int i = 0; i < m; i++) {
     for (int j = 0; j < n; j++) {
       __mm_acc15 = __mm_acc15 + view->data[(MM_BOUND(view, 0, i, 19), MM_BOUND(view, 1, j, 19), i * view->dims[1] + j)];
     }
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb16);
   mm_float total = __mm_acc15;
-  mm_crumb_pop();
-  mm_crumb_push(20);
+  mm_crumb_pop(__mm_crumb15);
+  int __mm_crumb17 = mm_crumb_push(20);
   mm_mat_float1 *__mm_initm16 = mm_alloc_float(1, m);
   mm_mat_float1 *means = __mm_initm16;
-  mm_crumb_pop();
-  mm_crumb_push(21);
+  mm_crumb_pop(__mm_crumb17);
+  int __mm_crumb18 = mm_crumb_push(21);
   mm_mat_float1 *__mm_gen17 = mm_alloc_float(1, m);
-  mm_crumb_push(22);
+  int __mm_crumb19 = mm_crumb_push(22);
   for (int i = 0; i < m; i++) {
     __mm_gen17->data[i] = rowMean(grid, i);
   }
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb19);
   mm_rc_dec(means);
   means = __mm_gen17;
-  mm_crumb_pop();
-  mm_crumb_push(23);
+  mm_crumb_pop(__mm_crumb18);
+  int __mm_crumb20 = mm_crumb_push(23);
   int __mm_ret20 = (int) (total + means->data[(MM_BOUND(means, 0, 0, 24), 0)]);
   mm_rc_dec(means);
   mm_rc_dec(view);
   mm_rc_dec(scaled);
   mm_rc_dec(grid);
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb20);
   return __mm_ret20;
-  mm_crumb_pop();
+  mm_crumb_pop(__mm_crumb20);
 }
