@@ -255,6 +255,11 @@ let rec rc_adjust f v =
 
 let alloc_mat m = VMat (Runtime.Rc.alloc ~bytes:(Nd.size m * 4) m)
 
+let in_bounds m ~dim ~span i =
+  let extent = Nd.dim_size m dim in
+  if i < 0 || i >= extent then
+    raise (Runtime_error (bound_message ~index:i ~dim ~extent, span))
+
 let const v _ = v
 let s_true = S.B true
 let s_false = S.B false
@@ -264,8 +269,8 @@ let return_unit = Return_exc VUnit
 
 (* Operands evaluate in a fixed order, which decides the side effects and
    the first error a program sees: a [Binop] or [Min] evaluates its right
-   operand first, [MGetFlat] and [MSetFlat] the offset (and the checks it
-   carries) before the matrix and the stored value, [Checked] its checks
+   operand first, [MGetFlat] and [MSetFlat] the matrix (and a subscript's
+   checks) before the offset and the stored value, [Checked] its checks
    in order before its value, argument and tuple lists left to right.  Errors that the type checker
    rules out for source programs (an unbound name, an undefined function,
    a non-literal path) compile to a closure that raises when it runs,
@@ -395,10 +400,10 @@ and scalar cx sc (e : expr) : frame -> S.t =
         let y = S.to_int (b fr) in
         S.I (min (S.to_int (a fr)) y)
   | MGetFlat (me, off) ->
-      let me = ex me and off = sx off in
+      let me, off = buffer cx sc me off in
       fun fr ->
-        let o = S.to_int (off fr) in
-        let m = mat (me fr) in
+        let m = me fr in
+        let o = off fr in
         if o < 0 || o >= Nd.size m then
           err "flat offset %d out of bounds for %s" o
             (Runtime.Shape.to_string (Nd.shape m))
@@ -414,11 +419,6 @@ and scalar cx sc (e : expr) : frame -> S.t =
   | VecHsum a ->
       let a = ex a in
       fun fr -> S.F (Runtime.Simd.hsum (vecv (a fr)))
-  | Checked ([ c ], e) ->
-      let c = check cx sc c and e = sx e in
-      fun fr ->
-        c fr;
-        e fr
   | Checked (cs, e) ->
       let cs = List.map (check cx sc) cs and e = sx e in
       fun fr ->
@@ -429,6 +429,37 @@ and scalar cx sc (e : expr) : frame -> S.t =
       let e = ex e in
       fun fr -> scal (e fr)
 
+(* A buffer access [me[off]]: a closure taking the matrix, and one
+   computing the offset, run in that order.  When [off] is a subscript's
+   checked offset, taking the matrix runs the checks against it. *)
+and buffer cx sc me off : (frame -> Nd.t) * (frame -> int) =
+  let take m = expr cx sc m in
+  match off with
+  | Checked ((Bound { span; _ } :: _ as cs), off)
+    when List.for_all (function Bound { m; _ } -> m = me | Same _ -> false) cs
+    ->
+      let me = take me and off = scalar cx sc off in
+      let cs =
+        List.filter_map
+          (function
+            | Bound { dim; index; span; _ } ->
+                let index = scalar cx sc index in
+                Some (fun fr m -> in_bounds m ~dim ~span (S.to_int (index fr)))
+            | Same _ -> None)
+          cs
+      in
+      ( (fun fr ->
+          match me fr with
+          | VNull -> raise (Runtime_error (null_message, span))
+          | v ->
+              let m = mat v in
+              List.iter (fun c -> c fr m) cs;
+              m),
+        fun fr -> S.to_int (off fr) )
+  | off ->
+      let me = take me and off = scalar cx sc off in
+      ((fun fr -> mat (me fr)), fun fr -> S.to_int (off fr))
+
 (* A failing check raises its report at its own span, which [locate]
    passes through unchanged. *)
 and check cx sc (c : check) : frame -> unit =
@@ -438,10 +469,7 @@ and check cx sc (c : check) : frame -> unit =
       fun fr -> (
         match m fr with
         | VMat rc ->
-            let extent = Nd.dim_size (Runtime.Rc.get rc) dim in
-            let i = S.to_int (index fr) in
-            if i < 0 || i >= extent then
-              raise (Runtime_error (bound_message ~index:i ~dim ~extent, span))
+            in_bounds (Runtime.Rc.get rc) ~dim ~span (S.to_int (index fr))
         | VNull -> raise (Runtime_error (null_message, span))
         | v -> err "expected matrix, got %a" pp_value v)
   | Same { what; a; b; span } ->
@@ -515,10 +543,10 @@ and stmt cx sc (s : stmt) : frame -> unit =
         ignore (e fr);
         err "nested tuple lvalues are flattened by lowering"
   | MSetFlat (me, off, ve) ->
-      let me = ex me and off = sx off and ve = sx ve in
+      let me, off = buffer cx sc me off and ve = sx ve in
       fun fr ->
-        let o = S.to_int (off fr) in
-        let m = mat (me fr) in
+        let m = me fr in
+        let o = off fr in
         if o < 0 || o >= Nd.size m then
           err "flat offset %d out of bounds for %s" o
             (Runtime.Shape.to_string (Nd.shape m))
