@@ -255,6 +255,10 @@ let rec rc_adjust f v =
 
 let alloc_mat m = VMat (Runtime.Rc.alloc ~bytes:(Nd.size m * 4) m)
 
+let flat_error m o =
+  err "flat offset %d out of bounds for %s" o
+    (Runtime.Shape.to_string (Nd.shape m))
+
 let in_bounds m ~dim ~span i =
   let extent = Nd.dim_size m dim in
   if i < 0 || i >= extent then
@@ -271,10 +275,10 @@ let return_unit = Return_exc VUnit
    the first error a program sees: a [Binop] or [Min] evaluates its right
    operand first, [MGetFlat] and [MSetFlat] the matrix (and a subscript's
    checks) before the offset and the stored value, [Checked] its checks
-   in order before its value, argument and tuple lists left to right.  Errors that the type checker
-   rules out for source programs (an unbound name, an undefined function,
-   a non-literal path) compile to a closure that raises when it runs,
-   never at compile time. *)
+   in order before its value, argument and tuple lists left to right.
+   Errors that the type checker rules out for source programs (an
+   unbound name, an undefined function, a non-literal path) compile to a
+   closure that raises when it runs, never at compile time. *)
 
 let rec expr (cx : ctx) (sc : scope) (e : expr) : frame -> value =
   let ex = expr cx sc and sx = scalar cx sc in
@@ -399,15 +403,20 @@ and scalar cx sc (e : expr) : frame -> S.t =
       fun fr ->
         let y = S.to_int (b fr) in
         S.I (min (S.to_int (a fr)) y)
-  | MGetFlat (me, off) ->
-      let me, off = buffer cx sc me off in
-      fun fr ->
-        let m = me fr in
-        let o = off fr in
-        if o < 0 || o >= Nd.size m then
-          err "flat offset %d out of bounds for %s" o
-            (Runtime.Shape.to_string (Nd.shape m))
-        else Nd.get_flat m o
+  | MGetFlat (me, off) -> (
+      match subscript cx sc me off with
+      | Some (take, off) ->
+          let off = sx off in
+          fun fr ->
+            let m = take fr in
+            let o = S.to_int (off fr) in
+            if o < 0 || o >= Nd.size m then flat_error m o else Nd.get_flat m o
+      | None ->
+          let me = ex me and off = sx off in
+          fun fr ->
+            let m = mat (me fr) in
+            let o = S.to_int (off fr) in
+            if o < 0 || o >= Nd.size m then flat_error m o else Nd.get_flat m o)
   | MDim (me, d) ->
       let me = ex me and d = sx d in
       fun fr ->
@@ -429,36 +438,36 @@ and scalar cx sc (e : expr) : frame -> S.t =
       let e = ex e in
       fun fr -> scal (e fr)
 
-(* A buffer access [me[off]]: a closure taking the matrix, and one
-   computing the offset, run in that order.  When [off] is a subscript's
-   checked offset, taking the matrix runs the checks against it. *)
-and buffer cx sc me off : (frame -> Nd.t) * (frame -> int) =
-  let take m = expr cx sc m in
+(* A subscript's buffer access [me[off]], when every check [off]
+   carries bounds [me] itself: a closure taking the matrix once and
+   running the checks against it, and the unchecked offset. *)
+and subscript cx sc me off =
   match off with
   | Checked ((Bound { span; _ } :: _ as cs), off)
-    when List.for_all (function Bound { m; _ } -> m = me | Same _ -> false) cs
-    ->
-      let me = take me and off = scalar cx sc off in
+    when List.for_all (function Bound b -> b.m = me | Same _ -> false) cs ->
+      let me = expr cx sc me in
       let cs =
-        List.filter_map
-          (function
-            | Bound { dim; index; span; _ } ->
-                let index = scalar cx sc index in
-                Some (fun fr m -> in_bounds m ~dim ~span (S.to_int (index fr)))
-            | Same _ -> None)
-          cs
+        Array.of_list
+          (List.filter_map
+             (function
+               | Bound { dim; index; span; _ } ->
+                   let index = scalar cx sc index in
+                   Some (fun fr m -> in_bounds m ~dim ~span (S.to_int (index fr)))
+               | Same _ -> None)
+             cs)
       in
-      ( (fun fr ->
-          match me fr with
-          | VNull -> raise (Runtime_error (null_message, span))
-          | v ->
-              let m = mat v in
-              List.iter (fun c -> c fr m) cs;
-              m),
-        fun fr -> S.to_int (off fr) )
-  | off ->
-      let me = take me and off = scalar cx sc off in
-      ((fun fr -> mat (me fr)), fun fr -> S.to_int (off fr))
+      Some
+        ( (fun fr ->
+            match me fr with
+            | VNull -> raise (Runtime_error (null_message, span))
+            | v ->
+                let m = mat v in
+                for i = 0 to Array.length cs - 1 do
+                  cs.(i) fr m
+                done;
+                m),
+          off )
+  | _ -> None
 
 (* A failing check raises its report at its own span, which [locate]
    passes through unchanged. *)
@@ -542,18 +551,29 @@ and stmt cx sc (s : stmt) : frame -> unit =
       fun fr ->
         ignore (e fr);
         err "nested tuple lvalues are flattened by lowering"
-  | MSetFlat (me, off, ve) ->
-      let me, off = buffer cx sc me off and ve = sx ve in
-      fun fr ->
-        let m = me fr in
-        let o = off fr in
-        if o < 0 || o >= Nd.size m then
-          err "flat offset %d out of bounds for %s" o
-            (Runtime.Shape.to_string (Nd.shape m))
-        else begin
-          Support.Telemetry.bump c_stores;
-          Nd.set_flat m o (ve fr)
-        end
+  | MSetFlat (me, off, ve) -> (
+      let ve = sx ve in
+      match subscript cx sc me off with
+      | Some (take, off) ->
+          let off = sx off in
+          fun fr ->
+            let m = take fr in
+            let o = S.to_int (off fr) in
+            if o < 0 || o >= Nd.size m then flat_error m o
+            else begin
+              Support.Telemetry.bump c_stores;
+              Nd.set_flat m o (ve fr)
+            end
+      | None ->
+          let me = ex me and off = sx off in
+          fun fr ->
+            let m = mat (me fr) in
+            let o = S.to_int (off fr) in
+            if o < 0 || o >= Nd.size m then flat_error m o
+            else begin
+              Support.Telemetry.bump c_stores;
+              Nd.set_flat m o (ve fr)
+            end)
   | VecScatter (me, base, stride, ve) ->
       let me = ex me and base = sx base and stride = sx stride and ve = ex ve in
       fun fr ->
