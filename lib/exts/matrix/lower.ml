@@ -1025,10 +1025,10 @@ let index_proof fx (a : access) d (ix : A.index) : (string, string) result =
                 (Option.value ~default:"" (outside_extent fx m d k first))))
   | _ -> Error "the index is not a loop index"
 
-(* Which scalar indices of [base[indices]] keep a check: one flag per
-   spec, [true] for an [SAt] index not proven in range.  The decision is
-   the [bounds] remark at the subscript's [span]. *)
-let bounds_decision t ~span (base : A.expr) indices specs =
+(* The checks of the scalar indices of [base[indices]] (lowered to [vb]
+   and [specs]) that are not proven in range.  The decision is the
+   [bounds] remark at the subscript's [span]. *)
+let index_checks t ~span vb (base : A.expr) indices specs =
   let fx = facts t in
   let access =
     Option.bind fx (fun fx ->
@@ -1064,27 +1064,20 @@ let bounds_decision t ~span (base : A.expr) indices specs =
                [ (Printf.sprintf "dim %d" d, "checked: " ^ why) ])
          decisions)
   in
-  let kept = function Some (Error _) -> true | _ -> false in
   if details <> [] then
-    if List.exists kept decisions then
+    if List.exists (function Some (Error _) -> true | _ -> false) decisions
+    then
       R.emit ~pass:"bounds" ~kind:R.Missed ~span ~details
         "subscript keeps a run-time check"
     else
       R.emit ~pass:"bounds" ~kind:R.Applied ~span ~details
         "subscript check dropped: every index is proven in range";
-  List.map2
-    (fun spec d -> match spec with SAt _ -> kept d | _ -> false)
-    specs decisions
-
-(* The checks of the scalar indices [keep] flags. *)
-let index_checks ~span vb specs keep =
   List.concat
     (List.mapi
-       (fun d (spec, keep) ->
-         match spec with
-         | SAt index when keep -> [ Bound { m = Var vb; dim = d; index; span } ]
+       (fun dim -> function
+         | SAt index, Some (Error _) -> [ Bound { m = Var vb; dim; index; span } ]
          | _ -> [])
-       (List.combine specs keep))
+       (List.combine specs decisions))
 
 (* The region a non-scalar subscript of [vb] selects: the kept
    dimensions, a copy-loop index and an extent per kept dimension, the
@@ -1123,9 +1116,7 @@ let h_subscript t (base : A.expr) (indices : A.index list) (rty : T.ty) span :
   | T.TMat (_elem, rank) ->
       let sb, vb = lower_mat t base in
       let si, specs = lower_specs t vb (ety base) indices in
-      let checks =
-        index_checks ~span vb specs (bounds_decision t ~span base indices specs)
-      in
+      let checks = index_checks t ~span vb base indices specs in
       let all_at = List.for_all (function SAt _ -> true | _ -> false) specs in
       if all_at then
         (* (a) standard indexing: extract one element, no allocation *)
@@ -1212,10 +1203,7 @@ let h_subscript_assign t (base : A.expr) (indices : A.index list)
   | T.TMat (elem, rank) ->
       let sb, vb = lower_mat t base in
       let si, specs = lower_specs t vb (ety base) indices in
-      let checks =
-        index_checks ~span:at vb specs
-          (bounds_decision t ~span:at base indices specs)
-      in
+      let checks = index_checks t ~span:at vb base indices specs in
       let rhs_ty = ety rhs in
       let all_at = List.for_all (function SAt _ -> true | _ -> false) specs in
       if all_at then begin
