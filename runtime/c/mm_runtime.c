@@ -76,13 +76,6 @@ static void mm_crash_handler(int sig) {
   raise(sig);
 }
 
-static void mm_crash_install(void) {
-  signal(SIGSEGV, mm_crash_handler);
-  signal(SIGFPE, mm_crash_handler);
-  signal(SIGBUS, mm_crash_handler);
-  signal(SIGABRT, mm_crash_handler);
-}
-
 _Noreturn void mm_guard_fault(int id, const char *fmt, ...) {
   const char *span = mm_span_name(id);
   /* never unlocked: a second thread failing a check waits here until
@@ -146,7 +139,10 @@ static void mm_fail_clause(char *clause) {
 void mm_init(int nspans, const char *const *spans) {
   mm_span_total = nspans;
   mm_span_table = spans;
-  mm_crash_install();
+  signal(SIGSEGV, mm_crash_handler);
+  signal(SIGFPE, mm_crash_handler);
+  signal(SIGBUS, mm_crash_handler);
+  signal(SIGABRT, mm_crash_handler);
   const char *spec = getenv("MM_FAILPOINTS");
   if (!spec || !*spec) return;
   char *copy = malloc(strlen(spec) + 1);
