@@ -69,55 +69,70 @@ let c_string_lit s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
-(* --- span table and instrumentation state (shared with expr below) ---- *)
+(* --- per-call emission state ---------------------------------------------- *)
 
-(* When on, provenance sites are also wrapped in mm_prof enter/exit
-   calls, so a native run attributes wall time to the same source spans
-   the interpreter profiler reports. *)
-let instrument_mode = ref false
+(* One emission's state.  {!program}, {!stmts} and {!expr} each make their
+   own, so emitting is a function of the arguments alone. *)
+type st = {
+  instrument : bool;
+      (** provenance sites are also wrapped in mm_prof enter/exit calls,
+          so a native run attributes wall time to the same source spans
+          the interpreter profiler reports *)
+  line_file : string option;
+      (** when [Some file], [Located] nodes emit [#line] directives
+          pointing the C toolchain (debuggers, profilers) back at the
+          original source *)
+  span_ids : (string, int) Hashtbl.t;
+      (** span string -> id, in first-emission order (the table index is
+          the id): the program's one span table, which checks,
+          breadcrumbs and the profiler all name spans by *)
+  mutable span_order : string list;  (** reversed *)
+  mutable open_spans : (string * string) list;
+      (** the sites open at the emission point, innermost first: each
+          one's span and the local holding the crash breadcrumb it hides.
+          Mirrors the interpreter's runtime frame stack well enough to
+          make the same skip decisions statically: a loop desugared to
+          several nested loops over one source span is one site, the
+          outermost, and a [return] knows which sites to unwind. *)
+  mutable crumbs : int;  (** breadcrumb locals made so far *)
+  mutable ret : ctype;
+      (** return type of the function being emitted: a returned tuple
+          literal needs its struct name for a C compound literal *)
+}
 
-(* Span string -> id, in first-emission order (the table index is the id).
-   The program's one span table: checks, breadcrumbs and the profiler
-   all name spans by these ids. *)
-let span_ids : (string, int) Hashtbl.t = Hashtbl.create 16
-let span_order : string list ref = ref [] (* reversed *)
+let state ?line_file ?(instrument = false) () =
+  {
+    instrument;
+    line_file;
+    span_ids = Hashtbl.create 16;
+    span_order = [];
+    open_spans = [];
+    crumbs = 0;
+    ret = CVoid;
+  }
 
-let span_id s =
-  match Hashtbl.find_opt span_ids s with
+let span_id st s =
+  match Hashtbl.find_opt st.span_ids s with
   | Some id -> id
   | None ->
-      let id = Hashtbl.length span_ids in
-      Hashtbl.add span_ids s id;
-      span_order := s :: !span_order;
+      let id = Hashtbl.length st.span_ids in
+      Hashtbl.add st.span_ids s id;
+      st.span_order <- s :: st.span_order;
       id
 
-(* The sites currently open at the emission point, innermost first: each
-   one's span and the local holding the crash breadcrumb it hides.
-   Mirrors the interpreter's runtime frame stack well enough to make the
-   same skip decisions statically: a loop desugared to several nested
-   loops over one source span is one site, the outermost, and a
-   [return] knows which sites to unwind. *)
-let open_spans : (string * string) list ref = ref []
-
-let in_frame site f =
-  open_spans := site :: !open_spans;
-  Fun.protect ~finally:(fun () -> open_spans := List.tl !open_spans) f
+let in_frame st site f =
+  let outer = st.open_spans in
+  st.open_spans <- site :: outer;
+  f ();
+  st.open_spans <- outer
 
 (* A fresh local for the breadcrumb a site hides: entering the site
    saves it there, leaving restores it. *)
-let crumb_locals = ref 0
+let crumb_local st =
+  st.crumbs <- st.crumbs + 1;
+  Printf.sprintf "__mm_crumb%d" (st.crumbs - 1)
 
-let crumb_local () =
-  incr crumb_locals;
-  Printf.sprintf "__mm_crumb%d" (!crumb_locals - 1)
-
-let reset_spans () =
-  Hashtbl.reset span_ids;
-  span_order := [];
-  open_spans := [];
-  crumb_locals := 0
-
-let rec expr ?(prec = 0) (e : expr) : string =
+let rec expr st ?(prec = 0) (e : expr) : string =
   let p = prec_of e in
   let s =
     match e with
@@ -127,53 +142,53 @@ let rec expr ?(prec = 0) (e : expr) : string =
     | Str s -> c_string_lit s
     | Var v -> v
     | Binop (Arith op, a, b) ->
-        Printf.sprintf "%s %s %s" (expr ~prec:p a) (arith_sym op)
-          (expr ~prec:(p + 1) b)
+        Printf.sprintf "%s %s %s" (expr st ~prec:p a) (arith_sym op)
+          (expr st ~prec:(p + 1) b)
     | Binop (Cmp op, a, b) ->
-        Printf.sprintf "%s %s %s" (expr ~prec:p a) (cmp_sym op)
-          (expr ~prec:(p + 1) b)
+        Printf.sprintf "%s %s %s" (expr st ~prec:p a) (cmp_sym op)
+          (expr st ~prec:(p + 1) b)
     | Binop (Logic op, a, b) ->
-        Printf.sprintf "%s %s %s" (expr ~prec:p a) (logic_sym op)
-          (expr ~prec:(p + 1) b)
-    | Unop (Neg, a) -> Printf.sprintf "-%s" (expr ~prec:60 a)
-    | Unop (Not, a) -> Printf.sprintf "!%s" (expr ~prec:60 a)
-    | Unop (IntOfFloat, a) -> Printf.sprintf "(int) %s" (expr ~prec:60 a)
-    | Unop (FloatOfInt, a) -> Printf.sprintf "(mm_float) %s" (expr ~prec:60 a)
+        Printf.sprintf "%s %s %s" (expr st ~prec:p a) (logic_sym op)
+          (expr st ~prec:(p + 1) b)
+    | Unop (Neg, a) -> Printf.sprintf "-%s" (expr st ~prec:60 a)
+    | Unop (Not, a) -> Printf.sprintf "!%s" (expr st ~prec:60 a)
+    | Unop (IntOfFloat, a) -> Printf.sprintf "(int) %s" (expr st ~prec:60 a)
+    | Unop (FloatOfInt, a) -> Printf.sprintf "(mm_float) %s" (expr st ~prec:60 a)
     | Min (a, b) ->
-        Printf.sprintf "mm_min(%s, %s)" (expr ~prec:0 a) (expr ~prec:0 b)
+        Printf.sprintf "mm_min(%s, %s)" (expr st ~prec:0 a) (expr st ~prec:0 b)
     | Call (f, args) ->
-        Printf.sprintf "%s(%s)" f (String.concat ", " (List.map (expr ~prec:0) args))
+        Printf.sprintf "%s(%s)" f (String.concat ", " (List.map (expr st ~prec:0) args))
     | TupleE es ->
-        Printf.sprintf "{ %s }" (String.concat ", " (List.map (expr ~prec:0) es))
-    | Field (a, i) -> Printf.sprintf "%s.f%d" (expr ~prec:60 a) i
+        Printf.sprintf "{ %s }" (String.concat ", " (List.map (expr st ~prec:0) es))
+    | Field (a, i) -> Printf.sprintf "%s.f%d" (expr st ~prec:60 a) i
     | MAlloc (el, dims) ->
         Printf.sprintf "mm_alloc_%s(%d%s)"
           (Runtime.Ndarray.elem_name el)
           (List.length dims)
           (String.concat ""
-             (List.map (fun d -> ", " ^ expr ~prec:0 d) dims))
+             (List.map (fun d -> ", " ^ expr st ~prec:0 d) dims))
     | MGetFlat (m, off) ->
-        Printf.sprintf "%s->data[%s]" (expr ~prec:60 m) (expr ~prec:0 off)
+        Printf.sprintf "%s->data[%s]" (expr st ~prec:60 m) (expr st ~prec:0 off)
     | Checked (cs, e) ->
         (* a comma expression: the checks run, in order, before [e] *)
         Printf.sprintf "(%s, %s)"
-          (String.concat ", " (List.map check cs))
-          (expr ~prec:0 e)
-    | MDim (m, d) -> Printf.sprintf "%s->dims[%s]" (expr ~prec:60 m) (expr ~prec:0 d)
-    | MSize m -> Printf.sprintf "mm_size(%s)" (expr ~prec:0 m)
-    | MRead p -> Printf.sprintf "mm_read_matrix(%s)" (expr ~prec:0 p)
-    | VecSplat a -> Printf.sprintf "_mm_set1_ps(%s)" (expr ~prec:0 a)
+          (String.concat ", " (List.map (check st) cs))
+          (expr st ~prec:0 e)
+    | MDim (m, d) -> Printf.sprintf "%s->dims[%s]" (expr st ~prec:60 m) (expr st ~prec:0 d)
+    | MSize m -> Printf.sprintf "mm_size(%s)" (expr st ~prec:0 m)
+    | MRead p -> Printf.sprintf "mm_read_matrix(%s)" (expr st ~prec:0 p)
+    | VecSplat a -> Printf.sprintf "_mm_set1_ps(%s)" (expr st ~prec:0 a)
     | VecGather (m, base, stride) ->
         (* Pack 4 lanes (highest lane first, as _mm_set_ps expects).  The
            per-lane double -> float conversion is exactly the interpreter's
            rounding of each gathered element through single precision;
            stride 1 gets no loadu shortcut because the buffer is double. *)
-        let d = expr ~prec:60 m in
+        let d = expr st ~prec:60 m in
         let lane k =
           let off =
             fold_expr (Binop (Arith S.Add, base, Binop (Arith S.Mul, Int k, stride)))
           in
-          Printf.sprintf "%s->data[%s]" d (expr ~prec:0 off)
+          Printf.sprintf "%s->data[%s]" d (expr st ~prec:0 off)
         in
         Printf.sprintf "_mm_set_ps(%s, %s, %s, %s)" (lane 3) (lane 2) (lane 1)
           (lane 0)
@@ -186,30 +201,25 @@ let rec expr ?(prec = 0) (e : expr) : string =
           | S.Div -> "_mm_div_ps"
           | S.Mod -> "mm_mod_ps"
         in
-        Printf.sprintf "%s(%s, %s)" name (expr ~prec:0 a) (expr ~prec:0 b)
-    | VecHsum a -> Printf.sprintf "mm_hsum_ps(%s)" (expr ~prec:0 a)
+        Printf.sprintf "%s(%s, %s)" name (expr st ~prec:0 a) (expr st ~prec:0 b)
+    | VecHsum a -> Printf.sprintf "mm_hsum_ps(%s)" (expr st ~prec:0 a)
   in
   if p < prec then "(" ^ s ^ ")" else s
 
 (* A check is a void expression naming its span by table id. *)
-and check = function
+and check st = function
   | Bound { m; dim; index; span } ->
-      Printf.sprintf "MM_BOUND(%s, %d, %s, %d)" (expr ~prec:0 m) dim
-        (expr ~prec:0 index)
-        (span_id (Support.Pos.span_to_string span))
+      Printf.sprintf "MM_BOUND(%s, %d, %s, %d)" (expr st ~prec:0 m) dim
+        (expr st ~prec:0 index)
+        (span_id st (Support.Pos.span_to_string span))
   | Same { what; a; b; span } ->
-      Printf.sprintf "MM_SAME(%s, %s, %s, %d)" (expr ~prec:0 a) (expr ~prec:0 b)
+      Printf.sprintf "MM_SAME(%s, %s, %s, %d)" (expr st ~prec:0 a) (expr st ~prec:0 b)
         (c_string_lit what)
-        (span_id (Support.Pos.span_to_string span))
+        (span_id st (Support.Pos.span_to_string span))
 
 let rec lvalue = function
   | LVar v -> v
   | LField (lv, i) -> Printf.sprintf "%s.f%d" (lvalue lv) i
-
-(* When [Some file], [Located] nodes emit [#line] directives pointing the C
-   toolchain (debuggers, profilers) back at the original source. Off by
-   default so emitted C is unchanged for existing consumers. *)
-let line_file : string option ref = ref None
 
 (* --- provenance sites ----------------------------------------------------- *)
 
@@ -217,31 +227,31 @@ let line_file : string option ref = ref None
    open frame's (tile/vector desugarings stack several loops on one span;
    one frame per span entry is what the interpreter records, and skipping
    the inner copies keeps the hot-path overhead down). *)
-let seq_loop_span prov =
+let seq_loop_span st prov =
   match prov with
   | None -> None
   | Some sp -> (
       let s = Support.Pos.span_to_string sp in
-      match !open_spans with
+      match st.open_spans with
       | (top, _) :: _ when String.equal top s -> None
-      | _ -> Some (span_id s, s))
+      | _ -> Some (span_id st s, s))
 
 (* A parallel loop is always a site: its dispatch decision is exactly
    what the differential profile wants to see. *)
-let par_loop_span prov =
+let par_loop_span st prov =
   Option.map
     (fun sp ->
       let s = Support.Pos.span_to_string sp in
-      (span_id s, s))
+      (span_id st s, s))
     prov
 
 (* Located statements are sites only at the top level, like the
    interpreter's profile frames (statement frames nested inside loop
    frames would double every hot span). *)
-let located_span sp =
-  if !open_spans = [] then
+let located_span st sp =
+  if st.open_spans = [] then
     let s = Support.Pos.span_to_string sp in
-    Some (span_id s, s)
+    Some (span_id st s, s)
   else None
 
 let ctype_decl t name =
@@ -250,32 +260,30 @@ let ctype_decl t name =
   | CVec -> Printf.sprintf "__m128 %s" name
   | t -> Printf.sprintf "%s %s" (ctype_name t) name
 
-(* Return type of the function being emitted: a returned tuple literal
-   needs its struct name for a C compound literal. *)
-let cur_ret : ctype ref = ref CVoid
-
 (* A [return] inside open sites jumps past their exits; close them
    explicitly (innermost first, with zero counts) and restore the
    breadcrumb the outermost one hid, so neither the profiler's frames
    nor the crumb leak across the call. *)
-let unwind_frames buf ind =
+let unwind_frames st buf ind =
   List.iter
     (fun (s, _) ->
-      let id = Hashtbl.find span_ids s in
-      if !instrument_mode then
+      let id = Hashtbl.find st.span_ids s in
+      if st.instrument then
         Buffer.add_string buf
           (Printf.sprintf
              "%sif (mm_prof_live) { if (!mm_prof_skip[%d]) mm_prof_exit(%d, \
               0, 0); else mm_prof_sentries[%d]++; }\n"
              ind id id id))
-    !open_spans;
-  match List.rev !open_spans with
+    st.open_spans;
+  match List.rev st.open_spans with
   | (_, outermost) :: _ ->
       Buffer.add_string buf (Printf.sprintf "%smm_crumb_pop(%s);\n" ind outermost)
   | [] -> ()
 
-let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
+let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (ind ^ s ^ "\n")) fmt in
+  let expr ?prec e = expr st ?prec e and check = check st in
+  let block = block st in
   match s with
   | Decl (t, n, None) ->
       (* Initialiser-less declarations get the interpreter's type defaults
@@ -328,7 +336,7 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
       block buf (ind ^ "  ") b;
       line "}"
   | For l -> (
-      match seq_loop_span l.prov with
+      match seq_loop_span st l.prov with
       | Some (id, sp) ->
           (* Guarded probes: once the runtime freezes span [id]'s timing
              (mm_prof_skip flips), executions are counted inline with no
@@ -338,17 +346,17 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
              The breadcrumb brackets the loop the same way; it is
              thread-local, so sites inside parallel regions set each
              worker's own. *)
-          if !instrument_mode then
+          if st.instrument then
             line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id
               id;
-          let crumb = crumb_local () in
+          let crumb = crumb_local st in
           line "int %s = mm_crumb_push(%d);" crumb id;
           line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
             (expr ~prec:31 l.bound) l.index;
-          in_frame (sp, crumb) (fun () -> block buf (ind ^ "  ") l.body);
+          in_frame st (sp, crumb) (fun () -> block buf (ind ^ "  ") l.body);
           line "}";
           line "mm_crumb_pop(%s);" crumb;
-          if !instrument_mode then begin
+          if st.instrument then begin
             line "if (mm_prof_live) {";
             line
               "  if (!mm_prof_skip[%d]) mm_prof_exit(%d, (long long) (%s), 0);"
@@ -365,8 +373,8 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
           block buf (ind ^ "  ") l.body;
           line "}")
   | ParFor l -> (
-      match par_loop_span l.prov with
-      | Some (id, sp) when !instrument_mode ->
+      match par_loop_span st l.prov with
+      | Some (id, sp) when st.instrument ->
           (* The worker-time probe lives inside the parallel region but
              outside the work-shared loop, so each thread reports its own
              busy window.  Without OpenMP the pragmas vanish and the block
@@ -374,7 +382,7 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
              because no region was installed.  The breadcrumb brackets
              the whole dispatch from the master thread; workers keep
              their own thread-local trails inside the region. *)
-          let crumb = crumb_local () in
+          let crumb = crumb_local st in
           line "int %s = mm_crumb_push(%d);" crumb id;
           line "mm_prof_enter_par(%d);" id;
           line "#pragma omp parallel";
@@ -383,19 +391,19 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
           line "#pragma omp for";
           line "  for (int %s = 0; %s < %s; %s++) {" l.index l.index
             (expr ~prec:31 l.bound) l.index;
-          in_frame (sp, crumb) (fun () -> block buf (ind ^ "    ") l.body);
+          in_frame st (sp, crumb) (fun () -> block buf (ind ^ "    ") l.body);
           line "  }";
           line "  mm_prof_worker(%d, mm_prof_now() - __mm_prof_w);" id;
           line "}";
           line "mm_prof_exit_par(%d, (long long) (%s));" id (expr l.bound);
           line "mm_crumb_pop(%s);" crumb
       | Some (id, sp) ->
-          let crumb = crumb_local () in
+          let crumb = crumb_local st in
           line "int %s = mm_crumb_push(%d);" crumb id;
           line "#pragma omp parallel for";
           line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
             (expr ~prec:31 l.bound) l.index;
-          in_frame (sp, crumb) (fun () -> block buf (ind ^ "  ") l.body);
+          in_frame st (sp, crumb) (fun () -> block buf (ind ^ "  ") l.body);
           line "}";
           line "mm_crumb_pop(%s);" crumb
       | None ->
@@ -406,14 +414,14 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
           line "}")
   | ExprS e -> line "%s;" (expr e)
   | Return None ->
-      unwind_frames buf ind;
+      unwind_frames st buf ind;
       line "return;"
-  | Return (Some (TupleE es)) when (match !cur_ret with CTuple _ -> true | _ -> false) ->
-      unwind_frames buf ind;
-      line "return (%s){ %s };" (ctype_name !cur_ret)
+  | Return (Some (TupleE es)) when (match st.ret with CTuple _ -> true | _ -> false) ->
+      unwind_frames st buf ind;
+      line "return (%s){ %s };" (ctype_name st.ret)
         (String.concat ", " (List.map (expr ~prec:0) es))
   | Return (Some e) ->
-      unwind_frames buf ind;
+      unwind_frames st buf ind;
       line "return %s;" (expr e)
   | Break -> line "break;"
   | Continue -> line "continue;"
@@ -435,25 +443,25 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
   | Located (sp, b) -> (
       (* Not a C scope: print the inner statements at the current indent so
          declarations stay visible to later siblings. *)
-      (match !line_file with
+      (match st.line_file with
       | Some file ->
           Buffer.add_string buf
             (Printf.sprintf "#line %d %S\n" sp.Support.Pos.left.Support.Pos.line
                file)
       | None -> ());
-      match located_span sp with
+      match located_span st sp with
       | Some (id, s) ->
           (* Same guarded fast path as For loops: statements in a
              function called per element of a hot loop execute far too
              often for an unconditional call per probe. *)
-          if !instrument_mode then
+          if st.instrument then
             line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id
               id;
-          let crumb = crumb_local () in
+          let crumb = crumb_local st in
           line "int %s = mm_crumb_push(%d);" crumb id;
-          in_frame (s, crumb) (fun () -> block buf ind b);
+          in_frame st (s, crumb) (fun () -> block buf ind b);
           line "mm_crumb_pop(%s);" crumb;
-          if !instrument_mode then begin
+          if st.instrument then begin
             line "if (mm_prof_live) {";
             line "  if (!mm_prof_skip[%d]) mm_prof_exit(%d, 0, 0);" id id;
             line "  else mm_prof_sentries[%d]++;" id;
@@ -466,7 +474,7 @@ let rec stmt (buf : Buffer.t) (ind : string) (s : stmt) : unit =
          IR ([--dump-ir]), where the payload prints transparently. *)
       block buf ind b
 
-and block buf ind stmts = List.iter (stmt buf ind) stmts
+and block st buf ind stmts = List.iter (stmt st buf ind) stmts
 
 let signature (f : func) : string =
   let params =
@@ -481,13 +489,12 @@ let signature (f : func) : string =
   in
   Printf.sprintf "%s%s(%s)" ret f.f_name params
 
-let func (f : func) : string =
+let func st (f : func) : string =
   let buf = Buffer.create 256 in
-  cur_ret := f.f_ret;
+  st.ret <- f.f_ret;
   Buffer.add_string buf (signature f ^ " {\n");
-  block buf "  " f.f_body;
+  block st buf "  " f.f_body;
   Buffer.add_string buf "}\n";
-  cur_ret := CVoid;
   Buffer.contents buf
 
 (* --- whole-program sections -------------------------------------------- *)
@@ -628,7 +635,7 @@ let rec result_stmts (t : ctype) (e : expr) : stmt list =
       ExprS (Call ("mm_result_tuple", [ Int (List.length ts) ]))
       :: List.concat (List.mapi (fun i ft -> result_stmts ft (Field (e, i))) ts)
 
-let harness_main (p : program) : func =
+let harness_main ~instrument (p : program) : func =
   let entry =
     match List.find_opt (fun f -> f.f_name = p.main) p.funcs with
     | Some f -> f
@@ -649,11 +656,11 @@ let harness_main (p : program) : func =
     [ ExprS (Call ("mm_init", [ Var "MM_NSPANS"; Var "mm_spans" ])) ]
   in
   let prof_init =
-    if !instrument_mode then [ ExprS (Call ("mm_prof_init", [])) ] else []
+    if instrument then [ ExprS (Call ("mm_prof_init", [])) ] else []
   and prof_stop =
-    if !instrument_mode then [ ExprS (Call ("mm_prof_stop", [])) ] else []
+    if instrument then [ ExprS (Call ("mm_prof_stop", [])) ] else []
   and prof_dump =
-    if !instrument_mode then
+    if instrument then
       [ ExprS (Call ("mm_prof_dump", [ Str "mm_profile.json" ])) ]
     else []
   in
@@ -677,8 +684,8 @@ let harness_main (p : program) : func =
    crash triage's carets), so the two backends join row-for-row on the
    rendered span.  Non-static: external linkage keeps -Wunused quiet for
    programs whose harness is compiled separately. *)
-let span_table () =
-  let names = List.rev !span_order in
+let span_table st =
+  let names = List.rev st.span_order in
   String.concat "\n"
     ([
        Printf.sprintf "#define MM_NSPANS %d" (List.length names);
@@ -701,35 +708,31 @@ let span_table () =
     initialises, stops, and dumps the profiler. *)
 let program ?line_directives_file ?(instrument = false)
     ?(exec_harness = false) (p : program) : string =
-  line_file := line_directives_file;
-  instrument_mode := instrument;
-  reset_spans ();
-  Fun.protect
-    ~finally:(fun () ->
-      line_file := None;
-      instrument_mode := false)
-    (fun () ->
-      let p = if exec_harness then rename_entry p else p in
-      let p =
-        if exec_harness then { p with funcs = p.funcs @ [ harness_main p ] }
-        else p
-      in
-      let section = function
-        | [] -> ""
-        | lines -> String.concat "\n" lines ^ "\n\n"
-      in
-      (* The function bodies must be rendered first: emitting them is what
-         populates the span table the header sections then print. *)
-      let funcs_text = String.concat "\n" (List.map func p.funcs) in
-      preamble ~simd:(uses_simd p)
-      ^ (if instrument then "#include \"mm_prof.h\"\n\n" else "")
-      ^ section (List.map tuple_typedef (tuple_types p))
-      ^ section (prototypes p)
-      ^ span_table () ^ funcs_text)
+  let st = state ?line_file:line_directives_file ~instrument () in
+  let p = if exec_harness then rename_entry p else p in
+  let p =
+    if exec_harness then { p with funcs = p.funcs @ [ harness_main ~instrument p ] }
+    else p
+  in
+  let section = function
+    | [] -> ""
+    | lines -> String.concat "\n" lines ^ "\n\n"
+  in
+  (* The function bodies must be rendered first: emitting them is what
+     populates the span table the header sections then print. *)
+  let funcs_text = String.concat "\n" (List.map (func st) p.funcs) in
+  preamble ~simd:(uses_simd p)
+  ^ (if instrument then "#include \"mm_prof.h\"\n\n" else "")
+  ^ section (List.map tuple_typedef (tuple_types p))
+  ^ section (prototypes p)
+  ^ span_table st ^ funcs_text
 
-(** Emission of a single statement list (golden tests on loop shapes). *)
+(** Emission of a single statement list (golden tests on loop shapes,
+    [--dump-ir] snapshots of a transformed nest). *)
 let stmts (ss : stmt list) : string =
-  reset_spans ();
   let buf = Buffer.create 256 in
-  block buf "" ss;
+  block (state ()) buf "" ss;
   Buffer.contents buf
+
+(** Emission of a single expression. *)
+let expr ?prec e = expr (state ()) ?prec e

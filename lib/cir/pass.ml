@@ -30,6 +30,8 @@ type ctx = {
   warn : Support.Diag.t -> unit;  (** sink for non-fatal diagnostics *)
   sink : Snapshot.sink option;
       (** where [--dump-ir] snapshots go; [None] when nobody asked *)
+  remarks : Support.Remark.collector option;
+      (** where the passes' remarks go; [None] when nobody asked *)
   mutable auto_par_ran : bool;
       (** did an enabled auto-par pass already run?  The transform pass
           uses this to tell "script broken by ParFor promotion" (warn and
@@ -93,8 +95,8 @@ let count_rc stmts =
        stmts);
   (!incs, !decs)
 
-(** Always appended after the user-orderable stages: while remarks are
-    being collected, tallies the retain/release operations left in the
+(** Always appended after the user-orderable stages: when the context
+    collects remarks, tallies the retain/release operations left in the
     final program — per user function, attributing synthesised
     functions' traffic to their [f_origin] — into the per-function
     ["rc"] remarks. *)
@@ -105,7 +107,7 @@ let rc_report : t =
     managed_snapshot = false;
     run =
       (fun ctx ~enabled:_ p ->
-        if Support.Remark.on () then begin
+        if ctx.remarks <> None then begin
           let tally = Hashtbl.create 8 in
           List.iter
             (fun fn ->
@@ -133,17 +135,17 @@ let rc_report : t =
                     ]
                   in
                   if not ctx.rc then
-                    Support.Remark.emit ~pass:"rc" ~kind:Support.Remark.Skipped
+                    Support.Remark.emit ctx.remarks ~pass:"rc" ~kind:Support.Remark.Skipped
                       ~span ~details
                       "reference counting disabled (refptr extension not \
                        composed): '%s' manages no matrix ownership"
                       fn.f_name
                   else if incs + decs = 0 then
-                    Support.Remark.emit ~pass:"rc" ~kind:Support.Remark.Missed
+                    Support.Remark.emit ctx.remarks ~pass:"rc" ~kind:Support.Remark.Missed
                       ~span ~details
                       "no reference-count operations needed in '%s'" fn.f_name
                   else
-                    Support.Remark.emit ~pass:"rc" ~kind:Support.Remark.Applied
+                    Support.Remark.emit ctx.remarks ~pass:"rc" ~kind:Support.Remark.Applied
                       ~span ~details
                       "inserted %d retain and %d release operations in '%s'"
                       incs decs fn.f_name)

@@ -1,9 +1,13 @@
 (** Concrete-syntax trees → abstract syntax.
 
     Dispatches on production names; extensions register builders for their
-    own productions in the tables below (the driver calls each selected
-    extension's [register] at composition time).  This mirrors how Silver
-    concrete-syntax productions construct abstract-syntax trees. *)
+    own productions in the tables below, once, when their module is
+    initialised (as they register their AST printers with {!Ast}).  No two
+    extensions share a production name, so the tables are written before
+    [main] runs and only read after: composing a translator writes
+    nothing, and a composition without an extension never parses one of
+    its productions.  This mirrors how Silver concrete-syntax productions
+    construct abstract-syntax trees. *)
 
 module Tree = Parser.Tree
 
@@ -20,7 +24,8 @@ type ctx = {
   expr_list : Tree.t -> Ast.expr list;  (** flattens an ArgList tree *)
 }
 
-(* Extension builder registries, keyed by production name. *)
+(* Extension builder registries, keyed by production name; written only
+   by the extensions' module initialisers. *)
 let ext_expr_builders : (string, ctx -> Tree.t -> Ast.expr) Hashtbl.t =
   Hashtbl.create 32
 

@@ -58,6 +58,11 @@ type t = {
   warn : Support.Diag.t -> unit;
       (** sink for non-fatal lowering diagnostics (e.g. a transform script
           skipped because auto-parallelization changed the loop nest) *)
+  remarks : Support.Remark.collector option;
+      (** where lowering's remarks go; [None] when nobody asked *)
+  mutable index_ctx : (expr * int) option;
+      (** the subscript being lowered, for [end]: (matrix handle,
+          dimension) *)
 }
 
 (** One extension's lowering contribution; [None] declines. *)
@@ -672,22 +677,15 @@ let lower_fundef t (f : Ast.fundef) : func =
     f_origin = None;
   }
 
-(** How many times {!lower_program} has run in this process.  The pass
-    pipeline made lowering a once-per-compilation affair ([mmc explain]
-    used to re-lower once per requested stage); the equivalence suite
-    asserts on deltas of this counter.  A plain ref, not a telemetry
-    counter, so the assertion needs no [Telemetry.set_enabled]. *)
-let runs = ref 0
-
 (** [lower_program hooks ~rc prog] — translate a checked program to the
     {e baseline} CIR: every optimization decision (with-loop fusion,
     slice-copy aliasing, auto-parallelization, transform scripts) is
     recorded as a [Site] annotation around the unoptimized statements it
     would rewrite; the CIR pass pipeline consumes the sites.  [rc]
-    enables reference-count insertion (the refptr extension). *)
-let lower_program ?(warn = fun _ -> ()) (hooks : hooks list) ~(rc : bool)
-    (prog : Ast.program) : program =
-  incr runs;
+    enables reference-count insertion (the refptr extension); lowering's
+    own remarks go to [remarks]. *)
+let lower_program ?(warn = fun _ -> ()) ?remarks (hooks : hooks list)
+    ~(rc : bool) (prog : Ast.program) : program =
   let t =
     {
       gensym = Support.Gensym.create ();
@@ -708,6 +706,8 @@ let lower_program ?(warn = fun _ -> ()) (hooks : hooks list) ~(rc : bool)
           fspan = Support.Pos.dummy_span;
         };
       warn;
+      remarks;
+      index_ctx = None;
     }
   in
   List.iter

@@ -21,9 +21,10 @@ module Pipeline = Pipeline
 type extension = {
   x_name : string;
   grammar : Cfg.t;
-  register : unit -> unit;
   check_hooks : Cminus.Check.hooks;
-  lower_hooks : Cminus.Lower.hooks;
+  lower_hooks : unit -> Cminus.Lower.hooks;
+      (** made once per lowering, so hooks may keep state for that one
+          lowering (the matrix extension memoises each function's facts) *)
   passes : Cir.Pass.t list;
       (** CIR passes this extension registers, in its preferred pipeline
           order; composition concatenates them in extension order *)
@@ -37,7 +38,6 @@ let matrix : extension =
   {
     x_name = Ext_matrix.Matrix_ext.name;
     grammar = Ext_matrix.Matrix_ext.grammar;
-    register = Ext_matrix.Matrix_ext.register;
     check_hooks = Ext_matrix.Matrix_ext.check_hooks;
     lower_hooks = Ext_matrix.Matrix_ext.lower_hooks;
     passes = Ext_matrix.Matrix_ext.passes;
@@ -49,9 +49,8 @@ let transform : extension =
   {
     x_name = Ext_transform.Transform_ext.name;
     grammar = Ext_transform.Transform_ext.grammar;
-    register = Ext_transform.Transform_ext.register;
     check_hooks = Ext_transform.Transform_ext.check_hooks;
-    lower_hooks = Ext_transform.Transform_ext.lower_hooks;
+    lower_hooks = Fun.const Ext_transform.Transform_ext.lower_hooks;
     passes = [ Ext_transform.Transform_ext.pass ];
     ag_spec = Ext_transform.Transform_ext.ag_spec;
     enables_rc = false;
@@ -61,9 +60,8 @@ let refptr : extension =
   {
     x_name = Ext_refptr.Refptr_ext.name;
     grammar = Ext_refptr.Refptr_ext.grammar;
-    register = Ext_refptr.Refptr_ext.register;
     check_hooks = Ext_refptr.Refptr_ext.check_hooks;
-    lower_hooks = Ext_refptr.Refptr_ext.lower_hooks;
+    lower_hooks = Fun.const Ext_refptr.Refptr_ext.lower_hooks;
     passes = [];
     ag_spec = Ext_refptr.Refptr_ext.ag_spec;
     enables_rc = Ext_refptr.Refptr_ext.enables_rc;
@@ -73,9 +71,8 @@ let cilk : extension =
   {
     x_name = Ext_cilk.Cilk_ext.name;
     grammar = Ext_cilk.Cilk_ext.grammar;
-    register = Ext_cilk.Cilk_ext.register;
     check_hooks = Ext_cilk.Cilk_ext.check_hooks;
-    lower_hooks = Ext_cilk.Cilk_ext.lower_hooks;
+    lower_hooks = Fun.const Ext_cilk.Cilk_ext.lower_hooks;
     passes = [];
     ag_spec = Ext_cilk.Cilk_ext.ag_spec;
     enables_rc = false;
@@ -174,8 +171,6 @@ let compose (selected : extension list) : composed =
       Tel.set_gauge "lalr.states" (float_of_int table.Grammar.Lalr.n_states);
       Tel.set_gauge "lalr.conflicts"
         (float_of_int (List.length table.Grammar.Lalr.conflicts));
-      Ext_tuples.Tuples_ext.register ();
-      List.iter (fun x -> x.register ()) selected;
       {
         selected;
         table;
@@ -229,18 +224,19 @@ let config_or_default config c =
     then the pass pipeline [config] (default: every registered pass at
     its own default).  [warn] receives non-fatal diagnostics (e.g.
     transform scripts skipped under auto-parallelization); [sink]
-    collects [--dump-ir] snapshots. *)
-let lower ?config ?warn ?sink (c : composed) (ast : Cminus.Ast.program) :
-    Cir.Ir.program outcome =
+    collects [--dump-ir] snapshots; [remarks] collects the lowering's
+    and the passes' optimization remarks. *)
+let lower ?config ?warn ?sink ?remarks (c : composed)
+    (ast : Cminus.Ast.program) : Cir.Ir.program outcome =
   let cfg = config_or_default config c in
   match
     Tel.with_span ~phase:"lower" "driver.lower" (fun () ->
         let lowered =
-          Cminus.Lower.lower_program ?warn
-            (List.map (fun x -> x.lower_hooks) c.selected)
+          Cminus.Lower.lower_program ?warn ?remarks
+            (List.map (fun x -> x.lower_hooks ()) c.selected)
             ~rc:c.rc ast
         in
-        Pipeline.run cfg ~rc:c.rc ?warn ?sink lowered)
+        Pipeline.run cfg ~rc:c.rc ?warn ?sink ?remarks lowered)
   with
   | prog -> Ok_ prog
   | exception Cminus.Lower.Lower_error (m, span) ->
@@ -839,9 +835,9 @@ module Explain_report = struct
     dump : string;  (** rendered IR snapshots; [""] when none requested *)
   }
 
-  let collect ?sink () =
+  let collect ~remarks ?sink () =
     {
-      remarks = Support.Remark.results ();
+      remarks = Support.Remark.results remarks;
       dump =
         (match sink with
         | Some s when s.Cir.Snapshot.passes <> [] -> Cir.Snapshot.to_string s
@@ -872,9 +868,8 @@ end
 let explain_config (selected : extension list) : Pipeline.config =
   Pipeline.enable (selection_config selected) "auto-par" true
 
-(** [explain ?… c src] — compile [src] with remark collection on and
-    return (lowering outcome, report).  Collection is switched back to
-    its previous state when [explain] returns.  [dump_passes]/[ir_diff]
+(** [explain ?… c src] — compile [src] into a remark collector of its
+    own and return (lowering outcome, report).  [dump_passes]/[ir_diff]
     drive the pass-by-pass IR snapshots: the program is lowered exactly
     once and the pass manager records each requested ["ir after <pass>"]
     snapshot as the pipeline reaches that stage (the transform pass
@@ -885,17 +880,13 @@ let explain ?config ?(dump_passes = []) ?(ir_diff = false) ?warn
   let cfg =
     match config with Some cfg -> cfg | None -> explain_config c.selected
   in
-  let was_on = Support.Remark.on () in
-  Support.Remark.reset ();
-  Support.Remark.set_enabled true;
-  Fun.protect ~finally:(fun () -> Support.Remark.set_enabled was_on)
-  @@ fun () ->
+  let remarks = Support.Remark.collector () in
   let sink = Cir.Snapshot.create ~passes:dump_passes ~diff:ir_diff () in
   match frontend c src with
-  | Failed d -> (Failed d, Explain_report.collect ~sink ())
+  | Failed d -> (Failed d, Explain_report.collect ~remarks ~sink ())
   | Ok_ ast ->
-      let out = lower ~config:cfg ?warn ~sink c ast in
-      (out, Explain_report.collect ~sink ())
+      let out = lower ~config:cfg ?warn ~sink ~remarks c ast in
+      (out, Explain_report.collect ~remarks ~sink ())
 
 (** [profile ?… c src args] — run [src] with the source-attributed
     profiler enabled and return (program result outcome, report).  The

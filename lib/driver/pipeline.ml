@@ -82,13 +82,13 @@ let canon (cfg : config) : string =
        (fun (p, e) -> (if e then "" else "~") ^ p.Cir.Pass.name)
        (run_order cfg))
 
-(** [run cfg ~rc ?warn ?sink prog] — the pass manager.  Raises
-    {!Cir.Pass.Error} when a pass fails (e.g. a transform script whose
-    indices name no loop). *)
+(** [run cfg ~rc ?warn ?sink ?remarks prog] — the pass manager; the
+    passes' remarks go to [remarks].  Raises {!Cir.Pass.Error} when a pass
+    fails (e.g. a transform script whose indices name no loop). *)
 let run (cfg : config) ~(rc : bool) ?(warn = fun _ -> ())
-    ?(sink : Cir.Snapshot.sink option) (prog : Cir.Ir.program) :
+    ?(sink : Cir.Snapshot.sink option) ?remarks (prog : Cir.Ir.program) :
     Cir.Ir.program =
-  let ctx = { Cir.Pass.rc; warn; sink; auto_par_ran = false } in
+  let ctx = { Cir.Pass.rc; warn; sink; remarks; auto_par_ran = false } in
   let snap pass prog =
     match sink with
     | Some s when Cir.Snapshot.wants s pass ->

@@ -71,7 +71,8 @@ let lexeme t =
   | Tree.Leaf tok -> tok.Lexer.Token.lexeme
   | _ -> B.err (Tree.span t) "expected a token"
 
-let register () =
+(* Tree -> AST builders, registered once when the module is initialised. *)
+let () =
   Hashtbl.replace B.ext_stmt_builders "simple_spawn_call"
     (fun (ctx : B.ctx) t ->
       match t with

@@ -25,9 +25,6 @@ open Cir.Ir
 
 let span_err = L.err
 
-(* Current subscript context for [end]: (matrix handle, dimension). *)
-let index_ctx : (expr * int) option ref = ref None
-
 let ety = L.ety
 
 let mat_of_ty span = function
@@ -306,10 +303,10 @@ let lower_index t (base : string) (base_ty : T.ty) (d : int) (ix : A.index) :
   match ix with
   | A.IAll _ -> ([], SAll)
   | A.IExpr e -> (
-      let saved = !index_ctx in
-      index_ctx := Some (Var base, d);
+      let saved = t.L.index_ctx in
+      t.L.index_ctx <- Some (Var base, d);
       let lowered = L.lower_expr t e in
-      index_ctx := saved;
+      t.L.index_ctx <- saved;
       match ety e with
       | T.TInt ->
           let s, v = bind_scalar t lowered T.TInt in
@@ -839,18 +836,21 @@ let scan_facts (f : A.fundef) : facts =
     uses = List.rev !uses;
   }
 
-(* The facts of the function being lowered, [None] when it holds
-   statements the scan cannot see into.  Scanned once per function: the
-   last function's facts are kept, keyed by the function itself. *)
-let facts_memo : (A.fundef * facts option) option ref = ref None
+(* One lowering's memo of {!facts}: the last function's facts, keyed by
+   the function itself, so each function is scanned once. *)
+type memo = (A.fundef * facts option) option ref
 
-let facts t =
+let memo () : memo = ref None
+
+(* The facts of the function being lowered, [None] when it holds
+   statements the scan cannot see into. *)
+let facts (memo : memo) t =
   let f = t.L.cur_fun in
-  match !facts_memo with
+  match !memo with
   | Some (g, r) when g == f -> r
   | _ ->
       let r = try Some (scan_facts f) with Opaque -> None in
-      facts_memo := Some (f, r);
+      memo := Some (f, r);
       r
 
 let count v names = List.length (List.filter (String.equal v) names)
@@ -902,18 +902,18 @@ let outside_extent fx m d k (hi, kind) =
                 bound once to it"
                k m d))
 
-(** [fiber_verdict t base indices s] — may the one-dimensional slice
+(** [fiber_verdict memo t base indices s] — may the one-dimensional slice
     [base[indices]] that initialises [s] be read in place?  The decision,
     and the first condition that failed as prose. *)
-let fiber_verdict t (base : A.expr) (indices : A.index list) s : bool * string
-    =
+let fiber_verdict memo t (base : A.expr) (indices : A.index list) s :
+    bool * string =
   let opaque =
     ( false,
       "function contains statements from extensions the analysis cannot see \
        into" )
   in
   match
-    ( facts t,
+    ( facts memo t,
       is_mat_ident base,
       written t,
       List.concat_map (function A.IExpr x -> idents x | A.IAll _ -> []) indices
@@ -1028,8 +1028,8 @@ let index_proof fx (a : access) d (ix : A.index) : (string, string) result =
 (* The checks of the scalar indices of [base[indices]] (lowered to [vb]
    and [specs]) that are not proven in range.  The decision is the
    [bounds] remark at the subscript's [span]. *)
-let index_checks t ~span vb (base : A.expr) indices specs =
-  let fx = facts t in
+let index_checks memo t ~span vb (base : A.expr) indices specs =
+  let fx = facts memo t in
   let access =
     Option.bind fx (fun fx ->
         List.find_opt (fun a -> a.base == base && a.ixs == indices) fx.accesses)
@@ -1067,10 +1067,10 @@ let index_checks t ~span vb (base : A.expr) indices specs =
   if details <> [] then
     if List.exists (function Some (Error _) -> true | _ -> false) decisions
     then
-      R.emit ~pass:"bounds" ~kind:R.Missed ~span ~details
+      R.emit t.L.remarks ~pass:"bounds" ~kind:R.Missed ~span ~details
         "subscript keeps a run-time check"
     else
-      R.emit ~pass:"bounds" ~kind:R.Applied ~span ~details
+      R.emit t.L.remarks ~pass:"bounds" ~kind:R.Applied ~span ~details
         "subscript check dropped: every index is proven in range";
   List.concat
     (List.mapi
@@ -1110,13 +1110,13 @@ let region t ~span vb specs =
   in
   (kept_dims, out_vars, extents, src_idxs, List.concat gathered)
 
-let h_subscript t (base : A.expr) (indices : A.index list) (rty : T.ty) span :
-    (stmt list * expr) option =
+let h_subscript memo t (base : A.expr) (indices : A.index list) (rty : T.ty)
+    span : (stmt list * expr) option =
   match ety base with
   | T.TMat (_elem, rank) ->
       let sb, vb = lower_mat t base in
       let si, specs = lower_specs t vb (ety base) indices in
-      let checks = index_checks t ~span vb base indices specs in
+      let checks = index_checks memo t ~span vb base indices specs in
       let all_at = List.for_all (function SAt _ -> true | _ -> false) specs in
       if all_at then
         (* (a) standard indexing: extract one element, no allocation *)
@@ -1160,7 +1160,7 @@ let h_subscript t (base : A.expr) (indices : A.index list) (rty : T.ty) span :
               -> (
                 match slice_dests t.L.cur_fun.A.body base indices with
                 | [ (var, { A.s = A.DeclS _; sspan = decl }) ] ->
-                    let safe, why = fiber_verdict t base indices var in
+                    let safe, why = fiber_verdict memo t base indices var in
                     ( Sites.Fiber { var; index; offset = src_off; extent; decl },
                       safe,
                       why )
@@ -1197,13 +1197,13 @@ let coerce_scalar (from_ty : T.ty) (to_elem : Nd.elem) e =
   | T.TFloat, Nd.EInt -> Unop (IntOfFloat, e)
   | _ -> e
 
-let h_subscript_assign t (base : A.expr) (indices : A.index list)
+let h_subscript_assign memo t (base : A.expr) (indices : A.index list)
     (rhs : A.expr) ~at span : stmt list option =
   match ety base with
   | T.TMat (elem, rank) ->
       let sb, vb = lower_mat t base in
       let si, specs = lower_specs t vb (ety base) indices in
-      let checks = index_checks t ~span:at vb base indices specs in
+      let checks = index_checks memo t ~span:at vb base indices specs in
       let rhs_ty = ety rhs in
       let all_at = List.for_all (function SAt _ -> true | _ -> false) specs in
       if all_at then begin
@@ -1618,7 +1618,7 @@ let h_ty _t (ext : A.ext_ty) : T.ty option =
 let h_expr t (ext : A.ext_expr) (rty : T.ty) span : (stmt list * expr) option =
   match ext with
   | Nodes.EEnd -> (
-      match !index_ctx with
+      match t.L.index_ctx with
       | Some (m, d) -> Some ([], fold_expr (MDim (m, Int d) -: Int 1))
       | None -> span_err span "'end' outside of a subscript")
   | Nodes.EInit (_, dims) ->

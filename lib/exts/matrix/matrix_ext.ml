@@ -5,10 +5,12 @@
 
 let name = Syntax.name
 let grammar = Syntax.grammar
-let register = Syntax.register
 let check_hooks : Cminus.Check.hooks = Check.hooks
 
-let lower_hooks : Cminus.Lower.hooks =
+(** Hooks for one lowering: the slice and subscript analyses share one
+    memo, so each function's facts are scanned once. *)
+let lower_hooks () : Cminus.Lower.hooks =
+  let memo = Lower.memo () in
   {
     (Cminus.Lower.no_hooks name) with
     Cminus.Lower.l_ty = (fun t ext -> Lower.h_ty t ext);
@@ -19,10 +21,10 @@ let lower_hooks : Cminus.Lower.hooks =
       (fun t fname args rty span ~expected ->
         Lower.h_call t fname args rty span ~expected);
     l_subscript =
-      (fun t base ixs rty span -> Lower.h_subscript t base ixs rty span);
+      (fun t base ixs rty span -> Lower.h_subscript memo t base ixs rty span);
     l_subscript_assign =
       (fun t base ixs rhs ~at span ->
-        Lower.h_subscript_assign t base ixs rhs ~at span);
+        Lower.h_subscript_assign memo t base ixs rhs ~at span);
   }
 
 (** CIR passes, in default pipeline order: fuse, copy-elim, auto-par. *)

@@ -27,7 +27,7 @@ let fuse : Cir.Pass.t =
     default_on = true;
     managed_snapshot = true;
     run =
-      (fun _ctx ~enabled p ->
+      (fun ctx ~enabled p ->
         let substs = ref [] in
         let p =
           Cir.Pass.rewrite_sites
@@ -35,14 +35,14 @@ let fuse : Cir.Pass.t =
               match site with
               | Sites.FuseCopy { result; copy; span } ->
                   if enabled then begin
-                    R.emit ~pass:"fuse" ~kind:R.Applied ~span
+                    R.emit ctx.Cir.Pass.remarks ~pass:"fuse" ~kind:R.Applied ~span
                       "with-loop result feeds its consumer directly: no \
                        temporary copy";
                     substs := (copy, result) :: !substs;
                     Some []
                   end
                   else begin
-                    R.emit ~pass:"fuse" ~kind:R.Missed ~span
+                    R.emit ctx.Cir.Pass.remarks ~pass:"fuse" ~kind:R.Missed ~span
                       ~details:
                         [
                           ( "blocking",
@@ -98,13 +98,13 @@ let copy_elim : Cir.Pass.t =
                 | Sites.SliceAlias { base; slice; shape; safe; why; span } -> (
                     match shape with
                     | Sites.Identity when enabled && safe ->
-                        R.emit ~pass:"copy-elim" ~kind:R.Applied ~span
+                        R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Applied ~span
                           ~details:[ ("alias", why) ]
                           "identity slice aliased to its base: copy elided";
                         aliases := (slice, base) :: !aliases;
                         Some (if ctx.Cir.Pass.rc then [ RcInc (Var base) ] else [])
                     | Sites.Fiber f when enabled && safe ->
-                        R.emit ~pass:"copy-elim" ~kind:R.Applied ~span:f.decl
+                        R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Applied ~span:f.decl
                           ~details:[ ("slice", f.var) ]
                           "slice copy '%s' eliminated: the fold reads the base \
                            matrix in place and the dead slice declaration was \
@@ -115,25 +115,25 @@ let copy_elim : Cir.Pass.t =
                     | _ ->
                         (match shape with
                         | Sites.Identity when not enabled ->
-                            R.emit ~pass:"copy-elim" ~kind:R.Skipped ~span
+                            R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Skipped ~span
                               "copy elimination disabled: identity slice \
                                allocates a copy"
                         | Sites.Identity ->
-                            R.emit ~pass:"copy-elim" ~kind:R.Missed ~span
+                            R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Missed ~span
                               ~details:[ ("alias", why) ]
                               "identity slice kept its copy: %s" why
                         | Sites.Fiber f when not enabled ->
-                            R.emit ~pass:"copy-elim" ~kind:R.Skipped
+                            R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Skipped
                               ~span:f.decl ~details:[ ("slice", f.var) ]
                               "copy elimination disabled: slice '%s' allocates \
                                a copy"
                               f.var
                         | Sites.Fiber f ->
-                            R.emit ~pass:"copy-elim" ~kind:R.Missed
+                            R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Missed
                               ~span:f.decl ~details:[ ("slice", f.var) ]
                               "slice copy '%s' kept: %s" f.var why
                         | Sites.Other ->
-                            R.emit ~pass:"copy-elim" ~kind:R.Missed ~span
+                            R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Missed ~span
                               "slice allocates a copy (%s)" why);
                         Some payload)
                 | _ -> None)
@@ -285,10 +285,13 @@ let parallel_context (p : program) : (string * region) list =
   in
   name []
 
-(* The remark for one [AutoPar] site.  [promotable]: a fold-free site
-   around one loop; [region]: the region it already runs inside. *)
-let report ~enabled ~region ~promotable kind span =
-  let emit ~kind ?details fmt = R.emit ~pass:"auto-par" ~kind ~span ?details fmt in
+(* The remark for one [AutoPar] site, into [remarks].  [promotable]: a
+   fold-free site around one loop; [region]: the region it already runs
+   inside. *)
+let report remarks ~enabled ~region ~promotable kind span =
+  let emit ~kind ?details fmt =
+    R.emit remarks ~pass:"auto-par" ~kind ~span ?details fmt
+  in
   let subject =
     match kind with
     | Sites.Elemwise -> "elementwise loop"
@@ -313,7 +316,7 @@ let report ~enabled ~region ~promotable kind span =
   | _ when not promotable ->
       emit ~kind:R.Missed "%s has no single outer loop to parallelize" subject
   | _, Some r ->
-      if R.on () then
+      if remarks <> None then
         let r = describe r in
         emit ~kind:R.Missed ~details:[ ("region", r) ]
           "%s stays sequential: runs inside the %s" subject r
@@ -354,7 +357,8 @@ let auto_par : Cir.Pass.t =
               (* inner sites report first, as in [Cir.Pass.rewrite_sites] *)
               let own = site_region kind span payload in
               let payload = rewrite (inside region own) payload in
-              report ~enabled ~region ~promotable:(own <> None) kind span;
+              report ctx.Cir.Pass.remarks ~enabled ~region
+                ~promotable:(own <> None) kind span;
               match payload with
               | [ For l ] when enabled && region = None && own <> None ->
                   [ ParFor l ]

@@ -149,7 +149,8 @@ let build_wop (ctx : B.ctx) t : Nodes.operation =
       | _ -> B.err (Tree.span t) "malformed fold")
   | _ -> B.err (Tree.span t) "malformed with-loop operation"
 
-let register () =
+(* Tree -> AST builders, registered once when the module is initialised. *)
+let () =
   Hashtbl.replace B.ext_ty_builders "mty" (fun ctx t ->
       match t with
       | Tree.Node (_, [ _; sty; _; rank; _ ], span) ->

@@ -23,7 +23,6 @@
 
 let name = "refptr"
 let grammar : Grammar.Cfg.t = Grammar.Cfg.empty name
-let register () = ()
 let check_hooks : Cminus.Check.hooks = Cminus.Check.no_hooks name
 let lower_hooks : Cminus.Lower.hooks = Cminus.Lower.no_hooks name
 

@@ -147,7 +147,8 @@ let rec build_tl t : T.t list =
       build_tl rest @ [ build_transform x ]
   | _ -> B.err (Tree.span t) "malformed transformation list"
 
-let register () =
+(* Tree -> AST builder, registered once when the module is initialised. *)
+let () =
   Hashtbl.replace B.ext_stmt_builders "st_transform"
     (fun (ctx : B.ctx) t ->
       match t with
@@ -256,7 +257,7 @@ let pass : Cir.Pass.t =
             match site with
             | Script { ts = []; _ } -> Some payload
             | Script { ts; span } when not enabled ->
-                Support.Remark.emit ~pass:"transform"
+                Support.Remark.emit ctx.Cir.Pass.remarks ~pass:"transform"
                   ~kind:Support.Remark.Skipped ~span
                   ~details:
                     [ ("script", String.concat ". " (List.map T.to_string ts)) ]
@@ -282,7 +283,7 @@ let pass : Cir.Pass.t =
                     | [] -> Ok body
                     | (T.Vectorize v as clause) :: rest
                       when T.vectorize_keeps_checks v body ->
-                        Support.Remark.emit ~pass:"transform"
+                        Support.Remark.emit ctx.Cir.Pass.remarks ~pass:"transform"
                           ~kind:Support.Remark.Missed ~span
                           ~details:[ ("clause", T.to_string clause) ]
                           "transformation '%s' left loop '%s' scalar: its \
@@ -294,7 +295,7 @@ let pass : Cir.Pass.t =
                         match T.apply clause body with
                         | Error _ as e -> e
                         | Ok body' ->
-                            Support.Remark.emit ~pass:"transform"
+                            Support.Remark.emit ctx.Cir.Pass.remarks ~pass:"transform"
                               ~kind:Support.Remark.Applied ~span
                               ~details:[ ("clause", T.to_string clause) ]
                               "transformation '%s' bound its loop indices \
@@ -332,7 +333,7 @@ let pass : Cir.Pass.t =
                     with
                     | Ok _ ->
                         let r = skip_remark ~span msg in
-                        Support.Remark.record r;
+                        Support.Remark.record ctx.Cir.Pass.remarks r;
                         ctx.Cir.Pass.warn (Support.Remark.to_diag r);
                         Some (Cir.Ir.fold_deep payload)
                     | Error _ -> Cir.Pass.err span "%s" msg))

@@ -51,7 +51,7 @@ let grammar : Grammar.Cfg.t =
 
 (* --- tree -> AST ---------------------------------------------------------------- *)
 
-let register () =
+let () =
   Hashtbl.replace Cminus.Build.ext_ty_builders "ty_tuple"
     (fun (ctx : Cminus.Build.ctx) t ->
       match t with

@@ -10,10 +10,10 @@
     diffing generated C.  [mmc explain] is the one report of them; no
     telemetry counter or gauge counts the same decisions again.
 
-    Mirrors {!Telemetry}'s discipline: collection is {b off by default}
-    behind one flag, which [Driver.explain] switches on for its compile
-    and back off, so other compiles pay a read-and-branch per decision
-    point and no allocation. *)
+    Collection is per compile: a {!collector} is a value, which
+    [Driver.explain] makes and hands to lowering and to the pass manager.
+    Every other compile passes none, so a decision point costs one match
+    and formats no message. *)
 
 (** What the pass did at this site. [Applied]: the optimization fired.
     [Missed]: the pass looked and declined (the interesting case — the
@@ -47,30 +47,36 @@ let pass_order =
 
 (* --- collection -------------------------------------------------------- *)
 
-let enabled = ref false
-let set_enabled b = enabled := b
-let on () = !enabled
-let buf : t list ref = ref []
-let reset () = buf := []
+(** One compile's remarks, newest first. *)
+type collector = { mutable rev : t list }
 
-(** [record r] — buffer a pre-built remark (no-op when disabled).  Use
+let collector () = { rev = [] }
+
+(** Does nothing: collection is per compile (see {!collector}), so there
+    is no process-wide switch left to set.  Kept only because the
+    benchmark harness still calls it. *)
+let set_enabled (_ : bool) = ()
+
+(** [record c r] — add a pre-built remark to [c] (no-op on [None]).  Use
     this when the same record also feeds a stderr diagnostic, so both
     outputs share one value. *)
-let record r = if !enabled then buf := r :: !buf
+let record c r = Option.iter (fun c -> c.rev <- r :: c.rev) c
 
-(** [emit ~pass ~kind ~span ?details fmt] — format and buffer a remark.
-    The message is only formatted when collection is on, so emitters can
-    sit on lowering paths without per-compile allocation. *)
-let emit ~pass ~kind ~span ?(details = []) fmt =
-  if !enabled then
-    Format.kasprintf
-      (fun message -> buf := { pass; kind; span; message; details } :: !buf)
-      fmt
-  else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+(** [emit c ~pass ~kind ~span ?details fmt] — format a remark into [c].
+    The message is only formatted when there is a collector, so emitters
+    can sit on lowering paths without per-compile allocation. *)
+let emit c ~pass ~kind ~span ?(details = []) fmt =
+  match c with
+  | Some c ->
+      Format.kasprintf
+        (fun message -> c.rev <- { pass; kind; span; message; details } :: c.rev)
+        fmt
+  | None -> Format.ikfprintf ignore Format.str_formatter fmt
 
-(** All remarks in emission order (stable: lowering is deterministic, so
-    two runs of the same program produce the same list). *)
-let results () = List.rev !buf
+(** All of [c]'s remarks in emission order (stable: lowering is
+    deterministic, so two compiles of the same program produce the same
+    list). *)
+let results c = List.rev c.rev
 
 (* --- filtering and aggregation ----------------------------------------- *)
 

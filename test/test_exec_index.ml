@@ -326,11 +326,9 @@ let test_bypasses () =
   Alcotest.(check bool) "keep_c translates" true (snd (exec ~keep_c:kept ()));
   Alcotest.(check bool) "keep_c writes the C" true (Sys.file_exists kept);
   Alcotest.(check bool) "still warm afterwards" false (snd (exec ()));
-  (* explain collects remarks only while it compiles: it leaves
-     collection off and the next exec goes through the index *)
+  (* explain collects remarks into a collector of its own: the next exec
+     still goes through the index *)
   ignore (Driver.explain all4 src);
-  Alcotest.(check bool) "remark collection off after explain" false
-    (Support.Remark.on ());
   Alcotest.(check bool) "warm after explain" false (snd (exec ()));
   (* the CLI, on a warm cache *)
   let cli extra =

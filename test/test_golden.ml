@@ -136,14 +136,24 @@ let test_explain_report_matches_oracle () =
 let test_explain_lowers_exactly_once () =
   let src = read (Filename.concat golden_dir "transform_tiling.mc") in
   let remarks dump_passes =
-    let before = !Cminus.Lower.runs in
-    match Driver.explain ~dump_passes all4 src with
+    Support.Telemetry.reset ();
+    Support.Telemetry.set_enabled true;
+    let out =
+      Fun.protect ~finally:(fun () -> Support.Telemetry.set_enabled false)
+        (fun () -> Driver.explain ~dump_passes all4 src)
+    in
+    let lowerings =
+      List.length
+        (List.filter
+           (fun (s : Support.Telemetry.span) -> s.sp_name = "driver.lower")
+           (Support.Telemetry.spans ()))
+    in
+    match out with
     | Driver.Ok_ _, report ->
         Alcotest.(check int)
           (Printf.sprintf "dump=%s lowers exactly once"
              (String.concat "," dump_passes))
-          1
-          (!Cminus.Lower.runs - before);
+          1 lowerings;
         report.Driver.Explain_report.remarks
     | Driver.Failed ds, _ ->
         Alcotest.failf "explain failed: %s" (Driver.diags_to_string ds)
@@ -640,6 +650,63 @@ let test_ir_diff_cap_falls_back_to_full_dumps () =
   Alcotest.(check bool) "small diff is not a full dump" false
     (contains "diff skipped" text)
 
+(* --- compiling on several domains ------------------------------------------ *)
+
+(* A compile depends only on its arguments: domains that each compose
+   their own translator and compile the corpus at the same time emit the
+   bytes of a sequential compile, and explain reports the same remarks.
+   An exception counts as an output, so a race shows as a difference. *)
+let test_parallel_compiles () =
+  let sources =
+    List.map (fun stem -> (stem, read (Filename.concat golden_dir (stem ^ ".mc")))) stems
+  in
+  let tiling = List.assoc "transform_tiling" sources in
+  let outputs c =
+    let compile config src =
+      match Driver.compile_to_c ~config ~exec_harness:true c src with
+      | Driver.Ok_ text -> text
+      | Driver.Failed ds -> "failed: " ^ Driver.diags_to_string ds
+      | exception e -> "raised " ^ Printexc.to_string e
+    in
+    let seq = Driver.default_config c in
+    let par = Driver.Pipeline.enable seq "auto-par" true in
+    let explain =
+      match Driver.explain c tiling with
+      | _, report -> Driver.Explain_report.to_string ~src:tiling report
+      | exception e -> "raised " ^ Printexc.to_string e
+    in
+    List.concat_map
+      (fun (stem, src) ->
+        [ (stem ^ ".seq", compile seq src); (stem ^ ".par", compile par src) ])
+      sources
+    @ [ ("transform_tiling.explain", explain) ]
+  in
+  let expected = outputs all4 in
+  let rounds = 10 in
+  List.iter
+    (fun domains ->
+      let workers =
+        List.init domains (fun _ ->
+            Domain.spawn (fun () ->
+                let c = Driver.compose Driver.all_extensions in
+                List.init rounds (fun _ -> outputs c)))
+      in
+      let got = List.concat_map Domain.join workers in
+      let differing =
+        List.concat_map
+          (fun round ->
+            List.filter_map
+              (fun ((name, text), (_, want)) ->
+                if String.equal text want then None else Some name)
+              (List.combine round expected))
+          got
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d domains x %d rounds: every output sequential" domains
+           rounds)
+        [] differing)
+    [ 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "emitted C bit-identical to oracle (corpus)" `Quick
@@ -684,4 +751,6 @@ let suite =
       test_disabled_pass_position;
     Alcotest.test_case "cli: exec --guards is an unknown option" `Quick
       test_cli_guards_gone;
+    Alcotest.test_case "parallel compiles match the sequential ones" `Quick
+      test_parallel_compiles;
   ]
