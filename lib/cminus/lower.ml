@@ -247,7 +247,12 @@ let rec lower_expr ?expected t (e : Ast.expr) : stmt list * expr =
   | Ast.Bin (op, a, b) -> (
       let ta = ety a and tb = ety b in
       if Types.is_scalar ta && Types.is_scalar tb && host_binop_ok op then
-        let sa, ea = lower_expr t a and sb, eb = lower_expr t b in
+        let sa, ea = lower_expr t a in
+        (* [b]'s temporaries apart from [a]'s: a short-circuit releases
+           them where it evaluates [b] *)
+        let outer = t.pending in
+        t.pending <- [];
+        let sb, eb = lower_expr t b in
         let target =
           match op with
           | Ast.BArith _ -> ty
@@ -256,14 +261,33 @@ let rec lower_expr ?expected t (e : Ast.expr) : stmt list * expr =
         in
         let ea = coerce ~from:ta ~to_:target ea in
         let eb = coerce ~from:tb ~to_:target eb in
-        let cop =
-          match op with
-          | Ast.BArith o -> Arith o
-          | Ast.BCmp o -> Cmp o
-          | Ast.BLogic o -> Logic o
-          | Ast.BExt _ -> assert false
-        in
-        (sa @ sb, Binop (cop, ea, eb))
+        match op with
+        | Ast.BLogic o when sb <> [] ->
+            (* [b]'s statements run only where C evaluates [b]:
+               [c = a; if (c) { sb; c = b; }] for [&&], [if (!c)] for
+               [||], releasing [b]'s temporaries in that branch. *)
+            let release = drain_pending t in
+            t.pending <- outer;
+            let c = fresh t "cond" in
+            let evaluates_b =
+              match o with S.And -> Var c | S.Or -> Unop (Not, Var c)
+            in
+            ( sa
+              @ [
+                  Decl (CBool, c, Some ea);
+                  If (evaluates_b, sb @ (Assign (LVar c, eb) :: release), []);
+                ],
+              Var c )
+        | _ ->
+            t.pending <- t.pending @ outer;
+            let cop =
+              match op with
+              | Ast.BArith o -> Arith o
+              | Ast.BCmp o -> Cmp o
+              | Ast.BLogic o -> Logic o
+              | Ast.BExt _ -> assert false
+            in
+            (sa @ sb, Binop (cop, ea, eb))
       else
         match first_hook (fun h -> h.l_binop t op a b ty span) t with
         | Some r -> r
@@ -422,8 +446,10 @@ let rec lower_stmt t (st : Ast.stmt) : stmt list =
             (si @ [ Decl (cty, name, Some ei) ]) @ retain)
     | Ast.AssignS (lhs, rhs) -> lower_assign t span lhs rhs
     | Ast.IfS (c, a, b) ->
+        (* the condition's temporaries are released on both paths *)
         let sc, ec = lower_expr t c in
-        sc @ [ If (ec, lower_block t a, lower_block t b) ]
+        let cond_drain = drain_pending t in
+        sc @ [ If (ec, cond_drain @ lower_block t a, cond_drain @ lower_block t b) ]
     | Ast.WhileS (c, body) ->
         let sc, ec = lower_expr t c in
         let cond_drain = drain_pending t in

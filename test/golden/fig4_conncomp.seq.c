@@ -4,7 +4,7 @@
 #include <stdbool.h>
 #include "mm_runtime.h"
 mm_mat_int2 *connComp(mm_mat_float2 *ssh);
-void __mm_mmap_connComp29(mm_mat_float3 *m, mm_mat_int3 *r, int t);
+void __mm_mmap_connComp33(mm_mat_float3 *m, mm_mat_int3 *r, int t);
 
 #define MM_NSPANS 36
 const char *const mm_spans[] = {
@@ -20,17 +20,17 @@ const char *const mm_spans[] = {
   "13:3-38:4",
   "17:13-25",
   "18:22-34",
-  "20:37-53",
   "20:17-33",
+  "20:37-53",
   "20:71-87",
-  "23:37-53",
   "23:17-33",
+  "23:37-53",
   "23:71-87",
-  "26:37-53",
   "26:17-33",
+  "26:37-53",
   "26:71-87",
-  "29:37-53",
   "29:17-33",
+  "29:37-53",
   "29:71-87",
   "31:22-34",
   "32:13-25",
@@ -102,34 +102,50 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
               int best = labels->data[(MM_BOUND(labels, 0, i, 11), MM_BOUND(labels, 1, j, 11), i * labels->dims[1] + j)];
               if (i > 0) {
                 int __mm_s4 = i - 1;
-                int __mm_s5 = i - 1;
-                if (binary->data[(MM_BOUND(binary, 0, __mm_s4, 13), MM_BOUND(binary, 1, j, 13), __mm_s4 * binary->dims[1] + j)] && labels->data[(MM_BOUND(labels, 0, __mm_s5, 12), MM_BOUND(labels, 1, j, 12), __mm_s5 * labels->dims[1] + j)] < best) {
-                  int __mm_s6 = i - 1;
-                  best = labels->data[(MM_BOUND(labels, 0, __mm_s6, 14), MM_BOUND(labels, 1, j, 14), __mm_s6 * labels->dims[1] + j)];
+                bool __mm_cond6 = binary->data[(MM_BOUND(binary, 0, __mm_s4, 12), MM_BOUND(binary, 1, j, 12), __mm_s4 * binary->dims[1] + j)];
+                if (__mm_cond6) {
+                  int __mm_s5 = i - 1;
+                  __mm_cond6 = labels->data[(MM_BOUND(labels, 0, __mm_s5, 13), MM_BOUND(labels, 1, j, 13), __mm_s5 * labels->dims[1] + j)] < best;
+                }
+                if (__mm_cond6) {
+                  int __mm_s7 = i - 1;
+                  best = labels->data[(MM_BOUND(labels, 0, __mm_s7, 14), MM_BOUND(labels, 1, j, 14), __mm_s7 * labels->dims[1] + j)];
                 }
               }
               if (j > 0) {
-                int __mm_s7 = j - 1;
                 int __mm_s8 = j - 1;
-                if (binary->data[(MM_BOUND(binary, 0, i, 16), MM_BOUND(binary, 1, __mm_s7, 16), i * binary->dims[1] + __mm_s7)] && labels->data[(MM_BOUND(labels, 0, i, 15), MM_BOUND(labels, 1, __mm_s8, 15), i * labels->dims[1] + __mm_s8)] < best) {
+                bool __mm_cond10 = binary->data[(MM_BOUND(binary, 0, i, 15), MM_BOUND(binary, 1, __mm_s8, 15), i * binary->dims[1] + __mm_s8)];
+                if (__mm_cond10) {
                   int __mm_s9 = j - 1;
-                  best = labels->data[(MM_BOUND(labels, 0, i, 17), MM_BOUND(labels, 1, __mm_s9, 17), i * labels->dims[1] + __mm_s9)];
+                  __mm_cond10 = labels->data[(MM_BOUND(labels, 0, i, 16), MM_BOUND(labels, 1, __mm_s9, 16), i * labels->dims[1] + __mm_s9)] < best;
+                }
+                if (__mm_cond10) {
+                  int __mm_s11 = j - 1;
+                  best = labels->data[(MM_BOUND(labels, 0, i, 17), MM_BOUND(labels, 1, __mm_s11, 17), i * labels->dims[1] + __mm_s11)];
                 }
               }
               if (i < m - 1) {
-                int __mm_s10 = i + 1;
-                int __mm_s11 = i + 1;
-                if (binary->data[(MM_BOUND(binary, 0, __mm_s10, 19), MM_BOUND(binary, 1, j, 19), __mm_s10 * binary->dims[1] + j)] && labels->data[(MM_BOUND(labels, 0, __mm_s11, 18), MM_BOUND(labels, 1, j, 18), __mm_s11 * labels->dims[1] + j)] < best) {
-                  int __mm_s12 = i + 1;
-                  best = labels->data[(MM_BOUND(labels, 0, __mm_s12, 20), MM_BOUND(labels, 1, j, 20), __mm_s12 * labels->dims[1] + j)];
+                int __mm_s12 = i + 1;
+                bool __mm_cond14 = binary->data[(MM_BOUND(binary, 0, __mm_s12, 18), MM_BOUND(binary, 1, j, 18), __mm_s12 * binary->dims[1] + j)];
+                if (__mm_cond14) {
+                  int __mm_s13 = i + 1;
+                  __mm_cond14 = labels->data[(MM_BOUND(labels, 0, __mm_s13, 19), MM_BOUND(labels, 1, j, 19), __mm_s13 * labels->dims[1] + j)] < best;
+                }
+                if (__mm_cond14) {
+                  int __mm_s15 = i + 1;
+                  best = labels->data[(MM_BOUND(labels, 0, __mm_s15, 20), MM_BOUND(labels, 1, j, 20), __mm_s15 * labels->dims[1] + j)];
                 }
               }
               if (j < n - 1) {
-                int __mm_s13 = j + 1;
-                int __mm_s14 = j + 1;
-                if (binary->data[(MM_BOUND(binary, 0, i, 22), MM_BOUND(binary, 1, __mm_s13, 22), i * binary->dims[1] + __mm_s13)] && labels->data[(MM_BOUND(labels, 0, i, 21), MM_BOUND(labels, 1, __mm_s14, 21), i * labels->dims[1] + __mm_s14)] < best) {
-                  int __mm_s15 = j + 1;
-                  best = labels->data[(MM_BOUND(labels, 0, i, 23), MM_BOUND(labels, 1, __mm_s15, 23), i * labels->dims[1] + __mm_s15)];
+                int __mm_s16 = j + 1;
+                bool __mm_cond18 = binary->data[(MM_BOUND(binary, 0, i, 21), MM_BOUND(binary, 1, __mm_s16, 21), i * binary->dims[1] + __mm_s16)];
+                if (__mm_cond18) {
+                  int __mm_s17 = j + 1;
+                  __mm_cond18 = labels->data[(MM_BOUND(labels, 0, i, 22), MM_BOUND(labels, 1, __mm_s17, 22), i * labels->dims[1] + __mm_s17)] < best;
+                }
+                if (__mm_cond18) {
+                  int __mm_s19 = j + 1;
+                  best = labels->data[(MM_BOUND(labels, 0, i, 23), MM_BOUND(labels, 1, __mm_s19, 23), i * labels->dims[1] + __mm_s19)];
                 }
               }
               if (best < labels->data[(MM_BOUND(labels, 0, i, 24), MM_BOUND(labels, 1, j, 24), i * labels->dims[1] + j)]) {
@@ -156,62 +172,62 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
 
 int main(void) {
   int __mm_crumb9 = mm_crumb_push(27);
-  mm_mat_float3 *__mm_rd16 = mm_read_matrix("ssh.data");
-  mm_mat_float3 *ssh = __mm_rd16;
+  mm_mat_float3 *__mm_rd20 = mm_read_matrix("ssh.data");
+  mm_mat_float3 *ssh = __mm_rd20;
   mm_crumb_pop(__mm_crumb9);
   int __mm_crumb10 = mm_crumb_push(28);
-  mm_mat_int1 *__mm_rd17 = mm_read_matrix("dates.data");
-  mm_mat_int1 *dates = __mm_rd17;
+  mm_mat_int1 *__mm_rd21 = mm_read_matrix("dates.data");
+  mm_mat_int1 *dates = __mm_rd21;
   mm_crumb_pop(__mm_crumb10);
   int __mm_crumb11 = mm_crumb_push(29);
-  mm_mat_bool1 *__mm_ew18 = mm_alloc_bool(1, dates->dims[0]);
+  mm_mat_bool1 *__mm_ew22 = mm_alloc_bool(1, dates->dims[0]);
   int __mm_crumb12 = mm_crumb_push(30);
-  for (int __mm_i19 = 0; __mm_i19 < mm_size(dates); __mm_i19++) {
-    __mm_ew18->data[__mm_i19] = dates->data[__mm_i19] >= 1012000;
+  for (int __mm_i23 = 0; __mm_i23 < mm_size(dates); __mm_i23++) {
+    __mm_ew22->data[__mm_i23] = dates->data[__mm_i23] >= 1012000;
   }
   mm_crumb_pop(__mm_crumb12);
-  MM_SAME(mm_size(__mm_ew18), ssh->dims[2], "mask length disagrees with dimension 2", 30);
-  int __mm_cnt20 = 0;
+  MM_SAME(mm_size(__mm_ew22), ssh->dims[2], "mask length disagrees with dimension 2", 30);
+  int __mm_cnt24 = 0;
   int __mm_crumb13 = mm_crumb_push(30);
-  for (int __mm_i22 = 0; __mm_i22 < mm_size(__mm_ew18); __mm_i22++) {
-    if (__mm_ew18->data[__mm_i22]) {
-      __mm_cnt20 = __mm_cnt20 + 1;
+  for (int __mm_i26 = 0; __mm_i26 < mm_size(__mm_ew22); __mm_i26++) {
+    if (__mm_ew22->data[__mm_i26]) {
+      __mm_cnt24 = __mm_cnt24 + 1;
     }
   }
   mm_crumb_pop(__mm_crumb13);
-  mm_mat_int1 *__mm_sel21 = mm_alloc_int(1, __mm_cnt20);
-  int __mm_k23 = 0;
+  mm_mat_int1 *__mm_sel25 = mm_alloc_int(1, __mm_cnt24);
+  int __mm_k27 = 0;
   int __mm_crumb14 = mm_crumb_push(30);
-  for (int __mm_i22 = 0; __mm_i22 < mm_size(__mm_ew18); __mm_i22++) {
-    if (__mm_ew18->data[__mm_i22]) {
-      __mm_sel21->data[__mm_k23] = __mm_i22;
-      __mm_k23 = __mm_k23 + 1;
+  for (int __mm_i26 = 0; __mm_i26 < mm_size(__mm_ew22); __mm_i26++) {
+    if (__mm_ew22->data[__mm_i26]) {
+      __mm_sel25->data[__mm_k27] = __mm_i26;
+      __mm_k27 = __mm_k27 + 1;
     }
   }
   mm_crumb_pop(__mm_crumb14);
-  mm_mat_float3 *__mm_slice24 = mm_alloc_float(3, ssh->dims[0], ssh->dims[1], mm_size(__mm_sel21));
+  mm_mat_float3 *__mm_slice28 = mm_alloc_float(3, ssh->dims[0], ssh->dims[1], mm_size(__mm_sel25));
   int __mm_crumb15 = mm_crumb_push(31);
-  for (int __mm_o25 = 0; __mm_o25 < ssh->dims[0]; __mm_o25++) {
-    for (int __mm_o26 = 0; __mm_o26 < ssh->dims[1]; __mm_o26++) {
-      for (int __mm_o27 = 0; __mm_o27 < mm_size(__mm_sel21); __mm_o27++) {
-        __mm_slice24->data[(__mm_o25 * ssh->dims[1] + __mm_o26) * mm_size(__mm_sel21) + __mm_o27] = ssh->data[(__mm_o25 * ssh->dims[1] + __mm_o26) * ssh->dims[2] + __mm_sel21->data[__mm_o27]];
+  for (int __mm_o29 = 0; __mm_o29 < ssh->dims[0]; __mm_o29++) {
+    for (int __mm_o30 = 0; __mm_o30 < ssh->dims[1]; __mm_o30++) {
+      for (int __mm_o31 = 0; __mm_o31 < mm_size(__mm_sel25); __mm_o31++) {
+        __mm_slice28->data[(__mm_o29 * ssh->dims[1] + __mm_o30) * mm_size(__mm_sel25) + __mm_o31] = ssh->data[(__mm_o29 * ssh->dims[1] + __mm_o30) * ssh->dims[2] + __mm_sel25->data[__mm_o31]];
       }
     }
   }
   mm_crumb_pop(__mm_crumb15);
-  mm_mat_float3 *recent = __mm_slice24;
-  mm_rc_dec(__mm_sel21);
-  mm_rc_dec(__mm_ew18);
+  mm_mat_float3 *recent = __mm_slice28;
+  mm_rc_dec(__mm_sel25);
+  mm_rc_dec(__mm_ew22);
   mm_crumb_pop(__mm_crumb11);
   int __mm_crumb16 = mm_crumb_push(32);
-  mm_mat_int3 *__mm_mmapr28 = mm_alloc_int(3, recent->dims[0], recent->dims[1], recent->dims[2]);
-  int __mm_total33 = recent->dims[2];
+  mm_mat_int3 *__mm_mmapr32 = mm_alloc_int(3, recent->dims[0], recent->dims[1], recent->dims[2]);
+  int __mm_total37 = recent->dims[2];
   int __mm_crumb17 = mm_crumb_push(33);
-  for (int __mm_t34 = 0; __mm_t34 < __mm_total33; __mm_t34++) {
-    __mm_mmap_connComp29(recent, __mm_mmapr28, __mm_t34);
+  for (int __mm_t38 = 0; __mm_t38 < __mm_total37; __mm_t38++) {
+    __mm_mmap_connComp33(recent, __mm_mmapr32, __mm_t38);
   }
   mm_crumb_pop(__mm_crumb17);
-  mm_mat_int3 *labels = __mm_mmapr28;
+  mm_mat_int3 *labels = __mm_mmapr32;
   mm_crumb_pop(__mm_crumb16);
   int __mm_crumb18 = mm_crumb_push(34);
   mm_write_matrix("eddyLabels.data", labels);
@@ -226,29 +242,29 @@ int main(void) {
   mm_crumb_pop(__mm_crumb19);
 }
 
-void __mm_mmap_connComp29(mm_mat_float3 *m, mm_mat_int3 *r, int t) {
-  int __mm_rem30 = t;
-  int c2 = __mm_rem30 % m->dims[2];
-  __mm_rem30 = __mm_rem30 / m->dims[2];
-  mm_mat_float2 *__mm_slice31 = mm_alloc_float(2, m->dims[0], m->dims[1]);
+void __mm_mmap_connComp33(mm_mat_float3 *m, mm_mat_int3 *r, int t) {
+  int __mm_rem34 = t;
+  int c2 = __mm_rem34 % m->dims[2];
+  __mm_rem34 = __mm_rem34 / m->dims[2];
+  mm_mat_float2 *__mm_slice35 = mm_alloc_float(2, m->dims[0], m->dims[1]);
   int __mm_crumb20 = mm_crumb_push(33);
   for (int o0 = 0; o0 < m->dims[0]; o0++) {
     for (int o1 = 0; o1 < m->dims[1]; o1++) {
-      __mm_slice31->data[o0 * m->dims[1] + o1] = m->data[(o0 * m->dims[1] + o1) * m->dims[2] + c2];
+      __mm_slice35->data[o0 * m->dims[1] + o1] = m->data[(o0 * m->dims[1] + o1) * m->dims[2] + c2];
     }
   }
   mm_crumb_pop(__mm_crumb20);
-  mm_mat_int2 *__mm_out32 = connComp(__mm_slice31);
-  MM_SAME(__mm_out32->dims[0], m->dims[0], "result of 'connComp' disagrees with its fiber in dimension 0", 33);
-  MM_SAME(__mm_out32->dims[1], m->dims[1], "result of 'connComp' disagrees with its fiber in dimension 1", 33);
+  mm_mat_int2 *__mm_out36 = connComp(__mm_slice35);
+  MM_SAME(__mm_out36->dims[0], m->dims[0], "result of 'connComp' disagrees with its fiber in dimension 0", 33);
+  MM_SAME(__mm_out36->dims[1], m->dims[1], "result of 'connComp' disagrees with its fiber in dimension 1", 33);
   int __mm_crumb21 = mm_crumb_push(33);
   for (int o0 = 0; o0 < m->dims[0]; o0++) {
     for (int o1 = 0; o1 < m->dims[1]; o1++) {
-      r->data[(o0 * m->dims[1] + o1) * m->dims[2] + c2] = __mm_out32->data[o0 * m->dims[1] + o1];
+      r->data[(o0 * m->dims[1] + o1) * m->dims[2] + c2] = __mm_out36->data[o0 * m->dims[1] + o1];
     }
   }
   mm_crumb_pop(__mm_crumb21);
-  mm_rc_dec(__mm_slice31);
-  mm_rc_dec(__mm_out32);
+  mm_rc_dec(__mm_slice35);
+  mm_rc_dec(__mm_out36);
   return;
 }

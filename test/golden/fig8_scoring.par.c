@@ -8,7 +8,7 @@ typedef struct { mm_mat_float1 *f0; int f1; int f2; } struct_mm_mat_float1_int_i
 struct_mm_mat_float1_int_int getTrough(mm_mat_float1 *ts, int i);
 mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest);
 mm_mat_float1 *scoreTS(mm_mat_float1 *ts);
-void __mm_mmap_scoreTS34(mm_mat_float3 *m, mm_mat_float3 *r, int t);
+void __mm_mmap_scoreTS36(mm_mat_float3 *m, mm_mat_float3 *r, int t);
 
 #define MM_NSPANS 46
 const char *const mm_spans[] = {
@@ -69,8 +69,12 @@ struct_mm_mat_float1_int_int getTrough(mm_mat_float1 *ts, int i) {
   mm_crumb_pop(__mm_crumb1);
   int __mm_crumb2 = mm_crumb_push(2);
   while (true) {
-    int __mm_s0 = i + 1;
-    if (!(i + 1 < n && ts->data[(MM_BOUND(ts, 0, i, 4), i)] >= ts->data[(MM_BOUND(ts, 0, __mm_s0, 3), __mm_s0)])) {
+    bool __mm_cond1 = i + 1 < n;
+    if (__mm_cond1) {
+      int __mm_s0 = i + 1;
+      __mm_cond1 = ts->data[(MM_BOUND(ts, 0, i, 4), i)] >= ts->data[(MM_BOUND(ts, 0, __mm_s0, 3), __mm_s0)];
+    }
+    if (!__mm_cond1) {
       break;
     }
     i = i + 1;
@@ -78,34 +82,38 @@ struct_mm_mat_float1_int_int getTrough(mm_mat_float1 *ts, int i) {
   mm_crumb_pop(__mm_crumb2);
   int __mm_crumb3 = mm_crumb_push(5);
   while (true) {
-    int __mm_s1 = i + 1;
-    if (!(i + 1 < n && ts->data[(MM_BOUND(ts, 0, i, 7), i)] < ts->data[(MM_BOUND(ts, 0, __mm_s1, 6), __mm_s1)])) {
+    bool __mm_cond3 = i + 1 < n;
+    if (__mm_cond3) {
+      int __mm_s2 = i + 1;
+      __mm_cond3 = ts->data[(MM_BOUND(ts, 0, i, 7), i)] < ts->data[(MM_BOUND(ts, 0, __mm_s2, 6), __mm_s2)];
+    }
+    if (!__mm_cond3) {
       break;
     }
     i = i + 1;
   }
   mm_crumb_pop(__mm_crumb3);
   int __mm_crumb4 = mm_crumb_push(8);
-  int __mm_n2 = i - beginning + 1;
-  if (__mm_n2 < 0) {
-    __mm_n2 = 0;
+  int __mm_n4 = i - beginning + 1;
+  if (__mm_n4 < 0) {
+    __mm_n4 = 0;
   }
-  mm_mat_int1 *__mm_rng3 = mm_alloc_int(1, __mm_n2);
+  mm_mat_int1 *__mm_rng5 = mm_alloc_int(1, __mm_n4);
   int __mm_crumb5 = mm_crumb_push(9);
-  for (int __mm_i4 = 0; __mm_i4 < __mm_n2; __mm_i4++) {
-    __mm_rng3->data[__mm_i4] = beginning + __mm_i4;
+  for (int __mm_i6 = 0; __mm_i6 < __mm_n4; __mm_i6++) {
+    __mm_rng5->data[__mm_i6] = beginning + __mm_i6;
   }
   mm_crumb_pop(__mm_crumb5);
-  mm_mat_float1 *__mm_slice5 = mm_alloc_float(1, mm_size(__mm_rng3));
+  mm_mat_float1 *__mm_slice7 = mm_alloc_float(1, mm_size(__mm_rng5));
   int __mm_crumb6 = mm_crumb_push(10);
-  for (int __mm_o6 = 0; __mm_o6 < mm_size(__mm_rng3); __mm_o6++) {
-    __mm_slice5->data[__mm_o6] = ts->data[(MM_BOUND(ts, 0, __mm_rng3->data[__mm_o6], 10), __mm_rng3->data[__mm_o6])];
+  for (int __mm_o8 = 0; __mm_o8 < mm_size(__mm_rng5); __mm_o8++) {
+    __mm_slice7->data[__mm_o8] = ts->data[(MM_BOUND(ts, 0, __mm_rng5->data[__mm_o8], 10), __mm_rng5->data[__mm_o8])];
   }
   mm_crumb_pop(__mm_crumb6);
-  struct_mm_mat_float1_int_int __mm_ret7 = { __mm_slice5, beginning, i };
-  mm_rc_dec(__mm_rng3);
+  struct_mm_mat_float1_int_int __mm_ret9 = { __mm_slice7, beginning, i };
+  mm_rc_dec(__mm_rng5);
   mm_crumb_pop(__mm_crumb4);
-  return __mm_ret7;
+  return __mm_ret9;
   mm_crumb_pop(__mm_crumb4);
 }
 
@@ -114,8 +122,8 @@ mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest) {
   mm_float y1 = areaOfInterest->data[(MM_BOUND(areaOfInterest, 0, 0, 12), 0)];
   mm_crumb_pop(__mm_crumb7);
   int __mm_crumb8 = mm_crumb_push(13);
-  int __mm_s8 = areaOfInterest->dims[0] - 1;
-  mm_float y2 = areaOfInterest->data[(MM_BOUND(areaOfInterest, 0, __mm_s8, 14), __mm_s8)];
+  int __mm_s10 = areaOfInterest->dims[0] - 1;
+  mm_float y2 = areaOfInterest->data[(MM_BOUND(areaOfInterest, 0, __mm_s10, 14), __mm_s10)];
   mm_crumb_pop(__mm_crumb8);
   int __mm_crumb9 = mm_crumb_push(15);
   int x1 = 0;
@@ -130,69 +138,69 @@ mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest) {
   mm_float b = y1 - m * (mm_float) x1;
   mm_crumb_pop(__mm_crumb12);
   int __mm_crumb13 = mm_crumb_push(19);
-  int __mm_n9 = x2 - x1 + 1;
-  if (__mm_n9 < 0) {
-    __mm_n9 = 0;
+  int __mm_n11 = x2 - x1 + 1;
+  if (__mm_n11 < 0) {
+    __mm_n11 = 0;
   }
-  mm_mat_int1 *__mm_rng10 = mm_alloc_int(1, __mm_n9);
+  mm_mat_int1 *__mm_rng12 = mm_alloc_int(1, __mm_n11);
   int __mm_crumb14 = mm_crumb_push(20);
-  for (int __mm_i11 = 0; __mm_i11 < __mm_n9; __mm_i11++) {
-    __mm_rng10->data[__mm_i11] = x1 + __mm_i11;
+  for (int __mm_i13 = 0; __mm_i13 < __mm_n11; __mm_i13++) {
+    __mm_rng12->data[__mm_i13] = x1 + __mm_i13;
   }
   mm_crumb_pop(__mm_crumb14);
-  mm_mat_float1 *__mm_ew12 = mm_alloc_float(1, __mm_rng10->dims[0]);
+  mm_mat_float1 *__mm_ew14 = mm_alloc_float(1, __mm_rng12->dims[0]);
   int __mm_crumb15 = mm_crumb_push(21);
-  for (int __mm_i13 = 0; __mm_i13 < mm_size(__mm_rng10); __mm_i13++) {
-    __mm_ew12->data[__mm_i13] = (mm_float) __mm_rng10->data[__mm_i13] * m;
+  for (int __mm_i15 = 0; __mm_i15 < mm_size(__mm_rng12); __mm_i15++) {
+    __mm_ew14->data[__mm_i15] = (mm_float) __mm_rng12->data[__mm_i15] * m;
   }
   mm_crumb_pop(__mm_crumb15);
-  mm_mat_float1 *__mm_ew14 = mm_alloc_float(1, __mm_ew12->dims[0]);
+  mm_mat_float1 *__mm_ew16 = mm_alloc_float(1, __mm_ew14->dims[0]);
   int __mm_crumb16 = mm_crumb_push(22);
-  for (int __mm_i15 = 0; __mm_i15 < mm_size(__mm_ew12); __mm_i15++) {
-    __mm_ew14->data[__mm_i15] = __mm_ew12->data[__mm_i15] + b;
+  for (int __mm_i17 = 0; __mm_i17 < mm_size(__mm_ew14); __mm_i17++) {
+    __mm_ew16->data[__mm_i17] = __mm_ew14->data[__mm_i17] + b;
   }
   mm_crumb_pop(__mm_crumb16);
-  mm_mat_float1 *Line = __mm_ew14;
-  mm_rc_dec(__mm_ew12);
-  mm_rc_dec(__mm_rng10);
+  mm_mat_float1 *Line = __mm_ew16;
+  mm_rc_dec(__mm_ew14);
+  mm_rc_dec(__mm_rng12);
   mm_crumb_pop(__mm_crumb13);
   int __mm_crumb17 = mm_crumb_push(23);
-  int __mm_s16 = Line->dims[0];
-  mm_float __mm_acc17 = 0.0;
+  int __mm_s18 = Line->dims[0];
+  mm_float __mm_acc19 = 0.0;
   int __mm_crumb18 = mm_crumb_push(24);
-  for (int i = 0; i < __mm_s16; i++) {
-    __mm_acc17 = __mm_acc17 + (Line->data[i] - areaOfInterest->data[(MM_BOUND(areaOfInterest, 0, i, 25), i)]);
+  for (int i = 0; i < __mm_s18; i++) {
+    __mm_acc19 = __mm_acc19 + (Line->data[i] - areaOfInterest->data[(MM_BOUND(areaOfInterest, 0, i, 25), i)]);
   }
   mm_crumb_pop(__mm_crumb18);
-  mm_float area = __mm_acc17;
+  mm_float area = __mm_acc19;
   mm_crumb_pop(__mm_crumb17);
   int __mm_crumb19 = mm_crumb_push(26);
-  int __mm_s18 = Line->dims[0];
-  int __mm_s19 = Line->dims[0];
-  mm_mat_float1 *__mm_gen20 = mm_alloc_float(1, __mm_s19);
+  int __mm_s20 = Line->dims[0];
+  int __mm_s21 = Line->dims[0];
+  mm_mat_float1 *__mm_gen22 = mm_alloc_float(1, __mm_s21);
   int __mm_crumb20 = mm_crumb_push(27);
-  for (int i = 0; i < __mm_s18; i++) {
-    __mm_gen20->data[i] = area;
+  for (int i = 0; i < __mm_s20; i++) {
+    __mm_gen22->data[i] = area;
   }
   mm_crumb_pop(__mm_crumb20);
   mm_rc_dec(Line);
   mm_crumb_pop(__mm_crumb19);
-  return __mm_gen20;
+  return __mm_gen22;
   mm_crumb_pop(__mm_crumb19);
 }
 
 mm_mat_float1 *scoreTS(mm_mat_float1 *ts) {
   int __mm_crumb21 = mm_crumb_push(28);
-  mm_mat_float1 *__mm_initm23 = mm_alloc_float(1, ts->dims[0]);
-  mm_mat_float1 *scores = __mm_initm23;
+  mm_mat_float1 *__mm_initm25 = mm_alloc_float(1, ts->dims[0]);
+  mm_mat_float1 *scores = __mm_initm25;
   mm_crumb_pop(__mm_crumb21);
   int __mm_crumb22 = mm_crumb_push(29);
   int i = 0;
   mm_crumb_pop(__mm_crumb22);
   int __mm_crumb23 = mm_crumb_push(30);
   while (true) {
-    int __mm_s24 = i + 1;
-    if (!(ts->data[(MM_BOUND(ts, 0, i, 32), i)] < ts->data[(MM_BOUND(ts, 0, __mm_s24, 31), __mm_s24)])) {
+    int __mm_s26 = i + 1;
+    if (!(ts->data[(MM_BOUND(ts, 0, i, 32), i)] < ts->data[(MM_BOUND(ts, 0, __mm_s26, 31), __mm_s26)])) {
       break;
     }
     i = i + 1;
@@ -209,32 +217,32 @@ mm_mat_float1 *scoreTS(mm_mat_float1 *ts) {
   mm_crumb_pop(__mm_crumb26);
   int __mm_crumb27 = mm_crumb_push(36);
   while (i < n - 1) {
-    struct_mm_mat_float1_int_int __mm_call25 = getTrough(ts, i);
-    struct_mm_mat_float1_int_int __mm_tup26 = __mm_call25;
+    struct_mm_mat_float1_int_int __mm_call27 = getTrough(ts, i);
+    struct_mm_mat_float1_int_int __mm_tup28 = __mm_call27;
     mm_rc_dec(trough);
-    trough = __mm_tup26.f0;
-    beginning = __mm_tup26.f1;
-    i = __mm_tup26.f2;
-    int __mm_n27 = i - beginning + 1;
-    if (__mm_n27 < 0) {
-      __mm_n27 = 0;
+    trough = __mm_tup28.f0;
+    beginning = __mm_tup28.f1;
+    i = __mm_tup28.f2;
+    int __mm_n29 = i - beginning + 1;
+    if (__mm_n29 < 0) {
+      __mm_n29 = 0;
     }
-    mm_mat_int1 *__mm_rng28 = mm_alloc_int(1, __mm_n27);
+    mm_mat_int1 *__mm_rng30 = mm_alloc_int(1, __mm_n29);
     int __mm_crumb28 = mm_crumb_push(37);
-    for (int __mm_i29 = 0; __mm_i29 < __mm_n27; __mm_i29++) {
-      __mm_rng28->data[__mm_i29] = beginning + __mm_i29;
+    for (int __mm_i31 = 0; __mm_i31 < __mm_n29; __mm_i31++) {
+      __mm_rng30->data[__mm_i31] = beginning + __mm_i31;
     }
     mm_crumb_pop(__mm_crumb28);
-    mm_mat_float1 *__mm_call31 = computeArea(trough);
-    MM_SAME(__mm_call31->dims[0], mm_size(__mm_rng28), "assigned matrix disagrees with the selected region in dimension 0", 38);
+    mm_mat_float1 *__mm_call33 = computeArea(trough);
+    MM_SAME(__mm_call33->dims[0], mm_size(__mm_rng30), "assigned matrix disagrees with the selected region in dimension 0", 38);
     int __mm_crumb29 = mm_crumb_push(38);
-    for (int __mm_o30 = 0; __mm_o30 < mm_size(__mm_rng28); __mm_o30++) {
-      MM_BOUND(scores, 0, __mm_rng28->data[__mm_o30], 39);
-      scores->data[__mm_rng28->data[__mm_o30]] = __mm_call31->data[__mm_o30];
+    for (int __mm_o32 = 0; __mm_o32 < mm_size(__mm_rng30); __mm_o32++) {
+      MM_BOUND(scores, 0, __mm_rng30->data[__mm_o32], 39);
+      scores->data[__mm_rng30->data[__mm_o32]] = __mm_call33->data[__mm_o32];
     }
     mm_crumb_pop(__mm_crumb29);
-    mm_rc_dec(__mm_call31);
-    mm_rc_dec(__mm_rng28);
+    mm_rc_dec(__mm_call33);
+    mm_rc_dec(__mm_rng30);
   }
   mm_crumb_pop(__mm_crumb27);
   int __mm_crumb30 = mm_crumb_push(40);
@@ -246,19 +254,19 @@ mm_mat_float1 *scoreTS(mm_mat_float1 *ts) {
 
 int main(void) {
   int __mm_crumb31 = mm_crumb_push(41);
-  mm_mat_float3 *__mm_rd32 = mm_read_matrix("ssh.data");
-  mm_mat_float3 *data = __mm_rd32;
+  mm_mat_float3 *__mm_rd34 = mm_read_matrix("ssh.data");
+  mm_mat_float3 *data = __mm_rd34;
   mm_crumb_pop(__mm_crumb31);
   int __mm_crumb32 = mm_crumb_push(42);
-  mm_mat_float3 *__mm_mmapr33 = mm_alloc_float(3, data->dims[0], data->dims[1], data->dims[2]);
-  int __mm_total38 = data->dims[0] * data->dims[1];
+  mm_mat_float3 *__mm_mmapr35 = mm_alloc_float(3, data->dims[0], data->dims[1], data->dims[2]);
+  int __mm_total40 = data->dims[0] * data->dims[1];
   int __mm_crumb33 = mm_crumb_push(43);
   #pragma omp parallel for
-  for (int __mm_t39 = 0; __mm_t39 < __mm_total38; __mm_t39++) {
-    __mm_mmap_scoreTS34(data, __mm_mmapr33, __mm_t39);
+  for (int __mm_t41 = 0; __mm_t41 < __mm_total40; __mm_t41++) {
+    __mm_mmap_scoreTS36(data, __mm_mmapr35, __mm_t41);
   }
   mm_crumb_pop(__mm_crumb33);
-  mm_mat_float3 *scores = __mm_mmapr33;
+  mm_mat_float3 *scores = __mm_mmapr35;
   mm_crumb_pop(__mm_crumb32);
   int __mm_crumb34 = mm_crumb_push(44);
   mm_write_matrix("temporalScores.data", scores);
@@ -271,26 +279,26 @@ int main(void) {
   mm_crumb_pop(__mm_crumb35);
 }
 
-void __mm_mmap_scoreTS34(mm_mat_float3 *m, mm_mat_float3 *r, int t) {
-  int __mm_rem35 = t;
-  int c1 = __mm_rem35 % m->dims[1];
-  __mm_rem35 = __mm_rem35 / m->dims[1];
-  int c0 = __mm_rem35 % m->dims[0];
-  __mm_rem35 = __mm_rem35 / m->dims[0];
-  mm_mat_float1 *__mm_slice36 = mm_alloc_float(1, m->dims[2]);
+void __mm_mmap_scoreTS36(mm_mat_float3 *m, mm_mat_float3 *r, int t) {
+  int __mm_rem37 = t;
+  int c1 = __mm_rem37 % m->dims[1];
+  __mm_rem37 = __mm_rem37 / m->dims[1];
+  int c0 = __mm_rem37 % m->dims[0];
+  __mm_rem37 = __mm_rem37 / m->dims[0];
+  mm_mat_float1 *__mm_slice38 = mm_alloc_float(1, m->dims[2]);
   int __mm_crumb36 = mm_crumb_push(43);
   for (int o2 = 0; o2 < m->dims[2]; o2++) {
-    __mm_slice36->data[o2] = m->data[(c0 * m->dims[1] + c1) * m->dims[2] + o2];
+    __mm_slice38->data[o2] = m->data[(c0 * m->dims[1] + c1) * m->dims[2] + o2];
   }
   mm_crumb_pop(__mm_crumb36);
-  mm_mat_float1 *__mm_out37 = scoreTS(__mm_slice36);
-  MM_SAME(__mm_out37->dims[0], m->dims[2], "result of 'scoreTS' disagrees with its fiber in dimension 0", 43);
+  mm_mat_float1 *__mm_out39 = scoreTS(__mm_slice38);
+  MM_SAME(__mm_out39->dims[0], m->dims[2], "result of 'scoreTS' disagrees with its fiber in dimension 0", 43);
   int __mm_crumb37 = mm_crumb_push(43);
   for (int o2 = 0; o2 < m->dims[2]; o2++) {
-    r->data[(c0 * m->dims[1] + c1) * m->dims[2] + o2] = __mm_out37->data[o2];
+    r->data[(c0 * m->dims[1] + c1) * m->dims[2] + o2] = __mm_out39->data[o2];
   }
   mm_crumb_pop(__mm_crumb37);
-  mm_rc_dec(__mm_slice36);
-  mm_rc_dec(__mm_out37);
+  mm_rc_dec(__mm_slice38);
+  mm_rc_dec(__mm_out39);
   return;
 }

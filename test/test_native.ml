@@ -888,6 +888,84 @@ int main() {
 (* A block that shadows an owned matrix owns its own [a]: every early
    exit from inside it releases the inner matrix once and the outer one
    once, in both backends. *)
+(* A condition's right operand runs only where C evaluates it, and a
+   condition's matrix temporaries are released on every path: the
+   result and a live count of 0 agree in both backends. *)
+let test_short_circuit_operands () =
+  both_return ~name:"&& skips an out-of-range right operand" ~expect:0
+    {|
+int main() {
+  Matrix int <1> idx = with ([0] <= [k] < [3]) genarray([3], k);
+  Matrix int <1> a = with ([0] <= [k] < [3]) genarray([3], k + 1);
+  int n = 3;
+  int i = 3;
+  int r = 0;
+  if (i < n && a[idx[i]] > 0) { r = 1; }
+  return r;
+}
+|};
+  both_return ~name:"|| skips an out-of-range right operand" ~expect:0
+    {|
+int main() {
+  Matrix int <1> idx = with ([0] <= [k] < [3]) genarray([3], k);
+  Matrix int <1> a = with ([0] <= [k] < [3]) genarray([3], k + 1);
+  int n = 3;
+  int i = 3;
+  int r = 1;
+  if (i >= n || a[idx[i]] > 0) { r = 0; }
+  return r;
+}
+|};
+  (* the allocating right operand evaluated true, evaluated false, and
+     skipped *)
+  both_return ~name:"&& right operand allocates, taken and not" ~expect:100
+    {|
+int f(int k, int n) {
+  Matrix int <1> v = with ([0] <= [i] < [n]) genarray([n], i);
+  int r = 0;
+  if (k > 0 && dimSize(v + v, 0) > 5) { r = 1; }
+  return r;
+}
+
+int main() { return f(1, 8) * 100 + f(1, 2) * 10 + f(0, 8); }
+|};
+  (* skipped, evaluated true, evaluated false *)
+  both_return ~name:"|| right operand allocates, taken and not" ~expect:110
+    {|
+int f(int k, int n) {
+  Matrix int <1> v = with ([0] <= [i] < [n]) genarray([n], i);
+  int r = 0;
+  if (k > 0 || dimSize(v + v, 0) > 5) { r = 1; }
+  return r;
+}
+
+int main() { return f(1, 2) * 100 + f(0, 8) * 10 + f(0, 2); }
+|}
+
+let test_if_condition_temporaries () =
+  both_return ~name:"if without else, both paths" ~expect:10
+    {|
+int f(int n) {
+  Matrix int <1> v = with ([0] <= [i] < [n]) genarray([n], i);
+  int r = 0;
+  if (dimSize(v + v, 0) > 5) { r = 1; }
+  return r;
+}
+
+int main() { return f(8) * 10 + f(3); }
+|};
+  both_return ~name:"if with else, both paths" ~expect:12
+    {|
+int f(int n) {
+  Matrix int <1> v = with ([0] <= [i] < [n]) genarray([n], i);
+  int r = 0;
+  if (dimSize(v + v, 0) > 5) { r = 1; } else { r = 2; }
+  return r;
+}
+
+int main() { return f(8) * 10 + f(3); }
+|}
+
 let test_shadowed_owned_matrix () =
   both_return ~name:"shadowing block, return" ~expect:6
     {|
@@ -1222,4 +1300,8 @@ let suite =
       test_vectorize_keeps_checked_loop;
     Alcotest.test_case "a diagnostic with no location prints none" `Quick
       test_unlocated_diagnostic;
+    Alcotest.test_case "a condition's right operand runs only when needed"
+      `Quick test_short_circuit_operands;
+    Alcotest.test_case "an if condition's temporaries are released" `Quick
+      test_if_condition_temporaries;
   ]
