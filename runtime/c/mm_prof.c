@@ -18,6 +18,8 @@
 #define MM_PROF_MAX_DEPTH 64
 #define MM_PROF_MAX_WORKERS 64
 #define MM_PROF_MAX_FOLDED 1024
+/* Timed closes before a span's timing freezes. */
+#define MM_PROF_FREEZE_AFTER 128
 
 typedef struct {
   long long entries;    /* times a frame for this span closed */
@@ -77,9 +79,6 @@ static long long mm_prof_t0 = 0;
 static long long mm_prof_wall = -1;
 static mm_prof_fold mm_prof_folds[MM_PROF_MAX_FOLDED];
 static int mm_prof_nfolds = 0;
-/* Timed closes before a span's timing freezes; effectively never when
- * MM_PROF_EXACT is set in the environment. */
-static long long mm_prof_freeze_after = 128;
 
 long long mm_prof_now(void) {
   struct timespec ts;
@@ -119,16 +118,6 @@ void mm_prof_init(void) {
   mm_prof_depth = 0;
   mm_prof_region = -1;
   mm_prof_nfolds = 0;
-  if (getenv("MM_PROF_EXACT")) mm_prof_freeze_after = (long long)1 << 62;
-  else {
-    /* MM_PROF_FREEZE=N overrides the freeze threshold: lower is
-     * cheaper but extrapolates from fewer timed closes. */
-    const char *fz = getenv("MM_PROF_FREEZE");
-    if (fz) {
-      long long n = atoll(fz);
-      if (n > 0) mm_prof_freeze_after = n;
-    }
-  }
   mm_alloc_hook = mm_prof_on_alloc;
   mm_prof_t0 = mm_prof_now();
   mm_prof_enabled = 1;
@@ -226,7 +215,7 @@ static void mm_prof_close_top(long long iters, int dispatches, int par) {
     r->par_ns += self;
   else
     r->seq_ns += self;
-  if (r->entries >= mm_prof_freeze_after && !r->frozen) {
+  if (r->entries >= MM_PROF_FREEZE_AFTER && !r->frozen) {
     r->frozen = 1;
     r->est_total = r->total_ns / r->entries;
     r->est_self = r->self_ns / r->entries;

@@ -22,15 +22,13 @@
  * to the result protocol; mmc parses it back into the same report
  * `mmc profile` renders for interpreted runs.
  *
- * Overhead control: a span's timing freezes after its first 128 closes
- * (MM_PROF_FREEZE=N tunes the threshold; MM_PROF_EXACT=1 disables
- * freezing entirely).  From then on the
- * emitter-side guards below skip the enter/exit calls entirely and
- * count executions inline; mm_prof_stop extrapolates the frozen spans'
- * time from their measured per-close averages and re-credits the
- * enclosing span's self time, so a tiny span entered per element of a
- * hot loop costs a few loads per execution instead of two clock
- * readings. */
+ * Overhead control: a span's timing freezes after its first 128 closes.
+ * From then on the emitter-side guards below skip the enter/exit calls
+ * entirely and count executions inline; mm_prof_stop extrapolates the
+ * frozen spans' time from their measured per-close averages and
+ * re-credits the enclosing span's self time, so a tiny span entered per
+ * element of a hot loop costs a few loads per execution instead of two
+ * clock readings. */
 #ifndef MM_PROF_H
 #define MM_PROF_H
 
