@@ -157,9 +157,11 @@ let rec expr st ?(prec = 0) (e : expr) : string =
     | Min (a, b) ->
         Printf.sprintf "mm_min(%s, %s)" (expr st ~prec:0 a) (expr st ~prec:0 b)
     | Call (f, args) ->
-        Printf.sprintf "%s(%s)" f (String.concat ", " (List.map (expr st ~prec:0) args))
+        Printf.sprintf "%s(%s)" f
+          (String.concat ", " (List.map (expr st ~prec:0) args))
     | TupleE es ->
-        Printf.sprintf "{ %s }" (String.concat ", " (List.map (expr st ~prec:0) es))
+        Printf.sprintf "{ %s }"
+          (String.concat ", " (List.map (expr st ~prec:0) es))
     | Field (a, i) -> Printf.sprintf "%s.f%d" (expr st ~prec:60 a) i
     | MAlloc (el, dims) ->
         Printf.sprintf "mm_alloc_%s(%d%s)"
@@ -174,7 +176,8 @@ let rec expr st ?(prec = 0) (e : expr) : string =
         Printf.sprintf "(%s, %s)"
           (String.concat ", " (List.map (check st) cs))
           (expr st ~prec:0 e)
-    | MDim (m, d) -> Printf.sprintf "%s->dims[%s]" (expr st ~prec:60 m) (expr st ~prec:0 d)
+    | MDim (m, d) ->
+        Printf.sprintf "%s->dims[%s]" (expr st ~prec:60 m) (expr st ~prec:0 d)
     | MSize m -> Printf.sprintf "mm_size(%s)" (expr st ~prec:0 m)
     | MRead p -> Printf.sprintf "mm_read_matrix(%s)" (expr st ~prec:0 p)
     | VecSplat a -> Printf.sprintf "_mm_set1_ps(%s)" (expr st ~prec:0 a)
@@ -213,7 +216,8 @@ and check st = function
         (expr st ~prec:0 index)
         (span_id st (Support.Pos.span_to_string span))
   | Same { what; a; b; span } ->
-      Printf.sprintf "MM_SAME(%s, %s, %s, %d)" (expr st ~prec:0 a) (expr st ~prec:0 b)
+      Printf.sprintf "MM_SAME(%s, %s, %s, %d)" (expr st ~prec:0 a)
+        (expr st ~prec:0 b)
         (c_string_lit what)
         (span_id st (Support.Pos.span_to_string span))
 
@@ -416,7 +420,8 @@ let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
   | Return None ->
       unwind_frames st buf ind;
       line "return;"
-  | Return (Some (TupleE es)) when (match st.ret with CTuple _ -> true | _ -> false) ->
+  | Return (Some (TupleE es))
+    when (match st.ret with CTuple _ -> true | _ -> false) ->
       unwind_frames st buf ind;
       line "return (%s){ %s };" (ctype_name st.ret)
         (String.concat ", " (List.map (expr ~prec:0) es))
@@ -711,7 +716,8 @@ let program ?line_directives_file ?(instrument = false)
   let st = state ?line_file:line_directives_file ~instrument () in
   let p = if exec_harness then rename_entry p else p in
   let p =
-    if exec_harness then { p with funcs = p.funcs @ [ harness_main ~instrument p ] }
+    if exec_harness then
+      { p with funcs = p.funcs @ [ harness_main ~instrument p ] }
     else p
   in
   let section = function

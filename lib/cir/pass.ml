@@ -135,18 +135,18 @@ let rc_report : t =
                     ]
                   in
                   if not ctx.rc then
-                    Support.Remark.emit ctx.remarks ~pass:"rc" ~kind:Support.Remark.Skipped
-                      ~span ~details
+                    Support.Remark.emit ctx.remarks ~pass:"rc"
+                      ~kind:Support.Remark.Skipped ~span ~details
                       "reference counting disabled (refptr extension not \
                        composed): '%s' manages no matrix ownership"
                       fn.f_name
                   else if incs + decs = 0 then
-                    Support.Remark.emit ctx.remarks ~pass:"rc" ~kind:Support.Remark.Missed
-                      ~span ~details
+                    Support.Remark.emit ctx.remarks ~pass:"rc"
+                      ~kind:Support.Remark.Missed ~span ~details
                       "no reference-count operations needed in '%s'" fn.f_name
                   else
-                    Support.Remark.emit ctx.remarks ~pass:"rc" ~kind:Support.Remark.Applied
-                      ~span ~details
+                    Support.Remark.emit ctx.remarks ~pass:"rc"
+                      ~kind:Support.Remark.Applied ~span ~details
                       "inserted %d retain and %d release operations in '%s'"
                       incs decs fn.f_name)
             p.funcs

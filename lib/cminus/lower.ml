@@ -449,7 +449,8 @@ let rec lower_stmt t (st : Ast.stmt) : stmt list =
         (* the condition's temporaries are released on both paths *)
         let sc, ec = lower_expr t c in
         let cond_drain = drain_pending t in
-        sc @ [ If (ec, cond_drain @ lower_block t a, cond_drain @ lower_block t b) ]
+        sc
+        @ [ If (ec, cond_drain @ lower_block t a, cond_drain @ lower_block t b) ]
     | Ast.WhileS (c, body) ->
         let sc, ec = lower_expr t c in
         let cond_drain = drain_pending t in

@@ -28,6 +28,7 @@ let fuse : Cir.Pass.t =
     managed_snapshot = true;
     run =
       (fun ctx ~enabled p ->
+        let remarks = ctx.Cir.Pass.remarks in
         let substs = ref [] in
         let p =
           Cir.Pass.rewrite_sites
@@ -35,14 +36,14 @@ let fuse : Cir.Pass.t =
               match site with
               | Sites.FuseCopy { result; copy; span } ->
                   if enabled then begin
-                    R.emit ctx.Cir.Pass.remarks ~pass:"fuse" ~kind:R.Applied ~span
+                    R.emit remarks ~pass:"fuse" ~kind:R.Applied ~span
                       "with-loop result feeds its consumer directly: no \
                        temporary copy";
                     substs := (copy, result) :: !substs;
                     Some []
                   end
                   else begin
-                    R.emit ctx.Cir.Pass.remarks ~pass:"fuse" ~kind:R.Missed ~span
+                    R.emit remarks ~pass:"fuse" ~kind:R.Missed ~span
                       ~details:
                         [
                           ( "blocking",
@@ -89,6 +90,7 @@ let copy_elim : Cir.Pass.t =
     managed_snapshot = true;
     run =
       (fun ctx ~enabled p ->
+        let remarks = ctx.Cir.Pass.remarks in
         let in_function fn =
           let aliases = ref [] and fibers = ref [] in
           let body =
@@ -98,13 +100,14 @@ let copy_elim : Cir.Pass.t =
                 | Sites.SliceAlias { base; slice; shape; safe; why; span } -> (
                     match shape with
                     | Sites.Identity when enabled && safe ->
-                        R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Applied ~span
+                        R.emit remarks ~pass:"copy-elim" ~kind:R.Applied ~span
                           ~details:[ ("alias", why) ]
                           "identity slice aliased to its base: copy elided";
                         aliases := (slice, base) :: !aliases;
                         Some (if ctx.Cir.Pass.rc then [ RcInc (Var base) ] else [])
                     | Sites.Fiber f when enabled && safe ->
-                        R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Applied ~span:f.decl
+                        R.emit remarks ~pass:"copy-elim" ~kind:R.Applied
+                          ~span:f.decl
                           ~details:[ ("slice", f.var) ]
                           "slice copy '%s' eliminated: the fold reads the base \
                            matrix in place and the dead slice declaration was \
@@ -115,25 +118,26 @@ let copy_elim : Cir.Pass.t =
                     | _ ->
                         (match shape with
                         | Sites.Identity when not enabled ->
-                            R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Skipped ~span
+                            R.emit remarks ~pass:"copy-elim" ~kind:R.Skipped
+                              ~span
                               "copy elimination disabled: identity slice \
                                allocates a copy"
                         | Sites.Identity ->
-                            R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Missed ~span
+                            R.emit remarks ~pass:"copy-elim" ~kind:R.Missed ~span
                               ~details:[ ("alias", why) ]
                               "identity slice kept its copy: %s" why
                         | Sites.Fiber f when not enabled ->
-                            R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Skipped
+                            R.emit remarks ~pass:"copy-elim" ~kind:R.Skipped
                               ~span:f.decl ~details:[ ("slice", f.var) ]
                               "copy elimination disabled: slice '%s' allocates \
                                a copy"
                               f.var
                         | Sites.Fiber f ->
-                            R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Missed
+                            R.emit remarks ~pass:"copy-elim" ~kind:R.Missed
                               ~span:f.decl ~details:[ ("slice", f.var) ]
                               "slice copy '%s' kept: %s" f.var why
                         | Sites.Other ->
-                            R.emit ctx.Cir.Pass.remarks ~pass:"copy-elim" ~kind:R.Missed ~span
+                            R.emit remarks ~pass:"copy-elim" ~kind:R.Missed ~span
                               "slice allocates a copy (%s)" why);
                         Some payload)
                 | _ -> None)

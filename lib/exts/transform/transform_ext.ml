@@ -257,8 +257,8 @@ let pass : Cir.Pass.t =
             match site with
             | Script { ts = []; _ } -> Some payload
             | Script { ts; span } when not enabled ->
-                Support.Remark.emit ctx.Cir.Pass.remarks ~pass:"transform"
-                  ~kind:Support.Remark.Skipped ~span
+                Support.Remark.emit ctx.Cir.Pass.remarks
+                  ~pass:"transform" ~kind:Support.Remark.Skipped ~span
                   ~details:
                     [ ("script", String.concat ". " (List.map T.to_string ts)) ]
                   "transform pass disabled: transformation script left \
@@ -283,8 +283,8 @@ let pass : Cir.Pass.t =
                     | [] -> Ok body
                     | (T.Vectorize v as clause) :: rest
                       when T.vectorize_keeps_checks v body ->
-                        Support.Remark.emit ctx.Cir.Pass.remarks ~pass:"transform"
-                          ~kind:Support.Remark.Missed ~span
+                        Support.Remark.emit ctx.Cir.Pass.remarks
+                          ~pass:"transform" ~kind:Support.Remark.Missed ~span
                           ~details:[ ("clause", T.to_string clause) ]
                           "transformation '%s' left loop '%s' scalar: its \
                            body holds a run-time check, which vector lanes \
@@ -295,8 +295,9 @@ let pass : Cir.Pass.t =
                         match T.apply clause body with
                         | Error _ as e -> e
                         | Ok body' ->
-                            Support.Remark.emit ctx.Cir.Pass.remarks ~pass:"transform"
-                              ~kind:Support.Remark.Applied ~span
+                            Support.Remark.emit ctx.Cir.Pass.remarks
+                              ~pass:"transform" ~kind:Support.Remark.Applied
+                              ~span
                               ~details:[ ("clause", T.to_string clause) ]
                               "transformation '%s' bound its loop indices \
                                and was applied"
