@@ -658,7 +658,9 @@ let test_ir_diff_cap_falls_back_to_full_dumps () =
    An exception counts as an output, so a race shows as a difference. *)
 let test_parallel_compiles () =
   let sources =
-    List.map (fun stem -> (stem, read (Filename.concat golden_dir (stem ^ ".mc")))) stems
+    List.map
+      (fun stem -> (stem, read (Filename.concat golden_dir (stem ^ ".mc"))))
+      stems
   in
   let tiling = List.assoc "transform_tiling" sources in
   let outputs c =
@@ -702,8 +704,8 @@ let test_parallel_compiles () =
           got
       in
       Alcotest.(check (list string))
-        (Printf.sprintf "%d domains x %d rounds: every output sequential" domains
-           rounds)
+        (Printf.sprintf "%d domains x %d rounds: every output sequential"
+           domains rounds)
         [] differing)
     [ 2; 4 ]
 
