@@ -34,7 +34,8 @@ bench:
 	dune exec bench/main.exe
 
 # Seconds, not minutes: the C5 fork-join group at tiny sizes (a few pool
-# regions against the spawn-per-region baseline).
+# regions against the spawn-per-region baseline) and C6's one- and
+# two-domain RC legs, which fail unless the ledger ends exact.
 bench-smoke:
 	dune build @bench-smoke
 
@@ -124,7 +125,7 @@ warm-check: all
 	    echo "warm-check: FAIL (the cold run probed the toolchain)"; rm -rf $$d; exit 1; \
 	  elif grep -E '(driver\.compose|frontend\.parse|driver\.lower|driver\.emit|native\.probe|native\.compile) ' $$d/warm.stats; then \
 	    echo "warm-check: FAIL (warm run translated, probed or compiled)"; rm -rf $$d; exit 1; \
-	  elif ! grep -qE 'cache\.hit +1\.0$$' $$d/warm.stats; then \
+	  elif ! grep -qE 'cache\.hit +1$$' $$d/warm.stats; then \
 	    echo "warm-check: FAIL (warm run missed the binary cache)"; rm -rf $$d; exit 1; \
 	  elif ! grep -q 'native.index ' $$d/warm.stats; then \
 	    echo "warm-check: FAIL (no native.index row for the index lookup)"; rm -rf $$d; exit 1; \

@@ -22,8 +22,10 @@
    repeated wall-clock medians.  Results are summarised against the
    paper's claims in EXPERIMENTS.md.
 
-   [--smoke] runs only the C5 group at tiny sizes: a few regions on a
-   2-thread pool against the spawn-per-region baseline (seconds, no JSON
+   [--smoke] runs only the C5 group and C6's domain legs at tiny sizes:
+   a few regions on a 2-thread pool against the spawn-per-region
+   baseline, and retains, releases and allocations on one and two
+   domains, failing unless the ledger ends exact (seconds, no JSON
    output) — the target `make check` invokes so the perf plumbing cannot
    bit-rot silently. *)
 
@@ -342,6 +344,55 @@ let bench_forkjoin ~smoke () =
 
 (* --- C6: refcounting overhead -------------------------------------------------------------- *)
 
+(* [rc_legs ~domains ~ops] — [domains] domains at once, each making [ops]
+   inc/dec pairs on one shared cell, then each making [ops] alloc+release
+   pairs of its own cells, all in one ledger: ns per pair (the median of
+   3), and whether every leg left its ledger exact. *)
+let rc_legs ~domains ~ops =
+  let exact = ref true in
+  let leg ~allocs f =
+    wall (fun () ->
+        Runtime.Rc.reset ();
+        let shared = Runtime.Rc.alloc () in
+        List.iter Domain.join
+          (List.init domains (fun _ -> Domain.spawn (fun () -> f shared)));
+        Runtime.Rc.decr_ shared;
+        let s = Runtime.Rc.stats () in
+        if s.Runtime.Rc.live <> 0 || s.allocs <> s.frees || s.allocs <> allocs
+        then exact := false)
+    *. 1e9 /. float_of_int ops
+  in
+  let pair =
+    leg ~allocs:1 (fun shared ->
+        for _ = 1 to ops do
+          Runtime.Rc.incr_ shared;
+          Runtime.Rc.decr_ shared
+        done)
+  in
+  let alloc =
+    leg ~allocs:((domains * ops) + 1) (fun _ ->
+        for _ = 1 to ops do
+          Runtime.Rc.decr_ (Runtime.Rc.alloc ~bytes:4096 ())
+        done)
+  in
+  (pair, alloc, !exact)
+
+(* The contended case: the pool's domains retain and release the same
+   cells.  Exits 1 unless the ledger ends exact: nothing live, and every
+   allocation counted once and freed once. *)
+let bench_rc_domains ~ops =
+  Fmt.pr "  %d ops per domain, one ledger (wall clock):@." ops;
+  Fmt.pr "  %8s %20s %20s@." "domains" "inc/dec pair (ns)" "alloc+release (ns)";
+  List.iter
+    (fun domains ->
+      let pair, alloc, exact = rc_legs ~domains ~ops in
+      Fmt.pr "  %8d %20.1f %20.1f@." domains pair alloc;
+      if not exact then begin
+        Fmt.epr "C6: the ledger is not exact after %d domain(s)@." domains;
+        exit 1
+      end)
+    [ 1; 2 ]
+
 let bench_refcount () =
   Fmt.pr "@.=== C6: reference counting (§III-B/C) ===@.";
   let data = cube ~m:32 ~n:32 ~p:16 in
@@ -374,6 +425,7 @@ let bench_refcount () =
                 Runtime.Rc.incr_ cell;
                 Runtime.Rc.decr_ cell));
        ]);
+  bench_rc_domains ~ops:1_000_000;
   instrumented "C6" (fun () ->
       with_input data (fun dir ->
           run_prog ~c:c_full ~dir Eddy.Programs.fig1_temporal_mean))
@@ -1122,8 +1174,10 @@ let () =
   Fmt.pr "machine: %d core(s) visible to OCaml@." cores;
   if smoke then begin
     (* keeps the pool and [Pool.naive_parallel_for], the C5 baseline,
-       exercised *)
+       exercised, and the ledger exact under two domains *)
     bench_forkjoin ~smoke:true ();
+    Fmt.pr "@.=== C6: reference counting (§III-B/C) ===@.";
+    bench_rc_domains ~ops:20_000;
     Fmt.pr "@.smoke ok.@."
   end
   else begin

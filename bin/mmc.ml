@@ -338,7 +338,7 @@ let max_steps_arg =
 let max_bytes_arg =
   Arg.(value & opt (some int) None
        & info [ "max-bytes" ] ~docv:"N"
-           ~doc:"Abort when live matrix payload in the RC registry \
+           ~doc:"Abort when live matrix payload in the run's RC ledger \
                  exceeds N bytes (checked at loop and chunk boundaries).")
 
 let timeout_arg =
@@ -376,7 +376,6 @@ let run_cmd =
     let src = read_source file in
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
     let exec pool =
-      Runtime.Rc.reset ();
       with_robustness robust @@ fun () ->
       match Driver.run ?dir:data_dir ?pool ~config ~warn c src [] with
       | Driver.Ok_ v ->

@@ -12,10 +12,10 @@
     in double precision, and native output must agree bit-for-bit.
 
     Every program is checked code: the subscript and shape checks
-    lowering wrote ({!Ir.check}) print as the runtime's [MM_BOUND] and
-    [MM_SAME] macros, and every provenance site pushes a crash
-    breadcrumb, all keyed by one generated span table, so a failed check
-    or a fatal signal reports at its source span.
+    lowering wrote ({!Ir.check}) print as the runtime's [MM_BOUND],
+    [MM_SAME] and [MM_NOT_NULL] macros, and every provenance site pushes
+    a crash breadcrumb, all keyed by one generated span table, so a
+    failed check or a fatal signal reports at its source span.
 
     With [exec_harness] the entry function is renamed and a generated
     [int main] prints the entry's result (and the live-allocation count)
@@ -219,6 +219,9 @@ and check st = function
       Printf.sprintf "MM_SAME(%s, %s, %s, %d)" (expr st ~prec:0 a)
         (expr st ~prec:0 b)
         (c_string_lit what)
+        (span_id st (Support.Pos.span_to_string span))
+  | Null { m; span } ->
+      Printf.sprintf "MM_NOT_NULL(%s, %d)" (expr st ~prec:0 m)
         (span_id st (Support.Pos.span_to_string span))
 
 let rec lvalue = function

@@ -76,6 +76,8 @@ and check =
       (** [m] is not NULL and [0 <= index < mm_dim(m, dim)] *)
   | Same of { what : string; a : expr; b : expr; span : Support.Pos.span }
       (** two extents an operation needs to agree: [a = b] *)
+  | Null of { m : expr; span : Support.Pos.span }
+      (** [m] is not NULL: an operation is about to read its extents *)
 
 (** The report of a failed check: both backends print exactly this text
     (mm_runtime.c words the same formats). *)
@@ -196,6 +198,7 @@ let rec map_expr f e =
 and map_check r = function
   | Bound c -> Bound { c with m = r c.m; index = r c.index }
   | Same c -> Same { c with a = r c.a; b = r c.b }
+  | Null c -> Null { c with m = r c.m }
 
 (** [map_stmts fe fs stmts] — bottom-up rewrite of statements ([fs]) with
     expressions rewritten by [fe]. *)

@@ -12,8 +12,9 @@
     scope exits, [return], [break] and [continue] release what goes out of
     scope; statement-level temporaries (e.g. a discarded function result
     or an intermediate slice) are released at the end of their statement.
-    The interpreter's live-allocation registry turns these conventions
-    into a machine-checked no-leak/no-double-free invariant. *)
+    The interpreter's per-run ledger of live cells turns these
+    conventions into a machine-checked no-leak/no-double-free
+    invariant. *)
 
 open Cir.Ir
 module S = Runtime.Scalar
@@ -25,6 +26,9 @@ let err span fmt =
 
 type scope = {
   mutable owned : string list;  (** matrix vars owned by this scope *)
+  mutable unset : string list;
+      (** the owned vars declared without an initialiser: NULL until
+          assigned *)
   is_loop : bool;  (** break/continue release down to the loop scope *)
   mutable renamed : (string * string) list;
       (** source name -> C name, for the declarations in this scope whose
@@ -116,9 +120,15 @@ let is_mat = function Types.TMat _ -> true | _ -> false
 (* --- ownership helpers ------------------------------------------------------ *)
 
 let push_scope ?(is_loop = false) t =
-  t.scopes <- { owned = []; is_loop; renamed = [] } :: t.scopes
+  t.scopes <- { owned = []; unset = []; is_loop; renamed = [] } :: t.scopes
 
 let own t name = (List.hd t.scopes).owned <- name :: (List.hd t.scopes).owned
+
+(** [maybe_null t v] — C variable [v] is a matrix declared without an
+    initialiser, so it may still be NULL where it is read here.  An owned
+    declaration never shares its C name with another one in scope
+    ({!declare}). *)
+let maybe_null t v = List.exists (fun sc -> List.mem v sc.unset) t.scopes
 
 (** The C name of source variable [v] where it is read here. *)
 let c_name t v =
@@ -430,7 +440,10 @@ let rec lower_stmt t (st : Ast.stmt) : stmt list =
                paper's programs follow this; see Fig 8's `trough`).  The
                variable still owns whatever it ends up holding. *)
             let name = declare t name in
-            if is_mat ty then own t name;
+            if is_mat ty then begin
+              own t name;
+              (List.hd t.scopes).unset <- name :: (List.hd t.scopes).unset
+            end;
             [ Decl (cty, name, None) ]
         | Some ie ->
             let si, ei = lower_expr ~expected:ty t ie in

@@ -890,9 +890,10 @@ let explain ?config ?(dump_passes = []) ?(ir_diff = false) ?warn
 
 (** [profile ?… c src args] — run [src] with the source-attributed
     profiler enabled and return (program result outcome, report).  The
-    profiler and RC registry are reset first so the report covers exactly
-    this run, and the wall clock starts after lowering so the report's
-    coverage measures execution, not compilation.  [config] defaults to
+    profiler is reset first and the run counts its matrices in a ledger
+    of its own, so the report covers exactly this run; the wall clock
+    starts after lowering so the report's coverage measures execution,
+    not compilation.  [config] defaults to
     the pipeline {!run} compiles. *)
 let profile ?config ?warn ?pool ?dir
     (c : composed) (src : string) (args : Interp.Eval.value list) :
@@ -914,14 +915,10 @@ let profile ?config ?warn ?pool ?dir
   | Ok_ prog -> (
       Support.Profile.reset ();
       Support.Profile.set_enabled true;
-      Runtime.Rc.reset ();
-      let prev_hook = !Runtime.Ndarray.alloc_hook in
-      Runtime.Ndarray.alloc_hook := Some Support.Profile.on_alloc;
       let t0 = Tel.now_ns () in
       let finish () =
         let wall_ns = Tel.now_ns () - t0 in
         Support.Profile.set_enabled false;
-        Runtime.Ndarray.alloc_hook := prev_hook;
         Tel.set_gauge "rc.live_bytes" (float_of_int (Runtime.Rc.live_bytes ()));
         Tel.set_gauge "rc.peak_bytes" (float_of_int (Runtime.Rc.peak_bytes ()));
         Profile_report.collect ~wall_ns ()

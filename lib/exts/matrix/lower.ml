@@ -89,8 +89,14 @@ let ew_loop t ~span ~(model : string) ~(rank : int) ~(out_elem : Nd.elem)
   L.add_pending t r;
   (stmts, Var r)
 
-let lower_mat t (e : A.expr) : stmt list * string =
-  bind_mat t (L.lower_expr t e) (ety e)
+(* A matrix operand of the operation at [span], bound to a variable.
+   Every operation reads its operand's extents or size, and a matrix
+   local declared without an initialiser may still be NULL there, so it
+   is checked first. *)
+let lower_operand t ~span (e : A.expr) : stmt list * string =
+  let s, v = bind_mat t (L.lower_expr t e) (ety e) in
+  if L.maybe_null t v then (s @ [ Check (Null { m = Var v; span }) ], v)
+  else (s, v)
 
 let cir_binop (op : A.binop) : binop =
   match op with
@@ -135,8 +141,8 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
       Some (stmts, Var r)
   (* linear-algebra matrix multiplication (§III-A2) *)
   | A.BArith S.Mul, T.TMat (e1, 2), T.TMat (_, 2) ->
-      let sa, va = lower_mat t a in
-      let sb, vb = lower_mat t b in
+      let sa, va = lower_operand t ~span a in
+      let sb, vb = lower_operand t ~span b in
       let m = MDim (Var va, Int 0)
       and k = MDim (Var va, Int 1)
       and n = MDim (Var vb, Int 1) in
@@ -202,8 +208,8 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
   (* matrix (.) matrix elementwise: + - / % .* comparisons logic *)
   | _, T.TMat (e1, r1), T.TMat (_, _) ->
       let out_elem, _ = mat_of_ty span rty in
-      let sa, va = lower_mat t a in
-      let sb, vb = lower_mat t b in
+      let sa, va = lower_operand t ~span a in
+      let sb, vb = lower_operand t ~span b in
       (* the loop walks [va]'s elements over both buffers *)
       let agree =
         if va = vb then []
@@ -235,7 +241,7 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
   (* matrix (.) scalar and scalar (.) matrix *)
   | _, T.TMat (e1, r1), sc when T.is_scalar sc ->
       let out_elem, _ = mat_of_ty span rty in
-      let sa, va = lower_mat t a in
+      let sa, va = lower_operand t ~span a in
       let sb, eb = bind_scalar t (L.lower_expr t b) sc in
       let arith_elem = match rty with T.TMat (e, _) -> e | _ -> e1 in
       let scalar_conv =
@@ -255,7 +261,7 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
   | _, sc, T.TMat (e1, r1) when T.is_scalar sc ->
       let out_elem, _ = mat_of_ty span rty in
       let sa, ea = bind_scalar t (L.lower_expr t a) sc in
-      let sb, vb = lower_mat t b in
+      let sb, vb = lower_operand t ~span b in
       let arith_elem = match rty with T.TMat (e, _) -> e | _ -> e1 in
       let scalar_conv =
         match (sc, arith_elem) with
@@ -278,7 +284,7 @@ let h_unop t (op : A.unop) (a : A.expr) (rty : T.ty) span :
   match ety a with
   | T.TMat (e1, r1) ->
       let out_elem = match rty with T.TMat (e, _) -> e | _ -> e1 in
-      let sa, va = lower_mat t a in
+      let sa, va = lower_operand t ~span a in
       let s, v =
         ew_loop t ~span ~model:va ~rank:r1 ~out_elem ~body:(fun i ->
             match op with
@@ -1114,7 +1120,7 @@ let h_subscript memo t (base : A.expr) (indices : A.index list) (rty : T.ty)
     span : (stmt list * expr) option =
   match ety base with
   | T.TMat (_elem, rank) ->
-      let sb, vb = lower_mat t base in
+      let sb, vb = lower_operand t ~span base in
       let si, specs = lower_specs t vb (ety base) indices in
       let checks = index_checks memo t ~span vb base indices specs in
       let all_at = List.for_all (function SAt _ -> true | _ -> false) specs in
@@ -1201,7 +1207,7 @@ let h_subscript_assign memo t (base : A.expr) (indices : A.index list)
     (rhs : A.expr) ~at span : stmt list option =
   match ety base with
   | T.TMat (elem, rank) ->
-      let sb, vb = lower_mat t base in
+      let sb, vb = lower_operand t ~span:at base in
       let si, specs = lower_specs t vb (ety base) indices in
       let checks = index_checks memo t ~span:at vb base indices specs in
       let rhs_ty = ety rhs in
@@ -1233,7 +1239,7 @@ let h_subscript_assign memo t (base : A.expr) (indices : A.index list)
             let er = coerce_scalar rt elem er in
             Some (sb @ si @ sr @ checks @ loops [ MSetFlat (Var vb, dst_off, er) ])
         | T.TMat (relem, _) ->
-            let sr, vr = lower_mat t rhs in
+            let sr, vr = lower_operand t ~span rhs in
             let fits =
               List.mapi
                 (fun j ext ->
@@ -1484,7 +1490,7 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
   let out_elem, _ = mat_of_ty span rty in
   let k = List.length dims in
   let comp = List.filter (fun d -> not (List.mem d dims)) (List.init rank Fun.id) in
-  let sm, vm = lower_mat t marg in
+  let sm, vm = lower_operand t ~span marg in
   let r = L.fresh t "mmapr" in
   (* The lifted per-slice function: "we actually lift this out into a new
      function so that the spawned threads can get direct access to it". *)
@@ -1640,11 +1646,11 @@ let h_expr t (ext : A.ext_expr) (rty : T.ty) span : (stmt list * expr) option =
       Some (lower_matrix_map t fname m dims rty span)
   | _ -> None
 
-let h_call t (name : string) (args : A.expr list) (rty : T.ty) _span
+let h_call t (name : string) (args : A.expr list) (rty : T.ty) span
     ~expected:_ : (stmt list * expr) option =
   match (name, args) with
   | "dimSize", [ m; d ] ->
-      let sm, vm = lower_mat t m in
+      let sm, vm = lower_operand t ~span m in
       let sd, ed = L.lower_expr t d in
       Some (sm @ sd, MDim (Var vm, ed))
   | "readMatrix", [ { A.e = A.StrLit path; _ } ] ->
@@ -1655,6 +1661,6 @@ let h_call t (name : string) (args : A.expr list) (rty : T.ty) _span
           Var tmp )
   | "readMatrix", _ -> None
   | "writeMatrix", [ { A.e = A.StrLit path; _ }; m ] ->
-      let sm, vm = lower_mat t m in
+      let sm, vm = lower_operand t ~span m in
       Some (sm @ [ MWrite (Str path, Var vm) ], Int 0)
   | _ -> None

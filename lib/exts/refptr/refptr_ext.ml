@@ -16,9 +16,9 @@
 
     With no productions and no terminals, the extension trivially passes
     both composability analyses; the interesting guarantee is dynamic and
-    machine-checked: after a translated program runs, the runtime's
-    live-allocation registry must be empty (no leaks) and no cell may ever
-    be double-freed — asserted by the test suite over every example
+    machine-checked: after a translated program runs, its ledger in the
+    runtime must hold no live cell (no leaks) and no cell may ever be
+    double-freed — asserted by the test suite over every example
     program. *)
 
 let name = "refptr"

@@ -9,9 +9,9 @@
     entry function.  Scalar code evaluates with C semantics, [ParFor]
     regions dispatch onto the enhanced fork-join domain pool of
     {!Runtime.Pool}, vector operations execute 4-lane f32 arithmetic via
-    {!Runtime.Simd}, and matrix allocation goes through the
-    reference-counting registry so tests can assert the no-leak invariant
-    of the generated code. *)
+    {!Runtime.Simd}, and every matrix allocation is charged to the run's
+    own reference-counting ledger ({!Runtime.Rc}), so tests can assert
+    the no-leak invariant of the generated code. *)
 
 open Cir.Ir
 module S = Runtime.Scalar
@@ -209,6 +209,7 @@ type ctx = {
           by a program that names one, so a run that does no I/O makes no
           scratch directory *)
   fns : (string * fn) list;  (** the first definition of a name wins *)
+  ledger : Runtime.Rc.ledger;  (** where this run's matrices are counted *)
 }
 
 let sync fr =
@@ -253,7 +254,12 @@ let rec rc_adjust f v =
   | VTuple vs -> Array.iter (rc_adjust f) vs
   | v -> err "rc operation on %a" pp_value v
 
-let alloc_mat m = VMat (Runtime.Rc.alloc ~bytes:(Nd.size m * 4) m)
+(* The one place a run allocates a matrix: its bytes go to the run's
+   ledger and, when profiling, to the executing statement's row. *)
+let alloc_mat cx m =
+  let bytes = Nd.size m * 4 in
+  if Profile.is_enabled () then Profile.on_alloc bytes;
+  VMat (Runtime.Rc.alloc ~ledger:cx.ledger ~bytes m)
 
 let flat_error m o =
   err "flat offset %d out of bounds for %s" o
@@ -312,10 +318,10 @@ let rec expr (cx : ctx) (sc : scope) (e : expr) : frame -> value =
       fun fr ->
         let sh = Array.map (fun d -> S.to_int (d fr)) dims in
         Array.iter (fun d -> if d < 0 then err "negative matrix extent %d" d) sh;
-        alloc_mat (Nd.create el sh)
+        alloc_mat cx (Nd.create el sh)
   | MRead (Str p) ->
       let path = data_path ~dir:(cx.dir ()) p in
-      fun _ -> alloc_mat (Nd.read_file path)
+      fun _ -> alloc_mat cx (Nd.read_file path)
   | MRead _ -> fun _ -> err "readMatrix requires a literal path"
   | VecSplat a ->
       let a = sx a in
@@ -444,7 +450,7 @@ and scalar cx sc (e : expr) : frame -> S.t =
 and subscript cx sc me off =
   match off with
   | Checked ((Bound { span; _ } :: _ as cs), off)
-    when List.for_all (function Bound b -> b.m = me | Same _ -> false) cs ->
+    when List.for_all (function Bound b -> b.m = me | _ -> false) cs ->
       let me = expr cx sc me in
       let cs =
         Array.of_list
@@ -453,7 +459,7 @@ and subscript cx sc me off =
                | Bound { dim; index; span; _ } ->
                    let index = scalar cx sc index in
                    Some (fun fr m -> in_bounds m ~dim ~span (S.to_int (index fr)))
-               | Same _ -> None)
+               | Same _ | Null _ -> None)
              cs)
       in
       Some
@@ -486,6 +492,12 @@ and check cx sc (c : check) : frame -> unit =
       fun fr ->
         let x = S.to_int (a fr) and y = S.to_int (b fr) in
         if x <> y then raise (Runtime_error (same_message ~what x y, span))
+  | Null { m; span } -> (
+      let m = expr cx sc m in
+      fun fr ->
+        match m fr with
+        | VNull -> raise (Runtime_error (null_message, span))
+        | _ -> ())
 
 (* A statement list in scope [sc]: [Decl]s bind in [sc] itself, for the
    statements after them. *)
@@ -769,7 +781,7 @@ and parfor_loop cx sc l =
 (* Compile every function of [prog], once.  Each name is bound to its
    first definition before any body is compiled, so calls (recursive ones
    included) resolve to the callee's record directly. *)
-let compile ~pool ~dir (prog : program) =
+let compile ~pool ~dir ~ledger (prog : program) =
   let defs =
     List.rev
       (List.fold_left
@@ -787,7 +799,9 @@ let compile ~pool ~dir (prog : program) =
              (f.f_name, (f, fn)) :: acc)
          [] prog.funcs)
   in
-  let cx = { pool; dir; fns = List.map (fun (n, (_, fn)) -> (n, fn)) defs } in
+  let cx =
+    { pool; dir; fns = List.map (fun (n, (_, fn)) -> (n, fn)) defs; ledger }
+  in
   List.iter
     (fun (_, (f, fn)) ->
       (* a function body's top level shares the parameters' scope *)
@@ -800,19 +814,20 @@ let compile ~pool ~dir (prog : program) =
 
 let run ?pool ?dir (prog : program) (args : value list) : value =
   Support.Tmpdir.with_lazy_dir ?dir ~prefix:"mmcfs" @@ fun dir ->
-  let cx = compile ~pool ~dir prog in
+  let ledger = Runtime.Rc.start () in
+  let cx = compile ~pool ~dir ~ledger prog in
   (* An aborted run never executes its scope-exit RcDec statements, so its
-     allocations would sit in the live registry forever (a phantom leak
-     that also keeps counting against --max-bytes).  Mark the ledger here
-     and drain everything allocated after the mark on any escape. *)
-  let ledger_mark = Runtime.Rc.mark () in
+     allocations would stay live forever (a phantom leak that also keeps
+     counting against --max-bytes): the run discards its ledger instead.
+     The pool and every spawn have stopped by the time the failure gets
+     here. *)
   try
     match List.assoc_opt prog.main cx.fns with
     | Some fn -> call fn (Array.of_list args)
     | None -> err "undefined function %s" prog.main
   with e ->
     let bt = Printexc.get_raw_backtrace () in
-    ignore (Runtime.Rc.drain_since ledger_mark);
+    Runtime.Rc.discard ledger;
     Printexc.raise_with_backtrace e bt
 
 (** [provide_input ~dir path m] — place matrix [m] where a translated

@@ -42,8 +42,10 @@ val run :
     function with [args].  [ParFor] loops run on [pool] (sequentially
     without one).  [dir] hosts the program's matrix files; without it they
     go to a fresh temporary directory, removed with its contents when
-    [run] returns or raises.  Every matrix allocated by an aborted run is
-    drained from the RC registry before the exception escapes. *)
+    [run] returns or raises.  The run counts its matrices in a ledger of
+    its own ({!Runtime.Rc.start}), which the [Rc] accessors read once it
+    has started; an aborted run discards it ({!Runtime.Rc.discard})
+    before the exception escapes. *)
 
 val provide_input : dir:string -> string -> Runtime.Ndarray.t -> unit
 (** [provide_input ~dir path m] — place matrix [m] where a translated

@@ -12,23 +12,11 @@
 
     Files land under a temporary name and are renamed into place, so
     processes sharing a cache directory never see a partial one.  Hits
-    and misses are counted and exported as [cache.hit]/[cache.miss]
-    telemetry gauges. *)
+    and misses are the [cache.hit]/[cache.miss] telemetry counters. *)
 
 let default_dir = "_mmc_cache"
-
-let hits = ref 0
-let misses = ref 0
-let hit_count () = !hits
-let miss_count () = !misses
-
-let reset_counts () =
-  hits := 0;
-  misses := 0
-
-let export_gauges () =
-  Support.Telemetry.set_gauge "cache.hit" (float_of_int !hits);
-  Support.Telemetry.set_gauge "cache.miss" (float_of_int !misses)
+let c_hit = Support.Telemetry.counter "cache.hit"
+let c_miss = Support.Telemetry.counter "cache.miss"
 
 (* The runtime's files, as (name, text) pairs: the headers every program
    and runtime unit may include, then the translation units.  The
@@ -105,18 +93,16 @@ let produce path f =
 
 let exe_path ~dir k = Filename.concat dir ("mm_" ^ k ^ ".exe")
 
-(** [lookup ~dir k] — cached binary for key [k], bumping the hit/miss
-    tally either way. *)
+(** [lookup ~dir k] — cached binary for key [k], counted as a hit or a
+    miss. *)
 let lookup ~dir k =
   let path = exe_path ~dir k in
   if Sys.file_exists path then begin
-    incr hits;
-    export_gauges ();
+    Support.Telemetry.bump c_hit;
     Some path
   end
   else begin
-    incr misses;
-    export_gauges ();
+    Support.Telemetry.bump c_miss;
     None
   end
 

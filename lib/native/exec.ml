@@ -73,17 +73,9 @@ let last_stderr_line s =
 let describe_error = function
   | Toolchain_error e -> Toolchain.describe_error e
   | Run_failed { exit_code; stderr_text } -> (
-      if exit_code >= 128 then
-        (* shell-style status: 128+N means death by signal N *)
-        let signal = exit_code - 128 in
-        match last_stderr_line stderr_text with
-        | Some l ->
-            Printf.sprintf "native binary killed by signal %d: %s" signal l
-        | None -> Printf.sprintf "native binary killed by signal %d" signal
-      else
-        match String.trim stderr_text with
-        | "" -> Printf.sprintf "native binary exited with code %d" exit_code
-        | detail -> detail)
+      match String.trim stderr_text with
+      | "" -> Printf.sprintf "native binary exited with code %d" exit_code
+      | detail -> detail)
   | Run_signaled { signal; signal_name; stderr_text; fault; crash_span = _ }
     -> (
       match fault with

@@ -9,9 +9,9 @@
     mid-statement:
 
     - [max_steps] — total loop iterations executed (checked every tick);
-    - [max_bytes] — live matrix payload bytes in the RC registry
-      ({!Rc.current_bytes}), checked at chunk boundaries and every
-      {!slow_period} ticks;
+    - [max_bytes] — live matrix payload bytes in the ledger of the run
+      started last ({!Rc.live_bytes}), checked at chunk boundaries and
+      every {!slow_period} ticks;
     - [timeout] — a wall-clock deadline on the monotonic telemetry clock,
       checked on the same schedule as [max_bytes].
 
@@ -42,7 +42,7 @@ let lim_bytes = Atomic.make 0 (* 0 = unlimited *)
 let deadline_ns = Atomic.make 0 (* 0 = none *)
 let timeout_ns = Atomic.make 0
 
-(* How many ticks between clock/registry reads: steps are checked on
+(* How many ticks between clock/ledger reads: steps are checked on
    every tick (one fetch-and-add), wall clock and live bytes only every
    [slow_period] ticks and at every chunk boundary. *)
 let slow_period = 64
@@ -81,8 +81,8 @@ let enabled () = Atomic.get active
 let violation v_kind v_limit v_actual =
   raise (Resource_limit { v_kind; v_limit; v_actual; v_span = None })
 
-(* Wall clock + live bytes: the checks that cost a syscall / registry
-   mutex, throttled to chunk boundaries and every [slow_period] ticks. *)
+(* Wall clock + live bytes: the checks that cost a clock read, throttled
+   to chunk boundaries and every [slow_period] ticks. *)
 let check_slow () =
   let dl = Atomic.get deadline_ns in
   if dl > 0 then begin
@@ -91,7 +91,7 @@ let check_slow () =
   end;
   let mb = Atomic.get lim_bytes in
   if mb > 0 then begin
-    let live = Rc.current_bytes () in
+    let live = Rc.live_bytes () in
     if live > mb then violation Max_bytes mb live
   end
 

@@ -3,7 +3,9 @@
     matrix operation, indexing mode and with-loop to plain loops over
     {!get_flat}/{!set_flat} (§II, §III-A3), so this module holds only
     storage: construction, element access, comparison, printing and the
-    [readMatrix]/[writeMatrix] file format. *)
+    [readMatrix]/[writeMatrix] file format.  It keeps no account of
+    allocations: the interpreter charges each matrix it allocates to the
+    run's {!Rc} ledger and to the profiler. *)
 
 type elem = EFloat | EInt | EBool
 
@@ -40,16 +42,9 @@ let dim_size m d =
       (Shape.to_string m.shape)
   else m.shape.(d)
 
-(** Observation hook fired on every {!create} with the payload size in
-    bytes (4 per element, matching the RC registry's accounting).  The
-    profiler installs itself here to attribute allocation traffic to the
-    source span being executed; [None] costs one load per allocation. *)
-let alloc_hook : (int -> unit) option ref = ref None
-
 (** [create e shape] — zero/false-initialised matrix: the [init] builtin.
-    The [ndarray.alloc] failpoint fires {e before} the buffer exists or
-    the allocation hook runs, modelling an allocation failure that leaves
-    no trace behind. *)
+    The [ndarray.alloc] failpoint fires {e before} the buffer exists,
+    modelling an allocation failure that leaves no trace behind. *)
 let create e sh =
   Support.Failpoint.hit fp_alloc;
   let n = Shape.size sh in
@@ -59,7 +54,6 @@ let create e sh =
     | EInt -> I (Array.make n 0)
     | EBool -> B (Array.make n false)
   in
-  (match !alloc_hook with Some f -> f (n * 4) | None -> ());
   { shape = Array.copy sh; buf }
 
 let init_float sh f =

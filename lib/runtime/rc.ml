@@ -4,61 +4,86 @@
     The generated C code attaches a count to each allocation; assignments
     increment the new referent and decrement the old one, scope exit
     decrements, and a count reaching zero frees the payload.  Here the
-    OCaml GC does the actual freeing, so "free" means removing the cell
-    from the {b live-allocation registry} — which is precisely what lets
-    the test-suite assert the paper's invariant: after a translated program
+    OCaml GC does the actual freeing, so "free" means dropping the payload
+    and debiting the cell's {b ledger} — which is precisely what lets the
+    test-suite assert the paper's invariant: after a translated program
     finishes, no allocation is still live (no leaks), and no cell is ever
-    decremented below zero (no double-free). *)
+    decremented below zero (no double-free).
+
+    A ledger is a few atomic counts.  Each interpreter run starts one (so
+    does {!reset}), and every cell points to the ledger it was allocated
+    in, so the pool's domains retain and release without a lock: a cell's
+    own atomic count decides use-after-free and double-free, and its
+    ledger's counts stay exact under any interleaving.  The accessors
+    ({!live_count}, {!stats}, …) read the ledger started last. *)
+
+type ledger = {
+  live_cells : int Atomic.t;
+  live_bytes : int Atomic.t;
+  peak_bytes : int Atomic.t;  (** high-water mark of [live_bytes] *)
+  allocated_bytes : int Atomic.t;
+  n_allocs : int Atomic.t;
+  n_frees : int Atomic.t;
+  discarded : bool Atomic.t;  (** set by {!discard} *)
+}
 
 type 'a t = {
-  mutable count : int;
+  count : int Atomic.t;  (** 0 once freed *)
   mutable payload : 'a option;  (** [None] after the count reaches zero *)
-  id : int;
-  bytes : int;  (** approximate payload size, for allocator benchmarks *)
+  id : int;  (** allocation number within its ledger *)
+  bytes : int;  (** approximate payload size *)
+  ledger : ledger;
 }
 
 exception Use_after_free of int
 exception Double_free of int
 
-(* Registry is per-process and must tolerate the domain pool touching
-   counts concurrently; a mutex keeps the bookkeeping exact. *)
-let registry_mutex = Mutex.create ()
-let live : (int, int) Hashtbl.t = Hashtbl.create 256 (* id -> bytes *)
-let next_id = ref 0
-let total_allocs = ref 0
-let total_frees = ref 0
-
-(* Byte gauges, maintained incrementally under the registry mutex so the
-   high-water mark is exact (a fold over [live] after the fact could never
-   recover the peak). *)
-let cur_bytes = ref 0
-let max_bytes = ref 0
-let total_bytes = ref 0
-
-let with_registry f =
-  Mutex.lock registry_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) f
-
 (* Telemetry counters for the §III-B/C memory-management traffic; each is
-   one gated atomic bump on top of the registry work. *)
+   one gated atomic bump on top of the ledger's. *)
 let c_allocs = Support.Telemetry.counter "rc.allocs"
 let c_frees = Support.Telemetry.counter "rc.frees"
 let c_incrs = Support.Telemetry.counter "rc.incrs"
 let c_decrs = Support.Telemetry.counter "rc.decrs"
 let c_drained = Support.Telemetry.counter "rc.drained"
 
-(** [alloc ~bytes payload] — a fresh cell with count 1, registered live. *)
-let alloc ?(bytes = 0) payload =
+let fresh () =
+  {
+    live_cells = Atomic.make 0;
+    live_bytes = Atomic.make 0;
+    peak_bytes = Atomic.make 0;
+    allocated_bytes = Atomic.make 0;
+    n_allocs = Atomic.make 0;
+    n_frees = Atomic.make 0;
+    discarded = Atomic.make false;
+  }
+
+let current = Atomic.make (fresh ())
+
+(** [start ()] — a fresh ledger, from now on the one the accessors read. *)
+let start () =
+  let l = fresh () in
+  Atomic.set current l;
+  l
+
+(** Start a fresh ledger between tests or benchmark runs.  Cells of the
+    previous one keep debiting it, not the new one. *)
+let reset () = ignore (start ())
+
+(* The peak only rises: a compare-and-set per allocation that lifts the
+   live bytes above it, so the high-water mark is exact. *)
+let rec raise_peak l b =
+  let p = Atomic.get l.peak_bytes in
+  if b > p && not (Atomic.compare_and_set l.peak_bytes p b) then raise_peak l b
+
+(** [alloc ?ledger ~bytes payload] — a fresh cell with count 1, live in
+    [ledger] (by default the one started last). *)
+let alloc ?(ledger = Atomic.get current) ?(bytes = 0) payload =
   Support.Telemetry.bump c_allocs;
-  with_registry (fun () ->
-      let id = !next_id in
-      incr next_id;
-      incr total_allocs;
-      Hashtbl.replace live id bytes;
-      cur_bytes := !cur_bytes + bytes;
-      total_bytes := !total_bytes + bytes;
-      if !cur_bytes > !max_bytes then max_bytes := !cur_bytes;
-      { count = 1; payload = Some payload; id; bytes })
+  let id = Atomic.fetch_and_add ledger.n_allocs 1 in
+  Atomic.incr ledger.live_cells;
+  ignore (Atomic.fetch_and_add ledger.allocated_bytes bytes);
+  raise_peak ledger (Atomic.fetch_and_add ledger.live_bytes bytes + bytes);
+  { count = Atomic.make 1; payload = Some payload; id; bytes; ledger }
 
 (** [get cell] — dereference; raises {!Use_after_free} on a dead cell. *)
 let get cell =
@@ -66,96 +91,76 @@ let get cell =
   | Some p -> p
   | None -> raise (Use_after_free cell.id)
 
+let rec retain cell =
+  let n = Atomic.get cell.count in
+  if n <= 0 then raise (Use_after_free cell.id);
+  if not (Atomic.compare_and_set cell.count n (n + 1)) then retain cell
+
 (** [incr_ cell] — a new reference now exists (assignment RHS, argument
     passing, storing into a structure). *)
 let incr_ cell =
   Support.Telemetry.bump c_incrs;
-  with_registry (fun () ->
-      if cell.payload = None then raise (Use_after_free cell.id);
-      cell.count <- cell.count + 1)
+  retain cell
+
+(* A discarded ledger's cells count nowhere: their run is over. *)
+let free cell =
+  cell.payload <- None;
+  let l = cell.ledger in
+  if not (Atomic.get l.discarded) then begin
+    Support.Telemetry.bump c_frees;
+    Atomic.incr l.n_frees;
+    Atomic.decr l.live_cells;
+    ignore (Atomic.fetch_and_add l.live_bytes (-cell.bytes))
+  end
+
+let rec release cell =
+  let n = Atomic.get cell.count in
+  if n <= 0 then raise (Double_free cell.id);
+  if not (Atomic.compare_and_set cell.count n (n - 1)) then release cell
+  else if n = 1 then free cell
 
 (** [decr_ cell] — a reference died (scope exit, overwriting assignment).
     Frees the payload when the count reaches zero. *)
 let decr_ cell =
   Support.Telemetry.bump c_decrs;
-  with_registry (fun () ->
-      if cell.count <= 0 then raise (Double_free cell.id);
-      cell.count <- cell.count - 1;
-      if cell.count = 0 then begin
-        cell.payload <- None;
-        incr total_frees;
-        Support.Telemetry.bump c_frees;
-        if Hashtbl.mem live cell.id then
-          cur_bytes := !cur_bytes - cell.bytes;
-        Hashtbl.remove live cell.id
-      end)
+  release cell
 
-let count cell = cell.count
-let is_live cell = cell.payload <> None
+let is_live cell = Atomic.get cell.count > 0
+
+(** [discard l] — the abort path of the generated code's memory
+    discipline.  A run that dies mid-flight never executes its scope-exit
+    decrements, so the interpreter drops its ledger wholesale: live cells
+    and bytes read 0 from then on (the OCaml GC reclaims the payloads),
+    [rc.drained] counts the cells still live, and a later release of any
+    of its cells counts nowhere.  Call once every domain of the run has
+    stopped. *)
+let discard l =
+  Atomic.set l.discarded true;
+  Support.Telemetry.add c_drained (Atomic.exchange l.live_cells 0);
+  Atomic.set l.live_bytes 0
+
+(* --- the ledger started last ------------------------------------------- *)
 
 (** Number of allocations still live — a translated program that manages
-    its references correctly leaves this where it found it. *)
-let live_count () = with_registry (fun () -> Hashtbl.length live)
+    its references correctly leaves this at 0. *)
+let live_count () = Atomic.get (Atomic.get current).live_cells
 
-let live_bytes () =
-  with_registry (fun () -> Hashtbl.fold (fun _ b acc -> acc + b) live 0)
+(** Live payload bytes: what the cooperative [--max-bytes] guard polls at
+    loop and chunk boundaries. *)
+let live_bytes () = Atomic.get (Atomic.get current).live_bytes
 
-(** Live payload bytes as an O(1) read of the incrementally maintained
-    gauge — what the cooperative [--max-bytes] guard polls at loop and
-    chunk boundaries. *)
-let current_bytes () = with_registry (fun () -> !cur_bytes)
+(** High-water mark of live payload bytes. *)
+let peak_bytes () = Atomic.get (Atomic.get current).peak_bytes
 
-(** [mark ()] — a ledger position: every allocation made after this call
-    has an id [>=] the mark.  Pass it to {!drain_since} to reclaim an
-    aborted run's allocations. *)
-let mark () = with_registry (fun () -> !next_id)
-
-(** [drain_since m] — remove from the live registry every allocation made
-    at or after mark [m], returning [(count, bytes)] drained.  This is the
-    abort path of the generated code's memory discipline: when a run dies
-    mid-flight its scope-exit decrements never execute, so the interpreter
-    tears the run's allocations down wholesale (the payloads themselves
-    are reclaimed by the OCaml GC).  Cells already freed are untouched;
-    cells drained here tolerate late {!decr_} calls without double-free
-    (their registry entry is simply gone). *)
-let drain_since m =
-  with_registry (fun () ->
-      let doomed =
-        Hashtbl.fold (fun id b acc -> if id >= m then (id, b) :: acc else acc)
-          live []
-      in
-      List.iter
-        (fun (id, b) ->
-          Hashtbl.remove live id;
-          cur_bytes := !cur_bytes - b)
-        doomed;
-      let n = List.length doomed in
-      Support.Telemetry.add c_drained n;
-      (n, List.fold_left (fun acc (_, b) -> acc + b) 0 doomed))
-
-(** High-water mark of live payload bytes since the last {!reset}. *)
-let peak_bytes () = with_registry (fun () -> !max_bytes)
-
-(** Total payload bytes ever allocated since the last {!reset}. *)
-let allocated_bytes () = with_registry (fun () -> !total_bytes)
+(** Total payload bytes ever allocated. *)
+let allocated_bytes () = Atomic.get (Atomic.get current).allocated_bytes
 
 type stats = { allocs : int; frees : int; live : int }
 
 let stats () =
-  with_registry (fun () ->
-      {
-        allocs = !total_allocs;
-        frees = !total_frees;
-        live = Hashtbl.length live;
-      })
-
-(** Reset counters between tests/benchmark runs.  Does not revive or kill
-    cells; only clears the registry and statistics. *)
-let reset () =
-  with_registry (fun () ->
-      Hashtbl.reset live;
-      total_allocs := 0;
-      total_frees := 0;
-      cur_bytes := 0;
-      max_bytes := 0;
-      total_bytes := 0)
+  let l = Atomic.get current in
+  {
+    allocs = Atomic.get l.n_allocs;
+    frees = Atomic.get l.n_frees;
+    live = Atomic.get l.live_cells;
+  }

@@ -152,7 +152,7 @@ void mm_fail_hit(const char *name);
  * reports. */
 _Noreturn void mm_guard_fault(int id, const char *fmt, ...);
 
-/* Slow paths of the two checks, only ever called once the inline test
+/* Slow paths of the checks, only ever called once the inline test
  * has failed: they word the report (the interpreter words the same
  * text) and fault.  _Noreturn, so the optimizer keeps the passing path
  * free of spills and can hoist bound loads across iterations. */
@@ -172,6 +172,12 @@ _Noreturn void mm_guard_same(int a, int b, const char *what, int id);
 #define MM_SAME(a, b, what, id)                                               \
   (__builtin_expect((a) != (b), 0) ? mm_guard_same((a), (b), (what), (id))   \
                                    : (void)0)
+
+/* A matrix local declared without an initialiser is set by the time an
+ * operation reads its extents or size (mm_guard_index words the NULL
+ * report). */
+#define MM_NOT_NULL(m, id)                                                    \
+  (__builtin_expect(!(m), 0) ? mm_guard_index(NULL, 0, 0, (id)) : (void)0)
 
 /* Crash breadcrumbs: emitted code brackets every provenance site —
  * loops and top-level located statements — with

@@ -350,14 +350,11 @@ let exec_eddy ?cflags ?cache_dir () =
 let test_cache_hit_on_rerun () =
   ignore (ensure_cc ());
   let cache_dir = fresh_dir () in
-  Native.Cache.reset_counts ();
   let first = exec_eddy ~cache_dir () in
   Alcotest.(check bool) "first run compiles" false first.Native.Exec.from_cache;
   let second = exec_eddy ~cache_dir () in
   Alcotest.(check bool) "second run hits cache" true
     second.Native.Exec.from_cache;
-  Alcotest.(check bool) "hit counted" true (Native.Cache.hit_count () >= 1);
-  Alcotest.(check bool) "miss counted" true (Native.Cache.miss_count () >= 1);
   Alcotest.(check string) "same binary" first.Native.Exec.exe
     second.Native.Exec.exe
 
@@ -374,7 +371,7 @@ let test_cache_invalidation_on_flag_change () =
   Alcotest.(check bool) "same flags hit again" true
     again.Native.Exec.from_cache
 
-let test_cache_gauge_exported () =
+let test_cache_counters_exported () =
   ignore (ensure_cc ());
   Support.Telemetry.reset ();
   Support.Telemetry.set_enabled true;
@@ -383,13 +380,11 @@ let test_cache_gauge_exported () =
   let cache_dir = fresh_dir () in
   ignore (exec_eddy ~cache_dir ());
   ignore (exec_eddy ~cache_dir ());
-  let gauge n =
-    match List.assoc_opt n (Support.Telemetry.gauges ()) with
-    | Some v -> v
-    | None -> Alcotest.failf "gauge %s not exported" n
+  let counter n =
+    Option.value ~default:0 (List.assoc_opt n (Support.Telemetry.counters ()))
   in
-  Alcotest.(check bool) "cache.hit >= 1" true (gauge "cache.hit" >= 1.);
-  Alcotest.(check bool) "cache.miss >= 1" true (gauge "cache.miss" >= 1.)
+  Alcotest.(check int) "cache.hit" 1 (counter "cache.hit");
+  Alcotest.(check int) "cache.miss" 1 (counter "cache.miss")
 
 (* --- toolchain edge cases ------------------------------------------------ *)
 
@@ -1264,8 +1259,8 @@ let suite =
     Alcotest.test_case "cache: hit on rerun" `Quick test_cache_hit_on_rerun;
     Alcotest.test_case "cache: invalidation on flag change" `Quick
       test_cache_invalidation_on_flag_change;
-    Alcotest.test_case "cache: hit/miss gauges exported" `Quick
-      test_cache_gauge_exported;
+    Alcotest.test_case "cache: hit/miss counters exported" `Quick
+      test_cache_counters_exported;
     Alcotest.test_case "missing compiler: graceful diagnostic" `Quick
       test_missing_compiler_graceful;
     Alcotest.test_case "runtime failure maps to diagnostic" `Quick

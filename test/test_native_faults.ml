@@ -70,29 +70,42 @@ let failed_text ~src = function
 (* --- satellite: signal-death decoding is a pure function ----------------- *)
 
 let test_describe_signal_exit () =
-  (* A 128+N exit status (the child's shell-style report of a signal
-     death the supervisor did not witness directly) must decode to the
-     signal, never surface as a bare "exit code 139". *)
+  (* The spawn stub reaps the child itself, so a signal death arrives as
+     [Run_signaled] and reads by the signal's name, never as a raw exit
+     code; an exit code is only ever a code, 128 or more included. *)
+  let msg =
+    Native.Exec.describe_error
+      (Native.Exec.Run_signaled
+         {
+           signal = 11;
+           signal_name = "SIGSEGV";
+           stderr_text = "";
+           fault = None;
+           crash_span = None;
+         })
+  in
+  Alcotest.(check string) "a signal death names the signal"
+    "native binary killed by SIGSEGV (signal 11)" msg;
+  (* the last stderr line rides along when there is one *)
+  let msg =
+    Native.Exec.describe_error
+      (Native.Exec.Run_signaled
+         {
+           signal = 6;
+           signal_name = "SIGABRT";
+           stderr_text = "noise\nfree(): invalid pointer\n";
+           fault = None;
+           crash_span = None;
+         })
+  in
+  Alcotest.(check string) "stderr tail attached"
+    "native binary killed by SIGABRT (signal 6): free(): invalid pointer" msg;
   let msg =
     Native.Exec.describe_error
       (Native.Exec.Run_failed { exit_code = 139; stderr_text = "" })
   in
-  Alcotest.(check bool)
-    (Printf.sprintf "139 decodes to signal 11 (got: %s)" msg)
-    true
-    (contains msg "killed by signal 11");
-  Alcotest.(check bool) "no raw exit code in the message" false
-    (contains msg "exit code");
-  (* the last stderr line rides along when there is one *)
-  let msg =
-    Native.Exec.describe_error
-      (Native.Exec.Run_failed
-         { exit_code = 134; stderr_text = "noise\nfree(): invalid pointer\n" })
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "stderr tail attached (got: %s)" msg)
-    true
-    (contains msg "killed by signal 6" && contains msg "free(): invalid pointer");
+  Alcotest.(check string) "exit code 139 is a code"
+    "native binary exited with code 139" msg;
   (* plain nonzero exits keep the existing mm_fatal taxonomy: stderr text
      verbatim when present, the code otherwise *)
   let msg =
@@ -230,6 +243,41 @@ let check_programs =
 }
 |},
       Some ("4:10-14", "use of an uninitialised matrix") );
+    ( "extents of an uninitialised matrix",
+      {|int main() {
+  Matrix int <1> v;
+  if (false) { v = init(Matrix int <1>, 3); }
+  return dimSize(v, 0);
+}
+|},
+      Some ("4:10-23", "use of an uninitialised matrix") );
+    ( "elementwise on an uninitialised matrix",
+      {|int main() {
+  Matrix int <1> v;
+  if (false) { v = init(Matrix int <1>, 3); }
+  Matrix int <1> w = v + v;
+  return dimSize(w, 0);
+}
+|},
+      Some ("4:22-27", "use of an uninitialised matrix") );
+    ( "writeMatrix of an uninitialised matrix",
+      {|int main() {
+  Matrix int <1> v;
+  if (false) { v = init(Matrix int <1>, 3); }
+  writeMatrix("o.data", v);
+  return 0;
+}
+|},
+      Some ("4:3-27", "use of an uninitialised matrix") );
+    ( "slice of an uninitialised matrix",
+      {|int main() {
+  Matrix int <2> v;
+  if (false) { v = init(Matrix int <2>, 3, 3); }
+  Matrix int <2> w = v[:, :];
+  return dimSize(w, 0);
+}
+|},
+      Some ("4:22-29", "use of an uninitialised matrix") );
     ( "end of series",
       {|int main() {
   Matrix float <1> ts = with ([0] <= [k] < [8]) genarray ([8], 8.0 - (float) k);
@@ -540,6 +588,44 @@ let test_signal_death_named () =
   Alcotest.(check bool)
     (Printf.sprintf "no out-of-memory hint (got: %s)" text)
     false (contains text "OOM")
+
+(* A binary that exits with a code of 128 or more was not killed: it
+   reads like any other exit, its stderr or else its code (a --cc wrapper
+   compiles the program, then puts a script in the binary's place). *)
+let test_high_exit_code () =
+  with_deadline "high exit code" @@ fun () ->
+  let tc = ensure_cc () in
+  List.iter
+    (fun (script, expected) ->
+      let cc = Filename.concat (fresh_dir ()) "cc.sh" in
+      Out_channel.with_open_text cc (fun oc ->
+          Printf.fprintf oc
+            "#!/bin/sh\n\
+             %s \"$@\" || exit $?\n\
+             out= obj=\n\
+             while [ $# -gt 0 ]; do\n\
+            \  case \"$1\" in -o) out=$2 ;; -c) obj=1 ;; esac\n\
+            \  shift\n\
+             done\n\
+             if [ -z \"$obj\" ] && [ -n \"$out\" ]; then\n\
+            \  printf '#!/bin/sh\\n%s\\n' > \"$out\"\n\
+            \  chmod +x \"$out\"\n\
+             fi\n"
+            (Filename.quote tc.Native.Toolchain.cc)
+            script);
+      Unix.chmod cc 0o755;
+      match
+        Driver.exec ~cc ~dir:(fresh_dir ()) ~cache_dir:(fresh_dir ())
+          (Driver.Composed full) genarray_src
+      with
+      | Driver.Ok_ _ -> Alcotest.failf "%s: the run succeeded" script
+      | Driver.Failed ds ->
+          Alcotest.(check (list string)) script [ expected ]
+            (List.map (fun d -> d.Support.Diag.message) ds))
+    [
+      ("echo boom >&2; exit 137", "boom");
+      ("exit 137", "native binary exited with code 137");
+    ]
 
 (* --- matrix files byte by byte --------------------------------------------- *)
 
@@ -987,4 +1073,6 @@ let suite =
       test_sanitizer_rejected;
     Alcotest.test_case "supervisor: a signal death names the POSIX signal"
       `Quick test_signal_death_named;
+    Alcotest.test_case "supervisor: an exit code of 128 or more is a code"
+      `Quick test_high_exit_code;
   ]

@@ -264,15 +264,36 @@ let test_rc_peak_bytes_hand_computed () =
   Runtime.Rc.reset ();
   Alcotest.(check int) "reset clears peak" 0 (Runtime.Rc.peak_bytes ())
 
-let test_ndarray_alloc_hook () =
-  let seen = ref 0 in
-  let prev = !Runtime.Ndarray.alloc_hook in
-  Runtime.Ndarray.alloc_hook := Some (fun b -> seen := !seen + b);
-  Fun.protect
-    ~finally:(fun () -> Runtime.Ndarray.alloc_hook := prev)
-    (fun () ->
-      ignore (Runtime.Ndarray.create Runtime.Ndarray.EFloat [| 10; 10 |]);
-      Alcotest.(check int) "hook saw 10*10*4 bytes" 400 !seen)
+(* Every matrix a run allocates is charged to a row or counted as
+   unattributed, readMatrix's included: fig1 reads a 12x14x8 cube on
+   line 3, and that statement's row carries its 12*14*8*4 bytes. *)
+let test_profile_charges_read_matrix () =
+  let dir = Filename.temp_file "mmprof" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Interp.Eval.provide_input ~dir "ssh.data"
+    (Runtime.Ndarray.init_float [| 12; 14; 8 |] (fun ix ->
+         float_of_int (ix.(0) + ix.(1) + ix.(2))));
+  let outcome, report =
+    Driver.profile ~config:(Driver.default_config all4) ~dir all4
+      Eddy.Programs.fig1_temporal_mean []
+  in
+  (match outcome with
+  | Driver.Ok_ _ -> ()
+  | Driver.Failed ds -> Alcotest.failf "run: %s" (Driver.diags_to_string ds));
+  let rows = report.Driver.Profile_report.rows in
+  let read_row =
+    List.filter (fun (r : P.row) -> r.P.r_span.Pos.left.Pos.line = 3) rows
+  in
+  Alcotest.(check (list int)) "the readMatrix statement's bytes"
+    [ 12 * 14 * 8 * 4 ]
+    (List.map (fun (r : P.row) -> r.P.r_alloc_bytes) read_row);
+  let attributed =
+    List.fold_left (fun acc (r : P.row) -> acc + r.P.r_alloc_bytes) 0 rows
+  in
+  Alcotest.(check int) "attributed + unattributed = allocated"
+    report.Driver.Profile_report.allocated_bytes
+    (attributed + report.Driver.Profile_report.unattributed_alloc)
 
 (* --- caret renderer goldens ------------------------------------------------ *)
 
@@ -405,8 +426,8 @@ let suite =
       test_profile_parallel_coverage;
     Alcotest.test_case "rc peak bytes match a hand-computed sequence" `Quick
       test_rc_peak_bytes_hand_computed;
-    Alcotest.test_case "ndarray alloc hook reports bytes" `Quick
-      test_ndarray_alloc_hook;
+    Alcotest.test_case "profile charges readMatrix its bytes" `Quick
+      test_profile_charges_read_matrix;
     Alcotest.test_case "caret: single-line span" `Quick test_caret_single_line;
     Alcotest.test_case "caret: multi-line span clamps to first line" `Quick
       test_caret_multi_line_clamps;

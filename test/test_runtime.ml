@@ -611,6 +611,71 @@ let prop_rc_scripts =
       done;
       (not (Rc.is_live c)) && Rc.live_count () = 0)
 
+(* Four domains allocate, retain and release thousands of cells of one
+   ledger, and hammer one shared cell's count: no update is lost. *)
+let test_ledger_contention () =
+  Rc.reset ();
+  let shared = Rc.alloc ~bytes:16 () in
+  let n = 4000 in
+  let body d () =
+    for i = 1 to n do
+      let c = Rc.alloc ~bytes:(1 + ((d + i) mod 64)) () in
+      Rc.incr_ c;
+      Rc.incr_ shared;
+      Rc.decr_ c;
+      Rc.decr_ shared;
+      Rc.decr_ c
+    done
+  in
+  List.iter Domain.join (List.init 4 (fun d -> Domain.spawn (body d)));
+  Alcotest.(check bool) "the shared cell is still live" true
+    (Rc.is_live shared);
+  Rc.decr_ shared;
+  let s = Rc.stats () in
+  Alcotest.(check int) "live count" 0 (Rc.live_count ());
+  Alcotest.(check int) "live bytes" 0 (Rc.live_bytes ());
+  Alcotest.(check int) "allocs" ((4 * n) + 1) s.Rc.allocs;
+  Alcotest.(check int) "frees = allocs" s.Rc.allocs s.Rc.frees;
+  let peak = Rc.peak_bytes () in
+  Alcotest.(check bool)
+    (Printf.sprintf "peak %d between the largest cell and %d allocated" peak
+       (Rc.allocated_bytes ()))
+    true
+    (peak >= 64 && peak <= Rc.allocated_bytes ())
+
+(* A run that fails inside a 2-worker region leaves nothing live, and a
+   cell of a discarded ledger released late changes no count. *)
+let test_ledger_failed_run () =
+  let src =
+    {|
+int main() {
+  Matrix int <2> a = with ([0,0] <= [i,j] < [64,64]) genarray([64,64], i + j);
+  Matrix int <1> v = with ([0] <= [k] < [8]) genarray([8], k);
+  Matrix int <2> b = with ([0,0] <= [i,j] < [64,64]) genarray([64,64], a[i,j] + v[i]);
+  return b[0, 0];
+}
+|}
+  in
+  let config =
+    Driver.Pipeline.enable (Driver.default_config matrix) "auto-par" true
+  in
+  (match
+     Pool.with_pool 2 (fun pool -> Driver.run ~config ~pool matrix src [])
+   with
+  | Driver.Ok_ _ -> Alcotest.fail "the run read v past its end and returned"
+  | Driver.Failed _ -> ());
+  Alcotest.(check bool) "the run allocated" true ((Rc.stats ()).Rc.allocs >= 2);
+  Alcotest.(check int) "live count" 0 (Rc.live_count ());
+  Alcotest.(check int) "live bytes" 0 (Rc.live_bytes ());
+  let l = Rc.start () in
+  let c = Rc.alloc ~bytes:32 () in
+  Rc.discard l;
+  let before = (Rc.stats (), Rc.live_bytes ()) in
+  Rc.decr_ c;
+  Alcotest.(check bool) "the late release freed the cell" false (Rc.is_live c);
+  Alcotest.(check bool) "and changed no count" true
+    (before = (Rc.stats (), Rc.live_bytes ()))
+
 (* --- pool -------------------------------------------------------------------- *)
 
 let test_pool_parallel_for () =
@@ -711,6 +776,10 @@ let suite =
     Alcotest.test_case "matrix file IO" `Quick test_io_roundtrip;
     Alcotest.test_case "rc lifecycle" `Quick test_rc_lifecycle;
     QCheck_alcotest.to_alcotest prop_rc_scripts;
+    Alcotest.test_case "ledger: exact under contention" `Quick
+      test_ledger_contention;
+    Alcotest.test_case "ledger: a failed run discards its ledger" `Quick
+      test_ledger_failed_run;
     Alcotest.test_case "pool parallel_for" `Quick test_pool_parallel_for;
     Alcotest.test_case "pool region reuse" `Quick test_pool_reuse;
     Alcotest.test_case "pool single thread" `Quick test_pool_single_thread;
