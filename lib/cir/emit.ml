@@ -468,12 +468,15 @@ let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
           let crumb = crumb_local st in
           line "int %s = mm_crumb_push(%d);" crumb id;
           in_frame st (s, crumb) (fun () -> block buf ind b);
-          line "mm_crumb_pop(%s);" crumb;
-          if st.instrument then begin
-            line "if (mm_prof_live) {";
-            line "  if (!mm_prof_skip[%d]) mm_prof_exit(%d, 0, 0);" id id;
-            line "  else mm_prof_sentries[%d]++;" id;
-            line "}"
+          (* a block that returns has unwound the site already *)
+          if not (ends_with_return b) then begin
+            line "mm_crumb_pop(%s);" crumb;
+            if st.instrument then begin
+              line "if (mm_prof_live) {";
+              line "  if (!mm_prof_skip[%d]) mm_prof_exit(%d, 0, 0);" id id;
+              line "  else mm_prof_sentries[%d]++;" id;
+              line "}"
+            end
           end
       | None -> block buf ind b)
   | Site (_, b) ->

@@ -259,6 +259,15 @@ let subst_var name e stmts =
 let subst_var_expr name r e =
   map_expr (function Var n when n = name -> r | x -> x) e
 
+(** [ends_with_return b] — [b]'s last statement is a [Return], itself or
+    as the last statement of a trailing [Located]: nothing after [b]
+    runs. *)
+let rec ends_with_return b =
+  match List.rev b with
+  | Return _ :: _ -> true
+  | Located (_, b) :: _ -> ends_with_return b
+  | _ -> false
+
 (** [expr_uses_var name e] — does [Var name] occur in [e]? *)
 let expr_uses_var name e =
   let found = ref false in

@@ -698,12 +698,6 @@ let lower_fundef t (f : Ast.fundef) : func =
     @ List.concat_map (lower_stmt t) f.Ast.body
   in
   let release = pop_scope t in
-  let rec ends_with_return ss =
-    match List.rev ss with
-    | Return _ :: _ -> true
-    | Located (_, b) :: _ -> ends_with_return b
-    | _ -> false
-  in
   let needs_trailing_release = not (ends_with_return body) in
   {
     f_name = f.Ast.fname;

@@ -58,7 +58,6 @@ mm_mat_float1 *anomaly(mm_mat_float1 *ts) {
   mm_crumb_pop(__mm_crumb4);
   mm_crumb_pop(__mm_crumb3);
   return __mm_gen1;
-  mm_crumb_pop(__mm_crumb3);
 }
 
 int main(void) {
@@ -161,7 +160,6 @@ int main(void) {
   mm_rc_dec(ssh);
   mm_crumb_pop(__mm_crumb21);
   return eddies;
-  mm_crumb_pop(__mm_crumb21);
 }
 
 void __mm_mmap_anomaly9(mm_mat_float3 *m, mm_mat_float3 *r, int t) {

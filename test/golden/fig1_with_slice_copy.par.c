@@ -44,7 +44,6 @@ mm_float seriesMean(mm_mat_float3 *mat, int i, int j) {
   mm_float __mm_ret3 = total / (mm_float) p;
   mm_crumb_pop(__mm_crumb4);
   return __mm_ret3;
-  mm_crumb_pop(__mm_crumb4);
 }
 
 int main(void) {
@@ -87,5 +86,4 @@ int main(void) {
   mm_rc_dec(mat);
   mm_crumb_pop(__mm_crumb11);
   return 0;
-  mm_crumb_pop(__mm_crumb11);
 }

@@ -167,7 +167,6 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
   mm_rc_dec(binary);
   mm_crumb_pop(__mm_crumb8);
   return labels;
-  mm_crumb_pop(__mm_crumb8);
 }
 
 int main(void) {
@@ -241,7 +240,6 @@ int main(void) {
   mm_rc_dec(ssh);
   mm_crumb_pop(__mm_crumb19);
   return 0;
-  mm_crumb_pop(__mm_crumb19);
 }
 
 void __mm_mmap_connComp33(mm_mat_float3 *m, mm_mat_int3 *r, int t) {

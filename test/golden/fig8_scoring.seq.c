@@ -114,7 +114,6 @@ struct_mm_mat_float1_int_int getTrough(mm_mat_float1 *ts, int i) {
   mm_rc_dec(__mm_rng5);
   mm_crumb_pop(__mm_crumb4);
   return __mm_ret9;
-  mm_crumb_pop(__mm_crumb4);
 }
 
 mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest) {
@@ -186,7 +185,6 @@ mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest) {
   mm_rc_dec(Line);
   mm_crumb_pop(__mm_crumb19);
   return __mm_gen22;
-  mm_crumb_pop(__mm_crumb19);
 }
 
 mm_mat_float1 *scoreTS(mm_mat_float1 *ts) {
@@ -249,7 +247,6 @@ mm_mat_float1 *scoreTS(mm_mat_float1 *ts) {
   mm_rc_dec(trough);
   mm_crumb_pop(__mm_crumb30);
   return scores;
-  mm_crumb_pop(__mm_crumb30);
 }
 
 int main(void) {
@@ -275,7 +272,6 @@ int main(void) {
   mm_rc_dec(data);
   mm_crumb_pop(__mm_crumb35);
   return 0;
-  mm_crumb_pop(__mm_crumb35);
 }
 
 void __mm_mmap_scoreTS36(mm_mat_float3 *m, mm_mat_float3 *r, int t) {

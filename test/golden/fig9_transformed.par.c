@@ -75,5 +75,4 @@ int main(void) {
   mm_rc_dec(mat);
   mm_crumb_pop(__mm_crumb10);
   return 0;
-  mm_crumb_pop(__mm_crumb10);
 }

@@ -107,5 +107,4 @@ int main(void) {
   mm_rc_dec(a);
   mm_crumb_pop(__mm_crumb13);
   return __mm_ret16;
-  mm_crumb_pop(__mm_crumb13);
 }

@@ -41,7 +41,6 @@ mm_float rowSum(mm_mat_float2 *g, int i) {
   mm_crumb_pop(__mm_crumb3);
   mm_crumb_pop(__mm_crumb2);
   return __mm_acc2;
-  mm_crumb_pop(__mm_crumb2);
 }
 
 int main(void) {
@@ -95,5 +94,4 @@ int main(void) {
   mm_rc_dec(g);
   mm_crumb_pop(__mm_crumb12);
   return __mm_ret12;
-  mm_crumb_pop(__mm_crumb12);
 }

@@ -73,5 +73,4 @@ int main(void) {
   mm_rc_dec(g);
   mm_crumb_pop(__mm_crumb10);
   return __mm_ret8;
-  mm_crumb_pop(__mm_crumb10);
 }

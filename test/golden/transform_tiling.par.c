@@ -54,7 +54,6 @@ mm_float rowMean(mm_mat_float2 *grid, int i) {
   mm_float __mm_ret3 = total / (mm_float) n;
   mm_crumb_pop(__mm_crumb4);
   return __mm_ret3;
-  mm_crumb_pop(__mm_crumb4);
 }
 
 int main(void) {
@@ -148,5 +147,4 @@ int main(void) {
   mm_rc_dec(grid);
   mm_crumb_pop(__mm_crumb20);
   return __mm_ret20;
-  mm_crumb_pop(__mm_crumb20);
 }
