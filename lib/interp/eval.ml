@@ -764,18 +764,14 @@ and parfor_loop cx sc l =
     let n = S.to_int (bound fr) in
     match l.prov with
     | Some sp when Profile.is_enabled () && not (Profile.in_region ()) ->
-        Support.Telemetry.with_span ~phase:"interp"
-          ~args:[ ("prov", Support.Pos.span_to_string sp) ]
-          "parfor"
-          (fun () ->
-            Profile.enter sp;
-            if dispatched then Profile.open_region sp;
-            Fun.protect
-              ~finally:(fun () ->
-                Profile.exit_ ~iters:n
-                  ~dispatches:(if dispatched then 1 else 0)
-                  ~par:dispatched ())
-              (fun () -> run fr n))
+        Profile.enter sp;
+        if dispatched then Profile.open_region sp;
+        Fun.protect
+          ~finally:(fun () ->
+            Profile.exit_ ~iters:n
+              ~dispatches:(if dispatched then 1 else 0)
+              ~par:dispatched ())
+          (fun () -> run fr n)
     | _ -> run fr n
 
 (* Compile every function of [prog], once.  Each name is bound to its

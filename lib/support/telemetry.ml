@@ -59,14 +59,13 @@ type span = {
   sp_depth : int;
   sp_start : float;
   sp_dur : float;
-  sp_args : (string * string) list;
 }
 
 (* reverse completion order *)
 let spans_acc : span list ref = ref []
 let depth_key = Domain.DLS.new_key (fun () -> ref 0)
 
-let with_span ?(phase = "") ?(args = []) sp_name f =
+let with_span ?(phase = "") sp_name f =
   if not (Atomic.get enabled) then f ()
   else begin
     let depth = Domain.DLS.get depth_key in
@@ -85,7 +84,6 @@ let with_span ?(phase = "") ?(args = []) sp_name f =
             sp_depth = d;
             sp_start = t0;
             sp_dur = dur;
-            sp_args = args;
           }
         in
         locked (fun () -> spans_acc := sp :: !spans_acc))
@@ -220,26 +218,16 @@ let write_chrome_trace path =
     (fun sp ->
       event
         (json_obj
-           ([
-              ("name", json_string sp.sp_name);
-              ( "cat",
-                json_string (if sp.sp_phase = "" then "span" else sp.sp_phase)
-              );
-              ("ph", json_string "X");
-              ("ts", Printf.sprintf "%.3f" (sp.sp_start *. 1e6));
-              ("dur", Printf.sprintf "%.3f" (sp.sp_dur *. 1e6));
-              ("pid", "0");
-              ("tid", string_of_int sp.sp_tid);
-            ]
-           @
-           match sp.sp_args with
-           | [] -> []
-           | args ->
-               [
-                 ( "args",
-                   json_obj (List.map (fun (k, v) -> (k, json_string v)) args)
-                 );
-               ])))
+           [
+             ("name", json_string sp.sp_name);
+             ( "cat",
+               json_string (if sp.sp_phase = "" then "span" else sp.sp_phase) );
+             ("ph", json_string "X");
+             ("ts", Printf.sprintf "%.3f" (sp.sp_start *. 1e6));
+             ("dur", Printf.sprintf "%.3f" (sp.sp_dur *. 1e6));
+             ("pid", "0");
+             ("tid", string_of_int sp.sp_tid);
+           ]))
     (spans ());
   let ts_end = Printf.sprintf "%.3f" (now () *. 1e6) in
   List.iter

@@ -66,14 +66,10 @@ type span = {
   sp_depth : int;  (** nesting depth within that domain, 0 = outermost *)
   sp_start : float;  (** seconds since telemetry epoch *)
   sp_dur : float;  (** seconds *)
-  sp_args : (string * string) list;
-      (** extra key/value payload (e.g. source provenance), carried into
-          the Chrome-trace ["args"] object *)
 }
 
-val with_span :
-  ?phase:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [with_span ~phase ~args name f] — run [f], recording its wall-clock
+val with_span : ?phase:string -> string -> (unit -> 'a) -> 'a
+(** [with_span ~phase name f] — run [f], recording its wall-clock
     duration as a span when telemetry is enabled.  Spans nest: the depth is
     tracked per domain.  The span is recorded even if [f] raises.  When
     disabled, [with_span] is just [f ()]. *)
