@@ -12,8 +12,8 @@
     fork-join pool) — is emitted in its unoptimized form wrapped in a
     {!Sites} annotation, and the extension's CIR passes ({!Passes})
     consume the sites.  Only analyses that genuinely need AST context
-    (the whole-function scans behind the slice-copy verdicts) run here;
-    their verdicts travel in the site payload. *)
+    (the one whole-function scan behind the slice-copy and bounds
+    verdicts) run here; their verdicts travel in the site payload. *)
 
 module L = Cminus.Lower
 module T = Cminus.Types
@@ -60,6 +60,13 @@ let dims_of v rank = List.init rank (fun d -> MDim (Var v, Int d))
 let conv ~(from : Nd.elem) ~(to_ : Nd.elem) e =
   match (from, to_) with
   | Nd.EInt, Nd.EFloat -> Unop (FloatOfInt, e)
+  | _ -> e
+
+(* Conversion of a scalar of type [from_ty] to a matrix element. *)
+let coerce_scalar (from_ty : T.ty) (to_elem : Nd.elem) e =
+  match (from_ty, to_elem) with
+  | T.TInt, Nd.EFloat -> Unop (FloatOfInt, e)
+  | T.TFloat, Nd.EInt -> Unop (IntOfFloat, e)
   | _ -> e
 
 (* --- elementwise loops (§III-A2) ------------------------------------------- *)
@@ -244,18 +251,12 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
       let sa, va = lower_operand t ~span a in
       let sb, eb = bind_scalar t (L.lower_expr t b) sc in
       let arith_elem = match rty with T.TMat (e, _) -> e | _ -> e1 in
-      let scalar_conv =
-        match (sc, arith_elem) with
-        | T.TInt, Nd.EFloat -> Unop (FloatOfInt, eb)
-        | T.TFloat, Nd.EInt -> Unop (IntOfFloat, eb)
-        | _ -> eb
-      in
       let s, v =
         ew_loop t ~span ~model:va ~rank:r1 ~out_elem ~body:(fun i ->
             Binop
               ( cir_binop op,
                 conv ~from:e1 ~to_:arith_elem (MGetFlat (Var va, i)),
-                scalar_conv ))
+                coerce_scalar sc arith_elem eb ))
       in
       Some (sa @ sb @ s, v)
   | _, sc, T.TMat (e1, r1) when T.is_scalar sc ->
@@ -263,17 +264,11 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
       let sa, ea = bind_scalar t (L.lower_expr t a) sc in
       let sb, vb = lower_operand t ~span b in
       let arith_elem = match rty with T.TMat (e, _) -> e | _ -> e1 in
-      let scalar_conv =
-        match (sc, arith_elem) with
-        | T.TInt, Nd.EFloat -> Unop (FloatOfInt, ea)
-        | T.TFloat, Nd.EInt -> Unop (IntOfFloat, ea)
-        | _ -> ea
-      in
       let s, v =
         ew_loop t ~span ~model:vb ~rank:r1 ~out_elem ~body:(fun i ->
             Binop
               ( cir_binop op,
-                scalar_conv,
+                coerce_scalar sc arith_elem ea,
                 conv ~from:e1 ~to_:arith_elem (MGetFlat (Var vb, i)) ))
       in
       Some (sa @ sb @ s, v)
@@ -404,11 +399,13 @@ let spec_extent base d = function
 
 let checked cs e = match cs with [] -> e | cs -> Checked (cs, e)
 
-(* --- slice-copy elimination verdicts (§III-A5) --------------------------------
+(* --- what a function lets lowering prove about its matrices ---------------------
 
-   Two slice shapes need not be copied.  Both verdicts need the whole
-   function body, so they are computed here and travel in the
-   [SliceAlias] site; the copy-elim pass only acts on them.
+   One scan of each function body ([scan_facts], memoised per function)
+   serves three verdicts: the two slice verdicts below, which decide
+   whether copy elimination (§III-A5) may drop a slice's copy and travel
+   in the [SliceAlias] site (the copy-elim pass only acts on them), and
+   the bounds proofs of the subscript checks (§III-A3).
 
    An identity slice `m[:, …, :]` may be lowered to a retained alias of
    `m` only when that is observationally equal to the copy: no write to
@@ -427,9 +424,7 @@ let checked cs e = match cs with [] -> e | cs -> Checked (cs, e)
      or returned (the buffer would escape to the caller).  Buffer sharing
      is closed over plain handle copies (`Matrix c = b;`), other identity
      slices and the function's matrix parameters (a caller may pass one
-     matrix twice);
-   - the function contains no foreign extension nodes we cannot see into
-     (a transform or cilk statement could mutate any matrix).
+     matrix twice).
 
    A one-dimensional slice `Matrix t <1> s = b[e1, …, :, …, en];` need
    not be built at all when each `s[k]` can read `b[e1, …, k, …, en]` in
@@ -448,12 +443,22 @@ let checked cs e = match cs with [] -> e | cs -> Checked (cs, e)
    4. every variable named in e1 … en is bound once and never assigned.
 
    "Bound once" rules out shadowing: a name read at `s[k]` means what it
-   meant at the declaration.
+   meant at the declaration.  Anything else falls back to the allocating
+   copy — the seed semantics.
 
-   Anything else falls back to the allocating copy — the seed semantics. *)
+   The scan sees through an extension statement that forwards to a host
+   statement (a transform statement is its assignment).  A function
+   holding a construct it cannot see into — an unknown extension
+   expression, an extension statement with no forward, or a write
+   through an unnamed handle — proves nothing: every slice keeps its
+   copy and every scalar index its check, for one reason. *)
 
 exception Opaque
-(* foreign extension node: give up on the function *)
+(* an extension expression the scan does not know *)
+
+let opaque =
+  "function contains an extension construct or a write through an unnamed \
+   handle that the analysis cannot see into"
 
 let is_mat_ident (e : A.expr) =
   match (e.A.e, e.A.ety) with
@@ -468,7 +473,8 @@ let readonly_call = function
 let is_identity_slice ixs =
   ixs <> [] && List.for_all (function A.IAll _ -> true | _ -> false) ixs
 
-(* The immediate subexpressions of [e], in evaluation order. *)
+(* The immediate subexpressions of [e], in evaluation order.  Raises
+   [Opaque]. *)
 let sub_exprs (e : A.expr) : A.expr list =
   match e.A.e with
   | A.Ident _ | A.IntLit _ | A.FloatLit _ | A.BoolLit _ | A.StrLit _
@@ -488,187 +494,6 @@ let sub_exprs (e : A.expr) : A.expr list =
   | A.ExtE (Nodes.EMatrixMap (_, m, _)) -> [ m ]
   | A.ExtE (Nodes.EInit (_, dims)) -> dims
   | A.ExtE _ -> raise Opaque
-
-(* One scan of the function body collecting (a) names whose buffer may be
-   written or may escape ("seeds") and (b) pairs of names that may share a
-   buffer ("edges"). *)
-let scan_body body =
-  let seeds = ref [] and edges = ref [] in
-  let seed v = seeds := v :: !seeds in
-  let mat_seed e = Option.iter seed (is_mat_ident e) in
-  let rec expr (e : A.expr) =
-    (match e.A.e with
-    | A.CallE (f, args) when not (readonly_call f) -> List.iter mat_seed args
-    (* matrices stored in a tuple can be written through it later *)
-    | A.TupleLit es -> List.iter mat_seed es
-    | A.ExtE (Nodes.EMatrixMap (_, m, _)) -> mat_seed m
-    | _ -> ());
-    List.iter expr (sub_exprs e)
-  in
-  (* [bind name rhs] — a handle named [name] now holds [rhs]'s value:
-     record the buffer-sharing edge when the rhs is a plain handle copy or
-     an identity slice. *)
-  let bind name (rhs : A.expr) =
-    match rhs.A.e with
-    | A.Ident v when Option.is_some (is_mat_ident rhs) ->
-        edges := (name, v) :: !edges
-    | A.Subscript (b, ixs) when is_identity_slice ixs ->
-        Option.iter (fun v -> edges := (name, v) :: !edges) (is_mat_ident b)
-    | _ -> ()
-  in
-  (* Matrix idents whose buffer transfers to the caller through a returned
-     value (mirrors the host lowering's [transfer_vars]): a returned name
-     or tuple of names; any other expression returns a fresh buffer. *)
-  let rec escaping (e : A.expr) =
-    match e.A.e with
-    | A.Ident _ -> mat_seed e
-    | A.TupleLit es -> List.iter escaping es
-    | _ -> ()
-  in
-  let rec stmt (st : A.stmt) =
-    match st.A.s with
-    | A.DeclS (_, name, init) ->
-        Option.iter
-          (fun i ->
-            expr i;
-            bind name i)
-          init
-    | A.AssignS (lhs, rhs) -> (
-        expr rhs;
-        match lhs.A.e with
-        | A.Ident v -> (
-            bind v rhs;
-            (* whole-matrix scalar fill writes the buffer in place;
-               rebinding a handle does not *)
-            match (lhs.A.ety, rhs.A.ety) with
-            | Some (T.TMat _), Some ty when T.is_scalar ty -> seed v
-            | _ -> ())
-        | A.Subscript (b, ixs) -> (
-            List.iter (function A.IExpr x -> expr x | A.IAll _ -> ()) ixs;
-            match is_mat_ident b with
-            | Some v -> seed v
-            | None -> raise Opaque (* write through an unnamed handle *))
-        | A.TupleLit parts ->
-            (* destructuring rebinds the targets to untracked handles *)
-            List.iter (fun (p : A.expr) -> mat_seed p) parts
-        | _ -> raise Opaque)
-    | A.IfS (c, a, b) ->
-        expr c;
-        List.iter stmt a;
-        List.iter stmt b
-    | A.WhileS (c, b) ->
-        expr c;
-        List.iter stmt b
-    | A.ForS (i, c, s, b) ->
-        Option.iter stmt i;
-        Option.iter expr c;
-        Option.iter stmt s;
-        List.iter stmt b
-    | A.ReturnS e -> Option.iter escaping e
-    | A.BreakS | A.ContinueS -> ()
-    | A.ExprStmt e -> expr e
-    | A.BlockS b -> List.iter stmt b
-    | A.ExtS _ -> raise Opaque
-  in
-  List.iter stmt body;
-  (!seeds, !edges)
-
-(* Close the written/escaping set over may-share-a-buffer edges (both
-   directions: a write to either end is visible through the other). *)
-let closure seeds edges =
-  let w = ref (List.sort_uniq compare seeds) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (a, b) ->
-        let ha = List.mem a !w and hb = List.mem b !w in
-        if ha && not hb then begin
-          w := b :: !w;
-          changed := true
-        end
-        else if hb && not ha then begin
-          w := a :: !w;
-          changed := true
-        end)
-      edges
-  done;
-  !w
-
-(* The names whose buffer may be written or escape in the current
-   function.  Raises [Opaque]. *)
-let written t =
-  let seeds, edges = scan_body t.L.cur_fun.A.body in
-  let params = t.L.params in
-  closure seeds
-    (List.concat_map (fun a -> List.map (fun b -> (a, b)) params) params
-    @ edges)
-
-(* The bindings (bound name, binding statement) whose right-hand side is
-   THIS subscript occurrence (identified physically, base and index
-   list); [] in any other context. *)
-let slice_dests body base indices =
-  let dests = ref [] in
-  let rhs_matches (e : A.expr) =
-    match e.A.e with
-    | A.Subscript (b, ixs) -> b == base && ixs == indices
-    | _ -> false
-  in
-  let rec stmt (st : A.stmt) =
-    match st.A.s with
-    | A.DeclS (_, name, Some i) when rhs_matches i ->
-        dests := (name, st) :: !dests
-    | A.AssignS ({ A.e = A.Ident name; _ }, r) when rhs_matches r ->
-        dests := (name, st) :: !dests
-    | A.IfS (_, a, b) ->
-        List.iter stmt a;
-        List.iter stmt b
-    | A.WhileS (_, b) | A.BlockS b -> List.iter stmt b
-    | A.ForS (i, _, s, b) ->
-        Option.iter stmt i;
-        Option.iter stmt s;
-        List.iter stmt b
-    | _ -> ()
-  in
-  List.iter stmt body;
-  !dests
-
-(** [alias_verdict t base indices] — may this identity slice be lowered to
-    a retained alias?  Returns the decision {e and} the analysis verdict
-    as prose, so the stderr diagnostic, the optimization remark and the
-    [--json] report all carry the same reason. *)
-let alias_verdict t (base : A.expr) (indices : A.index list) : bool * string =
-  match (is_mat_ident base, t.L.cur_fun.A.body) with
-  | None, _ -> (false, "slice base is not a named matrix variable")
-  | _, [] -> (false, "no whole-function context for the alias analysis")
-  | Some a, body -> (
-      match slice_dests body base indices with
-      | [] ->
-          ( false,
-            "slice result is not bound directly to a variable, so the alias \
-             could escape its statement" )
-      | dests -> (
-          match written t with
-          | exception Opaque ->
-              ( false,
-                "function contains statements from extensions the alias \
-                 analysis cannot see into" )
-          | written -> (
-              match
-                List.find_opt
-                  (fun v -> List.mem v written)
-                  (a :: List.map fst dests)
-              with
-              | Some v ->
-                  ( false,
-                    Printf.sprintf
-                      "buffer of '%s' may be written or escape while both \
-                       handles are live"
-                      v )
-              | None ->
-                  ( true,
-                    "no handle sharing the buffer is written or escapes \
-                     while both handles are live" ))))
 
 (* The generator indices of a with-loop that run from 0 below a bound,
    each with that bound.  A genarray's index has a second bound, the
@@ -711,13 +536,6 @@ let rec idents (e : A.expr) =
   | A.Ident v -> [ v ]
   | _ -> List.concat_map idents (sub_exprs e)
 
-(* --- what the current function proves about its subscripts --------------------
-
-   One scan of the function body serves the fiber verdict and the bounds
-   decisions: every binding and assignment, every subscript of a named
-   matrix with the loop indices in force there, and every other use of a
-   name. *)
-
 (* A loop index in force: a bound it runs from 0 below, and what binds
    it there. *)
 type range = string * (A.expr * [ `Generator | `Shape | `For ])
@@ -733,10 +551,17 @@ type access = {
 }
 
 type facts = {
+  opaque : bool;  (** the body holds a construct the scan cannot see into *)
   binders : (string * A.expr option) list;
       (** parameters, declarations (an int's initialiser kept) and
           generator indices *)
   targets : string list;  (** one entry per assignment of a name *)
+  bindings : (string * A.expr * A.stmt) list;
+      (** every binding of a name to a value: the name, the declaration's
+          initialiser or the assignment's right-hand side, the statement *)
+  written : string list;
+      (** the names whose buffer a statement may write or let escape;
+          {!facts} closes it over buffer sharing *)
   accesses : access list;  (** in scan order *)
   uses : (string * Support.Pos.span) list;
       (** in scan order, every use of a name other than as the base of an
@@ -746,12 +571,17 @@ type facts = {
 let hide names (ranges : range list) =
   List.filter (fun (id, _) -> not (List.mem id names)) ranges
 
-(* Raises [Opaque]. *)
 let scan_facts (f : A.fundef) : facts =
   let binders = ref (List.map (fun (_, p) -> (p, None)) f.A.params)
   and targets = ref []
+  and bindings = ref []
+  and written = ref []
   and accesses = ref []
-  and uses = ref [] in
+  and uses = ref []
+  and opaque = ref false in
+  let seed e =
+    Option.iter (fun v -> written := v :: !written) (is_mat_ident e)
+  in
   let access ranges ~write (e : A.expr) =
     match e.A.e with
     | A.Subscript (({ A.e = A.Ident _; _ } as base), ixs) ->
@@ -789,17 +619,42 @@ let scan_facts (f : A.fundef) : facts =
         (* a slice uses its base as a whole *)
         access ranges ~write:false e;
         List.iter (expr ranges) (sub_exprs e)
-    | _ -> List.iter (expr ranges) (sub_exprs e)
+    | A.CallE (f, es) when not (readonly_call f) -> escape ranges es
+    | A.TupleLit es -> escape ranges es
+    | A.ExtE (Nodes.EMatrixMap (_, m, _)) -> escape ranges [ m ]
+    | _ -> (
+        match sub_exprs e with
+        | es -> List.iter (expr ranges) es
+        | exception Opaque -> opaque := true)
+  (* A matrix named among [es] may be written: a callee may mutate a
+     borrowed parameter, matrixMap's lifted function gets direct access,
+     and writes through a tuple are untracked. *)
+  and escape ranges es =
+    List.iter seed es;
+    List.iter (expr ranges) es
   and stmt ranges (st : A.stmt) =
     match st.A.s with
     | A.DeclS (ty, name, init) ->
-        Option.iter (expr ranges) init;
+        Option.iter
+          (fun i ->
+            expr ranges i;
+            bindings := (name, i, st) :: !bindings)
+          init;
         (* only an int's initialiser can make it a loop bound *)
         let init = match ty with A.TyInt -> init | _ -> None in
         binders := (name, init) :: !binders
-    | A.AssignS (lhs, rhs) ->
+    | A.AssignS (lhs, rhs) -> (
         expr ranges rhs;
-        assigned ranges lhs
+        assigned ranges lhs;
+        match lhs.A.e with
+        | A.Ident v -> (
+            bindings := (v, rhs, st) :: !bindings;
+            (* a whole-matrix scalar fill writes the buffer in place;
+               rebinding a handle does not *)
+            match (lhs.A.ety, rhs.A.ety) with
+            | Some (T.TMat _), Some ty when T.is_scalar ty -> seed lhs
+            | _ -> ())
+        | _ -> ())
     | A.IfS (c, a, b) ->
         expr ranges c;
         List.iter (stmt ranges) a;
@@ -813,51 +668,90 @@ let scan_facts (f : A.fundef) : facts =
         Option.iter (stmt ranges) step;
         let inner = zero_based_for init c step in
         List.iter (stmt (inner @ hide (List.map fst inner) ranges)) b
-    | A.ReturnS e -> Option.iter (expr ranges) e
+    | A.ReturnS e ->
+        (* a returned name's buffer escapes to the caller *)
+        Option.iter
+          (fun e ->
+            seed e;
+            expr ranges e)
+          e
     | A.BreakS | A.ContinueS -> ()
     | A.ExprStmt e -> expr ranges e
     | A.BlockS b -> List.iter (stmt ranges) b
     | A.ExtS x -> (
         match A.forward_stmt x with
         | Some s -> stmt ranges { st with A.s }
-        | None -> raise Opaque)
+        | None -> opaque := true)
   and assigned ranges (lhs : A.expr) =
     match lhs.A.e with
     | A.Ident v ->
         targets := v :: !targets;
         expr ranges lhs
-    | A.TupleLit parts -> List.iter (assigned ranges) parts
-    | A.Subscript _ ->
+    | A.TupleLit parts ->
+        (* destructuring rebinds the parts to untracked handles *)
+        List.iter seed parts;
+        List.iter (assigned ranges) parts
+    | A.Subscript (({ A.e = A.Ident _; _ } as b), _) ->
         (* an element write: its base is not a read, so [s[k] = …] is a
            use of [s] *)
+        seed b;
         access ranges ~write:true lhs;
         List.iter (expr ranges) (sub_exprs lhs)
-    | _ -> expr ranges lhs
+    | _ ->
+        (* a write through an unnamed handle *)
+        opaque := true;
+        expr ranges lhs
   in
   List.iter (stmt []) f.A.body;
   {
+    opaque = !opaque;
     binders = !binders;
     targets = !targets;
+    bindings = !bindings;
+    written = !written;
     accesses = List.rev !accesses;
     uses = List.rev !uses;
   }
 
+(* [names] closed over the may-share-a-buffer [edges], both directions: a
+   write to either end is visible through the other. *)
+let rec closure names edges =
+  let inside v = List.mem v names in
+  match List.find_opt (fun (a, b) -> inside a <> inside b) edges with
+  | Some (a, b) -> closure ((if inside a then b else a) :: names) edges
+  | None -> names
+
 (* One lowering's memo of {!facts}: the last function's facts, keyed by
    the function itself, so each function is scanned once. *)
-type memo = (A.fundef * facts option) option ref
+type memo = (A.fundef * facts) option ref
 
 let memo () : memo = ref None
 
-(* The facts of the function being lowered, [None] when it holds
-   statements the scan cannot see into. *)
+(* The facts of the function being lowered.  Their [written] set is
+   closed over buffer sharing: a binding to a plain handle copy or an
+   identity slice, and any two matrix parameters. *)
 let facts (memo : memo) t =
   let f = t.L.cur_fun in
   match !memo with
-  | Some (g, r) when g == f -> r
+  | Some (g, fx) when g == f -> fx
   | _ ->
-      let r = try Some (scan_facts f) with Opaque -> None in
-      memo := Some (f, r);
-      r
+      let fx = scan_facts f in
+      let shares (name, (rhs : A.expr), _) =
+        let shared =
+          match rhs.A.e with
+          | A.Subscript (b, ixs) when is_identity_slice ixs -> b
+          | _ -> rhs
+        in
+        Option.map (fun v -> (name, v)) (is_mat_ident shared)
+      in
+      let params = t.L.params in
+      let edges =
+        List.filter_map shares fx.bindings
+        @ List.concat_map (fun a -> List.map (fun b -> (a, b)) params) params
+      in
+      let fx = { fx with written = closure fx.written edges } in
+      memo := Some (f, fx);
+      fx
 
 let count v names = List.length (List.filter (String.equal v) names)
 let once fx v = count v (List.map fst fx.binders) = 1
@@ -908,27 +802,58 @@ let outside_extent fx m d k (hi, kind) =
                 bound once to it"
                k m d))
 
-(** [fiber_verdict memo t base indices s] — may the one-dimensional slice
+(* The bindings whose right-hand side is THIS subscript occurrence
+   (identified physically, base and index list), with the name each
+   binds; [] in any other context. *)
+let dests fx base indices =
+  List.filter_map
+    (fun (name, (rhs : A.expr), st) ->
+      match rhs.A.e with
+      | A.Subscript (b, ixs) when b == base && ixs == indices -> Some (name, st)
+      | _ -> None)
+    fx.bindings
+
+(** [alias_verdict fx base indices] — may this identity slice be lowered
+    to a retained alias?  Returns the decision {e and} the analysis
+    verdict as prose, so the stderr diagnostic, the optimization remark
+    and the [--json] report all carry the same reason. *)
+let alias_verdict fx (base : A.expr) (indices : A.index list) : bool * string =
+  match (is_mat_ident base, dests fx base indices) with
+  | _ when fx.opaque -> (false, opaque)
+  | None, _ -> (false, "slice base is not a named matrix variable")
+  | _, [] ->
+      ( false,
+        "slice result is not bound directly to a variable, so the alias could \
+         escape its statement" )
+  | Some a, dests -> (
+      match
+        List.find_opt (fun v -> List.mem v fx.written) (a :: List.map fst dests)
+      with
+      | Some v ->
+          ( false,
+            Printf.sprintf
+              "buffer of '%s' may be written or escape while both handles are \
+               live"
+              v )
+      | None ->
+          ( true,
+            "no handle sharing the buffer is written or escapes while both \
+             handles are live" ))
+
+(** [fiber_verdict fx base indices s] — may the one-dimensional slice
     [base[indices]] that initialises [s] be read in place?  The decision,
     and the first condition that failed as prose. *)
-let fiber_verdict memo t (base : A.expr) (indices : A.index list) s :
+let fiber_verdict fx (base : A.expr) (indices : A.index list) s :
     bool * string =
-  let opaque =
-    ( false,
-      "function contains statements from extensions the analysis cannot see \
-       into" )
-  in
-  match
-    ( facts memo t,
-      is_mat_ident base,
-      written t,
-      List.concat_map (function A.IExpr x -> idents x | A.IAll _ -> []) indices
-    )
-  with
-  | exception Opaque -> opaque
-  | None, _, _, _ -> opaque
-  | _, None, _, _ -> (false, "slice base is not a named matrix variable")
-  | Some fx, Some b, written, vars -> (
+  match is_mat_ident base with
+  | _ when fx.opaque -> (false, opaque)
+  | None -> (false, "slice base is not a named matrix variable")
+  | Some b -> (
+      let vars =
+        List.concat_map
+          (function A.IExpr x -> idents x | A.IAll _ -> [])
+          indices
+      in
       (* every element read s[k], with the bound of the loop index k *)
       let reads =
         List.filter_map
@@ -968,7 +893,7 @@ let fiber_verdict memo t (base : A.expr) (indices : A.index list) s :
               (if v = b then "base" else "index variable")
               v
               (if once fx v then "assigned" else "declared more than once") )
-      | None, None, _ when List.mem b written ->
+      | None, None, _ when List.mem b fx.written ->
           ( false,
             Printf.sprintf
               "buffer of '%s' may be written or escape while '%s' is live" b s
@@ -1034,11 +959,9 @@ let index_proof fx (a : access) d (ix : A.index) : (string, string) result =
 (* The checks of the scalar indices of [base[indices]] (lowered to [vb]
    and [specs]) that are not proven in range.  The decision is the
    [bounds] remark at the subscript's [span]. *)
-let index_checks memo t ~span vb (base : A.expr) indices specs =
-  let fx = facts memo t in
+let index_checks t fx ~span vb (base : A.expr) indices specs =
   let access =
-    Option.bind fx (fun fx ->
-        List.find_opt (fun a -> a.base == base && a.ixs == indices) fx.accesses)
+    List.find_opt (fun a -> a.base == base && a.ixs == indices) fx.accesses
   in
   let decide d ix = function
     | SAll -> None
@@ -1047,15 +970,10 @@ let index_checks memo t ~span vb (base : A.expr) indices specs =
     | SGather (_, false) ->
         Some (Error "the mask's length is checked against the extent")
     | SAt _ -> (
-        match (fx, access) with
-        | Some fx, Some a -> Some (index_proof fx a d ix)
-        | None, _ ->
-            Some
-              (Error
-                 "function contains statements from extensions the analysis \
-                  cannot see into")
-        | Some _, None ->
-            Some (Error "the subscripted matrix is not a named variable"))
+        match access with
+        | _ when fx.opaque -> Some (Error opaque)
+        | Some a -> Some (index_proof fx a d ix)
+        | None -> Some (Error "the subscripted matrix is not a named variable"))
   in
   let decisions =
     List.mapi (fun d (ix, spec) -> decide d ix spec) (List.combine indices specs)
@@ -1122,7 +1040,8 @@ let h_subscript memo t (base : A.expr) (indices : A.index list) (rty : T.ty)
   | T.TMat (_elem, rank) ->
       let sb, vb = lower_operand t ~span base in
       let si, specs = lower_specs t vb (ety base) indices in
-      let checks = index_checks memo t ~span vb base indices specs in
+      let fx = facts memo t in
+      let checks = index_checks t fx ~span vb base indices specs in
       let all_at = List.for_all (function SAt _ -> true | _ -> false) specs in
       if all_at then
         (* (a) standard indexing: extract one element, no allocation *)
@@ -1154,19 +1073,19 @@ let h_subscript memo t (base : A.expr) (indices : A.index list) (rty : T.ty)
             out_vars extents inner
         in
         (* Which copy the pass may drop, and whether it may: the verdicts
-           need the AST context, so they are computed HERE. *)
+           need the function's facts, so they are computed HERE. *)
         let shape, safe, why =
           if List.for_all (function SAll -> true | _ -> false) specs then
-            let safe, why = alias_verdict t base indices in
+            let safe, why = alias_verdict fx base indices in
             (Sites.Identity, safe, why)
           else
             match (out_vars, extents) with
             | [ index ], [ extent ]
               when List.for_all (function SGather _ -> false | _ -> true) specs
               -> (
-                match slice_dests t.L.cur_fun.A.body base indices with
+                match dests fx base indices with
                 | [ (var, { A.s = A.DeclS _; sspan = decl }) ] ->
-                    let safe, why = fiber_verdict memo t base indices var in
+                    let safe, why = fiber_verdict fx base indices var in
                     ( Sites.Fiber { var; index; offset = src_off; extent; decl },
                       safe,
                       why )
@@ -1197,19 +1116,15 @@ let h_subscript memo t (base : A.expr) (indices : A.index list) (rty : T.ty)
       end
   | _ -> None
 
-let coerce_scalar (from_ty : T.ty) (to_elem : Nd.elem) e =
-  match (from_ty, to_elem) with
-  | T.TInt, Nd.EFloat -> Unop (FloatOfInt, e)
-  | T.TFloat, Nd.EInt -> Unop (IntOfFloat, e)
-  | _ -> e
-
 let h_subscript_assign memo t (base : A.expr) (indices : A.index list)
     (rhs : A.expr) ~at span : stmt list option =
   match ety base with
   | T.TMat (elem, rank) ->
       let sb, vb = lower_operand t ~span:at base in
       let si, specs = lower_specs t vb (ety base) indices in
-      let checks = index_checks memo t ~span:at vb base indices specs in
+      let checks =
+        index_checks t (facts memo t) ~span:at vb base indices specs
+      in
       let rhs_ty = ety rhs in
       let all_at = List.for_all (function SAt _ -> true | _ -> false) specs in
       if all_at then begin

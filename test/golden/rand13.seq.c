@@ -3,7 +3,7 @@
    over the mm_runtime flat-buffer matrix API. */
 #include <stdbool.h>
 #include "mm_runtime.h"
-#define MM_NSPANS 11
+#define MM_NSPANS 10
 const char *const mm_spans[] = {
   "3:3-12",
   "4:3-12",
@@ -11,7 +11,6 @@ const char *const mm_spans[] = {
   "6:3-7:38",
   "6:7-74",
   "8:3-34",
-  "8:27-34",
   "9:3-74",
   "9:13-74",
   "9:56-66",
@@ -47,32 +46,24 @@ int main(void) {
   g = __mm_gen1;
   mm_crumb_pop(__mm_crumb3);
   int __mm_crumb5 = mm_crumb_push(5);
-  mm_mat_float2 *__mm_slice4 = mm_alloc_float(2, g->dims[0], g->dims[1]);
-  int __mm_crumb6 = mm_crumb_push(6);
-  for (int __mm_o5 = 0; __mm_o5 < g->dims[0]; __mm_o5++) {
-    for (int __mm_o6 = 0; __mm_o6 < g->dims[1]; __mm_o6++) {
-      __mm_slice4->data[__mm_o5 * g->dims[1] + __mm_o6] = g->data[__mm_o5 * g->dims[1] + __mm_o6];
-    }
-  }
-  mm_crumb_pop(__mm_crumb6);
-  mm_mat_float2 *view = __mm_slice4;
+  mm_rc_inc(g);
+  mm_mat_float2 *view = g;
   mm_crumb_pop(__mm_crumb5);
-  int __mm_crumb7 = mm_crumb_push(7);
+  int __mm_crumb6 = mm_crumb_push(6);
   mm_float __mm_acc7 = 0.0;
-  int __mm_crumb8 = mm_crumb_push(8);
+  int __mm_crumb7 = mm_crumb_push(7);
   for (int i = 0; i < m; i++) {
     for (int j = 0; j < n; j++) {
-      __mm_acc7 = __mm_acc7 + (view->data[(MM_BOUND(view, 0, i, 9), MM_BOUND(view, 1, j, 9), i * view->dims[1] + j)] - 3.4);
+      __mm_acc7 = __mm_acc7 + (view->data[(MM_BOUND(view, 0, i, 8), MM_BOUND(view, 1, j, 8), i * view->dims[1] + j)] - 3.4);
     }
   }
-  mm_crumb_pop(__mm_crumb8);
-  mm_float t = __mm_acc7;
   mm_crumb_pop(__mm_crumb7);
-  int __mm_crumb9 = mm_crumb_push(10);
+  mm_float t = __mm_acc7;
+  mm_crumb_pop(__mm_crumb6);
+  int __mm_crumb8 = mm_crumb_push(9);
   int __mm_ret8 = (int) t;
   mm_rc_dec(view);
   mm_rc_dec(g);
-  mm_crumb_pop(__mm_crumb9);
+  mm_crumb_pop(__mm_crumb8);
   return __mm_ret8;
-  mm_crumb_pop(__mm_crumb9);
 }

@@ -5,7 +5,7 @@
 #include "mm_runtime.h"
 mm_float rowMean(mm_mat_float2 *grid, int i);
 
-#define MM_NSPANS 25
+#define MM_NSPANS 24
 const char *const mm_spans[] = {
   "14:3-36",
   "14:26-36",
@@ -23,7 +23,6 @@ const char *const mm_spans[] = {
   "30:12-75",
   "30:59-69",
   "36:3-39",
-  "36:27-39",
   "37:3-71",
   "37:17-71",
   "37:60-70",
@@ -103,48 +102,41 @@ int main(void) {
   scaled = __mm_gen9;
   mm_crumb_pop(__mm_crumb11);
   int __mm_crumb13 = mm_crumb_push(15);
-  mm_mat_float2 *__mm_slice12 = mm_alloc_float(2, scaled->dims[0], scaled->dims[1]);
-  int __mm_crumb14 = mm_crumb_push(16);
-  for (int __mm_o13 = 0; __mm_o13 < scaled->dims[0]; __mm_o13++) {
-    for (int __mm_o14 = 0; __mm_o14 < scaled->dims[1]; __mm_o14++) {
-      __mm_slice12->data[__mm_o13 * scaled->dims[1] + __mm_o14] = scaled->data[__mm_o13 * scaled->dims[1] + __mm_o14];
-    }
-  }
-  mm_crumb_pop(__mm_crumb14);
-  mm_mat_float2 *view = __mm_slice12;
+  mm_rc_inc(scaled);
+  mm_mat_float2 *view = scaled;
   mm_crumb_pop(__mm_crumb13);
-  int __mm_crumb15 = mm_crumb_push(17);
+  int __mm_crumb14 = mm_crumb_push(16);
   mm_float __mm_acc15 = 0.0;
-  int __mm_crumb16 = mm_crumb_push(18);
+  int __mm_crumb15 = mm_crumb_push(17);
   for (int i = 0; i < m; i++) {
     for (int j = 0; j < n; j++) {
-      __mm_acc15 = __mm_acc15 + view->data[(MM_BOUND(view, 0, i, 19), MM_BOUND(view, 1, j, 19), i * view->dims[1] + j)];
+      __mm_acc15 = __mm_acc15 + view->data[(MM_BOUND(view, 0, i, 18), MM_BOUND(view, 1, j, 18), i * view->dims[1] + j)];
     }
   }
-  mm_crumb_pop(__mm_crumb16);
-  mm_float total = __mm_acc15;
   mm_crumb_pop(__mm_crumb15);
-  int __mm_crumb17 = mm_crumb_push(20);
+  mm_float total = __mm_acc15;
+  mm_crumb_pop(__mm_crumb14);
+  int __mm_crumb16 = mm_crumb_push(19);
   mm_mat_float1 *__mm_initm16 = mm_alloc_float(1, m);
   mm_mat_float1 *means = __mm_initm16;
-  mm_crumb_pop(__mm_crumb17);
-  int __mm_crumb18 = mm_crumb_push(21);
+  mm_crumb_pop(__mm_crumb16);
+  int __mm_crumb17 = mm_crumb_push(20);
   mm_mat_float1 *__mm_gen17 = mm_alloc_float(1, m);
-  int __mm_crumb19 = mm_crumb_push(22);
+  int __mm_crumb18 = mm_crumb_push(21);
   #pragma omp parallel for
   for (int i = 0; i < m; i++) {
     __mm_gen17->data[i] = rowMean(grid, i);
   }
-  mm_crumb_pop(__mm_crumb19);
+  mm_crumb_pop(__mm_crumb18);
   mm_rc_dec(means);
   means = __mm_gen17;
-  mm_crumb_pop(__mm_crumb18);
-  int __mm_crumb20 = mm_crumb_push(23);
-  int __mm_ret20 = (int) (total + means->data[(MM_BOUND(means, 0, 0, 24), 0)]);
+  mm_crumb_pop(__mm_crumb17);
+  int __mm_crumb19 = mm_crumb_push(22);
+  int __mm_ret20 = (int) (total + means->data[(MM_BOUND(means, 0, 0, 23), 0)]);
   mm_rc_dec(means);
   mm_rc_dec(view);
   mm_rc_dec(scaled);
   mm_rc_dec(grid);
-  mm_crumb_pop(__mm_crumb20);
+  mm_crumb_pop(__mm_crumb19);
   return __mm_ret20;
 }

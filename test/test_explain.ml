@@ -125,8 +125,15 @@ let test_transform_remarks_applied () =
   Alcotest.(check (list string)) "clauses in script order"
     [ "split j by 4, jin, jout"; "interchange jout jin" ]
     (List.map (fun r -> List.assoc "clause" r.R.details) applied);
-  Alcotest.(check bool) "copy-elim read the row slice in place" true
-    (count ~pass:"copy-elim" ~kind:R.Applied report >= 1)
+  (* one per slice shape: the row slice read in place ("slice" detail)
+     and the identity slice aliased to its base ("alias" detail) *)
+  Alcotest.(check (list string)) "copy-elim applied to both slice shapes"
+    [ "alias"; "slice" ]
+    (List.sort compare
+       (List.map
+          (fun r -> fst (List.hd r.R.details))
+          (R.filter ~pass:"copy-elim" ~kind:R.Applied
+             report.Driver.Explain_report.remarks)))
 
 (* Every remark for these programs points at real source: the caret
    excerpt must render non-empty. *)

@@ -534,6 +534,26 @@ let slice_shadowed_overread_src =
     fold (+, 0, with ([1] <= [k] < [6]) fold (+, 0, row[k]));
 }|}
 
+(* The identity slice [s] goes to a function that writes it, from inside
+   a transform-scripted with-loop: the script's statement means its
+   assignment, so the call in its right-hand side is seen.  Were [s] an
+   alias of [v], bump would set v[0, 0] to 1000 and the answer would be
+   at least 1138. *)
+let slice_written_in_script_src =
+  {|int bump(Matrix int <2> m) {
+  m[0, 0] = 1000;
+  return 0;
+}
+
+int main() {
+  Matrix int <2> v = with ([0,0] <= [a,b] < [3,4]) genarray([3,4], a * 10 + b);
+  Matrix int <2> s = v[:, :];
+  Matrix int <2> h = init(Matrix int <2>, 3, 4);
+  h = with ([0,0] <= [i,j] < [3,4]) genarray([3,4], bump(s) + v[i, j])
+    transform split j by 2, jin, jout;
+  return with ([0,0] <= [i,j] < [3,4]) fold (+, 0, h[i, j]) + v[0, 0];
+}|}
+
 let slice_answers = [ (slice_base_written_src, 14); (slice_index_reassigned_src, 10) ]
 
 (* The default pipeline and -O0 (every pass disabled). *)
@@ -616,6 +636,7 @@ let test_slice_blockers_explained () =
       (slice_base_written_src, "buffer of 'mat' may be written");
       (slice_index_reassigned_src, "index variable 'i' is assigned");
       (slice_overread_src, "is not provably in range");
+      (slice_written_in_script_src, "buffer of 'v' may be written or escape");
     ]
 
 (* The lines of the C function that [header] opens, up to its closing
@@ -741,6 +762,16 @@ let test_slice_verdict_shapes () =
         ^ "\n}\n"
         ^ prog "return f(g, g);",
         Support.Remark.Missed, `Int 46);
+      ("identity slice beside a transform script",
+        prog
+          "Matrix int <2> view = g[:, :];\n\
+           Matrix int <2> h = init(Matrix int <2>, 3, 4);\n\
+           h = with ([0,0] <= [i,j] < [3,4]) genarray([3,4], view[i, j] + 1)\n\
+          \  transform split j by 2, jin, jout;\n\
+           return with ([0,0] <= [i,j] < [3,4]) fold (+, 0, h[i, j]);",
+        Support.Remark.Applied, `Int 150);
+      ("slice written inside a transform script", slice_written_in_script_src,
+        Support.Remark.Missed, `Int 138);
     ]
 
 (* --- indexing through the translator -------------------------------------------------- *)
