@@ -105,9 +105,10 @@ explain-check: all
 # composition, frontend, lowering, emission, toolchain probe or C
 # compile.  The cold run compiles first and probes only after a failed
 # compile, so it must show a native.compile row and no native.probe
-# row.  A copy with a blank line appended misses the index (it parses
-# again) but still hits the binary cache.  Skips with a notice when no
-# C compiler is installed.
+# row, and leave one loader (mm_loader-*) and one program (mm_*.so) in
+# the cache: no executable and no runtime object.  A copy with a blank
+# line appended misses the index (it parses again) but still hits the
+# binary cache.  Skips with a notice when no C compiler is installed.
 warm-check: all
 	@if command -v $${MMC_CC:-cc} >/dev/null 2>&1; then \
 	  d=$$(mktemp -d) && \
@@ -116,6 +117,7 @@ warm-check: all
 	      whitespace:$$d/edited.mc; do \
 	    ./_build/default/bin/mmc.exe exec --stats --cache-dir $$d/cache \
 	      $${run#*:} > /dev/null 2> $$d/$${run%%:*}.stats || { rm -rf $$d; exit 1; }; \
+	    ls $$d/cache > $$d/$${run%%:*}.ls; \
 	  done; \
 	  if ! grep -q 'native.run ' $$d/warm.stats; then \
 	    echo "warm-check: FAIL (no --stats summary)"; rm -rf $$d; exit 1; \
@@ -123,6 +125,11 @@ warm-check: all
 	    echo "warm-check: FAIL (the cold run did not compile)"; rm -rf $$d; exit 1; \
 	  elif grep -q 'native.probe ' $$d/cold.stats; then \
 	    echo "warm-check: FAIL (the cold run probed the toolchain)"; rm -rf $$d; exit 1; \
+	  elif [ "$$(grep -c '^mm_loader-' $$d/cold.ls)" != 1 ] \
+	      || [ "$$(grep -c '^mm_.*\.so$$' $$d/cold.ls)" != 1 ] \
+	      || grep -qE '^mm_.*\.exe$$|^mm_runtime-.*\.o$$' $$d/cold.ls; then \
+	    echo "warm-check: FAIL (the cold run did not leave one loader and one program:" \
+	      $$(cat $$d/cold.ls)")"; rm -rf $$d; exit 1; \
 	  elif grep -E '(driver\.compose|frontend\.parse|driver\.lower|driver\.emit|native\.probe|native\.compile) ' $$d/warm.stats; then \
 	    echo "warm-check: FAIL (warm run translated, probed or compiled)"; rm -rf $$d; exit 1; \
 	  elif ! grep -qE 'cache\.hit +1$$' $$d/warm.stats; then \

@@ -579,8 +579,8 @@ let bench_native () =
                 wall (fun () -> run_prog ~c:c_full ~dir src)
               in
               (* Cold exec fills the cache; the compile spans (the
-                 program, plus the runtime object on the first program)
-                 are the C compiler's share of it. *)
+                 program, plus the loader on the first program) are
+                 the C compiler's share of it. *)
               Support.Telemetry.reset ();
               Support.Telemetry.set_enabled true;
               ignore (exec_native ~cache_dir ~dir src);

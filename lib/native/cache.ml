@@ -1,14 +1,16 @@
 (** Content-addressed cache of compiled native code, in one directory:
 
-    - [mm_<key>.exe] — a program's binary, keyed by everything the user
-      asked for: the emitted C text, the runtime sources, the compiler
-      name, the user's flags, the sanitizer mode, instrumentation and
-      the pass pipeline.  The key needs no compiler run, so re-running an
-      unchanged program hits and runs no compiler at all.
-    - [mm_runtime-<digest>.o] (and [mm_prof-<digest>.o] for instrumented
-      builds) — the C runtime, compiled once per (runtime sources,
-      compiler, full flag list) and linked into every program built with
-      that configuration.
+    - [mm_<key>.so] — a program, compiled into a shared object and keyed
+      by everything the user asked for: the emitted C text, the runtime
+      sources, the compiler name, the user's flags, the sanitizer mode,
+      instrumentation and the pass pipeline.  The key needs no compiler
+      run, so re-running an unchanged program hits and runs no compiler
+      at all.
+    - [mm_loader-<digest>] — the executable that runs those programs:
+      the C runtime (with the profiling runtime for instrumented builds)
+      and a [main] that loads the program given as its argument, linked
+      once per (runtime sources, compiler, requested flags,
+      instrumentation).
 
     Files land under a temporary name and are renamed into place, so
     processes sharing a cache directory never see a partial one.  Hits
@@ -31,6 +33,10 @@ let runtime_units ~instrument =
 
 let runtime_texts ~instrument =
   List.map snd (runtime_headers ~instrument @ runtime_units ~instrument)
+
+(* The loader's main: not a runtime unit, so a kept program still
+   compiles standalone with one [main]. *)
+let loader_unit = ("mm_loader.c", Runtime_c.loader)
 
 (** [key ~toolchain ?instrument ~pipeline c_text] — hex digest naming
     the binary this exact (program, runtime, requested compiler
@@ -91,12 +97,18 @@ let produce path f =
       remove_quietly tmp;
       e
 
+(** [so_path ~dir k] — the shared object of the program with key [k]. *)
+let so_path ~dir k = Filename.concat dir ("mm_" ^ k ^ ".so")
+
+(** [exe_path ~dir k] — where mmcbench's traced replay writes a
+    standalone build of the program with key [k]; [mmc] never reads
+    it. *)
 let exe_path ~dir k = Filename.concat dir ("mm_" ^ k ^ ".exe")
 
-(** [lookup ~dir k] — cached binary for key [k], counted as a hit or a
-    miss. *)
+(** [lookup ~dir k] — the cached shared object for key [k], counted as
+    a hit or a miss. *)
 let lookup ~dir k =
-  let path = exe_path ~dir k in
+  let path = so_path ~dir k in
   if Sys.file_exists path then begin
     Support.Telemetry.bump c_hit;
     Some path
@@ -142,45 +154,35 @@ let write_sources ~dir ~k ?(instrument = false) c_text =
   let c_file = write_program ~dir ~k ~instrument c_text in
   c_file :: write_runtime ~dir ~instrument
 
-(** [runtime_objects ~dir ~toolchain ~instrument ~rebuild] — the compiled
-    runtime to link a program against, building each object that is
-    missing (or every one, with [rebuild], which [--no-cache] sets: the
-    way to replace an object damaged or built by another compiler).
-    Traced as [native.runtime_object] when anything is built. *)
-let runtime_objects ~dir ~(toolchain : Toolchain.t) ~instrument ~rebuild :
-    (string list, Toolchain.error) result =
+(** [loader_path ~dir ~toolchain ~instrument] — the loader of this
+    configuration.  Like {!key}, its name digests the requested flags,
+    not the probed ones, so a hit finds it without the probe. *)
+let loader_path ~dir ~(toolchain : Toolchain.t) ~instrument =
   let digest =
     Digest.to_hex
       (Digest.string
          (String.concat "\x00"
-            ((toolchain.Toolchain.cc :: runtime_texts ~instrument:true)
-            @ Toolchain.flags toolchain)))
+            ((toolchain.Toolchain.cc :: snd loader_unit
+             :: runtime_texts ~instrument)
+            @ Toolchain.requested_flags toolchain)))
   in
-  let units =
-    List.map
-      (fun (name, text) ->
-        let obj =
-          Filename.concat dir
-            (Filename.remove_extension name ^ "-" ^ digest ^ ".o")
-        in
-        (name, text, obj))
-      (runtime_units ~instrument)
-  in
-  let stale =
-    List.filter (fun (_, _, obj) -> rebuild || not (Sys.file_exists obj)) units
-  in
-  let objects = List.map (fun (_, _, obj) -> obj) units in
-  if stale = [] then Ok objects
+  Filename.concat dir ("mm_loader-" ^ digest)
+
+(** [loader ~dir ~toolchain ~instrument ~rebuild] — the loader to run a
+    program with, built when it is missing (or rebuilt, with [rebuild],
+    which [--no-cache] sets: the way to replace a loader damaged or
+    built by another compiler).  Traced as [native.runtime_object] when
+    it is built. *)
+let loader ~dir ~(toolchain : Toolchain.t) ~instrument ~rebuild :
+    (string, Toolchain.error) result =
+  let path = loader_path ~dir ~toolchain ~instrument in
+  if Sys.file_exists path && not rebuild then Ok path
   else
     Support.Telemetry.with_span ~phase:"native" "native.runtime_object"
       (fun () ->
-        write_headers ~dir ~instrument;
-        List.fold_left
-          (fun acc (name, text, obj) ->
-            Result.bind acc (fun () ->
-                let c_file = Filename.concat dir name in
-                write_file c_file text;
-                produce obj (fun out ->
-                    Toolchain.compile_object toolchain ~c_file ~out)))
-          (Ok ()) stale
-        |> Result.map (fun () -> objects))
+        let c_files =
+          write_runtime ~dir ~instrument @ write_all ~dir [ loader_unit ]
+        in
+        produce path (fun out ->
+            Toolchain.compile_loader toolchain ~c_files ~out)
+        |> Result.map (fun () -> path))

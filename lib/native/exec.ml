@@ -116,7 +116,7 @@ let describe_error = function
 type outcome = {
   value : value;  (** the entry function's result *)
   live : int;  (** allocations still live at exit (leak parity check) *)
-  exe : string;  (** the cached binary that ran *)
+  exe : string;  (** the cached program that ran, a shared object *)
   from_cache : bool;  (** true iff compilation was skipped *)
   profile_json : string option;
       (** raw text of the mm_profile.json sidecar an instrumented binary
@@ -327,64 +327,66 @@ let remove_if_exists path =
   if Sys.file_exists path then
     try Sys.remove path with Sys_error _ -> ()
 
-(* A cache miss: compile straight away — the runtime objects this
-   configuration lacks, then the program's translation unit linked
-   against them.  Only a failure probes the toolchain
-   ({!Toolchain.compile_first}). *)
-let build tc ~cache_dir ~instrument ~rebuild ~k c_text =
-  let ( let* ) = Result.bind in
-  let exe = Cache.exe_path ~dir:cache_dir k in
-  let* () =
-    Toolchain.compile_first tc (fun () ->
-        let* objects =
-          Cache.runtime_objects ~dir:cache_dir ~toolchain:tc ~instrument
-            ~rebuild
-        in
-        Support.Telemetry.with_span ~phase:"native" "native.compile"
-          (fun () ->
-            let c_file =
-              Cache.write_program ~dir:cache_dir ~k ~instrument c_text
-            in
-            Cache.produce exe (fun out ->
-                Toolchain.compile tc ~c_files:(c_file :: objects) ~out)))
-  in
-  Support.Telemetry.set_gauge "native.openmp"
-    (if Toolchain.uses_openmp tc then 1. else 0.);
-  Ok exe
-
 type binary = {
-  path : string;  (** the cached binary *)
+  path : string;  (** the program's cached shared object *)
+  loader : string;  (** the cached loader that runs it *)
   key : string;  (** its binary-cache key ({!Cache.key}) *)
   cached : bool;  (** true iff no compile ran to produce it *)
 }
-(** A program's binary, resolved through the cache. *)
+(** A program and the loader that runs it, resolved through the cache. *)
+
+(* Compile straight away what a run needs and the cache lacks: the
+   loader of this configuration and, on a miss ([hit = None]), the
+   program's shared object.  Only a failure probes the toolchain
+   ({!Toolchain.compile_first}). *)
+let build tc ~cache_dir ~instrument ~rebuild ~key ~hit c_text =
+  let ( let* ) = Result.bind in
+  let* b =
+    Toolchain.compile_first tc (fun () ->
+        let* loader =
+          Cache.loader ~dir:cache_dir ~toolchain:tc ~instrument ~rebuild
+        in
+        match hit with
+        | Some path -> Ok { path; loader; key; cached = true }
+        | None ->
+            let path = Cache.so_path ~dir:cache_dir key in
+            Support.Telemetry.with_span ~phase:"native" "native.compile"
+              (fun () ->
+                let c_file =
+                  Cache.write_program ~dir:cache_dir ~k:key ~instrument c_text
+                in
+                Cache.produce path (fun out ->
+                    Toolchain.compile_shared tc ~c_file ~out))
+            |> Result.map (fun () -> { path; loader; key; cached = false }))
+  in
+  if not b.cached then
+    Support.Telemetry.set_gauge "native.openmp"
+      (if Toolchain.uses_openmp tc then 1. else 0.);
+  Ok b
 
 (** [resolve ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?sanitize
     ~pipeline c_text] — the binary [c_text] compiles to, from the cache
     when it holds one.
 
-    A hit runs no compiler.  A miss builds the cached runtime object if
-    this configuration has none yet and compiles only the program's
-    translation unit, both with [-fopenmp]; only when that fails does
-    the toolchain probe run, to fall back to plain C or to say why the
+    A hit runs no compiler.  A miss builds the cached loader if this
+    configuration has none yet and compiles only the program, into a
+    shared object, both with [-fopenmp]; only when that fails does the
+    toolchain probe run, to fall back to plain C or to say why the
     compiler (or its [-fsanitize] support, when [sanitize] is given)
     cannot be used.  [cache:false] skips the lookup and rebuilds the
-    runtime object as well as the binary.  With [instrument] the
-    profiling runtime is linked in, under its own cache key.  The
-    runtime-object, compile and probe legs are telemetry spans
-    ([native.runtime_object], [native.compile], [native.probe]). *)
+    loader as well as the program.  With [instrument] the loader links
+    the profiling runtime, under its own name, and the program has its
+    own cache key.  The loader, compile and probe legs are telemetry
+    spans ([native.runtime_object], [native.compile], [native.probe]). *)
 let resolve ?cc ?(cflags = []) ?(cache = true) ?(cache_dir = Cache.default_dir)
     ?keep_c ?(instrument = false) ?sanitize ~pipeline (c_text : string) :
     (binary, error) result =
   let tc = Toolchain.configure ?cc ~cflags ?sanitize () in
   keep_c_sources ~keep_c ~instrument c_text;
   let key = Cache.key ~toolchain:tc ~instrument ~pipeline c_text in
-  match if cache then Cache.lookup ~dir:cache_dir key else None with
-  | Some path -> Ok { path; key; cached = true }
-  | None -> (
-      match build tc ~cache_dir ~instrument ~rebuild:(not cache) ~k:key c_text with
-      | Ok path -> Ok { path; key; cached = false }
-      | Error e -> Error (Toolchain_error e))
+  let hit = if cache then Cache.lookup ~dir:cache_dir key else None in
+  build tc ~cache_dir ~instrument ~rebuild:(not cache) ~key ~hit c_text
+  |> Result.map_error (fun e -> Toolchain_error e)
 
 (** [run_binary ?instrument ?threads ?sanitize ?failpoints ?timeout_s
     ?max_bytes ~dir b] — execute [b] supervised in [dir] (where
@@ -405,9 +407,9 @@ let run_binary ?(instrument = false) ?(threads = 1) ?sanitize ?failpoints
   let err = Filename.temp_file "mmc_exec" ".err" in
   (* Run with cwd = data dir so matrix paths resolve exactly like the
      interpreter's virtual filesystem rooted at [dir]. *)
-  let abs_exe =
-    if Filename.is_relative b.path then Filename.concat (Sys.getcwd ()) b.path
-    else b.path
+  let absolute path =
+    if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path
+    else path
   in
   let sidecar = Filename.concat dir sidecar_name in
   if instrument then
@@ -430,7 +432,7 @@ let run_binary ?(instrument = false) ?(threads = 1) ?sanitize ?failpoints
   let status =
     Support.Telemetry.with_span ~phase:"native" "native.run" (fun () ->
         Supervise.run ~env ?timeout_s ?max_bytes ~dir ~stdout_file:out
-          ~stderr_file:err abs_exe)
+          ~stderr_file:err ~arg:(absolute b.path) (absolute b.loader))
   in
   let stdout_text = In_channel.with_open_bin out In_channel.input_all in
   let stderr_text = In_channel.with_open_bin err In_channel.input_all in

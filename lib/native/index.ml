@@ -7,9 +7,10 @@
     its source bytes straight to its binary.
 
     One entry per key, [mm_<key>.idx] in the cache directory: plain text
-    holding the binary-cache key and the lowering warnings the translation
-    reported, so a hit can replay them.  An entry that does not parse is a
-    miss; so is one whose binary is gone.  Entries land under a temporary
+    holding the binary-cache key, the file name of the loader that runs
+    the program, and the lowering warnings the translation reported, so a
+    hit can replay them.  An entry that does not parse is a miss; so is
+    one whose program or loader is gone.  Entries land under a temporary
     name and are renamed into place, like every other cache file. *)
 
 (* Netstring framing: no two input lists digest the same bytes. *)
@@ -44,11 +45,11 @@ let key ~build_id ~source ~extensions ~pipeline ~line_file ~instrument
 
 let entry_path ~dir k = Filename.concat dir ("mm_" ^ k ^ ".idx")
 
-let magic = "mmc-index 1"
+let magic = "mmc-index 2"
 
-(* An entry: the binary-cache key and the translation's warnings, in
-   order. *)
-let to_text ckey warnings =
+(* An entry: the binary-cache key, the loader's file name and the
+   translation's warnings, in order. *)
+let to_text ckey loader warnings =
   let pos (p : Support.Pos.t) =
     Printf.sprintf "%d %d %d" p.Support.Pos.line p.col p.offset
   in
@@ -58,12 +59,18 @@ let to_text ckey warnings =
       (pos d.span.left) (pos d.span.right) d.phase d.message
   in
   String.concat ""
-    ((magic ^ "\n") :: ("ckey " ^ ckey ^ "\n") :: List.map warning warnings)
+    ((magic ^ "\n") :: ("ckey " ^ ckey ^ "\n") :: ("loader " ^ loader ^ "\n")
+    :: List.map warning warnings)
   ^ "end\n"
 
 let is_hex_key s =
   String.length s = 32
   && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
+
+let is_loader_name s =
+  String.length s = 42
+  && String.sub s 0 10 = "mm_loader-"
+  && is_hex_key (String.sub s 10 32)
 
 let severity_of_string = function
   | "error" -> Support.Diag.Error
@@ -82,11 +89,14 @@ let of_text text =
           message)
   in
   match String.split_on_char '\n' text with
-  | m :: ck :: rest when m = magic -> (
-      match (String.split_on_char ' ' ck, List.rev rest) with
-      | [ "ckey"; ckey ], "" :: "end" :: ws when is_hex_key ckey -> (
+  | m :: ck :: ld :: rest when m = magic -> (
+      match
+        (String.split_on_char ' ' ck, String.split_on_char ' ' ld, List.rev rest)
+      with
+      | [ "ckey"; ckey ], [ "loader"; loader ], "" :: "end" :: ws
+        when is_hex_key ckey && is_loader_name loader -> (
           match List.rev_map warning ws with
-          | warnings -> Some (ckey, warnings)
+          | warnings -> Some (ckey, loader, warnings)
           | exception
               ( Scanf.Scan_failure _ | Failure _ | End_of_file
               | Invalid_argument _ ) ->
@@ -95,26 +105,33 @@ let of_text text =
   | _ -> None
 
 (** [find ~dir k] — the binary index key [k] names and the warnings its
-    translation reported, when the entry parses and the binary cache
-    still holds that binary; the hit counts as a binary-cache hit
-    ({!Cache.lookup}). *)
+    translation reported, when the entry parses and the cache still
+    holds that program and its loader; the hit counts as a binary-cache
+    hit ({!Cache.lookup}). *)
 let find ~dir k : (Exec.binary * Support.Diag.t list) option =
   match In_channel.with_open_bin (entry_path ~dir k) In_channel.input_all with
   | exception Sys_error _ -> None
   | text -> (
       match of_text text with
-      (* an evicted binary is not counted as a miss here: the
+      (* an evicted program is not counted as a miss here: the
          translation that follows looks it up, and counts it, again *)
-      | Some (key, warnings) when Sys.file_exists (Cache.exe_path ~dir key) ->
-          Option.map
-            (fun path -> ({ Exec.path; key; cached = true }, warnings))
-            (Cache.lookup ~dir key)
-      | _ -> None)
+      | Some (key, loader, warnings) -> (
+          let loader = Filename.concat dir loader in
+          if
+            Sys.file_exists (Cache.so_path ~dir key) && Sys.file_exists loader
+          then
+            Option.map
+              (fun path -> ({ Exec.path; loader; key; cached = true }, warnings))
+              (Cache.lookup ~dir key)
+          else None)
+      | None -> None)
 
 (** [record ~dir k b warnings] — write the entry mapping index key [k] to
     binary [b], with the warnings its translation reported.  Best
     effort: an entry that cannot be written costs the next run a
     translation. *)
 let record ~dir k (b : Exec.binary) warnings =
-  try Cache.write_file (entry_path ~dir k) (to_text b.key warnings)
+  try
+    Cache.write_file (entry_path ~dir k)
+      (to_text b.key (Filename.basename b.loader) warnings)
   with Sys_error _ -> ()

@@ -28,6 +28,7 @@ type status =
 
 external spawn_wait :
   exe:string ->
+  arg:string ->
   dir:string ->
   stdout_file:string ->
   stderr_file:string ->
@@ -42,11 +43,13 @@ external spawn_wait :
    ledger does that). *)
 let as_headroom = 64 * 1024 * 1024
 
-(** [run ?env ?timeout_s ?max_bytes ~dir ~stdout_file ~stderr_file exe]
-    executes [exe] with cwd [dir] and the calling environment extended
-    (entry-wise overridden) by [env].  A [timeout_s] of zero or less
-    kills it at once.  Blocks until the child is dead and reaped. *)
-let run ?(env = []) ?timeout_s ?max_bytes ~dir ~stdout_file ~stderr_file exe =
+(** [run ?env ?timeout_s ?max_bytes ~dir ~stdout_file ~stderr_file ~arg
+    exe] executes [exe] with the one argument [arg], cwd [dir] and the
+    calling environment extended (entry-wise overridden) by [env].  A
+    [timeout_s] of zero or less kills it at once.  Blocks until the
+    child is dead and reaped. *)
+let run ?(env = []) ?timeout_s ?max_bytes ~dir ~stdout_file ~stderr_file ~arg
+    exe =
   flush stdout;
   flush stderr;
   let overridden k = List.exists (fun (k', _) -> String.equal k k') env in
@@ -61,7 +64,7 @@ let run ?(env = []) ?timeout_s ?max_bytes ~dir ~stdout_file ~stderr_file exe =
          (List.filter keep (Array.to_list (Unix.environment ()))))
       (Array.of_list (List.map (fun (k, v) -> k ^ "=" ^ v) env))
   in
-  spawn_wait ~exe ~dir ~stdout_file ~stderr_file ~envp
+  spawn_wait ~exe ~arg ~dir ~stdout_file ~stderr_file ~envp
     ~max_bytes:
       (match max_bytes with
       | Some b -> Int64.of_int (b + as_headroom)

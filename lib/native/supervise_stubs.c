@@ -59,19 +59,22 @@ static void signal_name(int sig, char *buf, size_t len)
   snprintf(buf, len, "signal %d", sig);
 }
 
-/* mmc_spawn_wait(exe, dir, stdout_file, stderr_file, envp, max_bytes,
-   timeout_s) -> Supervise.status.  [max_bytes] < 0: no address-space
-   cap; [timeout_s] < 0 (or NaN): no wall-clock timer.  The child execs
-   [exe] with argv = {exe, NULL} and the given environment, cwd [dir],
-   streams redirected to the two files; any pre-exec failure exits 127
-   like a shell would.  Returns once the child is dead and reaped. */
-CAMLprim value mmc_spawn_wait_native(value v_exe, value v_dir, value v_out,
-                                     value v_err, value v_envp,
+/* mmc_spawn_wait(exe, arg, dir, stdout_file, stderr_file, envp,
+   max_bytes, timeout_s) -> Supervise.status.  [max_bytes] < 0: no
+   address-space cap; [timeout_s] < 0 (or NaN): no wall-clock timer.
+   The child execs [exe] with argv = {exe, arg, NULL} and the given
+   environment, cwd [dir], streams redirected to the two files; any
+   pre-exec failure exits 127 like a shell would.  Returns once the
+   child is dead and reaped. */
+CAMLprim value mmc_spawn_wait_native(value v_exe, value v_arg, value v_dir,
+                                     value v_out, value v_err, value v_envp,
                                      value v_max_bytes, value v_timeout)
 {
-  CAMLparam5(v_exe, v_dir, v_out, v_err, v_envp);
+  CAMLparam5(v_exe, v_arg, v_dir, v_out, v_err);
+  CAMLxparam1(v_envp);
   CAMLlocal2(res, field);
   char *exe = dup_string(v_exe);
+  char *arg = dup_string(v_arg);
   char *dir = dup_string(v_dir);
   char *out = dup_string(v_out);
   char *err = dup_string(v_err);
@@ -80,7 +83,7 @@ CAMLprim value mmc_spawn_wait_native(value v_exe, value v_dir, value v_out,
   long long max_bytes = Int64_val(v_max_bytes);
   double timeout_s = Double_val(v_timeout);
   struct itimerval deadline = {{0, 0}, {0, 0}};
-  int i, ok = exe && dir && out && err && envp;
+  int i, ok = exe && arg && dir && out && err && envp;
   int wstatus, werr;
   pid_t pid, r;
   char name[32];
@@ -134,9 +137,10 @@ CAMLprim value mmc_spawn_wait_native(value v_exe, value v_dir, value v_out,
       if (setitimer(ITIMER_REAL, &deadline, NULL) != 0) _exit(127);
     }
     {
-      char *argv[2];
+      char *argv[3];
       argv[0] = exe;
-      argv[1] = NULL;
+      argv[1] = arg;
+      argv[2] = NULL;
       execve(exe, argv, envp);
     }
     _exit(127);
@@ -144,7 +148,7 @@ CAMLprim value mmc_spawn_wait_native(value v_exe, value v_dir, value v_out,
 
   for (i = 0; i < nenv; i++) free(envp[i]);
   free(envp);
-  free(exe); free(dir); free(out); free(err);
+  free(exe); free(arg); free(dir); free(out); free(err);
   if (pid < 0) caml_uerror("fork", Nothing);
 
   /* reap outside the runtime lock; an EINTR runs the OCaml signal
@@ -181,5 +185,5 @@ CAMLprim value mmc_spawn_wait_bytecode(value *argv, int argn)
 {
   (void)argn;
   return mmc_spawn_wait_native(argv[0], argv[1], argv[2], argv[3], argv[4],
-                               argv[5], argv[6]);
+                               argv[5], argv[6], argv[7]);
 }

@@ -183,15 +183,29 @@ let run_cc t extra =
   let code, output = run_command cmd in
   if code = 0 then Ok () else Error (Compile_failed { cmd; output })
 
-(** [compile_object t ~c_file ~out] — compile one translation unit to
-    the object file [out]. *)
-let compile_object t ~c_file ~out : (unit, error) result =
-  run_cc t [ "-c"; "-o"; quote out; quote c_file ]
-
-(** [compile t ~c_files ~out] — compile and link [c_files] (sources
-    or objects) into [out]. *)
+(** [compile t ~c_files ~out] — compile and link [c_files] into the
+    executable [out]. *)
 let compile t ~c_files ~out : (unit, error) result =
   run_cc t ("-o" :: quote out :: List.map quote c_files)
+
+(** [compile_loader t ~c_files ~out] — {!compile} a loader: the
+    executable exports its symbols ([-rdynamic]) to the programs it
+    [dlopen]s. *)
+let compile_loader t ~c_files ~out : (unit, error) result =
+  run_cc t
+    (("-rdynamic" :: "-o" :: quote out :: List.map quote c_files) @ [ "-ldl" ])
+
+(** [compile_shared t ~c_file ~out] — compile one program into the
+    shared object [out], linking no library: a loader binds its
+    references when it loads it.  [-fno-semantic-interposition] keeps
+    the calls between the program's own functions direct and
+    inlinable, as in an executable. *)
+let compile_shared t ~c_file ~out : (unit, error) result =
+  run_cc t
+    [
+      "-fPIC"; "-shared"; "-nostdlib"; "-fno-semantic-interposition"; "-o";
+      quote out; quote c_file;
+    ]
 
 (** [compile_first t build] — run the compile steps [build] (which read
     {!flags}) and return what they return when they work.  Only a

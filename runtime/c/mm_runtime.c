@@ -349,8 +349,6 @@ void mm_rc_dec(void *p) {
   }
 }
 
-int mm_size(const void *p) { return ((const mm_mat_float *)p)->elems; }
-
 /* --- MMAT2 container I/O ------------------------------------------------ */
 
 /* The interpreter's virtual filesystem flattens path separators, so a

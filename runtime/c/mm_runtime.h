@@ -74,8 +74,13 @@ mm_mat_int *mm_alloc_int(int rank, ...);
 mm_mat_bool *mm_alloc_bool(int rank, ...);
 void mm_rc_inc(void *m);
 void mm_rc_dec(void *m);
-int mm_size(const void *m);
 int mm_live_count(void);
+
+/* A matrix's element count: inline, since every elementwise loop tests
+ * it once per element. */
+static inline int mm_size(const void *m) {
+  return ((const mm_mat_float *)m)->elems;
+}
 
 /* Payload-byte accounting, mirroring the interpreter's RC registry
  * gauges: bytes currently live, the high-water mark, and the cumulative
@@ -189,8 +194,11 @@ _Noreturn void mm_guard_same(int a, int b, const char *what, int id);
  * regions are race-free and the handler (which runs on the faulting
  * thread) reads exactly that thread's innermost span.  A push is one
  * TLS load and store, a pop one store: cheap enough to sit in
- * per-element code paths, and to compile. */
-extern _Thread_local int mm_crumb;
+ * per-element code paths, and to compile.  The crumb lives in the static
+ * TLS of the executable that defines it, the loader, so a program loaded
+ * as a shared object reaches it through the initial-exec model, with no
+ * __tls_get_addr call. */
+extern _Thread_local int mm_crumb __attribute__((tls_model("initial-exec")));
 
 static inline int mm_crumb_push(int id) {
   int hidden = mm_crumb;

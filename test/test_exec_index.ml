@@ -301,6 +301,16 @@ let test_corrupt_entries_miss () =
   let o = rerun "entry naming a deleted binary" in
   Alcotest.(check bool) "deleted binary: compiled again" false
     o.Native.Exec.from_cache;
+  let loader =
+    Sys.readdir cache_dir |> Array.to_list
+    |> List.find (String.starts_with ~prefix:"mm_loader-")
+    |> Filename.concat cache_dir
+  in
+  Sys.remove loader;
+  let o = rerun "entry naming a deleted loader" in
+  Alcotest.(check bool) "deleted loader: linked again, the program cached"
+    true
+    (Sys.file_exists loader && o.Native.Exec.from_cache);
   let o, translated = exec () in
   Alcotest.(check bool) "then hits again" false translated;
   Alcotest.(check string) "hit value" (value first) (value (ok "hit" o))

@@ -524,11 +524,11 @@ let counting_cc real_cc =
   in
   (script, runs)
 
-(* The runtime is compiled once per cache directory and configuration,
-   each program's own translation unit once per program, and a binary-
-   cache hit runs no compiler at all.  Compiles come first: the toolchain
-   probe runs only after one fails, and a compiler whose -fopenmp works
-   never fails the first one. *)
+(* The loader is linked once per cache directory and configuration, each
+   program compiled once into a shared object, and a binary-cache hit
+   runs no compiler at all.  Compiles come first: the toolchain probe
+   runs only after one fails, and a compiler whose -fopenmp works never
+   fails the first one. *)
 let test_compiler_runs_per_invocation () =
   let tc = ensure_cc () in
   let openmp = Native.Toolchain.uses_openmp tc in
@@ -541,26 +541,21 @@ let test_compiler_runs_per_invocation () =
     let o = Driver.exec ~cc ?cache ~cache_dir (Driver.Composed full) src in
     (o, List.filteri (fun i _ -> i >= before) (runs ()))
   in
-  let exec ?cache n =
+  let exec_o ?cache n =
     match exec_raw ?cache n with
     | Driver.Ok_ o, cc_runs ->
         Alcotest.(check string)
           (Printf.sprintf "program %d result" n)
           (string_of_int n)
           (Fmt.str "%a" Native.Exec.pp_value o.Native.Exec.value);
-        cc_runs
+        (o, cc_runs)
     | Driver.Failed ds, _ ->
         Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds)
   in
-  let object_builds =
-    List.filter (fun l ->
-        is_infix ~affix:"-c " l && is_infix ~affix:"mm_runtime.c" l)
-  in
+  let exec ?cache n = snd (exec_o ?cache n) in
+  let loader_builds = List.filter (is_infix ~affix:"mm_loader.c") in
+  let program_builds = List.filter (is_infix ~affix:"-shared") in
   let probes = List.filter (is_infix ~affix:"probe.c") in
-  let links =
-    List.filter (fun l ->
-        is_infix ~affix:".o" l && not (is_infix ~affix:"-c " l))
-  in
   (* The first, cold exec under this fresh compiler name. *)
   Support.Telemetry.reset ();
   Support.Telemetry.set_enabled true;
@@ -580,37 +575,40 @@ let test_compiler_runs_per_invocation () =
     List.assoc_opt "native.openmp" (Support.Telemetry.gauges ())
   in
   Support.Telemetry.reset ();
+  let last = List.nth first (List.length first - 1) in
+  Alcotest.(check bool) "first exec builds the program last" true
+    (program_builds [ last ] <> [] && loader_builds [ last ] = []);
   if openmp then begin
-    Alcotest.(check int) "first exec builds the runtime object once" 1
-      (List.length (object_builds first));
-    Alcotest.(check int) "first exec builds, then links" 2 (List.length first);
-    Alcotest.(check bool) "... the object first" true
-      (object_builds [ List.hd first ] <> []);
+    Alcotest.(check int) "first exec builds the loader, then the program" 2
+      (List.length first);
+    Alcotest.(check bool) "... the loader first" true
+      (loader_builds [ List.hd first ] <> []);
     Alcotest.(check int) "... and records no native.probe span" 0 probe_spans;
     Alcotest.(check (option (float 0.))) "... native.openmp" (Some 1.)
       openmp_gauge
   end
   else begin
-    (* the -fopenmp build fails, the probe compiles its empty program
-       with and without -fopenmp, and the object is rebuilt without *)
-    Alcotest.(check int) "first exec builds the runtime object twice" 2
-      (List.length (object_builds first));
+    (* the -fopenmp build of the loader fails, the probe compiles its
+       empty program with and without -fopenmp, and the loader is
+       rebuilt without *)
+    Alcotest.(check int) "first exec builds the loader twice" 2
+      (List.length (loader_builds first));
     Alcotest.(check bool) "... first under -fopenmp" true
-      (is_infix ~affix:"-fopenmp" (List.hd (object_builds first)));
+      (is_infix ~affix:"-fopenmp" (List.hd (loader_builds first)));
     Alcotest.(check int) "... probes with and without -fopenmp" 2
       (List.length (probes first));
-    Alcotest.(check bool) "... then rebuilds without it" false
-      (is_infix ~affix:"-fopenmp" (List.nth (object_builds first) 1));
-    Alcotest.(check bool) "... and links last" true
-      (links [ List.nth first (List.length first - 1) ] <> []);
+    Alcotest.(check bool) "... then rebuilds it without" false
+      (is_infix ~affix:"-fopenmp" (List.nth (loader_builds first) 1));
+    Alcotest.(check int) "... and runs nothing else" 5 (List.length first);
     Alcotest.(check int) "... under one native.probe span" 1 probe_spans;
     Alcotest.(check (option (float 0.))) "... native.openmp" (Some 0.)
       openmp_gauge
   end;
   let second = exec 42 in
   Alcotest.(check int) "a second program runs cc once" 1 (List.length second);
-  Alcotest.(check bool) "... linking the cached runtime object" true
-    (is_infix ~affix:".o" (List.hd second) && object_builds second = []);
+  Alcotest.(check bool) "... into a shared object, with no runtime source" true
+    (program_builds second <> []
+    && not (is_infix ~affix:"mm_runtime.c" (List.hd second)));
   Alcotest.(check (list string)) "re-running either program runs no cc" []
     (exec 41 @ exec 42);
   (* The same hit from a fresh mmc process, whose probe memo is empty. *)
@@ -637,31 +635,23 @@ let test_compiler_runs_per_invocation () =
     Alcotest.(check int) "an mmc exec hit runs no cc" before
       (List.length (runs ()))
   end;
-  (* A truncated runtime object fails the link once.  Only then does the
-     probe run, unless this process already has its verdict: under a
-     working -fopenmp it compiles its empty program once, finds the
-     toolchain healthy, and the link error is the answer.  --no-cache
-     rebuilds the object. *)
-  let obj =
-    Sys.readdir cache_dir |> Array.to_list
-    |> List.find (fun f ->
-           String.starts_with ~prefix:"mm_runtime-" f
-           && Filename.check_suffix f ".o")
-    |> Filename.concat cache_dir
-  in
-  Unix.truncate obj ((Unix.stat obj).Unix.st_size / 2);
-  (match exec_raw 43 with
-  | Driver.Ok_ _, _ -> Alcotest.fail "a truncated runtime object linked"
-  | Driver.Failed _, cc_runs ->
-      let n_probes = if openmp then 1 else 0 in
-      Alcotest.(check int) "the failed link runs once" 1
-        (List.length (links cc_runs));
-      Alcotest.(check int) "the probe compiles its empty program" n_probes
-        (List.length (probes cc_runs));
-      Alcotest.(check int) "and nothing else runs" (1 + n_probes)
-        (List.length cc_runs));
-  Alcotest.(check int) "cache:false rebuilds the runtime object" 1
-    (List.length (object_builds (exec ~cache:false 43)))
+  (* A truncated program fails the next exec once, with the loader's
+     dlerror() text and no compile; --no-cache rebuilds it. *)
+  let so = (fst (exec_o 41)).Native.Exec.exe in
+  Unix.truncate so ((Unix.stat so).Unix.st_size / 2);
+  (match exec_raw 41 with
+  | Driver.Ok_ _, _ -> Alcotest.fail "a truncated program loaded"
+  | Driver.Failed ds, cc_runs ->
+      let text = Driver.diags_to_string ds in
+      Alcotest.(check int) "a truncated program fails once" 1 (List.length ds);
+      Alcotest.(check bool)
+        (Printf.sprintf "... with the loader's text (got: %s)" text)
+        true
+        (is_infix ~affix:("mm_loader: " ^ so) text);
+      Alcotest.(check (list string)) "... and runs no cc" [] cc_runs);
+  Alcotest.(check int) "cache:false rebuilds the loader and the program" 2
+    (List.length (exec ~cache:false 41));
+  Alcotest.(check (list string)) "... and the next exec hits" [] (exec 41)
 
 (* --- the no-OpenMP fallback ------------------------------------------------ *)
 
@@ -1269,8 +1259,8 @@ let suite =
       test_keep_c_standalone_recompile;
     Alcotest.test_case "corpus emits -Werror-clean C" `Quick
       test_corpus_compiles_werror;
-    Alcotest.test_case "cc runs: runtime object once, none on a hit" `Quick
-      test_compiler_runs_per_invocation;
+    Alcotest.test_case "cc runs: loader once, one per program, none on a hit"
+      `Quick test_compiler_runs_per_invocation;
     Alcotest.test_case "matrix files round-trip byte for byte" `Quick
       test_roundtrip_bytes;
     Alcotest.test_case "exec: scratch data dir removed" `Quick

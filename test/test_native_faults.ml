@@ -777,6 +777,61 @@ let test_sanitized_corpus_runs () =
                 layout_kinds))
     [ "address"; "undefined" ]
 
+(* A plain exec, a profiled exec and an address-sanitized exec of one
+   program share a cache directory: each configuration links its own
+   loader and compiles its own shared object, the cache holds no object
+   file or executable, and all three agree with the interpreter. *)
+let test_cache_layout_per_configuration () =
+  with_deadline ~secs:300 "cache layout" @@ fun () ->
+  ignore (ensure_cc ());
+  match Native.Toolchain.probe ~sanitize:"address" () with
+  | Error (Native.Toolchain.Sanitizer_unsupported _ as e) ->
+      Printf.printf "SKIP: %s\n%!" (Native.Toolchain.describe_error e)
+  | Error e ->
+      Alcotest.failf "probe failed: %s" (Native.Toolchain.describe_error e)
+  | Ok _ ->
+      let expected =
+        match Driver.run full genarray_src [] with
+        | Driver.Ok_ (Interp.Eval.VScal v) -> Native.Exec.RScal v
+        | Driver.Ok_ _ -> Alcotest.fail "interp returned a non-scalar"
+        | Driver.Failed ds ->
+            Alcotest.failf "interp failed: %s" (Driver.diags_to_string ds)
+      in
+      let cache_dir = fresh_dir () in
+      let ok what = function
+        | Driver.Ok_ x -> x
+        | Driver.Failed ds ->
+            Alcotest.failf "%s failed: %s" what (Driver.diags_to_string ds)
+      in
+      let exec ?sanitize () =
+        Driver.exec ~dir:(fresh_dir ()) ~cache_dir ?sanitize
+          (Driver.Composed full) genarray_src
+      in
+      List.iter
+        (fun (what, (o : Native.Exec.outcome)) ->
+          Alcotest.(check bool)
+            (what ^ " agrees with run")
+            true (o.value = expected))
+        [
+          ("exec", ok "exec" (exec ()));
+          ( "profile --native",
+            fst
+              (ok "profile --native"
+                 (Driver.profile_native ~dir:(fresh_dir ()) ~cache_dir
+                    (Driver.Composed full) genarray_src)) );
+          ( "exec --sanitize address",
+            ok "exec --sanitize address" (exec ~sanitize:"address" ()) );
+        ];
+      let files = Array.to_list (Sys.readdir cache_dir) in
+      let count p = List.length (List.filter p files) in
+      Alcotest.(check int) "three loaders" 3
+        (count (String.starts_with ~prefix:"mm_loader-"));
+      Alcotest.(check int) "three shared objects" 3
+        (count (fun f -> Filename.check_suffix f ".so"));
+      Alcotest.(check int) "no object file or executable" 0
+        (count (fun f ->
+             Filename.check_suffix f ".o" || Filename.check_suffix f ".exe"))
+
 (* --- one file layout in both backends -------------------------------------- *)
 
 (* Every file in [corrupt_files], for every kind, must fail both
@@ -1075,4 +1130,6 @@ let suite =
       `Quick test_signal_death_named;
     Alcotest.test_case "supervisor: an exit code of 128 or more is a code"
       `Quick test_high_exit_code;
+    Alcotest.test_case "cache: a loader and a program per configuration"
+      `Quick test_cache_layout_per_configuration;
   ]
