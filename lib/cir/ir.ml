@@ -232,6 +232,69 @@ let rec map_stmt fe fs s =
 
 let map_stmts fe fs stmts = List.map (map_stmt fe fs) stmts
 
+(** [iter_expr f e] — [f] on every node of [e], children first, as
+    {!map_expr} visits them; nothing is rebuilt. *)
+let rec iter_expr f e =
+  let r = iter_expr f in
+  (match e with
+  | Int _ | Float _ | Bool _ | Str _ | Var _ -> ()
+  | Unop (_, a) | Field (a, _) | MSize a | MRead a | VecSplat a | VecHsum a ->
+      r a
+  | Binop (_, a, b)
+  | Min (a, b)
+  | MGetFlat (a, b)
+  | MDim (a, b)
+  | VecBin (_, a, b) ->
+      r a;
+      r b
+  | VecGather (a, b, c) ->
+      r a;
+      r b;
+      r c
+  | Call (_, es) | TupleE es | MAlloc (_, es) -> List.iter r es
+  | Checked (cs, a) ->
+      List.iter (iter_check r) cs;
+      r a);
+  f e
+
+and iter_check r = function
+  | Bound c ->
+      r c.m;
+      r c.index
+  | Same c ->
+      r c.a;
+      r c.b
+  | Null c -> r c.m
+
+(** [iter_stmts fe fs stmts] — [fe] on every expression node and [fs]
+    on every statement of [stmts], nested ones included, children first,
+    as {!map_stmts} visits them; nothing is rebuilt. *)
+let rec iter_stmts fe fs stmts = List.iter (iter_stmt fe fs) stmts
+
+and iter_stmt fe fs s =
+  let re = iter_expr fe and rb = iter_stmts fe fs in
+  (match s with
+  | Decl (_, _, e) | Return e -> Option.iter re e
+  | Assign (_, e) | ExprS e | RcInc e | RcDec e -> re e
+  | MSetFlat (a, b, c) -> List.iter re [ a; b; c ]
+  | VecScatter (a, b, c, d) -> List.iter re [ a; b; c; d ]
+  | MWrite (a, b) -> List.iter re [ a; b ]
+  | If (c, a, b) ->
+      re c;
+      rb a;
+      rb b
+  | While (c, b) ->
+      re c;
+      rb b
+  | For l | ParFor l ->
+      re l.bound;
+      rb l.body
+  | Check c -> iter_check re c
+  | Spawn (_, _, args) -> List.iter re args
+  | Block b | Located (_, b) | Site (_, b) -> rb b
+  | Break | Continue | Comment _ | Sync -> ());
+  fs s
+
 (** [concat_map_stmts f stmts] — bottom-up rewrite in which each
     statement, its nested blocks already rewritten, becomes the
     statements [f s] (none to delete it). *)
@@ -271,27 +334,15 @@ let rec ends_with_return b =
 (** [expr_uses_var name e] — does [Var name] occur in [e]? *)
 let expr_uses_var name e =
   let found = ref false in
-  ignore
-    (map_expr
-       (function
-         | Var n when n = name ->
-             found := true;
-             Var n
-         | x -> x)
-       e);
+  iter_expr (function Var n when n = name -> found := true | _ -> ()) e;
   !found
 
 (** [stmts_use_var name b] — does [Var name] occur anywhere in [b]? *)
 let stmts_use_var name b =
   let found = ref false in
-  ignore
-    (map_stmts
-       (function
-         | Var n when n = name ->
-             found := true;
-             Var n
-         | x -> x)
-       Fun.id b);
+  iter_stmts
+    (function Var n when n = name -> found := true | _ -> ())
+    ignore b;
   !found
 
 (** Loop constructor; [?prov] is the source span the loop is attributed to. *)

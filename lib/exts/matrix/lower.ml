@@ -74,9 +74,11 @@ let coerce_scalar (from_ty : T.ty) (to_elem : Nd.elem) e =
 (* Build: r = alloc(out_elem, dims of model); for i < size(model):
      r[i] = op(load a, load b).  [load] gets the flat index var.
    Each flat index writes exactly one output element, so under
-   auto-parallelization the loop becomes a ParFor region (§III-C). *)
-let ew_loop t ~span ~(model : string) ~(rank : int) ~(out_elem : Nd.elem)
-    ~(body : expr -> expr) : stmt list * expr =
+   auto-parallelization the loop becomes a ParFor region (§III-C).  The
+   whole is a [Producer] site: folding may compute each element in the
+   one loop that reads [r] instead ([traps]: an element may fail). *)
+let ew_loop t ~span ~traps ~(model : string) ~(rank : int)
+    ~(out_elem : Nd.elem) ~(body : expr -> expr) : stmt list * expr =
   let r = L.fresh t "ew" and i = L.fresh t "i" in
   let alloc = MAlloc (out_elem, dims_of model rank) in
   let loop =
@@ -89,8 +91,12 @@ let ew_loop t ~span ~(model : string) ~(rank : int) ~(out_elem : Nd.elem)
   in
   let stmts =
     [
-      Decl (CMat (out_elem, rank), r, Some alloc);
-      Site (Sites.AutoPar { kind = Sites.Elemwise; span }, [ For loop ]);
+      Site
+        ( Sites.Producer { tmp = r; what = Sites.Elementwise; traps; span },
+          [
+            Decl (CMat (out_elem, rank), r, Some alloc);
+            Site (Sites.AutoPar { kind = Sites.Elemwise; span }, [ For loop ]);
+          ] );
     ]
   in
   L.add_pending t r;
@@ -120,11 +126,19 @@ let op_name = function
   | A.BLogic S.Or -> "||"
   | A.BExt o -> o
 
+(* Integer [/] and [%] fail on a zero divisor: such an element must be
+   computed where the source evaluates it. *)
+let traps (op : A.binop) (elem : Nd.elem) =
+  match op with
+  | A.BArith (S.Div | S.Mod) -> elem = Nd.EInt
+  | _ -> false
+
 let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
     (stmt list * expr) option =
   let ta = ety a and tb = ety b in
   match (op, ta, tb) with
-  (* x1 :: x2 — materialise the integer range vector (Fig 8). *)
+  (* x1 :: x2 — materialise the integer range vector (Fig 8), as a
+     [Producer] site that folding may turn into [x1 + i] in its reader. *)
   | A.BExt o, T.TInt, T.TInt when o = Nodes.op_range ->
       let sa, ea = bind_scalar t (L.lower_expr t a) T.TInt in
       let sb, eb = bind_scalar t (L.lower_expr t b) T.TInt in
@@ -134,14 +148,19 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
         @ [
             Decl (CInt, n, Some (fold_expr ((eb -: ea) +: Int 1)));
             If (Var n <: Int 0, [ Assign (LVar n, Int 0) ], []);
-            Decl (CMat (Nd.EInt, 1), r, Some (MAlloc (Nd.EInt, [ Var n ])));
-            For
-              {
-                index = i;
-                bound = Var n;
-                body = [ MSetFlat (Var r, Var i, ea +: Var i) ];
-                prov = Some span;
-              };
+            Site
+              ( Sites.Producer
+                  { tmp = r; what = Sites.Range; traps = false; span },
+                [
+                  Decl (CMat (Nd.EInt, 1), r, Some (MAlloc (Nd.EInt, [ Var n ])));
+                  For
+                    {
+                      index = i;
+                      bound = Var n;
+                      body = [ MSetFlat (Var r, Var i, ea +: Var i) ];
+                      prov = Some span;
+                    };
+                ] );
           ]
       in
       L.add_pending t r;
@@ -235,7 +254,8 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
       in
       let arith_elem = match rty with T.TMat (e, _) -> e | _ -> e1 in
       let s, v =
-        ew_loop t ~span ~model:va ~rank:r1 ~out_elem ~body:(fun i ->
+        ew_loop t ~span ~traps:(traps op arith_elem) ~model:va ~rank:r1
+          ~out_elem ~body:(fun i ->
             let load_conv m from =
               match op with
               | A.BArith _ | A.BExt _ ->
@@ -252,7 +272,8 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
       let sb, eb = bind_scalar t (L.lower_expr t b) sc in
       let arith_elem = match rty with T.TMat (e, _) -> e | _ -> e1 in
       let s, v =
-        ew_loop t ~span ~model:va ~rank:r1 ~out_elem ~body:(fun i ->
+        ew_loop t ~span ~traps:(traps op arith_elem) ~model:va ~rank:r1
+          ~out_elem ~body:(fun i ->
             Binop
               ( cir_binop op,
                 conv ~from:e1 ~to_:arith_elem (MGetFlat (Var va, i)),
@@ -265,7 +286,8 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
       let sb, vb = lower_operand t ~span b in
       let arith_elem = match rty with T.TMat (e, _) -> e | _ -> e1 in
       let s, v =
-        ew_loop t ~span ~model:vb ~rank:r1 ~out_elem ~body:(fun i ->
+        ew_loop t ~span ~traps:(traps op arith_elem) ~model:vb ~rank:r1
+          ~out_elem ~body:(fun i ->
             Binop
               ( cir_binop op,
                 coerce_scalar sc arith_elem ea,
@@ -281,7 +303,8 @@ let h_unop t (op : A.unop) (a : A.expr) (rty : T.ty) span :
       let out_elem = match rty with T.TMat (e, _) -> e | _ -> e1 in
       let sa, va = lower_operand t ~span a in
       let s, v =
-        ew_loop t ~span ~model:va ~rank:r1 ~out_elem ~body:(fun i ->
+        ew_loop t ~span ~traps:false ~model:va ~rank:r1 ~out_elem
+          ~body:(fun i ->
             match op with
             | A.UNeg -> Unop (Neg, MGetFlat (Var va, i))
             | A.UNot -> Unop (Not, MGetFlat (Var va, i)))

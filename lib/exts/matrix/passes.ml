@@ -18,9 +18,317 @@ let apply_substs substs p =
     (fun p (from_, to_) -> Cir.Pass.subst_in_program from_ (Var to_) p)
     p substs
 
+(* --- with-loop folding (SAC, Scholz IFL 1998) -------------------------------
+
+   A [Producer] site's temporary — a range [lo::hi], or an elementwise
+   result — is folded into the one loop that reads it: that loop
+   evaluates the element expression at its own index, and the
+   temporary's allocation, fill loop and release go.  Its extents replace
+   every [dimSize]/[mm_size] of it, so each check that named its size
+   names the extent instead. *)
+
+(* The payload's parts: the temporary's extents, and its fill loop's
+   index and element expression; [None] once an earlier pass reshaped
+   the loop. *)
+let producer_parts tmp payload =
+  let rec fill = function
+    | [ (For l | ParFor l) ] -> Some l
+    | [ Site (_, b) ] -> fill b
+    | _ -> None
+  in
+  match payload with
+  | Decl (CMat _, v, Some (MAlloc (_, extents))) :: rest when v = tmp -> (
+      match fill rest with
+      | Some { index; body = [ MSetFlat (Var v, Var i, elem) ]; _ }
+        when v = tmp && i = index ->
+          Some (extents, index, elem)
+      | _ -> None)
+  | _ -> None
+
+let size_of = function
+  | [] -> Int 1
+  | e :: es -> fold_expr (List.fold_left ( *: ) e es)
+
+(* Statements in execution order, through the wrappers that are not
+   scopes. *)
+let rec flatten stmts =
+  List.concat_map
+    (function Located (_, b) | Site (_, b) -> flatten b | s -> [ s ])
+    stmts
+
+(* What statement [s] does with the temporary [tmp], of rank [rank]:
+   the index of each element read, its releases, the statements that
+   retain or rebind it, the occurrences that are none of a read, an
+   extent ([dimSize]/[mm_size]) or a release, and all its occurrences. *)
+type census = {
+  reads : expr list;
+  releases : int;
+  unfresh : int;
+  others : int;
+  total : int;
+}
+
+let census ~rank tmp s =
+  let reads = ref [] and releases = ref 0 and unfresh = ref 0 in
+  let known = ref 0 and total = ref 0 in
+  iter_stmts
+    (function
+      | Var v when v = tmp -> incr total
+      | MGetFlat (Var v, i) when v = tmp ->
+          reads := i :: !reads;
+          incr known
+      | MDim (Var v, Int d) when v = tmp && d >= 0 && d < rank -> incr known
+      | MSize (Var v) when v = tmp -> incr known
+      | _ -> ())
+    (function
+      | RcDec (Var v) when v = tmp -> incr releases
+      | (RcInc (Var v) | Assign (LVar v, _) | Decl (_, v, _)) when v = tmp ->
+          incr unfresh
+      | _ -> ())
+    [ s ];
+  {
+    reads = List.rev !reads;
+    releases = !releases;
+    unfresh = !unfresh;
+    others = !total - !known - !releases;
+    total = !total;
+  }
+
+(* The variables the expressions [es] read, and the matrices whose
+   elements they read. *)
+let reads_of es =
+  let vars = ref [] and mats = ref [] in
+  List.iter
+    (iter_expr (function
+      | Var v -> vars := v :: !vars
+      | MGetFlat (Var m, _) | VecGather (Var m, _, _) -> mats := m :: !mats
+      | _ -> ()))
+    es;
+  (!vars, !mats)
+
+(* Why [region] may change what the element expression and the extents
+   read ([vars], and the matrices [mats] whose elements it reads) before
+   the reader evaluates them; [None] when it cannot.  [where] places the
+   region: before the loop that reads the temporary, or that loop and
+   the statements after it that still read its extent.  A write to a
+   matrix allocated in the region ([fresh]) cannot reach what the
+   expression reads; any other write, release or call may, through a
+   shared buffer. *)
+let interference ~vars ~mats ~fresh ~where region =
+  let why = ref None in
+  let note fmt =
+    Printf.ksprintf (fun s -> if !why = None then why := Some s) fmt
+  in
+  let binds x =
+    if List.mem x vars then
+      note "'%s', which it reads, is assigned %s" x where
+  in
+  let shared = function Var w -> not (List.mem w fresh) | _ -> true in
+  iter_stmts
+    (function
+      | Call (f, _) when mats <> [] ->
+          note "the call to '%s' %s may write a matrix it reads" f where
+      | _ -> ())
+    (function
+      | Decl (_, x, _) | Assign (LVar x, _) | Spawn (Some (LVar x), _, _) ->
+          binds x
+      | For l | ParFor l -> binds l.index
+      | (MSetFlat (m, _, _) | VecScatter (m, _, _, _))
+        when mats <> [] && shared m ->
+          note "a matrix written %s may share a buffer with one it reads" where
+      | RcDec m when mats <> [] && shared m ->
+          note "a matrix released %s may share a buffer with one it reads" where
+      | Spawn (_, f, _) when mats <> [] ->
+          note "the spawn of '%s' %s may write a matrix it reads" f where
+      | Sync when vars <> [] -> note "a sync %s may assign what it reads" where
+      | _ -> ())
+    region;
+  !why
+
+(* The verdict on folding producer [tmp], whose [payload] is followed by
+   [rest] in its block: [Ok (reader's span, rewrite of rest)] or [Error
+   why]. *)
+let fold_verdict ~tmp ~traps payload rest =
+  match producer_parts tmp payload with
+  | None -> Error "an earlier pass reshaped the loop that fills it"
+  | Some _ when traps ->
+      Error
+        "an element may fail (integer '/' or '%'), so each is computed where \
+         the source evaluates it"
+  | Some (extents, index, elem) -> (
+      let rank = List.length extents in
+      let flat = Array.of_list (flatten rest) in
+      let cs = Array.map (census ~rank tmp) flat in
+      let sum f = Array.fold_left (fun n c -> n + f c) 0 cs in
+      let slice lo hi = Array.to_list (Array.sub flat lo (hi - lo)) in
+      let readers =
+        List.filter
+          (fun j -> cs.(j).reads <> [])
+          (List.init (Array.length cs) Fun.id)
+      in
+      let bound_to =
+        List.find_map
+          (function
+            | (Decl (_, x, Some (Var v)) | Assign (LVar x, Var v)) when v = tmp
+              ->
+                Some x
+            | _ -> None)
+          (Array.to_list flat)
+      in
+      match (readers, bound_to) with
+      | _ when sum (fun c -> c.unfresh) > 0 ->
+          Error "it is retained or reassigned, so it is not a fresh temporary"
+      | _, Some x ->
+          Error (Printf.sprintf "it is bound to '%s', not read by one loop" x)
+      | [], None -> Error "no loop reads it element by element"
+      | _ :: _ :: _, None ->
+          Error
+            (Printf.sprintf "%d statements read it, not one loop"
+               (List.length readers))
+      | [ j ], None -> (
+          match flat.(j) with
+          | For l | ParFor l -> (
+              let before = slice 0 j in
+              let is_size e =
+                e = MSize (Var tmp)
+                || e = size_of extents
+                || (rank = 1 && e = MDim (Var tmp, Int 0))
+              in
+              (* or, for a vector, a check before the loop made its bound
+                 the vector's extent *)
+              let bounded =
+                is_size l.bound
+                || rank = 1
+                   && List.exists
+                        (function
+                          | Check (Same { a; b; _ }) ->
+                              (is_size a && b = l.bound)
+                              || (is_size b && a = l.bound)
+                          | _ -> false)
+                        before
+              in
+              let last_use = ref j in
+              Array.iteri
+                (fun k c -> if c.total > c.releases then last_use := k)
+                cs;
+              let after = slice j (max j !last_use + 1) in
+              let vars, mats = reads_of (elem :: extents) in
+              let vars = List.filter (fun v -> v <> index) vars in
+              let fresh =
+                tmp
+                :: List.filter_map
+                     (function
+                       | Decl (CMat _, v, Some (MAlloc _)) -> Some v
+                       | _ -> None)
+                     (flatten (before @ after))
+              in
+              let at_index = function Var k -> k = l.index | _ -> false in
+              if sum (fun c -> c.others) > 0 then
+                Error
+                  "it is used other than by one loop's element reads, its \
+                   extent or its release"
+              else if not (List.for_all at_index cs.(j).reads) then
+                Error
+                  "the loop that reads it does so at an index other than its \
+                   own"
+              else if not bounded then
+                Error "the loop that reads it is not bounded by its extent"
+              else if Array.exists (fun c -> c.releases > 0) (Array.sub cs 0 j)
+              then Error "it is released before the loop that reads it"
+              else
+                match
+                  ( interference ~vars ~mats ~fresh
+                      ~where:"before the loop that reads it" before,
+                    interference ~vars ~mats ~fresh
+                      ~where:"in the loop that reads it" after )
+                with
+                | Some why, _ | None, Some why -> Error why
+                | None, None ->
+                    let fe = function
+                      | MGetFlat (Var v, (Var _ as k)) when v = tmp ->
+                          subst_var_expr index k elem
+                      | MDim (Var v, Int d) when v = tmp -> List.nth extents d
+                      | MSize (Var v) when v = tmp -> size_of extents
+                      | e -> e
+                    in
+                    let rest =
+                      map_stmts fe Fun.id rest
+                      |> concat_map_stmts (function
+                           | RcDec (Var v) when v = tmp -> []
+                           | Located (_, []) -> []
+                           | s -> [ s ])
+                    in
+                    Ok (l.prov, rest))
+          | _ -> Error "it is read element by element outside a loop"))
+
+(* Fold every [Producer] site of one function body that qualifies, in
+   program order, so a chain folds link by link; splice back the rest. *)
+let fold_producers remarks ~enabled body =
+  let decide ~outer tmp what traps span payload rest =
+    let subject =
+      match what with
+      | Sites.Range -> "range"
+      | Sites.Elementwise -> "elementwise result"
+    in
+    if not enabled then begin
+      R.emit remarks ~pass:"fuse" ~kind:R.Skipped ~span
+        "with-loop folding disabled: the %s keeps its temporary" subject;
+      (payload, rest)
+    end
+    else
+      match
+        if List.exists (stmts_use_var tmp) outer then
+          Error "it is used outside the statement that computes it"
+        else fold_verdict ~tmp ~traps payload rest
+      with
+      | Ok (reader, rest) ->
+          let details =
+            match reader with
+            | Some sp ->
+                [ ("read by", "loop at " ^ Support.Pos.span_to_string sp) ]
+            | None -> []
+          in
+          R.emit remarks ~pass:"fuse" ~kind:R.Applied ~span ~details
+            "%s folded into the one loop that reads it: no temporary" subject;
+          ([], rest)
+      | Error why ->
+          R.emit remarks ~pass:"fuse" ~kind:R.Missed ~span
+            "%s keeps its temporary: %s" subject why;
+          (payload, rest)
+  in
+  (* [outer]: the statements after each site wrapping the current block.
+     Nothing after a C scope ([If], a loop, [Block]) can name a temporary
+     declared in it, and lowering releases a statement's temporaries
+     inside its [Located], so only these may name the producer's. *)
+  let rec block outer = function
+    | [] -> []
+    | Site (Sites.Producer { tmp; what; traps; span }, payload) :: rest ->
+        let kept, rest = decide ~outer tmp what traps span payload rest in
+        kept @ block outer rest
+    | s :: rest ->
+        let scope = block [] in
+        let s =
+          match s with
+          | If (c, a, b) ->
+              let a = scope a in
+              If (c, a, scope b)
+          | While (c, b) -> While (c, scope b)
+          | For l -> For { l with body = scope l.body }
+          | ParFor l -> ParFor { l with body = scope l.body }
+          | Block b -> Block (scope b)
+          | Located (sp, b) -> Located (sp, scope b)
+          | Site (site, b) -> Site (site, block (rest :: outer) b)
+          | s -> s
+        in
+        s :: block outer rest
+  in
+  block [] body
+
 (** With-loop fusion: the result of a with-loop feeds its consumer
     directly instead of being evaluated into a temporary that is then
-    copied (the library-style baseline the payload holds). *)
+    copied (the library-style baseline the payload holds); and with-loop
+    folding: a range or elementwise temporary that exactly one later loop
+    reads is computed inside that loop instead. *)
 let fuse : Cir.Pass.t =
   {
     Cir.Pass.name = "fuse";
@@ -56,7 +364,11 @@ let fuse : Cir.Pass.t =
               | _ -> None)
             p
         in
-        apply_substs !substs p);
+        let p = apply_substs !substs p in
+        let fold fn =
+          { fn with f_body = fold_producers remarks ~enabled fn.f_body }
+        in
+        { p with funcs = List.map fold p.funcs });
   }
 
 (* An eliminated one-dimensional slice: each read [var[k]] reads [base]

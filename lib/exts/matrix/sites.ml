@@ -32,6 +32,11 @@ type fiber = {
   decl : Support.Pos.span;  (** the whole declaration statement *)
 }
 
+(** What a {!Producer} site's temporary holds. *)
+type producer =
+  | Range  (** the index vector [lo::hi] *)
+  | Elementwise  (** the result of an elementwise or unary operator *)
+
 (** What a slice selects, which decides what copy elimination may do. *)
 type slice_shape =
   | Identity  (** [m[:, …, :]]: the copy may become an alias of [m] *)
@@ -61,6 +66,19 @@ type Cir.Ir.site +=
           elimination replaces an [Identity] slice's payload with a retain
           of [base] (renaming [slice] to [base]), and deletes a [Fiber]'s
           payload, declaration and releases, reading [base] in place. *)
+  | Producer of {
+      tmp : string;  (** the temporary the payload allocates and fills *)
+      what : producer;
+      traps : bool;
+          (** computing an element may fail (integer [/] or [%]), so it
+              must stay where the source evaluates it *)
+      span : Support.Pos.span;  (** the producing expression *)
+    }
+      (** Payload: [tmp]'s allocation, [tmp = mm_alloc(extents)], then the
+          loop that fills it, [tmp[i] = elem] for each [i] below its size
+          (itself possibly inside an [AutoPar] site).  With-loop folding
+          deletes the payload when exactly one later loop reads [tmp],
+          evaluating [elem] there at that loop's index. *)
   | AutoPar of { kind : autopar_kind; span : Support.Pos.span }
       (** Payload: a sequential loop nest the auto-par pass may promote
           to a [ParFor] region. *)

@@ -75,8 +75,10 @@ let default_of_type = function
 
 (** [data_path ~dir path] — the file a program's [readMatrix path] /
     [writeMatrix path] resolves to under [dir]: path separators flatten
-    to ['_'], as in both backends. *)
+    to ['_'], as in both backends.  [dir] is named by its real path, as
+    the native binary, which runs in it, names it. *)
 let data_path ~dir path =
+  let dir = try Unix.realpath dir with Unix.Unix_error _ -> dir in
   Filename.concat dir (String.map (function '/' | '\\' -> '_' | c -> c) path)
 
 (* --- frames ------------------------------------------------------------------ *)

@@ -158,7 +158,11 @@ let probe ?cc ?cflags ?sanitize () : (t, error) result =
     gets real OpenMP threads. *)
 let uses_openmp t = not (Lazy.is_val t.probed && Lazy.force t.probed = Ok false)
 
-let base_flags t = [ "-O2"; "-Wall" ] @ sanitize_flags t.sanitize
+(* [-ffp-contract=off]: the interpreter rounds every float operation on
+   its own, so [x * m + b] must not become one fused multiply-add where
+   the target has one ([-march=native]). *)
+let base_flags t =
+  [ "-O2"; "-Wall"; "-ffp-contract=off" ] @ sanitize_flags t.sanitize
 
 (** The flags the user asked for: everything in {!flags} but the
     probed OpenMP choice.  The binary-cache key digests these, so it can

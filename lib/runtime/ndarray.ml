@@ -174,9 +174,14 @@ let chunks n ~width f =
   in
   go 0
 
-(** [write_file path m] — the [writeMatrix] builtin: an MMAT2 file. *)
+(** [write_file path m] — the [writeMatrix] builtin: an MMAT2 file.  A
+    file that cannot be opened raises {!Io_error}, worded as the native
+    runtime words it. *)
 let write_file path m =
-  let oc = open_out_bin path in
+  let oc =
+    try open_out_bin path
+    with Sys_error e -> io_err "writeMatrix %S: cannot open: %s" path e
+  in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->

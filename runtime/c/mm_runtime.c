@@ -5,6 +5,7 @@
 #include "mm_runtime.h"
 #include "mm_simd.h"
 
+#include <errno.h>
 #include <fcntl.h>
 #include <signal.h>
 #include <stdarg.h>
@@ -76,19 +77,30 @@ static void mm_crash_handler(int sig) {
   raise(sig);
 }
 
-_Noreturn void mm_guard_fault(int id, const char *fmt, ...) {
+static _Noreturn void mm_vfault(int id, const char *fmt, va_list ap) {
   const char *span = mm_span_name(id);
   /* never unlocked: a second thread failing a check waits here until
      this one's _exit ends the process, so one report prints whole */
   flockfile(stdout);
   printf("__mm_fault %d %s ", id, span ? span : "-");
-  va_list ap;
-  va_start(ap, fmt);
   vprintf(fmt, ap);
-  va_end(ap);
   printf("\n");
   fflush(0);
   _exit(71);
+}
+
+_Noreturn void mm_guard_fault(int id, const char *fmt, ...) {
+  va_list ap;
+  va_start(ap, fmt);
+  mm_vfault(id, fmt, ap);
+}
+
+/* A readMatrix/writeMatrix failure: reported like a failed check, at
+ * the breadcrumb's span, which is the statement doing the I/O. */
+static _Noreturn void mm_io_fault(const char *fmt, ...) {
+  va_list ap;
+  va_start(ap, fmt);
+  mm_vfault(mm_crumb, fmt, ap);
 }
 
 /* The reports of MM_BOUND and MM_SAME, worded as Cir.Ir.null_message,
@@ -282,31 +294,45 @@ static size_t mm_elem_size(int kind) {
   }
 }
 
-/* All three mm_mat_* structs share their header prefix; allocate through
- * the float variant and set the data pointer behind a char * so the same
- * code serves every kind. */
+/* A matrix is one block: its header, then, from the next 16-byte
+ * boundary, its n elements, so making and releasing one costs one
+ * malloc and one free.  All three mm_mat_* structs share their header
+ * prefix; the block is built through the float variant, and [data]
+ * points at the payload whatever its kind.  [zero] clears the payload
+ * (mm_alloc); a reader that fills it at once skips that. */
+#define MM_HEADER_BYTES ((sizeof(mm_mat_float) + 15) & ~(size_t)15)
+
+static mm_mat_float *mm_block(int kind, int rank, const int *dims,
+                              long long n, int zero) {
+  size_t payload = (size_t)n * mm_elem_size(kind);
+  size_t bytes = MM_HEADER_BYTES + payload;
+  mm_mat_float *m = zero ? calloc(1, bytes) : malloc(bytes);
+  if (!m) mm_fatal("alloc: out of memory for %lld elements", n);
+  if (!zero) memset(m, 0, sizeof *m);
+  m->rc = 1;
+  m->kind = kind;
+  m->rank = rank;
+  m->elems = (int)n;
+  memcpy(m->dims, dims, (size_t)rank * sizeof(int));
+  m->data = (void *)((char *)m + MM_HEADER_BYTES);
+  mm_account_alloc((long long)payload);
+  return m;
+}
+
 static void *mm_alloc(int kind, int rank, va_list ap) {
   mm_fail_hit("native.alloc");
   if (rank < 0 || rank > MM_MAX_RANK)
     mm_fatal("alloc: implausible rank %d", rank);
-  mm_mat_float *m = calloc(1, sizeof(mm_mat_float));
-  if (!m) mm_fatal("alloc: out of memory");
-  m->rc = 1;
-  m->kind = kind;
-  m->rank = rank;
+  int dims[MM_MAX_RANK];
   long long n = 1;
   for (int d = 0; d < rank; d++) {
     int e = va_arg(ap, int);
     if (e < 0) mm_fatal("alloc: negative extent %d in dimension %d", e, d);
-    m->dims[d] = e;
+    dims[d] = e;
     n *= e;
   }
   if (n > (1 << 28)) mm_fatal("alloc: %lld elements exceeds limit", n);
-  m->elems = (int)n;
-  m->data = calloc(n > 0 ? (size_t)n : 1, mm_elem_size(kind));
-  if (!m->data) mm_fatal("alloc: out of memory for %lld elements", n);
-  mm_account_alloc(n * (long long)mm_elem_size(kind));
-  return m;
+  return mm_block(kind, rank, dims, n, 1);
 }
 
 mm_mat_float *mm_alloc_float(int rank, ...) {
@@ -344,7 +370,6 @@ void mm_rc_dec(void *p) {
   if (rc <= 0) mm_guard_fault(-1, "reference count underflow (rc=%d)", rc);
   if (rc <= 1) {
     mm_account_free((long long)m->elems * (long long)mm_elem_size(m->kind));
-    free(m->data);
     free(m);
   }
 }
@@ -390,7 +415,7 @@ _Static_assert(sizeof(mm_float) == 8 && sizeof(long long) == 8,
 static int mm_get_be32(FILE *f, const char *path, const char *what) {
   unsigned char b[4];
   if (fread(b, 1, 4, f) < 4)
-    mm_fatal("readMatrix \"%s\": truncated %s", path, what);
+    mm_io_fault("readMatrix \"%s\": truncated %s", path, what);
   return (int)((unsigned)b[0] << 24 | (unsigned)b[1] << 16 |
                (unsigned)b[2] << 8 | (unsigned)b[3]);
 }
@@ -401,12 +426,22 @@ static size_t mm_put_be32(unsigned char *b, size_t at, int v) {
   return at;
 }
 
+/* A file that will not open, named as the interpreter names it: its
+ * full path (the working directory is the data directory), then why. */
+static _Noreturn void mm_cannot_open(const char *what, const char *real) {
+  int err = errno;
+  char cwd[4096];
+  const char *dir = getcwd(cwd, sizeof cwd) ? cwd : ".";
+  mm_io_fault("%s \"%s/%s\": cannot open: %s/%s: %s", what, dir, real, dir,
+              real, strerror(err));
+}
+
 void mm_write_matrix(const char *path, const void *p) {
   const mm_mat_float *m = p;
-  if (!m) mm_fatal("writeMatrix \"%s\": uninitialised matrix", path);
+  if (!m) mm_io_fault("writeMatrix \"%s\": uninitialised matrix", path);
   char *real = mm_resolve_path(path);
   FILE *f = fopen(real, "wb");
-  if (!f) mm_fatal("writeMatrix \"%s\": cannot open %s", path, real);
+  if (!f) mm_cannot_open("writeMatrix", real);
   free(real);
   unsigned char hdr[7 + 4 * (1 + MM_MAX_RANK)];
   memcpy(hdr, MM_MAGIC, 6);
@@ -437,47 +472,43 @@ void mm_write_matrix(const char *path, const void *p) {
     free(buf);
   }
   if (fclose(f) != 0 || !ok)
-    mm_fatal("writeMatrix \"%s\": write failed", path);
+    mm_io_fault("writeMatrix \"%s\": write failed", path);
 }
 
 void *mm_read_matrix(const char *path) {
   mm_fail_hit("native.io.read_matrix");
   char *real = mm_resolve_path(path);
   FILE *f = fopen(real, "rb");
-  if (!f) mm_fatal("readMatrix \"%s\": cannot open: %s", path, real);
+  if (!f) mm_cannot_open("readMatrix", real);
   free(real);
   unsigned char head[7];
   size_t got = fread(head, 1, 7, f);
   if (got >= 6 && memcmp(head, "MMAT1\n", 6) == 0)
-    mm_fatal("readMatrix \"%s\": MMAT1 is the old decimal text format, which "
-             "is no longer read (expected magic MMAT2; write the matrix again "
-             "with writeMatrix)",
-             path);
+    mm_io_fault("readMatrix \"%s\": MMAT1 is the old decimal text format, "
+                "which is no longer read (expected magic MMAT2; write the "
+                "matrix again with writeMatrix)",
+                path);
   if (got < 6 || memcmp(head, MM_MAGIC, 6) != 0)
-    mm_fatal("readMatrix \"%s\": bad magic", path);
+    mm_io_fault("readMatrix \"%s\": bad magic", path);
   int kind = got == 7 ? head[6] : EOF;
   if (kind != MM_KIND_FLOAT && kind != MM_KIND_INT && kind != MM_KIND_BOOL)
-    mm_fatal("readMatrix \"%s\": unknown element kind", path);
+    mm_io_fault("readMatrix \"%s\": unknown element kind", path);
   int rank = mm_get_be32(f, path, "rank");
   if (rank < 0 || rank > MM_MAX_RANK)
-    mm_fatal("readMatrix \"%s\": implausible rank %d", path, rank);
-  mm_mat_float *m = calloc(1, sizeof(mm_mat_float));
-  if (!m) mm_fatal("out of memory");
-  m->rc = 1;
-  m->kind = kind;
-  m->rank = rank;
+    mm_io_fault("readMatrix \"%s\": implausible rank %d", path, rank);
   /* The element count saturates above the limit, so a header of large
    * extents cannot overflow it (and wrap to 0). */
+  int dims[MM_MAX_RANK];
   long long n = 1;
   for (int d = 0; d < rank; d++) {
     int e = mm_get_be32(f, path, "extent");
     if (e < 0 || e > (1 << 24))
-      mm_fatal("readMatrix \"%s\": implausible extent %d", path, e);
-    m->dims[d] = e;
+      mm_io_fault("readMatrix \"%s\": implausible extent %d", path, e);
+    dims[d] = e;
     n = e == 0 ? 0 : n > (1 << 28) ? n : n * e;
   }
   if (n > (1 << 28))
-    mm_fatal("readMatrix \"%s\": more than %d elements", path, 1 << 28);
+    mm_io_fault("readMatrix \"%s\": more than %d elements", path, 1 << 28);
   /* The payload size is fixed by the header: check it against the file
    * before allocating. */
   size_t width = kind == MM_KIND_BOOL ? 1 : 8;
@@ -486,23 +517,20 @@ void *mm_read_matrix(const char *path) {
   long long flen = -1;
   if (fseek(f, 0, SEEK_END) == 0) flen = ftell(f);
   if (flen < 0 || fseek(f, (long)start, SEEK_SET) != 0)
-    mm_fatal("readMatrix \"%s\": cannot find the file's length", path);
+    mm_io_fault("readMatrix \"%s\": cannot find the file's length", path);
   if (flen < size)
-    mm_fatal("readMatrix \"%s\": truncated at element %lld of %lld (file ends "
-             "at offset %lld; the header implies %lld bytes)",
-             path, (flen - start) / (long long)width, n, flen, size);
+    mm_io_fault("readMatrix \"%s\": truncated at element %lld of %lld (file "
+                "ends at offset %lld; the header implies %lld bytes)",
+                path, (flen - start) / (long long)width, n, flen, size);
   if (flen > size)
-    mm_fatal("readMatrix \"%s\": trailing data at offset %lld (the file has "
-             "%lld bytes; the header implies %lld)",
-             path, size, flen, size);
-  m->elems = (int)n;
-  m->data = malloc(n > 0 ? (size_t)n * mm_elem_size(kind) : 1);
-  if (!m->data) mm_fatal("out of memory for %lld elements", n);
-  mm_account_alloc(n * (long long)mm_elem_size(kind));
+    mm_io_fault("readMatrix \"%s\": trailing data at offset %lld (the file "
+                "has %lld bytes; the header implies %lld)",
+                path, size, flen, size);
+  mm_mat_float *m = mm_block(kind, rank, dims, n, 0);
   size_t count = (size_t)n;
   if (kind == MM_KIND_FLOAT) {
     if (fread(m->data, 8, count, f) != count)
-      mm_fatal("readMatrix \"%s\": read error", path);
+      mm_io_fault("readMatrix \"%s\": read error", path);
   } else {
     size_t per = MM_IO_CHUNK / width;
     unsigned char *buf = malloc(MM_IO_CHUNK);
@@ -510,7 +538,7 @@ void *mm_read_matrix(const char *path) {
     for (size_t i = 0; i < count;) {
       size_t k = count - i < per ? count - i : per;
       if (fread(buf, width, k, f) != k)
-        mm_fatal("readMatrix \"%s\": read error", path);
+        mm_io_fault("readMatrix \"%s\": read error", path);
       if (kind == MM_KIND_INT)
         for (size_t j = 0; j < k; j++) {
           long long v;
@@ -520,9 +548,9 @@ void *mm_read_matrix(const char *path) {
       else
         for (size_t j = 0; j < k; j++) {
           if (buf[j] > 1)
-            mm_fatal("readMatrix \"%s\": bad bool byte %d for element %zu at "
-                     "offset %lld (expected 0 or 1)",
-                     path, buf[j], i + j, start + (long long)(i + j));
+            mm_io_fault("readMatrix \"%s\": bad bool byte %d for element %zu "
+                        "at offset %lld (expected 0 or 1)",
+                        path, buf[j], i + j, start + (long long)(i + j));
           ((mm_mat_bool *)(void *)m)->data[i + j] = buf[j];
         }
       i += k;

@@ -65,10 +65,11 @@ typedef mm_mat_int mm_mat_int1, mm_mat_int2, mm_mat_int3, mm_mat_int4,
 typedef mm_mat_bool mm_mat_bool1, mm_mat_bool2, mm_mat_bool3, mm_mat_bool4,
     mm_mat_bool5, mm_mat_bool6, mm_mat_bool7, mm_mat_bool8;
 
-/* Allocation (zero-initialised, refcount 1) and reference counting.
- * mm_rc_dec frees buffer and header when the count reaches zero, and
- * faults on a count that was already zero; both tolerate NULL so
- * generated cleanup code needs no tests. */
+/* Allocation (zero-initialised, refcount 1) and reference counting.  A
+ * matrix is one heap block, its header and then its payload, which
+ * [data] points at.  mm_rc_dec frees the block when the count reaches
+ * zero, and faults on a count that was already zero; both tolerate NULL
+ * so generated cleanup code needs no tests. */
 mm_mat_float *mm_alloc_float(int rank, ...);
 mm_mat_int *mm_alloc_int(int rank, ...);
 mm_mat_bool *mm_alloc_bool(int rank, ...);
@@ -97,9 +98,10 @@ extern void (*mm_alloc_hook)(long long bytes);
 
 /* MMAT2 container I/O (readMatrix/writeMatrix builtins).  Paths resolve
  * like the interpreter's virtual filesystem: '/' and '\' map to '_',
- * relative to the current working directory.  A file whose size differs
- * from what its header implies, or whose bool payload holds a byte other
- * than 0 or 1, is rejected through mm_fatal. */
+ * relative to the current working directory.  A file that cannot be
+ * opened, whose size differs from what its header implies, or whose
+ * bool payload holds a byte other than 0 or 1 fails the run as a check
+ * does: a __mm_fault line at the breadcrumb's span, then exit 71. */
 void *mm_read_matrix(const char *path);
 void mm_write_matrix(const char *path, const void *m);
 

@@ -10,7 +10,7 @@ mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest);
 mm_mat_float1 *scoreTS(mm_mat_float1 *ts);
 void __mm_mmap_scoreTS36(mm_mat_float3 *m, mm_mat_float3 *r, int t);
 
-#define MM_NSPANS 46
+#define MM_NSPANS 42
 const char *const mm_spans[] = {
   "3:3-20",
   "4:3-25",
@@ -21,7 +21,6 @@ const char *const mm_spans[] = {
   "6:31-40",
   "6:23-28",
   "7:3-42",
-  "7:14-26",
   "7:11-27",
   "11:3-31",
   "11:14-31",
@@ -32,8 +31,6 @@ const char *const mm_spans[] = {
   "15:3-43",
   "16:3-32",
   "17:3-43",
-  "17:28-34",
-  "17:27-39",
   "17:27-43",
   "18:3-19:57",
   "18:16-19:57",
@@ -49,7 +46,6 @@ const char *const mm_spans[] = {
   "29:3-20",
   "30:3-26",
   "31:3-34:4",
-  "33:12-24",
   "33:5-47",
   "33:5-25",
   "35:3-16",
@@ -98,122 +94,101 @@ struct_mm_mat_float1_int_int getTrough(mm_mat_float1 *ts, int i) {
   if (__mm_n4 < 0) {
     __mm_n4 = 0;
   }
-  mm_mat_int1 *__mm_rng5 = mm_alloc_int(1, __mm_n4);
+  mm_mat_float1 *__mm_slice7 = mm_alloc_float(1, __mm_n4);
   int __mm_crumb5 = mm_crumb_push(9);
-  for (int __mm_i6 = 0; __mm_i6 < __mm_n4; __mm_i6++) {
-    __mm_rng5->data[__mm_i6] = beginning + __mm_i6;
+  for (int __mm_o8 = 0; __mm_o8 < __mm_n4; __mm_o8++) {
+    __mm_slice7->data[__mm_o8] = ts->data[(MM_BOUND(ts, 0, beginning + __mm_o8, 9), beginning + __mm_o8)];
   }
   mm_crumb_pop(__mm_crumb5);
-  mm_mat_float1 *__mm_slice7 = mm_alloc_float(1, mm_size(__mm_rng5));
-  int __mm_crumb6 = mm_crumb_push(10);
-  for (int __mm_o8 = 0; __mm_o8 < mm_size(__mm_rng5); __mm_o8++) {
-    __mm_slice7->data[__mm_o8] = ts->data[(MM_BOUND(ts, 0, __mm_rng5->data[__mm_o8], 10), __mm_rng5->data[__mm_o8])];
-  }
-  mm_crumb_pop(__mm_crumb6);
   struct_mm_mat_float1_int_int __mm_ret9 = { __mm_slice7, beginning, i };
-  mm_rc_dec(__mm_rng5);
   mm_crumb_pop(__mm_crumb4);
   return __mm_ret9;
 }
 
 mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest) {
-  int __mm_crumb7 = mm_crumb_push(11);
-  mm_float y1 = areaOfInterest->data[(MM_BOUND(areaOfInterest, 0, 0, 12), 0)];
-  mm_crumb_pop(__mm_crumb7);
-  int __mm_crumb8 = mm_crumb_push(13);
+  int __mm_crumb6 = mm_crumb_push(10);
+  mm_float y1 = areaOfInterest->data[(MM_BOUND(areaOfInterest, 0, 0, 11), 0)];
+  mm_crumb_pop(__mm_crumb6);
+  int __mm_crumb7 = mm_crumb_push(12);
   int __mm_s10 = areaOfInterest->dims[0] - 1;
-  mm_float y2 = areaOfInterest->data[(MM_BOUND(areaOfInterest, 0, __mm_s10, 14), __mm_s10)];
+  mm_float y2 = areaOfInterest->data[(MM_BOUND(areaOfInterest, 0, __mm_s10, 13), __mm_s10)];
+  mm_crumb_pop(__mm_crumb7);
+  int __mm_crumb8 = mm_crumb_push(14);
+  int x1 = 0;
   mm_crumb_pop(__mm_crumb8);
   int __mm_crumb9 = mm_crumb_push(15);
-  int x1 = 0;
+  int x2 = areaOfInterest->dims[0] - 1;
   mm_crumb_pop(__mm_crumb9);
   int __mm_crumb10 = mm_crumb_push(16);
-  int x2 = areaOfInterest->dims[0] - 1;
+  mm_float m = (y1 - y2) / (mm_float) (x1 - x2);
   mm_crumb_pop(__mm_crumb10);
   int __mm_crumb11 = mm_crumb_push(17);
-  mm_float m = (y1 - y2) / (mm_float) (x1 - x2);
+  mm_float b = y1 - m * (mm_float) x1;
   mm_crumb_pop(__mm_crumb11);
   int __mm_crumb12 = mm_crumb_push(18);
-  mm_float b = y1 - m * (mm_float) x1;
-  mm_crumb_pop(__mm_crumb12);
-  int __mm_crumb13 = mm_crumb_push(19);
   int __mm_n11 = x2 - x1 + 1;
   if (__mm_n11 < 0) {
     __mm_n11 = 0;
   }
-  mm_mat_int1 *__mm_rng12 = mm_alloc_int(1, __mm_n11);
-  int __mm_crumb14 = mm_crumb_push(20);
-  for (int __mm_i13 = 0; __mm_i13 < __mm_n11; __mm_i13++) {
-    __mm_rng12->data[__mm_i13] = x1 + __mm_i13;
+  mm_mat_float1 *__mm_ew16 = mm_alloc_float(1, __mm_n11);
+  int __mm_crumb13 = mm_crumb_push(19);
+  for (int __mm_i17 = 0; __mm_i17 < __mm_n11; __mm_i17++) {
+    __mm_ew16->data[__mm_i17] = (mm_float) (x1 + __mm_i17) * m + b;
   }
-  mm_crumb_pop(__mm_crumb14);
-  mm_mat_float1 *__mm_ew14 = mm_alloc_float(1, __mm_rng12->dims[0]);
-  int __mm_crumb15 = mm_crumb_push(21);
-  for (int __mm_i15 = 0; __mm_i15 < mm_size(__mm_rng12); __mm_i15++) {
-    __mm_ew14->data[__mm_i15] = (mm_float) __mm_rng12->data[__mm_i15] * m;
-  }
-  mm_crumb_pop(__mm_crumb15);
-  mm_mat_float1 *__mm_ew16 = mm_alloc_float(1, __mm_ew14->dims[0]);
-  int __mm_crumb16 = mm_crumb_push(22);
-  for (int __mm_i17 = 0; __mm_i17 < mm_size(__mm_ew14); __mm_i17++) {
-    __mm_ew16->data[__mm_i17] = __mm_ew14->data[__mm_i17] + b;
-  }
-  mm_crumb_pop(__mm_crumb16);
-  mm_mat_float1 *Line = __mm_ew16;
-  mm_rc_dec(__mm_ew14);
-  mm_rc_dec(__mm_rng12);
   mm_crumb_pop(__mm_crumb13);
-  int __mm_crumb17 = mm_crumb_push(23);
+  mm_mat_float1 *Line = __mm_ew16;
+  mm_crumb_pop(__mm_crumb12);
+  int __mm_crumb14 = mm_crumb_push(20);
   int __mm_s18 = Line->dims[0];
   mm_float __mm_acc19 = 0.0;
-  int __mm_crumb18 = mm_crumb_push(24);
+  int __mm_crumb15 = mm_crumb_push(21);
   for (int i = 0; i < __mm_s18; i++) {
-    __mm_acc19 = __mm_acc19 + (Line->data[i] - areaOfInterest->data[(MM_BOUND(areaOfInterest, 0, i, 25), i)]);
+    __mm_acc19 = __mm_acc19 + (Line->data[i] - areaOfInterest->data[(MM_BOUND(areaOfInterest, 0, i, 22), i)]);
   }
-  mm_crumb_pop(__mm_crumb18);
+  mm_crumb_pop(__mm_crumb15);
   mm_float area = __mm_acc19;
-  mm_crumb_pop(__mm_crumb17);
-  int __mm_crumb19 = mm_crumb_push(26);
+  mm_crumb_pop(__mm_crumb14);
+  int __mm_crumb16 = mm_crumb_push(23);
   int __mm_s20 = Line->dims[0];
   int __mm_s21 = Line->dims[0];
   mm_mat_float1 *__mm_gen22 = mm_alloc_float(1, __mm_s21);
-  int __mm_crumb20 = mm_crumb_push(27);
+  int __mm_crumb17 = mm_crumb_push(24);
   for (int i = 0; i < __mm_s20; i++) {
     __mm_gen22->data[i] = area;
   }
-  mm_crumb_pop(__mm_crumb20);
+  mm_crumb_pop(__mm_crumb17);
   mm_rc_dec(Line);
-  mm_crumb_pop(__mm_crumb19);
+  mm_crumb_pop(__mm_crumb16);
   return __mm_gen22;
 }
 
 mm_mat_float1 *scoreTS(mm_mat_float1 *ts) {
-  int __mm_crumb21 = mm_crumb_push(28);
+  int __mm_crumb18 = mm_crumb_push(25);
   mm_mat_float1 *__mm_initm25 = mm_alloc_float(1, ts->dims[0]);
   mm_mat_float1 *scores = __mm_initm25;
-  mm_crumb_pop(__mm_crumb21);
-  int __mm_crumb22 = mm_crumb_push(29);
+  mm_crumb_pop(__mm_crumb18);
+  int __mm_crumb19 = mm_crumb_push(26);
   int i = 0;
-  mm_crumb_pop(__mm_crumb22);
-  int __mm_crumb23 = mm_crumb_push(30);
+  mm_crumb_pop(__mm_crumb19);
+  int __mm_crumb20 = mm_crumb_push(27);
   while (true) {
     int __mm_s26 = i + 1;
-    if (!(ts->data[(MM_BOUND(ts, 0, i, 32), i)] < ts->data[(MM_BOUND(ts, 0, __mm_s26, 31), __mm_s26)])) {
+    if (!(ts->data[(MM_BOUND(ts, 0, i, 29), i)] < ts->data[(MM_BOUND(ts, 0, __mm_s26, 28), __mm_s26)])) {
       break;
     }
     i = i + 1;
   }
+  mm_crumb_pop(__mm_crumb20);
+  int __mm_crumb21 = mm_crumb_push(30);
+  int n = ts->dims[0];
+  mm_crumb_pop(__mm_crumb21);
+  int __mm_crumb22 = mm_crumb_push(31);
+  int beginning = 0;
+  mm_crumb_pop(__mm_crumb22);
+  int __mm_crumb23 = mm_crumb_push(32);
+  mm_mat_float1 *trough = NULL;
   mm_crumb_pop(__mm_crumb23);
   int __mm_crumb24 = mm_crumb_push(33);
-  int n = ts->dims[0];
-  mm_crumb_pop(__mm_crumb24);
-  int __mm_crumb25 = mm_crumb_push(34);
-  int beginning = 0;
-  mm_crumb_pop(__mm_crumb25);
-  int __mm_crumb26 = mm_crumb_push(35);
-  mm_mat_float1 *trough = NULL;
-  mm_crumb_pop(__mm_crumb26);
-  int __mm_crumb27 = mm_crumb_push(36);
   while (i < n - 1) {
     struct_mm_mat_float1_int_int __mm_call27 = getTrough(ts, i);
     struct_mm_mat_float1_int_int __mm_tup28 = __mm_call27;
@@ -225,53 +200,46 @@ mm_mat_float1 *scoreTS(mm_mat_float1 *ts) {
     if (__mm_n29 < 0) {
       __mm_n29 = 0;
     }
-    mm_mat_int1 *__mm_rng30 = mm_alloc_int(1, __mm_n29);
-    int __mm_crumb28 = mm_crumb_push(37);
-    for (int __mm_i31 = 0; __mm_i31 < __mm_n29; __mm_i31++) {
-      __mm_rng30->data[__mm_i31] = beginning + __mm_i31;
-    }
-    mm_crumb_pop(__mm_crumb28);
     mm_mat_float1 *__mm_call33 = computeArea(trough);
-    MM_SAME(__mm_call33->dims[0], mm_size(__mm_rng30), "assigned matrix disagrees with the selected region in dimension 0", 38);
-    int __mm_crumb29 = mm_crumb_push(38);
-    for (int __mm_o32 = 0; __mm_o32 < mm_size(__mm_rng30); __mm_o32++) {
-      MM_BOUND(scores, 0, __mm_rng30->data[__mm_o32], 39);
-      scores->data[__mm_rng30->data[__mm_o32]] = __mm_call33->data[__mm_o32];
+    MM_SAME(__mm_call33->dims[0], __mm_n29, "assigned matrix disagrees with the selected region in dimension 0", 34);
+    int __mm_crumb25 = mm_crumb_push(34);
+    for (int __mm_o32 = 0; __mm_o32 < __mm_n29; __mm_o32++) {
+      MM_BOUND(scores, 0, beginning + __mm_o32, 35);
+      scores->data[beginning + __mm_o32] = __mm_call33->data[__mm_o32];
     }
-    mm_crumb_pop(__mm_crumb29);
+    mm_crumb_pop(__mm_crumb25);
     mm_rc_dec(__mm_call33);
-    mm_rc_dec(__mm_rng30);
   }
-  mm_crumb_pop(__mm_crumb27);
-  int __mm_crumb30 = mm_crumb_push(40);
+  mm_crumb_pop(__mm_crumb24);
+  int __mm_crumb26 = mm_crumb_push(36);
   mm_rc_dec(trough);
-  mm_crumb_pop(__mm_crumb30);
+  mm_crumb_pop(__mm_crumb26);
   return scores;
 }
 
 int main(void) {
-  int __mm_crumb31 = mm_crumb_push(41);
+  int __mm_crumb27 = mm_crumb_push(37);
   mm_mat_float3 *__mm_rd34 = mm_read_matrix("ssh.data");
   mm_mat_float3 *data = __mm_rd34;
-  mm_crumb_pop(__mm_crumb31);
-  int __mm_crumb32 = mm_crumb_push(42);
+  mm_crumb_pop(__mm_crumb27);
+  int __mm_crumb28 = mm_crumb_push(38);
   mm_mat_float3 *__mm_mmapr35 = mm_alloc_float(3, data->dims[0], data->dims[1], data->dims[2]);
   int __mm_total40 = data->dims[0] * data->dims[1];
-  int __mm_crumb33 = mm_crumb_push(43);
+  int __mm_crumb29 = mm_crumb_push(39);
   #pragma omp parallel for
   for (int __mm_t41 = 0; __mm_t41 < __mm_total40; __mm_t41++) {
     __mm_mmap_scoreTS36(data, __mm_mmapr35, __mm_t41);
   }
-  mm_crumb_pop(__mm_crumb33);
+  mm_crumb_pop(__mm_crumb29);
   mm_mat_float3 *scores = __mm_mmapr35;
-  mm_crumb_pop(__mm_crumb32);
-  int __mm_crumb34 = mm_crumb_push(44);
+  mm_crumb_pop(__mm_crumb28);
+  int __mm_crumb30 = mm_crumb_push(40);
   mm_write_matrix("temporalScores.data", scores);
-  mm_crumb_pop(__mm_crumb34);
-  int __mm_crumb35 = mm_crumb_push(45);
+  mm_crumb_pop(__mm_crumb30);
+  int __mm_crumb31 = mm_crumb_push(41);
   mm_rc_dec(scores);
   mm_rc_dec(data);
-  mm_crumb_pop(__mm_crumb35);
+  mm_crumb_pop(__mm_crumb31);
   return 0;
 }
 
@@ -282,18 +250,18 @@ void __mm_mmap_scoreTS36(mm_mat_float3 *m, mm_mat_float3 *r, int t) {
   int c0 = __mm_rem37 % m->dims[0];
   __mm_rem37 = __mm_rem37 / m->dims[0];
   mm_mat_float1 *__mm_slice38 = mm_alloc_float(1, m->dims[2]);
-  int __mm_crumb36 = mm_crumb_push(43);
+  int __mm_crumb32 = mm_crumb_push(39);
   for (int o2 = 0; o2 < m->dims[2]; o2++) {
     __mm_slice38->data[o2] = m->data[(c0 * m->dims[1] + c1) * m->dims[2] + o2];
   }
-  mm_crumb_pop(__mm_crumb36);
+  mm_crumb_pop(__mm_crumb32);
   mm_mat_float1 *__mm_out39 = scoreTS(__mm_slice38);
-  MM_SAME(__mm_out39->dims[0], m->dims[2], "result of 'scoreTS' disagrees with its fiber in dimension 0", 43);
-  int __mm_crumb37 = mm_crumb_push(43);
+  MM_SAME(__mm_out39->dims[0], m->dims[2], "result of 'scoreTS' disagrees with its fiber in dimension 0", 39);
+  int __mm_crumb33 = mm_crumb_push(39);
   for (int o2 = 0; o2 < m->dims[2]; o2++) {
     r->data[(c0 * m->dims[1] + c1) * m->dims[2] + o2] = __mm_out39->data[o2];
   }
-  mm_crumb_pop(__mm_crumb37);
+  mm_crumb_pop(__mm_crumb33);
   mm_rc_dec(__mm_slice38);
   mm_rc_dec(__mm_out39);
   return;

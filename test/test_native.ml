@@ -1201,6 +1201,191 @@ int main() {
       Alcotest.failf "emit failed: %s" (Driver.diags_to_string ds));
   both_return ~name:"checked vectorize" ~expect:992 src
 
+(* --- with-loop folding ---------------------------------------------------------- *)
+
+(* The fuse pass's folding remarks for [src], as (kind, message). *)
+let fold_remarks src =
+  let folding m =
+    String.starts_with ~prefix:"range " m
+    || String.starts_with ~prefix:"elementwise result " m
+  in
+  match Driver.explain full src with
+  | Driver.Ok_ _, report ->
+      List.filter_map
+        (fun (r : Support.Remark.t) ->
+          if r.pass = "fuse" && folding r.message then Some (r.kind, r.message)
+          else None)
+        report.Driver.Explain_report.remarks
+  | Driver.Failed ds, _ ->
+      Alcotest.failf "explain failed: %s" (Driver.diags_to_string ds)
+
+let count_kind kind rs = List.length (List.filter (fun (k, _) -> k = kind) rs)
+
+(* A three-operator chain assigned into a range, a range read, and a
+   product assigned into a range.  The ranges and the chain's first two
+   results are each read by one loop, so they are computed there; the
+   chain's last result and the product stay, since the loop reading
+   them writes a named matrix that might share a buffer with what they
+   read. *)
+let fold_src =
+  {|
+int main() {
+  Matrix float <1> a = with ([0] <= [i] < [9]) genarray([9], (float) i * 0.5);
+  Matrix float <1> b = with ([0] <= [i] < [9]) genarray([9], 3.0 - (float) i);
+  Matrix float <1> c = with ([0] <= [i] < [9]) genarray([9], (float)(i * i) / 7.0);
+  Matrix float <1> r = init(Matrix float <1>, 12);
+  r[2::10] = a * 1.5 + b - c;
+  Matrix int <1> v = with ([0] <= [i] < [12]) genarray([12], i * i - 3 * i);
+  int lo = 2;
+  int hi = 7;
+  Matrix int <1> w = v[lo::hi];
+  Matrix int <1> s = init(Matrix int <1>, 12);
+  int from = hi - 1;
+  int to = hi + 4;
+  s[from::to] = w * 3;
+  writeMatrix("r.data", r);
+  writeMatrix("w.data", w);
+  writeMatrix("s.data", s);
+  return s[7] + w[0];
+}
+|}
+
+let test_fold_chain_and_ranges () =
+  let rs = fold_remarks fold_src in
+  Alcotest.(check int) "three ranges and two links of the chain fold" 5
+    (count_kind Support.Remark.Applied rs);
+  Alcotest.(check (list string)) "the results written into a range stay"
+    [
+      "elementwise result keeps its temporary: a matrix written in the loop \
+       that reads it may share a buffer with one it reads";
+      "elementwise result keeps its temporary: a matrix written in the loop \
+       that reads it may share a buffer with one it reads";
+    ]
+    (List.filter_map
+       (fun (k, m) -> if k = Support.Remark.Missed then Some m else None)
+       rs);
+  (match Driver.compile_to_c full fold_src with
+  | Driver.Ok_ c ->
+      Alcotest.(check bool) "no index vector is allocated" false
+        (is_infix ~affix:"__mm_rng" c)
+  | Driver.Failed ds -> Alcotest.failf "emit failed: %s" (Driver.diags_to_string ds));
+  List.iter
+    (fun threads ->
+      differential
+        ~name:(Printf.sprintf "folds/%d threads" threads)
+        ~auto_par:(threads > 1) ~threads ~inputs:[]
+        ~outputs:[ "r.data"; "w.data"; "s.data" ] fold_src)
+    [ 1; 2 ]
+
+(* Temporaries that must keep their allocation, each with the reason
+   its Missed remark names: a mask two loops read, and a product whose
+   input a call writes before the sum that reads it. *)
+let kept_src =
+  {|
+Matrix int <1> bump(Matrix int <1> v) {
+  v[0] = 100;
+  return with ([0] <= [i] < [dimSize(v, 0)]) genarray([dimSize(v, 0)], 1);
+}
+
+int main() {
+  Matrix int <1> v = with ([0] <= [i] < [10]) genarray([10], i * 7 % 10);
+  Matrix int <1> big = v[v > 4];
+  Matrix int <1> r = v * 2 + bump(v);
+  writeMatrix("big.data", big);
+  writeMatrix("r.data", r);
+  return r[0] * 1000 + v[0];
+}
+|}
+
+let test_fold_kept () =
+  let rs = fold_remarks kept_src in
+  let missed_with affix =
+    List.exists
+      (fun (k, m) -> k = Support.Remark.Missed && is_infix ~affix m)
+      rs
+  in
+  Alcotest.(check bool) "the mask is read by two loops" true
+    (missed_with "2 statements read it");
+  Alcotest.(check bool) "the call may write what the product reads" true
+    (missed_with
+       "the call to 'bump' before the loop that reads it may write a matrix \
+        it reads");
+  both_return ~name:"call writes the product's input" ~expect:1100 kept_src;
+  List.iter
+    (fun threads ->
+      differential
+        ~name:(Printf.sprintf "kept/%d threads" threads)
+        ~auto_par:(threads > 1) ~threads ~inputs:[]
+        ~outputs:[ "big.data"; "r.data" ] kept_src)
+    [ 1; 2 ]
+
+(* A folded chain whose last operand has another shape fails with the
+   unfolded program's message, at its span, in both backends. *)
+let test_fold_shape_error () =
+  let src =
+    {|
+int main() {
+  Matrix int <1> a = with ([0] <= [i] < [5]) genarray([5], i);
+  Matrix int <1> b = with ([0] <= [i] < [5]) genarray([5], 2 * i);
+  Matrix int <1> c = with ([0] <= [i] < [4]) genarray([4], 1);
+  Matrix int <1> r = init(Matrix int <1>, 5);
+  r[0::4] = a * 2 + b - c;
+  return r[0];
+}
+|}
+  in
+  let expected = "operands of '-' disagree in dimension 0: 5 against 4" in
+  let diag ~backend = function
+    | Driver.Ok_ _ -> Alcotest.failf "%s succeeded" backend
+    | Driver.Failed (d :: _) ->
+        Alcotest.(check string) (backend ^ " names the fault") expected
+          d.Support.Diag.message;
+        Support.Pos.span_to_string d.Support.Diag.span
+    | Driver.Failed [] -> Alcotest.failf "%s failed silently" backend
+  in
+  let config fuse = Driver.Pipeline.enable (Driver.default_config full) "fuse" fuse in
+  let unfolded = diag ~backend:"unfolded interpreter" (Driver.run ~config:(config false) full src []) in
+  Alcotest.(check bool) "the chain folds" true
+    (count_kind Support.Remark.Applied (fold_remarks src) >= 2);
+  List.iter
+    (fun threads ->
+      let interp =
+        diag ~backend:"interpreter"
+          (if threads > 1 then
+             Runtime.Pool.with_pool threads (fun pool -> Driver.run ~pool full src [])
+           else Driver.run full src [])
+      in
+      let native =
+        diag ~backend:"binary"
+          (Driver.exec ~threads ~cache_dir:(Lazy.force suite_cache)
+             (Driver.Composed full) src)
+      in
+      Alcotest.(check string) "the unfolded program's span" unfolded interp;
+      Alcotest.(check string) "same span in both backends" interp native)
+    [ 1; 2 ]
+
+(* Generated programs compile with -ffp-contract=off: under
+   -march=native on a host with FMA, a folded [x * m + b] is still two
+   roundings, as in the interpreter. *)
+let test_march_native_mul_add () =
+  ignore (ensure_cc ());
+  match Native.Toolchain.probe ~cflags:[ "-march=native" ] () with
+  | Error e ->
+      Printf.printf "SKIP: cc rejects -march=native (%s)\n%!"
+        (Native.Toolchain.describe_error e)
+  | Ok _ ->
+      differential ~name:"mul-add under -march=native" ~cflags:[ "-march=native" ]
+        ~inputs:[] ~outputs:[ "y.data" ]
+        {|
+float main() {
+  Matrix float <1> x = with ([0] <= [i] < [97]) genarray([97], (float) i / 7.0 + 0.1);
+  Matrix float <1> y = init(Matrix float <1>, 97);
+  y[0::96] = x * 1.1 + 0.3;
+  writeMatrix("y.data", y);
+  return with ([0] <= [i] < [97]) fold (+, 0f, y[i] * 0.7 + x[i]);
+}
+|}
+
 (* A diagnostic with no location prints none: a --cc that runs but
    fails is a native-compile error with no "1:1-1:" prefix. *)
 let test_unlocated_diagnostic () =
@@ -1289,4 +1474,11 @@ let suite =
       `Quick test_short_circuit_operands;
     Alcotest.test_case "an if condition's temporaries are released" `Quick
       test_if_condition_temporaries;
+    Alcotest.test_case "folded chains and ranges agree at 1 and 2 threads"
+      `Quick test_fold_chain_and_ranges;
+    Alcotest.test_case "temporaries a fold must keep" `Quick test_fold_kept;
+    Alcotest.test_case "a folded chain's shape error" `Quick
+      test_fold_shape_error;
+    Alcotest.test_case "mul-add chain bit for bit under -march=native" `Quick
+      test_march_native_mul_add;
   ]

@@ -706,6 +706,37 @@ let diag_of ~src = function
 
 (* --- sanitizer builds ------------------------------------------------------ *)
 
+(* A 12x14x8 cube whose every series climbs, then dips three times, so
+   fig8's trough loop, with its folded ranges and chain, runs. *)
+let fig8_cube () =
+  let series = [| 3.; 1.; 2.; 5.; 0.; 4.; 1.; 6. |] in
+  Nd.init_float [| 12; 14; 8 |] (fun ix ->
+      series.(ix.(2)) +. (0.01 *. float_of_int (ix.(0) + ix.(1))))
+
+(* fig8 under [-fsanitize=mode], any report fatal, writes the scores the
+   interpreter writes, byte for byte. *)
+let check_fig8_sanitized mode =
+  let dir_i = fresh_dir () and dir_n = fresh_dir () in
+  List.iter
+    (fun dir -> Interp.Eval.provide_input ~dir "ssh.data" (fig8_cube ()))
+    [ dir_i; dir_n ];
+  let src = Eddy.Programs.fig8_scoring in
+  (match Driver.run ~dir:dir_i full src [] with
+  | Driver.Ok_ _ -> ()
+  | Driver.Failed ds -> Alcotest.failf "fig8: interp failed: %s" (Driver.diags_to_string ds));
+  (match
+     Driver.exec ~dir:dir_n ~cache_dir:(Lazy.force suite_cache) ~sanitize:mode
+       ~cflags:[ "-fno-sanitize-recover=all" ] (Driver.Composed full) src
+   with
+  | Driver.Ok_ _ -> ()
+  | Driver.Failed ds ->
+      Alcotest.failf "-fsanitize=%s: fig8 failed: %s" mode (Driver.diags_to_string ds));
+  Alcotest.(check bool)
+    (Printf.sprintf "-fsanitize=%s: fig8's scores match the interpreter's" mode)
+    true
+    (Test_native.data_bytes ~dir:dir_i "temporalScores.data"
+    = Test_native.data_bytes ~dir:dir_n "temporalScores.data")
+
 let test_sanitized_corpus_runs () =
   with_deadline ~secs:300 "sanitized runs" @@ fun () ->
   ignore (ensure_cc ());
@@ -749,7 +780,7 @@ let test_sanitized_corpus_runs () =
                   Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache)
                     ~sanitize:mode (Driver.Composed full) Test_native.roundtrip_src);
               (* ... and on files it must reject: the diagnostic comes
-                 from mm_fatal, not from the sanitizer *)
+                 from the runtime, not from the sanitizer *)
               List.iter
                 (fun ((_, ty, _) as k) ->
                   let src = read_src ty in
@@ -774,7 +805,8 @@ let test_sanitized_corpus_runs () =
                         && (not (contains text "Sanitizer"))
                         && not (contains text "runtime error")))
                     (payload_faults k))
-                layout_kinds))
+                layout_kinds;
+              check_fig8_sanitized mode))
     [ "address"; "undefined" ]
 
 (* A plain exec, a profiled exec and an address-sanitized exec of one
@@ -873,6 +905,51 @@ let test_file_layout_parity () =
             (run_both src bytes))
         (corrupt_files k))
     layout_kinds
+
+(* A file that cannot be opened fails both backends with one
+   diagnostic: the span of the statement doing the I/O, the file's full
+   path and the system's reason.  A missing input, and an output whose
+   name is taken by a directory. *)
+let test_unopenable_file_parity () =
+  ignore (ensure_cc ());
+  let diag backend = function
+    | Driver.Failed [ d ] ->
+        (Support.Pos.span_to_string d.Support.Diag.span, d.Support.Diag.message)
+    | Driver.Failed ds ->
+        Alcotest.failf "%s: %d diagnostics: %s" backend (List.length ds)
+          (Driver.diags_to_string ds)
+    | Driver.Ok_ _ -> Alcotest.failf "%s opened the file" backend
+  in
+  let both ~dir src =
+    let interp = diag "interpreter" (Driver.run ~dir full src []) in
+    let native =
+      diag "binary"
+        (Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache)
+           (Driver.Composed full) src)
+    in
+    Alcotest.(check (pair string string)) "one diagnostic in both backends"
+      interp native;
+    native
+  in
+  let expect ~dir ~span what file reason (got_span, message) =
+    let file = Filename.concat (Unix.realpath dir) file in
+    Alcotest.(check string) (what ^ ": the statement's span") span got_span;
+    Alcotest.(check string) (what ^ ": full path and reason")
+      (Printf.sprintf "%s %S: cannot open: %s: %s" what file file reason)
+      message
+  in
+  let dir = fresh_dir () in
+  expect ~dir ~span:"3:3-48" "readMatrix" "ssh.data" "No such file or directory"
+    (both ~dir Eddy.Programs.fig1_temporal_mean);
+  let dir = fresh_dir () in
+  Sys.mkdir (Filename.concat dir "out.data") 0o755;
+  expect ~dir ~span:"3:3-29" "writeMatrix" "out.data" "Is a directory"
+    (both ~dir
+       "int main() {\n\
+       \  Matrix int <1> v = with ([0] <= [i] < [4]) genarray([4], i);\n\
+       \  writeMatrix(\"out.data\", v);\n\
+       \  return 1;\n\
+        }\n")
 
 (* --- checked emission is warning-clean -------------------------------------- *)
 
@@ -1114,6 +1191,8 @@ let suite =
       test_native_fault_matrix;
     Alcotest.test_case "acceptance: native fault fails once" `Quick
       test_eddy_native_fault_acceptance;
+    Alcotest.test_case "an unopenable file: one diagnostic, both backends"
+      `Quick test_unopenable_file_parity;
     Alcotest.test_case "readMatrix: one file layout, both backends" `Quick
       test_file_layout_parity;
     Alcotest.test_case "data dir: a missing one fails both backends" `Quick
