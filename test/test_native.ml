@@ -1319,11 +1319,15 @@ let test_fold_kept () =
         ~outputs:[ "big.data"; "r.data" ] kept_src)
     [ 1; 2 ]
 
-(* A folded chain whose last operand has another shape fails with the
-   unfolded program's message, at its span, in both backends. *)
-let test_fold_shape_error () =
-  let src =
-    {|
+(* Folding moves no failure: a chain whose last operand has another
+   shape fails with the unfolded program's message at its span, and an
+   integer division by zero, which never folds, at the division's span,
+   in both backends at 1 and 2 threads.  (The backends word the
+   division differently: the binary dies of SIGFPE.) *)
+let fold_failures =
+  [
+    ( "shape",
+      {|
 int main() {
   Matrix int <1> a = with ([0] <= [i] < [5]) genarray([5], i);
   Matrix int <1> b = with ([0] <= [i] < [5]) genarray([5], 2 * i);
@@ -1332,37 +1336,67 @@ int main() {
   r[0::4] = a * 2 + b - c;
   return r[0];
 }
-|}
+|},
+      Some "operands of '-' disagree in dimension 0: 5 against 4" );
+    ( "division by zero",
+      {|
+int main() {
+  Matrix int <1> v = with ([0] <= [i] < [5]) genarray([5], i + 1);
+  Matrix int <1> z = with ([0] <= [i] < [5]) genarray([5], 3 - i);
+  Matrix int <1> r = init(Matrix int <1>, 5);
+  r[0::4] = v / z + 1;
+  return r[0];
+}
+|},
+      None );
+  ]
+
+let test_fold_failures () =
+  let config fuse =
+    Driver.Pipeline.enable (Driver.default_config full) "fuse" fuse
   in
-  let expected = "operands of '-' disagree in dimension 0: 5 against 4" in
-  let diag ~backend = function
-    | Driver.Ok_ _ -> Alcotest.failf "%s succeeded" backend
-    | Driver.Failed (d :: _) ->
-        Alcotest.(check string) (backend ^ " names the fault") expected
-          d.Support.Diag.message;
-        Support.Pos.span_to_string d.Support.Diag.span
-    | Driver.Failed [] -> Alcotest.failf "%s failed silently" backend
-  in
-  let config fuse = Driver.Pipeline.enable (Driver.default_config full) "fuse" fuse in
-  let unfolded = diag ~backend:"unfolded interpreter" (Driver.run ~config:(config false) full src []) in
-  Alcotest.(check bool) "the chain folds" true
-    (count_kind Support.Remark.Applied (fold_remarks src) >= 2);
   List.iter
-    (fun threads ->
-      let interp =
-        diag ~backend:"interpreter"
-          (if threads > 1 then
-             Runtime.Pool.with_pool threads (fun pool -> Driver.run ~pool full src [])
-           else Driver.run full src [])
+    (fun (name, src, message) ->
+      let span ~backend = function
+        | Driver.Ok_ _ -> Alcotest.failf "%s: %s succeeded" name backend
+        | Driver.Failed (d :: _) ->
+            Option.iter
+              (fun m ->
+                Alcotest.(check string)
+                  (Printf.sprintf "%s: %s names the fault" name backend)
+                  m d.Support.Diag.message)
+              message;
+            Support.Pos.span_to_string d.Support.Diag.span
+        | Driver.Failed [] -> Alcotest.failf "%s: %s failed silently" name backend
       in
-      let native =
-        diag ~backend:"binary"
-          (Driver.exec ~threads ~cache_dir:(Lazy.force suite_cache)
-             (Driver.Composed full) src)
+      let unfolded =
+        span ~backend:"unfolded interpreter"
+          (Driver.run ~config:(config false) full src [])
       in
-      Alcotest.(check string) "the unfolded program's span" unfolded interp;
-      Alcotest.(check string) "same span in both backends" interp native)
-    [ 1; 2 ]
+      List.iter
+        (fun threads ->
+          let interp =
+            span ~backend:"interpreter"
+              (if threads > 1 then
+                 Runtime.Pool.with_pool threads (fun pool ->
+                     Driver.run ~pool full src [])
+               else Driver.run full src [])
+          in
+          let native =
+            span ~backend:"binary"
+              (Driver.exec ~threads ~cache_dir:(Lazy.force suite_cache)
+                 (Driver.Composed full) src)
+          in
+          Alcotest.(check string) (name ^ ": the unfolded program's span")
+            unfolded interp;
+          Alcotest.(check string) (name ^ ": same span in both backends")
+            interp native)
+        [ 1; 2 ])
+    fold_failures;
+  Alcotest.(check bool) "the shape case's chain folds" true
+    (count_kind Support.Remark.Applied
+       (fold_remarks (let _, src, _ = List.hd fold_failures in src))
+    >= 2)
 
 (* Generated programs compile with -ffp-contract=off: under
    -march=native on a host with FMA, a folded [x * m + b] is still two
@@ -1477,8 +1511,8 @@ let suite =
     Alcotest.test_case "folded chains and ranges agree at 1 and 2 threads"
       `Quick test_fold_chain_and_ranges;
     Alcotest.test_case "temporaries a fold must keep" `Quick test_fold_kept;
-    Alcotest.test_case "a folded chain's shape error" `Quick
-      test_fold_shape_error;
+    Alcotest.test_case "a folded chain fails where the unfolded one does"
+      `Quick test_fold_failures;
     Alcotest.test_case "mul-add chain bit for bit under -march=native" `Quick
       test_march_native_mul_add;
   ]
