@@ -1191,8 +1191,6 @@ let suite =
       test_native_fault_matrix;
     Alcotest.test_case "acceptance: native fault fails once" `Quick
       test_eddy_native_fault_acceptance;
-    Alcotest.test_case "an unopenable file: one diagnostic, both backends"
-      `Quick test_unopenable_file_parity;
     Alcotest.test_case "readMatrix: one file layout, both backends" `Quick
       test_file_layout_parity;
     Alcotest.test_case "data dir: a missing one fails both backends" `Quick
@@ -1211,4 +1209,6 @@ let suite =
       `Quick test_high_exit_code;
     Alcotest.test_case "cache: a loader and a program per configuration"
       `Quick test_cache_layout_per_configuration;
+    Alcotest.test_case "an unopenable file: one diagnostic, both backends"
+      `Quick test_unopenable_file_parity;
   ]
