@@ -223,6 +223,10 @@ and check st = function
   | Null { m; span } ->
       Printf.sprintf "MM_NOT_NULL(%s, %d)" (expr st ~prec:0 m)
         (span_id st (Support.Pos.span_to_string span))
+  | Dim { m; rank; index; span } ->
+      Printf.sprintf "MM_DIM(%s, %d, %s, %d)" (expr st ~prec:0 m) rank
+        (expr st ~prec:0 index)
+        (span_id st (Support.Pos.span_to_string span))
 
 let rec lvalue = function
   | LVar v -> v

@@ -78,6 +78,9 @@ and check =
       (** two extents an operation needs to agree: [a = b] *)
   | Null of { m : expr; span : Support.Pos.span }
       (** [m] is not NULL: an operation is about to read its extents *)
+  | Dim of { m : expr; rank : int; index : expr; span : Support.Pos.span }
+      (** a computed [dimSize] dimension names one of [m]'s:
+          [0 <= index < rank], [m]'s static rank *)
 
 (** The report of a failed check: both backends print exactly this text
     (mm_runtime.c words the same formats). *)
@@ -88,6 +91,10 @@ let bound_message ~index ~dim ~extent =
     dim extent
 
 let same_message ~what a b = Printf.sprintf "%s: %d against %d" what a b
+
+let dim_message ~index shape =
+  Printf.sprintf "dimSize: dimension %d out of range for %s" index
+    (Runtime.Shape.to_string shape)
 
 type lvalue = LVar of string | LField of lvalue * int
 
@@ -199,6 +206,7 @@ and map_check r = function
   | Bound c -> Bound { c with m = r c.m; index = r c.index }
   | Same c -> Same { c with a = r c.a; b = r c.b }
   | Null c -> Null { c with m = r c.m }
+  | Dim c -> Dim { c with m = r c.m; index = r c.index }
 
 (** [map_stmts fe fs stmts] — bottom-up rewrite of statements ([fs]) with
     expressions rewritten by [fe]. *)
@@ -265,6 +273,9 @@ and iter_check r = function
       r c.a;
       r c.b
   | Null c -> r c.m
+  | Dim c ->
+      r c.m;
+      r c.index
 
 (** [iter_stmts fe fs stmts] — [fe] on every expression node and [fs]
     on every statement of [stmts], nested ones included, children first,

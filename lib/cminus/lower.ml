@@ -187,6 +187,19 @@ let drain_pending t =
   t.pending <- [];
   rel
 
+(** [own_pending t f] runs [f] with no temporary pending and returns
+    its result with the releases of the temporaries [f] left pending;
+    those pending before are pending again after.  A loop body that
+    makes temporaries releases them in the loop, where they are in
+    scope. *)
+let own_pending t f =
+  let outer = t.pending in
+  t.pending <- [];
+  let r = f () in
+  let release = drain_pending t in
+  t.pending <- outer;
+  (r, release)
+
 let pop_scope t =
   let sc = List.hd t.scopes in
   t.scopes <- List.tl t.scopes;
@@ -569,9 +582,12 @@ let rec lower_stmt t (st : Ast.stmt) : stmt list =
                 t.pending <- List.filter (fun x -> x <> v) t.pending
               else except := v :: !except)
             (transfer_vars rty ee);
+        (* converted to the declared type as an initialiser is: C does it
+           implicitly, the interpreter only when told *)
+        let fty = resolve_ty t t.cur_fun.Ast.ret t.cur_fun.Ast.fspan in
         se @ bind @ !retain @ drain_pending t
         @ release_for_return t ~except:!except
-        @ [ Return (Some ret_expr) ]
+        @ [ Return (Some (coerce ~from:rty ~to_:fty ret_expr)) ]
     | Ast.BreakS -> release_for_break t @ [ Break ]
     | Ast.ContinueS -> release_for_break t @ [ Continue ]
     | Ast.ExprStmt e ->

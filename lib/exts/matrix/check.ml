@@ -207,16 +207,32 @@ let h_call t (name : string) (args : A.expr list) span
   | "dimSize" -> (
       match args with
       | [ m; d ] ->
-          (match C.check_expr t m with
-          | T.TMat _ -> ()
-          | ty ->
-              C.error t m.A.espan "dimSize expects a matrix, got %s"
-                (T.to_string ty));
+          let rank =
+            match C.check_expr t m with
+            | T.TMat (_, r) -> Some r
+            | ty ->
+                C.error t m.A.espan "dimSize expects a matrix, got %s"
+                  (T.to_string ty);
+                None
+          in
           (match C.check_expr t d with
           | T.TInt -> ()
           | ty ->
               C.error t d.A.espan "dimSize expects an int dimension, got %s"
                 (T.to_string ty));
+          (* a literal dimension is checked here; lowering checks a
+             computed one where it runs *)
+          let literal =
+            match d.A.e with
+            | A.IntLit k -> Some k
+            | A.Un (A.UNeg, { A.e = A.IntLit k; _ }) -> Some (-k)
+            | _ -> None
+          in
+          (match (rank, literal) with
+          | Some r, Some k when k < 0 || k >= r ->
+              C.error t d.A.espan
+                "dimSize: dimension %d out of range for a rank-%d matrix" k r
+          | _ -> ());
           Some T.TInt
       | _ ->
           C.error t span "dimSize expects (matrix, dimension)";

@@ -1313,6 +1313,13 @@ let build_nest ?prov loops inner =
   in
   go loops
 
+(* A with-loop body, lowered with the generator's indices bound: its
+   statements and value, and the releases of the temporaries it made,
+   which the caller places in the loop after the value's use. *)
+let lower_body t (gen : Nodes.generator) body =
+  L.own_pending t (fun () ->
+      L.binding t gen.Nodes.ids (fun () -> L.lower_expr t body))
+
 let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
     span : stmt list * expr =
   let prelude, loops, actual, bounds = lower_generator t gen in
@@ -1330,15 +1337,15 @@ let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
           ([], []) shape
       in
       let r = L.fresh t "gen" in
-      let sbody, ebody =
-        L.binding t gen.Nodes.ids (fun () -> L.lower_expr t body)
-      in
+      let (sbody, ebody), release = lower_body t gen body in
       let ebody =
         match (ety body, out_elem) with
         | T.TInt, Nd.EFloat -> Unop (FloatOfInt, ebody)
         | _ -> ebody
       in
-      let inner = sbody @ [ MSetFlat (Var r, flat_offset eshape actual, ebody) ] in
+      let inner =
+        sbody @ (MSetFlat (Var r, flat_offset eshape actual, ebody) :: release)
+      in
       let nest = build_nest ~prov:span loops inner in
       let nest =
         [ Site (Sites.AutoPar { kind = Sites.WithGen; span }, nest) ]
@@ -1386,9 +1393,7 @@ let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
         | T.TInt, T.TFloat -> Unop (FloatOfInt, ebase)
         | _ -> ebase
       in
-      let sbody, ebody =
-        L.binding t gen.Nodes.ids (fun () -> L.lower_expr t body)
-      in
+      let (sbody, ebody), release = lower_body t gen body in
       let ebody =
         match (ety body, rty) with
         | T.TInt, T.TFloat -> Unop (FloatOfInt, ebody)
@@ -1411,7 +1416,7 @@ let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
               If (Var acc <: Var v, [ Assign (LVar acc, Var v) ], []);
             ]
       in
-      let inner = sbody @ update in
+      let inner = sbody @ update @ release in
       (* folds stay sequential inside each genarray element (Fig 3): the
          auto-par pass never promotes a FoldAcc site — iterations race on
          the accumulator — but still owns the remark. *)
@@ -1587,10 +1592,18 @@ let h_expr t (ext : A.ext_expr) (rty : T.ty) span : (stmt list * expr) option =
 let h_call t (name : string) (args : A.expr list) (rty : T.ty) span
     ~expected:_ : (stmt list * expr) option =
   match (name, args) with
-  | "dimSize", [ m; d ] ->
+  | "dimSize", [ m; d ] -> (
       let sm, vm = lower_operand t ~span m in
-      let sd, ed = L.lower_expr t d in
-      Some (sm @ sd, MDim (Var vm, ed))
+      match (L.lower_expr t d, ety m) with
+      | (sd, (Int _ as ed)), _ ->
+          (* the checker has bounded a literal dimension *)
+          Some (sm @ sd, MDim (Var vm, ed))
+      | sed, T.TMat (_, rank) ->
+          let sd, ed = bind_scalar t sed T.TInt in
+          Some
+            ( sm @ sd @ [ Check (Dim { m = Var vm; rank; index = ed; span }) ],
+              MDim (Var vm, ed) )
+      | _ -> None)
   | "readMatrix", [ { A.e = A.StrLit path; _ } ] ->
       let tmp = L.fresh t "rd" in
       L.add_pending t tmp;

@@ -461,7 +461,7 @@ and subscript cx sc me off =
                | Bound { dim; index; span; _ } ->
                    let index = scalar cx sc index in
                    Some (fun fr m -> in_bounds m ~dim ~span (S.to_int (index fr)))
-               | Same _ | Null _ -> None)
+               | Same _ | Null _ | Dim _ -> None)
              cs)
       in
       Some
@@ -500,6 +500,18 @@ and check cx sc (c : check) : frame -> unit =
         match m fr with
         | VNull -> raise (Runtime_error (null_message, span))
         | _ -> ())
+  | Dim { m; rank; index; span } ->
+      let m = expr cx sc m and index = scalar cx sc index in
+      fun fr ->
+        let index = S.to_int (index fr) in
+        if index < 0 || index >= rank then
+          match m fr with
+          | VMat rc ->
+              raise
+                (Runtime_error
+                   (dim_message ~index (Nd.shape (Runtime.Rc.get rc)), span))
+          | VNull -> raise (Runtime_error (null_message, span))
+          | v -> err "expected matrix, got %a" pp_value v
 
 (* A statement list in scope [sc]: [Decl]s bind in [sc] itself, for the
    statements after them. *)

@@ -150,16 +150,22 @@ let to_string m = Fmt.str "%a" pp m
 
 (* --- matrix files (readMatrix / writeMatrix builtins) --------------------- *)
 
-(* MMAT2: [magic], the kind byte ('f', 'i' or 'b'), the rank and each
-   extent as 4-byte big-endian ints, then the elements as raw
-   little-endian values: a float as its IEEE-754 binary64 bits (so NaN
-   payloads and -0.0 survive), an int as int64, a bool as one byte 0 or
-   1.  runtime/c/mm_runtime.c reads and writes the same bytes, and both
-   backends reject the same files.  Elements move through one
+(* MMAT3: [magic], the kind byte ('f', 'i' or 'b'), the rank and each
+   extent as 4-byte big-endian ints, zero bytes up to the next multiple
+   of 64 ([payload_offset]), then the elements as raw little-endian
+   values: a float as its IEEE-754 binary64 bits (so NaN payloads and
+   -0.0 survive), an int as int64, a bool as one byte 0 or 1.
+   runtime/c/mm_runtime.c reads and writes the same bytes, and both
+   backends reject the same files; the padding lets it map a float
+   payload instead of copying it.  Elements move through one
    [io_chunk]-byte buffer in each direction, so a file of any size costs
    one chunk beyond the matrix itself. *)
-let magic = "MMAT2\n"
+let magic = "MMAT3\n"
 let io_chunk = 65536
+
+(** [payload_offset rank] — where an MMAT3 payload starts: the header's
+    [11 + 4 * rank] bytes rounded up to a multiple of 64. *)
+let payload_offset rank = (11 + (4 * rank) + 63) land lnot 63
 
 (* [chunks n ~width f] calls [f i k] for consecutive runs [i, i+k) of
    [n] elements of [width] bytes, each run filling at most one chunk. *)
@@ -174,47 +180,77 @@ let chunks n ~width f =
   in
   go 0
 
-(** [write_file path m] — the [writeMatrix] builtin: an MMAT2 file.  A
-    file that cannot be opened raises {!Io_error}, worded as the native
-    runtime words it. *)
+(* Distinguishes the temporary files of concurrent writers in one
+   process; the pid distinguishes processes. *)
+let tmp_seq = Atomic.make 0
+
+(** [write_file path m] — the [writeMatrix] builtin: an MMAT3 file.  It
+    is written as a uniquely named temporary file beside [path], with the
+    permissions a new file gets, and renamed over [path], so a file the
+    native runtime has mapped is replaced, never truncated under the
+    mapping.  A target that cannot be replaced raises {!Io_error} naming
+    it, worded as the native runtime words it, and the temporary file is
+    removed. *)
 let write_file path m =
-  let oc =
-    try open_out_bin path
-    with Sys_error e -> io_err "writeMatrix %S: cannot open: %s" path e
+  let cannot_open e =
+    io_err "writeMatrix %S: cannot open: %s: %s" path path
+      (Unix.error_message e)
   in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic;
-      let kind = match elem m with EFloat -> 'f' | EInt -> 'i' | EBool -> 'b' in
-      output_char oc kind;
-      output_binary_int oc (rank m);
-      Array.iter (output_binary_int oc) m.shape;
-      let b = Bytes.create io_chunk in
-      let put n ~width fill =
-        chunks n ~width (fun i k ->
-            fill i k;
-            output oc b 0 (k * width))
-      in
-      match m.buf with
-      | F a ->
-          put (Array.length a) ~width:8 (fun i k ->
-              for j = 0 to k - 1 do
-                Bytes.set_int64_le b (8 * j)
-                  (Int64.bits_of_float (Array.unsafe_get a (i + j)))
-              done)
-      | I a ->
-          put (Array.length a) ~width:8 (fun i k ->
-              for j = 0 to k - 1 do
-                Bytes.set_int64_le b (8 * j)
-                  (Int64.of_int (Array.unsafe_get a (i + j)))
-              done)
-      | B a ->
-          put (Array.length a) ~width:1 (fun i k ->
-              for j = 0 to k - 1 do
-                Bytes.unsafe_set b j
-                  (if Array.unsafe_get a (i + j) then '\001' else '\000')
-              done))
+  let rec create () =
+    let tmp =
+      Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
+        (Atomic.fetch_and_add tmp_seq 1)
+    in
+    match Unix.openfile tmp [ O_WRONLY; O_CREAT; O_EXCL; O_CLOEXEC ] 0o666 with
+    | fd -> (tmp, fd)
+    | exception Unix.Unix_error (EEXIST, _, _) -> create ()
+    | exception Unix.Unix_error (e, _, _) -> cannot_open e
+  in
+  let tmp, fd = create () in
+  let oc = Unix.out_channel_of_descr fd in
+  set_binary_mode_out oc true;
+  (try
+     output_string oc magic;
+     let kind = match elem m with EFloat -> 'f' | EInt -> 'i' | EBool -> 'b' in
+     output_char oc kind;
+     output_binary_int oc (rank m);
+     Array.iter (output_binary_int oc) m.shape;
+     output_string oc
+       (String.make (payload_offset (rank m) - 11 - (4 * rank m)) '\000');
+     let b = Bytes.create io_chunk in
+     let put n ~width fill =
+       chunks n ~width (fun i k ->
+           fill i k;
+           output oc b 0 (k * width))
+     in
+     (match m.buf with
+     | F a ->
+         put (Array.length a) ~width:8 (fun i k ->
+             for j = 0 to k - 1 do
+               Bytes.set_int64_le b (8 * j)
+                 (Int64.bits_of_float (Array.unsafe_get a (i + j)))
+             done)
+     | I a ->
+         put (Array.length a) ~width:8 (fun i k ->
+             for j = 0 to k - 1 do
+               Bytes.set_int64_le b (8 * j)
+                 (Int64.of_int (Array.unsafe_get a (i + j)))
+             done)
+     | B a ->
+         put (Array.length a) ~width:1 (fun i k ->
+             for j = 0 to k - 1 do
+               Bytes.unsafe_set b j
+                 (if Array.unsafe_get a (i + j) then '\001' else '\000')
+             done));
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     Sys.remove tmp;
+     raise e);
+  try Unix.rename tmp path
+  with Unix.Unix_error (e, _, _) ->
+    Sys.remove tmp;
+    cannot_open e
 
 (* Plausibility bounds on a parsed header: binary garbage can decode to
    any rank/extent, and without these caps a corrupt file turns into a
@@ -223,10 +259,18 @@ let max_rank = 16
 let max_extent = 1 lsl 24
 let max_elems = 1 lsl 28
 
+(* Magics of formats no longer read, and what each was. *)
+let old_formats =
+  [
+    ("MMAT1\n", "the old decimal text format");
+    ("MMAT2\n", "the old unpadded binary format");
+  ]
+
 (** [read_file path] — the [readMatrix] builtin.  Every failure mode — a
-    missing file, wrong magic (an MMAT1 file is named as the old text
-    format), an implausible header, a payload shorter or longer than the
-    header implies, or a bool byte other than 0 or 1 — raises
+    missing file, wrong magic (an MMAT1 or MMAT2 file is named as an old
+    format), an implausible header, nonzero padding, a payload shorter or
+    longer than the header implies, or a bool byte other than 0 or 1 —
+    raises
     {!Io_error} naming the file, the byte offset where reading failed and
     what was expected there, instead of leaking [End_of_file] /
     [Sys_error]. *)
@@ -254,12 +298,13 @@ let read_file path =
         guarded ~expected:(Printf.sprintf "magic %S" magic) (fun () ->
             really_input_string ic (String.length magic))
       in
-      if m = "MMAT1\n" then
-        io_err
-          "readMatrix %S: MMAT1 at offset 0 is the old decimal text format, \
-           which is no longer read (expected magic %S; write the matrix \
-           again with writeMatrix)"
-          path magic;
+      Option.iter
+        (fun what ->
+          io_err
+            "readMatrix %S: %s at offset 0 is %s, which is no longer read \
+             (expected magic %S; write the matrix again with writeMatrix)"
+            path (String.sub m 0 5) what magic)
+        (List.assoc_opt m old_formats);
       if m <> magic then
         io_err "readMatrix %S: bad magic %S at offset 0 (expected %S)" path m
           magic;
@@ -300,10 +345,23 @@ let read_file path =
       if n > max_elems then
         io_err "readMatrix %S: shape %s holds more than %d elements" path
           (Shape.to_string sh) max_elems;
+      let start = payload_offset r in
+      for at = pos_in ic to start - 1 do
+        match
+          guarded
+            ~expected:(Printf.sprintf "zero padding up to offset %d" start)
+            (fun () -> input_char ic)
+        with
+        | '\000' -> ()
+        | c ->
+            io_err
+              "readMatrix %S: nonzero padding byte %d at offset %d (expected \
+               0 up to the payload at offset %d)"
+              path (Char.code c) at start
+      done;
       (* The payload size is fixed by the header: check it against the
          file before allocating. *)
       let width = if kind = 'b' then 1 else 8 in
-      let start = pos_in ic in
       let size = start + (n * width) in
       let len =
         guarded ~expected:"a payload" (fun () -> in_channel_length ic)

@@ -12,6 +12,8 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #ifdef _OPENMP
@@ -103,8 +105,9 @@ static _Noreturn void mm_io_fault(const char *fmt, ...) {
   mm_vfault(mm_crumb, fmt, ap);
 }
 
-/* The reports of MM_BOUND and MM_SAME, worded as Cir.Ir.null_message,
- * bound_message and same_message word them for the interpreter. */
+/* The reports of MM_BOUND, MM_SAME and MM_DIM, worded as
+ * Cir.Ir.null_message, bound_message, same_message and dim_message word
+ * them for the interpreter. */
 _Noreturn void mm_guard_index(const void *p, int dim, int index, int id) {
   const mm_mat_float *m = p;
   if (!m) mm_guard_fault(id, "use of an uninitialised matrix");
@@ -114,6 +117,17 @@ _Noreturn void mm_guard_index(const void *p, int dim, int index, int id) {
 
 _Noreturn void mm_guard_same(int a, int b, const char *what, int id) {
   mm_guard_fault(id, "%s: %d against %d", what, a, b);
+}
+
+_Noreturn void mm_guard_dim(const void *p, int index, int id) {
+  const mm_mat_float *m = p;
+  if (!m) mm_guard_fault(id, "use of an uninitialised matrix");
+  char shape[12 * MM_MAX_RANK + 3] = "[";
+  for (int d = 0; d < m->rank; d++)
+    sprintf(shape + strlen(shape), d ? "x%d" : "%d", m->dims[d]);
+  strcat(shape, "]");
+  mm_guard_fault(id, "dimSize: dimension %d out of range for %s", index,
+                 shape);
 }
 
 /* One clause of MM_FAILPOINTS, already comma-split and trimmed: name@K,
@@ -299,24 +313,31 @@ static size_t mm_elem_size(int kind) {
  * malloc and one free.  All three mm_mat_* structs share their header
  * prefix; the block is built through the float variant, and [data]
  * points at the payload whatever its kind.  [zero] clears the payload
- * (mm_alloc); a reader that fills it at once skips that. */
+ * (mm_alloc); a reader that fills it at once skips that.  A float
+ * payload readMatrix maps (mm_map_floats) is the one exception. */
 #define MM_HEADER_BYTES ((sizeof(mm_mat_float) + 15) & ~(size_t)15)
 
-static mm_mat_float *mm_block(int kind, int rank, const int *dims,
-                              long long n, int zero) {
-  size_t payload = (size_t)n * mm_elem_size(kind);
-  size_t bytes = MM_HEADER_BYTES + payload;
-  mm_mat_float *m = zero ? calloc(1, bytes) : malloc(bytes);
-  if (!m) mm_fatal("alloc: out of memory for %lld elements", n);
-  if (!zero) memset(m, 0, sizeof *m);
+/* Fills in header [m] of an n-element payload at [data] and counts the
+ * payload as allocated. */
+static mm_mat_float *mm_header(mm_mat_float *m, int kind, int rank,
+                               const int *dims, long long n, void *data) {
   m->rc = 1;
   m->kind = kind;
   m->rank = rank;
   m->elems = (int)n;
   memcpy(m->dims, dims, (size_t)rank * sizeof(int));
-  m->data = (void *)((char *)m + MM_HEADER_BYTES);
-  mm_account_alloc((long long)payload);
+  m->data = data;
+  mm_account_alloc(n * (long long)mm_elem_size(kind));
   return m;
+}
+
+static mm_mat_float *mm_block(int kind, int rank, const int *dims,
+                              long long n, int zero) {
+  size_t bytes = MM_HEADER_BYTES + (size_t)n * mm_elem_size(kind);
+  mm_mat_float *m = zero ? calloc(1, bytes) : malloc(bytes);
+  if (!m) mm_fatal("alloc: out of memory for %lld elements", n);
+  if (!zero) memset(m, 0, sizeof *m);
+  return mm_header(m, kind, rank, dims, n, (char *)m + MM_HEADER_BYTES);
 }
 
 static void *mm_alloc(int kind, int rank, va_list ap) {
@@ -369,12 +390,15 @@ void mm_rc_dec(void *p) {
   int rc = __atomic_fetch_sub(&m->rc, 1, __ATOMIC_ACQ_REL);
   if (rc <= 0) mm_guard_fault(-1, "reference count underflow (rc=%d)", rc);
   if (rc <= 1) {
-    mm_account_free((long long)m->elems * (long long)mm_elem_size(m->kind));
+    size_t bytes = (size_t)m->elems * mm_elem_size(m->kind);
+    mm_account_free((long long)bytes);
+    if (m->mapped)
+      munmap((char *)m->data - m->mapped, (size_t)m->mapped + bytes);
     free(m);
   }
 }
 
-/* --- MMAT2 container I/O ------------------------------------------------ */
+/* --- MMAT3 container I/O ------------------------------------------------ */
 
 /* The interpreter's virtual filesystem flattens path separators, so a
  * program's "out/result.data" and the harness's fetch of the same name
@@ -394,28 +418,34 @@ static long long mm_double_bits(double d) {
   return i;
 }
 
-/* MMAT2: "MMAT2\n", the kind byte, the rank and each extent as 4-byte
- * big-endian ints, then the elements as raw little-endian values —
- * doubles as their IEEE-754 bits, ints as int64, bools as one 0/1 byte —
- * the bytes Ndarray.read_file/write_file read and write, so both
- * backends reject the same files.  A float payload moves between the
- * file and the matrix buffer in one fread/fwrite; ints and bools are
- * converted through one MM_IO_CHUNK buffer.  The payload is the host's
- * own layout, so a big-endian host fails to build instead of carrying
- * a byte-swapping path. */
+/* MMAT3: "MMAT3\n", the kind byte, the rank and each extent as 4-byte
+ * big-endian ints, zero bytes up to the next multiple of 64, then the
+ * elements as raw little-endian values — doubles as their IEEE-754
+ * bits, ints as int64, bools as one 0/1 byte — the bytes
+ * Ndarray.read_file/write_file read and write, so both backends reject
+ * the same files.  The padding puts the payload on a 64-byte boundary
+ * (offset 64 up to rank 13, 128 above), so the reader maps a float
+ * payload from the page cache instead of copying it (mm_map_floats);
+ * ints are narrowed and bools checked through one MM_IO_CHUNK buffer.
+ * A live mapping dies of SIGBUS if its file shrinks, so the writer
+ * never truncates a file: it writes a temporary file beside the target
+ * and renames it over the target.  The payload is the host's own
+ * layout, so a big-endian host fails to build instead of carrying a
+ * byte-swapping path. */
 _Static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
-               "MMAT2 payloads are read and written in host byte order");
+               "MMAT3 payloads are read and written in host byte order");
 _Static_assert(sizeof(mm_float) == 8 && sizeof(long long) == 8,
-               "MMAT2 floats and ints are 8 bytes");
+               "MMAT3 floats and ints are 8 bytes");
 
-#define MM_MAGIC "MMAT2\n"
+#define MM_MAGIC "MMAT3\n"
 #define MM_IO_CHUNK (64 * 1024)
+/* The header's length before its padding, and the payload's offset. */
+#define MM_HEAD_LEN(rank) (11 + 4 * (rank))
+#define MM_PAYLOAD_AT(rank) ((MM_HEAD_LEN(rank) + 63) & ~63)
+#define MM_HEAD_MAX MM_PAYLOAD_AT(MM_MAX_RANK)
 
 /* Header ints are 4-byte big-endian (OCaml's output_binary_int). */
-static int mm_get_be32(FILE *f, const char *path, const char *what) {
-  unsigned char b[4];
-  if (fread(b, 1, 4, f) < 4)
-    mm_io_fault("readMatrix \"%s\": truncated %s", path, what);
+static int mm_get_be32(const unsigned char *b) {
   return (int)((unsigned)b[0] << 24 | (unsigned)b[1] << 16 |
                (unsigned)b[2] << 8 | (unsigned)b[3]);
 }
@@ -426,119 +456,208 @@ static size_t mm_put_be32(unsigned char *b, size_t at, int v) {
   return at;
 }
 
-/* A file that will not open, named as the interpreter names it: its
- * full path (the working directory is the data directory), then why. */
+/* A failed readMatrix or writeMatrix of [real], named as the
+ * interpreter names it: by its full path (the working directory is the
+ * data directory). */
+static _Noreturn void mm_file_fault(const char *what, const char *real,
+                                    const char *fmt, ...) {
+  char cwd[4096], msg[1024];
+  const char *dir = getcwd(cwd, sizeof cwd) ? cwd : ".";
+  va_list ap;
+  va_start(ap, fmt);
+  vsnprintf(msg, sizeof msg, fmt, ap);
+  va_end(ap);
+  mm_io_fault("%s \"%s/%s\": %s", what, dir, real, msg);
+}
+
+/* A file that will not open: its full path again, then why. */
 static _Noreturn void mm_cannot_open(const char *what, const char *real) {
   int err = errno;
   char cwd[4096];
   const char *dir = getcwd(cwd, sizeof cwd) ? cwd : ".";
-  mm_io_fault("%s \"%s/%s\": cannot open: %s/%s: %s", what, dir, real, dir,
-              real, strerror(err));
+  mm_file_fault(what, real, "cannot open: %s/%s: %s", dir, real,
+                strerror(err));
 }
 
+/* Up to [n] bytes of [fd] from offset [off]; fewer only at the end of
+ * the file or on a read error. */
+static size_t mm_pread_full(int fd, void *buf, size_t n, long long off) {
+  size_t got = 0;
+  while (got < n) {
+    ssize_t r = pread(fd, (char *)buf + got, n - got, (off_t)(off + got));
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) break;
+    got += (size_t)r;
+  }
+  return got;
+}
+
+static int mm_write_full(int fd, const void *buf, size_t n) {
+  while (n > 0) {
+    ssize_t w = write(fd, buf, n);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return 0;
+    buf = (const char *)buf + w;
+    n -= (size_t)w;
+  }
+  return 1;
+}
+
+/* The file's header, padding and payload, written to [fd]. */
+static int mm_write_payload(int fd, const mm_mat_float *m) {
+  unsigned char hdr[MM_HEAD_MAX] = {0};
+  memcpy(hdr, MM_MAGIC, 6);
+  hdr[6] = (unsigned char)m->kind;
+  size_t at = mm_put_be32(hdr, 7, m->rank);
+  for (int d = 0; d < m->rank; d++) at = mm_put_be32(hdr, at, m->dims[d]);
+  if (!mm_write_full(fd, hdr, MM_PAYLOAD_AT(m->rank))) return 0;
+  size_t n = (size_t)m->elems;
+  if (m->kind == MM_KIND_FLOAT) return mm_write_full(fd, m->data, 8 * n);
+  size_t width = m->kind == MM_KIND_INT ? 8 : 1, per = MM_IO_CHUNK / width;
+  unsigned char *buf = malloc(MM_IO_CHUNK);
+  if (!buf) mm_fatal("writeMatrix: out of memory");
+  int ok = 1;
+  for (size_t i = 0; ok && i < n;) {
+    size_t k = n - i < per ? n - i : per;
+    if (m->kind == MM_KIND_INT)
+      for (size_t j = 0; j < k; j++) {
+        long long v = ((const mm_mat_int *)(const void *)m)->data[i + j];
+        memcpy(buf + 8 * j, &v, 8);
+      }
+    else
+      for (size_t j = 0; j < k; j++)
+        buf[j] = ((const mm_mat_bool *)(const void *)m)->data[i + j] ? 1 : 0;
+    ok = mm_write_full(fd, buf, width * k);
+    i += k;
+  }
+  free(buf);
+  return ok;
+}
+
+/* Writes a uniquely named temporary file beside the target, with the
+ * permissions a new file gets, and renames it over the target.  On
+ * failure the temporary file is removed and the report names the
+ * target. */
 void mm_write_matrix(const char *path, const void *p) {
   const mm_mat_float *m = p;
   if (!m) mm_io_fault("writeMatrix \"%s\": uninitialised matrix", path);
   char *real = mm_resolve_path(path);
-  FILE *f = fopen(real, "wb");
-  if (!f) mm_cannot_open("writeMatrix", real);
-  free(real);
-  unsigned char hdr[7 + 4 * (1 + MM_MAX_RANK)];
-  memcpy(hdr, MM_MAGIC, 6);
-  hdr[6] = (unsigned char)m->kind;
-  size_t len = mm_put_be32(hdr, 7, m->rank);
-  for (int d = 0; d < m->rank; d++) len = mm_put_be32(hdr, len, m->dims[d]);
-  int ok = fwrite(hdr, 1, len, f) == len;
-  size_t n = (size_t)m->elems;
-  if (m->kind == MM_KIND_FLOAT) {
-    ok = ok && fwrite(m->data, 8, n, f) == n;
-  } else {
-    size_t width = m->kind == MM_KIND_INT ? 8 : 1, per = MM_IO_CHUNK / width;
-    unsigned char *buf = malloc(MM_IO_CHUNK);
-    if (!buf) mm_fatal("writeMatrix \"%s\": out of memory", path);
-    for (size_t i = 0; ok && i < n;) {
-      size_t k = n - i < per ? n - i : per;
-      if (m->kind == MM_KIND_INT)
-        for (size_t j = 0; j < k; j++) {
-          long long v = ((const mm_mat_int *)p)->data[i + j];
-          memcpy(buf + 8 * j, &v, 8);
-        }
-      else
-        for (size_t j = 0; j < k; j++)
-          buf[j] = ((const mm_mat_bool *)p)->data[i + j] ? 1 : 0;
-      ok = fwrite(buf, width, k, f) == k;
-      i += k;
-    }
-    free(buf);
-  }
-  if (fclose(f) != 0 || !ok)
+  char *tmp = malloc(strlen(real) + 48);
+  if (!tmp) mm_fatal("out of memory resolving path");
+  static unsigned seq = 0;
+  int fd;
+  do {
+    sprintf(tmp, "%s.%ld.%u.tmp", real, (long)getpid(),
+            __atomic_fetch_add(&seq, 1, __ATOMIC_RELAXED));
+    fd = open(tmp, O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  } while (fd < 0 && errno == EEXIST);
+  if (fd < 0) mm_cannot_open("writeMatrix", real);
+  int ok = mm_write_payload(fd, m);
+  if (close(fd) != 0 || !ok) {
+    unlink(tmp);
     mm_io_fault("writeMatrix \"%s\": write failed", path);
+  }
+  if (rename(tmp, real) != 0) {
+    int err = errno;
+    unlink(tmp);
+    errno = err;
+    mm_cannot_open("writeMatrix", real);
+  }
+  free(tmp);
+  free(real);
+}
+
+/* A float matrix whose payload is the file's own bytes from [start] on,
+ * mapped copy-on-write: a store copies one page and never reaches the
+ * file.  The header is a block of its own; [mapped] records [start] so
+ * mm_rc_dec can unmap the whole mapping. */
+static mm_mat_float *mm_map_floats(int fd, int rank, const int *dims,
+                                   long long n, long long start) {
+  size_t len = (size_t)start + (size_t)n * sizeof(mm_float);
+  void *base = mmap(0, len, PROT_READ | PROT_WRITE, MAP_PRIVATE, fd, 0);
+  mm_mat_float *m = base == MAP_FAILED ? 0 : calloc(1, sizeof *m);
+  if (!m) mm_fatal("alloc: out of memory for %lld elements", n);
+  m->mapped = (int)start;
+  return mm_header(m, MM_KIND_FLOAT, rank, dims, n, (char *)base + start);
 }
 
 void *mm_read_matrix(const char *path) {
   mm_fail_hit("native.io.read_matrix");
   char *real = mm_resolve_path(path);
-  FILE *f = fopen(real, "rb");
-  if (!f) mm_cannot_open("readMatrix", real);
-  free(real);
-  unsigned char head[7];
-  size_t got = fread(head, 1, 7, f);
-  if (got >= 6 && memcmp(head, "MMAT1\n", 6) == 0)
-    mm_io_fault("readMatrix \"%s\": MMAT1 is the old decimal text format, "
-                "which is no longer read (expected magic MMAT2; write the "
-                "matrix again with writeMatrix)",
-                path);
-  if (got < 6 || memcmp(head, MM_MAGIC, 6) != 0)
-    mm_io_fault("readMatrix \"%s\": bad magic", path);
-  int kind = got == 7 ? head[6] : EOF;
+  int fd = open(real, O_RDONLY | O_CLOEXEC);
+  if (fd < 0) mm_cannot_open("readMatrix", real);
+#define MM_READ_FAULT(...) mm_file_fault("readMatrix", real, __VA_ARGS__)
+  unsigned char head[MM_HEAD_MAX];
+  size_t got = mm_pread_full(fd, head, sizeof head, 0);
+  static const char *const old[][2] = {
+      {"MMAT1\n", "MMAT1 at offset 0 is the old decimal text format"},
+      {"MMAT2\n", "MMAT2 at offset 0 is the old unpadded binary format"}};
+  for (int i = 0; i < 2; i++)
+    if (got >= 6 && memcmp(head, old[i][0], 6) == 0)
+      MM_READ_FAULT("%s, which is no longer read (expected magic "
+                    "\"MMAT3\\n\"; write the matrix again with writeMatrix)",
+                    old[i][1]);
+  if (got < 6 || memcmp(head, MM_MAGIC, 6) != 0) MM_READ_FAULT("bad magic");
+  int kind = got >= 7 ? head[6] : EOF;
   if (kind != MM_KIND_FLOAT && kind != MM_KIND_INT && kind != MM_KIND_BOOL)
-    mm_io_fault("readMatrix \"%s\": unknown element kind", path);
-  int rank = mm_get_be32(f, path, "rank");
+    MM_READ_FAULT("unknown element kind");
+  if (got < 11) MM_READ_FAULT("truncated rank");
+  int rank = mm_get_be32(head + 7);
   if (rank < 0 || rank > MM_MAX_RANK)
-    mm_io_fault("readMatrix \"%s\": implausible rank %d", path, rank);
+    MM_READ_FAULT("implausible rank %d", rank);
   /* The element count saturates above the limit, so a header of large
    * extents cannot overflow it (and wrap to 0). */
   int dims[MM_MAX_RANK];
   long long n = 1;
   for (int d = 0; d < rank; d++) {
-    int e = mm_get_be32(f, path, "extent");
-    if (e < 0 || e > (1 << 24))
-      mm_io_fault("readMatrix \"%s\": implausible extent %d", path, e);
+    if (got < (size_t)MM_HEAD_LEN(d + 1)) MM_READ_FAULT("truncated extent");
+    int e = mm_get_be32(head + MM_HEAD_LEN(d));
+    if (e < 0 || e > (1 << 24)) MM_READ_FAULT("implausible extent %d", e);
     dims[d] = e;
     n = e == 0 ? 0 : n > (1 << 28) ? n : n * e;
   }
-  if (n > (1 << 28))
-    mm_io_fault("readMatrix \"%s\": more than %d elements", path, 1 << 28);
+  if (n > (1 << 28)) MM_READ_FAULT("more than %d elements", 1 << 28);
+  /* The padding, byte by byte as Ndarray.read_file reads it. */
+  long long start = MM_PAYLOAD_AT(rank);
+  for (long long at = MM_HEAD_LEN(rank); at < start; at++) {
+    if (at >= (long long)got)
+      MM_READ_FAULT("file is truncated at offset %lld (expected zero "
+                    "padding up to offset %lld)",
+                    at, start);
+    if (head[at] != 0)
+      MM_READ_FAULT("nonzero padding byte %d at offset %lld (expected 0 up "
+                    "to the payload at offset %lld)",
+                    head[at], at, start);
+  }
   /* The payload size is fixed by the header: check it against the file
    * before allocating. */
   size_t width = kind == MM_KIND_BOOL ? 1 : 8;
-  long long start = 11 + 4 * (long long)rank;
   long long size = start + n * (long long)width;
-  long long flen = -1;
-  if (fseek(f, 0, SEEK_END) == 0) flen = ftell(f);
-  if (flen < 0 || fseek(f, (long)start, SEEK_SET) != 0)
-    mm_io_fault("readMatrix \"%s\": cannot find the file's length", path);
+  struct stat st;
+  if (fstat(fd, &st) != 0) MM_READ_FAULT("cannot find the file's length");
+  long long flen = (long long)st.st_size;
   if (flen < size)
-    mm_io_fault("readMatrix \"%s\": truncated at element %lld of %lld (file "
-                "ends at offset %lld; the header implies %lld bytes)",
-                path, (flen - start) / (long long)width, n, flen, size);
+    MM_READ_FAULT("truncated at element %lld of %lld (file ends at offset "
+                  "%lld; the header implies %lld bytes)",
+                  (flen - start) / (long long)width, n, flen, size);
   if (flen > size)
-    mm_io_fault("readMatrix \"%s\": trailing data at offset %lld (the file "
-                "has %lld bytes; the header implies %lld)",
-                path, size, flen, size);
-  mm_mat_float *m = mm_block(kind, rank, dims, n, 0);
+    MM_READ_FAULT("trailing data at offset %lld (the file has %lld bytes; "
+                  "the header implies %lld)",
+                  size, flen, size);
   size_t count = (size_t)n;
-  if (kind == MM_KIND_FLOAT) {
-    if (fread(m->data, 8, count, f) != count)
-      mm_io_fault("readMatrix \"%s\": read error", path);
+  mm_mat_float *m;
+  if (kind == MM_KIND_FLOAT && count > 0) {
+    m = mm_map_floats(fd, rank, dims, n, start);
   } else {
+    m = mm_block(kind, rank, dims, n, 0);
     size_t per = MM_IO_CHUNK / width;
     unsigned char *buf = malloc(MM_IO_CHUNK);
-    if (!buf) mm_fatal("readMatrix \"%s\": out of memory", path);
+    if (!buf) mm_fatal("readMatrix: out of memory");
     for (size_t i = 0; i < count;) {
       size_t k = count - i < per ? count - i : per;
-      if (fread(buf, width, k, f) != k)
-        mm_io_fault("readMatrix \"%s\": read error", path);
+      if (mm_pread_full(fd, buf, width * k, start + (long long)(width * i)) !=
+          width * k)
+        MM_READ_FAULT("read error");
       if (kind == MM_KIND_INT)
         for (size_t j = 0; j < k; j++) {
           long long v;
@@ -548,16 +667,18 @@ void *mm_read_matrix(const char *path) {
       else
         for (size_t j = 0; j < k; j++) {
           if (buf[j] > 1)
-            mm_io_fault("readMatrix \"%s\": bad bool byte %d for element %zu "
-                        "at offset %lld (expected 0 or 1)",
-                        path, buf[j], i + j, start + (long long)(i + j));
+            MM_READ_FAULT("bad bool byte %d for element %zu at offset %lld "
+                          "(expected 0 or 1)",
+                          buf[j], i + j, start + (long long)(i + j));
           ((mm_mat_bool *)(void *)m)->data[i + j] = buf[j];
         }
       i += k;
     }
     free(buf);
   }
-  fclose(f);
+#undef MM_READ_FAULT
+  close(fd);
+  free(real);
   return m;
 }
 

@@ -8,12 +8,12 @@
  *     IEEE double precision.
  *   - SSE lanes are genuine 32-bit floats (mm_simd.h, included only by
  *     programs with vector code).
- *   - readMatrix/writeMatrix speak the interpreter's MMAT2 container
+ *   - readMatrix/writeMatrix speak the interpreter's MMAT3 container
  *     byte-for-byte: a big-endian header (magic, kind byte, rank,
- *     extents), then the raw little-endian payload — floats as their
- *     IEEE-754 binary64 bits, ints as int64 (narrowed to int on read),
- *     bools as one 0/1 byte.  The runtime builds only on little-endian
- *     hosts.
+ *     extents) zero-padded to a multiple of 64 bytes, then the raw
+ *     little-endian payload — floats as their IEEE-754 binary64 bits,
+ *     ints as int64 (narrowed to int on read), bools as one 0/1 byte.
+ *     The runtime builds only on little-endian hosts.
  */
 #ifndef MM_RUNTIME_H
 #define MM_RUNTIME_H
@@ -25,19 +25,22 @@ typedef double mm_float;
 
 #define MM_MAX_RANK 16
 
-/* Element kinds, matching the MMAT2 container's kind byte. */
+/* Element kinds, matching the MMAT3 container's kind byte. */
 #define MM_KIND_FLOAT 'f'
 #define MM_KIND_INT 'i'
 #define MM_KIND_BOOL 'b'
 
 /* All three matrix structs share a layout prefix (rc, kind, rank, elems,
- * dims) so mm_rc_inc/mm_rc_dec/mm_size/mm_write_matrix can take any of
- * them through void *. */
+ * mapped, dims) so mm_rc_inc/mm_rc_dec/mm_size/mm_write_matrix can take
+ * any of them through void *.  [mapped] is 0 for a payload on the heap,
+ * and the payload's offset in its file mapping for one readMatrix
+ * mapped. */
 #define MM_MAT_HEADER                                                         \
   int rc;                                                                     \
   int kind;                                                                   \
   int rank;                                                                   \
   int elems;                                                                  \
+  int mapped;                                                                 \
   int dims[MM_MAX_RANK]
 
 typedef struct {
@@ -67,9 +70,11 @@ typedef mm_mat_bool mm_mat_bool1, mm_mat_bool2, mm_mat_bool3, mm_mat_bool4,
 
 /* Allocation (zero-initialised, refcount 1) and reference counting.  A
  * matrix is one heap block, its header and then its payload, which
- * [data] points at.  mm_rc_dec frees the block when the count reaches
- * zero, and faults on a count that was already zero; both tolerate NULL
- * so generated cleanup code needs no tests. */
+ * [data] points at; only a float matrix readMatrix read is a header
+ * block whose [data] points into a copy-on-write mapping of the file.
+ * mm_rc_dec frees the block (and unmaps a mapped payload) when the count
+ * reaches zero, and faults on a count that was already zero; both
+ * tolerate NULL so generated cleanup code needs no tests. */
 mm_mat_float *mm_alloc_float(int rank, ...);
 mm_mat_int *mm_alloc_int(int rank, ...);
 mm_mat_bool *mm_alloc_bool(int rank, ...);
@@ -96,12 +101,14 @@ long long mm_peak_bytes(void);
 long long mm_allocated_bytes(void);
 extern void (*mm_alloc_hook)(long long bytes);
 
-/* MMAT2 container I/O (readMatrix/writeMatrix builtins).  Paths resolve
+/* MMAT3 container I/O (readMatrix/writeMatrix builtins).  Paths resolve
  * like the interpreter's virtual filesystem: '/' and '\' map to '_',
  * relative to the current working directory.  A file that cannot be
- * opened, whose size differs from what its header implies, or whose
- * bool payload holds a byte other than 0 or 1 fails the run as a check
- * does: a __mm_fault line at the breadcrumb's span, then exit 71. */
+ * opened, whose header padding is not zero, whose size differs from what
+ * its header implies, or whose bool payload holds a byte other than 0 or
+ * 1 fails the run as a check does: a __mm_fault line at the breadcrumb's
+ * span, then exit 71.  A write replaces the file by renaming a finished
+ * temporary file over it, so it never truncates a file a matrix maps. */
 void *mm_read_matrix(const char *path);
 void mm_write_matrix(const char *path, const void *m);
 
@@ -165,6 +172,7 @@ _Noreturn void mm_guard_fault(int id, const char *fmt, ...);
  * free of spills and can hoist bound loads across iterations. */
 _Noreturn void mm_guard_index(const void *m, int dim, int index, int id);
 _Noreturn void mm_guard_same(int a, int b, const char *what, int id);
+_Noreturn void mm_guard_dim(const void *m, int index, int id);
 
 /* A subscript's index check: [m] is not NULL and 0 <= [i] < its extent
  * in dimension [d].  A void expression, so a subscript sequences its
@@ -179,6 +187,13 @@ _Noreturn void mm_guard_same(int a, int b, const char *what, int id);
 #define MM_SAME(a, b, what, id)                                               \
   (__builtin_expect((a) != (b), 0) ? mm_guard_same((a), (b), (what), (id))   \
                                    : (void)0)
+
+/* A computed dimSize dimension names one of the matrix's: 0 <= [i] <
+ * [rank], its static rank. */
+#define MM_DIM(m, rank, i, id)                                                \
+  (__builtin_expect((unsigned)(i) >= (unsigned)(rank), 0)                     \
+       ? mm_guard_dim((const void *)(m), (i), (id))                           \
+       : (void)0)
 
 /* A matrix local declared without an initialiser is set by the time an
  * operation reads its extents or size (mm_guard_index words the NULL

@@ -370,9 +370,9 @@ let test_read_matrix_garbage () =
   Nd.write_file good (Nd.init_int [| 5 |] (fun ix -> ix.(0)));
   let whole = In_channel.with_open_bin good In_channel.input_all in
   Out_channel.with_open_bin bad_elems (fun oc ->
-      (* keep the header (magic + kind + rank + one extent), replace the
-         payload with text shorter than the header implies *)
-      Out_channel.output_string oc (String.sub whole 0 15);
+      (* keep the header (magic + kind + rank + one extent, padded),
+         replace the payload with text shorter than the header implies *)
+      Out_channel.output_string oc (String.sub whole 0 (Nd.payload_offset 1));
       Out_channel.output_string oc "not-a-number\nxx\n");
   expect_io_error "garbage elements"
     [ "element"; "offset" ]

@@ -221,7 +221,7 @@ let test_tuple_entry () =
   differential ~name:"tuple-entry" ~inputs:[] ~outputs:[]
     "(int, float) main() { return (7, 2.5); }"
 
-(* int and bool matrices through writeMatrix: the native MMAT1 container
+(* int and bool matrices through writeMatrix: the native MMAT3 container
    must be byte-compatible with the interpreter's reader. *)
 let test_write_matrix_kinds () =
   differential ~name:"write-kinds" ~inputs:[]
@@ -1447,6 +1447,174 @@ let test_unlocated_diagnostic () =
     true
     (String.starts_with ~prefix:"error [native-compile]:" err)
 
+(* --- a float matrix read from a file maps it ------------------------------ *)
+
+(* The hazards of a payload mapped from its file, interpreter against
+   native at 1 and 2 threads: overwriting the mapped file with a smaller
+   matrix (truncating it in place would kill the binary with SIGBUS on
+   its next read past the new end), storing into a read matrix (a
+   private copy: the file keeps its bytes, so a second read sees the
+   old value), and releasing one read matrix early while another is
+   returned, live at exit. *)
+let test_mapped_reads () =
+  let ramp = Nd.init_float [| 10000 |] (fun ix -> float_of_int ix.(0)) in
+  List.iter
+    (fun threads ->
+      List.iter
+        (fun (name, outputs, src) ->
+          differential
+            ~name:(Printf.sprintf "%s/%d threads" name threads)
+            ~auto_par:(threads > 1) ~threads
+            ~inputs:[ ("x.data", ramp) ]
+            ~outputs src)
+        [
+          ( "overwrite the mapped file",
+            [ "x.data" ],
+            {|
+int main() {
+  Matrix float <1> a = readMatrix("x.data");
+  Matrix float <1> b = with ([0] <= [i] < [1]) genarray([1], 1.0);
+  writeMatrix("x.data", b);
+  return (int) a[9000];
+}
+|} );
+          ( "store into a read matrix",
+            [ "x.data"; "a.data" ],
+            {|
+int main() {
+  Matrix float <1> a = readMatrix("x.data");
+  a[3] = 42.5;
+  Matrix float <1> c = readMatrix("x.data");
+  writeMatrix("a.data", a);
+  return (int) (a[3] * 10.0 + c[3]);
+}
+|} );
+          ( "release one early, return one",
+            [],
+            {|
+Matrix float <1> main() {
+  float s = 0.0;
+  {
+    Matrix float <1> a = readMatrix("x.data");
+    s = a[1] + a[9999];
+  }
+  Matrix float <1> b = readMatrix("x.data");
+  b[0] = s;
+  return b;
+}
+|} );
+        ])
+    [ 1; 2 ]
+
+(* writeMatrix replaces its target by renaming a temporary file over
+   it.  After a write that succeeds (over an existing file) and after
+   one that fails (the target is a directory), both backends, at 1 and
+   2 threads, leave the same files in the data directory and no
+   temporary one. *)
+let test_write_leaves_no_temporary () =
+  ignore (ensure_cc ());
+  let src =
+    {|
+int main() {
+  Matrix int <1> v = with ([0] <= [i] < [4]) genarray([4], i);
+  writeMatrix("out.data", v);
+  return 1;
+}
+|}
+  in
+  let ok_of = function Driver.Ok_ _ -> true | Driver.Failed _ -> false in
+  List.iter
+    (fun (what, setup, succeeds) ->
+      List.iter
+        (fun threads ->
+          let after run =
+            let dir = fresh_dir () in
+            setup dir;
+            let ok = ok_of (run dir) in
+            (ok, List.sort compare (Array.to_list (Sys.readdir dir)))
+          in
+          let interp =
+            after (fun dir ->
+                Runtime.Pool.with_pool threads (fun pool ->
+                    Driver.run ~dir ~pool full src []))
+          and native =
+            after (fun dir ->
+                Driver.exec ~dir ~threads ~cache_dir:(Lazy.force suite_cache)
+                  (Driver.Composed full) src)
+          in
+          List.iter
+            (fun (backend, got) ->
+              Alcotest.(check (pair bool (list string)))
+                (Printf.sprintf "%s, %s at %d threads" what backend threads)
+                (succeeds, [ "out.data" ])
+                got)
+            [ ("interp", interp); ("native", native) ])
+        [ 1; 2 ])
+    [
+      ( "a write over an existing file",
+        (fun dir ->
+          Interp.Eval.provide_input ~dir "out.data" (Nd.vec_i [ 9; 9 ])),
+        true );
+      ( "a failed write",
+        (fun dir -> Sys.mkdir (Filename.concat dir "out.data") 0o755),
+        false );
+    ]
+
+(* A with-loop body that makes temporaries (a range, a slice, an
+   elementwise result) releases them in the loop, where they are
+   declared: both backends agree at 1 and 2 threads, live count
+   included. *)
+let test_with_body_temporaries () =
+  List.iter
+    (fun threads ->
+      differential
+        ~name:(Printf.sprintf "with-loop body temporaries/%d threads" threads)
+        ~auto_par:(threads > 1) ~threads ~inputs:[] ~outputs:[]
+        {|
+int main() {
+  Matrix int <1> v = with ([0] <= [i] < [4]) genarray([4], i);
+  Matrix int <1> g = with ([0] <= [i] < [4]) genarray([4], dimSize(v[0::i] * 2, 0));
+  int s = with ([0] <= [i] < [4]) fold(+, 0, dimSize(v[0::i] + 1, 0));
+  return g[3] * 100 + s;
+}
+|})
+    [ 1; 2 ]
+
+(* A returned value converts to the function's declared type, as an
+   initialiser does: C converts implicitly, and the interpreter must
+   too. *)
+let test_return_converts () =
+  List.iter
+    (fun (name, src) -> differential ~name ~inputs:[] ~outputs:[] src)
+    [
+      ("int from float", "int f() { return 2.75; }\nint main() { return f() * 2; }");
+      ("int main from float", "int main() { return 2.75; }");
+      ( "float from int",
+        "float g(int x) { return x / 2; }\nfloat main() { return g(5) + 0.25; }" );
+    ]
+
+(* A literal dimSize dimension outside the matrix's rank is a type
+   error, before either backend runs. *)
+let test_literal_dim_rejected () =
+  ignore (ensure_cc ());
+  let src =
+    "int main() {\n\
+    \  Matrix int <1> v = with ([0] <= [i] < [4]) genarray([4], i);\n\
+    \  return dimSize(v * 2, 3);\n\
+     }\n"
+  in
+  let expected = [ "dimSize: dimension 3 out of range for a rank-1 matrix" ] in
+  let messages = function
+    | Driver.Ok_ _ -> []
+    | Driver.Failed ds -> List.map (fun d -> d.Support.Diag.message) ds
+  in
+  Alcotest.(check (list string)) "interpreter" expected
+    (messages (Driver.run full src []));
+  Alcotest.(check (list string)) "binary" expected
+    (messages
+       (Driver.exec ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full)
+          src))
+
 let suite =
   [
     Alcotest.test_case "fig1 interp vs native" `Quick test_fig1;
@@ -1515,4 +1683,14 @@ let suite =
       `Quick test_fold_failures;
     Alcotest.test_case "mul-add chain bit for bit under -march=native" `Quick
       test_march_native_mul_add;
+    Alcotest.test_case "a mapped float read survives overwrites and stores"
+      `Quick test_mapped_reads;
+    Alcotest.test_case "writeMatrix leaves no temporary file" `Quick
+      test_write_leaves_no_temporary;
+    Alcotest.test_case "a with-loop body releases its temporaries" `Quick
+      test_with_body_temporaries;
+    Alcotest.test_case "a returned value converts to the declared type"
+      `Quick test_return_converts;
+    Alcotest.test_case "a literal dimSize dimension out of range is rejected"
+      `Quick test_literal_dim_rejected;
   ]

@@ -299,6 +299,14 @@ let check_programs =
 }
 |},
       Some ("4:26-36", "index 3 out of bounds for dimension 0 of extent 3") );
+    ( "computed dimSize dimension",
+      {|int main() {
+  Matrix int <1> v = with ([0] <= [i] < [4]) genarray([4], i);
+  int d = 3;
+  return dimSize(v * 2, d);
+}
+|},
+      Some ("4:10-27", "dimSize: dimension 3 out of range for [4]") );
   ]
 
 let test_one_report () =
@@ -636,13 +644,16 @@ let le64 x =
       let byte = Int64.shift_right_logical x (8 * k) in
       Char.chr (Int64.to_int (Int64.logand byte 0xFFL)))
 
-(* An MMAT2 file: magic, kind byte, big-endian rank and extents, then
-   [payload] as given. *)
-let mmat2 kind dims payload =
-  "MMAT2\n" ^ String.make 1 kind
-  ^ be32 (List.length dims)
-  ^ String.concat "" (List.map be32 dims)
-  ^ payload
+(* An MMAT3 file: magic, kind byte, big-endian rank and extents, zero
+   bytes up to the next multiple of 64, then [payload] as given. *)
+let mmat3 kind dims payload =
+  let head =
+    "MMAT3\n" ^ String.make 1 kind
+    ^ be32 (List.length dims)
+    ^ String.concat "" (List.map be32 dims)
+  in
+  let padded = (String.length head + 63) / 64 * 64 in
+  head ^ String.make (padded - String.length head) '\000' ^ payload
 
 (* Per element kind: its type name and a well-formed two-element
    payload (little-endian int64s, binary64 bits, 0/1 bytes). *)
@@ -670,11 +681,11 @@ let payload_faults (kind, _, payload) =
   let n = String.length payload in
   [
     ( "a payload cut by 1 byte",
-      mmat2 kind [ 2 ] (String.sub payload 0 (n - 1)) );
-    ("one trailing byte", mmat2 kind [ 2 ] (payload ^ "\000"));
+      mmat3 kind [ 2 ] (String.sub payload 0 (n - 1)) );
+    ("one trailing byte", mmat3 kind [ 2 ] (payload ^ "\000"));
   ]
   @
-  if kind = 'b' then [ ("bool byte 2", mmat2 kind [ 2 ] "\000\002") ]
+  if kind = 'b' then [ ("bool byte 2", mmat3 kind [ 2 ] "\000\002") ]
   else []
 
 (* Every file both readers must reject: (what, bytes, a word the
@@ -683,17 +694,35 @@ let corrupt_files ((kind, _, payload) as k) =
   List.map (fun (what, bytes) -> (what, bytes, "")) (payload_faults k)
   @ [
       ( "a payload cut by one element",
-        mmat2 kind [ 2 ] (String.sub payload 0 (String.length payload / 2)),
+        mmat3 kind [ 2 ] (String.sub payload 0 (String.length payload / 2)),
         "" );
-      ("kind byte 'x'", mmat2 'x' [ 2 ] payload, "");
-      ("rank 17", mmat2 kind (List.init 17 (fun _ -> 1)) payload, "");
-      ("extent 2^24+1", mmat2 kind [ (1 lsl 24) + 1 ] payload, "");
+      ("kind byte 'x'", mmat3 'x' [ 2 ] payload, "");
+      ("rank 17", mmat3 kind (List.init 17 (fun _ -> 1)) payload, "");
+      ("extent 2^24+1", mmat3 kind [ (1 lsl 24) + 1 ] payload, "");
       (* 2^192 elements: a product that wraps to 0 in 64 bits *)
-      ("eight extents of 2^24", mmat2 kind (List.init 8 (fun _ -> 1 lsl 24)) "", "");
+      ("eight extents of 2^24", mmat3 kind (List.init 8 (fun _ -> 1 lsl 24)) "", "");
       ( "an MMAT1 text file",
         "MMAT1\n" ^ String.make 1 kind ^ be32 1 ^ be32 2 ^ "0\n1\n",
         "MMAT1" );
     ]
+
+(* Headers both readers must reject with one report, word for word, at
+   one span: (what, bytes, the report's distinctive words). *)
+let header_faults (kind, _, payload) =
+  let good = mmat3 kind [ 2 ] payload in
+  [
+    ( "a nonzero padding byte",
+      String.mapi (fun i c -> if i = 30 then '\001' else c) good,
+      "nonzero padding byte 1 at offset 30 (expected 0 up to the payload at \
+       offset 64)" );
+    ( "a file that ends inside the padding",
+      String.sub good 0 40,
+      "file is truncated at offset 40 (expected zero padding up to offset 64)"
+    );
+    ( "an MMAT2 file",
+      "MMAT2\n" ^ String.make 1 kind ^ be32 1 ^ be32 2 ^ payload,
+      "MMAT2 at offset 0 is the old unpadded binary format" );
+  ]
 
 let write_data ~dir bytes =
   Out_channel.with_open_bin (Filename.concat dir "in.data") (fun oc ->
@@ -707,35 +736,38 @@ let diag_of ~src = function
 (* --- sanitizer builds ------------------------------------------------------ *)
 
 (* A 12x14x8 cube whose every series climbs, then dips three times, so
-   fig8's trough loop, with its folded ranges and chain, runs. *)
-let fig8_cube () =
+   fig8's trough loop, with its folded ranges and chain, runs; fig1
+   reads it too. *)
+let sanitizer_cube () =
   let series = [| 3.; 1.; 2.; 5.; 0.; 4.; 1.; 6. |] in
   Nd.init_float [| 12; 14; 8 |] (fun ix ->
       series.(ix.(2)) +. (0.01 *. float_of_int (ix.(0) + ix.(1))))
 
-(* fig8 under [-fsanitize=mode], any report fatal, writes the scores the
-   interpreter writes, byte for byte. *)
-let check_fig8_sanitized mode =
+(* [src] under [-fsanitize=mode], any report fatal, reads the cube as
+   ssh.data (a float payload the runtime maps) and writes [out] as the
+   interpreter writes it, byte for byte. *)
+let check_sanitized mode ~name ~src ~out =
   let dir_i = fresh_dir () and dir_n = fresh_dir () in
   List.iter
-    (fun dir -> Interp.Eval.provide_input ~dir "ssh.data" (fig8_cube ()))
+    (fun dir -> Interp.Eval.provide_input ~dir "ssh.data" (sanitizer_cube ()))
     [ dir_i; dir_n ];
-  let src = Eddy.Programs.fig8_scoring in
   (match Driver.run ~dir:dir_i full src [] with
   | Driver.Ok_ _ -> ()
-  | Driver.Failed ds -> Alcotest.failf "fig8: interp failed: %s" (Driver.diags_to_string ds));
+  | Driver.Failed ds ->
+      Alcotest.failf "%s: interp failed: %s" name (Driver.diags_to_string ds));
   (match
      Driver.exec ~dir:dir_n ~cache_dir:(Lazy.force suite_cache) ~sanitize:mode
        ~cflags:[ "-fno-sanitize-recover=all" ] (Driver.Composed full) src
    with
   | Driver.Ok_ _ -> ()
   | Driver.Failed ds ->
-      Alcotest.failf "-fsanitize=%s: fig8 failed: %s" mode (Driver.diags_to_string ds));
+      Alcotest.failf "-fsanitize=%s: %s failed: %s" mode name
+        (Driver.diags_to_string ds));
   Alcotest.(check bool)
-    (Printf.sprintf "-fsanitize=%s: fig8's scores match the interpreter's" mode)
+    (Printf.sprintf "-fsanitize=%s: %s's %s matches the interpreter's" mode
+       name out)
     true
-    (Test_native.data_bytes ~dir:dir_i "temporalScores.data"
-    = Test_native.data_bytes ~dir:dir_n "temporalScores.data")
+    (Test_native.data_bytes ~dir:dir_i out = Test_native.data_bytes ~dir:dir_n out)
 
 let test_sanitized_corpus_runs () =
   with_deadline ~secs:300 "sanitized runs" @@ fun () ->
@@ -806,7 +838,10 @@ let test_sanitized_corpus_runs () =
                         && not (contains text "runtime error")))
                     (payload_faults k))
                 layout_kinds;
-              check_fig8_sanitized mode))
+              check_sanitized mode ~name:"fig1"
+                ~src:Eddy.Programs.fig1_temporal_mean ~out:"means.data";
+              check_sanitized mode ~name:"fig8" ~src:Eddy.Programs.fig8_scoring
+                ~out:"temporalScores.data"))
     [ "address"; "undefined" ]
 
 (* A plain exec, a profiled exec and an address-sanitized exec of one
@@ -868,8 +903,9 @@ let test_cache_layout_per_configuration () =
 
 (* Every file in [corrupt_files], for every kind, must fail both
    [Driver.run] and [Driver.exec] with a readMatrix diagnostic (the
-   MMAT1 file's names the old format), while the well-formed file
-   loads in both. *)
+   MMAT1 file's names the old format), and every file in
+   [header_faults] with the same report in both, while the well-formed
+   file loads in both. *)
 let test_file_layout_parity () =
   with_deadline ~secs:300 "file layout parity" @@ fun () ->
   ignore (ensure_cc ());
@@ -891,7 +927,7 @@ let test_file_layout_parity () =
           Option.iter
             (Alcotest.failf "%s %s control failed: %s" ty backend)
             diag)
-        (run_both src (mmat2 kind [ 2 ] payload));
+        (run_both src (mmat3 kind [ 2 ] payload));
       List.iter
         (fun (what, bytes, needle) ->
           List.iter
@@ -903,7 +939,35 @@ let test_file_layout_parity () =
                 true
                 (contains text "readMatrix" && contains text needle))
             (run_both src bytes))
-        (corrupt_files k))
+        (corrupt_files k);
+      List.iter
+        (fun (what, bytes, words) ->
+          let dir = fresh_dir () in
+          write_data ~dir bytes;
+          let report backend = function
+            | Driver.Failed [ d ] ->
+                ( Support.Pos.span_to_string d.Support.Diag.span,
+                  d.Support.Diag.message )
+            | Driver.Failed ds ->
+                Alcotest.failf "%s %s, %s: %d diagnostics: %s" ty what backend
+                  (List.length ds) (Driver.diags_to_string ds)
+            | Driver.Ok_ _ -> Alcotest.failf "%s %s: %s read it" ty what backend
+          in
+          let interp = report "interp" (Driver.run ~dir full src []) in
+          let native =
+            report "native"
+              (Driver.exec ~dir ~cache_dir:(Lazy.force suite_cache)
+                 (Driver.Composed full) src)
+          in
+          Alcotest.(check (pair string string))
+            (Printf.sprintf "%s %s: one report in both backends" ty what)
+            interp native;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s names the fault (got: %s)" ty what
+               (snd native))
+            true
+            (contains (snd native) "readMatrix" && contains (snd native) words))
+        (header_faults k))
     layout_kinds
 
 (* A file that cannot be opened fails both backends with one

@@ -496,16 +496,20 @@ let test_io_roundtrip () =
   Sys.remove file;
   Alcotest.check nd "int roundtrip" ints back
 
-(* The MMAT2 writer as a plain per-element loop: the reference the
-   chunked encoder in [Ndarray.write_file] must match byte for byte. *)
-let reference_mmat2 (m : Ndarray.t) =
+(* The MMAT3 writer as a plain per-element loop: the reference the
+   chunked encoder in [Ndarray.write_file] must match byte for byte.
+   The header is zero-padded to 64 bytes, or 128 above rank 13. *)
+let reference_mmat3 (m : Ndarray.t) =
   let b = Buffer.create 256 in
-  Buffer.add_string b "MMAT2\n";
+  Buffer.add_string b "MMAT3\n";
   Buffer.add_char b
     (match Ndarray.elem m with EFloat -> 'f' | EInt -> 'i' | EBool -> 'b');
   let be32 n = Buffer.add_int32_be b (Int32.of_int n) in
   be32 (Ndarray.rank m);
   Array.iter be32 (Ndarray.shape m);
+  while Buffer.length b mod 64 <> 0 do
+    Buffer.add_char b '\000'
+  done;
   (match m.buf with
   | F a -> Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) a
   | I a -> Array.iter (fun v -> Buffer.add_int64_le b (Int64.of_int v)) a
@@ -542,7 +546,7 @@ let gen_matrix =
         map (Ndarray.of_bool_array sh) (array_repeat n bool);
       ])
 
-let prop_mmat2_bytes =
+let prop_mmat3_bytes =
   QCheck.Test.make ~name:"matrix files: reference bytes, bit-exact reads"
     ~count:200
     (QCheck.make ~print:Ndarray.to_string gen_matrix)
@@ -553,7 +557,7 @@ let prop_mmat2_bytes =
         (fun () ->
           Ndarray.write_file file m;
           let bytes = In_channel.with_open_bin file In_channel.input_all in
-          if bytes <> reference_mmat2 m then
+          if bytes <> reference_mmat3 m then
             QCheck.Test.fail_report "write_file differs from the reference";
           let back = Ndarray.read_file file in
           Shape.equal (Ndarray.shape back) (Ndarray.shape m)
@@ -787,5 +791,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pool_matches_serial;
     Alcotest.test_case "simd ops" `Quick test_simd_ops;
     QCheck_alcotest.to_alcotest prop_simd_equals_scalar;
-    QCheck_alcotest.to_alcotest prop_mmat2_bytes;
+    QCheck_alcotest.to_alcotest prop_mmat3_bytes;
   ]
