@@ -92,10 +92,6 @@ let bound_message ~index ~dim ~extent =
 
 let same_message ~what a b = Printf.sprintf "%s: %d against %d" what a b
 
-let dim_message ~index shape =
-  Printf.sprintf "dimSize: dimension %d out of range for %s" index
-    (Runtime.Shape.to_string shape)
-
 type lvalue = LVar of string | LField of lvalue * int
 
 type site = ..

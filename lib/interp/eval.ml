@@ -500,18 +500,16 @@ and check cx sc (c : check) : frame -> unit =
         match m fr with
         | VNull -> raise (Runtime_error (null_message, span))
         | _ -> ())
-  | Dim { m; rank; index; span } ->
+  | Dim { m; index; span; _ } -> (
       let m = expr cx sc m and index = scalar cx sc index in
       fun fr ->
-        let index = S.to_int (index fr) in
-        if index < 0 || index >= rank then
-          match m fr with
-          | VMat rc ->
-              raise
-                (Runtime_error
-                   (dim_message ~index (Nd.shape (Runtime.Rc.get rc)), span))
-          | VNull -> raise (Runtime_error (null_message, span))
-          | v -> err "expected matrix, got %a" pp_value v
+        match m fr with
+        | VMat rc -> (
+            try ignore (Nd.dim_size (Runtime.Rc.get rc) (S.to_int (index fr)))
+            with Runtime.Shape.Shape_error msg ->
+              raise (Runtime_error (msg, span)))
+        | VNull -> raise (Runtime_error (null_message, span))
+        | v -> err "expected matrix, got %a" pp_value v)
 
 (* A statement list in scope [sc]: [Decl]s bind in [sc] itself, for the
    statements after them. *)

@@ -106,8 +106,8 @@ static _Noreturn void mm_io_fault(const char *fmt, ...) {
 }
 
 /* The reports of MM_BOUND, MM_SAME and MM_DIM, worded as
- * Cir.Ir.null_message, bound_message, same_message and dim_message word
- * them for the interpreter. */
+ * Cir.Ir.null_message, bound_message and same_message and
+ * Ndarray.dim_size word them for the interpreter. */
 _Noreturn void mm_guard_index(const void *p, int dim, int index, int id) {
   const mm_mat_float *m = p;
   if (!m) mm_guard_fault(id, "use of an uninitialised matrix");

@@ -187,7 +187,8 @@ let test_eddy_flag_matrix () =
 (* Every value shape the protocol can carry: float, bool, void, matrix,
    NULL and tuple results all round-trip into what the interpreter
    returns (including the returned matrix counting as live on both
-   sides). *)
+   sides).  A returned value converts to the function's declared type,
+   as an initialiser does. *)
 let test_result_shapes () =
   List.iter
     (fun (name, src) -> differential ~name ~inputs:[] ~outputs:[] src)
@@ -214,6 +215,12 @@ int main() {
   return a;
 }
 |} );
+      ("ret-int-of-float", "int main() { return 2.75; }");
+      ( "ret-int-of-float-call",
+        "int f() { return 2.75; }\nint main() { return f() * 2; }" );
+      ( "ret-float-of-int",
+        "float g(int x) { return x / 2; }\n\
+         float main() { return g(5) + 0.25; }" );
     ]
 
 (* Tuple-valued entry: the harness prints the struct field by field. *)
@@ -1580,41 +1587,6 @@ int main() {
 |})
     [ 1; 2 ]
 
-(* A returned value converts to the function's declared type, as an
-   initialiser does: C converts implicitly, and the interpreter must
-   too. *)
-let test_return_converts () =
-  List.iter
-    (fun (name, src) -> differential ~name ~inputs:[] ~outputs:[] src)
-    [
-      ("int from float", "int f() { return 2.75; }\nint main() { return f() * 2; }");
-      ("int main from float", "int main() { return 2.75; }");
-      ( "float from int",
-        "float g(int x) { return x / 2; }\nfloat main() { return g(5) + 0.25; }" );
-    ]
-
-(* A literal dimSize dimension outside the matrix's rank is a type
-   error, before either backend runs. *)
-let test_literal_dim_rejected () =
-  ignore (ensure_cc ());
-  let src =
-    "int main() {\n\
-    \  Matrix int <1> v = with ([0] <= [i] < [4]) genarray([4], i);\n\
-    \  return dimSize(v * 2, 3);\n\
-     }\n"
-  in
-  let expected = [ "dimSize: dimension 3 out of range for a rank-1 matrix" ] in
-  let messages = function
-    | Driver.Ok_ _ -> []
-    | Driver.Failed ds -> List.map (fun d -> d.Support.Diag.message) ds
-  in
-  Alcotest.(check (list string)) "interpreter" expected
-    (messages (Driver.run full src []));
-  Alcotest.(check (list string)) "binary" expected
-    (messages
-       (Driver.exec ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full)
-          src))
-
 let suite =
   [
     Alcotest.test_case "fig1 interp vs native" `Quick test_fig1;
@@ -1689,8 +1661,4 @@ let suite =
       test_write_leaves_no_temporary;
     Alcotest.test_case "a with-loop body releases its temporaries" `Quick
       test_with_body_temporaries;
-    Alcotest.test_case "a returned value converts to the declared type"
-      `Quick test_return_converts;
-    Alcotest.test_case "a literal dimSize dimension out of range is rejected"
-      `Quick test_literal_dim_rejected;
   ]

@@ -610,6 +610,30 @@ let test_slice_declaration_typechecked () =
           "rank-2 matrix subscripted with 1 indices";
         ]
 
+(* A literal dimSize dimension outside the matrix's rank is a type
+   error; a computed one is checked where it runs. *)
+let test_literal_dim_rejected () =
+  let src =
+    {|int main() {
+  Matrix int <1> v = with ([0] <= [i] < [4]) genarray([4], i);
+  return dimSize(v * 2, 3) + dimSize(v, -1);
+}|}
+  in
+  match Driver.frontend full src with
+  | Driver.Ok_ _ -> Alcotest.fail "out-of-range dimensions accepted"
+  | Driver.Failed ds ->
+      Alcotest.(check (list (pair string string)))
+        "one type error per literal"
+        [
+          ("3:25-26", "dimSize: dimension 3 out of range for a rank-1 matrix");
+          ("3:41-43", "dimSize: dimension -1 out of range for a rank-1 matrix");
+        ]
+        (List.map
+           (fun d ->
+             ( Support.Pos.span_to_string d.Support.Diag.span,
+               d.Support.Diag.message ))
+           ds)
+
 let copy_elim_remarks ?config src =
   match Driver.explain ?config full src with
   | Driver.Ok_ _, report ->
@@ -1001,6 +1025,8 @@ let suite =
     Alcotest.test_case "genarray subset region" `Quick test_genarray_subset_region;
     Alcotest.test_case "auto-par: no nested regions on the pool" `Quick
       test_no_nested_regions;
+    Alcotest.test_case "a literal dimSize dimension is checked" `Quick
+      test_literal_dim_rejected;
   ]
 
 let _ = matrix_only
