@@ -346,12 +346,9 @@ let read_file path =
         io_err "readMatrix %S: shape %s holds more than %d elements" path
           (Shape.to_string sh) max_elems;
       let start = payload_offset r in
+      let expected = Printf.sprintf "zero padding up to offset %d" start in
       for at = pos_in ic to start - 1 do
-        match
-          guarded
-            ~expected:(Printf.sprintf "zero padding up to offset %d" start)
-            (fun () -> input_char ic)
-        with
+        match guarded ~expected (fun () -> input_char ic) with
         | '\000' -> ()
         | c ->
             io_err
