@@ -163,9 +163,10 @@ let rec expr st ?(prec = 0) (e : expr) : string =
         Printf.sprintf "{ %s }"
           (String.concat ", " (List.map (expr st ~prec:0) es))
     | Field (a, i) -> Printf.sprintf "%s.f%d" (expr st ~prec:60 a) i
-    | MAlloc (el, dims) ->
-        Printf.sprintf "mm_alloc_%s(%d%s)"
-          (Runtime.Ndarray.elem_name el)
+    | MAlloc { elem; dims; zeroed } ->
+        Printf.sprintf "mm_%salloc_%s(%d%s)"
+          (if zeroed then "c" else "")
+          (Runtime.Ndarray.elem_name elem)
           (List.length dims)
           (String.concat ""
              (List.map (fun d -> ", " ^ expr st ~prec:0 d) dims))

@@ -52,7 +52,11 @@ type expr =
   | TupleE of expr list
   | Field of expr * int
   (* --- matrix runtime API ------------------------------------------- *)
-  | MAlloc of Runtime.Ndarray.elem * expr list  (** mm_alloc: extents *)
+  | MAlloc of { elem : Runtime.Ndarray.elem; dims : expr list; zeroed : bool }
+      (** a fresh matrix of extents [dims]: its payload starts zeroed only
+          when [zeroed] ([init], a genarray whose generator may leave
+          elements unset); otherwise the code that follows writes every
+          element before anything reads one *)
   | MGetFlat of expr * expr  (** buffer read: matrix, flat offset *)
   | MDim of expr * expr  (** mm_dim(m, d); d is usually a static literal *)
   | MSize of expr  (** mm_size(m): product of extents *)
@@ -185,7 +189,7 @@ let rec map_expr f e =
     | Call (n, args) -> Call (n, List.map r args)
     | TupleE es -> TupleE (List.map r es)
     | Field (a, i) -> Field (r a, i)
-    | MAlloc (el, es) -> MAlloc (el, List.map r es)
+    | MAlloc a -> MAlloc { a with dims = List.map r a.dims }
     | MGetFlat (m, o) -> MGetFlat (r m, r o)
     | MDim (m, d) -> MDim (r m, r d)
     | MSize m -> MSize (r m)
@@ -255,7 +259,7 @@ let rec iter_expr f e =
       r a;
       r b;
       r c
-  | Call (_, es) | TupleE es | MAlloc (_, es) -> List.iter r es
+  | Call (_, es) | TupleE es | MAlloc { dims = es; _ } -> List.iter r es
   | Checked (cs, a) ->
       List.iter (iter_check r) cs;
       r a);

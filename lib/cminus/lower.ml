@@ -26,9 +26,6 @@ let err span fmt =
 
 type scope = {
   mutable owned : string list;  (** matrix vars owned by this scope *)
-  mutable unset : string list;
-      (** the owned vars declared without an initialiser: NULL until
-          assigned *)
   is_loop : bool;  (** break/continue release down to the loop scope *)
   mutable renamed : (string * string) list;
       (** source name -> C name, for the declarations in this scope whose
@@ -43,6 +40,9 @@ type t = {
   mutable scopes : scope list;
   mutable params : string list;
       (** matrix parameters: the caller may pass one matrix for several *)
+  mutable nullable : string -> bool;
+      (** whether a name of the function being lowered may hold NULL where
+          it is read: no binding of it proves otherwise ({!nullable}) *)
   mutable borrowed : string list;
       (** matrix parameters the body never rebinds: the caller keeps
           ownership, so returning one retains it.  A rebound parameter is
@@ -120,15 +120,18 @@ let is_mat = function Types.TMat _ -> true | _ -> false
 (* --- ownership helpers ------------------------------------------------------ *)
 
 let push_scope ?(is_loop = false) t =
-  t.scopes <- { owned = []; unset = []; is_loop; renamed = [] } :: t.scopes
+  t.scopes <- { owned = []; is_loop; renamed = [] } :: t.scopes
 
 let own t name = (List.hd t.scopes).owned <- name :: (List.hd t.scopes).owned
 
-(** [maybe_null t v] — C variable [v] is a matrix declared without an
-    initialiser, so it may still be NULL where it is read here.  An owned
-    declaration never shares its C name with another one in scope
-    ({!declare}). *)
-let maybe_null t v = List.exists (fun sc -> List.mem v sc.unset) t.scopes
+(** [maybe_null t e] — matrix operand [e] may be NULL where an operation
+    reads its extents: it is a call's result, or a name whose bindings do
+    not prove it non-NULL. *)
+let maybe_null t (e : Ast.expr) =
+  match e.Ast.e with
+  | Ast.Ident v -> t.nullable v
+  | Ast.CallE (f, _) -> Hashtbl.mem t.funcs f
+  | _ -> false
 
 (** The C name of source variable [v] where it is read here. *)
 let c_name t v =
@@ -438,6 +441,53 @@ let rebound params body =
   let hits = List.concat_map stmt body in
   List.filter (fun p -> List.mem p hits) params
 
+(* Whether a name [body] binds may hold NULL where it is read, by its
+   bindings anywhere in [body]: a matrix parameter in [params], or a name
+   declared without an initialiser, assigned a call's result or a part
+   of a destructured tuple, or bound to a name that may.  A name bound
+   only to fresh matrices cannot.  An extension statement that forwards
+   to no host statement may bind any name. *)
+let nullable t params body =
+  let seeds = ref params and copies = ref [] and opaque = ref false in
+  let bind v (e : Ast.expr) =
+    match e.Ast.e with
+    | Ast.CallE (f, _) when Hashtbl.mem t.funcs f -> seeds := v :: !seeds
+    | Ast.Ident y -> copies := (v, y) :: !copies
+    | _ -> ()
+  in
+  let rec stmt (st : Ast.stmt) =
+    match st.Ast.s with
+    | Ast.DeclS (_, v, None) -> seeds := v :: !seeds
+    | Ast.DeclS (_, v, Some e) | Ast.AssignS ({ Ast.e = Ast.Ident v; _ }, e) ->
+        bind v e
+    | Ast.AssignS ({ Ast.e = Ast.TupleLit parts; _ }, _) ->
+        List.iter
+          (fun (p : Ast.expr) ->
+            match p.Ast.e with Ast.Ident v -> seeds := v :: !seeds | _ -> ())
+          parts
+    | Ast.IfS (_, a, b) -> List.iter stmt (a @ b)
+    | Ast.WhileS (_, b) | Ast.BlockS b -> List.iter stmt b
+    | Ast.ForS (i, _, s, b) ->
+        List.iter stmt (Option.to_list i @ Option.to_list s @ b)
+    | Ast.ExtS x -> (
+        match Ast.forward_stmt x with
+        | Some s -> stmt { st with Ast.s }
+        | None -> opaque := true)
+    | _ -> ()
+  in
+  List.iter stmt body;
+  let rec close names =
+    match
+      List.find_opt
+        (fun (v, y) -> List.mem y names && not (List.mem v names))
+        !copies
+    with
+    | Some (v, _) -> close (v :: names)
+    | None -> names
+  in
+  let names = close !seeds in
+  fun v -> !opaque || List.mem v names
+
 let rec lower_stmt t (st : Ast.stmt) : stmt list =
   let span = st.Ast.sspan in
   let stmts =
@@ -453,10 +503,7 @@ let rec lower_stmt t (st : Ast.stmt) : stmt list =
                paper's programs follow this; see Fig 8's `trough`).  The
                variable still owns whatever it ends up holding. *)
             let name = declare t name in
-            if is_mat ty then begin
-              own t name;
-              (List.hd t.scopes).unset <- name :: (List.hd t.scopes).unset
-            end;
+            if is_mat ty then own t name;
             [ Decl (cty, name, None) ]
         | Some ie ->
             let si, ei = lower_expr ~expected:ty t ie in
@@ -706,6 +753,7 @@ let lower_fundef t (f : Ast.fundef) : func =
         | Types.TMat _ -> Some name
         | _ -> None)
       f.Ast.params;
+  t.nullable <- nullable t t.params f.Ast.body;
   let owned = if t.rc then rebound t.params f.Ast.body else [] in
   t.borrowed <- List.filter (fun p -> not (List.mem p owned)) t.params;
   List.iter (own t) owned;
@@ -744,6 +792,7 @@ let lower_program ?(warn = fun _ -> ()) ?remarks (hooks : hooks list)
       rc;
       scopes = [];
       params = [];
+      nullable = (fun _ -> false);
       borrowed = [];
       pending = [];
       extra_funcs = [];

@@ -56,6 +56,10 @@ let flat_offset (extents : expr list) (idxs : expr list) : expr =
 
 let dims_of v rank = List.init rank (fun d -> MDim (Var v, Int d))
 
+(* A fresh matrix whose every element the code after it writes before
+   anything reads one, so its payload need not start zeroed. *)
+let alloc elem dims = MAlloc { elem; dims; zeroed = false }
+
 (* Elementwise conversion of a loaded element. *)
 let conv ~(from : Nd.elem) ~(to_ : Nd.elem) e =
   match (from, to_) with
@@ -80,7 +84,6 @@ let coerce_scalar (from_ty : T.ty) (to_elem : Nd.elem) e =
 let ew_loop t ~span ~traps ~(model : string) ~(rank : int)
     ~(out_elem : Nd.elem) ~(body : expr -> expr) : stmt list * expr =
   let r = L.fresh t "ew" and i = L.fresh t "i" in
-  let alloc = MAlloc (out_elem, dims_of model rank) in
   let loop =
     {
       index = i;
@@ -94,7 +97,10 @@ let ew_loop t ~span ~traps ~(model : string) ~(rank : int)
       Site
         ( Sites.Producer { tmp = r; what = Sites.Elementwise; traps; span },
           [
-            Decl (CMat (out_elem, rank), r, Some alloc);
+            Decl
+              ( CMat (out_elem, rank),
+                r,
+                Some (alloc out_elem (dims_of model rank)) );
             Site (Sites.AutoPar { kind = Sites.Elemwise; span }, [ For loop ]);
           ] );
     ]
@@ -103,12 +109,14 @@ let ew_loop t ~span ~traps ~(model : string) ~(rank : int)
   (stmts, Var r)
 
 (* A matrix operand of the operation at [span], bound to a variable.
-   Every operation reads its operand's extents or size, and a matrix
-   local declared without an initialiser may still be NULL there, so it
-   is checked first. *)
-let lower_operand t ~span (e : A.expr) : stmt list * string =
+   Every operation reads its operand's extents or size, and an operand
+   [L.maybe_null] names (a parameter, a call's result, a local declared
+   without an initialiser, ...) may be NULL there, so it is checked
+   first, unless the operation's own checks test it ([checked = false]). *)
+let lower_operand ?(checked = true) t ~span (e : A.expr) : stmt list * string =
   let s, v = bind_mat t (L.lower_expr t e) (ety e) in
-  if L.maybe_null t v then (s @ [ Check (Null { m = Var v; span }) ], v)
+  if checked && L.maybe_null t e then
+    (s @ [ Check (Null { m = Var v; span }) ], v)
   else (s, v)
 
 let cir_binop (op : A.binop) : binop =
@@ -152,7 +160,7 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
               ( Sites.Producer
                   { tmp = r; what = Sites.Range; traps = false; span },
                 [
-                  Decl (CMat (Nd.EInt, 1), r, Some (MAlloc (Nd.EInt, [ Var n ])));
+                  Decl (CMat (Nd.EInt, 1), r, Some (alloc Nd.EInt [ Var n ]));
                   For
                     {
                       index = i;
@@ -223,7 +231,7 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
         sa @ sb
         @ [
             Check inner;
-            Decl (CMat (e1, 2), r, Some (MAlloc (e1, [ m; n ])));
+            Decl (CMat (e1, 2), r, Some (alloc e1 [ m; n ]));
             Site
               ( Sites.AutoPar { kind = Sites.MatmulRow; span },
                 [ For row_loop ] );
@@ -379,7 +387,7 @@ let lower_index t (base : string) (base_ty : T.ty) (d : int) (ix : A.index) :
                           [] );
                     ];
                 };
-              Decl (CMat (Nd.EInt, 1), sel, Some (MAlloc (Nd.EInt, [ Var cnt ])));
+              Decl (CMat (Nd.EInt, 1), sel, Some (alloc Nd.EInt [ Var cnt ]));
               Decl (CInt, k, Some (Int 0));
               For
                 {
@@ -1057,11 +1065,29 @@ let region t ~span vb specs =
   in
   (kept_dims, out_vars, extents, src_idxs, List.concat gathered)
 
+(* An element access [m[i, …]] whose indices are scalars that do not
+   read [m]'s extents through [end].  It needs no NULL check of [m]
+   before its indices: each index check tests [m] against NULL first
+   (MM_BOUND), and an index proven in range runs below a [dimSize] of
+   [m], which checks it. *)
+let element_access indices =
+  let rec reads_end (e : A.expr) =
+    match e.A.e with
+    | A.ExtE Nodes.EEnd -> true
+    | _ -> ( try List.exists reads_end (sub_exprs e) with Opaque -> true)
+  in
+  List.for_all
+    (function
+      | A.IExpr e -> ety e = T.TInt && not (reads_end e) | A.IAll _ -> false)
+    indices
+
 let h_subscript memo t (base : A.expr) (indices : A.index list) (rty : T.ty)
     span : (stmt list * expr) option =
   match ety base with
   | T.TMat (_elem, rank) ->
-      let sb, vb = lower_operand t ~span base in
+      let sb, vb =
+        lower_operand ~checked:(not (element_access indices)) t ~span base
+      in
       let si, specs = lower_specs t vb (ety base) indices in
       let fx = facts memo t in
       let checks = index_checks t fx ~span vb base indices specs in
@@ -1130,7 +1156,7 @@ let h_subscript memo t (base : A.expr) (indices : A.index list) (rty : T.ty)
                 ( Sites.SliceAlias
                     { base = vb; slice = r; shape; safe; why; span },
                   Decl (CMat (out_elem, List.length kept_dims), r,
-                    Some (MAlloc (out_elem, extents)))
+                    Some (alloc out_elem extents))
                   :: loops );
             ]
         in
@@ -1143,7 +1169,9 @@ let h_subscript_assign memo t (base : A.expr) (indices : A.index list)
     (rhs : A.expr) ~at span : stmt list option =
   match ety base with
   | T.TMat (elem, rank) ->
-      let sb, vb = lower_operand t ~span:at base in
+      let sb, vb =
+        lower_operand ~checked:(not (element_access indices)) t ~span:at base
+      in
       let si, specs = lower_specs t vb (ety base) indices in
       let checks =
         index_checks t (facts memo t) ~span:at vb base indices specs
@@ -1276,19 +1304,28 @@ let rec same_value (a : A.expr) (b : A.expr) =
       o = o' && same_value x x' && same_value y y'
   | _ -> false
 
+(* Does a genarray's generator run over the whole of one dimension of
+   its shape, its bounds [lo] and [hi] being [0 <= i < s] for the
+   shape's own extent [s] there? *)
+let spans (gen : Nodes.generator) ((lo : A.expr), hi) s =
+  gen.Nodes.lo_rel = Nodes.RLe && gen.Nodes.hi_rel = Nodes.RLt
+  && (match lo.A.e with A.IntLit 0 -> true | _ -> false)
+  && same_value hi s
+
+(* Does the generator write every element of the shape?  Only then may
+   the result's payload start unset. *)
+let covers (gen : Nodes.generator) shape =
+  List.for_all2 (spans gen) (List.combine gen.Nodes.lo gen.Nodes.hi) shape
+
 (* The checks that every index a genarray's generator produces lies in
    the result [r]'s shape: its first and last index in each dimension
-   where the generator runs, unless the generator is [0 <= i < s] for the
-   shape's own [s].  The body then writes inside [r] by construction. *)
+   the generator does not span.  The body then writes inside [r] by
+   construction. *)
 let shape_fits (gen : Nodes.generator) shape bounds r span =
-  let zero (e : A.expr) = match e.A.e with A.IntLit 0 -> true | _ -> false in
   List.concat
     (List.mapi
-       (fun d (((lo, hi), s), (start, stop)) ->
-         if
-           gen.Nodes.lo_rel = Nodes.RLe && gen.Nodes.hi_rel = Nodes.RLt
-           && zero lo && same_value hi s
-         then []
+       (fun d ((bounds_d, s), (start, stop)) ->
+         if spans gen bounds_d s then []
          else
            let bound index = Check (Bound { m = Var r; dim = d; index; span }) in
            [
@@ -1352,8 +1389,17 @@ let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
       in
       let stmts =
         prelude @ sshape
-        @ (Decl (CMat (out_elem, out_rank), r, Some (MAlloc (out_elem, eshape)))
-          :: shape_fits gen shape bounds r span)
+        @ Decl
+            ( CMat (out_elem, out_rank),
+              r,
+              Some
+                (MAlloc
+                   {
+                     elem = out_elem;
+                     dims = eshape;
+                     zeroed = not (covers gen shape);
+                   }) )
+          :: shape_fits gen shape bounds r span
         @ nest
       in
       (* Library-style baseline (§III-A5): "a library implementation
@@ -1369,7 +1415,7 @@ let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
           Decl
             ( CMat (out_elem, out_rank),
               cpy,
-              Some (MAlloc (out_elem, dims_of r out_rank)) );
+              Some (alloc out_elem (dims_of r out_rank)) );
           For
             {
               index = i;
@@ -1496,7 +1542,7 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
             Decl
               ( CMat (in_elem, k),
                 slice,
-                Some (MAlloc (in_elem, slice_extents)) );
+                Some (alloc in_elem slice_extents) );
           ]
         @ extract
         @ [ Decl (CMat (out_elem, k), outv, Some (Call (fname, [ Var slice ]))) ]
@@ -1541,7 +1587,7 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
   let stmts =
     sm
     @ [
-        Decl (CMat (out_elem, rank), r, Some (MAlloc (out_elem, dims_of vm rank)));
+        Decl (CMat (out_elem, rank), r, Some (alloc out_elem (dims_of vm rank)));
         Decl (CInt, total, Some total_expr);
         Site (Sites.AutoPar { kind = Sites.MatrixMap fname; span }, [ For loop ]);
       ]
@@ -1582,7 +1628,13 @@ let h_expr t (ext : A.ext_expr) (rty : T.ty) span : (stmt list * expr) option =
       let tmp = L.fresh t "initm" in
       L.add_pending t tmp;
       Some
-        ( sdims @ [ Decl (T.to_ctype rty, tmp, Some (MAlloc (elem, edims))) ],
+        ( sdims
+          @ [
+              Decl
+                ( T.to_ctype rty,
+                  tmp,
+                  Some (MAlloc { elem; dims = edims; zeroed = true }) );
+            ],
           Var tmp )
   | Nodes.EWith (gen, op) -> Some (lower_with t gen op rty span)
   | Nodes.EMatrixMap (fname, m, dims) ->

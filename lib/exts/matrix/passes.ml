@@ -37,7 +37,8 @@ let producer_parts tmp payload =
     | _ -> None
   in
   match payload with
-  | Decl (CMat _, v, Some (MAlloc (_, extents))) :: rest when v = tmp -> (
+  | Decl (CMat _, v, Some (MAlloc { dims = extents; _ })) :: rest
+    when v = tmp -> (
       match fill rest with
       | Some { index; body = [ MSetFlat (Var v, Var i, elem) ]; _ }
         when v = tmp && i = index ->

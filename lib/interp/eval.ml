@@ -315,12 +315,12 @@ let rec expr (cx : ctx) (sc : scope) (e : expr) : frame -> value =
         match a fr with
         | VTuple vs when i < Array.length vs -> vs.(i)
         | v -> err "field .f%d of non-tuple %a" i pp_value v)
-  | MAlloc (el, dims) ->
+  | MAlloc { elem; dims; zeroed = _ } ->
+      (* OCaml arrays start initialised, so every payload starts zeroed *)
       let dims = Array.of_list (List.map sx dims) in
       fun fr ->
         let sh = Array.map (fun d -> S.to_int (d fr)) dims in
-        Array.iter (fun d -> if d < 0 then err "negative matrix extent %d" d) sh;
-        alloc_mat cx (Nd.create el sh)
+        alloc_mat cx (Nd.create elem sh)
   | MRead (Str p) ->
       let path = data_path ~dir:(cx.dir ()) p in
       fun _ -> alloc_mat cx (Nd.read_file path)

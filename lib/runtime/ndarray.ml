@@ -42,11 +42,40 @@ let dim_size m d =
       (Shape.to_string m.shape)
   else m.shape.(d)
 
-(** [create e shape] — zero/false-initialised matrix: the [init] builtin.
-    The [ndarray.alloc] failpoint fires {e before} the buffer exists,
-    modelling an allocation failure that leaves no trace behind. *)
+(* Plausibility bounds on a parsed header: binary garbage can decode to
+   any rank/extent, and without these caps a corrupt file turns into a
+   multi-gigabyte allocation attempt instead of a diagnostic.  An
+   allocation is held to [max_elems] too. *)
+let max_rank = 16
+let max_extent = 1 lsl 24
+let max_elems = 1 lsl 28
+
+(** [elems shape] — the element count of nonnegative extents,
+    saturating above {!max_elems}: five extents of 65536, or eight of
+    2^24, would overflow an int and could wrap to 0. *)
+let elems sh =
+  Array.fold_left
+    (fun n e ->
+      if n = 0 || e = 0 then 0
+      else if n > max_elems || e > max_elems then max_elems + 1
+      else n * e)
+    1 sh
+
+(** [create e shape] — zero/false-initialised matrix: the [init] builtin,
+    and every matrix the interpreter allocates.  The [ndarray.alloc]
+    failpoint fires {e before} the buffer exists, modelling an allocation
+    failure that leaves no trace behind.  A negative extent, or more than
+    {!max_elems} elements, is a {!Shape.Shape_error}, worded as the
+    native runtime's [mm_alloc] words it. *)
 let create e sh =
   Support.Failpoint.hit fp_alloc;
+  Array.iteri
+    (fun d x ->
+      if x < 0 then Shape.err "negative matrix extent %d in dimension %d" x d)
+    sh;
+  if elems sh > max_elems then
+    Shape.err "shape %s holds more than %d elements" (Shape.to_string sh)
+      max_elems;
   let n = Shape.size sh in
   let buf =
     match e with
@@ -252,13 +281,6 @@ let write_file path m =
     Sys.remove tmp;
     cannot_open e
 
-(* Plausibility bounds on a parsed header: binary garbage can decode to
-   any rank/extent, and without these caps a corrupt file turns into a
-   multi-gigabyte allocation attempt instead of a diagnostic. *)
-let max_rank = 16
-let max_extent = 1 lsl 24
-let max_elems = 1 lsl 28
-
 (* Magics of formats no longer read, and what each was. *)
 let old_formats =
   [
@@ -335,13 +357,7 @@ let read_file path =
                 path e d (pos_in ic - 4) max_extent;
             e)
       in
-      (* The element count saturates above [max_elems]: eight extents
-         of 2^24 would overflow an int and could wrap to 0. *)
-      let n =
-        Array.fold_left
-          (fun n e -> if e = 0 then 0 else if n > max_elems then n else n * e)
-          1 sh
-      in
+      let n = elems sh in
       if n > max_elems then
         io_err "readMatrix %S: shape %s holds more than %d elements" path
           (Shape.to_string sh) max_elems;

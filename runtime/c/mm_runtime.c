@@ -9,6 +9,7 @@
 #include <fcntl.h>
 #include <signal.h>
 #include <stdarg.h>
+#include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -97,12 +98,22 @@ _Noreturn void mm_guard_fault(int id, const char *fmt, ...) {
   mm_vfault(id, fmt, ap);
 }
 
-/* A readMatrix/writeMatrix failure: reported like a failed check, at
- * the breadcrumb's span, which is the statement doing the I/O. */
-static _Noreturn void mm_io_fault(const char *fmt, ...) {
+/* A failed readMatrix, writeMatrix or allocation: reported like a
+ * failed check, at the breadcrumb's span, which is the statement doing
+ * it. */
+static _Noreturn void mm_crumb_fault(const char *fmt, ...) {
   va_list ap;
   va_start(ap, fmt);
   mm_vfault(mm_crumb, fmt, ap);
+}
+
+/* [rank] extents as Runtime.Shape.to_string writes them: "[2x3]". */
+#define MM_SHAPE_CHARS (12 * MM_MAX_RANK + 3)
+static void mm_shape_string(char *out, int rank, const int *dims) {
+  strcpy(out, "[");
+  for (int d = 0; d < rank; d++)
+    sprintf(out + strlen(out), d ? "x%d" : "%d", dims[d]);
+  strcat(out, "]");
 }
 
 /* The reports of MM_BOUND, MM_SAME and MM_DIM, worded as
@@ -122,10 +133,8 @@ _Noreturn void mm_guard_same(int a, int b, const char *what, int id) {
 _Noreturn void mm_guard_dim(const void *p, int index, int id) {
   const mm_mat_float *m = p;
   if (!m) mm_guard_fault(id, "use of an uninitialised matrix");
-  char shape[12 * MM_MAX_RANK + 3] = "[";
-  for (int d = 0; d < m->rank; d++)
-    sprintf(shape + strlen(shape), d ? "x%d" : "%d", m->dims[d]);
-  strcat(shape, "]");
+  char shape[MM_SHAPE_CHARS];
+  mm_shape_string(shape, m->rank, m->dims);
   mm_guard_fault(id, "dimSize: dimension %d out of range for %s", index,
                  shape);
 }
@@ -310,21 +319,67 @@ static size_t mm_elem_size(int kind) {
 
 /* A matrix is one block: its header, then, from the next 16-byte
  * boundary, its n elements, so making and releasing one costs one
- * malloc and one free.  All three mm_mat_* structs share their header
- * prefix; the block is built through the float variant, and [data]
- * points at the payload whatever its kind.  [zero] clears the payload
- * (mm_alloc); a reader that fills it at once skips that.  A float
- * payload readMatrix maps (mm_map_floats) is the one exception. */
+ * allocation and one release.  All three mm_mat_* structs share their
+ * header prefix; the block is built through the float variant, and
+ * [data] points at the payload whatever its kind.  [zero] clears the
+ * payload (mm_calloc_*); every other caller writes all of it before
+ * reading any.  The header's [block] says which of three kinds the block
+ * is, and mm_rc_dec releases it by that record. */
 #define MM_HEADER_BYTES ((sizeof(mm_mat_float) + 15) & ~(size_t)15)
+
+enum {
+  MM_BLOCK_HEAP, /* malloc */
+  MM_BLOCK_HUGE, /* an anonymous mapping on huge pages (mm_map_huge) */
+  MM_BLOCK_FILE  /* a malloc header; the payload maps a file (mm_map_floats) */
+};
+
+/* A block of at least a huge page is its own anonymous mapping, aligned
+ * to the huge page and advised onto huge pages, where first touching it
+ * costs less than half what it costs on the 4 KiB pages malloc's own
+ * mapping of it gets (EXPERIMENTS.md C22); the kernel zeroes it.  Under
+ * AddressSanitizer every block comes from malloc, which ASan guards and
+ * fills. */
+#define MM_HUGE_PAGE ((size_t)2 << 20)
+#ifdef __SANITIZE_ADDRESS__
+#define MM_MAP_MIN SIZE_MAX
+#else
+#define MM_MAP_MIN MM_HUGE_PAGE
+#endif
+
+/* [bytes] of zeroed memory mapped from a huge-page boundary; NULL when
+ * no mapping can be made.  The mapping is made one huge page longer and
+ * trimmed to its aligned part; when that fails (an address-space cap
+ * near the size), the exact size is mapped instead. */
+static void *mm_map_huge(size_t bytes) {
+  size_t page = (size_t)sysconf(_SC_PAGESIZE);
+  size_t len = (bytes + page - 1) & ~(page - 1);
+  int prot = PROT_READ | PROT_WRITE, flags = MAP_PRIVATE | MAP_ANONYMOUS;
+  char *raw = mmap(0, len + MM_HUGE_PAGE, prot, flags, -1, 0), *base;
+  if (raw != MAP_FAILED) {
+    base = (char *)(((uintptr_t)raw + MM_HUGE_PAGE - 1) &
+                    ~(uintptr_t)(MM_HUGE_PAGE - 1));
+    if (base > raw) munmap(raw, (size_t)(base - raw));
+    munmap(base + len, MM_HUGE_PAGE - (size_t)(base - raw));
+  } else {
+    base = mmap(0, len, prot, flags, -1, 0);
+    if (base == MAP_FAILED) return 0;
+  }
+#ifdef MADV_HUGEPAGE
+  madvise(base, len, MADV_HUGEPAGE);
+#endif
+  return base;
+}
 
 /* Fills in header [m] of an n-element payload at [data] and counts the
  * payload as allocated. */
-static mm_mat_float *mm_header(mm_mat_float *m, int kind, int rank,
-                               const int *dims, long long n, void *data) {
+static mm_mat_float *mm_header(mm_mat_float *m, int block, int kind,
+                               int rank, const int *dims, long long n,
+                               void *data) {
   m->rc = 1;
   m->kind = kind;
   m->rank = rank;
   m->elems = (int)n;
+  m->block = block;
   memcpy(m->dims, dims, (size_t)rank * sizeof(int));
   m->data = data;
   mm_account_alloc(n * (long long)mm_elem_size(kind));
@@ -334,51 +389,70 @@ static mm_mat_float *mm_header(mm_mat_float *m, int kind, int rank,
 static mm_mat_float *mm_block(int kind, int rank, const int *dims,
                               long long n, int zero) {
   size_t bytes = MM_HEADER_BYTES + (size_t)n * mm_elem_size(kind);
-  mm_mat_float *m = zero ? calloc(1, bytes) : malloc(bytes);
+  int block = bytes >= MM_MAP_MIN ? MM_BLOCK_HUGE : MM_BLOCK_HEAP;
+  mm_mat_float *m = block == MM_BLOCK_HUGE ? mm_map_huge(bytes)
+                    : zero                 ? calloc(1, bytes)
+                                           : malloc(bytes);
   if (!m) mm_fatal("alloc: out of memory for %lld elements", n);
-  if (!zero) memset(m, 0, sizeof *m);
-  return mm_header(m, kind, rank, dims, n, (char *)m + MM_HEADER_BYTES);
+  if (block == MM_BLOCK_HEAP && !zero) memset(m, 0, sizeof *m);
+  return mm_header(m, block, kind, rank, dims, n, (char *)m + MM_HEADER_BYTES);
 }
 
-static void *mm_alloc(int kind, int rank, va_list ap) {
+/* Ndarray.max_elems: the most elements a matrix may hold. */
+#define MM_MAX_ELEMS (1 << 28)
+
+/* The element count of [rank] nonnegative extents, saturating above
+ * MM_MAX_ELEMS, so that large extents cannot overflow it (five of 65536
+ * would wrap to 0).  An extent is an int, so no step overflows. */
+static long long mm_elems(int rank, const int *dims) {
+  long long n = 1;
+  for (int d = 0; d < rank; d++)
+    n = dims[d] == 0 ? 0 : n > MM_MAX_ELEMS ? n : n * dims[d];
+  return n;
+}
+
+/* An allocation's extents fail the run as Ndarray.create fails it in the
+ * interpreter, in the same words, at the statement's span. */
+static void *mm_alloc(int kind, int zero, int rank, va_list ap) {
   mm_fail_hit("native.alloc");
   if (rank < 0 || rank > MM_MAX_RANK)
     mm_fatal("alloc: implausible rank %d", rank);
   int dims[MM_MAX_RANK];
-  long long n = 1;
   for (int d = 0; d < rank; d++) {
-    int e = va_arg(ap, int);
-    if (e < 0) mm_fatal("alloc: negative extent %d in dimension %d", e, d);
-    dims[d] = e;
-    n *= e;
+    dims[d] = va_arg(ap, int);
+    if (dims[d] < 0)
+      mm_crumb_fault("negative matrix extent %d in dimension %d", dims[d], d);
   }
-  if (n > (1 << 28)) mm_fatal("alloc: %lld elements exceeds limit", n);
-  return mm_block(kind, rank, dims, n, 1);
+  long long n = mm_elems(rank, dims);
+  if (n > MM_MAX_ELEMS) {
+    char shape[MM_SHAPE_CHARS];
+    mm_shape_string(shape, rank, dims);
+    mm_crumb_fault("shape %s holds more than %d elements", shape,
+                   MM_MAX_ELEMS);
+  }
+  return mm_block(kind, rank, dims, n, zero);
 }
 
-mm_mat_float *mm_alloc_float(int rank, ...) {
-  va_list ap;
-  va_start(ap, rank);
-  void *m = mm_alloc(MM_KIND_FLOAT, rank, ap);
-  va_end(ap);
-  return m;
-}
+/* mm_alloc_<elem> and mm_calloc_<elem>. */
+#define MM_ALLOCATORS(elem, KIND)                                             \
+  mm_mat_##elem *mm_alloc_##elem(int rank, ...) {                             \
+    va_list ap;                                                               \
+    va_start(ap, rank);                                                       \
+    void *m = mm_alloc(KIND, 0, rank, ap);                                    \
+    va_end(ap);                                                               \
+    return m;                                                                 \
+  }                                                                           \
+  mm_mat_##elem *mm_calloc_##elem(int rank, ...) {                            \
+    va_list ap;                                                               \
+    va_start(ap, rank);                                                       \
+    void *m = mm_alloc(KIND, 1, rank, ap);                                    \
+    va_end(ap);                                                               \
+    return m;                                                                 \
+  }
 
-mm_mat_int *mm_alloc_int(int rank, ...) {
-  va_list ap;
-  va_start(ap, rank);
-  void *m = mm_alloc(MM_KIND_INT, rank, ap);
-  va_end(ap);
-  return m;
-}
-
-mm_mat_bool *mm_alloc_bool(int rank, ...) {
-  va_list ap;
-  va_start(ap, rank);
-  void *m = mm_alloc(MM_KIND_BOOL, rank, ap);
-  va_end(ap);
-  return m;
-}
+MM_ALLOCATORS(float, MM_KIND_FLOAT)
+MM_ALLOCATORS(int, MM_KIND_INT)
+MM_ALLOCATORS(bool, MM_KIND_BOOL)
 
 void mm_rc_inc(void *p) {
   if (p) __atomic_fetch_add(&((mm_mat_float *)p)->rc, 1, __ATOMIC_RELAXED);
@@ -392,9 +466,17 @@ void mm_rc_dec(void *p) {
   if (rc <= 1) {
     size_t bytes = (size_t)m->elems * mm_elem_size(m->kind);
     mm_account_free((long long)bytes);
-    if (m->mapped)
+    switch (m->block) {
+    case MM_BLOCK_HUGE:
+      munmap(m, MM_HEADER_BYTES + bytes);
+      break;
+    case MM_BLOCK_FILE:
       munmap((char *)m->data - m->mapped, (size_t)m->mapped + bytes);
-    free(m);
+      free(m);
+      break;
+    default:
+      free(m);
+    }
   }
 }
 
@@ -467,7 +549,7 @@ static _Noreturn void mm_file_fault(const char *what, const char *real,
   va_start(ap, fmt);
   vsnprintf(msg, sizeof msg, fmt, ap);
   va_end(ap);
-  mm_io_fault("%s \"%s/%s\": %s", what, dir, real, msg);
+  mm_crumb_fault("%s \"%s/%s\": %s", what, dir, real, msg);
 }
 
 /* A file that will not open: its full path again, then why. */
@@ -540,7 +622,7 @@ static int mm_write_payload(int fd, const mm_mat_float *m) {
  * target. */
 void mm_write_matrix(const char *path, const void *p) {
   const mm_mat_float *m = p;
-  if (!m) mm_io_fault("writeMatrix \"%s\": uninitialised matrix", path);
+  if (!m) mm_crumb_fault("writeMatrix \"%s\": uninitialised matrix", path);
   char *real = mm_resolve_path(path);
   char *tmp = malloc(strlen(real) + 48);
   if (!tmp) mm_fatal("out of memory resolving path");
@@ -555,7 +637,7 @@ void mm_write_matrix(const char *path, const void *p) {
   int ok = mm_write_payload(fd, m);
   if (close(fd) != 0 || !ok) {
     unlink(tmp);
-    mm_io_fault("writeMatrix \"%s\": write failed", path);
+    mm_crumb_fault("writeMatrix \"%s\": write failed", path);
   }
   if (rename(tmp, real) != 0) {
     int err = errno;
@@ -578,7 +660,8 @@ static mm_mat_float *mm_map_floats(int fd, int rank, const int *dims,
   mm_mat_float *m = base == MAP_FAILED ? 0 : calloc(1, sizeof *m);
   if (!m) mm_fatal("alloc: out of memory for %lld elements", n);
   m->mapped = (int)start;
-  return mm_header(m, MM_KIND_FLOAT, rank, dims, n, (char *)base + start);
+  return mm_header(m, MM_BLOCK_FILE, MM_KIND_FLOAT, rank, dims, n,
+                   (char *)base + start);
 }
 
 void *mm_read_matrix(const char *path) {
@@ -605,18 +688,15 @@ void *mm_read_matrix(const char *path) {
   int rank = mm_get_be32(head + 7);
   if (rank < 0 || rank > MM_MAX_RANK)
     MM_READ_FAULT("implausible rank %d", rank);
-  /* The element count saturates above the limit, so a header of large
-   * extents cannot overflow it (and wrap to 0). */
   int dims[MM_MAX_RANK];
-  long long n = 1;
   for (int d = 0; d < rank; d++) {
     if (got < (size_t)MM_HEAD_LEN(d + 1)) MM_READ_FAULT("truncated extent");
     int e = mm_get_be32(head + MM_HEAD_LEN(d));
     if (e < 0 || e > (1 << 24)) MM_READ_FAULT("implausible extent %d", e);
     dims[d] = e;
-    n = e == 0 ? 0 : n > (1 << 28) ? n : n * e;
   }
-  if (n > (1 << 28)) MM_READ_FAULT("more than %d elements", 1 << 28);
+  long long n = mm_elems(rank, dims);
+  if (n > MM_MAX_ELEMS) MM_READ_FAULT("more than %d elements", MM_MAX_ELEMS);
   /* The padding, byte by byte as Ndarray.read_file reads it. */
   long long start = MM_PAYLOAD_AT(rank);
   for (long long at = MM_HEAD_LEN(rank); at < start; at++) {

@@ -31,15 +31,17 @@ typedef double mm_float;
 #define MM_KIND_BOOL 'b'
 
 /* All three matrix structs share a layout prefix (rc, kind, rank, elems,
- * mapped, dims) so mm_rc_inc/mm_rc_dec/mm_size/mm_write_matrix can take
- * any of them through void *.  [mapped] is 0 for a payload on the heap,
- * and the payload's offset in its file mapping for one readMatrix
- * mapped. */
+ * block, mapped, dims) so mm_rc_inc/mm_rc_dec/mm_size/mm_write_matrix can
+ * take any of them through void *.  [block] records how the runtime made
+ * the matrix, so that mm_rc_dec releases it the same way; [mapped] is
+ * the payload's offset in its file mapping for a float matrix readMatrix
+ * mapped, and 0 otherwise. */
 #define MM_MAT_HEADER                                                         \
   int rc;                                                                     \
   int kind;                                                                   \
   int rank;                                                                   \
   int elems;                                                                  \
+  int block;                                                                  \
   int mapped;                                                                 \
   int dims[MM_MAX_RANK]
 
@@ -68,16 +70,25 @@ typedef mm_mat_int mm_mat_int1, mm_mat_int2, mm_mat_int3, mm_mat_int4,
 typedef mm_mat_bool mm_mat_bool1, mm_mat_bool2, mm_mat_bool3, mm_mat_bool4,
     mm_mat_bool5, mm_mat_bool6, mm_mat_bool7, mm_mat_bool8;
 
-/* Allocation (zero-initialised, refcount 1) and reference counting.  A
- * matrix is one heap block, its header and then its payload, which
- * [data] points at; only a float matrix readMatrix read is a header
- * block whose [data] points into a copy-on-write mapping of the file.
- * mm_rc_dec frees the block (and unmaps a mapped payload) when the count
- * reaches zero, and faults on a count that was already zero; both
- * tolerate NULL so generated cleanup code needs no tests. */
+/* Allocation (refcount 1) and reference counting.  mm_alloc_* leaves
+ * the payload unset: lowering calls it for every result its loops write
+ * in full before anything reads it.  mm_calloc_* zeroes the payload, for
+ * init(...) and a genarray whose generator may not cover its shape.  A
+ * matrix is one block, its header and then its payload, which [data]
+ * points at: a malloc block, or, from 2 MiB on, an anonymous mapping
+ * aligned to 2 MiB and advised onto huge pages (the heap only, under
+ * AddressSanitizer).  A float matrix readMatrix read is a header block
+ * whose [data] points into a copy-on-write mapping of the file.  A
+ * negative extent, or more than 2^28 elements, fails the run at the
+ * breadcrumb's span, as a check does.  mm_rc_dec releases the block
+ * when the count reaches zero, and faults on a count that was already
+ * zero; both tolerate NULL so generated cleanup code needs no tests. */
 mm_mat_float *mm_alloc_float(int rank, ...);
 mm_mat_int *mm_alloc_int(int rank, ...);
 mm_mat_bool *mm_alloc_bool(int rank, ...);
+mm_mat_float *mm_calloc_float(int rank, ...);
+mm_mat_int *mm_calloc_int(int rank, ...);
+mm_mat_bool *mm_calloc_bool(int rank, ...);
 void mm_rc_inc(void *m);
 void mm_rc_dec(void *m);
 int mm_live_count(void);
@@ -195,9 +206,10 @@ _Noreturn void mm_guard_dim(const void *m, int index, int id);
        ? mm_guard_dim((const void *)(m), (i), (id))                           \
        : (void)0)
 
-/* A matrix local declared without an initialiser is set by the time an
- * operation reads its extents or size (mm_guard_index words the NULL
- * report). */
+/* An operand that may be NULL (a parameter, a call's result, a local
+ * declared without an initialiser, or a name bound to one) is set by the
+ * time an operation reads its extents or size (mm_guard_index words the
+ * NULL report). */
 #define MM_NOT_NULL(m, id)                                                    \
   (__builtin_expect(!(m), 0) ? mm_guard_index(NULL, 0, 0, (id)) : (void)0)
 

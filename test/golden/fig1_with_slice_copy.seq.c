@@ -25,6 +25,7 @@ const char *const mm_spans[] = {
 
 mm_float seriesMean(mm_mat_float3 *mat, int i, int j) {
   int __mm_crumb0 = mm_crumb_push(0);
+  MM_NOT_NULL(mat, 1);
   MM_BOUND(mat, 0, i, 1);
   MM_BOUND(mat, 1, j, 1);
   mm_crumb_pop(__mm_crumb0);
@@ -58,7 +59,7 @@ int main(void) {
   int n = mat->dims[1];
   mm_crumb_pop(__mm_crumb7);
   int __mm_crumb8 = mm_crumb_push(9);
-  mm_mat_float2 *__mm_initm5 = mm_alloc_float(2, m, n);
+  mm_mat_float2 *__mm_initm5 = mm_calloc_float(2, m, n);
   mm_mat_float2 *means = __mm_initm5;
   mm_crumb_pop(__mm_crumb8);
   int __mm_crumb9 = mm_crumb_push(10);

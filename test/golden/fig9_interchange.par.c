@@ -32,7 +32,7 @@ int main(void) {
   int p = mat->dims[2];
   mm_crumb_pop(__mm_crumb3);
   int __mm_crumb4 = mm_crumb_push(4);
-  mm_mat_float2 *__mm_initm1 = mm_alloc_float(2, m, n);
+  mm_mat_float2 *__mm_initm1 = mm_calloc_float(2, m, n);
   mm_mat_float2 *means = __mm_initm1;
   mm_crumb_pop(__mm_crumb4);
   int __mm_crumb5 = mm_crumb_push(5);

@@ -31,7 +31,7 @@ int main(void) {
   int n = 4;
   mm_crumb_pop(__mm_crumb1);
   int __mm_crumb2 = mm_crumb_push(2);
-  mm_mat_float2 *__mm_initm0 = mm_alloc_float(2, m, n);
+  mm_mat_float2 *__mm_initm0 = mm_calloc_float(2, m, n);
   mm_mat_float2 *a = __mm_initm0;
   mm_crumb_pop(__mm_crumb2);
   int __mm_crumb3 = mm_crumb_push(3);
@@ -56,7 +56,7 @@ int main(void) {
   mm_mat_float2 *b = __mm_ew4;
   mm_crumb_pop(__mm_crumb5);
   int __mm_crumb7 = mm_crumb_push(7);
-  mm_mat_float2 *__mm_initm6 = mm_alloc_float(2, m, m);
+  mm_mat_float2 *__mm_initm6 = mm_calloc_float(2, m, m);
   mm_mat_float2 *c = __mm_initm6;
   mm_crumb_pop(__mm_crumb7);
   int __mm_crumb8 = mm_crumb_push(8);

@@ -25,7 +25,7 @@ int main(void) {
   int n = 7;
   mm_crumb_pop(__mm_crumb1);
   int __mm_crumb2 = mm_crumb_push(2);
-  mm_mat_float2 *__mm_initm0 = mm_alloc_float(2, m, n);
+  mm_mat_float2 *__mm_initm0 = mm_calloc_float(2, m, n);
   mm_mat_float2 *g = __mm_initm0;
   mm_crumb_pop(__mm_crumb2);
   int __mm_crumb3 = mm_crumb_push(3);

@@ -27,6 +27,7 @@ const char *const mm_spans[] = {
 
 mm_float rowSum(mm_mat_float2 *g, int i) {
   int __mm_crumb0 = mm_crumb_push(0);
+  MM_NOT_NULL(g, 1);
   MM_BOUND(g, 0, i, 1);
   mm_crumb_pop(__mm_crumb0);
   int __mm_crumb1 = mm_crumb_push(2);
@@ -51,7 +52,7 @@ int main(void) {
   int n = 4;
   mm_crumb_pop(__mm_crumb5);
   int __mm_crumb6 = mm_crumb_push(7);
-  mm_mat_float2 *__mm_initm3 = mm_alloc_float(2, m, n);
+  mm_mat_float2 *__mm_initm3 = mm_calloc_float(2, m, n);
   mm_mat_float2 *g = __mm_initm3;
   mm_crumb_pop(__mm_crumb6);
   int __mm_crumb7 = mm_crumb_push(8);
@@ -68,7 +69,7 @@ int main(void) {
   g = __mm_gen4;
   mm_crumb_pop(__mm_crumb7);
   int __mm_crumb9 = mm_crumb_push(10);
-  mm_mat_float1 *__mm_initm7 = mm_alloc_float(1, m);
+  mm_mat_float1 *__mm_initm7 = mm_calloc_float(1, m);
   mm_mat_float1 *sums = __mm_initm7;
   mm_crumb_pop(__mm_crumb9);
   int __mm_crumb10 = mm_crumb_push(11);

@@ -35,6 +35,7 @@ const char *const mm_spans[] = {
 
 mm_float rowMean(mm_mat_float2 *grid, int i) {
   int __mm_crumb0 = mm_crumb_push(0);
+  MM_NOT_NULL(grid, 1);
   MM_BOUND(grid, 0, i, 1);
   mm_crumb_pop(__mm_crumb0);
   int __mm_crumb1 = mm_crumb_push(2);
@@ -63,7 +64,7 @@ int main(void) {
   int n = 32;
   mm_crumb_pop(__mm_crumb6);
   int __mm_crumb7 = mm_crumb_push(8);
-  mm_mat_float2 *__mm_initm4 = mm_alloc_float(2, m, n);
+  mm_mat_float2 *__mm_initm4 = mm_calloc_float(2, m, n);
   mm_mat_float2 *grid = __mm_initm4;
   mm_crumb_pop(__mm_crumb7);
   int __mm_crumb8 = mm_crumb_push(9);
@@ -80,7 +81,7 @@ int main(void) {
   grid = __mm_gen5;
   mm_crumb_pop(__mm_crumb8);
   int __mm_crumb10 = mm_crumb_push(11);
-  mm_mat_float2 *__mm_initm8 = mm_alloc_float(2, m, n);
+  mm_mat_float2 *__mm_initm8 = mm_calloc_float(2, m, n);
   mm_mat_float2 *scaled = __mm_initm8;
   mm_crumb_pop(__mm_crumb10);
   int __mm_crumb11 = mm_crumb_push(12);
@@ -117,7 +118,7 @@ int main(void) {
   mm_float total = __mm_acc15;
   mm_crumb_pop(__mm_crumb14);
   int __mm_crumb16 = mm_crumb_push(19);
-  mm_mat_float1 *__mm_initm16 = mm_alloc_float(1, m);
+  mm_mat_float1 *__mm_initm16 = mm_calloc_float(1, m);
   mm_mat_float1 *means = __mm_initm16;
   mm_crumb_pop(__mm_crumb16);
   int __mm_crumb17 = mm_crumb_push(20);

@@ -35,7 +35,7 @@ let mean_body ~par =
       [ For (mk_loop ~index:"j" ~bound:n jbody) ]
   in
   [
-    Decl (CMat (Nd.EFloat, 2), "means", Some (MAlloc (Nd.EFloat, [ m; n ])));
+    Decl (CMat (Nd.EFloat, 2), "means", Some (MAlloc { elem = Nd.EFloat; dims = [ m; n ]; zeroed = false }));
     (if par then ParFor iloop else For iloop);
     Return (Some (Var "means"));
   ]
@@ -475,7 +475,10 @@ let test_run_removes_scratch_dir () =
           func "main"
             [
               Decl
-                (CMat (Nd.EInt, 1), "m", Some (MAlloc (Nd.EInt, [ Int 3 ])));
+                ( CMat (Nd.EInt, 1),
+                  "m",
+                  Some (MAlloc { elem = Nd.EInt; dims = [ Int 3 ]; zeroed = true })
+                );
               MWrite (Str "out/m.data", Var "m");
               RcDec (Var "m");
               ret (if fail then Var "ghost" else Int 1);

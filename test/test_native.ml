@@ -1587,6 +1587,133 @@ int main() {
 |})
     [ 1; 2 ]
 
+(* Results of 2 MiB and more, which the runtime maps on huge pages: a
+   genarray, an elementwise chain, a slice, a matrixMap and an int
+   readMatrix, with one released early and one live at exit.  Both
+   backends agree at 1 and 2 threads, on the result, the live count and
+   the files.  The native --max-bytes cap still fails an allocation
+   above it, and passes one below it. *)
+let big_src =
+  {|
+Matrix float <1> centre(Matrix float <1> row) {
+  float s = with ([0] <= [k] < [dimSize(row, 0)]) fold (+, 0f, row[k]);
+  return row - s / (float) dimSize(row, 0);
+}
+
+Matrix float <2> main() {
+  Matrix int <2> counts = readMatrix("counts.data");
+  int m = dimSize(counts, 0);
+  int n = dimSize(counts, 1);
+  Matrix float <2> g =
+    with ([0,0] <= [i,j] < [m,n]) genarray ([m,n], (float) (counts[i,j] % 7) * 0.5);
+  Matrix float <2> e = g * 2.0 + 1.0;
+  g = init(Matrix float <2>, 1, 1);
+  Matrix float <2> top = e[0::m / 2 - 1, :];
+  writeMatrix("e.data", e);
+  Matrix float <2> centred = matrixMap(centre, top, [1]);
+  writeMatrix("centred.data", centred);
+  return centred;
+}
+|}
+
+let test_big_payloads () =
+  (* 1024 x 512: a 2 MiB int payload, 4 MiB float ones, and a 2 MiB
+     half *)
+  let counts =
+    Nd.init_int [| 1024; 512 |] (fun ix -> (31 * ix.(0)) + (7 * ix.(1)))
+  in
+  List.iter
+    (fun threads ->
+      differential
+        ~name:(Printf.sprintf "big payloads/%d threads" threads)
+        ~auto_par:(threads > 1) ~threads
+        ~inputs:[ ("counts.data", counts) ]
+        ~outputs:[ "e.data"; "centred.data" ]
+        big_src)
+    [ 1; 2 ];
+  let src =
+    {|
+int main() {
+  Matrix float <1> big = init(Matrix float <1>, 16777216);
+  big[1] = 2.0;
+  return (int) big[1] + dimSize(big, 0);
+}
+|}
+  in
+  List.iter
+    (fun (max_bytes, expected) ->
+      let got =
+        match
+          Driver.exec ~dir:(fresh_dir ()) ~max_bytes
+            ~cache_dir:(Lazy.force suite_cache) (Driver.Composed full) src
+        with
+        | Driver.Ok_ o -> Fmt.str "%a" Native.Exec.pp_value o.Native.Exec.value
+        | Driver.Failed ds -> Driver.diags_to_string ds
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "--max-bytes %d: %s (got: %s)" max_bytes expected got)
+        true (is_infix ~affix:expected got))
+    [
+      (32 lsl 20, "alloc: out of memory for 16777216 elements");
+      (512 lsl 20, "16777218");
+    ]
+
+(* A payload that starts unset is written in full before it is read;
+   init and a genarray that leaves a border start zeroed.  Each case
+   first releases three filled blocks of its own size, so the allocator
+   hands it dirty memory. *)
+let test_unzeroed_payloads () =
+  let dirty =
+    {|
+int dirty(int k) {
+  Matrix float <1> a = with ([0] <= [i] < [k]) genarray ([k], 7.5 + (float) i);
+  Matrix float <1> b = with ([0] <= [i] < [k]) genarray ([k], 8.5 + (float) i);
+  Matrix float <1> c = with ([0] <= [i] < [k]) genarray ([k], 9.5 + (float) i);
+  return (int) (a[0] + b[0] + c[0]);
+}
+|}
+  in
+  List.iter
+    (fun threads ->
+      List.iter
+        (fun (name, main) ->
+          differential
+            ~name:(Printf.sprintf "%s/%d threads" name threads)
+            ~auto_par:(threads > 1) ~threads ~inputs:[] ~outputs:[]
+            (dirty ^ main))
+        [
+          ( "a genarray that leaves a border",
+            {|
+Matrix float <1> main() {
+  int n = 64;
+  int d = dirty(n);
+  return with ([1] <= [i] < [n - 1]) genarray ([n], 1.0 + (float) i);
+}
+|} );
+          ( "init and partial writes",
+            {|
+Matrix float <1> main() {
+  int n = 64;
+  int d = dirty(n);
+  Matrix float <1> c = init(Matrix float <1>, n);
+  c[3] = 2.0;
+  c[n - 1] = 4.0;
+  return c;
+}
+|} );
+          ( "a matrix product",
+            {|
+Matrix float <2> main() {
+  int n = 8;
+  int d = dirty(n * n);
+  Matrix float <2> a =
+    with ([0,0] <= [i,j] < [n,n]) genarray ([n,n], (float) (i - 2 * j));
+  return a * a;
+}
+|} );
+        ])
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "fig1 interp vs native" `Quick test_fig1;
@@ -1661,4 +1788,8 @@ let suite =
       test_write_leaves_no_temporary;
     Alcotest.test_case "a with-loop body releases its temporaries" `Quick
       test_with_body_temporaries;
+    Alcotest.test_case "payloads of 2 MiB and more agree; --max-bytes holds"
+      `Quick test_big_payloads;
+    Alcotest.test_case "no unzeroed payload is read before it is written"
+      `Quick test_unzeroed_payloads;
   ]

@@ -278,6 +278,66 @@ let check_programs =
 }
 |},
       Some ("4:22-29", "use of an uninitialised matrix") );
+    ( "negative extent",
+      {|int main() {
+  int k = 0 - 3;
+  Matrix float <1> m = init(Matrix float <1>, k);
+  return dimSize(m, 0);
+}
+|},
+      Some ("3:3-49", "negative matrix extent -3 in dimension 0") );
+    ( "more elements than the limit",
+      {|int main() {
+  Matrix float <2> m = init(Matrix float <2>, 20000, 20000);
+  return dimSize(m, 0);
+}
+|},
+      Some
+        ( "2:3-60",
+          "shape [20000x20000] holds more than 268435456 elements" ) );
+    ( "an element count that would wrap",
+      {|int main() {
+  Matrix int <5> m = init(Matrix int <5>, 65536, 65536, 65536, 65536, 65536);
+  return m[1, 0, 0, 0, 0];
+}
+|},
+      Some
+        ( "2:3-77",
+          "shape [65536x65536x65536x65536x65536] holds more than 268435456 \
+           elements" ) );
+    ( "NULL through a parameter",
+      {|int f(Matrix int <1> a) { return dimSize(a, 0); }
+int main() {
+  Matrix int <1> v;
+  return f(v);
+}
+|},
+      Some ("1:34-47", "use of an uninitialised matrix") );
+    ( "NULL returned by a call",
+      {|Matrix int <1> f() {
+  Matrix int <1> v;
+  return v;
+}
+int main() {
+  Matrix int <1> a = f();
+  return dimSize(a, 0);
+}
+|},
+      Some ("7:10-23", "use of an uninitialised matrix") );
+    ( "NULL in a tuple part",
+      {|(Matrix int <1>, int) f() {
+  Matrix int <1> v;
+  return (v, 1);
+}
+int main() {
+  Matrix int <1> a = init(Matrix int <1>, 2);
+  int k = 0;
+  (a, k) = f();
+  Matrix int <1> b = a + 1;
+  return dimSize(b, 0);
+}
+|},
+      Some ("9:22-27", "use of an uninitialised matrix") );
     ( "end of series",
       {|int main() {
   Matrix float <1> ts = with ([0] <= [k] < [8]) genarray ([8], 8.0 - (float) k);
@@ -769,6 +829,15 @@ let check_sanitized mode ~name ~src ~out =
     true
     (Test_native.data_bytes ~dir:dir_i out = Test_native.data_bytes ~dir:dir_n out)
 
+let border_src =
+  {|int main() {
+  int n = 64;
+  Matrix float <1> b = with ([1] <= [i] < [n - 1]) genarray ([n], 1.0 + (float) i);
+  writeMatrix("border.data", b);
+  return 0;
+}
+|}
+
 let test_sanitized_corpus_runs () =
   with_deadline ~secs:300 "sanitized runs" @@ fun () ->
   ignore (ensure_cc ());
@@ -841,7 +910,11 @@ let test_sanitized_corpus_runs () =
               check_sanitized mode ~name:"fig1"
                 ~src:Eddy.Programs.fig1_temporal_mean ~out:"means.data";
               check_sanitized mode ~name:"fig8" ~src:Eddy.Programs.fig8_scoring
-                ~out:"temporalScores.data"))
+                ~out:"temporalScores.data";
+              (* the border starts zeroed; ASan fills a malloc block
+                 that starts unset with 0xbe *)
+              check_sanitized mode ~name:"border genarray" ~src:border_src
+                ~out:"border.data"))
     [ "address"; "undefined" ]
 
 (* A plain exec, a profiled exec and an address-sanitized exec of one
