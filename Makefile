@@ -61,9 +61,10 @@ stress:
 native-check:
 	dune build @native-check
 
-# Supervised-execution pass: failed subscript and shape checks (one
-# report, the interpreter's, in both backends), crash triage to source
-# spans, native failpoints (MM_FAILPOINTS), supervisor timeout/rlimit
+# Supervised-execution pass: failed subscript and shape checks and
+# failed allocations, matrix-file operations and integer divisions (one
+# report, the interpreter's, at its span, in both backends), native
+# failpoints (MM_FAILPOINTS), supervisor timeout/rlimit
 # kills, sanitizer builds and the 8-cell native fault matrix (same
 # outcome at 1 and 2 threads) — all against real compiled binaries.
 # Each case skips with a visible notice when no C compiler is
@@ -150,25 +151,53 @@ warm-check: all
 # and `mmc profile` put the program's matrix files in a temporary
 # directory and remove it when they end.  Runs each on an example with
 # TMPDIR pointing at a fresh, empty directory (exec's binary cache kept
-# outside it) and fails if anything is left there.  The exec leg skips
-# with a notice when no C compiler is installed.
+# outside it) and fails if anything is left there.  With --data-dir D
+# holding Fig 1's input and two decoys named mm_crash.txt and
+# mm_profile.json, `mmc exec`, `mmc profile` and `mmc profile --native`
+# must each leave D holding exactly the input and the decoys, unchanged
+# byte for byte, and the program's output.  The native legs skip with a
+# notice when no C compiler is installed.
 tmp-check: all
-	@d=$$(mktemp -d) && mkdir $$d/tmp && \
+	@d=$$(mktemp -d) && mkdir $$d/tmp $$d/data $$d/keep && \
+	mmc=./_build/default/bin/mmc.exe && \
 	for cmd in run profile; do \
-	  TMPDIR=$$d/tmp ./_build/default/bin/mmc.exe $$cmd \
+	  TMPDIR=$$d/tmp $$mmc $$cmd \
 	    examples/eddy_energy.mc > /dev/null || { rm -rf $$d; exit 1; }; \
 	done; \
 	if command -v $${MMC_CC:-cc} >/dev/null 2>&1; then \
-	  TMPDIR=$$d/tmp ./_build/default/bin/mmc.exe exec --cache-dir $$d/cache \
+	  native="exec: profile:--native"; \
+	  TMPDIR=$$d/tmp $$mmc exec --cache-dir $$d/cache \
 	    examples/eddy_energy.mc > /dev/null || { rm -rf $$d; exit 1; }; \
 	else \
+	  native=; \
 	  echo "tmp-check: exec SKIP (no C compiler: $${MMC_CC:-cc} not found)"; \
 	fi; \
-	left=$$(ls -A $$d/tmp); rm -rf $$d; \
+	left=$$(ls -A $$d/tmp); \
 	if [ -n "$$left" ]; then \
-	  echo "tmp-check: FAIL (left in TMPDIR: $$left)"; exit 1; \
+	  echo "tmp-check: FAIL (left in TMPDIR: $$left)"; rm -rf $$d; exit 1; \
 	fi; \
-	echo "tmp-check: OK"
+	echo 'int main() { Matrix float <3> c = with ([0,0,0] <= [i,j,k] < [4,5,6]) genarray([4,5,6], (float) (i + j * k)); writeMatrix("ssh.data", c); return 0; }' \
+	  > $$d/gen.mc && \
+	$$mmc run --data-dir $$d/data $$d/gen.mc > /dev/null && \
+	echo 'a crash span' > $$d/data/mm_crash.txt && \
+	echo '{"a": "profile"}' > $$d/data/mm_profile.json && \
+	cp $$d/data/* $$d/keep/ || { rm -rf $$d; exit 1; }; \
+	for run in profile: $$native; do \
+	  rm -f $$d/data/means.data; \
+	  $$mmc $${run%%:*} $${run#*:} --data-dir $$d/data --cache-dir $$d/cache \
+	    test/golden/fig1_temporal_mean.mc > /dev/null || { rm -rf $$d; exit 1; }; \
+	  held=$$(ls -A $$d/data | tr '\n' ' '); \
+	  if [ "$$held" != "means.data mm_crash.txt mm_profile.json ssh.data " ]; then \
+	    echo "tmp-check: FAIL (mmc $${run%%:*} $${run#*:} left the data dir holding: $$held)"; \
+	    rm -rf $$d; exit 1; \
+	  fi; \
+	  for f in ssh.data mm_crash.txt mm_profile.json; do \
+	    cmp -s $$d/keep/$$f $$d/data/$$f || { \
+	      echo "tmp-check: FAIL (mmc $${run%%:*} $${run#*:} changed $$f in the data dir)"; \
+	      rm -rf $$d; exit 1; }; \
+	  done; \
+	done; \
+	rm -rf $$d; echo "tmp-check: OK"
 
 check: all test golden-check bench-smoke stress native-check native-faults-check profile-check profile-native-check explain-check warm-check tmp-check
 

@@ -253,8 +253,10 @@ let emit_cmd =
          ~doc:"Wrap provenance-carrying loops in mm_prof enter/exit \
                calls over a generated span table, so the compiled \
                program can attribute native wall time to source spans \
-               (what $(b,profile --native) compiles). Requires \
-               mm_prof.h/mm_prof.c from runtime/c/ to build standalone.")
+               (what $(b,profile --native) compiles); its harness prints \
+               the profile as a last $(b,__mm_profile) JSON line on \
+               stdout. Requires mm_prof.h/mm_prof.c from runtime/c/ to \
+               build standalone.")
   in
   let run exts_names pipeline line_directives instrument tele file =
     with_telemetry tele @@ fun () ->

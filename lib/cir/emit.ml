@@ -13,9 +13,11 @@
 
     Every program is checked code: the subscript and shape checks
     lowering wrote ({!Ir.check}) print as the runtime's [MM_BOUND],
-    [MM_SAME] and [MM_NOT_NULL] macros, and every provenance site pushes
-    a crash breadcrumb, all keyed by one generated span table, so a
-    failed check or a fatal signal reports at its source span.
+    [MM_SAME], [MM_DIM] and [MM_NOT_NULL] macros, and every runtime call
+    that can fail — an allocation, [readMatrix], [writeMatrix], an
+    integer [/] or [%] — takes the span id of the code making it.  All
+    of them name spans by one generated span table, so each fault
+    reports at the span the interpreter names.
 
     With [exec_harness] the entry function is renamed and a generated
     [int main] prints the entry's result (and the live-allocation count)
@@ -29,8 +31,13 @@ let arith_sym = S.arith_name
 let cmp_sym = S.cmp_name
 let logic_sym = function S.And -> "&&" | S.Or -> "||"
 
+(* A [/] or [%] goes through the runtime's checked helper unless its
+   divisor is a nonzero literal. *)
+let checked_divisor = function Int n -> n = 0 | Float f -> f = 0. | _ -> true
+
 (* C operator precedence levels (higher binds tighter). *)
 let prec_of = function
+  | Binop (Arith (S.Div | S.Mod), _, b) when checked_divisor b -> 100
   | Binop (Arith (S.Mul | S.Div | S.Mod), _, _) -> 50
   | Binop (Arith (S.Add | S.Sub), _, _) -> 40
   | Binop (Cmp (S.Lt | S.Le | S.Gt | S.Ge), _, _) -> 30
@@ -84,17 +91,22 @@ type st = {
           original source *)
   span_ids : (string, int) Hashtbl.t;
       (** span string -> id, in first-emission order (the table index is
-          the id): the program's one span table, which checks,
-          breadcrumbs and the profiler all name spans by *)
+          the id): the program's one span table, which checks, fallible
+          runtime calls and the profiler all name spans by *)
   mutable span_order : string list;  (** reversed *)
-  mutable open_spans : (string * string) list;
-      (** the sites open at the emission point, innermost first: each
-          one's span and the local holding the crash breadcrumb it hides.
-          Mirrors the interpreter's runtime frame stack well enough to
-          make the same skip decisions statically: a loop desugared to
-          several nested loops over one source span is one site, the
-          outermost, and a [return] knows which sites to unwind. *)
-  mutable crumbs : int;  (** breadcrumb locals made so far *)
+  mutable at : string option;
+      (** the span a fault at the emission point names, the one the
+          interpreter's [locate] attaches: the innermost enclosing
+          [Located] statement or provenance loop, else the function's
+          [f_span] (a lifted matrixMap body's is the matrixMap's, which
+          the interpreter attaches through the loop calling it) *)
+  mutable open_spans : string list;
+      (** instrumented emission only: the profiler sites open at the
+          emission point, innermost first.  Mirrors the interpreter
+          profiler's frame stack well enough to make the same skip
+          decisions statically: a loop desugared to several nested loops
+          over one source span is one site, the outermost, and a
+          [return] knows which sites to unwind. *)
   mutable ret : ctype;
       (** return type of the function being emitted: a returned tuple
           literal needs its struct name for a C compound literal *)
@@ -106,8 +118,8 @@ let state ?line_file ?(instrument = false) () =
     line_file;
     span_ids = Hashtbl.create 16;
     span_order = [];
+    at = None;
     open_spans = [];
-    crumbs = 0;
     ret = CVoid;
   }
 
@@ -120,17 +132,19 @@ let span_id st s =
       st.span_order <- s :: st.span_order;
       id
 
-let in_frame st site f =
-  let outer = st.open_spans in
-  st.open_spans <- site :: outer;
-  f ();
-  st.open_spans <- outer
+(* The span id a fault at the emission point names (-1: none). *)
+let fault_id st = match st.at with Some s -> span_id st s | None -> -1
 
-(* A fresh local for the breadcrumb a site hides: entering the site
-   saves it there, leaving restores it. *)
-let crumb_local st =
-  st.crumbs <- st.crumbs + 1;
-  Printf.sprintf "__mm_crumb%d" (st.crumbs - 1)
+(* Emits [f] inside a source construct: a fault there names [prov]'s
+   span when it has one, and an instrumented [site] is an open profiler
+   frame. *)
+let within st ?site prov f =
+  let at = st.at and outer = st.open_spans in
+  Option.iter (fun sp -> st.at <- Some (Support.Pos.span_to_string sp)) prov;
+  Option.iter (fun s -> st.open_spans <- s :: outer) site;
+  f ();
+  st.at <- at;
+  st.open_spans <- outer
 
 let rec expr st ?(prec = 0) (e : expr) : string =
   let p = prec_of e in
@@ -141,6 +155,10 @@ let rec expr st ?(prec = 0) (e : expr) : string =
     | Bool b -> if b then "true" else "false"
     | Str s -> c_string_lit s
     | Var v -> v
+    | Binop (Arith ((S.Div | S.Mod) as op), a, b) when checked_divisor b ->
+        Printf.sprintf "mm_%s(%s, %s, %d)"
+          (if op = S.Div then "div" else "mod")
+          (expr st ~prec:0 a) (expr st ~prec:0 b) (fault_id st)
     | Binop (Arith op, a, b) ->
         Printf.sprintf "%s %s %s" (expr st ~prec:p a) (arith_sym op)
           (expr st ~prec:(p + 1) b)
@@ -164,10 +182,10 @@ let rec expr st ?(prec = 0) (e : expr) : string =
           (String.concat ", " (List.map (expr st ~prec:0) es))
     | Field (a, i) -> Printf.sprintf "%s.f%d" (expr st ~prec:60 a) i
     | MAlloc { elem; dims; zeroed } ->
-        Printf.sprintf "mm_%salloc_%s(%d%s)"
+        Printf.sprintf "mm_%salloc_%s(%d, %d%s)"
           (if zeroed then "c" else "")
           (Runtime.Ndarray.elem_name elem)
-          (List.length dims)
+          (fault_id st) (List.length dims)
           (String.concat ""
              (List.map (fun d -> ", " ^ expr st ~prec:0 d) dims))
     | MGetFlat (m, off) ->
@@ -180,7 +198,8 @@ let rec expr st ?(prec = 0) (e : expr) : string =
     | MDim (m, d) ->
         Printf.sprintf "%s->dims[%s]" (expr st ~prec:60 m) (expr st ~prec:0 d)
     | MSize m -> Printf.sprintf "mm_size(%s)" (expr st ~prec:0 m)
-    | MRead p -> Printf.sprintf "mm_read_matrix(%s)" (expr st ~prec:0 p)
+    | MRead p ->
+        Printf.sprintf "mm_read_matrix(%s, %d)" (expr st ~prec:0 p) (fault_id st)
     | VecSplat a -> Printf.sprintf "_mm_set1_ps(%s)" (expr st ~prec:0 a)
     | VecGather (m, base, stride) ->
         (* Pack 4 lanes (highest lane first, as _mm_set_ps expects).  The
@@ -233,35 +252,36 @@ let rec lvalue = function
   | LVar v -> v
   | LField (lv, i) -> Printf.sprintf "%s.f%d" (lvalue lv) i
 
-(* --- provenance sites ----------------------------------------------------- *)
+(* --- profiler sites --------------------------------------------------------- *)
 
-(* A sequential loop is a site unless its span is exactly the innermost
-   open frame's (tile/vector desugarings stack several loops on one span;
-   one frame per span entry is what the interpreter records, and skipping
-   the inner copies keeps the hot-path overhead down). *)
+(* Instrumented emission only.  A sequential loop is a site unless its
+   span is exactly the innermost open frame's (tile/vector desugarings
+   stack several loops on one span; one frame per span entry is what the
+   interpreter records, and skipping the inner copies keeps the hot-path
+   overhead down). *)
 let seq_loop_span st prov =
   match prov with
-  | None -> None
-  | Some sp -> (
+  | Some sp when st.instrument -> (
       let s = Support.Pos.span_to_string sp in
       match st.open_spans with
-      | (top, _) :: _ when String.equal top s -> None
+      | top :: _ when String.equal top s -> None
       | _ -> Some (span_id st s, s))
+  | _ -> None
 
 (* A parallel loop is always a site: its dispatch decision is exactly
    what the differential profile wants to see. *)
 let par_loop_span st prov =
-  Option.map
-    (fun sp ->
+  match prov with
+  | Some sp when st.instrument ->
       let s = Support.Pos.span_to_string sp in
-      (span_id st s, s))
-    prov
+      Some (span_id st s, s)
+  | _ -> None
 
 (* Located statements are sites only at the top level, like the
    interpreter's profile frames (statement frames nested inside loop
    frames would double every hot span). *)
 let located_span st sp =
-  if st.open_spans = [] then
+  if st.instrument && st.open_spans = [] then
     let s = Support.Pos.span_to_string sp in
     Some (span_id st s, s)
   else None
@@ -273,24 +293,18 @@ let ctype_decl t name =
   | t -> Printf.sprintf "%s %s" (ctype_name t) name
 
 (* A [return] inside open sites jumps past their exits; close them
-   explicitly (innermost first, with zero counts) and restore the
-   breadcrumb the outermost one hid, so neither the profiler's frames
-   nor the crumb leak across the call. *)
+   explicitly (innermost first, with zero counts), so the profiler's
+   frames do not leak across the call. *)
 let unwind_frames st buf ind =
   List.iter
-    (fun (s, _) ->
+    (fun s ->
       let id = Hashtbl.find st.span_ids s in
-      if st.instrument then
-        Buffer.add_string buf
-          (Printf.sprintf
-             "%sif (mm_prof_live) { if (!mm_prof_skip[%d]) mm_prof_exit(%d, \
-              0, 0); else mm_prof_sentries[%d]++; }\n"
-             ind id id id))
-    st.open_spans;
-  match List.rev st.open_spans with
-  | (_, outermost) :: _ ->
-      Buffer.add_string buf (Printf.sprintf "%smm_crumb_pop(%s);\n" ind outermost)
-  | [] -> ()
+      Buffer.add_string buf
+        (Printf.sprintf
+           "%sif (mm_prof_live) { if (!mm_prof_skip[%d]) mm_prof_exit(%d, \
+            0, 0); else mm_prof_sentries[%d]++; }\n"
+           ind id id id))
+    st.open_spans
 
 let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (ind ^ s ^ "\n")) fmt in
@@ -347,55 +361,41 @@ let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
       line "while (%s) {" (expr c);
       block buf (ind ^ "  ") b;
       line "}"
-  | For l -> (
-      match seq_loop_span st l.prov with
-      | Some (id, sp) ->
-          (* Guarded probes: once the runtime freezes span [id]'s timing
-             (mm_prof_skip flips), executions are counted inline with no
-             call and no clock — a tiny loop entered per element of an
-             enclosing loop costs a few loads.  mm_prof_live is 0 inside
-             a dispatched parallel region, where probes must not fire.
-             The breadcrumb brackets the loop the same way; it is
-             thread-local, so sites inside parallel regions set each
-             worker's own. *)
-          if st.instrument then
-            line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id
-              id;
-          let crumb = crumb_local st in
-          line "int %s = mm_crumb_push(%d);" crumb id;
-          line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
-            (expr ~prec:31 l.bound) l.index;
-          in_frame st (sp, crumb) (fun () -> block buf (ind ^ "  ") l.body);
-          line "}";
-          line "mm_crumb_pop(%s);" crumb;
-          if st.instrument then begin
-            line "if (mm_prof_live) {";
-            line
-              "  if (!mm_prof_skip[%d]) mm_prof_exit(%d, (long long) (%s), 0);"
-              id id (expr l.bound);
-            line
-              "  else { mm_prof_sentries[%d]++; mm_prof_siters[%d] += (long \
-               long) (%s); }"
-              id id (expr l.bound);
-            line "}"
-          end
-      | None ->
-          line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
-            (expr ~prec:31 l.bound) l.index;
-          block buf (ind ^ "  ") l.body;
+  | For l ->
+      (* Guarded probes: once the runtime freezes span [id]'s timing
+         (mm_prof_skip flips), executions are counted inline with no call
+         and no clock — a tiny loop entered per element of an enclosing
+         loop costs a few loads.  mm_prof_live is 0 inside a dispatched
+         parallel region, where probes must not fire. *)
+      let site = seq_loop_span st l.prov in
+      Option.iter
+        (fun (id, _) ->
+          line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id id)
+        site;
+      line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
+        (expr ~prec:31 l.bound) l.index;
+      within st ?site:(Option.map snd site) l.prov (fun () ->
+          block buf (ind ^ "  ") l.body);
+      line "}";
+      Option.iter
+        (fun (id, _) ->
+          line "if (mm_prof_live) {";
+          line "  if (!mm_prof_skip[%d]) mm_prof_exit(%d, (long long) (%s), 0);"
+            id id (expr l.bound);
+          line
+            "  else { mm_prof_sentries[%d]++; mm_prof_siters[%d] += (long \
+             long) (%s); }"
+            id id (expr l.bound);
           line "}")
+        site
   | ParFor l -> (
       match par_loop_span st l.prov with
-      | Some (id, sp) when st.instrument ->
+      | Some (id, sp) ->
           (* The worker-time probe lives inside the parallel region but
              outside the work-shared loop, so each thread reports its own
              busy window.  Without OpenMP the pragmas vanish and the block
              runs once on the lone thread; mm_prof_worker is then a no-op
-             because no region was installed.  The breadcrumb brackets
-             the whole dispatch from the master thread; workers keep
-             their own thread-local trails inside the region. *)
-          let crumb = crumb_local st in
-          line "int %s = mm_crumb_push(%d);" crumb id;
+             because no region was installed. *)
           line "mm_prof_enter_par(%d);" id;
           line "#pragma omp parallel";
           line "{";
@@ -403,26 +403,16 @@ let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
           line "#pragma omp for";
           line "  for (int %s = 0; %s < %s; %s++) {" l.index l.index
             (expr ~prec:31 l.bound) l.index;
-          in_frame st (sp, crumb) (fun () -> block buf (ind ^ "    ") l.body);
+          within st ~site:sp l.prov (fun () -> block buf (ind ^ "    ") l.body);
           line "  }";
           line "  mm_prof_worker(%d, mm_prof_now() - __mm_prof_w);" id;
           line "}";
-          line "mm_prof_exit_par(%d, (long long) (%s));" id (expr l.bound);
-          line "mm_crumb_pop(%s);" crumb
-      | Some (id, sp) ->
-          let crumb = crumb_local st in
-          line "int %s = mm_crumb_push(%d);" crumb id;
-          line "#pragma omp parallel for";
-          line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
-            (expr ~prec:31 l.bound) l.index;
-          in_frame st (sp, crumb) (fun () -> block buf (ind ^ "  ") l.body);
-          line "}";
-          line "mm_crumb_pop(%s);" crumb
+          line "mm_prof_exit_par(%d, (long long) (%s));" id (expr l.bound)
       | None ->
           line "#pragma omp parallel for";
           line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
             (expr ~prec:31 l.bound) l.index;
-          block buf (ind ^ "  ") l.body;
+          within st l.prov (fun () -> block buf (ind ^ "  ") l.body);
           line "}")
   | ExprS e -> line "%s;" (expr e)
   | Return None ->
@@ -440,7 +430,8 @@ let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
   | Continue -> line "continue;"
   | RcInc e -> line "mm_rc_inc(%s);" (expr e)
   | RcDec e -> line "mm_rc_dec(%s);" (expr e)
-  | MWrite (p, m) -> line "mm_write_matrix(%s, %s);" (expr p) (expr m)
+  | MWrite (p, m) ->
+      line "mm_write_matrix(%s, %s, %d);" (expr p) (expr m) (fault_id st)
   | Comment c -> line "/* %s */" c
   | Block b ->
       line "{";
@@ -453,7 +444,7 @@ let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
       line "%s = cilk_spawn %s(%s);" (lvalue lv) f
         (String.concat ", " (List.map (expr ~prec:0) args))
   | Sync -> line "cilk_sync;"
-  | Located (sp, b) -> (
+  | Located (sp, b) ->
       (* Not a C scope: print the inner statements at the current indent so
          declarations stay visible to later siblings. *)
       (match st.line_file with
@@ -462,28 +453,25 @@ let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
             (Printf.sprintf "#line %d %S\n" sp.Support.Pos.left.Support.Pos.line
                file)
       | None -> ());
-      match located_span st sp with
-      | Some (id, s) ->
-          (* Same guarded fast path as For loops: statements in a
-             function called per element of a hot loop execute far too
-             often for an unconditional call per probe. *)
-          if st.instrument then
-            line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id
-              id;
-          let crumb = crumb_local st in
-          line "int %s = mm_crumb_push(%d);" crumb id;
-          in_frame st (s, crumb) (fun () -> block buf ind b);
-          (* a block that returns has unwound the site already *)
+      (* Same guarded probes as For loops: statements in a function called
+         per element of a hot loop execute far too often for an
+         unconditional call per probe. *)
+      let site = located_span st sp in
+      Option.iter
+        (fun (id, _) ->
+          line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id id)
+        site;
+      within st ?site:(Option.map snd site) (Some sp) (fun () -> block buf ind b);
+      (* a block that returns has unwound the site already *)
+      Option.iter
+        (fun (id, _) ->
           if not (ends_with_return b) then begin
-            line "mm_crumb_pop(%s);" crumb;
-            if st.instrument then begin
-              line "if (mm_prof_live) {";
-              line "  if (!mm_prof_skip[%d]) mm_prof_exit(%d, 0, 0);" id id;
-              line "  else mm_prof_sentries[%d]++;" id;
-              line "}"
-            end
-          end
-      | None -> block buf ind b)
+            line "if (mm_prof_live) {";
+            line "  if (!mm_prof_skip[%d]) mm_prof_exit(%d, 0, 0);" id id;
+            line "  else mm_prof_sentries[%d]++;" id;
+            line "}"
+          end)
+        site
   | Site (_, b) ->
       (* Decision wrapper, not a scope: a finished pipeline leaves none of
          these behind, but the pretty-printer is also used on intermediate
@@ -508,6 +496,7 @@ let signature (f : func) : string =
 let func st (f : func) : string =
   let buf = Buffer.create 256 in
   st.ret <- f.f_ret;
+  st.at <- Option.map Support.Pos.span_to_string f.f_span;
   Buffer.add_string buf (signature f ^ " {\n");
   block st buf "  " f.f_body;
   Buffer.add_string buf "}\n";
@@ -662,12 +651,10 @@ let harness_main ~instrument (p : program) : func =
   in
   (* Instrumented harness: start the profiler before the entry call, stop
      the clock the moment it returns (result printing is not program
-     time), and dump the sidecar once the result protocol is complete.
-     The dump lands in the working directory — the data dir Native.Exec
-     runs the binary in — under the fixed sidecar name it reads back. *)
-  (* Supervision plumbing runs before anything else: mm_init hands the
-     runtime the span table, installs the crash handlers and arms
-     MM_FAILPOINTS (disarmed failpoints cost one load). *)
+     time), and print the profile as the protocol's last line, after
+     [__mm_live].  mm_init runs before anything else: it hands the
+     runtime the span table and arms MM_FAILPOINTS (disarmed failpoints
+     cost one load). *)
   let supervise_init =
     [ ExprS (Call ("mm_init", [ Var "MM_NSPANS"; Var "mm_spans" ])) ]
   in
@@ -677,7 +664,7 @@ let harness_main ~instrument (p : program) : func =
     if instrument then [ ExprS (Call ("mm_prof_stop", [])) ] else []
   and prof_dump =
     if instrument then
-      [ ExprS (Call ("mm_prof_dump", [ Str "mm_profile.json" ])) ]
+      [ ExprS (Call ("mm_prof_dump", [])) ]
     else []
   in
   let body =
@@ -696,9 +683,8 @@ let harness_main ~instrument (p : program) : func =
     f_span = None; f_origin = None }
 
 (* The generated span table: ids index the array, whose entries are the
-   interpreter's span strings (the profilers' rows, the checks' and the
-   crash triage's carets), so the two backends join row-for-row on the
-   rendered span.  Non-static: external linkage keeps -Wunused quiet for
+   interpreter's span strings (the profilers' rows, the faults' carets),
+   so the two backends join row-for-row on the rendered span.  Non-static: external linkage keeps -Wunused quiet for
    programs whose harness is compiled separately. *)
 let span_table st =
   let names = List.rev st.span_order in
@@ -713,8 +699,8 @@ let span_table st =
     @ [ "};"; ""; "" ])
 
 (** [program ?line_directives_file ?instrument ?exec_harness p] — the
-    full translation unit: the checked program, its crash breadcrumbs
-    and the span table they name.  With [exec_harness] the entry
+    full translation unit: the checked program and the span table its
+    checks and fallible calls name.  With [exec_harness] the entry
     function is renamed away from [main] if necessary and a generated
     [int main] hands the runtime the span table, calls the entry, prints
     its result (plus the live-allocation count) through the result

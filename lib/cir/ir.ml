@@ -164,8 +164,10 @@ type func = {
   f_ret : ctype;
   f_body : stmt list;
   f_span : Support.Pos.span option;
-      (** span of the source function definition; the rc reporting pass
-          anchors its per-function remark here *)
+      (** span of the source function definition, where the rc reporting
+          pass anchors its per-function remark; for a lifted matrixMap
+          body, the matrixMap's span.  Emitted code outside every located
+          statement names it when it fails. *)
   f_origin : string option;
       (** for functions synthesised by a lowering (lifted matrixMap
           bodies): the user function whose lowering introduced them.

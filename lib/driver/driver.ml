@@ -339,11 +339,12 @@ let run ?config ?warn ?pool ?dir (c : composed) (src : string)
 (* Map every native failure class to a diagnostic.  Compile-time classes
    (no compiler / sanitizer unsupported / emitted C rejected) report under
    "native-compile"; everything after a successful compile is
-   "native-run".  Crash triage recovers source spans where the runtime
-   left them — a [__mm_fault] line's span, or the crash-sidecar
-   breadcrumb a fatal-signal handler flushed — so a native SIGSEGV or a
-   failed check renders a caret excerpt exactly like an interpreter
-   failure; classes with no provenance anchor at the dummy span. *)
+   "native-run".  A fault ([Guard_fault]: a failed check, allocation or
+   matrix-file operation, an integer division by zero, a fired
+   failpoint) carries the span its generated code named, so it renders
+   the caret excerpt the interpreter's report of it does.  The other
+   classes (a signal death, a deadline kill, an [mm_fatal] exit) have
+   no span, as in the interpreter, and anchor at the dummy span. *)
 let native_failure_diag (e : Native.Exec.error) =
   let phase =
     match e with
@@ -354,13 +355,7 @@ let native_failure_diag (e : Native.Exec.error) =
         "native-run"
   in
   let span =
-    match e with
-    | Native.Exec.Guard_fault f -> f.Native.Exec.f_span
-    | Native.Exec.Run_signaled { fault; crash_span; _ } -> (
-        match fault with
-        | Some f when f.Native.Exec.f_span <> None -> f.Native.Exec.f_span
-        | _ -> crash_span)
-    | _ -> None
+    match e with Native.Exec.Guard_fault f -> f.Native.Exec.f_span | _ -> None
   in
   let span = Option.value span ~default:Support.Pos.dummy_span in
   Support.Diag.error ~phase ~span "%s" (Native.Exec.describe_error e)
@@ -519,8 +514,8 @@ module Profile_report = struct
       allocated_bytes = Runtime.Rc.allocated_bytes ();
     }
 
-  (** A native profile (the mm_profile.json sidecar an instrumented
-      binary dumped, parsed by {!Native.Prof}) ordered like an
+  (** A native profile (the JSON an instrumented binary printed, parsed
+      by {!Native.Prof}) ordered like an
       interpreted one, so every renderer below works on both: rows by
       self time like [P.results ()], folded stacks by name. *)
   let of_native (n : t) =
@@ -938,9 +933,9 @@ let profile ?config ?warn ?pool ?dir
 (** [profile_native ?… t src] — the native twin of {!profile}: emit
     instrumented C (exec harness plus mm_prof enter/exit calls over the
     generated span table), compile and run it through {!exec}
-    (instrumented binaries key separately), and parse the binary's
-    mm_profile.json sidecar back into the same report shape [mmc
-    profile] renders for interpreted runs.  [config] defaults to the
+    (instrumented binaries key separately), and parse the profile the
+    binary printed back into the same report shape [mmc profile]
+    renders for interpreted runs.  [config] defaults to the
     pipeline {!exec} compiles. *)
 let profile_native ?config ?warn ?dir ?cc ?cflags
     ?keep_c ?cache ?cache_dir ?(threads = 1) ?line_file (t : translator)
@@ -951,22 +946,16 @@ let profile_native ?config ?warn ?dir ?cc ?cflags
   with
   | Failed d -> Failed d
   | Ok_ outcome -> (
-      match outcome.Native.Exec.profile_json with
-      | None ->
+      (* an instrumented run's outcome always carries the profile line *)
+      match
+        Native.Prof.parse
+          (Option.value outcome.Native.Exec.profile_json ~default:"")
+      with
+      | Error m ->
           Failed
             [
               Support.Diag.error ~phase:"native-run"
-                ~span:Support.Pos.dummy_span
-                "native profile sidecar missing (instrumented binary wrote \
-                 no mm_profile.json)";
+                ~span:Support.Pos.dummy_span "cannot parse native profile: %s"
+                m;
             ]
-      | Some text -> (
-          match Native.Prof.parse text with
-          | Error m ->
-              Failed
-                [
-                  Support.Diag.error ~phase:"native-run"
-                    ~span:Support.Pos.dummy_span
-                    "cannot parse native profile: %s" m;
-                ]
-          | Ok prof -> Ok_ (outcome, Profile_report.of_native prof)))
+      | Ok prof -> Ok_ (outcome, Profile_report.of_native prof))

@@ -1565,7 +1565,9 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
         @ L.rc_dec t (Var slice)
         @ L.rc_dec t (Var outv)
         @ [ Return None ];
-      f_span = None;
+      (* a fault here outside the fiber loops names the matrixMap, as the
+         interpreter does through the loop calling the body *)
+      f_span = Some span;
       f_origin = Some t.L.cur_fun.A.fname;
     }
   in

@@ -256,10 +256,11 @@ let rec rc_adjust f v =
   | VTuple vs -> Array.iter (rc_adjust f) vs
   | v -> err "rc operation on %a" pp_value v
 
-(* The one place a run allocates a matrix: its bytes go to the run's
-   ledger and, when profiling, to the executing statement's row. *)
+(* The one place a run allocates a matrix: its payload bytes, at the
+   native runtime's element widths, go to the run's ledger and, when
+   profiling, to the executing statement's row. *)
 let alloc_mat cx m =
-  let bytes = Nd.size m * 4 in
+  let bytes = Nd.size m * Nd.elem_bytes (Nd.elem m) in
   if Profile.is_enabled () then Profile.on_alloc bytes;
   VMat (Runtime.Rc.alloc ~ledger:cx.ledger ~bytes m)
 

@@ -5,22 +5,23 @@
 
     The generated [main] (see {!Cir.Emit} harness mode) prints
     ["__mm_result ..."] lines using the runtime's result protocol plus a
-    final ["__mm_live N"] line, so a native run round-trips into exactly
-    the shape [mmc run] prints — the differential suite compares the two
-    bit-for-bit.
+    ["__mm_live N"] line, so a native run round-trips into exactly the
+    shape [mmc run] prints — the differential suite compares the two
+    bit-for-bit.  An instrumented binary prints its profile as one last
+    line, ["__mm_profile <json>"].  A run creates and deletes nothing in
+    its data directory beyond what the program itself reads and writes.
 
     Abnormal exits are triaged rather than reported as bare codes:
 
-    - ["__mm_fault <span_id> <span|-> <message>"] on stdout is the
-      runtime's structured last gasp — printed by a failed subscript or
-      shape check (the ones lowering writes into every program, worded
-      as the interpreter words them) before [_exit(71)] and by an armed
-      [MM_FAILPOINTS] failpoint before [abort()];
-    - a fatal signal makes the runtime's handler write the innermost
-      breadcrumb span to an [mm_crash.txt] sidecar, read back here so
-      even a SIGSEGV renders a caret at the faulting source span;
+    - ["__mm_fault <span_id> <span|-> <message>"] on stdout, then exit
+      71, is every fault the interpreter reports at a span: a failed
+      check, allocation or matrix-file operation, an integer division by
+      zero or a fired [MM_FAILPOINTS] failpoint, worded as the
+      interpreter words it, at the span id the generated code passed;
     - the supervisor ({!Supervise}) distinguishes exit codes, signal
-      deaths and deadline kills. *)
+      deaths and deadline kills; a signal death (a stack overflow, a
+      runtime bug, an external kill) has no span, as in the
+      interpreter. *)
 
 module S = Runtime.Scalar
 module Nd = Runtime.Ndarray
@@ -52,14 +53,11 @@ type error =
       signal : int;  (** POSIX signal number *)
       signal_name : string;
       stderr_text : string;
-      fault : fault option;  (** last-gasp [__mm_fault], if printed *)
-      crash_span : Support.Pos.span option;
-          (** innermost breadcrumb from the mm_crash.txt sidecar *)
     }
   | Run_timeout of { timeout_s : float; stderr_text : string }
   | Guard_fault of fault
-      (** a subscript or shape check failed (exit 71): the interpreter's
-          message at the interpreter's span *)
+      (** a check or a fallible runtime call failed (exit 71): the
+          interpreter's message at the interpreter's span *)
   | Bad_output of { message : string; offset : int option }
       (** result protocol unparsable; [offset] is the byte position of
           the offending stdout line *)
@@ -76,26 +74,20 @@ let describe_error = function
       match String.trim stderr_text with
       | "" -> Printf.sprintf "native binary exited with code %d" exit_code
       | detail -> detail)
-  | Run_signaled { signal; signal_name; stderr_text; fault; crash_span = _ }
-    -> (
-      match fault with
-      | Some f ->
-          Printf.sprintf "%s (native binary killed by %s)" f.f_message
-            signal_name
-      | None -> (
-          let hint =
-            if signal = 9 then
-              " — possibly the --max-bytes address-space cap or the system \
-               OOM killer"
-            else ""
-          in
-          match last_stderr_line stderr_text with
-          | Some l ->
-              Printf.sprintf "native binary killed by %s (signal %d)%s: %s"
-                signal_name signal hint l
-          | None ->
-              Printf.sprintf "native binary killed by %s (signal %d)%s"
-                signal_name signal hint))
+  | Run_signaled { signal; signal_name; stderr_text } -> (
+      let hint =
+        if signal = 9 then
+          " — possibly the --max-bytes address-space cap or the system OOM \
+           killer"
+        else ""
+      in
+      match last_stderr_line stderr_text with
+      | Some l ->
+          Printf.sprintf "native binary killed by %s (signal %d)%s: %s"
+            signal_name signal hint l
+      | None ->
+          Printf.sprintf "native binary killed by %s (signal %d)%s" signal_name
+            signal hint)
   | Run_timeout { timeout_s; stderr_text } -> (
       let base =
         Printf.sprintf
@@ -119,8 +111,8 @@ type outcome = {
   exe : string;  (** the cached program that ran, a shared object *)
   from_cache : bool;  (** true iff compilation was skipped *)
   profile_json : string option;
-      (** raw text of the mm_profile.json sidecar an instrumented binary
-          dumped into the data directory; [None] for plain runs *)
+      (** the JSON of an instrumented binary's [__mm_profile] line;
+          [None] for plain runs *)
 }
 
 (* --- __mm_fault / span parsing ------------------------------------------ *)
@@ -250,11 +242,16 @@ let lines_with_offsets text =
   in
   go 0 []
 
-(** Parse the binary's stdout into (value, live count).  Total: every
+let profile_prefix = "__mm_profile "
+
+(** Parse the binary's stdout into (value, live count, profile JSON).
+    An [instrument]ed binary's last protocol line is its
+    ["__mm_profile <json>"], which no other binary prints.  Total: every
     malformation — truncated lines, interleaved garbage, corrupt counts —
     comes back as [Bad_output] with the byte offset of the bad line,
     never as an OCaml exception. *)
-let parse_output text : (value * int, error) result =
+let parse_output ?(instrument = false) text :
+    (value * int * string option, error) result =
   (* The program itself prints nothing on stdout; tolerate stray lines
      by keeping only protocol-marked ones.  __mm_fault lines are the
      fault channel, scanned separately. *)
@@ -277,19 +274,37 @@ let parse_output text : (value * int, error) result =
       | exception e ->
           bad (Printf.sprintf "internal parse failure: %s" (Printexc.to_string e))
       | value -> (
-          match cur.rest with
-          | [ (live_line, o) ] -> (
-              cur.off <- o;
-              match split_ws live_line with
-              | [ "__mm_live"; n ] -> (
-                  match int_of_string_opt n with
-                  | Some live -> Ok (value, live)
-                  | None -> bad "bad __mm_live count")
-              | _ -> bad "missing __mm_live trailer")
-          | [] -> bad "missing __mm_live trailer"
-          | (l, o) :: _ ->
-              cur.off <- o;
-              bad (Printf.sprintf "trailing protocol line %S" l)))
+          let next () =
+            match cur.rest with
+            | [] -> None
+            | (l, o) :: rest ->
+                cur.off <- o;
+                cur.rest <- rest;
+                Some l
+          in
+          let ( let* ) = Result.bind in
+          let parsed =
+            let* live =
+              match Option.map split_ws (next ()) with
+              | Some [ "__mm_live"; n ] ->
+                  Option.to_result ~none:"bad __mm_live count"
+                    (int_of_string_opt n)
+              | _ -> Error "missing __mm_live trailer"
+            in
+            let* profile =
+              if not instrument then Ok None
+              else
+                match next () with
+                | Some l when is_prefix ~prefix:profile_prefix l ->
+                    let k = String.length profile_prefix in
+                    Ok (Some (String.sub l k (String.length l - k)))
+                | _ -> Error "missing __mm_profile line"
+            in
+            match next () with
+            | None -> Ok (value, live, profile)
+            | Some l -> Error (Printf.sprintf "trailing protocol line %S" l)
+          in
+          match parsed with Ok v -> Ok v | Error m -> bad m))
 
 (* --- compile + run ------------------------------------------------------ *)
 
@@ -302,30 +317,6 @@ let keep_c_sources ~keep_c ~instrument c_text =
           Out_channel.output_string oc c_text);
       ignore (Cache.write_runtime ~dir ~instrument))
     keep_c
-
-(* The instrumented binary dumps its profile as a file (not stdout: the
-   result-protocol parser owns stdout) in its working directory, which
-   [run] sets to the data dir. *)
-let sidecar_name = "mm_profile.json"
-
-(* The runtime's fatal-signal handler leaves the innermost breadcrumb
-   span here (see mm_runtime.c); one line, Pos.span_to_string format. *)
-let crash_sidecar_name = "mm_crash.txt"
-
-let read_crash_span ~dir =
-  let path = Filename.concat dir crash_sidecar_name in
-  if not (Sys.file_exists path) then None
-  else
-    match In_channel.with_open_bin path In_channel.input_all with
-    | text -> (
-        match String.split_on_char '\n' (String.trim text) with
-        | line :: _ -> Support.Pos.span_of_string (String.trim line)
-        | [] -> None)
-    | exception Sys_error _ -> None
-
-let remove_if_exists path =
-  if Sys.file_exists path then
-    try Sys.remove path with Sys_error _ -> ()
 
 type binary = {
   path : string;  (** the program's cached shared object *)
@@ -396,8 +387,8 @@ let resolve ?cc ?(cflags = []) ?(cache = true) ?(cache_dir = Cache.default_dir)
     [failpoints] is an MM_FAILPOINTS spec armed in the child's
     environment; [timeout_s]/[max_bytes] become the supervisor's
     wall-clock deadline and address-space cap.  [instrument] says [b]
-    links the profiling runtime: its mm_profile.json sidecar comes back
-    in [outcome.profile_json].  [sanitize] must be the mode [b] was
+    links the profiling runtime: the profile it prints comes back in
+    [outcome.profile_json].  [sanitize] must be the mode [b] was
     built under.  The run is the telemetry span [native.run]; signal
     deaths and deadline kills export [native.signal] /
     [native.timeout]. *)
@@ -411,11 +402,6 @@ let run_binary ?(instrument = false) ?(threads = 1) ?sanitize ?failpoints
     if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path
     else path
   in
-  let sidecar = Filename.concat dir sidecar_name in
-  if instrument then
-    (* a stale sidecar from an earlier run must not be read back *)
-    remove_if_exists sidecar;
-  remove_if_exists (Filename.concat dir crash_sidecar_name);
   let env =
     [ ("OMP_NUM_THREADS", string_of_int (max 1 threads)) ]
     @ (match failpoints with
@@ -443,32 +429,19 @@ let run_binary ?(instrument = false) ?(threads = 1) ?sanitize ?failpoints
       Error (Run_timeout { timeout_s = after_s; stderr_text })
   | Supervise.Signaled { signal; name } ->
       Support.Telemetry.set_gauge "native.signal" (float_of_int signal);
-      Error
-        (Run_signaled
-           {
-             signal;
-             signal_name = name;
-             stderr_text;
-             fault = scan_fault stdout_text;
-             crash_span = read_crash_span ~dir;
-           })
+      Error (Run_signaled { signal; signal_name = name; stderr_text })
   | Supervise.Exited 71 -> (
-      (* a failed check's dedicated exit: a structured fault line must be
-         on stdout *)
+      (* a fault's dedicated exit: a structured fault line must be on
+         stdout *)
       match scan_fault stdout_text with
       | Some f -> Error (Guard_fault f)
       | None -> Error (Run_failed { exit_code = 71; stderr_text }))
   | Supervise.Exited code when code <> 0 ->
       Error (Run_failed { exit_code = code; stderr_text })
   | Supervise.Exited _ -> (
-      match parse_output stdout_text with
+      match parse_output ~instrument stdout_text with
       | Error e -> Error e
-      | Ok (value, live) ->
-          let profile_json =
-            if instrument && Sys.file_exists sidecar then
-              Some (In_channel.with_open_bin sidecar In_channel.input_all)
-            else None
-          in
+      | Ok (value, live, profile_json) ->
           Ok { value; live; exe = b.path; from_cache = b.cached; profile_json })
 
 (** [run ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?threads

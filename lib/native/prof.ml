@@ -1,7 +1,7 @@
-(** Parse the mm_profile.json sidecar an instrumented native binary
-    dumps (runtime/c/mm_prof.c) back into the interpreter profiler's row
-    shape, so [mmc profile --native] renders through exactly the same
-    report code as interpreted profiles. *)
+(** Parse the profile JSON an instrumented native binary prints as its
+    [__mm_profile] line (runtime/c/mm_prof.c) back into the interpreter
+    profiler's row shape, so [mmc profile --native] renders through
+    exactly the same report code as interpreted profiles. *)
 
 module J = Support.Json
 module P = Support.Profile
@@ -58,7 +58,7 @@ let parse_fold j =
   | Some stack -> (stack, int_field j "self_ns")
   | None -> fail "folded entry without a stack"
 
-(** [parse text] — the sidecar decoded, or [Error] with a one-line reason
+(** [parse text] — the profile decoded, or [Error] with a one-line reason
     (a truncated dump from a crashed binary must not crash the driver). *)
 let parse (text : string) : (P.report, string) result =
   match

@@ -11,6 +11,10 @@ type elem = EFloat | EInt | EBool
 
 let elem_name = function EFloat -> "float" | EInt -> "int" | EBool -> "bool"
 
+(* An element's bytes in a native payload (sizeof mm_float, int and
+   bool), which both backends' memory accounts charge. *)
+let elem_bytes = function EFloat -> 8 | EInt -> 4 | EBool -> 1
+
 type buf = F of float array | I of int array | B of bool array
 type t = { shape : Shape.t; buf : buf }
 

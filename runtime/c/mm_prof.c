@@ -407,17 +407,16 @@ static void mm_prof_json_string(FILE *f, const char *s) {
   fputc('"', f);
 }
 
-void mm_prof_dump(const char *path) {
+void mm_prof_dump(void) {
   if (!mm_prof_rows) return;
   if (mm_prof_enabled) mm_prof_stop();
-  FILE *f = fopen(path, "w");
-  if (!f) return;
+  FILE *f = stdout;
   long long attributed = 0, attr_alloc = 0;
   for (int i = 0; i < mm_prof_nspans; i++) {
     attributed += mm_prof_rows[i].self_ns;
     attr_alloc += mm_prof_rows[i].alloc_bytes;
   }
-  fprintf(f, "{\"wall_ns\":%lld,\"attributed_ns\":%lld,\"spans\":[",
+  fprintf(f, "__mm_profile {\"wall_ns\":%lld,\"attributed_ns\":%lld,\"spans\":[",
           mm_prof_wall < 0 ? 0 : mm_prof_wall, attributed);
   int first = 1;
   for (int i = 0; i < mm_prof_nspans; i++) {
@@ -466,5 +465,4 @@ void mm_prof_dump(const char *path) {
           "],\"memory\":{\"allocated_bytes\":%lld,\"peak_bytes\":%lld,"
           "\"live_bytes\":%lld,\"unattributed_alloc_bytes\":%lld}}\n",
           total_alloc, mm_peak_bytes(), mm_live_bytes(), unattributed);
-  fclose(f);
 }

@@ -18,8 +18,8 @@
  *
  * All calls are no-ops before mm_prof_init and after mm_prof_stop, so
  * instrumented C is also runnable without ever initialising the
- * profiler.  mm_prof_dump writes the aggregates as a JSON sidecar next
- * to the result protocol; mmc parses it back into the same report
+ * profiler.  mm_prof_dump prints the aggregates as one JSON line after
+ * the result protocol; mmc parses it back into the same report
  * `mmc profile` renders for interpreted runs.
  *
  * Overhead control: a span's timing freezes after its first 128 closes.
@@ -74,8 +74,8 @@ void mm_prof_worker(int id, long long busy_ns);
 /* Freeze the wall clock, close any frames still open, stop recording. */
 void mm_prof_stop(void);
 
-/* Write the profile as JSON to [path] (best effort: silent on I/O
- * failure so a read-only working directory cannot break the program). */
-void mm_prof_dump(const char *path);
+/* Print the profile as the protocol's last stdout line,
+ * "__mm_profile <json>", the JSON on one line. */
+void mm_prof_dump(void);
 
 #endif /* MM_PROF_H */

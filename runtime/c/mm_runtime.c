@@ -7,7 +7,6 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <signal.h>
 #include <stdarg.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -31,10 +30,9 @@ void mm_fatal(const char *fmt, ...) {
   exit(70);
 }
 
-/* --- checks and supervised execution -----------------------------------
- * Failpoints, check reports, and crash breadcrumbs; see the header for
- * the __mm_fault protocol and the exit-code split (checks 71, mm_fatal
- * 70, failpoints abort()). */
+/* --- checks and faults --------------------------------------------------
+ * Failpoints and fault reports; see the header for the __mm_fault
+ * protocol and the exit-code split (faults 71, mm_fatal 70). */
 
 typedef struct {
   char name[48];
@@ -49,12 +47,6 @@ static int mm_nfail = 0;
 static int mm_span_total = 0;
 static const char *const *mm_span_table = 0;
 
-/* The breadcrumb behind the inline push/pop in the header.  A
- * per-thread crumb needs no atomics or omp queries, and the signal
- * handler runs on the faulting thread, so it reads the span that
- * actually led to the fault. */
-_Thread_local int mm_crumb = -1;
-
 int mm_span_count(void) { return mm_span_total; }
 
 const char *mm_span_name(int id) {
@@ -62,26 +54,10 @@ const char *mm_span_name(int id) {
   return 0;
 }
 
-/* Fatal-signal handler: write the breadcrumb's span to mm_crash.txt
- * (async-signal-safe: open/write/close only), then die by the original
- * signal so the supervisor still sees the true cause. */
-static void mm_crash_handler(int sig) {
-  const char *span = mm_span_name(mm_crumb);
-  if (span) {
-    int fd = open("mm_crash.txt", O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd >= 0) {
-      ssize_t w = write(fd, span, strlen(span));
-      w += write(fd, "\n", 1);
-      (void)w;
-      close(fd);
-    }
-  }
-  signal(sig, SIG_DFL);
-  raise(sig);
-}
-
-static _Noreturn void mm_vfault(int id, const char *fmt, va_list ap) {
+_Noreturn void mm_guard_fault(int id, const char *fmt, ...) {
   const char *span = mm_span_name(id);
+  va_list ap;
+  va_start(ap, fmt);
   /* never unlocked: a second thread failing a check waits here until
      this one's _exit ends the process, so one report prints whole */
   flockfile(stdout);
@@ -90,21 +66,6 @@ static _Noreturn void mm_vfault(int id, const char *fmt, va_list ap) {
   printf("\n");
   fflush(0);
   _exit(71);
-}
-
-_Noreturn void mm_guard_fault(int id, const char *fmt, ...) {
-  va_list ap;
-  va_start(ap, fmt);
-  mm_vfault(id, fmt, ap);
-}
-
-/* A failed readMatrix, writeMatrix or allocation: reported like a
- * failed check, at the breadcrumb's span, which is the statement doing
- * it. */
-static _Noreturn void mm_crumb_fault(const char *fmt, ...) {
-  va_list ap;
-  va_start(ap, fmt);
-  mm_vfault(mm_crumb, fmt, ap);
 }
 
 /* [rank] extents as Runtime.Shape.to_string writes them: "[2x3]". */
@@ -174,10 +135,6 @@ static void mm_fail_clause(char *clause) {
 void mm_init(int nspans, const char *const *spans) {
   mm_span_total = nspans;
   mm_span_table = spans;
-  signal(SIGSEGV, mm_crash_handler);
-  signal(SIGFPE, mm_crash_handler);
-  signal(SIGBUS, mm_crash_handler);
-  signal(SIGABRT, mm_crash_handler);
   const char *spec = getenv("MM_FAILPOINTS");
   if (!spec || !*spec) return;
   char *copy = malloc(strlen(spec) + 1);
@@ -196,7 +153,7 @@ void mm_init(int nspans, const char *const *spans) {
   free(copy);
 }
 
-void mm_fail_hit(const char *name) {
+void mm_fail_hit(const char *name, int id) {
   if (mm_nfail == 0) return;
   for (int i = 0; i < mm_nfail; i++) {
     mm_failpoint *fp = &mm_fail[i];
@@ -208,11 +165,8 @@ void mm_fail_hit(const char *name) {
 #pragma omp critical(mm_fail_hits)
 #endif
     n = ++fp->hits;
-    if (n == fp->nth) {
-      printf("__mm_fault -1 - injected fault at failpoint %s\n", name);
-      fflush(stdout);
-      abort();
-    }
+    if (n == fp->nth)
+      mm_guard_fault(id, "injected fault at failpoint %s", name);
     return;
   }
 }
@@ -412,22 +366,23 @@ static long long mm_elems(int rank, const int *dims) {
 }
 
 /* An allocation's extents fail the run as Ndarray.create fails it in the
- * interpreter, in the same words, at the statement's span. */
-static void *mm_alloc(int kind, int zero, int rank, va_list ap) {
-  mm_fail_hit("native.alloc");
+ * interpreter, in the same words, at span [id]. */
+static void *mm_alloc(int kind, int zero, int id, int rank, va_list ap) {
+  mm_fail_hit("native.alloc", id);
   if (rank < 0 || rank > MM_MAX_RANK)
     mm_fatal("alloc: implausible rank %d", rank);
   int dims[MM_MAX_RANK];
   for (int d = 0; d < rank; d++) {
     dims[d] = va_arg(ap, int);
     if (dims[d] < 0)
-      mm_crumb_fault("negative matrix extent %d in dimension %d", dims[d], d);
+      mm_guard_fault(id, "negative matrix extent %d in dimension %d", dims[d],
+                     d);
   }
   long long n = mm_elems(rank, dims);
   if (n > MM_MAX_ELEMS) {
     char shape[MM_SHAPE_CHARS];
     mm_shape_string(shape, rank, dims);
-    mm_crumb_fault("shape %s holds more than %d elements", shape,
+    mm_guard_fault(id, "shape %s holds more than %d elements", shape,
                    MM_MAX_ELEMS);
   }
   return mm_block(kind, rank, dims, n, zero);
@@ -435,17 +390,17 @@ static void *mm_alloc(int kind, int zero, int rank, va_list ap) {
 
 /* mm_alloc_<elem> and mm_calloc_<elem>. */
 #define MM_ALLOCATORS(elem, KIND)                                             \
-  mm_mat_##elem *mm_alloc_##elem(int rank, ...) {                             \
+  mm_mat_##elem *mm_alloc_##elem(int id, int rank, ...) {                     \
     va_list ap;                                                               \
     va_start(ap, rank);                                                       \
-    void *m = mm_alloc(KIND, 0, rank, ap);                                    \
+    void *m = mm_alloc(KIND, 0, id, rank, ap);                                \
     va_end(ap);                                                               \
     return m;                                                                 \
   }                                                                           \
-  mm_mat_##elem *mm_calloc_##elem(int rank, ...) {                            \
+  mm_mat_##elem *mm_calloc_##elem(int id, int rank, ...) {                    \
     va_list ap;                                                               \
     va_start(ap, rank);                                                       \
-    void *m = mm_alloc(KIND, 1, rank, ap);                                    \
+    void *m = mm_alloc(KIND, 1, id, rank, ap);                                \
     va_end(ap);                                                               \
     return m;                                                                 \
   }
@@ -538,10 +493,10 @@ static size_t mm_put_be32(unsigned char *b, size_t at, int v) {
   return at;
 }
 
-/* A failed readMatrix or writeMatrix of [real], named as the
- * interpreter names it: by its full path (the working directory is the
- * data directory). */
-static _Noreturn void mm_file_fault(const char *what, const char *real,
+/* A failed readMatrix or writeMatrix of [real] at span [id], named as
+ * the interpreter names it: by its full path (the working directory is
+ * the data directory). */
+static _Noreturn void mm_file_fault(int id, const char *what, const char *real,
                                     const char *fmt, ...) {
   char cwd[4096], msg[1024];
   const char *dir = getcwd(cwd, sizeof cwd) ? cwd : ".";
@@ -549,15 +504,16 @@ static _Noreturn void mm_file_fault(const char *what, const char *real,
   va_start(ap, fmt);
   vsnprintf(msg, sizeof msg, fmt, ap);
   va_end(ap);
-  mm_crumb_fault("%s \"%s/%s\": %s", what, dir, real, msg);
+  mm_guard_fault(id, "%s \"%s/%s\": %s", what, dir, real, msg);
 }
 
 /* A file that will not open: its full path again, then why. */
-static _Noreturn void mm_cannot_open(const char *what, const char *real) {
+static _Noreturn void mm_cannot_open(int id, const char *what,
+                                     const char *real) {
   int err = errno;
   char cwd[4096];
   const char *dir = getcwd(cwd, sizeof cwd) ? cwd : ".";
-  mm_file_fault(what, real, "cannot open: %s/%s: %s", dir, real,
+  mm_file_fault(id, what, real, "cannot open: %s/%s: %s", dir, real,
                 strerror(err));
 }
 
@@ -620,9 +576,9 @@ static int mm_write_payload(int fd, const mm_mat_float *m) {
  * permissions a new file gets, and renames it over the target.  On
  * failure the temporary file is removed and the report names the
  * target. */
-void mm_write_matrix(const char *path, const void *p) {
+void mm_write_matrix(const char *path, const void *p, int id) {
   const mm_mat_float *m = p;
-  if (!m) mm_crumb_fault("writeMatrix \"%s\": uninitialised matrix", path);
+  if (!m) mm_guard_fault(id, "writeMatrix \"%s\": uninitialised matrix", path);
   char *real = mm_resolve_path(path);
   char *tmp = malloc(strlen(real) + 48);
   if (!tmp) mm_fatal("out of memory resolving path");
@@ -633,17 +589,17 @@ void mm_write_matrix(const char *path, const void *p) {
             __atomic_fetch_add(&seq, 1, __ATOMIC_RELAXED));
     fd = open(tmp, O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
   } while (fd < 0 && errno == EEXIST);
-  if (fd < 0) mm_cannot_open("writeMatrix", real);
+  if (fd < 0) mm_cannot_open(id, "writeMatrix", real);
   int ok = mm_write_payload(fd, m);
   if (close(fd) != 0 || !ok) {
     unlink(tmp);
-    mm_crumb_fault("writeMatrix \"%s\": write failed", path);
+    mm_guard_fault(id, "writeMatrix \"%s\": write failed", path);
   }
   if (rename(tmp, real) != 0) {
     int err = errno;
     unlink(tmp);
     errno = err;
-    mm_cannot_open("writeMatrix", real);
+    mm_cannot_open(id, "writeMatrix", real);
   }
   free(tmp);
   free(real);
@@ -664,12 +620,12 @@ static mm_mat_float *mm_map_floats(int fd, int rank, const int *dims,
                    (char *)base + start);
 }
 
-void *mm_read_matrix(const char *path) {
-  mm_fail_hit("native.io.read_matrix");
+void *mm_read_matrix(const char *path, int id) {
+  mm_fail_hit("native.io.read_matrix", id);
   char *real = mm_resolve_path(path);
   int fd = open(real, O_RDONLY | O_CLOEXEC);
-  if (fd < 0) mm_cannot_open("readMatrix", real);
-#define MM_READ_FAULT(...) mm_file_fault("readMatrix", real, __VA_ARGS__)
+  if (fd < 0) mm_cannot_open(id, "readMatrix", real);
+#define MM_READ_FAULT(...) mm_file_fault(id, "readMatrix", real, __VA_ARGS__)
   unsigned char head[MM_HEAD_MAX];
   size_t got = mm_pread_full(fd, head, sizeof head, 0);
   static const char *const old[][2] = {

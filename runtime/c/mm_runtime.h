@@ -78,17 +78,19 @@ typedef mm_mat_bool mm_mat_bool1, mm_mat_bool2, mm_mat_bool3, mm_mat_bool4,
  * points at: a malloc block, or, from 2 MiB on, an anonymous mapping
  * aligned to 2 MiB and advised onto huge pages (the heap only, under
  * AddressSanitizer).  A float matrix readMatrix read is a header block
- * whose [data] points into a copy-on-write mapping of the file.  A
- * negative extent, or more than 2^28 elements, fails the run at the
- * breadcrumb's span, as a check does.  mm_rc_dec releases the block
- * when the count reaches zero, and faults on a count that was already
- * zero; both tolerate NULL so generated cleanup code needs no tests. */
-mm_mat_float *mm_alloc_float(int rank, ...);
-mm_mat_int *mm_alloc_int(int rank, ...);
-mm_mat_bool *mm_alloc_bool(int rank, ...);
-mm_mat_float *mm_calloc_float(int rank, ...);
-mm_mat_int *mm_calloc_int(int rank, ...);
-mm_mat_bool *mm_calloc_bool(int rank, ...);
+ * whose [data] points into a copy-on-write mapping of the file.  [id]
+ * is the span of the code allocating, ahead of the variadic extents: a
+ * negative extent, more than 2^28 elements or the native.alloc
+ * failpoint fails the run there, as a check does.  mm_rc_dec releases
+ * the block when the count reaches zero, and faults on a count that was
+ * already zero; both tolerate NULL so generated cleanup code needs no
+ * tests. */
+mm_mat_float *mm_alloc_float(int id, int rank, ...);
+mm_mat_int *mm_alloc_int(int id, int rank, ...);
+mm_mat_bool *mm_alloc_bool(int id, int rank, ...);
+mm_mat_float *mm_calloc_float(int id, int rank, ...);
+mm_mat_int *mm_calloc_int(int id, int rank, ...);
+mm_mat_bool *mm_calloc_bool(int id, int rank, ...);
 void mm_rc_inc(void *m);
 void mm_rc_dec(void *m);
 int mm_live_count(void);
@@ -117,21 +119,24 @@ extern void (*mm_alloc_hook)(long long bytes);
  * relative to the current working directory.  A file that cannot be
  * opened, whose header padding is not zero, whose size differs from what
  * its header implies, or whose bool payload holds a byte other than 0 or
- * 1 fails the run as a check does: a __mm_fault line at the breadcrumb's
- * span, then exit 71.  A write replaces the file by renaming a finished
- * temporary file over it, so it never truncates a file a matrix maps. */
-void *mm_read_matrix(const char *path);
-void mm_write_matrix(const char *path, const void *m);
+ * 1, a NULL matrix to write, a failed write and the
+ * native.io.read_matrix failpoint fail the run as a check does, at span
+ * [id].  A write replaces the file by renaming a finished temporary file
+ * over it, so it never truncates a file a matrix maps. */
+void *mm_read_matrix(const char *path, int id);
+void mm_write_matrix(const char *path, const void *m, int id);
 
 /* Abort with an "mm_runtime: ..." diagnostic on stderr and exit code 70
- * (the runtime-failure exit the mmc driver maps back to a diagnostic). */
+ * (the runtime-failure exit the mmc driver maps back to a diagnostic),
+ * for what has no span: running out of memory, a bad MM_FAILPOINTS. */
 void mm_fatal(const char *fmt, ...);
 
 /* Result protocol: the generated main prints the entry function's result
  * as "__mm_result ..." lines that `mmc exec` parses back into the same
  * value the interpreter would return, then a final "__mm_live N" line
  * with the allocations still live (the interpreter warns on the same
- * number). */
+ * number).  An instrumented harness then prints its profile as one
+ * "__mm_profile <json>" line (mm_prof_dump). */
 void mm_result_int(int v);
 void mm_result_float(mm_float v);
 void mm_result_bool(bool v);
@@ -141,25 +146,23 @@ void mm_result_tuple(int fields);
 void mm_result_mat(const void *m);
 void mm_result_live(void);
 
-/* --- checks and supervised execution -----------------------------------
- * The checks lowering wrote into every program, MM_FAILPOINTS fault
- * injection, and the crash-breadcrumb sidecar the mmc supervisor uses to
- * triage signal deaths back to source spans.
- *
- * A failed check or an injected fault reports through one structured
- * protocol line on stdout before dying:
+/* --- checks and faults --------------------------------------------------
+ * The checks lowering wrote into every program, the runtime's fallible
+ * calls and MM_FAILPOINTS fault injection all fail the same way: one
+ * structured protocol line on stdout,
  *   __mm_fault <span_id> <span|-> <message...>
- * A failed check _exit(71)s — deterministic, distinct from mm_fatal's
- * 70 — while injected failpoints abort() so they surface as a signal
- * death, which crash triage reports like any other. */
+ * naming the span id the generated code passed, then _exit(71).  The
+ * exits are distinct: a fault 71, mm_fatal (out of memory, a bad
+ * MM_FAILPOINTS) 70.  Anything that still ends in a signal (a stack
+ * overflow, a runtime bug, an external kill) is reported by the
+ * signal's name, with no span. */
 
 /* Hand the runtime the program's span table (the generated mm_spans:
- * ids index it, entries are "line:col-..." strings), install the
- * crash-breadcrumb signal handlers and arm failpoints from the
- * MM_FAILPOINTS environment variable ("name@K,…", each clause firing on
- * the K-th hit — the Support.Failpoint grammar; a malformed spec, or a
- * name other than native.alloc and native.io.read_matrix, is mm_fatal).
- * Called first thing by every generated exec harness. */
+ * ids index it, entries are "line:col-..." strings) and arm failpoints
+ * from the MM_FAILPOINTS environment variable ("name@K,…", each clause
+ * firing on the K-th hit — the Support.Failpoint grammar; a malformed
+ * spec, or a name other than native.alloc and native.io.read_matrix, is
+ * mm_fatal).  Called first thing by every generated exec harness. */
 void mm_init(int nspans, const char *const *spans);
 
 /* The table's size, and the span string of id [id] (NULL when there is
@@ -167,14 +170,13 @@ void mm_init(int nspans, const char *const *spans);
 int mm_span_count(void);
 const char *mm_span_name(int id);
 
-/* Count one pass through failpoint [name]; prints __mm_fault, flushes,
- * and abort()s on the armed hit.  The disarmed fast path is one load of
- * the clause count. */
-void mm_fail_hit(const char *name);
+/* Count one pass through failpoint [name]; on the armed hit, fail the
+ * run at span [id] as a check does.  The disarmed fast path is one load
+ * of the clause count. */
+void mm_fail_hit(const char *name, int id);
 
-/* Report a failed check attributed to span [id] (-1 = no span) and
- * _exit(71).  Does not return; of threads failing at once, one
- * reports. */
+/* Report a fault at span [id] (-1 = no span) and _exit(71).  Does not
+ * return; of threads failing at once, one reports. */
 _Noreturn void mm_guard_fault(int id, const char *fmt, ...);
 
 /* Slow paths of the checks, only ever called once the inline test
@@ -213,29 +215,29 @@ _Noreturn void mm_guard_dim(const void *m, int index, int id);
 #define MM_NOT_NULL(m, id)                                                    \
   (__builtin_expect(!(m), 0) ? mm_guard_index(NULL, 0, 0, (id)) : (void)0)
 
-/* Crash breadcrumbs: emitted code brackets every provenance site —
- * loops and top-level located statements — with
- *   int hidden = mm_crumb_push(id);  ...  mm_crumb_pop(hidden);
- * so mm_crumb holds the innermost open site's span id (-1 outside every
- * site), and a fatal signal writes that span to mm_crash.txt: the
- * supervisor renders a caret even for SIGSEGV/SIGFPE deaths.  The crumb
- * is thread-local — each thread has its own, so sites inside parallel
- * regions are race-free and the handler (which runs on the faulting
- * thread) reads exactly that thread's innermost span.  A push is one
- * TLS load and store, a pop one store: cheap enough to sit in
- * per-element code paths, and to compile.  The crumb lives in the static
- * TLS of the executable that defines it, the loader, so a program loaded
- * as a shared object reaches it through the initial-exec model, with no
- * __tls_get_addr call. */
-extern _Thread_local int mm_crumb __attribute__((tls_model("initial-exec")));
-
-static inline int mm_crumb_push(int id) {
-  int hidden = mm_crumb;
-  mm_crumb = id;
-  return hidden;
+/* Integer division and modulo, failing as the interpreter does on a
+ * zero divisor, at span [id].  The emitter routes every `/` and `%`
+ * whose divisor is not a nonzero literal through these; mm_div picks
+ * by the operands' type, so a float division stays the plain operator,
+ * whose zero divisor gives an infinity in both backends. */
+static inline int mm_div_int(int a, int b, int id) {
+  if (__builtin_expect(b == 0, 0))
+    mm_guard_fault(id, "integer division by zero");
+  return a / b;
 }
 
-static inline void mm_crumb_pop(int hidden) { mm_crumb = hidden; }
+static inline mm_float mm_div_float(mm_float a, mm_float b, int id) {
+  (void)id;
+  return a / b;
+}
+
+#define mm_div(a, b, id)                                                      \
+  _Generic((a) + (b), int: mm_div_int, default: mm_div_float)((a), (b), (id))
+
+static inline int mm_mod(int a, int b, int id) {
+  if (__builtin_expect(b == 0, 0)) mm_guard_fault(id, "modulo by zero");
+  return a % b;
+}
 
 /* Integer minimum (tile-boundary bounds from the transform extension). */
 static inline int mm_min(int a, int b) { return a < b ? a : b; }

@@ -6,20 +6,15 @@
 mm_mat_int2 *connComp(mm_mat_float2 *ssh);
 void __mm_mmap_connComp33(mm_mat_float3 *m, mm_mat_int3 *r, int t);
 
-#define MM_NSPANS 38
+#define MM_NSPANS 30
 const char *const mm_spans[] = {
-  "3:3-26",
   "3:11-26",
-  "4:3-26",
   "4:11-26",
   "5:3-53",
-  "6:3-39",
   "6:28-39",
-  "7:3-11:4",
+  "6:3-39",
   "9:11-23",
   "9:27-39",
-  "12:3-22",
-  "13:3-38:4",
   "17:13-25",
   "18:22-34",
   "20:17-33",
@@ -36,52 +31,38 @@ const char *const mm_spans[] = {
   "29:71-87",
   "31:22-34",
   "32:13-25",
-  "39:3-16",
   "43:3-48",
   "44:3-50",
   "45:3-56",
   "45:39-55",
-  "45:29-56",
   "46:3-62",
-  "46:27-62",
   "47:3-41",
-  "48:3-11",
+  "46:27-62",
 };
 
 mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
-  int __mm_crumb0 = mm_crumb_push(0);
-  MM_NOT_NULL(ssh, 1);
+  MM_NOT_NULL(ssh, 0);
   int m = ssh->dims[0];
-  mm_crumb_pop(__mm_crumb0);
-  int __mm_crumb1 = mm_crumb_push(2);
-  MM_NOT_NULL(ssh, 3);
+  MM_NOT_NULL(ssh, 1);
   int n = ssh->dims[1];
-  mm_crumb_pop(__mm_crumb1);
-  int __mm_crumb2 = mm_crumb_push(4);
-  mm_mat_int2 *__mm_initm0 = mm_calloc_int(2, m, n);
+  mm_mat_int2 *__mm_initm0 = mm_calloc_int(2, 2, m, n);
   mm_mat_int2 *labels = __mm_initm0;
-  mm_crumb_pop(__mm_crumb2);
-  int __mm_crumb3 = mm_crumb_push(5);
-  MM_NOT_NULL(ssh, 6);
+  MM_NOT_NULL(ssh, 3);
   mm_float __mm_s1 = -0.25;
-  mm_mat_bool2 *__mm_ew2 = mm_alloc_bool(2, ssh->dims[0], ssh->dims[1]);
-  int __mm_crumb4 = mm_crumb_push(6);
+  mm_mat_bool2 *__mm_ew2 = mm_alloc_bool(4, 2, ssh->dims[0], ssh->dims[1]);
   for (int __mm_i3 = 0; __mm_i3 < mm_size(ssh); __mm_i3++) {
     __mm_ew2->data[__mm_i3] = ssh->data[__mm_i3] < __mm_s1;
   }
-  mm_crumb_pop(__mm_crumb4);
   mm_mat_bool2 *binary = __mm_ew2;
-  mm_crumb_pop(__mm_crumb3);
-  int __mm_crumb5 = mm_crumb_push(7);
   {
     int i = 0;
     while (i < m) {
       {
         int j = 0;
         while (j < n) {
-          if (binary->data[(MM_BOUND(binary, 0, i, 8), MM_BOUND(binary, 1, j, 8), i * binary->dims[1] + j)]) {
-            MM_BOUND(labels, 0, i, 9);
-            MM_BOUND(labels, 1, j, 9);
+          if (binary->data[(MM_BOUND(binary, 0, i, 5), MM_BOUND(binary, 1, j, 5), i * binary->dims[1] + j)]) {
+            MM_BOUND(labels, 0, i, 6);
+            MM_BOUND(labels, 1, j, 6);
             labels->data[i * labels->dims[1] + j] = i * n + j + 1;
           }
           j = j + 1;
@@ -90,11 +71,7 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
       i = i + 1;
     }
   }
-  mm_crumb_pop(__mm_crumb5);
-  int __mm_crumb6 = mm_crumb_push(10);
   bool changed = true;
-  mm_crumb_pop(__mm_crumb6);
-  int __mm_crumb7 = mm_crumb_push(11);
   while (changed) {
     changed = false;
     {
@@ -103,59 +80,59 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
         {
           int j = 0;
           while (j < n) {
-            if (binary->data[(MM_BOUND(binary, 0, i, 12), MM_BOUND(binary, 1, j, 12), i * binary->dims[1] + j)]) {
-              int best = labels->data[(MM_BOUND(labels, 0, i, 13), MM_BOUND(labels, 1, j, 13), i * labels->dims[1] + j)];
+            if (binary->data[(MM_BOUND(binary, 0, i, 7), MM_BOUND(binary, 1, j, 7), i * binary->dims[1] + j)]) {
+              int best = labels->data[(MM_BOUND(labels, 0, i, 8), MM_BOUND(labels, 1, j, 8), i * labels->dims[1] + j)];
               if (i > 0) {
                 int __mm_s4 = i - 1;
-                bool __mm_cond6 = binary->data[(MM_BOUND(binary, 0, __mm_s4, 14), MM_BOUND(binary, 1, j, 14), __mm_s4 * binary->dims[1] + j)];
+                bool __mm_cond6 = binary->data[(MM_BOUND(binary, 0, __mm_s4, 9), MM_BOUND(binary, 1, j, 9), __mm_s4 * binary->dims[1] + j)];
                 if (__mm_cond6) {
                   int __mm_s5 = i - 1;
-                  __mm_cond6 = labels->data[(MM_BOUND(labels, 0, __mm_s5, 15), MM_BOUND(labels, 1, j, 15), __mm_s5 * labels->dims[1] + j)] < best;
+                  __mm_cond6 = labels->data[(MM_BOUND(labels, 0, __mm_s5, 10), MM_BOUND(labels, 1, j, 10), __mm_s5 * labels->dims[1] + j)] < best;
                 }
                 if (__mm_cond6) {
                   int __mm_s7 = i - 1;
-                  best = labels->data[(MM_BOUND(labels, 0, __mm_s7, 16), MM_BOUND(labels, 1, j, 16), __mm_s7 * labels->dims[1] + j)];
+                  best = labels->data[(MM_BOUND(labels, 0, __mm_s7, 11), MM_BOUND(labels, 1, j, 11), __mm_s7 * labels->dims[1] + j)];
                 }
               }
               if (j > 0) {
                 int __mm_s8 = j - 1;
-                bool __mm_cond10 = binary->data[(MM_BOUND(binary, 0, i, 17), MM_BOUND(binary, 1, __mm_s8, 17), i * binary->dims[1] + __mm_s8)];
+                bool __mm_cond10 = binary->data[(MM_BOUND(binary, 0, i, 12), MM_BOUND(binary, 1, __mm_s8, 12), i * binary->dims[1] + __mm_s8)];
                 if (__mm_cond10) {
                   int __mm_s9 = j - 1;
-                  __mm_cond10 = labels->data[(MM_BOUND(labels, 0, i, 18), MM_BOUND(labels, 1, __mm_s9, 18), i * labels->dims[1] + __mm_s9)] < best;
+                  __mm_cond10 = labels->data[(MM_BOUND(labels, 0, i, 13), MM_BOUND(labels, 1, __mm_s9, 13), i * labels->dims[1] + __mm_s9)] < best;
                 }
                 if (__mm_cond10) {
                   int __mm_s11 = j - 1;
-                  best = labels->data[(MM_BOUND(labels, 0, i, 19), MM_BOUND(labels, 1, __mm_s11, 19), i * labels->dims[1] + __mm_s11)];
+                  best = labels->data[(MM_BOUND(labels, 0, i, 14), MM_BOUND(labels, 1, __mm_s11, 14), i * labels->dims[1] + __mm_s11)];
                 }
               }
               if (i < m - 1) {
                 int __mm_s12 = i + 1;
-                bool __mm_cond14 = binary->data[(MM_BOUND(binary, 0, __mm_s12, 20), MM_BOUND(binary, 1, j, 20), __mm_s12 * binary->dims[1] + j)];
+                bool __mm_cond14 = binary->data[(MM_BOUND(binary, 0, __mm_s12, 15), MM_BOUND(binary, 1, j, 15), __mm_s12 * binary->dims[1] + j)];
                 if (__mm_cond14) {
                   int __mm_s13 = i + 1;
-                  __mm_cond14 = labels->data[(MM_BOUND(labels, 0, __mm_s13, 21), MM_BOUND(labels, 1, j, 21), __mm_s13 * labels->dims[1] + j)] < best;
+                  __mm_cond14 = labels->data[(MM_BOUND(labels, 0, __mm_s13, 16), MM_BOUND(labels, 1, j, 16), __mm_s13 * labels->dims[1] + j)] < best;
                 }
                 if (__mm_cond14) {
                   int __mm_s15 = i + 1;
-                  best = labels->data[(MM_BOUND(labels, 0, __mm_s15, 22), MM_BOUND(labels, 1, j, 22), __mm_s15 * labels->dims[1] + j)];
+                  best = labels->data[(MM_BOUND(labels, 0, __mm_s15, 17), MM_BOUND(labels, 1, j, 17), __mm_s15 * labels->dims[1] + j)];
                 }
               }
               if (j < n - 1) {
                 int __mm_s16 = j + 1;
-                bool __mm_cond18 = binary->data[(MM_BOUND(binary, 0, i, 23), MM_BOUND(binary, 1, __mm_s16, 23), i * binary->dims[1] + __mm_s16)];
+                bool __mm_cond18 = binary->data[(MM_BOUND(binary, 0, i, 18), MM_BOUND(binary, 1, __mm_s16, 18), i * binary->dims[1] + __mm_s16)];
                 if (__mm_cond18) {
                   int __mm_s17 = j + 1;
-                  __mm_cond18 = labels->data[(MM_BOUND(labels, 0, i, 24), MM_BOUND(labels, 1, __mm_s17, 24), i * labels->dims[1] + __mm_s17)] < best;
+                  __mm_cond18 = labels->data[(MM_BOUND(labels, 0, i, 19), MM_BOUND(labels, 1, __mm_s17, 19), i * labels->dims[1] + __mm_s17)] < best;
                 }
                 if (__mm_cond18) {
                   int __mm_s19 = j + 1;
-                  best = labels->data[(MM_BOUND(labels, 0, i, 25), MM_BOUND(labels, 1, __mm_s19, 25), i * labels->dims[1] + __mm_s19)];
+                  best = labels->data[(MM_BOUND(labels, 0, i, 20), MM_BOUND(labels, 1, __mm_s19, 20), i * labels->dims[1] + __mm_s19)];
                 }
               }
-              if (best < labels->data[(MM_BOUND(labels, 0, i, 26), MM_BOUND(labels, 1, j, 26), i * labels->dims[1] + j)]) {
-                MM_BOUND(labels, 0, i, 27);
-                MM_BOUND(labels, 1, j, 27);
+              if (best < labels->data[(MM_BOUND(labels, 0, i, 21), MM_BOUND(labels, 1, j, 21), i * labels->dims[1] + j)]) {
+                MM_BOUND(labels, 0, i, 22);
+                MM_BOUND(labels, 1, j, 22);
                 labels->data[i * labels->dims[1] + j] = best;
                 changed = true;
               }
@@ -167,50 +144,35 @@ mm_mat_int2 *connComp(mm_mat_float2 *ssh) {
       }
     }
   }
-  mm_crumb_pop(__mm_crumb7);
-  int __mm_crumb8 = mm_crumb_push(28);
   mm_rc_dec(binary);
-  mm_crumb_pop(__mm_crumb8);
   return labels;
 }
 
 int main(void) {
-  int __mm_crumb9 = mm_crumb_push(29);
-  mm_mat_float3 *__mm_rd20 = mm_read_matrix("ssh.data");
+  mm_mat_float3 *__mm_rd20 = mm_read_matrix("ssh.data", 23);
   mm_mat_float3 *ssh = __mm_rd20;
-  mm_crumb_pop(__mm_crumb9);
-  int __mm_crumb10 = mm_crumb_push(30);
-  mm_mat_int1 *__mm_rd21 = mm_read_matrix("dates.data");
+  mm_mat_int1 *__mm_rd21 = mm_read_matrix("dates.data", 24);
   mm_mat_int1 *dates = __mm_rd21;
-  mm_crumb_pop(__mm_crumb10);
-  int __mm_crumb11 = mm_crumb_push(31);
-  mm_mat_bool1 *__mm_ew22 = mm_alloc_bool(1, dates->dims[0]);
-  int __mm_crumb12 = mm_crumb_push(32);
+  mm_mat_bool1 *__mm_ew22 = mm_alloc_bool(25, 1, dates->dims[0]);
   for (int __mm_i23 = 0; __mm_i23 < mm_size(dates); __mm_i23++) {
     __mm_ew22->data[__mm_i23] = dates->data[__mm_i23] >= 1012000;
   }
-  mm_crumb_pop(__mm_crumb12);
-  MM_SAME(mm_size(__mm_ew22), ssh->dims[2], "mask length disagrees with dimension 2", 32);
+  MM_SAME(mm_size(__mm_ew22), ssh->dims[2], "mask length disagrees with dimension 2", 26);
   int __mm_cnt24 = 0;
-  int __mm_crumb13 = mm_crumb_push(32);
   for (int __mm_i26 = 0; __mm_i26 < mm_size(__mm_ew22); __mm_i26++) {
     if (__mm_ew22->data[__mm_i26]) {
       __mm_cnt24 = __mm_cnt24 + 1;
     }
   }
-  mm_crumb_pop(__mm_crumb13);
-  mm_mat_int1 *__mm_sel25 = mm_alloc_int(1, __mm_cnt24);
+  mm_mat_int1 *__mm_sel25 = mm_alloc_int(25, 1, __mm_cnt24);
   int __mm_k27 = 0;
-  int __mm_crumb14 = mm_crumb_push(32);
   for (int __mm_i26 = 0; __mm_i26 < mm_size(__mm_ew22); __mm_i26++) {
     if (__mm_ew22->data[__mm_i26]) {
       __mm_sel25->data[__mm_k27] = __mm_i26;
       __mm_k27 = __mm_k27 + 1;
     }
   }
-  mm_crumb_pop(__mm_crumb14);
-  mm_mat_float3 *__mm_slice28 = mm_alloc_float(3, ssh->dims[0], ssh->dims[1], mm_size(__mm_sel25));
-  int __mm_crumb15 = mm_crumb_push(33);
+  mm_mat_float3 *__mm_slice28 = mm_alloc_float(25, 3, ssh->dims[0], ssh->dims[1], mm_size(__mm_sel25));
   for (int __mm_o29 = 0; __mm_o29 < ssh->dims[0]; __mm_o29++) {
     for (int __mm_o30 = 0; __mm_o30 < ssh->dims[1]; __mm_o30++) {
       for (int __mm_o31 = 0; __mm_o31 < mm_size(__mm_sel25); __mm_o31++) {
@@ -218,55 +180,41 @@ int main(void) {
       }
     }
   }
-  mm_crumb_pop(__mm_crumb15);
   mm_mat_float3 *recent = __mm_slice28;
   mm_rc_dec(__mm_sel25);
   mm_rc_dec(__mm_ew22);
-  mm_crumb_pop(__mm_crumb11);
-  int __mm_crumb16 = mm_crumb_push(34);
-  mm_mat_int3 *__mm_mmapr32 = mm_alloc_int(3, recent->dims[0], recent->dims[1], recent->dims[2]);
+  mm_mat_int3 *__mm_mmapr32 = mm_alloc_int(27, 3, recent->dims[0], recent->dims[1], recent->dims[2]);
   int __mm_total37 = recent->dims[2];
-  int __mm_crumb17 = mm_crumb_push(35);
   for (int __mm_t38 = 0; __mm_t38 < __mm_total37; __mm_t38++) {
     __mm_mmap_connComp33(recent, __mm_mmapr32, __mm_t38);
   }
-  mm_crumb_pop(__mm_crumb17);
   mm_mat_int3 *labels = __mm_mmapr32;
-  mm_crumb_pop(__mm_crumb16);
-  int __mm_crumb18 = mm_crumb_push(36);
-  mm_write_matrix("eddyLabels.data", labels);
-  mm_crumb_pop(__mm_crumb18);
-  int __mm_crumb19 = mm_crumb_push(37);
+  mm_write_matrix("eddyLabels.data", labels, 28);
   mm_rc_dec(labels);
   mm_rc_dec(recent);
   mm_rc_dec(dates);
   mm_rc_dec(ssh);
-  mm_crumb_pop(__mm_crumb19);
   return 0;
 }
 
 void __mm_mmap_connComp33(mm_mat_float3 *m, mm_mat_int3 *r, int t) {
   int __mm_rem34 = t;
-  int c2 = __mm_rem34 % m->dims[2];
-  __mm_rem34 = __mm_rem34 / m->dims[2];
-  mm_mat_float2 *__mm_slice35 = mm_alloc_float(2, m->dims[0], m->dims[1]);
-  int __mm_crumb20 = mm_crumb_push(35);
+  int c2 = mm_mod(__mm_rem34, m->dims[2], 29);
+  __mm_rem34 = mm_div(__mm_rem34, m->dims[2], 29);
+  mm_mat_float2 *__mm_slice35 = mm_alloc_float(29, 2, m->dims[0], m->dims[1]);
   for (int o0 = 0; o0 < m->dims[0]; o0++) {
     for (int o1 = 0; o1 < m->dims[1]; o1++) {
       __mm_slice35->data[o0 * m->dims[1] + o1] = m->data[(o0 * m->dims[1] + o1) * m->dims[2] + c2];
     }
   }
-  mm_crumb_pop(__mm_crumb20);
   mm_mat_int2 *__mm_out36 = connComp(__mm_slice35);
-  MM_SAME(__mm_out36->dims[0], m->dims[0], "result of 'connComp' disagrees with its fiber in dimension 0", 35);
-  MM_SAME(__mm_out36->dims[1], m->dims[1], "result of 'connComp' disagrees with its fiber in dimension 1", 35);
-  int __mm_crumb21 = mm_crumb_push(35);
+  MM_SAME(__mm_out36->dims[0], m->dims[0], "result of 'connComp' disagrees with its fiber in dimension 0", 29);
+  MM_SAME(__mm_out36->dims[1], m->dims[1], "result of 'connComp' disagrees with its fiber in dimension 1", 29);
   for (int o0 = 0; o0 < m->dims[0]; o0++) {
     for (int o1 = 0; o1 < m->dims[1]; o1++) {
       r->data[(o0 * m->dims[1] + o1) * m->dims[2] + c2] = __mm_out36->data[o0 * m->dims[1] + o1];
     }
   }
-  mm_crumb_pop(__mm_crumb21);
   mm_rc_dec(__mm_slice35);
   mm_rc_dec(__mm_out36);
   return;

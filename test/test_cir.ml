@@ -180,14 +180,16 @@ let test_emit_fig3_shape () =
   (* The untransformed lowering prints as the Fig 3 nest. *)
   let c = Cir.Emit.stmts (mean_body ~par:false) in
   let contains affix = is_infix ~affix c in
-  Alcotest.(check bool) "allocates means" true (contains "mm_alloc_float(2");
+  (* a statement list emitted on its own names no span: id -1 *)
+  Alcotest.(check bool) "allocates means" true
+    (contains "mm_alloc_float(-1, 2");
   Alcotest.(check bool) "outer i loop" true
     (contains "for (int i = 0; i < mat->dims[0]; i++)");
   Alcotest.(check bool) "inner j loop" true
     (contains "for (int j = 0; j < mat->dims[1]; j++)");
   Alcotest.(check bool) "accumulation" true (contains "acc = acc +");
   Alcotest.(check bool) "direct store into means, no temp copy" true
-    (contains "means->data[i * mat->dims[1] + j] = acc /")
+    (contains "means->data[i * mat->dims[1] + j] = mm_div(acc, ")
 
 let test_emit_fig10_shape () =
   (* After split j by 4: jout/jin nest with j reconstructed (Fig 10). *)

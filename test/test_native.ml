@@ -470,7 +470,7 @@ let test_keep_c_standalone_recompile () =
   let text = In_channel.with_open_bin out In_channel.input_all in
   Sys.remove out;
   match Native.Exec.parse_output text with
-  | Ok (v, live) ->
+  | Ok (v, live, _) ->
       Alcotest.(check bool) "standalone result identical" true
         (v = o.Native.Exec.value);
       Alcotest.(check int) "standalone live identical" o.Native.Exec.live live
@@ -702,8 +702,7 @@ let test_no_openmp_fallback () =
 
 (* Without [~dir], [Driver.exec] runs the binary in a scratch directory
    that must be gone when the call returns: after a run that writes a
-   matrix, after an instrumented run that leaves the mm_profile.json
-   sidecar there, and after a run that fails. *)
+   matrix, after an instrumented run, and after a run that fails. *)
 let test_exec_removes_scratch_dir () =
   ignore (ensure_cc ());
   let cache_dir = Lazy.force suite_cache in
@@ -1329,8 +1328,7 @@ let test_fold_kept () =
 (* Folding moves no failure: a chain whose last operand has another
    shape fails with the unfolded program's message at its span, and an
    integer division by zero, which never folds, at the division's span,
-   in both backends at 1 and 2 threads.  (The backends word the
-   division differently: the binary dies of SIGFPE.) *)
+   in both backends at 1 and 2 threads. *)
 let fold_failures =
   [
     ( "shape",
@@ -1355,7 +1353,7 @@ int main() {
   return r[0];
 }
 |},
-      None );
+      Some "integer division by zero" );
   ]
 
 let test_fold_failures () =

@@ -76,13 +76,7 @@ let test_describe_signal_exit () =
   let msg =
     Native.Exec.describe_error
       (Native.Exec.Run_signaled
-         {
-           signal = 11;
-           signal_name = "SIGSEGV";
-           stderr_text = "";
-           fault = None;
-           crash_span = None;
-         })
+         { signal = 11; signal_name = "SIGSEGV"; stderr_text = "" })
   in
   Alcotest.(check string) "a signal death names the signal"
     "native binary killed by SIGSEGV (signal 11)" msg;
@@ -94,8 +88,6 @@ let test_describe_signal_exit () =
            signal = 6;
            signal_name = "SIGABRT";
            stderr_text = "noise\nfree(): invalid pointer\n";
-           fault = None;
-           crash_span = None;
          })
   in
   Alcotest.(check string) "stderr tail attached"
@@ -117,8 +109,8 @@ let test_describe_signal_exit () =
 (* --- satellite: result-protocol parser is total --------------------------- *)
 
 let test_parse_output_total () =
-  let bad text =
-    match Native.Exec.parse_output text with
+  let bad ?instrument text =
+    match Native.Exec.parse_output ?instrument text with
     | Ok _ -> Alcotest.failf "parsed %S" text
     | Error (Native.Exec.Bad_output { message; offset }) -> (message, offset)
     | Error e ->
@@ -149,7 +141,20 @@ let test_parse_output_total () =
   (* garbage that is not protocol at all *)
   let m, _ = bad "Segmentation fault\n" in
   Alcotest.(check bool) ("no-protocol case named: " ^ m) true
-    (contains m "no __mm_result")
+    (contains m "no __mm_result");
+  (* a profile line comes last, and only from an instrumented run *)
+  let profiled = "__mm_result int 7\n__mm_live 0\n__mm_profile {\"a\":1}\n" in
+  let m, _ = bad profiled in
+  Alcotest.(check bool) ("a plain run's profile line named: " ^ m) true
+    (contains m "trailing protocol line");
+  let m, _ = bad ~instrument:true "__mm_result int 7\n__mm_live 0\n" in
+  Alcotest.(check bool) ("a missing profile line named: " ^ m) true
+    (contains m "missing __mm_profile");
+  match Native.Exec.parse_output ~instrument:true profiled with
+  | Ok (_, live, profile) ->
+      Alcotest.(check (pair int (option string)))
+        "an instrumented run's profile" (0, Some "{\"a\":1}") (live, profile)
+  | Error e -> Alcotest.failf "profiled: %s" (Native.Exec.describe_error e)
 
 let test_span_string_roundtrip () =
   List.iter
@@ -367,6 +372,43 @@ int main() {
 }
 |},
       Some ("4:10-27", "dimSize: dimension 3 out of range for [4]") );
+    ( "negative extent in a loop body",
+      {|float main() {
+  float s = 0.0;
+  for (int i = 0; i < 3; i = i + 1) {
+    int k = 1 - i;
+    Matrix float <1> m = init(Matrix float <1>, k);
+    s = s + 1.0;
+  }
+  return s;
+}
+|},
+      Some ("5:5-51", "negative matrix extent -1 in dimension 0") );
+    ( "modulo by zero",
+      {|int main() {
+  int k = 0;
+  return 10 % k;
+}
+|},
+      Some ("3:3-16", "modulo by zero") );
+    ( "division by zero in a loop body",
+      {|int main() {
+  int s = 0;
+  for (int i = 0; i < 3; i = i + 1) {
+    int k = 1 - i;
+    s = s + 10 / k;
+  }
+  return s;
+}
+|},
+      Some ("5:5-19", "integer division by zero") );
+    ( "negative extent in a with-loop body",
+      {|int main() {
+  Matrix int <1> g = with ([0] <= [i] < [8]) genarray([8], dimSize(init(Matrix int <1>, 3 - i), 0));
+  return g[0];
+}
+|},
+      Some ("2:22-100", "negative matrix extent -1 in dimension 0") );
   ]
 
 let test_one_report () =
@@ -431,9 +473,9 @@ let test_failpoint_alloc_diag () =
   Alcotest.(check bool) "no raw exit code" false (contains text "exit code")
 
 let test_failpoint_crash_span () =
-  (* The crash breadcrumbs attribute even an abort() from a failpoint to
-     the enclosing source statement: the diagnostic must carry a caret
-     excerpt, not anchor at the dummy span. *)
+  (* A fired failpoint fails the run at the allocating statement, as a
+     failed check does: the diagnostic must carry a caret excerpt, not
+     anchor at the dummy span. *)
   with_deadline "failpoint crash span" @@ fun () ->
   ignore (ensure_cc ());
   let outcome =
@@ -466,6 +508,63 @@ let test_failpoint_read_matrix_diag () =
     (Printf.sprintf "names the failpoint (got: %s)" text)
     true
     (contains text "injected fault at failpoint native.io.read_matrix")
+
+(* A matrixMap whose input is a genarray: both backends count the same
+   allocations, so the third is the first fiber slice a lifted body
+   allocates, whichever thread runs it. *)
+let matrix_map_src =
+  {|Matrix float <1> twice(Matrix float <1> v) {
+  Matrix float <1> r = v * 2.0;
+  return r;
+}
+int main() {
+  Matrix float <2> a = with ([0,0] <= [i,j] < [3,4]) genarray([3,4], (float) (i + j));
+  Matrix float <2> b = matrixMap(twice, a, [1]);
+  return dimSize(b, 0);
+}
+|}
+
+(* native.alloc firing in a lifted matrixMap body names the matrixMap,
+   as the interpreter's ndarray.alloc on the same allocation does, at 1
+   and 2 threads. *)
+let test_failpoint_matrix_map_span () =
+  with_deadline "failpoint in a matrixMap body" @@ fun () ->
+  ignore (ensure_cc ());
+  let report = function
+    | Driver.Failed (d :: _) ->
+        (Support.Pos.span_to_string d.Support.Diag.span, d.Support.Diag.message)
+    | Driver.Failed [] -> Alcotest.fail "failed without diagnostics"
+    | Driver.Ok_ _ -> Alcotest.fail "the failpoint did not fire"
+  in
+  List.iter
+    (fun threads ->
+      let config =
+        Driver.Pipeline.enable (Driver.default_config full) "auto-par"
+          (threads > 1)
+      in
+      let interp =
+        Support.Failpoint.reset ();
+        Support.Failpoint.arm_spec "ndarray.alloc@3";
+        Fun.protect ~finally:Support.Failpoint.reset (fun () ->
+            Runtime.Pool.with_pool threads (fun pool ->
+                report (Driver.run ~config ~pool full matrix_map_src [])))
+      in
+      let native =
+        report
+          (Driver.exec ~dir:(fresh_dir ()) ~config ~threads
+             ~failpoints:"native.alloc@3" ~cache_dir:(Lazy.force suite_cache)
+             (Driver.Composed full) matrix_map_src)
+      in
+      let label = Printf.sprintf "%d threads" threads in
+      Alcotest.(check (pair string string))
+        (label ^ ": the interpreter names the matrixMap")
+        ("7:24-48", "injected fault at failpoint ndarray.alloc")
+        interp;
+      Alcotest.(check (pair string string))
+        (label ^ ": the binary names the matrixMap")
+        ("7:24-48", "injected fault at failpoint native.alloc")
+        native)
+    [ 1; 2 ]
 
 (* The C runtime knows two failpoints, each fired by a hit count; any
    other name, or a trigger that is not a hit count, fails the run with a
@@ -1046,7 +1145,8 @@ let test_file_layout_parity () =
 (* A file that cannot be opened fails both backends with one
    diagnostic: the span of the statement doing the I/O, the file's full
    path and the system's reason.  A missing input, and an output whose
-   name is taken by a directory. *)
+   name is taken by a directory, each at the top level and in a loop
+   body. *)
 let test_unopenable_file_parity () =
   ignore (ensure_cc ());
   let diag backend = function
@@ -1085,6 +1185,29 @@ let test_unopenable_file_parity () =
        "int main() {\n\
        \  Matrix int <1> v = with ([0] <= [i] < [4]) genarray([4], i);\n\
        \  writeMatrix(\"out.data\", v);\n\
+       \  return 1;\n\
+        }\n");
+  let dir = fresh_dir () in
+  expect ~dir ~span:"4:5-52" "readMatrix" "missing.data"
+    "No such file or directory"
+    (both ~dir
+       "int main() {\n\
+       \  int s = 0;\n\
+       \  for (int i = 0; i < 3; i = i + 1) {\n\
+       \    Matrix float <1> m = readMatrix(\"missing.data\");\n\
+       \    s = s + dimSize(m, 0);\n\
+       \  }\n\
+       \  return s;\n\
+        }\n");
+  let dir = fresh_dir () in
+  Sys.mkdir (Filename.concat dir "out.data") 0o755;
+  expect ~dir ~span:"4:5-31" "writeMatrix" "out.data" "Is a directory"
+    (both ~dir
+       "int main() {\n\
+       \  Matrix int <1> v = with ([0] <= [i] < [4]) genarray([4], i);\n\
+       \  for (int i = 0; i < 2; i = i + 1) {\n\
+       \    writeMatrix(\"out.data\", v);\n\
+       \  }\n\
        \  return 1;\n\
         }\n")
 
@@ -1348,4 +1471,6 @@ let suite =
       `Quick test_cache_layout_per_configuration;
     Alcotest.test_case "an unopenable file: one diagnostic, both backends"
       `Quick test_unopenable_file_parity;
+    Alcotest.test_case "failpoint: a matrixMap body names the matrixMap"
+      `Quick test_failpoint_matrix_map_span;
   ]

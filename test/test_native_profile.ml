@@ -185,7 +185,7 @@ let test_native_coverage () =
     if runs = 1 || in_band run then run else best (runs - 1) (profile ())
   in
   let native_report, outcome = best 5 (profile ()) in
-  Alcotest.(check bool) "sidecar text came back" true
+  Alcotest.(check bool) "the profile line came back" true
     (outcome.Native.Exec.profile_json <> None);
   Alcotest.(check bool) "native wall clock advanced" true
     (native_report.R.wall_ns > 0);
@@ -353,9 +353,32 @@ let test_plain_emission_has_no_instrumentation () =
    the overflow slot), reports what it reports on 1.  The peak, tracked
    only while profiling, is positive and never above the total.  A
    guard: the parent's shared counters were exact too.  Auto-par makes
-   the parallel regions whose threads allocate. *)
+   the parallel regions whose threads allocate.  At 1 thread the
+   interpreter reports the same allocated and peak bytes: both backends
+   charge a float 8 bytes, an int 4 and a bool 1. *)
 let test_memory_at_threads () =
   ignore (ensure_cc ());
+  List.iter
+    (fun (name, src) ->
+      let interp, native, _ = both_profiles ~name ~inputs:[] src in
+      Alcotest.(check (pair int int))
+        (name ^ ": allocated and peak bytes agree between the backends")
+        (interp.R.allocated_bytes, interp.R.peak_bytes)
+        (native.R.allocated_bytes, native.R.peak_bytes))
+    [
+      ( "rand03",
+        In_channel.with_open_text "golden/rand03.mc" In_channel.input_all );
+      ("eddy_energy", example "eddy_energy.mc");
+      ("transform_tiling", example "transform_tiling.mc");
+      ( "one matrix of each kind",
+        {|int main() {
+  Matrix float <1> f = init(Matrix float <1>, 1000);
+  Matrix int <1> i = init(Matrix int <1>, 1000);
+  Matrix bool <1> b = init(Matrix bool <1>, 1000);
+  return dimSize(f, 0) + dimSize(i, 0) + dimSize(b, 0);
+}
+|} );
+    ];
   let config =
     Driver.Pipeline.enable (Driver.default_config full) "auto-par" true
   in

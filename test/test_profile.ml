@@ -286,7 +286,7 @@ let test_profile_charges_read_matrix () =
     List.filter (fun (r : P.row) -> r.P.r_span.Pos.left.Pos.line = 3) rows
   in
   Alcotest.(check (list int)) "the readMatrix statement's bytes"
-    [ 12 * 14 * 8 * 4 ]
+    [ 12 * 14 * 8 * 8 ]
     (List.map (fun (r : P.row) -> r.P.r_alloc_bytes) read_row);
   let attributed =
     List.fold_left (fun acc (r : P.row) -> acc + r.P.r_alloc_bytes) 0 rows
