@@ -199,7 +199,8 @@ let rec expr st ?(prec = 0) (e : expr) : string =
         Printf.sprintf "%s->dims[%s]" (expr st ~prec:60 m) (expr st ~prec:0 d)
     | MSize m -> Printf.sprintf "mm_size(%s)" (expr st ~prec:0 m)
     | MRead p ->
-        Printf.sprintf "mm_read_matrix(%s, %d)" (expr st ~prec:0 p) (fault_id st)
+        Printf.sprintf "mm_read_matrix(%s, %d)" (expr st ~prec:0 p)
+          (fault_id st)
     | VecSplat a -> Printf.sprintf "_mm_set1_ps(%s)" (expr st ~prec:0 a)
     | VecGather (m, base, stride) ->
         (* Pack 4 lanes (highest lane first, as _mm_set_ps expects).  The
@@ -252,7 +253,7 @@ let rec lvalue = function
   | LVar v -> v
   | LField (lv, i) -> Printf.sprintf "%s.f%d" (lvalue lv) i
 
-(* --- profiler sites --------------------------------------------------------- *)
+(* --- profiler sites ------------------------------------------------------ *)
 
 (* Instrumented emission only.  A sequential loop is a site unless its
    span is exactly the innermost open frame's (tile/vector desugarings
@@ -370,7 +371,8 @@ let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
       let site = seq_loop_span st l.prov in
       Option.iter
         (fun (id, _) ->
-          line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id id)
+          line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id
+            id)
         site;
       line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
         (expr ~prec:31 l.bound) l.index;
@@ -459,9 +461,11 @@ let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
       let site = located_span st sp in
       Option.iter
         (fun (id, _) ->
-          line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id id)
+          line "if (mm_prof_live && !mm_prof_skip[%d]) mm_prof_enter(%d);" id
+            id)
         site;
-      within st ?site:(Option.map snd site) (Some sp) (fun () -> block buf ind b);
+      within st ?site:(Option.map snd site) (Some sp) (fun () ->
+          block buf ind b);
       (* a block that returns has unwound the site already *)
       Option.iter
         (fun (id, _) ->
@@ -684,8 +688,9 @@ let harness_main ~instrument (p : program) : func =
 
 (* The generated span table: ids index the array, whose entries are the
    interpreter's span strings (the profilers' rows, the faults' carets),
-   so the two backends join row-for-row on the rendered span.  Non-static: external linkage keeps -Wunused quiet for
-   programs whose harness is compiled separately. *)
+   so the two backends join row-for-row on the rendered span.
+   Non-static: external linkage keeps -Wunused quiet for programs whose
+   harness is compiled separately. *)
 let span_table st =
   let names = List.rev st.span_order in
   String.concat "\n"

@@ -416,7 +416,9 @@ void mm_prof_dump(void) {
     attributed += mm_prof_rows[i].self_ns;
     attr_alloc += mm_prof_rows[i].alloc_bytes;
   }
-  fprintf(f, "__mm_profile {\"wall_ns\":%lld,\"attributed_ns\":%lld,\"spans\":[",
+  fprintf(f,
+          "__mm_profile {\"wall_ns\":%lld,\"attributed_ns\":%lld,"
+          "\"spans\":[",
           mm_prof_wall < 0 ? 0 : mm_prof_wall, attributed);
   int first = 1;
   for (int i = 0; i < mm_prof_nspans; i++) {

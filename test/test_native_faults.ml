@@ -1,9 +1,9 @@
-(* Supervised native execution: crash triage to source spans, the
-   subscript and shape checks of emitted C, native failpoints
-   (MM_FAILPOINTS, the interpreter's
-   name@K grammar), supervisor deadline kills, sanitizer builds, and the
-   native fault matrix — the interpreter's fault matrix re-run against
-   `mmc exec`.
+(* Supervised native execution: the subscript and shape checks of
+   emitted C and the runtime's fallible calls, each reported at the
+   interpreter's span, native failpoints (MM_FAILPOINTS, the
+   interpreter's name@K grammar), supervisor deadline kills, sanitizer
+   builds, and the native fault matrix — the interpreter's fault matrix
+   re-run against `mmc exec`.
 
    Cases needing a real C compiler probe first and skip visibly when
    none is installed; everything heavy runs under a hard SIGALRM
