@@ -188,6 +188,17 @@ let rec expr st ?(prec = 0) (e : expr) : string =
           (fault_id st) (List.length dims)
           (String.concat ""
              (List.map (fun d -> ", " ^ expr st ~prec:0 d) dims))
+    | MView { elem; m; offset; dims } ->
+        (* the header is a compound literal: it lives on the stack until
+           the enclosing block ends *)
+        let e = Runtime.Ndarray.elem_name elem in
+        Printf.sprintf "mm_view_%s(&(mm_mat_%s){0}, %s->data + %s, %d, %s)" e e
+          (expr st ~prec:60 m) (expr st ~prec:41 offset) (List.length dims)
+          (match dims with
+          | [] -> "NULL"
+          | ds ->
+              Printf.sprintf "(const int[]){%s}"
+                (String.concat ", " (List.map (expr st ~prec:0) ds)))
     | MGetFlat (m, off) ->
         Printf.sprintf "%s->data[%s]" (expr st ~prec:60 m) (expr st ~prec:0 off)
     | Checked (cs, e) ->
@@ -402,7 +413,8 @@ let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
           line "#pragma omp parallel";
           line "{";
           line "  long long __mm_prof_w = mm_prof_now();";
-          line "#pragma omp for";
+          line "#pragma omp for%s"
+            (if l.dynamic then " schedule(dynamic, 1)" else "");
           line "  for (int %s = 0; %s < %s; %s++) {" l.index l.index
             (expr ~prec:31 l.bound) l.index;
           within st ~site:sp l.prov (fun () -> block buf (ind ^ "    ") l.body);
@@ -411,7 +423,8 @@ let rec stmt st (buf : Buffer.t) (ind : string) (s : stmt) : unit =
           line "}";
           line "mm_prof_exit_par(%d, (long long) (%s));" id (expr l.bound)
       | None ->
-          line "#pragma omp parallel for";
+          line "#pragma omp parallel for%s"
+            (if l.dynamic then " schedule(dynamic, 1)" else "");
           line "for (int %s = 0; %s < %s; %s++) {" l.index l.index
             (expr ~prec:31 l.bound) l.index;
           within st l.prov (fun () -> block buf (ind ^ "  ") l.body);

@@ -57,6 +57,15 @@ type expr =
           when [zeroed] ([init], a genarray whose generator may leave
           elements unset); otherwise the code that follows writes every
           element before anything reads one *)
+  | MView of {
+      elem : Runtime.Ndarray.elem;
+      m : expr;
+      offset : expr;
+      dims : expr list;
+    }
+      (** a borrowed view of extents [dims] of [m]'s payload, its elements
+          from flat offset [offset] on: it allocates nothing, is counted in
+          no ledger, and releasing it is a fault *)
   | MGetFlat of expr * expr  (** buffer read: matrix, flat offset *)
   | MDim of expr * expr  (** mm_dim(m, d); d is usually a static literal *)
   | MSize of expr  (** mm_size(m): product of extents *)
@@ -95,6 +104,10 @@ let bound_message ~index ~dim ~extent =
     dim extent
 
 let same_message ~what a b = Printf.sprintf "%s: %d against %d" what a b
+
+(** The report of a release of an {!MView}, which no correct program
+    makes. *)
+let view_release_message = "release of a borrowed matrix view"
 
 type lvalue = LVar of string | LField of lvalue * int
 
@@ -154,6 +167,9 @@ and loop = {
   prov : Support.Pos.span option;
       (** source span of the matrix expression / statement this loop was
           lowered from; transformations preserve (and merge) it *)
+  dynamic : bool;
+      (** as a [ParFor], hand out one iteration at a time (OpenMP's
+          [schedule(dynamic, 1)]): its iterations differ widely in cost *)
 }
 (** Canonical loop: [for (int index = 0; index < bound; index++)]. The
     lowerings always produce this form; transformations rely on it. *)
@@ -192,6 +208,8 @@ let rec map_expr f e =
     | TupleE es -> TupleE (List.map r es)
     | Field (a, i) -> Field (r a, i)
     | MAlloc a -> MAlloc { a with dims = List.map r a.dims }
+    | MView v ->
+        MView { v with m = r v.m; offset = r v.offset; dims = List.map r v.dims }
     | MGetFlat (m, o) -> MGetFlat (r m, r o)
     | MDim (m, d) -> MDim (r m, r d)
     | MSize m -> MSize (r m)
@@ -262,6 +280,7 @@ let rec iter_expr f e =
       r b;
       r c
   | Call (_, es) | TupleE es | MAlloc { dims = es; _ } -> List.iter r es
+  | MView { m; offset; dims; _ } -> List.iter r (m :: offset :: dims)
   | Checked (cs, a) ->
       List.iter (iter_check r) cs;
       r a);
@@ -359,7 +378,8 @@ let stmts_use_var name b =
   !found
 
 (** Loop constructor; [?prov] is the source span the loop is attributed to. *)
-let mk_loop ?prov ~index ~bound body = { index; bound; body; prov }
+let mk_loop ?prov ?(dynamic = false) ~index ~bound body =
+  { index; bound; body; prov; dynamic }
 
 (** Structural helpers for building lowered code. *)
 let ( +: ) a b = Binop (Arith Runtime.Scalar.Add, a, b)

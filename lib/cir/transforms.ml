@@ -120,17 +120,18 @@ let apply_split ?(ceil_mode = false) ~target ~factor ~inner ~outer body =
                     bound = inner_bound;
                     body = subst_var l.index reconstructed l.body;
                     prov = l.prov;
+                    dynamic = false;
                   };
               ]
             in
             if par then
               ParFor
                 { index = outer; bound = outer_bound; body = main_body;
-                  prov = l.prov }
+                  prov = l.prov; dynamic = false }
             else
               For
                 { index = outer; bound = outer_bound; body = main_body;
-                  prov = l.prov }
+                  prov = l.prov; dynamic = false }
           in
           let quotient = fold_expr (l.bound /: Int factor) in
           if statically_divisible then
@@ -158,6 +159,7 @@ let apply_split ?(ceil_mode = false) ~target ~factor ~inner ~outer body =
                   bound = fold_expr (l.bound -: base);
                   body = subst_var l.index (fold_expr (base +: Var rem_index)) l.body;
                   prov = l.prov;
+                  dynamic = false;
                 };
             ])
         body
@@ -231,13 +233,14 @@ let apply_reorder names body =
               (fun acc n ->
                 For
                   { index = n; bound = bound_of n; body = [ acc ];
-                    prov = prov_of n })
+                    prov = prov_of n; dynamic = false })
               (For
                  {
                    index = last;
                    bound = bound_of last;
                    body = innermost;
                    prov = prov_of last;
+                   dynamic = false;
                  })
               (List.rev (List.filteri (fun i _ -> i < List.length names - 1) names))
           end)

@@ -687,6 +687,7 @@ and lower_assign t span (lhs : Ast.expr) (rhs : Ast.expr) : stmt list =
               bound = MSize (Var v);
               body = [ MSetFlat (Var v, Var i, er) ];
               prov = Some span;
+              dynamic = false;
             };
         ]
   | Ast.Ident v ->

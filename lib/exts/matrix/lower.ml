@@ -56,6 +56,11 @@ let flat_offset (extents : expr list) (idxs : expr list) : expr =
 
 let dims_of v rank = List.init rank (fun d -> MDim (Var v, Int d))
 
+(* The element count of [extents]. *)
+let size_of = function
+  | [] -> Int 1
+  | e :: es -> fold_expr (List.fold_left ( *: ) e es)
+
 (* A fresh matrix whose every element the code after it writes before
    anything reads one, so its payload need not start zeroed. *)
 let alloc elem dims = MAlloc { elem; dims; zeroed = false }
@@ -90,6 +95,7 @@ let ew_loop t ~span ~traps ~(model : string) ~(rank : int)
       bound = MSize (Var model);
       body = [ MSetFlat (Var r, Var i, body (Var i)) ];
       prov = Some span;
+      dynamic = false;
     }
   in
   let stmts =
@@ -167,6 +173,7 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
                       bound = Var n;
                       body = [ MSetFlat (Var r, Var i, ea +: Var i) ];
                       prov = Some span;
+                      dynamic = false;
                     };
                 ] );
           ]
@@ -193,6 +200,7 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
               index = l;
               bound = k;
               prov = Some span;
+              dynamic = false;
               body =
                 [
                   Assign
@@ -214,8 +222,9 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
         {
           index = i;
           bound = m;
-          body = [ For { index = j; bound = n; body; prov = Some span } ];
+          body = [ For { index = j; bound = n; body; prov = Some span; dynamic = false } ];
           prov = Some span;
+          dynamic = false;
         }
       in
       let inner =
@@ -379,6 +388,7 @@ let lower_index t (base : string) (base_ty : T.ty) (d : int) (ix : A.index) :
                   index = i;
                   bound = MSize (Var mask);
                   prov = Some e.A.espan;
+                  dynamic = false;
                   body =
                     [
                       If
@@ -394,6 +404,7 @@ let lower_index t (base : string) (base_ty : T.ty) (d : int) (ix : A.index) :
                   index = i;
                   bound = MSize (Var mask);
                   prov = Some e.A.espan;
+                  dynamic = false;
                   body =
                     [
                       If
@@ -1118,7 +1129,7 @@ let h_subscript memo t (base : A.expr) (indices : A.index list) (rty : T.ty)
         let loops =
           List.fold_right2
             (fun v ext acc ->
-              [ For { index = v; bound = ext; body = acc; prov = Some span } ])
+              [ For { index = v; bound = ext; body = acc; prov = Some span; dynamic = false } ])
             out_vars extents inner
         in
         (* Which copy the pass may drop, and whether it may: the verdicts
@@ -1194,7 +1205,7 @@ let h_subscript_assign memo t (base : A.expr) (indices : A.index list)
         let loops inner =
           List.fold_right2
             (fun v ext acc ->
-              [ For { index = v; bound = ext; body = acc; prov = Some span } ])
+              [ For { index = v; bound = ext; body = acc; prov = Some span; dynamic = false } ])
             out_vars extents inner
         in
         let checks = List.map (fun c -> Check c) checks in
@@ -1346,7 +1357,7 @@ let build_nest ?prov loops inner =
   let rec go = function
     | [] -> inner
     | (v, count, binds) :: rest ->
-        [ For { index = v; bound = count; body = binds @ go rest; prov } ]
+        [ For { index = v; bound = count; body = binds @ go rest; prov; dynamic = false } ]
   in
   go loops
 
@@ -1422,6 +1433,7 @@ let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
               bound = MSize (Var r);
               body = [ MSetFlat (Var cpy, Var i, MGetFlat (Var r, Var i)) ];
               prov = Some span;
+              dynamic = false;
             };
         ]
         @ L.rc_dec t (Var r)
@@ -1471,7 +1483,62 @@ let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
       ( prelude @ sbase @ (Decl (acc_ty, acc, Some ebase) :: nest),
         Var acc )
 
-(* --- matrixMap (§III-A5) -------------------------------------------------------- *)
+(* --- matrixMap (§III-A5) --------------------------------------------------------
+
+   The lifted per-slice function copies each fiber into a fresh matrix,
+   calls the mapped function on it, and copies the result into the
+   fiber's place in the output.  Both copies sit in sites that copy
+   elimination may turn into views ({!Sites.MapFiber},
+   {!Sites.MapResult}).  How the function reaches a fiber depends on
+   where the mapped dimensions lie:
+   - the last ones, in order: the fiber is one piece, the [t]-th at [t]
+     times its size;
+   - not the last one: fibers are strided, so the function takes a block
+     of [fiber_block] consecutive fibers along the last dimension and
+     gathers them into one buffer, and scatters their results, with the
+     last dimension innermost: each cache line of the input and of the
+     output is touched once per block;
+   - otherwise each fiber is gathered and scattered on its own. *)
+
+let fiber_block = 8
+
+(* One call of [fname] on a fiber: the copy of the fiber into [slice]
+   ([gather slice]), the call, the checks of its result's extents, the
+   copy of the result into the output ([scatter out]), and the
+   releases.  [at_in] and [at_out] are where the fiber and its output lie
+   in one piece. *)
+let fiber_call t ~fname ~span ~in_elem ~out_elem ~extents ~at_in ~at_out
+    ~gather ~scatter =
+  let k = List.length extents in
+  let slice = L.fresh t "slice" and out = L.fresh t "out" in
+  let agree =
+    List.mapi
+      (fun j ext ->
+        Check
+          (Same
+             {
+               what =
+                 Printf.sprintf
+                   "result of '%s' disagrees with its fiber in dimension %d"
+                   fname j;
+               a = MDim (Var out, Int j);
+               b = ext;
+               span;
+             }))
+      extents
+  in
+  [
+    Site
+      ( Sites.MapFiber { fname; slice; at = at_in; extents; span },
+        Decl (CMat (in_elem, k), slice, Some (alloc in_elem extents))
+        :: gather slice );
+    Site
+      ( Sites.MapResult { fname; slice; out; at = at_out; extents; span },
+        (Decl (CMat (out_elem, k), out, Some (Call (fname, [ Var slice ])))
+         :: agree)
+        @ scatter out @ L.rc_dec t (Var out) );
+  ]
+  @ L.rc_dec t (Var slice)
 
 let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
     (rty : T.ty) span : stmt list * expr =
@@ -1479,54 +1546,116 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
   let out_elem, _ = mat_of_ty span rty in
   let k = List.length dims in
   let comp = List.filter (fun d -> not (List.mem d dims)) (List.init rank Fun.id) in
+  let last = rank - 1 in
+  let layout =
+    if dims = List.init k (fun j -> rank - k + j) then `Contiguous
+    else if List.mem last comp then `Blocked
+    else `Strided
+  in
   let sm, vm = lower_operand t ~span marg in
   let r = L.fresh t "mmapr" in
   (* The lifted per-slice function: "we actually lift this out into a new
      function so that the spawned threads can get direct access to it". *)
   let lifted = L.fresh t ("mmap_" ^ fname) in
+  let m = "m" and out = "r" and tvar = "t" in
+  let loop ?(dynamic = false) index bound body =
+    For (mk_loop ~prov:span ~dynamic ~index ~bound body)
+  in
+  let extents = List.map (fun d -> MDim (Var m, Int d)) dims in
+  let n = L.fresh t "n" in
+  let fiber_size = Decl (CInt, n, Some (size_of extents)) in
+  let fiber_call = fiber_call t ~fname ~span ~in_elem ~out_elem ~extents in
+  (* A fiber in one piece of [src] at [soff], its output in one piece of
+     [dst] at [doff]. *)
+  let piecewise (src, soff) (dst, doff) =
+    let i = L.fresh t "i" in
+    fiber_call
+      ~at_in:(Some { Sites.buf = src; offset = soff })
+      ~at_out:(Some { Sites.buf = dst; offset = doff })
+      ~gather:(fun slice ->
+        [ loop i (Var n) [ MSetFlat (Var slice, Var i, MGetFlat (Var src, soff +: Var i)) ] ])
+      ~scatter:(fun res ->
+        [ loop i (Var n) [ MSetFlat (Var dst, doff +: Var i, MGetFlat (Var res, Var i)) ] ])
+  in
+  (* The complement indices [c<d>] of dimensions [ds] from [rem], the
+     last varying fastest. *)
+  let decode rem ds =
+    List.concat_map
+      (fun d ->
+        let ix = Printf.sprintf "c%d" d in
+        [
+          Decl (CInt, ix, Some (Binop (Arith S.Mod, Var rem, MDim (Var m, Int d))));
+          Assign (LVar rem, Var rem /: MDim (Var m, Int d));
+        ])
+      (List.rev ds)
+  in
+  let ovars = List.map (fun d -> Printf.sprintf "o%d" d) dims in
+  (* The loop nest over a fiber's elements around [inner]. *)
+  let over_fiber inner =
+    List.fold_right2 (fun v ext acc -> [ loop v ext acc ]) ovars extents inner
+  in
+  let fiber_off = flat_offset extents (List.map (fun v -> Var v) ovars) in
+  (* [m]'s flat offset of the fiber element at the [o<d>], the last
+     dimension's index being [last_ix] when it is not mapped. *)
+  let src_off last_ix =
+    flat_offset (dims_of m rank)
+      (List.init rank (fun d ->
+           if List.mem d dims then Var (Printf.sprintf "o%d" d)
+           else if d = last then last_ix
+           else Var (Printf.sprintf "c%d" d)))
+  in
+  let count ds = List.fold_left (fun acc d -> acc *: MDim (Var vm, Int d)) (Int 1) ds in
+  let body, total =
+    match layout with
+    | `Contiguous ->
+        let off = L.fresh t "off" in
+        ( [ fiber_size; Decl (CInt, off, Some (Var tvar *: Var n)) ]
+          @ piecewise (m, Var off) (out, Var off),
+          count comp )
+    | `Blocked ->
+        let ext = MDim (Var m, Int last) in
+        let blocks e = (e +: Int (fiber_block - 1)) /: Int fiber_block in
+        let nblk = L.fresh t "nblk" and rem = L.fresh t "rem"
+        and lo = L.fresh t "lo" and nb = L.fresh t "nb"
+        and b = L.fresh t "b" and off = L.fresh t "off" in
+        let blk = L.fresh t "blk" and oblk = L.fresh t "oblk" in
+        let at_b = (Var b *: Var n) +: fiber_off in
+        let inner = List.filter (fun d -> d <> last) comp in
+        ( [
+            Decl (CInt, nblk, Some (blocks ext));
+            Decl (CInt, rem, Some (Var tvar));
+            Decl (CInt, lo, Some (Binop (Arith S.Mod, Var rem, Var nblk) *: Int fiber_block));
+            Assign (LVar rem, Var rem /: Var nblk);
+          ]
+          @ decode rem inner
+          @ [
+              Decl (CInt, nb, Some (Min (Int fiber_block, ext -: Var lo)));
+              fiber_size;
+              Decl (CMat (in_elem, 1), blk, Some (alloc in_elem [ Var nb *: Var n ]));
+            ]
+          @ over_fiber
+              [ loop b (Var nb) [ MSetFlat (Var blk, at_b, MGetFlat (Var m, src_off (Var lo +: Var b))) ] ]
+          @ [ Decl (CMat (out_elem, 1), oblk, Some (alloc out_elem [ Var nb *: Var n ])) ]
+          @ [
+              loop b (Var nb)
+                (Decl (CInt, off, Some (Var b *: Var n))
+                :: piecewise (blk, Var off) (oblk, Var off));
+            ]
+          @ over_fiber
+              [ loop b (Var nb) [ MSetFlat (Var out, src_off (Var lo +: Var b), MGetFlat (Var oblk, at_b)) ] ]
+          @ L.rc_dec t (Var blk) @ L.rc_dec t (Var oblk),
+          count inner *: blocks (MDim (Var vm, Int last)) )
+    | `Strided ->
+        let rem = L.fresh t "rem" in
+        ( (Decl (CInt, rem, Some (Var tvar)) :: decode rem comp)
+          @ fiber_call ~at_in:None ~at_out:None
+              ~gather:(fun slice ->
+                over_fiber [ MSetFlat (Var slice, fiber_off, MGetFlat (Var m, src_off (Int 0))) ])
+              ~scatter:(fun res ->
+                over_fiber [ MSetFlat (Var out, src_off (Int 0), MGetFlat (Var res, fiber_off)) ]),
+          count comp )
+  in
   let lf =
-    let m = "m" and out = "r" and tvar = "t" in
-    let decode =
-      (* recover the complement indices from the flattened counter *)
-      let rem = L.fresh t "rem" in
-      Decl (CInt, rem, Some (Var tvar))
-      :: List.concat_map
-           (fun d ->
-             let ix = Printf.sprintf "c%d" d in
-             [
-               Decl (CInt, ix, Some (Binop (Arith S.Mod, Var rem, MDim (Var m, Int d))));
-               Assign (LVar rem, Var rem /: MDim (Var m, Int d));
-             ])
-           (List.rev comp)
-    in
-    let slice = L.fresh t "slice" in
-    let ovars = List.map (fun d -> Printf.sprintf "o%d" d) dims in
-    let slice_extents = List.map (fun d -> MDim (Var m, Int d)) dims in
-    let full_index =
-      List.init rank (fun d ->
-          if List.mem d dims then
-            Var (Printf.sprintf "o%d" d)
-          else Var (Printf.sprintf "c%d" d))
-    in
-    let src_off = flat_offset (dims_of m rank) full_index in
-    let slice_off =
-      flat_offset slice_extents (List.map (fun v -> Var v) ovars)
-    in
-    let extract =
-      List.fold_right2
-        (fun v ext acc ->
-              [ For { index = v; bound = ext; body = acc; prov = Some span } ])
-        ovars slice_extents
-        [ MSetFlat (Var slice, slice_off, MGetFlat (Var m, src_off)) ]
-    in
-    let outv = L.fresh t "out" in
-    let writeback =
-      List.fold_right2
-        (fun v ext acc ->
-              [ For { index = v; bound = ext; body = acc; prov = Some span } ])
-        ovars slice_extents
-        [ MSetFlat (Var out, src_off, MGetFlat (Var outv, slice_off)) ]
-    in
     {
       f_name = lifted;
       f_params =
@@ -1536,35 +1665,7 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
           (CInt, tvar);
         ];
       f_ret = CVoid;
-      f_body =
-        decode
-        @ [
-            Decl
-              ( CMat (in_elem, k),
-                slice,
-                Some (alloc in_elem slice_extents) );
-          ]
-        @ extract
-        @ [ Decl (CMat (out_elem, k), outv, Some (Call (fname, [ Var slice ]))) ]
-        @ List.mapi
-            (fun j ext ->
-              Check
-                (Same
-                   {
-                     what =
-                       Printf.sprintf
-                         "result of '%s' disagrees with its fiber in dimension \
-                          %d"
-                         fname j;
-                     a = MDim (Var outv, Int j);
-                     b = ext;
-                     span;
-                   }))
-            slice_extents
-        @ writeback
-        @ L.rc_dec t (Var slice)
-        @ L.rc_dec t (Var outv)
-        @ [ Return None ];
+      f_body = body @ [ Return None ];
       (* a fault here outside the fiber loops names the matrixMap, as the
          interpreter does through the loop calling the body *)
       f_span = Some span;
@@ -1572,26 +1673,17 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
     }
   in
   t.L.extra_funcs <- lf :: t.L.extra_funcs;
-  let total = L.fresh t "total" in
-  let total_expr =
-    List.fold_left (fun acc d -> acc *: MDim (Var vm, Int d)) (Int 1) comp
-    |> fold_expr
-  in
-  let tt = L.fresh t "t" in
-  let loop =
-    {
-      index = tt;
-      bound = Var total;
-      body = [ ExprS (Call (lifted, [ Var vm; Var r; Var tt ])) ];
-      prov = Some span;
-    }
+  let total_v = L.fresh t "total" and tt = L.fresh t "t" in
+  let dispatch =
+    mk_loop ~prov:span ~dynamic:(layout = `Blocked) ~index:tt ~bound:(Var total_v)
+      [ ExprS (Call (lifted, [ Var vm; Var r; Var tt ])) ]
   in
   let stmts =
     sm
     @ [
         Decl (CMat (out_elem, rank), r, Some (alloc out_elem (dims_of vm rank)));
-        Decl (CInt, total, Some total_expr);
-        Site (Sites.AutoPar { kind = Sites.MatrixMap fname; span }, [ For loop ]);
+        Decl (CInt, total_v, Some (fold_expr total));
+        Site (Sites.AutoPar { kind = Sites.MatrixMap fname; span }, [ For dispatch ]);
       ]
   in
   L.add_pending t r;

@@ -390,6 +390,382 @@ let read_in_place base (f : Sites.fiber) body =
        | Located (_, []) -> []
        | s -> [ s ])
 
+(* --- matrixMap fibers in place ----------------------------------------------
+
+   A lifted matrixMap body copies each fiber into a fresh matrix and the
+   mapped function's result back into the output ({!Sites.MapFiber},
+   {!Sites.MapResult}).  Where the fiber lies in one piece, the copy in
+   becomes a borrowed view of it when the function only reads its
+   parameter, and the copy out goes when the function returns, on every
+   path, one matrix it allocates itself with its parameter's extents: the
+   function is rewritten to take a view of the output fiber and write
+   that matrix there instead (SAC's destination passing of with-loop
+   results).  Every verdict is taken on the program as it stands before
+   any of these rewrites. *)
+
+(* The expressions statement [s] evaluates itself, not those of the
+   statements nested in it. *)
+let own_exprs = function
+  | Decl (_, _, e) | Return e -> Option.to_list e
+  | Assign (_, e) | ExprS e | RcInc e | RcDec e -> [ e ]
+  | MSetFlat (a, b, c) -> [ a; b; c ]
+  | VecScatter (a, b, c, d) -> [ a; b; c; d ]
+  | MWrite (a, b) -> [ a; b ]
+  | If (c, _, _) | While (c, _) -> [ c ]
+  | For l | ParFor l -> [ l.bound ]
+  | Spawn (_, _, args) -> args
+  | Check (Bound { m; index; _ } | Dim { m; index; _ }) -> [ m; index ]
+  | Check (Same { a; b; _ }) -> [ a; b ]
+  | Check (Null { m; _ }) -> [ m ]
+  | Break | Continue | Comment _ | Sync | Block _ | Located _ | Site _ -> []
+
+(* Does a statement of [body] bind one of [xs] anew? *)
+let rebinds xs body =
+  let found = ref false in
+  iter_stmts ignore
+    (function
+      | Decl (_, v, _) | Assign (LVar v, _) | Spawn (Some (LVar v), _, _)
+        when List.mem v xs ->
+          found := true
+      | (For l | ParFor l) when List.mem l.index xs -> found := true
+      | _ -> ())
+    body;
+  !found
+
+(* What statement [s] does with the matrix the names [xs] hold, for a
+   reason: [what] names the matrix. *)
+let misuse fname what s why =
+  match (why, s) with
+  | Some (g, why), _ -> Printf.sprintf "'%s' passes %s to '%s': %s" fname what g why
+  | None, Return _ -> Printf.sprintf "'%s' returns %s" fname what
+  | None, (RcInc _ | RcDec _) ->
+      Printf.sprintf "'%s' retains or releases %s" fname what
+  | None, (Decl (_, v, _) | Assign (LVar v, _)) ->
+      Printf.sprintf "'%s' stores %s in '%s'" fname what v
+  | None, (MSetFlat _ | VecScatter _) -> Printf.sprintf "'%s' writes %s" fname what
+  | None, _ -> Printf.sprintf "'%s' uses %s other than to read it" fname what
+
+(* Whether each use of the names [xs] in [body] only reads their matrix
+   — an element, an extent, a check, a writeMatrix, or an argument its
+   callee only reads — or is one of the [extra s] uses statement [s] is
+   allowed besides.  Else the first statement with another use, with the
+   callee's reason when that use is an argument. *)
+let rec census p ~seen ~extra xs body =
+  let is_x = function Var v -> List.mem v xs | _ -> false in
+  let checks_x = function
+    | Bound { m; _ } | Null { m; _ } | Dim { m; _ } -> is_x m
+    | Same _ -> false
+  in
+  let bad = ref None in
+  iter_stmts ignore
+    (fun s ->
+      if !bad = None then begin
+        let total = ref 0 and ok = ref (extra s) and why = ref None in
+        List.iter
+          (iter_expr (function
+            | Var v when List.mem v xs -> incr total
+            | (MGetFlat (a, _) | MDim (a, _) | MSize a | VecGather (a, _, _))
+              when is_x a ->
+                incr ok
+            | Checked (cs, _) -> ok := !ok + List.length (List.filter checks_x cs)
+            | Call (g, args) ->
+                List.iteri
+                  (fun j a ->
+                    if is_x a then
+                      match param_reads p ~seen g j with
+                      | Ok () -> incr ok
+                      | Error w -> why := Some (g, w))
+                  args
+            | _ -> ()))
+          (own_exprs s);
+        (match s with
+        | Check c when checks_x c -> incr ok
+        | MWrite (_, a) when is_x a -> incr ok
+        | _ -> ());
+        if !ok < !total then bad := Some (s, !why)
+      end)
+    body;
+  match !bad with None -> Ok () | Some b -> Error b
+
+(* Does function [g] only read its [j]-th parameter?  A recursive call
+   proves nothing. *)
+and param_reads p ~seen g j =
+  match List.find_opt (fun f -> f.f_name = g) p.funcs with
+  | None -> Error (Printf.sprintf "'%s' is not a function of the program" g)
+  | Some _ when List.mem g seen -> Error (Printf.sprintf "'%s' is recursive" g)
+  | Some f -> only_reads p ~seen:(g :: seen) f j
+
+and only_reads p ~seen (f : func) j =
+  match List.nth_opt f.f_params j with
+  | Some (CMat _, x) -> (
+      let what = Printf.sprintf "its parameter '%s'" x in
+      if rebinds [ x ] f.f_body then
+        Error (Printf.sprintf "'%s' rebinds %s" f.f_name what)
+      else
+        match census p ~seen ~extra:(fun _ -> 0) [ x ] f.f_body with
+        | Ok () -> Ok ()
+        | Error (s, why) -> Error (misuse f.f_name what s why))
+  | _ -> Error (Printf.sprintf "'%s' takes no matrix there" f.f_name)
+
+(* The declarations of [body], each with whether it is at the top level
+   (inside no loop, branch or block), so it runs once per call. *)
+let decls body =
+  let rec go top acc = function
+    | [] -> acc
+    | s :: rest ->
+        let acc =
+          match s with
+          | Decl (_, v, e) -> (v, e, top) :: acc
+          | Located (_, b) | Site (_, b) -> go top acc b
+          | If (_, a, b) -> go false (go false acc a) b
+          | While (_, b) | Block b -> go false acc b
+          | For l | ParFor l -> go false acc l.body
+          | _ -> acc
+        in
+        go top acc rest
+  in
+  go true [] body
+
+(* The one matrix [f] returns on every path, when [f] allocates it
+   itself, once, with its parameter's extents, and otherwise only writes
+   and reads it: [Ok (a, alloc, r)], [a] being the declaration that
+   allocates it and [r] the name [f] returns ([a] itself, or a name
+   bound once to [a]); else the condition that fails. *)
+let own_result p (f : func) =
+  let ( let* ) = Result.bind in
+  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let* x =
+    match f.f_params with
+    | [ (CMat _, x) ] -> Ok x
+    | _ -> fail "'%s' does not take one matrix" f.f_name
+  in
+  let returns = ref [] in
+  iter_stmts ignore
+    (function Return e -> returns := e :: !returns | _ -> ())
+    f.f_body;
+  let* r =
+    match List.sort_uniq compare !returns with
+    | [ Some (Var r) ] when ends_with_return f.f_body -> Ok r
+    | _ -> fail "'%s' does not return one named matrix on every path" f.f_name
+  in
+  let ds = decls f.f_body in
+  let decl v =
+    match List.filter (fun (n, _, _) -> n = v) ds with
+    | [ (_, init, top) ] -> Some (init, top)
+    | _ -> None
+  in
+  let* a, (alloc, dims) =
+    match decl r with
+    | Some (Some (MAlloc { dims; _ } as al), true) -> Ok (r, (al, dims))
+    | Some (Some (Var a), true) -> (
+        match decl a with
+        | Some (Some (MAlloc { dims; _ } as al), true) -> Ok (a, (al, dims))
+        | _ -> fail "'%s' returns '%s', which it does not allocate" f.f_name r)
+    | _ -> fail "'%s' returns '%s', which it does not allocate once" f.f_name r
+  in
+  let assigned xs =
+    let found = ref false in
+    iter_stmts ignore
+      (function
+        | Assign (LVar v, _) | Spawn (Some (LVar v), _, _) when List.mem v xs ->
+            found := true
+        | _ -> ())
+      f.f_body;
+    !found
+  in
+  let extent d = function
+    | MDim (Var v, Int d') -> v = x && d' = d
+    | Var n -> (
+        (not (assigned [ n ]))
+        &&
+        match decl n with
+        | Some (Some (MDim (Var v, Int d')), _) -> v = x && d' = d
+        | _ -> false)
+    | _ -> false
+  in
+  let* () =
+    if rebinds [ x ] f.f_body then fail "'%s' rebinds its parameter '%s'" f.f_name x
+    else if assigned [ r; a ] then fail "'%s' assigns '%s'" f.f_name r
+    else Ok ()
+  in
+  let* () =
+    match List.find_opt (fun (d, e) -> not (extent d e)) (List.mapi (fun d e -> (d, e)) dims) with
+    | Some (d, _) ->
+        fail "extent %d of '%s' is not provably dimSize(%s, %d)" d r x d
+    | None -> Ok ()
+  in
+  let names = List.sort_uniq compare [ r; a ] in
+  let extra = function
+    | MSetFlat (Var v, _, _) | VecScatter (Var v, _, _, _) when List.mem v names -> 1
+    | Decl (_, v, Some (Var w)) when v = r && w = a && a <> r -> 1
+    | Return (Some (Var v)) when v = r -> 1
+    | _ -> 0
+  in
+  match census p ~seen:[ f.f_name ] ~extra names f.f_body with
+  | Ok () -> Ok (a, alloc, r)
+  | Error (s, why) ->
+      Error (misuse f.f_name (Printf.sprintf "'%s', the matrix it returns" r) s why)
+
+(* [f] rewritten to write the matrix it returns into the view [dst] it
+   is passed: [a]'s allocation becomes [dst], zero-filled when the
+   allocation was, and each [return r] a plain return. *)
+let dst = "__mm_dst"
+
+let write_into (f : func) (a, alloc, r) =
+  let elem, zeroed, k =
+    match alloc with
+    | MAlloc { elem; zeroed; dims } -> (elem, zeroed, List.length dims)
+    | _ -> invalid_arg "Passes.write_into"
+  in
+  let zero =
+    match elem with
+    | Runtime.Ndarray.EFloat -> Float 0.
+    | Runtime.Ndarray.EInt -> Int 0
+    | Runtime.Ndarray.EBool -> Bool false
+  in
+  let fill =
+    if zeroed then
+      [ For (mk_loop ~index:"__mm_fill" ~bound:(MSize (Var a))
+               [ MSetFlat (Var a, Var "__mm_fill", zero) ]) ]
+    else []
+  in
+  {
+    f with
+    f_params = f.f_params @ [ (CMat (elem, k), dst) ];
+    f_ret = CVoid;
+    f_body =
+      concat_map_stmts
+        (function
+          | Decl (t, v, Some (MAlloc _)) when v = a -> Decl (t, v, Some (Var dst)) :: fill
+          | Return (Some (Var v)) when v = r -> [ Return None ]
+          | s -> [ s ])
+        f.f_body;
+  }
+
+(* The calls of each function in [p], and those a [MapResult] site with
+   an output fiber in one piece makes. *)
+let calls p =
+  let all = ref [] and mapped = ref [] in
+  let rec stmts b = List.iter stmt b
+  and stmt s =
+    (match s with
+    | Site (Sites.MapResult { fname; at = Some _; _ }, _) -> mapped := fname :: !mapped
+    | Spawn (_, g, _) -> all := g :: !all
+    | _ -> ());
+    List.iter
+      (iter_expr (function Call (g, _) -> all := g :: !all | _ -> ()))
+      (own_exprs s);
+    match s with
+    | If (_, a, b) -> stmts a; stmts b
+    | While (_, b) | Block b | Located (_, b) | Site (_, b) -> stmts b
+    | For l | ParFor l -> stmts l.body
+    | _ -> ()
+  in
+  List.iter (fun f -> stmts f.f_body) p.funcs;
+  let count g l = List.length (List.filter (String.equal g) l) in
+  fun g -> (count g !all, count g !mapped)
+
+(* Copy elimination's matrixMap sites, over the whole program. *)
+let fibers_in_place remarks ~enabled (p : program) : program =
+  let calls = calls p in
+  let verdicts = Hashtbl.create 4 in
+  let result_verdict fname =
+    match Hashtbl.find_opt verdicts fname with
+    | Some v -> v
+    | None ->
+        let v =
+          match List.find_opt (fun f -> f.f_name = fname) p.funcs with
+          | None -> Error (Printf.sprintf "'%s' is not a function of the program" fname)
+          | Some _ when fname = p.main -> Error (Printf.sprintf "'%s' is the entry function" fname)
+          | Some f -> (
+              match calls fname with
+              | all, mapped when all > mapped ->
+                  Error
+                    (Printf.sprintf
+                       "'%s' is also called where its result cannot be written \
+                        in place"
+                       fname)
+              | _ -> own_result p f)
+        in
+        Hashtbl.add verdicts fname v;
+        v
+  in
+  let views = ref [] and into = ref [] in
+  let view ty v (at : Sites.place) extents =
+    let elem = match ty with CMat (e, _) -> e | _ -> invalid_arg "Passes.view" in
+    Decl (ty, v, Some (MView { elem; m = Var at.buf; offset = at.offset; dims = extents }))
+  in
+  let strided = "its fibers are strided: the mapped dimensions are not the last ones, in order" in
+  let in_function fn =
+    let body =
+      Cir.Pass.rewrite_sites_in
+        (fun site payload ->
+          match (site, payload) with
+          | Sites.MapFiber { fname; slice; at; extents; span }, Decl (ty, _, _) :: _ -> (
+              let verdict =
+                match at with
+                | None -> Error strided
+                | Some at -> Result.map (fun () -> at) (param_reads p ~seen:[] fname 0)
+              in
+              match verdict with
+              | _ when not enabled ->
+                  R.emit remarks ~pass:"copy-elim" ~kind:R.Skipped ~span
+                    "copy elimination disabled: each fiber of the matrixMap is \
+                     copied for '%s'" fname;
+                  Some payload
+              | Ok at ->
+                  R.emit remarks ~pass:"copy-elim" ~kind:R.Applied ~span
+                    "matrixMap fiber passed in place: '%s' only reads it" fname;
+                  views := slice :: !views;
+                  Some [ view ty slice at extents ]
+              | Error why ->
+                  R.emit remarks ~pass:"copy-elim" ~kind:R.Missed ~span
+                    "matrixMap fiber copied for '%s': %s" fname why;
+                  Some payload)
+          | Sites.MapResult { fname; slice; out; at; extents; span }, Decl (ty, _, _) :: _ -> (
+              let verdict =
+                match at with
+                | None -> Error strided
+                | Some at -> Result.map (fun v -> (at, v)) (result_verdict fname)
+              in
+              match verdict with
+              | _ when not enabled ->
+                  R.emit remarks ~pass:"copy-elim" ~kind:R.Skipped ~span
+                    "copy elimination disabled: each result of '%s' is copied \
+                     into the output" fname;
+                  Some payload
+              | Ok (at, v) ->
+                  R.emit remarks ~pass:"copy-elim" ~kind:R.Applied ~span
+                    "matrixMap result written in place: '%s' fills the output \
+                     fiber itself" fname;
+                  if not (List.mem_assoc fname !into) then into := (fname, v) :: !into;
+                  Some [ view ty out at extents; ExprS (Call (fname, [ Var slice; Var out ])) ]
+              | Error why ->
+                  R.emit remarks ~pass:"copy-elim" ~kind:R.Missed ~span
+                    "matrixMap result of '%s' copied into the output: %s" fname why;
+                  Some payload)
+          | _ -> None)
+        fn.f_body
+    in
+    (* a view is never released *)
+    let body =
+      concat_map_stmts
+        (function RcDec (Var v) when List.mem v !views -> [] | s -> [ s ])
+        body
+    in
+    { fn with f_body = body }
+  in
+  let funcs = List.map in_function p.funcs in
+  let funcs =
+    List.map
+      (fun f ->
+        match List.assoc_opt f.f_name !into with
+        | Some v -> write_into f v
+        | None -> f)
+      funcs
+  in
+  { p with funcs }
+
 (** Slice-copy elimination (§III-A5): an identity slice [m[:, …, :]]
     aliases its base (retaining it) instead of allocating and copying
     every element, and a one-dimensional slice [s = m[e1, …, :, …, en]]
@@ -467,7 +843,8 @@ let copy_elim : Cir.Pass.t =
               List.fold_left (fun b (base, f) -> read_in_place base f b) body !fibers;
           }
         in
-        { p with funcs = List.map in_function p.funcs });
+        fibers_in_place remarks ~enabled
+          { p with funcs = List.map in_function p.funcs });
   }
 
 (* --- auto-parallelization and parallel context (§III-C) ------------------ *)

@@ -43,6 +43,10 @@ type slice_shape =
   | Fiber of fiber
   | Other  (** any other selection: always copied *)
 
+(** Where a matrixMap fiber lies in one piece: a matrix, and the flat
+    offset of the fiber's first element in it. *)
+type place = { buf : string; offset : Cir.Ir.expr }
+
 type Cir.Ir.site +=
   | FuseCopy of {
       result : string;  (** the with-loop's result matrix *)
@@ -82,3 +86,31 @@ type Cir.Ir.site +=
   | AutoPar of { kind : autopar_kind; span : Support.Pos.span }
       (** Payload: a sequential loop nest the auto-par pass may promote
           to a [ParFor] region. *)
+  | MapFiber of {
+      fname : string;  (** the mapped function *)
+      slice : string;  (** the copy of the fiber it is called on *)
+      at : place option;
+          (** where the fiber lies in one piece; [None] when it is
+              strided *)
+      extents : Cir.Ir.expr list;  (** the fiber's *)
+      span : Support.Pos.span;  (** the matrixMap *)
+    }
+      (** Payload: [slice]'s allocation and the loop that copies the
+          fiber into it.  When [fname] only reads its parameter, copy
+          elimination replaces the payload with a view of the fiber where
+          it lies, and drops [slice]'s releases. *)
+  | MapResult of {
+      fname : string;
+      slice : string;  (** the argument of the call *)
+      out : string;  (** the call's result *)
+      at : place option;  (** where the output fiber lies in one piece *)
+      extents : Cir.Ir.expr list;
+      span : Support.Pos.span;
+    }
+      (** Payload: [out = fname(slice)], the checks that [out]'s extents
+          are the fiber's, the copy of [out] into the output fiber, and
+          [out]'s release.  When [fname] returns, on every path, one
+          matrix it allocates itself with its parameter's extents, copy
+          elimination replaces the payload with a call of [fname]
+          rewritten to write that matrix into a view of the output
+          fiber. *)

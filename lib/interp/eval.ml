@@ -126,6 +126,7 @@ let message_of_exn = function
       Some (Printf.sprintf "use of matrix cell #%d after its count reached 0" id)
   | Runtime.Rc.Double_free id ->
       Some (Printf.sprintf "reference count of matrix cell #%d went negative" id)
+  | Runtime.Rc.Borrowed_release -> Some view_release_message
   | Support.Failpoint.Injected n ->
       Some (Printf.sprintf "injected fault at failpoint %s" n)
   | _ -> None
@@ -322,6 +323,15 @@ let rec expr (cx : ctx) (sc : scope) (e : expr) : frame -> value =
       fun fr ->
         let sh = Array.map (fun d -> S.to_int (d fr)) dims in
         alloc_mat cx (Nd.create elem sh)
+  | MView { m; offset; dims; _ } ->
+      (* a borrowed view: no allocation, so no ledger and no failpoint *)
+      let m = ex m and offset = sx offset in
+      let dims = Array.of_list (List.map sx dims) in
+      fun fr ->
+        let base = mat (m fr) in
+        let off = S.to_int (offset fr) in
+        let sh = Array.map (fun d -> S.to_int (d fr)) dims in
+        VMat (Runtime.Rc.borrow (Nd.view base ~off sh))
   | MRead (Str p) ->
       let path = data_path ~dir:(cx.dir ()) p in
       fun _ -> alloc_mat cx (Nd.read_file path)
@@ -442,8 +452,8 @@ and scalar cx sc (e : expr) : frame -> S.t =
       fun fr ->
         List.iter (fun c -> c fr) cs;
         e fr
-  | Str _ | Call _ | TupleE _ | Field _ | MAlloc _ | MRead _ | VecSplat _
-  | VecGather _ | VecBin _ ->
+  | Str _ | Call _ | TupleE _ | Field _ | MAlloc _ | MView _ | MRead _
+  | VecSplat _ | VecGather _ | VecBin _ ->
       let e = ex e in
       fun fr -> scal (e fr)
 

@@ -1,12 +1,18 @@
 /* Spawn stub for Native.Supervise.
 
    OCaml 5 forbids Unix.fork once other domains exist (the worker pool
-   creates them), so the fork+exec leg lives here in C: forking a
-   multi-threaded process is safe as long as the child only makes
-   async-signal-safe calls before execve — chdir, open, dup2, setrlimit
-   and _exit all qualify.  Everything the child needs (paths, envp,
-   limits) is copied out of the OCaml heap before the fork; the child
-   never touches the runtime.
+   creates them), so the spawn leg lives here in C.  It uses vfork: the
+   child borrows mmc's address space until execve instead of copying
+   its page tables, so it only makes async-signal-safe calls (chdir,
+   open, dup2, setrlimit, sigaction, _exit) and writes nothing the
+   parent reads.  Everything the child needs (paths, envp, limits) is
+   copied out of the OCaml heap before the vfork; the child never
+   touches the runtime.  The signal discipline is glibc posix_spawn's:
+   the caller blocks every signal around the vfork, so no handler of
+   mmc's can run in the child on the borrowed memory; the child resets
+   every caught signal to its default action and restores the mask
+   before its own set-up; the parent restores the mask once vfork
+   returns.
 
    The --timeout deadline is enforced inside the child: it arms an
    ITIMER_REAL timer before execve (interval timers survive exec), so
@@ -26,6 +32,7 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#include <pthread.h>
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -83,6 +90,7 @@ CAMLprim value mmc_spawn_wait_native(value v_exe, value v_arg, value v_dir,
   long long max_bytes = Int64_val(v_max_bytes);
   double timeout_s = Double_val(v_timeout);
   struct itimerval deadline = {{0, 0}, {0, 0}};
+  sigset_t all, saved;
   int i, ok = exe && arg && dir && out && err && envp;
   int wstatus, werr;
   pid_t pid, r;
@@ -109,10 +117,21 @@ CAMLprim value mmc_spawn_wait_native(value v_exe, value v_arg, value v_dir,
       deadline.it_value.tv_usec = 1;
   }
 
-  pid = fork();
+  sigfillset(&all);
+  pthread_sigmask(SIG_BLOCK, &all, &saved);
+  pid = vfork();
   if (pid == 0) {
     /* child: async-signal-safe calls only, then exec */
-    int fd;
+    int fd, sig;
+    for (sig = 1; sig < NSIG; sig++) {
+      struct sigaction sa;
+      if (sigaction(sig, NULL, &sa) == 0 && sa.sa_handler != SIG_IGN &&
+          sa.sa_handler != SIG_DFL) {
+        sa.sa_handler = SIG_DFL;
+        sigaction(sig, &sa, NULL);
+      }
+    }
+    sigprocmask(SIG_SETMASK, &saved, NULL);
     if (chdir(dir) != 0) _exit(127);
     fd = open(out, O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0 || dup2(fd, 1) < 0) _exit(127);
@@ -146,10 +165,12 @@ CAMLprim value mmc_spawn_wait_native(value v_exe, value v_arg, value v_dir,
     _exit(127);
   }
 
+  werr = errno;
+  pthread_sigmask(SIG_SETMASK, &saved, NULL);
   for (i = 0; i < nenv; i++) free(envp[i]);
   free(envp);
   free(exe); free(arg); free(dir); free(out); free(err);
-  if (pid < 0) caml_uerror("fork", Nothing);
+  if (pid < 0) caml_unix_error(werr, "vfork", Nothing);
 
   /* reap outside the runtime lock; an EINTR runs the OCaml signal
      handlers (which may raise) and waits again */

@@ -16,7 +16,14 @@ let elem_name = function EFloat -> "float" | EInt -> "int" | EBool -> "bool"
 let elem_bytes = function EFloat -> 8 | EInt -> 4 | EBool -> 1
 
 type buf = F of float array | I of int array | B of bool array
-type t = { shape : Shape.t; buf : buf }
+
+type t = {
+  shape : Shape.t;
+  buf : buf;
+  off : int;
+      (** where element 0 lies in [buf]: 0 except in a {!view}, which
+          shares another matrix's buffer *)
+}
 
 exception Type_error of string
 
@@ -87,35 +94,52 @@ let create e sh =
     | EInt -> I (Array.make n 0)
     | EBool -> B (Array.make n false)
   in
-  { shape = Array.copy sh; buf }
+  { shape = Array.copy sh; buf; off = 0 }
+
+(** [view m ~off sh] — the elements of [m] from flat offset [off] on, as
+    a matrix of shape [sh] sharing [m]'s buffer: a store through either
+    is seen through both.  The view must lie inside [m]. *)
+let view m ~off sh =
+  let n = Shape.size sh in
+  if off < 0 || off + n > Shape.size m.shape then
+    Shape.err "view of %d elements at offset %d outside %s" n off
+      (Shape.to_string m.shape);
+  { shape = Array.copy sh; buf = m.buf; off = m.off + off }
+
+(* [m]'s own elements: its buffer, or for a view a copy of its part of
+   the buffer it shares. *)
+let contents m =
+  let whole n = m.off = 0 && n = Shape.size m.shape in
+  let part a = if whole (Array.length a) then a else Array.sub a m.off (Shape.size m.shape) in
+  match m.buf with F a -> F (part a) | I a -> I (part a) | B a -> B (part a)
 
 let init_float sh f =
   let n = Shape.size sh in
   let a = Array.init n (fun off -> f (Shape.unoffset sh off)) in
-  { shape = Array.copy sh; buf = F a }
+  { shape = Array.copy sh; buf = F a; off = 0 }
 
 let init_int sh f =
   let n = Shape.size sh in
   let a = Array.init n (fun off -> f (Shape.unoffset sh off)) in
-  { shape = Array.copy sh; buf = I a }
+  { shape = Array.copy sh; buf = I a; off = 0 }
 
 let of_float_array sh a =
   if Array.length a <> Shape.size sh then
     Shape.err "of_float_array: %d elements for shape %s" (Array.length a)
       (Shape.to_string sh);
-  { shape = Array.copy sh; buf = F (Array.copy a) }
+  { shape = Array.copy sh; buf = F (Array.copy a); off = 0 }
 
 let of_int_array sh a =
   if Array.length a <> Shape.size sh then
     Shape.err "of_int_array: %d elements for shape %s" (Array.length a)
       (Shape.to_string sh);
-  { shape = Array.copy sh; buf = I (Array.copy a) }
+  { shape = Array.copy sh; buf = I (Array.copy a); off = 0 }
 
 let of_bool_array sh a =
   if Array.length a <> Shape.size sh then
     Shape.err "of_bool_array: %d elements for shape %s" (Array.length a)
       (Shape.to_string sh);
-  { shape = Array.copy sh; buf = B (Array.copy a) }
+  { shape = Array.copy sh; buf = B (Array.copy a); off = 0 }
 
 (** 1-D int vector from a list. *)
 let vec_i xs = of_int_array [| List.length xs |] (Array.of_list xs)
@@ -123,12 +147,14 @@ let vec_i xs = of_int_array [| List.length xs |] (Array.of_list xs)
 (* --- flat accessors ------------------------------------------------------ *)
 
 let get_flat m off : Scalar.t =
+  let off = m.off + off in
   match m.buf with
   | F a -> Scalar.F a.(off)
   | I a -> Scalar.I a.(off)
   | B a -> Scalar.B a.(off)
 
 let set_flat m off (v : Scalar.t) =
+  let off = m.off + off in
   match (m.buf, v) with
   | F a, Scalar.F x -> a.(off) <- x
   | F a, Scalar.I x -> a.(off) <- float_of_int x
@@ -146,7 +172,7 @@ let set m idx v = set_flat m (Shape.offset m.shape idx) v
 let equal a b =
   Shape.equal a.shape b.shape
   &&
-  match (a.buf, b.buf) with
+  match (contents a, contents b) with
   | F x, F y -> x = y
   | I x, I y -> x = y
   | B x, B y -> x = y
@@ -157,7 +183,7 @@ let equal a b =
 let approx_equal ?(eps = 1e-6) a b =
   Shape.equal a.shape b.shape
   &&
-  match (a.buf, b.buf) with
+  match (contents a, contents b) with
   | F x, F y ->
       let ok = ref true in
       Array.iteri
@@ -256,7 +282,7 @@ let write_file path m =
            fill i k;
            output oc b 0 (k * width))
      in
-     (match m.buf with
+     (match contents m with
      | F a ->
          put (Array.length a) ~width:8 (fun i k ->
              for j = 0 to k - 1 do
@@ -409,7 +435,7 @@ let read_file path =
                 Array.unsafe_set a (i + j)
                   (Int64.float_of_bits (Bytes.get_int64_le b (8 * j)))
               done);
-          { shape = sh; buf = F a }
+          { shape = sh; buf = F a; off = 0 }
       | 'i' ->
           let a = Array.make n 0 in
           get ~width:8 (fun i k ->
@@ -417,7 +443,7 @@ let read_file path =
                 Array.unsafe_set a (i + j)
                   (Int64.to_int (Bytes.get_int64_le b (8 * j)))
               done);
-          { shape = sh; buf = I a }
+          { shape = sh; buf = I a; off = 0 }
       | _ ->
           let a = Array.make n false in
           get ~width:1 (fun i k ->
@@ -431,4 +457,4 @@ let read_file path =
                        offset %d (expected 0 or 1)"
                       path (Char.code c) (i + j) (start + i + j)
               done);
-          { shape = sh; buf = B a })
+          { shape = sh; buf = B a; off = 0 })

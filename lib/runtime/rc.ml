@@ -38,6 +38,9 @@ type 'a t = {
 exception Use_after_free of int
 exception Double_free of int
 
+exception Borrowed_release
+(** A release of a {!borrow}ed cell. *)
+
 (* Telemetry counters for the §III-B/C memory-management traffic; each is
    one gated atomic bump on top of the ledger's. *)
 let c_allocs = Support.Telemetry.counter "rc.allocs"
@@ -85,6 +88,16 @@ let alloc ?(ledger = Atomic.get current) ?(bytes = 0) payload =
   raise_peak ledger (Atomic.fetch_and_add ledger.live_bytes bytes + bytes);
   { count = Atomic.make 1; payload = Some payload; id; bytes; ledger }
 
+(* The ledger of borrowed cells: its counts are never read. *)
+let nowhere = fresh ()
+
+(** [borrow payload] — a cell for a view into another cell's payload,
+    which that cell's owner keeps alive: it is counted in no ledger, and
+    releasing it raises {!Borrowed_release}. *)
+let borrow payload =
+  { count = Atomic.make 1; payload = Some payload; id = -1; bytes = 0;
+    ledger = nowhere }
+
 (** [get cell] — dereference; raises {!Use_after_free} on a dead cell. *)
 let get cell =
   match cell.payload with
@@ -116,6 +129,7 @@ let free cell =
 let rec release cell =
   let n = Atomic.get cell.count in
   if n <= 0 then raise (Double_free cell.id);
+  if cell.ledger == nowhere then raise Borrowed_release;
   if not (Atomic.compare_and_set cell.count n (n - 1)) then release cell
   else if n = 1 then free cell
 

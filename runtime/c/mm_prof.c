@@ -339,53 +339,76 @@ void mm_prof_worker(int id, long long busy_ns) {
     mm_prof_rows[id].worker_ns[w] += busy_ns;
 }
 
+/* Takes up to [ns] of estimated self time back from frozen span [id]
+ * and, where its own does not cover it, from the frozen spans nested in
+ * it at freeze time; their time is part of [id]'s total.  Returns the
+ * time taken. */
+static long long mm_prof_take_back(int id, long long ns, int depth) {
+  mm_prof_row *r = &mm_prof_rows[id];
+  long long taken = r->frozen_self < ns ? r->frozen_self : ns;
+  if (taken < 0) taken = 0;
+  r->self_ns -= taken;
+  r->seq_ns -= taken;
+  r->frozen_self -= taken;
+  for (int i = 0; i < mm_prof_nspans && taken < ns && depth < MM_PROF_MAX_DEPTH;
+       i++) {
+    mm_prof_row *c = &mm_prof_rows[i];
+    if (i != id && c->frozen && c->parent == id)
+      taken += mm_prof_take_back(i, ns - taken, depth + 1);
+  }
+  r->total_ns -= taken;
+  return taken;
+}
+
 void mm_prof_stop(void) {
   if (!mm_prof_enabled) return;
   mm_prof_live = 0;
   mm_prof_region = -1;
   while (mm_prof_depth > 0) mm_prof_close_top(0, 0, 0);
   /* Executions the emitted guards skipped entirely: extrapolate from
-   * the frozen per-close averages, and re-credit the freeze-time parent
+   * the frozen per-close averages, then re-credit the freeze-time parent
    * whose self time silently absorbed the skipped children's wall
    * clock. */
+  long long *credit = calloc((size_t)mm_prof_nspans + 1, sizeof(long long));
+  if (!credit) {
+    fprintf(stderr, "mm_prof: out of memory\n");
+    exit(70);
+  }
   for (int i = 0; i < mm_prof_nspans; i++) {
     mm_prof_row *r = &mm_prof_rows[i];
     long long k = mm_prof_sentries ? mm_prof_sentries[i] : 0;
     if (k <= 0) continue;
-    long long extra_total = r->est_total * k;
     long long extra_self = r->est_self * k;
     r->entries += k;
     r->iters += mm_prof_siters[i];
-    r->total_ns += extra_total;
+    r->total_ns += r->est_total * k;
     r->self_ns += extra_self;
     r->seq_ns += extra_self;
     r->frozen_self += extra_self;
-    if (r->parent >= 0 && r->parent < mm_prof_nspans) {
-      mm_prof_row *pr = &mm_prof_rows[r->parent];
-      if (r->absorbed >= 0) extra_total = r->est_total * r->absorbed;
-      /* The skipped executions ran inside the parent's open frames, so
-       * the parent's measured self time bounds their real cost.  An
-       * estimate above it is probe overhead that the timed closes paid
-       * and the skipped ones did not: take the overdraft back from this
-       * span's own extrapolated self time rather than clamping the
-       * parent at zero, which would count it twice. */
-      long long over = extra_total - pr->self_ns;
-      if (over > extra_self) over = extra_self;
-      if (over > 0) {
-        r->total_ns -= over;
-        r->self_ns -= over;
-        r->seq_ns -= over;
-        r->frozen_self -= over;
-        extra_total -= over;
-      }
-      pr->self_ns -= extra_total;
-      if (pr->self_ns < 0) pr->self_ns = 0;
-      pr->seq_ns -= extra_total;
-      if (pr->seq_ns < 0) pr->seq_ns = 0;
-    }
+    credit[i] = r->est_total * (r->absorbed >= 0 ? r->absorbed : k);
     mm_prof_sentries[i] = 0;
     mm_prof_siters[i] = 0;
   }
+  for (int i = 0; i < mm_prof_nspans; i++) {
+    mm_prof_row *r = &mm_prof_rows[i];
+    if (credit[i] <= 0 || r->parent < 0 || r->parent >= mm_prof_nspans)
+      continue;
+    mm_prof_row *pr = &mm_prof_rows[r->parent];
+    /* The skipped executions ran inside the parent's open frames, so
+     * the parent's measured self time bounds their real cost.  An
+     * estimate above it is probe overhead that the timed closes paid
+     * and the skipped ones did not: take the overdraft back from the
+     * estimates of this span and of the spans nested in it rather than
+     * clamping the parent at zero, which would count it twice. */
+    long long extra_total = credit[i];
+    long long over = extra_total - pr->self_ns;
+    if (over > 0) extra_total -= mm_prof_take_back(i, over, 0);
+    pr->self_ns -= extra_total;
+    if (pr->self_ns < 0) pr->self_ns = 0;
+    pr->seq_ns -= extra_total;
+    if (pr->seq_ns < 0) pr->seq_ns = 0;
+  }
+  free(credit);
   /* Frozen spans skipped per-close fold updates; credit the self time
    * they accumulated to the hot path captured at freeze time. */
   for (int i = 0; i < mm_prof_nspans; i++) {

@@ -204,12 +204,17 @@ static mm_tally mm_tally_overflow;
 static int mm_tally_claimed = 0;
 static _Thread_local mm_tally *mm_tally_mine = 0;
 
-static void mm_tally_add(int k, long long d) {
+/* The calling thread's slot, claimed on its first use. */
+static mm_tally *mm_tally_slot(void) {
   mm_tally *t = mm_tally_mine;
-  if (!t) {
+  if (__builtin_expect(!t, 0)) {
     int i = __atomic_fetch_add(&mm_tally_claimed, 1, __ATOMIC_RELAXED);
     t = mm_tally_mine = i < MM_TALLY_SLOTS ? &mm_tallies[i] : &mm_tally_overflow;
   }
+  return t;
+}
+
+static void mm_tally_add(mm_tally *t, int k, long long d) {
   if (t == &mm_tally_overflow)
     __atomic_fetch_add(&t->v[k], d, __ATOMIC_RELAXED);
   else
@@ -238,9 +243,10 @@ long long mm_peak_bytes(void) {
 }
 
 static void mm_account_alloc(long long bytes) {
-  mm_tally_add(MM_LIVE, 1);
-  mm_tally_add(MM_LIVE_BYTES, bytes);
-  mm_tally_add(MM_ALLOC_BYTES, bytes);
+  mm_tally *t = mm_tally_slot();
+  mm_tally_add(t, MM_LIVE, 1);
+  mm_tally_add(t, MM_LIVE_BYTES, bytes);
+  mm_tally_add(t, MM_ALLOC_BYTES, bytes);
   if (mm_alloc_hook) {
     long long live =
         __atomic_add_fetch(&mm_hooked_live_b, bytes, __ATOMIC_RELAXED);
@@ -254,8 +260,9 @@ static void mm_account_alloc(long long bytes) {
 }
 
 static void mm_account_free(long long bytes) {
-  mm_tally_add(MM_LIVE, -1);
-  mm_tally_add(MM_LIVE_BYTES, -bytes);
+  mm_tally *t = mm_tally_slot();
+  mm_tally_add(t, MM_LIVE, -1);
+  mm_tally_add(t, MM_LIVE_BYTES, -bytes);
   if (mm_alloc_hook)
     __atomic_fetch_sub(&mm_hooked_live_b, bytes, __ATOMIC_RELAXED);
 }
@@ -277,15 +284,9 @@ static size_t mm_elem_size(int kind) {
  * header prefix; the block is built through the float variant, and
  * [data] points at the payload whatever its kind.  [zero] clears the
  * payload (mm_calloc_*); every other caller writes all of it before
- * reading any.  The header's [block] says which of three kinds the block
- * is, and mm_rc_dec releases it by that record. */
+ * reading any.  The header's [block] says which kind of block it is
+ * (mm_runtime.h), and mm_rc_dec releases it by that record. */
 #define MM_HEADER_BYTES ((sizeof(mm_mat_float) + 15) & ~(size_t)15)
-
-enum {
-  MM_BLOCK_HEAP, /* malloc */
-  MM_BLOCK_HUGE, /* an anonymous mapping on huge pages (mm_map_huge) */
-  MM_BLOCK_FILE  /* a malloc header; the payload maps a file (mm_map_floats) */
-};
 
 /* A block of at least a huge page is its own anonymous mapping, aligned
  * to the huge page and advised onto huge pages, where first touching it
@@ -324,16 +325,18 @@ static void *mm_map_huge(size_t bytes) {
   return base;
 }
 
-/* Fills in header [m] of an n-element payload at [data] and counts the
- * payload as allocated. */
+/* Fills in header [m] of an n-element payload at [data], field by field
+ * (the extents past [rank] stay unset: nothing reads them), and counts
+ * the payload as allocated. */
 static mm_mat_float *mm_header(mm_mat_float *m, int block, int kind,
                                int rank, const int *dims, long long n,
-                               void *data) {
+                               int mapped, void *data) {
   m->rc = 1;
   m->kind = kind;
   m->rank = rank;
   m->elems = (int)n;
   m->block = block;
+  m->mapped = mapped;
   memcpy(m->dims, dims, (size_t)rank * sizeof(int));
   m->data = data;
   mm_account_alloc(n * (long long)mm_elem_size(kind));
@@ -348,8 +351,8 @@ static mm_mat_float *mm_block(int kind, int rank, const int *dims,
                     : zero                 ? calloc(1, bytes)
                                            : malloc(bytes);
   if (!m) mm_fatal("alloc: out of memory for %lld elements", n);
-  if (block == MM_BLOCK_HEAP && !zero) memset(m, 0, sizeof *m);
-  return mm_header(m, block, kind, rank, dims, n, (char *)m + MM_HEADER_BYTES);
+  return mm_header(m, block, kind, rank, dims, n, 0,
+                   (char *)m + MM_HEADER_BYTES);
 }
 
 /* Ndarray.max_elems: the most elements a matrix may hold. */
@@ -413,25 +416,34 @@ void mm_rc_inc(void *p) {
   if (p) __atomic_fetch_add(&((mm_mat_float *)p)->rc, 1, __ATOMIC_RELAXED);
 }
 
+/* A count read as 1 is the caller's own reference and the only one: no
+ * other thread holds the matrix, so none can touch its count, and the
+ * block goes without the locked decrement.  The acquire load still sees
+ * every other thread's last use, which each released with its own
+ * decrement. */
 void mm_rc_dec(void *p) {
   if (!p) return;
   mm_mat_float *m = p;
-  int rc = __atomic_fetch_sub(&m->rc, 1, __ATOMIC_ACQ_REL);
-  if (rc <= 0) mm_guard_fault(-1, "reference count underflow (rc=%d)", rc);
-  if (rc <= 1) {
-    size_t bytes = (size_t)m->elems * mm_elem_size(m->kind);
-    mm_account_free((long long)bytes);
-    switch (m->block) {
-    case MM_BLOCK_HUGE:
-      munmap(m, MM_HEADER_BYTES + bytes);
-      break;
-    case MM_BLOCK_FILE:
-      munmap((char *)m->data - m->mapped, (size_t)m->mapped + bytes);
-      free(m);
-      break;
-    default:
-      free(m);
-    }
+  int rc = __atomic_load_n(&m->rc, __ATOMIC_ACQUIRE);
+  if (rc != 1) {
+    rc = __atomic_fetch_sub(&m->rc, 1, __ATOMIC_ACQ_REL);
+    if (rc <= 0) mm_guard_fault(-1, "reference count underflow (rc=%d)", rc);
+    if (rc > 1) return;
+  }
+  if (m->block == MM_BLOCK_VIEW)
+    mm_guard_fault(-1, "release of a borrowed matrix view");
+  size_t bytes = (size_t)m->elems * mm_elem_size(m->kind);
+  mm_account_free((long long)bytes);
+  switch (m->block) {
+  case MM_BLOCK_HUGE:
+    munmap(m, MM_HEADER_BYTES + bytes);
+    break;
+  case MM_BLOCK_FILE:
+    munmap((char *)m->data - m->mapped, (size_t)m->mapped + bytes);
+    free(m);
+    break;
+  default:
+    free(m);
   }
 }
 
@@ -613,10 +625,9 @@ static mm_mat_float *mm_map_floats(int fd, int rank, const int *dims,
                                    long long n, long long start) {
   size_t len = (size_t)start + (size_t)n * sizeof(mm_float);
   void *base = mmap(0, len, PROT_READ | PROT_WRITE, MAP_PRIVATE, fd, 0);
-  mm_mat_float *m = base == MAP_FAILED ? 0 : calloc(1, sizeof *m);
+  mm_mat_float *m = base == MAP_FAILED ? 0 : malloc(sizeof *m);
   if (!m) mm_fatal("alloc: out of memory for %lld elements", n);
-  m->mapped = (int)start;
-  return mm_header(m, MM_BLOCK_FILE, MM_KIND_FLOAT, rank, dims, n,
+  return mm_header(m, MM_BLOCK_FILE, MM_KIND_FLOAT, rank, dims, n, (int)start,
                    (char *)base + start);
 }
 

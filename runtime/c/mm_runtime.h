@@ -95,6 +95,40 @@ void mm_rc_inc(void *m);
 void mm_rc_dec(void *m);
 int mm_live_count(void);
 
+/* How the runtime made a matrix, recorded in its header's [block], so
+ * that mm_rc_dec releases it the same way.  A view is no block at all:
+ * releasing one faults. */
+enum {
+  MM_BLOCK_HEAP, /* malloc */
+  MM_BLOCK_HUGE, /* an anonymous mapping on huge pages */
+  MM_BLOCK_FILE, /* a malloc header; the payload maps a file */
+  MM_BLOCK_VIEW  /* a borrowed view: a header the caller provides */
+};
+
+/* mm_view_<elem>(h, data, rank, dims): a borrowed view of [rank]
+ * extents [dims] of another matrix's payload, its elements from [data]
+ * on, built in header [h], which the generated code provides as a
+ * compound literal on the stack.  It allocates nothing and is counted
+ * nowhere: the matrix it borrows from outlives it. */
+#define MM_VIEWER(elem, T, KIND)                                              \
+  static inline mm_mat_##elem *mm_view_##elem(mm_mat_##elem *v, T *data,      \
+                                              int rank, const int *dims) {    \
+    int n = 1;                                                                \
+    for (int d = 0; d < rank; d++) n *= v->dims[d] = dims[d];                 \
+    v->rc = 1;                                                                \
+    v->kind = KIND;                                                           \
+    v->rank = rank;                                                           \
+    v->elems = n;                                                             \
+    v->block = MM_BLOCK_VIEW;                                                 \
+    v->mapped = 0;                                                            \
+    v->data = data;                                                           \
+    return v;                                                                 \
+  }
+MM_VIEWER(float, mm_float, MM_KIND_FLOAT)
+MM_VIEWER(int, int, MM_KIND_INT)
+MM_VIEWER(bool, bool, MM_KIND_BOOL)
+#undef MM_VIEWER
+
 /* A matrix's element count: inline, since every elementwise loop tests
  * it once per element. */
 static inline int mm_size(const void *m) {

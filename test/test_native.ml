@@ -1283,6 +1283,279 @@ let test_fold_chain_and_ranges () =
         ~outputs:[ "r.data"; "w.data"; "s.data" ] fold_src)
     [ 1; 2 ]
 
+(* --- matrixMap fibers in place --------------------------------------------- *)
+
+(* Copy elimination's verdicts on a program's matrixMap sites, in
+   program order: whether each fiber is read in place, and whether each
+   result is written in place. *)
+let map_verdicts src =
+  match Driver.explain full src with
+  | Driver.Ok_ _, report ->
+      let applied prefix =
+        List.filter_map
+          (fun (r : Support.Remark.t) ->
+            if r.pass = "copy-elim" && String.starts_with ~prefix r.message then
+              Some (r.kind = Support.Remark.Applied)
+            else None)
+          report.Driver.Explain_report.remarks
+      in
+      (applied "matrixMap fiber", applied "matrixMap result")
+  | Driver.Failed ds, _ ->
+      Alcotest.failf "explain failed: %s" (Driver.diags_to_string ds)
+
+let map_cube =
+  {|  Matrix float <3> a = with ([0,0,0] <= [i,j,k] < [3,4,5])
+    genarray([3,4,5], (float) (i * 100 + j * 10 + k) * 0.5);
+|}
+
+(* Each program, the verdicts on its one matrixMap (fiber, result), and
+   the files it writes. *)
+let map_cases =
+  [
+    ( "a read-only callee",
+      {|Matrix float <1> twice(Matrix float <1> v) {
+  return with ([0] <= [k] < [dimSize(v, 0)]) genarray([dimSize(v, 0)], v[k] * 2.0);
+}
+int main() {
+|}
+      ^ map_cube
+      ^ {|  Matrix float <3> b = matrixMap(twice, a, [2]);
+  writeMatrix("b.data", b);
+  return (int) b[2, 3, 4];
+}
+|},
+      (true, true),
+      [ "b.data" ] );
+    ( "a callee passing its fiber to a helper",
+      {|float total(Matrix float <1> v) {
+  return with ([0] <= [k] < [dimSize(v, 0)]) fold (+, 0f, v[k]);
+}
+Matrix float <1> center(Matrix float <1> ts) {
+  int n = dimSize(ts, 0);
+  float mean = total(ts) / (float) n;
+  return with ([0] <= [k] < [n]) genarray([n], ts[k] - mean);
+}
+int main() {
+|}
+      ^ map_cube
+      ^ {|  Matrix float <3> b = matrixMap(center, a, [2]);
+  writeMatrix("b.data", b);
+  return (int) (b[1, 2, 3] * 100.0);
+}
+|},
+      (true, true),
+      [ "b.data" ] );
+    ( "a callee writing its fiber",
+      {|Matrix int <1> bump(Matrix int <1> a) {
+  a[0] = a[0] + 1000;
+  return a;
+}
+int main() {
+  Matrix int <2> m = with ([0,0] <= [i,j] < [3,4]) genarray([3,4], i * 10 + j);
+  Matrix int <2> r = matrixMap(bump, m, [1]);
+  return r[1, 0] + 100000 * m[1, 0];
+}
+|},
+      (false, false),
+      [] );
+    ( "a callee returning its fiber",
+      {|Matrix float <1> same(Matrix float <1> v) {
+  float x = v[0];
+  return v;
+}
+int main() {
+|}
+      ^ map_cube
+      ^ {|  Matrix float <3> b = matrixMap(same, a, [2]);
+  writeMatrix("b.data", b);
+  return (int) b[2, 3, 4];
+}
+|},
+      (false, false),
+      [ "b.data" ] );
+    ( "a callee storing its fiber in a local",
+      {|Matrix float <1> kept(Matrix float <1> v) {
+  Matrix float <1> w = v;
+  return w * 3.0;
+}
+int main() {
+|}
+      ^ map_cube
+      ^ {|  Matrix float <3> b = matrixMap(kept, a, [2]);
+  writeMatrix("b.data", b);
+  return (int) b[2, 3, 4];
+}
+|},
+      (false, false),
+      [ "b.data" ] );
+    ( "a partly written init result",
+      {|Matrix float <1> half(Matrix float <1> v) {
+  Matrix float <1> r = init(Matrix float <1>, dimSize(v, 0));
+  for (int k = 0; k < dimSize(v, 0) / 2; k++) { r[k] = v[k] + 1.0; }
+  return r;
+}
+int main() {
+|}
+      ^ map_cube
+      ^ {|  Matrix float <3> b = matrixMap(half, a, [2]);
+  writeMatrix("b.data", b);
+  return (int) b[2, 3, 1];
+}
+|},
+      (true, true),
+      [ "b.data" ] );
+    ( "a strided map over 13 frames",
+      {|Matrix float <2> frame(Matrix float <2> f) {
+  Matrix float <2> g = init(Matrix float <2>, dimSize(f, 0), dimSize(f, 1));
+  for (int i = 0; i < dimSize(f, 0); i++) {
+    for (int j = 0; j < dimSize(f, 1); j++) { g[i, j] = f[i, j] + (float) (i * j); }
+  }
+  return g;
+}
+int main() {
+  Matrix float <3> c = with ([0,0,0] <= [i,j,k] < [3,4,13])
+    genarray([3,4,13], (float) (i * 100 + j * 10 + k));
+  Matrix float <3> d = matrixMap(frame, c, [0, 1]);
+  writeMatrix("d.data", d);
+  return (int) d[2, 3, 12];
+}
+|},
+      (true, true),
+      [ "d.data" ] );
+    ( "a rank-3 map over [0]",
+      {|Matrix int <1> cumsum(Matrix int <1> v) {
+  Matrix int <1> s = init(Matrix int <1>, dimSize(v, 0));
+  int acc = 0;
+  for (int i = 0; i < dimSize(v, 0); i++) { acc = acc + v[i]; s[i] = acc; }
+  return s;
+}
+int main() {
+  Matrix int <3> c = with ([0,0,0] <= [i,j,k] < [4,3,11]) genarray([4,3,11], i * 100 + j * 10 + k);
+  Matrix int <3> d = matrixMap(cumsum, c, [0]);
+  writeMatrix("d.data", d);
+  return d[3, 2, 10];
+}
+|},
+      (true, true),
+      [ "d.data" ] );
+  ]
+  @ List.map
+      (fun (shape, dims) ->
+        let rank = List.length shape and k = List.length dims in
+        let list f = String.concat ", " (List.init k f) in
+        let ixs = list (Printf.sprintf "i%d") in
+        let ext = list (Printf.sprintf "dimSize(v, %d)") in
+        let show l = String.concat ", " (List.map string_of_int l) in
+        ( Printf.sprintf "an identity map of [%s] over [%s]" (show shape)
+            (show dims),
+          Printf.sprintf
+            {|Matrix int <%d> ident(Matrix int <%d> v) {
+  return with ([%s] <= [%s] < [%s]) genarray([%s], v[%s]);
+}
+int main() {
+  Matrix int <%d> m = init(Matrix int <%d>, %s);
+  Matrix int <%d> r = matrixMap(ident, m, [%s]);
+  writeMatrix("r.data", r);
+  return dimSize(r, 0) * 10 + dimSize(r, 1);
+}
+|}
+            k k (list (fun _ -> "0")) ixs ext ext ixs rank rank (show shape)
+            rank (show dims),
+          (true, true),
+          [ "r.data" ] ))
+      [ ([ 3; 0 ], [ 1 ]); ([ 0; 4 ], [ 1 ]); ([ 3; 4; 0 ], [ 0; 1 ]); ([ 0; 4; 5 ], [ 0 ]) ]
+
+(* Each case agrees with the interpreter, result, output files and live
+   count, at 1 and 2 threads; a callee writing its fiber writes only its
+   copy.  A result whose extent is not its fiber's keeps its copy, and
+   with it the fault, at the same span in both backends.  At -O0 every
+   fiber is copied. *)
+let test_map_in_place () =
+  List.iter
+    (fun (name, src, verdicts, outputs) ->
+      Alcotest.(check (pair (list bool) (list bool)))
+        (name ^ ": fiber and result verdicts")
+        ([ fst verdicts ], [ snd verdicts ])
+        (map_verdicts src);
+      List.iter
+        (fun threads ->
+          differential
+            ~name:(Printf.sprintf "%s/%d threads" name threads)
+            ~auto_par:(threads > 1) ~threads ~inputs:[] ~outputs src)
+        [ 1; 2 ])
+    map_cases;
+  List.iter
+    (fun (i, expected) ->
+      let name, src, _, _ = List.nth map_cases i in
+      match Driver.run full src [] with
+      | Driver.Ok_ v ->
+          Alcotest.(check string) (name ^ ": result") expected
+            (Fmt.str "%a" Interp.Eval.pp_value v)
+      | Driver.Failed ds -> Alcotest.failf "%s: %s" name (Driver.diags_to_string ds))
+    (* the written fiber leaves m as it was *)
+    [ (2, "1001010"); (8, "30") ];
+  let grow =
+    {|Matrix float <1> grow(Matrix float <1> v) {
+  int n = dimSize(v, 0) + 1;
+  return with ([0] <= [k] < [n]) genarray([n], 1.0);
+}
+int main() {
+|}
+    ^ map_cube
+    ^ {|  Matrix float <3> b = matrixMap(grow, a, [2]);
+  return 0;
+}
+|}
+  in
+  Alcotest.(check (pair (list bool) (list bool)))
+    "grow: the fiber is read in place, the result copied" ([ true ], [ false ])
+    (map_verdicts grow);
+  let report ~backend = function
+    | Driver.Ok_ _ -> Alcotest.failf "grow: %s succeeded" backend
+    | Driver.Failed (d :: _) ->
+        (Support.Pos.span_to_string d.Support.Diag.span, d.Support.Diag.message)
+    | Driver.Failed [] -> Alcotest.failf "grow: %s failed silently" backend
+  in
+  List.iter
+    (fun threads ->
+      let config =
+        Driver.Pipeline.enable (Driver.default_config full) "auto-par"
+          (threads > 1)
+      in
+      let interp =
+        report ~backend:"interpreter"
+          (Runtime.Pool.with_pool threads (fun pool ->
+               Driver.run ~config ~pool full grow []))
+      and native =
+        report ~backend:"binary"
+          (Driver.exec ~config ~threads ~cache_dir:(Lazy.force suite_cache)
+             (Driver.Composed full) grow)
+      in
+      Alcotest.(check (pair string string))
+        (Printf.sprintf "grow/%d threads: the interpreter's fault" threads)
+        ( "8:24-47",
+          "result of 'grow' disagrees with its fiber in dimension 0: 6 against 5"
+        )
+        interp;
+      Alcotest.(check (pair string string))
+        (Printf.sprintf "grow/%d threads: the same fault natively" threads)
+        interp native)
+    [ 1; 2 ];
+  let c config =
+    match
+      Driver.compile_to_c ~config full
+        (In_channel.with_open_text "../examples/eddy_energy.mc"
+           In_channel.input_all)
+    with
+    | Driver.Ok_ c -> c
+    | Driver.Failed ds -> Alcotest.failf "emit: %s" (Driver.diags_to_string ds)
+  in
+  let o1 = Driver.default_config full in
+  Alcotest.(check bool) "eddy_energy: views at -O1" true
+    (is_infix ~affix:"mm_view_float" (c o1));
+  Alcotest.(check bool) "eddy_energy: copies at -O0" false
+    (is_infix ~affix:"mm_view_float" (c (Driver.Pipeline.set_all o1 false)))
+
 (* Temporaries that must keep their allocation, each with the reason
    its Missed remark names: a mask two loops read, and a product whose
    input a call writes before the sum that reads it. *)
@@ -1776,6 +2049,8 @@ let suite =
     Alcotest.test_case "folded chains and ranges agree at 1 and 2 threads"
       `Quick test_fold_chain_and_ranges;
     Alcotest.test_case "temporaries a fold must keep" `Quick test_fold_kept;
+    Alcotest.test_case "matrixMap fibers in place agree at 1 and 2 threads"
+      `Quick test_map_in_place;
     Alcotest.test_case "a folded chain fails where the unfolded one does"
       `Quick test_fold_failures;
     Alcotest.test_case "mul-add chain bit for bit under -march=native" `Quick
