@@ -7,10 +7,10 @@ typedef struct { mm_mat_float1 *f0; int f1; int f2; } struct_mm_mat_float1_int_i
 
 struct_mm_mat_float1_int_int getTrough(mm_mat_float1 *ts, int i);
 mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest);
-mm_mat_float1 *scoreTS(mm_mat_float1 *ts);
+void scoreTS(mm_mat_float1 *ts, mm_mat_float1 *__mm_dst);
 void __mm_mmap_scoreTS36(mm_mat_float3 *m, mm_mat_float3 *r, int t);
 
-#define MM_NSPANS 25
+#define MM_NSPANS 23
 const char *const mm_spans[] = {
   "4:11-25",
   "5:32-41",
@@ -27,7 +27,6 @@ const char *const mm_spans[] = {
   "19:39-56",
   "20:3-21:45",
   "25:52-66",
-  "25:3-67",
   "27:18-27",
   "27:10-15",
   "28:11-25",
@@ -36,7 +35,6 @@ const char *const mm_spans[] = {
   "39:3-49",
   "40:3-58",
   "41:3-45",
-  "40:29-58",
 };
 
 struct_mm_mat_float1_int_int getTrough(mm_mat_float1 *ts, int i) {
@@ -113,19 +111,22 @@ mm_mat_float1 *computeArea(mm_mat_float1 *areaOfInterest) {
   return __mm_gen22;
 }
 
-mm_mat_float1 *scoreTS(mm_mat_float1 *ts) {
+void scoreTS(mm_mat_float1 *ts, mm_mat_float1 *__mm_dst) {
   MM_NOT_NULL(ts, 14);
-  mm_mat_float1 *__mm_initm25 = mm_calloc_float(15, 1, ts->dims[0]);
+  mm_mat_float1 *__mm_initm25 = __mm_dst;
+  for (int __mm_fill = 0; __mm_fill < mm_size(__mm_initm25); __mm_fill++) {
+    __mm_initm25->data[__mm_fill] = 0.0;
+  }
   mm_mat_float1 *scores = __mm_initm25;
   int i = 0;
   while (true) {
     int __mm_s26 = i + 1;
-    if (!(ts->data[(MM_BOUND(ts, 0, i, 17), i)] < ts->data[(MM_BOUND(ts, 0, __mm_s26, 16), __mm_s26)])) {
+    if (!(ts->data[(MM_BOUND(ts, 0, i, 16), i)] < ts->data[(MM_BOUND(ts, 0, __mm_s26, 15), __mm_s26)])) {
       break;
     }
     i = i + 1;
   }
-  MM_NOT_NULL(ts, 18);
+  MM_NOT_NULL(ts, 17);
   int n = ts->dims[0];
   int beginning = 0;
   mm_mat_float1 *trough = NULL;
@@ -141,50 +142,39 @@ mm_mat_float1 *scoreTS(mm_mat_float1 *ts) {
       __mm_n29 = 0;
     }
     mm_mat_float1 *__mm_call33 = computeArea(trough);
-    MM_NOT_NULL(__mm_call33, 19);
-    MM_SAME(__mm_call33->dims[0], __mm_n29, "assigned matrix disagrees with the selected region in dimension 0", 19);
+    MM_NOT_NULL(__mm_call33, 18);
+    MM_SAME(__mm_call33->dims[0], __mm_n29, "assigned matrix disagrees with the selected region in dimension 0", 18);
     for (int __mm_o32 = 0; __mm_o32 < __mm_n29; __mm_o32++) {
-      MM_BOUND(scores, 0, beginning + __mm_o32, 20);
+      MM_BOUND(scores, 0, beginning + __mm_o32, 19);
       scores->data[beginning + __mm_o32] = __mm_call33->data[__mm_o32];
     }
     mm_rc_dec(__mm_call33);
   }
   mm_rc_dec(trough);
-  return scores;
+  return;
 }
 
 int main(void) {
-  mm_mat_float3 *__mm_rd34 = mm_read_matrix("ssh.data", 21);
+  mm_mat_float3 *__mm_rd34 = mm_read_matrix("ssh.data", 20);
   mm_mat_float3 *data = __mm_rd34;
-  mm_mat_float3 *__mm_mmapr35 = mm_alloc_float(22, 3, data->dims[0], data->dims[1], data->dims[2]);
-  int __mm_total40 = data->dims[0] * data->dims[1];
+  mm_mat_float3 *__mm_mmapr35 = mm_alloc_float(21, 3, data->dims[0], data->dims[1], data->dims[2]);
+  int __mm_total42 = data->dims[0] * data->dims[1];
   #pragma omp parallel for
-  for (int __mm_t41 = 0; __mm_t41 < __mm_total40; __mm_t41++) {
-    __mm_mmap_scoreTS36(data, __mm_mmapr35, __mm_t41);
+  for (int __mm_t43 = 0; __mm_t43 < __mm_total42; __mm_t43++) {
+    __mm_mmap_scoreTS36(data, __mm_mmapr35, __mm_t43);
   }
   mm_mat_float3 *scores = __mm_mmapr35;
-  mm_write_matrix("temporalScores.data", scores, 23);
+  mm_write_matrix("temporalScores.data", scores, 22);
   mm_rc_dec(scores);
   mm_rc_dec(data);
   return 0;
 }
 
 void __mm_mmap_scoreTS36(mm_mat_float3 *m, mm_mat_float3 *r, int t) {
-  int __mm_rem37 = t;
-  int c1 = mm_mod(__mm_rem37, m->dims[1], 24);
-  __mm_rem37 = mm_div(__mm_rem37, m->dims[1], 24);
-  int c0 = mm_mod(__mm_rem37, m->dims[0], 24);
-  __mm_rem37 = mm_div(__mm_rem37, m->dims[0], 24);
-  mm_mat_float1 *__mm_slice38 = mm_alloc_float(24, 1, m->dims[2]);
-  for (int o2 = 0; o2 < m->dims[2]; o2++) {
-    __mm_slice38->data[o2] = m->data[(c0 * m->dims[1] + c1) * m->dims[2] + o2];
-  }
-  mm_mat_float1 *__mm_out39 = scoreTS(__mm_slice38);
-  MM_SAME(__mm_out39->dims[0], m->dims[2], "result of 'scoreTS' disagrees with its fiber in dimension 0", 24);
-  for (int o2 = 0; o2 < m->dims[2]; o2++) {
-    r->data[(c0 * m->dims[1] + c1) * m->dims[2] + o2] = __mm_out39->data[o2];
-  }
-  mm_rc_dec(__mm_slice38);
-  mm_rc_dec(__mm_out39);
+  int __mm_n37 = m->dims[2];
+  int __mm_off38 = t * __mm_n37;
+  mm_mat_float1 *__mm_slice40 = mm_view_float(&(mm_mat_float){0}, m->data + __mm_off38, 1, (const int[]){m->dims[2]});
+  mm_mat_float1 *__mm_out41 = mm_view_float(&(mm_mat_float){0}, r->data + __mm_off38, 1, (const int[]){m->dims[2]});
+  scoreTS(__mm_slice40, __mm_out41);
   return;
 }
