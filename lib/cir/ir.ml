@@ -209,7 +209,8 @@ let rec map_expr f e =
     | Field (a, i) -> Field (r a, i)
     | MAlloc a -> MAlloc { a with dims = List.map r a.dims }
     | MView v ->
-        MView { v with m = r v.m; offset = r v.offset; dims = List.map r v.dims }
+        let dims = List.map r v.dims in
+        MView { v with m = r v.m; offset = r v.offset; dims }
     | MGetFlat (m, o) -> MGetFlat (r m, r o)
     | MDim (m, d) -> MDim (r m, r d)
     | MSize m -> MSize (r m)
@@ -417,3 +418,8 @@ let rec fold_expr e =
   | e -> e
 
 let fold_deep stmts = map_stmts fold_expr Fun.id stmts
+
+(** [size_of extents] — the element count of a matrix of [extents]. *)
+let size_of = function
+  | [] -> Int 1
+  | e :: es -> fold_expr (List.fold_left ( *: ) e es)

@@ -56,11 +56,6 @@ let flat_offset (extents : expr list) (idxs : expr list) : expr =
 
 let dims_of v rank = List.init rank (fun d -> MDim (Var v, Int d))
 
-(* The element count of [extents]. *)
-let size_of = function
-  | [] -> Int 1
-  | e :: es -> fold_expr (List.fold_left ( *: ) e es)
-
 (* A fresh matrix whose every element the code after it writes before
    anything reads one, so its payload need not start zeroed. *)
 let alloc elem dims = MAlloc { elem; dims; zeroed = false }
@@ -222,7 +217,7 @@ let h_binop t (op : A.binop) (a : A.expr) (b : A.expr) (rty : T.ty) span :
         {
           index = i;
           bound = m;
-          body = [ For { index = j; bound = n; body; prov = Some span; dynamic = false } ];
+          body = [ For (mk_loop ~prov:span ~index:j ~bound:n body) ];
           prov = Some span;
           dynamic = false;
         }
@@ -1129,7 +1124,7 @@ let h_subscript memo t (base : A.expr) (indices : A.index list) (rty : T.ty)
         let loops =
           List.fold_right2
             (fun v ext acc ->
-              [ For { index = v; bound = ext; body = acc; prov = Some span; dynamic = false } ])
+              [ For (mk_loop ~prov:span ~index:v ~bound:ext acc) ])
             out_vars extents inner
         in
         (* Which copy the pass may drop, and whether it may: the verdicts
@@ -1205,7 +1200,7 @@ let h_subscript_assign memo t (base : A.expr) (indices : A.index list)
         let loops inner =
           List.fold_right2
             (fun v ext acc ->
-              [ For { index = v; bound = ext; body = acc; prov = Some span; dynamic = false } ])
+              [ For (mk_loop ~prov:span ~index:v ~bound:ext acc) ])
             out_vars extents inner
         in
         let checks = List.map (fun c -> Check c) checks in
@@ -1357,7 +1352,7 @@ let build_nest ?prov loops inner =
   let rec go = function
     | [] -> inner
     | (v, count, binds) :: rest ->
-        [ For { index = v; bound = count; body = binds @ go rest; prov; dynamic = false } ]
+        [ For (mk_loop ?prov ~index:v ~bound:count (binds @ go rest)) ]
   in
   go loops
 
@@ -1483,7 +1478,7 @@ let lower_with t (gen : Nodes.generator) (op : Nodes.operation) (rty : T.ty)
       ( prelude @ sbase @ (Decl (acc_ty, acc, Some ebase) :: nest),
         Var acc )
 
-(* --- matrixMap (§III-A5) --------------------------------------------------------
+(* --- matrixMap (§III-A5) ---------------------------------------------------
 
    The lifted per-slice function copies each fiber into a fresh matrix,
    calls the mapped function on it, and copies the result into the
@@ -1545,58 +1540,56 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
   let in_elem, rank = mat_of_ty span (ety marg) in
   let out_elem, _ = mat_of_ty span rty in
   let k = List.length dims in
-  let comp = List.filter (fun d -> not (List.mem d dims)) (List.init rank Fun.id) in
-  let last = rank - 1 in
-  let layout =
-    if dims = List.init k (fun j -> rank - k + j) then `Contiguous
-    else if List.mem last comp then `Blocked
-    else `Strided
+  let comp =
+    List.filter (fun d -> not (List.mem d dims)) (List.init rank Fun.id)
   in
+  let last = rank - 1 in
   let sm, vm = lower_operand t ~span marg in
   let r = L.fresh t "mmapr" in
   (* The lifted per-slice function: "we actually lift this out into a new
      function so that the spawned threads can get direct access to it". *)
   let lifted = L.fresh t ("mmap_" ^ fname) in
   let m = "m" and out = "r" and tvar = "t" in
-  let loop ?(dynamic = false) index bound body =
-    For (mk_loop ~prov:span ~dynamic ~index ~bound body)
-  in
+  let loop index bound body = For (mk_loop ~prov:span ~index ~bound body) in
   let extents = List.map (fun d -> MDim (Var m, Int d)) dims in
   let n = L.fresh t "n" in
   let fiber_size = Decl (CInt, n, Some (size_of extents)) in
   let fiber_call = fiber_call t ~fname ~span ~in_elem ~out_elem ~extents in
   (* A fiber in one piece of [src] at [soff], its output in one piece of
      [dst] at [doff]. *)
-  let piecewise (src, soff) (dst, doff) =
+  let in_one_piece (src, soff) (dst, doff) =
     let i = L.fresh t "i" in
+    let copy ~into:(a, aoff) ~from:(b, boff) =
+      let at o = fold_expr (o +: Var i) in
+      [ loop i (Var n) [ MSetFlat (Var a, at aoff, MGetFlat (Var b, at boff)) ]
+      ]
+    in
     fiber_call
       ~at_in:(Some { Sites.buf = src; offset = soff })
       ~at_out:(Some { Sites.buf = dst; offset = doff })
-      ~gather:(fun slice ->
-        [ loop i (Var n) [ MSetFlat (Var slice, Var i, MGetFlat (Var src, soff +: Var i)) ] ])
-      ~scatter:(fun res ->
-        [ loop i (Var n) [ MSetFlat (Var dst, doff +: Var i, MGetFlat (Var res, Var i)) ] ])
+      ~gather:(fun slice -> copy ~into:(slice, Int 0) ~from:(src, soff))
+      ~scatter:(fun res -> copy ~into:(dst, doff) ~from:(res, Int 0))
   in
-  (* The complement indices [c<d>] of dimensions [ds] from [rem], the
-     last varying fastest. *)
+  (* The indices [c<d>] of dimensions [ds] that the counter [rem]
+     encodes, the last varying fastest. *)
   let decode rem ds =
     List.concat_map
       (fun d ->
-        let ix = Printf.sprintf "c%d" d in
+        let ix = Printf.sprintf "c%d" d and ext = MDim (Var m, Int d) in
         [
-          Decl (CInt, ix, Some (Binop (Arith S.Mod, Var rem, MDim (Var m, Int d))));
-          Assign (LVar rem, Var rem /: MDim (Var m, Int d));
+          Decl (CInt, ix, Some (Binop (Arith S.Mod, Var rem, ext)));
+          Assign (LVar rem, Var rem /: ext);
         ])
       (List.rev ds)
   in
   let ovars = List.map (fun d -> Printf.sprintf "o%d" d) dims in
-  (* The loop nest over a fiber's elements around [inner]. *)
+  (* The loop nest over a fiber's elements, around [inner]. *)
   let over_fiber inner =
     List.fold_right2 (fun v ext acc -> [ loop v ext acc ]) ovars extents inner
   in
+  (* The fiber element's offset in the fiber, and in [m], where the last
+     dimension's index is [last_ix] when it is not mapped. *)
   let fiber_off = flat_offset extents (List.map (fun v -> Var v) ovars) in
-  (* [m]'s flat offset of the fiber element at the [o<d>], the last
-     dimension's index being [last_ix] when it is not mapped. *)
   let src_off last_ix =
     flat_offset (dims_of m rank)
       (List.init rank (fun d ->
@@ -1604,56 +1597,79 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
            else if d = last then last_ix
            else Var (Printf.sprintf "c%d" d)))
   in
-  let count ds = List.fold_left (fun acc d -> acc *: MDim (Var vm, Int d)) (Int 1) ds in
+  let count ds =
+    List.fold_left (fun acc d -> acc *: MDim (Var vm, Int d)) (Int 1) ds
+  in
+  let blocks e = (e +: Int (fiber_block - 1)) /: Int fiber_block in
+  let blocked = List.mem last comp in
   let body, total =
-    match layout with
-    | `Contiguous ->
-        let off = L.fresh t "off" in
-        ( [ fiber_size; Decl (CInt, off, Some (Var tvar *: Var n)) ]
-          @ piecewise (m, Var off) (out, Var off),
-          count comp )
-    | `Blocked ->
-        let ext = MDim (Var m, Int last) in
-        let blocks e = (e +: Int (fiber_block - 1)) /: Int fiber_block in
-        let nblk = L.fresh t "nblk" and rem = L.fresh t "rem"
-        and lo = L.fresh t "lo" and nb = L.fresh t "nb"
-        and b = L.fresh t "b" and off = L.fresh t "off" in
-        let blk = L.fresh t "blk" and oblk = L.fresh t "oblk" in
-        let at_b = (Var b *: Var n) +: fiber_off in
-        let inner = List.filter (fun d -> d <> last) comp in
-        ( [
-            Decl (CInt, nblk, Some (blocks ext));
-            Decl (CInt, rem, Some (Var tvar));
-            Decl (CInt, lo, Some (Binop (Arith S.Mod, Var rem, Var nblk) *: Int fiber_block));
-            Assign (LVar rem, Var rem /: Var nblk);
+    if dims = List.init k (fun j -> rank - k + j) then
+      (* contiguous fibers: the [t]-th at [t] times the fiber's size *)
+      let off = L.fresh t "off" in
+      ( [ fiber_size; Decl (CInt, off, Some (Var tvar *: Var n)) ]
+        @ in_one_piece (m, Var off) (out, Var off),
+        count comp )
+    else if blocked then
+      (* a block of up to [fiber_block] fibers, from index [lo] of the
+         last dimension on: gathered into [blk], each fiber at [b] times
+         its size, and their results scattered from [oblk] *)
+      let ext = MDim (Var m, Int last)
+      and others = List.filter (( <> ) last) comp in
+      let nblk = L.fresh t "nblk" and rem = L.fresh t "rem"
+      and lo = L.fresh t "lo" and nb = L.fresh t "nb"
+      and b = L.fresh t "b" and off = L.fresh t "off"
+      and blk = L.fresh t "blk" and oblk = L.fresh t "oblk" in
+      let at_b = (Var b *: Var n) +: fiber_off
+      and at_m = src_off (Var lo +: Var b) in
+      let buffer v elem =
+        Decl (CMat (elem, 1), v, Some (alloc elem [ Var nb *: Var n ]))
+      in
+      ( [
+          Decl (CInt, nblk, Some (blocks ext));
+          Decl (CInt, rem, Some (Var tvar));
+          Decl
+            ( CInt,
+              lo,
+              Some (Binop (Arith S.Mod, Var rem, Var nblk) *: Int fiber_block)
+            );
+          Assign (LVar rem, Var rem /: Var nblk);
+        ]
+        @ decode rem others
+        @ [
+            Decl (CInt, nb, Some (Min (Int fiber_block, ext -: Var lo)));
+            fiber_size;
+            buffer blk in_elem;
           ]
-          @ decode rem inner
-          @ [
-              Decl (CInt, nb, Some (Min (Int fiber_block, ext -: Var lo)));
-              fiber_size;
-              Decl (CMat (in_elem, 1), blk, Some (alloc in_elem [ Var nb *: Var n ]));
-            ]
-          @ over_fiber
-              [ loop b (Var nb) [ MSetFlat (Var blk, at_b, MGetFlat (Var m, src_off (Var lo +: Var b))) ] ]
-          @ [ Decl (CMat (out_elem, 1), oblk, Some (alloc out_elem [ Var nb *: Var n ])) ]
-          @ [
+        @ over_fiber
+            [
               loop b (Var nb)
-                (Decl (CInt, off, Some (Var b *: Var n))
-                :: piecewise (blk, Var off) (oblk, Var off));
+                [ MSetFlat (Var blk, at_b, MGetFlat (Var m, at_m)) ];
             ]
-          @ over_fiber
-              [ loop b (Var nb) [ MSetFlat (Var out, src_off (Var lo +: Var b), MGetFlat (Var oblk, at_b)) ] ]
-          @ L.rc_dec t (Var blk) @ L.rc_dec t (Var oblk),
-          count inner *: blocks (MDim (Var vm, Int last)) )
-    | `Strided ->
-        let rem = L.fresh t "rem" in
-        ( (Decl (CInt, rem, Some (Var tvar)) :: decode rem comp)
-          @ fiber_call ~at_in:None ~at_out:None
-              ~gather:(fun slice ->
-                over_fiber [ MSetFlat (Var slice, fiber_off, MGetFlat (Var m, src_off (Int 0))) ])
-              ~scatter:(fun res ->
-                over_fiber [ MSetFlat (Var out, src_off (Int 0), MGetFlat (Var res, fiber_off)) ]),
-          count comp )
+        @ [
+            buffer oblk out_elem;
+            loop b (Var nb)
+              (Decl (CInt, off, Some (Var b *: Var n))
+              :: in_one_piece (blk, Var off) (oblk, Var off));
+          ]
+        @ over_fiber
+            [
+              loop b (Var nb)
+                [ MSetFlat (Var out, at_m, MGetFlat (Var oblk, at_b)) ];
+            ]
+        @ L.rc_dec t (Var blk) @ L.rc_dec t (Var oblk),
+        count others *: blocks (MDim (Var vm, Int last)) )
+    else
+      (* strided fibers, one at a time *)
+      let rem = L.fresh t "rem" and at_m = src_off (Int 0) in
+      ( (Decl (CInt, rem, Some (Var tvar)) :: decode rem comp)
+        @ fiber_call ~at_in:None ~at_out:None
+            ~gather:(fun slice ->
+              over_fiber
+                [ MSetFlat (Var slice, fiber_off, MGetFlat (Var m, at_m)) ])
+            ~scatter:(fun res ->
+              over_fiber
+                [ MSetFlat (Var out, at_m, MGetFlat (Var res, fiber_off)) ]),
+        count comp )
   in
   let lf =
     {
@@ -1674,16 +1690,20 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
   in
   t.L.extra_funcs <- lf :: t.L.extra_funcs;
   let total_v = L.fresh t "total" and tt = L.fresh t "t" in
+  (* a block's frames may differ widely in cost: hand them out one by one *)
   let dispatch =
-    mk_loop ~prov:span ~dynamic:(layout = `Blocked) ~index:tt ~bound:(Var total_v)
+    mk_loop ~prov:span ~dynamic:blocked ~index:tt ~bound:(Var total_v)
       [ ExprS (Call (lifted, [ Var vm; Var r; Var tt ])) ]
   in
   let stmts =
     sm
     @ [
-        Decl (CMat (out_elem, rank), r, Some (alloc out_elem (dims_of vm rank)));
+        Decl
+          (CMat (out_elem, rank), r, Some (alloc out_elem (dims_of vm rank)));
         Decl (CInt, total_v, Some (fold_expr total));
-        Site (Sites.AutoPar { kind = Sites.MatrixMap fname; span }, [ For dispatch ]);
+        Site
+          ( Sites.AutoPar { kind = Sites.MatrixMap fname; span },
+            [ For dispatch ] );
       ]
   in
   L.add_pending t r;

@@ -46,10 +46,6 @@ let producer_parts tmp payload =
       | _ -> None)
   | _ -> None
 
-let size_of = function
-  | [] -> Int 1
-  | e :: es -> fold_expr (List.fold_left ( *: ) e es)
-
 (* Statements in execution order, through the wrappers that are not
    scopes. *)
 let rec flatten stmts =
@@ -432,18 +428,19 @@ let rebinds xs body =
     body;
   !found
 
-(* What statement [s] does with the matrix the names [xs] hold, for a
-   reason: [what] names the matrix. *)
+(* Why function [fname] does more than read the matrix [what] names:
+   statement [s] uses it, and [why] is a callee's reason when that use
+   is an argument. *)
 let misuse fname what s why =
+  let say fmt = Printf.sprintf fmt fname what in
   match (why, s) with
-  | Some (g, why), _ -> Printf.sprintf "'%s' passes %s to '%s': %s" fname what g why
-  | None, Return _ -> Printf.sprintf "'%s' returns %s" fname what
-  | None, (RcInc _ | RcDec _) ->
-      Printf.sprintf "'%s' retains or releases %s" fname what
+  | Some (g, why), _ -> say "'%s' passes %s to '%s': %s" g why
+  | None, Return _ -> say "'%s' returns %s"
+  | None, (RcInc _ | RcDec _) -> say "'%s' retains or releases %s"
   | None, (Decl (_, v, _) | Assign (LVar v, _)) ->
-      Printf.sprintf "'%s' stores %s in '%s'" fname what v
-  | None, (MSetFlat _ | VecScatter _) -> Printf.sprintf "'%s' writes %s" fname what
-  | None, _ -> Printf.sprintf "'%s' uses %s other than to read it" fname what
+      say "'%s' stores %s in '%s'" v
+  | None, (MSetFlat _ | VecScatter _) -> say "'%s' writes %s"
+  | None, _ -> say "'%s' uses %s other than to read it"
 
 (* Whether each use of the names [xs] in [body] only reads their matrix
    — an element, an extent, a check, a writeMatrix, or an argument its
@@ -461,23 +458,24 @@ let rec census p ~seen ~extra xs body =
     (fun s ->
       if !bad = None then begin
         let total = ref 0 and ok = ref (extra s) and why = ref None in
-        List.iter
-          (iter_expr (function
-            | Var v when List.mem v xs -> incr total
-            | (MGetFlat (a, _) | MDim (a, _) | MSize a | VecGather (a, _, _))
-              when is_x a ->
-                incr ok
-            | Checked (cs, _) -> ok := !ok + List.length (List.filter checks_x cs)
-            | Call (g, args) ->
-                List.iteri
-                  (fun j a ->
-                    if is_x a then
-                      match param_reads p ~seen g j with
-                      | Ok () -> incr ok
-                      | Error w -> why := Some (g, w))
-                  args
-            | _ -> ()))
-          (own_exprs s);
+        let use = function
+          | Var v when List.mem v xs -> incr total
+          | (MGetFlat (a, _) | MDim (a, _) | MSize a | VecGather (a, _, _))
+            when is_x a ->
+              incr ok
+          | Checked (cs, _) ->
+              ok := !ok + List.length (List.filter checks_x cs)
+          | Call (g, args) ->
+              List.iteri
+                (fun j a ->
+                  if is_x a then
+                    match param_reads p ~seen g j with
+                    | Ok () -> incr ok
+                    | Error w -> why := Some (g, w))
+                args
+          | _ -> ()
+        in
+        List.iter (iter_expr use) (own_exprs s);
         (match s with
         | Check c when checks_x c -> incr ok
         | MWrite (_, a) when is_x a -> incr ok
@@ -493,19 +491,19 @@ and param_reads p ~seen g j =
   match List.find_opt (fun f -> f.f_name = g) p.funcs with
   | None -> Error (Printf.sprintf "'%s' is not a function of the program" g)
   | Some _ when List.mem g seen -> Error (Printf.sprintf "'%s' is recursive" g)
-  | Some f -> only_reads p ~seen:(g :: seen) f j
-
-and only_reads p ~seen (f : func) j =
-  match List.nth_opt f.f_params j with
-  | Some (CMat _, x) -> (
-      let what = Printf.sprintf "its parameter '%s'" x in
-      if rebinds [ x ] f.f_body then
-        Error (Printf.sprintf "'%s' rebinds %s" f.f_name what)
-      else
-        match census p ~seen ~extra:(fun _ -> 0) [ x ] f.f_body with
-        | Ok () -> Ok ()
-        | Error (s, why) -> Error (misuse f.f_name what s why))
-  | _ -> Error (Printf.sprintf "'%s' takes no matrix there" f.f_name)
+  | Some f -> (
+      match List.nth_opt f.f_params j with
+      | Some (CMat _, x) -> (
+          let what = Printf.sprintf "its parameter '%s'" x in
+          if rebinds [ x ] f.f_body then
+            Error (Printf.sprintf "'%s' rebinds %s" g what)
+          else
+            match
+              census p ~seen:(g :: seen) ~extra:(fun _ -> 0) [ x ] f.f_body
+            with
+            | Ok () -> Ok ()
+            | Error (s, why) -> Error (misuse g what s why))
+      | _ -> Error (Printf.sprintf "'%s' takes no matrix there" g))
 
 (* The declarations of [body], each with whether it is at the top level
    (inside no loop, branch or block), so it runs once per call. *)
@@ -529,8 +527,8 @@ let decls body =
 (* The one matrix [f] returns on every path, when [f] allocates it
    itself, once, with its parameter's extents, and otherwise only writes
    and reads it: [Ok (a, alloc, r)], [a] being the declaration that
-   allocates it and [r] the name [f] returns ([a] itself, or a name
-   bound once to [a]); else the condition that fails. *)
+   allocates it with [alloc] and [r] the name [f] returns ([a] itself,
+   or a name bound once to [a]); else the condition that fails. *)
 let own_result p (f : func) =
   let ( let* ) = Result.bind in
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
@@ -563,40 +561,44 @@ let own_result p (f : func) =
         | _ -> fail "'%s' returns '%s', which it does not allocate" f.f_name r)
     | _ -> fail "'%s' returns '%s', which it does not allocate once" f.f_name r
   in
-  let assigned xs =
+  let assigned v =
     let found = ref false in
     iter_stmts ignore
       (function
-        | Assign (LVar v, _) | Spawn (Some (LVar v), _, _) when List.mem v xs ->
+        | Assign (LVar w, _) | Spawn (Some (LVar w), _, _) when w = v ->
             found := true
         | _ -> ())
       f.f_body;
     !found
   in
+  (* the extent of [x] in dimension [d]: dimSize(x, d), or an int bound
+     once to it *)
   let extent d = function
     | MDim (Var v, Int d') -> v = x && d' = d
     | Var n -> (
-        (not (assigned [ n ]))
+        (not (assigned n))
         &&
         match decl n with
         | Some (Some (MDim (Var v, Int d')), _) -> v = x && d' = d
         | _ -> false)
     | _ -> false
   in
-  let* () =
-    if rebinds [ x ] f.f_body then fail "'%s' rebinds its parameter '%s'" f.f_name x
-    else if assigned [ r; a ] then fail "'%s' assigns '%s'" f.f_name r
-    else Ok ()
+  let rec extents d = function
+    | [] -> Ok ()
+    | e :: es when extent d e -> extents (d + 1) es
+    | _ -> fail "extent %d of '%s' is not provably dimSize(%s, %d)" d r x d
   in
   let* () =
-    match List.find_opt (fun (d, e) -> not (extent d e)) (List.mapi (fun d e -> (d, e)) dims) with
-    | Some (d, _) ->
-        fail "extent %d of '%s' is not provably dimSize(%s, %d)" d r x d
-    | None -> Ok ()
+    if rebinds [ x ] f.f_body then
+      fail "'%s' rebinds its parameter '%s'" f.f_name x
+    else if assigned r || assigned a then fail "'%s' assigns '%s'" f.f_name r
+    else extents 0 dims
   in
   let names = List.sort_uniq compare [ r; a ] in
   let extra = function
-    | MSetFlat (Var v, _, _) | VecScatter (Var v, _, _, _) when List.mem v names -> 1
+    | MSetFlat (Var v, _, _) | VecScatter (Var v, _, _, _)
+      when List.mem v names ->
+        1
     | Decl (_, v, Some (Var w)) when v = r && w = a && a <> r -> 1
     | Return (Some (Var v)) when v = r -> 1
     | _ -> 0
@@ -604,13 +606,15 @@ let own_result p (f : func) =
   match census p ~seen:[ f.f_name ] ~extra names f.f_body with
   | Ok () -> Ok (a, alloc, r)
   | Error (s, why) ->
-      Error (misuse f.f_name (Printf.sprintf "'%s', the matrix it returns" r) s why)
+      let what = Printf.sprintf "'%s', the matrix it returns" r in
+      Error (misuse f.f_name what s why)
 
-(* [f] rewritten to write the matrix it returns into the view [dst] it
-   is passed: [a]'s allocation becomes [dst], zero-filled when the
-   allocation was, and each [return r] a plain return. *)
+(* The parameter the view of the output fiber arrives in. *)
 let dst = "__mm_dst"
 
+(* [f] rewritten to write the matrix it returns into the view [dst]: the
+   allocation [alloc] of [a] becomes [dst], zero-filled when the
+   allocation was, and each [return r] a plain return. *)
 let write_into (f : func) (a, alloc, r) =
   let elem, zeroed, k =
     match alloc with
@@ -623,10 +627,14 @@ let write_into (f : func) (a, alloc, r) =
     | Runtime.Ndarray.EInt -> Int 0
     | Runtime.Ndarray.EBool -> Bool false
   in
+  let i = "__mm_fill" in
   let fill =
     if zeroed then
-      [ For (mk_loop ~index:"__mm_fill" ~bound:(MSize (Var a))
-               [ MSetFlat (Var a, Var "__mm_fill", zero) ]) ]
+      [
+        For
+          (mk_loop ~index:i ~bound:(MSize (Var a))
+             [ MSetFlat (Var a, Var i, zero) ]);
+      ]
     else []
   in
   {
@@ -636,34 +644,51 @@ let write_into (f : func) (a, alloc, r) =
     f_body =
       concat_map_stmts
         (function
-          | Decl (t, v, Some (MAlloc _)) when v = a -> Decl (t, v, Some (Var dst)) :: fill
+          | Decl (t, v, Some (MAlloc _)) when v = a ->
+              Decl (t, v, Some (Var dst)) :: fill
           | Return (Some (Var v)) when v = r -> [ Return None ]
           | s -> [ s ])
         f.f_body;
   }
 
-(* The calls of each function in [p], and those a [MapResult] site with
-   an output fiber in one piece makes. *)
+(* How many calls of function [g] there are in [p], and how many of them
+   a [MapResult] site with an output fiber in one piece makes. *)
 let calls p =
   let all = ref [] and mapped = ref [] in
-  let rec stmts b = List.iter stmt b
-  and stmt s =
-    (match s with
-    | Site (Sites.MapResult { fname; at = Some _; _ }, _) -> mapped := fname :: !mapped
-    | Spawn (_, g, _) -> all := g :: !all
-    | _ -> ());
-    List.iter
-      (iter_expr (function Call (g, _) -> all := g :: !all | _ -> ()))
-      (own_exprs s);
-    match s with
-    | If (_, a, b) -> stmts a; stmts b
-    | While (_, b) | Block b | Located (_, b) | Site (_, b) -> stmts b
-    | For l | ParFor l -> stmts l.body
-    | _ -> ()
-  in
-  List.iter (fun f -> stmts f.f_body) p.funcs;
+  List.iter
+    (fun f ->
+      iter_stmts
+        (function Call (g, _) -> all := g :: !all | _ -> ())
+        (function
+          | Site (Sites.MapResult { fname; at = Some _; _ }, _) ->
+              mapped := fname :: !mapped
+          | Spawn (_, g, _) -> all := g :: !all
+          | _ -> ())
+        f.f_body)
+    p.funcs;
   let count g l = List.length (List.filter (String.equal g) l) in
   fun g -> (count g !all, count g !mapped)
+
+let strided =
+  "its fibers are strided: the mapped dimensions are not the last ones, in \
+   order"
+
+(* The verdict on writing [fname]'s results in place: every call of it
+   must be one that can pass it a view of its output fiber. *)
+let result_verdict p calls fname =
+  match List.find_opt (fun f -> f.f_name = fname) p.funcs with
+  | None ->
+      Error (Printf.sprintf "'%s' is not a function of the program" fname)
+  | Some _ when fname = p.main ->
+      Error (Printf.sprintf "'%s' is the entry function" fname)
+  | Some f ->
+      let all, mapped = calls fname in
+      if all > mapped then
+        Error
+          (Printf.sprintf
+             "'%s' is also called where its result cannot be written in place"
+             fname)
+      else own_result p f
 
 (* Copy elimination's matrixMap sites, over the whole program. *)
 let fibers_in_place remarks ~enabled (p : program) : program =
@@ -673,80 +698,71 @@ let fibers_in_place remarks ~enabled (p : program) : program =
     match Hashtbl.find_opt verdicts fname with
     | Some v -> v
     | None ->
-        let v =
-          match List.find_opt (fun f -> f.f_name = fname) p.funcs with
-          | None -> Error (Printf.sprintf "'%s' is not a function of the program" fname)
-          | Some _ when fname = p.main -> Error (Printf.sprintf "'%s' is the entry function" fname)
-          | Some f -> (
-              match calls fname with
-              | all, mapped when all > mapped ->
-                  Error
-                    (Printf.sprintf
-                       "'%s' is also called where its result cannot be written \
-                        in place"
-                       fname)
-              | _ -> own_result p f)
-        in
+        let v = result_verdict p calls fname in
         Hashtbl.add verdicts fname v;
         v
   in
   let views = ref [] and into = ref [] in
-  let view ty v (at : Sites.place) extents =
-    let elem = match ty with CMat (e, _) -> e | _ -> invalid_arg "Passes.view" in
-    Decl (ty, v, Some (MView { elem; m = Var at.buf; offset = at.offset; dims = extents }))
-  in
-  let strided = "its fibers are strided: the mapped dimensions are not the last ones, in order" in
-  let in_function fn =
-    let body =
-      Cir.Pass.rewrite_sites_in
-        (fun site payload ->
-          match (site, payload) with
-          | Sites.MapFiber { fname; slice; at; extents; span }, Decl (ty, _, _) :: _ -> (
-              let verdict =
-                match at with
-                | None -> Error strided
-                | Some at -> Result.map (fun () -> at) (param_reads p ~seen:[] fname 0)
-              in
-              match verdict with
-              | _ when not enabled ->
-                  R.emit remarks ~pass:"copy-elim" ~kind:R.Skipped ~span
-                    "copy elimination disabled: each fiber of the matrixMap is \
-                     copied for '%s'" fname;
-                  Some payload
-              | Ok at ->
-                  R.emit remarks ~pass:"copy-elim" ~kind:R.Applied ~span
-                    "matrixMap fiber passed in place: '%s' only reads it" fname;
-                  views := slice :: !views;
-                  Some [ view ty slice at extents ]
-              | Error why ->
-                  R.emit remarks ~pass:"copy-elim" ~kind:R.Missed ~span
-                    "matrixMap fiber copied for '%s': %s" fname why;
-                  Some payload)
-          | Sites.MapResult { fname; slice; out; at; extents; span }, Decl (ty, _, _) :: _ -> (
-              let verdict =
-                match at with
-                | None -> Error strided
-                | Some at -> Result.map (fun v -> (at, v)) (result_verdict fname)
-              in
-              match verdict with
-              | _ when not enabled ->
-                  R.emit remarks ~pass:"copy-elim" ~kind:R.Skipped ~span
-                    "copy elimination disabled: each result of '%s' is copied \
-                     into the output" fname;
-                  Some payload
-              | Ok (at, v) ->
-                  R.emit remarks ~pass:"copy-elim" ~kind:R.Applied ~span
-                    "matrixMap result written in place: '%s' fills the output \
-                     fiber itself" fname;
-                  if not (List.mem_assoc fname !into) then into := (fname, v) :: !into;
-                  Some [ view ty out at extents; ExprS (Call (fname, [ Var slice; Var out ])) ]
-              | Error why ->
-                  R.emit remarks ~pass:"copy-elim" ~kind:R.Missed ~span
-                    "matrixMap result of '%s' copied into the output: %s" fname why;
-                  Some payload)
-          | _ -> None)
-        fn.f_body
+  let view ty v (at : Sites.place) dims =
+    let elem =
+      match ty with CMat (e, _) -> e | _ -> invalid_arg "Passes.view"
     in
+    let at = Var at.buf and offset = at.offset in
+    Decl (ty, v, Some (MView { elem; m = at; offset; dims }))
+  in
+  (* [at], once [verdict] holds for the fiber placed there *)
+  let placed at verdict =
+    match at with
+    | None -> Error strided
+    | Some at -> Result.map (fun v -> (at, v)) (verdict ())
+  in
+  let site site payload =
+    match (site, payload) with
+    | Sites.MapFiber { fname; span; _ }, _ when not enabled ->
+        R.emit remarks ~pass:"copy-elim" ~kind:R.Skipped ~span
+          "copy elimination disabled: each fiber is copied for '%s'" fname;
+        Some payload
+    | Sites.MapResult { fname; span; _ }, _ when not enabled ->
+        R.emit remarks ~pass:"copy-elim" ~kind:R.Skipped ~span
+          "copy elimination disabled: each result of '%s' is copied into the \
+           output"
+          fname;
+        Some payload
+    | Sites.MapFiber { fname; slice; at; extents; span }, Decl (ty, _, _) :: _
+      -> (
+        match placed at (fun () -> param_reads p ~seen:[] fname 0) with
+        | Ok (at, ()) ->
+            R.emit remarks ~pass:"copy-elim" ~kind:R.Applied ~span
+              "matrixMap fiber passed in place: '%s' only reads it" fname;
+            views := slice :: !views;
+            Some [ view ty slice at extents ]
+        | Error why ->
+            R.emit remarks ~pass:"copy-elim" ~kind:R.Missed ~span
+              "matrixMap fiber copied for '%s': %s" fname why;
+            Some payload)
+    | ( Sites.MapResult { fname; slice; out; at; extents; span },
+        Decl (ty, _, _) :: _ ) -> (
+        match placed at (fun () -> result_verdict fname) with
+        | Ok (at, v) ->
+            R.emit remarks ~pass:"copy-elim" ~kind:R.Applied ~span
+              "matrixMap result written in place: '%s' fills the output fiber \
+               itself"
+              fname;
+            if not (List.mem_assoc fname !into) then
+              into := (fname, v) :: !into;
+            Some
+              [
+                view ty out at extents;
+                ExprS (Call (fname, [ Var slice; Var out ]));
+              ]
+        | Error why ->
+            R.emit remarks ~pass:"copy-elim" ~kind:R.Missed ~span
+              "matrixMap result of '%s' copied into the output: %s" fname why;
+            Some payload)
+    | _ -> None
+  in
+  let in_function fn =
+    let body = Cir.Pass.rewrite_sites_in site fn.f_body in
     (* a view is never released *)
     let body =
       concat_map_stmts
@@ -756,15 +772,12 @@ let fibers_in_place remarks ~enabled (p : program) : program =
     { fn with f_body = body }
   in
   let funcs = List.map in_function p.funcs in
-  let funcs =
-    List.map
-      (fun f ->
-        match List.assoc_opt f.f_name !into with
-        | Some v -> write_into f v
-        | None -> f)
-      funcs
+  let rewrite f =
+    match List.assoc_opt f.f_name !into with
+    | Some v -> write_into f v
+    | None -> f
   in
-  { p with funcs }
+  { p with funcs = List.map rewrite funcs }
 
 (** Slice-copy elimination (§III-A5): an identity slice [m[:, …, :]]
     aliases its base (retaining it) instead of allocating and copying

@@ -109,8 +109,10 @@ let view m ~off sh =
 (* [m]'s own elements: its buffer, or for a view a copy of its part of
    the buffer it shares. *)
 let contents m =
-  let whole n = m.off = 0 && n = Shape.size m.shape in
-  let part a = if whole (Array.length a) then a else Array.sub a m.off (Shape.size m.shape) in
+  let n = Shape.size m.shape in
+  let part a =
+    if m.off = 0 && Array.length a = n then a else Array.sub a m.off n
+  in
   match m.buf with F a -> F (part a) | I a -> I (part a) | B a -> B (part a)
 
 let init_float sh f =
