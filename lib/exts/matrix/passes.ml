@@ -505,25 +505,6 @@ and param_reads p ~seen g j =
             | Error (s, why) -> Error (misuse g what s why))
       | _ -> Error (Printf.sprintf "'%s' takes no matrix there" g))
 
-(* The declarations of [body], each with whether it is at the top level
-   (inside no loop, branch or block), so it runs once per call. *)
-let decls body =
-  let rec go top acc = function
-    | [] -> acc
-    | s :: rest ->
-        let acc =
-          match s with
-          | Decl (_, v, e) -> (v, e, top) :: acc
-          | Located (_, b) | Site (_, b) -> go top acc b
-          | If (_, a, b) -> go false (go false acc a) b
-          | While (_, b) | Block b -> go false acc b
-          | For l | ParFor l -> go false acc l.body
-          | _ -> acc
-        in
-        go top acc rest
-  in
-  go true [] body
-
 (* The one matrix [f] returns on every path, when [f] allocates it
    itself, once, with its parameter's extents, and otherwise only writes
    and reads it: [Ok (a, alloc, r)], [a] being the declaration that
@@ -546,10 +527,18 @@ let own_result p (f : func) =
     | [ Some (Var r) ] when ends_with_return f.f_body -> Ok r
     | _ -> fail "'%s' does not return one named matrix on every path" f.f_name
   in
-  let ds = decls f.f_body in
+  (* [v]'s initialiser, when [v] is declared once, and whether that is at
+     the top level (inside no loop, branch or block), so once per call *)
+  let ds = ref [] in
+  iter_stmts ignore
+    (function Decl (_, v, e) -> ds := (v, e) :: !ds | _ -> ())
+    f.f_body;
+  let top = flatten f.f_body in
   let decl v =
-    match List.filter (fun (n, _, _) -> n = v) ds with
-    | [ (_, init, top) ] -> Some (init, top)
+    match List.filter (fun (n, _) -> n = v) !ds with
+    | [ (_, init) ] ->
+        let here = function Decl (_, n, _) -> n = v | _ -> false in
+        Some (init, List.exists here top)
     | _ -> None
   in
   let* a, (alloc, dims) =
