@@ -447,7 +447,7 @@ let misuse fname what s why =
    callee only reads — or is one of the [extra s] uses statement [s] is
    allowed besides.  Else the first statement with another use, with the
    callee's reason when that use is an argument. *)
-let rec census p ~seen ~extra xs body =
+let rec read_uses p ~seen ~extra xs body =
   let is_x = function Var v -> List.mem v xs | _ -> false in
   let checks_x = function
     | Bound { m; _ } | Null { m; _ } | Dim { m; _ } -> is_x m
@@ -499,7 +499,7 @@ and param_reads p ~seen g j =
             Error (Printf.sprintf "'%s' rebinds %s" g what)
           else
             match
-              census p ~seen:(g :: seen) ~extra:(fun _ -> 0) [ x ] f.f_body
+              read_uses p ~seen:(g :: seen) ~extra:(fun _ -> 0) [ x ] f.f_body
             with
             | Ok () -> Ok ()
             | Error (s, why) -> Error (misuse g what s why))
@@ -592,7 +592,7 @@ let own_result p (f : func) =
     | Return (Some (Var v)) when v = r -> 1
     | _ -> 0
   in
-  match census p ~seen:[ f.f_name ] ~extra names f.f_body with
+  match read_uses p ~seen:[ f.f_name ] ~extra names f.f_body with
   | Ok () -> Ok (a, alloc, r)
   | Error (s, why) ->
       let what = Printf.sprintf "'%s', the matrix it returns" r in
