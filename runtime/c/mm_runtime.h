@@ -83,8 +83,8 @@ typedef mm_mat_bool mm_mat_bool1, mm_mat_bool2, mm_mat_bool3, mm_mat_bool4,
  * negative extent, more than 2^28 elements or the native.alloc
  * failpoint fails the run there, as a check does.  mm_rc_dec releases
  * the block when the count reaches zero, and faults on a count that was
- * already zero; both tolerate NULL so generated cleanup code needs no
- * tests. */
+ * already zero and on a view (mm_view_*, below); both tolerate NULL so
+ * generated cleanup code needs no tests. */
 mm_mat_float *mm_alloc_float(int id, int rank, ...);
 mm_mat_int *mm_alloc_int(int id, int rank, ...);
 mm_mat_bool *mm_alloc_bool(int id, int rank, ...);
