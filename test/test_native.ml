@@ -1438,6 +1438,24 @@ int main() {
 |},
       (true, true),
       [ "d.data" ] );
+    ( "a map over [2, 1], strided with the last dimension mapped",
+      {|Matrix float <2> flip(Matrix float <2> f) {
+  Matrix float <2> g = init(Matrix float <2>, dimSize(f, 0), dimSize(f, 1));
+  for (int i = 0; i < dimSize(f, 0); i++) {
+    for (int j = 0; j < dimSize(f, 1); j++) { g[i, j] = f[i, j] * 2.0 + (float) (i - j); }
+  }
+  return g;
+}
+int main() {
+|}
+      ^ map_cube
+      ^ {|  Matrix float <3> d = matrixMap(flip, a, [2, 1]);
+  writeMatrix("d.data", d);
+  return (int) d[2, 3, 4];
+}
+|},
+      (false, false),
+      [ "d.data" ] );
   ]
   @ List.map
       (fun (shape, dims) ->
@@ -1493,7 +1511,7 @@ let test_map_in_place () =
             (Fmt.str "%a" Interp.Eval.pp_value v)
       | Driver.Failed ds -> Alcotest.failf "%s: %s" name (Driver.diags_to_string ds))
     (* the written fiber leaves m as it was *)
-    [ (2, "1001010"); (8, "30") ];
+    [ (2, "1001010"); (9, "30") ];
   let grow =
     {|Matrix float <1> grow(Matrix float <1> v) {
   int n = dimSize(v, 0) + 1;
