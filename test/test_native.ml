@@ -2067,8 +2067,6 @@ let suite =
     Alcotest.test_case "folded chains and ranges agree at 1 and 2 threads"
       `Quick test_fold_chain_and_ranges;
     Alcotest.test_case "temporaries a fold must keep" `Quick test_fold_kept;
-    Alcotest.test_case "matrixMap fibers in place agree at 1 and 2 threads"
-      `Quick test_map_in_place;
     Alcotest.test_case "a folded chain fails where the unfolded one does"
       `Quick test_fold_failures;
     Alcotest.test_case "mul-add chain bit for bit under -march=native" `Quick
@@ -2083,4 +2081,6 @@ let suite =
       `Quick test_big_payloads;
     Alcotest.test_case "no unzeroed payload is read before it is written"
       `Quick test_unzeroed_payloads;
+    Alcotest.test_case "matrixMap fibers in place agree at 1 and 2 threads"
+      `Quick test_map_in_place;
   ]
