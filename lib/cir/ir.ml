@@ -299,33 +299,37 @@ and iter_check r = function
       r c.m;
       r c.index
 
+(** [own_exprs s] — the expressions statement [s] evaluates itself, in
+    order, not those of the statements nested in it. *)
+let own_exprs = function
+  | Decl (_, _, e) | Return e -> Option.to_list e
+  | Assign (_, e) | ExprS e | RcInc e | RcDec e -> [ e ]
+  | MSetFlat (a, b, c) -> [ a; b; c ]
+  | VecScatter (a, b, c, d) -> [ a; b; c; d ]
+  | MWrite (a, b) -> [ a; b ]
+  | If (c, _, _) | While (c, _) -> [ c ]
+  | For l | ParFor l -> [ l.bound ]
+  | Spawn (_, _, args) -> args
+  | Check (Bound { m; index; _ } | Dim { m; index; _ }) -> [ m; index ]
+  | Check (Same { a; b; _ }) -> [ a; b ]
+  | Check (Null { m; _ }) -> [ m ]
+  | Break | Continue | Comment _ | Sync | Block _ | Located _ | Site _ -> []
+
 (** [iter_stmts fe fs stmts] — [fe] on every expression node and [fs]
     on every statement of [stmts], nested ones included, children first,
     as {!map_stmts} visits them; nothing is rebuilt. *)
 let rec iter_stmts fe fs stmts = List.iter (iter_stmt fe fs) stmts
 
 and iter_stmt fe fs s =
-  let re = iter_expr fe and rb = iter_stmts fe fs in
+  let rb = iter_stmts fe fs in
+  List.iter (iter_expr fe) (own_exprs s);
   (match s with
-  | Decl (_, _, e) | Return e -> Option.iter re e
-  | Assign (_, e) | ExprS e | RcInc e | RcDec e -> re e
-  | MSetFlat (a, b, c) -> List.iter re [ a; b; c ]
-  | VecScatter (a, b, c, d) -> List.iter re [ a; b; c; d ]
-  | MWrite (a, b) -> List.iter re [ a; b ]
-  | If (c, a, b) ->
-      re c;
+  | If (_, a, b) ->
       rb a;
       rb b
-  | While (c, b) ->
-      re c;
-      rb b
-  | For l | ParFor l ->
-      re l.bound;
-      rb l.body
-  | Check c -> iter_check re c
-  | Spawn (_, _, args) -> List.iter re args
-  | Block b | Located (_, b) | Site (_, b) -> rb b
-  | Break | Continue | Comment _ | Sync -> ());
+  | While (_, b) | Block b | Located (_, b) | Site (_, b) -> rb b
+  | For l | ParFor l -> rb l.body
+  | _ -> ());
   fs s
 
 (** [concat_map_stmts f stmts] — bottom-up rewrite in which each

@@ -1555,9 +1555,9 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
   let n = L.fresh t "n" in
   let fiber_size = Decl (CInt, n, Some (size_of extents)) in
   let fiber_call = fiber_call t ~fname ~span ~in_elem ~out_elem ~extents in
-  (* A fiber in one piece of [src] at [soff], its output in one piece of
-     [dst] at [doff]. *)
-  let in_one_piece (src, soff) (dst, doff) =
+  (* A fiber in one piece of [src] at [off], its output in one piece of
+     [dst] at the same offset. *)
+  let in_one_piece src dst off =
     let i = L.fresh t "i" in
     let copy ~into:(a, aoff) ~from:(b, boff) =
       let at o = fold_expr (o +: Var i) in
@@ -1565,10 +1565,10 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
       ]
     in
     fiber_call
-      ~at_in:(Some { Sites.buf = src; offset = soff })
-      ~at_out:(Some { Sites.buf = dst; offset = doff })
-      ~gather:(fun slice -> copy ~into:(slice, Int 0) ~from:(src, soff))
-      ~scatter:(fun res -> copy ~into:(dst, doff) ~from:(res, Int 0))
+      ~at_in:(Some { Sites.buf = src; offset = off })
+      ~at_out:(Some { Sites.buf = dst; offset = off })
+      ~gather:(fun slice -> copy ~into:(slice, Int 0) ~from:(src, off))
+      ~scatter:(fun res -> copy ~into:(dst, off) ~from:(res, Int 0))
   in
   (* The indices [c<d>] of dimensions [ds] that the counter [rem]
      encodes, the last varying fastest. *)
@@ -1607,7 +1607,7 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
       (* contiguous fibers: the [t]-th at [t] times the fiber's size *)
       let off = L.fresh t "off" in
       ( [ fiber_size; Decl (CInt, off, Some (Var tvar *: Var n)) ]
-        @ in_one_piece (m, Var off) (out, Var off),
+        @ in_one_piece m out (Var off),
         count comp )
     else if blocked then
       (* a block of up to [fiber_block] fibers, from index [lo] of the
@@ -1649,7 +1649,7 @@ let lower_matrix_map t (fname : string) (marg : A.expr) (dims : int list)
             buffer oblk out_elem;
             loop b (Var nb)
               (Decl (CInt, off, Some (Var b *: Var n))
-              :: in_one_piece (blk, Var off) (oblk, Var off));
+              :: in_one_piece blk oblk (Var off));
           ]
         @ over_fiber
             [

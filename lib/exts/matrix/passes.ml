@@ -399,31 +399,15 @@ let read_in_place base (f : Sites.fiber) body =
    results).  Every verdict is taken on the program as it stands before
    any of these rewrites. *)
 
-(* The expressions statement [s] evaluates itself, not those of the
-   statements nested in it. *)
-let own_exprs = function
-  | Decl (_, _, e) | Return e -> Option.to_list e
-  | Assign (_, e) | ExprS e | RcInc e | RcDec e -> [ e ]
-  | MSetFlat (a, b, c) -> [ a; b; c ]
-  | VecScatter (a, b, c, d) -> [ a; b; c; d ]
-  | MWrite (a, b) -> [ a; b ]
-  | If (c, _, _) | While (c, _) -> [ c ]
-  | For l | ParFor l -> [ l.bound ]
-  | Spawn (_, _, args) -> args
-  | Check (Bound { m; index; _ } | Dim { m; index; _ }) -> [ m; index ]
-  | Check (Same { a; b; _ }) -> [ a; b ]
-  | Check (Null { m; _ }) -> [ m ]
-  | Break | Continue | Comment _ | Sync | Block _ | Located _ | Site _ -> []
-
-(* Does a statement of [body] bind one of [xs] anew? *)
-let rebinds xs body =
+(* Does a statement of [body] bind [x] anew? *)
+let rebinds x body =
   let found = ref false in
   iter_stmts ignore
     (function
       | Decl (_, v, _) | Assign (LVar v, _) | Spawn (Some (LVar v), _, _)
-        when List.mem v xs ->
+        when v = x ->
           found := true
-      | (For l | ParFor l) when List.mem l.index xs -> found := true
+      | (For l | ParFor l) when l.index = x -> found := true
       | _ -> ())
     body;
   !found
@@ -495,7 +479,7 @@ and param_reads p ~seen g j =
       match List.nth_opt f.f_params j with
       | Some (CMat _, x) -> (
           let what = Printf.sprintf "its parameter '%s'" x in
-          if rebinds [ x ] f.f_body then
+          if rebinds x f.f_body then
             Error (Printf.sprintf "'%s' rebinds %s" g what)
           else
             match
@@ -578,7 +562,7 @@ let own_result p (f : func) =
     | _ -> fail "extent %d of '%s' is not provably dimSize(%s, %d)" d r x d
   in
   let* () =
-    if rebinds [ x ] f.f_body then
+    if rebinds x f.f_body then
       fail "'%s' rebinds its parameter '%s'" f.f_name x
     else if assigned r || assigned a then fail "'%s' assigns '%s'" f.f_name r
     else extents 0 dims
