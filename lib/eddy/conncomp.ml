@@ -142,7 +142,8 @@ let eddy_like ?(min_cells = 4) ?(max_cells = 400) (c : component) : bool =
   && float_of_int c.cells >= 0.4 *. float_of_int bbox
 
 (** [below ~threshold fr] — the boolean mask of the cells of [fr] strictly
-    below [threshold], in {!Runtime.Scalar.cmp}'s float ordering. *)
+    below [threshold], compared as C compares ({!Runtime.Scalar.cmp}): a
+    NaN cell is below no threshold. *)
 let below ~threshold (fr : Nd.t) : Nd.t =
   let module S = Runtime.Scalar in
   Nd.of_bool_array (Nd.shape fr)

@@ -1,6 +1,7 @@
 (** Executor for lowered programs: {!run} compiles a CIR program once into
-    closures over slot-resolved frames, then calls its entry function on
-    the parallel matrix runtime (DESIGN.md §3d). *)
+    closures chosen by each expression's static type, over frames that
+    keep scalar locals unboxed, then calls its entry function on the
+    parallel matrix runtime (DESIGN.md §3d). *)
 
 type value =
   | VUnit

@@ -19,6 +19,7 @@ type buf = F of float array | I of int array | B of bool array
 
 type t = {
   shape : Shape.t;
+  size : int;  (** the element count, [Shape.size shape] *)
   buf : buf;
   off : int;
       (** where element 0 lies in [buf]: 0 except in a {!view}, which
@@ -42,7 +43,7 @@ let fp_read = Support.Failpoint.register "io.read_matrix"
 
 let shape m = m.shape
 let rank m = Shape.rank m.shape
-let size m = Shape.size m.shape
+let size m = m.size
 
 let elem m = match m.buf with F _ -> EFloat | I _ -> EInt | B _ -> EBool
 
@@ -94,22 +95,22 @@ let create e sh =
     | EInt -> I (Array.make n 0)
     | EBool -> B (Array.make n false)
   in
-  { shape = Array.copy sh; buf; off = 0 }
+  { shape = Array.copy sh; size = n; buf; off = 0 }
 
 (** [view m ~off sh] — the elements of [m] from flat offset [off] on, as
     a matrix of shape [sh] sharing [m]'s buffer: a store through either
     is seen through both.  The view must lie inside [m]. *)
 let view m ~off sh =
   let n = Shape.size sh in
-  if off < 0 || off + n > Shape.size m.shape then
+  if off < 0 || off + n > m.size then
     Shape.err "view of %d elements at offset %d outside %s" n off
       (Shape.to_string m.shape);
-  { shape = Array.copy sh; buf = m.buf; off = m.off + off }
+  { shape = Array.copy sh; size = n; buf = m.buf; off = m.off + off }
 
 (* [m]'s own elements: its buffer, or for a view a copy of its part of
    the buffer it shares. *)
 let contents m =
-  let n = Shape.size m.shape in
+  let n = m.size in
   let part a =
     if m.off = 0 && Array.length a = n then a else Array.sub a m.off n
   in
@@ -118,30 +119,45 @@ let contents m =
 let init_float sh f =
   let n = Shape.size sh in
   let a = Array.init n (fun off -> f (Shape.unoffset sh off)) in
-  { shape = Array.copy sh; buf = F a; off = 0 }
+  { shape = Array.copy sh; size = n; buf = F a; off = 0 }
 
 let init_int sh f =
   let n = Shape.size sh in
   let a = Array.init n (fun off -> f (Shape.unoffset sh off)) in
-  { shape = Array.copy sh; buf = I a; off = 0 }
+  { shape = Array.copy sh; size = n; buf = I a; off = 0 }
 
 let of_float_array sh a =
   if Array.length a <> Shape.size sh then
     Shape.err "of_float_array: %d elements for shape %s" (Array.length a)
       (Shape.to_string sh);
-  { shape = Array.copy sh; buf = F (Array.copy a); off = 0 }
+  {
+    shape = Array.copy sh;
+    size = Array.length a;
+    buf = F (Array.copy a);
+    off = 0;
+  }
 
 let of_int_array sh a =
   if Array.length a <> Shape.size sh then
     Shape.err "of_int_array: %d elements for shape %s" (Array.length a)
       (Shape.to_string sh);
-  { shape = Array.copy sh; buf = I (Array.copy a); off = 0 }
+  {
+    shape = Array.copy sh;
+    size = Array.length a;
+    buf = I (Array.copy a);
+    off = 0;
+  }
 
 let of_bool_array sh a =
   if Array.length a <> Shape.size sh then
     Shape.err "of_bool_array: %d elements for shape %s" (Array.length a)
       (Shape.to_string sh);
-  { shape = Array.copy sh; buf = B (Array.copy a); off = 0 }
+  {
+    shape = Array.copy sh;
+    size = Array.length a;
+    buf = B (Array.copy a);
+    off = 0;
+  }
 
 (** 1-D int vector from a list. *)
 let vec_i xs = of_int_array [| List.length xs |] (Array.of_list xs)
@@ -155,16 +171,55 @@ let get_flat m off : Scalar.t =
   | I a -> Scalar.I a.(off)
   | B a -> Scalar.B a.(off)
 
+(* The element at flat offset [off] at a static type, without an
+   intermediate {!Scalar.t}: the interpreter's typed reads.  A buffer of
+   another kind converts as {!Scalar.to_int} and {!Scalar.to_float} do,
+   and as a C condition tests a number. *)
+let get_flat_int m off =
+  match m.buf with
+  | I a -> a.(m.off + off)
+  | F a -> int_of_float a.(m.off + off)
+  | B _ -> Scalar.err "boolean used as integer"
+
+let get_flat_float m off =
+  match m.buf with
+  | F a -> a.(m.off + off)
+  | I a -> float_of_int a.(m.off + off)
+  | B _ -> Scalar.err "boolean used as number"
+
+let get_flat_bool m off =
+  match m.buf with
+  | B a -> a.(m.off + off)
+  | I a -> a.(m.off + off) <> 0
+  | F a -> a.(m.off + off) <> 0.
+
+let cannot_store m v =
+  terr "cannot store %s into %s matrix" (Scalar.to_string v)
+    (elem_name (elem m))
+
+(* Typed stores: an int stored into a float matrix converts; any other
+   mismatch is a {!Type_error}. *)
+let set_flat_int m off x =
+  match m.buf with
+  | I a -> a.(m.off + off) <- x
+  | F a -> a.(m.off + off) <- float_of_int x
+  | B _ -> cannot_store m (Scalar.I x)
+
+let set_flat_float m off x =
+  match m.buf with
+  | F a -> a.(m.off + off) <- x
+  | I _ | B _ -> cannot_store m (Scalar.F x)
+
+let set_flat_bool m off x =
+  match m.buf with
+  | B a -> a.(m.off + off) <- x
+  | I _ | F _ -> cannot_store m (Scalar.B x)
+
 let set_flat m off (v : Scalar.t) =
-  let off = m.off + off in
-  match (m.buf, v) with
-  | F a, Scalar.F x -> a.(off) <- x
-  | F a, Scalar.I x -> a.(off) <- float_of_int x
-  | I a, Scalar.I x -> a.(off) <- x
-  | B a, Scalar.B x -> a.(off) <- x
-  | _ ->
-      terr "cannot store %s into %s matrix" (Scalar.to_string v)
-        (elem_name (elem m))
+  match v with
+  | Scalar.I x -> set_flat_int m off x
+  | Scalar.F x -> set_flat_float m off x
+  | Scalar.B x -> set_flat_bool m off x
 
 let get m idx = get_flat m (Shape.offset m.shape idx)
 let set m idx v = set_flat m (Shape.offset m.shape idx) v
@@ -437,7 +492,7 @@ let read_file path =
                 Array.unsafe_set a (i + j)
                   (Int64.float_of_bits (Bytes.get_int64_le b (8 * j)))
               done);
-          { shape = sh; buf = F a; off = 0 }
+          { shape = sh; size = n; buf = F a; off = 0 }
       | 'i' ->
           let a = Array.make n 0 in
           get ~width:8 (fun i k ->
@@ -445,7 +500,7 @@ let read_file path =
                 Array.unsafe_set a (i + j)
                   (Int64.to_int (Bytes.get_int64_le b (8 * j)))
               done);
-          { shape = sh; buf = I a; off = 0 }
+          { shape = sh; size = n; buf = I a; off = 0 }
       | _ ->
           let a = Array.make n false in
           get ~width:1 (fun i k ->
@@ -459,4 +514,4 @@ let read_file path =
                        offset %d (expected 0 or 1)"
                       path (Char.code c) (i + j) (start + i + j)
               done);
-          { shape = sh; buf = B a; off = 0 })
+          { shape = sh; size = n; buf = B a; off = 0 })

@@ -26,7 +26,6 @@ let to_int = function
   | B _ -> err "boolean used as integer"
 
 let to_bool = function B b -> b | v -> err "%s used as boolean" (to_string v)
-let truthy = function B b -> b | I i -> i <> 0 | F f -> f <> 0.
 
 type arith = Add | Sub | Mul | Div | Mod
 
@@ -68,35 +67,35 @@ let cmp_name = function
   | Eq -> "=="
   | Ne -> "!="
 
+(** C comparison: ints compare as ints, and a float with a number under
+    IEEE 754, so a NaN is unordered: every comparison with it is false
+    but [!=].  Booleans order [false] before [true]. *)
 let cmp op a b =
-  let c =
-    match (a, b) with
-    | B x, B y -> compare x y
-    | (F _ | I _), (F _ | I _) -> compare (to_float a) (to_float b)
-    | _ -> err "comparison between boolean and number"
-  in
-  B
-    (match op with
+  let holds c =
+    match op with
     | Lt -> c < 0
     | Le -> c <= 0
     | Gt -> c > 0
     | Ge -> c >= 0
     | Eq -> c = 0
-    | Ne -> c <> 0)
+    | Ne -> c <> 0
+  in
+  B
+    (match (a, b) with
+    | B x, B y -> holds (compare x y)
+    | I x, I y -> holds (compare x y)
+    | (F _ | I _), (F _ | I _) -> (
+        let x = to_float a and y = to_float b in
+        match op with
+        | Lt -> x < y
+        | Le -> x <= y
+        | Gt -> x > y
+        | Ge -> x >= y
+        | Eq -> x = y
+        | Ne -> x <> y)
+    | _ -> err "comparison between boolean and number")
 
 type logic = And | Or
-
-let logic op a b =
-  match op with
-  | And -> B (truthy a && truthy b)
-  | Or -> B (truthy a || truthy b)
-
-let neg = function
-  | I i -> I (-i)
-  | F f -> F (-.f)
-  | B _ -> err "negation of boolean"
-
-let not_ v = B (not (truthy v))
 
 let equal a b =
   match (a, b) with

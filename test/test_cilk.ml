@@ -189,6 +189,27 @@ int main() {
         (is_infix ~affix:"cilk_sync;" text)
   | Driver.Failed ds -> Alcotest.failf "emit failed: %s" (Driver.diags_to_string ds)
 
+let test_spawn_into_float () =
+  (* a float target lives in the caller's float slots: each child's
+     result lands there, unboxed, at the sync *)
+  let src =
+    {|
+float half(int n) { return n / 2.0; }
+float twice(float x) { return x * 2.0; }
+int main() {
+  float a = 0.0;
+  float b = 1.0;
+  spawn a = half(7);
+  spawn b = twice(0.75);
+  sync;
+  return (int) ((a + b) * 10.0);
+}
+|}
+  in
+  match run_ok src with
+  | Interp.Eval.VScal (S.I 50) -> () (* (3.5 + 1.5) * 10 *)
+  | v -> Alcotest.failf "got %a" Interp.Eval.pp_value v
+
 let suite =
   [
     Alcotest.test_case "cilk passes isComposable (strict marking)" `Quick
@@ -205,4 +226,5 @@ let suite =
       test_spawn_keyword_context;
     Alcotest.test_case "cilk_spawn / cilk_sync in emitted C" `Quick
       test_emitted_c;
+    Alcotest.test_case "spawn into a float local" `Quick test_spawn_into_float;
   ]

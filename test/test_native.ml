@@ -2003,6 +2003,240 @@ Matrix float <2> main() {
         ])
     [ 1; 2 ]
 
+let nan_src =
+  {|
+int main() {
+  float z = 0.0;
+  float n = z / z;
+  int r = 0;
+  if (n < 1.0) { r = r + 1; }
+  if (n == n) { r = r + 10; }
+  if (n > 1.0) { r = r + 100; }
+  if (n != n) { r = r + 1000; }
+  return r;
+}
+|}
+
+(* The interpreter compiles each scalar operation for the static types
+   of its operands; the binary is C.  They agree on int/float promotion,
+   on negative operands of [/] and [%], on bools as conditions, on
+   casts, on scalars passed to a function a matrixMap body calls, on
+   scalars a parallel with-loop body reads from outside it, on loop
+   exits, and on a NaN, which compares unordered: only [n != n] holds. *)
+let typed_programs =
+  [
+    ( "promotion",
+      {|
+int main() {
+  int i = 7;
+  float f = 2.5;
+  float a = i + f;
+  float b = f * i - i / 2;
+  int q = f * 3;
+  int c = 0;
+  if (i > f) { c = c + 1; }
+  if (f < i) { c = c + 10; }
+  if (i == 7.0) { c = c + 100; }
+  if (3 <= f) { c = c + 1000; }
+  Matrix float <1> out = with ([0] <= [k] < [4]) genarray([4], 0.0);
+  out[0] = a;
+  out[1] = b;
+  out[2] = i / f;
+  out[3] = q;
+  writeMatrix("promote.data", out);
+  return c * 100 + q;
+}
+|},
+      [ "promote.data" ] );
+    ( "negative division",
+      {|
+int main() {
+  int a = -7;
+  int b = 2;
+  int c = 0 - b;
+  Matrix int <1> r = with ([0] <= [k] < [6]) genarray([6], 0);
+  r[0] = a / b;
+  r[1] = a % b;
+  r[2] = 7 / c;
+  r[3] = 7 % c;
+  r[4] = a / c;
+  r[5] = a % c;
+  float y = -7.0 / b;
+  writeMatrix("negdiv.data", r);
+  return r[0] * 1000 + r[1] * 100 + r[2] * 10 + r[3] + r[4] + r[5]
+         + (int) (y * 10.0);
+}
+|},
+      [ "negdiv.data" ] );
+    ( "bool conditions",
+      {|
+bool pick(bool b, int x) {
+  if (b) { return x > 2; }
+  return !b;
+}
+int main() {
+  bool t = true;
+  bool f = 3 < 2;
+  Matrix bool <1> m = with ([0] <= [k] < [4]) genarray([4], k % 2 == 0);
+  int c = 0;
+  if (t && !f) { c = c + 1; }
+  if (m[2]) { c = c + 10; }
+  if (m[1] || f) { c = c + 100; }
+  while (f) { c = c + 1000; }
+  if (pick(m[0], 3)) { c = c + 10000; }
+  if (pick(m[3], 0)) { c = c + 100000; }
+  bool e = t == f;
+  if (e != f) { c = c + 1000000; }
+  writeMatrix("bools.data", m);
+  return c;
+}
+|},
+      [ "bools.data" ] );
+    ( "casts",
+      {|
+int main() {
+  float p = 3.7;
+  float n = -3.7;
+  int seven = 7;
+  int a = (int) p;
+  int b = (int) n;
+  float h = (float) seven / 2;
+  Matrix float <1> r = with ([0] <= [k] < [3]) genarray([3], (float) k / 3.0);
+  r[0] = h;
+  writeMatrix("casts.data", r);
+  return a * 100 + b * 10 + (int) (h * 2.0);
+}
+|},
+      [ "casts.data" ] );
+    ( "scalar parameters under matrixMap",
+      {|
+float scale(float x, int k, bool neg) {
+  if (neg) { return -x * k; }
+  return x * k;
+}
+Matrix float <1> f(Matrix float <1> v) {
+  int n = dimSize(v, 0);
+  return with ([0] <= [k] < [n]) genarray([n], scale(v[k], k, k % 2 == 1));
+}
+int main() {
+  Matrix float <2> a =
+    with ([0,0] <= [i,j] < [4,5]) genarray([4,5], (float) (i * 5 + j) / 4.0);
+  Matrix float <2> b = matrixMap(f, a, [1]);
+  writeMatrix("mapped.data", b);
+  return (int) b[3, 4];
+}
+|},
+      [ "mapped.data" ] );
+    ( "locals outside a with-loop body",
+      {|
+int main() {
+  int off = 3;
+  float w = 0.5;
+  bool flip = true;
+  Matrix float <2> g = with ([0,0] <= [i,j] < [6,7]) genarray([6,7], (i * off + j) * w);
+  Matrix int <2> h = with ([0,0] <= [i,j] < [6,7]) genarray([6,7], i * off - j);
+  Matrix bool <2> s = with ([0,0] <= [i,j] < [6,7]) genarray([6,7], (i < off) == flip);
+  writeMatrix("outer.data", g);
+  writeMatrix("outerint.data", h);
+  writeMatrix("outerbool.data", s);
+  return h[5, 6] + (int) g[5, 6];
+}
+|},
+      [ "outer.data"; "outerint.data"; "outerbool.data" ] );
+    ( "while with break and continue",
+      {|
+int main() {
+  int i = 0;
+  int s = 0;
+  float acc = 0.0;
+  while (i < 20) {
+    i = i + 1;
+    if (i % 3 == 0) { continue; }
+    if (i > 14) { break; }
+    s = s + i;
+    acc = acc + i * 0.5;
+  }
+  return s * 1000 + (int) acc;
+}
+|},
+      [] );
+    ("NaN", nan_src, []);
+  ]
+
+(* Integer division and remainder by zero: one message at one span in
+   both backends, in straight-line code and in a with-loop body. *)
+let typed_failures =
+  [
+    ( "division by zero",
+      {|
+int main() {
+  int k = 0;
+  int a = 10;
+  Matrix int <1> r = with ([0] <= [i] < [4]) genarray([4], a / (i - k - 2));
+  return r[0];
+}
+|},
+      "integer division by zero" );
+    ( "modulo by zero",
+      {|
+int main() {
+  int k = 0;
+  int a = 10;
+  int r = a % k;
+  return r;
+}
+|},
+      "modulo by zero" );
+  ]
+
+let test_typed_scalars () =
+  both_return ~name:"NaN compares unordered" ~expect:1000 nan_src;
+  List.iter
+    (fun (name, src, outputs) ->
+      List.iter
+        (fun threads ->
+          differential
+            ~name:(Printf.sprintf "%s/%d threads" name threads)
+            ~auto_par:(threads > 1) ~threads ~inputs:[] ~outputs src)
+        [ 1; 2 ])
+    typed_programs;
+  List.iter
+    (fun (name, src, message) ->
+      let report ~backend = function
+        | Driver.Ok_ _ -> Alcotest.failf "%s: %s succeeded" name backend
+        | Driver.Failed (d :: _) ->
+            ( Support.Pos.span_to_string d.Support.Diag.span,
+              d.Support.Diag.message )
+        | Driver.Failed [] -> Alcotest.failf "%s: %s failed silently" name backend
+      in
+      List.iter
+        (fun threads ->
+          let config =
+            Driver.Pipeline.enable (Driver.default_config full) "auto-par"
+              (threads > 1)
+          in
+          let interp =
+            report ~backend:"interpreter"
+              (if threads > 1 then
+                 Runtime.Pool.with_pool threads (fun pool ->
+                     Driver.run ~config ~pool full src [])
+               else Driver.run ~config full src [])
+          in
+          let native =
+            report ~backend:"binary"
+              (Driver.exec ~config ~threads ~cache_dir:(Lazy.force suite_cache)
+                 (Driver.Composed full) src)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%d threads: the message" name threads)
+            message (snd interp);
+          Alcotest.(check (pair string string))
+            (Printf.sprintf "%s/%d threads: the same fault natively" name
+               threads)
+            interp native)
+        [ 1; 2 ])
+    typed_failures
+
 let suite =
   [
     Alcotest.test_case "fig1 interp vs native" `Quick test_fig1;
@@ -2083,4 +2317,6 @@ let suite =
       `Quick test_unzeroed_payloads;
     Alcotest.test_case "matrixMap fibers in place agree at 1 and 2 threads"
       `Quick test_map_in_place;
+    Alcotest.test_case "typed scalars agree at 1 and 2 threads" `Quick
+      test_typed_scalars;
   ]

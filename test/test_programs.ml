@@ -342,6 +342,34 @@ int main() {
       | Driver.Ok_ (Interp.Eval.VScal (S.I got)) -> got = !expect
       | _ -> false)
 
+(* The interpreter keeps scalars unboxed: int, bool and float locals
+   live in unboxed frame arrays, and scalar closures return OCaml ints,
+   floats and bools.  Run at one domain, eddy_energy allocates about
+   4.5 M minor-heap words that way and 16.4 M with every scalar boxed.
+   Allocation on one domain is deterministic, so the bound between the
+   two fails the suite, without timing anything, if scalars are boxed
+   again. *)
+let test_unboxed_scalars () =
+  let src =
+    In_channel.with_open_text "../examples/eddy_energy.mc" In_channel.input_all
+  in
+  let prog =
+    match Driver.frontend all4 src with
+    | Driver.Failed ds -> Alcotest.failf "frontend: %s" (Driver.diags_to_string ds)
+    | Driver.Ok_ ast -> (
+        match Driver.lower all4 ast with
+        | Driver.Ok_ prog -> prog
+        | Driver.Failed ds -> Alcotest.failf "lower: %s" (Driver.diags_to_string ds))
+  in
+  let before = Gc.minor_words () in
+  let v = Interp.Eval.run prog [] in
+  let words = Gc.minor_words () -. before in
+  (match v with
+  | Interp.Eval.VScal (S.I 1308) -> ()
+  | v -> Alcotest.failf "eddy_energy returned %a" Interp.Eval.pp_value v);
+  if words >= 8e6 then
+    Alcotest.failf "eddy_energy allocated %.0f minor words, 8 M or more" words
+
 let suite =
   [
     Alcotest.test_case "rc: early return" `Quick test_rc_early_return;
@@ -375,6 +403,8 @@ let suite =
     Alcotest.test_case "all paper programs emit C" `Quick
       test_all_paper_programs_emit;
     QCheck_alcotest.to_alcotest prop_random_genarray_fold;
+    Alcotest.test_case "eddy_energy allocates under 8 M minor words" `Quick
+      test_unboxed_scalars;
   ]
 
 let _ = fresh_dir
