@@ -757,6 +757,34 @@ let prop_simd_equals_scalar =
       in
       check Simd.add ( +. ) && check Simd.sub ( -. ) && check Simd.mul ( *. ))
 
+(* [Scalar.cmp] (which [Eddy.Conncomp.below] thresholds with) compares
+   as C: a NaN is unordered, so only [!=] holds against it; ints compare
+   as ints, and [false] orders before [true]. *)
+let test_scalar_cmp () =
+  let holds op a b = Scalar.to_bool (Scalar.cmp op a b) in
+  let nan = Scalar.F Float.nan in
+  List.iter
+    (fun (name, op, nan_holds) ->
+      Alcotest.(check bool) ("NaN " ^ name ^ " 1.0") nan_holds
+        (holds op nan (Scalar.F 1.));
+      Alcotest.(check bool) ("1 " ^ name ^ " NaN") nan_holds
+        (holds op (Scalar.I 1) nan);
+      Alcotest.(check bool) ("NaN " ^ name ^ " NaN") nan_holds
+        (holds op nan nan))
+    Scalar.
+      [
+        ("<", Lt, false);
+        ("<=", Le, false);
+        (">", Gt, false);
+        (">=", Ge, false);
+        ("==", Eq, false);
+        ("!=", Ne, true);
+      ];
+  Alcotest.(check bool) "max_int > max_int - 1, as ints" true
+    (holds Scalar.Gt (Scalar.I max_int) (Scalar.I (max_int - 1)));
+  Alcotest.(check bool) "false < true" true
+    (holds Scalar.Lt (Scalar.B false) (Scalar.B true))
+
 let suite =
   [
     Alcotest.test_case "shape basics" `Quick test_shape_basics;
@@ -792,4 +820,5 @@ let suite =
     Alcotest.test_case "simd ops" `Quick test_simd_ops;
     QCheck_alcotest.to_alcotest prop_simd_equals_scalar;
     QCheck_alcotest.to_alcotest prop_mmat3_bytes;
+    Alcotest.test_case "Scalar.cmp compares as C" `Quick test_scalar_cmp;
   ]
